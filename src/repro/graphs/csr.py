@@ -50,6 +50,9 @@ class CSRGraph:
     indices: np.ndarray
     name: str = "graph"
     _degrees: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _self_loop_degrees: Optional[np.ndarray] = field(
+        default=None, repr=False, compare=False
+    )
     _token: Optional[GraphToken] = field(default=None, repr=False, compare=False)
     _csc: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False
@@ -125,6 +128,14 @@ class CSRGraph:
         if self._degrees is None:
             self._degrees = np.diff(self.indptr)
         return self._degrees
+
+    def self_loop_degrees(self) -> np.ndarray:
+        """``D̂ = D + 1`` as float64 — the renormalization-trick degree
+        every ψ factor is built from.  Cached: serving asks for it once
+        per batch."""
+        if self._self_loop_degrees is None:
+            self._self_loop_degrees = self.degrees().astype(np.float64) + 1.0
+        return self._self_loop_degrees
 
     def cache_token(self) -> GraphToken:
         """Per-object identity token for graph-keyed caches.
@@ -241,13 +252,13 @@ class CSRGraph:
         the transpose back-pointer would even drag a second graph along.
         """
         state = dict(self.__dict__)
-        for key in ("_csc", "_transpose", "_token"):
+        for key in ("_csc", "_transpose", "_token", "_self_loop_degrees"):
             state[key] = None
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        for key in ("_csc", "_transpose", "_token"):
+        for key in ("_csc", "_transpose", "_token", "_self_loop_degrees"):
             self.__dict__.setdefault(key, None)
 
     # ------------------------------------------------------------------

@@ -166,14 +166,16 @@ def _undirected_csr(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
     rows = np.concatenate([dst, src])
     cols = np.concatenate([src, dst])
     keep = rows != cols
-    rows, cols = rows[keep], cols[keep]
-    if len(rows):
-        pairs = np.unique(np.stack([rows, cols], axis=1), axis=0)
-        rows, cols = pairs[:, 0], pairs[:, 1]
+    # Dedupe on the scalar key row * n + col: sorting it is sorting the
+    # (row, col) pairs lexicographically, without the void-dtype
+    # comparisons ``np.unique(axis=0)`` pays for (n² < 2⁶³ always holds
+    # for a graph whose CSR fits in memory).
+    keys = np.unique(rows[keep] * n + cols[keep])
+    rows, cols = np.divmod(keys, n)
     counts = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, cols.astype(np.int64)
+    return indptr, cols
 
 
 @dataclass(frozen=True)
@@ -207,11 +209,13 @@ class PartitionResult:
 
 
 def _bfs_assignment(
-    graph: CSRGraph, num_parts: int, capacities: np.ndarray
+    undirected: Tuple[np.ndarray, np.ndarray],
+    num_parts: int,
+    capacities: np.ndarray,
 ) -> np.ndarray:
     """Grow each part as a BFS ball over the undirected adjacency."""
-    n = graph.num_vertices
-    u_indptr, u_indices = _undirected_csr(graph)
+    u_indptr, u_indices = undirected
+    n = len(u_indptr) - 1
     u_degs = np.diff(u_indptr)
     # Seed from high-degree vertices: hubs anchor parts so their large
     # neighborhoods become local rather than halo traffic.
@@ -247,7 +251,9 @@ def _bfs_assignment(
 
 
 def _greedy_assignment(
-    graph: CSRGraph, num_parts: int, capacities: np.ndarray
+    undirected: Tuple[np.ndarray, np.ndarray],
+    num_parts: int,
+    capacities: np.ndarray,
 ) -> np.ndarray:
     """Linear deterministic greedy (LDG) streaming assignment.
 
@@ -255,8 +261,8 @@ def _greedy_assignment(
     maximizing ``|N(v) ∩ part| * (1 - load/capacity)`` — neighbors pull,
     fullness pushes back (Stanton & Kliot's LDG heuristic).
     """
-    n = graph.num_vertices
-    u_indptr, u_indices = _undirected_csr(graph)
+    u_indptr, u_indices = undirected
+    n = len(u_indptr) - 1
     u_degs = np.diff(u_indptr)
     order = np.argsort(-u_degs, kind="stable")
     assignment = np.full(n, -1, dtype=np.int64)
@@ -277,7 +283,7 @@ def _greedy_assignment(
 
 
 def _refine_assignment(
-    graph: CSRGraph,
+    undirected: Tuple[np.ndarray, np.ndarray],
     assignment: np.ndarray,
     num_parts: int,
     capacities: np.ndarray,
@@ -287,17 +293,17 @@ def _refine_assignment(
     vertices to the neighboring part with the highest edge-cut gain,
     respecting part capacities.  Deterministic (gain-descending, vertex
     id as tiebreak)."""
-    n = graph.num_vertices
+    u_indptr, u_indices = undirected
+    n = len(u_indptr) - 1
     if n == 0 or passes <= 0:
         return assignment
-    u_indptr, u_indices = _undirected_csr(graph)
-    u_degs = np.diff(u_indptr)
-    dst = np.repeat(np.arange(n, dtype=np.int64), u_degs)
+    dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(u_indptr))
     assignment = assignment.copy()
     loads = np.bincount(assignment, minlength=num_parts)
     for _ in range(passes):
-        nbr_part_counts = np.zeros((n, num_parts), dtype=np.int64)
-        np.add.at(nbr_part_counts, (dst, assignment[u_indices]), 1)
+        nbr_part_counts = np.bincount(
+            dst * num_parts + assignment[u_indices], minlength=n * num_parts
+        ).reshape(n, num_parts)
         current = nbr_part_counts[np.arange(n), assignment]
         best_part = np.argmax(nbr_part_counts, axis=1)
         gain = nbr_part_counts[np.arange(n), best_part] - current
@@ -347,13 +353,13 @@ def edge_cut_partition(
     capacities = base + (np.arange(num_parts) < extra).astype(np.int64)
     if method == "contiguous" or num_parts == 1:
         assignment = (np.arange(n, dtype=np.int64) * num_parts) // max(n, 1)
-    elif method == "bfs":
-        assignment = _bfs_assignment(graph, num_parts, capacities)
     else:
-        assignment = _greedy_assignment(graph, num_parts, capacities)
-    if num_parts > 1 and method != "contiguous":
+        # Built once per call: both stages walk the same symmetrized graph.
+        undirected = _undirected_csr(graph)
+        grow = _bfs_assignment if method == "bfs" else _greedy_assignment
         assignment = _refine_assignment(
-            graph, assignment, num_parts, capacities, refine_passes
+            undirected, grow(undirected, num_parts, capacities),
+            num_parts, capacities, refine_passes,
         )
     return PartitionResult(assignment=assignment, num_parts=num_parts, method=method)
 

@@ -25,6 +25,7 @@ from ..graphs.csr import CSRGraph
 from ..graphs.partition import GraphShard
 from ..nn.aggregate import normalization_factors
 from .base import AggregationKernel, KernelStats, validate_inputs
+from .segment import ScaledCSR
 
 
 class DistGNNKernel(AggregationKernel):
@@ -82,27 +83,12 @@ def shard_factors(
     )
 
 
-def shard_segment_reduce(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    edge_factors: np.ndarray,
-    self_factors: np.ndarray,
-    x: np.ndarray,
-) -> np.ndarray:
+def shard_segment_reduce(op: ScaledCSR, x: np.ndarray) -> np.ndarray:
     """Per-shard gather-reduce: ``a[v] = ψ_v x[v] + Σ_e ψ_e x[col(e)]``.
 
     ``x`` has ``num_local + num_halo`` rows (owned features then halo
-    copies); the result has ``num_local`` rows.  Mirrors the batched
-    engine's pre-scaled gather + ``np.add.reduceat`` ordering so the
-    per-row floating-point sums match the serial kernel's.
+    copies); the result has ``num_local`` rows.  One fused pass through
+    the shared core — every shard aggregation, forward and transposed,
+    goes through this name so a trace can time it.
     """
-    n_local = len(indptr) - 1
-    out = x[:n_local] * self_factors[:, None]
-    if len(indices):
-        gathered = x[indices] * edge_factors[:, None]
-        degs = np.diff(indptr)
-        nonempty = np.flatnonzero(degs)
-        if len(nonempty):
-            segments = np.add.reduceat(gathered, indptr[:-1][nonempty], axis=0)
-            out[nonempty] += segments
-    return out.astype(np.float32, copy=False)
+    return op(x)

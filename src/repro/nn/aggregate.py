@@ -46,8 +46,7 @@ def normalization_factors(graph: CSRGraph, aggregator: str) -> Tuple[np.ndarray,
         one scale per vertex for the implicit self edge.
     """
     aggregator = canonical_aggregator(aggregator)
-    degs = graph.degrees().astype(np.float64)
-    d_hat = degs + 1.0
+    d_hat = graph.self_loop_degrees()
     dst = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())
     if aggregator == "gcn":
         edge = 1.0 / np.sqrt(d_hat[dst] * d_hat[graph.indices])

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..gpu.sampler import LayerBlock, MiniBatch, iterate_minibatches, sample_blocks
+from ..kernels.segment import ScaledCSR
 from ..obs import get_tracer
 from . import functional as F
 from .aggregate import canonical_aggregator
@@ -151,38 +152,31 @@ def _block_weights(
       ``D+1 = D̂``, again exactly the oracle.
     """
     if aggregator == "gcn":
-        return 1.0 / np.sqrt(d_hat[block.edge_dst] * d_hat[block.edge_src])
-    if aggregator == "mean":
+        weights = 1.0 / np.sqrt(d_hat[block.edge_dst] * d_hat[block.edge_src])
+    elif aggregator == "mean":
         counts = np.bincount(dst_rows, minlength=len(block.dst_vertices))
-        return 1.0 / np.maximum(counts, 1)[dst_rows].astype(np.float64)
-    raise ValueError(
-        f"block forward supports 'gcn' and 'mean' aggregation, got {aggregator!r}"
-    )
+        weights = 1.0 / np.maximum(counts, 1)[dst_rows]
+    else:
+        raise ValueError(
+            f"block forward supports 'gcn' and 'mean' aggregation, got {aggregator!r}"
+        )
+    return weights.astype(np.float32)
 
 
 def _block_aggregate_vectorized(
-    block: LayerBlock, h_src: np.ndarray, weights: np.ndarray
+    block: LayerBlock, h_src: np.ndarray, weights: np.ndarray, dst_rows: np.ndarray
 ) -> np.ndarray:
-    """ψ-weighted segment-sum of a block, no Python loop.
+    """ψ-weighted segment-sum of a block: one fused pass, no Python loop.
 
-    Edges are stably sorted by destination row, then one
-    ``np.add.reduceat`` per block reduces each destination's gathered,
-    scaled neighbor rows.  Destinations with no edges (impossible when
+    The block's edge list becomes a ``dst × src`` operator of the shared
+    aggregation core.  A sampled block may hold the same edge twice; the
+    operator sums the two weights, which is what reducing each edge on
+    its own would give.  Destinations with no edges (impossible when
     self edges are present, but kept safe) stay zero.
     """
-    out = np.zeros((len(block.dst_vertices), h_src.shape[1]), dtype=np.float64)
-    if block.num_edges:
-        dst_rows = np.searchsorted(block.dst_vertices, block.edge_dst)
-        src_rows = np.searchsorted(block.src_vertices, block.edge_src)
-        order = np.argsort(dst_rows, kind="stable")
-        sorted_dst = dst_rows[order]
-        contrib = h_src[src_rows[order]].astype(np.float64)
-        contrib *= weights[order][:, None]
-        seg_starts = np.concatenate(
-            [[0], np.flatnonzero(np.diff(sorted_dst)) + 1]
-        )
-        out[sorted_dst[seg_starts]] = np.add.reduceat(contrib, seg_starts, axis=0)
-    return out.astype(np.float32)
+    src_rows = np.searchsorted(block.src_vertices, block.edge_src)
+    shape = (len(block.dst_vertices), len(block.src_vertices))
+    return ScaledCSR.from_coo(dst_rows, src_rows, weights, shape)(h_src)
 
 
 @dataclass
@@ -221,8 +215,7 @@ def block_forward(
             f"{model.num_layers}-layer model"
         )
     tracer = get_tracer()
-    # One global-degree pass serves every gcn layer in the batch.
-    d_hat = graph.degrees().astype(np.float64) + 1.0
+    d_hat = graph.self_loop_degrees()
     h = features[batch.blocks[0].src_vertices].astype(np.float32, copy=False)
     query = batch.blocks[-1].dst_vertices
     embeddings = h
@@ -238,13 +231,9 @@ def block_forward(
             aggregator=layer.aggregator,
         ) as span:
             aggregator = canonical_aggregator(layer.aggregator)
-            dst_rows = (
-                np.searchsorted(block.dst_vertices, block.edge_dst)
-                if block.num_edges
-                else np.empty(0, dtype=np.int64)
-            )
+            dst_rows = np.searchsorted(block.dst_vertices, block.edge_dst)
             weights = _block_weights(d_hat, block, aggregator, dst_rows)
-            a = _block_aggregate_vectorized(block, h, weights)
+            a = _block_aggregate_vectorized(block, h, weights, dst_rows)
             pre = a @ layer.weight + layer.bias
             h = (F.relu(pre) if layer.activation else pre).astype(np.float32)
             span.add_counters(

@@ -20,6 +20,7 @@ from .sharded import (
     ShardedConfig,
     ShardedTrainer,
     ShardRuntime,
+    ShardWorkerDied,
 )
 from .shm import ArrayBundle, BundleSpec
 from .plan import (
@@ -41,6 +42,7 @@ __all__ = [
     "ShardedConfig",
     "ShardedTrainer",
     "ShardRuntime",
+    "ShardWorkerDied",
     "ArrayBundle",
     "BundleSpec",
     "ChunkExecutor",

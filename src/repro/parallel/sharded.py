@@ -36,15 +36,18 @@ model — all shards therefore always see identical weights.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import os
 import pickle
+import queue
 import time
 import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import get_index_dtype
 
 from ..graphs.csr import CSRGraph
 from ..graphs.partition import (
@@ -54,6 +57,7 @@ from ..graphs.partition import (
     edge_cut_partition,
 )
 from ..kernels.distgnn import shard_factors, shard_segment_reduce
+from ..kernels.segment import ScaledCSR
 from ..nn import functional as F
 from ..nn.aggregate import normalization_factors
 from ..nn.layers import LayerGrads
@@ -63,9 +67,26 @@ from ..nn.training import EpochResult, TrainingHistory
 from ..obs import get_metrics, get_tracer
 from .shm import ArrayBundle
 
+logger = logging.getLogger(__name__)
+
 SHARD_BACKENDS = ("serial", "thread", "process")
 
 _RESULT_TIMEOUT_S = 300.0
+#: Longest the parent blocks on the result queue before it checks that
+#: the workers it is waiting for are still alive.
+_POLL_S = 0.5
+
+
+class ShardWorkerDied(RuntimeError):
+    """A shard worker process exited without reporting its epoch."""
+
+    def __init__(self, part: int, exitcode: Optional[int]) -> None:
+        super().__init__(
+            f"shard worker {part} died (exit code {exitcode}) "
+            "before reporting its epoch"
+        )
+        self.part = part
+        self.exitcode = exitcode
 
 
 @dataclass(frozen=True)
@@ -128,16 +149,25 @@ class ShardRuntime:
         prefix = f"s{part}."
         self.local = bundle.view(prefix + "local")
         self.halo = bundle.view(prefix + "halo")
-        self.indptr = bundle.view(prefix + "indptr")
-        self.indices = bundle.view(prefix + "indices")
         self.t_halo = bundle.view(prefix + "t_halo")
-        self.t_indptr = bundle.view(prefix + "t_indptr")
-        self.t_indices = bundle.view(prefix + "t_indices")
-        self.factors = {
+        self.n_local = len(self.local)
+        n_in = self.n_local + len(self.halo)
+        n_t = self.n_local + len(self.t_halo)
+        #: aggregator -> (forward, transposed) fused operators, built
+        #: once over the bundle's views (wrapped in place, not copied).
+        def view(name: str) -> np.ndarray:
+            return bundle.view(prefix + name)
+
+        self.ops = {
             agg: (
-                bundle.view(f"{prefix}ef.{agg}"),
-                bundle.view(f"{prefix}sf.{agg}"),
-                bundle.view(f"{prefix}tef.{agg}"),
+                ScaledCSR.from_csr(
+                    view("indptr"), view("indices"),
+                    view(f"ef.{agg}"), view(f"sf.{agg}"), n_in,
+                ),
+                ScaledCSR.from_csr(
+                    view("t_indptr"), view("t_indices"),
+                    view(f"tef.{agg}"), view(f"sf.{agg}"), n_t,
+                ),
             )
             for agg in config.aggregators
         }
@@ -150,9 +180,6 @@ class ShardRuntime:
         self.labels_local = bundle.view("labels")[self.local]
         self.train_mask_local = bundle.view("train_mask")[self.local]
         self.val_mask_local = bundle.view("val_mask")[self.local]
-        self.n_local = len(self.local)
-        n_in = self.n_local + len(self.halo)
-        n_t = self.n_local + len(self.t_halo)
         self._x = [
             np.zeros((n_in, spec.in_features), dtype=np.float32)
             for spec in config.layers
@@ -204,8 +231,7 @@ class ShardRuntime:
                 # Delayed aggregation: the stale halo block from the last
                 # refresh epoch stays in place — zero traffic, no barrier.
                 self.exchanges_skipped += 1
-        edge_f, self_f, _ = self.factors[spec.aggregator]
-        a = shard_segment_reduce(self.indptr, self.indices, edge_f, self_f, x)
+        a = shard_segment_reduce(self.ops[spec.aggregator][0], x)
         weight, bias = self.weights[layer]
         pre = a @ weight + bias
         self._a[layer] = a
@@ -271,10 +297,7 @@ class ShardRuntime:
             # local-only backward with periodic synchronization.
             xg[nl:] = 0.0
             self.exchanges_skipped += 1
-        _, self_f, t_edge_f = self.factors[spec.aggregator]
-        self._grad_out = shard_segment_reduce(
-            self.t_indptr, self.t_indices, t_edge_f, self_f, xg
-        )
+        self._grad_out = shard_segment_reduce(self.ops[spec.aggregator][1], xg)
 
     def epoch_result(self) -> Dict:
         return {
@@ -414,6 +437,7 @@ class ShardedTrainer:
         self._cmd_queues = []
         self._result_queue = None
         self._barrier = None
+        self._worker_died = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -494,11 +518,18 @@ class ShardedTrainer:
             prefix = f"s{shard.part}."
             arrays[prefix + "local"] = shard.local_vertices
             arrays[prefix + "halo"] = shard.halo_vertices
-            arrays[prefix + "indptr"] = shard.indptr
-            arrays[prefix + "indices"] = shard.indices
             arrays[prefix + "t_halo"] = t_shard.halo_vertices
-            arrays[prefix + "t_indptr"] = t_shard.indptr
-            arrays[prefix + "t_indices"] = t_shard.indices
+            for layout, part_shard in (("", shard), ("t_", t_shard)):
+                # Stored in the index dtype scipy runs this layout in
+                # (int32 whenever it fits), so the shard operators wrap
+                # the shared buffers instead of down-casting them into a
+                # private copy per worker.
+                dtype = get_index_dtype(maxval=max(
+                    part_shard.num_edges,
+                    part_shard.num_local + part_shard.num_halo,
+                ))
+                arrays[prefix + layout + "indptr"] = part_shard.indptr.astype(dtype)
+                arrays[prefix + layout + "indices"] = part_shard.indices.astype(dtype)
             for agg, (edge_f, self_f) in factor_cache.items():
                 shard_edge_f, shard_self_f = shard_factors(edge_f, self_f, shard)
                 arrays[f"{prefix}ef.{agg}"] = shard_edge_f
@@ -658,19 +689,27 @@ class ShardedTrainer:
             cmd_queue.put(msg)
         results: List[Optional[Dict]] = [None] * self.num_shards
         failures = []
-        for _ in range(self.num_shards):
+        pending = set(range(self.num_shards))
+        deadline = time.monotonic() + _RESULT_TIMEOUT_S
+        while pending:
+            # Liveness is read BEFORE the poll: a worker flushes its
+            # result before it exits, so one seen dead here whose result
+            # the poll then does not find never sent one.
+            dead = [
+                part for part in sorted(pending)
+                if not self._workers[part].is_alive()
+            ]
             try:
-                part, status, payload = self._result_queue.get(
-                    timeout=_RESULT_TIMEOUT_S
-                )
-            except Exception:  # pragma: no cover - dead/hung worker
-                dead = [
-                    worker.name for worker in self._workers
-                    if not worker.is_alive()
-                ]
-                raise RuntimeError(
-                    f"shard epoch timed out; dead workers: {dead or 'none'}"
-                ) from None
+                part, status, payload = self._result_queue.get(timeout=_POLL_S)
+            except queue.Empty:
+                if dead:
+                    self._abort_epoch(dead[0])
+                if time.monotonic() > deadline:
+                    raise RuntimeError(
+                        f"shard epoch timed out; no result from {sorted(pending)}"
+                    ) from None
+                continue
+            pending.discard(part)
             if status == "ok":
                 results[part] = payload
             else:
@@ -681,6 +720,20 @@ class ShardedTrainer:
                 f"shard worker {part} failed:\n{trace}"
             )
         return results
+
+    def _abort_epoch(self, part: int) -> None:
+        """Worker ``part`` is dead with its epoch unreported: release the
+        peers blocked on it and fail the epoch.  ``close()`` still works
+        afterwards (and is the only thing that should be called)."""
+        exitcode = self._workers[part].exitcode
+        self._barrier.abort()
+        self._worker_died = True
+        logger.error(
+            "shard worker %d (pid %s) died with exit code %s mid-epoch",
+            part, self._workers[part].pid, exitcode,
+        )
+        get_metrics().inc("shard.worker_deaths")
+        raise ShardWorkerDied(part, exitcode)
 
     def _combine(self, epoch: int, results: List[Dict]) -> EpochResult:
         cfg = self._config
@@ -755,6 +808,10 @@ class ShardedTrainer:
             except Exception:  # pragma: no cover - teardown best effort
                 pass
         for worker in self._workers:
+            if self._worker_died:
+                # A survivor may be blocked writing a result nobody will
+                # read; it cannot exit on its own.
+                worker.terminate()
             worker.join(timeout=10)
             if worker.is_alive():  # pragma: no cover - defensive
                 worker.terminate()

@@ -68,7 +68,10 @@ class ArrayBundle:
             segment = shared_memory.SharedMemory(create=True, size=total)
             buffer = segment.buf
         else:
-            buffer = np.zeros(total, dtype=np.uint8).data
+            # Not a numpy array: scipy copies a view that covers only a
+            # small part of a larger *ndarray* base, which would quietly
+            # undo the zero-copy operators built over these views.
+            buffer = bytearray(total)
         bundle = cls(buffer, entries, segment=segment, owner=True)
         for name, arr in arrays.items():
             np.copyto(bundle.view(name), np.ascontiguousarray(arr))

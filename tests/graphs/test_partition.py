@@ -1,5 +1,7 @@
 """Unit tests for task partitioning / load-balance analysis (§4.1)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.graphs import (
 )
 from repro.graphs.partition import (
     PARTITION_METHODS,
+    _undirected_csr,
     balance_comparison,
     build_shards,
     chunk_boundaries,
@@ -221,6 +224,52 @@ class TestEdgeCutPartition:
             for src in tiny_graph.indices[lo:hi]:
                 cut += assign[dst] != assign[src]
         assert result.edge_cut(tiny_graph) == cut
+
+
+#: SHA-1 of the int64 ``assignment`` bytes for the products twin at
+#: scale 0.3, seed 7, three parts — recorded from the
+#: ``np.unique(axis=0)`` / ``np.add.at`` partitioner this one replaced.
+GOLDEN_ASSIGNMENTS = {
+    "contiguous": "dcb8937ffdb09fb3f6eb370e08233d97ece27657",
+    "bfs": "34b6f725013cfa9836a2340d31b64f0dc4981a02",
+    "greedy": "4c3527aeadffae2e3c4ec34c7e6714478ceffb59",
+}
+
+
+class TestPartitionDeterminism:
+    @pytest.mark.parametrize("method", PARTITION_METHODS)
+    def test_assignment_matches_golden_hash(self, method):
+        graph = load_dataset("products", scale=0.3, seed=7)
+        assignment = edge_cut_partition(graph, 3, method=method).assignment
+        assert assignment.dtype == np.int64
+        digest = hashlib.sha1(assignment.tobytes()).hexdigest()
+        assert digest == GOLDEN_ASSIGNMENTS[method]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_undirected_csr_matches_pairwise_unique(self, seed):
+        """The scalar-key dedupe must build exactly what sorting the
+        (row, col) pairs did — on multigraphs with self loops too."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 6 * n)), 2))
+        edges = np.concatenate([edges, edges[: len(edges) // 3]])  # duplicates
+        loops = rng.integers(0, n, size=3)
+        edges = np.concatenate([edges, np.stack([loops, loops], axis=1)])
+        graph = CSRGraph.from_edges(n, edges, deduplicate=False)
+
+        dst = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+        rows = np.concatenate([dst, graph.indices])
+        cols = np.concatenate([graph.indices, dst])
+        pairs = np.stack([rows, cols], axis=1)[rows != cols]
+        if len(pairs):
+            pairs = np.unique(pairs, axis=0)
+        expected_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=expected_indptr[1:])
+
+        indptr, indices = _undirected_csr(graph)
+        np.testing.assert_array_equal(indptr, expected_indptr)
+        np.testing.assert_array_equal(indices, pairs[:, 1])
+        assert indices.dtype == np.int64
 
 
 class TestBuildShards:

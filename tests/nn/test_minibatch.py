@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import sample_blocks
-from repro.graphs import planted_partition_graph
+from repro.graphs import CSRGraph, planted_partition_graph
 from repro.nn import Adam, build_model
 from repro.nn.minibatch import (
     MiniBatchTrainer,
@@ -144,6 +144,85 @@ class TestBlockForward:
         batch = assemble_batch(tiny_graph, np.array([0]), 1)
         with pytest.raises(ValueError):
             block_forward(tiny_graph, model, batch, features)
+
+
+def _per_edge_forward(graph, model, batch, features):
+    """One edge at a time in float64 — the semantics the vectorized
+    block forward must keep, duplicates and all."""
+    d_hat = graph.degrees().astype(np.float64) + 1.0
+    h = features[batch.blocks[0].src_vertices].astype(np.float64)
+    for layer, block in zip(model.layers, batch.blocks):
+        dst_pos = {int(v): i for i, v in enumerate(block.dst_vertices)}
+        src_pos = {int(v): i for i, v in enumerate(block.src_vertices)}
+        edges_into = np.bincount(
+            [dst_pos[int(d)] for d in block.edge_dst],
+            minlength=len(block.dst_vertices),
+        )
+        a = np.zeros((len(block.dst_vertices), h.shape[1]))
+        for d, s in zip(block.edge_dst, block.edge_src):
+            if layer.aggregator == "gcn":
+                weight = 1.0 / np.sqrt(d_hat[d] * d_hat[s])
+            else:
+                weight = 1.0 / edges_into[dst_pos[int(d)]]
+            a[dst_pos[int(d)]] += weight * h[src_pos[int(s)]]
+        pre = a @ layer.weight + layer.bias
+        h = np.maximum(pre, 0.0) if layer.activation else pre
+    return h
+
+
+class TestBlockForwardThroughTheCore:
+    """Serving answers from the shared aggregation core."""
+
+    @pytest.fixture(scope="class")
+    def looped_graph(self, small_products):
+        """The products twin plus a self loop on every fourth vertex, so
+        a sampled block (neighbors + the appended self edge) holds some
+        edges twice."""
+        n = small_products.num_vertices
+        dst = np.repeat(np.arange(n), small_products.degrees())
+        loops = np.arange(0, n, 4)
+        edges = np.concatenate([
+            np.stack([dst, small_products.indices], axis=1),
+            np.stack([loops, loops], axis=1),
+        ])
+        return CSRGraph.from_edges(n, edges)
+
+    @pytest.mark.parametrize("model_type", ["gcn", "sage"])
+    def test_exact_blocks_match_model_predict(self, small_products, model_type):
+        n = small_products.num_vertices
+        rng = np.random.default_rng(11)
+        features = rng.standard_normal((n, 24)).astype(np.float32)
+        model = build_model(model_type, 24, 32, 7, num_layers=2, seed=5)
+        oracle = model.predict(small_products, features)
+        query = rng.choice(n, size=40, replace=False)
+        batch = assemble_batch(small_products, query, 2)
+        result = block_forward(small_products, model, batch, features)
+        assert result.logits.dtype == np.float32
+        np.testing.assert_allclose(
+            result.logits, oracle[result.query_vertices], atol=1e-4
+        )
+
+    @pytest.mark.parametrize("model_type", ["gcn", "sage"])
+    def test_sampled_blocks_with_duplicate_edges_keep_per_edge_semantics(
+        self, looped_graph, model_type
+    ):
+        n = looped_graph.num_vertices
+        rng = np.random.default_rng(12)
+        features = rng.standard_normal((n, 24)).astype(np.float32)
+        model = build_model(model_type, 24, 32, 7, num_layers=2, seed=6)
+        batch = assemble_batch(
+            looped_graph, np.arange(0, n, 3), 2, fanouts=(6, 6),
+            rng=np.random.default_rng(1),
+        )
+        for block in batch.blocks:
+            pairs = np.stack([block.edge_dst, block.edge_src], axis=1)
+            assert len(np.unique(pairs, axis=0)) < len(pairs)  # duplicates
+        result = block_forward(looped_graph, model, batch, features)
+        np.testing.assert_allclose(
+            result.logits,
+            _per_edge_forward(looped_graph, model, batch, features),
+            atol=1e-4,
+        )
 
 
 class TestMiniBatchTrainer:

@@ -1,0 +1,106 @@
+"""What the sharded trainer must keep true under the hood: shard
+aggregation allocates nothing edge-sized, and a shard worker that dies
+mid-epoch fails the epoch promptly without leaking anything."""
+
+import logging
+import multiprocessing
+import os
+import signal
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.graphs import load_dataset, synthetic_features
+from repro.nn import Adam, build_model
+from repro.parallel import ShardedTrainer, ShardWorkerDied
+from repro.parallel import sharded as sharded_module
+
+FEATURES = 12
+HIDDEN = 64
+CLASSES = 5
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return load_dataset("products", scale=0.25, seed=3)
+
+
+@pytest.fixture(scope="module")
+def inputs(graph):
+    features = synthetic_features(graph, FEATURES, seed=4)
+    labels = np.random.default_rng(8).integers(
+        0, CLASSES, graph.num_vertices
+    ).astype(np.int64)
+    return features, labels
+
+
+def _trainer(graph, backend):
+    model = build_model("gcn", FEATURES, HIDDEN, CLASSES, seed=0)
+    return ShardedTrainer(
+        graph, model, Adam(model, lr=0.01), num_shards=2, backend=backend
+    )
+
+
+def test_shard_aggregation_allocates_no_edge_sized_temporary(graph, inputs):
+    """One forward + one transposed aggregation of the hidden layer must
+    peak far below ``E_shard × F × 4`` bytes — the gathered-rows matrix
+    the fused core exists to never build."""
+    with _trainer(graph, "serial") as trainer:
+        trainer.fit(*inputs, epochs=1)
+        runtime = trainer._runtimes[0]
+        forward, transposed = runtime.ops["gcn"]
+        edges = min(forward.nnz, transposed.nnz)
+        assert edges > 20 * runtime.n_local  # dense enough to tell apart
+        tracemalloc.start()
+        try:
+            runtime.forward_layer(1, epoch=1)
+            runtime.backward_aggregate(1, epoch=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 0.5 * edges * HIDDEN * 4
+
+
+def test_sigkilled_worker_fails_the_epoch_without_leaks(
+    graph, inputs, monkeypatch, caplog
+):
+    segments_before = set(os.listdir("/dev/shm"))
+    real_reduce = sharded_module.shard_segment_reduce
+    calls = {"n": 0}
+
+    def reduce_then_die(op, x):
+        # Three aggregations per epoch (two forward, one transposed):
+        # worker 1 kills itself inside its second epoch, after the
+        # epoch's first barrier, while worker 0 heads for the next one.
+        calls["n"] += 1
+        if (
+            calls["n"] == 5
+            and multiprocessing.current_process().name == "shard-worker-1"
+        ):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_reduce(op, x)
+
+    monkeypatch.setattr(sharded_module, "shard_segment_reduce", reduce_then_die)
+    _, metrics = obs.enable()
+    trainer = _trainer(graph, "process")
+    try:
+        trainer.fit(*inputs, epochs=1)  # workers fork here, patched
+        start = time.monotonic()
+        with caplog.at_level(logging.ERROR, logger=sharded_module.__name__):
+            with pytest.raises(ShardWorkerDied) as died:
+                trainer.train_epoch()
+        elapsed = time.monotonic() - start
+        deaths = metrics.snapshot()["shard.worker_deaths"]["value"]
+    finally:
+        trainer.close()
+        obs.disable()
+    assert elapsed < 10.0
+    assert died.value.part == 1
+    assert died.value.exitcode == -signal.SIGKILL
+    assert deaths == 1
+    assert any("shard worker 1" in r.getMessage() for r in caplog.records)
+    assert not multiprocessing.active_children()
+    assert set(os.listdir("/dev/shm")) == segments_before
