@@ -84,7 +84,7 @@ class BasicKernel(AggregationKernel):
             return hit[1], hit[2]
         order = np.arange(graph.num_vertices, dtype=np.int64)
         base = graph.transpose() if transposed else graph
-        plan = build_chunk_plan(base, self.task_size, order)
+        plan = build_chunk_plan(base, self.task_size)
         self._plan_cache[key] = (weakref.ref(token), order, plan)
         return order, plan
 

@@ -5,6 +5,12 @@ aggregation of ``h_{k-1}`` (Eqs. 1-2, Table 2).  The backward pass
 "computes the gradients of h_{k-1}, a_k, W_k, and b_k; it has one more
 GEMM than the forward propagation" (Section 7.1.1) — visible below as the
 two GEMMs in :meth:`GNNLayer.backward` versus one in ``forward``.
+
+Aggregation is linear, so ``Â (h W) = (Â h) W``: a layer that narrows
+(``out_features < in_features``) runs *transform-first* and gathers the
+narrower ``h W`` rows — the same result up to fp32 reassociation for
+``out/in`` of the memory traffic.  The order is decided from the layer's
+shape and position alone (:meth:`GNNLayer.forward`), never configured.
 """
 
 from __future__ import annotations
@@ -25,23 +31,33 @@ class LayerCache:
     """Intermediates stashed by forward for use in backward.
 
     ``a`` is the full aggregation feature matrix — the reason training
-    cannot use the fused inference buffer trick of Figure 5c.
+    cannot use the fused inference buffer trick of Figure 5c.  It is
+    ``None`` for a transform-first layer, which is how backward knows
+    the order forward took.
     """
 
     h_in: np.ndarray
-    a: np.ndarray
+    a: Optional[np.ndarray]
     pre_activation: np.ndarray
     dropout_mask: Optional[np.ndarray] = None
     agg_stats: Optional[KernelStats] = None  # set when a kernel ran aggregation
+    #: The operand the aggregation gathered: ``h_in`` (aggregate-first),
+    #: ``h_in @ W`` (transform-first), ``None`` when the caller supplied
+    #: the aggregation and nothing was gathered.
+    gathered: Optional[np.ndarray] = None
 
 
 @dataclass
 class LayerGrads:
-    """Parameter and input gradients produced by one backward call."""
+    """Parameter and input gradients produced by one backward call.
+
+    ``h_in`` is ``None`` when the caller asked for no input gradient
+    (the model's first layer: nothing consumes ``∂L/∂X``).
+    """
 
     weight: np.ndarray
     bias: np.ndarray
-    h_in: np.ndarray
+    h_in: Optional[np.ndarray] = None
     agg_stats: Optional[KernelStats] = None  # set when a kernel ran backward
 
 
@@ -84,34 +100,81 @@ class GNNLayer:
         self._rng = rng
 
     # ------------------------------------------------------------------
+    def _aggregate(
+        self, graph: CSRGraph, h: np.ndarray, kernel: Optional[AggregationKernel]
+    ) -> "tuple[np.ndarray, Optional[KernelStats]]":
+        """``Â h`` through ``kernel``, or the SpMM oracle without one."""
+        if kernel is not None:
+            return kernel.aggregate(graph, h, self.aggregator)
+        return aggregate(graph, h, self.aggregator), None
+
+    def _aggregate_backward(
+        self, graph: CSRGraph, grad: np.ndarray, kernel: Optional[AggregationKernel]
+    ) -> "tuple[np.ndarray, Optional[KernelStats]]":
+        """``Âᵀ grad`` through ``kernel`` when it provides
+        ``aggregate_backward`` (e.g. the batched cached-CSC engine of
+        :class:`~repro.kernels.BasicKernel`); otherwise the transpose-
+        SpMM fallback runs."""
+        if kernel is not None and hasattr(kernel, "aggregate_backward"):
+            return kernel.aggregate_backward(
+                graph, np.ascontiguousarray(grad), self.aggregator
+            )
+        return aggregate_backward(graph, grad, self.aggregator), None
+
     def forward(
         self,
         graph: CSRGraph,
         h_in: np.ndarray,
         training: bool = False,
         kernel: Optional[AggregationKernel] = None,
+        static_input: bool = False,
+        aggregated: Optional[np.ndarray] = None,
     ) -> "tuple[np.ndarray, LayerCache]":
-        """Aggregation then update; returns (h_out, cache).
+        """Aggregation and update; returns (h_out, cache).
 
         ``kernel`` swaps the SpMM oracle for one of the optimized
         execution strategies (e.g. a multi-worker ``BasicKernel``); the
         update GEMM and the cache layout are unchanged.
+
+        The order of the two phases follows from shape and position:
+
+        * ``static_input`` — ``h_in`` is the same un-dropped matrix on
+          every call (a model's input features), so ``Â h_in`` is a
+          constant worth keeping: the layer runs aggregate-first whatever
+          its shape, and ``aggregated`` lets the caller hand that
+          constant back instead of gathering it again;
+        * otherwise a narrowing layer (``out < in``) runs transform-first,
+          ``pre = Â (h W) + b``, gathering ``out``-wide rows;
+        * every other layer runs aggregate-first, ``pre = (Â h) W + b``.
         """
         if h_in.shape[1] != self.in_features:
             raise ValueError(
                 f"expected {self.in_features} input features, got {h_in.shape[1]}"
             )
+        if aggregated is not None and aggregated.shape != h_in.shape:
+            raise ValueError(
+                f"aggregated shape {aggregated.shape} != input shape {h_in.shape}"
+            )
         h_dropped, mask = F.dropout(h_in, self.dropout, self._rng, training=training)
-        agg_stats = None
-        if kernel is not None:
-            a, agg_stats = kernel.aggregate(graph, h_dropped, self.aggregator)
+        if aggregated is not None and mask is not None:
+            raise ValueError("a supplied aggregation cannot follow input dropout")
+        static_input = static_input or aggregated is not None
+        if not static_input and self.out_features < self.in_features:
+            a = None
+            gathered = h_dropped @ self.weight
+            z, agg_stats = self._aggregate(graph, gathered, kernel)
+            pre = z + self.bias
         else:
-            a = aggregate(graph, h_dropped, self.aggregator)
-        pre = a @ self.weight + self.bias
+            if aggregated is not None:
+                a, gathered, agg_stats = aggregated, None, None
+            else:
+                gathered = h_dropped
+                a, agg_stats = self._aggregate(graph, gathered, kernel)
+            pre = a @ self.weight + self.bias
         h_out = F.relu(pre) if self.activation else pre
         cache = LayerCache(
             h_in=h_dropped, a=a, pre_activation=pre, dropout_mask=mask,
-            agg_stats=agg_stats,
+            agg_stats=agg_stats, gathered=gathered,
         )
         # astype preserves the working dtype (fp32 normally, fp64 when a
         # gradcheck drives the pipeline at double precision); copy=False
@@ -124,8 +187,9 @@ class GNNLayer:
         grad_out: np.ndarray,
         cache: LayerCache,
         kernel: Optional[AggregationKernel] = None,
+        need_input_grad: bool = True,
     ) -> LayerGrads:
-        """Chain rule through update then aggregation.
+        """Chain rule through update and aggregation, in forward's order.
 
         The ReLU backward is *fused* into the update backward: instead of
         materializing ``relu_grad`` and then running two GEMMs, the
@@ -133,32 +197,36 @@ class GNNLayer:
         masked gradient feeds both GEMMs directly — one masked BLAS pair
         per layer, no fp64 promotion, no extra temporary.
 
-        ``kernel`` routes the aggregation backward (``Âᵀ grad_a``)
-        through an optimized execution strategy when it provides
-        ``aggregate_backward`` (e.g. the batched cached-CSC engine of
-        :class:`~repro.kernels.BasicKernel`); otherwise the transpose-
-        SpMM fallback runs.
+        ``kernel`` routes the transposed aggregation as in ``forward``.
+        An aggregate-first layer needs it (and the ``grad_pre @ Wᵀ``
+        GEMM) only for the input gradient, so ``need_input_grad=False``
+        skips both; a transform-first layer aggregates ``grad_pre``
+        itself, ``out``-wide, and both GEMMs read the result.
         """
         if self.activation:
             # Fold relu' into the GEMM pair: mask once, reuse for both.
             grad_pre = grad_out * (cache.pre_activation > 0)
         else:
             grad_pre = grad_out
-        grad_w = cache.a.T @ grad_pre
         grad_b = grad_pre.sum(axis=0)
-        grad_a = grad_pre @ self.weight.T  # the extra GEMM of Section 7.1.1
-        agg_stats = None
-        if kernel is not None and hasattr(kernel, "aggregate_backward"):
-            grad_h, agg_stats = kernel.aggregate_backward(
-                graph, np.ascontiguousarray(grad_a), self.aggregator
-            )
+        grad_h, agg_stats = None, None
+        if cache.a is None:
+            grad_z, agg_stats = self._aggregate_backward(graph, grad_pre, kernel)
+            grad_w = cache.h_in.T @ grad_z
+            if need_input_grad:
+                grad_h = grad_z @ self.weight.T
         else:
-            grad_h = aggregate_backward(graph, grad_a, self.aggregator)
-        grad_h = F.dropout_grad(grad_h, cache.dropout_mask, self.dropout)
+            grad_w = cache.a.T @ grad_pre
+            if need_input_grad:
+                grad_a = grad_pre @ self.weight.T  # the extra GEMM of Section 7.1.1
+                grad_h, agg_stats = self._aggregate_backward(graph, grad_a, kernel)
+        if grad_h is not None:
+            grad_h = F.dropout_grad(grad_h, cache.dropout_mask, self.dropout)
+            grad_h = grad_h.astype(cache.h_in.dtype, copy=False)
         return LayerGrads(
             weight=grad_w.astype(self.weight.dtype, copy=False),
             bias=grad_b.astype(self.bias.dtype, copy=False),
-            h_in=grad_h.astype(cache.h_in.dtype, copy=False),
+            h_in=grad_h,
             agg_stats=agg_stats,
         )
 

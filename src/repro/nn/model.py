@@ -42,16 +42,24 @@ class GNNModel:
         features: np.ndarray,
         training: bool = False,
         kernel: Optional[AggregationKernel] = None,
+        first_aggregation: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, List[LayerCache]]:
         """Full forward pass; returns logits and per-layer caches.
 
         ``kernel`` routes every layer's aggregation through an optimized
         execution strategy (possibly multi-worker) instead of the SpMM
         oracle.
+
+        The first layer's input is ``features`` itself — static unless
+        that layer drops inputs in training — so it always aggregates
+        first and ``caches[0].a`` is ``Â · features``; a caller that kept
+        it from an earlier pass over the same graph and features hands
+        it back as ``first_aggregation`` and the pass is skipped.
         """
         h = features
         caches: List[LayerCache] = []
         tracer = get_tracer()
+        static_first = not (training and self.layers[0].dropout > 0.0)
         for idx, layer in enumerate(self.layers):
             with tracer.span(
                 "layer",
@@ -60,7 +68,12 @@ class GNNModel:
                 out_features=layer.out_features,
                 aggregator=layer.aggregator,
             ):
-                h, cache = layer.forward(graph, h, training=training, kernel=kernel)
+                static = idx == 0 and static_first
+                h, cache = layer.forward(
+                    graph, h, training=training, kernel=kernel,
+                    static_input=static,
+                    aggregated=first_aggregation if static else None,
+                )
             caches.append(cache)
         return h, caches
 
@@ -75,7 +88,9 @@ class GNNModel:
 
         ``kernel`` routes every layer's aggregation backward
         (``Âᵀ grad_a``) through an optimized execution strategy when it
-        provides ``aggregate_backward``, mirroring ``forward``.
+        provides ``aggregate_backward``, mirroring ``forward``.  Nothing
+        consumes the gradient w.r.t. the input features, so the first
+        layer is not asked for one (``grads[0].h_in`` is ``None``).
         """
         if len(caches) != self.num_layers:
             raise ValueError("cache count does not match layer count")
@@ -91,7 +106,8 @@ class GNNModel:
                 aggregator=self.layers[idx].aggregator,
             ):
                 layer_grads = self.layers[idx].backward(
-                    graph, grad, caches[idx], kernel=kernel
+                    graph, grad, caches[idx], kernel=kernel,
+                    need_input_grad=idx > 0,
                 )
             grads[idx] = layer_grads
             grad = layer_grads.h_in
@@ -116,15 +132,19 @@ class GNNModel:
         """Per-layer L2 norms of one backward pass's gradients.
 
         Keys are layer indices as strings (the JSON event-log layout).
+        A layer that was asked for no input gradient (the first one) has
+        no ``h_in`` entry.
         """
-        return {
-            str(idx): {
+        norms: Dict[str, Dict[str, float]] = {}
+        for idx, grad in enumerate(grads):
+            entry = {
                 "weight": float(np.linalg.norm(grad.weight)),
                 "bias": float(np.linalg.norm(grad.bias)),
-                "h_in": float(np.linalg.norm(grad.h_in)),
             }
-            for idx, grad in enumerate(grads)
-        }
+            if grad.h_in is not None:
+                entry["h_in"] = float(np.linalg.norm(grad.h_in))
+            norms[str(idx)] = entry
+        return norms
 
     def weight_norms(self) -> Dict[str, Dict[str, float]]:
         """Per-layer L2 norms of the current parameters."""

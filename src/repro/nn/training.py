@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -113,6 +113,13 @@ class Trainer:
     With all of them left at ``None`` (the default) ``train_epoch``
     takes the existing zero-cost path: no norms, no sparsity
     measurements, no event construction, no gauge publishing.
+
+    An epoch aggregates only what can change: the first layer's
+    ``Â · features`` is computed once and reused for as long as
+    ``train_epoch`` is called with the same graph and the same
+    ``features`` *object* (the key is identity, so a caller that mutates
+    ``features`` in place must pass a new array), and ``∂L/∂features``
+    is never formed.
     """
 
     def __init__(
@@ -151,6 +158,13 @@ class Trainer:
         self.engine = engine
         self.aggregation_kernel = aggregation_kernel
         self.history = TrainingHistory()
+        #: (graph cache token, features, Â · features) of the last epoch
+        #: whose first layer aggregated un-dropped features.  Strong
+        #: references: a live entry cannot be mistaken for a look-alike
+        #: allocated at a dead array's address.
+        self._first_aggregation: Optional[
+            Tuple[object, np.ndarray, np.ndarray]
+        ] = None
 
     def train_epoch(
         self,
@@ -177,9 +191,19 @@ class Trainer:
         epoch_index = len(self.history.epochs)
         start_s = time.perf_counter() if timing else 0.0
         with tracer.span("epoch", epoch=epoch_index) as span:
-            logits, caches = self.model.forward(
-                graph, features, training=True, kernel=self.aggregation_kernel
+            kept = self._first_aggregation
+            hit = (
+                kept is not None
+                and kept[0] is graph.cache_token()
+                and kept[1] is features
             )
+            logits, caches = self.model.forward(
+                graph, features, training=True, kernel=self.aggregation_kernel,
+                first_aggregation=kept[2] if hit else None,
+            )
+            first = caches[0]
+            if not hit and first.a is not None and first.dropout_mask is None:
+                self._first_aggregation = (graph.cache_token(), features, first.a)
             for cache in caches:
                 if cache.agg_stats is not None:
                     self.history.aggregation_stats.merge(cache.agg_stats)
@@ -353,22 +377,35 @@ class Trainer:
         *Realized* sums the ``dram_bytes_saved`` the (compressed)
         kernels actually counted; *predicted* applies the Section 4.3
         traffic model — ``gathers x row_bytes x traffic_saved(s)`` — to
-        each layer's measured sparsity.  Both count per gather with no
-        cache model, so they are directly comparable; a run on an
-        uncompressed kernel has realized 0 and the predicted number is
-        what compression *would* have saved (the §2.2 motivation).
+        the width and measured sparsity of the operand each layer
+        actually gathered: ``h_in`` for an aggregate-first layer, the
+        (dense, narrower) ``h_in @ W`` for a transform-first one, and
+        nothing at all for a first layer whose aggregation was reused.
+        Both count per gather with no cache model, so they are directly
+        comparable; a run on an uncompressed kernel has realized 0 and
+        the predicted number is what compression *would* have saved
+        (the §2.2 motivation).
         """
         realized = 0.0
         predicted = 0.0
         default_gathers = graph.num_edges + graph.num_vertices
         for layer_idx, cache in enumerate(caches):
+            operand = cache.gathered
+            if operand is None:
+                continue
             stats = cache.agg_stats
             gathers = stats.gathers if stats is not None else default_gathers
             if stats is not None:
                 realized += stats.dram_bytes_saved
-            row_bytes = cache.h_in.shape[1] * _BYTES_PER_FEATURE
+            operand_sparsity = (
+                layer_sparsity[layer_idx]
+                if operand is cache.h_in
+                else sparsity_of(operand)
+            )
             predicted += (
-                gathers * row_bytes * traffic_saved(layer_sparsity[layer_idx])
+                gathers
+                * operand.shape[1] * _BYTES_PER_FEATURE
+                * traffic_saved(operand_sparsity)
             )
         return {
             "realized_dram_bytes_saved": realized,

@@ -64,7 +64,9 @@ class EpochEvent:
     train_accuracy: float
     wall_time_s: float
     val_accuracy: Optional[float] = None
-    #: layer index (as str, JSON keys are strings) -> {"weight", "bias", "h_in"}
+    #: layer index (as str, JSON keys are strings) -> {"weight", "bias",
+    #: "h_in"}; "h_in" is absent for a layer that formed no input
+    #: gradient (the first layer: nothing consumes dL/dfeatures)
     grad_norms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: layer index -> {"weight", "bias"}
     weight_norms: Dict[str, Dict[str, float]] = field(default_factory=dict)

@@ -348,14 +348,12 @@ class ChunkExecutor:
             if queue_gauge is not None:
                 queue_gauge.add(-1.0)
             for name, (idx, rows) in writes.items():
-                count = len(idx)
-                if count > 1 and int(idx[-1]) - int(idx[0]) == count - 1 and bool(
-                    (np.diff(idx) == 1).all()
-                ):
+                if chunk.contiguous:
                     # Ascending contiguous ids (every natural-order chunk):
                     # a slice write is a straight memcpy, vs the per-row
                     # indirection of a fancy-index scatter.
-                    outputs[name][int(idx[0]) : int(idx[0]) + count] = rows
+                    lo = int(idx[0])
+                    outputs[name][lo : lo + len(idx)] = rows
                 else:
                     outputs[name][idx] = rows
             stats.merge(chunk_stats)

@@ -31,6 +31,10 @@ class Chunk:
     start: int
     stop: int
     cost: float  # gather work: sum of (degree + 1) over the chunk
+    #: The chunk's vertex ids ascend by one (every chunk of a natural-order
+    #: plan): the kernel may take a CSR row slice and the executor a slice
+    #: write.  Decided once per plan, not once per chunk per pass.
+    contiguous: bool = False
 
     @property
     def num_vertices(self) -> int:
@@ -69,16 +73,26 @@ def build_chunk_plan(
         raise ValueError(f"task_size must be positive, got {task_size}")
     n = graph.num_vertices
     degs = graph.degrees()
+    breaks = None
     if order is not None:
         if len(order) != n:
             raise ValueError("order must cover every vertex exactly once")
         degs = degs[order]
+        # breaks[i] = non-unit steps of the order before position i, so a
+        # chunk is contiguous iff the count does not move across it.
+        breaks = np.concatenate(([0], np.cumsum(np.diff(order) != 1)))
     work = (degs + 1).astype(np.float64)
     chunks = []
     for index, start in enumerate(range(0, n, task_size)):
         stop = min(start + task_size, n)
         chunks.append(
-            Chunk(index=index, start=start, stop=stop, cost=float(work[start:stop].sum()))
+            Chunk(
+                index=index,
+                start=start,
+                stop=stop,
+                cost=float(work[start:stop].sum()),
+                contiguous=breaks is None or bool(breaks[stop - 1] == breaks[start]),
+            )
         )
     return ChunkPlan(chunks=tuple(chunks), task_size=task_size, num_vertices=n)
 

@@ -214,12 +214,15 @@ class ShardRuntime:
         spec = self.cfg.layers[layer]
         x = self._x[layer]
         nl = self.n_local
+        op = self.ops[spec.aggregator][0]
         if layer == 0:
-            # Input features are static: gather own + halo rows once and
-            # keep them for the whole run — layer 0 never exchanges.
+            # Input features are static: gather own + halo rows once,
+            # aggregate them once, and keep both for the whole run —
+            # layer 0 never exchanges and never re-aggregates.
             if not self._x0_ready:
                 x[:nl] = self.features[self.local]
                 x[nl:] = self.features[self.halo]
+                self._a[0] = shard_segment_reduce(op, x)
                 self._x0_ready = True
         else:
             x[:nl] = self._h[layer - 1]
@@ -231,10 +234,10 @@ class ShardRuntime:
                 # Delayed aggregation: the stale halo block from the last
                 # refresh epoch stays in place — zero traffic, no barrier.
                 self.exchanges_skipped += 1
-        a = shard_segment_reduce(self.ops[spec.aggregator][0], x)
+            self._a[layer] = shard_segment_reduce(op, x)
+        a = self._a[layer]
         weight, bias = self.weights[layer]
         pre = a @ weight + bias
-        self._a[layer] = a
         self._pre[layer] = pre
         self._h[layer] = F.relu(pre) if spec.activation else pre
         self.boards_h[layer][self.local] = self._h[layer]
@@ -759,7 +762,6 @@ class ShardedTrainer:
                 LayerGrads(
                     weight=grad_w.astype(np.float32),
                     bias=grad_b.astype(np.float32),
-                    h_in=np.zeros((0, 0), dtype=np.float32),
                 )
             )
         self.optimizer.step(grads)

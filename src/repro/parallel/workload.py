@@ -191,7 +191,7 @@ class BasicAggregationWorkload(_AggregationChunkBase):
         """The whole chunk in one segment-reduce call, same counters."""
         verts = self.order[chunk.start : chunk.stop]
         stats = KernelStats(tasks=1)
-        rows = self._rt_batched(self.h, verts)
+        rows = self._rt_batched(self.h, verts, chunk.contiguous)
         self._count_gathers(stats, verts)
         self._count_prefetches(stats, chunk.start, chunk.stop)
         return {"out": (verts, rows)}, stats
@@ -335,7 +335,7 @@ class FusedLayerWorkload(_AggregationChunkBase):
             block_end = min(block_start + self.block_size, chunk.stop)
             verts = order[block_start:block_end]
             # Aggregation phase of the block (Alg. 2 lines 3-7), batched.
-            scratch = batched(self.h, verts)
+            scratch = batched(self.h, verts, chunk.contiguous)
             self._count_gathers(stats, verts)
             self._count_prefetches(stats, block_start, block_end)
             local = block_start - chunk.start

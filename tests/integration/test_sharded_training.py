@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.graphs import load_dataset, synthetic_features
-from repro.nn import Adam, Trainer, build_model
+from repro.nn import Adam, GNNLayer, GNNModel, Trainer, build_model
 from repro.parallel import SHARD_BACKENDS, ShardedTrainer
 
 FEATURES = 12
@@ -126,6 +126,39 @@ class TestMatchesSingleProcessTrainer:
         np.testing.assert_allclose(
             history.losses(), reference.losses(), rtol=LOSS_RTOL
         )
+
+
+    def test_narrowing_hidden_layer_matches(self, graph, features, labels):
+        """12 -> 24 -> 16 -> 5: ``Trainer`` runs the narrowing hidden and
+        output layers transform-first (``Â (h W)``) while every shard
+        still aggregates first (``(Â h) W``) — the same training run up
+        to fp32 reassociation, at the unchanged tolerances."""
+        def narrowing_model():
+            return GNNModel([
+                GNNLayer(FEATURES, 24, seed=0),
+                GNNLayer(24, HIDDEN, seed=1),
+                GNNLayer(HIDDEN, CLASSES, activation=False, seed=2),
+            ])
+
+        ref_model = narrowing_model()
+        reference = Trainer(ref_model, Adam(ref_model, lr=0.01)).fit(
+            graph, features, labels, epochs=EPOCHS
+        )
+        model = narrowing_model()
+        with ShardedTrainer(
+            graph, model, Adam(model, lr=0.01), num_shards=3, backend="serial"
+        ) as trainer:
+            history = trainer.fit(features, labels, epochs=EPOCHS)
+        np.testing.assert_allclose(
+            history.losses(), reference.losses(), rtol=LOSS_RTOL
+        )
+        for ref_layer, layer in zip(ref_model.layers, model.layers):
+            np.testing.assert_allclose(
+                layer.weight, ref_layer.weight, atol=WEIGHT_ATOL
+            )
+            np.testing.assert_allclose(
+                layer.bias, ref_layer.bias, atol=WEIGHT_ATOL
+            )
 
 
 class TestProcessBitwiseMatchesSerial:

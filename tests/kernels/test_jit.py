@@ -90,7 +90,7 @@ class TestBatchedSpecialization:
         kernel = cache.specialize_batched(small_products, KernelSpec(8, "gcn"))
         h = synthetic_features(small_products, 8, seed=3)
         verts = np.arange(10, 42, dtype=np.int64)
-        contiguous = kernel(h, verts)
+        contiguous = kernel(h, verts, contiguous=True)
         shuffled = np.random.default_rng(0).permutation(verts)
         scattered = kernel(h, shuffled)
         np.testing.assert_allclose(

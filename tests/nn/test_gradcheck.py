@@ -5,9 +5,12 @@ Two layers of defense for the batched backward engine:
 1. **Gradcheck** — every layer configuration (aggregator x activation) x
    every backward execution path (SpMM fallback, loop engine, batched
    engine) is checked against central-difference numeric gradients for
-   weights, bias, and inputs to <= 1e-4 relative error.  The whole
-   pipeline is dtype-preserving, so the checks run at float64 where
-   central differences are actually trustworthy.
+   weights, bias, and inputs to <= 1e-4 relative error — once on a
+   narrowing layer (5 -> 4, which runs transform-first) and once on a
+   widening one (5 -> 7, aggregate-first), plus a 3-layer model whose
+   middle layer is transform-first.  The whole pipeline is
+   dtype-preserving, so the checks run at float64 where central
+   differences are actually trustworthy.
 2. **Property test** — the batched backward equals the scalar-loop
    ``aggregate_backward_reference`` oracle to 1e-6 on 50 seeded random
    graphs, including the degenerate shapes (isolated vertices,
@@ -20,7 +23,7 @@ import pytest
 from repro.graphs import CSRGraph, synthetic_features, uniform_graph
 from repro.kernels import BasicKernel
 from repro.kernels.jit import JitKernelCache, KernelSpec
-from repro.nn import GNNLayer
+from repro.nn import GNNLayer, GNNModel
 from repro.nn.aggregate import aggregate_backward_reference
 
 #: Maximum relative error tolerated between numeric and analytic grads.
@@ -103,13 +106,16 @@ def gradcheck_features(gradcheck_graph):
 @pytest.mark.parametrize("activation", ACTIVATIONS, ids=["relu", "linear"])
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 class TestGradcheck:
-    """Central-difference checks for every layer type x engine."""
+    """Central-difference checks for every layer type x engine, on a
+    narrowing layer: 5 -> 4 runs transform-first, ``pre = Â (h W) + b``."""
+
+    OUT_FEATURES = 4
 
     def test_weight_grad(
         self, gradcheck_graph, gradcheck_features, aggregator, activation, engine
     ):
         graph, h = gradcheck_graph, gradcheck_features.copy()
-        layer = make_layer(aggregator, activation)
+        layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
         kernel = make_kernel(engine)
         rng = np.random.default_rng(11)
         coef = rng.standard_normal((graph.num_vertices, layer.out_features))
@@ -123,7 +129,7 @@ class TestGradcheck:
         self, gradcheck_graph, gradcheck_features, aggregator, activation, engine
     ):
         graph, h = gradcheck_graph, gradcheck_features.copy()
-        layer = make_layer(aggregator, activation)
+        layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
         kernel = make_kernel(engine)
         rng = np.random.default_rng(13)
         coef = rng.standard_normal((graph.num_vertices, layer.out_features))
@@ -137,7 +143,7 @@ class TestGradcheck:
         self, gradcheck_graph, gradcheck_features, aggregator, activation, engine
     ):
         graph, h = gradcheck_graph, gradcheck_features.copy()
-        layer = make_layer(aggregator, activation)
+        layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
         kernel = make_kernel(engine)
         rng = np.random.default_rng(17)
         coef = rng.standard_normal((graph.num_vertices, layer.out_features))
@@ -146,6 +152,55 @@ class TestGradcheck:
             h, lambda: layer_loss(layer, graph, h, kernel, coef)
         )
         assert_close(numeric, grads.h_in, f"h_in[{aggregator}/{engine}]")
+
+
+class TestGradcheckWidening(TestGradcheck):
+    """The same checks on a widening layer: 5 -> 7 runs aggregate-first,
+    ``pre = (Â h) W + b``.  (The parametrization is inherited.)"""
+
+    OUT_FEATURES = 7
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["oracle", "loop", "batched"])
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+class TestModelGradcheck:
+    """A 5 -> 6 -> 3 -> 4 model: the first layer aggregates its static
+    input first, the middle layer narrows and runs transform-first, the
+    last widens.  Every parameter gradient of the stacked backward is
+    checked numerically; the input gradient is never formed."""
+
+    def make_model(self, aggregator):
+        layers = [
+            make_layer(aggregator, k < 2, in_f=in_f, out_f=out_f, seed=k)
+            for k, (in_f, out_f) in enumerate([(5, 6), (6, 3), (3, 4)])
+        ]
+        return GNNModel(layers)
+
+    def test_parameter_grads(
+        self, gradcheck_graph, gradcheck_features, aggregator, engine
+    ):
+        graph, h = gradcheck_graph, gradcheck_features
+        model = self.make_model(aggregator)
+        kernel = make_kernel(engine)
+        coef = np.random.default_rng(19).standard_normal((graph.num_vertices, 4))
+
+        def loss():
+            logits, _ = model.forward(graph, h, kernel=kernel)
+            return float((logits * coef).sum())
+
+        logits, caches = model.forward(graph, h, kernel=kernel)
+        assert logits.dtype == np.float64, "pipeline must preserve float64"
+        assert [cache.a is None for cache in caches] == [False, True, False]
+        grads = model.backward(graph, coef, caches, kernel=kernel)
+        assert grads[0].h_in is None
+        for idx, (layer, layer_grads) in enumerate(zip(model.layers, grads)):
+            what = f"layer{idx}[{aggregator}/{engine}]"
+            assert_close(
+                numeric_grad(layer.weight, loss), layer_grads.weight, what + ".weight"
+            )
+            assert_close(
+                numeric_grad(layer.bias, loss), layer_grads.bias, what + ".bias"
+            )
 
 
 class TestGradcheckEngineAgreement:

@@ -6,8 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.graphs import planted_partition_graph, synthetic_features
-from repro.nn import Adam, SGD, Trainer, build_model, inference, train_val_split
+from repro.graphs import CSRGraph, planted_partition_graph
+from repro.kernels import BasicKernel
+from repro.nn import (
+    Adam, GNNLayer, GNNModel, LayerGrads, SGD, Trainer, build_model,
+    inference, train_val_split,
+)
+from repro.nn import functional as F
+from repro.nn.aggregate import aggregate, aggregate_backward
 from repro.nn.training import TrainingHistory
 from repro.obs.events import EventLog, validate_events
 from repro.obs.health import HealthError, HealthMonitor
@@ -119,10 +125,21 @@ class TestTrainerObservability:
         # Layer 1's input went through ReLU + dropout: clearly sparse.
         assert event["sparsity"]["1"] > 0.3
         assert event["grad_norms"]["0"]["weight"] > 0.0
-        # SpMM-oracle run: nothing realized, but the model predicts what
-        # compression would have saved on the measured sparsity.
+        # Nothing consumes the gradient w.r.t. the input features, so the
+        # first layer reports no h_in norm; every later layer does.
+        assert "h_in" not in event["grad_norms"]["0"]
+        assert event["grad_norms"]["1"]["h_in"] > 0.0
+        # SpMM-oracle run: nothing realized.  The prediction prices what
+        # this epoch actually gathered: the first layer reused its kept
+        # aggregation (0 gathers) and the narrowing 16 -> 3 layer ran
+        # transform-first, gathering the dense 3-wide h W instead of its
+        # sparse 16-wide input — so compression would only add its mask
+        # overhead, at most 1/32 of (E + V) rows of 3 floats.  (It was
+        # > 0 when both layers gathered h_in-wide rows every epoch.)
         assert event["compression"]["realized_dram_bytes_saved"] == 0.0
-        assert event["compression"]["predicted_dram_bytes_saved"] > 0.0
+        mask_overhead = (graph.num_edges + graph.num_vertices) * 3 * 4 / 32
+        predicted = event["compression"]["predicted_dram_bytes_saved"]
+        assert -mask_overhead <= predicted < 0.0
         assert event["health_issues"] == []
         assert event["wall_time_s"] > 0.0
 
@@ -145,7 +162,11 @@ class TestTrainerObservability:
         from repro.kernels import CompressedKernel
 
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 16, 3, num_layers=2, dropout=0.5, seed=2)
+        # Three layers: the 16 -> 16 hidden layer is the one that still
+        # gathers its (sparse) input rows — the first layer's aggregation
+        # is kept across epochs and the narrowing output layer gathers
+        # the dense h W, which compression cannot shrink.
+        model = build_model("gcn", 8, 16, 3, num_layers=3, dropout=0.5, seed=2)
         log = EventLog(None)
         trainer = Trainer(
             model, Adam(model, lr=0.02),
@@ -272,6 +293,115 @@ class TestTrainerLiveTelemetry:
         log.close()
         assert rules.ok
         assert log.events[0]["health_issues"] == []
+
+
+class _CountingKernel(BasicKernel):
+    """BasicKernel that records the width of every aggregation pass."""
+
+    def __init__(self):
+        super().__init__()
+        self.forward_widths = []
+        self.backward_widths = []
+
+    def aggregate(self, graph, h, aggregator="gcn", order=None):
+        self.forward_widths.append(h.shape[1])
+        return super().aggregate(graph, h, aggregator, order)
+
+    def aggregate_backward(self, graph, grad_a, aggregator="gcn", order=None):
+        self.backward_widths.append(grad_a.shape[1])
+        return super().aggregate_backward(graph, grad_a, aggregator, order)
+
+
+def _reference_epoch(model, optimizer, graph, features, labels):
+    """The epoch as it was before anything was skipped: every layer
+    aggregates its input first, every epoch, and the input gradient is
+    formed all the way down to the features."""
+    h, stash = features, []
+    for layer in model.layers:
+        a = aggregate(graph, h, layer.aggregator)
+        pre = a @ layer.weight + layer.bias
+        h = F.relu(pre) if layer.activation else pre
+        stash.append((a, pre))
+    loss, grad = F.cross_entropy(h, labels)
+    grads = [None] * model.num_layers
+    for idx in range(model.num_layers - 1, -1, -1):
+        layer = model.layers[idx]
+        a, pre = stash[idx]
+        grad_pre = grad * (pre > 0) if layer.activation else grad
+        grad = aggregate_backward(
+            graph, grad_pre @ layer.weight.T, layer.aggregator
+        )
+        grads[idx] = LayerGrads(
+            weight=a.T @ grad_pre, bias=grad_pre.sum(axis=0), h_in=grad
+        )
+    optimizer.step(grads)
+    return loss
+
+
+class TestFirstAggregationReuse:
+    """``Â · features`` is a constant: aggregated once per (graph,
+    features) pair, keyed by object identity."""
+
+    def _trainer(self, model):
+        kernel = _CountingKernel()
+        return Trainer(model, SGD(model, lr=0.1), aggregation_kernel=kernel), kernel
+
+    def test_same_objects_aggregate_features_once(self, community_task):
+        graph, features, labels = community_task
+        model = build_model("gcn", 8, 16, 16, num_layers=2, seed=0)
+        trainer, kernel = self._trainer(model)
+        trainer.fit(graph, features, labels, epochs=3)
+        # Width 8 is the features' own: once, in the first epoch.
+        assert kernel.forward_widths == [8, 16, 16, 16]
+        assert kernel.backward_widths == [16, 16, 16]
+
+    def test_copied_features_are_aggregated_again(self, community_task):
+        graph, features, labels = community_task
+        model = build_model("gcn", 8, 16, 16, num_layers=2, seed=0)
+        trainer, kernel = self._trainer(model)
+        trainer.train_epoch(graph, features, labels)
+        trainer.train_epoch(graph, features.copy(), labels)
+        assert kernel.forward_widths.count(8) == 2
+
+    def test_fresh_graph_object_is_aggregated_again(self, community_task):
+        graph, features, labels = community_task
+        model = build_model("gcn", 8, 16, 16, num_layers=2, seed=0)
+        trainer, kernel = self._trainer(model)
+        trainer.train_epoch(graph, features, labels)
+        fresh = CSRGraph(graph.indptr, graph.indices, name=graph.name)
+        trainer.train_epoch(fresh, features, labels)
+        trainer.train_epoch(fresh, features, labels)
+        assert kernel.forward_widths.count(8) == 2
+
+    def test_first_layer_dropout_disables_reuse(self, community_task):
+        graph, features, labels = community_task
+        model = GNNModel([
+            GNNLayer(8, 16, dropout=0.5, seed=0),
+            GNNLayer(16, 16, activation=False, seed=1),
+        ])
+        trainer, kernel = self._trainer(model)
+        trainer.fit(graph, features, labels, epochs=3)
+        assert kernel.forward_widths.count(8) == 3
+
+    def test_bitwise_equal_to_recomputing_everything(self, community_task):
+        """Reusing ``Â · features`` and skipping ``∂L/∂features`` change
+        no value: loss and weights equal the recompute-everything epoch
+        bit for bit (8 -> 16 -> 16: no layer narrows, so no layer runs
+        transform-first and reassociates)."""
+        graph, features, labels = community_task
+        model = build_model("gcn", 8, 16, 16, num_layers=2, seed=7)
+        reference = build_model("gcn", 8, 16, 16, num_layers=2, seed=7)
+        trainer = Trainer(model, Adam(model, lr=0.02))
+        optimizer = Adam(reference, lr=0.02)
+        for _ in range(3):
+            result = trainer.train_epoch(graph, features, labels)
+            expected = _reference_epoch(
+                reference, optimizer, graph, features, labels
+            )
+            assert result.loss == expected
+        for layer, ref_layer in zip(model.layers, reference.layers):
+            np.testing.assert_array_equal(layer.weight, ref_layer.weight)
+            np.testing.assert_array_equal(layer.bias, ref_layer.bias)
 
 
 class TestInference:

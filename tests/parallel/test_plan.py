@@ -37,6 +37,30 @@ class TestBuildChunkPlan:
         expected = float((degs[:32] + 1).sum())
         assert plan.chunks[0].cost == pytest.approx(expected)
 
+    def test_natural_order_chunks_are_contiguous(self, small_products):
+        n = small_products.num_vertices
+        for order in (None, np.arange(n, dtype=np.int64)):
+            plan = build_chunk_plan(small_products, task_size=48, order=order)
+            assert all(chunk.contiguous for chunk in plan.chunks)
+
+    def test_contiguity_is_decided_per_chunk(self, small_products):
+        """The flag equals the per-chunk ``np.diff`` test the kernel and
+        the executor used to repeat on every pass."""
+        n = small_products.num_vertices
+        order = np.arange(n, dtype=np.int64)
+        order[40:60] = order[40:60][::-1]  # scramble inside chunk 1 only
+        order[96], order[n - 1] = order[n - 1], order[96]  # break chunk 3 at its first id
+        shuffled = np.random.default_rng(1).permutation(n)
+        for candidate in (order, shuffled):
+            plan = build_chunk_plan(small_products, task_size=32, order=candidate)
+            for chunk in plan.chunks:
+                ids = candidate[chunk.start : chunk.stop]
+                assert chunk.contiguous == bool((np.diff(ids) == 1).all())
+        plan = build_chunk_plan(small_products, task_size=32, order=order)
+        assert [c.contiguous for c in plan.chunks[:5]] == [
+            True, False, True, False, True
+        ]
+
     def test_invalid_inputs(self, small_products):
         with pytest.raises(ValueError):
             build_chunk_plan(small_products, task_size=0)
