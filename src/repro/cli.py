@@ -1020,7 +1020,6 @@ def _build_serving_service(args) -> tuple:
         cache_capacity=args.cache_capacity,
         cache_max_age_s=args.cache_max_age,
         max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
         max_queue=args.max_queue,
         fanouts=args.fanout or None,
         seed=args.seed,
@@ -1055,7 +1054,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,
         "max_batch": args.max_batch,
-        "max_wait_ms": args.max_wait_ms,
         "assembly": "sampled" if args.fanout else "exact",
     }
     from .obs import get_metrics
@@ -1691,7 +1689,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--fanout", type=_positive_int, nargs="*", default=[],
             metavar="F",
             help="per-layer neighbor-sampling fanouts (input layer first); "
-            "empty = exact full-neighborhood assembly",
+            "empty = exact full-neighborhood assembly.  The first layer "
+            "is always exact (its aggregation is kept), so the first "
+            "fanout is unused and answers are strictly closer to the "
+            "full-batch prediction than sampling every layer",
         )
         p.add_argument(
             "--cache-capacity", type=_positive_int, default=4096,
@@ -1705,12 +1706,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-batch", type=_positive_int, default=32,
-            help="request-coalescing batch size cap (default: %(default)s)",
-        )
-        p.add_argument(
-            "--max-wait-ms", type=float, default=2.0,
-            help="max time a lone request waits for batch company "
-            "(default: %(default)s ms)",
+            help="most requests one forward pass answers; the worker "
+            "takes whatever is queued when it is free, with no wait "
+            "(default: %(default)s)",
         )
         p.add_argument(
             "--max-queue", type=_positive_int, default=128,

@@ -26,6 +26,7 @@ from ..kernels.segment import ScaledCSR
 from ..obs import get_tracer
 from . import functional as F
 from .aggregate import canonical_aggregator
+from .layers import GNNLayer
 from .model import GNNModel
 from .optim import Optimizer
 
@@ -125,8 +126,15 @@ def assemble_batch(
 
     ``fanouts=None`` (the default, and the serving default) builds exact
     full neighborhoods; a fanout list routes through the Eq. 3 sampler
-    (one fanout per layer, input-layer first).
+    (one fanout per layer, input-layer first).  ``num_layers`` counts
+    the hops to gather: a caller that kept the first layer's aggregation
+    asks for one fewer than the model has, and for none at all — an
+    empty batch of blocks — when the model has a single layer.
     """
+    if num_layers == 0:
+        return MiniBatch(
+            seed_vertices=np.asarray(vertices, dtype=np.int64), blocks=()
+        )
     if fanouts is None:
         return full_neighbor_blocks(graph, vertices, num_layers)
     if len(fanouts) != num_layers:
@@ -193,11 +201,17 @@ class BlockForwardResult:
     embeddings: np.ndarray  # input representation of the final layer
 
 
+def _update(layer: GNNLayer, a: np.ndarray) -> np.ndarray:
+    pre = a @ layer.weight + layer.bias
+    return (F.relu(pre) if layer.activation else pre).astype(np.float32)
+
+
 def block_forward(
     graph: CSRGraph,
     model: GNNModel,
     batch: MiniBatch,
     features: np.ndarray,
+    first_aggregation: Optional[np.ndarray] = None,
 ) -> BlockForwardResult:
     """Vectorized inference forward over assembled blocks — serving's
     hot path.
@@ -208,18 +222,51 @@ def block_forward(
     traced epoch does.  On :func:`full_neighbor_blocks` output this
     matches ``model.predict`` row-for-row (up to fp32 reduction-order
     noise) for both supported aggregators.
+
+    ``first_aggregation`` has the meaning it has in
+    :meth:`GNNModel.forward`: the caller kept ``Â · features`` (all
+    ``V`` rows, exact) from an earlier pass over the same graph and
+    features, so the first layer gathers nothing — ``batch`` then holds
+    one block per *remaining* layer and the loop starts from
+    ``act(first_aggregation[src] @ W₀ + b₀)`` on the first remaining
+    block's source rows instead of from ``features[src]``.
     """
-    if len(batch.blocks) != model.num_layers:
+    start = 0 if first_aggregation is None else 1
+    if len(batch.blocks) != model.num_layers - start:
         raise ValueError(
             f"batch has {len(batch.blocks)} blocks for a "
             f"{model.num_layers}-layer model"
+            + (" whose first aggregation was kept" if start else "")
         )
     tracer = get_tracer()
     d_hat = graph.self_loop_degrees()
-    h = features[batch.blocks[0].src_vertices].astype(np.float32, copy=False)
-    query = batch.blocks[-1].dst_vertices
-    embeddings = h
-    for idx, (layer, block) in enumerate(zip(model.layers, batch.blocks)):
+    if batch.blocks:
+        query = batch.blocks[-1].dst_vertices
+        src = batch.blocks[0].src_vertices
+    else:
+        # A one-layer model whose aggregation was kept: no hop to walk,
+        # and the final layer's input is the features themselves.
+        query = src = np.unique(batch.seed_vertices)
+        embeddings = features[query].astype(np.float32, copy=False)
+    if start:
+        first = model.layers[0]
+        with tracer.span(
+            "kernel.serve.block", index=0, aggregator=first.aggregator
+        ) as span:
+            h = _update(first, first_aggregation[src])
+            span.add_counters(
+                {
+                    "edges": 0.0,
+                    "dst_vertices": float(len(src)),
+                    "src_vertices": float(len(src)),
+                    "gathers": 0.0,
+                }
+            )
+    else:
+        h = features[src].astype(np.float32, copy=False)
+    for idx, (layer, block) in enumerate(
+        zip(model.layers[start:], batch.blocks), start=start
+    ):
         if idx == model.num_layers - 1:
             # The final layer's input, restricted to the query rows, is
             # the served "embedding" representation.
@@ -233,9 +280,9 @@ def block_forward(
             aggregator = canonical_aggregator(layer.aggregator)
             dst_rows = np.searchsorted(block.dst_vertices, block.edge_dst)
             weights = _block_weights(d_hat, block, aggregator, dst_rows)
-            a = _block_aggregate_vectorized(block, h, weights, dst_rows)
-            pre = a @ layer.weight + layer.bias
-            h = (F.relu(pre) if layer.activation else pre).astype(np.float32)
+            h = _update(
+                layer, _block_aggregate_vectorized(block, h, weights, dst_rows)
+            )
             span.add_counters(
                 {
                     "edges": float(block.num_edges),

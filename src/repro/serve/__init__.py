@@ -6,8 +6,8 @@ embedding queries against a trained model, built from four pieces:
 * :mod:`repro.serve.server` — :class:`InferenceService` (the request
   pipeline) and :class:`ServingServer` (the ``ThreadingHTTPServer``
   front end);
-* :mod:`repro.serve.batcher` — bounded admission queue + max-size /
-  max-wait request coalescing on one worker thread;
+* :mod:`repro.serve.batcher` — bounded admission queue + work-conserving
+  request coalescing (no timer) on one worker thread;
 * :mod:`repro.serve.cache` — LRU per-vertex result cache with a
   staleness bound;
 * :mod:`repro.serve.loadgen` — the benchmark client (open-loop Poisson

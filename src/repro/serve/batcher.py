@@ -1,26 +1,30 @@
-"""Request batcher: admission queue + max-size/max-wait coalescing.
+"""Request batcher: admission queue + work-conserving coalescing.
 
 Inference on one vertex and on thirty-two vertices cost nearly the same
 (the frontier dedups, the matmuls batch), so the server coalesces
-concurrent requests into one forward pass.  The policy is the standard
-serving pair:
+concurrent requests into one forward pass.  The policy has no timer:
 
-* **max_batch** — a batch closes as soon as it holds this many
-  requests;
-* **max_wait_s** — a lone request never waits longer than this for
-  company; the window opens when the *first* request of a batch is
-  dequeued.
+* the worker blocks on the queue; the moment it is free it takes
+  *everything already queued*, up to **max_batch** requests, and
+  dispatches.  A lone request starts at once; batches form from what
+  arrived while the previous batch ran, so occupancy grows with load by
+  itself.  Waiting for company would only add latency when the worker
+  is idle, and is unnecessary when it is busy — the queue is the
+  company.
 
 Upstream of the worker sits a bounded **admission queue**: when it is
 full, :meth:`RequestBatcher.submit` refuses immediately (the caller
 answers HTTP 503) instead of letting latency collapse under a standing
-queue — load shedding as a first-class, counted outcome.
+queue — load shedding as a first-class, counted outcome.  A closed
+batcher refuses the same way: nothing is ever parked where no worker
+will answer it.
 
 Telemetry: ``serve.queue_depth`` / ``serve.inflight`` gauges,
 ``serve.batches`` counter, ``serve.batch.occupancy`` and
 ``serve.latency.queue_s`` histograms, plus one ``serve.queue`` span per
 request (parented under that request's ``serve.request`` span) so the
-queue wait is visible inside the request's trace tree.
+time a request sat queued before dispatch is visible inside its trace
+tree.
 """
 
 from __future__ import annotations
@@ -48,12 +52,19 @@ class ServeRequest:
     done: threading.Event = field(default_factory=threading.Event)
     result: Optional[Dict[str, Any]] = None
     error: Optional[BaseException] = None
+    #: Set by a caller that stopped waiting: nobody will read the answer,
+    #: so the batch handler need not compute it.
+    abandoned: bool = False
 
     def finish(self, result: Optional[Dict[str, Any]] = None,
                error: Optional[BaseException] = None) -> None:
         self.result = result
         self.error = error
         self.done.set()
+
+
+#: Stop sentinel: ``close`` queues it behind the last admitted request.
+_STOP: Any = object()
 
 
 class RequestBatcher:
@@ -63,26 +74,25 @@ class RequestBatcher:
         self,
         handler: Callable[[List[ServeRequest]], None],
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
         max_queue: int = 128,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.handler = handler
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         self.max_queue = max_queue
         self.batches = 0
         self.submitted = 0
         self.rejected = 0
-        self._queue: "queue.Queue[Optional[ServeRequest]]" = queue.Queue(
-            maxsize=max_queue
-        )
-        self._stop = threading.Event()
+        # Unbounded underneath: ``submit`` enforces ``max_queue``, so the
+        # stop sentinel always fits.  ``_admit`` makes "closed? full?" and
+        # "enqueue" one step: every admitted request is ahead of the
+        # sentinel, where the worker will answer it.
+        self._queue: "queue.Queue[Any]" = queue.Queue()
+        self._closed = False
+        self._admit = threading.Lock()
         self._thread = threading.Thread(
             target=self._run, name="repro-serve-batcher", daemon=True
         )
@@ -95,53 +105,45 @@ class RequestBatcher:
         return get_metrics()
 
     def submit(self, request: ServeRequest) -> bool:
-        """Enqueue a request; ``False`` means admission-rejected (full)."""
+        """Enqueue a request; ``False`` means admission-rejected (the
+        queue is full, or the batcher is closed)."""
         request.enqueued_monotonic = time.monotonic()
         registry = self._registry()
-        try:
+        with self._admit:
+            if self._closed or self._queue.qsize() >= self.max_queue:
+                self.rejected += 1
+                registry.inc("serve.rejected")
+                return False
             self._queue.put_nowait(request)
-        except queue.Full:
-            self.rejected += 1
-            registry.inc("serve.rejected")
-            return False
-        self.submitted += 1
+            self.submitted += 1
         registry.set_gauge("serve.queue_depth", float(self._queue.qsize()))
         return True
 
     def close(self, timeout_s: float = 5.0) -> None:
-        """Stop the worker after the queue drains (idempotent)."""
-        if not self._stop.is_set():
-            self._stop.set()
-            self._queue.put(None)  # wake the worker
+        """Answer everything already admitted, then stop the worker
+        (idempotent)."""
+        with self._admit:
+            if not self._closed:
+                self._closed = True
+                self._queue.put_nowait(_STOP)  # also wakes an idle worker
         self._thread.join(timeout=timeout_s)
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
         while True:
-            try:
-                first = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._stop.is_set():
-                    return
-                continue
-            if first is None:
-                return
-            batch = [first]
-            deadline = time.monotonic() + self.max_wait_s
-            while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+            item = self._queue.get()  # idle: block until work or stop
+            batch: List[ServeRequest] = []
+            while item is not _STOP:
+                batch.append(item)
+                if len(batch) == self.max_batch:
                     break
                 try:
-                    request = self._queue.get(timeout=remaining)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
-                if request is None:
-                    self._dispatch(batch)
-                    return
-                batch.append(request)
-            self._dispatch(batch)
-            if self._stop.is_set() and self._queue.empty():
+            if batch:
+                self._dispatch(batch)
+            if item is _STOP:
                 return
 
     def _dispatch(self, batch: List[ServeRequest]) -> None:
@@ -187,7 +189,6 @@ class RequestBatcher:
     def stats(self) -> Dict[str, Any]:
         return {
             "max_batch": self.max_batch,
-            "max_wait_s": self.max_wait_s,
             "max_queue": self.max_queue,
             "submitted": self.submitted,
             "rejected": self.rejected,

@@ -10,13 +10,17 @@ GNNModel`.  One request's life:
 2. **cache** — per-vertex LRU lookup; a full hit answers without
    touching the compute path;
 3. **queue + batch** — the request parks in the batcher; the worker
-   thread coalesces neighbors (max-size / max-wait), records each
-   request's ``serve.queue`` wait, and opens one ``serve.batch`` span
-   parented under the batch's first request;
-4. **assemble + forward** — neighborhood assembly
-   (:func:`~repro.nn.minibatch.assemble_batch`, exact by default) and
-   the vectorized block forward, whose ``kernel.serve.block`` spans
-   nest under ``serve.batch`` — so one traced request renders as
+   thread, the moment it is free, takes everything already queued (up
+   to ``max_batch``; no timer), records each request's ``serve.queue``
+   wait, and opens one ``serve.batch`` span parented under the batch's
+   first request;
+4. **assemble + forward** — the first layer's aggregation ``Â ·
+   features`` is the same matrix for every request, so the service
+   keeps it from construction; neighborhood assembly
+   (:func:`~repro.nn.minibatch.assemble_batch`, exact by default)
+   covers the remaining ``num_layers - 1`` hops and the vectorized
+   block forward starts from the kept rows.  Its ``kernel.serve.block``
+   spans nest under ``serve.batch`` — so one traced request renders as
    ``serve.request → serve.queue → serve.batch → kernel.*``;
 5. **reply** — per-vertex rows (cached + fresh merged) serialize to
    JSON with the trace id and measured latency; fresh rows feed the
@@ -43,6 +47,8 @@ from urllib.parse import parse_qs, urlsplit
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..kernels.segment import ScaledCSR
+from ..nn.aggregate import normalization_factors
 from ..nn.minibatch import assemble_batch, block_forward
 from ..nn.model import GNNModel
 from .batcher import RequestBatcher, ServeRequest
@@ -66,7 +72,19 @@ class RequestTimeout(RuntimeError):
 
 
 class InferenceService:
-    """The serving pipeline: cache -> batcher -> assembled block forward."""
+    """The serving pipeline: cache -> batcher -> assembled block forward.
+
+    ``features`` are fixed for the life of the service (the identity
+    contract ``Trainer`` has for its kept first aggregation): the first
+    layer's ``Â · features`` is computed once here, ``V × in_features``
+    fp32, and every miss starts from its rows.  It depends on the graph,
+    the features and the first layer's aggregator only, so weight updates
+    and ``cache.invalidate()`` leave it valid.
+
+    With ``fanouts`` (one per layer, input layer first) the first layer
+    stays exact and ``fanouts[1:]`` sample the remaining hops — strictly
+    closer to ``model.predict`` than sampling every layer.
+    """
 
     def __init__(
         self,
@@ -76,7 +94,6 @@ class InferenceService:
         cache_capacity: int = 4096,
         cache_max_age_s: Optional[float] = None,
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
         max_queue: int = 128,
         fanouts: Optional[Sequence[int]] = None,
         seed: int = 0,
@@ -90,6 +107,16 @@ class InferenceService:
         self.features = features
         self.model = model
         self.fanouts = list(fanouts) if fanouts is not None else None
+        if self.fanouts is not None and len(self.fanouts) != model.num_layers:
+            raise ValueError("need one fanout per layer")
+        edge_factors, self_factors = normalization_factors(
+            graph, model.layers[0].aggregator
+        )
+        # Through the one aggregation core, over the graph's own arrays.
+        self._first_aggregation = ScaledCSR.from_csr(
+            graph.indptr, graph.indices, edge_factors, self_factors,
+            graph.num_vertices,
+        )(features.astype(np.float32, copy=False))
         self._rng = np.random.default_rng(seed)
         self.cache = EmbeddingCache(
             capacity=cache_capacity, max_age_s=cache_max_age_s
@@ -97,7 +124,6 @@ class InferenceService:
         self.batcher = RequestBatcher(
             self._run_batch,
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             max_queue=max_queue,
         )
         self.requests = 0
@@ -185,9 +211,12 @@ class InferenceService:
         )
         if not self.batcher.submit(request):
             raise AdmissionRejected(
-                f"admission queue full ({self.batcher.max_queue} waiting)"
+                "admission refused: queue full "
+                f"({self.batcher.max_queue} waiting) or service closed"
             )
         if not request.done.wait(timeout=timeout_s):
+            # Nobody will read the answer: its batch need not compute it.
+            request.abandoned = True
             raise RequestTimeout(f"no answer within {timeout_s:g}s")
         if request.error is not None:
             raise request.error
@@ -196,6 +225,9 @@ class InferenceService:
     # ------------------------------------------------------------------
     def _run_batch(self, batch: List[ServeRequest]) -> None:
         """Batcher worker: one assembled forward for the whole batch."""
+        batch = [r for r in batch if not r.abandoned]
+        if not batch:
+            return
         tracer, registry = self._obs()
         need = np.unique(
             np.concatenate([r.missing for r in batch if r.missing is not None])
@@ -211,12 +243,14 @@ class InferenceService:
             try:
                 with registry.histogram("serve.latency.assemble_s").time():
                     assembled = assemble_batch(
-                        self.graph, need, self.model.num_layers,
-                        fanouts=self.fanouts, rng=self._rng,
+                        self.graph, need, self.model.num_layers - 1,
+                        fanouts=self.fanouts[1:] if self.fanouts else None,
+                        rng=self._rng,
                     )
                 with registry.histogram("serve.latency.forward_s").time():
                     result = block_forward(
-                        self.graph, self.model, assembled, self.features
+                        self.graph, self.model, assembled, self.features,
+                        first_aggregation=self._first_aggregation,
                     )
                 span.add_counters(
                     {"assembled_edges": float(assembled.total_sampled_edges)}
@@ -289,7 +323,10 @@ class InferenceService:
         }
 
     def close(self) -> None:
+        """Answer what was admitted, stop the worker, release the kept
+        matrix (a closed service admits no miss that could read it)."""
         self.batcher.close()
+        self._first_aggregation = None
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ served logits match the full-graph ``model.predict`` oracle exactly
 """
 
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -15,23 +17,73 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.nn import build_model
+from repro.graphs import CSRGraph, power_law_graph
+from repro.nn import GNNModel, build_model
 from repro.serve import (
     AdmissionRejected,
     InferenceService,
     RequestTimeout,
     ServingServer,
 )
+from repro.serve import server as server_module
+
+WAIT_S = 10.0
 
 
 @pytest.fixture()
 def setup(small_products, features16):
     model = build_model("gcn", 16, 8, 5, num_layers=2, seed=1)
-    service = InferenceService(
-        small_products, features16, model, max_wait_s=0.001
-    )
+    service = InferenceService(small_products, features16, model)
     yield small_products, features16, model, service
     service.close()
+
+
+def wait_until(condition):
+    """Wait for another thread to get somewhere; fail rather than hang."""
+    deadline = time.monotonic() + WAIT_S
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class Gate:
+    """Wraps the service's batch handler: every batch is held at the
+    gate until the test opens it."""
+
+    def __init__(self, service):
+        self.entered = threading.Semaphore(0)
+        self.open = threading.Event()
+        self._forward = service.batcher.handler
+        service.batcher.handler = self
+
+    def __call__(self, batch):
+        self.entered.release()
+        assert self.open.wait(timeout=WAIT_S)
+        self._forward(batch)
+
+    def wait_entered(self):
+        assert self.entered.acquire(timeout=WAIT_S)
+
+
+class Caller(threading.Thread):
+    """One ``service.query`` on its own thread; keeps what came back."""
+
+    def __init__(self, service, vertices, **kwargs):
+        super().__init__()
+        self.service, self.vertices, self.kwargs = service, vertices, kwargs
+        self.response = self.error = None
+        self.start()
+
+    def run(self):
+        try:
+            self.response = self.service.query(self.vertices, **self.kwargs)
+        except Exception as error:  # noqa: BLE001 - the test inspects it
+            self.error = error
+
+    def finished(self):
+        self.join(timeout=WAIT_S)
+        assert not self.is_alive()
+        return self
 
 
 def get_json(url, timeout=10.0):
@@ -104,6 +156,127 @@ class TestQuery:
         assert stats["assembly"] == "exact"
 
 
+@pytest.fixture(scope="module")
+def hub_and_loner():
+    """A power-law graph (its hub gathers a fifth of the vertices) plus
+    one vertex with no edge at all."""
+    base = power_law_graph(300, 6.0, seed=3)
+    dst = np.repeat(np.arange(base.num_vertices), base.degrees())
+    edges = np.stack([dst, base.indices], axis=1)
+    return CSRGraph.from_edges(base.num_vertices + 1, edges, name="hub+loner")
+
+
+class TestAgainstPredict:
+    """Served rows equal ``model.predict`` row for row, whatever the
+    model's depth: the kept first aggregation plus ``num_layers - 1``
+    assembled hops is the same function."""
+
+    @pytest.fixture(scope="class")
+    def features(self, hub_and_loner):
+        rng = np.random.default_rng(21)
+        return rng.standard_normal(
+            (hub_and_loner.num_vertices, 12)
+        ).astype(np.float32)
+
+    @staticmethod
+    def query_vertices(graph):
+        hub = int(np.argmax(graph.degrees()))
+        isolated = graph.num_vertices - 1
+        assert graph.degree(isolated) == 0
+        assert graph.degree(hub) > 10 * graph.num_edges / graph.num_vertices
+        # unsorted, with repeats, hub and isolated vertex included
+        return [17, hub, 3, isolated, 17, 5, hub, 0]
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("model_type", ["gcn", "sage"])
+    def test_logits_and_embeddings_match(
+        self, hub_and_loner, features, model_type, num_layers
+    ):
+        graph = hub_and_loner
+        model = build_model(
+            model_type, 12, 10, 6, num_layers=num_layers, seed=num_layers
+        )
+        oracle = model.predict(graph, features)
+        # what the final layer reads: the output of the layers before it
+        final_input = (
+            GNNModel(model.layers[:-1]).predict(graph, features)
+            if num_layers > 1 else features
+        )
+        vertices = self.query_vertices(graph)
+        service = InferenceService(graph, features, model)
+        try:
+            request = np.asarray(vertices)
+            values, cached, batched = service._resolve(
+                request, None, "t", WAIT_S
+            )
+            classified = service.query(vertices)
+            embedded = service.query(vertices, mode="embedding")
+        finally:
+            service.close()
+        assert (cached, batched) == (False, True)
+        assert sorted(values) == sorted(set(vertices))
+        for v, (logits, embedding) in values.items():
+            np.testing.assert_allclose(logits, oracle[v], atol=1e-4)
+            np.testing.assert_allclose(embedding, final_input[v], atol=1e-4)
+        assert classified["vertices"] == vertices
+        assert classified["scores"] == pytest.approx(
+            [float(oracle[v].max()) for v in vertices], abs=1e-4
+        )
+        assert np.asarray(embedded["embeddings"]) == pytest.approx(
+            final_input[vertices], abs=1e-4
+        )
+
+    @pytest.mark.parametrize("model_type", ["gcn", "sage"])
+    def test_fanouts_sample_only_the_hops_after_the_first(
+        self, hub_and_loner, features, model_type
+    ):
+        """With fanouts the first layer stays exact, so fanouts that
+        cover every neighbor of the remaining hops give the exact
+        answer — and a one-layer model has nothing left to sample."""
+        graph = hub_and_loner
+        vertices = self.query_vertices(graph)
+        everyone = int(graph.degrees().max())
+        for num_layers in (1, 2, 3):
+            model = build_model(
+                model_type, 12, 10, 6, num_layers=num_layers, seed=7
+            )
+            oracle = model.predict(graph, features)
+            # the first fanout is never used: one neighbor would be far
+            # from exact if it were
+            service = InferenceService(
+                graph, features, model,
+                fanouts=[1] + [everyone] * (num_layers - 1),
+            )
+            try:
+                response = service.query(vertices)
+                assert service.stats()["assembly"] == "sampled"
+            finally:
+                service.close()
+            assert response["scores"] == pytest.approx(
+                [float(oracle[v].max()) for v in vertices], abs=1e-4
+            )
+
+    def test_fanout_count_checked_at_construction(self, setup):
+        graph, features, model, _ = setup
+        with pytest.raises(ValueError):
+            InferenceService(graph, features, model, fanouts=[4])
+
+    def test_weight_update_keeps_the_first_aggregation_valid(self, setup):
+        graph, features, model, service = setup
+        kept = service._first_aggregation
+        before = service.query([3])
+        for layer in model.layers:
+            layer.weight *= 0.5
+        service.cache.invalidate()
+        after = service.query([3])
+        oracle = model.predict(graph, features)
+        assert service._first_aggregation is kept
+        assert after["scores"] == pytest.approx(
+            [float(oracle[3].max())], abs=1e-4
+        )
+        assert after["scores"] != before["scores"]
+
+
 class TestTracePropagation:
     def test_request_span_tree_shares_one_trace_id(self, setup):
         _, _, _, service = setup
@@ -165,60 +338,96 @@ class TestTracePropagation:
 
 class TestTimeoutsAndShedding:
     def test_timeout_raises(self, setup):
-        graph, features, model, _ = setup
-        service = InferenceService(
-            graph, features, model, max_wait_s=5.0, max_batch=64
-        )
+        _, _, _, service = setup
+        gate = Gate(service)
         try:
             with pytest.raises(RequestTimeout):
-                # the lone request waits out the 5s coalescing window,
-                # far past its 10ms bound
+                # the batch is held at the gate, past the 10 ms bound
                 service.query([0], timeout_s=0.01)
         finally:
-            service.close()
+            gate.open.set()
 
     def test_admission_rejection_when_queue_full(self, setup):
-        import threading
-
         graph, features, model, _ = setup
         service = InferenceService(
-            graph, features, model, max_wait_s=0.0, max_batch=1, max_queue=1
+            graph, features, model, max_batch=1, max_queue=1
         )
-        hold = threading.Event()
-        forward = service.batcher.handler
-
-        def slow_handler(batch):
-            hold.wait(timeout=10.0)
-            forward(batch)
-
-        service.batcher.handler = slow_handler
+        gate = Gate(service)
         try:
-            outcomes = []
-
-            def probe(v):
-                try:
-                    service.query([v], timeout_s=15.0)
-                    outcomes.append("ok")
-                except AdmissionRejected:
-                    outcomes.append("rejected")
-
-            threads = [
-                threading.Thread(target=probe, args=(v,)) for v in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            # one request blocks the worker, one sits in the queue; the
-            # rest must shed synchronously with AdmissionRejected
-            deadline = threading.Event()
-            deadline.wait(timeout=0.3)
-            hold.set()
-            for thread in threads:
-                thread.join(timeout=15.0)
-            assert "rejected" in outcomes
-            assert "ok" in outcomes
+            callers = [Caller(service, [0])]
+            gate.wait_entered()  # one request occupies the worker ...
+            callers.append(Caller(service, [1]))
+            wait_until(lambda: service.batcher.queue_depth == 1)
+            # ... one fills the queue; the rest shed synchronously
+            for v in range(2, 8):
+                with pytest.raises(AdmissionRejected):
+                    service.query([v])
+            gate.open.set()
+            for caller in callers:
+                assert caller.finished().error is None
+            assert service.stats()["batcher"]["rejected"] == 6
         finally:
-            hold.set()
+            gate.open.set()
             service.close()
+
+    @pytest.fixture()
+    def assembled(self, monkeypatch):
+        """The vertex set of every ``assemble_batch`` call the service
+        makes, read where the service looks the function up."""
+        assembled = []
+        plain_assemble = server_module.assemble_batch
+
+        def recording_assemble(graph, vertices, *args, **kwargs):
+            assembled.append(sorted(int(v) for v in vertices))
+            return plain_assemble(graph, vertices, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "assemble_batch", recording_assemble)
+        return assembled
+
+    def test_abandoned_request_does_not_cost_its_batch(self, setup, assembled):
+        """A 504 must not poison the batch it was coalesced into."""
+        graph, features, model, service = setup
+        oracle = model.predict(graph, features)
+        gate = Gate(service)
+        _, registry = obs.enable()
+        try:
+            held = Caller(service, [0])
+            gate.wait_entered()
+            quitter = Caller(service, [1], timeout_s=0.05).finished()
+            assert isinstance(quitter.error, RequestTimeout)
+            patient = Caller(service, [2, 3])
+            wait_until(lambda: service.batcher.queue_depth == 2)
+            gate.open.set()
+            held.finished(), patient.finished()
+        finally:
+            gate.open.set()
+            obs.disable()
+        # the quitter's vertex was never assembled; its batch mate was
+        # answered, and correctly
+        assert assembled == [[0], [2, 3]]
+        assert patient.response["classes"] == [
+            int(oracle[v].argmax()) for v in (2, 3)
+        ]
+        assert held.error is None
+        assert service.errors == 1
+        assert registry.snapshot()["serve.errors"]["value"] == 1.0
+        assert service.cache.get(1) is None
+
+    def test_batch_of_only_abandoned_requests_is_skipped(self, setup, assembled):
+        _, _, _, service = setup
+        gate = Gate(service)
+        try:
+            held = Caller(service, [0])
+            gate.wait_entered()
+            quitter = Caller(service, [1], timeout_s=0.05).finished()
+            assert isinstance(quitter.error, RequestTimeout)
+            gate.open.set()
+            held.finished()
+            gate.wait_entered()  # the quitter's batch did reach the handler
+            service.close()
+        finally:
+            gate.open.set()
+        assert assembled == [[0]]
 
 
 class TestHTTPServer:
@@ -264,3 +473,43 @@ class TestHTTPServer:
         server.start()
         server.stop()
         assert not service.batcher._thread.is_alive()
+
+    def test_stop_with_requests_in_flight(self, small_products, features16):
+        """Every request in flight when ``stop()`` is called gets its
+        reply; one that arrives after gets a refusal (503), not a park
+        behind the stop sentinel; no thread is left over."""
+        threads_before = threading.active_count()
+        model = build_model("gcn", 16, 8, 5, num_layers=2, seed=1)
+        service = InferenceService(small_products, features16, model)
+        gate = Gate(service)
+        server = ServingServer(service, port=0).start()
+        url = server.url
+        statuses = []
+
+        def client(v):
+            statuses.append(get_json(f"{url}/v1/predict?vertex={v}")[0])
+
+        try:
+            clients = [threading.Thread(target=client, args=(0,))]
+            clients[0].start()
+            gate.wait_entered()  # held in the worker; the rest queue up
+            for v in range(1, 6):
+                clients.append(threading.Thread(target=client, args=(v,)))
+                clients[-1].start()
+            wait_until(lambda: service.batcher.submitted == 6)
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            wait_until(lambda: service.batcher._closed)
+            with pytest.raises(AdmissionRejected):
+                service.query([9])
+            gate.open.set()
+            for thread in clients + [stopper]:
+                thread.join(timeout=WAIT_S)
+                assert not thread.is_alive()
+        finally:
+            gate.open.set()
+            server.stop()
+        assert statuses == [200] * 6
+        assert not service.batcher._thread.is_alive()
+        # connection threads finish on their own once they have replied
+        wait_until(lambda: threading.active_count() <= threads_before)
