@@ -275,23 +275,12 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def _make_aggregation_kernel(
-    backend: str, workers: int, task_size: int = 64, engine: str = None
-):
-    """Optional BasicKernel for the --workers/--backend/--engine flags.
-
-    Returns None (the SpMM oracle) only for the all-default single
-    serial worker with no explicit engine choice.
-    """
-    if backend == "serial" and workers == 1 and engine is None:
-        return None
+def _make_aggregation_kernel(backend: str, workers: int):
+    """The BasicKernel every training command aggregates through."""
     from .kernels import BasicKernel
     from .parallel import ChunkExecutor
 
-    return BasicKernel(
-        task_size=task_size, executor=ChunkExecutor(backend, workers),
-        engine=engine,
-    )
+    return BasicKernel(executor=ChunkExecutor(backend, workers))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -314,12 +303,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     if args.shards > 1:
         return _train_sharded(args, graph, features, labels, model)
-    kernel = _make_aggregation_kernel(args.backend, args.workers, engine=args.engine)
-    if kernel is not None:
-        print(
-            f"aggregation: basic kernel ({kernel.engine} engine), "
-            f"{args.backend} x{args.workers}"
-        )
+    kernel = _make_aggregation_kernel(args.backend, args.workers)
+    print(f"aggregation: basic kernel, {args.backend} x{args.workers}")
     meta = {
         "command": "train",
         "dataset": args.dataset,
@@ -328,7 +313,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "epochs": args.epochs,
         "workers": args.workers,
         "backend": args.backend,
-        "engine": kernel.engine if kernel is not None else "spmm",
     }
     event_log = None
     if args.events:
@@ -447,67 +431,6 @@ def _train_sharded(args, graph, features, labels, model) -> int:
     return 0
 
 
-def _bench_training_epochs(args, graph, engine) -> dict:
-    """Time full training epochs: batched backward vs the SpMM fallback.
-
-    Returns ``train.*`` history metrics.  The batched configuration is
-    the production path (``Trainer(backward_engine=True)``); the
-    oracle-backward configuration keeps the transpose-SpMM fallback that
-    rebuilds Â per layer per epoch — the pre-batched-backward engine,
-    measured as the speedup baseline.  One warmup epoch per
-    configuration amortizes JIT specialization and the cached-transpose
-    build; each configuration is then timed ``--train-trials`` times and
-    the *minimum* per-epoch time is reported — the standard noise-robust
-    statistic for a deterministic workload, since scheduling jitter only
-    ever adds time.
-    """
-    import time as time_module
-
-    from .graphs import synthetic_features
-    from .kernels import BasicKernel
-    from .nn import Adam, Trainer, build_model
-
-    classes = 8
-    features = synthetic_features(
-        graph, args.train_features, seed=args.seed, sparsity=0.5
-    )
-    labels = np.random.default_rng(args.seed).integers(
-        0, classes, graph.num_vertices
-    )
-    # The sweep's --task-size is tuned for the forward microbenchmark and
-    # must stay comparable to earlier history rows; training defaults to
-    # one chunk per epoch pass (no chunking overhead) unless overridden.
-    task_size = args.train_task_size or graph.num_vertices
-
-    def epoch_seconds(backward_engine: bool) -> float:
-        model = build_model(
-            "gcn", args.train_features, args.train_hidden, classes,
-            num_layers=args.train_layers, seed=args.seed,
-        )
-        kernel = BasicKernel(task_size=task_size, engine=engine)
-        trainer = Trainer(
-            model, Adam(model, lr=0.01),
-            aggregation_kernel=kernel, backward_engine=backward_engine,
-        )
-        trainer.train_epoch(graph, features, labels)  # warmup
-        best = float("inf")
-        for _ in range(max(1, args.train_trials)):
-            start = time_module.perf_counter()
-            for _ in range(args.train_epochs):
-                trainer.train_epoch(graph, features, labels)
-            elapsed = time_module.perf_counter() - start
-            best = min(best, elapsed / args.train_epochs)
-        return best
-
-    oracle_s = epoch_seconds(backward_engine=False)
-    batched_s = epoch_seconds(backward_engine=True)
-    return {
-        "train.epoch_oracle_backward_s": oracle_s,
-        "train.epoch_batched_s": batched_s,
-        "train.backward_speedup_x": oracle_s / batched_s if batched_s else 0.0,
-    }
-
-
 def _cmd_bench_parallel(args: argparse.Namespace) -> int:
     from .bench.harness import Experiment
     from .graphs import load_dataset, synthetic_features
@@ -529,14 +452,10 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
         ),
         bias=np.zeros(args.hidden, dtype=np.float32),
     )
-    from .kernels import resolve_engine
-
-    engine = resolve_engine(args.engine)
     exp = Experiment(
         "bench-parallel",
-        f"{args.kernel} kernel on {args.dataset} "
-        f"({args.backend} backend, {engine} engine)",
-        )
+        f"{args.kernel} kernel on {args.dataset} ({args.backend} backend)",
+    )
     meta = {
         "command": "bench-parallel",
         "dataset": args.dataset,
@@ -544,7 +463,6 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
         "kernel": args.kernel,
         "backend": args.backend,
         "workers": list(args.workers),
-        "engine": engine,
     }
     extras: dict = {}
     with _telemetry(args, meta, extras=extras):
@@ -554,20 +472,18 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
                 continue
             executor = ChunkExecutor(args.backend, workers)
             if args.kernel == "basic":
-                kernel = BasicKernel(
-                    task_size=args.task_size, executor=executor, engine=engine
-                )
+                kernel = BasicKernel(task_size=args.task_size, executor=executor)
                 _, stats = kernel.aggregate(graph, h, args.aggregator)
             elif args.kernel == "compression":
                 kernel = CompressedKernel(
-                    task_size=args.task_size, executor=executor, engine=engine
+                    task_size=args.task_size, executor=executor
                 )
                 _, stats = kernel.aggregate(graph, h, args.aggregator)
             elif args.kernel == "fusion":
-                kernel = FusedKernel(executor=executor, engine=engine)
+                kernel = FusedKernel(executor=executor)
                 _, _, stats = kernel.run_layer(graph, h, params, args.aggregator)
             else:  # combined
-                kernel = CompressedFusedKernel(executor=executor, engine=engine)
+                kernel = CompressedFusedKernel(executor=executor)
                 _, _, stats = kernel.run_layer(graph, h, params, args.aggregator)
             report = kernel.last_report
             exp.add(f"{workers} workers wall time", report.wall_time_s, unit="s")
@@ -578,20 +494,6 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
             )
     print(exp.render())
 
-    # Training-epoch bench runs *outside* the telemetry block: its spans
-    # must not pollute the sweep's span.* totals, which the perf gate
-    # compares like-for-like against earlier history rows.
-    train_metrics: dict = {}
-    if args.train_epochs:
-        train_metrics = _bench_training_epochs(args, graph, engine)
-        print(
-            f"training ({args.train_epochs} epochs, "
-            f"{args.train_layers} layers, F={args.train_features}): "
-            f"oracle-backward {train_metrics['train.epoch_oracle_backward_s']*1e3:.1f} ms/epoch, "
-            f"batched {train_metrics['train.epoch_batched_s']*1e3:.1f} ms/epoch "
-            f"({train_metrics['train.backward_speedup_x']:.2f}x)"
-        )
-
     if args.history:
         from .obs import history as hist
 
@@ -599,9 +501,9 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
         if report is None:  # pragma: no cover - _telemetry always builds it
             print("no run report captured; history row skipped", file=sys.stderr)
             return 2
-        label = args.history_label or f"bench-parallel-{engine}"
+        # The label committed baseline rows carry; `repro compare` keys on it.
+        label = args.history_label or "bench-parallel-batched"
         entry = hist.entry_from_run_report(report, label=label)
-        entry.metrics.update(train_metrics)
         hist.append_history(args.history, entry)
         print(f"appended history entry {label!r} to {args.history}")
     return 0
@@ -733,9 +635,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     executor = ChunkExecutor(args.backend, args.workers)
     if args.kernel == "basic":
-        kernel = BasicKernel(executor=executor, engine=args.engine)
+        kernel = BasicKernel(executor=executor)
     else:
-        kernel = CompressedKernel(executor=executor, engine=args.engine)
+        kernel = CompressedKernel(executor=executor)
     trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
 
     tracer, metrics = obs.enable()
@@ -768,7 +670,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     ]
     print(
         f"profiled {args.epochs} epoch(s) on {graph.num_vertices} vertices, "
-        f"{args.kernel} kernel ({kernel.engine} engine), "
+        f"{args.kernel} kernel, "
         f"{args.backend} x{args.workers} "
         f"(final loss {history.final_loss:.4f})"
     )
@@ -800,7 +702,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "command": "profile",
         "vertices": args.vertices,
         "kernel": args.kernel,
-        "engine": kernel.engine,
         "workers": args.workers,
         "backend": args.backend,
         "epochs": args.epochs,
@@ -1011,7 +912,10 @@ def _build_serving_service(args) -> tuple:
             f"training {args.model} x{args.layers} on {args.dataset} "
             f"{args.scale}x for {args.epochs} epoch(s) ..."
         )
-        trainer = Trainer(model, Adam(model, lr=args.lr))
+        trainer = Trainer(
+            model, Adam(model, lr=args.lr),
+            aggregation_kernel=_make_aggregation_kernel("serial", 1),
+        )
         trainer.fit(graph, features, labels, epochs=args.epochs)
     service = InferenceService(
         graph,
@@ -1307,11 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["serial", "thread", "process"], default="serial"
     )
     p.add_argument(
-        "--engine", choices=["loop", "batched"], default=None,
-        help="chunk-execution engine (default: batched, or $REPRO_ENGINE); "
-        "forces the basic kernel even for serial x1",
-    )
-    p.add_argument(
         "--shards", type=_positive_int, default=1,
         help="partition-parallel sharded training with N shard workers "
         "(--backend picks serial/thread/process; process runs the "
@@ -1402,45 +1301,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=["serial", "thread", "process"], default="thread"
     )
     p.add_argument(
-        "--engine", choices=["loop", "batched"], default=None,
-        help="chunk-execution engine (default: batched, or $REPRO_ENGINE)",
-    )
-    p.add_argument(
-        "--train-epochs", type=int, default=0, metavar="N",
-        help="additionally time N full training epochs per backward "
-        "configuration (batched backward vs the transpose-SpMM fallback) "
-        "and report the epoch speedup",
-    )
-    p.add_argument(
-        "--train-features", type=_positive_int, default=16,
-        help="input feature width of the training bench (default: %(default)s)",
-    )
-    p.add_argument(
-        "--train-hidden", type=_positive_int, default=16,
-        help="hidden width of the training bench (default: %(default)s)",
-    )
-    p.add_argument(
-        "--train-layers", type=_positive_int, default=3,
-        help="layer count of the training bench (default: %(default)s)",
-    )
-    p.add_argument(
-        "--train-trials", type=_positive_int, default=3,
-        help="timed repetitions per configuration; the minimum per-epoch "
-        "time is reported (default: %(default)s)",
-    )
-    p.add_argument(
-        "--train-task-size", type=int, default=0, metavar="T",
-        help="chunk size for the training bench kernels "
-        "(default: 0 = one chunk covering the whole graph)",
-    )
-    p.add_argument(
         "--history", metavar="FILE", default=None,
-        help="append one history entry (sweep span totals + train.* "
-        "metrics) to this JSONL perf history",
+        help="append one history entry (sweep span totals) to this JSONL "
+        "perf history",
     )
     p.add_argument(
         "--history-label", default=None,
-        help="history entry label (default: bench-parallel-<engine>)",
+        help="history entry label (default: bench-parallel-batched)",
     )
     p.add_argument("--trace", metavar="FILE", help="write a JSONL span trace")
     p.add_argument("--json", metavar="FILE", help="write a run-report JSON")
@@ -1510,10 +1377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", choices=["basic", "compression"], default="basic")
-    p.add_argument(
-        "--engine", choices=["loop", "batched"], default=None,
-        help="chunk-execution engine (default: batched, or $REPRO_ENGINE)",
-    )
     p.add_argument("--workers", type=_positive_int, default=2)
     p.add_argument(
         "--backend", choices=["serial", "thread", "process"], default="thread"

@@ -2,13 +2,11 @@
 
 from .base import (
     AggregationKernel,
-    DEFAULT_ENGINE,
-    ENGINES,
     FusedLayerKernel,
     KernelStats,
     UpdateParams,
-    resolve_engine,
     validate_inputs,
+    validate_order,
 )
 from .basic import (
     BasicKernel,
@@ -24,13 +22,11 @@ from .spmm import SpMMKernel, spmm_layer
 
 __all__ = [
     "AggregationKernel",
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "FusedLayerKernel",
     "KernelStats",
     "UpdateParams",
-    "resolve_engine",
     "validate_inputs",
+    "validate_order",
     "BasicKernel",
     "DEFAULT_PREFETCH_DISTANCE",
     "DEFAULT_TASK_SIZE",

@@ -11,31 +11,12 @@ prices.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-
-#: Execution engines for the chunk workloads: ``loop`` runs the original
-#: per-vertex Python closure; ``batched`` runs the vectorized CSR-segment
-#: reduce (Alg. 1's vector lanes as numpy calls).
-ENGINES = ("loop", "batched")
-
-#: Engine used when a kernel is constructed without an explicit choice.
-DEFAULT_ENGINE = "batched"
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Resolve an engine choice: explicit arg > ``REPRO_ENGINE`` > default."""
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
-
 
 @dataclass
 class KernelStats:
@@ -163,3 +144,24 @@ def validate_inputs(graph: CSRGraph, h: np.ndarray) -> None:
         raise ValueError(
             f"feature rows {h.shape[0]} != num_vertices {graph.num_vertices}"
         )
+
+
+def validate_order(graph: CSRGraph, order: Optional[np.ndarray]) -> None:
+    """Reject a processing order that is not a permutation of all vertices.
+
+    Kernels write each chunk's rows into an ``np.empty`` output, so a
+    duplicated or missing id would hand back uninitialised rows.
+    ``None`` is the natural order, valid by construction.
+    """
+    if order is None:
+        return
+    n = graph.num_vertices
+    order = np.asarray(order)
+    if order.shape != (n,):
+        raise ValueError("order must cover every vertex exactly once")
+    if n and (
+        order.min() < 0
+        or order.max() >= n
+        or np.bincount(order, minlength=n).min() == 0
+    ):
+        raise ValueError("order must be a permutation of all vertex ids")

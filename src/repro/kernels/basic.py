@@ -14,7 +14,8 @@ The chunk loop itself executes on :class:`repro.parallel.ChunkExecutor`:
 by default a single serial worker, or real ``thread`` / ``process``
 workers when an executor is supplied.  Every backend is bitwise
 equivalent — each vertex row is produced by the same specialized closure
-whichever worker runs its chunk.
+whichever worker runs its chunk.  The backward pass is the same loop
+over the transposed adjacency.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..obs import get_metrics, get_tracer, publish_counters
-from .base import AggregationKernel, KernelStats, resolve_engine, validate_inputs
+from .base import AggregationKernel, KernelStats, validate_inputs, validate_order
 from .jit import JitKernelCache, KernelSpec
 from ..parallel.executor import ChunkExecutor, ExecutionReport
 from ..parallel.plan import build_chunk_plan
@@ -52,7 +53,6 @@ class BasicKernel(AggregationKernel):
         prefetch_distance: int = DEFAULT_PREFETCH_DISTANCE,
         jit_cache: Optional[JitKernelCache] = None,
         executor: Optional[ChunkExecutor] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if task_size <= 0:
             raise ValueError(f"task_size must be positive, got {task_size}")
@@ -62,7 +62,6 @@ class BasicKernel(AggregationKernel):
         self.prefetch_distance = prefetch_distance
         self.jit_cache = jit_cache or JitKernelCache()
         self.executor = executor or ChunkExecutor()
-        self.engine = resolve_engine(engine)
         self.last_report: Optional[ExecutionReport] = None
         #: (token id, transposed) -> (token weakref, natural order, plan).
         #: Training calls the kernel every layer every epoch with the
@@ -100,51 +99,7 @@ class BasicKernel(AggregationKernel):
         ``order`` is the Section 4.4 hook: kernels walk ``order`` while the
         output stays indexed by original vertex id.
         """
-        validate_inputs(graph, h)
-        n = graph.num_vertices
-        plan = None
-        if order is None:
-            order, plan = self._natural_plan(graph)
-        if len(order) != n:
-            raise ValueError("order must cover every vertex exactly once")
-
-        compiled_before = self.jit_cache.compilations
-        engine = resolve_engine(self.engine)
-        spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
-        workload = BasicAggregationWorkload(
-            graph,
-            h,
-            aggregator,
-            order,
-            prefetch_distance=self.prefetch_distance,
-            prefetch_lines=PREFETCH_LINES_PER_VECTOR,
-            engine=engine,
-        )
-        # In-process backends reuse the cached closure; process workers
-        # rebuild it from the pickled workload (prepare()).
-        if engine == "batched":
-            workload.attach_batched(self.jit_cache.specialize_batched(graph, spec))
-        else:
-            workload.attach_inner(self.jit_cache.specialize(graph, spec))
-        if plan is None:
-            plan = build_chunk_plan(graph, self.task_size, order)
-        with get_tracer().span(
-            "kernel.basic",
-            aggregator=aggregator,
-            vertices=n,
-            edges=graph.num_edges,
-            features=int(h.shape[1]),
-            backend=self.executor.backend,
-            workers=self.executor.workers,
-            engine=engine,
-        ) as span:
-            outputs, stats, report = self.executor.run(workload, plan)
-            self.last_report = report
-            stats.jit_compilations = self.jit_cache.compilations - compiled_before
-            stats.flops = 2.0 * stats.gathers * h.shape[1]
-            span.add_counters(stats.as_dict())
-        publish_counters(get_metrics(), "kernel.basic", stats.as_dict(False))
-        return outputs["out"], stats
+        return self._run(graph, h, aggregator, order, transposed=False)
 
     def aggregate_backward(
         self,
@@ -156,55 +111,62 @@ class BasicKernel(AggregationKernel):
         """Backward aggregation ``grad_h = Âᵀ grad_a``, chunk-parallel.
 
         The mirror of :meth:`aggregate` over the transposed adjacency:
-        the chunk plan balances the *transposed* degrees, the JIT cache
-        supplies the backward specializations (closures over the graph's
-        cached CSC view), and the same engine/backend knobs apply — so
-        ``--engine batched`` covers training end to end.
+        the chunk plan balances the *transposed* degrees and the JIT
+        cache supplies the backward specialization (a closure over the
+        graph's cached CSC view).
         """
-        validate_inputs(graph, grad_a)
-        n = graph.num_vertices
-        plan = None
+        return self._run(graph, grad_a, aggregator, order, transposed=True)
+
+    def _run(
+        self,
+        graph: CSRGraph,
+        h: np.ndarray,
+        aggregator: str,
+        order: Optional[np.ndarray],
+        transposed: bool,
+    ) -> Tuple[np.ndarray, KernelStats]:
+        validate_inputs(graph, h)
+        validate_order(graph, order)
         if order is None:
-            order, plan = self._natural_plan(graph, transposed=True)
-        if len(order) != n:
-            raise ValueError("order must cover every vertex exactly once")
+            order, plan = self._natural_plan(graph, transposed)
+        else:
+            base = graph.transpose() if transposed else graph
+            plan = build_chunk_plan(base, self.task_size, order)
 
         compiled_before = self.jit_cache.compilations
-        engine = resolve_engine(self.engine)
-        spec = KernelSpec(feature_len=grad_a.shape[1], aggregator=aggregator)
-        workload = BackwardAggregationWorkload(
+        spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
+        if transposed:
+            name = "kernel.backward.basic"
+            workload_type = BackwardAggregationWorkload
+            closure = self.jit_cache.specialize_backward(graph, spec)
+        else:
+            name = "kernel.basic"
+            workload_type = BasicAggregationWorkload
+            closure = self.jit_cache.specialize(graph, spec)
+        workload = workload_type(
             graph,
-            grad_a,
+            h,
             aggregator,
             order,
             prefetch_distance=self.prefetch_distance,
             prefetch_lines=PREFETCH_LINES_PER_VECTOR,
-            engine=engine,
         )
-        if engine == "batched":
-            workload.attach_batched(
-                self.jit_cache.specialize_batched_backward(graph, spec)
-            )
-        else:
-            workload.attach_inner(self.jit_cache.specialize_backward(graph, spec))
-        if plan is None:
-            plan = build_chunk_plan(graph.transpose(), self.task_size, order)
+        # In-process backends reuse the cached closure; process workers
+        # rebuild it from the pickled workload (prepare()).
+        workload.attach_batched(closure)
         with get_tracer().span(
-            "kernel.backward.basic",
+            name,
             aggregator=aggregator,
-            vertices=n,
+            vertices=graph.num_vertices,
             edges=graph.num_edges,
-            features=int(grad_a.shape[1]),
+            features=int(h.shape[1]),
             backend=self.executor.backend,
             workers=self.executor.workers,
-            engine=engine,
         ) as span:
             outputs, stats, report = self.executor.run(workload, plan)
             self.last_report = report
             stats.jit_compilations = self.jit_cache.compilations - compiled_before
-            stats.flops = 2.0 * stats.gathers * grad_a.shape[1]
+            stats.flops = 2.0 * stats.gathers * h.shape[1]
             span.add_counters(stats.as_dict())
-        publish_counters(
-            get_metrics(), "kernel.backward.basic", stats.as_dict(False)
-        )
+        publish_counters(get_metrics(), name, stats.as_dict(False))
         return outputs["out"], stats

@@ -6,9 +6,9 @@ gathered row on the fly, and track the DRAM bytes the compression avoids.
 The numerics are bit-identical to the dense kernels — compression is
 lossless by construction.
 
-The per-vertex loop is the same chunk body as the dense kernels, so both
-compressed variants dispatch through :class:`repro.parallel.ChunkExecutor`
-and run on ``thread`` / ``process`` workers unchanged.
+The chunk body is the same as the dense kernels', so both compressed
+variants dispatch through :class:`repro.parallel.ChunkExecutor` and run
+on ``thread`` / ``process`` workers unchanged.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .base import (
     FusedLayerKernel,
     KernelStats,
     UpdateParams,
-    resolve_engine,
     validate_inputs,
+    validate_order,
 )
 from .basic import DEFAULT_TASK_SIZE
 from .fused import DEFAULT_BLOCK_SIZE, DEFAULT_BLOCKS_PER_TASK
@@ -59,13 +59,11 @@ class CompressedKernel(AggregationKernel):
         self,
         task_size: int = DEFAULT_TASK_SIZE,
         executor: Optional[ChunkExecutor] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if task_size <= 0:
             raise ValueError(f"task_size must be positive, got {task_size}")
         self.task_size = task_size
         self.executor = executor or ChunkExecutor()
-        self.engine = resolve_engine(engine)
         self.last_report: Optional[ExecutionReport] = None
 
     def aggregate(
@@ -76,6 +74,7 @@ class CompressedKernel(AggregationKernel):
         order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, KernelStats]:
         validate_inputs(graph, h)
+        validate_order(graph, order)
         n = graph.num_vertices
         if order is None:
             order = np.arange(n, dtype=np.int64)
@@ -84,9 +83,8 @@ class CompressedKernel(AggregationKernel):
         # plane's equivalent of per-gather mask expansion) and count every
         # gathered row as one expansion.
         dense = decompress_matrix(compressed)
-        engine = resolve_engine(self.engine)
         workload = BasicAggregationWorkload(
-            graph, dense, aggregator, order, count_decompressed=True, engine=engine
+            graph, dense, aggregator, order, count_decompressed=True
         )
         plan = build_chunk_plan(graph, self.task_size, order)
         with get_tracer().span(
@@ -97,7 +95,6 @@ class CompressedKernel(AggregationKernel):
             features=int(h.shape[1]),
             backend=self.executor.backend,
             workers=self.executor.workers,
-            engine=engine,
         ) as span:
             outputs, stats, report = self.executor.run(workload, plan)
             self.last_report = report
@@ -120,14 +117,12 @@ class CompressedFusedKernel(FusedLayerKernel):
         block_size: int = DEFAULT_BLOCK_SIZE,
         blocks_per_task: int = DEFAULT_BLOCKS_PER_TASK,
         executor: Optional[ChunkExecutor] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if block_size <= 0 or blocks_per_task <= 0:
             raise ValueError("block_size and blocks_per_task must be positive")
         self.block_size = block_size
         self.blocks_per_task = blocks_per_task
         self.executor = executor or ChunkExecutor()
-        self.engine = resolve_engine(engine)
         self.last_report: Optional[ExecutionReport] = None
 
     def run_layer(
@@ -144,12 +139,12 @@ class CompressedFusedKernel(FusedLayerKernel):
             raise ValueError(
                 f"weight rows {params.weight.shape[0]} != features {h.shape[1]}"
             )
+        validate_order(graph, order)
         n = graph.num_vertices
         if order is None:
             order = np.arange(n, dtype=np.int64)
         compressed = compress_matrix(h)
         dense = decompress_matrix(compressed)
-        engine = resolve_engine(self.engine)
         workload = FusedLayerWorkload(
             graph,
             dense,
@@ -159,7 +154,6 @@ class CompressedFusedKernel(FusedLayerKernel):
             block_size=self.block_size,
             keep_aggregation=keep_aggregation,
             count_decompressed=True,
-            engine=engine,
         )
         plan = build_chunk_plan(graph, self.block_size * self.blocks_per_task, order)
         with get_tracer().span(
@@ -172,7 +166,6 @@ class CompressedFusedKernel(FusedLayerKernel):
             keep_aggregation=keep_aggregation,
             backend=self.executor.backend,
             workers=self.executor.workers,
-            engine=engine,
         ) as span:
             outputs, stats, report = self.executor.run(workload, plan)
             self.last_report = report

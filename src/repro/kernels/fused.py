@@ -27,8 +27,8 @@ from .base import (
     FusedLayerKernel,
     KernelStats,
     UpdateParams,
-    resolve_engine,
     validate_inputs,
+    validate_order,
 )
 from .basic import DEFAULT_PREFETCH_DISTANCE, PREFETCH_LINES_PER_VECTOR
 from .jit import JitKernelCache, KernelSpec
@@ -55,7 +55,6 @@ class FusedKernel(FusedLayerKernel):
         prefetch_distance: int = DEFAULT_PREFETCH_DISTANCE,
         jit_cache: Optional[JitKernelCache] = None,
         executor: Optional[ChunkExecutor] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if block_size <= 0 or blocks_per_task <= 0:
             raise ValueError("block_size and blocks_per_task must be positive")
@@ -64,7 +63,6 @@ class FusedKernel(FusedLayerKernel):
         self.prefetch_distance = prefetch_distance
         self.jit_cache = jit_cache or JitKernelCache()
         self.executor = executor or ChunkExecutor()
-        self.engine = resolve_engine(engine)
         self.last_report: Optional[ExecutionReport] = None
 
     def run_layer(
@@ -81,14 +79,12 @@ class FusedKernel(FusedLayerKernel):
             raise ValueError(
                 f"weight rows {params.weight.shape[0]} != features {h.shape[1]}"
             )
+        validate_order(graph, order)
         n = graph.num_vertices
         if order is None:
             order = np.arange(n, dtype=np.int64)
-        if len(order) != n:
-            raise ValueError("order must cover every vertex exactly once")
 
         compiled_before = self.jit_cache.compilations
-        engine = resolve_engine(self.engine)
         spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
         workload = FusedLayerWorkload(
             graph,
@@ -100,12 +96,8 @@ class FusedKernel(FusedLayerKernel):
             keep_aggregation=keep_aggregation,
             prefetch_distance=self.prefetch_distance,
             prefetch_lines=PREFETCH_LINES_PER_VECTOR,
-            engine=engine,
         )
-        if engine == "batched":
-            workload.attach_batched(self.jit_cache.specialize_batched(graph, spec))
-        else:
-            workload.attach_inner(self.jit_cache.specialize(graph, spec))
+        workload.attach_batched(self.jit_cache.specialize(graph, spec))
         plan = build_chunk_plan(graph, self.block_size * self.blocks_per_task, order)
         with get_tracer().span(
             "kernel.fusion",
@@ -117,7 +109,6 @@ class FusedKernel(FusedLayerKernel):
             keep_aggregation=keep_aggregation,
             backend=self.executor.backend,
             workers=self.executor.workers,
-            engine=engine,
         ) as span:
             outputs, stats, report = self.executor.run(workload, plan)
             self.last_report = report

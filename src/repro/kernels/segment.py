@@ -105,6 +105,20 @@ class ScaledCSR:
             self._row_slices[(start, stop)] = sub
         return sub
 
+    def select(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Output rows ``rows`` (any subset, any order) of ``self(h)``.
+
+        What a chunk of a reordered plan needs.  Each row accumulates
+        exactly as in :meth:`__call__`, so the two agree bit for bit.
+        """
+        sub = self.matrix[rows]
+        if self.self_factors is None:
+            return sub @ h
+        out = h[rows + self.row_offset] * self.self_factors[rows, None]
+        if sub.nnz:
+            out += sub @ h
+        return out
+
     def __call__(self, h: np.ndarray) -> np.ndarray:
         if self.self_factors is None:
             return self.matrix @ h

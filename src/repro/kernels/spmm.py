@@ -17,7 +17,13 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..nn.aggregate import normalized_adjacency
 from ..obs import get_metrics, get_tracer, publish_counters
-from .base import AggregationKernel, KernelStats, UpdateParams, validate_inputs
+from .base import (
+    AggregationKernel,
+    KernelStats,
+    UpdateParams,
+    validate_inputs,
+    validate_order,
+)
 
 
 class SpMMKernel(AggregationKernel):
@@ -37,25 +43,11 @@ class SpMMKernel(AggregationKernel):
         ``order`` is accepted for interface uniformity with the other
         aggregation kernels (variant sweeps pass it to every kernel).
         A processing order cannot change a sparse product's result or
-        work, so a *valid* permutation is honored trivially — but it is
-        now fully validated: the kwarg used to accept any same-length
-        array silently, letting a malformed order pass through sweeps
-        unnoticed until a kernel that does walk it disagreed.
+        work, so a valid permutation is honored trivially; a malformed
+        one is rejected as everywhere else.
         """
         validate_inputs(graph, h)
-        if order is not None:
-            order = np.asarray(order)
-            n = graph.num_vertices
-            if len(order) != n:
-                raise ValueError("order must cover every vertex exactly once")
-            if n and (
-                order.min() < 0
-                or order.max() >= n
-                or len(np.unique(order)) != n
-            ):
-                raise ValueError(
-                    "order must be a permutation of all vertex ids"
-                )
+        validate_order(graph, order)
         with get_tracer().span(
             "kernel.mkl",
             aggregator=aggregator,
@@ -64,7 +56,6 @@ class SpMMKernel(AggregationKernel):
             features=int(h.shape[1]),
             backend="serial",
             workers=1,
-            engine="spmm",
         ) as span:
             a_hat = normalized_adjacency(graph, aggregator)
             out = (a_hat @ h).astype(np.float32)

@@ -112,7 +112,7 @@ class GNNLayer:
         self, graph: CSRGraph, grad: np.ndarray, kernel: Optional[AggregationKernel]
     ) -> "tuple[np.ndarray, Optional[KernelStats]]":
         """``Âᵀ grad`` through ``kernel`` when it provides
-        ``aggregate_backward`` (e.g. the batched cached-CSC engine of
+        ``aggregate_backward`` (e.g. the cached-CSC backward of
         :class:`~repro.kernels.BasicKernel`); otherwise the transpose-
         SpMM fallback runs."""
         if kernel is not None and hasattr(kernel, "aggregate_backward"):

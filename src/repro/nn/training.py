@@ -83,18 +83,11 @@ class Trainer:
         aggregation_kernel: optional optimized execution strategy (e.g. a
             ``BasicKernel`` on a multi-worker ``ChunkExecutor``) used for
             every forward aggregation — and, when the kernel provides
-            ``aggregate_backward`` (the cached-CSC batched backward of
+            ``aggregate_backward`` (the cached-CSC backward of
             :class:`~repro.kernels.BasicKernel`), for every backward
-            aggregation too.
-        engine: chunk-execution engine (``"loop"`` or ``"batched"``).
-            When given without a kernel, forward aggregation runs on a
-            default :class:`~repro.kernels.BasicKernel` using it; when a
-            kernel is given too, the kernel's engine is overridden.
-        backward_engine: route the backward aggregation through the
-            kernel as well (the default).  ``False`` keeps backward on
-            the transpose-SpMM fallback that rebuilds Â per call — the
-            pre-batched-backward configuration, kept as a benchmark
-            baseline and differential-testing aid.
+            aggregation too.  Without one the trainer is the value-plane
+            oracle: every aggregation rebuilds the scipy normalized
+            adjacency, which is what tests compare the kernels against.
         event_log: optional :class:`~repro.obs.events.EventLog`; every
             ``train_epoch`` emits one streaming epoch record (loss,
             accuracies, per-layer grad/weight norms, per-layer sparsity,
@@ -128,8 +121,6 @@ class Trainer:
         optimizer: Optimizer,
         profile_sparsity: bool = False,
         aggregation_kernel: Optional[AggregationKernel] = None,
-        engine: Optional[str] = None,
-        backward_engine: bool = True,
         event_log: Optional["EventLog"] = None,
         health: Optional["HealthMonitor"] = None,
         rules: Optional["RuleEngine"] = None,
@@ -137,25 +128,9 @@ class Trainer:
         self.model = model
         self.optimizer = optimizer
         self.profile_sparsity = profile_sparsity
-        self.backward_engine = backward_engine
         self.event_log = event_log
         self.health = health
         self.rules = rules
-        if engine is not None:
-            from ..kernels.base import resolve_engine
-
-            engine = resolve_engine(engine)
-            if aggregation_kernel is None:
-                from ..kernels.basic import BasicKernel
-
-                aggregation_kernel = BasicKernel(engine=engine)
-            elif hasattr(aggregation_kernel, "engine"):
-                aggregation_kernel.engine = engine
-            else:
-                raise ValueError(
-                    f"kernel {aggregation_kernel!r} has no engine knob"
-                )
-        self.engine = engine
         self.aggregation_kernel = aggregation_kernel
         self.history = TrainingHistory()
         #: (graph cache token, features, Â · features) of the last epoch
@@ -217,12 +192,7 @@ class Trainer:
             loss, grad = F.cross_entropy(logits, labels, mask=train_mask)
             with tracer.span("backward"):
                 grads = self.model.backward(
-                    graph,
-                    grad,
-                    caches,
-                    kernel=(
-                        self.aggregation_kernel if self.backward_engine else None
-                    ),
+                    graph, grad, caches, kernel=self.aggregation_kernel
                 )
             for layer_grads in grads:
                 if layer_grads.agg_stats is not None:

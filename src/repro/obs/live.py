@@ -461,7 +461,7 @@ class LiveRunMonitor:
             f"{key}={value}"
             for key, value in meta.items()
             if value is not None and key in
-            ("command", "dataset", "model", "epochs", "workers", "backend", "engine")
+            ("command", "dataset", "model", "epochs", "workers", "backend")
         )
         lines.append(f"== repro top == {title}".rstrip())
 

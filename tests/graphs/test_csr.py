@@ -189,9 +189,8 @@ class TestTransposeEviction:
 
         cache = JitKernelCache()
         graph = uniform_graph(30, avg_degree=3.0, seed=2)
-        spec = KernelSpec(4, "gcn")
-        cache.specialize_batched_backward(graph, spec)
-        cache.specialize_backward(graph, spec)
+        cache.specialize_backward(graph, KernelSpec(4, "gcn"))
+        cache.specialize_backward(graph, KernelSpec(8, "gcn"))
         assert len(cache) == 2
         del graph
         gc.collect()

@@ -3,7 +3,7 @@
 The sharded trainer re-executes full-batch GCN training as K cooperating
 shard workers over one shared-memory arena.  Its contract: with every
 halo exchange on, the math is the *same* training run — the per-shard
-segment-reduce mirrors the batched engine's reduceat path row for row,
+segment-reduce accumulates each row as the full-graph kernel does,
 and the parent sums partial gradients in a fixed worker order.  This
 suite pins that equivalence against the single-process ``Trainer``,
 pins the process backend bitwise against the in-process serial backend,
@@ -23,7 +23,7 @@ HIDDEN = 16
 CLASSES = 5
 EPOCHS = 4
 
-#: The sharded forward matches the batched engine's accumulation order
+#: The sharded forward matches the full-graph kernel's accumulation order
 #: shard-locally, but the parent sums dW partials across shards in
 #: float64 — final fp32 weights drift by a few ulp versus the fused
 #: single-process update.

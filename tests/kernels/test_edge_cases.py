@@ -3,7 +3,8 @@
 Every kernel must survive (and stay correct on): the empty graph, a
 graph of isolated vertices, a single-vertex graph, feature widths that
 do not divide the 16-lane vector width, and task sizes larger than the
-vertex count — on the serial executor and on real workers.
+vertex count — on the serial executor and on real workers.  A malformed
+processing order is the one input every kernel must refuse.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.kernels import (
     CompressedFusedKernel,
     CompressedKernel,
     FusedKernel,
+    SpMMKernel,
     UpdateParams,
 )
 from repro.nn import aggregate
@@ -129,3 +131,31 @@ class TestOversizedTaskSize:
         out, stats = kernel.aggregate(star10, h, "gcn")
         np.testing.assert_allclose(out, reference, atol=1e-5)
         assert stats.tasks == 1
+
+
+def _run_with_order(kernel, graph, h, order):
+    if hasattr(kernel, "run_layer"):
+        return kernel.run_layer(graph, h, _params(h.shape[1]), "gcn", order=order)
+    return kernel.aggregate(graph, h, "gcn", order=order)
+
+
+@pytest.mark.parametrize(
+    "kernel_type",
+    [BasicKernel, CompressedKernel, FusedKernel, CompressedFusedKernel, SpMMKernel],
+)
+def test_malformed_order_rejected(kernel_type, star10):
+    """Outputs are ``np.empty``: an order that skips a vertex would hand
+    back uninitialised rows, so anything but a permutation raises."""
+    n = star10.num_vertices
+    h = _features(n, 6, seed=8)
+    out_of_range = np.arange(n)
+    out_of_range[0] = n
+    negative = np.arange(n)
+    negative[-1] = -1
+    for bad in (np.zeros(n, dtype=np.int64), out_of_range, negative, np.arange(n - 1)):
+        with pytest.raises(ValueError, match="order must"):
+            _run_with_order(kernel_type(), star10, h, bad)
+    _run_with_order(kernel_type(), star10, h, np.arange(n)[::-1].copy())
+    if kernel_type is BasicKernel:
+        with pytest.raises(ValueError, match="order must"):
+            BasicKernel().aggregate_backward(star10, h, "gcn", order=np.zeros(n, int))

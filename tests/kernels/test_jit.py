@@ -8,6 +8,10 @@ import pytest
 from repro.graphs import synthetic_features, uniform_graph
 from repro.kernels import BasicKernel, JitKernelCache, KernelSpec
 from repro.nn import aggregate
+from repro.nn.aggregate import (
+    aggregate_backward_reference,
+    gather_reduce_reference,
+)
 
 
 class TestCache:
@@ -38,18 +42,19 @@ class TestCache:
 
     def test_specialized_kernel_checks_width(self, small_products):
         cache = JitKernelCache()
-        kernel = cache.specialize(small_products, KernelSpec(16, "gcn"))
         wrong = np.ones((small_products.num_vertices, 8), dtype=np.float32)
-        with pytest.raises(ValueError):
-            kernel(wrong, 0)
+        for specialize in (cache.specialize, cache.specialize_backward):
+            kernel = specialize(small_products, KernelSpec(16, "gcn"))
+            with pytest.raises(ValueError):
+                kernel(wrong, np.array([0]))
 
     def test_specialized_kernel_correct(self, small_products):
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(12, "mean"))
         h = synthetic_features(small_products, 12, seed=0)
         reference = aggregate(small_products, h, "mean")
-        for v in (0, 5, small_products.num_vertices - 1):
-            np.testing.assert_allclose(kernel(h, v), reference[v], atol=1e-5)
+        verts = np.array([0, 5, small_products.num_vertices - 1])
+        np.testing.assert_allclose(kernel(h, verts), reference[verts], atol=1e-5)
 
 
 class TestAmortization:
@@ -67,63 +72,52 @@ class TestAmortization:
 class TestBatchedSpecialization:
     def test_matches_reference_on_all_vertices(self, small_products):
         cache = JitKernelCache()
-        kernel = cache.specialize_batched(small_products, KernelSpec(12, "mean"))
+        kernel = cache.specialize(small_products, KernelSpec(12, "mean"))
         h = synthetic_features(small_products, 12, seed=0)
         reference = aggregate(small_products, h, "mean")
         verts = np.arange(small_products.num_vertices, dtype=np.int64)
         np.testing.assert_allclose(kernel(h, verts), reference, atol=2e-5)
 
-    def test_matches_loop_closure_per_chunk(self, small_products):
+    def test_matches_reference_per_chunk(self, small_products):
         cache = JitKernelCache()
-        spec = KernelSpec(8, "gcn")
-        loop = cache.specialize(small_products, spec)
-        batched = cache.specialize_batched(small_products, spec)
+        kernel = cache.specialize(small_products, KernelSpec(8, "gcn"))
         h = synthetic_features(small_products, 8, seed=2)
         verts = np.arange(17, 49, dtype=np.int64)
-        looped = np.stack([loop(h, int(v)) for v in verts])
-        np.testing.assert_allclose(batched(h, verts), looped, atol=2e-5)
+        reference = gather_reduce_reference(small_products, h, "gcn")
+        np.testing.assert_allclose(kernel(h, verts), reference[verts], atol=2e-5)
 
     def test_contiguous_and_scattered_paths_agree(self, small_products):
-        """The contiguous CSR-slice fast path and the reduceat gather
-        path must compute the same rows."""
+        """The row-slice path and the row-select path accumulate each
+        row identically, so they agree bit for bit."""
         cache = JitKernelCache()
-        kernel = cache.specialize_batched(small_products, KernelSpec(8, "gcn"))
+        kernel = cache.specialize(small_products, KernelSpec(8, "gcn"))
         h = synthetic_features(small_products, 8, seed=3)
         verts = np.arange(10, 42, dtype=np.int64)
         contiguous = kernel(h, verts, contiguous=True)
+        np.testing.assert_array_equal(kernel(h, verts), contiguous)
         shuffled = np.random.default_rng(0).permutation(verts)
         scattered = kernel(h, shuffled)
-        np.testing.assert_allclose(
-            scattered[np.argsort(shuffled)], contiguous, atol=2e-5
-        )
+        np.testing.assert_array_equal(scattered[np.argsort(shuffled)], contiguous)
 
     def test_empty_vertex_array(self, small_products):
         cache = JitKernelCache()
-        kernel = cache.specialize_batched(small_products, KernelSpec(4, "sum"))
+        kernel = cache.specialize(small_products, KernelSpec(4, "sum"))
         h = synthetic_features(small_products, 4, seed=0)
         out = kernel(h, np.empty(0, dtype=np.int64))
         assert out.shape == (0, 4)
 
     def test_checks_width(self, small_products):
+        """Both chunk shapes refuse a matrix of another width."""
         cache = JitKernelCache()
-        kernel = cache.specialize_batched(small_products, KernelSpec(16, "gcn"))
+        kernel = cache.specialize(small_products, KernelSpec(16, "gcn"))
         wrong = np.ones((small_products.num_vertices, 8), dtype=np.float32)
-        with pytest.raises(ValueError):
-            kernel(wrong, np.array([0]))
-
-    def test_cached_separately_from_loop(self, small_products):
-        cache = JitKernelCache()
-        spec = KernelSpec(16, "gcn")
-        cache.specialize(small_products, spec)
-        cache.specialize_batched(small_products, spec)
-        cache.specialize(small_products, spec)
-        cache.specialize_batched(small_products, spec)
-        assert cache.compilations == 2
-        assert len(cache) == 2
+        for contiguous in (False, True):
+            with pytest.raises(ValueError):
+                kernel(wrong, np.array([0, 1]), contiguous)
 
 
 class TestBackwardSpecialization:
-    """The transpose-direction closures behind the batched backward."""
+    """The transpose-direction closure behind ``aggregate_backward``."""
 
     def test_cached_separately_per_direction(self, small_products):
         """Forward and backward share a spec but never a cache entry —
@@ -131,33 +125,31 @@ class TestBackwardSpecialization:
         cache = JitKernelCache()
         spec = KernelSpec(8, "gcn")
         cache.specialize(small_products, spec)
-        cache.specialize_batched(small_products, spec)
         cache.specialize_backward(small_products, spec)
-        cache.specialize_batched_backward(small_products, spec)
-        assert cache.compilations == 4
-        assert len(cache) == 4
-        # Second round hits the cache for every direction.
+        assert cache.compilations == 2
+        assert len(cache) == 2
+        # Second round hits the cache for both directions.
+        cache.specialize(small_products, spec)
         cache.specialize_backward(small_products, spec)
-        cache.specialize_batched_backward(small_products, spec)
-        assert cache.compilations == 4
+        assert cache.compilations == 2
 
-    def test_batched_backward_matches_loop_backward(self, small_products):
+    def test_backward_matches_reference_per_chunk(self, small_products):
         cache = JitKernelCache()
-        spec = KernelSpec(8, "gcn")
-        loop = cache.specialize_backward(small_products, spec)
-        batched = cache.specialize_batched_backward(small_products, spec)
+        kernel = cache.specialize_backward(small_products, KernelSpec(8, "gcn"))
         grad_a = synthetic_features(small_products, 8, seed=4)
         verts = np.arange(13, 57, dtype=np.int64)
-        looped = np.stack([loop(grad_a, int(v)) for v in verts])
-        np.testing.assert_allclose(batched(grad_a, verts), looped, atol=2e-5)
+        reference = aggregate_backward_reference(small_products, grad_a, "gcn")
+        np.testing.assert_allclose(
+            kernel(grad_a, verts), reference[verts], atol=2e-5
+        )
 
     def test_backward_is_transpose_of_forward(self, small_uniform):
         """<Â h, g> == <h, Âᵀ g> — the adjointness identity that defines
         the backward kernel, checked against the forward closure."""
         cache = JitKernelCache()
         spec = KernelSpec(6, "gcn")
-        fwd = cache.specialize_batched(small_uniform, spec)
-        bwd = cache.specialize_batched_backward(small_uniform, spec)
+        fwd = cache.specialize(small_uniform, spec)
+        bwd = cache.specialize_backward(small_uniform, spec)
         rng = np.random.default_rng(0)
         h = rng.standard_normal((small_uniform.num_vertices, 6)).astype(np.float32)
         g = rng.standard_normal((small_uniform.num_vertices, 6)).astype(np.float32)
@@ -168,7 +160,7 @@ class TestBackwardSpecialization:
 
     def test_backward_entries_amortize_in_kernel(self, small_products):
         """Training pattern: the second backward pass compiles nothing."""
-        kernel = BasicKernel(engine="batched")
+        kernel = BasicKernel()
         grad_a = synthetic_features(small_products, 16, seed=5)
         _, first = kernel.aggregate_backward(small_products, grad_a, "gcn")
         _, second = kernel.aggregate_backward(small_products, grad_a, "gcn")
@@ -185,7 +177,7 @@ class TestWeakrefKeying:
         cache = JitKernelCache()
         graph = uniform_graph(40, avg_degree=4.0, seed=0)
         cache.specialize(graph, KernelSpec(8, "gcn"))
-        cache.specialize_batched(graph, KernelSpec(8, "gcn"))
+        cache.specialize_backward(graph, KernelSpec(8, "gcn"))
         assert len(cache) == 2
         del graph
         gc.collect()
@@ -207,7 +199,9 @@ class TestWeakrefKeying:
             assert cache.compilations == before + 1
             h = synthetic_features(look_alike, 4, seed=seed)
             reference = aggregate(look_alike, h, "gcn")
-            np.testing.assert_allclose(kernel(h, 0), reference[0], atol=1e-5)
+            np.testing.assert_allclose(
+                kernel(h, np.array([0]))[0], reference[0], atol=1e-5
+            )
             del look_alike, kernel
             gc.collect()
         assert len(cache) == 0
@@ -220,7 +214,9 @@ class TestWeakrefKeying:
         assert cache.compilations == 4
         for g, k in zip(graphs, kernels):
             h = synthetic_features(g, 4, seed=9)
-            np.testing.assert_allclose(k(h, 1), aggregate(g, h, "sum")[1], atol=1e-5)
+            np.testing.assert_allclose(
+                k(h, np.array([1]))[0], aggregate(g, h, "sum")[1], atol=1e-5
+            )
 
     def test_token_survives_pickle_roundtrip(self, small_products):
         """Workers unpickle the graph; specialization must still work."""

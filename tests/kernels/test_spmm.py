@@ -62,7 +62,6 @@ class TestTelemetry:
         assert len(spans) == 1
         span = spans[0]
         assert span["attrs"]["aggregator"] == "gcn"
-        assert span["attrs"]["engine"] == "spmm"
         assert span["counters"]["gathers"] == stats.gathers
         snapshot = metrics.snapshot()
         assert any(name.startswith("kernel.mkl.") for name in snapshot)

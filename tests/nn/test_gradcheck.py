@@ -1,17 +1,18 @@
 """Differential gradient suite: numeric central differences vs analytic.
 
-Two layers of defense for the batched backward engine:
+Two layers of defense for the kernel's backward aggregation:
 
 1. **Gradcheck** — every layer configuration (aggregator x activation) x
-   every backward execution path (SpMM fallback, loop engine, batched
-   engine) is checked against central-difference numeric gradients for
-   weights, bias, and inputs to <= 1e-4 relative error — once on a
+   both backward execution paths (the kernel-free SpMM oracle, the
+   chunked basic kernel) is checked against central-difference numeric
+   gradients for weights, bias, and inputs to <= 1e-4 relative error —
+   once on a
    narrowing layer (5 -> 4, which runs transform-first) and once on a
    widening one (5 -> 7, aggregate-first), plus a 3-layer model whose
    middle layer is transform-first.  The whole pipeline is
    dtype-preserving, so the checks run at float64 where central
    differences are actually trustworthy.
-2. **Property test** — the batched backward equals the scalar-loop
+2. **Property test** — the kernel backward equals the scalar-loop
    ``aggregate_backward_reference`` oracle to 1e-6 on 50 seeded random
    graphs, including the degenerate shapes (isolated vertices,
    self-loops only, empty graph).
@@ -35,9 +36,9 @@ EPS = 1e-6
 AGGREGATORS = ("gcn", "mean")
 ACTIVATIONS = (True, False)
 
-#: Backward execution paths: the transpose-SpMM fallback (no kernel),
-#: and the chunked loop / batched engines of the basic kernel.
-ENGINES = (None, "loop", "batched")
+#: Execution paths: the transpose-SpMM oracle (no kernel) and the
+#: chunked basic kernel.
+PATHS = ("oracle", "kernel")
 
 
 def make_layer(aggregator, activation, in_f=5, out_f=4, seed=0):
@@ -50,8 +51,8 @@ def make_layer(aggregator, activation, in_f=5, out_f=4, seed=0):
     return layer
 
 
-def make_kernel(engine):
-    return None if engine is None else BasicKernel(engine=engine, task_size=7)
+def make_kernel(path):
+    return None if path == "oracle" else BasicKernel(task_size=7)
 
 
 def layer_loss(layer, graph, h, kernel, coef):
@@ -102,56 +103,56 @@ def gradcheck_features(gradcheck_graph):
     return rng.standard_normal((gradcheck_graph.num_vertices, 5))
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=["oracle", "loop", "batched"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("activation", ACTIVATIONS, ids=["relu", "linear"])
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 class TestGradcheck:
-    """Central-difference checks for every layer type x engine, on a
+    """Central-difference checks for every layer type x path, on a
     narrowing layer: 5 -> 4 runs transform-first, ``pre = Â (h W) + b``."""
 
     OUT_FEATURES = 4
 
     def test_weight_grad(
-        self, gradcheck_graph, gradcheck_features, aggregator, activation, engine
+        self, gradcheck_graph, gradcheck_features, aggregator, activation, path
     ):
         graph, h = gradcheck_graph, gradcheck_features.copy()
         layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
-        kernel = make_kernel(engine)
+        kernel = make_kernel(path)
         rng = np.random.default_rng(11)
         coef = rng.standard_normal((graph.num_vertices, layer.out_features))
         grads = analytic_grads(layer, graph, h, kernel, coef)
         numeric = numeric_grad(
             layer.weight, lambda: layer_loss(layer, graph, h, kernel, coef)
         )
-        assert_close(numeric, grads.weight, f"weight[{aggregator}/{engine}]")
+        assert_close(numeric, grads.weight, f"weight[{aggregator}/{path}]")
 
     def test_bias_grad(
-        self, gradcheck_graph, gradcheck_features, aggregator, activation, engine
+        self, gradcheck_graph, gradcheck_features, aggregator, activation, path
     ):
         graph, h = gradcheck_graph, gradcheck_features.copy()
         layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
-        kernel = make_kernel(engine)
+        kernel = make_kernel(path)
         rng = np.random.default_rng(13)
         coef = rng.standard_normal((graph.num_vertices, layer.out_features))
         grads = analytic_grads(layer, graph, h, kernel, coef)
         numeric = numeric_grad(
             layer.bias, lambda: layer_loss(layer, graph, h, kernel, coef)
         )
-        assert_close(numeric, grads.bias, f"bias[{aggregator}/{engine}]")
+        assert_close(numeric, grads.bias, f"bias[{aggregator}/{path}]")
 
     def test_input_grad(
-        self, gradcheck_graph, gradcheck_features, aggregator, activation, engine
+        self, gradcheck_graph, gradcheck_features, aggregator, activation, path
     ):
         graph, h = gradcheck_graph, gradcheck_features.copy()
         layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
-        kernel = make_kernel(engine)
+        kernel = make_kernel(path)
         rng = np.random.default_rng(17)
         coef = rng.standard_normal((graph.num_vertices, layer.out_features))
         grads = analytic_grads(layer, graph, h, kernel, coef)
         numeric = numeric_grad(
             h, lambda: layer_loss(layer, graph, h, kernel, coef)
         )
-        assert_close(numeric, grads.h_in, f"h_in[{aggregator}/{engine}]")
+        assert_close(numeric, grads.h_in, f"h_in[{aggregator}/{path}]")
 
 
 class TestGradcheckWidening(TestGradcheck):
@@ -161,7 +162,7 @@ class TestGradcheckWidening(TestGradcheck):
     OUT_FEATURES = 7
 
 
-@pytest.mark.parametrize("engine", ENGINES, ids=["oracle", "loop", "batched"])
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 class TestModelGradcheck:
     """A 5 -> 6 -> 3 -> 4 model: the first layer aggregates its static
@@ -177,11 +178,11 @@ class TestModelGradcheck:
         return GNNModel(layers)
 
     def test_parameter_grads(
-        self, gradcheck_graph, gradcheck_features, aggregator, engine
+        self, gradcheck_graph, gradcheck_features, aggregator, path
     ):
         graph, h = gradcheck_graph, gradcheck_features
         model = self.make_model(aggregator)
-        kernel = make_kernel(engine)
+        kernel = make_kernel(path)
         coef = np.random.default_rng(19).standard_normal((graph.num_vertices, 4))
 
         def loss():
@@ -194,7 +195,7 @@ class TestModelGradcheck:
         grads = model.backward(graph, coef, caches, kernel=kernel)
         assert grads[0].h_in is None
         for idx, (layer, layer_grads) in enumerate(zip(model.layers, grads)):
-            what = f"layer{idx}[{aggregator}/{engine}]"
+            what = f"layer{idx}[{aggregator}/{path}]"
             assert_close(
                 numeric_grad(layer.weight, loss), layer_grads.weight, what + ".weight"
             )
@@ -203,28 +204,26 @@ class TestModelGradcheck:
             )
 
 
-class TestGradcheckEngineAgreement:
-    """The three backward paths must agree with each other, not just with
+class TestGradcheckPathAgreement:
+    """The two backward paths must agree with each other, not just with
     the numeric gradient: same layer, same probe, near-identical grads."""
 
     @pytest.mark.parametrize("aggregator", AGGREGATORS)
-    def test_engines_agree(self, gradcheck_graph, gradcheck_features, aggregator):
+    def test_paths_agree(self, gradcheck_graph, gradcheck_features, aggregator):
         graph, h = gradcheck_graph, gradcheck_features
-        rng = np.random.default_rng(3)
-        per_engine = []
-        for engine in ENGINES:
+        per_path = []
+        for path in PATHS:
             layer = make_layer(aggregator, True)
             coef = np.random.default_rng(3).standard_normal(
                 (graph.num_vertices, layer.out_features)
             )
-            per_engine.append(
-                analytic_grads(layer, graph, h, make_kernel(engine), coef)
+            per_path.append(
+                analytic_grads(layer, graph, h, make_kernel(path), coef)
             )
-        base = per_engine[0]
-        for other in per_engine[1:]:
-            np.testing.assert_allclose(other.weight, base.weight, rtol=1e-10)
-            np.testing.assert_allclose(other.bias, base.bias, rtol=1e-10)
-            np.testing.assert_allclose(other.h_in, base.h_in, rtol=1e-10)
+        base, other = per_path
+        np.testing.assert_allclose(other.weight, base.weight, rtol=1e-10)
+        np.testing.assert_allclose(other.bias, base.bias, rtol=1e-10)
+        np.testing.assert_allclose(other.h_in, base.h_in, rtol=1e-10)
 
 
 def random_graph(seed):
@@ -246,9 +245,9 @@ def random_graph(seed):
 
 
 class TestBatchedBackwardMatchesReference:
-    """Property test: batched backward == scalar-loop oracle to 1e-6 on
+    """Property test: kernel backward == scalar-loop oracle to 1e-6 on
     50 seeded random graphs (float64 upstream gradient, so the bound is
-    about the engine's algebra, not fp32 rounding)."""
+    about the kernel's algebra, not fp32 rounding)."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_reference(self, seed):
@@ -257,33 +256,24 @@ class TestBatchedBackwardMatchesReference:
         grad_a = rng.standard_normal((graph.num_vertices, 3))
         aggregator = ("gcn", "mean", "sum")[seed % 3]
         reference = aggregate_backward_reference(graph, grad_a, aggregator)
-        kernel = BasicKernel(engine="batched", task_size=5)
+        kernel = BasicKernel(task_size=5)
         out, stats = kernel.aggregate_backward(graph, grad_a, aggregator)
         np.testing.assert_allclose(out, reference, atol=1e-6)
         if graph.num_edges or graph.num_vertices:
             assert stats.gathers == graph.num_edges + graph.num_vertices
 
-    @pytest.mark.parametrize("seed", (0, 1, 2, 3, 17, 42))
-    def test_loop_engine_matches_reference_too(self, seed):
-        graph = random_graph(seed)
-        rng = np.random.default_rng(200 + seed)
-        grad_a = rng.standard_normal((graph.num_vertices, 4))
-        reference = aggregate_backward_reference(graph, grad_a, "gcn")
-        kernel = BasicKernel(engine="loop", task_size=5)
-        out, _ = kernel.aggregate_backward(graph, grad_a, "gcn")
-        np.testing.assert_allclose(out, reference, atol=1e-6)
-
     def test_jit_closures_match_reference_directly(self):
-        """The raw specialized closures (not just the kernel wrapper)."""
+        """The raw specialized closure (not just the kernel wrapper)."""
         graph = uniform_graph(25, avg_degree=4.0, seed=9)
         rng = np.random.default_rng(9)
         grad_a = rng.standard_normal((graph.num_vertices, 6))
         reference = aggregate_backward_reference(graph, grad_a, "gcn")
         cache = JitKernelCache()
         spec = KernelSpec(6, "gcn")
-        batched = cache.specialize_batched_backward(graph, spec)
-        loop = cache.specialize_backward(graph, spec)
+        closure = cache.specialize_backward(graph, spec)
         verts = np.arange(graph.num_vertices, dtype=np.int64)
-        np.testing.assert_allclose(batched(grad_a, verts), reference, atol=1e-6)
-        looped = np.stack([loop(grad_a, int(v)) for v in verts])
-        np.testing.assert_allclose(looped, reference, atol=1e-6)
+        np.testing.assert_allclose(closure(grad_a, verts), reference, atol=1e-6)
+        shuffled = rng.permutation(verts)
+        np.testing.assert_allclose(
+            closure(grad_a, shuffled), reference[shuffled], atol=1e-6
+        )

@@ -43,11 +43,12 @@ class TestParser:
         ["profile"],
     ])
     def test_engine_flag(self, command):
-        assert build_parser().parse_args(command).engine is None
-        args = build_parser().parse_args(command + ["--engine", "loop"])
-        assert args.engine == "loop"
-        args = build_parser().parse_args(command + ["--engine", "batched"])
-        assert args.engine == "batched"
+        """One aggregation engine, so no flag to pick one."""
+        assert not hasattr(build_parser().parse_args(command), "engine")
+        for value in ("loop", "batched"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(command + ["--engine", value])
+            assert excinfo.value.code == 2
 
     def test_engine_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):
@@ -119,14 +120,22 @@ class TestCommands:
         assert code == 0
         assert "sparsity" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["loop", "batched"])
-    def test_train_with_engine(self, engine, capsys):
+    def test_train_default_runs_the_basic_kernel(self, tmp_path, capsys):
+        """The all-default ``repro train`` aggregates both directions
+        through the same kernel ``profile`` and perfbench measure."""
+        import json
+
+        report = tmp_path / "run.json"
         code = main([
             "train", "products", "--scale", "0.05", "--epochs", "1",
-            "--features", "8", "--hidden", "8", "--engine", engine,
+            "--features", "8", "--hidden", "8", "--json", str(report),
         ])
         assert code == 0
-        assert f"{engine} engine" in capsys.readouterr().out
+        assert "basic kernel, serial x1" in capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert "engine" not in doc["meta"]
+        names = {span["name"] for span in doc["spans"]}
+        assert {"kernel.basic", "kernel.backward.basic"} <= names
 
     def test_experiment_fig3(self, capsys):
         assert main(["experiment", "fig3", "--scale", "0.1"]) == 0
@@ -168,43 +177,30 @@ class TestCommands:
         assert trace.exists()
         assert "wrote" in capsys.readouterr().out
 
-    def test_bench_parallel_train_flags_default_off(self):
-        args = build_parser().parse_args(["bench-parallel", "products"])
-        assert args.train_epochs == 0
-        assert args.train_trials == 3
-        assert args.train_task_size == 0
-        assert args.history is None
-
-    def test_bench_parallel_training_history(self, tmp_path, capsys):
-        """The train-epoch bench times both backward configurations and
-        appends a history row carrying the train.* metrics."""
+    def test_bench_parallel_history(self, tmp_path, capsys):
+        """``--history`` appends one row of the sweep's span totals; the
+        default label is the one the committed baseline rows carry."""
         import json
 
         history = tmp_path / "hist.jsonl"
-        code = main([
+        sweep = [
             "bench-parallel", "products", "--scale", "0.05",
-            "--workers", "1", "--backend", "serial",
-            "--train-epochs", "2", "--train-trials", "1",
-            "--train-features", "4", "--train-hidden", "4",
-            "--train-layers", "2",
-            "--history", str(history), "--history-label", "cli-test",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "training (2 epochs, 2 layers, F=4)" in out
-        assert "appended history entry 'cli-test'" in out
-        (entry,) = [json.loads(line) for line in history.read_text().splitlines()]
-        assert entry["label"] == "cli-test"
-        metrics = entry["metrics"]
-        assert metrics["train.epoch_oracle_backward_s"] > 0
-        assert metrics["train.epoch_batched_s"] > 0
-        assert metrics["train.backward_speedup_x"] == pytest.approx(
-            metrics["train.epoch_oracle_backward_s"]
-            / metrics["train.epoch_batched_s"]
-        )
-        # The sweep's span totals ride along in the same row, so the
-        # perf gate can compare them like-for-like with earlier entries.
-        assert "span.kernel.basic.total_s" in metrics
+            "--workers", "1", "--backend", "serial", "--history", str(history),
+        ]
+        assert main(sweep + ["--history-label", "cli-test"]) == 0
+        assert "appended history entry 'cli-test'" in capsys.readouterr().out
+        assert main(sweep) == 0
+        first, second = [
+            json.loads(line) for line in history.read_text().splitlines()
+        ]
+        assert first["label"] == "cli-test"
+        assert second["label"] == "bench-parallel-batched"
+        # Span totals only, so the perf gate can compare the row
+        # like-for-like with earlier entries.
+        assert "span.kernel.basic.total_s" in first["metrics"]
+        assert not any(name.startswith("train.") for name in first["metrics"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(sweep + ["--train-epochs", "2"])
 
 
 class TestShardedTraining:
