@@ -12,8 +12,9 @@ the vertices whose features ``v`` gathers during aggregation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -57,7 +58,13 @@ class CSRGraph:
     _csc: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
-    _transpose: Optional["CSRGraph"] = field(default=None, repr=False, compare=False)
+    #: The cached transpose — or, on a graph that *is* a cached transpose,
+    #: a weakref back to the graph it was built from: a strong
+    #: back-pointer would be a cycle that keeps both graphs (and every
+    #: array derived from them) alive until a gen-2 collection.
+    _transpose: Union["CSRGraph", "weakref.ref[CSRGraph]", None] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -222,14 +229,18 @@ class CSRGraph:
 
         The backward pass propagates gradients along reversed edges, so
         training touches both directions every epoch; the transpose is
-        built once per graph.  ``g.transpose().transpose() is g``.
+        built once per graph.  ``g.transpose().transpose() is g`` for as
+        long as ``g`` is alive; a transpose that outlives ``g`` rebuilds.
         """
-        if self._transpose is None:
+        cached = self._transpose
+        if isinstance(cached, weakref.ref):
+            cached = cached()
+        if cached is None:
             t_indptr, t_indices, _ = self.csc_arrays()
-            transposed = CSRGraph(t_indptr, t_indices, name=self.name + "^T")
-            transposed._transpose = self  # round-trip identity
-            self._transpose = transposed
-        return self._transpose
+            cached = CSRGraph(t_indptr, t_indices, name=self.name + "^T")
+            cached._transpose = weakref.ref(self)  # round-trip identity
+            self._transpose = cached
+        return cached
 
     def reverse(self) -> "CSRGraph":
         """Alias of :meth:`transpose` (kept for the original API)."""

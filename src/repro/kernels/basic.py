@@ -10,16 +10,21 @@ The paper's ``basic`` kernel:
   the L1 fill buffers are usually full (Section 4.1),
 * runs a JIT-specialized inner kernel per layer spec.
 
-The chunk loop itself executes on :class:`repro.parallel.ChunkExecutor`:
-by default a single serial worker, or real ``thread`` / ``process``
-workers when an executor is supplied.  Every backend is bitwise
-equivalent — each vertex row is produced by the same specialized closure
-whichever worker runs its chunk.  The backward pass is the same loop
-over the transposed adjacency.
+With real ``thread`` / ``process`` workers (or a Section 4.4 processing
+order) the chunk loop executes on :class:`repro.parallel.ChunkExecutor`.
+A natural-order pass on one in-process worker — the default — has
+nobody to hand chunks to, so it is ONE call of the layout's
+:class:`~repro.kernels.segment.ScaledCSR` operator, and its counters
+come from the closed forms of (graph, kernel parameters) the chunk loop
+would have summed to.  Every path is bitwise equivalent — each vertex
+row is accumulated by the same operator in the same edge order whichever
+worker, chunk or call produces it.  The backward pass is the same over
+the transposed adjacency.
 """
 
 from __future__ import annotations
 
+import time
 import weakref
 from typing import Dict, Optional, Tuple
 
@@ -28,8 +33,8 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..obs import get_metrics, get_tracer, publish_counters
 from .base import AggregationKernel, KernelStats, validate_inputs, validate_order
-from .jit import JitKernelCache, KernelSpec
-from ..parallel.executor import ChunkExecutor, ExecutionReport
+from .jit import BatchedKernel, JitKernelCache, KernelSpec
+from ..parallel.executor import ChunkExecutor, ExecutionReport, WorkerReport
 from ..parallel.plan import build_chunk_plan
 from ..parallel.workload import BackwardAggregationWorkload, BasicAggregationWorkload
 
@@ -127,22 +132,101 @@ class BasicKernel(AggregationKernel):
     ) -> Tuple[np.ndarray, KernelStats]:
         validate_inputs(graph, h)
         validate_order(graph, order)
+        compiled_before = self.jit_cache.compilations
+        spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
+        if transposed:
+            name = "kernel.backward.basic"
+            batched = self.jit_cache.specialize_backward(graph, spec)
+        else:
+            name = "kernel.basic"
+            batched = self.jit_cache.specialize(graph, spec)
+        executor = self.executor
+        single_call = (
+            order is None and executor.workers == 1 and executor.backend != "process"
+        )
+        with get_tracer().span(
+            name,
+            aggregator=aggregator,
+            vertices=graph.num_vertices,
+            edges=graph.num_edges,
+            features=int(h.shape[1]),
+            backend=executor.backend,
+            workers=executor.workers,
+        ) as span:
+            if single_call:
+                out, stats = self._run_single_call(graph, h, batched, transposed)
+            else:
+                out, stats = self._run_chunked(
+                    graph, h, aggregator, order, batched, transposed
+                )
+            stats.jit_compilations = self.jit_cache.compilations - compiled_before
+            stats.flops = 2.0 * stats.gathers * h.shape[1]
+            span.add_counters(stats.as_dict())
+        publish_counters(get_metrics(), name, stats.as_dict(False))
+        return out, stats
+
+    def _run_single_call(
+        self, graph: CSRGraph, h: np.ndarray, batched: BatchedKernel, transposed: bool
+    ) -> Tuple[np.ndarray, KernelStats]:
+        """The whole natural-order pass as one operator call.
+
+        No chunk plan, workload or row slice is built: the counters the
+        chunk loop accumulates are a pure function of (graph, order,
+        kernel parameters), so they are stated here in closed form —
+        ``E + V`` gathers, ``ceil(V / T)`` tasks, and one prefetch per
+        gather of every position with a vertex ``D`` behind it.
+        """
+        start = time.perf_counter()
+        # The operator itself, not ``rows(0, n)``: a row slice copies
+        # the matrix.  astype is a no-op unless h was narrower than fp32.
+        out = batched.operator(h).astype(
+            np.result_type(h.dtype, np.float32), copy=False
+        )
+        wall_time = time.perf_counter() - start
+        n = graph.num_vertices
+        tasks = -(-n // self.task_size)
+        stats = KernelStats(
+            gathers=graph.num_edges + n,
+            tasks=tasks,
+            extra={
+                "workers": 1.0,
+                "wall_time_s": wall_time,
+                "worker0_chunks": float(tasks),
+            },
+        )
+        if self.prefetch_distance:
+            degrees = (
+                np.diff(graph.csc_arrays()[0]) if transposed else graph.degrees()
+            )
+            ahead = degrees[self.prefetch_distance:]
+            stats.prefetches = PREFETCH_LINES_PER_VECTOR * int(
+                ahead.sum() + len(ahead)
+            )
+        # The one worker did all of it: its report shares the pass's stats.
+        worker = WorkerReport(0, tasks, n, wall_time, stats)
+        self.last_report = ExecutionReport(
+            self.executor.backend, 1, wall_time, [worker]
+        )
+        return out, stats
+
+    def _run_chunked(
+        self,
+        graph: CSRGraph,
+        h: np.ndarray,
+        aggregator: str,
+        order: Optional[np.ndarray],
+        batched: BatchedKernel,
+        transposed: bool,
+    ) -> Tuple[np.ndarray, KernelStats]:
+        """The chunk loop on the executor: several workers, or an order."""
         if order is None:
             order, plan = self._natural_plan(graph, transposed)
         else:
             base = graph.transpose() if transposed else graph
             plan = build_chunk_plan(base, self.task_size, order)
-
-        compiled_before = self.jit_cache.compilations
-        spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
-        if transposed:
-            name = "kernel.backward.basic"
-            workload_type = BackwardAggregationWorkload
-            closure = self.jit_cache.specialize_backward(graph, spec)
-        else:
-            name = "kernel.basic"
-            workload_type = BasicAggregationWorkload
-            closure = self.jit_cache.specialize(graph, spec)
+        workload_type = (
+            BackwardAggregationWorkload if transposed else BasicAggregationWorkload
+        )
         workload = workload_type(
             graph,
             h,
@@ -151,22 +235,8 @@ class BasicKernel(AggregationKernel):
             prefetch_distance=self.prefetch_distance,
             prefetch_lines=PREFETCH_LINES_PER_VECTOR,
         )
-        # In-process backends reuse the cached closure; process workers
+        # In-process backends reuse the cached kernel; process workers
         # rebuild it from the pickled workload (prepare()).
-        workload.attach_batched(closure)
-        with get_tracer().span(
-            name,
-            aggregator=aggregator,
-            vertices=graph.num_vertices,
-            edges=graph.num_edges,
-            features=int(h.shape[1]),
-            backend=self.executor.backend,
-            workers=self.executor.workers,
-        ) as span:
-            outputs, stats, report = self.executor.run(workload, plan)
-            self.last_report = report
-            stats.jit_compilations = self.jit_cache.compilations - compiled_before
-            stats.flops = 2.0 * stats.gathers * h.shape[1]
-            span.add_counters(stats.as_dict())
-        publish_counters(get_metrics(), name, stats.as_dict(False))
+        workload.attach_batched(batched)
+        outputs, stats, self.last_report = self.executor.run(workload, plan)
         return outputs["out"], stats

@@ -11,6 +11,7 @@ from .aggregate import (
 from .functional import (
     accuracy,
     cross_entropy,
+    cross_entropy_and_correct,
     dropout,
     dropout_grad,
     relu,
@@ -20,7 +21,7 @@ from .functional import (
 )
 from .layers import GNNLayer, LayerCache, LayerGrads, gcn_layer, sage_layer
 from .minibatch import MiniBatchStep, MiniBatchTrainer, block_aggregate
-from .model import GNNModel, build_model
+from .model import GNNModel, Workspace, build_model
 from .optim import Adam, Optimizer, SGD
 from .training import (
     EpochResult,
@@ -39,6 +40,7 @@ __all__ = [
     "normalized_adjacency",
     "accuracy",
     "cross_entropy",
+    "cross_entropy_and_correct",
     "dropout",
     "dropout_grad",
     "relu",
@@ -51,6 +53,7 @@ __all__ = [
     "gcn_layer",
     "sage_layer",
     "GNNModel",
+    "Workspace",
     "MiniBatchStep",
     "MiniBatchTrainer",
     "block_aggregate",

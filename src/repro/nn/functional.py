@@ -54,61 +54,103 @@ def dropout_grad(grad_out: np.ndarray, mask: Optional[np.ndarray], rate: float) 
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, numerically stabilized."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    """Row-wise softmax, numerically stabilized; returns a fresh array.
+
+    One private array, step by step in place: the subtraction makes it.
+    """
+    probs = logits - logits.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
 
 
 def cross_entropy(
-    logits: np.ndarray, labels: np.ndarray, mask: Optional[np.ndarray] = None
+    logits: np.ndarray,
+    labels: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+    count: Optional[int] = None,
 ) -> Tuple[float, np.ndarray]:
-    """Mean cross-entropy loss and its gradient w.r.t. the logits.
+    """Cross-entropy over the masked rows only, as a mean over ``count``.
+
+    The one loss in the package.  Only the rows ``mask`` selects are
+    gathered, softmaxed and scattered back — in the logits' working
+    dtype (fp32 normally, fp64 when a gradcheck drives the pipeline at
+    double precision); the scalar reduction is fp64.
 
     Args:
         logits: (N, C) raw scores.
         labels: (N,) int class ids.
         mask: optional boolean (N,) restricting the loss to training
             vertices (standard semi-supervised node classification).
+        count: the divisor of the mean; defaults to the number of rows
+            selected, which must then be positive.  A shard passes the
+            *global* train count with its own rows' slice of the mask,
+            so that shard losses and gradients simply add up to the
+            full-batch ones.
 
     Returns:
-        (loss, grad) where grad has the logits' shape.
+        ``(loss, grad)``: the selected rows' summed loss over ``count``,
+        and its gradient — the logits' shape, exactly zero off the mask.
     """
-    n, c = logits.shape
+    n = logits.shape[0]
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} != ({n},)")
-    probs = softmax(logits.astype(np.float64))
-    rows = np.arange(n)
-    picked = probs[rows, labels]
-    grad = probs
-    grad[rows, labels] -= 1.0
+    dtype = np.result_type(logits.dtype, np.float32)
     if mask is None:
-        # Unmasked loss (every full-batch epoch): the masked path below
-        # computes the same values through an all-true mask — skip its
-        # mask/~mask temporaries on the training hot path.
-        count = n
+        picked_logits, picked_labels = logits, labels
     else:
-        count = int(mask.sum())
+        rows = np.flatnonzero(mask)
+        picked_logits, picked_labels = logits[rows], labels[rows]
+    if count is None:
+        count = len(picked_labels)
         if count == 0:
             raise ValueError("loss mask selects no vertices")
-        picked = picked[mask]
-        grad[~mask] = 0.0
-    loss = float(-np.log(np.clip(picked, 1e-12, None)).mean())
-    grad /= count
-    return loss, grad.astype(np.result_type(logits.dtype, np.float32))
+    probs = softmax(picked_logits.astype(dtype, copy=False))
+    index = np.arange(len(picked_labels))
+    picked = probs[index, picked_labels]
+    loss_sum = float(-np.log(np.clip(picked, 1e-12, None)).sum(dtype=np.float64))
+    probs[index, picked_labels] -= 1.0
+    probs /= count
+    if mask is None:
+        grad = probs
+    else:
+        grad = np.zeros(logits.shape, dtype=dtype)
+        grad[rows] = probs
+    return loss_sum / count, grad
+
+
+def cross_entropy_and_correct(
+    logits: np.ndarray,
+    labels: np.ndarray,
+    mask: Optional[np.ndarray] = None,
+    count: Optional[int] = None,
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    """What one training step needs of the logits, from one pass each.
+
+    ``(loss, grad, correct)``: :func:`cross_entropy` of the masked rows
+    plus the boolean (N,) ``argmax == label`` of *every* row, so a single
+    argmax serves train and validation accuracy.  The full-batch trainer
+    and the shard runtime both call this — the latter with the global
+    ``count``.
+    """
+    loss, grad = cross_entropy(logits, labels, mask, count)
+    return loss, grad, logits.argmax(axis=1) == labels
+
+
+def masked_fraction(flags: np.ndarray, mask: Optional[np.ndarray] = None) -> float:
+    """Share of true ``flags`` among the (optionally masked) rows."""
+    if mask is not None:
+        flags = flags[mask]
+    if flags.size == 0:
+        return 0.0
+    return float(flags.mean())
 
 
 def accuracy(
     logits: np.ndarray, labels: np.ndarray, mask: Optional[np.ndarray] = None
 ) -> float:
     """Classification accuracy over (optionally masked) vertices."""
-    pred = logits.argmax(axis=1)
-    correct = pred == labels
-    if mask is not None:
-        correct = correct[mask]
-    if correct.size == 0:
-        return 0.0
-    return float(correct.mean())
+    return masked_fraction(logits.argmax(axis=1) == labels, mask)
 
 
 def xavier_uniform(

@@ -11,6 +11,11 @@ Aggregation is linear, so ``Â (h W) = (Â h) W``: a layer that narrows
 narrower ``h W`` rows — the same result up to fp32 reassociation for
 ``out/in`` of the memory traffic.  The order is decided from the layer's
 shape and position alone (:meth:`GNNLayer.forward`), never configured.
+
+Every array a call returns is fresh unless the caller lent the memory:
+``forward(out=)`` and ``backward(grad_in=, own_grad_out=)`` are how a
+:class:`~repro.nn.model.Workspace` owner (the ``Trainer``) has the big
+GEMMs land in buffers it reuses every epoch.
 """
 
 from __future__ import annotations
@@ -33,7 +38,10 @@ class LayerCache:
     ``a`` is the full aggregation feature matrix — the reason training
     cannot use the fused inference buffer trick of Figure 5c.  It is
     ``None`` for a transform-first layer, which is how backward knows
-    the order forward took.
+    the order forward took.  ``pre_activation`` is rectified in place by
+    an activation layer, so it then holds the post-ReLU values (it *is*
+    the layer's output): backward reads only its sign pattern, and
+    ``h > 0`` is identical to ``pre > 0``.
     """
 
     h_in: np.ndarray
@@ -52,7 +60,10 @@ class LayerGrads:
     """Parameter and input gradients produced by one backward call.
 
     ``h_in`` is ``None`` when the caller asked for no input gradient
-    (the model's first layer: nothing consumes ``∂L/∂X``).
+    (the model's first layer: nothing consumes ``∂L/∂X``).  From a
+    backward pass over a workspace it is borrowed memory: the layer
+    below masks it in place with its ReLU pattern, and the next epoch
+    overwrites it.
     """
 
     weight: np.ndarray
@@ -129,6 +140,7 @@ class GNNLayer:
         kernel: Optional[AggregationKernel] = None,
         static_input: bool = False,
         aggregated: Optional[np.ndarray] = None,
+        out: Optional[np.ndarray] = None,
     ) -> "tuple[np.ndarray, LayerCache]":
         """Aggregation and update; returns (h_out, cache).
 
@@ -146,6 +158,12 @@ class GNNLayer:
         * otherwise a narrowing layer (``out < in``) runs transform-first,
           ``pre = Â (h W) + b``, gathering ``out``-wide rows;
         * every other layer runs aggregate-first, ``pre = (Â h) W + b``.
+
+        ``out`` lends an aggregate-first layer a ``(V, out_features)``
+        buffer in the working dtype: the GEMM lands there and ``h_out``
+        *is* that buffer.  Without it ``h_out`` is a fresh array.  Either
+        way bias and ReLU are applied in place — on ``out``, on the fresh
+        GEMM result, or on the aggregation's fresh output.
         """
         if h_in.shape[1] != self.in_features:
             raise ValueError(
@@ -162,24 +180,25 @@ class GNNLayer:
         if not static_input and self.out_features < self.in_features:
             a = None
             gathered = h_dropped @ self.weight
-            z, agg_stats = self._aggregate(graph, gathered, kernel)
-            pre = z + self.bias
+            pre, agg_stats = self._aggregate(graph, gathered, kernel)
         else:
             if aggregated is not None:
                 a, gathered, agg_stats = aggregated, None, None
             else:
                 gathered = h_dropped
                 a, agg_stats = self._aggregate(graph, gathered, kernel)
-            pre = a @ self.weight + self.bias
-        h_out = F.relu(pre) if self.activation else pre
+            pre = np.matmul(a, self.weight, out=out)
+        # The working dtype (fp32 normally, fp64 when a gradcheck drives
+        # the pipeline at double precision) is the operands'; nothing
+        # below widens or copies.
+        pre += self.bias
+        if self.activation:
+            np.maximum(pre, 0.0, out=pre)
         cache = LayerCache(
             h_in=h_dropped, a=a, pre_activation=pre, dropout_mask=mask,
             agg_stats=agg_stats, gathered=gathered,
         )
-        # astype preserves the working dtype (fp32 normally, fp64 when a
-        # gradcheck drives the pipeline at double precision); copy=False
-        # keeps the fp32 path allocation-free.
-        return h_out.astype(pre.dtype, copy=False), cache
+        return pre, cache
 
     def backward(
         self,
@@ -188,6 +207,8 @@ class GNNLayer:
         cache: LayerCache,
         kernel: Optional[AggregationKernel] = None,
         need_input_grad: bool = True,
+        grad_in: Optional[np.ndarray] = None,
+        own_grad_out: bool = False,
     ) -> LayerGrads:
         """Chain rule through update and aggregation, in forward's order.
 
@@ -195,7 +216,11 @@ class GNNLayer:
         materializing ``relu_grad`` and then running two GEMMs, the
         activation mask is applied once as a masked multiply and the
         masked gradient feeds both GEMMs directly — one masked BLAS pair
-        per layer, no fp64 promotion, no extra temporary.
+        per layer, no fp64 promotion, no extra temporary.  With
+        ``own_grad_out`` (the caller will not read ``grad_out`` again —
+        it is the layer above's product, not a caller's array) the mask
+        is applied to ``grad_out`` in place.  ``grad_in`` lends a
+        ``(V, in_features)`` buffer for the ``· Wᵀ`` product.
 
         ``kernel`` routes the transposed aggregation as in ``forward``.
         An aggregate-first layer needs it (and the ``grad_pre @ Wᵀ``
@@ -205,7 +230,10 @@ class GNNLayer:
         """
         if self.activation:
             # Fold relu' into the GEMM pair: mask once, reuse for both.
-            grad_pre = grad_out * (cache.pre_activation > 0)
+            grad_pre = np.multiply(
+                grad_out, cache.pre_activation > 0,
+                out=grad_out if own_grad_out else None,
+            )
         else:
             grad_pre = grad_out
         grad_b = grad_pre.sum(axis=0)
@@ -214,11 +242,12 @@ class GNNLayer:
             grad_z, agg_stats = self._aggregate_backward(graph, grad_pre, kernel)
             grad_w = cache.h_in.T @ grad_z
             if need_input_grad:
-                grad_h = grad_z @ self.weight.T
+                grad_h = np.matmul(grad_z, self.weight.T, out=grad_in)
         else:
             grad_w = cache.a.T @ grad_pre
             if need_input_grad:
-                grad_a = grad_pre @ self.weight.T  # the extra GEMM of Section 7.1.1
+                # The extra GEMM of Section 7.1.1.
+                grad_a = np.matmul(grad_pre, self.weight.T, out=grad_in)
                 grad_h, agg_stats = self._aggregate_backward(graph, grad_a, kernel)
         if grad_h is not None:
             grad_h = F.dropout_grad(grad_h, cache.dropout_mask, self.dropout)

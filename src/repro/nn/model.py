@@ -18,6 +18,32 @@ from ..obs import get_tracer
 from .layers import GNNLayer, LayerCache, LayerGrads
 
 
+class Workspace:
+    """Two reusable ``(V, width)`` buffers per hidden activation.
+
+    For every layer but the last, ``values[k]`` receives layer ``k``'s
+    update GEMM (biased and rectified in place, it is ``h_k``) and
+    ``grads[k]`` receives layer ``k + 1``'s ``· Wᵀ`` product (masked in
+    place by layer ``k``'s backward).  The owner — the ``Trainer`` —
+    passes it to ``forward(training=True)`` and ``backward`` every
+    epoch, so epoch N+1 allocates nothing of ``V x hidden`` size.
+
+    No-alias rule: buffers are only ever reachable through the caches
+    and grads of the pass they were lent to, which the owner drops
+    before the next pass; logits are never written here (the last layer
+    has no buffers), and a pass without a workspace returns fresh arrays.
+    """
+
+    def __init__(self, model: "GNNModel", num_vertices: int, dtype) -> None:
+        self.num_vertices = num_vertices
+        self.dtype = np.dtype(dtype)
+        self.values = [
+            np.empty((num_vertices, layer.out_features), dtype=dtype)
+            for layer in model.layers[:-1]
+        ]
+        self.grads = [np.empty_like(value) for value in self.values]
+
+
 class GNNModel:
     """A stack of :class:`GNNLayer` with full forward/backward."""
 
@@ -43,6 +69,7 @@ class GNNModel:
         training: bool = False,
         kernel: Optional[AggregationKernel] = None,
         first_aggregation: Optional[np.ndarray] = None,
+        workspace: Optional[Workspace] = None,
     ) -> Tuple[np.ndarray, List[LayerCache]]:
         """Full forward pass; returns logits and per-layer caches.
 
@@ -55,11 +82,15 @@ class GNNModel:
         first and ``caches[0].a`` is ``Â · features``; a caller that kept
         it from an earlier pass over the same graph and features hands
         it back as ``first_aggregation`` and the pass is skipped.
+
+        ``workspace`` lends the hidden layers their output buffers (see
+        :class:`Workspace`); the logits are a fresh array regardless.
         """
         h = features
         caches: List[LayerCache] = []
         tracer = get_tracer()
         static_first = not (training and self.layers[0].dropout > 0.0)
+        hidden = workspace.values if workspace is not None else ()
         for idx, layer in enumerate(self.layers):
             with tracer.span(
                 "layer",
@@ -73,6 +104,7 @@ class GNNModel:
                     graph, h, training=training, kernel=kernel,
                     static_input=static,
                     aggregated=first_aggregation if static else None,
+                    out=hidden[idx] if idx < len(hidden) else None,
                 )
             caches.append(cache)
         return h, caches
@@ -83,6 +115,7 @@ class GNNModel:
         grad_logits: np.ndarray,
         caches: List[LayerCache],
         kernel: Optional[AggregationKernel] = None,
+        workspace: Optional[Workspace] = None,
     ) -> List[LayerGrads]:
         """Full backward pass; returns grads aligned with ``self.layers``.
 
@@ -91,6 +124,12 @@ class GNNModel:
         provides ``aggregate_backward``, mirroring ``forward``.  Nothing
         consumes the gradient w.r.t. the input features, so the first
         layer is not asked for one (``grads[0].h_in`` is ``None``).
+
+        With a ``workspace`` every hidden gradient lives in borrowed
+        memory: layer ``k``'s ``· Wᵀ`` product lands in
+        ``workspace.grads[k - 1]``, and each hidden layer masks the
+        gradient it is handed in place — that gradient is always the
+        layer above's product, never ``grad_logits``.
         """
         if len(caches) != self.num_layers:
             raise ValueError("cache count does not match layer count")
@@ -108,6 +147,14 @@ class GNNModel:
                 layer_grads = self.layers[idx].backward(
                     graph, grad, caches[idx], kernel=kernel,
                     need_input_grad=idx > 0,
+                    grad_in=(
+                        workspace.grads[idx - 1]
+                        if workspace is not None and idx > 0
+                        else None
+                    ),
+                    own_grad_out=(
+                        workspace is not None and idx < self.num_layers - 1
+                    ),
                 )
             grads[idx] = layer_grads
             grad = layer_grads.h_in

@@ -21,7 +21,7 @@ from ..obs import get_metrics, get_tracer
 from ..tensors.compression import traffic_saved
 from ..tensors.sparsity import SparsityProfile, sparsity as sparsity_of
 from . import functional as F
-from .model import GNNModel
+from .model import GNNModel, Workspace
 from .optim import Optimizer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -112,7 +112,11 @@ class Trainer:
     ``train_epoch`` is called with the same graph and the same
     ``features`` *object* (the key is identity, so a caller that mutates
     ``features`` in place must pass a new array), and ``∂L/∂features``
-    is never formed.
+    is never formed.  Nor does an epoch allocate what it can reuse: the
+    trainer owns a :class:`~repro.nn.model.Workspace` (two ``V x hidden``
+    buffers per hidden layer, sized on first use and again only if ``V``
+    or the dtype changes) that every epoch's GEMMs write into.  Nothing
+    ``train_epoch`` returns or keeps in ``history`` aliases it.
     """
 
     def __init__(
@@ -140,6 +144,19 @@ class Trainer:
         self._first_aggregation: Optional[
             Tuple[object, np.ndarray, np.ndarray]
         ] = None
+        self._workspace: Optional[Workspace] = None
+
+    def _workspace_for(self, features: np.ndarray) -> Workspace:
+        """The trainer's buffers, (re)built when the shape they serve moves."""
+        dtype = np.result_type(
+            features.dtype, *(layer.weight.dtype for layer in self.model.layers)
+        )
+        workspace = self._workspace
+        if workspace is None or (workspace.num_vertices, workspace.dtype) != (
+            len(features), dtype
+        ):
+            workspace = self._workspace = Workspace(self.model, len(features), dtype)
+        return workspace
 
     def train_epoch(
         self,
@@ -172,9 +189,10 @@ class Trainer:
                 and kept[0] is graph.cache_token()
                 and kept[1] is features
             )
+            workspace = self._workspace_for(features)
             logits, caches = self.model.forward(
                 graph, features, training=True, kernel=self.aggregation_kernel,
-                first_aggregation=kept[2] if hit else None,
+                first_aggregation=kept[2] if hit else None, workspace=workspace,
             )
             first = caches[0]
             if not hit and first.a is not None and first.dropout_mask is None:
@@ -189,10 +207,13 @@ class Trainer:
                 if self.profile_sparsity:
                     for layer_idx, value in layer_sparsity.items():
                         self.history.sparsity.add(layer_idx, value)
-            loss, grad = F.cross_entropy(logits, labels, mask=train_mask)
+            loss, grad, correct = F.cross_entropy_and_correct(
+                logits, labels, train_mask
+            )
             with tracer.span("backward"):
                 grads = self.model.backward(
-                    graph, grad, caches, kernel=self.aggregation_kernel
+                    graph, grad, caches, kernel=self.aggregation_kernel,
+                    workspace=workspace,
                 )
             for layer_grads in grads:
                 if layer_grads.agg_stats is not None:
@@ -201,14 +222,14 @@ class Trainer:
             result = EpochResult(
                 epoch=epoch_index,
                 loss=loss,
-                train_accuracy=F.accuracy(logits, labels, mask=train_mask),
+                train_accuracy=F.masked_fraction(correct, train_mask),
                 val_accuracy=(
-                    F.accuracy(logits, labels, mask=val_mask)
+                    F.masked_fraction(correct, val_mask)
                     if val_mask is not None
                     else None
                 ),
             )
-            span.set_attr("loss", float(loss))
+            span.set_attr("loss", result.loss)
             span.set_attr("train_accuracy", result.train_accuracy)
             wall_time_s = time.perf_counter() - start_s if timing else 0.0
             slo_issues: List[str] = []

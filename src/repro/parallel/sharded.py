@@ -243,27 +243,14 @@ class ShardRuntime:
         self.boards_h[layer][self.local] = self._h[layer]
 
     def loss_grad(self) -> None:
-        """Masked cross-entropy partials over the owned rows.
-
-        Replicates :func:`repro.nn.functional.cross_entropy` numerics
-        exactly per row (float64 softmax, 1e-12 clip, global-count
-        division); only the final summation is split across shards.
-        """
-        logits = self._h[-1]
-        probs = F.softmax(logits.astype(np.float64))
-        rows = np.arange(len(logits))
-        picked = probs[rows, self.labels_local]
-        grad = probs
-        grad[rows, self.labels_local] -= 1.0
+        """Masked cross-entropy partials over the owned rows: the
+        trainer's own loss function on this shard's slice of the mask,
+        divided by the *global* train count, so shard losses and
+        gradients add up to the full-batch ones."""
         mask = self.train_mask_local
-        self._loss_sum = float(
-            -np.log(np.clip(picked[mask], 1e-12, None)).sum()
+        self._loss, self._grad_out, correct = F.cross_entropy_and_correct(
+            self._h[-1], self.labels_local, mask, self.cfg.train_count
         )
-        grad[~mask] = 0.0
-        grad /= self.cfg.train_count
-        self._grad_out = grad.astype(np.float32)
-        pred = logits.argmax(axis=1)
-        correct = pred == self.labels_local
         self._train_correct = int(correct[mask].sum())
         self._val_correct = (
             int(correct[self.val_mask_local].sum())
@@ -304,7 +291,7 @@ class ShardRuntime:
 
     def epoch_result(self) -> Dict:
         return {
-            "loss_sum": self._loss_sum,
+            "loss": self._loss,
             "train_correct": self._train_correct,
             "val_correct": self._val_correct,
             "grad_w": [g for g in self._gw],
@@ -740,7 +727,7 @@ class ShardedTrainer:
 
     def _combine(self, epoch: int, results: List[Dict]) -> EpochResult:
         cfg = self._config
-        loss = sum(r["loss_sum"] for r in results) / cfg.train_count
+        loss = sum(r["loss"] for r in results)
         train_acc = (
             sum(r["train_correct"] for r in results) / cfg.train_count
         )

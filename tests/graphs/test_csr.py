@@ -155,6 +155,29 @@ class TestTranspose:
     def test_transpose_is_cached(self, tiny_graph):
         assert tiny_graph.transpose() is tiny_graph.transpose()
 
+    def test_back_pointer_is_weak(self):
+        """``g -> g^T`` is a strong reference and ``g^T -> g`` a weak
+        one: dropping ``g`` frees it by refcount (no cycle to collect),
+        and a transpose that outlives it rebuilds an equal graph."""
+        import gc
+        import weakref
+
+        graph = CSRGraph.from_edges(4, [(0, 1), (1, 2), (3, 0), (3, 2)])
+        indptr, indices = graph.indptr.copy(), graph.indices.copy()
+        transposed = graph.transpose()
+        assert transposed.transpose() is graph
+        graph_ref = weakref.ref(graph)
+        gc.disable()
+        try:
+            del graph
+            assert graph_ref() is None
+        finally:
+            gc.enable()
+        rebuilt = transposed.transpose()
+        np.testing.assert_array_equal(rebuilt.indptr, indptr)
+        np.testing.assert_array_equal(rebuilt.indices, indices)
+        assert rebuilt.transpose() is transposed
+
     def test_empty_graph_transpose(self):
         graph = CSRGraph.from_edges(0, [])
         t = graph.transpose()

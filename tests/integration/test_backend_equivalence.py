@@ -173,3 +173,30 @@ def test_training_with_parallel_kernel_matches_serial():
         history = trainer.fit(graph, h, labels, epochs=3)
         losses.append(history.losses())
     assert losses[0] == losses[1]
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["forward", "transposed"])
+@pytest.mark.parametrize("aggregator", ["gcn", "mean"])
+def test_single_call_pass_matches_the_chunk_loop(aggregator, transposed):
+    """One in-process worker runs a natural-order pass as ONE operator
+    call and states its counters in closed form; two threads run the
+    chunk loop and sum them.  Rows and counters must not differ."""
+    graph = _graph(7)
+    h = _features(graph, 7)
+    runs = []
+    for kernel in (
+        BasicKernel(task_size=32),
+        BasicKernel(task_size=32, executor=ChunkExecutor("thread", 2)),
+    ):
+        run = kernel.aggregate_backward if transposed else kernel.aggregate
+        out, stats = run(graph, h, aggregator)
+        report = kernel.last_report
+        assert report is not None and report.workers == kernel.executor.workers
+        assert sum(report.chunks_per_worker) == stats.tasks
+        assert sum(w.stats.gathers for w in report.worker_reports) == stats.gathers
+        runs.append((out, stats))
+    (single, single_stats), (chunked, chunked_stats) = runs
+    assert np.array_equal(single, chunked)
+    assert single_stats.prefetches > 0
+    for counter in ("gathers", "tasks", "prefetches", "flops"):
+        assert getattr(single_stats, counter) == getattr(chunked_stats, counter)

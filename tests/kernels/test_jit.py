@@ -183,6 +183,25 @@ class TestWeakrefKeying:
         gc.collect()
         assert len(cache) == 0
 
+    def test_dropped_cache_is_freed_without_a_collection(self):
+        """The eviction callback reaches the cache through a weakref, so
+        a dropped cache (and every operator it compiled) dies by
+        refcount while its graph lives on — and the graph's later death
+        calls back into nothing."""
+        import weakref
+
+        graph = uniform_graph(40, avg_degree=4.0, seed=0)
+        cache = JitKernelCache()
+        cache.specialize(graph, KernelSpec(8, "gcn"))
+        cache_ref = weakref.ref(cache)
+        gc.disable()
+        try:
+            del cache
+            assert cache_ref() is None
+        finally:
+            gc.enable()
+        del graph  # fires the orphaned callback
+
     def test_look_alike_graph_gets_fresh_kernel(self):
         """Drop a graph, allocate same-shaped graphs hunting for address
         reuse: every one must recompile and use its own factors."""

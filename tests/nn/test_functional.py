@@ -6,6 +6,7 @@ import pytest
 from repro.nn import (
     accuracy,
     cross_entropy,
+    cross_entropy_and_correct,
     dropout,
     dropout_grad,
     relu,
@@ -114,6 +115,40 @@ class TestSoftmaxCrossEntropy:
         loss, grad = cross_entropy(logits, labels, mask=mask)
         assert loss < 1e-3  # only the correct vertex counts
         np.testing.assert_array_equal(grad[0], 0.0)
+
+    def test_masked_rows_only_in_the_working_dtype(self, rng):
+        """Off-mask rows get an exactly-zero gradient, on-mask rows the
+        unmasked formula over the masked count, and nothing is promoted
+        to float64 on the way."""
+        logits = rng.standard_normal((9, 4)).astype(np.float32)
+        labels = rng.integers(0, 4, 9)
+        mask = np.arange(9) % 3 != 0
+        loss, grad = cross_entropy(logits, labels, mask=mask)
+        sub_loss, sub_grad = cross_entropy(logits[mask], labels[mask])
+        assert grad.dtype == np.float32
+        assert loss == sub_loss
+        np.testing.assert_array_equal(grad[mask], sub_grad)
+        np.testing.assert_array_equal(grad[~mask], 0.0)
+
+    def test_shard_partials_add_up_under_a_global_count(self, rng):
+        """Two row blocks, each given the global count, sum to the
+        full-batch loss and stack to its gradient; a block that owns no
+        masked row contributes zero instead of raising."""
+        logits = rng.standard_normal((10, 3)).astype(np.float32)
+        labels = rng.integers(0, 3, 10)
+        mask = np.array([True, False] * 3 + [False] * 4)
+        loss, grad, correct = cross_entropy_and_correct(logits, labels, mask)
+        parts = [
+            cross_entropy_and_correct(
+                logits[block], labels[block], mask[block], count=3
+            )
+            for block in (slice(0, 6), slice(6, 10))
+        ]
+        assert parts[1][0] == 0.0 and not parts[1][1].any()
+        assert parts[0][0] + parts[1][0] == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_array_equal(np.vstack([p[1] for p in parts]), grad)
+        np.testing.assert_array_equal(np.concatenate([p[2] for p in parts]), correct)
+        np.testing.assert_array_equal(correct, logits.argmax(axis=1) == labels)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
