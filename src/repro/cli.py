@@ -933,6 +933,7 @@ def _build_serving_service(args) -> tuple:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Train briefly, then answer inference queries over HTTP."""
+    import signal
     import time as time_module
 
     from .obs.rules import RuleEngine, RuleParseError, default_serve_rules, load_rules
@@ -966,17 +967,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     status = 0
     with _telemetry(args, meta, extras=extras):
         registry = get_metrics()
-        with ServingServer(service, port=args.port, host=args.host) as server:
-            print(
-                f"serving inference on {server.url} "
-                "(/v1/predict, /healthz, /stats.json)"
-            )
-            deadline = (
-                time_module.monotonic() + args.duration
-                if args.duration is not None
-                else None
-            )
-            try:
+        # SIGTERM is Ctrl-C: drain, write the trace, exit 0.  Installed
+        # before the URL is announced, so whoever reads it may send one.
+        on_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            with ServingServer(service, port=args.port, host=args.host) as server:
+                print(
+                    f"serving inference on {server.url} "
+                    "(/v1/predict, /healthz, /stats.json)"
+                )
+                deadline = (
+                    time_module.monotonic() + args.duration
+                    if args.duration is not None
+                    else None
+                )
                 while deadline is None or time_module.monotonic() < deadline:
                     step = 1.0
                     if deadline is not None:
@@ -984,8 +988,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     time_module.sleep(step)
                     if rules is not None:
                         rules.evaluate(registry.snapshot())
-            except KeyboardInterrupt:
-                print("\nshutting down")
+        except KeyboardInterrupt:  # raised in the loop; the server has drained
+            print("\nshutting down")
+        finally:
+            signal.signal(signal.SIGTERM, on_sigterm)
         extras["alerts"] = rules
         stats = service.stats()
         print(

@@ -4,9 +4,10 @@ Everything else in :mod:`repro.obs` is post-hoc — spans, reports, and
 dashboards exist only after the run finished.  This module observes a
 run *while it is in flight*:
 
-* :class:`MetricsServer` — a background stdlib ``http.server`` that
-  renders the active :class:`~repro.obs.metrics.MetricsRegistry` at
-  ``/metrics`` (Prometheus text exposition format, version 0.0.4) and
+* :class:`MetricsServer` — a background HTTP/1.1 endpoint (routes over
+  :class:`~repro.httpd.HTTPFrontEnd`) that renders the active
+  :class:`~repro.obs.metrics.MetricsRegistry` at ``/metrics``
+  (Prometheus text exposition format, version 0.0.4) and
   ``/snapshot.json`` (the raw snapshot plus a *delta view*: per-counter
   rates computed between consecutive scrapes, per-gauge staleness age,
   histogram p50/p95/p99).  ``repro train --serve-metrics PORT`` starts
@@ -32,9 +33,9 @@ import math
 import threading
 import time
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Mapping, Optional
 
+from ..httpd import HTTPFrontEnd, Reply
 from .events import EventTail
 from .rules import RuleEngine
 
@@ -162,73 +163,44 @@ def delta_snapshot(
 
 # ----------------------------------------------------------------------
 # Exposition endpoint
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler bound to the owning :class:`MetricsServer`."""
-
-    server_version = "repro-metrics/1"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        owner: "MetricsServer" = self.server.owner  # type: ignore[attr-defined]
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            body = render_prometheus(owner.registry.snapshot()).encode()
-            self._reply(200, PROMETHEUS_CONTENT_TYPE, body)
-        elif path == "/snapshot.json":
-            body = json.dumps(
-                owner.delta_snapshot(), allow_nan=True
-            ).encode()
-            self._reply(200, "application/json", body)
-        elif path in ("/", "/healthz"):
-            body = (
-                "repro live metrics endpoint\n"
-                "GET /metrics       Prometheus text exposition\n"
-                "GET /snapshot.json snapshot with between-scrape deltas\n"
-            ).encode()
-            self._reply(200, "text/plain; charset=utf-8", body)
-        else:
-            self._reply(404, "text/plain; charset=utf-8", b"not found\n")
-
-    def _reply(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        logger.debug("metrics-server: " + format, *args)
+_TEXT = "text/plain; charset=utf-8"
 
 
-class MetricsServer:
+class MetricsServer(HTTPFrontEnd):
     """Background HTTP exposition of a live metrics registry.
 
-    Binds ``host:port`` (``port=0`` picks an ephemeral port, reported by
+    The routes over :class:`~repro.httpd.HTTPFrontEnd`: binds
+    ``host:port`` (``port=0`` picks an ephemeral port, reported by
     :attr:`port` / :attr:`url` after :meth:`start`) and serves scrapes
-    from a daemon thread, so the instrumented run is never blocked.
+    from daemon threads, so the instrumented run is never blocked.
     Usable as a context manager.
     """
 
     enabled = True
 
     def __init__(self, registry, port: int = 0, host: str = "127.0.0.1") -> None:
+        super().__init__("repro-metrics", port=port, host=host)
         self.registry = registry
-        self.host = host
-        self._requested_port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
         self._scrape_lock = threading.Lock()
         self._last_snapshot: Optional[Dict[str, Dict[str, Any]]] = None
         self._last_monotonic: Optional[float] = None
 
-    # ------------------------------------------------------------------
-    @property
-    def port(self) -> Optional[int]:
-        """The bound port (None before :meth:`start`)."""
-        return self._httpd.server_address[1] if self._httpd else None
-
-    @property
-    def url(self) -> Optional[str]:
-        return f"http://{self.host}:{self.port}" if self._httpd else None
+    def route(self, method: str, path: str, query: str, body: bytes) -> Reply:
+        if method != "GET":
+            return 405, _TEXT, b"GET only\n"
+        if path == "/metrics":
+            text = render_prometheus(self.registry.snapshot())
+            return 200, PROMETHEUS_CONTENT_TYPE, text.encode()
+        if path == "/snapshot.json":
+            document = json.dumps(self.delta_snapshot(), allow_nan=True)
+            return 200, "application/json", document.encode()
+        if path in ("/", "/healthz"):
+            return 200, _TEXT, (
+                "repro live metrics endpoint\n"
+                "GET /metrics       Prometheus text exposition\n"
+                "GET /snapshot.json snapshot with between-scrape deltas\n"
+            ).encode()
+        return 404, _TEXT, b"not found\n"
 
     def delta_snapshot(self) -> Dict[str, Any]:
         """Snapshot + deltas vs the previous scrape (advances the state)."""
@@ -244,40 +216,6 @@ class MetricsServer:
             self._last_snapshot = current
             self._last_monotonic = now
         return document
-
-    # ------------------------------------------------------------------
-    def start(self) -> "MetricsServer":
-        """Bind the socket and spawn the serving thread (idempotent)."""
-        if self._httpd is None:
-            httpd = ThreadingHTTPServer(
-                (self.host, self._requested_port), _Handler
-            )
-            httpd.daemon_threads = True
-            httpd.owner = self  # type: ignore[attr-defined]
-            self._httpd = httpd
-            self._thread = threading.Thread(
-                target=httpd.serve_forever,
-                name="repro-metrics-server",
-                daemon=True,
-            )
-            self._thread.start()
-            logger.info("metrics server listening on %s", self.url)
-        return self
-
-    def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-            if self._thread is not None:
-                self._thread.join(timeout=5.0)
-                self._thread = None
-
-    def __enter__(self) -> "MetricsServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
 
 
 class NullMetricsServer:

@@ -4,7 +4,7 @@ The serving plane answers per-vertex / per-batch classification and
 embedding queries against a trained model, built from four pieces:
 
 * :mod:`repro.serve.server` — :class:`InferenceService` (the request
-  pipeline) and :class:`ServingServer` (the ``ThreadingHTTPServer``
+  pipeline) and :class:`ServingServer` (the HTTP/1.1 keep-alive
   front end);
 * :mod:`repro.serve.batcher` — bounded admission queue + work-conserving
   request coalescing (no timer) on one worker thread;

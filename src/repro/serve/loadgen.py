@@ -15,6 +15,9 @@ The client side of the serving benchmark.  Two regimes, picked by
   exactly one request outstanding, the regime for peak-throughput
   measurement (``bench-serve`` uses it).
 
+Either way each worker thread keeps one HTTP/1.1 connection open for
+the whole run, so a request is timed without a TCP handshake.
+
 Latency lands client-side in a private
 :class:`~repro.obs.metrics.Histogram` (the server's view excludes
 network + HTTP parse time; this one is end-to-end), and the
@@ -24,14 +27,14 @@ names the perf-history gate expects.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -112,22 +115,19 @@ class LoadgenResult:
 
 
 def _one_request(
-    url: str,
-    vertex: int,
-    mode: str,
-    timeout_s: float,
+    conn: http.client.HTTPConnection,
+    target: str,
     result: LoadgenResult,
     lock: threading.Lock,
 ) -> None:
-    target = f"{url.rstrip('/')}/v1/predict?vertex={vertex}&mode={mode}"
     start = time.perf_counter()
     try:
-        with urllib.request.urlopen(target, timeout=timeout_s) as response:
-            response.read()
-            status = response.status
-    except urllib.error.HTTPError as error:
-        status = error.code
-    except OSError:
+        conn.request("GET", target)
+        response = conn.getresponse()
+        response.read()
+        status = response.status
+    except (OSError, http.client.HTTPException):
+        conn.close()  # ``http.client`` reconnects on the next request
         status = 0  # connection-level failure
     elapsed = time.perf_counter() - start
     with lock:
@@ -165,11 +165,28 @@ def run_loadgen(
         requests=0, errors=0,
     )
     lock = threading.Lock()
+    parts = urlsplit(url)
+    target = f"{parts.path.rstrip('/')}/v1/predict?mode={mode}&vertex="
+
+    def connect() -> http.client.HTTPConnection:
+        """One keep-alive connection; each worker thread owns its own."""
+        return http.client.HTTPConnection(parts.netloc, timeout=timeout_s)
+
     deadline = time.monotonic() + duration_s
     if rate is not None:
         if rate <= 0:
             raise ValueError("rate must be positive")
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        local = threading.local()
+        connections: List[http.client.HTTPConnection] = []
+
+        def connect_worker() -> None:  # once per pool thread
+            local.conn = connect()
+            connections.append(local.conn)
+
+        def send(vertex: int) -> None:
+            _one_request(local.conn, target + str(vertex), result, lock)
+
+        with ThreadPoolExecutor(concurrency, initializer=connect_worker) as pool:
             next_arrival = time.monotonic()
             while True:
                 now = time.monotonic()
@@ -178,16 +195,17 @@ def run_loadgen(
                 if now < next_arrival:
                     time.sleep(min(next_arrival - now, deadline - now))
                     continue
-                vertex = int(rng.integers(0, num_vertices))
-                pool.submit(
-                    _one_request, url, vertex, mode, timeout_s, result, lock
-                )
+                pool.submit(send, int(rng.integers(0, num_vertices)))
                 next_arrival += float(rng.exponential(1.0 / rate))
+        for conn in connections:
+            conn.close()
     else:
         def worker() -> None:
+            conn = connect()
             while time.monotonic() < deadline:
                 vertex = int(rng.integers(0, num_vertices))
-                _one_request(url, vertex, mode, timeout_s, result, lock)
+                _one_request(conn, target + str(vertex), result, lock)
+            conn.close()
 
         threads = [
             threading.Thread(target=worker, name=f"repro-loadgen-{i}")

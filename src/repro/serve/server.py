@@ -26,35 +26,32 @@ GNNModel`.  One request's life:
    JSON with the trace id and measured latency; fresh rows feed the
    cache on the way out.
 
-:class:`ServingServer` is the stdlib ``ThreadingHTTPServer`` front end
-(same shape as :class:`~repro.obs.live.MetricsServer`): ``GET/POST
-/v1/predict``, ``/healthz``, ``/stats.json``.  Publish the ``serve.*``
-metrics through a ``MetricsServer`` ``/metrics`` endpoint by enabling
-telemetry around the service (the CLI's ``--serve-metrics`` does).
+:class:`ServingServer` is the HTTP/1.1 keep-alive front end (routes over
+:class:`~repro.httpd.HTTPFrontEnd`, like :class:`~repro.obs.live.
+MetricsServer`): ``GET/POST /v1/predict``, ``/healthz``,
+``/stats.json``.  Publish the ``serve.*`` metrics through a
+``MetricsServer`` ``/metrics`` endpoint by enabling telemetry around
+the service (the CLI's ``--serve-metrics`` does).
 """
 
 from __future__ import annotations
 
 import json
-import logging
-import threading
 import time
 import uuid
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..httpd import HTTPFrontEnd, Reply, error_reply, json_reply
 from ..kernels.segment import ScaledCSR
 from ..nn.aggregate import normalization_factors
 from ..nn.minibatch import assemble_batch, block_forward
 from ..nn.model import GNNModel
 from .batcher import RequestBatcher, ServeRequest
 from .cache import EmbeddingCache
-
-logger = logging.getLogger(__name__)
 
 #: Query modes a request may ask for.
 MODES = ("classify", "embedding")
@@ -149,7 +146,12 @@ class InferenceService:
         """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        requested = np.asarray(list(vertices), dtype=np.int64)
+        try:
+            requested = np.asarray(list(vertices), dtype=np.int64)
+        except OverflowError:  # an id past int64 is out of range, not a 500
+            raise ValueError(
+                f"vertex ids must be in [0, {self.graph.num_vertices})"
+            ) from None
         if requested.size == 0:
             raise ValueError("request needs at least one vertex")
         if requested.min() < 0 or requested.max() >= self.graph.num_vertices:
@@ -330,133 +332,84 @@ class InferenceService:
 
 
 # ----------------------------------------------------------------------
-class _ServeHandler(BaseHTTPRequestHandler):
-    """HTTP front end bound to the owning :class:`ServingServer`."""
-
-    server_version = "repro-serve/1"
-
-    @property
-    def service(self) -> InferenceService:
-        return self.server.owner.service  # type: ignore[attr-defined]
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        parts = urlsplit(self.path)
-        if parts.path == "/v1/predict":
-            params = parse_qs(parts.query)
-            raw = params.get("vertices", params.get("vertex", []))
-            vertices: List[int] = []
-            try:
-                for chunk in raw:
-                    vertices.extend(int(v) for v in chunk.split(",") if v)
-            except ValueError:
-                self._reply_json(400, {"error": "vertex ids must be integers"})
-                return
-            mode = params.get("mode", ["classify"])[0]
-            self._predict(vertices, mode)
-        elif parts.path == "/healthz":
-            self._reply_json(200, {"status": "ok", **self.service.stats()["model"]})
-        elif parts.path in ("/", "/stats.json"):
-            self._reply_json(200, self.service.stats())
-        else:
-            self._reply_json(404, {"error": "not found"})
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if urlsplit(self.path).path != "/v1/predict":
-            self._reply_json(404, {"error": "not found"})
-            return
-        length = int(self.headers.get("Content-Length", 0))
-        try:
-            doc = json.loads(self.rfile.read(length) or b"{}")
-            vertices = [int(v) for v in doc.get("vertices", [])]
-            mode = doc.get("mode", "classify")
-        except (ValueError, TypeError):
-            self._reply_json(400, {"error": "body must be JSON with integer "
-                                            "'vertices' and optional 'mode'"})
-            return
-        self._predict(vertices, mode)
-
-    def _predict(self, vertices: List[int], mode: str) -> None:
-        try:
-            response = self.service.query(vertices, mode=mode)
-        except ValueError as error:
-            self._reply_json(400, {"error": str(error)})
-        except AdmissionRejected as error:
-            self._reply_json(503, {"error": str(error)})
-        except RequestTimeout as error:
-            self._reply_json(504, {"error": str(error)})
-        except Exception as error:  # noqa: BLE001 - serve a 500, keep running
-            logger.exception("request failed")
-            self._reply_json(500, {"error": f"{type(error).__name__}: {error}"})
-        else:
-            self._reply_json(200, response)
-
-    def _reply_json(self, status: int, doc: Dict[str, Any]) -> None:
-        body = json.dumps(doc).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        logger.debug("serve: " + format, *args)
+def _query_vertices(query: str) -> Tuple[List[int], str]:
+    """``?vertex=3`` / ``?vertices=1,2&mode=embedding`` -> (ids, mode)."""
+    params = parse_qs(query)
+    vertices: List[int] = []
+    try:
+        for chunk in params.get("vertices", params.get("vertex", [])):
+            vertices.extend(int(v) for v in chunk.split(",") if v)
+    except ValueError:
+        raise ValueError("vertex ids must be integers") from None
+    return vertices, params.get("mode", ["classify"])[0]
 
 
-class ServingServer:
+def _body_vertices(body: bytes) -> Tuple[List[int], Any]:
+    """``{"vertices": [1, 2], "mode": "embedding"}`` -> (ids, mode)."""
+    try:
+        doc = json.loads(body or b"{}")
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict):
+        raise ValueError(
+            "body must be a JSON object with integer 'vertices' and "
+            "optional 'mode'"
+        )
+    vertices = doc.get("vertices", [])
+    # ``type(v) is int``: 1.7 would truncate to vertex 1, and True is an int.
+    if not isinstance(vertices, list) or any(type(v) is not int for v in vertices):
+        raise ValueError("'vertices' must be a list of JSON integers")
+    return vertices, doc.get("mode", "classify")
+
+
+class ServingServer(HTTPFrontEnd):
     """Background HTTP server answering inference queries.
 
-    Same contract as :class:`~repro.obs.live.MetricsServer`: ``port=0``
-    binds ephemerally, requests run on daemon threads (one per
-    connection — the batcher is what bounds concurrency), usable as a
-    context manager.
+    The routes over :class:`~repro.httpd.HTTPFrontEnd` (one handler
+    thread per connection — the batcher is what bounds concurrency).
+    Accepted connections and client hang-ups are also published as
+    ``serve.connections`` / ``serve.client_disconnects``.
     """
 
     def __init__(
         self, service: InferenceService, port: int = 0, host: str = "127.0.0.1"
     ) -> None:
+        super().__init__("repro-serve", port=port, host=host)
         self.service = service
-        self.host = host
-        self._requested_port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
 
-    @property
-    def port(self) -> Optional[int]:
-        return self._httpd.server_address[1] if self._httpd else None
-
-    @property
-    def url(self) -> Optional[str]:
-        return f"http://{self.host}:{self.port}" if self._httpd else None
-
-    def start(self) -> "ServingServer":
-        if self._httpd is None:
-            httpd = ThreadingHTTPServer(
-                (self.host, self._requested_port), _ServeHandler
+    def route(self, method: str, path: str, query: str, body: bytes) -> Reply:
+        if path == "/v1/predict":
+            try:
+                vertices, mode = (
+                    _query_vertices(query) if method == "GET"
+                    else _body_vertices(body)
+                )
+                response = self.service.query(vertices, mode=mode)
+            except ValueError as error:
+                return error_reply(400, str(error))
+            except AdmissionRejected as error:
+                return error_reply(503, str(error))
+            except RequestTimeout as error:
+                return error_reply(504, str(error))
+            return json_reply(200, response)
+        if method == "GET" and path == "/healthz":
+            return json_reply(
+                200, {"status": "ok", **self.service.stats()["model"]}
             )
-            httpd.daemon_threads = True
-            httpd.owner = self  # type: ignore[attr-defined]
-            self._httpd = httpd
-            self._thread = threading.Thread(
-                target=httpd.serve_forever,
-                name="repro-serve-server",
-                daemon=True,
-            )
-            self._thread.start()
-            logger.info("inference server listening on %s", self.url)
-        return self
+        if method == "GET" and path in ("/", "/stats.json"):
+            return json_reply(200, {
+                **self.service.stats(),
+                "connections": self.connections,  # requests per connection
+                "client_disconnects": self.client_disconnects,
+            })
+        return error_reply(404, "not found")
+
+    def _count(self, counter: str) -> None:
+        super()._count(counter)
+        self.service._obs()[1].inc(f"serve.{counter}")
 
     def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-            if self._thread is not None:
-                self._thread.join(timeout=5.0)
-                self._thread = None
+        """Stop accepting, answer what was admitted, end the connections."""
+        self.stop_accepting()
         self.service.close()
-
-    def __enter__(self) -> "ServingServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        self.close_connections()

@@ -1,5 +1,7 @@
 """Shared fixtures: small graphs and features reused across the suite."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,19 @@ from repro.graphs import (
     synthetic_features,
     uniform_graph,
 )
+
+
+@pytest.fixture(autouse=True)
+def restore_repro_logging():
+    """``repro.cli.main`` installs a ``StreamHandler`` on the ``repro``
+    logger, bound to the stderr capture of the test that called it; left
+    behind, a later test's log record prints "Logging error" through the
+    closed capture onto the live stderr."""
+    logger = logging.getLogger("repro")
+    handlers, level = logger.handlers[:], logger.level
+    yield
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
 
 
 @pytest.fixture(scope="session")

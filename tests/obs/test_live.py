@@ -1,5 +1,6 @@
 """Unit tests for the live telemetry plane (endpoint + run monitor)."""
 
+import http.client
 import io
 import json
 import urllib.request
@@ -131,6 +132,37 @@ class TestMetricsServer:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{server.url}/nope")
             assert excinfo.value.code == 404
+
+    def test_scrapes_share_one_keep_alive_connection(self):
+        """Every route through the shared front end, on one connection."""
+        reg = make_registry()
+        with MetricsServer(reg, port=0) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            replies = {}
+            for method, path in (
+                ("GET", "/metrics"), ("GET", "/snapshot.json?x=1"),
+                ("GET", "/nope"), ("POST", "/metrics"), ("GET", "/healthz"),
+            ):
+                conn.request(method, path)
+                response = conn.getresponse()
+                replies[method, path] = (
+                    response.status, response.headers["Content-Type"],
+                    response.read(),
+                )
+            conn.close()
+            assert server.connections == 1
+            # a one-shot scrape (``Connection: close``) is its own connection
+            scrape_snapshot(server.url)
+            assert server.connections == 2
+        status, content_type, body = replies["GET", "/metrics"]
+        assert status == 200 and content_type.startswith("text/plain; version=0.0.4")
+        assert b"repro_kernel_basic_gathers_total 120.0" in body
+        status, content_type, body = replies["GET", "/snapshot.json?x=1"]
+        assert status == 200 and content_type == "application/json"
+        assert "kernel.basic.gathers" in json.loads(body)["metrics"]
+        assert replies["GET", "/nope"][::2] == (404, b"not found\n")
+        assert replies["POST", "/metrics"][0] == 405
+        assert replies["GET", "/healthz"][0] == 200
 
     def test_index_documents_endpoints(self):
         with MetricsServer(make_registry(), port=0) as server:

@@ -7,7 +7,9 @@ served logits match the full-graph ``model.predict`` oracle exactly
 (the default assembly is exact, not sampled).
 """
 
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -461,11 +463,109 @@ class TestHTTPServer:
                 ("/v1/predict", 400),  # no vertices
                 ("/v1/predict?vertex=999999999", 400),  # out of range
                 ("/v1/predict?vertex=0&mode=nope", 400),  # bad mode
+                ("/v1/predict?vertex=" + "9" * 30, 400),  # past int64
                 ("/missing", 404),
             ):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     get_json(f"{server.url}{path}")
                 assert excinfo.value.code == expected
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            (b"[1,2]", "vertices"),  # not an object
+            (b'"vertices"', "vertices"),
+            (b"{not json", "vertices"),
+            (b'{"vertices":[1.7]}', "vertices"),  # would truncate to 1
+            (b'{"vertices":[true]}', "vertices"),  # bool is an int subclass
+            (b'{"vertices":["3"]}', "vertices"),
+            (b'{"vertices":3}', "vertices"),
+            (b'{"vertices":[1e400]}', "vertices"),
+            (b'{"vertices":[%s]}' % (b"9" * 30), "vertex ids"),  # past int64
+            (b'{"vertices":[-1]}', "vertex ids"),
+            (b'{"vertices":[0],"mode":["classify"]}', "mode"),
+        ],
+    )
+    def test_malformed_post_bodies_are_400_naming_the_field(
+        self, setup, capfd, body, named
+    ):
+        """Never a dead handler thread, never a 500, never a coerced id —
+        and the same connection answers the next request."""
+        _, _, _, service = setup
+        with ServingServer(service, port=0) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=WAIT_S)
+            conn.request("POST", "/v1/predict", body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert named in json.loads(response.read())["error"]
+            conn.request("POST", "/v1/predict", body=b'{"vertices":[1]}')
+            response = conn.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["vertices"] == [1]
+            conn.close()
+            assert server.connections == 1
+        assert service.requests - service.errors == 1  # nothing ran as vertex 1
+        assert capfd.readouterr().err == ""
+
+    def test_connections_are_counted_not_requests(self, setup):
+        """Keep-alive: many requests, one accepted connection — readable
+        from ``/stats.json`` and from the ``serve.*`` registry plane."""
+        _, _, _, service = setup
+        _, registry = obs.enable()
+        try:
+            with ServingServer(service, port=0) as server:
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=WAIT_S
+                )
+                for v in range(10):
+                    conn.request("GET", f"/v1/predict?vertex={v}")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+                conn.request("GET", "/stats.json")
+                stats = json.loads(conn.getresponse().read())
+                conn.close()
+                # a client that hangs up inside a request
+                sock = socket.create_connection(("127.0.0.1", server.port))
+                sock.sendall(b"POST /v1/predict HTTP/1.1\r\nContent-Length: 50\r\n\r\n{")
+                sock.close()
+                wait_until(lambda: server.client_disconnects == 1)
+        finally:
+            obs.disable()
+        assert stats["requests"] == 10
+        assert stats["connections"] == 1 and stats["client_disconnects"] == 0
+        snapshot = registry.snapshot()
+        assert snapshot["serve.connections"]["value"] == 2.0
+        assert snapshot["serve.client_disconnects"]["value"] == 1.0
+
+    def test_loadgen_keeps_one_connection_per_worker(self, setup):
+        from repro.serve import run_loadgen
+
+        graph, _, _, service = setup
+        with ServingServer(service, port=0) as server:
+            closed = run_loadgen(
+                server.url, duration_s=0.3, concurrency=3,
+                num_vertices=graph.num_vertices,
+            )
+            assert closed.errors == 0 and closed.requests > 3
+            assert server.connections == 3
+            opened = run_loadgen(
+                server.url + "/", duration_s=0.3, rate=200.0, concurrency=4,
+                num_vertices=graph.num_vertices,
+            )
+            assert opened.errors == 0 and opened.requests > 4
+            assert server.connections <= 3 + 4
+        assert closed.status_counts == {200: closed.requests}
+
+    def test_loadgen_counts_a_socket_error_as_status_zero(self):
+        from repro.serve import run_loadgen
+
+        with socket.socket() as unused:  # bound, never listening
+            unused.bind(("127.0.0.1", 0))
+            url = "http://127.0.0.1:%d" % unused.getsockname()[1]
+            result = run_loadgen(url, duration_s=0.05, concurrency=1)
+        assert result.requests == result.errors > 0
+        assert set(result.status_counts) == {0}
 
     def test_stop_closes_batcher(self, setup):
         _, _, _, service = setup

@@ -565,3 +565,57 @@ class TestProfilingCommands:
     def test_profile_diff_missing_file_is_usage_error(self, capsys):
         assert main(["profile", "diff", "/nonexistent/a.json", "/nonexistent/b.json"]) == 2
         assert "profile diff:" in capsys.readouterr().err
+
+
+class TestServeSignals:
+    @pytest.mark.parametrize("signame", ["SIGTERM", "SIGINT"])
+    def test_signal_is_a_drain_with_exit_0_and_a_trace(self, tmp_path, signame):
+        """``repro serve`` answers a request over a keep-alive connection
+        that is still open when the signal lands; it drains, writes the
+        trace and exits 0 (SIGTERM used to exit -15 with no trace)."""
+        import http.client
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        from urllib.parse import urlsplit
+
+        import repro
+        from repro.obs import read_trace
+
+        trace = tmp_path / "serve_trace.jsonl"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "products",
+             "--scale", "0.02", "--epochs", "1", "--features", "8",
+             "--hidden", "8", "--port", "0", "--duration", "120",
+             "--trace", str(trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        try:
+            for line in proc.stdout:
+                match = re.search(r"serving inference on (http://\S+)", line)
+                if match:
+                    break
+            else:
+                pytest.fail("server never announced its URL")
+            conn = http.client.HTTPConnection(
+                urlsplit(match.group(1)).netloc, timeout=30
+            )
+            conn.request("GET", "/v1/predict?vertex=1")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+            proc.send_signal(getattr(signal, signame))  # conn is open and idle
+            output = proc.stdout.read()
+            assert proc.wait(timeout=60) == 0, output
+            conn.close()
+        finally:
+            proc.kill()
+            proc.stdout.close()
+        assert "served 1 request(s)" in output
+        assert "Traceback" not in output
+        _, records = read_trace(str(trace))
+        assert any(r.get("name") == "serve.request" for r in records)
