@@ -2,9 +2,10 @@
 
 The scheduling ablation (``test_ablation_load_balance``) models thread
 assignment analytically; this one actually executes the ``basic`` kernel
-on ``thread`` and ``process`` workers, sweeping the worker count, and
-reports wall-clock plus the per-worker chunk counts recorded in
-``KernelStats`` — the executed counterpart of the load-balance model.
+on the one in-process executor, sweeping the worker count (one worker is
+a single operator call, more run the chunk loop on threads), and reports
+wall-clock plus the per-worker chunk counts recorded in ``KernelStats``
+— the executed counterpart of the load-balance model.
 """
 
 import numpy as np
@@ -28,32 +29,23 @@ def _sweep():
         "ablation-workers", "Executed worker sweep, basic kernel (products twin)"
     )
     baseline, _ = BasicKernel(task_size=16).aggregate(graph, h)
-    for backend in ("thread", "process"):
-        for workers in WORKER_COUNTS:
-            kernel = BasicKernel(
-                task_size=16, executor=ChunkExecutor(backend, workers)
-            )
-            out, stats = kernel.aggregate(graph, h)
-            assert np.array_equal(out, baseline)
-            report = kernel.last_report
-            assert sum(report.chunks_per_worker) == stats.tasks
-            exp.add(
-                f"{backend} x{workers} wall time", report.wall_time_s, unit="s"
-            )
-            exp.add(f"{backend} x{workers} imbalance", report.imbalance)
-            exp.note(
-                f"{backend} x{workers}: chunks/worker "
-                f"{report.chunks_per_worker}"
-            )
+    for workers in WORKER_COUNTS:
+        kernel = BasicKernel(task_size=16, executor=ChunkExecutor(workers))
+        out, stats = kernel.aggregate(graph, h)
+        assert np.array_equal(out, baseline)
+        report = kernel.last_report
+        assert sum(report.chunks_per_worker) == stats.tasks
+        exp.add(f"x{workers} wall time", report.wall_time_s, unit="s")
+        exp.add(f"x{workers} imbalance", report.imbalance)
+        exp.note(f"x{workers}: chunks/worker {report.chunks_per_worker}")
     return exp
 
 
 def test_worker_sweep_ablation(benchmark):
     exp = run_experiment(benchmark, _sweep)
     values = {row.label: row.measured for row in exp.rows}
-    for backend in ("thread", "process"):
-        for workers in WORKER_COUNTS:
-            assert values[f"{backend} x{workers} wall time"] > 0.0
-            # Dynamic chunk assignment keeps executed gather work balanced
-            # despite the twin's power-law degree skew.
-            assert values[f"{backend} x{workers} imbalance"] < 1.7
+    for workers in WORKER_COUNTS:
+        assert values[f"x{workers} wall time"] > 0.0
+        # Dynamic chunk assignment keeps executed gather work balanced
+        # despite the twin's power-law degree skew.
+        assert values[f"x{workers} imbalance"] < 1.7

@@ -12,7 +12,7 @@ The package is organized as the paper is:
 * :mod:`repro.kernels` — the execution strategies of Figure 11
   (DistGNN, MKL-SpMM, basic, fusion, compression, combined).
 * :mod:`repro.parallel` — the Section 4.1 output-parallel chunk
-  executor: ``serial`` / ``thread`` / ``process`` worker backends.
+  executor: one worker in the calling thread, or N worker threads.
 * :mod:`repro.perf` — the machine performance model that prices the
   software techniques (Figures 11/13/14/15, Tables 3-4).
 * :mod:`repro.sim` — trace-driven cache/DRAM simulation (Section 7.3).

@@ -5,8 +5,9 @@ Subcommands:
 * ``datasets`` — print the Table-3 twin statistics.
 * ``speedup`` — Figure-11-style speedup column for one dataset.
 * ``characterize`` — the full Table-4 layout for one or more datasets.
-* ``train`` — full-batch training demo on a twin (``--workers N
-  --backend {serial,thread,process}`` runs aggregation on real workers;
+* ``train`` — full-batch training demo on a twin (``--workers N`` runs
+  aggregation on N worker threads; ``--shards N --backend
+  {serial,thread,process}`` trains partition-parallel;
   ``--trace FILE`` / ``--json FILE`` emit run telemetry; ``--events
   FILE`` streams per-epoch JSONL events, ``--health`` guards numerics,
   ``--sample-proc`` samples process RSS/CPU, ``--serve-metrics PORT``
@@ -275,12 +276,12 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def _make_aggregation_kernel(backend: str, workers: int):
+def _make_aggregation_kernel(workers: int):
     """The BasicKernel every training command aggregates through."""
     from .kernels import BasicKernel
     from .parallel import ChunkExecutor
 
-    return BasicKernel(executor=ChunkExecutor(backend, workers))
+    return BasicKernel(executor=ChunkExecutor(workers))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -303,8 +304,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     if args.shards > 1:
         return _train_sharded(args, graph, features, labels, model)
-    kernel = _make_aggregation_kernel(args.backend, args.workers)
-    print(f"aggregation: basic kernel, {args.backend} x{args.workers}")
+    kernel = _make_aggregation_kernel(args.workers)
+    print(f"aggregation: basic kernel x{args.workers}")
     meta = {
         "command": "train",
         "dataset": args.dataset,
@@ -312,7 +313,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "model": args.model,
         "epochs": args.epochs,
         "workers": args.workers,
-        "backend": args.backend,
     }
     event_log = None
     if args.events:
@@ -382,6 +382,7 @@ def _train_sharded(args, graph, features, labels, model) -> int:
                 file=sys.stderr,
             )
     delayed = tuple(args.delay_aggregation or ())
+    backend = args.backend or "serial"
     meta = {
         "command": "train",
         "dataset": args.dataset,
@@ -390,7 +391,7 @@ def _train_sharded(args, graph, features, labels, model) -> int:
         "epochs": args.epochs,
         "shards": args.shards,
         "partition": args.partition,
-        "backend": args.backend,
+        "backend": backend,
         "delayed_layers": list(delayed),
         "halo_refresh": args.halo_refresh,
     }
@@ -398,7 +399,7 @@ def _train_sharded(args, graph, features, labels, model) -> int:
         graph, model, Adam(model, lr=args.lr),
         num_shards=args.shards,
         partition_method=args.partition,
-        backend=args.backend,
+        backend=backend,
         delayed_layers=delayed,
         halo_refresh=args.halo_refresh,
     )
@@ -454,23 +455,19 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
     )
     exp = Experiment(
         "bench-parallel",
-        f"{args.kernel} kernel on {args.dataset} ({args.backend} backend)",
+        f"{args.kernel} kernel on {args.dataset}",
     )
     meta = {
         "command": "bench-parallel",
         "dataset": args.dataset,
         "scale": args.scale,
         "kernel": args.kernel,
-        "backend": args.backend,
         "workers": list(args.workers),
     }
     extras: dict = {}
     with _telemetry(args, meta, extras=extras):
         for workers in args.workers:
-            if args.backend == "serial" and workers != 1:
-                exp.note(f"skipping workers={workers}: serial backend runs one worker")
-                continue
-            executor = ChunkExecutor(args.backend, workers)
+            executor = ChunkExecutor(workers)
             if args.kernel == "basic":
                 kernel = BasicKernel(task_size=args.task_size, executor=executor)
                 _, stats = kernel.aggregate(graph, h, args.aggregator)
@@ -633,7 +630,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     model = build_model(
         "gcn", args.features, args.hidden, args.classes, seed=args.seed
     )
-    executor = ChunkExecutor(args.backend, args.workers)
+    executor = ChunkExecutor(args.workers)
     if args.kernel == "basic":
         kernel = BasicKernel(executor=executor)
     else:
@@ -670,8 +667,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     ]
     print(
         f"profiled {args.epochs} epoch(s) on {graph.num_vertices} vertices, "
-        f"{args.kernel} kernel, "
-        f"{args.backend} x{args.workers} "
+        f"{args.kernel} kernel x{args.workers} "
         f"(final loss {history.final_loss:.4f})"
     )
     print("\n== span tree ==")
@@ -703,7 +699,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "vertices": args.vertices,
         "kernel": args.kernel,
         "workers": args.workers,
-        "backend": args.backend,
         "epochs": args.epochs,
     }
     if profile_data is not None:
@@ -914,7 +909,7 @@ def _build_serving_service(args) -> tuple:
         )
         trainer = Trainer(
             model, Adam(model, lr=args.lr),
-            aggregation_kernel=_make_aggregation_kernel("serial", 1),
+            aggregation_kernel=_make_aggregation_kernel(1),
         )
         trainer.fit(graph, features, labels, epochs=args.epochs)
     service = InferenceService(
@@ -1212,15 +1207,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=5)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default="serial"
+        "--workers", type=_positive_int, default=1,
+        help="aggregation worker threads of the full-graph trainer",
     )
     p.add_argument(
         "--shards", type=_positive_int, default=1,
-        help="partition-parallel sharded training with N shard workers "
-        "(--backend picks serial/thread/process; process runs the "
-        "zero-copy shared-memory pool); 1 = classic full-graph trainer",
+        help="partition-parallel sharded training with N shard workers; "
+        "1 = classic full-graph trainer",
+    )
+    p.add_argument(
+        "--backend", choices=["serial", "thread", "process"], default=None,
+        help="sharded runtime for --shards > 1 (default serial; process "
+        "runs the zero-copy shared-memory pool)",
     )
     p.add_argument(
         "--partition", choices=["contiguous", "bfs", "greedy"],
@@ -1304,9 +1303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, nargs="+", default=[1, 2, 4])
     p.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default="thread"
-    )
-    p.add_argument(
         "--history", metavar="FILE", default=None,
         help="append one history entry (sweep span totals) to this JSONL "
         "perf history",
@@ -1384,9 +1380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", choices=["basic", "compression"], default="basic")
     p.add_argument("--workers", type=_positive_int, default=2)
-    p.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default="thread"
-    )
     p.add_argument("--trace", metavar="FILE", help="write a JSONL span trace")
     p.add_argument("--json", metavar="FILE", help="write a run-report JSON")
     p.add_argument(
@@ -1698,6 +1691,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is _cmd_train and args.backend is not None and args.shards == 1:
+        parser.error(
+            "train: --backend selects the sharded runtime; it needs --shards N > 1"
+        )
     _configure_logging(args.verbose - args.quiet)
     logger.info("running %s", args.command)
     return args.func(args)

@@ -10,16 +10,17 @@ The paper's ``basic`` kernel:
   the L1 fill buffers are usually full (Section 4.1),
 * runs a JIT-specialized inner kernel per layer spec.
 
-With real ``thread`` / ``process`` workers (or a Section 4.4 processing
-order) the chunk loop executes on :class:`repro.parallel.ChunkExecutor`.
-A natural-order pass on one in-process worker — the default — has
-nobody to hand chunks to, so it is ONE call of the layout's
-:class:`~repro.kernels.segment.ScaledCSR` operator, and its counters
-come from the closed forms of (graph, kernel parameters) the chunk loop
-would have summed to.  Every path is bitwise equivalent — each vertex
-row is accumulated by the same operator in the same edge order whichever
-worker, chunk or call produces it.  The backward pass is the same over
-the transposed adjacency.
+With several workers the chunk loop executes on
+:class:`repro.parallel.ChunkExecutor`.  A pass on one worker — the
+default — has nobody to hand chunks to, so it is ONE call of the
+layout's :class:`~repro.kernels.segment.ScaledCSR` operator whatever
+the Section 4.4 processing order (the operator is row-sequential, so the
+order changes no row), and its counters come from the closed forms of
+(graph, order, kernel parameters) the chunk loop would have summed to.
+Every path is bitwise equivalent — each vertex row is accumulated by the
+same operator in the same edge order whichever worker, chunk or call
+produces it.  The backward pass is the same over the transposed
+adjacency.
 """
 
 from __future__ import annotations
@@ -141,20 +142,18 @@ class BasicKernel(AggregationKernel):
             name = "kernel.basic"
             batched = self.jit_cache.specialize(graph, spec)
         executor = self.executor
-        single_call = (
-            order is None and executor.workers == 1 and executor.backend != "process"
-        )
         with get_tracer().span(
             name,
             aggregator=aggregator,
             vertices=graph.num_vertices,
             edges=graph.num_edges,
             features=int(h.shape[1]),
-            backend=executor.backend,
             workers=executor.workers,
         ) as span:
-            if single_call:
-                out, stats = self._run_single_call(graph, h, batched, transposed)
+            if executor.workers == 1:
+                out, stats = self._run_single_call(
+                    graph, h, order, batched, transposed
+                )
             else:
                 out, stats = self._run_chunked(
                     graph, h, aggregator, order, batched, transposed
@@ -166,15 +165,21 @@ class BasicKernel(AggregationKernel):
         return out, stats
 
     def _run_single_call(
-        self, graph: CSRGraph, h: np.ndarray, batched: BatchedKernel, transposed: bool
+        self,
+        graph: CSRGraph,
+        h: np.ndarray,
+        order: Optional[np.ndarray],
+        batched: BatchedKernel,
+        transposed: bool,
     ) -> Tuple[np.ndarray, KernelStats]:
-        """The whole natural-order pass as one operator call.
+        """The whole pass as one operator call, in any processing order.
 
         No chunk plan, workload or row slice is built: the counters the
         chunk loop accumulates are a pure function of (graph, order,
         kernel parameters), so they are stated here in closed form —
         ``E + V`` gathers, ``ceil(V / T)`` tasks, and one prefetch per
-        gather of every position with a vertex ``D`` behind it.
+        gather of every position with a vertex ``D`` behind it.  Only
+        the prefetch count depends on the order.
         """
         start = time.perf_counter()
         # The operator itself, not ``rows(0, n)``: a row slice copies
@@ -198,15 +203,15 @@ class BasicKernel(AggregationKernel):
             degrees = (
                 np.diff(graph.csc_arrays()[0]) if transposed else graph.degrees()
             )
+            if order is not None:
+                degrees = degrees[order]
             ahead = degrees[self.prefetch_distance:]
             stats.prefetches = PREFETCH_LINES_PER_VECTOR * int(
                 ahead.sum() + len(ahead)
             )
         # The one worker did all of it: its report shares the pass's stats.
         worker = WorkerReport(0, tasks, n, wall_time, stats)
-        self.last_report = ExecutionReport(
-            self.executor.backend, 1, wall_time, [worker]
-        )
+        self.last_report = ExecutionReport(1, wall_time, [worker])
         return out, stats
 
     def _run_chunked(
@@ -218,7 +223,7 @@ class BasicKernel(AggregationKernel):
         batched: BatchedKernel,
         transposed: bool,
     ) -> Tuple[np.ndarray, KernelStats]:
-        """The chunk loop on the executor: several workers, or an order."""
+        """The chunk loop on the executor's several workers."""
         if order is None:
             order, plan = self._natural_plan(graph, transposed)
         else:
@@ -235,8 +240,6 @@ class BasicKernel(AggregationKernel):
             prefetch_distance=self.prefetch_distance,
             prefetch_lines=PREFETCH_LINES_PER_VECTOR,
         )
-        # In-process backends reuse the cached kernel; process workers
-        # rebuild it from the pickled workload (prepare()).
         workload.attach_batched(batched)
         outputs, stats, self.last_report = self.executor.run(workload, plan)
         return outputs["out"], stats

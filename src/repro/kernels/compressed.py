@@ -93,7 +93,6 @@ class CompressedKernel(AggregationKernel):
             vertices=n,
             edges=graph.num_edges,
             features=int(h.shape[1]),
-            backend=self.executor.backend,
             workers=self.executor.workers,
         ) as span:
             outputs, stats, report = self.executor.run(workload, plan)
@@ -164,7 +163,6 @@ class CompressedFusedKernel(FusedLayerKernel):
             features=int(h.shape[1]),
             features_out=int(params.weight.shape[1]),
             keep_aggregation=keep_aggregation,
-            backend=self.executor.backend,
             workers=self.executor.workers,
         ) as span:
             outputs, stats, report = self.executor.run(workload, plan)

@@ -10,9 +10,9 @@ highlights (Figure 5):
   ``a`` matrix — :class:`KernelStats.peak_buffer_bytes` proves the
   footprint reduction.
 
-Tasks are dispatched through :class:`repro.parallel.ChunkExecutor`; the
-``thread`` and ``process`` backends run Algorithm 2's task loop on real
-workers with bitwise-identical results.
+Tasks are dispatched through :class:`repro.parallel.ChunkExecutor`; with
+several workers it runs Algorithm 2's task loop on real threads with
+bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class FusedKernel(FusedLayerKernel):
             features=int(h.shape[1]),
             features_out=int(params.weight.shape[1]),
             keep_aggregation=keep_aggregation,
-            backend=self.executor.backend,
             workers=self.executor.workers,
         ) as span:
             outputs, stats, report = self.executor.run(workload, plan)

@@ -54,7 +54,6 @@ class SpMMKernel(AggregationKernel):
             vertices=graph.num_vertices,
             edges=graph.num_edges,
             features=int(h.shape[1]),
-            backend="serial",
             workers=1,
         ) as span:
             a_hat = normalized_adjacency(graph, aggregator)

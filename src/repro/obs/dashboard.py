@@ -643,9 +643,6 @@ def _profile_section(report: Dict[str, Any]) -> str:
             f"{profile.get('duration_estimate_s', 0.0):.2f} s",
         ),
     ]
-    sources = profile.get("sources") or []
-    if sources:
-        tiles.append(_tile("Worker captures", str(len(sources))))
     parts = ["<h2>Sampled profile</h2>", f'<div class="tiles">{"".join(tiles)}</div>']
 
     phases = profile.get("phases") or {}

@@ -53,20 +53,8 @@ class Counter:
         with self._lock:
             self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        """Fold another counter in (sums — both are monotone totals)."""
-        with self._lock:
-            self.value += other.value
-
     def to_dict(self) -> Dict[str, float]:
         return {"type": "counter", "value": self.value}
-
-    def __getstate__(self):
-        return {"value": self.value}
-
-    def __setstate__(self, state) -> None:
-        self.value = state["value"]
-        self._lock = threading.Lock()
 
 
 class Gauge:
@@ -101,30 +89,6 @@ class Gauge:
         if self.updated_monotonic is None:
             return None
         return (time.monotonic() if now is None else now) - self.updated_monotonic
-
-    def merge(self, other: "Gauge") -> None:
-        """Fold another gauge in: the later-updated value wins.
-
-        A never-written gauge always loses; on equal timestamps the
-        incoming value wins (the merge source is the fresher report).
-        """
-        if other.updated_monotonic is None:
-            return
-        with self._lock:
-            if (
-                self.updated_monotonic is None
-                or other.updated_monotonic >= self.updated_monotonic
-            ):
-                self.value = other.value
-                self.updated_monotonic = other.updated_monotonic
-
-    def __getstate__(self):
-        return {"value": self.value, "updated_monotonic": self.updated_monotonic}
-
-    def __setstate__(self, state) -> None:
-        self.value = state["value"]
-        self.updated_monotonic = state["updated_monotonic"]
-        self._lock = threading.Lock()
 
     def to_dict(self) -> Dict[str, float]:
         return {
@@ -233,25 +197,6 @@ class Histogram:
             seen += in_bucket
         return self.max
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in: counts, extremes, samples, buckets.
-
-        The raw-sample list concatenates up to the cap, so two small
-        histograms merge exactly; past the cap the log-bucket counts
-        (which always sum losslessly) carry the percentile estimate.
-        """
-        with self._lock:
-            self.count += other.count
-            self.total += other.total
-            if other.count:
-                self.min = min(self.min, other.min)
-                self.max = max(self.max, other.max)
-            room = HISTOGRAM_SAMPLE_CAP - len(self._samples)
-            if room > 0:
-                self._samples.extend(other._samples[:room])
-            for bucket, in_bucket in other._buckets.items():
-                self._buckets[bucket] = self._buckets.get(bucket, 0) + in_bucket
-
     def to_dict(self) -> Dict[str, float]:
         with self._lock:
             out = {
@@ -265,25 +210,6 @@ class Histogram:
             for q in HISTOGRAM_PERCENTILES:
                 out[f"p{q:g}"] = self._percentile(q)
             return out
-
-    def __getstate__(self):
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "samples": self._samples,
-            "buckets": self._buckets,
-        }
-
-    def __setstate__(self, state) -> None:
-        self.count = state["count"]
-        self.total = state["total"]
-        self.min = state["min"]
-        self.max = state["max"]
-        self._samples = state["samples"]
-        self._buckets = state["buckets"]
-        self._lock = threading.Lock()
 
 
 class _HistogramTimer:
@@ -351,25 +277,6 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
-    # ---------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> int:
-        """Fold another registry's metrics into this one.
-
-        Counters sum, gauges keep the later-updated value, histograms
-        merge counts/extremes/buckets.  ``prefix`` namespaces every
-        incoming metric (``worker0.`` turns ``work.gathers`` into
-        ``worker0.work.gathers``) — how per-worker registries land in
-        the parent without colliding.  Type collisions raise, same as
-        registration.  Returns the number of metrics merged.
-        """
-        with other._lock:
-            incoming = dict(other._metrics)
-        for name in sorted(incoming):
-            metric = incoming[name]
-            mine = self._get_or_create(prefix + name, type(metric))
-            mine.merge(metric)
-        return len(incoming)
-
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Immutable dict view of every metric, sorted by name."""
         with self._lock:
@@ -385,16 +292,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         with self._lock:  # same discipline as snapshot(): never read bare
             return len(self._metrics)
-
-    def __getstate__(self):
-        # Registries travel from worker processes back to the parent;
-        # the lock is recreated on unpickle (metrics carry their own).
-        with self._lock:
-            return {"metrics": dict(self._metrics)}
-
-    def __setstate__(self, state) -> None:
-        self._metrics = state["metrics"]
-        self._lock = threading.Lock()
 
 
 class NullRegistry(MetricsRegistry):

@@ -23,11 +23,9 @@ interpreter time.  The default rate is a prime (97 Hz) so periodic
 workloads don't alias against the sampler.
 
 Like every obs component the profiler has a null twin
-(:data:`NULL_PROFILER`) and is zero-cost when disabled.  The collected
-:class:`ProfileData` is picklable and mergeable, which is how
-process-backend workers ship their folded stacks home (the executor
-prepends a ``worker-K`` root frame so worker samples stay
-distinguishable in the merged flamegraph).
+(:data:`NULL_PROFILER`) and is zero-cost when disabled.  Executor
+worker threads are sampled like any other thread, so their stacks land
+in the same capture.
 
 Export surfaces:
 
@@ -49,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ..perf.attribution import SPAN_PHASES, span_phase
+from ..perf.attribution import span_phase
 
 #: Version of the profile document layout (run-report ``profile`` block).
 PROFILE_SCHEMA_VERSION = 1
@@ -108,11 +106,10 @@ def fold_stack(frame, max_depth: int = MAX_STACK_DEPTH) -> Tuple[str, ...]:
 
 @dataclass
 class ProfileData:
-    """The mergeable, picklable result of one profiling session.
+    """The result of one profiling session.
 
     ``stacks`` maps ``(phase, frames)`` — frames root→leaf — to sample
-    counts.  Counts are floats so captures taken at different rates can
-    be rescaled on merge without losing mass.
+    counts.
     """
 
     hz: float = DEFAULT_SAMPLING_HZ
@@ -122,7 +119,6 @@ class ProfileData:
     phase_samples: Dict[str, float] = field(default_factory=dict)
     threads: Dict[str, float] = field(default_factory=dict)
     timeline: List[Tuple[float, str]] = field(default_factory=list)
-    sources: List[str] = field(default_factory=list)
 
     # ------------------------------------------------------------------
     def record(
@@ -162,37 +158,6 @@ class ProfileData:
         return [(label, count, self.seconds(count)) for label, count in ranked[:n]]
 
     # ------------------------------------------------------------------
-    def merge(self, other: "ProfileData", source: Optional[str] = None) -> None:
-        """Fold another capture in, rescaling if the rates differ.
-
-        With ``source`` (e.g. ``worker-0``) the other capture's stacks
-        gain a synthetic root frame and its thread labels a prefix, so a
-        merged flamegraph keeps worker time distinguishable.  The other
-        capture's timeline is dropped — its clock is not ours.
-        """
-        scale = (self.hz / other.hz) if (self.hz > 0 and other.hz > 0) else 1.0
-        for (phase, frames), count in other.stacks.items():
-            if source is not None:
-                frames = (source,) + frames
-            key = (phase, frames)
-            if key not in self.stacks and len(self.stacks) >= MAX_UNIQUE_STACKS:
-                key = (phase, _OVERFLOW_STACK)
-            self.stacks[key] = self.stacks.get(key, 0.0) + count * scale
-        for phase, count in other.phase_samples.items():
-            self.phase_samples[phase] = (
-                self.phase_samples.get(phase, 0.0) + count * scale
-            )
-        for label, count in other.threads.items():
-            if source is not None:
-                label = f"{source}:{label}"
-            self.threads[label] = self.threads.get(label, 0.0) + count * scale
-        self.samples += other.samples
-        self.thread_samples += other.thread_samples
-        if source is not None:
-            self.sources.append(source)
-        self.sources.extend(other.sources)
-
-    # ------------------------------------------------------------------
     def collapsed_lines(self) -> List[str]:
         """Deterministic ``phase;frame;... count`` flamegraph lines."""
         lines = []
@@ -223,30 +188,7 @@ class ProfileData:
                 for (phase, frames), count in sorted(self.stacks.items())
             },
             "timeline": [[t, phase] for t, phase in self.timeline],
-            "sources": list(self.sources),
         }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "ProfileData":
-        data = cls(hz=float(doc.get("hz", DEFAULT_SAMPLING_HZ)))
-        data.samples = int(doc.get("samples", 0))
-        data.thread_samples = int(doc.get("thread_samples", 0))
-        for folded, count in (doc.get("folded") or {}).items():
-            parts = folded.split(";")
-            data.stacks[(parts[0], tuple(parts[1:]))] = float(count)
-        data.phase_samples = {
-            phase: float(entry.get("samples", 0.0))
-            for phase, entry in (doc.get("phases") or {}).items()
-        }
-        data.threads = {
-            label: float(count) for label, count in (doc.get("threads") or {}).items()
-        }
-        data.timeline = [
-            (float(t), str(phase)) for t, phase in (doc.get("timeline") or [])
-        ]
-        data.sources = [str(s) for s in doc.get("sources") or []]
-        return data
-
 
 def write_collapsed(path: str, data: ProfileData) -> int:
     """Write the flamegraph collapsed-stack file; returns the line count."""
@@ -324,9 +266,6 @@ class NullSamplingProfiler:
 
     def sample_once(self) -> int:
         return 0
-
-    def absorb(self, other, source: Optional[str] = None) -> None:
-        pass
 
     def __enter__(self) -> "NullSamplingProfiler":
         return self.start()
@@ -433,15 +372,6 @@ class SamplingProfiler:
             self._thread = None
             self._thread_ident = None
         return self.data
-
-    def absorb(self, other: Union[ProfileData, Mapping[str, Any], None],
-               source: Optional[str] = None) -> None:
-        """Merge another capture (e.g. a worker's shipped profile) in."""
-        if other is None:
-            return
-        if not isinstance(other, ProfileData):
-            other = ProfileData.from_dict(other)
-        self.data.merge(other, source=source)
 
     def __enter__(self) -> "SamplingProfiler":
         return self.start()

@@ -141,14 +141,6 @@ class NullTracer:
     def stack_names(self, thread_id: int) -> List[str]:
         return []
 
-    def adopt(
-        self,
-        records: List[Dict[str, Any]],
-        offset_s: float = 0.0,
-        parent: Optional["Span"] = None,
-    ) -> int:
-        return 0
-
 
 NULL_TRACER = NullTracer()
 
@@ -157,7 +149,7 @@ class Tracer:
     """Collects a forest of spans; thread-safe, append-only.
 
     Each thread keeps its own active-span stack, so worker threads that
-    open spans nest them under their own ancestry; spans synthesized for
+    open spans nest them under their own ancestry; spans recorded for
     workers after the fact (:meth:`record`) attach to the recording
     thread's current span.
     """
@@ -264,51 +256,6 @@ class Tracer:
         with self._lock:
             self.finished.append(span)
         return span
-
-    def adopt(
-        self,
-        records: List[Dict[str, Any]],
-        offset_s: float = 0.0,
-        parent: Optional[Span] = None,
-    ) -> int:
-        """Graft span records exported by *another* tracer into this one.
-
-        This is how real worker-process spans come home: each record is
-        re-issued a span id from this tracer, shifted by ``offset_s``
-        (the worker tracer's epoch relative to ours), and the forest's
-        roots are re-parented under ``parent`` (default: the calling
-        thread's current span, normally the open kernel span).  Internal
-        parent/child links within ``records`` are preserved.  Returns
-        the number of spans adopted.
-        """
-        if parent is None:
-            parent = self.current()
-        id_map: Dict[int, int] = {}
-        adopted: List[Span] = []
-        for rec in sorted(records, key=lambda r: r.get("span_id", 0)):
-            span = Span(
-                span_id=self._new_id(),
-                parent_id=None,
-                name=rec.get("name", "span"),
-                start_s=float(rec.get("start_s", 0.0)) + offset_s,
-                duration_s=float(rec.get("duration_s", 0.0)),
-                attrs=dict(rec.get("attrs") or {}),
-                counters={
-                    k: float(v) for k, v in (rec.get("counters") or {}).items()
-                },
-            )
-            old_id = rec.get("span_id")
-            if old_id is not None:
-                id_map[old_id] = span.span_id
-            old_parent = rec.get("parent_id")
-            if old_parent is not None and old_parent in id_map:
-                span.parent_id = id_map[old_parent]
-            elif parent is not None:
-                span.parent_id = parent.span_id
-            adopted.append(span)
-        with self._lock:
-            self.finished.extend(adopted)
-        return len(adopted)
 
     def _push(self, span: Span) -> None:
         self._stack().append(span)

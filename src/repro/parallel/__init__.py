@@ -6,15 +6,16 @@ plan on real workers:
 
 * :mod:`repro.parallel.plan` — chunk decomposition + the deterministic
   dynamic (least-loaded) chunk-to-worker assignment.
-* :mod:`repro.parallel.workload` — picklable per-chunk kernel bodies.
-* :mod:`repro.parallel.executor` — ``serial`` / ``thread`` / ``process``
-  backends with deterministic per-worker stats merging.
+* :mod:`repro.parallel.workload` — per-chunk kernel bodies.
+* :mod:`repro.parallel.executor` — one in-process runtime (serial on one
+  worker, threads on several) with deterministic per-worker stats
+  merging.
 
-Every backend produces bitwise-identical outputs; the differential suite
-in ``tests/integration/test_backend_equivalence.py`` enforces it.
+Every worker count produces bitwise-identical outputs; the differential
+suite in ``tests/integration/test_backend_equivalence.py`` enforces it.
 """
 
-from .executor import BACKENDS, ChunkExecutor, ExecutionReport, WorkerReport
+from .executor import ChunkExecutor, ExecutionReport, WorkerReport
 from .sharded import (
     SHARD_BACKENDS,
     ShardedConfig,
@@ -37,7 +38,6 @@ from .workload import (
 )
 
 __all__ = [
-    "BACKENDS",
     "SHARD_BACKENDS",
     "ShardedConfig",
     "ShardedTrainer",

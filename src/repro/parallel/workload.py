@@ -1,6 +1,6 @@
 """Per-chunk workloads: the kernel bodies the executor dispatches.
 
-A :class:`ChunkWorkload` is a picklable description of what one chunk of
+A :class:`ChunkWorkload` describes what one chunk of
 Algorithm 1/2's parallel loop computes.  The split mirrors the paper's
 execution model:
 
@@ -13,19 +13,15 @@ execution model:
 
 Every workload aggregates through one specialized closure call per
 chunk (per block for the fused kernels) — Alg. 1's vectorized
-gather-reduce with no Python-level per-vertex loop.
-
-Workloads must be picklable so the ``process`` backend can ship them to
-worker processes.  Runtime-only state (JIT closures, factor arrays) is
-kept in attributes prefixed ``_rt_`` which are stripped from the pickled
-state; each worker rebuilds them once via :meth:`ChunkWorkload.prepare`,
-matching the paper's claim that specialization cost is amortized because
-"the code is tailored to the model but not the data".
+gather-reduce with no Python-level per-vertex loop.  The closure and
+degree arrays are bound once per pass by :meth:`ChunkWorkload.prepare`
+(or handed over by the kernel that already specialized them) and shared
+read-only by every worker thread.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -46,23 +42,11 @@ class ChunkWorkload:
         raise NotImplementedError
 
     def prepare(self) -> None:
-        """Build runtime-only state; called once per worker."""
+        """Bind the closure and degree arrays; called once per pass."""
 
     def run_chunk(self, chunk: Chunk) -> Tuple[ChunkWrites, KernelStats]:
         """Compute one chunk's disjoint output rows and its work counters."""
         raise NotImplementedError
-
-    def describe(self) -> Dict[str, str]:
-        """Span attributes identifying this workload on worker spans."""
-        desc = {"workload": type(self).__name__}
-        aggregator = getattr(self, "aggregator", None)
-        if aggregator is not None:
-            desc["aggregator"] = aggregator
-        return desc
-
-    def __getstate__(self):
-        # Runtime state (closures, factor arrays) is rebuilt per worker.
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_rt_")}
 
 
 class _AggregationChunkBase(ChunkWorkload):
@@ -74,15 +58,15 @@ class _AggregationChunkBase(ChunkWorkload):
 
     def attach_batched(self, batched: BatchedKernel) -> None:
         """Reuse a closure the caller already JIT-specialized."""
-        self._rt_batched = batched
+        self._batched = batched
 
     def _spec(self) -> KernelSpec:
         return KernelSpec(feature_len=self.h.shape[1], aggregator=self.aggregator)
 
     def prepare(self) -> None:
-        if getattr(self, "_rt_batched", None) is None:
-            self._rt_batched = JitKernelCache().specialize(self.graph, self._spec())
-        self._rt_degs = self.graph.degrees()
+        if getattr(self, "_batched", None) is None:
+            self._batched = JitKernelCache().specialize(self.graph, self._spec())
+        self._degs = self.graph.degrees()
 
     # ------------------------------------------------------------------
     def _count_prefetches(
@@ -98,13 +82,13 @@ class _AggregationChunkBase(ChunkWorkload):
         lo = start + self.prefetch_distance
         hi = min(stop + self.prefetch_distance, n)
         if lo < hi:
-            degs = self._rt_degs
+            degs = self._degs
             stats.prefetches += int(
                 (degs[self.order[lo:hi]] + 1).sum()
             ) * self.prefetch_lines
 
     def _count_gathers(self, stats: KernelStats, verts: np.ndarray) -> None:
-        gathered = int((self._rt_degs[verts] + 1).sum())
+        gathered = int((self._degs[verts] + 1).sum())
         stats.gathers += gathered
         if self.count_decompressed:
             stats.decompressed_rows += gathered
@@ -144,7 +128,7 @@ class BasicAggregationWorkload(_AggregationChunkBase):
     def run_chunk(self, chunk: Chunk) -> Tuple[ChunkWrites, KernelStats]:
         verts = self.order[chunk.start : chunk.stop]
         stats = KernelStats(tasks=1)
-        rows = self._rt_batched(self.h, verts, chunk.contiguous)
+        rows = self._batched(self.h, verts, chunk.contiguous)
         self._count_gathers(stats, verts)
         self._count_prefetches(stats, chunk.start, chunk.stop)
         return {"out": (verts, rows)}, stats
@@ -161,15 +145,15 @@ class BackwardAggregationWorkload(BasicAggregationWorkload):
     """
 
     def prepare(self) -> None:
-        if getattr(self, "_rt_batched", None) is None:
-            self._rt_batched = JitKernelCache().specialize_backward(
+        if getattr(self, "_batched", None) is None:
+            self._batched = JitKernelCache().specialize_backward(
                 self.graph, self._spec()
             )
         # Work accounting follows the transposed adjacency: a backward
         # "gather" reads one incoming-gradient row per out-edge + self.
         # The cached transpose memoizes its degree array, so repeated
         # prepare() calls (one per epoch per layer) cost nothing.
-        self._rt_degs = self.graph.transpose().degrees()
+        self._degs = self.graph.transpose().degrees()
 
 
 class FusedLayerWorkload(_AggregationChunkBase):
@@ -214,7 +198,7 @@ class FusedLayerWorkload(_AggregationChunkBase):
         return specs
 
     def run_chunk(self, chunk: Chunk) -> Tuple[ChunkWrites, KernelStats]:
-        batched = self._rt_batched
+        batched = self._batched
         order = self.order
         f_in = self.h.shape[1]
         stats = KernelStats(tasks=1)

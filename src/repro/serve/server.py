@@ -104,8 +104,14 @@ class InferenceService:
         self.features = features
         self.model = model
         self.fanouts = list(fanouts) if fanouts is not None else None
-        if self.fanouts is not None and len(self.fanouts) != model.num_layers:
-            raise ValueError("need one fanout per layer")
+        if self.fanouts is not None:
+            if len(self.fanouts) != model.num_layers:
+                raise ValueError("need one fanout per layer")
+            for layer, fanout in enumerate(self.fanouts):
+                if fanout < 1:
+                    raise ValueError(
+                        f"fanout of layer {layer} must be >= 1, got {fanout}"
+                    )
         edge_factors, self_factors = normalization_factors(
             graph, model.layers[0].aggregator
         )

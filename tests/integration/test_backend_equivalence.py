@@ -1,25 +1,30 @@
 """Differential test harness: every execution mode is provably equivalent.
 
-The full matrix — kernel x aggregator x backend x worker count — must
-produce the same answer.  Two levels of equivalence are enforced on
+The full matrix — kernel x aggregator x worker count — must produce the
+same answer.  Two levels of equivalence are enforced on
 seeded random power-law graphs (the degree skew the paper's dynamic
 scheduler exists for):
 
-* **bitwise** across backends and worker counts: each vertex row is
-  computed by the same specialized closure whichever worker runs its
-  chunk, so ``serial``, ``thread``, and ``process`` outputs must be
-  ``np.array_equal`` — not merely close;
+* **bitwise** across worker counts: each vertex row is computed by the
+  same specialized closure whichever worker runs its chunk, so one
+  worker and N threads must be ``np.array_equal`` — not merely close;
 * **numeric** against the dense SpMM reference oracle
   (:func:`repro.nn.aggregate`), up to fp32 reduction-order noise.
 
-A determinism section additionally re-runs the concurrent backends and
-requires bitwise-identical outputs and identical merged work counters.
+A determinism section additionally re-runs the multi-threaded executor
+and requires bitwise-identical outputs and identical merged work
+counters.
 """
 
 import numpy as np
 import pytest
 
-from repro.graphs import power_law_graph, synthetic_features
+from repro.graphs import (
+    locality_order,
+    power_law_graph,
+    randomized_order,
+    synthetic_features,
+)
 from repro.kernels import (
     BasicKernel,
     CompressedFusedKernel,
@@ -32,16 +37,8 @@ from repro.parallel import ChunkExecutor
 
 AGGREGATORS = ("gcn", "sage-mean")
 
-#: (backend, workers) cells of the execution matrix; serial is the baseline.
-BACKEND_CELLS = [
-    ("serial", 1),
-    ("thread", 1),
-    ("thread", 2),
-    ("thread", 4),
-    ("process", 1),
-    ("process", 2),
-    ("process", 4),
-]
+#: Worker counts of the execution matrix; one worker is the baseline.
+WORKER_COUNTS = (1, 2, 4)
 
 GRAPH_SEEDS = (3, 19)
 
@@ -105,7 +102,7 @@ def _comparable_counters(stats):
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 @pytest.mark.parametrize("name", ["basic", "compression", "fusion", "combined"])
 def test_differential_matrix(name, aggregator):
-    """kernel x aggregator x backend x workers: bitwise-equal everywhere."""
+    """kernel x aggregator x workers: bitwise-equal everywhere."""
     for seed in GRAPH_SEEDS:
         graph = _graph(seed)
         h = _features(graph, seed)
@@ -115,16 +112,16 @@ def test_differential_matrix(name, aggregator):
             reference = params.apply(reference)
 
         baseline, baseline_stats, _ = _run_kernel(
-            name, ChunkExecutor("serial", 1), graph, h, aggregator, params
+            name, ChunkExecutor(1), graph, h, aggregator, params
         )
         np.testing.assert_allclose(baseline, reference, atol=2e-4)
 
-        for backend, workers in BACKEND_CELLS[1:]:
+        for workers in WORKER_COUNTS[1:]:
             out, stats, _ = _run_kernel(
-                name, ChunkExecutor(backend, workers), graph, h, aggregator, params
+                name, ChunkExecutor(workers), graph, h, aggregator, params
             )
             assert np.array_equal(out, baseline), (
-                f"{name}/{aggregator}/{backend}x{workers} diverged bitwise"
+                f"{name}/{aggregator}/x{workers} diverged bitwise"
             )
             # Schedule-invariant totals match the serial execution.
             assert stats.gathers == baseline_stats.gathers
@@ -132,9 +129,9 @@ def test_differential_matrix(name, aggregator):
             assert stats.flops == baseline_stats.flops
 
 
-@pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 4)])
+@pytest.mark.parametrize("workers", [4], ids=["thread-4"])
 @pytest.mark.parametrize("name", ["basic", "fusion"])
-def test_concurrent_backends_are_deterministic(name, backend, workers):
+def test_concurrent_backends_are_deterministic(name, workers):
     """Two runs with the same seed: bitwise outputs, identical counters."""
     graph = _graph(5)
     h = _features(graph, 5)
@@ -143,7 +140,7 @@ def test_concurrent_backends_are_deterministic(name, backend, workers):
     runs = []
     for _ in range(2):
         out, stats, kernel = _run_kernel(
-            name, ChunkExecutor(backend, workers), graph, h, "gcn", params
+            name, ChunkExecutor(workers), graph, h, "gcn", params
         )
         runs.append((out, stats, kernel.last_report))
 
@@ -163,7 +160,7 @@ def test_training_with_parallel_kernel_matches_serial():
     labels = np.random.default_rng(0).integers(0, 4, graph.num_vertices)
 
     losses = []
-    for executor in (ChunkExecutor("serial", 1), ChunkExecutor("thread", 4)):
+    for executor in (ChunkExecutor(1), ChunkExecutor(4)):
         model = build_model("gcn", h.shape[1], 16, 4, seed=0)
         trainer = Trainer(
             model,
@@ -175,21 +172,31 @@ def test_training_with_parallel_kernel_matches_serial():
     assert losses[0] == losses[1]
 
 
+ORDERS = {
+    "natural": lambda graph: None,
+    "randomized": randomized_order,
+    "locality": locality_order,
+}
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
 @pytest.mark.parametrize("transposed", [False, True], ids=["forward", "transposed"])
 @pytest.mark.parametrize("aggregator", ["gcn", "mean"])
-def test_single_call_pass_matches_the_chunk_loop(aggregator, transposed):
-    """One in-process worker runs a natural-order pass as ONE operator
-    call and states its counters in closed form; two threads run the
-    chunk loop and sum them.  Rows and counters must not differ."""
+def test_single_call_pass_matches_the_chunk_loop(aggregator, transposed, order_name):
+    """One worker runs a pass as ONE operator call in any processing
+    order and states its counters in closed form; two threads run the
+    chunk loop over the same order and sum them.  Rows and counters must
+    not differ."""
     graph = _graph(7)
     h = _features(graph, 7)
+    order = ORDERS[order_name](graph)
     runs = []
     for kernel in (
         BasicKernel(task_size=32),
-        BasicKernel(task_size=32, executor=ChunkExecutor("thread", 2)),
+        BasicKernel(task_size=32, executor=ChunkExecutor(2)),
     ):
         run = kernel.aggregate_backward if transposed else kernel.aggregate
-        out, stats = run(graph, h, aggregator)
+        out, stats = run(graph, h, aggregator, order)
         report = kernel.last_report
         assert report is not None and report.workers == kernel.executor.workers
         assert sum(report.chunks_per_worker) == stats.tasks

@@ -280,7 +280,7 @@ class TestTrainDeterminism:
         labels = np.random.default_rng(seed).integers(0, 4, graph.num_vertices)
         serial = _train(graph, h, labels, seed=seed)
         assert serial.history.backward_stats.gathers > 0
-        for executor in (None, ChunkExecutor("thread", 3)):
+        for executor in (None, ChunkExecutor(3)):
             other = _train(graph, h, labels, executor, seed=seed)
             assert other.history.losses() == serial.history.losses()
             for la, lb in zip(other.model.layers, serial.model.layers):

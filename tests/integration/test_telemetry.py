@@ -38,7 +38,7 @@ def traced_run():
     """One traced training run; returns (tracer, metrics, history)."""
     graph, h, labels = _tiny_inputs()
     model = build_model("gcn", h.shape[1], 16, 4, seed=0)
-    kernel = BasicKernel(executor=ChunkExecutor("thread", WORKERS))
+    kernel = BasicKernel(executor=ChunkExecutor(WORKERS))
     trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
     tracer, metrics = obs.enable()
     try:
@@ -132,7 +132,7 @@ class TestCliArtifacts:
         code = main([
             "train", "products", "--scale", "0.05", "--epochs", "2",
             "--features", "16", "--hidden", "16",
-            "--workers", "2", "--backend", "thread",
+            "--workers", "2",
             "--trace", str(trace_path), "--json", str(json_path),
         ])
         assert code == 0
@@ -168,7 +168,7 @@ class TestCliArtifacts:
     def test_disabled_by_default(self):
         graph, h, labels = _tiny_inputs()
         model = build_model("gcn", h.shape[1], 16, 4, seed=0)
-        kernel = BasicKernel(executor=ChunkExecutor("thread", 2))
+        kernel = BasicKernel(executor=ChunkExecutor(2))
         trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
         trainer.fit(graph, h, labels, epochs=1)
         assert obs.get_tracer().enabled is False

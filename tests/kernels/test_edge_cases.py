@@ -23,7 +23,7 @@ from repro.nn import aggregate
 from repro.parallel import ChunkExecutor
 from repro.tensors.compression import VECTOR_LANES
 
-EXECUTORS = [lambda: ChunkExecutor("serial", 1), lambda: ChunkExecutor("thread", 2)]
+EXECUTORS = [lambda: ChunkExecutor(1), lambda: ChunkExecutor(2)]
 EXECUTOR_IDS = ["serial", "thread2"]
 
 
@@ -108,7 +108,7 @@ class TestOversizedTaskSize:
     def test_task_size_larger_than_vertex_count(self, star10):
         h = _features(star10.num_vertices, 6, seed=5)
         reference = aggregate(star10, h, "gcn")
-        for executor in (ChunkExecutor("serial", 1), ChunkExecutor("thread", 4)):
+        for executor in (ChunkExecutor(1), ChunkExecutor(4)):
             kernel = BasicKernel(task_size=10_000, executor=executor)
             out, stats = kernel.aggregate(star10, h, "gcn")
             np.testing.assert_allclose(out, reference, atol=1e-5)

@@ -24,7 +24,7 @@ from repro.parallel import ChunkExecutor
     "make_executor",
     [
         lambda: None,  # the single-call pass: JIT cache + CSC view
-        lambda: ChunkExecutor("thread", 2),  # chunk plans: + graph.transpose()
+        lambda: ChunkExecutor(2),  # chunk plans: + graph.transpose()
     ],
     ids=["serial", "thread-x2"],
 )

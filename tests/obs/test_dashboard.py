@@ -260,7 +260,6 @@ class TestProfileSection:
                         "self_seconds": 0.309,
                     }
                 ],
-                "sources": ["worker-0", "worker-1"],
                 "timeline": [],
             },
             "span_phase_seconds": {"aggregate": 0.31},

@@ -323,127 +323,6 @@ class TestPublishCounters:
         assert NULL_REGISTRY.snapshot() == {}
 
 
-class TestMerge:
-    def test_counter_merge_sums(self):
-        a, b = Counter(), Counter()
-        a.inc(3.0)
-        b.inc(4.5)
-        a.merge(b)
-        assert a.value == 7.5
-        assert b.value == 4.5  # source untouched
-
-    def test_gauge_merge_latest_write_wins(self):
-        a, b = Gauge(), Gauge()
-        a.set(1.0)
-        b.set(2.0)  # written after a: b is the fresher reading
-        a.merge(b)
-        assert a.value == 2.0
-
-    def test_gauge_merge_keeps_fresher_local_value(self):
-        a, b = Gauge(), Gauge()
-        b.set(2.0)
-        a.set(1.0)  # written after b
-        a.merge(b)
-        assert a.value == 1.0
-
-    def test_gauge_merge_never_written_loses(self):
-        a, b = Gauge(), Gauge()
-        a.set(5.0)
-        a.merge(b)  # b never written: no-op
-        assert a.value == 5.0
-        c = Gauge()
-        b.set(7.0)
-        c.merge(b)  # c never written: b wins even without comparing
-        assert c.value == 7.0
-
-    def test_histogram_merge_counts_totals_extremes(self):
-        a, b = Histogram(), Histogram()
-        for value in (1.0, 5.0):
-            a.observe(value)
-        for value in (0.5, 9.0, 2.0):
-            b.observe(value)
-        a.merge(b)
-        assert a.count == 5
-        assert a.total == pytest.approx(17.5)
-        assert a.min == 0.5
-        assert a.max == 9.0
-        # Raw samples concatenated under the cap: percentiles stay exact.
-        assert a.percentile(100.0) == 9.0
-
-    def test_histogram_merge_respects_sample_cap(self):
-        from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP
-
-        a, b = Histogram(), Histogram()
-        for _ in range(HISTOGRAM_SAMPLE_CAP - 1):
-            a.observe(1.0)
-        for _ in range(10):
-            b.observe(2.0)
-        a.merge(b)
-        assert a.count == HISTOGRAM_SAMPLE_CAP + 9
-        assert len(a._samples) == HISTOGRAM_SAMPLE_CAP
-        assert a.max == 2.0  # extremes survive even past the cap
-
-    def test_histogram_merge_empty_other_is_noop(self):
-        a = Histogram()
-        a.observe(3.0)
-        a.merge(Histogram())
-        assert a.count == 1
-        assert a.min == 3.0
-
-    def test_registry_merge_with_prefix(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        child.inc("work.gathers", 100.0)
-        child.set_gauge("work.depth", 4.0)
-        child.observe("work.chunk_ms", 1.5)
-        merged = parent.merge(child, prefix="worker0.")
-        assert merged == 3
-        snap = parent.snapshot()
-        assert snap["worker0.work.gathers"]["value"] == 100.0
-        assert snap["worker0.work.depth"]["value"] == 4.0
-        assert snap["worker0.work.chunk_ms"]["count"] == 1
-
-    def test_registry_merge_sums_existing_counters(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        parent.inc("gathers", 10.0)
-        child.inc("gathers", 32.0)
-        parent.merge(child)
-        assert parent.snapshot()["gathers"]["value"] == 42.0
-
-    def test_registry_merge_type_collision_raises(self):
-        parent, child = MetricsRegistry(), MetricsRegistry()
-        parent.inc("x")
-        child.set_gauge("x", 1.0)
-        with pytest.raises(TypeError):
-            parent.merge(child)
-
-
-class TestPickleRoundTrip:
-    def test_registry_survives_pickle(self):
-        import pickle
-
-        registry = MetricsRegistry()
-        registry.inc("work.gathers", 7.0)
-        registry.set_gauge("work.depth", 2.0)
-        for value in (1.0, 2.0, 3.0):
-            registry.observe("work.ms", value)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.snapshot() == registry.snapshot()
-        # The recreated lock is live: the clone keeps working.
-        clone.inc("work.gathers", 1.0)
-        assert clone.snapshot()["work.gathers"]["value"] == 8.0
-
-    def test_merge_after_pickle_matches_direct_merge(self):
-        import pickle
-
-        parent_a, parent_b = MetricsRegistry(), MetricsRegistry()
-        child = MetricsRegistry()
-        child.inc("gathers", 5.0)
-        child.observe("ms", 0.25)
-        parent_a.merge(child, prefix="worker0.")
-        parent_b.merge(pickle.loads(pickle.dumps(child)), prefix="worker0.")
-        assert parent_a.snapshot() == parent_b.snapshot()
-
-
 class TestHistogramTimer:
     def test_time_observes_block_duration(self):
         import time

@@ -128,42 +128,6 @@ class TestProfileData:
         ]
         assert lines == data.collapsed_lines()  # stable across calls
 
-    def test_merge_with_source_prepends_root_frame(self):
-        parent = ProfileData(hz=100.0)
-        parent.record("other", ("main:loop",), "MainThread")
-        worker = ProfileData(hz=100.0)
-        worker.record("aggregate", ("exec:run", "kern:gather"), "MainThread")
-        parent.merge(worker, source="worker-0")
-        key = ("aggregate", ("worker-0", "exec:run", "kern:gather"))
-        assert parent.stacks[key] == 1.0
-        assert parent.threads["worker-0:MainThread"] == 1.0
-        assert parent.sources == ["worker-0"]
-        assert parent.thread_samples == 2
-
-    def test_merge_rescales_across_rates(self):
-        # A worker sampled at 200 Hz contributes half the per-sample
-        # seconds of a 100 Hz parent; counts rescale so seconds agree.
-        parent = ProfileData(hz=100.0)
-        worker = ProfileData(hz=200.0)
-        for _ in range(10):
-            worker.record("aggregate", ("w:f",), "t")
-        parent.merge(worker)
-        assert parent.phase_seconds["aggregate"] == pytest.approx(
-            worker.phase_seconds["aggregate"]
-        )
-
-    def test_dict_round_trip(self):
-        data = ProfileData(hz=97.0)
-        data.samples = 4
-        data.record("aggregate", ("m:f", "m:g"), "MainThread", t_s=0.01)
-        data.record("other", ("m:f",), "helper")
-        clone = ProfileData.from_dict(data.to_dict())
-        assert clone.hz == data.hz
-        assert clone.stacks == data.stacks
-        assert clone.phase_samples == data.phase_samples
-        assert clone.threads == data.threads
-        assert clone.timeline == data.timeline
-
     def test_write_collapsed_empty_profile(self, tmp_path):
         path = tmp_path / "empty.folded"
         assert write_collapsed(str(path), ProfileData()) == 0
@@ -234,15 +198,6 @@ class TestSamplingProfiler:
             "repro-sampling-profiler" in label for label in data.threads
         )
 
-    def test_absorb_accepts_serialized_dict(self):
-        profiler = SamplingProfiler(hz=100.0)
-        shipped = ProfileData(hz=100.0)
-        shipped.record("aggregate", ("w:f",), "MainThread")
-        profiler.absorb(shipped.to_dict(), source="worker-1")
-        profiler.absorb(None)  # payload without a profile: no-op
-        assert profiler.data.sources == ["worker-1"]
-        assert ("aggregate", ("worker-1", "w:f")) in profiler.data.stacks
-
     def test_registry_counts_ticks(self):
         from repro.obs.metrics import MetricsRegistry
 
@@ -257,7 +212,6 @@ class TestSamplingProfiler:
         assert NULL_PROFILER.start() is NULL_PROFILER
         assert NULL_PROFILER.stop() is None
         assert NULL_PROFILER.sample_once() == 0
-        NULL_PROFILER.absorb(ProfileData())
         names = [t.name for t in threading.enumerate()]
         assert "repro-sampling-profiler" not in names
 

@@ -1,6 +1,7 @@
 """Unit tests for the multi-worker chunk executor."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -25,45 +26,76 @@ def workload_inputs(skewed_graph):
     return h, order
 
 
-def _run(skewed_graph, workload_inputs, backend, workers, task_size=32):
+def _run(skewed_graph, workload_inputs, workers, task_size=32):
     h, order = workload_inputs
     workload = BasicAggregationWorkload(
         skewed_graph, h, "gcn", order, prefetch_distance=4
     )
     plan = build_chunk_plan(skewed_graph, task_size, order)
-    executor = ChunkExecutor(backend, workers)
+    executor = ChunkExecutor(workers)
     return executor.run(workload, plan)
 
 
 class TestConstruction:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError):
-            ChunkExecutor("gpu", 2)
+        """Every backend is unknown now: the argument itself is gone."""
+        with pytest.raises(TypeError):
+            ChunkExecutor("thread", 2)
+        with pytest.raises(TypeError):
+            ChunkExecutor("process")
+        with pytest.raises(TypeError):
+            ChunkExecutor(backend="serial")
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
-            ChunkExecutor("thread", 0)
-
-    def test_serial_is_single_worker(self):
+            ChunkExecutor(0)
         with pytest.raises(ValueError):
-            ChunkExecutor("serial", 2)
+            ChunkExecutor(workers=0)
+
+    def test_serial_is_single_worker(self, skewed_graph, workload_inputs):
+        """One worker runs every chunk in the calling thread; several
+        workers run them on their own threads."""
+        h, order = workload_inputs
+        plan = build_chunk_plan(skewed_graph, 32, order)
+        for workers in (1, 2):
+            idents = set()
+
+            class Recording(BasicAggregationWorkload):
+                def run_chunk(self, chunk):
+                    idents.add(threading.get_ident())
+                    return super().run_chunk(chunk)
+
+            workload = Recording(skewed_graph, h, "gcn", order, prefetch_distance=4)
+            ChunkExecutor(workers).run(workload, plan)
+            on_caller = idents == {threading.get_ident()}
+            assert on_caller == (workers == 1)
 
 
-@pytest.mark.parametrize(
-    "backend,workers",
-    [("serial", 1), ("thread", 1), ("thread", 3), ("process", 3)],
-)
+class TestBackendKnobIsGone:
+    """One in-process runtime: the backend attribute and registry are
+    deleted, not defaulted (the argument: ``test_rejects_unknown_backend``)."""
+
+    def test_no_backend_attribute_or_registry(self, skewed_graph, workload_inputs):
+        import repro.parallel as parallel
+
+        _, _, report = _run(skewed_graph, workload_inputs, 2)
+        assert not hasattr(ChunkExecutor(2), "backend")
+        assert not hasattr(report, "backend")
+        assert not hasattr(parallel, "BACKENDS")
+
+
+#: One worker runs in the calling thread; several run as threads.
+@pytest.mark.parametrize("workers", [1, 3], ids=["serial-1", "thread-3"])
 class TestRun:
-    def test_outputs_match_serial(self, skewed_graph, workload_inputs, backend, workers):
-        baseline, _, _ = _run(skewed_graph, workload_inputs, "serial", 1)
-        outputs, _, _ = _run(skewed_graph, workload_inputs, backend, workers)
+    def test_outputs_match_serial(self, skewed_graph, workload_inputs, workers):
+        baseline, _, _ = _run(skewed_graph, workload_inputs, 1)
+        outputs, _, _ = _run(skewed_graph, workload_inputs, workers)
         assert np.array_equal(outputs["out"], baseline["out"])
 
     def test_worker_reports_cover_all_chunks(
-        self, skewed_graph, workload_inputs, backend, workers
+        self, skewed_graph, workload_inputs, workers
     ):
-        _, stats, report = _run(skewed_graph, workload_inputs, backend, workers)
-        assert report.backend == backend
+        _, stats, report = _run(skewed_graph, workload_inputs, workers)
         assert report.workers == workers
         assert len(report.worker_reports) == workers
         assert sum(report.chunks_per_worker) == stats.tasks
@@ -72,19 +104,19 @@ class TestRun:
         )
 
     def test_stats_record_per_worker_chunks(
-        self, skewed_graph, workload_inputs, backend, workers
+        self, skewed_graph, workload_inputs, workers
     ):
-        _, stats, report = _run(skewed_graph, workload_inputs, backend, workers)
+        _, stats, report = _run(skewed_graph, workload_inputs, workers)
         assert stats.extra["workers"] == workers
         assert stats.extra["wall_time_s"] >= 0.0
         for worker_id, chunks in enumerate(report.chunks_per_worker):
             assert stats.extra[f"worker{worker_id}_chunks"] == chunks
 
     def test_merged_counters_are_schedule_invariant(
-        self, skewed_graph, workload_inputs, backend, workers
+        self, skewed_graph, workload_inputs, workers
     ):
-        _, serial_stats, _ = _run(skewed_graph, workload_inputs, "serial", 1)
-        _, stats, _ = _run(skewed_graph, workload_inputs, backend, workers)
+        _, serial_stats, _ = _run(skewed_graph, workload_inputs, 1)
+        _, stats, _ = _run(skewed_graph, workload_inputs, workers)
         assert stats.gathers == serial_stats.gathers
         assert stats.prefetches == serial_stats.prefetches
         assert stats.tasks == serial_stats.tasks
@@ -92,15 +124,13 @@ class TestRun:
 
 class TestLoadBalance:
     def test_workers_share_the_gather_work(self, skewed_graph, workload_inputs):
-        _, _, report = _run(skewed_graph, workload_inputs, "thread", 4, task_size=8)
+        _, _, report = _run(skewed_graph, workload_inputs, 4, task_size=8)
         assert report.imbalance < 1.7  # dynamic scheduling bounds the skew
         assert all(chunks > 0 for chunks in report.chunks_per_worker)
 
     def test_more_workers_than_chunks(self, skewed_graph, workload_inputs):
         n = skewed_graph.num_vertices
-        _, stats, report = _run(
-            skewed_graph, workload_inputs, "process", 4, task_size=n
-        )
+        _, stats, report = _run(skewed_graph, workload_inputs, 4, task_size=n)
         assert stats.tasks == 1
         assert sorted(report.chunks_per_worker, reverse=True) == [1, 0, 0, 0]
 
@@ -112,51 +142,23 @@ class TestLoadBalance:
         workload.h = bad  # closure is specialized for 12 features
         plan = build_chunk_plan(skewed_graph, 32, order)
         with pytest.raises(ValueError):
-            ChunkExecutor("thread", 2).run(workload, plan)
+            ChunkExecutor(2).run(workload, plan)
 
 
 class TestEmptyAssignment:
-    def test_process_backend_skips_pool_when_nothing_to_do(
-        self, skewed_graph, workload_inputs, monkeypatch
-    ):
-        """An all-empty assignment must short-circuit to idle reports —
-        no ProcessPoolExecutor construction, no workload pickling."""
-        import repro.parallel.executor as executor_mod
-
-        class _Forbidden:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("pool constructed for empty assignment")
-
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", _Forbidden)
+    def test_empty_plan_gives_idle_reports(self, skewed_graph, workload_inputs):
         h, order = workload_inputs
         workload = BasicAggregationWorkload(
             skewed_graph, h, "gcn", order, prefetch_distance=4
         )
         plan = build_chunk_plan(skewed_graph, 32, order)
         plan = dataclasses.replace(plan, chunks=())  # every worker idle
-        outputs, stats, report = ChunkExecutor("process", 3).run(workload, plan)
+        _, stats, report = ChunkExecutor(3).run(workload, plan)
         assert stats.tasks == 0
-        assert len(report.worker_reports) == 3
-        for worker_report in report.worker_reports:
-            assert worker_report.num_chunks == 0
-            assert worker_report.num_vertices == 0
-            assert worker_report.elapsed_s == 0.0
         assert report.chunks_per_worker == [0, 0, 0]
-
-    def test_idle_reports_match_thread_backend(
-        self, skewed_graph, workload_inputs
-    ):
-        h, order = workload_inputs
-        results = {}
-        for backend in ("thread", "process"):
-            workload = BasicAggregationWorkload(
-                skewed_graph, h, "gcn", order, prefetch_distance=4
-            )
-            plan = build_chunk_plan(skewed_graph, 32, order)
-            plan = dataclasses.replace(plan, chunks=())
-            _, stats, report = ChunkExecutor(backend, 2).run(workload, plan)
-            results[backend] = (stats.tasks, report.chunks_per_worker)
-        assert results["process"] == results["thread"]
+        for worker_report in report.worker_reports:
+            assert worker_report.num_vertices == 0
+            assert worker_report.stats.gathers == 0
 
 
 class TestLiveGauges:
@@ -165,7 +167,7 @@ class TestLiveGauges:
 
         _, metrics = obs.enable()
         try:
-            _run(skewed_graph, workload_inputs, "thread", 2)
+            _run(skewed_graph, workload_inputs, 2)
             snap = metrics.snapshot()
         finally:
             obs.disable()
@@ -189,7 +191,7 @@ class TestLiveGauges:
         _, metrics = obs.enable()
         try:
             with pytest.raises(ValueError):
-                ChunkExecutor("thread", 2).run(workload, plan)
+                ChunkExecutor(2).run(workload, plan)
             snap = metrics.snapshot()
         finally:
             obs.disable()
@@ -201,5 +203,5 @@ class TestLiveGauges:
     ):
         from repro.obs import get_metrics
 
-        _run(skewed_graph, workload_inputs, "thread", 2)
+        _run(skewed_graph, workload_inputs, 2)
         assert get_metrics().snapshot() == {}

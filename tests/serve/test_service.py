@@ -263,6 +263,17 @@ class TestAgainstPredict:
         with pytest.raises(ValueError):
             InferenceService(graph, features, model, fanouts=[4])
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_nonpositive_fanout_rejected_at_construction(self, setup, bad):
+        """A fanout < 1 would make every sampled miss fail inside the
+        batcher; it is refused up front, naming the layer."""
+        graph, features, model, _ = setup
+        fanouts = [4] * model.num_layers
+        fanouts[-1] = bad
+        layer = model.num_layers - 1
+        with pytest.raises(ValueError, match=f"layer {layer}"):
+            InferenceService(graph, features, model, fanouts=fanouts)
+
     def test_weight_update_keeps_the_first_aggregation_valid(self, setup):
         graph, features, model, service = setup
         kept = service._first_aggregation

@@ -50,6 +50,35 @@ class TestParser:
                 build_parser().parse_args(command + ["--engine", value])
             assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["bench-parallel", "products"],
+        ["profile"],
+    ])
+    def test_executor_takes_no_backend_flag(self, command):
+        """The chunk executor is one in-process runtime: ``--workers`` only."""
+        args = build_parser().parse_args(command)
+        assert not hasattr(args, "backend")
+        for value in ("serial", "thread", "process"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(command + ["--backend", value])
+            assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("value", ["serial", "thread", "process"])
+    def test_train_backend_needs_shards(self, value, capsys):
+        """On ``train`` ``--backend`` picks the sharded runtime, so it is
+        refused without ``--shards`` rather than silently ignored."""
+        for extra in ([], ["--shards", "1"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["train", "products", "--backend", value] + extra)
+            assert excinfo.value.code == 2
+            assert "--shards" in capsys.readouterr().err
+
+    def test_serve_rejects_nonpositive_fanout(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "products", "--fanout", "2", "-1"])
+        assert excinfo.value.code == 2
+        assert "positive" in capsys.readouterr().err
+
     def test_engine_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "products", "--engine", "turbo"])
@@ -131,7 +160,7 @@ class TestCommands:
             "--features", "8", "--hidden", "8", "--json", str(report),
         ])
         assert code == 0
-        assert "basic kernel, serial x1" in capsys.readouterr().out
+        assert "basic kernel x1" in capsys.readouterr().out
         doc = json.loads(report.read_text())
         assert "engine" not in doc["meta"]
         names = {span["name"] for span in doc["spans"]}
@@ -185,7 +214,7 @@ class TestCommands:
         history = tmp_path / "hist.jsonl"
         sweep = [
             "bench-parallel", "products", "--scale", "0.05",
-            "--workers", "1", "--backend", "serial", "--history", str(history),
+            "--workers", "1", "--history", str(history),
         ]
         assert main(sweep + ["--history-label", "cli-test"]) == 0
         assert "appended history entry 'cli-test'" in capsys.readouterr().out
