@@ -53,12 +53,33 @@ def dropout_grad(grad_out: np.ndarray, mask: Optional[np.ndarray], rate: float) 
     return (grad_out * mask / (1.0 - rate)).astype(grad_out.dtype)
 
 
+#: Loss-gradient entries with ``|g|`` below this are stored as exactly 0.
+#: A converging model drives off-label softmax probabilities below fp32's
+#: normal range (``exp(-88)``, and lower still after the ``/ count``), and
+#: subnormal fp32 operands make scipy's ``csr_matvecs`` and BLAS 100x+
+#: slower per element: the transposed aggregation of a late epoch doubled
+#: for values that no weight update can resolve.  The threshold sits eight
+#: decades above the subnormal range and far below any gradient that moves
+#: a weight; the loss is computed before the flush and does not change.
+GRAD_FLUSH = 1e-30
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1, keepdims=True)`` for a 2-D array, bitwise, with the
+    same NaN propagation: one ``np.maximum`` per column runs ~10x faster
+    than numpy's strided reduction over a narrow ``(N, C)`` array."""
+    out = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(out, x[:, j:j + 1], out=out)
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, numerically stabilized; returns a fresh array.
 
     One private array, step by step in place: the subtraction makes it.
     """
-    probs = logits - logits.max(axis=1, keepdims=True)
+    probs = logits - _row_max(logits)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
@@ -90,7 +111,8 @@ def cross_entropy(
 
     Returns:
         ``(loss, grad)``: the selected rows' summed loss over ``count``,
-        and its gradient — the logits' shape, exactly zero off the mask.
+        and its gradient — the logits' shape, exactly zero off the mask
+        and wherever ``|grad|`` falls below :data:`GRAD_FLUSH`.
     """
     n = logits.shape[0]
     if labels.shape != (n,):
@@ -111,6 +133,7 @@ def cross_entropy(
     loss_sum = float(-np.log(np.clip(picked, 1e-12, None)).sum(dtype=np.float64))
     probs[index, picked_labels] -= 1.0
     probs /= count
+    probs[np.abs(probs) < GRAD_FLUSH] = 0.0
     if mask is None:
         grad = probs
     else:

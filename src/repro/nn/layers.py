@@ -10,7 +10,8 @@ Aggregation is linear, so ``Â (h W) = (Â h) W``: a layer that narrows
 (``out_features < in_features``) runs *transform-first* and gathers the
 narrower ``h W`` rows — the same result up to fp32 reassociation for
 ``out/in`` of the memory traffic.  The order is decided from the layer's
-shape and position alone (:meth:`GNNLayer.forward`), never configured.
+shape and position alone (:func:`transform_first`), never configured;
+``GNNLayer.forward`` and the shard runtime both ask that one function.
 
 Every array a call returns is fresh unless the caller lent the memory:
 ``forward(out=)`` and ``backward(grad_in=, own_grad_out=)`` are how a
@@ -29,6 +30,19 @@ from ..graphs.csr import CSRGraph
 from ..kernels.base import AggregationKernel, KernelStats
 from . import functional as F
 from .aggregate import aggregate, aggregate_backward, canonical_aggregator
+
+
+def transform_first(in_features: int, out_features: int, static_input: bool) -> bool:
+    """Whether a layer runs ``Â (h W)`` rather than ``(Â h) W``.
+
+    * ``static_input`` — ``h`` is the same un-dropped matrix on every
+      call (a model's input features), so ``Â h`` is a constant worth
+      keeping: aggregate-first whatever the shape;
+    * otherwise a narrowing layer (``out < in``) runs transform-first
+      and gathers ``out``-wide rows;
+    * every other layer runs aggregate-first and gathers ``in``-wide rows.
+    """
+    return not static_input and out_features < in_features
 
 
 @dataclass
@@ -148,16 +162,12 @@ class GNNLayer:
         execution strategies (e.g. a multi-worker ``BasicKernel``); the
         update GEMM and the cache layout are unchanged.
 
-        The order of the two phases follows from shape and position:
-
-        * ``static_input`` — ``h_in`` is the same un-dropped matrix on
-          every call (a model's input features), so ``Â h_in`` is a
-          constant worth keeping: the layer runs aggregate-first whatever
-          its shape, and ``aggregated`` lets the caller hand that
-          constant back instead of gathering it again;
-        * otherwise a narrowing layer (``out < in``) runs transform-first,
-          ``pre = Â (h W) + b``, gathering ``out``-wide rows;
-        * every other layer runs aggregate-first, ``pre = (Â h) W + b``.
+        The order of the two phases follows from shape and position
+        (:func:`transform_first`): a transform-first layer computes
+        ``pre = Â (h W) + b``, every other layer ``pre = (Â h) W + b``.
+        ``static_input`` declares ``h_in`` the same un-dropped matrix on
+        every call, and ``aggregated`` lets the caller hand the kept
+        ``Â h_in`` back instead of gathering it again.
 
         ``out`` lends an aggregate-first layer a ``(V, out_features)``
         buffer in the working dtype: the GEMM lands there and ``h_out``
@@ -177,7 +187,7 @@ class GNNLayer:
         if aggregated is not None and mask is not None:
             raise ValueError("a supplied aggregation cannot follow input dropout")
         static_input = static_input or aggregated is not None
-        if not static_input and self.out_features < self.in_features:
+        if transform_first(self.in_features, self.out_features, static_input):
             a = None
             gathered = h_dropped @ self.weight
             pre, agg_stats = self._aggregate(graph, gathered, kernel)

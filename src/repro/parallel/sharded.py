@@ -14,10 +14,13 @@ config at startup (O(#arrays), asserted bounded in the tests) and the
 layer weights each epoch (O(model), not O(graph)).
 
 Training runs bulk-synchronous per layer.  Each layer's halo exchange is
-a shared-memory "board": every worker writes its owned rows of ``h_k``,
-a barrier flips the phase, then workers gather the halo rows they need.
-The backward pass runs the same protocol over the transposed shards
-(``grad_h = Âᵀ grad_a``).  DistGNN-style *delayed aggregation* marks
+a shared-memory "board": every worker writes its owned rows of the
+operand the layer gathers, a barrier flips the phase, then workers
+gather the halo rows they need.  The operand follows ``Trainer``'s order
+rule (:func:`repro.nn.layers.transform_first`): ``h_{k-1}`` for an
+aggregate-first layer, the narrower ``z = h_{k-1} W_k`` for a
+transform-first one.  The backward pass runs the same protocol over the
+transposed shards.  DistGNN-style *delayed aggregation* marks
 layers whose halo is refreshed only every ``halo_refresh`` epochs: on
 the epochs between refreshes the forward pass reuses the stale halo
 block already sitting in the worker's input buffer, the backward pass
@@ -60,7 +63,7 @@ from ..kernels.distgnn import shard_factors, shard_segment_reduce
 from ..kernels.segment import ScaledCSR
 from ..nn import functional as F
 from ..nn.aggregate import normalization_factors
-from ..nn.layers import LayerGrads
+from ..nn.layers import LayerGrads, transform_first
 from ..nn.model import GNNModel
 from ..nn.optim import Optimizer
 from ..nn.training import EpochResult, TrainingHistory
@@ -97,6 +100,14 @@ class LayerSpec:
     out_features: int
     aggregator: str
     activation: bool
+    #: ``Â (h W)`` rather than ``(Â h) W``: :func:`repro.nn.layers.
+    #: transform_first` with layer 0's input static, as in ``Trainer``.
+    transform_first: bool
+
+    @property
+    def width(self) -> int:
+        """Row width this layer's aggregations and halo exchanges move."""
+        return self.out_features if self.transform_first else self.in_features
 
 
 @dataclass(frozen=True)
@@ -131,6 +142,12 @@ class ShardedConfig:
             return True
         return epoch % self.halo_refresh == 0
 
+    def has_h_board(self, layer: int) -> bool:
+        """Whether ``layer``'s output ``h`` gets a board: the next layer
+        gathers ``h`` rows (aggregate-first), or ``logits()`` reads it."""
+        nxt = layer + 1
+        return nxt == len(self.layers) or not self.layers[nxt].transform_first
+
 
 class ShardRuntime:
     """One shard's slice of the training loop, phase by phase.
@@ -141,6 +158,13 @@ class ShardRuntime:
     ``backward_update`` → ``backward_aggregate``) are driven either by a
     worker loop (thread/process backends, with real barriers between
     phases) or interleaved across runtimes by the serial backend.
+
+    Each layer ``k >= 1`` gathers rows of its :attr:`LayerSpec.width`:
+    an aggregate-first layer the previous layer's ``h`` (board
+    ``h{k-1}``), a transform-first one ``z = h_{k-1} W_k`` (board
+    ``z{k}``), which ``forward_layer(k - 1)`` computes for the owned rows
+    and publishes.  Its backward publishes ``grad_pre @ W_kᵀ`` or, for a
+    transform-first layer, ``grad_pre`` itself to board ``g{k}``.
     """
 
     def __init__(self, bundle: ArrayBundle, part: int, config: ShardedConfig):
@@ -172,30 +196,40 @@ class ShardRuntime:
             for agg in config.aggregators
         }
         self.features = bundle.view("x")
-        num_layers = len(config.layers)
-        self.boards_h = [bundle.view(f"h{k}") for k in range(num_layers)]
+        layers = config.layers
+        num_layers = len(layers)
+        self.boards_h: List[Optional[np.ndarray]] = [
+            bundle.view(f"h{k}") if config.has_h_board(k) else None
+            for k in range(num_layers)
+        ]
+        #: Per layer ``k >= 1``: the board its forward gathers halo rows
+        #: from (``boards_g[k]`` serves its backward).
+        self.boards_in: List[Optional[np.ndarray]] = [None] + [
+            bundle.view(f"z{k}" if layers[k].transform_first else f"h{k - 1}")
+            for k in range(1, num_layers)
+        ]
         self.boards_g: List[Optional[np.ndarray]] = [None] + [
             bundle.view(f"g{k}") for k in range(1, num_layers)
         ]
         self.labels_local = bundle.view("labels")[self.local]
         self.train_mask_local = bundle.view("train_mask")[self.local]
         self.val_mask_local = bundle.view("val_mask")[self.local]
-        self._x = [
-            np.zeros((n_in, spec.in_features), dtype=np.float32)
-            for spec in config.layers
+        #: Private (owned + halo) operands of layers ``k >= 1``, forward
+        #: and transposed, at the width the layer gathers.
+        self._x: List[Optional[np.ndarray]] = [None] + [
+            np.zeros((n_in, spec.width), dtype=np.float32) for spec in layers[1:]
         ]
         self._xg: List[Optional[np.ndarray]] = [None] + [
-            np.zeros((n_t, spec.in_features), dtype=np.float32)
-            for spec in config.layers[1:]
+            np.zeros((n_t, spec.width), dtype=np.float32) for spec in layers[1:]
         ]
-        self._x0_ready = False
         self.weights: List[Tuple[np.ndarray, np.ndarray]] = []
+        #: ``Â h`` of the aggregate-first layers; ``_a[0]`` is kept.
         self._a: List[Optional[np.ndarray]] = [None] * num_layers
-        self._pre: List[Optional[np.ndarray]] = [None] * num_layers
+        #: Owned rows of each layer's output (ReLU applied in place, so
+        #: ``h > 0`` is the activation's sign pattern).
         self._h: List[Optional[np.ndarray]] = [None] * num_layers
         self._gw: List[Optional[np.ndarray]] = [None] * num_layers
         self._gb: List[Optional[np.ndarray]] = [None] * num_layers
-        self._grad_a: Optional[np.ndarray] = None
         self._grad_out: Optional[np.ndarray] = None
         self.halo_bytes = 0
         self.exchanges = 0
@@ -211,36 +245,51 @@ class ShardRuntime:
         self.exchanges_skipped = 0
 
     def forward_layer(self, layer: int, epoch: int) -> None:
-        spec = self.cfg.layers[layer]
-        x = self._x[layer]
+        layers = self.cfg.layers
+        spec = layers[layer]
         nl = self.n_local
         op = self.ops[spec.aggregator][0]
         if layer == 0:
-            # Input features are static: gather own + halo rows once,
-            # aggregate them once, and keep both for the whole run —
+            # Input features are static: gather own + halo rows and
+            # aggregate them once, and keep ``Â X`` for the whole run —
             # layer 0 never exchanges and never re-aggregates.
-            if not self._x0_ready:
-                x[:nl] = self.features[self.local]
-                x[nl:] = self.features[self.halo]
+            if self._a[0] is None:
+                x = np.concatenate(
+                    (self.features[self.local], self.features[self.halo])
+                )
                 self._a[0] = shard_segment_reduce(op, x)
-                self._x0_ready = True
         else:
-            x[:nl] = self._h[layer - 1]
+            x = self._x[layer]
+            if not spec.transform_first:
+                x[:nl] = self._h[layer - 1]
+            # (A transform-first layer's own z rows are already in place.)
             if self.cfg.exchange_needed(layer, epoch):
-                x[nl:] = self.boards_h[layer - 1][self.halo]
+                x[nl:] = self.boards_in[layer][self.halo]
                 self.halo_bytes += x[nl:].nbytes
                 self.exchanges += 1
             else:
                 # Delayed aggregation: the stale halo block from the last
                 # refresh epoch stays in place — zero traffic, no barrier.
+                # For a transform-first layer that block is the z rows of
+                # that epoch, stale in both h and W.
                 self.exchanges_skipped += 1
-            self._a[layer] = shard_segment_reduce(op, x)
-        a = self._a[layer]
+            aggregated = shard_segment_reduce(op, x)
+            if not spec.transform_first:
+                self._a[layer] = aggregated
         weight, bias = self.weights[layer]
-        pre = a @ weight + bias
-        self._pre[layer] = pre
-        self._h[layer] = F.relu(pre) if spec.activation else pre
-        self.boards_h[layer][self.local] = self._h[layer]
+        pre = aggregated if spec.transform_first else self._a[layer] @ weight
+        pre += bias
+        if spec.activation:
+            np.maximum(pre, 0.0, out=pre)
+        self._h[layer] = pre
+        if self.boards_h[layer] is not None:
+            self.boards_h[layer][self.local] = pre
+        nxt = layer + 1
+        if nxt < len(layers) and layers[nxt].transform_first:
+            # The next layer's transform, on the owned rows only: its
+            # halo exchange then moves out-wide z rows, not in-wide h.
+            z = np.matmul(pre, self.weights[nxt][0], out=self._x[nxt][:nl])
+            self.boards_in[nxt][self.local] = z
 
     def loss_grad(self) -> None:
         """Masked cross-entropy partials over the owned rows: the
@@ -260,22 +309,25 @@ class ShardRuntime:
 
     def backward_update(self, layer: int) -> None:
         spec = self.cfg.layers[layer]
+        grad_pre = self._grad_out  # this runtime's own array: masked in place
         if spec.activation:
-            grad_pre = self._grad_out * (self._pre[layer] > 0)
-        else:
-            grad_pre = self._grad_out
-        self._gw[layer] = self._a[layer].T @ grad_pre
+            grad_pre *= self._h[layer] > 0
         self._gb[layer] = grad_pre.sum(axis=0)
-        if layer > 0:
-            grad_a = grad_pre @ self.weights[layer][0].T
-            self._grad_a = grad_a
-            self.boards_g[layer][self.local] = grad_a
+        if not spec.transform_first:
+            self._gw[layer] = self._a[layer].T @ grad_pre
+        if layer == 0:
+            return  # nothing consumes ∂L/∂features
+        own = self._xg[layer][:self.n_local]
+        if spec.transform_first:
+            own[...] = grad_pre  # grad_W waits for the aggregated Âᵀ grad_pre
+        else:
+            np.matmul(grad_pre, self.weights[layer][0].T, out=own)
+        self.boards_g[layer][self.local] = own
 
     def backward_aggregate(self, layer: int, epoch: int) -> None:
         spec = self.cfg.layers[layer]
         xg = self._xg[layer]
         nl = self.n_local
-        xg[:nl] = self._grad_a
         if self.cfg.exchange_needed(layer, epoch):
             xg[nl:] = self.boards_g[layer][self.t_halo]
             self.halo_bytes += xg[nl:].nbytes
@@ -287,7 +339,11 @@ class ShardRuntime:
             # local-only backward with periodic synchronization.
             xg[nl:] = 0.0
             self.exchanges_skipped += 1
-        self._grad_out = shard_segment_reduce(self.ops[spec.aggregator][1], xg)
+        grad = shard_segment_reduce(self.ops[spec.aggregator][1], xg)
+        if spec.transform_first:
+            self._gw[layer] = self._h[layer - 1].T @ grad
+            grad = grad @ self.weights[layer][0].T
+        self._grad_out = grad
 
     def epoch_result(self) -> Dict:
         return {
@@ -316,7 +372,7 @@ def _run_worker_epoch(runtime: ShardRuntime, epoch: int, weights, sync) -> Dict:
     num_layers = len(cfg.layers)
     for layer in range(num_layers):
         if layer > 0 and cfg.exchange_needed(layer, epoch):
-            sync()  # everyone has written boards_h[layer - 1]
+            sync()  # everyone has written boards_in[layer]
         runtime.forward_layer(layer, epoch)
     runtime.loss_grad()
     for layer in range(num_layers - 1, -1, -1):
@@ -466,8 +522,11 @@ class ShardedTrainer:
                 out_features=layer.out_features,
                 aggregator=layer.aggregator,
                 activation=layer.activation,
+                transform_first=transform_first(
+                    layer.in_features, layer.out_features, static_input=k == 0
+                ),
             )
-            for layer in self.model.layers
+            for k, layer in enumerate(self.model.layers)
         )
         train_mask_arr = (
             np.ones(n, dtype=bool) if train_mask is None
@@ -495,10 +554,16 @@ class ShardedTrainer:
             "train_mask": train_mask_arr,
             "val_mask": val_mask_arr,
         }
+        # Exchange boards, each as wide as the rows its layer gathers: a
+        # transform-first layer k moves out-wide z{k} / g{k} rows, and
+        # nothing ever reads the in-wide h{k-1} it would otherwise need.
         for k, spec in enumerate(specs):
-            arrays[f"h{k}"] = np.zeros((n, spec.out_features), dtype=np.float32)
+            if self._config.has_h_board(k):
+                arrays[f"h{k}"] = np.zeros((n, spec.out_features), dtype=np.float32)
             if k >= 1:
-                arrays[f"g{k}"] = np.zeros((n, spec.in_features), dtype=np.float32)
+                if spec.transform_first:
+                    arrays[f"z{k}"] = np.zeros((n, spec.width), dtype=np.float32)
+                arrays[f"g{k}"] = np.zeros((n, spec.width), dtype=np.float32)
         t_perm = graph.csc_arrays()[2]
         factor_cache = {
             agg: normalization_factors(graph, agg)
@@ -674,7 +739,9 @@ class ShardedTrainer:
 
     def _run_epoch_process(self, epoch: int, weights) -> List[Dict]:
         msg = ("epoch", epoch, weights)
-        self.epoch_message_bytes = len(pickle.dumps(msg))
+        if not self.epoch_message_bytes:
+            # Measured once: the weight shapes never change.
+            self.epoch_message_bytes = len(pickle.dumps(msg))
         for cmd_queue in self._cmd_queues:
             cmd_queue.put(msg)
         results: List[Optional[Dict]] = [None] * self.num_shards

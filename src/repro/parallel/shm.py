@@ -14,16 +14,39 @@ private heap buffer — no segment, no cleanup, identical view semantics.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
 _ALIGN = 64
+#: Where POSIX shared-memory segments live on Linux.
+SHM_DIR = "/dev/shm"
 
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+def _check_room(nbytes: int) -> None:
+    """Raise ``OSError`` unless ``/dev/shm`` has ``nbytes`` free.
+
+    A POSIX segment is created sparse, so a too-small ``/dev/shm`` (a
+    container's 64 MB default) accepts it and the first write past the
+    free space kills the process with SIGBUS.  Checked before the segment
+    exists, so nothing is left behind; skipped where the directory does
+    not exist.
+    """
+    if not os.path.isdir(SHM_DIR):
+        return
+    stat = os.statvfs(SHM_DIR)
+    free = stat.f_bavail * stat.f_frsize
+    if nbytes > free:
+        raise OSError(
+            f"shared-memory bundle needs {nbytes} bytes but {SHM_DIR} has "
+            f"only {free} bytes free"
+        )
 
 
 @dataclass(frozen=True)
@@ -65,6 +88,7 @@ class ArrayBundle:
         if shared:
             from multiprocessing import shared_memory
 
+            _check_room(total)
             segment = shared_memory.SharedMemory(create=True, size=total)
             buffer = segment.buf
         else:

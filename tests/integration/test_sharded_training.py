@@ -129,22 +129,34 @@ class TestMatchesSingleProcessTrainer:
 
 
     def test_narrowing_hidden_layer_matches(self, graph, features, labels):
-        """12 -> 24 -> 16 -> 5: ``Trainer`` runs the narrowing hidden and
-        output layers transform-first (``Â (h W)``) while every shard
-        still aggregates first (``(Â h) W``) — the same training run up
-        to fp32 reassociation, at the unchanged tolerances."""
-        def narrowing_model():
+        """12 -> 24 -> 16 -> 5: ``Trainer`` and every shard run the
+        narrowing hidden and output layers transform-first
+        (``Â (h W)``); the shards compute ``h W`` on their own rows only
+        — the same training run at the unchanged tolerances."""
+        self._check_stack(graph, features, labels, (FEATURES, 24, HIDDEN, CLASSES))
+
+    def test_widening_hidden_layer_matches(self, graph, features, labels):
+        """12 -> 8 -> 16 -> 5: the widening hidden layer aggregates
+        first (``(Â h) W``, exchanging ``h`` rows) next to a
+        transform-first output layer."""
+        self._check_stack(graph, features, labels, (FEATURES, 8, HIDDEN, CLASSES))
+
+    @staticmethod
+    def _check_stack(graph, features, labels, widths):
+        def stack():
             return GNNModel([
-                GNNLayer(FEATURES, 24, seed=0),
-                GNNLayer(24, HIDDEN, seed=1),
-                GNNLayer(HIDDEN, CLASSES, activation=False, seed=2),
+                GNNLayer(
+                    widths[k], widths[k + 1],
+                    activation=k < len(widths) - 2, seed=k,
+                )
+                for k in range(len(widths) - 1)
             ])
 
-        ref_model = narrowing_model()
+        ref_model = stack()
         reference = Trainer(ref_model, Adam(ref_model, lr=0.01)).fit(
             graph, features, labels, epochs=EPOCHS
         )
-        model = narrowing_model()
+        model = stack()
         with ShardedTrainer(
             graph, model, Adam(model, lr=0.01), num_shards=3, backend="serial"
         ) as trainer:

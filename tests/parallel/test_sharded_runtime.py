@@ -1,6 +1,7 @@
 """What the sharded trainer must keep true under the hood: shard
-aggregation allocates nothing edge-sized, and a shard worker that dies
-mid-epoch fails the epoch promptly without leaking anything."""
+aggregation allocates nothing edge-sized, a ``/dev/shm`` too small for
+the bundle fails set-up before any worker forks, and a shard worker that
+dies mid-epoch fails the epoch promptly without leaking anything."""
 
 import logging
 import multiprocessing
@@ -17,6 +18,7 @@ from repro.graphs import load_dataset, synthetic_features
 from repro.nn import Adam, build_model
 from repro.parallel import ShardedTrainer, ShardWorkerDied
 from repro.parallel import sharded as sharded_module
+from repro.parallel import shm
 
 FEATURES = 12
 HIDDEN = 64
@@ -62,6 +64,24 @@ def test_shard_aggregation_allocates_no_edge_sized_temporary(graph, inputs):
         finally:
             tracemalloc.stop()
     assert peak < 0.5 * edges * HIDDEN * 4
+
+
+def test_full_dev_shm_fails_setup_before_any_fork(graph, inputs, monkeypatch):
+    class OnePage:
+        f_bavail = 1
+        f_frsize = 4096
+
+    segments_before = set(os.listdir("/dev/shm"))
+    monkeypatch.setattr(shm.os, "statvfs", lambda path: OnePage())
+    trainer = _trainer(graph, "process")
+    try:
+        with pytest.raises(OSError, match="4096 bytes free"):
+            trainer.fit(*inputs, epochs=1)
+        assert not trainer.worker_pids()
+    finally:
+        trainer.close()
+    assert not multiprocessing.active_children()
+    assert set(os.listdir("/dev/shm")) == segments_before
 
 
 def test_sigkilled_worker_fails_the_epoch_without_leaks(

@@ -1,11 +1,13 @@
 """Unit tests for the zero-copy shared-memory array bundle."""
 
+import os
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.parallel import ArrayBundle, BundleSpec
+from repro.parallel import shm
 
 
 @pytest.fixture
@@ -99,3 +101,38 @@ class TestSharedBundle:
         with ArrayBundle.create(arrays, shared=True) as bundle:
             total = sum(arr.nbytes for arr in arrays.values())
             assert bundle.nbytes >= total
+
+
+class _FullShm:
+    """``os.statvfs`` of a ``/dev/shm`` with one 4 KiB block free."""
+
+    f_bavail = 1
+    f_frsize = 4096
+
+
+class TestDevShmRoom:
+    """A segment is created sparse: without the free-space check a
+    too-small ``/dev/shm`` accepts it and the first copy into it dies of
+    SIGBUS.  With it, ``create`` raises first and leaves nothing behind."""
+
+    def test_too_small_raises_before_creating_a_segment(self, monkeypatch):
+        big = {"x": np.zeros((4096, 4), dtype=np.float32)}  # 64 KiB
+        before = set(os.listdir(shm.SHM_DIR))
+        monkeypatch.setattr(shm.os, "statvfs", lambda path: _FullShm())
+        with pytest.raises(OSError) as error:
+            ArrayBundle.create(big, shared=True)
+        assert "65536 bytes" in str(error.value)
+        assert "4096 bytes free" in str(error.value)
+        assert set(os.listdir(shm.SHM_DIR)) == before
+
+    def test_private_bundles_and_a_missing_directory_skip_it(
+        self, arrays, monkeypatch
+    ):
+        def statvfs(path):
+            raise AssertionError("free space checked")
+
+        monkeypatch.setattr(shm.os, "statvfs", statvfs)
+        ArrayBundle.create(arrays, shared=False)
+        monkeypatch.setattr(shm, "SHM_DIR", "/nonexistent/shm")
+        with ArrayBundle.create(arrays, shared=True) as bundle:
+            np.testing.assert_array_equal(bundle.view("x"), arrays["x"])

@@ -1,0 +1,149 @@
+"""Shards run each layer in ``Trainer``'s order, and move only what it gathers.
+
+A layer past the first that narrows runs transform-first on every shard,
+as ``GNNLayer.forward`` does (one rule, ``nn.layers.transform_first``):
+its halo exchange moves ``out``-wide ``z = h W`` rows forward and
+``out``-wide ``grad_pre`` rows backward, and no ``in``-wide board
+exists for it.  Halo traffic is then a closed form in the partition's
+halo counts and ``min(in, out)`` per exchanging layer, the way
+``tests/nn/test_work_budget.py`` states gathers.  Under delayed
+aggregation the stale halo block of such a layer is the ``z`` rows of
+the last refresh epoch.  (``halo_refresh=1`` staying exact is
+``test_sharded_training.py::TestDelayedAggregation``'s first test, whose
+delayed layer 16 -> 5 is transform-first.)
+"""
+
+import numpy as np
+import pytest
+
+from repro.graphs import load_dataset, synthetic_features
+from repro.nn import Adam, GNNLayer, GNNModel
+from repro.parallel import ShardedTrainer
+
+FEATURES = 12
+CLASSES = 5
+SHARDS = 3
+FP32 = 4
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return load_dataset("products", scale=0.05, seed=3)
+
+
+@pytest.fixture(scope="module")
+def inputs(graph):
+    features = synthetic_features(graph, FEATURES, seed=4, sparsity=0.3)
+    labels = np.random.default_rng(8).integers(
+        0, CLASSES, graph.num_vertices
+    ).astype(np.int64)
+    return features, labels
+
+
+def _model(widths):
+    return GNNModel([
+        GNNLayer(
+            widths[k], widths[k + 1],
+            activation=k < len(widths) - 2, seed=k,
+        )
+        for k in range(len(widths) - 1)
+    ])
+
+
+def _trainer(graph, widths, **kwargs):
+    model = _model(widths)
+    return ShardedTrainer(
+        graph, model, Adam(model, lr=0.01), num_shards=SHARDS,
+        backend="serial", **kwargs,
+    )
+
+
+def _halo_count(graph, assignment, part):
+    """Distinct remote vertices whose rows ``part``'s own rows gather."""
+    rows = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+    cols = graph.indices
+    remote = (assignment[rows] == part) & (assignment[cols] != part)
+    return len(np.unique(cols[remote]))
+
+
+#: 12 -> 24 -> 16 -> 5: both exchanging layers narrow (transform-first).
+#: 12 -> 8 -> 16 -> 5: layer 1 widens (aggregate-first), layer 2 narrows.
+MODELS = [(FEATURES, 24, 16, CLASSES), (FEATURES, 8, 16, CLASSES)]
+model_ids = pytest.mark.parametrize(
+    "widths", MODELS, ids=lambda widths: "-".join(map(str, widths))
+)
+
+
+@model_ids
+def test_halo_bytes_are_the_closed_form(graph, inputs, widths):
+    """Per epoch, every exchanging layer moves each shard's forward and
+    transposed halo once, at ``min(in, out)`` floats a row."""
+    with _trainer(graph, widths) as trainer:
+        trainer.fit(*inputs, epochs=1)
+        first = trainer.last_halo_bytes
+        trainer.train_epoch()
+        assignment = trainer.partition.assignment
+        transpose = graph.transpose()
+        halo_rows = sum(
+            _halo_count(graph, assignment, p) + _halo_count(transpose, assignment, p)
+            for p in range(SHARDS)
+        )
+        narrow = sum(min(widths[k], widths[k + 1]) for k in range(1, len(widths) - 1))
+        assert halo_rows > 0
+        assert first == trainer.last_halo_bytes == halo_rows * narrow * FP32
+
+
+@model_ids
+def test_boards_are_as_wide_as_what_is_gathered(graph, inputs, widths):
+    """``z{k}`` / ``g{k}`` are ``out``-wide for a transform-first layer
+    and no ``h{k-1}`` board exists for it; ``h{L-1}`` always does, for
+    ``logits()``.  The private operands have the same widths."""
+    num_layers = len(widths) - 1
+    with _trainer(graph, widths) as trainer:
+        trainer.fit(*inputs, epochs=1)
+        bundle = trainer._bundle
+        boards = {
+            name: bundle.view(name).shape[1]
+            for name in bundle.names()
+            if name[0] in "hzg" and name[1:].isdigit()
+        }
+        expected = {f"h{num_layers - 1}": widths[-1]}
+        for k in range(1, num_layers):
+            narrow = min(widths[k], widths[k + 1])
+            expected[f"g{k}"] = narrow
+            if widths[k + 1] < widths[k]:
+                expected[f"z{k}"] = narrow
+            else:
+                expected[f"h{k - 1}"] = widths[k]
+        assert boards == expected
+        for runtime in trainer._runtimes:
+            assert runtime._x[0] is None and runtime._xg[0] is None
+            for k in range(1, num_layers):
+                narrow = min(widths[k], widths[k + 1])
+                assert runtime._x[k].shape[1] == narrow
+                assert runtime._xg[k].shape[1] == narrow
+        assert trainer.logits().shape == (graph.num_vertices, CLASSES)
+
+
+def test_stale_halo_of_a_transform_first_layer_is_last_refresh_z(graph, inputs):
+    """``halo_refresh=3`` on the 24 -> 16 layer: on epochs 1 and 2 its
+    input buffer's halo rows are the ``z1`` board rows written in epoch
+    0 (stale in both ``h`` and ``W``), while the board itself and the
+    owned rows move on; epoch 3 refreshes them."""
+    widths = MODELS[0]
+    with _trainer(graph, widths, delayed_layers=(1,), halo_refresh=3) as trainer:
+        trainer.fit(*inputs, epochs=1)
+        board = trainer._bundle.view("z1")
+        runtimes = trainer._runtimes
+        refreshed = [board[rt.halo].copy() for rt in runtimes]
+        for _ in (1, 2):
+            trainer.train_epoch()
+            assert trainer.last_exchanges_skipped > 0
+            for rt, stale in zip(runtimes, refreshed):
+                x = rt._x[1]
+                np.testing.assert_array_equal(x[rt.n_local:], stale)
+                np.testing.assert_array_equal(x[:rt.n_local], board[rt.local])
+                assert not np.array_equal(board[rt.halo], stale)
+        trainer.train_epoch()
+        for rt in runtimes:
+            np.testing.assert_array_equal(rt._x[1][rt.n_local:], board[rt.halo])
