@@ -367,9 +367,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _train_sharded(args, graph, features, labels, model) -> int:
     """The ``--shards N`` path of ``repro train``: partition-parallel
-    training on the sharded shared-memory trainer."""
+    training on the sharded shared-memory trainer.  A ``/dev/shm`` too
+    small for the bundle, or a shard worker that dies, is one ``error:``
+    line on stderr and exit code 1."""
     from .nn import Adam
-    from .parallel.sharded import ShardedTrainer
+    from .parallel.sharded import ShardedTrainer, ShardWorkerDied
 
     if args.dropout:
         print("sharded training requires --dropout 0", file=sys.stderr)
@@ -404,8 +406,8 @@ def _train_sharded(args, graph, features, labels, model) -> int:
         halo_refresh=args.halo_refresh,
     )
     extras: dict = {}
-    with _telemetry(args, meta, extras=extras):
-        with trainer:
+    try:
+        with _telemetry(args, meta, extras=extras), trainer:
             trainer.fit(features, labels, epochs=0)  # partition + attach
             part = trainer.partition
             print(
@@ -429,6 +431,9 @@ def _train_sharded(args, graph, features, labels, model) -> int:
                     f"train-acc {result.train_accuracy:.3f}  "
                     f"halo {trainer.last_halo_bytes / 2**20:.2f} MiB"
                 )
+    except (OSError, ShardWorkerDied) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     return 0
 
 

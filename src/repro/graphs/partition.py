@@ -169,9 +169,12 @@ def _undirected_csr(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
     # Dedupe on the scalar key row * n + col: sorting it is sorting the
     # (row, col) pairs lexicographically, without the void-dtype
     # comparisons ``np.unique(axis=0)`` pays for (n² < 2⁶³ always holds
-    # for a graph whose CSR fits in memory).
-    keys = np.unique(rows[keep] * n + cols[keep])
-    rows, cols = np.divmod(keys, n)
+    # for a graph whose CSR fits in memory).  A sort plus a neighbour
+    # compare (keys are >= 0, so the -1 keeps the first), not
+    # ``np.unique``: numpy 2's hash-based unique costs ~20x more on these
+    # keys for the same sorted result.
+    keys = np.sort(rows[keep] * n + cols[keep])
+    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     counts = np.bincount(rows, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -260,26 +263,39 @@ def _greedy_assignment(
     Vertices stream in degree-descending order; each goes to the part
     maximizing ``|N(v) ∩ part| * (1 - load/capacity)`` — neighbors pull,
     fullness pushes back (Stanton & Kliot's LDG heuristic).
+
+    One ``bincount`` per vertex; the parts are scored on Python floats,
+    which round exactly as the float64 array expressions did: full parts
+    are skipped and ties go to the first maximum, as ``np.argmax``.
     """
     u_indptr, u_indices = undirected
     n = len(u_indptr) - 1
-    u_degs = np.diff(u_indptr)
-    order = np.argsort(-u_degs, kind="stable")
-    assignment = np.full(n, -1, dtype=np.int64)
-    loads = np.zeros(num_parts, dtype=np.int64)
-    caps = capacities.astype(np.float64)
-    for v in order:
-        nbr_parts = assignment[u_indices[u_indptr[v] : u_indptr[v + 1]]]
-        nbr_parts = nbr_parts[nbr_parts != -1]
-        penalty = 1.0 - loads / caps
-        if len(nbr_parts):
-            score = np.bincount(nbr_parts, minlength=num_parts) * penalty
-        else:
-            score = penalty
-        score[loads >= capacities] = -np.inf
-        assignment[v] = int(np.argmax(score))
-        loads[assignment[v]] += 1
-    return assignment
+    order = np.argsort(-np.diff(u_indptr), kind="stable")
+    # Part + 1 per vertex, 0 while unplaced: bincount slot 0 counts the
+    # unplaced neighbours.
+    placed = np.zeros(n, dtype=np.int64)
+    ptr = u_indptr.tolist()
+    caps = [float(cap) for cap in capacities]
+    loads = [0] * num_parts
+    for v in order.tolist():
+        lo, hi = ptr[v], ptr[v + 1]
+        counts = np.bincount(
+            placed[u_indices[lo:hi]], minlength=num_parts + 1
+        ).tolist()
+        any_placed = counts[0] < hi - lo
+        best, choice = -np.inf, 0
+        for part in range(num_parts):
+            load, cap = loads[part], caps[part]
+            if load >= cap:
+                continue
+            score = 1.0 - load / cap
+            if any_placed:
+                score = counts[part + 1] * score
+            if score > best:
+                best, choice = score, part
+        placed[v] = choice + 1
+        loads[choice] += 1
+    return placed - 1
 
 
 def _refine_assignment(
@@ -424,11 +440,15 @@ def build_shards(graph: CSRGraph, assignment: np.ndarray) -> List[GraphShard]:
     degs = graph.degrees()
     shards: List[GraphShard] = []
     lookup = np.empty(n, dtype=np.int64)
+    mark = np.zeros(n, dtype=bool)
     for part in range(num_parts):
         own = np.flatnonzero(assignment == part)
         flat = _flat_positions(graph.indptr, own)
         cols = graph.indices[flat]
-        halo = np.unique(cols[assignment[cols] != part])
+        # Sorted, unique remote sources: a mark pass, not a sort.
+        mark[cols[assignment[cols] != part]] = True
+        halo = np.flatnonzero(mark)
+        mark[halo] = False
         lookup[own] = np.arange(len(own), dtype=np.int64)
         lookup[halo] = len(own) + np.arange(len(halo), dtype=np.int64)
         indptr = np.zeros(len(own) + 1, dtype=np.int64)

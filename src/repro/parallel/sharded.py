@@ -8,10 +8,11 @@ shards — local CSR rows plus halo (ghost) vertex maps — and ALL
 graph-sized state (shard CSR arrays, ψ factors, features, labels, masks,
 and the per-layer exchange boards) lives in one
 ``multiprocessing.shared_memory`` segment (:class:`~repro.parallel.shm.
-ArrayBundle`).  Workers attach by name and build zero-copy numpy views:
-the only bytes that ever cross a pickle boundary are the bundle spec +
-config at startup (O(#arrays), asserted bounded in the tests) and the
-layer weights each epoch (O(model), not O(graph)).
+ArrayBundle`), and so do the layer weights and each shard's gradient
+partials.  Workers attach by name and build zero-copy numpy views: the
+only bytes that ever cross a pickle boundary are the bundle spec +
+config at startup (O(#arrays), asserted bounded in the tests), the
+epoch number each epoch and a few scalars back.
 
 Training runs bulk-synchronous per layer.  Each layer's halo exchange is
 a shared-memory "board": every worker writes its owned rows of the
@@ -30,11 +31,14 @@ constants), and the barrier disappears along with the traffic.  With
 
 The barrier schedule is a pure function of (layer, epoch, config), so
 every worker derives the identical sequence — no tags, no deadlocks.
-Epoch boundaries synchronize through the parent: it collects every
-worker's partial result (loss/accuracy sums, per-layer ``grad_W``,
-``grad_b``) before broadcasting the next epoch's weights, sums partials
-in worker order (float64) and takes one optimizer step on the parent's
-model — all shards therefore always see identical weights.
+Epoch boundaries synchronize through the parent: it copies the model's
+weights into the ``w{k}`` / ``b{k}`` boards and sends each worker the
+epoch number over its pipe, then waits for every worker's scalar result
+(loss/accuracy sums, halo counters).  The per-layer ``grad_W`` /
+``grad_b`` partials sit in each shard's ``s{p}.gw{k}`` / ``s{p}.gb{k}``
+boards; the parent sums them in worker order (float64) and takes one
+optimizer step on its model — all shards therefore always see identical
+weights.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ import logging
 import multiprocessing as mp
 import os
 import pickle
-import queue
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,9 +79,6 @@ logger = logging.getLogger(__name__)
 SHARD_BACKENDS = ("serial", "thread", "process")
 
 _RESULT_TIMEOUT_S = 300.0
-#: Longest the parent blocks on the result queue before it checks that
-#: the workers it is waiting for are still alive.
-_POLL_S = 0.5
 
 
 class ShardWorkerDied(RuntimeError):
@@ -165,6 +166,10 @@ class ShardRuntime:
     ``z{k}``), which ``forward_layer(k - 1)`` computes for the owned rows
     and publishes.  Its backward publishes ``grad_pre @ W_kᵀ`` or, for a
     transform-first layer, ``grad_pre`` itself to board ``g{k}``.
+
+    Weights are read from the ``w{k}`` / ``b{k}`` boards the parent
+    fills before each epoch, and the weight / bias gradients are written
+    into this shard's ``s{p}.gw{k}`` / ``s{p}.gb{k}`` boards.
     """
 
     def __init__(self, bundle: ArrayBundle, part: int, config: ShardedConfig):
@@ -222,14 +227,16 @@ class ShardRuntime:
         self._xg: List[Optional[np.ndarray]] = [None] + [
             np.zeros((n_t, spec.width), dtype=np.float32) for spec in layers[1:]
         ]
-        self.weights: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.weights = [
+            (bundle.view(f"w{k}"), bundle.view(f"b{k}")) for k in range(num_layers)
+        ]
         #: ``Â h`` of the aggregate-first layers; ``_a[0]`` is kept.
         self._a: List[Optional[np.ndarray]] = [None] * num_layers
         #: Owned rows of each layer's output (ReLU applied in place, so
         #: ``h > 0`` is the activation's sign pattern).
         self._h: List[Optional[np.ndarray]] = [None] * num_layers
-        self._gw: List[Optional[np.ndarray]] = [None] * num_layers
-        self._gb: List[Optional[np.ndarray]] = [None] * num_layers
+        self._gw = [view(f"gw{k}") for k in range(num_layers)]
+        self._gb = [view(f"gb{k}") for k in range(num_layers)]
         self._grad_out: Optional[np.ndarray] = None
         self.halo_bytes = 0
         self.exchanges = 0
@@ -238,8 +245,7 @@ class ShardRuntime:
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
-    def begin_epoch(self, weights: Sequence[Tuple[np.ndarray, np.ndarray]]):
-        self.weights = list(weights)
+    def begin_epoch(self) -> None:
         self.halo_bytes = 0
         self.exchanges = 0
         self.exchanges_skipped = 0
@@ -312,9 +318,9 @@ class ShardRuntime:
         grad_pre = self._grad_out  # this runtime's own array: masked in place
         if spec.activation:
             grad_pre *= self._h[layer] > 0
-        self._gb[layer] = grad_pre.sum(axis=0)
+        np.sum(grad_pre, axis=0, out=self._gb[layer])
         if not spec.transform_first:
-            self._gw[layer] = self._a[layer].T @ grad_pre
+            np.matmul(self._a[layer].T, grad_pre, out=self._gw[layer])
         if layer == 0:
             return  # nothing consumes ∂L/∂features
         own = self._xg[layer][:self.n_local]
@@ -341,17 +347,16 @@ class ShardRuntime:
             self.exchanges_skipped += 1
         grad = shard_segment_reduce(self.ops[spec.aggregator][1], xg)
         if spec.transform_first:
-            self._gw[layer] = self._h[layer - 1].T @ grad
+            np.matmul(self._h[layer - 1].T, grad, out=self._gw[layer])
             grad = grad @ self.weights[layer][0].T
         self._grad_out = grad
 
     def epoch_result(self) -> Dict:
+        """This epoch's scalars; the gradients are in the boards."""
         return {
             "loss": self._loss,
             "train_correct": self._train_correct,
             "val_correct": self._val_correct,
-            "grad_w": [g for g in self._gw],
-            "grad_b": [g for g in self._gb],
             "halo_bytes": self.halo_bytes,
             "exchanges": self.exchanges,
             "exchanges_skipped": self.exchanges_skipped,
@@ -359,7 +364,7 @@ class ShardRuntime:
         }
 
 
-def _run_worker_epoch(runtime: ShardRuntime, epoch: int, weights, sync) -> Dict:
+def _run_worker_epoch(runtime: ShardRuntime, epoch: int, sync) -> Dict:
     """One bulk-synchronous epoch on one shard.
 
     ``sync`` is the barrier (``threading.Barrier.wait`` or
@@ -367,7 +372,7 @@ def _run_worker_epoch(runtime: ShardRuntime, epoch: int, weights, sync) -> Dict:
     derived from :meth:`ShardedConfig.exchange_needed`, identically in
     every worker.
     """
-    runtime.begin_epoch(weights)
+    runtime.begin_epoch()
     cfg = runtime.cfg
     num_layers = len(cfg.layers)
     for layer in range(num_layers):
@@ -384,24 +389,25 @@ def _run_worker_epoch(runtime: ShardRuntime, epoch: int, weights, sync) -> Dict:
     return runtime.epoch_result()
 
 
-def _shard_worker_main(part, spec, config, cmd_queue, result_queue, barrier):
-    """Persistent process-backend worker: attach once, train forever."""
+def _shard_worker_main(part, spec, config, conn, barrier):
+    """Persistent process-backend worker: attach once, then one epoch per
+    epoch number received on ``conn``, until ``None`` or the parent's end
+    closes."""
     bundle = ArrayBundle.attach(spec)
     runtime = ShardRuntime(bundle, part, config)
     try:
         while True:
-            msg = cmd_queue.get()
-            if msg[0] == "stop":
-                break
-            _, epoch, weights = msg
             try:
-                start = time.perf_counter()
-                result = _run_worker_epoch(runtime, epoch, weights, barrier.wait)
-                result["wall_s"] = time.perf_counter() - start
-                result_queue.put((part, "ok", result))
+                epoch = conn.recv()
+            except EOFError:
+                break
+            if epoch is None:
+                break
+            try:
+                conn.send(("ok", _run_worker_epoch(runtime, epoch, barrier.wait)))
             except BaseException:
                 barrier.abort()  # unblock peers; they error out too
-                result_queue.put((part, "error", traceback.format_exc()))
+                conn.send(("error", traceback.format_exc()))
                 break
     finally:
         runtime = None
@@ -480,10 +486,9 @@ class ShardedTrainer:
         self._config: Optional[ShardedConfig] = None
         self._runtimes: List[ShardRuntime] = []
         self._workers: List[mp.Process] = []
-        self._cmd_queues = []
-        self._result_queue = None
+        #: The parent's end of each worker's duplex pipe.
+        self._conns = []
         self._barrier = None
-        self._worker_died = False
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -564,6 +569,14 @@ class ShardedTrainer:
                 if spec.transform_first:
                     arrays[f"z{k}"] = np.zeros((n, spec.width), dtype=np.float32)
                 arrays[f"g{k}"] = np.zeros((n, spec.width), dtype=np.float32)
+        # Weight boards (filled before every epoch) and each shard's
+        # weight / bias gradient partials: O(model) bytes per shard.
+        for k, layer in enumerate(self.model.layers):
+            arrays[f"w{k}"] = layer.weight
+            arrays[f"b{k}"] = layer.bias
+            for part in range(self.num_shards):
+                arrays[f"s{part}.gw{k}"] = np.zeros_like(layer.weight)
+                arrays[f"s{part}.gb{k}"] = np.zeros_like(layer.bias)
         t_perm = graph.csc_arrays()[2]
         factor_cache = {
             agg: normalization_factors(graph, agg)
@@ -618,25 +631,24 @@ class ShardedTrainer:
             ctx = mp.get_context()
         spec = self._bundle.spec()
         self._barrier = ctx.Barrier(self.num_shards)
-        self._result_queue = ctx.Queue()
         self.setup_bytes = []
         for part in range(self.num_shards):
-            cmd_queue = ctx.SimpleQueue()
+            conn, child_conn = ctx.Pipe()
             # The whole per-worker payload: bundle spec + config.  Its
             # pickled size is O(#arrays), independent of graph size —
             # the zero-copy guarantee the tests assert on.
             self.setup_bytes.append(len(pickle.dumps((part, spec, self._config))))
             worker = ctx.Process(
                 target=_shard_worker_main,
-                args=(
-                    part, spec, self._config, cmd_queue,
-                    self._result_queue, self._barrier,
-                ),
+                args=(part, spec, self._config, child_conn, self._barrier),
                 daemon=True,
                 name=f"shard-worker-{part}",
             )
             worker.start()
-            self._cmd_queues.append(cmd_queue)
+            # The worker's end lives in the worker only, so its death
+            # reads as EOF here.
+            child_conn.close()
+            self._conns.append(conn)
             self._workers.append(worker)
 
     # ------------------------------------------------------------------
@@ -663,17 +675,17 @@ class ShardedTrainer:
         tracer = get_tracer()
         metrics = get_metrics()
         epoch = len(self.history.epochs)
-        weights = [
-            (layer.weight, layer.bias) for layer in self.model.layers
-        ]
         start = time.perf_counter()
         with tracer.span("shard.epoch", epoch=epoch) as span:
+            for k, layer in enumerate(self.model.layers):
+                np.copyto(self._bundle.view(f"w{k}"), layer.weight)
+                np.copyto(self._bundle.view(f"b{k}"), layer.bias)
             if self.backend == "process":
-                results = self._run_epoch_process(epoch, weights)
+                results = self._run_epoch_process(epoch)
             elif self.backend == "thread":
-                results = self._run_epoch_thread(epoch, weights)
+                results = self._run_epoch_thread(epoch)
             else:
-                results = self._run_epoch_serial(epoch, weights)
+                results = self._run_epoch_serial(epoch)
             result = self._combine(epoch, results)
             wall_s = time.perf_counter() - start
             self.last_halo_bytes = sum(r["halo_bytes"] for r in results)
@@ -688,13 +700,13 @@ class ShardedTrainer:
         self.history.epochs.append(result)
         return result
 
-    def _run_epoch_serial(self, epoch: int, weights) -> List[Dict]:
+    def _run_epoch_serial(self, epoch: int) -> List[Dict]:
         """Phase-interleaved reference execution: the loop nesting plays
         the role of the barriers (all runtimes finish phase ``k`` before
         any starts ``k + 1``)."""
         runtimes = self._runtimes
         for runtime in runtimes:
-            runtime.begin_epoch(weights)
+            runtime.begin_epoch()
         num_layers = len(self._config.layers)
         for layer in range(num_layers):
             for runtime in runtimes:
@@ -709,7 +721,7 @@ class ShardedTrainer:
                     runtime.backward_aggregate(layer, epoch)
         return [runtime.epoch_result() for runtime in runtimes]
 
-    def _run_epoch_thread(self, epoch: int, weights) -> List[Dict]:
+    def _run_epoch_thread(self, epoch: int) -> List[Dict]:
         import threading
 
         barrier = threading.Barrier(self.num_shards)
@@ -719,7 +731,7 @@ class ShardedTrainer:
         def run(part: int) -> None:
             try:
                 results[part] = _run_worker_epoch(
-                    self._runtimes[part], epoch, weights, barrier.wait
+                    self._runtimes[part], epoch, barrier.wait
                 )
             except BaseException as exc:  # pragma: no cover - defensive
                 barrier.abort()
@@ -737,57 +749,59 @@ class ShardedTrainer:
             raise errors[0]
         return results
 
-    def _run_epoch_process(self, epoch: int, weights) -> List[Dict]:
-        msg = ("epoch", epoch, weights)
+    def _run_epoch_process(self, epoch: int) -> List[Dict]:
         if not self.epoch_message_bytes:
-            # Measured once: the weight shapes never change.
-            self.epoch_message_bytes = len(pickle.dumps(msg))
-        for cmd_queue in self._cmd_queues:
-            cmd_queue.put(msg)
+            self.epoch_message_bytes = len(pickle.dumps(epoch))
+        for conn in self._conns:
+            conn.send(epoch)
         results: List[Optional[Dict]] = [None] * self.num_shards
         failures = []
         pending = set(range(self.num_shards))
         deadline = time.monotonic() + _RESULT_TIMEOUT_S
         while pending:
-            # Liveness is read BEFORE the poll: a worker flushes its
-            # result before it exits, so one seen dead here whose result
-            # the poll then does not find never sent one.
-            dead = [
-                part for part in sorted(pending)
-                if not self._workers[part].is_alive()
-            ]
-            try:
-                part, status, payload = self._result_queue.get(timeout=_POLL_S)
-            except queue.Empty:
-                if dead:
-                    self._abort_epoch(dead[0])
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"shard epoch timed out; no result from {sorted(pending)}"
-                    ) from None
-                continue
-            pending.discard(part)
-            if status == "ok":
-                results[part] = payload
-            else:
-                failures.append((part, payload))
+            # A worker's pipe is ready when it sends or dies, and its
+            # sentinel when it exits: either wakes the parent at once.
+            handles = {self._conns[part]: part for part in pending}
+            handles.update({self._workers[part].sentinel: part for part in pending})
+            ready = wait(list(handles), timeout=max(0.0, deadline - time.monotonic()))
+            if not ready:
+                raise RuntimeError(
+                    f"shard epoch timed out; no result from {sorted(pending)}"
+                )
+            for part in sorted({handles[handle] for handle in ready}):
+                conn = self._conns[part]
+                # An exited worker's result may still be in the pipe, and
+                # poll() is True at EOF too: only recv() tells them apart.
+                try:
+                    if not conn.poll():
+                        raise EOFError
+                    status, payload = conn.recv()
+                except EOFError:
+                    self._abort_epoch(part)
+                pending.discard(part)
+                if status == "ok":
+                    results[part] = payload
+                else:
+                    failures.append((part, payload))
         if failures:
-            part, trace = failures[0]
-            raise RuntimeError(
-                f"shard worker {part} failed:\n{trace}"
-            )
+            # Every traceback: the peers' BrokenBarrierErrors can arrive
+            # before the one that caused them.
+            raise RuntimeError("\n".join(
+                f"shard worker {part} failed:\n{trace}" for part, trace in failures
+            ))
         return results
 
     def _abort_epoch(self, part: int) -> None:
         """Worker ``part`` is dead with its epoch unreported: release the
         peers blocked on it and fail the epoch.  ``close()`` still works
         afterwards (and is the only thing that should be called)."""
-        exitcode = self._workers[part].exitcode
         self._barrier.abort()
-        self._worker_died = True
+        worker = self._workers[part]
+        worker.join(timeout=1.0)  # its pipe can close just before it is reaped
+        exitcode = worker.exitcode
         logger.error(
             "shard worker %d (pid %s) died with exit code %s mid-epoch",
-            part, self._workers[part].pid, exitcode,
+            part, worker.pid, exitcode,
         )
         get_metrics().inc("shard.worker_deaths")
         raise ShardWorkerDied(part, exitcode)
@@ -804,14 +818,16 @@ class ShardedTrainer:
             else None
         )
         grads = []
-        for layer_idx, layer in enumerate(self.model.layers):
-            # Deterministic reduction: partials summed in worker order at
-            # float64, like the paper's per-thread partial buffers.
+        view = self._bundle.view
+        for k, layer in enumerate(self.model.layers):
+            # Deterministic reduction: the shards' partial boards summed
+            # in worker order at float64, like the paper's per-thread
+            # partial buffers.
             grad_w = np.zeros(layer.weight.shape, dtype=np.float64)
             grad_b = np.zeros(layer.bias.shape, dtype=np.float64)
-            for r in results:
-                grad_w += r["grad_w"][layer_idx]
-                grad_b += r["grad_b"][layer_idx]
+            for part in range(self.num_shards):
+                grad_w += view(f"s{part}.gw{k}")
+                grad_b += view(f"s{part}.gb{k}")
             grads.append(
                 LayerGrads(
                     weight=grad_w.astype(np.float32),
@@ -858,20 +874,18 @@ class ShardedTrainer:
         if self._closed:
             return
         self._closed = True
-        for cmd_queue in self._cmd_queues:
+        for conn in self._conns:
             try:
-                cmd_queue.put(("stop",))
-            except Exception:  # pragma: no cover - teardown best effort
+                conn.send(None)
+            except OSError:  # that worker has already exited
                 pass
         for worker in self._workers:
-            if self._worker_died:
-                # A survivor may be blocked writing a result nobody will
-                # read; it cannot exit on its own.
-                worker.terminate()
             worker.join(timeout=10)
             if worker.is_alive():  # pragma: no cover - defensive
                 worker.terminate()
                 worker.join(timeout=5)
+        for conn in self._conns:
+            conn.close()
         self._runtimes = []
         if self._bundle is not None:
             self._bundle.close()

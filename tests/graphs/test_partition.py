@@ -16,6 +16,7 @@ from repro.graphs import (
 )
 from repro.graphs.partition import (
     PARTITION_METHODS,
+    _greedy_assignment,
     _undirected_csr,
     balance_comparison,
     build_shards,
@@ -227,12 +228,67 @@ class TestEdgeCutPartition:
 
 
 #: SHA-1 of the int64 ``assignment`` bytes for the products twin at
-#: scale 0.3, seed 7, three parts — recorded from the
-#: ``np.unique(axis=0)`` / ``np.add.at`` partitioner this one replaced.
+#: scale 0.3, seed 7, per part count.  The three-part entries were
+#: recorded from the ``np.unique(axis=0)`` / ``np.add.at`` partitioner,
+#: the two- and four-part ones from the per-vertex numpy LDG loop
+#: (:func:`_ldg_oracle`); every later partitioner reproduces them all.
 GOLDEN_ASSIGNMENTS = {
-    "contiguous": "dcb8937ffdb09fb3f6eb370e08233d97ece27657",
-    "bfs": "34b6f725013cfa9836a2340d31b64f0dc4981a02",
-    "greedy": "4c3527aeadffae2e3c4ec34c7e6714478ceffb59",
+    2: {
+        "contiguous": "5ee0cbbbfb44d4891be7d467bc1c9396f6b5ffac",
+        "bfs": "2ec86a7ed9d17b298156f3c51f1fa67ef7d73889",
+        "greedy": "3e3bfe3c12e09baabb95153453fb136d32ffbb5d",
+    },
+    3: {
+        "contiguous": "dcb8937ffdb09fb3f6eb370e08233d97ece27657",
+        "bfs": "34b6f725013cfa9836a2340d31b64f0dc4981a02",
+        "greedy": "4c3527aeadffae2e3c4ec34c7e6714478ceffb59",
+    },
+    4: {
+        "contiguous": "ef7ae5e295f881521331a0584c8e97b10596c895",
+        "bfs": "7e6c548c9add56d55144efcce0b59fa6e663153d",
+        "greedy": "435d848c41b7610420dba1f94e49df39a873b484",
+    },
+}
+
+
+def _ldg_oracle(undirected, num_parts, capacities):
+    """The per-vertex numpy LDG loop ``_greedy_assignment`` replaced:
+    one array score per vertex, ``np.argmax`` picks the part."""
+    u_indptr, u_indices = undirected
+    n = len(u_indptr) - 1
+    order = np.argsort(-np.diff(u_indptr), kind="stable")
+    assignment = np.full(n, -1, dtype=np.int64)
+    loads = np.zeros(num_parts, dtype=np.int64)
+    caps = capacities.astype(np.float64)
+    for v in order:
+        nbr_parts = assignment[u_indices[u_indptr[v] : u_indptr[v + 1]]]
+        nbr_parts = nbr_parts[nbr_parts != -1]
+        penalty = 1.0 - loads / caps
+        if len(nbr_parts):
+            score = np.bincount(nbr_parts, minlength=num_parts) * penalty
+        else:
+            score = penalty
+        score[loads >= capacities] = -np.inf
+        assignment[v] = int(np.argmax(score))
+        loads[assignment[v]] += 1
+    return assignment
+
+
+def _with_isolated(graph, extra):
+    """``graph`` plus ``extra`` vertices with no edges at all."""
+    dst = np.repeat(np.arange(graph.num_vertices), graph.degrees())
+    edges = np.stack([dst, graph.indices], axis=1)
+    return CSRGraph.from_edges(graph.num_vertices + extra, edges)
+
+
+GRAPH_FAMILIES = {
+    "power_law": lambda seed: power_law_graph(150, avg_degree=3.0, seed=seed),
+    "community": lambda seed: community_graph(
+        160, avg_degree=4.0, community_size=40, seed=seed
+    ),
+    # Sparse enough that some vertices are isolated; the 7 extra
+    # ones are isolated for sure.
+    "uniform": lambda seed: _with_isolated(uniform_graph(120, 1.0, seed=seed), 7),
 }
 
 
@@ -240,10 +296,33 @@ class TestPartitionDeterminism:
     @pytest.mark.parametrize("method", PARTITION_METHODS)
     def test_assignment_matches_golden_hash(self, method):
         graph = load_dataset("products", scale=0.3, seed=7)
-        assignment = edge_cut_partition(graph, 3, method=method).assignment
-        assert assignment.dtype == np.int64
-        digest = hashlib.sha1(assignment.tobytes()).hexdigest()
-        assert digest == GOLDEN_ASSIGNMENTS[method]
+        for parts, golden in GOLDEN_ASSIGNMENTS.items():
+            assignment = edge_cut_partition(graph, parts, method=method).assignment
+            assert assignment.dtype == np.int64
+            digest = hashlib.sha1(assignment.tobytes()).hexdigest()
+            assert digest == golden[method], f"{parts} parts"
+
+    @pytest.mark.parametrize("parts", (2, 3, 4, 5))
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_greedy_matches_the_numpy_ldg_loop(self, family, parts):
+        """Scalar scoring picks the part the array expressions picked,
+        tie and full-part rules included, on every vertex."""
+        isolated_seen = False
+        for seed in range(8):
+            graph = GRAPH_FAMILIES[family](seed)
+            n = graph.num_vertices
+            base, extra = divmod(n, parts)
+            capacities = base + (np.arange(parts) < extra).astype(np.int64)
+            undirected = _undirected_csr(graph)
+            isolated_seen |= bool((np.diff(undirected[0]) == 0).any())
+            got = _greedy_assignment(undirected, parts, capacities)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(
+                got, _ldg_oracle(undirected, parts, capacities),
+                err_msg=f"{family} seed {seed}",
+            )
+        if family == "uniform":
+            assert isolated_seen  # the no-neighbour penalty branch ran
 
     @pytest.mark.parametrize("seed", range(8))
     def test_undirected_csr_matches_pairwise_unique(self, seed):

@@ -10,6 +10,8 @@ pins the process backend bitwise against the in-process serial backend,
 and documents the controlled deviation delayed aggregation introduces.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -274,14 +276,70 @@ class TestZeroCopy:
         assert abs(sizes[0.2] - sizes[0.05]) < 512
 
     def test_per_epoch_message_is_model_sized(self, graph, features, labels):
-        _, _, trainer, _ = _sharded(
-            graph, features, labels, backend="process"
-        )
-        model_bytes = sum(
-            layer.weight.nbytes + layer.bias.nbytes
-            for layer in _model(graph).layers
-        )
-        assert 0 < trainer.epoch_message_bytes < 16 * model_bytes
+        """The per-epoch message used to be the pickled weights, O(model)
+        bytes; the weights now travel in the shared ``w{k}`` / ``b{k}``
+        boards and the message is the epoch number.  So it is the same
+        few bytes whatever the model's size: hidden 16 and 256 alike."""
+        sizes = []
+        for hidden in (16, 256):
+            model = build_model("gcn", FEATURES, hidden, CLASSES, seed=0)
+            with ShardedTrainer(
+                graph, model, Adam(model, lr=0.01),
+                num_shards=2, backend="process",
+            ) as trainer:
+                trainer.fit(features, labels, epochs=2)
+                sizes.append(trainer.epoch_message_bytes)
+        assert sizes[0] == sizes[1]
+        assert 0 < sizes[0] < 64
+
+    @pytest.mark.parametrize("backend", SHARD_BACKENDS)
+    def test_worker_results_are_scalars(
+        self, graph, features, labels, backend, monkeypatch
+    ):
+        """Gradients stay in the bundle: what a worker reports is scalars."""
+        seen = []
+        combine = ShardedTrainer._combine
+
+        def spy(self, epoch, results):
+            seen.extend(results)
+            return combine(self, epoch, results)
+
+        monkeypatch.setattr(ShardedTrainer, "_combine", spy)
+        _sharded(graph, features, labels, backend=backend, epochs=2)
+        assert len(seen) == 2 * 3
+        for result in seen:
+            for key, value in result.items():
+                assert np.isscalar(value), key
+
+    def test_parent_reads_gradient_partials_from_the_bundle(
+        self, graph, features, labels
+    ):
+        """The optimizer steps on the workers' partial boards summed in
+        worker order, read in place from the shared segment."""
+        model = _model(graph)
+        optimizer = Adam(model, lr=0.01)
+        stepped = []
+        step = optimizer.step
+
+        def spy(grads):
+            stepped.append([(g.weight.copy(), g.bias.copy()) for g in grads])
+            return step(grads)
+
+        optimizer.step = spy
+        with ShardedTrainer(
+            graph, model, optimizer, num_shards=3, backend="process"
+        ) as trainer:
+            trainer.fit(features, labels, epochs=2)
+            bundle = trainer._bundle
+            segment = np.frombuffer(bundle._buffer, dtype=np.uint8)
+            for k, grads in enumerate(stepped[-1]):
+                for name, grad in zip(("gw", "gb"), grads):
+                    partials = [bundle.view(f"s{p}.{name}{k}") for p in range(3)]
+                    total = np.zeros(grad.shape, dtype=np.float64)
+                    for partial in partials:
+                        assert np.shares_memory(partial, segment)
+                        total += partial
+                    assert np.array_equal(total.astype(np.float32), grad)
 
 
 class TestPersistentPool:
@@ -317,6 +375,19 @@ class TestPersistentPool:
         trainer.close()
         for worker in workers:
             assert not worker.is_alive()
+
+    def test_no_thread_beside_the_pool(self, graph, features, labels):
+        """Pipes, not queues: no feeder thread while the pool runs, and
+        none left after ``close()``."""
+        before = set(threading.enumerate())
+        model = _model(graph)
+        with ShardedTrainer(
+            graph, model, Adam(model, lr=0.01),
+            num_shards=2, backend="process",
+        ) as trainer:
+            trainer.fit(features, labels, epochs=2)
+            assert set(threading.enumerate()) <= before
+        assert set(threading.enumerate()) <= before
 
 
 class TestObservability:

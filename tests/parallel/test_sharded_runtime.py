@@ -1,7 +1,8 @@
 """What the sharded trainer must keep true under the hood: shard
 aggregation allocates nothing edge-sized, a ``/dev/shm`` too small for
 the bundle fails set-up before any worker forks, and a shard worker that
-dies mid-epoch fails the epoch promptly without leaking anything."""
+dies mid-epoch, or while its peer waits in a barrier, fails the epoch
+promptly without leaking anything."""
 
 import logging
 import multiprocessing
@@ -117,10 +118,78 @@ def test_sigkilled_worker_fails_the_epoch_without_leaks(
     finally:
         trainer.close()
         obs.disable()
-    assert elapsed < 10.0
+    # The parent waits on each worker's pipe and process sentinel, so a
+    # death wakes it at once; no polling interval sits in between.
+    assert elapsed < 3.0
     assert died.value.part == 1
     assert died.value.exitcode == -signal.SIGKILL
     assert deaths == 1
     assert any("shard worker 1" in r.getMessage() for r in caplog.records)
+    assert not multiprocessing.active_children()
+    assert set(os.listdir("/dev/shm")) == segments_before
+
+
+def test_worker_exception_fails_the_epoch_with_its_traceback(
+    graph, inputs, monkeypatch
+):
+    segments_before = set(os.listdir("/dev/shm"))
+    real_reduce = sharded_module.shard_segment_reduce
+
+    def reduce_or_raise(op, x):
+        if multiprocessing.current_process().name == "shard-worker-1":
+            raise ArithmeticError("shard 1 cannot reduce")
+        return real_reduce(op, x)
+
+    monkeypatch.setattr(sharded_module, "shard_segment_reduce", reduce_or_raise)
+    trainer = _trainer(graph, "process")
+    try:
+        with pytest.raises(RuntimeError, match="shard worker") as failed:
+            trainer.fit(*inputs, epochs=1)
+    finally:
+        trainer.close()
+    assert "ArithmeticError: shard 1 cannot reduce" in str(failed.value)
+    assert not multiprocessing.active_children()
+    assert set(os.listdir("/dev/shm")) == segments_before
+
+
+def test_sigkill_mid_barrier_fails_the_epoch_promptly(graph, inputs, monkeypatch):
+    """Worker 1 dies while worker 0 is blocked in ``barrier.wait``: the
+    parent aborts the barrier, which frees worker 0, and names worker 1."""
+    segments_before = set(os.listdir("/dev/shm"))
+    real_reduce = sharded_module.shard_segment_reduce
+    calls = {"n": 0}
+    trainer = _trainer(graph, "process")
+
+    def die_once_peer_waits(op, x):
+        # Epoch 0 aggregates three times (layer 0 once for the run, then
+        # layer 1 each way); call 4 is epoch 1's layer-1 forward.  Worker
+        # 0 runs on from there to the barrier before the backward
+        # exchange and blocks in it, since worker 1 never arrives.
+        calls["n"] += 1
+        if (
+            calls["n"] == 4
+            and multiprocessing.current_process().name == "shard-worker-1"
+        ):
+            deadline = time.monotonic() + 5.0
+            while trainer._barrier.n_waiting < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            # Anything but a SIGKILL fails the ShardWorkerDied check.
+            assert trainer._barrier.n_waiting == 1, "worker 0 never blocked"
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_reduce(op, x)
+
+    monkeypatch.setattr(sharded_module, "shard_segment_reduce", die_once_peer_waits)
+    try:
+        trainer.fit(*inputs, epochs=1)  # workers fork here, patched
+        start = time.monotonic()
+        with pytest.raises(ShardWorkerDied) as died:
+            trainer.train_epoch()
+    finally:
+        trainer.close()
+    # close() included: it joins worker 0, which only the aborted barrier
+    # released.
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0
+    assert (died.value.part, died.value.exitcode) == (1, -signal.SIGKILL)
     assert not multiprocessing.active_children()
     assert set(os.listdir("/dev/shm")) == segments_before

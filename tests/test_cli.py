@@ -1,6 +1,9 @@
 """Unit tests for the command-line interface."""
 
 import logging
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -316,6 +319,57 @@ class TestShardedTraining:
             "compare", "--history", str(history),
             "--label", "bench-parallel-sharded",
         ]) == 0
+
+    SHARDED_PROCESS_RUN = [
+        "train", "products", "--scale", "0.05", "--epochs", "2",
+        "--features", "8", "--hidden", "8", "--shards", "2",
+        "--backend", "process",
+    ]
+
+    @staticmethod
+    def _error_line(capsys) -> str:
+        """The run's last stderr line, after checking nothing in stderr
+        is a traceback."""
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, err
+        return err.strip().splitlines()[-1]
+
+    def test_full_dev_shm_is_one_error_line(self, monkeypatch, capsys):
+        from repro.parallel import shm
+
+        class OnePage:
+            f_bavail = 1
+            f_frsize = 4096
+
+        segments_before = set(os.listdir(shm.SHM_DIR))
+        monkeypatch.setattr(shm.os, "statvfs", lambda path: OnePage())
+        assert main(self.SHARDED_PROCESS_RUN) == 1
+        line = self._error_line(capsys)
+        assert line.startswith("error: shared-memory bundle needs")
+        assert line.endswith("only 4096 bytes free")
+        assert not multiprocessing.active_children()
+        assert set(os.listdir(shm.SHM_DIR)) == segments_before
+
+    def test_dead_shard_worker_is_one_error_line(self, monkeypatch, capsys):
+        from repro.parallel import sharded, shm
+
+        real_reduce = sharded.shard_segment_reduce
+
+        def die_in_worker_1(op, x):
+            if multiprocessing.current_process().name == "shard-worker-1":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_reduce(op, x)
+
+        segments_before = set(os.listdir(shm.SHM_DIR))
+        # Patched before main() forks, so the workers inherit it.
+        monkeypatch.setattr(sharded, "shard_segment_reduce", die_in_worker_1)
+        assert main(self.SHARDED_PROCESS_RUN) == 1
+        line = self._error_line(capsys)
+        assert line.startswith(
+            f"error: shard worker 1 died (exit code {-signal.SIGKILL})"
+        )
+        assert not multiprocessing.active_children()
+        assert set(os.listdir(shm.SHM_DIR)) == segments_before
 
 
 class TestObservabilityCommands:
