@@ -7,7 +7,7 @@ Subcommands:
 * ``characterize`` — the full Table-4 layout for one or more datasets.
 * ``train`` — full-batch training demo on a twin (``--workers N`` runs
   aggregation on N worker threads; ``--shards N --backend
-  {serial,thread,process}`` trains partition-parallel;
+  {serial,process}`` trains partition-parallel;
   ``--trace FILE`` / ``--json FILE`` emit run telemetry; ``--events
   FILE`` streams per-epoch JSONL events, ``--health`` guards numerics,
   ``--sample-proc`` samples process RSS/CPU, ``--serve-metrics PORT``
@@ -16,8 +16,8 @@ Subcommands:
 * ``top`` — live terminal view of an in-progress run: tails the
   epoch-event JSONL, optionally scrapes a ``--serve-metrics`` endpoint,
   and gates on SLO rules (``--check``).
-* ``dashboard`` — render an epoch-event log (plus optional run report
-  and bench history) into one self-contained offline HTML page.
+* ``dashboard`` — render an epoch-event log (plus an optional run
+  report) into one self-contained offline HTML page.
 * ``bench-parallel`` — worker-count sweep of the chunk executor
   (also accepts ``--trace`` / ``--json``).
 * ``profile`` — trace one tiny synthetic training run end to end and
@@ -25,8 +25,6 @@ Subcommands:
   additionally runs the statistical sampling profiler and prints the
   per-phase sampled-time table; ``--flame FILE`` writes collapsed
   stacks for flamegraph tooling).
-* ``profile diff`` — compare the sampled profiles of two run reports
-  and exit nonzero when a phase regressed past the threshold.
 * ``serve`` — train briefly, then answer per-vertex / per-batch
   classification and embedding queries over HTTP (request batcher +
   LRU embedding cache + admission control; every request carries a
@@ -35,12 +33,12 @@ Subcommands:
 * ``loadgen`` — drive a running serving endpoint: open-loop Poisson
   arrivals (``--rate``) or closed-loop concurrency, with client-side
   latency percentiles.
-* ``bench-serve`` — in-process serving benchmark; records qps +
-  p50/p95/p99 latency as a ``bench-serve`` perf-history row.
 * ``experiment`` — run one named paper artifact (fig2 ... tab5).
 
 Global flags: ``-v/--verbose`` (repeatable), ``-q/--quiet``, and
-``--version``.
+``--version``.  Every flag that names a file the command writes is
+checked when the arguments are parsed: a path whose directory does not
+exist is a usage error (exit 2) before any work starts.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import os
 import sys
 from typing import List, Optional
 
@@ -96,11 +95,7 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
     ``extras`` is a mutable dict the caller may fill *inside* the block
     (keys ``events``, ``sparsity``, and ``alerts``); it is read on exit
     so the run report can embed the epoch-event records, sparsity
-    profile, and SLO rule-engine verdict.  When ``--history FILE`` is
-    given (bench commands that append a perf-history row), telemetry
-    activates even without an output flag and the built run report is
-    stashed back into ``extras["report"]`` so the caller can derive a
-    :class:`~repro.obs.history.HistoryEntry` from it.
+    profile, and SLO rule-engine verdict.
     """
     from . import obs
 
@@ -108,7 +103,6 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
     json_path = getattr(args, "json", None)
     perfetto_path = getattr(args, "perfetto", None)
     sample_proc = getattr(args, "sample_proc", False)
-    history_path = getattr(args, "history", None)
     serve_port = getattr(args, "serve_metrics", None)
     sampling_hz = getattr(args, "sampling", None)
     flame_path = getattr(args, "flame", None)
@@ -117,7 +111,6 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
         and not json_path
         and not perfetto_path
         and not sample_proc
-        and not history_path
         and serve_port is None
         and sampling_hz is None
         and not flame_path
@@ -160,9 +153,7 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
         sampler.stop()
         profile_data = profiler.stop()
         obs.disable()
-        # ``extras`` may arrive as an (empty, falsy) dict the caller will
-        # read after the block — never replace it, fill it in place.
-        extras = {} if extras is None else extras
+        extras = extras or {}
         records = [
             span.to_record()
             for span in sorted(tracer.spans(), key=lambda s: s.span_id)
@@ -189,7 +180,7 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
         if trace_path:
             count = tracer.export_jsonl(trace_path)
             print(f"wrote {count} spans to {trace_path}")
-        if json_path or history_path:
+        if json_path:
             report = obs.build_run_report(
                 tracer,
                 metrics,
@@ -199,10 +190,8 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
                 alerts=extras.get("alerts"),
                 profile=profile_data,
             )
-            extras["report"] = report
-            if json_path:
-                obs.write_json(json_path, report)
-                print(f"wrote run report to {json_path}")
+            obs.write_json(json_path, report)
+            print(f"wrote run report to {json_path}")
         if perfetto_path:
             count = obs.export_perfetto(
                 perfetto_path, tracer, metrics, meta=meta, profile=profile_data
@@ -274,6 +263,15 @@ def _positive_float(value: str) -> float:
     if parsed <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive number, got {value!r}")
     return parsed
+
+
+def _output_path(value: str) -> str:
+    """A file the command will write: its directory must already exist,
+    so a typo fails at parse time instead of after the run it records."""
+    parent = os.path.dirname(os.path.abspath(value))
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(f"directory {parent!r} does not exist")
+    return value
 
 
 def _make_aggregation_kernel(workers: int):
@@ -469,8 +467,7 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
         "kernel": args.kernel,
         "workers": list(args.workers),
     }
-    extras: dict = {}
-    with _telemetry(args, meta, extras=extras):
+    with _telemetry(args, meta):
         for workers in args.workers:
             executor = ChunkExecutor(workers)
             if args.kernel == "basic":
@@ -495,19 +492,6 @@ def _cmd_bench_parallel(args: argparse.Namespace) -> int:
                 f"{workers} workers: {stats.tasks} tasks -> [{chunks}] chunks/worker"
             )
     print(exp.render())
-
-    if args.history:
-        from .obs import history as hist
-
-        report = extras.get("report")
-        if report is None:  # pragma: no cover - _telemetry always builds it
-            print("no run report captured; history row skipped", file=sys.stderr)
-            return 2
-        # The label committed baseline rows carry; `repro compare` keys on it.
-        label = args.history_label or "bench-parallel-batched"
-        entry = hist.entry_from_run_report(report, label=label)
-        hist.append_history(args.history, entry)
-        print(f"appended history entry {label!r} to {args.history}")
     return 0
 
 
@@ -516,8 +500,7 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
 
     Sweeps shard counts on a synthetic twin (``--scale 10`` ≈ 10× the
     usual dataset sizes), reporting epochs/s, parallel efficiency
-    relative to the smallest swept count, and halo traffic — the
-    ``bench-parallel-sharded`` history row.
+    relative to the smallest swept count, and halo traffic.
     """
     import time as time_module
 
@@ -552,11 +535,9 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
         "delayed_layers": list(delayed),
         "halo_refresh": args.halo_refresh,
     }
-    sharded_metrics: dict = {}
-    extras: dict = {}
     base_rate: Optional[float] = None
     base_shards: Optional[int] = None
-    with _telemetry(args, meta, extras=extras):
+    with _telemetry(args, meta):
         for shards in args.shards:
             model = build_model(
                 "gcn", args.features, args.hidden, args.classes,
@@ -591,27 +572,7 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
                 f"{shards} shards: cut {cut:.1%}, halo {halo_mb:.2f} MiB/epoch,"
                 f" worker payload {setup_max} B"
             )
-            prefix = f"sharded.shards{shards}"
-            sharded_metrics[f"{prefix}.epoch_s"] = epoch_s
-            sharded_metrics[f"{prefix}.epochs_per_s"] = rate
-            sharded_metrics[f"{prefix}.efficiency"] = efficiency
-            sharded_metrics[f"{prefix}.halo_mb_per_epoch"] = halo_mb
-            sharded_metrics[f"{prefix}.setup_bytes"] = float(setup_max)
-            sharded_metrics["sharded.partition.cut_fraction"] = cut
     print(exp.render())
-
-    if args.history:
-        from .obs import history as hist
-
-        report = extras.get("report")
-        if report is None:  # pragma: no cover - _telemetry always builds it
-            print("no run report captured; history row skipped", file=sys.stderr)
-            return 2
-        label = args.history_label or "bench-parallel-sharded"
-        entry = hist.entry_from_run_report(report, label=label, meta=meta)
-        entry.metrics.update(sharded_metrics)
-        hist.append_history(args.history, entry)
-        print(f"appended history entry {label!r} to {args.history}")
     return 0
 
 
@@ -736,80 +697,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile_diff(args: argparse.Namespace) -> int:
-    """Compare two sampled-profile captures; exit 1 on phase regression."""
-    import json as json_module
-
-    from .obs import load_profile_document, profile_diff
-
-    try:
-        baseline = load_profile_document(args.baseline)
-        candidate = load_profile_document(args.candidate)
-    except (OSError, ValueError, json_module.JSONDecodeError) as error:
-        print(f"profile diff: {error}", file=sys.stderr)
-        return 2
-    diff = profile_diff(
-        baseline,
-        candidate,
-        threshold=args.threshold,
-        min_seconds=args.min_seconds,
-    )
-    print(diff.render())
-    return 0 if diff.ok else 1
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    """Gate a run against the perf history: exit 1 on regression."""
-    import json as json_module
-
-    from .obs import history as hist
-
-    entries = hist.load_history(args.history, label=args.label)
-    if args.current:
-        with open(args.current) as handle:
-            doc = json_module.load(handle)
-        if "experiments" in doc:
-            current = hist.entry_from_bench_results(doc, label=args.label or "bench")
-        elif "spans" in doc:
-            current = hist.entry_from_run_report(doc, label=args.label or "run")
-        else:
-            print(f"{args.current}: neither a BENCH results nor a run-report JSON")
-            return 2
-        baseline = entries
-    else:
-        if len(entries) < 2:
-            print(
-                f"{args.history}: need >= 2 entries"
-                + (f" with label {args.label!r}" if args.label else "")
-                + " to compare (gate passes trivially)"
-            )
-            return 0
-        current = entries[-1]
-        baseline = entries[:-1]
-    if not baseline:
-        print("no baseline entries yet — gate passes trivially")
-        return 0
-    report = hist.compare_entries(
-        baseline,
-        current,
-        threshold=args.threshold,
-        baseline_runs=args.baseline_runs,
-        higher_is_better=hist.default_higher_is_better(current.metrics),
-    )
-    print(report.render())
-    return 0 if report.ok else 1
-
-
 def _cmd_dashboard(args: argparse.Namespace) -> int:
-    """Render the epoch-event log (+ report, + history) into one HTML file."""
+    """Render the epoch-event log (+ report) into one HTML file."""
     from .obs import validate_events_file
     from .obs.dashboard import write_dashboard
 
-    if not args.events and not args.report and not args.history:
-        print(
-            "dashboard: need an events file, --report, or --history",
-            file=sys.stderr,
-        )
+    if not args.events and not args.report:
+        print("dashboard: need an events file or --report", file=sys.stderr)
         return 2
     if args.events:
         try:
@@ -821,7 +715,6 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         args.output,
         events_path=args.events,
         report_path=args.report,
-        history_path=args.history,
         title=args.title,
     )
     print(f"wrote dashboard to {args.output}")
@@ -889,10 +782,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _build_serving_service(args) -> tuple:
     """Train a small model and wrap it in an InferenceService.
 
-    Shared by ``repro serve`` and ``repro bench-serve``: dataset twin +
-    synthetic features/labels, a short training run (the service answers
-    from whatever the model learned), then the serving pipeline with the
-    cache/batcher knobs from the command line.
+    Dataset twin + synthetic features/labels, a short training run (the
+    service answers from whatever the model learned), then the serving
+    pipeline with the cache/batcher knobs from the command line.
     """
     from .graphs import load_dataset, synthetic_features
     from .nn import Adam, Trainer, build_model
@@ -1043,83 +935,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if total and completed else 1
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Serving benchmark: in-process server + closed-loop load, one
-    ``bench-serve`` history row (qps + latency percentiles)."""
-    from .bench.harness import Experiment
-    from .serve import ServingServer, run_loadgen
-
-    graph, service = _build_serving_service(args)
-    meta = {
-        "command": "bench-serve",
-        "dataset": args.dataset,
-        "scale": args.scale,
-        "model": args.model,
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "concurrency": args.concurrency,
-        "duration_s": args.duration,
-        "query_vertices": args.vertices,
-        "max_batch": args.max_batch,
-        "assembly": "sampled" if args.fanout else "exact",
-    }
-    extras: dict = {}
-    with _telemetry(args, meta, extras=extras):
-        with ServingServer(service, port=0, host=args.host) as server:
-            print(f"serving inference on {server.url}")
-            if args.warmup > 0:
-                run_loadgen(
-                    server.url,
-                    duration_s=args.warmup,
-                    concurrency=args.concurrency,
-                    num_vertices=args.vertices,
-                    mode=args.mode,
-                    seed=args.seed + 1,
-                )
-            result = run_loadgen(
-                server.url,
-                duration_s=args.duration,
-                concurrency=args.concurrency,
-                num_vertices=args.vertices,
-                mode=args.mode,
-                seed=args.seed,
-            )
-        stats = service.stats()
-    print(result.render())
-    print(
-        f"server: cache hit rate {stats['cache']['hit_rate']:.0%}, "
-        f"{stats['batcher']['batches']} batch(es), "
-        f"{stats['batcher']['rejected']} rejected"
-    )
-    exp = Experiment(
-        "bench-serve",
-        f"closed-loop x{args.concurrency} serving bench on {args.dataset} "
-        f"{args.scale}x ({graph.num_vertices} vertices)",
-    )
-    exp.add("throughput", result.qps, unit="qps")
-    exp.add("latency p50", result.latency.percentile(50.0) * 1e3, unit="ms")
-    exp.add("latency p95", result.latency.percentile(95.0) * 1e3, unit="ms")
-    exp.add("latency p99", result.latency.percentile(99.0) * 1e3, unit="ms")
-    print(exp.render())
-    if result.requests == 0 or result.errors == result.requests:
-        print("bench-serve: no successful requests", file=sys.stderr)
-        return 1
-    if args.history:
-        from .obs import history as hist
-
-        report = extras.get("report")
-        if report is None:  # pragma: no cover - _telemetry always builds it
-            print("no run report captured; history row skipped", file=sys.stderr)
-            return 2
-        label = args.history_label or "bench-serve"
-        entry = hist.entry_from_run_report(report, label=label, meta=meta)
-        entry.metrics.update(result.metrics())
-        entry.metrics["serve.cache_hit_rate"] = stats["cache"]["hit_rate"]
-        hist.append_history(args.history, entry)
-        print(f"appended history entry {label!r} to {args.history}")
-    return 0
-
-
 _EXPERIMENTS = {
     "fig2": ("fig2_gpu_sampling", True),
     "fig3": ("fig3_topdown", True),
@@ -1222,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
         "1 = classic full-graph trainer",
     )
     p.add_argument(
-        "--backend", choices=["serial", "thread", "process"], default=None,
+        "--backend", choices=["serial", "process"], default=None,
         help="sharded runtime for --shards > 1 (default serial; process "
         "runs the zero-copy shared-memory pool)",
     )
@@ -1241,14 +1056,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--halo-refresh", type=_positive_int, default=8,
         help="refresh period (epochs) for --delay-aggregation layers",
     )
-    p.add_argument("--trace", metavar="FILE", help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", help="write a run-report JSON")
+    p.add_argument("--trace", metavar="FILE", type=_output_path,
+                   help="write a JSONL span trace")
+    p.add_argument("--json", metavar="FILE", type=_output_path,
+                   help="write a run-report JSON")
     p.add_argument(
-        "--perfetto", metavar="FILE",
+        "--perfetto", metavar="FILE", type=_output_path,
         help="write a Perfetto/chrome://tracing trace JSON",
     )
     p.add_argument(
-        "--events", metavar="FILE", default=None,
+        "--events", metavar="FILE", type=_output_path, default=None,
         help="stream one JSONL epoch event per epoch (loss, accuracies, "
         "per-layer grad/weight norms, sparsity, compression savings)",
     )
@@ -1282,7 +1099,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table, and embed the profile in --json/--perfetto outputs",
     )
     p.add_argument(
-        "--flame", metavar="FILE", default=None,
+        "--flame", metavar="FILE", type=_output_path, default=None,
         help="write the sampled profile as collapsed stacks "
         "(flamegraph.pl / speedscope input); implies --sampling "
         "at the default 97 Hz",
@@ -1307,19 +1124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, nargs="+", default=[1, 2, 4])
+    p.add_argument("--trace", metavar="FILE", type=_output_path,
+                   help="write a JSONL span trace")
+    p.add_argument("--json", metavar="FILE", type=_output_path,
+                   help="write a run-report JSON")
     p.add_argument(
-        "--history", metavar="FILE", default=None,
-        help="append one history entry (sweep span totals) to this JSONL "
-        "perf history",
-    )
-    p.add_argument(
-        "--history-label", default=None,
-        help="history entry label (default: bench-parallel-batched)",
-    )
-    p.add_argument("--trace", metavar="FILE", help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", help="write a run-report JSON")
-    p.add_argument(
-        "--perfetto", metavar="FILE",
+        "--perfetto", metavar="FILE", type=_output_path,
         help="write a Perfetto/chrome://tracing trace JSON",
     )
     p.add_argument(
@@ -1344,10 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--partition", choices=["contiguous", "bfs", "greedy"],
         default="greedy",
     )
-    p.add_argument(
-        "--backend", choices=["serial", "thread", "process"],
-        default="process",
-    )
+    p.add_argument("--backend", choices=["serial", "process"], default="process")
     p.add_argument("--epochs", type=_positive_int, default=3)
     p.add_argument("--features", type=int, default=32)
     p.add_argument("--hidden", type=int, default=32)
@@ -1360,16 +1167,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LAYER",
     )
     p.add_argument("--halo-refresh", type=_positive_int, default=8)
-    p.add_argument("--trace", metavar="FILE", help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", help="write a run-report JSON")
-    p.add_argument(
-        "--history", metavar="FILE", default=None,
-        help="append this run's metrics as a JSONL perf-history row",
-    )
-    p.add_argument(
-        "--history-label", default=None,
-        help="history row label (default bench-parallel-sharded)",
-    )
+    p.add_argument("--trace", metavar="FILE", type=_output_path,
+                   help="write a JSONL span trace")
+    p.add_argument("--json", metavar="FILE", type=_output_path,
+                   help="write a run-report JSON")
     p.set_defaults(func=_cmd_bench_sharded)
 
     p = sub.add_parser(
@@ -1385,14 +1186,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", choices=["basic", "compression"], default="basic")
     p.add_argument("--workers", type=_positive_int, default=2)
-    p.add_argument("--trace", metavar="FILE", help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", help="write a run-report JSON")
+    p.add_argument("--trace", metavar="FILE", type=_output_path,
+                   help="write a JSONL span trace")
+    p.add_argument("--json", metavar="FILE", type=_output_path,
+                   help="write a run-report JSON")
     p.add_argument(
-        "--perfetto", metavar="FILE",
+        "--perfetto", metavar="FILE", type=_output_path,
         help="write a Perfetto/chrome://tracing trace JSON",
     )
     p.add_argument(
-        "--attrib", metavar="FILE",
+        "--attrib", metavar="FILE", type=_output_path,
         help="write the bottleneck-attribution report JSON",
     )
     p.add_argument(
@@ -1408,66 +1211,12 @@ def build_parser() -> argparse.ArgumentParser:
         "and top-function tables",
     )
     p.add_argument(
-        "--flame", metavar="FILE", default=None,
+        "--flame", metavar="FILE", type=_output_path, default=None,
         help="write the sampled profile as collapsed stacks "
         "(flamegraph.pl / speedscope input); implies --sampling "
         "at the default 97 Hz",
     )
     p.set_defaults(func=_cmd_profile)
-    psub = p.add_subparsers(
-        dest="profile_command", metavar="{diff}",
-        help="profile subcommands (omit to trace a run)",
-    )
-    pd = psub.add_parser(
-        "diff",
-        help="compare two sampled-profile captures "
-        "(run reports or profile dicts); exit 1 on phase regression",
-    )
-    pd.add_argument(
-        "baseline",
-        help="baseline run-report JSON (from --sampling --json FILE)",
-    )
-    pd.add_argument(
-        "candidate", help="candidate run-report JSON to judge"
-    )
-    pd.add_argument(
-        "--threshold", type=_positive_float, default=0.25,
-        help="relative per-phase regression tolerance "
-        "(default: %(default)s)",
-    )
-    pd.add_argument(
-        "--min-seconds", type=_positive_float, default=0.02,
-        help="absolute per-phase slack in seconds — deltas below this "
-        "never gate (default: %(default)s)",
-    )
-    pd.set_defaults(func=_cmd_profile_diff)
-
-    p = sub.add_parser(
-        "compare",
-        help="gate a run against BENCH_history.jsonl (exit 1 on regression)",
-    )
-    p.add_argument(
-        "--history", metavar="FILE", default="BENCH_history.jsonl",
-        help="JSONL perf history (default: %(default)s)",
-    )
-    p.add_argument(
-        "--label", default=None,
-        help="only compare entries with this label",
-    )
-    p.add_argument(
-        "--current", metavar="FILE", default=None,
-        help="judge this BENCH_results.json / run-report JSON against the "
-        "whole history (default: last history entry vs the rest)",
-    )
-    p.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="relative regression tolerance (default: %(default)s)",
-    )
-    p.add_argument(
-        "--baseline-runs", type=_positive_int, default=5,
-        help="median window size (default: %(default)s)",
-    )
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser(
         "dashboard",
@@ -1478,16 +1227,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="epoch-event JSONL from `train --events` (validated first)",
     )
     p.add_argument(
-        "-o", "--output", metavar="FILE", default="run_dashboard.html",
+        "-o", "--output", metavar="FILE", type=_output_path,
+        default="run_dashboard.html",
         help="output HTML path (default: %(default)s)",
     )
     p.add_argument(
         "--report", metavar="FILE", default=None,
         help="run-report JSON (adds span + per-technique sections)",
-    )
-    p.add_argument(
-        "--history", metavar="FILE", default=None,
-        help="BENCH_history.jsonl (adds the wall-time trend chart)",
     )
     p.add_argument("--title", default=None, help="page title")
     p.set_defaults(func=_cmd_dashboard)
@@ -1534,60 +1280,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_top)
 
-    def _serving_model_args(p: argparse.ArgumentParser) -> None:
-        """Flags ``serve`` and ``bench-serve`` share: the model to train
-        and the cache/batcher knobs of the serving pipeline."""
-        p.add_argument(
-            "dataset", nargs="?", default="products",
-            choices=["products", "wikipedia", "papers", "twitter"],
-        )
-        p.add_argument("--scale", type=float, default=0.1)
-        p.add_argument("--model", choices=["gcn", "sage"], default="gcn")
-        p.add_argument("--features", type=int, default=32)
-        p.add_argument("--hidden", type=int, default=32)
-        p.add_argument("--classes", type=int, default=8)
-        p.add_argument("--layers", type=int, default=2)
-        p.add_argument("--epochs", type=int, default=2,
-                       help="training epochs before serving (0 = random init)")
-        p.add_argument("--lr", type=float, default=0.01)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--host", default="127.0.0.1")
-        p.add_argument(
-            "--fanout", type=_positive_int, nargs="*", default=[],
-            metavar="F",
-            help="per-layer neighbor-sampling fanouts (input layer first); "
-            "empty = exact full-neighborhood assembly.  The first layer "
-            "is always exact (its aggregation is kept), so the first "
-            "fanout is unused and answers are strictly closer to the "
-            "full-batch prediction than sampling every layer",
-        )
-        p.add_argument(
-            "--cache-capacity", type=_positive_int, default=4096,
-            help="LRU embedding-cache entries (default: %(default)s)",
-        )
-        p.add_argument(
-            "--cache-max-age", type=_positive_float, default=None,
-            metavar="S",
-            help="staleness bound: cached rows older than S seconds are "
-            "recomputed (default: never stale)",
-        )
-        p.add_argument(
-            "--max-batch", type=_positive_int, default=32,
-            help="most requests one forward pass answers; the worker "
-            "takes whatever is queued when it is free, with no wait "
-            "(default: %(default)s)",
-        )
-        p.add_argument(
-            "--max-queue", type=_positive_int, default=128,
-            help="admission-queue bound; beyond it requests shed with 503 "
-            "(default: %(default)s)",
-        )
-
     p = sub.add_parser(
         "serve",
         help="online inference service over a freshly trained model",
     )
-    _serving_model_args(p)
+    p.add_argument(
+        "dataset", nargs="?", default="products",
+        choices=["products", "wikipedia", "papers", "twitter"],
+    )
+    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--model", choices=["gcn", "sage"], default="gcn")
+    p.add_argument("--features", type=int, default=32)
+    p.add_argument("--hidden", type=int, default=32)
+    p.add_argument("--classes", type=int, default=8)
+    p.add_argument("--layers", type=int, default=2)
+    p.add_argument("--epochs", type=int, default=2,
+                   help="training epochs before serving (0 = random init)")
+    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument(
+        "--fanout", type=_positive_int, nargs="*", default=[],
+        metavar="F",
+        help="per-layer neighbor-sampling fanouts (input layer first); "
+        "empty = exact full-neighborhood assembly.  The first layer "
+        "is always exact (its aggregation is kept), so the first "
+        "fanout is unused and answers are strictly closer to the "
+        "full-batch prediction than sampling every layer",
+    )
+    p.add_argument(
+        "--cache-capacity", type=_positive_int, default=4096,
+        help="LRU embedding-cache entries (default: %(default)s)",
+    )
+    p.add_argument(
+        "--cache-max-age", type=_positive_float, default=None,
+        metavar="S",
+        help="staleness bound: cached rows older than S seconds are "
+        "recomputed (default: never stale)",
+    )
+    p.add_argument(
+        "--max-batch", type=_positive_int, default=32,
+        help="most requests one forward pass answers; the worker "
+        "takes whatever is queued when it is free, with no wait "
+        "(default: %(default)s)",
+    )
+    p.add_argument(
+        "--max-queue", type=_positive_int, default=128,
+        help="admission-queue bound; beyond it requests shed with 503 "
+        "(default: %(default)s)",
+    )
     p.add_argument(
         "--port", type=int, default=8099,
         help="inference HTTP port (0 = ephemeral; default: %(default)s)",
@@ -1609,10 +1350,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="exit 1 when any SLO rule fired during the run",
     )
-    p.add_argument("--trace", metavar="FILE", help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", help="write a run-report JSON")
+    p.add_argument("--trace", metavar="FILE", type=_output_path,
+                   help="write a JSONL span trace")
+    p.add_argument("--json", metavar="FILE", type=_output_path,
+                   help="write a run-report JSON")
     p.add_argument(
-        "--perfetto", metavar="FILE",
+        "--perfetto", metavar="FILE", type=_output_path,
         help="write a Perfetto/chrome://tracing trace JSON",
     )
     p.add_argument(
@@ -1652,37 +1395,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="classify")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=_positive_float, default=10.0)
-    p.add_argument("--out", metavar="FILE",
+    p.add_argument("--out", metavar="FILE", type=_output_path,
                    help="write the result rows as JSON")
     p.set_defaults(func=_cmd_loadgen)
-
-    p = sub.add_parser(
-        "bench-serve",
-        help="serving benchmark: in-process server + closed-loop load; "
-        "records qps + latency percentiles as a history row",
-    )
-    _serving_model_args(p)
-    p.add_argument("--duration", type=_positive_float, default=3.0)
-    p.add_argument("--warmup", type=float, default=0.5,
-                   help="untimed warmup seconds (default: %(default)s)")
-    p.add_argument("--concurrency", type=_positive_int, default=4)
-    p.add_argument(
-        "--vertices", type=_positive_int, default=64,
-        help="query-vertex id range [0, N) (default: %(default)s)",
-    )
-    p.add_argument("--mode", choices=["classify", "embedding"],
-                   default="classify")
-    p.add_argument("--trace", metavar="FILE", help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", help="write a run-report JSON")
-    p.add_argument(
-        "--history", metavar="FILE", default=None,
-        help="append qps + latency percentiles as a JSONL perf-history row",
-    )
-    p.add_argument(
-        "--history-label", default=None,
-        help="history row label (default bench-serve)",
-    )
-    p.set_defaults(func=_cmd_bench_serve)
 
     p = sub.add_parser("experiment", help="run one paper artifact")
     p.add_argument("name", help=f"one of {sorted(_EXPERIMENTS)}")

@@ -24,8 +24,8 @@ Layered on top, the training-run observability pieces:
 * :mod:`repro.obs.sampler` — background resource sampler feeding
   ``proc.*`` gauges/histograms (RSS, CPU%, threads), with a
   ``NULL_SAMPLER`` mirroring the other null singletons;
-* :mod:`repro.obs.dashboard` — renders events + run report + bench
-  history into one self-contained offline HTML page.
+* :mod:`repro.obs.dashboard` — renders events + run report into one
+  self-contained offline HTML page.
 
 Telemetry is **disabled by default and zero-cost when disabled**: the
 module singletons are ``NULL_TRACER`` / ``NULL_REGISTRY`` whose methods
@@ -78,20 +78,6 @@ from .health import (
     HealthIssue,
     HealthMonitor,
 )
-from .history import (
-    ComparisonReport,
-    DEFAULT_BASELINE_RUNS,
-    DEFAULT_THRESHOLD,
-    HISTORY_SCHEMA_VERSION,
-    HistoryEntry,
-    MetricComparison,
-    append_history,
-    baseline_medians,
-    compare_entries,
-    entry_from_bench_results,
-    entry_from_run_report,
-    load_history,
-)
 from .live import (
     NULL_SERVER,
     LiveRunMonitor,
@@ -118,13 +104,10 @@ from .profiler import (
     PROFILE_SCHEMA_VERSION,
     NullSamplingProfiler,
     ProfileData,
-    ProfileDiff,
     SamplingProfiler,
     fold_stack,
     frame_label,
-    load_profile_document,
     phase_of_stack,
-    profile_diff,
     render_profile,
     span_phase_seconds,
     write_collapsed,
@@ -227,18 +210,6 @@ __all__ = [
     "chrome_trace_events",
     "export_perfetto",
     "write_chrome_trace",
-    "ComparisonReport",
-    "DEFAULT_BASELINE_RUNS",
-    "DEFAULT_THRESHOLD",
-    "HISTORY_SCHEMA_VERSION",
-    "HistoryEntry",
-    "MetricComparison",
-    "append_history",
-    "baseline_medians",
-    "compare_entries",
-    "entry_from_bench_results",
-    "entry_from_run_report",
-    "load_history",
     "Alert",
     "Counter",
     "EVENTS_SCHEMA_VERSION",
@@ -269,7 +240,6 @@ __all__ = [
     "default_serve_rules",
     "PROFILE_SCHEMA_VERSION",
     "ProfileData",
-    "ProfileDiff",
     "SamplingProfiler",
     "ResourceSampler",
     "Rule",
@@ -290,10 +260,8 @@ __all__ = [
     "get_metrics",
     "get_profiler",
     "get_tracer",
-    "load_profile_document",
     "load_rules",
     "phase_of_stack",
-    "profile_diff",
     "render_profile",
     "span_phase_seconds",
     "write_collapsed",

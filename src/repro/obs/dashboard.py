@@ -2,9 +2,8 @@
 
 One offline file joins everything a training run emitted — the epoch
 event log (:mod:`repro.obs.events`), an optional run report (metrics
-snapshot + span summary), and an optional ``BENCH_history.jsonl`` trend
-— into charts a reviewer can open without a server, a network fetch, or
-JavaScript:
+snapshot + span summary) — into charts a reviewer can open without a
+server, a network fetch, or JavaScript:
 
 * loss and accuracy curves (two charts — different scales never share
   an axis);
@@ -14,8 +13,7 @@ JavaScript:
   watch);
 * realized vs cost-model-predicted compression traffic savings;
 * per-technique DRAM bytes from the attribution of the run report's
-  kernel spans, when a report is supplied;
-* the bench-history wall-time trend, when a history file is supplied.
+  kernel spans, when a report is supplied.
 
 Every chart carries a ``<details>`` data table (the accessibility /
 no-SVG fallback), colors follow one fixed categorical order validated
@@ -197,7 +195,6 @@ def line_chart(
     *,
     y_format=_fmt,
     y_domain: Optional[Tuple[float, float]] = None,
-    x_label: str = "epoch",
     width: int = 520,
     height: int = 240,
 ) -> str:
@@ -259,7 +256,7 @@ def line_chart(
         )
     parts.append(
         f'<text x="{margin_l + plot_w}" y="{height - 2}" text-anchor="end">'
-        f"{html.escape(x_label)}</text>"
+        "epoch</text>"
     )
     # Series: 2px lines, ringed >=8px markers, <title> tooltips.
     show_markers = all(len(s.xs) <= 40 for s in series)
@@ -274,7 +271,7 @@ def line_chart(
             )
         marked = points if show_markers else points[-1:]
         for x, y in marked:
-            tooltip = f"{s.label} — {x_label} {int(x)}: {y_format(y)}"
+            tooltip = f"{s.label} — epoch {int(x)}: {y_format(y)}"
             parts.append(
                 f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="4" fill="{color}" '
                 f'stroke="var(--surface)" stroke-width="2">'
@@ -292,7 +289,7 @@ def line_chart(
         )
         legend = f'<div class="legend">{keys}</div>'
 
-    columns = [x_label] + [s.label for s in series]
+    columns = ["epoch"] + [s.label for s in series]
     by_x: Dict[float, List[str]] = {}
     for idx, s in enumerate(series):
         for x, y in zip(s.xs, s.ys):
@@ -603,25 +600,6 @@ def _technique_chart(report: Dict[str, Any]) -> str:
     return bar_chart("Aggregation DRAM bytes per technique (model)", items)
 
 
-def _history_chart(entries: List[Dict[str, Any]]) -> str:
-    xs, ys, labels = [], [], []
-    for idx, entry in enumerate(entries):
-        metrics = entry.get("metrics") or {}
-        if "elapsed_s" in metrics:
-            xs.append(float(idx))
-            ys.append(float(metrics["elapsed_s"]))
-            labels.append(entry.get("label", ""))
-    if len(xs) < 2:
-        return ""
-    chart = line_chart(
-        "Bench history: wall time per run",
-        [Series("elapsed_s", xs, ys)],
-        y_format=lambda v: f"{v:.1f}s" if math.isfinite(v) else "NaN",
-        x_label="run",
-    )
-    return chart
-
-
 def _profile_section(report: Dict[str, Any]) -> str:
     """Sampled-profile section: per-phase time chart + top-N self time.
 
@@ -806,7 +784,6 @@ def build_dashboard(
     events: Optional[List[Dict[str, Any]]] = None,
     header: Optional[Dict[str, Any]] = None,
     report: Optional[Dict[str, Any]] = None,
-    history: Optional[List[Dict[str, Any]]] = None,
     title: str = "Training run",
 ) -> str:
     """Render the dashboard HTML string from already-loaded documents."""
@@ -820,10 +797,6 @@ def build_dashboard(
         technique = _technique_chart(report)
         if technique:
             charts.append(technique)
-    if history:
-        trend = _history_chart(history)
-        if trend:
-            charts.append(trend)
     sections.append(f'<div class="grid-2">{"".join(charts)}</div>')
     if report:
         sections.append(_serving_section(report))
@@ -862,7 +835,6 @@ def write_dashboard(
     path: str,
     events_path: Optional[str] = None,
     report_path: Optional[str] = None,
-    history_path: Optional[str] = None,
     title: Optional[str] = None,
 ) -> str:
     """Load the artifacts, render, and write the dashboard file."""
@@ -874,18 +846,9 @@ def write_dashboard(
     if report_path:
         with open(report_path) as handle:
             report = json.load(handle)
-    history = None
-    if history_path:
-        from .history import load_history
-
-        history = [
-            {"label": e.label, "timestamp": e.timestamp, "metrics": e.metrics}
-            for e in load_history(history_path)
-        ]
-    if title is None:
-        title = "Training run" if events_path else "Bench trend"
     document = build_dashboard(
-        events=events, header=header, report=report, history=history, title=title
+        events=events, header=header, report=report,
+        title="Training run" if title is None else title,
     )
     with open(path, "w") as handle:
         handle.write(document)

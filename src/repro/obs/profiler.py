@@ -32,20 +32,16 @@ Export surfaces:
 * :func:`write_collapsed` — ``phase;frame;frame;... count`` text, one
   line per unique stack, loadable by ``flamegraph.pl`` / speedscope;
 * :meth:`ProfileData.to_dict` — the JSON block embedded in run reports
-  (per-phase seconds, top-N self-time table, folded stacks, timeline);
-* :func:`profile_diff` — compares two captures (run reports or bare
-  profile blocks) per phase and per function with a relative regression
-  threshold, powering ``repro profile diff``.
+  (per-phase seconds, top-N self-time table, folded stacks, timeline).
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..perf.attribution import span_phase
 
@@ -378,159 +374,3 @@ class SamplingProfiler:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
-
-
-# ----------------------------------------------------------------------
-# Capture comparison — the ``repro profile diff`` engine.
-# ----------------------------------------------------------------------
-
-#: Relative growth that flags a phase/function as regressed.
-DEFAULT_DIFF_THRESHOLD = 0.25
-
-#: Absolute-seconds noise floor below which deltas are never regressions
-#: (one sample at the default rate is ~10 ms; jitter below this is noise).
-DEFAULT_DIFF_MIN_SECONDS = 0.02
-
-
-@dataclass
-class DiffRow:
-    """One compared quantity: seconds before, after, and the delta."""
-
-    kind: str  # "phase" | "function"
-    name: str
-    a_seconds: float
-    b_seconds: float
-    regressed: bool
-
-    @property
-    def delta_seconds(self) -> float:
-        return self.b_seconds - self.a_seconds
-
-    @property
-    def ratio(self) -> float:
-        if self.a_seconds <= 0.0:
-            return float("inf") if self.b_seconds > 0.0 else 1.0
-        return self.b_seconds / self.a_seconds
-
-
-@dataclass
-class ProfileDiff:
-    """Comparison of two profile captures (A = baseline, B = current)."""
-
-    threshold: float
-    min_seconds: float
-    rows: List[DiffRow] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[DiffRow]:
-        return [row for row in self.rows if row.regressed]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def render(self) -> str:
-        lines = [
-            f"profile diff (threshold {self.threshold:.0%}, "
-            f"noise floor {self.min_seconds:g}s)"
-        ]
-        for kind, title in (("phase", "phases (gated)"), ("function", "functions")):
-            rows = [r for r in self.rows if r.kind == kind]
-            if not rows:
-                continue
-            lines.append(f"{title}:")
-            lines.append(
-                f"  {'baseline':>10} {'current':>10} {'delta':>10} {'ratio':>7}  name"
-            )
-            for row in rows:
-                ratio = "inf" if row.ratio == float("inf") else f"{row.ratio:.2f}x"
-                flag = "  REGRESSED" if row.regressed else ""
-                lines.append(
-                    f"  {row.a_seconds:>9.3f}s {row.b_seconds:>9.3f}s "
-                    f"{row.delta_seconds:>+9.3f}s {ratio:>7}  {row.name}{flag}"
-                )
-        verdict = "OK" if self.ok else (
-            f"{len(self.regressions)} regression(s): "
-            + ", ".join(r.name for r in self.regressions)
-        )
-        lines.append(f"verdict: {verdict}")
-        return "\n".join(lines)
-
-
-def _phase_seconds_of(doc: Mapping[str, Any]) -> Dict[str, float]:
-    return {
-        phase: float(entry.get("seconds", 0.0))
-        for phase, entry in (doc.get("phases") or {}).items()
-    }
-
-
-def _function_seconds_of(doc: Mapping[str, Any]) -> Dict[str, float]:
-    return {
-        str(entry.get("function")): float(entry.get("self_seconds", 0.0))
-        for entry in doc.get("top") or []
-        if entry.get("function")
-    }
-
-
-def load_profile_document(source: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
-    """Extract the profile block from a path or already-loaded document.
-
-    Accepts a bare profile block (``{"hz": ..., "phases": ...}``) or a
-    full run report carrying one under ``"profile"``.
-    """
-    if isinstance(source, str):
-        with open(source) as handle:
-            doc = json.load(handle)
-    else:
-        doc = dict(source)
-    if "profile" in doc and isinstance(doc["profile"], dict):
-        doc = doc["profile"]
-    if "phases" not in doc:
-        raise ValueError(
-            "document has no sampled profile (run with --sampling to capture one)"
-        )
-    return doc
-
-
-def profile_diff(
-    a: Union[str, Mapping[str, Any]],
-    b: Union[str, Mapping[str, Any]],
-    threshold: float = DEFAULT_DIFF_THRESHOLD,
-    min_seconds: float = DEFAULT_DIFF_MIN_SECONDS,
-) -> ProfileDiff:
-    """Compare capture ``b`` against baseline ``a``.
-
-    A row regresses when current exceeds baseline by more than
-    ``threshold`` (relative) *and* the absolute growth clears
-    ``min_seconds`` — both gates, so tiny captures can't trip the
-    relative test on sampling noise.  Only phases gate the verdict;
-    per-function rows are reported for localization but a function
-    moving inside a stable phase (e.g. an inlining change) is not an
-    SLO breach by itself.
-    """
-    doc_a = load_profile_document(a)
-    doc_b = load_profile_document(b)
-    diff = ProfileDiff(threshold=threshold, min_seconds=min_seconds)
-
-    phases_a = _phase_seconds_of(doc_a)
-    phases_b = _phase_seconds_of(doc_b)
-    for name in sorted(set(phases_a) | set(phases_b)):
-        a_s = phases_a.get(name, 0.0)
-        b_s = phases_b.get(name, 0.0)
-        regressed = (b_s - a_s) > max(min_seconds, threshold * a_s)
-        diff.rows.append(DiffRow("phase", name, a_s, b_s, regressed))
-
-    funcs_a = _function_seconds_of(doc_a)
-    funcs_b = _function_seconds_of(doc_b)
-    moved = sorted(
-        set(funcs_a) | set(funcs_b),
-        key=lambda f: -abs(funcs_b.get(f, 0.0) - funcs_a.get(f, 0.0)),
-    )
-    for name in moved[:15]:
-        diff.rows.append(
-            DiffRow(
-                "function", name, funcs_a.get(name, 0.0), funcs_b.get(name, 0.0),
-                regressed=False,
-            )
-        )
-    return diff

@@ -76,7 +76,7 @@ from .shm import ArrayBundle
 
 logger = logging.getLogger(__name__)
 
-SHARD_BACKENDS = ("serial", "thread", "process")
+SHARD_BACKENDS = ("serial", "process")
 
 _RESULT_TIMEOUT_S = 300.0
 
@@ -157,8 +157,8 @@ class ShardRuntime:
     per-layer input buffers whose tail rows hold the halo copies.  The
     phase methods (``forward_layer`` → ``loss_grad`` →
     ``backward_update`` → ``backward_aggregate``) are driven either by a
-    worker loop (thread/process backends, with real barriers between
-    phases) or interleaved across runtimes by the serial backend.
+    process-backend worker loop (with real barriers between phases) or
+    interleaved across runtimes by the serial backend.
 
     Each layer ``k >= 1`` gathers rows of its :attr:`LayerSpec.width`:
     an aggregate-first layer the previous layer's ``h`` (board
@@ -364,27 +364,26 @@ class ShardRuntime:
         }
 
 
-def _run_worker_epoch(runtime: ShardRuntime, epoch: int, sync) -> Dict:
+def _run_worker_epoch(runtime: ShardRuntime, epoch: int, barrier) -> Dict:
     """One bulk-synchronous epoch on one shard.
 
-    ``sync`` is the barrier (``threading.Barrier.wait`` or
-    ``multiprocessing.Barrier.wait``); it is invoked on the schedule
-    derived from :meth:`ShardedConfig.exchange_needed`, identically in
-    every worker.
+    ``barrier`` (a ``multiprocessing.Barrier``) is waited on at the
+    schedule derived from :meth:`ShardedConfig.exchange_needed`,
+    identically in every worker.
     """
     runtime.begin_epoch()
     cfg = runtime.cfg
     num_layers = len(cfg.layers)
     for layer in range(num_layers):
         if layer > 0 and cfg.exchange_needed(layer, epoch):
-            sync()  # everyone has written boards_in[layer]
+            barrier.wait()  # everyone has written boards_in[layer]
         runtime.forward_layer(layer, epoch)
     runtime.loss_grad()
     for layer in range(num_layers - 1, -1, -1):
         runtime.backward_update(layer)
         if layer > 0:
             if cfg.exchange_needed(layer, epoch):
-                sync()  # everyone has written boards_g[layer]
+                barrier.wait()  # everyone has written boards_g[layer]
             runtime.backward_aggregate(layer, epoch)
     return runtime.epoch_result()
 
@@ -404,7 +403,7 @@ def _shard_worker_main(part, spec, config, conn, barrier):
             if epoch is None:
                 break
             try:
-                conn.send(("ok", _run_worker_epoch(runtime, epoch, barrier.wait)))
+                conn.send(("ok", _run_worker_epoch(runtime, epoch, barrier)))
             except BaseException:
                 barrier.abort()  # unblock peers; they error out too
                 conn.send(("error", traceback.format_exc()))
@@ -424,8 +423,8 @@ class ShardedTrainer:
         optimizer: steps on the parent model from summed partial grads.
         num_shards: worker/shard count.
         partition_method: ``contiguous`` / ``bfs`` / ``greedy``.
-        backend: ``serial`` (interleaved in-process, the reference),
-            ``thread``, or ``process`` (shared-memory flagship).
+        backend: ``serial`` (interleaved in-process, the reference) or
+            ``process`` (shared-memory flagship).
         delayed_layers: layer indices (≥ 1) running DistGNN-style
             delayed aggregation.
         halo_refresh: refresh period (epochs) for delayed layers;
@@ -682,8 +681,6 @@ class ShardedTrainer:
                 np.copyto(self._bundle.view(f"b{k}"), layer.bias)
             if self.backend == "process":
                 results = self._run_epoch_process(epoch)
-            elif self.backend == "thread":
-                results = self._run_epoch_thread(epoch)
             else:
                 results = self._run_epoch_serial(epoch)
             result = self._combine(epoch, results)
@@ -720,34 +717,6 @@ class ShardedTrainer:
                 for runtime in runtimes:
                     runtime.backward_aggregate(layer, epoch)
         return [runtime.epoch_result() for runtime in runtimes]
-
-    def _run_epoch_thread(self, epoch: int) -> List[Dict]:
-        import threading
-
-        barrier = threading.Barrier(self.num_shards)
-        results: List[Optional[Dict]] = [None] * self.num_shards
-        errors: List[BaseException] = []
-
-        def run(part: int) -> None:
-            try:
-                results[part] = _run_worker_epoch(
-                    self._runtimes[part], epoch, barrier.wait
-                )
-            except BaseException as exc:  # pragma: no cover - defensive
-                barrier.abort()
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=run, args=(part,), daemon=True)
-            for part in range(self.num_shards)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return results
 
     def _run_epoch_process(self, epoch: int) -> List[Dict]:
         if not self.epoch_message_bytes:

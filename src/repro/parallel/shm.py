@@ -8,7 +8,7 @@ bundle once; workers receive only the tiny picklable :class:`BundleSpec`
 zero-copy numpy views over the same physical pages.  Nothing graph-sized
 ever crosses a pickle boundary.
 
-For in-process backends (serial / thread) the same interface runs over a
+For the in-process serial backend the same interface runs over a
 private heap buffer — no segment, no cleanup, identical view semantics.
 """
 

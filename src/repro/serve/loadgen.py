@@ -13,7 +13,7 @@ The client side of the serving benchmark.  Two regimes, picked by
   visible.
 * **closed loop** (``rate=None``) — ``concurrency`` workers each keep
   exactly one request outstanding, the regime for peak-throughput
-  measurement (``bench-serve`` uses it).
+  measurement.
 
 Either way each worker thread keeps one HTTP/1.1 connection open for
 the whole run, so a request is timed without a TCP handshake.
@@ -21,8 +21,7 @@ the whole run, so a request is timed without a TCP handshake.
 Latency lands client-side in a private
 :class:`~repro.obs.metrics.Histogram` (the server's view excludes
 network + HTTP parse time; this one is end-to-end), and the
-:class:`LoadgenResult` carries qps + p50/p95/p99 in the exact metric
-names the perf-history gate expects.
+:class:`LoadgenResult` carries qps + p50/p95/p99.
 """
 
 from __future__ import annotations
@@ -59,18 +58,6 @@ class LoadgenResult:
     def qps(self) -> float:
         return self.requests / self.duration_s if self.duration_s > 0 else 0.0
 
-    def metrics(self) -> Dict[str, float]:
-        """History-row metrics (names gate in the right direction)."""
-        return {
-            "serve.qps": self.qps,
-            "serve.latency_p50_s": self.latency.percentile(50.0),
-            "serve.latency_p95_s": self.latency.percentile(95.0),
-            "serve.latency_p99_s": self.latency.percentile(99.0),
-            "serve.error_fraction": (
-                self.errors / self.requests if self.requests else 0.0
-            ),
-        }
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "url": self.url,
@@ -82,7 +69,13 @@ class LoadgenResult:
             "errors": self.errors,
             "status_counts": {str(k): v for k, v in
                               sorted(self.status_counts.items())},
-            **self.metrics(),
+            "serve.qps": self.qps,
+            "serve.latency_p50_s": self.latency.percentile(50.0),
+            "serve.latency_p95_s": self.latency.percentile(95.0),
+            "serve.latency_p99_s": self.latency.percentile(99.0),
+            "serve.error_fraction": (
+                self.errors / self.requests if self.requests else 0.0
+            ),
         }
 
     def render(self) -> str:

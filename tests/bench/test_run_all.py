@@ -81,21 +81,3 @@ class TestMain:
                              "--only", "tab3"]) == 0
         assert not (tmp_path / "BENCH_results.json").exists()
 
-    def test_history_appends_compact_row(
-        self, run_all, tmp_path, monkeypatch, capsys
-    ):
-        from repro.obs import load_history
-
-        monkeypatch.chdir(tmp_path)
-        for _ in range(2):
-            assert run_all.main([
-                "out.md", "--json", "", "--scale", "0.1", "--only", "tab3",
-                "--timestamp", "42.0",
-                "--history", "hist.jsonl", "--history-label", "quick",
-            ]) == 0
-        entries = load_history(str(tmp_path / "hist.jsonl"), label="quick")
-        assert len(entries) == 2
-        assert entries[0].timestamp == 42.0
-        assert "elapsed_s" in entries[0].metrics
-        assert "deviation.tab3" in entries[0].metrics
-        assert entries[0].meta["scale"] == 0.1

@@ -195,15 +195,6 @@ class TestProcessBitwiseMatchesSerial:
             assert np.array_equal(serial_layer.weight, proc_layer.weight)
             assert np.array_equal(serial_layer.bias, proc_layer.bias)
 
-    def test_thread_backend_bitwise_too(self, graph, features, labels):
-        serial_hist, _, _, _ = _sharded(
-            graph, features, labels, backend="serial"
-        )
-        thread_hist, _, _, _ = _sharded(
-            graph, features, labels, backend="thread"
-        )
-        assert serial_hist.losses() == thread_hist.losses()
-
 
 class TestDelayedAggregation:
     """DistGNN-style delayed aggregation: designated layers reuse stale
@@ -419,8 +410,9 @@ class TestObservability:
 class TestValidation:
     def test_rejects_unknown_backend(self, graph):
         model = _model(graph)
-        with pytest.raises(ValueError):
-            ShardedTrainer(graph, model, Adam(model), backend="mpi")
+        for backend in ("mpi", "thread"):
+            with pytest.raises(ValueError):
+                ShardedTrainer(graph, model, Adam(model), backend=backend)
 
     def test_rejects_dropout(self, graph):
         model = build_model(

@@ -193,14 +193,6 @@ class TestBuildDashboard:
         assert "Span summary" in html
         assert "abc1234"[:7] in html
 
-    def test_history_trend_chart(self):
-        history = [
-            {"label": "bench", "metrics": {"elapsed_s": 10.0}},
-            {"label": "bench", "metrics": {"elapsed_s": 12.0}},
-        ]
-        html = build_dashboard(history=history, title="Bench trend")
-        assert "elapsed" in html.lower() or "wall" in html.lower()
-
     def test_empty_inputs_still_render(self):
         html = build_dashboard()
         assert "<html" in html
@@ -222,20 +214,6 @@ class TestWriteDashboard:
         assert "https://" not in html
         assert "Training loss" in html
         assert "products" in html  # run meta lands in the subtitle
-
-    def test_history_only(self, tmp_path):
-        history_path = tmp_path / "BENCH_history.jsonl"
-        rows = [
-            {"schema": 1, "label": "bench", "timestamp": float(i),
-             "metrics": {"elapsed_s": 10.0 + i}, "meta": {}}
-            for i in range(3)
-        ]
-        history_path.write_text(
-            "\n".join(json.dumps(row) for row in rows) + "\n"
-        )
-        out = str(tmp_path / "trend.html")
-        write_dashboard(out, history_path=str(history_path))
-        assert "<svg" in open(out).read()
 
 
 class TestProfileSection:

@@ -1,7 +1,5 @@
-"""Unit tests for the sampling profiler and ``profile diff`` engine."""
+"""Unit tests for the sampling profiler."""
 
-import json
-import os
 import sys
 import threading
 import time
@@ -16,16 +14,11 @@ from repro.obs.profiler import (
     SamplingProfiler,
     fold_stack,
     frame_label,
-    load_profile_document,
     phase_of_stack,
-    profile_diff,
     render_profile,
     span_phase_seconds,
     write_collapsed,
 )
-
-DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
-
 
 class TestPhaseAttribution:
     def test_innermost_phase_wins(self):
@@ -240,80 +233,3 @@ class TestSpanPhaseSeconds:
         assert "span wall" in text
         assert "0.081s" in text
 
-
-class TestProfileDiff:
-    def test_golden_captures_flag_the_slow_phase(self):
-        # Two committed captures of the same workload: the regressed one
-        # grew its aggregate phase 1.57x while backward moved +10 ms
-        # (under the noise floor).  Exactly one gated regression.
-        baseline = os.path.join(DATA_DIR, "profile_baseline.json")
-        regressed = os.path.join(DATA_DIR, "profile_regressed.json")
-        diff = profile_diff(baseline, regressed)
-        assert not diff.ok
-        assert [r.name for r in diff.regressions] == ["aggregate"]
-        rendered = diff.render()
-        assert "REGRESSED" in rendered
-        assert "verdict: 1 regression(s): aggregate" in rendered
-
-    def test_self_comparison_is_ok(self):
-        baseline = os.path.join(DATA_DIR, "profile_baseline.json")
-        diff = profile_diff(baseline, baseline)
-        assert diff.ok
-        assert "verdict: OK" in diff.render()
-
-    def _capture(self, **phase_seconds):
-        return {
-            "hz": 97.0,
-            "phases": {
-                name: {"samples": seconds * 97.0, "seconds": seconds}
-                for name, seconds in phase_seconds.items()
-            },
-            "top": [],
-        }
-
-    def test_small_absolute_delta_never_gates(self):
-        a = self._capture(aggregate=0.010)
-        b = self._capture(aggregate=0.019)  # +90% relative, +9 ms absolute
-        assert profile_diff(a, b, threshold=0.25, min_seconds=0.02).ok
-
-    def test_relative_threshold_gates_large_phases(self):
-        a = self._capture(aggregate=1.0)
-        b = self._capture(aggregate=1.3)
-        diff = profile_diff(a, b, threshold=0.25, min_seconds=0.02)
-        assert [r.name for r in diff.regressions] == ["aggregate"]
-        # Under a looser threshold the same delta passes.
-        assert profile_diff(a, b, threshold=0.5, min_seconds=0.02).ok
-
-    def test_new_phase_in_current_has_inf_ratio(self):
-        a = self._capture(aggregate=0.5)
-        b = self._capture(aggregate=0.5, compress=0.2)
-        diff = profile_diff(a, b)
-        row = next(r for r in diff.rows if r.name == "compress")
-        assert row.ratio == float("inf")
-        assert row.regressed  # 0 -> 0.2s clears both gates
-
-    def test_function_rows_report_but_never_gate(self):
-        a = {
-            "hz": 97.0,
-            "phases": {"other": {"samples": 10, "seconds": 0.1}},
-            "top": [{"function": "m:f", "self_samples": 1, "self_seconds": 0.01}],
-        }
-        b = {
-            "hz": 97.0,
-            "phases": {"other": {"samples": 10, "seconds": 0.1}},
-            "top": [{"function": "m:f", "self_samples": 50, "self_seconds": 0.5}],
-        }
-        diff = profile_diff(a, b)
-        func_rows = [r for r in diff.rows if r.kind == "function"]
-        assert func_rows and not any(r.regressed for r in func_rows)
-        assert diff.ok
-
-    def test_accepts_full_run_report(self, tmp_path):
-        report = {"schema": 1, "profile": self._capture(aggregate=0.3)}
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(report))
-        assert profile_diff(str(path), str(path)).ok
-
-    def test_document_without_profile_raises(self):
-        with pytest.raises(ValueError, match="no sampled profile"):
-            load_profile_document({"schema": 1, "spans": []})

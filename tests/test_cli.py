@@ -66,7 +66,7 @@ class TestParser:
                 build_parser().parse_args(command + ["--backend", value])
             assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("value", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("value", ["serial", "process"])
     def test_train_backend_needs_shards(self, value, capsys):
         """On ``train`` ``--backend`` picks the sharded runtime, so it is
         refused without ``--shards`` rather than silently ignored."""
@@ -105,7 +105,7 @@ class TestParser:
         args = build_parser().parse_args(["dashboard", "run.jsonl"])
         assert args.events == "run.jsonl"
         assert args.output == "run_dashboard.html"
-        assert args.report is None and args.history is None
+        assert args.report is None
 
 
 class TestLoggingConfig:
@@ -209,28 +209,21 @@ class TestCommands:
         assert trace.exists()
         assert "wrote" in capsys.readouterr().out
 
-    def test_bench_parallel_history(self, tmp_path, capsys):
-        """``--history`` appends one row of the sweep's span totals; the
-        default label is the one the committed baseline rows carry."""
-        import json
-
-        history = tmp_path / "hist.jsonl"
+    def test_bench_parallel_prints_table(self, tmp_path, capsys):
+        """The sweep prints one wall-time and imbalance row per worker
+        count and writes no file of its own."""
         sweep = [
             "bench-parallel", "products", "--scale", "0.05",
-            "--workers", "1", "--history", str(history),
+            "--workers", "1", "2",
         ]
-        assert main(sweep + ["--history-label", "cli-test"]) == 0
-        assert "appended history entry 'cli-test'" in capsys.readouterr().out
         assert main(sweep) == 0
-        first, second = [
-            json.loads(line) for line in history.read_text().splitlines()
-        ]
-        assert first["label"] == "cli-test"
-        assert second["label"] == "bench-parallel-batched"
-        # Span totals only, so the perf gate can compare the row
-        # like-for-like with earlier entries.
-        assert "span.kernel.basic.total_s" in first["metrics"]
-        assert not any(name.startswith("train.") for name in first["metrics"])
+        out = capsys.readouterr().out
+        assert "== bench-parallel: basic kernel on products ==" in out
+        for workers in (1, 2):
+            assert f"{workers} workers wall time" in out
+            assert f"{workers} workers imbalance" in out
+            assert f"note: {workers} workers:" in out
+        assert list(tmp_path.iterdir()) == []
         with pytest.raises(SystemExit):
             build_parser().parse_args(sweep + ["--train-epochs", "2"])
 
@@ -292,33 +285,21 @@ class TestShardedTraining:
         assert "shard.partition" in span_names
         assert "shard.epoch" in span_names
 
-    def test_bench_sharded_appends_gateable_history(self, tmp_path, capsys):
-        import json
-
-        history = tmp_path / "hist.jsonl"
+    def test_bench_sharded_prints_table(self, capsys):
         code = main([
             "bench-sharded", "products", "--scale", "0.05",
             "--shards", "1", "2", "--epochs", "1", "--backend", "serial",
             "--features", "8", "--hidden", "8",
-            "--history", str(history),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "efficiency" in out
-        rows = [
-            json.loads(line) for line in history.read_text().splitlines()
-        ]
-        assert len(rows) == 1
-        assert rows[0]["label"] == "bench-parallel-sharded"
-        metrics = rows[0]["metrics"]
-        assert "sharded.shards1.epochs_per_s" in metrics
-        assert "sharded.shards2.efficiency" in metrics
-        assert "sharded.partition.cut_fraction" in metrics
-        # The fresh label gates trivially: the row is a usable baseline.
-        assert main([
-            "compare", "--history", str(history),
-            "--label", "bench-parallel-sharded",
-        ]) == 0
+        assert "serial backend) ==" in out
+        for shards in (1, 2):
+            for row in ("epoch time", "throughput", "efficiency"):
+                assert f"{shards} shards {row}" in out
+            assert f"note: {shards} shards: cut" in out
+        # Efficiency is relative to the smallest swept shard count.
+        assert "1 shards efficiency      1.000 x" in out
 
     SHARDED_PROCESS_RUN = [
         "train", "products", "--scale", "0.05", "--epochs", "2",
@@ -586,11 +567,6 @@ class TestProfilingCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "--sampling", "0"])
 
-    def test_profile_diff_parses_as_subcommand(self):
-        args = build_parser().parse_args(["profile", "diff", "a.json", "b.json"])
-        assert args.baseline == "a.json" and args.candidate == "b.json"
-        assert args.threshold == 0.25 and args.min_seconds == 0.02
-
     def test_profile_sampling_prints_phase_table_and_flame(
         self, tmp_path, capsys
     ):
@@ -628,26 +604,58 @@ class TestProfilingCommands:
         assert "sampled profile" in capsys.readouterr().out
         assert flame.exists()
 
-    def test_profile_diff_exit_codes(self, tmp_path, capsys):
-        import json as json_module
-        import os
 
-        data_dir = os.path.join(os.path.dirname(__file__), "data")
-        baseline = os.path.join(data_dir, "profile_baseline.json")
-        regressed = os.path.join(data_dir, "profile_regressed.json")
-        assert main(["profile", "diff", baseline, baseline]) == 0
-        assert "verdict: OK" in capsys.readouterr().out
-        assert main(["profile", "diff", baseline, regressed]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-        # A document without a sampled profile is a usage error (2).
-        bare = tmp_path / "noprofile.json"
-        bare.write_text(json_module.dumps({"schema": 1, "spans": []}))
-        assert main(["profile", "diff", baseline, str(bare)]) == 2
-        assert "no sampled profile" in capsys.readouterr().err
+#: One small run per command, so a flag the parser fails to check costs
+#: seconds, not a default-sized run or a server that never exits.
+_SMALL_RUNS = {
+    "train": ["train", "products", "--scale", "0.02", "--epochs", "1"],
+    "bench-parallel": ["bench-parallel", "products", "--scale", "0.02",
+                       "--workers", "1"],
+    "bench-sharded": ["bench-sharded", "--scale", "0.02", "--shards", "1",
+                      "--epochs", "1", "--backend", "serial"],
+    "profile": ["profile", "--vertices", "50", "--epochs", "1"],
+    "serve": ["serve", "--scale", "0.02", "--epochs", "0", "--port", "0",
+              "--duration", "0.1"],
+    "dashboard": ["dashboard", "events.jsonl"],
+    "loadgen": ["loadgen", "http://127.0.0.1:9", "--duration", "0.1"],
+}
 
-    def test_profile_diff_missing_file_is_usage_error(self, capsys):
-        assert main(["profile", "diff", "/nonexistent/a.json", "/nonexistent/b.json"]) == 2
-        assert "profile diff:" in capsys.readouterr().err
+_OUTPUT_FLAGS = [
+    ("train", flag)
+    for flag in ("--trace", "--json", "--perfetto", "--flame", "--events")
+] + [
+    ("bench-parallel", flag) for flag in ("--trace", "--json", "--perfetto")
+] + [
+    ("bench-sharded", flag) for flag in ("--trace", "--json")
+] + [
+    ("profile", flag)
+    for flag in ("--trace", "--json", "--perfetto", "--attrib", "--flame")
+] + [
+    ("serve", flag) for flag in ("--trace", "--json", "--perfetto")
+] + [("dashboard", "--output"), ("loadgen", "--out")]
+
+
+class TestOutputPathChecked:
+    """A file flag whose directory does not exist is refused while the
+    arguments are parsed: exit 2 and one ``error:`` line, before any
+    graph is generated, instead of a traceback after the run."""
+
+    @pytest.mark.parametrize("command,flag", _OUTPUT_FLAGS)
+    def test_missing_directory_is_a_usage_error(
+        self, command, flag, tmp_path, capsys, caplog
+    ):
+        missing = tmp_path / "no-such-dir" / "out.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(_SMALL_RUNS[command] + [flag, str(missing)])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        line = err.strip().splitlines()[-1]
+        assert line.startswith(f"repro {command}: error: argument ")
+        assert line.endswith(f"{str(missing.parent)!r} does not exist")
+        assert "epoch" not in out
+        assert not [r for r in caplog.records if "epoch" in r.getMessage()]
+        assert not missing.parent.exists()
 
 
 class TestServeSignals:
