@@ -21,10 +21,8 @@ Subcommands:
 * ``bench-parallel`` — worker-count sweep of the chunk executor
   (also accepts ``--trace`` / ``--json``).
 * ``profile`` — trace one tiny synthetic training run end to end and
-  print the span tree, counters, and environment (``--sampling HZ``
-  additionally runs the statistical sampling profiler and prints the
-  per-phase sampled-time table; ``--flame FILE`` writes collapsed
-  stacks for flamegraph tooling).
+  print the span tree, counters, environment, and bottleneck
+  attribution.
 * ``serve`` — train briefly, then answer per-vertex / per-batch
   classification and embedding queries over HTTP (request batcher +
   LRU embedding cache + admission control; every request carries a
@@ -78,24 +76,59 @@ def _configure_logging(verbosity: int) -> None:
         root.addHandler(handler)
 
 
+class _OutputWriteError(Exception):
+    """An output file could not be written; its ``error:`` line is
+    already on stderr, and :func:`main` turns this into exit code 1."""
+
+
+def _write_outputs(outputs) -> bool:
+    """Write each ``(path, write)`` pair whose path is set, on its own.
+
+    ``write()`` writes the file and returns the line to print.  An
+    ``OSError`` (a full disk, a directory removed mid-run) is one
+    ``error: could not write PATH: REASON`` line on stderr, and the
+    remaining outputs are still written.  Returns whether all succeeded.
+    """
+    ok = True
+    for path, write in outputs:
+        if not path:
+            continue
+        try:
+            print(write())
+        except OSError as error:
+            reason = error.strerror or error
+            print(f"error: could not write {path}: {reason}", file=sys.stderr)
+            ok = False
+    return ok
+
+
 @contextlib.contextmanager
-def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = None):
-    """Enable run telemetry when ``--trace``/``--json``/``--perfetto``/
-    ``--sample-proc``/``--serve-metrics`` was given.
+def _telemetry(
+    args: argparse.Namespace,
+    meta: dict,
+    extras: Optional[dict] = None,
+    always: bool = False,
+):
+    """Enable run telemetry when a telemetry flag was given (or
+    ``always``, for ``repro profile``, which traces with no flags).
 
     Yields the live tracer (or None when telemetry stays off) and, on
     exit, writes the JSONL trace, the run-report JSON, and/or the
     Perfetto (Chrome trace-event) file.  ``--sample-proc`` additionally
     runs the background resource sampler for the block and prints a
     peak-RSS / mean-CPU summary.  ``--serve-metrics PORT`` activates
-    telemetry on its own and serves the live registry over HTTP
-    (``/metrics`` Prometheus text, ``/snapshot.json`` deltas) for the
-    duration of the block; port 0 binds an ephemeral port.
+    telemetry on its own, starts the resource sampler, and serves the
+    live registry over HTTP (``/metrics`` Prometheus text,
+    ``/snapshot.json`` deltas) for the duration of the block; port 0
+    binds an ephemeral port.
 
     ``extras`` is a mutable dict the caller may fill *inside* the block
     (keys ``events``, ``sparsity``, and ``alerts``); it is read on exit
     so the run report can embed the epoch-event records, sparsity
-    profile, and SLO rule-engine verdict.
+    profile, and SLO rule-engine verdict.  Its ``outputs`` key holds
+    more ``(path, write)`` pairs, written after the telemetry files.
+    If any output cannot be written, the block raises
+    :class:`_OutputWriteError` once everything else is written.
     """
     from . import obs
 
@@ -104,32 +137,17 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
     perfetto_path = getattr(args, "perfetto", None)
     sample_proc = getattr(args, "sample_proc", False)
     serve_port = getattr(args, "serve_metrics", None)
-    sampling_hz = getattr(args, "sampling", None)
-    flame_path = getattr(args, "flame", None)
-    if (
-        not trace_path
-        and not json_path
-        and not perfetto_path
-        and not sample_proc
-        and serve_port is None
-        and sampling_hz is None
-        and not flame_path
+    if not (
+        always
+        or trace_path
+        or json_path
+        or perfetto_path
+        or sample_proc
+        or serve_port is not None
     ):
         yield None
         return
     tracer, metrics = obs.enable()
-    # --flame alone implies sampling at the default rate; the profiler
-    # joins sampled stacks against the tracer's live span stacks so each
-    # tick lands in a phase (aggregate/update/backward/compress).
-    profiler = obs.NULL_PROFILER
-    if sampling_hz is not None or flame_path:
-        profiler = obs.SamplingProfiler(
-            tracer=tracer,
-            hz=sampling_hz or obs.DEFAULT_SAMPLING_HZ,
-            registry=metrics,
-        )
-        obs.set_profiler(profiler)
-        profiler.start()
     # --serve-metrics implies --sample-proc: a scrape without proc.*
     # gauges answers none of the questions a live watcher asks.
     sampler = (
@@ -151,23 +169,8 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
     finally:
         server.stop()
         sampler.stop()
-        profile_data = profiler.stop()
         obs.disable()
         extras = extras or {}
-        records = [
-            span.to_record()
-            for span in sorted(tracer.spans(), key=lambda s: s.span_id)
-        ]
-        if profile_data is not None:
-            print("\n== sampled profile ==")
-            print(
-                obs.render_profile(
-                    profile_data, obs.span_phase_seconds(records)
-                )
-            )
-        if flame_path and profile_data is not None:
-            count = obs.write_collapsed(flame_path, profile_data)
-            print(f"wrote {count} folded stacks to {flame_path}")
         if sample_proc:
             snap = metrics.snapshot()
             rss = snap.get("proc.rss_bytes.samples", {})
@@ -177,10 +180,12 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
                 f"peak RSS {rss.get('max', 0.0) / 2**20:.1f} MiB, "
                 f"mean CPU {cpu.get('mean', 0.0):.0f}%"
             )
-        if trace_path:
+
+        def write_trace() -> str:
             count = tracer.export_jsonl(trace_path)
-            print(f"wrote {count} spans to {trace_path}")
-        if json_path:
+            return f"wrote {count} spans to {trace_path}"
+
+        def write_report() -> str:
             report = obs.build_run_report(
                 tracer,
                 metrics,
@@ -188,15 +193,24 @@ def _telemetry(args: argparse.Namespace, meta: dict, extras: Optional[dict] = No
                 events=extras.get("events"),
                 sparsity=extras.get("sparsity"),
                 alerts=extras.get("alerts"),
-                profile=profile_data,
             )
             obs.write_json(json_path, report)
-            print(f"wrote run report to {json_path}")
-        if perfetto_path:
-            count = obs.export_perfetto(
-                perfetto_path, tracer, metrics, meta=meta, profile=profile_data
-            )
-            print(f"wrote {count} span events to {perfetto_path} (Perfetto)")
+            return f"wrote run report to {json_path}"
+
+        def write_perfetto() -> str:
+            count = obs.export_perfetto(perfetto_path, tracer, metrics, meta=meta)
+            return f"wrote {count} span events to {perfetto_path} (Perfetto)"
+
+        written = _write_outputs(
+            [
+                (trace_path, write_trace),
+                (json_path, write_report),
+                (perfetto_path, write_perfetto),
+                *extras.get("outputs", ()),
+            ]
+        )
+    if not written:
+        raise _OutputWriteError()
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -272,6 +286,39 @@ def _output_path(value: str) -> str:
     if not os.path.isdir(parent):
         raise argparse.ArgumentTypeError(f"directory {parent!r} does not exist")
     return value
+
+
+#: The flags :func:`_telemetry` reads, declared once; each command adds
+#: the subset it accepts with :func:`_add_telemetry_flags`.
+_TELEMETRY_FLAGS = {
+    "--trace": dict(
+        metavar="FILE", type=_output_path, help="write a JSONL span trace"
+    ),
+    "--json": dict(
+        metavar="FILE", type=_output_path, help="write a run-report JSON"
+    ),
+    "--perfetto": dict(
+        metavar="FILE", type=_output_path,
+        help="write a Perfetto/chrome://tracing trace JSON",
+    ),
+    "--serve-metrics": dict(
+        metavar="PORT", type=int, default=None,
+        help="serve the live metrics registry over HTTP for the run "
+        "(GET /metrics Prometheus text, GET /snapshot.json deltas); "
+        "0 binds an ephemeral port; also starts the resource sampler "
+        "(proc.* metrics)",
+    ),
+    "--sample-proc": dict(
+        action="store_true",
+        help="sample process RSS / CPU%% / threads in the background "
+        "and publish proc.* metrics",
+    ),
+}
+
+
+def _add_telemetry_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_TELEMETRY_FLAGS[flag])
 
 
 def _make_aggregation_kernel(workers: int):
@@ -374,13 +421,6 @@ def _train_sharded(args, graph, features, labels, model) -> int:
     if args.dropout:
         print("sharded training requires --dropout 0", file=sys.stderr)
         return 2
-    for flag, name in ((args.events, "--events"), (args.health, "--health"),
-                       (args.rules, "--rules")):
-        if flag:
-            print(
-                f"note: {name} is not supported with --shards; ignoring",
-                file=sys.stderr,
-            )
     delayed = tuple(args.delay_aggregation or ())
     backend = args.backend or "serial"
     meta = {
@@ -603,63 +643,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         kernel = CompressedKernel(executor=executor)
     trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
 
-    tracer, metrics = obs.enable()
-    profiler = obs.NULL_PROFILER
-    if args.sampling is not None or args.flame:
-        profiler = obs.SamplingProfiler(
-            tracer=tracer,
-            hz=args.sampling or obs.DEFAULT_SAMPLING_HZ,
-            registry=metrics,
-        )
-        obs.set_profiler(profiler)
-        profiler.start()
-    server = obs.NULL_SERVER
-    if args.serve_metrics is not None:
-        server = obs.MetricsServer(metrics, port=args.serve_metrics).start()
-        print(
-            f"serving live metrics on {server.url} "
-            "(/metrics, /snapshot.json)"
-        )
-    try:
-        history = trainer.fit(graph, features, labels, epochs=args.epochs)
-    finally:
-        server.stop()
-        profile_data = profiler.stop()
-        obs.disable()
-
-    records = [
-        span.to_record()
-        for span in sorted(tracer.spans(), key=lambda s: s.span_id)
-    ]
-    print(
-        f"profiled {args.epochs} epoch(s) on {graph.num_vertices} vertices, "
-        f"{args.kernel} kernel x{args.workers} "
-        f"(final loss {history.final_loss:.4f})"
-    )
-    print("\n== span tree ==")
-    print(obs.render_span_tree(records))
-    print("\n== aggregation counters (all kernel spans) ==")
-    for key, value in sorted(tracer.aggregate_counters("kernel.*").items()):
-        print(f"  {key:<24} {value:g}")
-    print("\n== environment ==")
-    for key, value in obs.environment_info().items():
-        print(f"  {key:<16} {value}")
-
-    from .perf import CostModel
-
-    attribution = obs.attribute_run(
-        records,
-        cost_model=CostModel(graph),
-        sparsity=0.5,
-        metrics_snapshot=metrics.snapshot(),
-    )
-    print("\n== bottleneck attribution ==")
-    print(attribution.render())
-
-    if profile_data is not None:
-        print("\n== sampled profile ==")
-        print(obs.render_profile(profile_data, obs.span_phase_seconds(records)))
-
     meta = {
         "command": "profile",
         "vertices": args.vertices,
@@ -667,33 +650,43 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "workers": args.workers,
         "epochs": args.epochs,
     }
-    if profile_data is not None:
-        meta["sampling_hz"] = profile_data.hz
-    if args.trace:
-        count = tracer.export_jsonl(args.trace)
-        print(f"\nwrote {count} spans to {args.trace}")
-    if args.json:
-        obs.write_json(
-            args.json,
-            obs.build_run_report(
-                tracer, metrics, meta=meta, profile=profile_data
-            ),
+    extras: dict = {}
+    with _telemetry(args, meta, extras=extras, always=True) as tracer:
+        history = trainer.fit(graph, features, labels, epochs=args.epochs)
+        records = [
+            span.to_record()
+            for span in sorted(tracer.spans(), key=lambda s: s.span_id)
+        ]
+        print(
+            f"profiled {args.epochs} epoch(s) on {graph.num_vertices} vertices, "
+            f"{args.kernel} kernel x{args.workers} "
+            f"(final loss {history.final_loss:.4f})"
         )
-        print(f"wrote run report to {args.json}")
-    if args.perfetto:
-        count = obs.export_perfetto(
-            args.perfetto, tracer, metrics, meta=meta, profile=profile_data
+        print("\n== span tree ==")
+        print(obs.render_span_tree(records))
+        print("\n== aggregation counters (all kernel spans) ==")
+        for key, value in sorted(tracer.aggregate_counters("kernel.*").items()):
+            print(f"  {key:<24} {value:g}")
+        print("\n== environment ==")
+        for key, value in obs.environment_info().items():
+            print(f"  {key:<16} {value}")
+
+        from .perf import CostModel
+
+        attribution = obs.attribute_run(
+            records,
+            cost_model=CostModel(graph),
+            sparsity=0.5,
+            metrics_snapshot=obs.get_metrics().snapshot(),
         )
-        print(f"wrote {count} span events to {args.perfetto} (Perfetto)")
-    if args.attrib:
-        attribution.write_json(args.attrib)
-        print(f"wrote attribution report to {args.attrib}")
-    if args.flame:
-        if profile_data is None:  # pragma: no cover - flame implies sampling
-            print("no sampled profile captured; flame output skipped")
-        else:
-            count = obs.write_collapsed(args.flame, profile_data)
-            print(f"wrote {count} folded stacks to {args.flame}")
+        print("\n== bottleneck attribution ==")
+        print(attribution.render())
+
+        def write_attribution() -> str:
+            attribution.write_json(args.attrib)
+            return f"wrote attribution report to {args.attrib}"
+
+        extras["outputs"] = [(args.attrib, write_attribution)]
     return 0
 
 
@@ -1056,13 +1049,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--halo-refresh", type=_positive_int, default=8,
         help="refresh period (epochs) for --delay-aggregation layers",
     )
-    p.add_argument("--trace", metavar="FILE", type=_output_path,
-                   help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", type=_output_path,
-                   help="write a run-report JSON")
-    p.add_argument(
-        "--perfetto", metavar="FILE", type=_output_path,
-        help="write a Perfetto/chrome://tracing trace JSON",
+    _add_telemetry_flags(
+        p, "--trace", "--json", "--perfetto", "--sample-proc", "--serve-metrics"
     )
     p.add_argument(
         "--events", metavar="FILE", type=_output_path, default=None,
@@ -1075,34 +1063,11 @@ def build_parser() -> argparse.ArgumentParser:
         "stall); fatal issues abort the run with a diagnostic",
     )
     p.add_argument(
-        "--sample-proc", action="store_true",
-        help="sample process RSS / CPU%% / threads in the background "
-        "and publish proc.* metrics",
-    )
-    p.add_argument(
-        "--serve-metrics", metavar="PORT", type=int, default=None,
-        help="serve the live metrics registry over HTTP for the run "
-        "(GET /metrics Prometheus text, GET /snapshot.json deltas); "
-        "0 binds an ephemeral port; implies --sample-proc",
-    )
-    p.add_argument(
         "--rules", metavar="FILE", default=None,
         help="evaluate declarative SLO rules each epoch "
         "('[name:] metric [stat] op threshold [for K]' per line); "
         "violations surface as alerts.* metrics, slo: event issues, "
         "and run-report entries",
-    )
-    p.add_argument(
-        "--sampling", metavar="HZ", type=_positive_float, default=None,
-        help="run the sampling profiler at HZ: walk the interpreter "
-        "stacks, attribute samples to span phases, print the per-phase "
-        "table, and embed the profile in --json/--perfetto outputs",
-    )
-    p.add_argument(
-        "--flame", metavar="FILE", type=_output_path, default=None,
-        help="write the sampled profile as collapsed stacks "
-        "(flamegraph.pl / speedscope input); implies --sampling "
-        "at the default 97 Hz",
     )
     p.set_defaults(func=_cmd_train)
 
@@ -1124,19 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-size", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, nargs="+", default=[1, 2, 4])
-    p.add_argument("--trace", metavar="FILE", type=_output_path,
-                   help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", type=_output_path,
-                   help="write a run-report JSON")
-    p.add_argument(
-        "--perfetto", metavar="FILE", type=_output_path,
-        help="write a Perfetto/chrome://tracing trace JSON",
-    )
-    p.add_argument(
-        "--serve-metrics", metavar="PORT", type=int, default=None,
-        help="serve the live metrics registry over HTTP during the sweep "
-        "(0 = ephemeral port); implies --sample-proc",
-    )
+    _add_telemetry_flags(p, "--trace", "--json", "--perfetto", "--serve-metrics")
     p.set_defaults(func=_cmd_bench_parallel)
 
     p = sub.add_parser(
@@ -1167,10 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LAYER",
     )
     p.add_argument("--halo-refresh", type=_positive_int, default=8)
-    p.add_argument("--trace", metavar="FILE", type=_output_path,
-                   help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", type=_output_path,
-                   help="write a run-report JSON")
+    _add_telemetry_flags(p, "--trace", "--json")
     p.set_defaults(func=_cmd_bench_sharded)
 
     p = sub.add_parser(
@@ -1186,35 +1136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", choices=["basic", "compression"], default="basic")
     p.add_argument("--workers", type=_positive_int, default=2)
-    p.add_argument("--trace", metavar="FILE", type=_output_path,
-                   help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", type=_output_path,
-                   help="write a run-report JSON")
-    p.add_argument(
-        "--perfetto", metavar="FILE", type=_output_path,
-        help="write a Perfetto/chrome://tracing trace JSON",
-    )
+    _add_telemetry_flags(p, "--trace", "--json", "--perfetto", "--serve-metrics")
     p.add_argument(
         "--attrib", metavar="FILE", type=_output_path,
         help="write the bottleneck-attribution report JSON",
-    )
-    p.add_argument(
-        "--serve-metrics", metavar="PORT", type=int, default=None,
-        help="serve the live metrics registry over HTTP during the "
-        "profiled run (0 = ephemeral port)",
-    )
-    p.add_argument(
-        "--sampling", metavar="HZ", type=_positive_float, default=None,
-        help="run the sampling profiler at HZ: walk the interpreter "
-        "stacks, attribute samples to span phases "
-        "(aggregate/update/backward/compress), and print the per-phase "
-        "and top-function tables",
-    )
-    p.add_argument(
-        "--flame", metavar="FILE", type=_output_path, default=None,
-        help="write the sampled profile as collapsed stacks "
-        "(flamegraph.pl / speedscope input); implies --sampling "
-        "at the default 97 Hz",
     )
     p.set_defaults(func=_cmd_profile)
 
@@ -1350,21 +1275,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="exit 1 when any SLO rule fired during the run",
     )
-    p.add_argument("--trace", metavar="FILE", type=_output_path,
-                   help="write a JSONL span trace")
-    p.add_argument("--json", metavar="FILE", type=_output_path,
-                   help="write a run-report JSON")
-    p.add_argument(
-        "--perfetto", metavar="FILE", type=_output_path,
-        help="write a Perfetto/chrome://tracing trace JSON",
+    _add_telemetry_flags(
+        p, "--trace", "--json", "--perfetto", "--serve-metrics", "--sample-proc"
     )
-    p.add_argument(
-        "--serve-metrics", metavar="PORT", type=int, default=None,
-        help="additionally serve the live metrics registry over HTTP "
-        "(0 = ephemeral); implies --sample-proc",
-    )
-    p.add_argument("--sample-proc", action="store_true",
-                   help="sample process RSS/CPU and publish proc.* metrics")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1411,13 +1324,34 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is _cmd_train and args.backend is not None and args.shards == 1:
-        parser.error(
-            "train: --backend selects the sharded runtime; it needs --shards N > 1"
-        )
+    if args.func is _cmd_train:
+        if args.backend is not None and args.shards == 1:
+            parser.error(
+                "train: --backend selects the sharded runtime; "
+                "it needs --shards N > 1"
+            )
+        if args.shards > 1:
+            unsupported = [
+                flag
+                for flag, given in (
+                    ("--events", args.events),
+                    ("--health", args.health),
+                    ("--rules", args.rules),
+                    ("--workers N > 1", args.workers > 1),
+                )
+                if given
+            ]
+            if unsupported:
+                parser.error(
+                    f"train: {', '.join(unsupported)} cannot be combined "
+                    "with --shards N > 1"
+                )
     _configure_logging(args.verbose - args.quiet)
     logger.info("running %s", args.command)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OutputWriteError:
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

@@ -98,20 +98,6 @@ from .metrics import (
     NullRegistry,
     publish_counters,
 )
-from .profiler import (
-    DEFAULT_SAMPLING_HZ,
-    NULL_PROFILER,
-    PROFILE_SCHEMA_VERSION,
-    NullSamplingProfiler,
-    ProfileData,
-    SamplingProfiler,
-    fold_stack,
-    frame_label,
-    phase_of_stack,
-    render_profile,
-    span_phase_seconds,
-    write_collapsed,
-)
 from .rules import (
     Alert,
     DEFAULT_SERVE_RULES,
@@ -147,7 +133,6 @@ from .trace import (
 
 _tracer = NULL_TRACER
 _metrics = NULL_REGISTRY
-_profiler = NULL_PROFILER
 
 
 def get_tracer():
@@ -160,11 +145,6 @@ def get_metrics():
     return _metrics
 
 
-def get_profiler():
-    """The active sampling profiler (:data:`NULL_PROFILER` unless set)."""
-    return _profiler
-
-
 def set_tracer(tracer) -> None:
     global _tracer
     _tracer = tracer
@@ -173,11 +153,6 @@ def set_tracer(tracer) -> None:
 def set_metrics(registry) -> None:
     global _metrics
     _metrics = registry
-
-
-def set_profiler(profiler) -> None:
-    global _profiler
-    _profiler = profiler
 
 
 def enable(
@@ -193,10 +168,9 @@ def enable(
 
 
 def disable() -> None:
-    """Restore the zero-cost null tracer, registry, and profiler."""
+    """Restore the zero-cost null tracer and registry."""
     set_tracer(NULL_TRACER)
     set_metrics(NULL_REGISTRY)
-    set_profiler(NULL_PROFILER)
 
 
 __all__ = [
@@ -228,19 +202,13 @@ __all__ = [
     "NullMetricsServer",
     "NullRegistry",
     "NullResourceSampler",
-    "NullSamplingProfiler",
     "NullTracer",
-    "NULL_PROFILER",
     "NULL_REGISTRY",
     "NULL_SAMPLER",
     "NULL_SERVER",
     "NULL_TRACER",
-    "DEFAULT_SAMPLING_HZ",
     "DEFAULT_SERVE_RULES",
     "default_serve_rules",
-    "PROFILE_SCHEMA_VERSION",
-    "ProfileData",
-    "SamplingProfiler",
     "ResourceSampler",
     "Rule",
     "RuleEngine",
@@ -255,16 +223,9 @@ __all__ = [
     "disable",
     "enable",
     "environment_info",
-    "fold_stack",
-    "frame_label",
     "get_metrics",
-    "get_profiler",
     "get_tracer",
     "load_rules",
-    "phase_of_stack",
-    "render_profile",
-    "span_phase_seconds",
-    "write_collapsed",
     "parse_rule",
     "parse_rules",
     "prometheus_name",
@@ -276,7 +237,6 @@ __all__ = [
     "scrape_snapshot",
     "sparkline",
     "set_metrics",
-    "set_profiler",
     "set_tracer",
     "span_tree",
     "validate_epoch_event",

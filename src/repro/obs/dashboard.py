@@ -600,83 +600,6 @@ def _technique_chart(report: Dict[str, Any]) -> str:
     return bar_chart("Aggregation DRAM bytes per technique (model)", items)
 
 
-def _profile_section(report: Dict[str, Any]) -> str:
-    """Sampled-profile section: per-phase time chart + top-N self time.
-
-    Rendered only when the report carries a ``profile`` block (a run
-    captured with ``--sampling``).  The phase chart pairs the sampled
-    interpreter seconds with the kernel-span wall seconds
-    (``span_phase_seconds``) so a mismatch between the two rankings —
-    sampler says update-bound, spans say aggregate-bound — is visible
-    at a glance.
-    """
-    profile = report.get("profile")
-    if not profile:
-        return ""
-    tiles = [
-        _tile("Profiler ticks", str(profile.get("samples", 0))),
-        _tile("Sampling rate", f"{profile.get('hz', 0.0):g} Hz"),
-        _tile(
-            "Sampled time",
-            f"{profile.get('duration_estimate_s', 0.0):.2f} s",
-        ),
-    ]
-    parts = ["<h2>Sampled profile</h2>", f'<div class="tiles">{"".join(tiles)}</div>']
-
-    phases = profile.get("phases") or {}
-    items = [
-        (phase, float(entry.get("seconds", 0.0)))
-        for phase, entry in sorted(
-            phases.items(), key=lambda kv: -kv[1].get("seconds", 0.0)
-        )
-    ]
-    if items:
-        parts.append(
-            bar_chart(
-                "Sampled seconds per phase",
-                items,
-                y_format=lambda v: f"{v:.3f}s",
-            )
-        )
-    span_seconds = report.get("span_phase_seconds") or {}
-    if span_seconds:
-        rows = [
-            [
-                phase,
-                f"{float((phases.get(phase) or {}).get('seconds', 0.0)):.3f} s",
-                f"{wall:.3f} s",
-            ]
-            for phase, wall in sorted(
-                span_seconds.items(), key=lambda kv: -kv[1]
-            )
-        ]
-        parts.append(
-            _data_table(
-                ["phase", "sampled", "span wall"],
-                rows,
-                summary="sampled vs span wall time per phase",
-            )
-        )
-    top = profile.get("top") or []
-    if top:
-        rows = [
-            [
-                str(entry.get("function", "?")),
-                f"{float(entry.get('self_samples', 0.0)):.0f}",
-                f"{float(entry.get('self_seconds', 0.0)):.3f} s",
-            ]
-            for entry in top[:15]
-        ]
-        parts.append(
-            _data_table(
-                ["function", "self samples", "self time"],
-                rows,
-                summary="top functions by self time",
-            )
-        )
-    return "".join(parts)
-
-
 def _serving_section(report: Dict[str, Any]) -> str:
     """Serving-plane latency section, when ``serve.*`` metrics exist.
 
@@ -800,7 +723,6 @@ def build_dashboard(
     sections.append(f'<div class="grid-2">{"".join(charts)}</div>')
     if report:
         sections.append(_serving_section(report))
-        sections.append(_profile_section(report))
         sections.append(_span_summary(report))
 
     meta = dict((header or {}).get("run") or {})

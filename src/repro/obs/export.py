@@ -50,16 +50,11 @@ def _micros(seconds: float) -> float:
 def chrome_trace_events(
     records: List[Dict[str, Any]],
     metrics_snapshot: Optional[Mapping[str, Mapping[str, float]]] = None,
-    profile: Optional[Mapping[str, Any]] = None,
 ) -> List[Dict[str, Any]]:
     """Build the Chrome trace-event list for a list of span records.
 
     The returned list contains exactly one ``"X"`` event per span record,
-    plus ``"C"`` counter samples and ``"M"`` metadata events.  With a
-    sampled ``profile`` block (:meth:`ProfileData.to_dict` or the run
-    report's ``profile`` entry), each timeline tick becomes one ``"i"``
-    instant event named ``sample.<phase>`` and a cumulative
-    ``profiler/samples`` counter track shows when the profiler ran.
+    plus ``"C"`` counter samples and ``"M"`` metadata events.
     """
     events: List[Dict[str, Any]] = []
     tids = {0}
@@ -132,34 +127,6 @@ def chrome_trace_events(
                 }
             )
 
-    # Sampled-profile overlay: instant events on the timeline plus a
-    # cumulative tick-count track (flat where the profiler wasn't live).
-    if profile:
-        timeline = profile.get("timeline") or []
-        for index, (t_s, phase) in enumerate(timeline):
-            ts = _micros(float(t_s))
-            events.append(
-                {
-                    "name": f"sample.{phase}",
-                    "cat": "profiler",
-                    "ph": "i",
-                    "s": "t",
-                    "ts": ts,
-                    "pid": TRACE_PID,
-                    "tid": 0,
-                    "args": {"phase": phase},
-                }
-            )
-            events.append(
-                {
-                    "name": "profiler/samples",
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": TRACE_PID,
-                    "args": {"samples": index + 1},
-                }
-            )
-
     events.append(
         {
             "name": "process_name",
@@ -186,11 +153,10 @@ def chrome_trace(
     records: List[Dict[str, Any]],
     metrics_snapshot: Optional[Mapping[str, Mapping[str, float]]] = None,
     meta: Optional[Dict[str, Any]] = None,
-    profile: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """The full Chrome-trace JSON document for a span-record list."""
     return {
-        "traceEvents": chrome_trace_events(records, metrics_snapshot, profile),
+        "traceEvents": chrome_trace_events(records, metrics_snapshot),
         "displayTimeUnit": "ms",
         "otherData": dict(meta or {}),
     }
@@ -201,10 +167,9 @@ def write_chrome_trace(
     records: List[Dict[str, Any]],
     metrics_snapshot: Optional[Mapping[str, Mapping[str, float]]] = None,
     meta: Optional[Dict[str, Any]] = None,
-    profile: Optional[Mapping[str, Any]] = None,
 ) -> int:
     """Write a Perfetto-loadable trace file; returns the span-event count."""
-    doc = chrome_trace(records, metrics_snapshot, meta, profile)
+    doc = chrome_trace(records, metrics_snapshot, meta)
     with open(path, "w") as handle:
         json.dump(doc, handle)
         handle.write("\n")
@@ -216,19 +181,11 @@ def export_perfetto(
     tracer,
     metrics=None,
     meta: Optional[Dict[str, Any]] = None,
-    profile=None,
 ) -> int:
-    """Convenience: export a live tracer (and registry) straight to disk.
-
-    ``profile`` accepts the active :class:`~repro.obs.profiler
-    .SamplingProfiler`'s ``data``, a raw :class:`ProfileData`, or an
-    already-serialized profile dict.
-    """
+    """Convenience: export a live tracer (and registry) straight to disk."""
     records = [
         span.to_record()
         for span in sorted(tracer.spans(), key=lambda s: s.span_id)
     ]
     snapshot = metrics.snapshot() if metrics is not None else None
-    if profile is not None and hasattr(profile, "to_dict"):
-        profile = profile.to_dict()
-    return write_chrome_trace(path, records, snapshot, meta, profile)
+    return write_chrome_trace(path, records, snapshot, meta)

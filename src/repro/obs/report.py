@@ -69,7 +69,6 @@ def build_run_report(
     events: Optional[Any] = None,
     sparsity: Optional[Any] = None,
     alerts: Optional[Any] = None,
-    profile: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Assemble the run-report document (plain dict, JSON-serializable).
 
@@ -82,10 +81,7 @@ def build_run_report(
     embeds the SLO verdict — either a
     :class:`~repro.obs.rules.RuleEngine` (its ``to_dict()`` is taken) or
     a pre-built dict — so a report alone answers "did the run stay
-    inside its envelope".  ``profile`` embeds a sampling-profiler capture
-    (a :class:`~repro.obs.profiler.ProfileData` or its ``to_dict()``)
-    together with ``span_phase_seconds``, the kernel-span wall time per
-    phase the sampled table is sanity-checked against.
+    inside its envelope".
     """
     records = (
         [span.to_record() for span in sorted(tracer.spans(), key=lambda s: s.span_id)]
@@ -113,13 +109,6 @@ def build_run_report(
         report["alerts"] = (
             alerts.to_dict() if hasattr(alerts, "to_dict") else dict(alerts)
         )
-    if profile is not None:
-        from .profiler import span_phase_seconds
-
-        report["profile"] = (
-            profile.to_dict() if hasattr(profile, "to_dict") else dict(profile)
-        )
-        report["span_phase_seconds"] = span_phase_seconds(records)
     return report
 
 

@@ -138,9 +138,6 @@ class NullTracer:
     ) -> None:
         pass
 
-    def stack_names(self, thread_id: int) -> List[str]:
-        return []
-
 
 NULL_TRACER = NullTracer()
 
@@ -162,10 +159,6 @@ class Tracer:
         self._lock = threading.Lock()
         self._next_id = 0
         self._local = threading.local()
-        # Thread id -> that thread's live stack *object* (the same list
-        # the thread-local holds), so the sampling profiler can read any
-        # thread's open spans from its own thread.
-        self._by_thread: Dict[int, List[Span]] = {}
         self.finished: List[Span] = []
 
     # ------------------------------------------------------------------
@@ -177,23 +170,7 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
-            with self._lock:
-                self._by_thread[threading.get_ident()] = stack
         return stack
-
-    def stack_names(self, thread_id: int) -> List[str]:
-        """Span names open on another thread, outermost first.
-
-        Cross-thread read for the sampling profiler.  The snapshot is
-        taken from a shallow copy, so a concurrent push/pop on the owner
-        thread can at worst make the answer one span stale — fine for a
-        statistical sample.
-        """
-        with self._lock:
-            stack = self._by_thread.get(thread_id)
-            if not stack:
-                return []
-            return [span.name for span in list(stack)]
 
     def _new_id(self) -> int:
         with self._lock:

@@ -40,32 +40,6 @@ SPAN_VARIANTS: Dict[str, str] = {
     "kernel.combined": "combined",
 }
 
-#: Traced span name -> execution *phase*.  Where :data:`SPAN_VARIANTS`
-#: buckets by cost-model variant, this buckets by training phase — the
-#: granularity the sampling profiler attributes interpreter time at and
-#: the architecture-characterization literature reports breakdowns in.
-SPAN_PHASES: Dict[str, str] = {
-    "kernel.basic": "aggregate",
-    "kernel.mkl": "aggregate",
-    "kernel.fusion": "update",
-    "kernel.combined": "update",
-    "kernel.compression": "compress",
-    "kernel.backward.basic": "backward",
-    "backward": "backward",
-    "layer.backward": "backward",
-}
-
-
-def span_phase(name: str) -> Optional[str]:
-    """Phase of one span name (``kernel.backward.*`` matches by prefix)."""
-    phase = SPAN_PHASES.get(name)
-    if phase is not None:
-        return phase
-    if name.startswith("kernel.backward."):
-        return "backward"
-    return None
-
-
 @dataclass(frozen=True)
 class SpanWorkload:
     """The analytic shape of the work one kernel span performed."""

@@ -1,6 +1,10 @@
 """Shared fixtures: small graphs and features reused across the suite."""
 
 import logging
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +32,43 @@ def restore_repro_logging():
     yield
     logger.handlers[:] = handlers
     logger.setLevel(level)
+
+
+SHM_DIR = "/dev/shm"
+
+#: How long the leak check waits, in total, for threads a test started
+#: to finish before it calls them leaked.
+THREAD_JOIN_S = 5.0
+
+
+def _shm_entries() -> set:
+    return set(os.listdir(SHM_DIR)) if os.path.isdir(SHM_DIR) else set()
+
+
+@pytest.fixture
+def no_leaked_resources():
+    """Fail a test that leaves a live child process, a new ``/dev/shm``
+    entry, or a thread it started still running (after a bounded join).
+
+    ``tests/parallel/`` and ``tests/serve/`` apply it to every test
+    through their ``conftest.py``.
+    """
+    threads_before = set(threading.enumerate())
+    shm_before = _shm_entries()
+    yield
+    children = multiprocessing.active_children()
+    deadline = time.monotonic() + THREAD_JOIN_S
+    alive = []
+    for thread in threading.enumerate():
+        if thread in threads_before or thread is threading.current_thread():
+            continue
+        thread.join(max(0.0, deadline - time.monotonic()))
+        if thread.is_alive():
+            alive.append(thread.name)
+    leaked_shm = _shm_entries() - shm_before
+    assert not children, f"live child processes after the test: {children}"
+    assert not leaked_shm, f"new {SHM_DIR} entries: {sorted(leaked_shm)}"
+    assert not alive, f"threads still running after the test: {alive}"
 
 
 @pytest.fixture(scope="session")

@@ -216,45 +216,6 @@ class TestWriteDashboard:
         assert "products" in html  # run meta lands in the subtitle
 
 
-class TestProfileSection:
-    def _report_with_profile(self):
-        return {
-            "schema": 1,
-            "spans": [],
-            "metrics": {},
-            "profile": {
-                "hz": 97.0,
-                "samples": 42,
-                "thread_samples": 42,
-                "duration_estimate_s": 0.433,
-                "phases": {
-                    "aggregate": {"samples": 30, "seconds": 0.309},
-                    "other": {"samples": 12, "seconds": 0.124},
-                },
-                "top": [
-                    {
-                        "function": "repro.kernels.jit:kernel",
-                        "self_samples": 30,
-                        "self_seconds": 0.309,
-                    }
-                ],
-                "timeline": [],
-            },
-            "span_phase_seconds": {"aggregate": 0.31},
-        }
-
-    def test_profile_section_renders(self):
-        html = build_dashboard(report=self._report_with_profile())
-        assert "Profiler ticks" in html
-        assert "Sampled seconds per phase" in html
-        assert "repro.kernels.jit:kernel" in html
-        assert "span wall" in html
-
-    def test_no_profile_no_section(self):
-        html = build_dashboard(report={"schema": 1, "spans": [], "metrics": {}})
-        assert "Profiler ticks" not in html
-
-
 class TestServingSection:
     def serve_report(self):
         return {

@@ -102,35 +102,6 @@ class TestChromeTraceEvents:
         }
         assert names == {0: "main", 1: "worker-0", 2: "worker-1"}
 
-    def test_profile_timeline_becomes_instant_events(self):
-        profile = {
-            "timeline": [[0.002, "aggregate"], [0.006, "backward"]],
-            "phases": {"aggregate": {"samples": 1, "seconds": 0.004}},
-        }
-        events = chrome_trace_events(sample_records(), profile=profile)
-        instants = [e for e in events if e.get("ph") == "i"]
-        assert [e["name"] for e in instants] == [
-            "sample.aggregate",
-            "sample.backward",
-        ]
-        assert instants[0]["ts"] == pytest.approx(2000.0)
-        assert all(e["cat"] == "profiler" and e["s"] == "t" for e in instants)
-
-    def test_profile_sample_counter_track_is_cumulative(self):
-        profile = {"timeline": [[0.001, "other"], [0.002, "other"]]}
-        events = chrome_trace_events(sample_records(), profile=profile)
-        samples = [
-            e["args"]["samples"]
-            for e in events
-            if e.get("ph") == "C" and e["name"] == "profiler/samples"
-        ]
-        assert samples == [1, 2]
-
-    def test_no_profile_no_instant_events(self):
-        events = chrome_trace_events(sample_records())
-        assert not any(e.get("ph") == "i" for e in events)
-        assert not any(e["name"] == "profiler/samples" for e in events)
-
     def test_registry_counters_sampled_at_trace_end(self):
         snapshot = {
             "kernel.basic.gathers": {"type": "counter", "value": 1000.0},

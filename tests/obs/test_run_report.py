@@ -110,31 +110,3 @@ class TestGlobalSingletons:
         assert obs.get_tracer().enabled is False
         assert obs.get_metrics().enabled is False
 
-
-class TestProfileEmbedding:
-    def test_embeds_profile_and_span_phase_seconds(self):
-        from repro.obs import Tracer
-        from repro.obs.profiler import ProfileData
-
-        tracer = Tracer()
-        with tracer.span("kernel.basic"):
-            pass
-        profile = ProfileData(hz=100.0)
-        profile.record("aggregate", ("m:f",), "MainThread")
-        report = build_run_report(tracer, profile=profile)
-        assert report["profile"]["hz"] == 100.0
-        assert report["profile"]["phases"]["aggregate"]["samples"] == 1.0
-        assert "aggregate" in report["span_phase_seconds"]
-        json.dumps(report)  # stays JSON-serializable
-
-    def test_accepts_pre_serialized_profile_dict(self):
-        report = build_run_report(
-            profile={"hz": 97.0, "phases": {}, "folded": {}}
-        )
-        assert report["profile"]["hz"] == 97.0
-        assert report["span_phase_seconds"] == {}
-
-    def test_no_profile_no_keys(self):
-        report = build_run_report()
-        assert "profile" not in report
-        assert "span_phase_seconds" not in report

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import errno
 import logging
 import multiprocessing
 import os
@@ -261,6 +262,39 @@ class TestShardedTraining:
         ])
         assert code == 2
         assert "dropout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--events", "EVENTS"],
+        ["--health"],
+        ["--rules", "RULES"],
+        ["--workers", "2"],
+    ])
+    def test_train_sharded_refuses_unsupported_flags(
+        self, extra, tmp_path, capsys
+    ):
+        """The sharded trainer has no event log, health monitor, rule
+        engine or chunk executor, so these are usage errors, not flags
+        it drops."""
+        events = tmp_path / "events.jsonl"
+        rules = tmp_path / "rules.txt"
+        rules.write_text("loss_cap: train.loss < 1e9\n")
+        extra = [
+            {"EVENTS": str(events), "RULES": str(rules)}.get(arg, arg)
+            for arg in extra
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "train", "products", "--scale", "0.02", "--epochs", "1",
+                "--shards", "2",
+            ] + extra)
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--shards N > 1" in errors[0]
+        assert extra[0] in errors[0]
+        assert "Traceback" not in err and "note:" not in err
+        assert "partition:" not in out
+        assert not events.exists()
 
     def test_train_sharded_json_report_has_shard_metrics(self, tmp_path):
         import json
@@ -555,56 +589,6 @@ class TestLiveTelemetryCommands:
             assert args.serve_metrics is None
 
 
-class TestProfilingCommands:
-    def test_sampling_flags_parse(self):
-        for command in (["train", "products"], ["profile"]):
-            args = build_parser().parse_args(command)
-            assert args.sampling is None and args.flame is None
-            args = build_parser().parse_args(command + ["--sampling", "50"])
-            assert args.sampling == 50.0
-
-    def test_sampling_rejects_nonpositive_rate(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "--sampling", "0"])
-
-    def test_profile_sampling_prints_phase_table_and_flame(
-        self, tmp_path, capsys
-    ):
-        flame = tmp_path / "flame.folded"
-        report = tmp_path / "run.json"
-        code = main([
-            "profile", "--vertices", "300", "--epochs", "2",
-            "--features", "16", "--hidden", "16", "--workers", "2",
-            "--sampling", "400", "--flame", str(flame),
-            "--json", str(report),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "sampled profile" in out
-        assert "phase" in out and "samples" in out
-        assert flame.exists()
-        import json as json_module
-
-        doc = json_module.loads(report.read_text())
-        assert doc["profile"]["hz"] == 400.0
-        assert doc["meta"]["sampling_hz"] == 400.0
-        assert "span_phase_seconds" in doc
-        # Every flame line is "phase;frame;... count".
-        for line in flame.read_text().splitlines():
-            stack, _, count = line.rpartition(" ")
-            assert stack and int(count) >= 0
-
-    def test_train_flame_implies_sampling(self, tmp_path, capsys):
-        flame = tmp_path / "train.folded"
-        code = main([
-            "train", "products", "--scale", "0.02", "--epochs", "1",
-            "--features", "8", "--hidden", "8", "--flame", str(flame),
-        ])
-        assert code == 0
-        assert "sampled profile" in capsys.readouterr().out
-        assert flame.exists()
-
-
 #: One small run per command, so a flag the parser fails to check costs
 #: seconds, not a default-sized run or a server that never exits.
 _SMALL_RUNS = {
@@ -622,14 +606,14 @@ _SMALL_RUNS = {
 
 _OUTPUT_FLAGS = [
     ("train", flag)
-    for flag in ("--trace", "--json", "--perfetto", "--flame", "--events")
+    for flag in ("--trace", "--json", "--perfetto", "--events")
 ] + [
     ("bench-parallel", flag) for flag in ("--trace", "--json", "--perfetto")
 ] + [
     ("bench-sharded", flag) for flag in ("--trace", "--json")
 ] + [
     ("profile", flag)
-    for flag in ("--trace", "--json", "--perfetto", "--attrib", "--flame")
+    for flag in ("--trace", "--json", "--perfetto", "--attrib")
 ] + [
     ("serve", flag) for flag in ("--trace", "--json", "--perfetto")
 ] + [("dashboard", "--output"), ("loadgen", "--out")]
@@ -656,6 +640,86 @@ class TestOutputPathChecked:
         assert "epoch" not in out
         assert not [r for r in caplog.records if "epoch" in r.getMessage()]
         assert not missing.parent.exists()
+
+
+class TestOutputWriteFailure:
+    """A telemetry file that cannot be written (a full disk) is one
+    ``error:`` line and exit 1; the other outputs are still written."""
+
+    @staticmethod
+    def _no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    @pytest.mark.parametrize("command", [
+        _SMALL_RUNS["train"] + ["--features", "8", "--hidden", "8"],
+        _SMALL_RUNS["profile"] + ["--attrib", "ATTRIB"],
+    ])
+    def test_failed_trace_write_still_writes_the_rest(
+        self, command, monkeypatch, tmp_path, capsys
+    ):
+        from repro.obs.trace import Tracer
+
+        monkeypatch.setattr(Tracer, "export_jsonl", self._no_space)
+        trace, report = tmp_path / "a", tmp_path / "b"
+        attrib = tmp_path / "attrib.json"
+        command = [str(attrib) if arg == "ATTRIB" else arg for arg in command]
+        code = main(command + ["--trace", str(trace), "--json", str(report)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"error: could not write {trace}: {os.strerror(errno.ENOSPC)}"
+        ]
+        assert not trace.exists()
+        assert report.exists() and f"wrote run report to {report}" in out
+        if "--attrib" in command:
+            assert attrib.exists()
+
+    def test_profile_serve_metrics_starts_the_resource_sampler(
+        self, tmp_path, capsys
+    ):
+        """``profile`` runs inside the shared telemetry block, so
+        ``--serve-metrics`` samples proc.* as it does on every command."""
+        import json
+
+        report = tmp_path / "r.json"
+        code = main(_SMALL_RUNS["profile"] + [
+            "--serve-metrics", "0", "--json", str(report),
+        ])
+        assert code == 0
+        assert "serving live metrics on http://" in capsys.readouterr().out
+        metrics = json.loads(report.read_text())["metrics"]
+        assert "proc.rss_bytes" in metrics
+
+
+#: The telemetry flags each command accepts; every other one is refused.
+_TELEMETRY_FLAG_SETS = {
+    "train": {"--trace", "--json", "--perfetto", "--sample-proc",
+              "--serve-metrics"},
+    "bench-parallel": {"--trace", "--json", "--perfetto", "--serve-metrics"},
+    "bench-sharded": {"--trace", "--json"},
+    "profile": {"--trace", "--json", "--perfetto", "--serve-metrics"},
+    "serve": {"--trace", "--json", "--perfetto", "--serve-metrics",
+              "--sample-proc"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TELEMETRY_FLAG_SETS))
+@pytest.mark.parametrize("flag", [
+    "--trace", "--json", "--perfetto", "--serve-metrics", "--sample-proc",
+])
+def test_telemetry_flag_sets(command, flag, tmp_path):
+    value = [] if flag == "--sample-proc" else (
+        ["0"] if flag == "--serve-metrics" else [str(tmp_path / "out")]
+    )
+    argv = _SMALL_RUNS[command] + [flag] + value
+    if flag in _TELEMETRY_FLAG_SETS[command]:
+        build_parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
 
 
 class TestServeSignals:

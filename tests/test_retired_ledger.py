@@ -1,5 +1,6 @@
-"""The second performance ledger and the thread shard backend are deleted,
-not defaulted: perfbench is the only judge of speed.
+"""The second performance ledger, the thread shard backend and the
+sampling profiler are deleted, not defaulted: perfbench is the only judge
+of speed, and the span plane is the only phase breakdown.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
@@ -7,6 +8,7 @@ command.
 """
 
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -59,10 +61,8 @@ class TestSecondLedgerIsGone:
         assert not [name for name in dir(repro.obs) if "history" in name.lower()]
 
     def test_profiler_has_no_diff_engine(self):
-        from repro.obs import profiler
-
+        assert importlib.util.find_spec("repro.obs.profiler") is None
         for name in ("ProfileDiff", "DiffRow", "load_profile_document"):
-            assert not hasattr(profiler, name)
             assert not hasattr(repro.obs, name)
 
 
@@ -74,3 +74,32 @@ class TestThreadShardBackendIsGone:
     def test_backend_thread_exits_2(self, command, capsys):
         assert _exit_code(command + ["--backend", "thread"]) == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+
+class TestSamplingProfilerIsGone:
+    @pytest.mark.parametrize("command", [
+        ["train", "products", "--scale", "0.02", "--epochs", "1"],
+        ["profile", "--vertices", "50", "--epochs", "1"],
+    ])
+    @pytest.mark.parametrize("flag", [["--sampling", "97"], ["--flame", "F"]])
+    def test_sampling_flags_exit_2(self, command, flag, tmp_path, capsys):
+        out = tmp_path / "flame.folded"
+        flag = [str(out) if arg == "F" else arg for arg in flag]
+        assert _exit_code(command + flag) == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_obs_exports_no_profiler(self):
+        assert not [
+            name for name in dir(repro.obs)
+            if "profil" in name.lower() or "stack_names" in name
+        ]
+        for tracer in (repro.obs.Tracer(), repro.obs.NULL_TRACER):
+            assert not hasattr(tracer, "stack_names")
+            assert not hasattr(tracer, "_by_thread")
+
+    def test_run_report_takes_no_profile(self):
+        params = inspect.signature(repro.obs.build_run_report).parameters
+        assert "profile" not in params
+        report = repro.obs.build_run_report()
+        assert "profile" not in report and "span_phase_seconds" not in report
