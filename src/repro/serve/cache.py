@@ -12,10 +12,14 @@ limits keep it honest:
   update) propagates within the bound instead of never.  ``None``
   disables the bound (a static graph + frozen model cannot go stale).
 
+``invalidate`` bumps a generation counter, so a row computed before it
+(read ``generation`` first, pass it to ``put``) never lands after it.
+
 Every outcome is observable: ``serve.cache.hits`` / ``.misses`` /
-``.stale`` / ``.evictions`` counters and the ``serve.cache.size`` gauge
-land in whatever registry is active, and :meth:`stats` mirrors the same
-numbers as plain ints for ``/stats.json`` even when telemetry is off.
+``.stale`` / ``.stale_puts`` / ``.evictions`` counters and the
+``serve.cache.size`` gauge land in whatever registry is active, and
+:meth:`stats` mirrors the same numbers as plain ints for
+``/stats.json`` even when telemetry is off.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ class EmbeddingCache:
         self.hits = 0
         self.misses = 0
         self.stale = 0
+        self.stale_puts = 0
         self.evictions = 0
+        self.generation = 0
 
     # ------------------------------------------------------------------
     def _registry(self):
@@ -74,10 +80,16 @@ class EmbeddingCache:
             registry.inc("serve.cache.hits")
             return value
 
-    def put(self, vertex: int, value: Any, now: Optional[float] = None) -> None:
+    def put(self, vertex: int, value: Any, now: Optional[float] = None,
+            generation: Optional[int] = None) -> None:
+        """Store ``value``, unless an invalidate overtook ``generation``."""
         now = time.monotonic() if now is None else now
         registry = self._registry()
         with self._lock:
+            if generation is not None and generation != self.generation:
+                self.stale_puts += 1
+                registry.inc("serve.cache.stale_puts")
+                return
             if vertex in self._entries:
                 self._entries.move_to_end(vertex)
             self._entries[vertex] = (value, now)
@@ -92,8 +104,10 @@ class EmbeddingCache:
         registry.set_gauge("serve.cache.size", float(size))
 
     def invalidate(self, vertex: Optional[int] = None) -> int:
-        """Drop one vertex's entry (or everything); returns drop count."""
+        """Drop one vertex's entry (or everything), and every write in
+        flight; returns drop count."""
         with self._lock:
+            self.generation += 1
             if vertex is None:
                 dropped = len(self._entries)
                 self._entries.clear()
@@ -123,6 +137,7 @@ class EmbeddingCache:
             "hits": self.hits,
             "misses": self.misses,
             "stale": self.stale,
+            "stale_puts": self.stale_puts,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }

@@ -240,6 +240,8 @@ class InferenceService:
         need = np.unique(
             np.concatenate([r.missing for r in batch if r.missing is not None])
         )
+        # An invalidate() landing mid-forward makes these rows stale.
+        generation = self.cache.generation
         with tracer.span(
             "serve.batch",
             parent=batch[0].span,
@@ -272,7 +274,7 @@ class InferenceService:
             for v, row in zip(need.tolist(), rows.tolist()):
                 value = (result.logits[row], result.embeddings[row])
                 computed[v] = value
-                self.cache.put(v, value)
+                self.cache.put(v, value, generation=generation)
             for request in batch:
                 values = dict(request.cached_rows)
                 if request.missing is not None:

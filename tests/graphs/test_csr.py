@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import CSRGraph, GraphError
+from repro.graphs import CSRGraph, GraphError, load_dataset
 
 
 class TestConstruction:
@@ -198,6 +198,67 @@ class TestTranspose:
         assert clone._transpose is None and clone._csc is None
         # And the clone can rebuild it from scratch.
         assert clone.transpose().num_edges == tiny_graph.num_edges
+
+
+def _argsort_csc(graph):
+    """The comparison-sort CSC construction ``csc_arrays`` replaced: a
+    stable sort of the sources keeps each transposed row in forward
+    (dst-major) order.  The oracle for the counting transpose."""
+    n = graph.num_vertices
+    perm = np.argsort(graph.indices, kind="stable")
+    dst = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    t_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(graph.indices, minlength=n), out=t_indptr[1:])
+    return t_indptr, dst[perm], perm
+
+
+def _assert_csc_matches_oracle(graph):
+    for got, expected in zip(graph.csc_arrays(), _argsort_csc(graph)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+
+@st.composite
+def multigraphs(draw):
+    """Raw CSR arrays: duplicate edges, unsorted rows, self loops and
+    isolated vertices all occur; V = 0 and V = 1 included."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    degrees = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    indices = draw(
+        st.lists(
+            st.integers(0, max(n - 1, 0)),
+            min_size=sum(degrees), max_size=sum(degrees),
+        )
+    )
+    indptr = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
+    return CSRGraph(indptr, np.array(indices, dtype=np.int64))
+
+
+class TestCSCArrays:
+    """``csc_arrays`` is a counting transpose, bit-identical to the
+    stable-argsort construction it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=multigraphs())
+    def test_random_multigraphs_match_the_argsort_oracle(self, graph):
+        _assert_csc_matches_oracle(graph)
+
+    @pytest.mark.parametrize(
+        "indptr, indices",
+        [
+            ([0], []),  # V = 0
+            ([0, 0], []),  # V = 1, isolated
+            ([0, 3], [0, 0, 0]),  # V = 1, a tripled self loop
+            # unsorted rows, duplicates, self loops, isolated vertex 3
+            ([0, 4, 4, 7, 7, 9], [2, 0, 2, 4, 1, 2, 1, 4, 4]),
+        ],
+        ids=["v0", "v1", "v1-self-loops", "multigraph"],
+    )
+    def test_edge_cases(self, indptr, indices):
+        _assert_csc_matches_oracle(CSRGraph(np.array(indptr), np.array(indices)))
+
+    def test_products_twin(self):
+        _assert_csc_matches_oracle(load_dataset("products", scale=0.5, seed=0))
 
 
 class TestTransposeEviction:

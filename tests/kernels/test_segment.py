@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.graphs import CSRGraph, build_shards, edge_cut_partition, uniform_graph
 from repro.kernels.distgnn import shard_factors
-from repro.kernels.jit import _transposed_factors
+from repro.kernels.jit import JitKernelCache, KernelSpec
 from repro.kernels.segment import ScaledCSR
 from repro.nn.aggregate import (
     gather_reduce_reference,
@@ -34,9 +34,9 @@ def _forward(graph, aggregator="gcn"):
 
 
 def _transposed(graph, aggregator="gcn"):
-    return ScaledCSR.from_csr(
-        *_transposed_factors(graph, aggregator), graph.num_vertices
-    )
+    """The backward layout the JIT cache builds (any width wraps it)."""
+    spec = KernelSpec(1, aggregator)
+    return JitKernelCache().specialize_backward(graph, spec).operator
 
 
 class TestSquare:

@@ -1,5 +1,8 @@
 """Unit tests for the LRU embedding cache and its staleness bound."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.serve import EmbeddingCache
@@ -42,6 +45,47 @@ class TestLRU:
         assert cache.get(2) is None
         assert cache.invalidate() == 3
         assert len(cache) == 0
+
+    def test_put_overtaken_by_invalidate_is_dropped(self):
+        cache = EmbeddingCache(capacity=4)
+        generation = cache.generation  # read before computing the row
+        cache.invalidate(7)  # any invalidate overtakes every write
+        cache.put(1, "old", generation=generation)
+        assert cache.get(1) is None
+        assert cache.stale_puts == 1 and cache.stats()["stale_puts"] == 1
+        cache.put(1, "new", generation=cache.generation)
+        assert cache.get(1) == "new"
+
+    def test_no_pre_invalidate_write_survives_racing_invalidates(self):
+        """Writers store the generation they read, each vertex once; an
+        invalidator clears concurrently.  A write that landed after an
+        invalidate overtook it would survive with an older generation."""
+        cache = EmbeddingCache(capacity=8000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def writer(offset):
+            for vertex in range(offset, offset + 2000):
+                generation = cache.generation
+                cache.put(vertex, generation, generation=generation)
+
+        def invalidator():
+            for _ in range(500):
+                cache.invalidate()
+
+        threads = [threading.Thread(target=writer, args=(2000 * k,)) for k in range(4)]
+        threads.append(threading.Thread(target=invalidator))
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        final = cache.generation
+        assert final == 500
+        assert all(cache.get(v) in (None, final) for v in range(8000))
 
     def test_validation(self):
         with pytest.raises(ValueError):

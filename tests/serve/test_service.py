@@ -9,6 +9,7 @@ served logits match the full-graph ``model.predict`` oracle exactly
 
 import http.client
 import json
+import operator
 import socket
 import threading
 import time
@@ -49,19 +50,21 @@ def wait_until(condition):
 
 
 class Gate:
-    """Wraps the service's batch handler: every batch is held at the
-    gate until the test opens it."""
+    """Wraps one of the service's callables, by default its batch
+    handler: every call is held at the gate until the test opens it."""
 
-    def __init__(self, service):
+    def __init__(self, service, hold="batcher.handler"):
         self.entered = threading.Semaphore(0)
         self.open = threading.Event()
-        self._forward = service.batcher.handler
-        service.batcher.handler = self
+        path, _, name = hold.rpartition(".")
+        owner = operator.attrgetter(path)(service)
+        self._forward = getattr(owner, name)
+        setattr(owner, name, self)
 
-    def __call__(self, batch):
+    def __call__(self, *args, **kwargs):
         self.entered.release()
         assert self.open.wait(timeout=WAIT_S)
-        self._forward(batch)
+        return self._forward(*args, **kwargs)
 
     def wait_entered(self):
         assert self.entered.acquire(timeout=WAIT_S)
@@ -288,6 +291,33 @@ class TestAgainstPredict:
             [float(oracle[3].max())], abs=1e-4
         )
         assert after["scores"] != before["scores"]
+
+    def test_invalidate_overtaking_a_batch_drops_its_stale_rows(self, setup):
+        """A batch computed with the old weights must not write its rows
+        after an invalidate() that overtook it: with no staleness bound
+        the cache would serve them forever."""
+        graph, features, model, service = setup
+        gate = Gate(service, hold="cache.put")  # forward done, write held
+        try:
+            held = Caller(service, [5])
+            gate.wait_entered()
+            for layer in model.layers:
+                layer.weight *= 0.5
+            service.cache.invalidate()
+            gate.open.set()
+            assert held.finished().error is None
+        finally:
+            gate.open.set()
+        assert service.cache.stale_puts == 1
+        assert len(service.cache) == 0
+        oracle = model.predict(graph, features)
+        after = service.query([5])
+        assert after["cached"] is False
+        assert after["classes"] == [int(oracle[5].argmax())]
+        assert after["scores"] == pytest.approx(
+            [float(oracle[5].max())], abs=1e-4
+        )
+        assert service.query([5])["cached"] is True  # fresh rows do land
 
 
 class TestTracePropagation:
