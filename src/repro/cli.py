@@ -777,7 +777,7 @@ def _build_serving_service(args) -> tuple:
 
     Dataset twin + synthetic features/labels, a short training run (the
     service answers from whatever the model learned), then the serving
-    pipeline with the cache/batcher knobs from the command line.
+    pipeline with the batcher knobs from the command line.
     """
     from .graphs import load_dataset, synthetic_features
     from .nn import Adam, Trainer, build_model
@@ -806,8 +806,6 @@ def _build_serving_service(args) -> tuple:
         graph,
         features,
         model,
-        cache_capacity=args.cache_capacity,
-        cache_max_age_s=args.cache_max_age,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         fanouts=args.fanout or None,
@@ -1227,21 +1225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fanout", type=_positive_int, nargs="*", default=[],
         metavar="F",
-        help="per-layer neighbor-sampling fanouts (input layer first); "
-        "empty = exact full-neighborhood assembly.  The first layer "
-        "is always exact (its aggregation is kept), so the first "
-        "fanout is unused and answers are strictly closer to the "
-        "full-batch prediction than sampling every layer",
-    )
-    p.add_argument(
-        "--cache-capacity", type=_positive_int, default=4096,
-        help="LRU embedding-cache entries (default: %(default)s)",
-    )
-    p.add_argument(
-        "--cache-max-age", type=_positive_float, default=None,
-        metavar="S",
-        help="staleness bound: cached rows older than S seconds are "
-        "recomputed (default: never stale)",
+        help="per-layer neighbor-sampling fanouts (input layer first) "
+        "for refills (invalidated and embedding rows; the start-up "
+        "table is exact); empty = exact refills.  The first layer is "
+        "always exact, so the first fanout is unused",
     )
     p.add_argument(
         "--max-batch", type=_positive_int, default=32,

@@ -8,14 +8,15 @@ embedding queries against a trained model, built from four pieces:
   front end);
 * :mod:`repro.serve.batcher` — bounded admission queue + work-conserving
   request coalescing (no timer) on one worker thread;
-* :mod:`repro.serve.cache` — LRU per-vertex result cache with a
-  staleness bound;
+* :mod:`repro.serve.cache` — the per-vertex answer table one
+  full-graph forward fills at start-up, with fresh flags;
 * :mod:`repro.serve.loadgen` — the benchmark client (open-loop Poisson
   arrivals, closed-loop concurrency sweep, client-side percentiles).
 
-Every request is born with a trace id and renders as the span tree
-``serve.request → serve.queue → serve.batch → kernel.*`` when tracing
-is on; the ``serve.*`` metric families flow through the active registry
+Every request is born with a trace id under a ``serve.request`` span; a
+refill renders as the tree ``serve.request → serve.queue → serve.batch
+→ kernel.*`` when tracing is on, a table hit as the bare request.  The
+``serve.*`` metric families flow through the active registry
 to ``/metrics``, SLO rules, ``repro top``, and the dashboard.
 """
 
@@ -31,6 +32,7 @@ from .server import (
     DEFAULT_TIMEOUT_S,
     MODES,
     AdmissionRejected,
+    BatchFailed,
     InferenceService,
     RequestTimeout,
     ServingServer,
@@ -38,6 +40,7 @@ from .server import (
 
 __all__ = [
     "AdmissionRejected",
+    "BatchFailed",
     "DEFAULT_TIMEOUT_S",
     "EmbeddingCache",
     "InferenceService",

@@ -46,7 +46,7 @@ class ServeRequest:
     mode: str  # "classify" | "embedding"
     trace_id: str
     span: Optional[Any] = None  # the open serve.request Span (or None)
-    missing: Optional[np.ndarray] = None  # vertices the cache could not answer
+    missing: Optional[np.ndarray] = None  # vertices the table could not answer
     cached_rows: Dict[int, Any] = field(default_factory=dict)
     enqueued_monotonic: float = 0.0
     done: threading.Event = field(default_factory=threading.Event)

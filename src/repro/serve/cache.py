@@ -1,52 +1,61 @@
-"""LRU embedding cache with a staleness bound.
+"""The answer table: every vertex's logits, computed once at start-up.
 
-The serving path recomputes nothing it already knows: a classified
-vertex's logits + embedding rows go into this cache and later requests
-for the same vertex are answered without touching the batcher.  Two
-limits keep it honest:
+With a static graph and static weights a classify query is a lookup in
+the ``V × C`` logits of one full-graph forward.  Two arrays, one fresh
+flag per row in each:
 
-* **capacity** — least-recently-used entries evict first (an
-  ``OrderedDict`` move-to-end on every hit);
-* **max_age_s** — entries older than the staleness bound are treated as
-  misses and dropped, so a model refresh (or, later, a dynamic-graph
-  update) propagates within the bound instead of never.  ``None``
-  disables the bound (a static graph + frozen model cannot go stale).
+* ``logits`` — dense, every row fresh after construction;
+* ``embeddings`` — the final layer's input, ``V × H`` over an anonymous
+  ``mmap``: only a refill writes a row, so only asked-for pages become
+  resident (``np.empty`` may instead reuse heap memory that earlier work
+  already made resident).
 
-``invalidate`` bumps a generation counter, so a row computed before it
+A row that is not fresh is a miss, which the service refills through
+the batcher.  ``invalidate`` clears fresh flags (after a weight update,
+say) and bumps a generation counter, so a refill computed before it
 (read ``generation`` first, pass it to ``put``) never lands after it.
 
-Every outcome is observable: ``serve.cache.hits`` / ``.misses`` /
-``.stale`` / ``.stale_puts`` / ``.evictions`` counters and the
-``serve.cache.size`` gauge land in whatever registry is active, and
-:meth:`stats` mirrors the same numbers as plain ints for
-``/stats.json`` even when telemetry is off.
+``serve.cache.hits`` / ``.misses`` / ``.stale_puts`` counters and the
+``serve.cache.size`` gauge (fresh logits rows) land in whatever registry
+is active; :meth:`stats` mirrors them for ``/stats.json``.  Nothing is
+evicted: ``evictions`` stays, always 0, for readers that sum it.
 """
 
 from __future__ import annotations
 
+import mmap
 import threading
-import time
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
+
+import numpy as np
 
 
 class EmbeddingCache:
-    """Thread-safe LRU of per-vertex inference results."""
+    """Thread-safe per-vertex answer table with fresh flags."""
 
-    def __init__(self, capacity: int = 4096, max_age_s: Optional[float] = None):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if max_age_s is not None and max_age_s <= 0:
-            raise ValueError(f"max_age_s must be positive, got {max_age_s}")
-        self.capacity = capacity
-        self.max_age_s = max_age_s
+    def __init__(self, logits: np.ndarray, embedding_width: int) -> None:
+        if logits.ndim != 2:
+            raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
+        if embedding_width < 1:
+            raise ValueError(
+                f"embedding_width must be >= 1, got {embedding_width}"
+            )
+        num_vertices = logits.shape[0]
+        count = num_vertices * embedding_width
+        pages = mmap.mmap(-1, max(1, count * logits.itemsize))
+        self.logits: Optional[np.ndarray] = logits
+        self.embeddings: Optional[np.ndarray] = np.frombuffer(
+            pages, logits.dtype, count
+        ).reshape(num_vertices, embedding_width)
+        self._fresh = {
+            "classify": np.ones(num_vertices, dtype=bool),
+            "embedding": np.zeros(num_vertices, dtype=bool),
+        }
+        self._size = num_vertices
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[int, Tuple[Any, float]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.stale = 0
         self.stale_puts = 0
-        self.evictions = 0
         self.generation = 0
 
     # ------------------------------------------------------------------
@@ -55,89 +64,80 @@ class EmbeddingCache:
 
         return get_metrics()
 
-    def get(self, vertex: int, now: Optional[float] = None) -> Optional[Any]:
-        """The cached value, or ``None`` on a miss / stale entry."""
-        now = time.monotonic() if now is None else now
-        registry = self._registry()
-        with self._lock:
-            entry = self._entries.get(vertex)
-            if entry is None:
-                self.misses += 1
-                registry.inc("serve.cache.misses")
-                return None
-            value, stored = entry
-            if self.max_age_s is not None and now - stored > self.max_age_s:
-                del self._entries[vertex]
-                self.stale += 1
-                self.misses += 1
-                size = len(self._entries)
-                registry.inc("serve.cache.stale")
-                registry.inc("serve.cache.misses")
-                registry.set_gauge("serve.cache.size", float(size))
-                return None
-            self._entries.move_to_end(vertex)
-            self.hits += 1
-            registry.inc("serve.cache.hits")
-            return value
+    def get(self, vertex: int, mode: str = "classify") -> Optional[np.ndarray]:
+        """A copy of the vertex's fresh row, or ``None`` on a miss.
 
-    def put(self, vertex: int, value: Any, now: Optional[float] = None,
-            generation: Optional[int] = None) -> None:
-        """Store ``value``, unless an invalidate overtook ``generation``."""
-        now = time.monotonic() if now is None else now
+        The copy is taken under the lock: a refill may overwrite the
+        row while the caller renders it."""
         registry = self._registry()
         with self._lock:
-            if generation is not None and generation != self.generation:
+            rows = self.logits if mode == "classify" else self.embeddings
+            if rows is None or not self._fresh[mode][vertex]:
+                self.misses += 1
+                registry.inc("serve.cache.misses")
+                return None
+            row = rows[vertex].copy()
+            self.hits += 1
+        registry.inc("serve.cache.hits")
+        return row
+
+    def put(self, vertices: np.ndarray, logits: np.ndarray,
+            embeddings: np.ndarray, generation: Optional[int] = None) -> None:
+        """Refill the rows of ``vertices`` (both arrays, row-aligned),
+        unless an invalidate overtook ``generation`` or the table was
+        released."""
+        registry = self._registry()
+        with self._lock:
+            if self.logits is None or (
+                generation is not None and generation != self.generation
+            ):
                 self.stale_puts += 1
                 registry.inc("serve.cache.stale_puts")
                 return
-            if vertex in self._entries:
-                self._entries.move_to_end(vertex)
-            self._entries[vertex] = (value, now)
-            evicted = 0
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                evicted += 1
-            self.evictions += evicted
-            size = len(self._entries)
-        if evicted:
-            registry.inc("serve.cache.evictions", evicted)
+            self.logits[vertices] = logits
+            self.embeddings[vertices] = embeddings
+            fresh = self._fresh["classify"]
+            self._size += int(np.count_nonzero(~fresh[vertices]))
+            fresh[vertices] = True
+            self._fresh["embedding"][vertices] = True
+            size = self._size
         registry.set_gauge("serve.cache.size", float(size))
 
     def invalidate(self, vertex: Optional[int] = None) -> int:
-        """Drop one vertex's entry (or everything), and every write in
-        flight; returns drop count."""
+        """Clear one vertex's fresh flags (or everyone's), and fail every
+        write in flight; returns how many vertices had a fresh row."""
         with self._lock:
             self.generation += 1
-            if vertex is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                dropped = 1 if self._entries.pop(vertex, None) is not None else 0
-            size = len(self._entries)
+            where = slice(None) if vertex is None else vertex
+            classify, embedding = self._fresh["classify"], self._fresh["embedding"]
+            dropped = int(np.count_nonzero(classify[where] | embedding[where]))
+            self._size -= int(np.count_nonzero(classify[where]))
+            classify[where] = False
+            embedding[where] = False
+            size = self._size
         self._registry().set_gauge("serve.cache.size", float(size))
         return dropped
 
+    def close(self) -> None:
+        """Release both arrays; every later lookup misses and every later
+        refill is dropped."""
+        with self._lock:
+            self.logits = self.embeddings = None
+            for fresh in self._fresh.values():
+                fresh[:] = False
+            self._size = 0
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return self._size
 
     @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return self.hits / max(1, self.hits + self.misses)
 
     def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            size = len(self._entries)
         return {
-            "size": size,
-            "capacity": self.capacity,
-            "max_age_s": self.max_age_s,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale": self.stale,
-            "stale_puts": self.stale_puts,
-            "evictions": self.evictions,
+            "size": self._size, "hits": self.hits, "misses": self.misses,
+            "stale_puts": self.stale_puts, "evictions": 0,
             "hit_rate": self.hit_rate,
         }

@@ -2,29 +2,28 @@
 
 :class:`InferenceService` answers per-vertex / per-batch classification
 and embedding queries against a trained :class:`~repro.nn.model.
-GNNModel`.  One request's life:
+GNNModel`.  Construction runs one full-graph forward and keeps its
+``V × C`` logits as the answer table (:mod:`repro.serve.cache`) and its
+``Â · features`` for refills.  One request's life:
 
 1. **admission** — born with a fresh trace id under a ``serve.request``
-   span on the HTTP handler thread; rejected (503) when the batcher's
-   queue is full;
-2. **cache** — per-vertex LRU lookup; a full hit answers without
-   touching the compute path;
-3. **queue + batch** — the request parks in the batcher; the worker
-   thread, the moment it is free, takes everything already queued (up
-   to ``max_batch``; no timer), records each request's ``serve.queue``
-   wait, and opens one ``serve.batch`` span parented under the batch's
-   first request;
-4. **assemble + forward** — the first layer's aggregation ``Â ·
-   features`` is the same matrix for every request, so the service
-   keeps it from construction; neighborhood assembly
+   span on the HTTP handler thread;
+2. **table** — per-vertex lookup of a fresh row; a classify query on an
+   untouched table always answers here, without touching the batcher;
+3. **refill: queue + batch** — rows not fresh (invalidated, or embedding
+   rows never asked for) park in the batcher, rejected (503) when its
+   queue is full; the worker thread, the moment it is free, takes
+   everything already queued (up to ``max_batch``; no timer), records
+   each request's ``serve.queue`` wait, and opens one ``serve.batch``
+   span parented under the batch's first request;
+4. **assemble + forward** — neighborhood assembly
    (:func:`~repro.nn.minibatch.assemble_batch`, exact by default)
-   covers the remaining ``num_layers - 1`` hops and the vectorized
-   block forward starts from the kept rows.  Its ``kernel.serve.block``
-   spans nest under ``serve.batch`` — so one traced request renders as
-   ``serve.request → serve.queue → serve.batch → kernel.*``;
-5. **reply** — per-vertex rows (cached + fresh merged) serialize to
-   JSON with the trace id and measured latency; fresh rows feed the
-   cache on the way out.
+   covers the ``num_layers - 1`` hops after the first and the block
+   forward starts from the kept rows.  Its ``kernel.serve.block`` spans
+   nest under ``serve.batch``: ``serve.request → serve.queue →
+   serve.batch → kernel.*``;
+5. **reply** — table and refilled rows serialize to JSON with the trace
+   id and measured latency; refilled rows are written to the table.
 
 :class:`ServingServer` is the HTTP/1.1 keep-alive front end (routes over
 :class:`~repro.httpd.HTTPFrontEnd`, like :class:`~repro.obs.live.
@@ -46,8 +45,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..httpd import HTTPFrontEnd, Reply, error_reply, json_reply
-from ..kernels.segment import ScaledCSR
-from ..nn.aggregate import normalization_factors
+from ..kernels.basic import BasicKernel
 from ..nn.minibatch import assemble_batch, block_forward
 from ..nn.model import GNNModel
 from .batcher import RequestBatcher, ServeRequest
@@ -68,19 +66,25 @@ class RequestTimeout(RuntimeError):
     """The batcher did not answer within the request's wait bound."""
 
 
+class BatchFailed(RuntimeError):
+    """The refill batch raised: a server fault (HTTP 500), whatever the
+    exception's type."""
+
+
 class InferenceService:
-    """The serving pipeline: cache -> batcher -> assembled block forward.
+    """The serving pipeline: answer table -> batcher -> assembled block
+    forward for refills.
 
-    ``features`` are fixed for the life of the service (the identity
-    contract ``Trainer`` has for its kept first aggregation): the first
-    layer's ``Â · features`` is computed once here, ``V × in_features``
-    fp32, and every miss starts from its rows.  It depends on the graph,
-    the features and the first layer's aggregator only, so weight updates
-    and ``cache.invalidate()`` leave it valid.
+    Graph and ``features`` are fixed for the life of the service (the
+    identity contract ``Trainer`` has for its kept first aggregation).
+    One full-graph forward here yields the logits table and
+    ``caches[0].a`` — ``Â · features``, ``V × in_features`` fp32 — that
+    every refill starts from; the ``V × hidden`` activations are dropped.
+    ``Â · features`` does not depend on the weights, so weight updates
+    followed by ``cache.invalidate()`` leave it valid.
 
-    With ``fanouts`` (one per layer, input layer first) the first layer
-    stays exact and ``fanouts[1:]`` sample the remaining hops — strictly
-    closer to ``model.predict`` than sampling every layer.
+    With ``fanouts`` (one per layer, input layer first) refills keep the
+    first layer exact and sample the remaining hops with ``fanouts[1:]``.
     """
 
     def __init__(
@@ -88,8 +92,6 @@ class InferenceService:
         graph: CSRGraph,
         features: np.ndarray,
         model: GNNModel,
-        cache_capacity: int = 4096,
-        cache_max_age_s: Optional[float] = None,
         max_batch: int = 32,
         max_queue: int = 128,
         fanouts: Optional[Sequence[int]] = None,
@@ -99,6 +101,11 @@ class InferenceService:
             raise ValueError(
                 f"feature rows {features.shape[0]} != "
                 f"num_vertices {graph.num_vertices}"
+            )
+        if features.shape[1] != model.layers[0].in_features:
+            raise ValueError(
+                f"features are {features.shape[1]} wide but the model's "
+                f"first layer takes {model.layers[0].in_features}"
             )
         self.graph = graph
         self.features = features
@@ -112,18 +119,14 @@ class InferenceService:
                     raise ValueError(
                         f"fanout of layer {layer} must be >= 1, got {fanout}"
                     )
-        edge_factors, self_factors = normalization_factors(
-            graph, model.layers[0].aggregator
+        logits, caches = model.forward(
+            graph, features.astype(np.float32, copy=False), training=False,
+            kernel=BasicKernel(),
         )
-        # Through the one aggregation core, over the graph's own arrays.
-        self._first_aggregation = ScaledCSR.from_csr(
-            graph.indptr, graph.indices, edge_factors, self_factors,
-            graph.num_vertices,
-        )(features.astype(np.float32, copy=False))
+        self._first_aggregation = caches[0].a
+        del caches  # the V x hidden activations go with it
         self._rng = np.random.default_rng(seed)
-        self.cache = EmbeddingCache(
-            capacity=cache_capacity, max_age_s=cache_max_age_s
-        )
+        self.cache = EmbeddingCache(logits, model.layers[-1].in_features)
         self.batcher = RequestBatcher(
             self._run_batch,
             max_batch=max_batch,
@@ -148,7 +151,8 @@ class InferenceService:
         """Answer one request (runs on the caller's thread; blocking).
 
         Raises ``ValueError`` on bad input, :class:`AdmissionRejected`
-        under shed load, :class:`RequestTimeout` past ``timeout_s``.
+        under shed load, :class:`RequestTimeout` past ``timeout_s``,
+        :class:`BatchFailed` when the refill batch raised.
         """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -178,7 +182,7 @@ class InferenceService:
             registry.inc("serve.requests")
             try:
                 values, cached_all, batched = self._resolve(
-                    requested, active, trace_id, timeout_s
+                    requested, mode, active, trace_id, timeout_s
                 )
             except BaseException:
                 self.errors += 1
@@ -194,24 +198,24 @@ class InferenceService:
                             cached_all)
 
     def _resolve(
-        self, requested: np.ndarray, active: Any, trace_id: str,
+        self, requested: np.ndarray, mode: str, active: Any, trace_id: str,
         timeout_s: float,
-    ) -> Tuple[Dict[int, Tuple[np.ndarray, np.ndarray]], bool, bool]:
-        """Per-vertex (logits, embedding) rows: cache first, batch rest."""
+    ) -> Tuple[Dict[int, np.ndarray], bool, bool]:
+        """Per-vertex ``mode`` rows: the table first, refill the rest."""
         unique = np.unique(requested)
-        cached_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        cached_rows: Dict[int, np.ndarray] = {}
         missing: List[int] = []
-        for v in unique:
-            value = self.cache.get(int(v))
-            if value is None:
-                missing.append(int(v))
+        for v in unique.tolist():
+            row = self.cache.get(v, mode)
+            if row is None:
+                missing.append(v)
             else:
-                cached_rows[int(v)] = value
+                cached_rows[v] = row
         if not missing:
             return cached_rows, True, False
         request = ServeRequest(
             vertices=requested,
-            mode="batch",
+            mode=mode,
             trace_id=trace_id,
             span=getattr(active, "span", None),
             missing=np.asarray(missing, dtype=np.int64),
@@ -227,12 +231,14 @@ class InferenceService:
             request.abandoned = True
             raise RequestTimeout(f"no answer within {timeout_s:g}s")
         if request.error is not None:
-            raise request.error
+            raise BatchFailed(
+                f"batch failed: {type(request.error).__name__}: {request.error}"
+            ) from request.error
         return request.result["values"], False, True
 
     # ------------------------------------------------------------------
     def _run_batch(self, batch: List[ServeRequest]) -> None:
-        """Batcher worker: one assembled forward for the whole batch."""
+        """Batcher worker: one assembled forward refills the whole batch."""
         batch = [r for r in batch if not r.abandoned]
         if not batch:
             return
@@ -269,17 +275,18 @@ class InferenceService:
                 for request in batch:
                     request.finish(error=error)
                 return
-            computed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            rows = np.searchsorted(result.query_vertices, need)
-            for v, row in zip(need.tolist(), rows.tolist()):
-                value = (result.logits[row], result.embeddings[row])
-                computed[v] = value
-                self.cache.put(v, value, generation=generation)
+            self.cache.put(
+                result.query_vertices, result.logits, result.embeddings,
+                generation=generation,
+            )
             for request in batch:
+                rows = (
+                    result.logits if request.mode == "classify"
+                    else result.embeddings
+                )
+                at = np.searchsorted(result.query_vertices, request.missing)
                 values = dict(request.cached_rows)
-                if request.missing is not None:
-                    for v in request.missing.tolist():
-                        values[v] = computed[v]
+                values.update(zip(request.missing.tolist(), rows[at]))
                 request.finish(result={"values": values})
 
     # ------------------------------------------------------------------
@@ -287,7 +294,7 @@ class InferenceService:
     def _render(
         requested: np.ndarray,
         mode: str,
-        values: Dict[int, Tuple[np.ndarray, np.ndarray]],
+        values: Dict[int, np.ndarray],
         trace_id: str,
         latency_s: float,
         cached: bool,
@@ -300,16 +307,12 @@ class InferenceService:
             "cached": cached,
         }
         if mode == "classify":
-            classes, scores = [], []
-            for v in requested.tolist():
-                logits, _ = values[v]
-                classes.append(int(np.argmax(logits)))
-                scores.append(float(np.max(logits)))
-            response["classes"] = classes
-            response["scores"] = scores
+            rows = [values[v] for v in requested.tolist()]
+            response["classes"] = [int(np.argmax(row)) for row in rows]
+            response["scores"] = [float(np.max(row)) for row in rows]
         else:
             response["embeddings"] = [
-                [float(x) for x in values[v][1]] for v in requested.tolist()
+                values[v].tolist() for v in requested.tolist()
             ]
         return response
 
@@ -334,9 +337,11 @@ class InferenceService:
 
     def close(self) -> None:
         """Answer what was admitted, stop the worker, release the kept
-        matrix (a closed service admits no miss that could read it)."""
+        matrix and the table (a closed service admits no refill that
+        could read them)."""
         self.batcher.close()
         self._first_aggregation = None
+        self.cache.close()
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +400,8 @@ class ServingServer(HTTPFrontEnd):
                 response = self.service.query(vertices, mode=mode)
             except ValueError as error:
                 return error_reply(400, str(error))
+            except BatchFailed as error:
+                return error_reply(500, str(error))
             except AdmissionRejected as error:
                 return error_reply(503, str(error))
             except RequestTimeout as error:

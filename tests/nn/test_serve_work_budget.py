@@ -1,11 +1,12 @@
-"""Exact work budget of a served cache miss.
+"""Exact work budget of a served refill.
 
 The first layer's ``Â · features`` is the same matrix for every request,
-so ``InferenceService`` keeps it and a miss assembles one hop fewer than
-the model has layers: a single-vertex query on a two-layer model gathers
-``deg(v) + 1`` edges, not its two-hop neighbourhood.  Edge counts are
-exact, so a hop that creeps back in fails here, deterministically,
-rather than in a noisy latency.
+so ``InferenceService`` keeps it and a refill (a row invalidated since
+start-up) assembles one hop fewer than the model has layers: a
+single-vertex query on a two-layer model gathers ``deg(v) + 1`` edges,
+not its two-hop neighbourhood.  Edge counts are exact, so a hop that
+creeps back in fails here, deterministically, rather than in a noisy
+latency.
 """
 
 import numpy as np
@@ -55,6 +56,7 @@ def test_two_layer_miss_assembles_one_hop(graph, seen):
     hub = int(np.argmax(graph.degrees()))
     vertices = [hub, 7, 11]
     service = _service(graph, 2)
+    service.cache.invalidate()
     tracer, _ = obs.enable()
     try:
         for v in vertices:
@@ -78,6 +80,7 @@ def test_two_layer_miss_assembles_one_hop(graph, seen):
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
 def test_a_miss_assembles_one_hop_fewer_than_the_model_has(graph, seen, num_layers):
     service = _service(graph, num_layers)
+    service.cache.invalidate()
     try:
         service.query([7])
     finally:
@@ -92,6 +95,7 @@ def test_a_miss_assembles_one_hop_fewer_than_the_model_has(graph, seen, num_laye
 
 def test_one_kept_matrix_per_service_not_per_batch(graph, seen):
     service = _service(graph, 2)
+    service.cache.invalidate()
     try:
         kept = service._first_aggregation
         for v in (3, 5, 8):

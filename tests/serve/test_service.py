@@ -1,10 +1,13 @@
 """Integration tests: the inference service + HTTP front end, traced.
 
-The centerpiece assertions mirror the acceptance bar: one HTTP request
-renders as a complete ``serve.request -> serve.queue -> serve.batch ->
-kernel.serve.block`` span tree sharing a single trace id, and the
-served logits match the full-graph ``model.predict`` oracle exactly
-(the default assembly is exact, not sampled).
+The centerpiece assertions mirror the acceptance bar: one refilled
+request renders as a complete ``serve.request -> serve.queue ->
+serve.batch -> kernel.serve.block`` span tree sharing a single trace id,
+and the served logits match the full-graph ``model.predict`` oracle
+exactly (the default assembly is exact, not sampled).  A classify query
+on a fresh table never reaches the batcher, so the tests that exercise
+the refill path get there through ``cache.invalidate()`` or embedding
+mode.
 """
 
 import http.client
@@ -134,6 +137,7 @@ class TestQuery:
 
     def test_second_request_is_a_cache_hit(self, setup):
         _, _, _, service = setup
+        service.cache.invalidate(4)
         first = service.query([4])
         second = service.query([4])
         assert first["cached"] is False
@@ -211,8 +215,12 @@ class TestAgainstPredict:
         service = InferenceService(graph, features, model)
         try:
             request = np.asarray(vertices)
+            service.cache.invalidate()  # refill every row
             values, cached, batched = service._resolve(
-                request, None, "t", WAIT_S
+                request, "classify", None, "t", WAIT_S
+            )
+            embeddings, _, _ = service._resolve(
+                request, "embedding", None, "t", WAIT_S
             )
             classified = service.query(vertices)
             embedded = service.query(vertices, mode="embedding")
@@ -220,7 +228,8 @@ class TestAgainstPredict:
             service.close()
         assert (cached, batched) == (False, True)
         assert sorted(values) == sorted(set(vertices))
-        for v, (logits, embedding) in values.items():
+        for v, logits in values.items():
+            embedding = embeddings[v]
             np.testing.assert_allclose(logits, oracle[v], atol=1e-4)
             np.testing.assert_allclose(embedding, final_input[v], atol=1e-4)
         assert classified["vertices"] == vertices
@@ -253,6 +262,7 @@ class TestAgainstPredict:
                 fanouts=[1] + [everyone] * (num_layers - 1),
             )
             try:
+                service.cache.invalidate()  # fanouts shape refills only
                 response = service.query(vertices)
                 assert service.stats()["assembly"] == "sampled"
             finally:
@@ -297,6 +307,7 @@ class TestAgainstPredict:
         after an invalidate() that overtook it: with no staleness bound
         the cache would serve them forever."""
         graph, features, model, service = setup
+        service.cache.invalidate(5)  # the query below refills
         gate = Gate(service, hold="cache.put")  # forward done, write held
         try:
             held = Caller(service, [5])
@@ -323,6 +334,7 @@ class TestAgainstPredict:
 class TestTracePropagation:
     def test_request_span_tree_shares_one_trace_id(self, setup):
         _, _, _, service = setup
+        service.cache.invalidate()  # a refill: the full tree
         tracer, _ = obs.enable()
         try:
             response = service.query([2, 9])
@@ -364,6 +376,7 @@ class TestTracePropagation:
 
     def test_serve_metrics_published(self, setup):
         _, _, _, service = setup
+        service.cache.invalidate(1)  # the first query refills
         _, registry = obs.enable()
         try:
             service.query([1])
@@ -382,6 +395,7 @@ class TestTracePropagation:
 class TestTimeoutsAndShedding:
     def test_timeout_raises(self, setup):
         _, _, _, service = setup
+        service.cache.invalidate()
         gate = Gate(service)
         try:
             with pytest.raises(RequestTimeout):
@@ -395,6 +409,7 @@ class TestTimeoutsAndShedding:
         service = InferenceService(
             graph, features, model, max_batch=1, max_queue=1
         )
+        service.cache.invalidate()
         gate = Gate(service)
         try:
             callers = [Caller(service, [0])]
@@ -431,6 +446,7 @@ class TestTimeoutsAndShedding:
         """A 504 must not poison the batch it was coalesced into."""
         graph, features, model, service = setup
         oracle = model.predict(graph, features)
+        service.cache.invalidate()
         gate = Gate(service)
         _, registry = obs.enable()
         try:
@@ -458,6 +474,7 @@ class TestTimeoutsAndShedding:
 
     def test_batch_of_only_abandoned_requests_is_skipped(self, setup, assembled):
         _, _, _, service = setup
+        service.cache.invalidate()
         gate = Gate(service)
         try:
             held = Caller(service, [0])
@@ -622,6 +639,7 @@ class TestHTTPServer:
         threads_before = threading.active_count()
         model = build_model("gcn", 16, 8, 5, num_layers=2, seed=1)
         service = InferenceService(small_products, features16, model)
+        service.cache.invalidate()
         gate = Gate(service)
         server = ServingServer(service, port=0).start()
         url = server.url
