@@ -14,13 +14,10 @@ from .functional import (
     cross_entropy_and_correct,
     dropout,
     dropout_grad,
-    relu,
-    relu_grad,
     softmax,
     xavier_uniform,
 )
 from .layers import GNNLayer, LayerCache, LayerGrads, gcn_layer, sage_layer
-from .minibatch import MiniBatchStep, MiniBatchTrainer, block_aggregate
 from .model import GNNModel, Workspace, build_model
 from .optim import Adam, Optimizer, SGD
 from .training import (
@@ -43,8 +40,6 @@ __all__ = [
     "cross_entropy_and_correct",
     "dropout",
     "dropout_grad",
-    "relu",
-    "relu_grad",
     "softmax",
     "xavier_uniform",
     "GNNLayer",
@@ -54,9 +49,6 @@ __all__ = [
     "sage_layer",
     "GNNModel",
     "Workspace",
-    "MiniBatchStep",
-    "MiniBatchTrainer",
-    "block_aggregate",
     "build_model",
     "Adam",
     "Optimizer",

@@ -1,7 +1,9 @@
 """Elementwise and loss functions with explicit backward passes.
 
 The update phase of both GCN and GraphSAGE is ``ReLU(W a + b)``
-(Table 2); training adds dropout, softmax and cross-entropy.  Everything
+(Table 2), and its forward and backward live in :mod:`repro.nn.layers`;
+this module holds what training adds: dropout, softmax and
+cross-entropy.  Everything
 is fp32 numpy with hand-written gradients so the whole training loop stays
 dependency-free and inspectable.
 """
@@ -11,21 +13,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """max(x, 0) — the source of hidden-feature sparsity (Section 2.2)."""
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """d relu(x)/dx * grad_out, using the pre-activation ``x``.
-
-    A masked multiply, not ``np.where(..., 0.0)``: the float literal
-    would silently promote an fp32 gradient to fp64, and the multiply is
-    the form the fused backward folds straight into its GEMM pair.
-    """
-    return grad_out * (x > 0)
 
 
 def dropout(

@@ -10,8 +10,17 @@ Aggregation is linear, so ``Â (h W) = (Â h) W``: a layer that narrows
 (``out_features < in_features``) runs *transform-first* and gathers the
 narrower ``h W`` rows — the same result up to fp32 reassociation for
 ``out/in`` of the memory traffic.  The order is decided from the layer's
-shape and position alone (:func:`transform_first`), never configured;
-``GNNLayer.forward`` and the shard runtime both ask that one function.
+shape and position alone (:func:`transform_first`), never configured.
+
+The algebra of a layer lives here once, as plain functions of arrays
+that run *around* an aggregation the caller performs: forward is
+:func:`layer_operand` → aggregate → :func:`layer_output`, backward is
+:func:`grad_pre_activation` → :func:`grads_before_aggregation` →
+transposed aggregate → :func:`grads_after_aggregation`.  Three
+executors call them and keep only what is theirs — :class:`GNNLayer`
+(dropout, dtype casts, a kernel), the shard runtime
+(:mod:`repro.parallel.sharded`: halo fill, boards, barriers) and the
+serving block forward (:mod:`repro.nn.minibatch`: block operators).
 
 Every array a call returns is fresh unless the caller lent the memory:
 ``forward(out=)`` and ``backward(grad_in=, own_grad_out=)`` are how a
@@ -43,6 +52,87 @@ def transform_first(in_features: int, out_features: int, static_input: bool) -> 
     * every other layer runs aggregate-first and gathers ``in``-wide rows.
     """
     return not static_input and out_features < in_features
+
+
+def layer_operand(
+    h: np.ndarray, weight: np.ndarray, tf: bool, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The rows a layer's aggregation gathers: ``h W`` for a
+    transform-first (``tf``) layer, landing in ``out`` if lent; ``h``
+    itself otherwise."""
+    return np.matmul(h, weight, out=out) if tf else h
+
+
+def layer_output(
+    agg: np.ndarray, weight: np.ndarray, bias: np.ndarray, activation: bool,
+    tf: bool, out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``act(agg W + b)`` from an aggregate-first layer's ``agg = Â h``
+    (the GEMM lands in ``out`` if lent), ``act(agg + b)`` from a
+    transform-first layer's ``agg = Â (h W)``.  Bias and ReLU are applied
+    in place on that GEMM result, or on ``agg`` itself when ``tf``."""
+    pre = agg if tf else np.matmul(agg, weight, out=out)
+    pre += bias
+    if activation:
+        np.maximum(pre, 0.0, out=pre)
+    return pre
+
+
+def grad_pre_activation(
+    grad_out: np.ndarray, h_out: np.ndarray, activation: bool, in_place: bool,
+    grad_b: Optional[np.ndarray] = None,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``(grad_pre, grad_b)``: the ReLU-masked output gradient and its
+    column sum.
+
+    The mask is read from the layer's output ``h_out`` (``h > 0`` is
+    ``pre > 0``) and applied once as a masked multiply, in place on
+    ``grad_out`` when the caller owns it (``in_place``) — no ``where``
+    with a float literal, which would promote an fp32 gradient to fp64.
+    ``grad_b`` lends the bias gradient's buffer.
+    """
+    if activation:
+        grad_out = np.multiply(
+            grad_out, h_out > 0, out=grad_out if in_place else None
+        )
+    return grad_out, np.sum(grad_out, axis=0, out=grad_b)
+
+
+def grads_before_aggregation(
+    grad_pre: np.ndarray, a: Optional[np.ndarray], weight: np.ndarray,
+    need_input_grad: bool, grad_w: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> "tuple[Optional[np.ndarray], Optional[np.ndarray]]":
+    """``(grad_W, operand)`` of the transposed aggregation.
+
+    An aggregate-first layer (``a = Â h`` kept by forward) has
+    ``grad_W = aᵀ grad_pre`` now, and its operand is ``grad_pre Wᵀ`` —
+    the extra GEMM of Section 7.1.1, skipped with the aggregation when
+    no input gradient is needed (operand ``None``).  A transform-first
+    layer (``a is None``) has no ``grad_W`` yet: its operand is
+    ``grad_pre`` itself, ``out``-wide.  ``grad_w`` and ``out`` lend the
+    two results' buffers.
+    """
+    if a is None:
+        if out is not None:
+            out[...] = grad_pre
+            return None, out
+        return None, grad_pre
+    grad_w = np.matmul(a.T, grad_pre, out=grad_w)
+    return grad_w, (
+        np.matmul(grad_pre, weight.T, out=out) if need_input_grad else None
+    )
+
+
+def grads_after_aggregation(
+    g: np.ndarray, h_in: np.ndarray, weight: np.ndarray, need_input_grad: bool,
+    grad_w: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+) -> "tuple[np.ndarray, Optional[np.ndarray]]":
+    """A transform-first layer's ``(grad_W, grad_h)`` from
+    ``g = Âᵀ grad_pre``: ``h_inᵀ g`` and, if needed, ``g Wᵀ``.  (An
+    aggregate-first layer's ``Âᵀ`` result already *is* ``grad_h``.)"""
+    grad_w = np.matmul(h_in.T, g, out=grad_w)
+    return grad_w, np.matmul(g, weight.T, out=out) if need_input_grad else None
 
 
 @dataclass
@@ -187,23 +277,19 @@ class GNNLayer:
         if aggregated is not None and mask is not None:
             raise ValueError("a supplied aggregation cannot follow input dropout")
         static_input = static_input or aggregated is not None
-        if transform_first(self.in_features, self.out_features, static_input):
-            a = None
-            gathered = h_dropped @ self.weight
-            pre, agg_stats = self._aggregate(graph, gathered, kernel)
+        tf = transform_first(self.in_features, self.out_features, static_input)
+        if aggregated is not None:
+            agg, gathered, agg_stats = aggregated, None, None
         else:
-            if aggregated is not None:
-                a, gathered, agg_stats = aggregated, None, None
-            else:
-                gathered = h_dropped
-                a, agg_stats = self._aggregate(graph, gathered, kernel)
-            pre = np.matmul(a, self.weight, out=out)
+            gathered = layer_operand(h_dropped, self.weight, tf)
+            agg, agg_stats = self._aggregate(graph, gathered, kernel)
         # The working dtype (fp32 normally, fp64 when a gradcheck drives
         # the pipeline at double precision) is the operands'; nothing
-        # below widens or copies.
-        pre += self.bias
-        if self.activation:
-            np.maximum(pre, 0.0, out=pre)
+        # here widens or copies.
+        pre = layer_output(
+            agg, self.weight, self.bias, self.activation, tf, out=out
+        )
+        a = None if tf else agg
         cache = LayerCache(
             h_in=h_dropped, a=a, pre_activation=pre, dropout_mask=mask,
             agg_stats=agg_stats, gathered=gathered,
@@ -222,11 +308,11 @@ class GNNLayer:
     ) -> LayerGrads:
         """Chain rule through update and aggregation, in forward's order.
 
-        The ReLU backward is *fused* into the update backward: instead of
-        materializing ``relu_grad`` and then running two GEMMs, the
-        activation mask is applied once as a masked multiply and the
-        masked gradient feeds both GEMMs directly — one masked BLAS pair
-        per layer, no fp64 promotion, no extra temporary.  With
+        The ReLU backward is *fused* into the update backward
+        (:func:`grad_pre_activation`): the activation mask is applied
+        once as a masked multiply and the masked gradient feeds both
+        GEMMs directly — one masked BLAS pair per layer, no fp64
+        promotion, no extra temporary.  With
         ``own_grad_out`` (the caller will not read ``grad_out`` again —
         it is the layer above's product, not a caller's array) the mask
         is applied to ``grad_out`` in place.  ``grad_in`` lends a
@@ -238,27 +324,22 @@ class GNNLayer:
         skips both; a transform-first layer aggregates ``grad_pre``
         itself, ``out``-wide, and both GEMMs read the result.
         """
-        if self.activation:
-            # Fold relu' into the GEMM pair: mask once, reuse for both.
-            grad_pre = np.multiply(
-                grad_out, cache.pre_activation > 0,
-                out=grad_out if own_grad_out else None,
-            )
-        else:
-            grad_pre = grad_out
-        grad_b = grad_pre.sum(axis=0)
+        grad_pre, grad_b = grad_pre_activation(
+            grad_out, cache.pre_activation, self.activation, own_grad_out
+        )
+        grad_w, operand = grads_before_aggregation(
+            grad_pre, cache.a, self.weight, need_input_grad,
+            out=None if cache.a is None else grad_in,
+        )
         grad_h, agg_stats = None, None
-        if cache.a is None:
-            grad_z, agg_stats = self._aggregate_backward(graph, grad_pre, kernel)
-            grad_w = cache.h_in.T @ grad_z
-            if need_input_grad:
-                grad_h = np.matmul(grad_z, self.weight.T, out=grad_in)
-        else:
-            grad_w = cache.a.T @ grad_pre
-            if need_input_grad:
-                # The extra GEMM of Section 7.1.1.
-                grad_a = np.matmul(grad_pre, self.weight.T, out=grad_in)
-                grad_h, agg_stats = self._aggregate_backward(graph, grad_a, kernel)
+        if operand is not None:
+            g, agg_stats = self._aggregate_backward(graph, operand, kernel)
+            if cache.a is None:
+                grad_w, grad_h = grads_after_aggregation(
+                    g, cache.h_in, self.weight, need_input_grad, out=grad_in
+                )
+            else:
+                grad_h = g
         if grad_h is not None:
             grad_h = F.dropout_grad(grad_h, cache.dropout_mask, self.dropout)
             grad_h = grad_h.astype(cache.h_in.dtype, copy=False)

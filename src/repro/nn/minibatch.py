@@ -1,16 +1,14 @@
-"""Mini-batch (sampled) training — the Section 3 workflow, for real.
+"""Block assembly and the block forward — serving refills.
 
-The paper's motivation experiment trains a *sampled* GraphSAGE: each
-step samples a layered K-hop neighborhood for a seed batch (Eq. 3) and
-runs the layers on the induced blocks.  This module executes that
-workflow on the value plane so the full-batch/sampled comparison (and
-the accuracy caveat the paper cites — "sampling may degrade the network
-accuracy") can be reproduced, not just asserted.
-
-Implementation note: a sampled block is a bipartite layer ``src -> dst``;
-we compute it by building a small CSR over the sampled edges and running
-the mean aggregator with the block's own degrees, matching GraphSAGE's
-neighborhood-sample semantics.
+A query batch is answered from the layered K-hop blocks around its seed
+vertices (Eq. 3's block structure): :func:`assemble_batch` builds them,
+exact (:func:`full_neighbor_blocks`) or sampled
+(:func:`~repro.gpu.sampler.sample_blocks`), and :func:`block_forward`
+runs the model's layers over them.  Each block is a bipartite
+``dst × src`` operator of the shared aggregation core; everything else
+a layer does is :mod:`repro.nn.layers`' phase functions, in the order
+:func:`~repro.nn.layers.transform_first` decides for the full-graph
+forward.
 """
 
 from __future__ import annotations
@@ -21,44 +19,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..gpu.sampler import LayerBlock, MiniBatch, iterate_minibatches, sample_blocks
+from ..gpu.sampler import LayerBlock, MiniBatch, sample_blocks
 from ..kernels.segment import ScaledCSR
 from ..obs import get_tracer
-from . import functional as F
 from .aggregate import canonical_aggregator
-from .layers import GNNLayer
+from .layers import layer_operand, layer_output, transform_first
 from .model import GNNModel
-from .optim import Optimizer
-
-
-def block_aggregate(
-    edge_dst: np.ndarray,
-    edge_src: np.ndarray,
-    dst_vertices: np.ndarray,
-    h_src: np.ndarray,
-    src_index: dict,
-) -> np.ndarray:
-    """Mean-aggregate a sampled block.
-
-    Args:
-        edge_dst/edge_src: sampled edges in global vertex ids.
-        dst_vertices: the block's destination set (global ids).
-        h_src: features of the block's source frontier, ordered like the
-            frontier array.
-        src_index: global id -> row in ``h_src``.
-
-    Returns:
-        (len(dst_vertices), features) mean-aggregated matrix.
-    """
-    dst_pos = {int(v): i for i, v in enumerate(dst_vertices)}
-    out = np.zeros((len(dst_vertices), h_src.shape[1]), dtype=np.float64)
-    counts = np.zeros(len(dst_vertices), dtype=np.float64)
-    for d, s in zip(edge_dst, edge_src):
-        row = dst_pos[int(d)]
-        out[row] += h_src[src_index[int(s)]]
-        counts[row] += 1.0
-    counts = np.maximum(counts, 1.0)
-    return (out / counts[:, None]).astype(np.float32)
 
 
 def full_neighbor_blocks(
@@ -201,11 +167,6 @@ class BlockForwardResult:
     embeddings: np.ndarray  # input representation of the final layer
 
 
-def _update(layer: GNNLayer, a: np.ndarray) -> np.ndarray:
-    pre = a @ layer.weight + layer.bias
-    return (F.relu(pre) if layer.activation else pre).astype(np.float32)
-
-
 def block_forward(
     graph: CSRGraph,
     model: GNNModel,
@@ -219,9 +180,12 @@ def block_forward(
     Computes only the rows the query needs (frontier-restricted), with
     no dropout and no caches.  Each layer runs under a ``kernel.serve.
     block`` span so a traced request shows its compute the same way a
-    traced epoch does.  On :func:`full_neighbor_blocks` output this
-    matches ``model.predict`` row-for-row (up to fp32 reduction-order
-    noise) for both supported aggregators.
+    traced epoch does.  Every layer runs in the order
+    :func:`~repro.nn.layers.transform_first` gives the full-graph
+    forward (a narrowing layer gathers ``out``-wide ``h W`` rows), so on
+    :func:`full_neighbor_blocks` output this matches ``model.predict``
+    row-for-row up to the summation order of the block operator, for
+    both supported aggregators.
 
     ``first_aggregation`` has the meaning it has in
     :meth:`GNNModel.forward`: the caller kept ``Â · features`` (all
@@ -253,7 +217,10 @@ def block_forward(
         with tracer.span(
             "kernel.serve.block", index=0, aggregator=first.aggregator
         ) as span:
-            h = _update(first, first_aggregation[src])
+            h = layer_output(
+                first_aggregation[src], first.weight, first.bias,
+                first.activation, tf=False,
+            )
             span.add_counters(
                 {
                     "edges": 0.0,
@@ -280,9 +247,13 @@ def block_forward(
             aggregator = canonical_aggregator(layer.aggregator)
             dst_rows = np.searchsorted(block.dst_vertices, block.edge_dst)
             weights = _block_weights(d_hat, block, aggregator, dst_rows)
-            h = _update(
-                layer, _block_aggregate_vectorized(block, h, weights, dst_rows)
+            tf = transform_first(
+                layer.in_features, layer.out_features, static_input=idx == 0
             )
+            agg = _block_aggregate_vectorized(
+                block, layer_operand(h, layer.weight, tf), weights, dst_rows
+            )
+            h = layer_output(agg, layer.weight, layer.bias, layer.activation, tf)
             span.add_counters(
                 {
                     "edges": float(block.num_edges),
@@ -294,129 +265,3 @@ def block_forward(
     return BlockForwardResult(
         query_vertices=query, logits=h, embeddings=embeddings
     )
-
-
-@dataclass
-class MiniBatchStep:
-    """Record of one sampled training step."""
-
-    batch_size: int
-    sampled_edges: int
-    loss: float
-
-
-class MiniBatchTrainer:
-    """Sampled GraphSAGE-style training over layered mini-batches.
-
-    Weights are shared with a :class:`repro.nn.model.GNNModel`; only the
-    aggregation is replaced by the sampled-block version, so the same
-    parameters can be evaluated full-batch afterwards.
-    """
-
-    def __init__(self, model: GNNModel, optimizer: Optimizer) -> None:
-        for layer in model.layers:
-            if layer.aggregator != "mean":
-                raise ValueError(
-                    "sampled training reproduces GraphSAGE; build the model "
-                    "with aggregator 'mean' (model_type='sage')"
-                )
-        self.model = model
-        self.optimizer = optimizer
-        self.steps: List[MiniBatchStep] = []
-
-    # ------------------------------------------------------------------
-    def forward_batch(self, batch: MiniBatch, features: np.ndarray):
-        """Forward through the sampled blocks; returns seed logits and
-        the per-layer caches needed for the (dense-block) backward."""
-        frontier = batch.blocks[0].src_vertices
-        h = features[frontier]
-        src_ids = frontier
-        caches = []
-        for layer, block in zip(self.model.layers, batch.blocks):
-            src_index = {int(v): i for i, v in enumerate(src_ids)}
-            a = block_aggregate(
-                block.edge_dst, block.edge_src, block.dst_vertices, h, src_index
-            )
-            pre = a @ layer.weight + layer.bias
-            out = F.relu(pre) if layer.activation else pre
-            caches.append((a, pre, src_ids, block))
-            h = out.astype(np.float32)
-            src_ids = block.dst_vertices
-        return h, caches
-
-    def train_step(
-        self,
-        batch: MiniBatch,
-        features: np.ndarray,
-        labels: np.ndarray,
-    ) -> MiniBatchStep:
-        """One sampled step: forward, loss on seeds, parameter update.
-
-        Backward propagates through the update weights only (first-order
-        sampled-gradient approximation); aggregations are linear in the
-        parameters below them, and this keeps the step cost proportional
-        to the sampled blocks, the property mini-batching exists for.
-        """
-        logits, caches = self.forward_batch(batch, features)
-        seed_labels = labels[batch.blocks[-1].dst_vertices]
-        loss, grad = F.cross_entropy(logits, seed_labels)
-        grads = []
-        for (a, pre, _, _), layer in zip(reversed(caches), reversed(self.model.layers)):
-            grad_pre = F.relu_grad(pre, grad) if layer.activation else grad
-            grad_w = a.T @ grad_pre
-            grad_b = grad_pre.sum(axis=0)
-            from .layers import LayerGrads
-
-            grads.append(
-                LayerGrads(
-                    weight=grad_w.astype(np.float32),
-                    bias=grad_b.astype(np.float32),
-                    h_in=np.zeros((1, layer.in_features), dtype=np.float32),
-                )
-            )
-            # Propagate to the layer below through the update weights and
-            # the block aggregation (mean over sampled neighbors).
-            if layer is not self.model.layers[0]:
-                grad_a = grad_pre @ layer.weight.T
-                # Scatter grad_a back to the previous layer's outputs via
-                # the block's mean edges.
-                block = caches[self.model.layers.index(layer)][3]
-                src_ids = caches[self.model.layers.index(layer)][2]
-                src_index = {int(v): i for i, v in enumerate(src_ids)}
-                dst_pos = {int(v): i for i, v in enumerate(block.dst_vertices)}
-                counts = np.zeros(len(block.dst_vertices))
-                for d in block.edge_dst:
-                    counts[dst_pos[int(d)]] += 1
-                counts = np.maximum(counts, 1.0)
-                scattered = np.zeros((len(src_ids), layer.in_features), dtype=np.float64)
-                for d, s in zip(block.edge_dst, block.edge_src):
-                    scattered[src_index[int(s)]] += (
-                        grad_a[dst_pos[int(d)]] / counts[dst_pos[int(d)]]
-                    )
-                grad = scattered.astype(np.float32)
-        self.optimizer.step(list(reversed(grads)))
-        step = MiniBatchStep(
-            batch_size=len(batch.seed_vertices),
-            sampled_edges=batch.total_sampled_edges,
-            loss=loss,
-        )
-        self.steps.append(step)
-        return step
-
-    def fit_epoch(
-        self,
-        graph: CSRGraph,
-        features: np.ndarray,
-        labels: np.ndarray,
-        batch_size: int,
-        fanouts: Sequence[int],
-        seed: int = 0,
-    ) -> float:
-        """One epoch of sampled training; returns the mean step loss."""
-        if len(fanouts) != self.model.num_layers:
-            raise ValueError("need one fanout per layer")
-        losses = []
-        for batch in iterate_minibatches(graph, batch_size, fanouts, seed=seed):
-            step = self.train_step(batch, features, labels)
-            losses.append(step.loss)
-        return float(np.mean(losses))

@@ -67,7 +67,10 @@ from ..kernels.distgnn import shard_factors, shard_segment_reduce
 from ..kernels.segment import ScaledCSR
 from ..nn import functional as F
 from ..nn.aggregate import normalization_factors
-from ..nn.layers import LayerGrads, transform_first
+from ..nn.layers import (
+    LayerGrads, grad_pre_activation, grads_after_aggregation,
+    grads_before_aggregation, layer_operand, layer_output, transform_first,
+)
 from ..nn.model import GNNModel
 from ..nn.optim import Optimizer
 from ..nn.training import EpochResult, TrainingHistory
@@ -264,6 +267,7 @@ class ShardRuntime:
                     (self.features[self.local], self.features[self.halo])
                 )
                 self._a[0] = shard_segment_reduce(op, x)
+            agg = self._a[0]
         else:
             x = self._x[layer]
             if not spec.transform_first:
@@ -279,14 +283,11 @@ class ShardRuntime:
                 # For a transform-first layer that block is the z rows of
                 # that epoch, stale in both h and W.
                 self.exchanges_skipped += 1
-            aggregated = shard_segment_reduce(op, x)
+            agg = shard_segment_reduce(op, x)
             if not spec.transform_first:
-                self._a[layer] = aggregated
+                self._a[layer] = agg
         weight, bias = self.weights[layer]
-        pre = aggregated if spec.transform_first else self._a[layer] @ weight
-        pre += bias
-        if spec.activation:
-            np.maximum(pre, 0.0, out=pre)
+        pre = layer_output(agg, weight, bias, spec.activation, spec.transform_first)
         self._h[layer] = pre
         if self.boards_h[layer] is not None:
             self.boards_h[layer][self.local] = pre
@@ -294,8 +295,9 @@ class ShardRuntime:
         if nxt < len(layers) and layers[nxt].transform_first:
             # The next layer's transform, on the owned rows only: its
             # halo exchange then moves out-wide z rows, not in-wide h.
-            z = np.matmul(pre, self.weights[nxt][0], out=self._x[nxt][:nl])
-            self.boards_in[nxt][self.local] = z
+            self.boards_in[nxt][self.local] = layer_operand(
+                pre, self.weights[nxt][0], True, out=self._x[nxt][:nl]
+            )
 
     def loss_grad(self) -> None:
         """Masked cross-entropy partials over the owned rows: the
@@ -315,20 +317,18 @@ class ShardRuntime:
 
     def backward_update(self, layer: int) -> None:
         spec = self.cfg.layers[layer]
-        grad_pre = self._grad_out  # this runtime's own array: masked in place
-        if spec.activation:
-            grad_pre *= self._h[layer] > 0
-        np.sum(grad_pre, axis=0, out=self._gb[layer])
-        if not spec.transform_first:
-            np.matmul(self._a[layer].T, grad_pre, out=self._gw[layer])
-        if layer == 0:
-            return  # nothing consumes ∂L/∂features
-        own = self._xg[layer][:self.n_local]
-        if spec.transform_first:
-            own[...] = grad_pre  # grad_W waits for the aggregated Âᵀ grad_pre
-        else:
-            np.matmul(grad_pre, self.weights[layer][0].T, out=own)
-        self.boards_g[layer][self.local] = own
+        grad_pre, _ = grad_pre_activation(  # this runtime's own array
+            self._grad_out, self._h[layer], spec.activation, in_place=True,
+            grad_b=self._gb[layer],
+        )
+        # A transform-first layer's grad_W waits for ``Âᵀ grad_pre``.
+        _, operand = grads_before_aggregation(
+            grad_pre, self._a[layer], self.weights[layer][0],
+            need_input_grad=layer > 0, grad_w=self._gw[layer],
+            out=self._xg[layer][:self.n_local] if layer else None,
+        )
+        if layer:  # nothing consumes ∂L/∂features
+            self.boards_g[layer][self.local] = operand
 
     def backward_aggregate(self, layer: int, epoch: int) -> None:
         spec = self.cfg.layers[layer]
@@ -347,8 +347,10 @@ class ShardRuntime:
             self.exchanges_skipped += 1
         grad = shard_segment_reduce(self.ops[spec.aggregator][1], xg)
         if spec.transform_first:
-            np.matmul(self._h[layer - 1].T, grad, out=self._gw[layer])
-            grad = grad @ self.weights[layer][0].T
+            _, grad = grads_after_aggregation(
+                grad, self._h[layer - 1], self.weights[layer][0],
+                need_input_grad=True, grad_w=self._gw[layer],
+            )
         self._grad_out = grad
 
     def epoch_result(self) -> Dict:

@@ -9,8 +9,6 @@ from repro.nn import (
     cross_entropy_and_correct,
     dropout,
     dropout_grad,
-    relu,
-    relu_grad,
     softmax,
     xavier_uniform,
 )
@@ -30,21 +28,6 @@ def numerical_grad(func, x, eps=1e-4):
         flat[i] = orig
         out[i] = (high - low) / (2 * eps)
     return grad
-
-
-class TestRelu:
-    def test_values(self):
-        x = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(relu(x), [0.0, 0.0, 2.0])
-
-    def test_grad_masks_negatives(self):
-        x = np.array([-1.0, 0.5])
-        g = relu_grad(x, np.array([3.0, 3.0]))
-        np.testing.assert_array_equal(g, [0.0, 3.0])
-
-    def test_grad_at_zero_is_zero(self):
-        g = relu_grad(np.array([0.0]), np.array([1.0]))
-        assert g[0] == 0.0
 
 
 class TestDropout:

@@ -1,46 +1,12 @@
-"""Unit tests for mini-batch (sampled) training and block assembly."""
+"""Unit tests for block assembly and the serving block forward."""
 
 import numpy as np
 import pytest
 
-from repro.gpu import sample_blocks
-from repro.graphs import CSRGraph, planted_partition_graph
-from repro.nn import Adam, build_model
-from repro.nn.minibatch import (
-    MiniBatchTrainer,
-    assemble_batch,
-    block_aggregate,
-    block_forward,
-    full_neighbor_blocks,
-)
-
-
-@pytest.fixture(scope="module")
-def task():
-    graph, labels = planted_partition_graph(160, 3, p_in=0.12, p_out=0.01, seed=7)
-    rng = np.random.default_rng(7)
-    features = rng.standard_normal((160, 8)).astype(np.float32)
-    features[:, 0] += labels.astype(np.float32)
-    return graph, features, labels
-
-
-class TestBlockAggregate:
-    def test_mean_of_sampled_neighbors(self):
-        edge_dst = np.array([5, 5, 9])
-        edge_src = np.array([1, 3, 3])
-        dst = np.array([5, 9])
-        h_src = np.array([[2.0], [4.0]], dtype=np.float32)  # rows for 1, 3
-        src_index = {1: 0, 3: 1}
-        out = block_aggregate(edge_dst, edge_src, dst, h_src, src_index)
-        np.testing.assert_allclose(out[0], 3.0)  # mean(2, 4)
-        np.testing.assert_allclose(out[1], 4.0)
-
-    def test_isolated_destination_zero(self):
-        out = block_aggregate(
-            np.array([]), np.array([]), np.array([7]),
-            np.zeros((0, 2), np.float32), {},
-        )
-        np.testing.assert_array_equal(out, 0.0)
+from repro.graphs import CSRGraph, power_law_graph
+from repro.nn import build_model
+from repro.nn import minibatch
+from repro.nn.minibatch import assemble_batch, block_forward, full_neighbor_blocks
 
 
 class TestFullNeighborBlocks:
@@ -146,6 +112,54 @@ class TestBlockForward:
             block_forward(tiny_graph, model, batch, features)
 
 
+class TestBlockForwardOrder:
+    """A block forward runs each layer in the order the full-graph
+    forward does (``transform_first``): a narrowing layer gathers
+    ``out``-wide ``h W`` rows, not ``in``-wide ``h``."""
+
+    @pytest.fixture()
+    def widths(self, monkeypatch):
+        """Operand width of every block aggregation, in call order."""
+        seen = []
+        original = minibatch._block_aggregate_vectorized
+
+        def spy(block, h_src, weights, dst_rows):
+            seen.append(h_src.shape[1])
+            return original(block, h_src, weights, dst_rows)
+
+        monkeypatch.setattr(minibatch, "_block_aggregate_vectorized", spy)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def task(self):
+        graph = power_law_graph(300, 6.0, seed=3)
+        rng = np.random.default_rng(5)
+        features = rng.standard_normal((graph.num_vertices, 12)).astype(np.float32)
+        model = build_model("gcn", 12, 10, 6, num_layers=2, seed=2)
+        return graph, features, model
+
+    def test_narrowing_last_layer_gathers_out_wide_rows(self, task, widths):
+        graph, features, model = task
+        batch = assemble_batch(graph, np.arange(0, 300, 7), 2)
+        block_forward(graph, model, batch, features)
+        # Layer 0's input is static, so it aggregates first (12 wide);
+        # layer 1 narrows 10 -> 6 and gathers h W.
+        assert widths == [12, 6]
+
+    def test_refill_after_a_kept_first_aggregation(self, task, widths):
+        graph, features, model = task
+        _, caches = model.forward(graph, features)
+        batch = assemble_batch(graph, np.array([0, 5, 299]), 1)
+        result = block_forward(
+            graph, model, batch, features, first_aggregation=caches[0].a
+        )
+        assert widths == [6]
+        np.testing.assert_allclose(
+            result.logits, model.predict(graph, features)[[0, 5, 299]],
+            atol=1e-5,
+        )
+
+
 def _per_edge_forward(graph, model, batch, features):
     """One edge at a time in float64 — the semantics the vectorized
     block forward must keep, duplicates and all."""
@@ -223,58 +237,3 @@ class TestBlockForwardThroughTheCore:
             _per_edge_forward(looped_graph, model, batch, features),
             atol=1e-4,
         )
-
-
-class TestMiniBatchTrainer:
-    def test_requires_mean_aggregator(self, task):
-        model = build_model("gcn", 8, 16, 3, num_layers=2)
-        with pytest.raises(ValueError):
-            MiniBatchTrainer(model, Adam(model, lr=0.01))
-
-    def test_forward_shapes(self, task):
-        graph, features, labels = task
-        model = build_model("sage", 8, 16, 3, num_layers=2, seed=0)
-        trainer = MiniBatchTrainer(model, Adam(model, lr=0.01))
-        rng = np.random.default_rng(0)
-        batch = sample_blocks(graph, np.arange(12), (5, 5), rng)
-        logits, caches = trainer.forward_batch(batch, features)
-        assert logits.shape == (len(batch.blocks[-1].dst_vertices), 3)
-        assert len(caches) == 2
-
-    def test_epoch_loss_decreases(self, task):
-        graph, features, labels = task
-        model = build_model("sage", 8, 16, 3, num_layers=2, seed=1)
-        trainer = MiniBatchTrainer(model, Adam(model, lr=0.02))
-        first = trainer.fit_epoch(graph, features, labels, 32, (5, 5), seed=0)
-        for epoch in range(4):
-            last = trainer.fit_epoch(
-                graph, features, labels, 32, (5, 5), seed=epoch + 1
-            )
-        assert last < first
-
-    def test_fanout_count_checked(self, task):
-        graph, features, labels = task
-        model = build_model("sage", 8, 16, 3, num_layers=2, seed=2)
-        trainer = MiniBatchTrainer(model, Adam(model, lr=0.01))
-        with pytest.raises(ValueError):
-            trainer.fit_epoch(graph, features, labels, 32, (5,))
-
-    def test_steps_recorded(self, task):
-        graph, features, labels = task
-        model = build_model("sage", 8, 16, 3, num_layers=2, seed=3)
-        trainer = MiniBatchTrainer(model, Adam(model, lr=0.01))
-        trainer.fit_epoch(graph, features, labels, 64, (4, 4), seed=0)
-        assert len(trainer.steps) == (graph.num_vertices + 63) // 64
-        assert all(s.sampled_edges > 0 for s in trainer.steps)
-
-    def test_weights_usable_full_batch_afterwards(self, task):
-        """Sampled-trained parameters plug straight into full-batch
-        inference — the workflows share the model object."""
-        graph, features, labels = task
-        model = build_model("sage", 8, 16, 3, num_layers=2, seed=4)
-        trainer = MiniBatchTrainer(model, Adam(model, lr=0.02))
-        for epoch in range(3):
-            trainer.fit_epoch(graph, features, labels, 32, (5, 5), seed=epoch)
-        logits = model.predict(graph, features)
-        accuracy = float((logits.argmax(axis=1) == labels).mean())
-        assert accuracy > 0.4  # chance is ~0.33

@@ -320,7 +320,7 @@ def _reference_epoch(model, optimizer, graph, features, labels):
     for layer in model.layers:
         a = aggregate(graph, h, layer.aggregator)
         pre = a @ layer.weight + layer.bias
-        h = F.relu(pre) if layer.activation else pre
+        h = np.maximum(pre, 0.0) if layer.activation else pre
         stash.append((a, pre))
     loss, grad = F.cross_entropy(h, labels)
     grads = [None] * model.num_layers
