@@ -50,6 +50,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import lanes
+
 logger = logging.getLogger(__name__)
 
 
@@ -347,6 +349,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         args.model, args.features, args.hidden, args.classes,
         num_layers=args.layers, dropout=args.dropout, seed=args.seed,
     )
+    print(lanes.describe())
     if args.shards > 1:
         return _train_sharded(args, graph, features, labels, model)
     kernel = _make_aggregation_kernel(args.workers)
@@ -832,6 +835,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"slo: loaded {len(rules.rules)} rule(s) from {args.rules}")
     elif not args.no_rules:
         rules = RuleEngine(default_serve_rules())
+    print(lanes.describe())
     graph, service = _build_serving_service(args)
     meta = {
         "command": "serve",

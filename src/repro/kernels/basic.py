@@ -15,8 +15,10 @@ With several workers the chunk loop executes on
 default — has nobody to hand chunks to, so it is ONE call of the
 layout's :class:`~repro.kernels.segment.ScaledCSR` operator whatever
 the Section 4.4 processing order (the operator is row-sequential, so the
-order changes no row), and its counters come from the closed forms of
-(graph, order, kernel parameters) the chunk loop would have summed to.
+order changes no row), split into one zero-copy row slice per core
+(:func:`repro.lanes.split`) when the pass is big enough, and its
+counters come from the closed forms of (graph, order, kernel
+parameters) the chunk loop would have summed to.
 Every path is bitwise equivalent — each vertex row is accumulated by the
 same operator in the same edge order whichever worker, chunk or call
 produces it.  The backward pass is the same over the transposed
@@ -31,6 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .. import lanes
 from ..graphs.csr import CSRGraph
 from ..obs import get_metrics, get_tracer, publish_counters
 from .base import AggregationKernel, KernelStats, validate_inputs, validate_order
@@ -174,21 +177,27 @@ class BasicKernel(AggregationKernel):
     ) -> Tuple[np.ndarray, KernelStats]:
         """The whole pass as one operator call, in any processing order.
 
-        No chunk plan, workload or row slice is built: the counters the
-        chunk loop accumulates are a pure function of (graph, order,
-        kernel parameters), so they are stated here in closed form —
-        ``E + V`` gathers, ``ceil(V / T)`` tasks, and one prefetch per
-        gather of every position with a vertex ``D`` behind it.  Only
-        the prefetch count depends on the order.
+        The call is cut into one contiguous row slice per lane; a row
+        slice views the operator's arrays, and every output row is
+        reduced exactly as the whole operator reduces it.  No chunk plan
+        or workload is built: the counters the chunk loop accumulates
+        are a pure function of (graph, order, kernel parameters), so
+        they are stated here in closed form — ``E + V`` gathers,
+        ``ceil(V / T)`` tasks, and one prefetch per gather of every
+        position with a vertex ``D`` behind it.  Only the prefetch count
+        depends on the order.
         """
         start = time.perf_counter()
-        # The operator itself, not ``rows(0, n)``: a row slice copies
-        # the matrix.  astype is a no-op unless h was narrower than fp32.
-        out = batched.operator(h).astype(
-            np.result_type(h.dtype, np.float32), copy=False
+        operator = batched.operator
+        n = graph.num_vertices
+        # The ψ factors are fp32, so this is the product's own dtype.
+        out = np.empty((n, h.shape[1]), np.result_type(h.dtype, np.float32))
+        lanes.split(
+            n,
+            (operator.nnz + n) * h.shape[1] * h.itemsize + out.nbytes,
+            lambda lo, hi: operator.rows(lo, hi)(h, out=out[lo:hi]),
         )
         wall_time = time.perf_counter() - start
-        n = graph.num_vertices
         tasks = -(-n // self.task_size)
         stats = KernelStats(
             gathers=graph.num_edges + n,

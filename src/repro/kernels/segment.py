@@ -90,18 +90,30 @@ class ScaledCSR:
     def rows(self, start: int, stop: int) -> "ScaledCSR":
         """The operator producing output rows ``[start, stop)`` only.
 
-        A CSR row slice is contiguous in ``indices``/``data``; the slice
-        is built once and memoized, so a chunked plan pays the sparse
-        construction on its first epoch only.
+        A CSR row slice is contiguous in ``indices``/``data``, so the
+        slice *views* the parent's arrays: only its ``indptr`` (rebased
+        to 0, in the index dtype) is new.  scipy's constructor would
+        copy even with ``copy=False``, so the arrays are assigned.  The
+        slice is memoised; the whole range is the operator itself.
         """
+        if start == 0 and stop == self.num_rows:
+            return self
         sub = self._row_slices.get((start, stop))
         if sub is None:
+            parent = self.matrix
+            lo, hi = parent.indptr[start], parent.indptr[stop]
+            matrix = sparse.csr_matrix(
+                (stop - start, parent.shape[1]), dtype=parent.dtype
+            )
+            matrix.indices = parent.indices[lo:hi]
+            matrix.data = parent.data[lo:hi]
+            matrix.indptr = (parent.indptr[start : stop + 1] - lo).astype(
+                parent.indices.dtype
+            )
             self_factors = self.self_factors
             if self_factors is not None:
                 self_factors = self_factors[start:stop]
-            sub = ScaledCSR(
-                self.matrix[start:stop], self_factors, self.row_offset + start
-            )
+            sub = ScaledCSR(matrix, self_factors, self.row_offset + start)
             self._row_slices[(start, stop)] = sub
         return sub
 
@@ -119,13 +131,20 @@ class ScaledCSR:
             out += sub @ h
         return out
 
-    def __call__(self, h: np.ndarray) -> np.ndarray:
+    def __call__(self, h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The product, landing in ``out`` if lent — which must have the
+        dtype the product has, so no element rounds twice."""
         if self.self_factors is None:
-            return self.matrix @ h
+            if out is None:
+                return self.matrix @ h
+            out[...] = self.matrix @ h
+            return out
         lo = self.row_offset
         # Basic slices are views: the self term is one multiply, and the
         # neighbor sum lands on top of it in a single C pass.
-        out = h[lo : lo + self.num_rows] * self.self_factors[:, None]
+        out = np.multiply(
+            h[lo : lo + self.num_rows], self.self_factors[:, None], out=out
+        )
         if self.nnz:
             out += self.matrix @ h
         return out

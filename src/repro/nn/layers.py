@@ -35,6 +35,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from .. import lanes
 from ..graphs.csr import CSRGraph
 from ..kernels.base import AggregationKernel, KernelStats
 from . import functional as F
@@ -54,13 +55,44 @@ def transform_first(in_features: int, out_features: int, static_input: bool) -> 
     return not static_input and out_features < in_features
 
 
+def _matmul(x: np.ndarray, w: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``x w`` into ``out`` (fresh without one), one row slice per lane."""
+    if out is None:
+        out = np.empty((len(x), w.shape[1]), np.result_type(x, w))
+    lanes.split(
+        len(x), x.nbytes + out.nbytes,
+        lambda lo, hi: np.matmul(x[lo:hi], w, out=out[lo:hi]),
+    )
+    return out
+
+
+def _matmul_t(x: np.ndarray, g: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``xᵀ g`` into ``out`` (fresh without one): a reduction over the
+    rows of both, so the lanes cut the wider *output* axis — each lane
+    reads its slice of the wider operand and all of the narrower one."""
+    if out is None:
+        out = np.empty((x.shape[1], g.shape[1]), np.result_type(x, g))
+    work = x.nbytes + g.nbytes
+    if x.shape[1] >= g.shape[1]:
+        lanes.split(
+            x.shape[1], work,
+            lambda lo, hi: np.matmul(x[:, lo:hi].T, g, out=out[lo:hi]),
+        )
+    else:
+        lanes.split(
+            g.shape[1], work,
+            lambda lo, hi: np.matmul(x.T, g[:, lo:hi], out=out[:, lo:hi]),
+        )
+    return out
+
+
 def layer_operand(
     h: np.ndarray, weight: np.ndarray, tf: bool, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """The rows a layer's aggregation gathers: ``h W`` for a
     transform-first (``tf``) layer, landing in ``out`` if lent; ``h``
     itself otherwise."""
-    return np.matmul(h, weight, out=out) if tf else h
+    return _matmul(h, weight, out) if tf else h
 
 
 def layer_output(
@@ -70,11 +102,24 @@ def layer_output(
     """``act(agg W + b)`` from an aggregate-first layer's ``agg = Â h``
     (the GEMM lands in ``out`` if lent), ``act(agg + b)`` from a
     transform-first layer's ``agg = Â (h W)``.  Bias and ReLU are applied
-    in place on that GEMM result, or on ``agg`` itself when ``tf``."""
-    pre = agg if tf else np.matmul(agg, weight, out=out)
-    pre += bias
-    if activation:
-        np.maximum(pre, 0.0, out=pre)
+    in place on that GEMM result, or on ``agg`` itself when ``tf``; each
+    lane runs all three on its own rows."""
+    if tf:
+        pre = agg
+    elif out is None:
+        pre = np.empty((len(agg), weight.shape[1]), np.result_type(agg, weight))
+    else:
+        pre = out
+
+    def rows(lo: int, hi: int) -> None:
+        block = pre[lo:hi]
+        if not tf:
+            np.matmul(agg[lo:hi], weight, out=block)
+        block += bias
+        if activation:
+            np.maximum(block, 0.0, out=block)
+
+    lanes.split(len(pre), pre.nbytes + (0 if tf else agg.nbytes), rows)
     return pre
 
 
@@ -89,12 +134,20 @@ def grad_pre_activation(
     ``pre > 0``) and applied once as a masked multiply, in place on
     ``grad_out`` when the caller owns it (``in_place``) — no ``where``
     with a float literal, which would promote an fp32 gradient to fp64.
-    ``grad_b`` lends the bias gradient's buffer.
+    Each lane masks its own rows, with a boolean mask of those rows
+    only.  The column sum runs on one lane: a sum over rows is one
+    sequential chain per column, and a column cut of it measured slower
+    than the serial sum.  ``grad_b`` lends the bias gradient's buffer.
     """
     if activation:
-        grad_out = np.multiply(
-            grad_out, h_out > 0, out=grad_out if in_place else None
+        masked = grad_out if in_place else np.empty(grad_out.shape, grad_out.dtype)
+        lanes.split(
+            len(masked), 3 * masked.nbytes,
+            lambda lo, hi: np.multiply(
+                grad_out[lo:hi], h_out[lo:hi] > 0, out=masked[lo:hi]
+            ),
         )
+        grad_out = masked
     return grad_out, np.sum(grad_out, axis=0, out=grad_b)
 
 
@@ -118,10 +171,8 @@ def grads_before_aggregation(
             out[...] = grad_pre
             return None, out
         return None, grad_pre
-    grad_w = np.matmul(a.T, grad_pre, out=grad_w)
-    return grad_w, (
-        np.matmul(grad_pre, weight.T, out=out) if need_input_grad else None
-    )
+    grad_w = _matmul_t(a, grad_pre, grad_w)
+    return grad_w, _matmul(grad_pre, weight.T, out) if need_input_grad else None
 
 
 def grads_after_aggregation(
@@ -131,8 +182,8 @@ def grads_after_aggregation(
     """A transform-first layer's ``(grad_W, grad_h)`` from
     ``g = Âᵀ grad_pre``: ``h_inᵀ g`` and, if needed, ``g Wᵀ``.  (An
     aggregate-first layer's ``Âᵀ`` result already *is* ``grad_h``.)"""
-    grad_w = np.matmul(h_in.T, g, out=grad_w)
-    return grad_w, np.matmul(g, weight.T, out=out) if need_input_grad else None
+    grad_w = _matmul_t(h_in, g, grad_w)
+    return grad_w, _matmul(g, weight.T, out) if need_input_grad else None
 
 
 @dataclass

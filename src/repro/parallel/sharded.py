@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.sparse import get_index_dtype
 
+from .. import lanes
 from ..graphs.csr import CSRGraph
 from ..graphs.partition import (
     GraphShard,
@@ -393,7 +394,9 @@ def _run_worker_epoch(runtime: ShardRuntime, epoch: int, barrier) -> Dict:
 def _shard_worker_main(part, spec, config, conn, barrier):
     """Persistent process-backend worker: attach once, then one epoch per
     epoch number received on ``conn``, until ``None`` or the parent's end
-    closes."""
+    closes.  The shards are this run's parallelism: a worker's phases
+    run on one lane."""
+    lanes.set_lane_count(1)
     bundle = ArrayBundle.attach(spec)
     runtime = ShardRuntime(bundle, part, config)
     try:

@@ -80,6 +80,12 @@ class TestSquare:
         )
         np.testing.assert_array_equal(tiled, op(h))
         assert op.rows(0, 1) is op.rows(0, 1)  # memoized, not rebuilt
+        # Zero-copy: a slice views the parent's indices and factors.
+        sub = op.rows(7, n // 2).matrix
+        assert np.shares_memory(sub.indices, op.matrix.indices)
+        assert np.shares_memory(sub.data, op.matrix.data)
+        assert sub.indptr.dtype == op.matrix.indices.dtype
+        assert op.rows(0, n) is op
 
 
 class TestRectangular:

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import lanes, obs
 from repro.graphs import load_dataset, synthetic_features
 from repro.nn import Adam, build_model
 from repro.parallel import ShardedTrainer, ShardWorkerDied
@@ -193,3 +193,34 @@ def test_sigkill_mid_barrier_fails_the_epoch_promptly(graph, inputs, monkeypatch
     assert (died.value.part, died.value.exitcode) == (1, -signal.SIGKILL)
     assert not multiprocessing.active_children()
     assert set(os.listdir("/dev/shm")) == segments_before
+
+
+@pytest.mark.parametrize("backend", ["process", "serial"])
+def test_process_workers_run_one_lane(graph, inputs, monkeypatch, tmp_path, backend):
+    """A process-backend worker's phases run on one lane (the shards are
+    the run's parallelism); the serial backend's run in the parent, at
+    the parent's lane count.  Patched before the workers fork, so they
+    record every split they make into a file."""
+    log = tmp_path / "splits.txt"
+    real_split = lanes.split
+
+    def recording_split(n, nbytes, fn):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {lanes.lane_count()}\n")
+        real_split(n, nbytes, fn)
+
+    monkeypatch.setattr(lanes, "split", recording_split)
+    previous = lanes.set_lane_count(2)
+    try:
+        with _trainer(graph, backend) as trainer:
+            trainer.fit(*inputs, epochs=2)
+        assert lanes.lane_count() == 2  # the parent's is its own
+    finally:
+        lanes.set_lane_count(previous)
+    seen = {tuple(map(int, line.split())) for line in log.read_text().splitlines()}
+    pids = {pid for pid, _ in seen}
+    if backend == "process":
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert {count for _, count in seen} == {1}
+    else:
+        assert seen == {(os.getpid(), 2)}

@@ -619,6 +619,28 @@ _OUTPUT_FLAGS = [
 ] + [("dashboard", "--output"), ("loadgen", "--out")]
 
 
+class TestLaneReport:
+    """``train`` and ``serve`` print the lane count and the BLAS thread
+    settings the lane split assumes (one BLAS thread per lane)."""
+
+    @pytest.mark.parametrize("command", [
+        _SMALL_RUNS["train"] + ["--features", "8", "--hidden", "8"],
+        _SMALL_RUNS["serve"] + ["--features", "8", "--hidden", "8"],
+    ])
+    def test_prints_lanes_and_blas_threads(self, command, monkeypatch, capsys):
+        from repro import lanes
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert main(command) == 0
+        expected = (
+            f"lanes: {lanes.lane_count()} (OPENBLAS_NUM_THREADS=1, "
+            "OMP_NUM_THREADS=2, MKL_NUM_THREADS=unset)"
+        )
+        assert capsys.readouterr().out.splitlines().count(expected) == 1
+
+
 class TestOutputPathChecked:
     """A file flag whose directory does not exist is refused while the
     arguments are parsed: exit 2 and one ``error:`` line, before any
