@@ -11,8 +11,11 @@ The package is organized as the paper is:
   training (Sections 2.1, 6).
 * :mod:`repro.kernels` — the execution strategies of Figure 11
   (DistGNN, MKL-SpMM, basic, fusion, compression, combined).
-* :mod:`repro.parallel` — the Section 4.1 output-parallel chunk
-  executor: one worker in the calling thread, or N worker threads.
+* :mod:`repro.lanes` — the Section 4.1 output-parallel loop in one
+  process: every kernel pass and dense layer phase cut into one
+  contiguous output slice per core.
+* :mod:`repro.parallel` — partition-parallel training: one shard per
+  worker process over a shared-memory arena.
 * :mod:`repro.perf` — the machine performance model that prices the
   software techniques (Figures 11/13/14/15, Tables 3-4).
 * :mod:`repro.sim` — trace-driven cache/DRAM simulation (Section 7.3).

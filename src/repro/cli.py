@@ -5,9 +5,9 @@ Subcommands:
 * ``datasets`` — print the Table-3 twin statistics.
 * ``speedup`` — Figure-11-style speedup column for one dataset.
 * ``characterize`` — the full Table-4 layout for one or more datasets.
-* ``train`` — full-batch training demo on a twin (``--workers N`` runs
-  aggregation on N worker threads; ``--shards N --backend
-  {serial,process}`` trains partition-parallel;
+* ``train`` — full-batch training demo on a twin (every kernel pass and
+  dense layer phase runs one output slice per core; ``--shards N
+  --backend {serial,process}`` trains partition-parallel;
   ``--trace FILE`` / ``--json FILE`` emit run telemetry; ``--events
   FILE`` streams per-epoch JSONL events, ``--health`` guards numerics,
   ``--sample-proc`` samples process RSS/CPU, ``--serve-metrics PORT``
@@ -18,8 +18,6 @@ Subcommands:
   and gates on SLO rules (``--check``).
 * ``dashboard`` — render an epoch-event log (plus an optional run
   report) into one self-contained offline HTML page.
-* ``bench-parallel`` — worker-count sweep of the chunk executor
-  (also accepts ``--trace`` / ``--json``).
 * ``profile`` — trace one tiny synthetic training run end to end and
   print the span tree, counters, environment, and bottleneck
   attribution.
@@ -323,16 +321,9 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_TELEMETRY_FLAGS[flag])
 
 
-def _make_aggregation_kernel(workers: int):
-    """The BasicKernel every training command aggregates through."""
-    from .kernels import BasicKernel
-    from .parallel import ChunkExecutor
-
-    return BasicKernel(executor=ChunkExecutor(workers))
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     from .graphs import load_dataset, synthetic_features
+    from .kernels import BasicKernel
     from .nn import Adam, Trainer, build_model
     from .obs.health import HealthError, HealthMonitor
 
@@ -352,15 +343,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     print(lanes.describe())
     if args.shards > 1:
         return _train_sharded(args, graph, features, labels, model)
-    kernel = _make_aggregation_kernel(args.workers)
-    print(f"aggregation: basic kernel x{args.workers}")
+    print("aggregation: basic kernel")
     meta = {
         "command": "train",
         "dataset": args.dataset,
         "scale": args.scale,
         "model": args.model,
         "epochs": args.epochs,
-        "workers": args.workers,
     }
     event_log = None
     if args.events:
@@ -380,7 +369,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(f"slo: loaded {len(rules.rules)} rule(s) from {args.rules}")
     trainer = Trainer(
         model, Adam(model, lr=args.lr), profile_sparsity=True,
-        aggregation_kernel=kernel, event_log=event_log, health=health,
+        aggregation_kernel=BasicKernel(), event_log=event_log, health=health,
         rules=rules,
     )
     extras: dict = {}
@@ -478,66 +467,6 @@ def _train_sharded(args, graph, features, labels, model) -> int:
     return 0
 
 
-def _cmd_bench_parallel(args: argparse.Namespace) -> int:
-    from .bench.harness import Experiment
-    from .graphs import load_dataset, synthetic_features
-    from .kernels import (
-        BasicKernel,
-        CompressedFusedKernel,
-        CompressedKernel,
-        FusedKernel,
-        UpdateParams,
-    )
-    from .parallel import ChunkExecutor
-
-    graph = load_dataset(args.dataset, scale=args.scale)
-    h = synthetic_features(graph, args.features, seed=args.seed, sparsity=0.5)
-    rng = np.random.default_rng(args.seed)
-    params = UpdateParams(
-        weight=(rng.standard_normal((args.features, args.hidden)) * 0.1).astype(
-            np.float32
-        ),
-        bias=np.zeros(args.hidden, dtype=np.float32),
-    )
-    exp = Experiment(
-        "bench-parallel",
-        f"{args.kernel} kernel on {args.dataset}",
-    )
-    meta = {
-        "command": "bench-parallel",
-        "dataset": args.dataset,
-        "scale": args.scale,
-        "kernel": args.kernel,
-        "workers": list(args.workers),
-    }
-    with _telemetry(args, meta):
-        for workers in args.workers:
-            executor = ChunkExecutor(workers)
-            if args.kernel == "basic":
-                kernel = BasicKernel(task_size=args.task_size, executor=executor)
-                _, stats = kernel.aggregate(graph, h, args.aggregator)
-            elif args.kernel == "compression":
-                kernel = CompressedKernel(
-                    task_size=args.task_size, executor=executor
-                )
-                _, stats = kernel.aggregate(graph, h, args.aggregator)
-            elif args.kernel == "fusion":
-                kernel = FusedKernel(executor=executor)
-                _, _, stats = kernel.run_layer(graph, h, params, args.aggregator)
-            else:  # combined
-                kernel = CompressedFusedKernel(executor=executor)
-                _, _, stats = kernel.run_layer(graph, h, params, args.aggregator)
-            report = kernel.last_report
-            exp.add(f"{workers} workers wall time", report.wall_time_s, unit="s")
-            exp.add(f"{workers} workers imbalance", report.imbalance, unit="x")
-            chunks = ",".join(str(c) for c in report.chunks_per_worker)
-            exp.note(
-                f"{workers} workers: {stats.tasks} tasks -> [{chunks}] chunks/worker"
-            )
-    print(exp.render())
-    return 0
-
-
 def _cmd_bench_sharded(args: argparse.Namespace) -> int:
     """Scaling-efficiency benchmark of the sharded trainer.
 
@@ -625,7 +554,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from .graphs import power_law_graph, synthetic_features
     from .kernels import BasicKernel, CompressedKernel
     from .nn import Adam, Trainer, build_model
-    from .parallel import ChunkExecutor
 
     graph = power_law_graph(
         args.vertices, args.degree, seed=args.seed, name="synthetic"
@@ -639,18 +567,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     model = build_model(
         "gcn", args.features, args.hidden, args.classes, seed=args.seed
     )
-    executor = ChunkExecutor(args.workers)
-    if args.kernel == "basic":
-        kernel = BasicKernel(executor=executor)
-    else:
-        kernel = CompressedKernel(executor=executor)
+    kernel = BasicKernel() if args.kernel == "basic" else CompressedKernel()
     trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
+    print(lanes.describe())
 
     meta = {
         "command": "profile",
         "vertices": args.vertices,
         "kernel": args.kernel,
-        "workers": args.workers,
         "epochs": args.epochs,
     }
     extras: dict = {}
@@ -662,8 +586,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         ]
         print(
             f"profiled {args.epochs} epoch(s) on {graph.num_vertices} vertices, "
-            f"{args.kernel} kernel x{args.workers} "
-            f"(final loss {history.final_loss:.4f})"
+            f"{args.kernel} kernel (final loss {history.final_loss:.4f})"
         )
         print("\n== span tree ==")
         print(obs.render_span_tree(records))
@@ -783,6 +706,7 @@ def _build_serving_service(args) -> tuple:
     pipeline with the batcher knobs from the command line.
     """
     from .graphs import load_dataset, synthetic_features
+    from .kernels import BasicKernel
     from .nn import Adam, Trainer, build_model
     from .serve import InferenceService
 
@@ -802,7 +726,7 @@ def _build_serving_service(args) -> tuple:
         )
         trainer = Trainer(
             model, Adam(model, lr=args.lr),
-            aggregation_kernel=_make_aggregation_kernel(1),
+            aggregation_kernel=BasicKernel(),
         )
         trainer.fit(graph, features, labels, epochs=args.epochs)
     service = InferenceService(
@@ -1023,10 +947,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="aggregation worker threads of the full-graph trainer",
-    )
-    p.add_argument(
         "--shards", type=_positive_int, default=1,
         help="partition-parallel sharded training with N shard workers; "
         "1 = classic full-graph trainer",
@@ -1074,27 +994,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser(
-        "bench-parallel", help="worker-count sweep of the chunk executor"
-    )
-    p.add_argument("dataset", choices=["products", "wikipedia", "papers", "twitter"])
-    p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument(
-        "--kernel",
-        choices=["basic", "fusion", "compression", "combined"],
-        default="basic",
-    )
-    p.add_argument(
-        "--aggregator", choices=["gcn", "sage-mean", "mean"], default="gcn"
-    )
-    p.add_argument("--features", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--task-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, nargs="+", default=[1, 2, 4])
-    _add_telemetry_flags(p, "--trace", "--json", "--perfetto", "--serve-metrics")
-    p.set_defaults(func=_cmd_bench_parallel)
-
-    p = sub.add_parser(
         "bench-sharded",
         help="scaling-efficiency benchmark of the sharded trainer "
         "(synthetic twins 10-100x via --scale)",
@@ -1137,7 +1036,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", choices=["basic", "compression"], default="basic")
-    p.add_argument("--workers", type=_positive_int, default=2)
     _add_telemetry_flags(p, "--trace", "--json", "--perfetto", "--serve-metrics")
     p.add_argument(
         "--attrib", metavar="FILE", type=_output_path,
@@ -1193,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--metrics-url", metavar="URL", default=None,
-        help="scrape proc.*/executor.*/alerts.* gauges from a "
+        help="scrape proc.*/alerts.* gauges from a "
         "--serve-metrics endpoint (e.g. http://127.0.0.1:9500)",
     )
     p.add_argument(
@@ -1328,7 +1226,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     ("--events", args.events),
                     ("--health", args.health),
                     ("--rules", args.rules),
-                    ("--workers N > 1", args.workers > 1),
                 )
                 if given
             ]

@@ -149,8 +149,9 @@ def validate_inputs(graph: CSRGraph, h: np.ndarray) -> None:
 def validate_order(graph: CSRGraph, order: Optional[np.ndarray]) -> None:
     """Reject a processing order that is not a permutation of all vertices.
 
-    Kernels write each chunk's rows into an ``np.empty`` output, so a
-    duplicated or missing id would hand back uninitialised rows.
+    The fused kernels write each block's rows at its ids into an
+    ``np.empty`` output, so a duplicated or missing id would hand back
+    uninitialised rows.
     ``None`` is the natural order, valid by construction.
     """
     if order is None:

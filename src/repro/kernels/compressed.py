@@ -6,9 +6,10 @@ gathered row on the fly, and track the DRAM bytes the compression avoids.
 The numerics are bit-identical to the dense kernels — compression is
 lossless by construction.
 
-The chunk body is the same as the dense kernels', so both compressed
-variants dispatch through :class:`repro.parallel.ChunkExecutor` and run
-on ``thread`` / ``process`` workers unchanged.
+Past the decompression they are the dense kernels: ``compression`` runs
+the single-call lane pass of :func:`repro.kernels.basic.aggregate_rows`
+and ``combined`` runs Algorithm 2's block loop,
+:func:`repro.kernels.fused.run_blocks`.  Neither issues prefetches.
 """
 
 from __future__ import annotations
@@ -32,11 +33,15 @@ from .base import (
     validate_inputs,
     validate_order,
 )
-from .basic import DEFAULT_TASK_SIZE
-from .fused import DEFAULT_BLOCK_SIZE, DEFAULT_BLOCKS_PER_TASK
-from ..parallel.executor import ChunkExecutor, ExecutionReport
-from ..parallel.plan import build_chunk_plan
-from ..parallel.workload import BasicAggregationWorkload, FusedLayerWorkload
+from .basic import DEFAULT_TASK_SIZE, aggregate_rows
+from .fused import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_BLOCKS_PER_TASK,
+    fused_stats,
+    run_blocks,
+    validate_layer,
+)
+from .jit import JitKernelCache, KernelSpec
 
 
 def _compression_savings(compressed: CompressedMatrix, gathers_per_row: np.ndarray) -> float:
@@ -50,21 +55,34 @@ def _compression_savings(compressed: CompressedMatrix, gathers_per_row: np.ndarr
     return float(((dense_row - stored) * gathers_per_row).sum())
 
 
+def _decompressed(graph: CSRGraph, h: np.ndarray) -> Tuple[np.ndarray, KernelStats]:
+    """The decompress-on-gather input and the compression counters.
+
+    Restoring the dense matrix once is the value plane's equivalent of
+    per-gather mask expansion; every gathered row (``E + V``) counts as
+    one expansion and every vertex as one collapse.
+    """
+    n = graph.num_vertices
+    compressed = compress_matrix(h)
+    gathers_per_row = np.bincount(graph.indices, minlength=n) + 1
+    stats = KernelStats(
+        decompressed_rows=graph.num_edges + n,
+        compressed_rows=n,
+        dram_bytes_saved=_compression_savings(compressed, gathers_per_row),
+    )
+    return decompress_matrix(compressed), stats
+
+
 class CompressedKernel(AggregationKernel):
     """Aggregation over a mask-compressed feature matrix."""
 
     name = "compression"
 
-    def __init__(
-        self,
-        task_size: int = DEFAULT_TASK_SIZE,
-        executor: Optional[ChunkExecutor] = None,
-    ) -> None:
+    def __init__(self, task_size: int = DEFAULT_TASK_SIZE) -> None:
         if task_size <= 0:
             raise ValueError(f"task_size must be positive, got {task_size}")
         self.task_size = task_size
-        self.executor = executor or ChunkExecutor()
-        self.last_report: Optional[ExecutionReport] = None
+        self.jit_cache = JitKernelCache()
 
     def aggregate(
         self,
@@ -76,34 +94,23 @@ class CompressedKernel(AggregationKernel):
         validate_inputs(graph, h)
         validate_order(graph, order)
         n = graph.num_vertices
-        if order is None:
-            order = np.arange(n, dtype=np.int64)
-        compressed = compress_matrix(h)
-        # Decompress-on-gather: restore the dense matrix once (the value
-        # plane's equivalent of per-gather mask expansion) and count every
-        # gathered row as one expansion.
-        dense = decompress_matrix(compressed)
-        workload = BasicAggregationWorkload(
-            graph, dense, aggregator, order, count_decompressed=True
-        )
-        plan = build_chunk_plan(graph, self.task_size, order)
+        spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
+        batched = self.jit_cache.specialize(graph, spec)
+        dense, stats = _decompressed(graph, h)
         with get_tracer().span(
             "kernel.compression",
             aggregator=aggregator,
             vertices=n,
             edges=graph.num_edges,
             features=int(h.shape[1]),
-            workers=self.executor.workers,
         ) as span:
-            outputs, stats, report = self.executor.run(workload, plan)
-            self.last_report = report
-            stats.compressed_rows = n
-            gathers_per_row = np.bincount(graph.indices, minlength=n) + 1
-            stats.dram_bytes_saved = _compression_savings(compressed, gathers_per_row)
+            out = aggregate_rows(batched.operator, dense)
+            stats.gathers = graph.num_edges + n
+            stats.tasks = -(-n // self.task_size)
             stats.flops = 2.0 * stats.gathers * h.shape[1]
             span.add_counters(stats.as_dict())
         publish_counters(get_metrics(), "kernel.compression", stats.as_dict(False))
-        return outputs["out"], stats
+        return out, stats
 
 
 class CompressedFusedKernel(FusedLayerKernel):
@@ -115,14 +122,12 @@ class CompressedFusedKernel(FusedLayerKernel):
         self,
         block_size: int = DEFAULT_BLOCK_SIZE,
         blocks_per_task: int = DEFAULT_BLOCKS_PER_TASK,
-        executor: Optional[ChunkExecutor] = None,
     ) -> None:
         if block_size <= 0 or blocks_per_task <= 0:
             raise ValueError("block_size and blocks_per_task must be positive")
         self.block_size = block_size
         self.blocks_per_task = blocks_per_task
-        self.executor = executor or ChunkExecutor()
-        self.last_report: Optional[ExecutionReport] = None
+        self.jit_cache = JitKernelCache()
 
     def run_layer(
         self,
@@ -133,53 +138,27 @@ class CompressedFusedKernel(FusedLayerKernel):
         keep_aggregation: bool = False,
         order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], KernelStats]:
-        validate_inputs(graph, h)
-        if params.weight.shape[0] != h.shape[1]:
-            raise ValueError(
-                f"weight rows {params.weight.shape[0]} != features {h.shape[1]}"
-            )
-        validate_order(graph, order)
-        n = graph.num_vertices
-        if order is None:
-            order = np.arange(n, dtype=np.int64)
-        compressed = compress_matrix(h)
-        dense = decompress_matrix(compressed)
-        workload = FusedLayerWorkload(
-            graph,
-            dense,
-            params,
-            aggregator,
-            order,
-            block_size=self.block_size,
-            keep_aggregation=keep_aggregation,
-            count_decompressed=True,
-        )
-        plan = build_chunk_plan(graph, self.block_size * self.blocks_per_task, order)
+        validate_layer(graph, h, params, order)
+        spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
+        batched = self.jit_cache.specialize(graph, spec)
+        dense, compression = _decompressed(graph, h)
         with get_tracer().span(
             "kernel.combined",
             aggregator=aggregator,
-            vertices=n,
+            vertices=graph.num_vertices,
             edges=graph.num_edges,
             features=int(h.shape[1]),
             features_out=int(params.weight.shape[1]),
             keep_aggregation=keep_aggregation,
-            workers=self.executor.workers,
         ) as span:
-            outputs, stats, report = self.executor.run(workload, plan)
-            self.last_report = report
-            a_full = outputs.get("a") if keep_aggregation else None
-            stats.compressed_rows = n
-            stats.peak_buffer_bytes = (
-                a_full.nbytes
-                if a_full is not None
-                else self.block_size * h.shape[1] * np.dtype(np.float32).itemsize
+            h_out, a = run_blocks(
+                batched, dense, params, order,
+                self.block_size, self.blocks_per_task, keep_aggregation,
             )
-            gathers_per_row = np.bincount(graph.indices, minlength=n) + 1
-            stats.dram_bytes_saved = _compression_savings(compressed, gathers_per_row)
-            f_out = params.weight.shape[1]
-            stats.flops = (
-                2.0 * stats.gathers * h.shape[1] + 2.0 * n * h.shape[1] * f_out
+            stats = fused_stats(
+                graph, h, params, self.block_size, self.blocks_per_task, a
             )
+            stats.merge(compression)
             span.add_counters(stats.as_dict())
         publish_counters(get_metrics(), "kernel.combined", stats.as_dict(False))
-        return outputs["h_out"], a_full, stats
+        return h_out, a, stats

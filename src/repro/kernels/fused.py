@@ -10,9 +10,10 @@ highlights (Figure 5):
   ``a`` matrix — :class:`KernelStats.peak_buffer_bytes` proves the
   footprint reduction.
 
-Tasks are dispatched through :class:`repro.parallel.ChunkExecutor`; with
-several workers it runs Algorithm 2's task loop on real threads with
-bitwise-identical results.
+:func:`run_blocks` is that loop.  The lanes (:func:`repro.lanes.split`)
+cut the range of *tasks*, never the inside of a block, so every block's
+aggregation and GEMM sees the same rows at every lane count and the
+output is bitwise the serial one.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .. import lanes
 from ..graphs.csr import CSRGraph
 from ..obs import get_metrics, get_tracer, publish_counters
 from .base import (
@@ -30,17 +32,93 @@ from .base import (
     validate_inputs,
     validate_order,
 )
-from .basic import DEFAULT_PREFETCH_DISTANCE, PREFETCH_LINES_PER_VECTOR
-from .jit import JitKernelCache, KernelSpec
-from ..parallel.executor import ChunkExecutor, ExecutionReport
-from ..parallel.plan import build_chunk_plan
-from ..parallel.workload import FusedLayerWorkload
+from .basic import DEFAULT_PREFETCH_DISTANCE, prefetch_count
+from .jit import BatchedKernel, JitKernelCache, KernelSpec
 
 #: Default block size B: sized so a block of 256-float rows stays in L2.
 DEFAULT_BLOCK_SIZE = 32
 
 #: Default blocks per task T.
 DEFAULT_BLOCKS_PER_TASK = 8
+
+
+def run_blocks(
+    batched: BatchedKernel,
+    h: np.ndarray,
+    params: UpdateParams,
+    order: Optional[np.ndarray],
+    block_size: int,
+    blocks_per_task: int,
+    keep_aggregation: bool,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Algorithm 2's task loop over the processing order: ``(h_out, a)``.
+
+    Position ``p`` of the order (``order[p]``, or ``p`` itself when
+    ``order`` is ``None``) belongs to block ``p // B`` and task
+    ``p // (B T)``.  Each block is aggregated (Alg. 2 lines 3-7) and
+    updated by the small GEMM (lines 8-10) before the next one; ``a`` is
+    kept only in training mode.
+    """
+    n, f_in = h.shape
+    h_out = np.empty((n, params.weight.shape[1]), dtype=np.float32)
+    a = np.empty((n, f_in), dtype=np.float32) if keep_aggregation else None
+    span = block_size * blocks_per_task
+    contiguous = order is None
+    positions = np.arange(n) if contiguous else order
+
+    def run_tasks(first: int, stop: int) -> None:
+        for lo in range(first * span, min(stop * span, n), block_size):
+            verts = positions[lo : lo + block_size]
+            scratch = batched(h, verts, contiguous)
+            rows = slice(lo, lo + len(verts)) if contiguous else verts
+            if a is not None:
+                a[rows] = scratch
+            h_out[rows] = params.apply(scratch)
+
+    moved = h.nbytes + h_out.nbytes + (0 if a is None else a.nbytes)
+    lanes.split(-(-n // span), moved, run_tasks)
+    return h_out, a
+
+
+def fused_stats(
+    graph: CSRGraph,
+    h: np.ndarray,
+    params: UpdateParams,
+    block_size: int,
+    blocks_per_task: int,
+    a: Optional[np.ndarray],
+) -> KernelStats:
+    """Alg. 2's counters in closed form: ``E + V`` gathers, one task per
+    ``B T`` positions, one block per ``B`` (tasks start on block
+    boundaries), and the aggregation + GEMM FLOPs."""
+    n = graph.num_vertices
+    gathers = graph.num_edges + n
+    return KernelStats(
+        gathers=gathers,
+        tasks=-(-n // (block_size * blocks_per_task)),
+        blocks=-(-n // block_size),
+        # Inference: one reusable B-row buffer (Figure 5c).  Training:
+        # the full a matrix must survive for backward (Figure 5b).
+        peak_buffer_bytes=(
+            a.nbytes
+            if a is not None
+            else block_size * h.shape[1] * np.dtype(np.float32).itemsize
+        ),
+        flops=2.0 * gathers * h.shape[1]
+        + 2.0 * n * h.shape[1] * params.weight.shape[1],
+    )
+
+
+def validate_layer(
+    graph: CSRGraph, h: np.ndarray, params: UpdateParams, order
+) -> None:
+    """The input checks every fused layer kernel runs."""
+    validate_inputs(graph, h)
+    if params.weight.shape[0] != h.shape[1]:
+        raise ValueError(
+            f"weight rows {params.weight.shape[0]} != features {h.shape[1]}"
+        )
+    validate_order(graph, order)
 
 
 class FusedKernel(FusedLayerKernel):
@@ -54,7 +132,6 @@ class FusedKernel(FusedLayerKernel):
         blocks_per_task: int = DEFAULT_BLOCKS_PER_TASK,
         prefetch_distance: int = DEFAULT_PREFETCH_DISTANCE,
         jit_cache: Optional[JitKernelCache] = None,
-        executor: Optional[ChunkExecutor] = None,
     ) -> None:
         if block_size <= 0 or blocks_per_task <= 0:
             raise ValueError("block_size and blocks_per_task must be positive")
@@ -62,8 +139,6 @@ class FusedKernel(FusedLayerKernel):
         self.blocks_per_task = blocks_per_task
         self.prefetch_distance = prefetch_distance
         self.jit_cache = jit_cache or JitKernelCache()
-        self.executor = executor or ChunkExecutor()
-        self.last_report: Optional[ExecutionReport] = None
 
     def run_layer(
         self,
@@ -74,57 +149,30 @@ class FusedKernel(FusedLayerKernel):
         keep_aggregation: bool = False,
         order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], KernelStats]:
-        validate_inputs(graph, h)
-        if params.weight.shape[0] != h.shape[1]:
-            raise ValueError(
-                f"weight rows {params.weight.shape[0]} != features {h.shape[1]}"
-            )
-        validate_order(graph, order)
-        n = graph.num_vertices
-        if order is None:
-            order = np.arange(n, dtype=np.int64)
-
+        validate_layer(graph, h, params, order)
         compiled_before = self.jit_cache.compilations
         spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
-        workload = FusedLayerWorkload(
-            graph,
-            h,
-            params,
-            aggregator,
-            order,
-            block_size=self.block_size,
-            keep_aggregation=keep_aggregation,
-            prefetch_distance=self.prefetch_distance,
-            prefetch_lines=PREFETCH_LINES_PER_VECTOR,
-        )
-        workload.attach_batched(self.jit_cache.specialize(graph, spec))
-        plan = build_chunk_plan(graph, self.block_size * self.blocks_per_task, order)
+        batched = self.jit_cache.specialize(graph, spec)
         with get_tracer().span(
             "kernel.fusion",
             aggregator=aggregator,
-            vertices=n,
+            vertices=graph.num_vertices,
             edges=graph.num_edges,
             features=int(h.shape[1]),
             features_out=int(params.weight.shape[1]),
             keep_aggregation=keep_aggregation,
-            workers=self.executor.workers,
         ) as span:
-            outputs, stats, report = self.executor.run(workload, plan)
-            self.last_report = report
-            a_full = outputs.get("a") if keep_aggregation else None
+            h_out, a = run_blocks(
+                batched, h, params, order,
+                self.block_size, self.blocks_per_task, keep_aggregation,
+            )
+            stats = fused_stats(
+                graph, h, params, self.block_size, self.blocks_per_task, a
+            )
+            stats.prefetches = prefetch_count(
+                graph.degrees(), order, self.prefetch_distance
+            )
             stats.jit_compilations = self.jit_cache.compilations - compiled_before
-            # Inference: one reusable B-row buffer per worker (Figure 5c).
-            # Training: the full a matrix must survive for backward (Fig. 5b).
-            stats.peak_buffer_bytes = (
-                a_full.nbytes
-                if a_full is not None
-                else self.block_size * h.shape[1] * np.dtype(np.float32).itemsize
-            )
-            f_out = params.weight.shape[1]
-            stats.flops = (
-                2.0 * stats.gathers * h.shape[1]
-                + 2.0 * n * h.shape[1] * f_out
-            )
             span.add_counters(stats.as_dict())
         publish_counters(get_metrics(), "kernel.fusion", stats.as_dict(False))
-        return outputs["h_out"], a_full, stats
+        return h_out, a, stats

@@ -50,7 +50,8 @@ class ScaledCSR:
         self.num_rows = matrix.shape[0]
         self.nnz = int(matrix.nnz)
         #: (start, stop) -> row-slice operator; one entry per range ever
-        #: requested, so bounded by the caller's chunk count.
+        #: requested: one per lane of a pass, one per block of a fused
+        #: natural-order pass.
         self._row_slices: Dict[Tuple[int, int], "ScaledCSR"] = {}
 
     @classmethod
@@ -120,7 +121,7 @@ class ScaledCSR:
     def select(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Output rows ``rows`` (any subset, any order) of ``self(h)``.
 
-        What a chunk of a reordered plan needs.  Each row accumulates
+        What a block of a reordered fused pass needs.  Each row accumulates
         exactly as in :meth:`__call__`, so the two agree bit for bit.
         """
         sub = self.matrix[rows]

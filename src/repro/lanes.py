@@ -87,16 +87,18 @@ def split(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
         except BaseException as exc:  # re-raised in the caller
             errors.append(exc)
 
-    threads = [
-        threading.Thread(target=run, args=(lo, hi), name=f"lane-{lane}")
-        for lane, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), 1)
-    ]
-    for thread in threads:
-        thread.start()
+    started: List[threading.Thread] = []
     try:
+        # Started inside the ``try``: if a later lane fails to start, the
+        # lanes already running are joined before the error propagates,
+        # so none writes into the caller's output after ``split`` returns.
+        for lane, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), 1):
+            thread = threading.Thread(target=run, args=(lo, hi), name=f"lane-{lane}")
+            thread.start()
+            started.append(thread)
         fn(bounds[0], bounds[1])
     finally:
-        for thread in threads:
+        for thread in started:
             thread.join()
     if errors:
         raise errors[0]

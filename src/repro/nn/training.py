@@ -81,7 +81,7 @@ class Trainer:
         profile_sparsity: record per-layer input sparsity each epoch —
             the Section 2.2 measurement that motivates feature compression.
         aggregation_kernel: optional optimized execution strategy (e.g. a
-            ``BasicKernel`` on a multi-worker ``ChunkExecutor``) used for
+            ``BasicKernel``, which runs each pass on lanes) used for
             every forward aggregation — and, when the kernel provides
             ``aggregate_backward`` (the cached-CSC backward of
             :class:`~repro.kernels.BasicKernel`), for every backward

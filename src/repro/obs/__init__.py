@@ -6,9 +6,9 @@ comparable, machine-readable telemetry):
 
 * :mod:`repro.obs.trace` — hierarchical span tracer with a JSONL
   exporter; a traced training run yields the tree
-  ``epoch -> layer -> kernel.<name> -> worker``;
+  ``epoch -> layer -> kernel.<name>``;
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
-  histograms that kernels, the chunk executor, the sim models, and the
+  histograms that kernels, the trainers, the sim models, and the
   DMA timeline publish into;
 * :mod:`repro.obs.report` — joins spans + metrics + environment
   metadata into one run-report JSON document.
@@ -30,7 +30,7 @@ Layered on top, the training-run observability pieces:
 Telemetry is **disabled by default and zero-cost when disabled**: the
 module singletons are ``NULL_TRACER`` / ``NULL_REGISTRY`` whose methods
 are no-ops, and instrumentation sits at region granularity (a kernel
-invocation, a worker's chunk batch), never inside per-vertex loops.
+invocation, an epoch), never inside per-vertex loops.
 
 Typical use (what ``repro profile`` and ``--trace`` do)::
 

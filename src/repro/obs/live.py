@@ -17,7 +17,7 @@ run *while it is in flight*:
   line) and renders a refreshing terminal view: loss/accuracy trend
   sparklines, per-layer gradient norms, ``proc.*`` resource gauges
   (scraped from a ``MetricsServer`` or read from an in-process
-  registry), the executor's live queue phase, and any firing SLO rules
+  registry), the live epoch, and any firing SLO rules
   (:mod:`repro.obs.rules`).  ``repro top --follow run.jsonl`` drives it.
 
 Both follow the package's null-object contract: :data:`NULL_SERVER`
@@ -54,7 +54,7 @@ _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
 #: Metric-name prefixes :class:`LiveRunMonitor` renders with bespoke
 #: sections; anything else falls through to the generic family view.
-_NATIVE_PLANES = ("train.", "proc.", "executor.", "serve.")
+_NATIVE_PLANES = ("train.", "proc.", "serve.")
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +307,7 @@ class LiveRunMonitor:
     Args:
         events_path: the run's epoch-event JSONL (may still be growing).
         metrics_url: base URL of a :class:`MetricsServer` to scrape for
-            ``proc.*`` / ``executor.*`` gauges (cross-process case).
+            ``proc.*`` / ``serve.*`` gauges (cross-process case).
         registry: an in-process registry to read instead of scraping.
         rules: optional :class:`~repro.obs.rules.RuleEngine`; evaluated
             once per newly observed epoch (event-derived ``train.*``
@@ -399,7 +399,7 @@ class LiveRunMonitor:
             f"{key}={value}"
             for key, value in meta.items()
             if value is not None and key in
-            ("command", "dataset", "model", "epochs", "workers", "backend")
+            ("command", "dataset", "model", "epochs", "shards", "backend")
         )
         lines.append(f"== repro top == {title}".rstrip())
 
@@ -454,18 +454,9 @@ class LiveRunMonitor:
                 + stale
             )
 
-        inflight = self._gauge("executor.inflight")
-        queue_depth = self._gauge("executor.queue_depth")
         live_epoch = self._gauge("train.epoch")
-        phase_bits = []
         if live_epoch is not None:
-            phase_bits.append(f"epoch {live_epoch:.0f}")
-        if inflight is not None:
-            phase_bits.append(f"{inflight:.0f} worker(s) in flight")
-        if queue_depth is not None:
-            phase_bits.append(f"{queue_depth:.0f} chunk(s) queued")
-        if phase_bits:
-            lines.append("phase " + ", ".join(phase_bits))
+            lines.append(f"phase epoch {live_epoch:.0f}")
 
         lines.extend(self._render_serve())
         lines.extend(self._render_other_families())
@@ -541,7 +532,7 @@ class LiveRunMonitor:
         """Generic one-line-per-family view of unrecognized metrics.
 
         Anything outside the planes the view renders natively
-        (``train.*`` / ``proc.*`` / ``executor.*`` / ``serve.*``) is
+        (``train.*`` / ``proc.*`` / ``serve.*``) is
         grouped by its first dotted segment, so new subsystems show up
         in ``repro top`` the day they start publishing, without a
         bespoke section.

@@ -5,8 +5,6 @@ numbers are joinable afterwards:
 
 * ``kernel.<name>.*`` — the :class:`~repro.kernels.base.KernelStats`
   counters of each kernel invocation (``kernel.basic.gathers``, ...);
-* ``executor.*`` — chunk-executor wall time and per-worker chunk/vertex
-  counts (``executor.worker0.chunks``);
 * ``sim.*`` — cache / DRAM / prefetcher model counters
   (``sim.l2.misses``, ``sim.dram.bytes_served``);
 * ``dma.*`` — DMA request-timeline outcomes

@@ -1,11 +1,11 @@
 """Hierarchical span tracer with a JSONL exporter.
 
 A *span* is one timed region of a run — an epoch, a layer, one kernel
-invocation, one worker's chunk batch — with a name, key/value
+invocation, one serving batch — with a name, key/value
 attributes, and numeric *counters* (the :class:`~repro.kernels.base.
 KernelStats` quantities the kernel attached).  Spans nest: entering a
 span while another is active makes it a child, so a traced training run
-produces the tree ``epoch -> layer -> kernel.<name> -> worker``.
+produces the tree ``epoch -> layer -> kernel.<name>``.
 
 Tracing is **off by default and zero-cost when off**: the module-level
 tracer is a :class:`NullTracer` whose ``span()`` returns one shared
@@ -211,7 +211,7 @@ class Tracer:
         start_s: Optional[float] = None,
         parent: Optional[Span] = None,
     ) -> Span:
-        """Add an already-measured span (e.g. a worker's chunk batch).
+        """Add an already-measured span (e.g. a request's queue wait).
 
         The span becomes a child of the calling thread's current span
         unless an explicit ``parent`` is given (cross-thread spans);

@@ -1,21 +1,19 @@
-"""Multi-worker execution of the paper's output-parallel chunk loop.
+"""Partition-parallel training across processes.
 
-Section 4.1 parallelizes aggregation over chunks of ``T`` vertices with
-dynamic scheduling and no synchronization.  This package executes that
-plan on real workers:
+Section 4.1's output-parallel loop runs inside one process on lanes
+(:mod:`repro.lanes`: one contiguous output slice per core).  This package
+is the other parallelism: the graph is partitioned and each shard is
+trained by its own worker over one shared-memory arena.
 
-* :mod:`repro.parallel.plan` — chunk decomposition + the deterministic
-  dynamic (least-loaded) chunk-to-worker assignment.
-* :mod:`repro.parallel.workload` — per-chunk kernel bodies.
-* :mod:`repro.parallel.executor` — one in-process runtime (serial on one
-  worker, threads on several) with deterministic per-worker stats
-  merging.
+* :mod:`repro.parallel.sharded` — the shard runtime, the sharded trainer
+  and its ``serial`` / ``process`` backends.
+* :mod:`repro.parallel.shm` — the shared-memory array bundle the shard
+  workers attach to without copying.
 
-Every worker count produces bitwise-identical outputs; the differential
-suite in ``tests/integration/test_backend_equivalence.py`` enforces it.
+A process-backend shard worker runs one lane: its shards are that run's
+parallelism.
 """
 
-from .executor import ChunkExecutor, ExecutionReport, WorkerReport
 from .sharded import (
     SHARD_BACKENDS,
     ShardedConfig,
@@ -24,18 +22,6 @@ from .sharded import (
     ShardWorkerDied,
 )
 from .shm import ArrayBundle, BundleSpec
-from .plan import (
-    Chunk,
-    ChunkPlan,
-    assign_chunks,
-    assignment_imbalance,
-    build_chunk_plan,
-)
-from .workload import (
-    BasicAggregationWorkload,
-    ChunkWorkload,
-    FusedLayerWorkload,
-)
 
 __all__ = [
     "SHARD_BACKENDS",
@@ -45,15 +31,4 @@ __all__ = [
     "ShardWorkerDied",
     "ArrayBundle",
     "BundleSpec",
-    "ChunkExecutor",
-    "ExecutionReport",
-    "WorkerReport",
-    "Chunk",
-    "ChunkPlan",
-    "assign_chunks",
-    "assignment_imbalance",
-    "build_chunk_plan",
-    "BasicAggregationWorkload",
-    "ChunkWorkload",
-    "FusedLayerWorkload",
 ]

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import lanes
 from repro.graphs import (
     CSRGraph,
     chain_graph,
@@ -32,6 +33,21 @@ def restore_repro_logging():
     yield
     logger.handlers[:] = handlers
     logger.setLevel(level)
+
+
+@pytest.fixture
+def lane_count():
+    """Set the lane count for one test; restored afterwards."""
+    previous = lanes.lane_count()
+    yield lanes.set_lane_count
+    lanes.set_lane_count(previous)
+
+
+@pytest.fixture
+def always_split(monkeypatch, lane_count):
+    """Split every call, however small."""
+    monkeypatch.setattr(lanes, "MIN_SPLIT_BYTES", 0)
+    return lane_count
 
 
 SHM_DIR = "/dev/shm"

@@ -1,24 +1,26 @@
-"""Differential test harness: every execution mode is provably equivalent.
+"""Differential test harness: every lane count is provably equivalent.
 
-The full matrix — kernel x aggregator x worker count — must produce the
-same answer.  Two levels of equivalence are enforced on
-seeded random power-law graphs (the degree skew the paper's dynamic
+The full matrix — kernel x aggregator x processing order x lane count —
+must produce the same answer.  Two levels of equivalence are enforced
+on seeded random power-law graphs (the degree skew the paper's dynamic
 scheduler exists for):
 
-* **bitwise** across worker counts: each vertex row is computed by the
-  same specialized closure whichever worker runs its chunk, so one
-  worker and N threads must be ``np.array_equal`` — not merely close;
+* **bitwise** across lane counts: every lane cuts an output range (rows
+  of a pass, whole tasks of Alg. 2's block loop), so each vertex row is
+  computed by the same operator call whichever lane runs it, and one
+  lane and N lanes must be ``np.array_equal`` — not merely close;
 * **numeric** against the dense SpMM reference oracle
   (:func:`repro.nn.aggregate`), up to fp32 reduction-order noise.
 
-A determinism section additionally re-runs the multi-threaded executor
-and requires bitwise-identical outputs and identical merged work
-counters.
+Every test runs under the ``always_split`` fixture, so the lanes split
+however small the pass.  A determinism section re-runs the four-lane
+pass and requires bitwise-identical outputs and identical counters.
 """
 
 import numpy as np
 import pytest
 
+from repro import lanes
 from repro.graphs import (
     locality_order,
     power_law_graph,
@@ -26,6 +28,7 @@ from repro.graphs import (
     synthetic_features,
 )
 from repro.kernels import (
+    PREFETCH_LINES_PER_VECTOR,
     BasicKernel,
     CompressedFusedKernel,
     CompressedKernel,
@@ -33,14 +36,23 @@ from repro.kernels import (
     UpdateParams,
 )
 from repro.nn import aggregate
-from repro.parallel import ChunkExecutor
 
 AGGREGATORS = ("gcn", "sage-mean")
 
-#: Worker counts of the execution matrix; one worker is the baseline.
-WORKER_COUNTS = (1, 2, 4)
+#: Lane counts of the execution matrix; one lane is the baseline.
+LANE_COUNTS = (1, 2, 3)
 
 GRAPH_SEEDS = (3, 19)
+
+#: Alg. 2's block and task sizes: small enough that the smallest graph
+#: (243 vertices) has 31 tasks, so three lanes get a slice each.
+BLOCK_SIZE, BLOCKS_PER_TASK = 4, 2
+
+ORDERS = {
+    "natural": lambda graph: None,
+    "randomized": randomized_order,
+    "locality": locality_order,
+}
 
 
 def _graph(seed):
@@ -59,25 +71,23 @@ def _params(f_in, f_out, seed=0):
     )
 
 
-def _run_kernel(name, executor, graph, h, aggregator, params):
+def _run_kernel(name, graph, h, aggregator, params, order=None):
     """Build a fresh kernel of one variant and run it once."""
     if name == "basic":
-        kernel = BasicKernel(task_size=32, executor=executor)
-        out, stats = kernel.aggregate(graph, h, aggregator)
+        kernel = BasicKernel(task_size=32)
+        out, stats = kernel.aggregate(graph, h, aggregator, order)
     elif name == "compression":
-        kernel = CompressedKernel(task_size=32, executor=executor)
-        out, stats = kernel.aggregate(graph, h, aggregator)
+        kernel = CompressedKernel(task_size=32)
+        out, stats = kernel.aggregate(graph, h, aggregator, order)
     elif name == "fusion":
-        kernel = FusedKernel(block_size=16, blocks_per_task=2, executor=executor)
-        out, _, stats = kernel.run_layer(graph, h, params, aggregator)
+        kernel = FusedKernel(BLOCK_SIZE, BLOCKS_PER_TASK)
+        out, _, stats = kernel.run_layer(graph, h, params, aggregator, order=order)
     elif name == "combined":
-        kernel = CompressedFusedKernel(
-            block_size=16, blocks_per_task=2, executor=executor
-        )
-        out, _, stats = kernel.run_layer(graph, h, params, aggregator)
+        kernel = CompressedFusedKernel(BLOCK_SIZE, BLOCKS_PER_TASK)
+        out, _, stats = kernel.run_layer(graph, h, params, aggregator, order=order)
     else:  # pragma: no cover - defensive
         raise KeyError(name)
-    return out, stats, kernel
+    return out, stats
 
 
 def _comparable_counters(stats):
@@ -101,58 +111,52 @@ def _comparable_counters(stats):
 
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 @pytest.mark.parametrize("name", ["basic", "compression", "fusion", "combined"])
-def test_differential_matrix(name, aggregator):
-    """kernel x aggregator x workers: bitwise-equal everywhere."""
+def test_differential_matrix(always_split, name, aggregator):
+    """kernel x aggregator x order x lanes: bitwise-equal everywhere."""
     for seed in GRAPH_SEEDS:
         graph = _graph(seed)
+        assert graph.num_vertices >= 3 * lanes.MIN_SLICE * BLOCK_SIZE * BLOCKS_PER_TASK
         h = _features(graph, seed)
         params = _params(h.shape[1], 12, seed)
         reference = aggregate(graph, h, aggregator)  # dense SpMM oracle
         if name in ("fusion", "combined"):
             reference = params.apply(reference)
-
-        baseline, baseline_stats, _ = _run_kernel(
-            name, ChunkExecutor(1), graph, h, aggregator, params
-        )
-        np.testing.assert_allclose(baseline, reference, atol=2e-4)
-
-        for workers in WORKER_COUNTS[1:]:
-            out, stats, _ = _run_kernel(
-                name, ChunkExecutor(workers), graph, h, aggregator, params
+        for order_name in ("natural", "randomized"):
+            order = ORDERS[order_name](graph)
+            always_split(1)
+            baseline, baseline_stats = _run_kernel(
+                name, graph, h, aggregator, params, order
             )
-            assert np.array_equal(out, baseline), (
-                f"{name}/{aggregator}/x{workers} diverged bitwise"
-            )
-            # Schedule-invariant totals match the serial execution.
-            assert stats.gathers == baseline_stats.gathers
-            assert stats.tasks == baseline_stats.tasks
-            assert stats.flops == baseline_stats.flops
+            np.testing.assert_allclose(baseline, reference, atol=2e-4)
+            for count in LANE_COUNTS[1:]:
+                always_split(count)
+                out, stats = _run_kernel(name, graph, h, aggregator, params, order)
+                assert np.array_equal(out, baseline), (
+                    f"{name}/{aggregator}/{order_name}/x{count} diverged bitwise"
+                )
+                assert _comparable_counters(stats) == _comparable_counters(
+                    baseline_stats
+                )
 
 
-@pytest.mark.parametrize("workers", [4], ids=["thread-4"])
+@pytest.mark.parametrize("count", [4], ids=["thread-4"])
 @pytest.mark.parametrize("name", ["basic", "fusion"])
-def test_concurrent_backends_are_deterministic(name, workers):
-    """Two runs with the same seed: bitwise outputs, identical counters."""
+def test_concurrent_backends_are_deterministic(always_split, name, count):
+    """Two runs on four lanes: bitwise outputs, identical counters."""
     graph = _graph(5)
     h = _features(graph, 5)
     params = _params(h.shape[1], 10, 5)
-
-    runs = []
-    for _ in range(2):
-        out, stats, kernel = _run_kernel(
-            name, ChunkExecutor(workers), graph, h, "gcn", params
-        )
-        runs.append((out, stats, kernel.last_report))
-
-    (out_a, stats_a, report_a), (out_b, stats_b, report_b) = runs
+    always_split(count)
+    (out_a, stats_a), (out_b, stats_b) = [
+        _run_kernel(name, graph, h, "gcn", params) for _ in range(2)
+    ]
     assert np.array_equal(out_a, out_b)
     assert _comparable_counters(stats_a) == _comparable_counters(stats_b)
-    # The deterministic dynamic schedule hands out identical chunk lists.
-    assert report_a.chunks_per_worker == report_b.chunks_per_worker
 
 
-def test_training_with_parallel_kernel_matches_serial():
-    """A Trainer driving a multi-worker kernel reproduces the serial run."""
+def test_training_with_parallel_kernel_matches_serial(always_split):
+    """A Trainer whose every pass splits into three lanes reproduces the
+    one-lane run."""
     from repro.nn import Adam, Trainer, build_model
 
     graph = _graph(2)
@@ -160,50 +164,44 @@ def test_training_with_parallel_kernel_matches_serial():
     labels = np.random.default_rng(0).integers(0, 4, graph.num_vertices)
 
     losses = []
-    for executor in (ChunkExecutor(1), ChunkExecutor(4)):
+    for count in (1, 3):
+        always_split(count)
         model = build_model("gcn", h.shape[1], 16, 4, seed=0)
         trainer = Trainer(
-            model,
-            Adam(model, lr=0.01),
-            aggregation_kernel=BasicKernel(executor=executor),
+            model, Adam(model, lr=0.01), aggregation_kernel=BasicKernel()
         )
         history = trainer.fit(graph, h, labels, epochs=3)
         losses.append(history.losses())
     assert losses[0] == losses[1]
 
 
-ORDERS = {
-    "natural": lambda graph: None,
-    "randomized": randomized_order,
-    "locality": locality_order,
-}
-
-
 @pytest.mark.parametrize("order_name", sorted(ORDERS))
 @pytest.mark.parametrize("transposed", [False, True], ids=["forward", "transposed"])
 @pytest.mark.parametrize("aggregator", ["gcn", "mean"])
-def test_single_call_pass_matches_the_chunk_loop(aggregator, transposed, order_name):
-    """One worker runs a pass as ONE operator call in any processing
-    order and states its counters in closed form; two threads run the
-    chunk loop over the same order and sum them.  Rows and counters must
-    not differ."""
+def test_lane_split_pass_matches_one_lane(
+    always_split, aggregator, transposed, order_name
+):
+    """A pass runs as ONE operator call in any processing order, cut
+    into one row slice per lane; its counters are closed forms of the
+    graph and the order.  Rows and counters must not move with the lane
+    count."""
     graph = _graph(7)
     h = _features(graph, 7)
     order = ORDERS[order_name](graph)
+    kernel = BasicKernel(task_size=32)
+    run = kernel.aggregate_backward if transposed else kernel.aggregate
+    base = graph.transpose() if transposed else graph
+    degrees = base.degrees() if order is None else base.degrees()[order]
+    n = graph.num_vertices
     runs = []
-    for kernel in (
-        BasicKernel(task_size=32),
-        BasicKernel(task_size=32, executor=ChunkExecutor(2)),
-    ):
-        run = kernel.aggregate_backward if transposed else kernel.aggregate
+    for count in LANE_COUNTS:
+        always_split(count)
         out, stats = run(graph, h, aggregator, order)
-        report = kernel.last_report
-        assert report is not None and report.workers == kernel.executor.workers
-        assert sum(report.chunks_per_worker) == stats.tasks
-        assert sum(w.stats.gathers for w in report.worker_reports) == stats.gathers
-        runs.append((out, stats))
-    (single, single_stats), (chunked, chunked_stats) = runs
-    assert np.array_equal(single, chunked)
-    assert single_stats.prefetches > 0
-    for counter in ("gathers", "tasks", "prefetches", "flops"):
-        assert getattr(single_stats, counter) == getattr(chunked_stats, counter)
+        assert stats.gathers == graph.num_edges + n
+        assert stats.tasks == -(-n // 32)
+        assert stats.prefetches == PREFETCH_LINES_PER_VECTOR * int(
+            (degrees[kernel.prefetch_distance:] + 1).sum()
+        ) > 0
+        runs.append(out)
+    for out in runs[1:]:
+        assert np.array_equal(out, runs[0])

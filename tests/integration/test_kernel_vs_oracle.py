@@ -36,7 +36,6 @@ from repro.nn.aggregate import (
     aggregate_backward_reference,
     gather_reduce_reference,
 )
-from repro.parallel import ChunkExecutor
 
 AGGREGATORS = ("gcn", "mean", "sum")
 ORDERS = ("natural", "randomized", "locality")
@@ -259,29 +258,31 @@ class TestDegenerateShapes:
         np.testing.assert_allclose(h_out, reference, atol=ATOL)
 
 
-def _train(graph, h, labels, executor=None, epochs=3, seed=0):
-    """One deterministic training run on the given executor."""
+def _train(graph, h, labels, epochs=3, seed=0):
+    """One deterministic training run at the current lane count."""
     model = build_model("gcn", h.shape[1], 8, 4, seed=seed)
-    kernel = BasicKernel(task_size=37, executor=executor)
+    kernel = BasicKernel(task_size=37)
     trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
     trainer.fit(graph, h, labels, epochs=epochs)
     return trainer
 
 
 class TestTrainDeterminism:
-    """End to end: three epochs on the serial executor, on three threads
-    and on a second serial run must produce *bitwise identical* loss
-    curves and final weights — each output row is one sequential
-    accumulation in CSR edge order whichever worker owns its chunk."""
+    """End to end: three epochs on one lane, on a second one-lane run and
+    on three lanes must produce *bitwise identical* loss curves and final
+    weights — each output row is one sequential accumulation in CSR edge
+    order whichever lane owns it."""
 
     @pytest.mark.parametrize("seed", (0, 1, 2))
-    def test_bitwise_identical_training(self, graph, seed):
+    def test_bitwise_identical_training(self, always_split, graph, seed):
         h = synthetic_features(graph, 12, seed=seed, sparsity=0.4)
         labels = np.random.default_rng(seed).integers(0, 4, graph.num_vertices)
+        always_split(1)
         serial = _train(graph, h, labels, seed=seed)
         assert serial.history.backward_stats.gathers > 0
-        for executor in (None, ChunkExecutor(3)):
-            other = _train(graph, h, labels, executor, seed=seed)
+        for count in (1, 3):
+            always_split(count)
+            other = _train(graph, h, labels, seed=seed)
             assert other.history.losses() == serial.history.losses()
             for la, lb in zip(other.model.layers, serial.model.layers):
                 assert np.array_equal(la.weight, lb.weight)

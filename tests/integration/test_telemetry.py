@@ -3,9 +3,13 @@
 Trains on a synthetic twin with tracing enabled and asserts the two
 properties the observability layer promises:
 
-1. the exported span tree nests epoch -> layer -> kernel -> worker, and
+1. the exported span tree nests epoch -> layer -> kernel, and
 2. the counters aggregated from the trace exactly match the
-   ``KernelStats`` the kernels returned to the trainer.
+   ``KernelStats`` the kernels returned to the trainer, which are the
+   closed forms of the graph.
+
+The run splits every pass into two lanes (the ``always_split``
+fixture); lanes are not spans, so the tree is the same on one lane.
 """
 
 import json
@@ -16,14 +20,13 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.graphs import power_law_graph, synthetic_features
-from repro.kernels import BasicKernel
+from repro.kernels import PREFETCH_LINES_PER_VECTOR, BasicKernel
 from repro.nn import Adam, Trainer, build_model
 from repro.obs import read_trace, span_tree
-from repro.parallel import ChunkExecutor
 
 EPOCHS = 2
 LAYERS = 2
-WORKERS = 2
+LANES = 2
 
 
 def _tiny_inputs(features=16, classes=4, seed=0):
@@ -34,11 +37,12 @@ def _tiny_inputs(features=16, classes=4, seed=0):
 
 
 @pytest.fixture
-def traced_run():
+def traced_run(always_split):
     """One traced training run; returns (tracer, metrics, history)."""
+    always_split(LANES)
     graph, h, labels = _tiny_inputs()
     model = build_model("gcn", h.shape[1], 16, 4, seed=0)
-    kernel = BasicKernel(executor=ChunkExecutor(WORKERS))
+    kernel = BasicKernel()
     trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
     tracer, metrics = obs.enable()
     try:
@@ -49,7 +53,7 @@ def traced_run():
 
 
 class TestSpanTreeShape:
-    def test_nests_epoch_layer_kernel_worker(self, traced_run):
+    def test_nests_epoch_layer_kernel(self, traced_run):
         """Every layer span holds one kernel span — except the first
         layer after the first epoch: ``Â · features`` is a constant the
         trainer keeps, so that layer no longer runs a kernel at all."""
@@ -70,10 +74,7 @@ class TestSpanTreeShape:
                     assert kernels == []
                     continue
                 assert len(kernels) == 1
-                workers = [
-                    c for c in kernels[0]["children"] if c["name"] == "worker"
-                ]
-                assert len(workers) == WORKERS
+                assert kernels[0]["children"] == []
 
     def test_backward_is_epoch_child(self, traced_run):
         tracer, _, _ = traced_run
@@ -99,19 +100,29 @@ class TestCounterConsistency:
         merged.merge(history.backward_stats)
         assert tracer.aggregate_counters("kernel.*") == merged.as_dict()
 
-    def test_worker_counters_sum_to_kernel_counters(self, traced_run):
+    def test_kernel_counters_equal_closed_forms(self, traced_run):
+        """Each kernel span's counters are Alg. 1's closed forms of the
+        graph: ``E + V`` gathers, ``ceil(V / T)`` tasks, and the prefetch
+        look-ahead over the degrees of the direction it aggregates."""
         tracer, _, _ = traced_run
-        kernel_spans = tracer.spans("kernel.*")
-        by_id = {s.span_id: s for s in kernel_spans}
-        worker_totals = {span_id: 0.0 for span_id in by_id}
-        for worker in tracer.spans("worker"):
-            if worker.parent_id in worker_totals:
-                worker_totals[worker.parent_id] += worker.counters["gathers"]
-        for span_id, total in worker_totals.items():
-            assert total == by_id[span_id].counters["gathers"]
+        graph, _, _ = _tiny_inputs()
+        n, kernel = graph.num_vertices, BasicKernel()
+        distance = kernel.prefetch_distance
+        degrees = {
+            "kernel.basic": graph.degrees(),
+            "kernel.backward.basic": graph.transpose().degrees(),
+        }
+        spans = tracer.spans("kernel.*")
+        assert {span.name for span in spans} == set(degrees)
+        for span in spans:
+            assert span.counters["gathers"] == graph.num_edges + n
+            assert span.counters["tasks"] == -(-n // kernel.task_size)
+            assert span.counters["prefetches"] == PREFETCH_LINES_PER_VECTOR * (
+                int((degrees[span.name][distance:] + 1).sum())
+            )
 
     def test_metrics_registry_agrees_with_trace(self, traced_run):
-        """One executor run per aggregation that can change.  Forward:
+        """One kernel run per aggregation that can change.  Forward:
         every layer in the first epoch, every layer but the first (whose
         ``Â · features`` is kept) afterwards.  Backward: every layer but
         the first, whose input gradient nothing consumes.  The count was
@@ -122,7 +133,14 @@ class TestCounterConsistency:
         assert snap["kernel.basic.gathers"]["value"] == totals["gathers"]
         forward_runs = LAYERS + (EPOCHS - 1) * (LAYERS - 1)
         backward_runs = EPOCHS * (LAYERS - 1)
-        assert snap["executor.runs"]["value"] == float(forward_runs + backward_runs)
+        runs = len(tracer.spans("kernel.*"))
+        assert runs == forward_runs + backward_runs
+        tasks = (
+            snap["kernel.basic.tasks"]["value"]
+            + snap["kernel.backward.basic.tasks"]["value"]
+        )
+        n = _tiny_inputs()[0].num_vertices
+        assert tasks == runs * -(-n // BasicKernel().task_size)
 
 
 class TestCliArtifacts:
@@ -132,7 +150,6 @@ class TestCliArtifacts:
         code = main([
             "train", "products", "--scale", "0.05", "--epochs", "2",
             "--features", "16", "--hidden", "16",
-            "--workers", "2",
             "--trace", str(trace_path), "--json", str(json_path),
         ])
         assert code == 0
@@ -147,7 +164,7 @@ class TestCliArtifacts:
         kernel = next(
             c for c in layer["children"] if c["name"].startswith("kernel.")
         )
-        assert any(c["name"] == "worker" for c in kernel["children"])
+        assert kernel["children"] == []
 
         report = json.loads(json_path.read_text())
         assert report["meta"]["command"] == "train"
@@ -168,8 +185,9 @@ class TestCliArtifacts:
     def test_disabled_by_default(self):
         graph, h, labels = _tiny_inputs()
         model = build_model("gcn", h.shape[1], 16, 4, seed=0)
-        kernel = BasicKernel(executor=ChunkExecutor(2))
-        trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
+        trainer = Trainer(
+            model, Adam(model, lr=0.01), aggregation_kernel=BasicKernel()
+        )
         trainer.fit(graph, h, labels, epochs=1)
         assert obs.get_tracer().enabled is False
         assert obs.get_metrics().snapshot() == {}

@@ -3,8 +3,10 @@
 Every kernel must survive (and stay correct on): the empty graph, a
 graph of isolated vertices, a single-vertex graph, feature widths that
 do not divide the 16-lane vector width, and task sizes larger than the
-vertex count — on the serial executor and on real workers.  A malformed
-processing order is the one input every kernel must refuse.
+vertex count — on one lane and on two and three (under the
+``always_split`` fixture, in natural and shuffled processing order, each
+bitwise equal to one lane).  A malformed processing order is the one
+input every kernel must refuse.
 """
 
 import numpy as np
@@ -20,11 +22,11 @@ from repro.kernels import (
     UpdateParams,
 )
 from repro.nn import aggregate
-from repro.parallel import ChunkExecutor
 from repro.tensors.compression import VECTOR_LANES
 
-EXECUTORS = [lambda: ChunkExecutor(1), lambda: ChunkExecutor(2)]
-EXECUTOR_IDS = ["serial", "thread2"]
+#: Lane counts; the ids name the threads a split runs on.
+LANE_COUNTS = [1, 2, 3]
+LANE_IDS = ["serial", "thread2", "thread3"]
 
 
 def _features(n, f, seed=0, sparsity=0.3):
@@ -42,77 +44,90 @@ def _params(f_in, f_out=6, seed=0):
     )
 
 
-def _all_kernel_runs(graph, h, executor_factory):
-    """Run every kernel variant once; yield (name, output, reference)."""
+def _kernel_outputs(graph, h, params, order):
+    """Every kernel variant's output, in one processing order."""
+    return {
+        "basic": BasicKernel().aggregate(graph, h, "gcn", order)[0],
+        "compression": CompressedKernel().aggregate(graph, h, "gcn", order)[0],
+        "fusion": FusedKernel(block_size=4, blocks_per_task=1).run_layer(
+            graph, h, params, "gcn", order=order
+        )[0],
+        "combined": CompressedFusedKernel(block_size=4, blocks_per_task=1).run_layer(
+            graph, h, params, "gcn", order=order
+        )[0],
+    }
+
+
+def _all_kernel_runs(graph, h, always_split, count):
+    """Run every kernel variant on ``count`` lanes in natural and shuffled
+    order, each bitwise equal to one lane; yield (name, output, reference)."""
     reference = aggregate(graph, h, "gcn")
     params = _params(h.shape[1])
     fused_reference = params.apply(reference)
-
-    out, _ = BasicKernel(executor=executor_factory()).aggregate(graph, h, "gcn")
-    yield "basic", out, reference
-    out, _ = CompressedKernel(executor=executor_factory()).aggregate(graph, h, "gcn")
-    yield "compression", out, reference
-    out, _, _ = FusedKernel(block_size=4, executor=executor_factory()).run_layer(
-        graph, h, params, "gcn"
-    )
-    yield "fusion", out, fused_reference
-    out, _, _ = CompressedFusedKernel(
-        block_size=4, executor=executor_factory()
-    ).run_layer(graph, h, params, "gcn")
-    yield "combined", out, fused_reference
+    shuffled = np.random.default_rng(0).permutation(graph.num_vertices)
+    for order in (None, shuffled):
+        always_split(1)
+        serial = _kernel_outputs(graph, h, params, order)
+        always_split(count)
+        for name, out in _kernel_outputs(graph, h, params, order).items():
+            assert np.array_equal(out, serial[name]), name
+            fused = name in ("fusion", "combined")
+            yield name, out, fused_reference if fused else reference
 
 
-@pytest.mark.parametrize("executor_factory", EXECUTORS, ids=EXECUTOR_IDS)
+@pytest.mark.parametrize("count", LANE_COUNTS, ids=LANE_IDS)
 class TestDegenerateGraphs:
-    def test_empty_graph(self, executor_factory):
+    def test_empty_graph(self, always_split, count):
         graph = CSRGraph.from_edges(0, [], name="empty")
         h = np.zeros((0, 8), dtype=np.float32)
-        for name, out, reference in _all_kernel_runs(graph, h, executor_factory):
+        for name, out, reference in _all_kernel_runs(graph, h, always_split, count):
             assert out.shape == reference.shape, name
             assert out.shape[0] == 0
 
-    def test_all_isolated_vertices(self, executor_factory):
-        graph = CSRGraph.from_edges(9, [], name="isolated")
-        h = _features(9, 8, seed=1)
-        for name, out, reference in _all_kernel_runs(graph, h, executor_factory):
+    def test_all_isolated_vertices(self, always_split, count):
+        # 100 vertices: enough tasks of 4 rows for three lanes to split.
+        graph = CSRGraph.from_edges(100, [], name="isolated")
+        h = _features(100, 8, seed=1)
+        for name, out, reference in _all_kernel_runs(graph, h, always_split, count):
             np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
         # With no neighbors, GCN aggregation reduces to h / (D+1) = h.
         np.testing.assert_allclose(
             aggregate(graph, h, "gcn"), h, atol=1e-6
         )
 
-    def test_single_vertex_graph(self, executor_factory):
+    def test_single_vertex_graph(self, always_split, count):
         graph = CSRGraph.from_edges(1, [], name="lonely")
         h = _features(1, 5, seed=2)
-        for name, out, reference in _all_kernel_runs(graph, h, executor_factory):
+        for name, out, reference in _all_kernel_runs(graph, h, always_split, count):
             np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
 
-    def test_self_loop_only_graph(self, executor_factory):
-        graph = CSRGraph.from_edges(4, [(v, v) for v in range(4)], name="loops")
-        h = _features(4, 7, seed=3)
-        for name, out, reference in _all_kernel_runs(graph, h, executor_factory):
+    def test_self_loop_only_graph(self, always_split, count):
+        graph = CSRGraph.from_edges(100, [(v, v) for v in range(100)], name="loops")
+        h = _features(100, 7, seed=3)
+        for name, out, reference in _all_kernel_runs(graph, h, always_split, count):
             np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
 
 
-@pytest.mark.parametrize("executor_factory", EXECUTORS, ids=EXECUTOR_IDS)
+@pytest.mark.parametrize("count", LANE_COUNTS, ids=LANE_IDS)
 @pytest.mark.parametrize("width", [1, 13, VECTOR_LANES + 1, 3 * VECTOR_LANES + 5])
-def test_feature_width_not_divisible_by_vector_lanes(executor_factory, width, star10):
+def test_feature_width_not_divisible_by_vector_lanes(always_split, count, width, star10):
     """Widths with a vector-tail remainder stay exact in every kernel."""
     assert width % VECTOR_LANES != 0
     h = _features(star10.num_vertices, width, seed=4)
-    for name, out, reference in _all_kernel_runs(star10, h, executor_factory):
+    for name, out, reference in _all_kernel_runs(star10, h, always_split, count):
         np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
 
 
 class TestOversizedTaskSize:
-    def test_task_size_larger_than_vertex_count(self, star10):
+    def test_task_size_larger_than_vertex_count(self, always_split, star10):
         h = _features(star10.num_vertices, 6, seed=5)
         reference = aggregate(star10, h, "gcn")
-        for executor in (ChunkExecutor(1), ChunkExecutor(4)):
-            kernel = BasicKernel(task_size=10_000, executor=executor)
+        for count in (1, 4):
+            always_split(count)
+            kernel = BasicKernel(task_size=10_000)
             out, stats = kernel.aggregate(star10, h, "gcn")
             np.testing.assert_allclose(out, reference, atol=1e-5)
-            assert stats.tasks == 1  # one chunk owns the whole graph
+            assert stats.tasks == 1  # one task owns the whole graph
 
     def test_oversized_blocks_per_task(self, star10):
         h = _features(star10.num_vertices, 6, seed=6)

@@ -8,6 +8,7 @@ blocks) would round differently and fail here.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,21 +27,6 @@ from repro.nn.layers import (
 
 ROWS = 1001  # odd: the lanes' slices differ in length
 LANE_COUNTS = (2, 3)
-
-
-@pytest.fixture
-def lane_count():
-    """Set the lane count for one test; restored afterwards."""
-    previous = lanes.lane_count()
-    yield lanes.set_lane_count
-    lanes.set_lane_count(previous)
-
-
-@pytest.fixture
-def always_split(monkeypatch, lane_count):
-    """Split every call, however small."""
-    monkeypatch.setattr(lanes, "MIN_SPLIT_BYTES", 0)
-    return lane_count
 
 
 def _array(rows, cols, dtype, seed):
@@ -207,3 +193,30 @@ def test_lane_count_is_the_cpu_affinity():
     assert lanes.lane_count() == len(os.sched_getaffinity(0))
     with pytest.raises(ValueError):
         lanes.set_lane_count(0)
+
+
+def test_no_lane_outlives_a_failed_start(always_split, monkeypatch):
+    """A lane that cannot start fails the call only after every lane
+    already started is joined: none is left writing into the output."""
+    always_split(3)
+    start = threading.Thread.start
+    calls = []
+
+    def start_once(thread):
+        calls.append(thread.name)
+        if len(calls) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    written = []
+
+    def fn(lo, hi):
+        time.sleep(0.05)
+        written.append(lo)
+
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        lanes.split(ROWS, 0, fn)
+    assert calls == ["lane-1", "lane-2"]
+    assert not [t for t in threading.enumerate() if t.name.startswith("lane-")]
+    assert written == [333]  # lane 1 finished before the error surfaced

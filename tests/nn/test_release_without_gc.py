@@ -17,18 +17,13 @@ import pytest
 from repro.graphs import power_law_graph, synthetic_features
 from repro.kernels import BasicKernel
 from repro.nn import Adam, Trainer, build_model
-from repro.parallel import ChunkExecutor
 
 
-@pytest.mark.parametrize(
-    "make_executor",
-    [
-        lambda: None,  # the single-call pass: JIT cache + CSC view
-        lambda: ChunkExecutor(2),  # chunk plans: + graph.transpose()
-    ],
-    ids=["serial", "thread-x2"],
-)
-def test_dropped_setup_is_released_without_a_collection(make_executor):
+@pytest.mark.parametrize("count", [1, 2], ids=["serial", "thread-x2"])
+def test_dropped_setup_is_released_without_a_collection(always_split, count):
+    """One lane, and two lanes whose memoised row slices view the
+    operators' arrays: neither keeps the set-up alive."""
+    always_split(count)
     gc.collect()
     gc.disable()
     try:
@@ -36,7 +31,7 @@ def test_dropped_setup_is_released_without_a_collection(make_executor):
         features = synthetic_features(graph, 12, seed=4)
         labels = np.random.default_rng(4).integers(0, 5, graph.num_vertices)
         model = build_model("gcn", 12, 32, 5, seed=0)
-        kernel = BasicKernel(executor=make_executor())
+        kernel = BasicKernel()
         trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
         trainer.train_epoch(graph, features, labels)
         assert len(kernel.jit_cache) == 3  # forward x2 widths, backward x1

@@ -238,7 +238,7 @@ class TestLiveRunMonitor:
         reg = MetricsRegistry()
         reg.set_gauge("proc.rss_bytes", 2e6)
         reg.set_gauge("proc.cpu_percent", 50.0)
-        reg.set_gauge("executor.queue_depth", 7.0)
+        reg.set_gauge("train.epoch", 7.0)
         monitor = LiveRunMonitor(
             self.write_events(tmp_path, 1), registry=reg
         )
@@ -246,7 +246,7 @@ class TestLiveRunMonitor:
         frame = monitor.render()
         assert "rss 2.0 MB" in frame
         assert "cpu 50%" in frame
-        assert "7 chunk(s) queued" in frame
+        assert "phase epoch 7" in frame
 
     def test_stale_gauge_flagged(self, tmp_path):
         reg = MetricsRegistry()

@@ -43,7 +43,7 @@ class TestParser:
 
     @pytest.mark.parametrize("command", [
         ["train", "products"],
-        ["bench-parallel", "products"],
+        ["bench-sharded"],
         ["profile"],
     ])
     def test_engine_flag(self, command):
@@ -52,19 +52,6 @@ class TestParser:
         for value in ("loop", "batched"):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(command + ["--engine", value])
-            assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("command", [
-        ["bench-parallel", "products"],
-        ["profile"],
-    ])
-    def test_executor_takes_no_backend_flag(self, command):
-        """The chunk executor is one in-process runtime: ``--workers`` only."""
-        args = build_parser().parse_args(command)
-        assert not hasattr(args, "backend")
-        for value in ("serial", "thread", "process"):
-            with pytest.raises(SystemExit) as excinfo:
-                build_parser().parse_args(command + ["--backend", value])
             assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("value", ["serial", "process"])
@@ -164,7 +151,7 @@ class TestCommands:
             "--features", "8", "--hidden", "8", "--json", str(report),
         ])
         assert code == 0
-        assert "basic kernel x1" in capsys.readouterr().out
+        assert "aggregation: basic kernel\n" in capsys.readouterr().out
         doc = json.loads(report.read_text())
         assert "engine" not in doc["meta"]
         names = {span["name"] for span in doc["spans"]}
@@ -180,12 +167,13 @@ class TestCommands:
     def test_profile(self, capsys):
         code = main([
             "profile", "--vertices", "300", "--epochs", "1",
-            "--features", "8", "--hidden", "8", "--workers", "2",
+            "--features", "8", "--hidden", "8",
         ])
         assert code == 0
         out = capsys.readouterr().out
+        assert "lanes: " in out
         assert "span tree" in out
-        assert "epoch" in out and "worker" in out
+        assert "epoch" in out and "kernel.basic" in out
         assert "gathers" in out
         assert "repro_version" in out
 
@@ -199,34 +187,6 @@ class TestCommands:
         ])
         assert code == 0
         assert trace.exists() and report.exists()
-
-    def test_bench_parallel_trace(self, tmp_path, capsys):
-        trace = tmp_path / "bench.jsonl"
-        code = main([
-            "bench-parallel", "products", "--scale", "0.05",
-            "--workers", "1", "2", "--trace", str(trace),
-        ])
-        assert code == 0
-        assert trace.exists()
-        assert "wrote" in capsys.readouterr().out
-
-    def test_bench_parallel_prints_table(self, tmp_path, capsys):
-        """The sweep prints one wall-time and imbalance row per worker
-        count and writes no file of its own."""
-        sweep = [
-            "bench-parallel", "products", "--scale", "0.05",
-            "--workers", "1", "2",
-        ]
-        assert main(sweep) == 0
-        out = capsys.readouterr().out
-        assert "== bench-parallel: basic kernel on products ==" in out
-        for workers in (1, 2):
-            assert f"{workers} workers wall time" in out
-            assert f"{workers} workers imbalance" in out
-            assert f"note: {workers} workers:" in out
-        assert list(tmp_path.iterdir()) == []
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(sweep + ["--train-epochs", "2"])
 
 
 class TestShardedTraining:
@@ -267,14 +227,12 @@ class TestShardedTraining:
         ["--events", "EVENTS"],
         ["--health"],
         ["--rules", "RULES"],
-        ["--workers", "2"],
     ])
     def test_train_sharded_refuses_unsupported_flags(
         self, extra, tmp_path, capsys
     ):
-        """The sharded trainer has no event log, health monitor, rule
-        engine or chunk executor, so these are usage errors, not flags
-        it drops."""
+        """The sharded trainer has no event log, health monitor or rule
+        engine, so these are usage errors, not flags it drops."""
         events = tmp_path / "events.jsonl"
         rules = tmp_path / "rules.txt"
         rules.write_text("loss_cap: train.loss < 1e9\n")
@@ -580,7 +538,6 @@ class TestLiveTelemetryCommands:
     def test_serve_metrics_flag_parses_everywhere(self):
         for command in (
             ["train", "products"],
-            ["bench-parallel", "products"],
             ["profile"],
         ):
             args = build_parser().parse_args(command + ["--serve-metrics", "0"])
@@ -593,8 +550,6 @@ class TestLiveTelemetryCommands:
 #: seconds, not a default-sized run or a server that never exits.
 _SMALL_RUNS = {
     "train": ["train", "products", "--scale", "0.02", "--epochs", "1"],
-    "bench-parallel": ["bench-parallel", "products", "--scale", "0.02",
-                       "--workers", "1"],
     "bench-sharded": ["bench-sharded", "--scale", "0.02", "--shards", "1",
                       "--epochs", "1", "--backend", "serial"],
     "profile": ["profile", "--vertices", "50", "--epochs", "1"],
@@ -607,8 +562,6 @@ _SMALL_RUNS = {
 _OUTPUT_FLAGS = [
     ("train", flag)
     for flag in ("--trace", "--json", "--perfetto", "--events")
-] + [
-    ("bench-parallel", flag) for flag in ("--trace", "--json", "--perfetto")
 ] + [
     ("bench-sharded", flag) for flag in ("--trace", "--json")
 ] + [
@@ -719,7 +672,6 @@ class TestOutputWriteFailure:
 _TELEMETRY_FLAG_SETS = {
     "train": {"--trace", "--json", "--perfetto", "--sample-proc",
               "--serve-metrics"},
-    "bench-parallel": {"--trace", "--json", "--perfetto", "--serve-metrics"},
     "bench-sharded": {"--trace", "--json"},
     "profile": {"--trace", "--json", "--perfetto", "--serve-metrics"},
     "serve": {"--trace", "--json", "--perfetto", "--serve-metrics",

@@ -1,12 +1,14 @@
-"""The second performance ledger, the thread shard backend and the
-sampling profiler are deleted, not defaulted: perfbench is the only judge
-of speed, and the span plane is the only phase breakdown.
+"""The second performance ledger, the thread shard backend, the
+sampling profiler and the chunk executor are deleted, not defaulted:
+perfbench is the only judge of speed, the span plane is the only phase
+breakdown, and lanes are the only in-process parallelism.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
 command.
 """
 
+import importlib
 import importlib.util
 import inspect
 import pathlib
@@ -37,7 +39,6 @@ class TestSecondLedgerIsGone:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
-        ["bench-parallel", "products"],
         ["bench-sharded", "products"],
         ["dashboard", "events.jsonl"],
     ])
@@ -103,3 +104,32 @@ class TestSamplingProfilerIsGone:
         assert "profile" not in params
         report = repro.obs.build_run_report()
         assert "profile" not in report and "span_phase_seconds" not in report
+
+
+class TestChunkExecutorIsGone:
+    def test_bench_parallel_exits_2(self, capsys):
+        assert _exit_code(["bench-parallel", "products"]) == 2
+        assert "invalid choice: 'bench-parallel'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["train", "products", "--scale", "0.02", "--epochs", "1"],
+        ["profile", "--vertices", "50", "--epochs", "1"],
+    ])
+    def test_workers_flag_exits_2(self, command, capsys):
+        assert _exit_code(command + ["--workers", "2"]) == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["executor", "plan", "workload"])
+    def test_chunk_modules_cannot_be_imported(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.parallel.{module}")
+
+    def test_help_lists_eleven_commands(self):
+        from repro.cli import build_parser
+
+        subparsers = next(
+            action for action in build_parser()._actions
+            if action.dest == "command"
+        )
+        assert len(subparsers.choices) == 11
+        assert "bench-parallel" not in subparsers.choices
