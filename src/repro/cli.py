@@ -10,22 +10,24 @@ Subcommands:
   --backend {serial,process}`` trains partition-parallel;
   ``--trace FILE`` / ``--json FILE`` emit run telemetry; ``--events
   FILE`` streams per-epoch JSONL events, ``--health`` guards numerics,
-  ``--sample-proc`` samples process RSS/CPU, ``--serve-metrics PORT``
-  exposes the live registry over HTTP, ``--rules FILE`` evaluates
-  declarative SLO rules each epoch).
-* ``top`` — live terminal view of an in-progress run: tails the
-  epoch-event JSONL, optionally scrapes a ``--serve-metrics`` endpoint,
-  and gates on SLO rules (``--check``).
-* ``dashboard`` — render an epoch-event log (plus an optional run
-  report) into one self-contained offline HTML page.
+  ``--serve-metrics PORT`` exposes the live registry (with sampled
+  process RSS/CPU) over HTTP, ``--rules FILE`` evaluates declarative
+  SLO rules each epoch).
+* ``bench-sharded`` — scaling-efficiency benchmark of the sharded
+  trainer.
 * ``profile`` — trace one tiny synthetic training run end to end and
   print the span tree, counters, environment, and bottleneck
   attribution.
+* ``top`` — live terminal view of an in-progress run: tails the
+  epoch-event JSONL, optionally scrapes a ``--serve-metrics`` endpoint,
+  and gates on SLO rules (``--check``).
 * ``serve`` — train briefly, then answer per-vertex / per-batch
-  classification and embedding queries over HTTP (request batcher +
-  LRU embedding cache + admission control; every request carries a
-  trace id and the ``serve.*`` metric families feed ``--serve-metrics``
-  / ``repro top`` / the built-in serving SLO rules).
+  classification and embedding queries over HTTP (classify answers
+  from a logits table one full-graph forward fills at start-up;
+  embedding queries go through the request batcher; admission control
+  bounds the queue; every request carries a trace id and the
+  ``serve.*`` metric families feed ``--serve-metrics`` / ``repro top``
+  / the built-in serving SLO rules).
 * ``loadgen`` — drive a running serving endpoint: open-loop Poisson
   arrivals (``--rate``) or closed-loop concurrency, with client-side
   latency percentiles.
@@ -113,51 +115,35 @@ def _telemetry(
     ``always``, for ``repro profile``, which traces with no flags).
 
     Yields the live tracer (or None when telemetry stays off) and, on
-    exit, writes the JSONL trace, the run-report JSON, and/or the
-    Perfetto (Chrome trace-event) file.  ``--sample-proc`` additionally
-    runs the background resource sampler for the block and prints a
-    peak-RSS / mean-CPU summary.  ``--serve-metrics PORT`` activates
-    telemetry on its own, starts the resource sampler, and serves the
-    live registry over HTTP (``/metrics`` Prometheus text,
-    ``/snapshot.json`` deltas) for the duration of the block; port 0
-    binds an ephemeral port.
+    exit, writes the JSONL trace and/or the run-report JSON.
+    ``--serve-metrics PORT`` activates telemetry on its own, starts the
+    resource sampler (``proc.*``), and serves the live registry over
+    HTTP (``/metrics`` Prometheus text, ``/snapshot.json`` deltas) for
+    the duration of the block; port 0 binds an ephemeral port.
 
     ``extras`` is a mutable dict the caller may fill *inside* the block
     (keys ``events``, ``sparsity``, and ``alerts``); it is read on exit
     so the run report can embed the epoch-event records, sparsity
-    profile, and SLO rule-engine verdict.  Its ``outputs`` key holds
-    more ``(path, write)`` pairs, written after the telemetry files.
-    If any output cannot be written, the block raises
-    :class:`_OutputWriteError` once everything else is written.
+    profile, and SLO rule-engine verdict.  If either file cannot be
+    written, the block raises :class:`_OutputWriteError` once the other
+    is written.
     """
     from . import obs
 
     trace_path = getattr(args, "trace", None)
     json_path = getattr(args, "json", None)
-    perfetto_path = getattr(args, "perfetto", None)
-    sample_proc = getattr(args, "sample_proc", False)
     serve_port = getattr(args, "serve_metrics", None)
-    if not (
-        always
-        or trace_path
-        or json_path
-        or perfetto_path
-        or sample_proc
-        or serve_port is not None
-    ):
+    if not (always or trace_path or json_path or serve_port is not None):
         yield None
         return
     tracer, metrics = obs.enable()
-    # --serve-metrics implies --sample-proc: a scrape without proc.*
-    # gauges answers none of the questions a live watcher asks.
-    sampler = (
-        obs.ResourceSampler(metrics)
-        if sample_proc or serve_port is not None
-        else obs.NULL_SAMPLER
-    )
-    sampler.start()
+    sampler = obs.NULL_SAMPLER
     server = obs.NULL_SERVER
     if serve_port is not None:
+        # A scrape without proc.* gauges answers none of the questions
+        # a live watcher asks.
+        sampler = obs.ResourceSampler(metrics)
+        sampler.start()
         server = obs.MetricsServer(metrics, port=serve_port)
         server.start()
         print(
@@ -171,15 +157,6 @@ def _telemetry(
         sampler.stop()
         obs.disable()
         extras = extras or {}
-        if sample_proc:
-            snap = metrics.snapshot()
-            rss = snap.get("proc.rss_bytes.samples", {})
-            cpu = snap.get("proc.cpu_percent.samples", {})
-            print(
-                f"sampled process {sampler.samples} times: "
-                f"peak RSS {rss.get('max', 0.0) / 2**20:.1f} MiB, "
-                f"mean CPU {cpu.get('mean', 0.0):.0f}%"
-            )
 
         def write_trace() -> str:
             count = tracer.export_jsonl(trace_path)
@@ -197,17 +174,8 @@ def _telemetry(
             obs.write_json(json_path, report)
             return f"wrote run report to {json_path}"
 
-        def write_perfetto() -> str:
-            count = obs.export_perfetto(perfetto_path, tracer, metrics, meta=meta)
-            return f"wrote {count} span events to {perfetto_path} (Perfetto)"
-
         written = _write_outputs(
-            [
-                (trace_path, write_trace),
-                (json_path, write_report),
-                (perfetto_path, write_perfetto),
-                *extras.get("outputs", ()),
-            ]
+            [(trace_path, write_trace), (json_path, write_report)]
         )
     if not written:
         raise _OutputWriteError()
@@ -297,21 +265,12 @@ _TELEMETRY_FLAGS = {
     "--json": dict(
         metavar="FILE", type=_output_path, help="write a run-report JSON"
     ),
-    "--perfetto": dict(
-        metavar="FILE", type=_output_path,
-        help="write a Perfetto/chrome://tracing trace JSON",
-    ),
     "--serve-metrics": dict(
         metavar="PORT", type=int, default=None,
         help="serve the live metrics registry over HTTP for the run "
         "(GET /metrics Prometheus text, GET /snapshot.json deltas); "
         "0 binds an ephemeral port; also starts the resource sampler "
         "(proc.* metrics)",
-    ),
-    "--sample-proc": dict(
-        action="store_true",
-        help="sample process RSS / CPU%% / threads in the background "
-        "and publish proc.* metrics",
     ),
 }
 
@@ -435,9 +394,8 @@ def _train_sharded(args, graph, features, labels, model) -> int:
         delayed_layers=delayed,
         halo_refresh=args.halo_refresh,
     )
-    extras: dict = {}
     try:
-        with _telemetry(args, meta, extras=extras), trainer:
+        with _telemetry(args, meta), trainer:
             trainer.fit(features, labels, epochs=0)  # partition + attach
             part = trainer.partition
             print(
@@ -577,8 +535,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "kernel": args.kernel,
         "epochs": args.epochs,
     }
-    extras: dict = {}
-    with _telemetry(args, meta, extras=extras, always=True) as tracer:
+    with _telemetry(args, meta, always=True) as tracer:
         history = trainer.fit(graph, features, labels, epochs=args.epochs)
         records = [
             span.to_record()
@@ -607,36 +564,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
         print("\n== bottleneck attribution ==")
         print(attribution.render())
-
-        def write_attribution() -> str:
-            attribution.write_json(args.attrib)
-            return f"wrote attribution report to {args.attrib}"
-
-        extras["outputs"] = [(args.attrib, write_attribution)]
-    return 0
-
-
-def _cmd_dashboard(args: argparse.Namespace) -> int:
-    """Render the epoch-event log (+ report) into one HTML file."""
-    from .obs import validate_events_file
-    from .obs.dashboard import write_dashboard
-
-    if not args.events and not args.report:
-        print("dashboard: need an events file or --report", file=sys.stderr)
-        return 2
-    if args.events:
-        try:
-            validate_events_file(args.events)
-        except ValueError as error:
-            print(f"{args.events}: {error}", file=sys.stderr)
-            return 2
-    write_dashboard(
-        args.output,
-        events_path=args.events,
-        report_path=args.report,
-        title=args.title,
-    )
-    print(f"wrote dashboard to {args.output}")
     return 0
 
 
@@ -971,9 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--halo-refresh", type=_positive_int, default=8,
         help="refresh period (epochs) for --delay-aggregation layers",
     )
-    _add_telemetry_flags(
-        p, "--trace", "--json", "--perfetto", "--sample-proc", "--serve-metrics"
-    )
+    _add_telemetry_flags(p, "--trace", "--json", "--serve-metrics")
     p.add_argument(
         "--events", metavar="FILE", type=_output_path, default=None,
         help="stream one JSONL epoch event per epoch (loss, accuracies, "
@@ -1036,32 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", choices=["basic", "compression"], default="basic")
-    _add_telemetry_flags(p, "--trace", "--json", "--perfetto", "--serve-metrics")
-    p.add_argument(
-        "--attrib", metavar="FILE", type=_output_path,
-        help="write the bottleneck-attribution report JSON",
-    )
+    _add_telemetry_flags(p, "--trace", "--json", "--serve-metrics")
     p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser(
-        "dashboard",
-        help="render an epoch-event log into a self-contained HTML page",
-    )
-    p.add_argument(
-        "events", nargs="?", default=None,
-        help="epoch-event JSONL from `train --events` (validated first)",
-    )
-    p.add_argument(
-        "-o", "--output", metavar="FILE", type=_output_path,
-        default="run_dashboard.html",
-        help="output HTML path (default: %(default)s)",
-    )
-    p.add_argument(
-        "--report", metavar="FILE", default=None,
-        help="run-report JSON (adds span + per-technique sections)",
-    )
-    p.add_argument("--title", default=None, help="page title")
-    p.set_defaults(func=_cmd_dashboard)
 
     p = sub.add_parser(
         "top",
@@ -1164,9 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="exit 1 when any SLO rule fired during the run",
     )
-    _add_telemetry_flags(
-        p, "--trace", "--json", "--perfetto", "--serve-metrics", "--sample-proc"
-    )
+    _add_telemetry_flags(p, "--trace", "--json", "--serve-metrics")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

@@ -22,10 +22,9 @@ Layered on top, the training-run observability pieces:
   convergence stall) that fail fast with layer/epoch diagnostics and
   publish ``health.*`` metrics;
 * :mod:`repro.obs.sampler` — background resource sampler feeding
-  ``proc.*`` gauges/histograms (RSS, CPU%, threads), with a
-  ``NULL_SAMPLER`` mirroring the other null singletons;
-* :mod:`repro.obs.dashboard` — renders events + run report into one
-  self-contained offline HTML page.
+  ``proc.*`` gauges/histograms (RSS, CPU%, threads) while
+  ``--serve-metrics`` serves them, with a ``NULL_SAMPLER`` mirroring
+  the other null singletons.
 
 Telemetry is **disabled by default and zero-cost when disabled**: the
 module singletons are ``NULL_TRACER`` / ``NULL_REGISTRY`` whose methods
@@ -55,7 +54,6 @@ from .attrib import (
     attribute_run,
     sim_traffic_from_metrics,
 )
-from .dashboard import build_dashboard, write_dashboard
 from .events import (
     EVENTS_SCHEMA_VERSION,
     EpochEvent,
@@ -65,12 +63,6 @@ from .events import (
     validate_epoch_event,
     validate_events,
     validate_events_file,
-)
-from .export import (
-    chrome_trace,
-    chrome_trace_events,
-    export_perfetto,
-    write_chrome_trace,
 )
 from .health import (
     FATAL_KINDS,
@@ -180,10 +172,6 @@ __all__ = [
     "TrafficReconciliation",
     "attribute_run",
     "sim_traffic_from_metrics",
-    "chrome_trace",
-    "chrome_trace_events",
-    "export_perfetto",
-    "write_chrome_trace",
     "Alert",
     "Counter",
     "EVENTS_SCHEMA_VERSION",
@@ -217,7 +205,6 @@ __all__ = [
     "Span",
     "TRACE_SCHEMA_VERSION",
     "Tracer",
-    "build_dashboard",
     "build_run_report",
     "delta_snapshot",
     "disable",
@@ -242,6 +229,5 @@ __all__ = [
     "validate_epoch_event",
     "validate_events",
     "validate_events_file",
-    "write_dashboard",
     "write_json",
 ]

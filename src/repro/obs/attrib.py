@@ -25,7 +25,6 @@ file loaded weeks later alike.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -66,22 +65,6 @@ class SpanAttribution:
     memory_bound_fraction: float
     measured: Dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "span_id": self.span_id,
-            "name": self.name,
-            "variant": self.variant,
-            "duration_s": self.duration_s,
-            "phases": self.phases,
-            "predicted_dram_bytes": self.predicted_dram_bytes,
-            "aggregation_dram_bytes": self.aggregation_dram_bytes,
-            "predicted_memory_s": self.predicted_memory_s,
-            "predicted_compute_s": self.predicted_compute_s,
-            "verdict": self.verdict,
-            "memory_bound_fraction": self.memory_bound_fraction,
-            "measured": self.measured,
-        }
-
 
 @dataclass
 class TrafficReconciliation:
@@ -98,16 +81,6 @@ class TrafficReconciliation:
     relative_error: float
     tolerance: float
     within_tolerance: bool
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "variant": self.variant,
-            "model_bytes": self.model_bytes,
-            "sim_bytes": self.sim_bytes,
-            "relative_error": self.relative_error,
-            "tolerance": self.tolerance,
-            "within_tolerance": self.within_tolerance,
-        }
 
 
 @dataclass
@@ -126,21 +99,6 @@ class AttributionReport:
 
     def span_for(self, name: str) -> List[SpanAttribution]:
         return [s for s in self.spans if s.name == name]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tolerance": self.tolerance,
-            "spans": [s.to_dict() for s in self.spans],
-            "technique_totals": self.technique_totals,
-            "reconciliations": [r.to_dict() for r in self.reconciliations],
-            "divergent": [r.variant for r in self.divergent()],
-            "histograms": self.histograms,
-        }
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-            handle.write("\n")
 
     def render(self) -> str:
         """Human-readable attribution summary (what ``repro profile`` prints)."""

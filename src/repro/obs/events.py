@@ -152,18 +152,21 @@ def read_events(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     NaN'd run writes, so a diverged log stays loadable.
 
     A *truncated final line* — the partially flushed write of a run
-    that is still in flight or was killed mid-``write`` — is tolerated:
-    the complete prefix is returned.  A malformed line anywhere *before*
-    the end is still an error (real corruption, not a live tail).
+    that is still in flight or was killed mid-``write``, so it has no
+    trailing newline — is tolerated: the complete prefix is returned.
+    Any other malformed line, a newline-terminated last record included,
+    is an error naming its line (real corruption, not a live tail).
     """
     with open(path) as handle:
-        raw = [line for line in handle if line.strip()]
+        raw = list(handle)
     lines: List[Dict[str, Any]] = []
     for index, line in enumerate(raw):
+        if not line.strip():
+            continue
         try:
             lines.append(json.loads(line))
         except json.JSONDecodeError as error:
-            if index == len(raw) - 1:
+            if index == len(raw) - 1 and not line.endswith("\n"):
                 break  # live run's partial flush — yield the prefix
             raise ValueError(
                 f"{path}: malformed JSON on line {index + 1}: {error}"

@@ -45,6 +45,7 @@ nonzero ``repro top --check`` exits plus run-report entries.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import time
@@ -195,6 +196,10 @@ def parse_rule(text: str) -> Rule:
         raise RuleParseError(
             f"{source!r}: threshold {threshold_text!r} is not a number"
         ) from error
+    if math.isnan(threshold):
+        raise RuleParseError(
+            f"{source!r}: threshold is NaN, so the rule could never fire"
+        )
     if name is None:
         name = f"{metric}.{stat}.{_OP_SLUGS[op]}" if stat != "value" else (
             f"{metric}.{_OP_SLUGS[op]}"
@@ -209,7 +214,7 @@ def parse_rules(text: str) -> List[Rule]:
     """Parse a rule file's text: one rule per line, ``#`` comments."""
     rules: List[Rule] = []
     seen: Dict[str, int] = {}
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -217,9 +222,9 @@ def parse_rules(text: str) -> List[Rule]:
         if rule.name in seen:
             raise RuleParseError(
                 f"duplicate rule name {rule.name!r} "
-                f"(lines {seen[rule.name]} and {len(rules) + 1})"
+                f"(lines {seen[rule.name]} and {number})"
             )
-        seen[rule.name] = len(rules) + 1
+        seen[rule.name] = number
         rules.append(rule)
     return rules
 

@@ -1,4 +1,4 @@
-"""Online GNN inference serving — ROADMAP item 1, observability-first.
+"""Online GNN inference serving, observability-first.
 
 The serving plane answers per-vertex / per-batch classification and
 embedding queries against a trained model, built from four pieces:
@@ -17,7 +17,7 @@ Every request is born with a trace id under a ``serve.request`` span; a
 refill renders as the tree ``serve.request → serve.queue → serve.batch
 → kernel.*`` when tracing is on, a table hit as the bare request.  The
 ``serve.*`` metric families flow through the active registry
-to ``/metrics``, SLO rules, ``repro top``, and the dashboard.
+to ``/metrics``, SLO rules, ``repro top``, and the run report.
 """
 
 from .batcher import RequestBatcher, ServeRequest

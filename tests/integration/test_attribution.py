@@ -145,17 +145,3 @@ class TestReconciliation:
         assert all(s["counters"]["dram_bytes"] > 0 for s in sim_spans)
         attributed = {s.name for s in report.spans}
         assert not any(name.startswith("sim.") for name in attributed)
-
-    def test_report_round_trips_to_json(self, traced_run, tmp_path):
-        report, _, _ = traced_run
-        path = tmp_path / "attribution.json"
-        report.write_json(str(path))
-        import json
-
-        doc = json.loads(path.read_text())
-        assert {r["variant"] for r in doc["reconciliations"]} == {
-            "basic",
-            "fusion",
-            "compression",
-        }
-        assert doc["divergent"] == []

@@ -213,25 +213,16 @@ class TestAttributeRun:
         with pytest.raises(ValueError):
             attribute_run([basic_record()], tolerance=-0.1)
 
-    def test_render_and_to_dict(self):
+    def test_render(self):
         report = attribute_run(
             [basic_record(), fused_record()],
             hit_rate=0.5,
             sim_dram_bytes={"basic": 1.0e6},
         )
         text = report.render()
-        assert "kernel.basic" in text
-        assert "reconcile" in text
-        doc = report.to_dict()
-        assert doc["tolerance"] == DEFAULT_TRAFFIC_TOLERANCE
-        assert len(doc["spans"]) == 2
-        assert isinstance(doc["divergent"], list)
-        assert math.isfinite(doc["spans"][0]["predicted_dram_bytes"])
-
-    def test_write_json(self, tmp_path):
-        import json
-
-        path = tmp_path / "attrib.json"
-        attribute_run([basic_record()], hit_rate=0.0).write_json(str(path))
-        doc = json.loads(path.read_text())
-        assert doc["spans"][0]["variant"] == "basic"
+        assert "kernel.basic" in text and "kernel.fusion" in text
+        assert "reconcile basic" in text
+        assert f"(tol {DEFAULT_TRAFFIC_TOLERANCE:.0%})" in text
+        assert report.tolerance == DEFAULT_TRAFFIC_TOLERANCE
+        assert len(report.spans) == 2
+        assert math.isfinite(report.spans[0].predicted_dram_bytes)

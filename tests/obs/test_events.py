@@ -96,6 +96,20 @@ class TestEventLog:
         header, records = read_events(path)
         assert [r["epoch"] for r in records] == [0, 1]
 
+    def test_newline_terminated_corrupt_last_line_raises(self, tmp_path):
+        # Only a line without its newline is a partial flush; a complete
+        # last line that does not parse is corruption, and the schema
+        # check must not pass a log that lost its final record.
+        path = str(tmp_path / "run.jsonl")
+        with EventLog(path) as log:
+            log.emit(make_event(0))
+        with open(path, "a") as handle:
+            handle.write('{"kind": "epoch", "epoch": 0, "loss": \n')
+        with pytest.raises(ValueError, match="line 3"):
+            read_events(path)
+        with pytest.raises(ValueError, match="line 3"):
+            validate_events_file(path)
+
     def test_malformed_middle_line_still_raises(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         with EventLog(path) as log:

@@ -52,11 +52,16 @@ class TestParseRule:
             "metric < 5 for 0",  # for count must be >= 1
             "metric < 5 for x",  # non-integer for count
             "BadMetric! < 5",  # bad metric charset
+            "train.loss > nan",  # NaN threshold: the rule could never fire
+            "train.loss < -NaN",
         ],
     )
     def test_rejects_bad_lines(self, text):
         with pytest.raises(RuleParseError):
             parse_rule(text)
+
+    def test_infinite_threshold_is_legal(self):
+        assert parse_rule("train.loss < inf").threshold == float("inf")
 
     def test_holds_uses_operator(self):
         assert parse_rule("m < 5").holds(4.0)
@@ -88,6 +93,10 @@ class TestParseRules:
     def test_duplicate_names_rejected(self):
         with pytest.raises(RuleParseError, match="duplicate"):
             parse_rules("a: m < 1\na: m < 2\n")
+
+    def test_duplicate_names_cite_file_lines(self):
+        with pytest.raises(RuleParseError, match="lines 3 and 4"):
+            parse_rules("# header\n\na: x < 1\na: x < 2\n")
 
     def test_load_rules(self, tmp_path):
         path = tmp_path / "rules.txt"

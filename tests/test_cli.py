@@ -78,22 +78,13 @@ class TestParser:
         args = build_parser().parse_args(["train", "products"])
         assert args.events is None
         assert args.health is False
-        assert args.sample_proc is False
 
     def test_train_observability_flags_parse(self):
         args = build_parser().parse_args([
             "train", "products", "--events", "e.jsonl", "--health",
-            "--sample-proc",
         ])
         assert args.events == "e.jsonl"
         assert args.health is True
-        assert args.sample_proc is True
-
-    def test_dashboard_defaults(self):
-        args = build_parser().parse_args(["dashboard", "run.jsonl"])
-        assert args.events == "run.jsonl"
-        assert args.output == "run_dashboard.html"
-        assert args.report is None
 
 
 class TestLoggingConfig:
@@ -389,40 +380,6 @@ class TestObservabilityCommands:
         # training logger to INFO.
         assert logging.getLogger("repro.nn.training").level == logging.INFO
 
-    def test_train_sample_proc(self, capsys):
-        code = main([
-            "train", "products", "--scale", "0.05", "--epochs", "1",
-            "--features", "8", "--hidden", "8", "--sample-proc",
-        ])
-        assert code == 0
-        assert "peak RSS" in capsys.readouterr().out
-
-    def test_dashboard_end_to_end(self, tmp_path, capsys):
-        events = tmp_path / "run.jsonl"
-        html_path = tmp_path / "run.html"
-        assert main([
-            "train", "products", "--scale", "0.05", "--epochs", "2",
-            "--features", "8", "--hidden", "8", "--events", str(events),
-        ]) == 0
-        code = main(["dashboard", str(events), "-o", str(html_path)])
-        assert code == 0
-        html = html_path.read_text()
-        assert "<script" not in html.lower()
-        assert "https://" not in html
-        assert "Training loss" in html
-
-    def test_dashboard_rejects_invalid_events(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"kind": "events_header", "schema": 1}\n'
-                       '{"kind": "epoch", "schema": 1}\n')
-        code = main(["dashboard", str(bad), "-o", str(tmp_path / "x.html")])
-        assert code == 2
-        assert "missing field" in capsys.readouterr().err
-
-    def test_dashboard_needs_an_input(self, capsys):
-        assert main(["dashboard"]) == 2
-        assert "need an events file" in capsys.readouterr().err
-
 
 class TestLiveTelemetryCommands:
     def _train(self, tmp_path, *extra):
@@ -555,21 +512,16 @@ _SMALL_RUNS = {
     "profile": ["profile", "--vertices", "50", "--epochs", "1"],
     "serve": ["serve", "--scale", "0.02", "--epochs", "0", "--port", "0",
               "--duration", "0.1"],
-    "dashboard": ["dashboard", "events.jsonl"],
     "loadgen": ["loadgen", "http://127.0.0.1:9", "--duration", "0.1"],
 }
 
 _OUTPUT_FLAGS = [
-    ("train", flag)
-    for flag in ("--trace", "--json", "--perfetto", "--events")
+    ("train", flag) for flag in ("--trace", "--json", "--events")
 ] + [
-    ("bench-sharded", flag) for flag in ("--trace", "--json")
-] + [
-    ("profile", flag)
-    for flag in ("--trace", "--json", "--perfetto", "--attrib")
-] + [
-    ("serve", flag) for flag in ("--trace", "--json", "--perfetto")
-] + [("dashboard", "--output"), ("loadgen", "--out")]
+    (command, flag)
+    for command in ("bench-sharded", "profile", "serve")
+    for flag in ("--trace", "--json")
+] + [("loadgen", "--out")]
 
 
 class TestLaneReport:
@@ -627,7 +579,7 @@ class TestOutputWriteFailure:
 
     @pytest.mark.parametrize("command", [
         _SMALL_RUNS["train"] + ["--features", "8", "--hidden", "8"],
-        _SMALL_RUNS["profile"] + ["--attrib", "ATTRIB"],
+        _SMALL_RUNS["profile"],
     ])
     def test_failed_trace_write_still_writes_the_rest(
         self, command, monkeypatch, tmp_path, capsys
@@ -636,8 +588,6 @@ class TestOutputWriteFailure:
 
         monkeypatch.setattr(Tracer, "export_jsonl", self._no_space)
         trace, report = tmp_path / "a", tmp_path / "b"
-        attrib = tmp_path / "attrib.json"
-        command = [str(attrib) if arg == "ATTRIB" else arg for arg in command]
         code = main(command + ["--trace", str(trace), "--json", str(report)])
         assert code == 1
         out, err = capsys.readouterr()
@@ -648,8 +598,6 @@ class TestOutputWriteFailure:
         ]
         assert not trace.exists()
         assert report.exists() and f"wrote run report to {report}" in out
-        if "--attrib" in command:
-            assert attrib.exists()
 
     def test_profile_serve_metrics_starts_the_resource_sampler(
         self, tmp_path, capsys
@@ -668,14 +616,14 @@ class TestOutputWriteFailure:
         assert "proc.rss_bytes" in metrics
 
 
-#: The telemetry flags each command accepts; every other one is refused.
+#: The telemetry flags each command accepts; every other one is refused
+#: (``--perfetto`` and ``--sample-proc`` are deleted, so no command
+#: accepts them).
 _TELEMETRY_FLAG_SETS = {
-    "train": {"--trace", "--json", "--perfetto", "--sample-proc",
-              "--serve-metrics"},
+    "train": {"--trace", "--json", "--serve-metrics"},
     "bench-sharded": {"--trace", "--json"},
-    "profile": {"--trace", "--json", "--perfetto", "--serve-metrics"},
-    "serve": {"--trace", "--json", "--perfetto", "--serve-metrics",
-              "--sample-proc"},
+    "profile": {"--trace", "--json", "--serve-metrics"},
+    "serve": {"--trace", "--json", "--serve-metrics"},
 }
 
 

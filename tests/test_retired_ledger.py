@@ -1,7 +1,9 @@
 """The second performance ledger, the thread shard backend, the
-sampling profiler and the chunk executor are deleted, not defaulted:
-perfbench is the only judge of speed, the span plane is the only phase
-breakdown, and lanes are the only in-process parallelism.
+sampling profiler, the chunk executor and the consumer-less telemetry
+outputs (dashboard, Perfetto export, ``--attrib``, ``--sample-proc``)
+are deleted, not defaulted: perfbench is the only judge of speed, the
+span plane is the only phase breakdown, lanes are the only in-process
+parallelism, and every telemetry output left has a reader.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
@@ -19,6 +21,16 @@ import repro.obs
 from repro.cli import main
 
 _RUN_ALL = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "run_all.py"
+
+
+#: One small run per command, so a flag the parser fails to refuse
+#: costs seconds, not a default-sized run or a server that never exits.
+_SMALL_RUNS = {
+    "train": ["train", "products", "--scale", "0.02", "--epochs", "1"],
+    "profile": ["profile", "--vertices", "50", "--epochs", "1"],
+    "serve": ["serve", "products", "--scale", "0.02", "--epochs", "0",
+              "--port", "0", "--duration", "0.1"],
+}
 
 
 def _exit_code(argv) -> int:
@@ -40,7 +52,6 @@ class TestSecondLedgerIsGone:
 
     @pytest.mark.parametrize("command", [
         ["bench-sharded", "products"],
-        ["dashboard", "events.jsonl"],
     ])
     def test_no_history_flag(self, command, tmp_path, capsys):
         assert _exit_code(command + [f"--history={tmp_path / 'h.jsonl'}"]) == 2
@@ -124,12 +135,37 @@ class TestChunkExecutorIsGone:
         with pytest.raises(ImportError):
             importlib.import_module(f"repro.parallel.{module}")
 
-    def test_help_lists_eleven_commands(self):
+
+class TestConsumerlessTelemetryIsGone:
+    def test_dashboard_exits_2(self, capsys):
+        assert _exit_code(["dashboard", "events.jsonl"]) == 2
+        assert "invalid choice: 'dashboard'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--perfetto F"),
+        ("profile", "--perfetto F"),
+        ("serve", "--perfetto F"),
+        ("profile", "--attrib F"),
+        ("train", "--sample-proc"),
+        ("serve", "--sample-proc"),
+    ])
+    def test_output_flags_exit_2(self, command, flag, tmp_path, capsys):
+        flag = flag.replace("F", str(tmp_path / "out"))
+        assert _exit_code(_SMALL_RUNS[command] + flag.split()) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("module", ["dashboard", "export"])
+    def test_modules_cannot_be_imported(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.obs.{module}")
+
+    def test_help_lists_ten_commands(self):
         from repro.cli import build_parser
 
         subparsers = next(
             action for action in build_parser()._actions
             if action.dest == "command"
         )
-        assert len(subparsers.choices) == 11
-        assert "bench-parallel" not in subparsers.choices
+        assert len(subparsers.choices) == 10
+        assert not {"dashboard", "bench-parallel"} & set(subparsers.choices)
