@@ -121,15 +121,20 @@ class BasicKernel(AggregationKernel):
         grad_a: np.ndarray,
         aggregator: str = "gcn",
         order: Optional[np.ndarray] = None,
+        live: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, KernelStats]:
         """Backward aggregation ``grad_h = Âᵀ grad_a``.
 
         The mirror of :meth:`aggregate` over the transposed adjacency:
         the JIT cache supplies the backward specialization (a closure
         over the graph's cached CSC view) and the prefetch count walks
-        the *transposed* degrees.
+        the *transposed* degrees.  ``live`` (a boolean row mask outside
+        which ``grad_a`` is exactly zero) gathers only those rows: the
+        pass runs the cache's
+        :meth:`~repro.kernels.jit.JitKernelCache.live_layout`, counts
+        ``nnz_live + V`` gathers and is bitwise the full result.
         """
-        return self._run(graph, grad_a, aggregator, order, transposed=True)
+        return self._run(graph, grad_a, aggregator, order, transposed=True, live=live)
 
     def _run(
         self,
@@ -138,6 +143,7 @@ class BasicKernel(AggregationKernel):
         aggregator: str,
         order: Optional[np.ndarray],
         transposed: bool,
+        live: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, KernelStats]:
         validate_inputs(graph, h)
         validate_order(graph, order)
@@ -145,10 +151,12 @@ class BasicKernel(AggregationKernel):
         spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
         if transposed:
             name = "kernel.backward.basic"
-            batched = self.jit_cache.specialize_backward(graph, spec)
+            operator = self.jit_cache.specialize_backward(graph, spec).operator
+            if live is not None:
+                operator = self.jit_cache.live_layout(graph, aggregator, live)
         else:
             name = "kernel.basic"
-            batched = self.jit_cache.specialize(graph, spec)
+            operator = self.jit_cache.specialize(graph, spec).operator
         n = graph.num_vertices
         with get_tracer().span(
             name,
@@ -158,17 +166,17 @@ class BasicKernel(AggregationKernel):
             features=int(h.shape[1]),
         ) as span:
             start = time.perf_counter()
-            out = aggregate_rows(batched.operator, h)
+            out = aggregate_rows(operator, h)
             wall_time = time.perf_counter() - start
             degrees = (
-                np.diff(graph.csc_arrays()[0]) if transposed else graph.degrees()
+                np.diff(operator.matrix.indptr) if transposed else graph.degrees()
             )
             stats = KernelStats(
-                gathers=graph.num_edges + n,
+                gathers=operator.nnz + n,
                 tasks=-(-n // self.task_size),
                 prefetches=prefetch_count(degrees, order, self.prefetch_distance),
                 jit_compilations=self.jit_cache.compilations - compiled_before,
-                flops=2.0 * (graph.num_edges + n) * h.shape[1],
+                flops=2.0 * (operator.nnz + n) * h.shape[1],
                 extra={"wall_time_s": wall_time},
             )
             span.add_counters(stats.as_dict())

@@ -24,6 +24,10 @@ forward and backward share their numerics structure exactly:
   ``grad_h = Âᵀ grad_a``.  The ψ factors are the forward layout's edge
   factors permuted into the transposed edge layout, so the backward
   layout reuses the forward arrays instead of recomputing them.
+
+:meth:`JitKernelCache.live_layout` restricts the transposed layout to
+the edges whose source row is *live* — the rows of a loss mask, the only
+ones the last layer's gradient is not zero on.
 """
 
 from __future__ import annotations
@@ -112,6 +116,9 @@ class JitKernelCache:
     def __init__(self) -> None:
         self._cache: Dict[Tuple[int, bool, int, str], BatchedKernel] = {}
         self._layouts: Dict[Tuple[int, bool, str], ScaledCSR] = {}
+        #: (graph, aggregator) -> (the live mask it was built for, a
+        #: private copy; the restricted transposed layout).
+        self._live: Dict[Tuple[int, str], Tuple[np.ndarray, ScaledCSR]] = {}
         self._tokens: Dict[int, "weakref.ref"] = {}
         self.compilations = 0
 
@@ -139,7 +146,7 @@ class JitKernelCache:
     def _evict(self, tid: int) -> None:
         """Drop every kernel and layout of a dead graph (weakref callback)."""
         self._tokens.pop(tid, None)
-        for entries in (self._cache, self._layouts):
+        for entries in (self._cache, self._layouts, self._live):
             for key in [key for key in entries if key[0] == tid]:
                 del entries[key]
 
@@ -189,3 +196,45 @@ class JitKernelCache:
     def specialize_backward(self, graph: CSRGraph, spec: KernelSpec) -> BatchedKernel:
         """Closure computing rows of ``Âᵀ grad_a`` over the cached CSC view."""
         return self._lookup(graph, spec, backward=True)
+
+    def live_layout(
+        self, graph: CSRGraph, aggregator: str, live: np.ndarray
+    ) -> ScaledCSR:
+        """``Âᵀ`` restricted to the edges out of ``live`` rows.
+
+        For a ``grad_a`` that is exactly zero off ``live`` this operator
+        computes exactly ``Âᵀ grad_a``: every dropped edge would have
+        added ``ψ · 0``, and each kept row keeps its edge order.  The
+        self terms stay (``nnz_live + V`` gathers).  Built in one O(E)
+        pass over the transposed layout — each row's count is a
+        difference of the cumulative sum of ``live[indices]`` — once per
+        (graph, aggregator, mask): a private copy of the mask is compared
+        on every call, so a mask edited in place is never served a
+        stale layout, and one edited back to the same values builds
+        nothing.
+        """
+        live = np.asarray(live)
+        if live.dtype != np.bool_ or live.shape != (graph.num_vertices,):
+            raise ValueError(
+                f"live must be a 1-D bool array of {graph.num_vertices} "
+                f"entries, got dtype {live.dtype} and shape {live.shape}"
+            )
+        tid = self._graph_key(graph)
+        key = (tid, aggregator)
+        kept = self._live.get(key)
+        if kept is not None and np.array_equal(kept[0], live):
+            return kept[1]
+        transposed = self._layout(tid, graph, True, aggregator)
+        full = transposed.matrix
+        keep = np.take(live, full.indices)
+        counts = np.zeros(len(keep) + 1, dtype=full.indptr.dtype)
+        np.cumsum(keep, out=counts[1:])
+        # ``take`` at the kept positions: a boolean index of the same
+        # arrays runs several times slower.
+        kept = np.flatnonzero(keep)
+        layout = ScaledCSR.from_csr(
+            counts[full.indptr], np.take(full.indices, kept),
+            np.take(full.data, kept), transposed.self_factors, graph.num_vertices,
+        )
+        self._live[key] = (live.copy(), layout)
+        return layout

@@ -15,7 +15,8 @@ in the serial call, and the result is bitwise the serial one.
 
 The lane count is the number of cores this process may run on
 (``os.sched_getaffinity``).  A process that is itself one of several
-parallel workers sets it to 1 (:func:`set_lane_count`).
+parallel workers sets it to 1 (:func:`set_lane_count`).  A split made
+inside a lane runs serially in that lane: the cores are taken.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 _lane_count = len(os.sched_getaffinity(0))
 
+#: ``inside`` is set on a thread while it runs one lane of a split.
+_state = threading.local()
+
 
 def lane_count() -> int:
     """Lanes a large enough :func:`split` uses."""
@@ -66,26 +70,33 @@ def describe() -> str:
     return f"lanes: {_lane_count} ({blas})"
 
 
-def split(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
+def split(
+    n: int, nbytes: int, fn: Callable[[int, int], None], min_slice: int = MIN_SLICE
+) -> None:
     """Run ``fn(lo, hi)`` over one contiguous range of ``[0, n)`` per lane.
 
     Serial (one ``fn(0, n)`` call) when the ``nbytes`` the call moves
-    are under :data:`MIN_SPLIT_BYTES` or ``n`` leaves no two slices of
-    :data:`MIN_SLICE`.  Every lane is joined before this returns; the
-    first exception a lane raised is re-raised here.
+    are under :data:`MIN_SPLIT_BYTES`, when ``n`` leaves no two slices
+    of ``min_slice`` (:data:`MIN_SLICE` rows; a caller whose ``n``
+    counts row blocks passes 1), or inside a lane.  Every lane is joined
+    before this returns; the first exception a lane raised is re-raised
+    here.
     """
-    lanes = min(_lane_count, n // MIN_SLICE)
-    if lanes <= 1 or nbytes < MIN_SPLIT_BYTES:
+    lanes = min(_lane_count, n // min_slice)
+    if lanes <= 1 or nbytes < MIN_SPLIT_BYTES or getattr(_state, "inside", False):
         fn(0, n)
         return
     bounds = [n * lane // lanes for lane in range(lanes + 1)]
     errors: List[BaseException] = []
 
     def run(lo: int, hi: int) -> None:
+        _state.inside = True
         try:
             fn(lo, hi)
         except BaseException as exc:  # re-raised in the caller
             errors.append(exc)
+        finally:
+            _state.inside = False
 
     started: List[threading.Thread] = []
     try:
@@ -96,8 +107,10 @@ def split(n: int, nbytes: int, fn: Callable[[int, int], None]) -> None:
             thread = threading.Thread(target=run, args=(lo, hi), name=f"lane-{lane}")
             thread.start()
             started.append(thread)
+        _state.inside = True
         fn(bounds[0], bounds[1])
     finally:
+        _state.inside = False
         for thread in started:
             thread.join()
     if errors:

@@ -17,7 +17,7 @@ from .functional import (
     softmax,
     xavier_uniform,
 )
-from .layers import GNNLayer, LayerCache, LayerGrads, gcn_layer, sage_layer
+from .layers import GNNLayer, LayerCache, LayerGrads
 from .model import GNNModel, Workspace, build_model
 from .optim import Adam, Optimizer, SGD
 from .training import (
@@ -45,8 +45,6 @@ __all__ = [
     "GNNLayer",
     "LayerCache",
     "LayerGrads",
-    "gcn_layer",
-    "sage_layer",
     "GNNModel",
     "Workspace",
     "build_model",

@@ -147,6 +147,28 @@ def cross_entropy_and_correct(
     return loss, grad, logits.argmax(axis=1) == labels
 
 
+def check_mask(
+    mask: Optional[np.ndarray], num_vertices: int, name: str
+) -> Optional[np.ndarray]:
+    """``mask`` as an array, if it is ``None`` or a 1-D ``bool`` array of
+    ``num_vertices`` entries; a ``ValueError`` naming it otherwise.
+
+    The trainers check every mask here once, before any use: an integer
+    0/1 array would index rows 0 and 1 where a boolean one selects rows,
+    so the loss (which reads a mask as boolean) and the accuracy would
+    disagree about which rows are in it.
+    """
+    if mask is None:
+        return None
+    array = np.asarray(mask)
+    if array.dtype != np.bool_ or array.shape != (num_vertices,):
+        raise ValueError(
+            f"{name} must be a 1-D bool array of {num_vertices} entries, "
+            f"got dtype {array.dtype} and shape {array.shape}"
+        )
+    return array
+
+
 def masked_fraction(flags: np.ndarray, mask: Optional[np.ndarray] = None) -> float:
     """Share of true ``flags`` among the (optionally masked) rows."""
     if mask is not None:

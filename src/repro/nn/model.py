@@ -15,23 +15,28 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..kernels.base import AggregationKernel
 from ..obs import get_tracer
-from .layers import GNNLayer, LayerCache, LayerGrads
+from .layers import GNNLayer, LayerCache, LayerGrads, SweepBuffers, transform_first
 
 
 class Workspace:
-    """Two reusable ``(V, width)`` buffers per hidden activation.
+    """What a training run reuses every epoch: one ``(V, width)`` buffer
+    per hidden activation and the dense sweeps' block scratch.
 
     For every layer but the last, ``values[k]`` receives layer ``k``'s
-    update GEMM (biased and rectified in place, it is ``h_k``) and
-    ``grads[k]`` receives layer ``k + 1``'s ``· Wᵀ`` product (masked in
-    place by layer ``k``'s backward).  The owner — the ``Trainer`` —
-    passes it to ``forward(training=True)`` and ``backward`` every
-    epoch, so epoch N+1 allocates nothing of ``V x hidden`` size.
+    update GEMM (biased and rectified in place, it is ``h_k``).
+    ``buffers`` holds the sweeps' per-lane block buffers and per-chunk
+    gradient partials, whose size depends on the widths, the lane count
+    and :data:`~repro.nn.layers.SWEEP_CHUNKS`, not on ``V``.  No gradient of
+    a hidden activation is ever ``V`` rows: the sweeps form it one row
+    block at a time.  The owner — the ``Trainer`` — passes the workspace
+    to ``forward(training=True)`` and ``backward`` every epoch, so epoch
+    N+1 allocates nothing of ``V x hidden`` size.
 
     No-alias rule: buffers are only ever reachable through the caches
-    and grads of the pass they were lent to, which the owner drops
-    before the next pass; logits are never written here (the last layer
-    has no buffers), and a pass without a workspace returns fresh arrays.
+    of the pass they were lent to, which the owner drops before the next
+    pass; logits and gradients are never written here (the last layer
+    has no buffer, and sweep results are fresh arrays), and a pass
+    without a workspace returns fresh arrays.
     """
 
     def __init__(self, model: "GNNModel", num_vertices: int, dtype) -> None:
@@ -41,7 +46,7 @@ class Workspace:
             np.empty((num_vertices, layer.out_features), dtype=dtype)
             for layer in model.layers[:-1]
         ]
-        self.grads = [np.empty_like(value) for value in self.values]
+        self.buffers = SweepBuffers()
 
 
 class GNNModel:
@@ -61,6 +66,19 @@ class GNNModel:
     def num_layers(self) -> int:
         return len(self.layers)
 
+    def _fused(self, idx: int, training: bool) -> bool:
+        """Whether layer ``idx``'s sweep runs layer ``idx + 1``'s dense
+        phases too: the next layer is transform-first and takes ``h_idx``
+        un-dropped.  Then forward computes ``h_idx W_{idx+1}`` block by
+        block, and backward runs layer ``idx``'s update in layer
+        ``idx + 1``'s sweep."""
+        if idx + 1 >= self.num_layers:
+            return False
+        nxt = self.layers[idx + 1]
+        return transform_first(nxt.in_features, nxt.out_features, False) and not (
+            training and nxt.dropout > 0.0
+        )
+
     # ------------------------------------------------------------------
     def forward(
         self,
@@ -70,6 +88,7 @@ class GNNModel:
         kernel: Optional[AggregationKernel] = None,
         first_aggregation: Optional[np.ndarray] = None,
         workspace: Optional[Workspace] = None,
+        keep_hidden: bool = True,
     ) -> Tuple[np.ndarray, List[LayerCache]]:
         """Full forward pass; returns logits and per-layer caches.
 
@@ -83,15 +102,29 @@ class GNNModel:
         it from an earlier pass over the same graph and features hands
         it back as ``first_aggregation`` and the pass is skipped.
 
-        ``workspace`` lends the hidden layers their output buffers (see
-        :class:`Workspace`); the logits are a fresh array regardless.
+        Each layer's update runs as one sweep over row blocks, and where
+        the next layer is transform-first on un-dropped input the sweep
+        runs that layer's ``h W`` too (:meth:`_fused`).
+        ``keep_hidden=False`` (inference only) then keeps no such hidden
+        activation: its blocks pass through reused block buffers, so a
+        pass over the benchmark student never holds a ``V x hidden``
+        array.
+
+        ``workspace`` lends the hidden layers their output buffers and
+        the sweeps their scratch (see :class:`Workspace`); the logits
+        are a fresh array regardless.
         """
+        if training and not keep_hidden:
+            raise ValueError("training keeps every hidden activation for backward")
         h = features
+        operand = None
         caches: List[LayerCache] = []
         tracer = get_tracer()
         static_first = not (training and self.layers[0].dropout > 0.0)
         hidden = workspace.values if workspace is not None else ()
+        buffers = workspace.buffers if workspace is not None else SweepBuffers()
         for idx, layer in enumerate(self.layers):
+            fused = self._fused(idx, training)
             with tracer.span(
                 "layer",
                 index=idx,
@@ -105,7 +138,12 @@ class GNNModel:
                     static_input=static,
                     aggregated=first_aggregation if static else None,
                     out=hidden[idx] if idx < len(hidden) else None,
+                    operand=operand,
+                    next_weight=self.layers[idx + 1].weight if fused else None,
+                    keep_output=keep_hidden or not fused,
+                    buffers=buffers,
                 )
+            operand = cache.next_operand
             caches.append(cache)
         return h, caches
 
@@ -116,6 +154,7 @@ class GNNModel:
         caches: List[LayerCache],
         kernel: Optional[AggregationKernel] = None,
         workspace: Optional[Workspace] = None,
+        live: Optional[np.ndarray] = None,
     ) -> List[LayerGrads]:
         """Full backward pass; returns grads aligned with ``self.layers``.
 
@@ -125,18 +164,28 @@ class GNNModel:
         consumes the gradient w.r.t. the input features, so the first
         layer is not asked for one (``grads[0].h_in`` is ``None``).
 
-        With a ``workspace`` every hidden gradient lives in borrowed
-        memory: layer ``k``'s ``· Wᵀ`` product lands in
-        ``workspace.grads[k - 1]``, and each hidden layer masks the
-        gradient it is handed in place — that gradient is always the
-        layer above's product, never ``grad_logits``.
+        Where forward fused layers ``k`` and ``k + 1``, layer ``k + 1``'s
+        sweep after its transposed aggregation runs layer ``k``'s update
+        backward, block by block: ``∂L/∂h_k`` is never formed
+        (``grads[k + 1].h_in`` is ``None``).  Every other hidden
+        gradient is the aggregation's fresh output, which the layer
+        below masks in place when a ``workspace`` is lent (without one,
+        ``grads[k + 1].h_in`` stays the caller's to keep).
+
+        ``live`` — boolean rows outside which ``grad_logits`` is exactly
+        zero (the loss mask) — lets the last layer's transposed
+        aggregation gather only those rows; it drops only exact zeros.
         """
         if len(caches) != self.num_layers:
             raise ValueError("cache count does not match layer count")
         grads: List[Optional[LayerGrads]] = [None] * self.num_layers
         grad = grad_logits
         tracer = get_tracer()
-        for idx in range(self.num_layers - 1, -1, -1):
+        buffers = workspace.buffers if workspace is not None else SweepBuffers()
+        last = self.num_layers - 1
+        for idx in range(last, -1, -1):
+            cache = caches[idx]
+            fused = idx > 0 and cache.a is None and cache.dropout_mask is None
             with tracer.span(
                 "layer.backward",
                 index=idx,
@@ -145,19 +194,19 @@ class GNNModel:
                 aggregator=self.layers[idx].aggregator,
             ):
                 layer_grads = self.layers[idx].backward(
-                    graph, grad, caches[idx], kernel=kernel,
+                    graph, grad, cache, kernel=kernel,
                     need_input_grad=idx > 0,
-                    grad_in=(
-                        workspace.grads[idx - 1]
-                        if workspace is not None and idx > 0
-                        else None
+                    own_grad_out=workspace is not None and idx < last,
+                    below=(
+                        (self.layers[idx - 1], caches[idx - 1], idx > 1)
+                        if fused else None
                     ),
-                    own_grad_out=(
-                        workspace is not None and idx < self.num_layers - 1
-                    ),
+                    live=live if idx == last else None,
+                    buffers=buffers,
                 )
+            grad = layer_grads.below if fused else layer_grads.h_in
+            layer_grads.below = None
             grads[idx] = layer_grads
-            grad = layer_grads.h_in
         return grads  # type: ignore[return-value]
 
     def predict(
@@ -166,8 +215,10 @@ class GNNModel:
         features: np.ndarray,
         kernel: Optional[AggregationKernel] = None,
     ) -> np.ndarray:
-        """Inference-mode logits (no dropout, caches discarded)."""
-        logits, _ = self.forward(graph, features, training=False, kernel=kernel)
+        """Inference-mode logits (no dropout, no hidden activation kept)."""
+        logits, _ = self.forward(
+            graph, features, training=False, kernel=kernel, keep_hidden=False
+        )
         return logits
 
     # ------------------------------------------------------------------

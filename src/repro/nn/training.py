@@ -113,10 +113,13 @@ class Trainer:
     ``features`` *object* (the key is identity, so a caller that mutates
     ``features`` in place must pass a new array), and ``∂L/∂features``
     is never formed.  Nor does an epoch allocate what it can reuse: the
-    trainer owns a :class:`~repro.nn.model.Workspace` (two ``V x hidden``
-    buffers per hidden layer, sized on first use and again only if ``V``
-    or the dtype changes) that every epoch's GEMMs write into.  Nothing
-    ``train_epoch`` returns or keeps in ``history`` aliases it.
+    trainer owns a :class:`~repro.nn.model.Workspace` (one ``V x hidden``
+    buffer per hidden layer plus the sweeps' block scratch, sized on
+    first use and again only if ``V`` or the dtype changes) that every
+    epoch's GEMMs write into.  Nothing ``train_epoch`` returns or keeps
+    in ``history`` aliases it.  The last layer's transposed aggregation
+    gathers only the ``train_mask`` rows, the only ones the loss
+    gradient is not zero on.
     """
 
     def __init__(
@@ -168,11 +171,16 @@ class Trainer:
     ) -> EpochResult:
         """One forward + backward + step over the whole graph.
 
-        With an event log or health monitor attached, the epoch
-        additionally captures per-layer grad/weight norms, per-layer
-        input sparsity, and realized-vs-predicted compression traffic
-        savings; without them no extra work happens.
+        Each mask must be ``None`` or a 1-D ``bool`` array with one entry
+        per vertex (:func:`~repro.nn.functional.check_mask`).  With an
+        event log or health monitor attached, the epoch additionally
+        captures per-layer grad/weight norms, per-layer input sparsity,
+        and realized-vs-predicted compression traffic savings; without
+        them no extra work happens.
         """
+        n = graph.num_vertices
+        train_mask = F.check_mask(train_mask, n, "train_mask")
+        val_mask = F.check_mask(val_mask, n, "val_mask")
         tracer = get_tracer()
         metrics = get_metrics()
         observing = self.event_log is not None or self.health is not None
@@ -213,7 +221,7 @@ class Trainer:
             with tracer.span("backward"):
                 grads = self.model.backward(
                     graph, grad, caches, kernel=self.aggregation_kernel,
-                    workspace=workspace,
+                    workspace=workspace, live=train_mask,
                 )
             for layer_grads in grads:
                 if layer_grads.agg_stats is not None:

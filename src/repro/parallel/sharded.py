@@ -537,14 +537,8 @@ class ShardedTrainer:
             )
             for k, layer in enumerate(self.model.layers)
         )
-        train_mask_arr = (
-            np.ones(n, dtype=bool) if train_mask is None
-            else np.asarray(train_mask, dtype=bool)
-        )
-        val_mask_arr = (
-            np.zeros(n, dtype=bool) if val_mask is None
-            else np.asarray(val_mask, dtype=bool)
-        )
+        train_mask_arr = np.ones(n, dtype=bool) if train_mask is None else train_mask
+        val_mask_arr = np.zeros(n, dtype=bool) if val_mask is None else val_mask
         self._config = ShardedConfig(
             num_shards=self.num_shards,
             layers=specs,
@@ -666,7 +660,14 @@ class ShardedTrainer:
         train_mask: Optional[np.ndarray] = None,
         val_mask: Optional[np.ndarray] = None,
     ) -> TrainingHistory:
-        """Train for ``epochs`` full-batch epochs across all shards."""
+        """Train for ``epochs`` full-batch epochs across all shards.
+
+        Each mask must be ``None`` or a 1-D ``bool`` array with one entry
+        per vertex, as for ``Trainer`` (:func:`repro.nn.functional.check_mask`).
+        """
+        n = self.graph.num_vertices
+        train_mask = F.check_mask(train_mask, n, "train_mask")
+        val_mask = F.check_mask(val_mask, n, "val_mask")
         if self._bundle is None:
             self._setup(features, labels, train_mask, val_mask)
         for _ in range(epochs):

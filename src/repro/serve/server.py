@@ -121,10 +121,10 @@ class InferenceService:
                     )
         logits, caches = model.forward(
             graph, features.astype(np.float32, copy=False), training=False,
-            kernel=BasicKernel(),
+            kernel=BasicKernel(), keep_hidden=False,
         )
         self._first_aggregation = caches[0].a
-        del caches  # the V x hidden activations go with it
+        del caches
         self._rng = np.random.default_rng(seed)
         self.cache = EmbeddingCache(logits, model.layers[-1].in_features)
         self.batcher = RequestBatcher(

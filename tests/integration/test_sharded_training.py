@@ -414,6 +414,20 @@ class TestValidation:
             with pytest.raises(ValueError):
                 ShardedTrainer(graph, model, Adam(model), backend=backend)
 
+    @pytest.mark.parametrize("which", ["train_mask", "val_mask"])
+    def test_rejects_a_malformed_mask(self, graph, features, labels, which):
+        """The check ``Trainer`` makes, through the same helper: an
+        integer 0/1 mask and a mask of the wrong length are refused by
+        name before any shard is built."""
+        n = graph.num_vertices
+        for mask in (np.ones(n, dtype=int), np.ones(n - 1, dtype=bool)):
+            model = _model(graph)
+            with ShardedTrainer(
+                graph, model, Adam(model), num_shards=2, backend="serial"
+            ) as trainer:
+                with pytest.raises(ValueError, match=which):
+                    trainer.fit(features, labels, epochs=1, **{which: mask})
+
     def test_rejects_dropout(self, graph):
         model = build_model(
             "gcn", FEATURES, HIDDEN, CLASSES, dropout=0.5, seed=0

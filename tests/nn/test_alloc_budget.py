@@ -1,16 +1,19 @@
 """Exact allocation budget of a steady-state training epoch.
 
-The ``Trainer`` owns a workspace of two ``V x hidden`` buffers per
-hidden layer and every epoch's update GEMMs, bias adds, ReLUs and masks
-write into it, so after a warm-up epoch ``train_epoch`` allocates
-nothing of ``V x hidden x 4`` bytes: what is left is ``V x C``-sized
-(logits, loss gradient, the two 16-wide aggregation passes), one
-boolean ReLU mask at a time, and parameter-sized.  ``tracemalloc``
-sees every numpy buffer, so the bound is a closed form in ``V``, ``C``,
-``hidden`` and the parameter count — no ``E`` term, no timing.
+The ``Trainer`` owns a workspace of one ``V x hidden`` buffer per hidden
+layer plus the dense sweeps' block scratch, and every epoch's update
+GEMMs, bias adds and ReLUs write into it, so after a warm-up epoch
+``train_epoch`` allocates nothing of ``V x hidden`` size: no gradient
+of a hidden activation is ever ``V`` rows, and the ReLU mask is one row
+block per lane.  What is left is ``V x C``-sized (logits, loss gradient,
+the two 16-wide aggregation passes) and parameter-sized.
+``tracemalloc`` sees every numpy buffer, so the bound is a closed form
+in ``V``, ``C``, ``hidden``, the block size and the parameter count —
+no ``E`` term, no timing.
 
 It also holds what a caller may keep: logits from ``predict`` or from a
-``forward`` that was lent no workspace never alias the trainer's buffers.
+``forward`` that was lent no workspace never alias the trainer's buffers;
+and ``predict`` itself never holds a ``V x hidden`` block.
 """
 
 import tracemalloc
@@ -18,9 +21,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro import lanes
 from repro.graphs import load_dataset, synthetic_features
 from repro.kernels import BasicKernel
 from repro.nn import Adam, Trainer, build_model
+from repro.nn.layers import SWEEP_CHUNKS, SWEEP_ROWS
 
 #: The perfbench student.
 IN_FEATURES, HIDDEN, CLASSES = 100, 256, 16
@@ -57,32 +62,45 @@ def test_steady_state_epoch_allocates_no_hidden_sized_block(task):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The peak is layer 0's backward: ONE boolean V x hidden ReLU mask
-    # next to the three V x C fp32 arrays the epoch still holds (the
-    # gathered h·W kept by the cache, the logits, the loss gradient).
-    # Every other phase holds less: an aggregation pass adds its output
-    # and one scipy product temporary to those three (5 x V x C), the
-    # loss its train-row softmax.  A fourth V x C, the `correct` flags
-    # and two parameter sets (gradients + one optimizer temporary) are
-    # the stated slack.
+    # The peak is the backward sweep that runs layer 1's dense phases
+    # and layer 0's update: the four V x C fp32 arrays the epoch then
+    # holds (the gathered h·W kept by the cache, the logits, the loss
+    # gradient, its transposed aggregation), the `correct` flags, one
+    # boolean ReLU mask of a row block per lane at work, and two
+    # parameter sets (gradients + one optimizer temporary).  The block
+    # buffers and gradient partials are the workspace's.
+    block_masks = min(lanes.lane_count(), SWEEP_CHUNKS) * _block_rows() * HIDDEN
     budget = (
-        v * HIDDEN + 4 * v * CLASSES * FP32 + v + 2 * params * FP32 + 2**14
+        4 * v * CLASSES * FP32 + v + block_masks + 2 * params * FP32 + 2**14
     )
-    hidden_block = v * HIDDEN * FP32
-    assert budget < hidden_block  # so the bound below rules one out
+    assert block_masks < v * HIDDEN  # so the bound rules out a V x hidden mask
     assert peak <= budget, f"epoch peaked at {peak} B, budget {budget} B"
 
 
-def test_workspace_is_two_buffers_per_hidden_layer(task):
+def _block_rows():
+    return SWEEP_ROWS + lanes.MIN_SLICE - 1
+
+
+def test_workspace_is_one_buffer_per_hidden_layer(task):
     graph = task[0]
     trainer, _ = _warm_trainer(task)
     workspace = trainer._workspace
-    buffers = workspace.values + workspace.grads
-    assert sum(b.nbytes for b in buffers) == 2 * graph.num_vertices * HIDDEN * FP32
-    before = [id(buffer) for buffer in buffers]
+    assert sum(b.nbytes for b in workspace.values) == graph.num_vertices * HIDDEN * FP32
+    # The sweeps' scratch: per lane, one block of the hidden gradient
+    # and a block partial of every parameter; per chunk, an accumulator
+    # of every parameter.
+    params = sum(array.size for _, _, array in trainer.model.parameters())
+    lanes_used = min(lanes.lane_count(), SWEEP_CHUNKS)
+    scratch = workspace.buffers.nbytes
+    assert scratch <= (
+        lanes_used * (_block_rows() * HIDDEN + params) + SWEEP_CHUNKS * params
+    ) * FP32
+    before = [id(buffer) for buffer in workspace.values]
     trainer.train_epoch(*task[:4])
     after = trainer._workspace
-    assert [id(buffer) for buffer in after.values + after.grads] == before
+    assert after is workspace
+    assert [id(buffer) for buffer in after.values] == before
+    assert after.buffers.nbytes == scratch
 
 
 def test_nothing_a_caller_keeps_aliases_the_workspace(task):
@@ -93,7 +111,7 @@ def test_nothing_a_caller_keeps_aliases_the_workspace(task):
     logits, caches = model.forward(graph, features, training=True, kernel=kernel)
     hidden = caches[1].h_in
     kept = [predicted, logits, hidden]
-    buffers = trainer._workspace.values + trainer._workspace.grads
+    buffers = trainer._workspace.values
     for array in kept:
         assert not any(np.shares_memory(array, buffer) for buffer in buffers)
     copies = [array.copy() for array in kept]
@@ -107,3 +125,34 @@ def test_nothing_a_caller_keeps_aliases_the_workspace(task):
     )
     fresh, _ = model.forward(graph, features, training=True, kernel=kernel)
     np.testing.assert_array_equal(lent, fresh)
+
+
+def test_predict_allocates_no_hidden_sized_block(task):
+    """Inference keeps no hidden activation: layer 0's blocks pass
+    through one reused buffer per lane into layer 1's ``h W``.  With
+    32-wide features (``Â · features`` and its product temporary are
+    then small) the bound sits below one ``V x hidden`` block."""
+    graph = task[0]
+    v, width = graph.num_vertices, 32
+    features = synthetic_features(graph, width, seed=5)
+    model = build_model("gcn", width, HIDDEN, CLASSES, seed=0)
+    kernel = BasicKernel()
+    model.predict(graph, features, kernel=kernel)  # builds the layouts
+    tracemalloc.start()
+    try:
+        logits = model.predict(graph, features, kernel=kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Â · features and its scipy product temporary, the block buffers,
+    # and three V x C arrays (h W, its aggregation, one temporary).
+    lanes_used = min(lanes.lane_count(), SWEEP_CHUNKS)
+    budget = (
+        2 * v * width * FP32
+        + lanes_used * _block_rows() * HIDDEN * FP32
+        + 3 * v * CLASSES * FP32 + 2**16
+    )
+    assert budget < v * HIDDEN * FP32  # so the bound rules one out
+    assert peak <= budget, f"predict peaked at {peak} B, budget {budget} B"
+    fresh, _ = model.forward(graph, features, kernel=kernel)
+    np.testing.assert_array_equal(logits, fresh)

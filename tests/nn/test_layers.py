@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import synthetic_features, uniform_graph
-from repro.nn import GNNLayer, aggregate, gcn_layer, sage_layer
+from repro.nn import GNNLayer, aggregate
 
 
 class TestForward:
@@ -114,10 +114,3 @@ class TestBackward:
         layer.apply_grads(grads, lr=0.1)
         assert not np.array_equal(before, layer.weight)
 
-
-class TestConvenienceConstructors:
-    def test_gcn_layer(self):
-        assert gcn_layer(4, 2).aggregator == "gcn"
-
-    def test_sage_layer(self):
-        assert sage_layer(4, 2).aggregator == "mean"

@@ -102,6 +102,26 @@ def test_second_graph_object_adds_its_own_layouts(graph, built):
     assert built == {"factors": 2, "layouts": 4}
 
 
+def test_loss_mask_builds_one_live_row_layout(graph, built):
+    """The masked backward's live-row layout is built in epoch 0, once
+    per (graph, aggregator, mask): a mask edited in place to the same
+    values builds nothing, and one edited to new values builds once."""
+    model = build_model("gcn", 100, 256, 16, seed=0)
+    trainer = _trainer(model)
+    features, labels = _data(graph, model)
+    mask = np.random.default_rng(2).random(graph.num_vertices) < 0.3
+    for _ in range(3):
+        trainer.train_epoch(graph, features, labels, train_mask=mask)
+        assert built == {"factors": 1, "layouts": 3}
+    mask[:] = mask.copy()  # in place, the same values
+    trainer.train_epoch(graph, features, labels, train_mask=mask)
+    assert built == {"factors": 1, "layouts": 3}
+    mask[: len(mask) // 2] = ~mask[: len(mask) // 2]  # in place, new values
+    for _ in range(2):
+        trainer.train_epoch(graph, features, labels, train_mask=mask)
+        assert built == {"factors": 1, "layouts": 4}
+
+
 def test_csc_arrays_never_sorts(graph, monkeypatch):
     def no_argsort(*args, **kwargs):
         raise AssertionError("csc_arrays must be a counting transpose")

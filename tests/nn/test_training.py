@@ -101,6 +101,36 @@ class TestTrainer:
         assert any("val-acc" in r.message for r in caplog.records)
 
 
+class TestMaskValidation:
+    """A mask is a 1-D bool array with one entry per vertex.  An integer
+    0/1 mask used to index rows 0 and 1 for the accuracy while the loss
+    read it as boolean; now every malformed mask is refused by name."""
+
+    def _trainer(self):
+        model = build_model("gcn", 8, 16, 3, num_layers=2, seed=0)
+        return Trainer(model, Adam(model, lr=0.02))
+
+    @pytest.mark.parametrize("which", ["train_mask", "val_mask"])
+    def test_integer_mask_is_refused(self, community_task, which):
+        graph, features, labels = community_task
+        mask = train_val_split(graph.num_vertices, 0.5, seed=0)[0].astype(int)
+        with pytest.raises(ValueError, match=which):
+            self._trainer().train_epoch(graph, features, labels, **{which: mask})
+
+    @pytest.mark.parametrize("rows", [149, 151])
+    def test_wrong_length_mask_is_refused(self, community_task, rows):
+        graph, features, labels = community_task
+        mask = np.ones(rows, dtype=bool)
+        with pytest.raises(ValueError, match="train_mask .* 150 entries"):
+            self._trainer().train_epoch(graph, features, labels, train_mask=mask)
+
+    def test_two_dimensional_mask_is_refused(self, community_task):
+        graph, features, labels = community_task
+        mask = np.ones((150, 1), dtype=bool)
+        with pytest.raises(ValueError, match="val_mask"):
+            self._trainer().train_epoch(graph, features, labels, val_mask=mask)
+
+
 class TestTrainerObservability:
     def test_epoch_events_emitted_and_valid(self, community_task, tmp_path):
         graph, features, labels = community_task

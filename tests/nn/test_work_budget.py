@@ -21,7 +21,7 @@ def graph():
     return power_law_graph(200, 5.0, seed=3, name="budget")
 
 
-def _per_epoch_work(graph, model, epochs=4):
+def _per_epoch_work(graph, model, epochs=4, train_mask=None):
     """(gathers, gathered elements) of every epoch, forward + backward."""
     features = synthetic_features(graph, model.layers[0].in_features, seed=1)
     labels = np.random.default_rng(1).integers(
@@ -32,7 +32,7 @@ def _per_epoch_work(graph, model, epochs=4):
     work = []
     gathers = elements = 0
     for _ in range(epochs):
-        trainer.train_epoch(graph, features, labels)
+        trainer.train_epoch(graph, features, labels, train_mask=train_mask)
         total_gathers = (
             history.aggregation_stats.gathers + history.backward_stats.gathers
         )
@@ -91,3 +91,20 @@ def test_steady_state_passes_and_widths(graph, widths):
     )
     for epoch_work in work[1:]:
         assert epoch_work == (2 * (num_layers - 1) * rows, 2 * narrow * rows)
+
+
+def test_masked_loss_gathers_only_its_rows_backward(graph):
+    """With a loss mask, the last layer's gradient is exactly zero off
+    the mask, so its transposed aggregation gathers only the edges out
+    of masked rows plus every self term: ``Σ deg(train rows) + V``."""
+    v = graph.num_vertices
+    rows = graph.num_edges + v
+    mask = np.random.default_rng(2).random(v) < 0.3
+    live = int(graph.degrees()[mask].sum()) + v
+    assert live < rows
+    work = _per_epoch_work(
+        graph, build_model("gcn", 100, 256, 16, seed=0), train_mask=mask
+    )
+    assert work[0] == (2 * rows + live, 100 * rows + 16 * rows + 16 * live)
+    for epoch_work in work[1:]:
+        assert epoch_work == (rows + live, 16 * (rows + live))
