@@ -126,12 +126,12 @@ class BasicKernel(AggregationKernel):
         """Backward aggregation ``grad_h = Âᵀ grad_a``.
 
         The mirror of :meth:`aggregate` over the transposed adjacency:
-        the JIT cache supplies the backward specialization (a closure
-        over the graph's cached CSC view) and the prefetch count walks
-        the *transposed* degrees.  ``live`` (a boolean row mask outside
-        which ``grad_a`` is exactly zero) gathers only those rows: the
-        pass runs the cache's
-        :meth:`~repro.kernels.jit.JitKernelCache.live_layout`, counts
+        the JIT cache supplies the backward specialization and the
+        prefetch count walks the operator's own (transposed) degrees.
+        ``live`` (a boolean row mask outside which ``grad_a`` is exactly
+        zero) gathers only those rows: the pass runs the cache's
+        :meth:`~repro.kernels.jit.JitKernelCache.live_layout` instead
+        (no specialization, so ``jit_compilations`` is 0), counts
         ``nnz_live + V`` gathers and is bitwise the full result.
         """
         return self._run(graph, grad_a, aggregator, order, transposed=True, live=live)
@@ -151,8 +151,9 @@ class BasicKernel(AggregationKernel):
         spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
         if transposed:
             name = "kernel.backward.basic"
-            operator = self.jit_cache.specialize_backward(graph, spec).operator
-            if live is not None:
+            if live is None:
+                operator = self.jit_cache.specialize_backward(graph, spec).operator
+            else:
                 operator = self.jit_cache.live_layout(graph, aggregator, live)
         else:
             name = "kernel.basic"

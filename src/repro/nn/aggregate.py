@@ -47,12 +47,12 @@ def normalization_factors(graph: CSRGraph, aggregator: str) -> Tuple[np.ndarray,
     """
     aggregator = canonical_aggregator(aggregator)
     d_hat = graph.self_loop_degrees()
-    dst = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())
+    d_dst = np.repeat(d_hat, graph.degrees())
     if aggregator == "gcn":
-        edge = 1.0 / np.sqrt(d_hat[dst] * d_hat[graph.indices])
+        edge = 1.0 / np.sqrt(d_dst * d_hat[graph.indices])
         self_f = 1.0 / d_hat
     elif aggregator == "mean":
-        edge = 1.0 / d_hat[dst]
+        edge = 1.0 / d_dst
         self_f = 1.0 / d_hat
     elif aggregator in ("sum", "max"):
         edge = np.ones(graph.num_edges, dtype=np.float64)
@@ -101,7 +101,7 @@ def aggregate_backward(
 
     ``a = Â h`` implies ``dL/dh = Â^T dL/da``.  This is the vectorized
     *fallback* (one transpose-SpMM, rebuilding Â per call); training on
-    an optimized kernel routes through the cached-CSC batched backward
+    an optimized kernel routes through the cached transposed layout
     instead (:meth:`repro.kernels.BasicKernel.aggregate_backward`).
     """
     aggregator = canonical_aggregator(aggregator)

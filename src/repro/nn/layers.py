@@ -586,7 +586,7 @@ class GNNLayer:
         kernel: Optional[AggregationKernel], live: Optional[np.ndarray],
     ) -> "tuple[np.ndarray, Optional[KernelStats]]":
         """``Âᵀ grad`` through ``kernel`` when it provides
-        ``aggregate_backward`` (e.g. the cached-CSC backward of
+        ``aggregate_backward`` (e.g. the transposed-layout backward of
         :class:`~repro.kernels.BasicKernel`), gathering only the ``live``
         rows when given; otherwise the transpose-SpMM fallback runs over
         every row (the dead ones are zero, so the result is the same)."""

@@ -83,7 +83,7 @@ class Trainer:
         aggregation_kernel: optional optimized execution strategy (e.g. a
             ``BasicKernel``, which runs each pass on lanes) used for
             every forward aggregation — and, when the kernel provides
-            ``aggregate_backward`` (the cached-CSC backward of
+            ``aggregate_backward`` (the transposed-layout backward of
             :class:`~repro.kernels.BasicKernel`), for every backward
             aggregation too.  Without one the trainer is the value-plane
             oracle: every aggregation rebuilds the scipy normalized

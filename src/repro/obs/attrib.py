@@ -90,7 +90,6 @@ class AttributionReport:
     spans: List[SpanAttribution]
     technique_totals: Dict[str, Dict[str, float]]
     reconciliations: List[TrafficReconciliation]
-    histograms: Dict[str, Dict[str, float]]
     tolerance: float
 
     def divergent(self) -> List[TrafficReconciliation]:
@@ -160,21 +159,6 @@ def sim_traffic_from_metrics(
     return out
 
 
-def _histogram_summaries(
-    snapshot: Mapping[str, Mapping[str, float]],
-) -> Dict[str, Dict[str, float]]:
-    out: Dict[str, Dict[str, float]] = {}
-    for name, metric in snapshot.items():
-        if metric.get("type") != "histogram":
-            continue
-        out[name] = {
-            key: float(metric[key])
-            for key in ("count", "mean", "p50", "p95", "p99")
-            if key in metric
-        }
-    return out
-
-
 def attribute_run(
     records: List[Dict[str, Any]],
     *,
@@ -199,8 +183,7 @@ def attribute_run(
         hit_rate: explicit gather hit rate overriding the cost model.
         sparsity: feature zero-fraction used for compression predictions.
         metrics_snapshot: a :meth:`MetricsRegistry.snapshot`; supplies
-            simulator traffic (``sim.<variant>.dram.bytes_served``) and
-            histogram percentile summaries.
+            simulator traffic (``sim.<variant>.dram.bytes_served``).
         sim_dram_bytes: explicit ``{variant: bytes-per-pass}`` simulator
             traffic, overriding the snapshot-derived values.
         tolerance: relative model-vs-sim disagreement flagged as
@@ -297,13 +280,9 @@ def attribute_run(
             )
         )
 
-    histograms = (
-        _histogram_summaries(metrics_snapshot) if metrics_snapshot is not None else {}
-    )
     return AttributionReport(
         spans=spans,
         technique_totals=totals,
         reconciliations=reconciliations,
-        histograms=histograms,
         tolerance=tolerance,
     )

@@ -90,7 +90,6 @@ class ResourceSampler:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         self.registry = registry
         self.interval_s = interval_s
-        self.samples = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._last_cpu = _cpu_seconds()
@@ -136,7 +135,6 @@ class ResourceSampler:
             registry.set_gauge("proc.cpu_percent", cpu_percent)
             registry.observe("proc.cpu_percent.samples", cpu_percent)
         registry.inc("proc.samples")
-        self.samples += 1
         return sample
 
     def _run(self) -> None:
@@ -176,7 +174,6 @@ class NullResourceSampler:
     """Disabled sampler: no thread, no samples, no metrics."""
 
     enabled = False
-    samples = 0
 
     def sample_once(self) -> Dict[str, float]:
         return {}

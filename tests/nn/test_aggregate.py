@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs import star_graph, synthetic_features
+from repro.graphs import power_law_graph, star_graph, synthetic_features
 from repro.nn import (
     AGGREGATORS,
     aggregate,
@@ -37,6 +37,20 @@ class TestNormalizationFactors:
     def test_unknown_aggregator(self, tiny_graph):
         with pytest.raises(ValueError):
             normalization_factors(tiny_graph, "median")
+
+    @pytest.mark.parametrize("aggregator", ["gcn", "mean"])
+    def test_bitwise_the_destination_index_gather(self, aggregator):
+        """The per-edge destination degree is ``d_hat`` repeated per row:
+        bitwise the gather through an int64 destination index."""
+        graph = power_law_graph(300, 8.0, seed=4)
+        d_hat = graph.self_loop_degrees()
+        dst = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())
+        if aggregator == "gcn":
+            expected = 1.0 / np.sqrt(d_hat[dst] * d_hat[graph.indices])
+        else:
+            expected = 1.0 / d_hat[dst]
+        edge, _ = normalization_factors(graph, aggregator)
+        np.testing.assert_array_equal(edge, expected.astype(np.float32))
 
 
 class TestAggregate:

@@ -3,10 +3,12 @@
 A ψ layout depends on the graph, the direction and the aggregator, not
 on the layer width, so a ``Trainer`` + ``BasicKernel`` run computes the
 ψ factors once per (graph, aggregator) and builds two ``ScaledCSR``
-layouts per graph — forward and transposed — however many layers and
-widths it specializes.  The transpose itself is a counting pass, never
-a sort.  Counted with spies, so a layout rebuilt per width (or per
-epoch) fails here by number rather than in a noisy ``setup_s``.
+layouts per graph, however many layers and widths it specializes: the
+forward one, and one transposed one built from it — the whole graph's
+for an unmasked run, the loss mask's live rows alone for a masked run,
+which never builds the graph-wide transpose.  A transpose is a counting
+pass, never a sort.  Counted with spies, so a layout rebuilt per width
+(or per epoch) fails here by number rather than in a noisy ``setup_s``.
 """
 
 import importlib
@@ -103,8 +105,9 @@ def test_second_graph_object_adds_its_own_layouts(graph, built):
 
 
 def test_loss_mask_builds_one_live_row_layout(graph, built):
-    """The masked backward's live-row layout is built in epoch 0, once
-    per (graph, aggregator, mask): a mask edited in place to the same
+    """A masked run builds the forward layout and the live-row layout
+    in epoch 0 — no full transposed layout — the latter once per
+    (graph, aggregator, mask): a mask edited in place to the same
     values builds nothing, and one edited to new values builds once."""
     model = build_model("gcn", 100, 256, 16, seed=0)
     trainer = _trainer(model)
@@ -112,14 +115,36 @@ def test_loss_mask_builds_one_live_row_layout(graph, built):
     mask = np.random.default_rng(2).random(graph.num_vertices) < 0.3
     for _ in range(3):
         trainer.train_epoch(graph, features, labels, train_mask=mask)
-        assert built == {"factors": 1, "layouts": 3}
+        assert built == {"factors": 1, "layouts": 2}
     mask[:] = mask.copy()  # in place, the same values
     trainer.train_epoch(graph, features, labels, train_mask=mask)
-    assert built == {"factors": 1, "layouts": 3}
+    assert built == {"factors": 1, "layouts": 2}
     mask[: len(mask) // 2] = ~mask[: len(mask) // 2]  # in place, new values
     for _ in range(2):
         trainer.train_epoch(graph, features, labels, train_mask=mask)
-        assert built == {"factors": 1, "layouts": 4}
+        assert built == {"factors": 1, "layouts": 3}
+
+
+def test_masked_run_never_builds_the_csc_view(graph, monkeypatch):
+    """Every transposed layout is built from the forward layout: a
+    masked ``Trainer`` + ``BasicKernel`` run never asks the graph for
+    its CSC view, the graph-wide transpose."""
+    calls = []
+    csc_arrays = CSRGraph.csc_arrays
+
+    def counting_csc_arrays(self):
+        calls.append(self)
+        return csc_arrays(self)
+
+    monkeypatch.setattr(CSRGraph, "csc_arrays", counting_csc_arrays)
+    fresh = CSRGraph(graph.indptr, graph.indices)
+    model = build_model("gcn", 100, 256, 16, seed=0)
+    trainer = _trainer(model)
+    features, labels = _data(fresh, model)
+    mask = np.random.default_rng(2).random(fresh.num_vertices) < 0.3
+    for _ in range(2):
+        trainer.train_epoch(fresh, features, labels, train_mask=mask)
+    assert calls == []
 
 
 def test_csc_arrays_never_sorts(graph, monkeypatch):

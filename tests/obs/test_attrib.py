@@ -192,23 +192,6 @@ class TestAttributeRun:
         assert rec.sim_bytes == pytest.approx(model)
         assert rec.relative_error == pytest.approx(0.0, abs=1e-9)
 
-    def test_histograms_carried_into_report(self):
-        snapshot = {
-            "executor.task_seconds": {
-                "type": "histogram",
-                "count": 4,
-                "total": 1.0,
-                "mean": 0.25,
-                "min": 0.1,
-                "max": 0.4,
-                "p50": 0.2,
-                "p95": 0.38,
-                "p99": 0.4,
-            }
-        }
-        report = attribute_run([basic_record()], metrics_snapshot=snapshot)
-        assert report.histograms["executor.task_seconds"]["p95"] == 0.38
-
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             attribute_run([basic_record()], tolerance=-0.1)
