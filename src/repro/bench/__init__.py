@@ -1,5 +1,5 @@
 """Benchmark harness and per-artifact experiment definitions."""
 
-from .harness import Experiment, ResultRow, geometric_mean, render_all
+from .harness import Experiment, ResultRow
 
-__all__ = ["Experiment", "ResultRow", "geometric_mean", "render_all"]
+__all__ = ["Experiment", "ResultRow"]

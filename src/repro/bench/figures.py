@@ -49,7 +49,6 @@ HARDWARE_CACHE_SCALE = 0.002
 
 HIDDEN_FEATURES = 256
 EVAL_SPARSITY = 0.5
-GNN_MODELS = ("gcn", "sage")
 SOFTWARE_VARIANTS = ("mkl", "basic", "fusion", "compression", "combined")
 
 

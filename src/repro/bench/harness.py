@@ -110,18 +110,3 @@ class Experiment:
         """Largest |measured/paper - 1| over rows that have paper values."""
         ratios = [abs(r.ratio - 1.0) for r in self.rows if r.ratio is not None]
         return max(ratios) if ratios else None
-
-
-def render_all(experiments: Sequence[Experiment]) -> str:
-    return "\n\n".join(exp.render() for exp in experiments)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("geometric mean of no values")
-    product = 1.0
-    for value in values:
-        if value <= 0:
-            raise ValueError("geometric mean requires positive values")
-        product *= value
-    return product ** (1.0 / len(values))

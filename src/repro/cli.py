@@ -2,9 +2,6 @@
 
 Subcommands:
 
-* ``datasets`` — print the Table-3 twin statistics.
-* ``speedup`` — Figure-11-style speedup column for one dataset.
-* ``characterize`` — the full Table-4 layout for one or more datasets.
 * ``train`` — full-batch training demo on a twin (every kernel pass and
   dense layer phase runs one output slice per core; ``--shards N
   --backend {serial,process}`` trains partition-parallel;
@@ -31,7 +28,9 @@ Subcommands:
 * ``loadgen`` — drive a running serving endpoint: open-loop Poisson
   arrivals (``--rate``) or closed-loop concurrency, with client-side
   latency percentiles.
-* ``experiment`` — run one named paper artifact (fig2 ... tab5).
+* ``experiment`` — run one named paper artifact (fig2 ... tab5): the
+  Table-3 twin statistics, Figure 11's speedup columns, Table 4 and the
+  rest.
 
 Global flags: ``-v/--verbose`` (repeatable), ``-q/--quiet``, and
 ``--version``.  Every flag that names a file the command writes is
@@ -44,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import math
 import os
 import sys
 from typing import List, Optional
@@ -181,58 +181,6 @@ def _telemetry(
         raise _OutputWriteError()
 
 
-def _cmd_datasets(args: argparse.Namespace) -> int:
-    from .graphs import DATASET_NAMES, graph_stats, load_dataset, paper_row
-
-    for name in DATASET_NAMES:
-        stats = graph_stats(load_dataset(name, scale=args.scale))
-        vertices_m, edges_m, degree, f_input = paper_row(name)
-        print(stats.as_row())
-        print(
-            f"{'':<13}paper: |V|={vertices_m}M |E|={edges_m}M "
-            f"deg={degree} F_input={f_input}"
-        )
-    return 0
-
-
-def _cmd_speedup(args: argparse.Namespace) -> int:
-    from .graphs import input_feature_size, load_dataset
-    from .perf import CostModel, VARIANTS
-
-    graph = load_dataset(args.dataset, scale=args.scale)
-    model = CostModel(graph)
-    f_input = input_feature_size(args.dataset, 1.0)
-    mode = "training" if args.training else "inference"
-    print(
-        f"{args.dataset} (twin scale {args.scale}), {mode}, "
-        f"{args.sparsity:.0%} feature sparsity — speedup over distgnn:"
-    )
-    variants = [v for v in VARIANTS if v not in ("randomized", "f-locality")]
-    if not args.training:
-        variants = [v for v in variants if v != "c-locality"]
-    for variant in variants:
-        if variant == "distgnn":
-            continue
-        speedup = model.speedup(
-            variant, f_input, args.hidden,
-            training=args.training, sparsity=args.sparsity,
-        )
-        print(f"  {variant:<12} {speedup:5.2f}x")
-    return 0
-
-
-def _cmd_characterize(args: argparse.Namespace) -> int:
-    from .graphs import input_feature_size, load_dataset
-    from .perf.report import characterization_table
-
-    names = args.datasets or ["products"]
-    graphs = {name: load_dataset(name, scale=args.scale) for name in names}
-    f_input = {name: input_feature_size(name, 1.0) for name in names}
-    table = characterization_table(graphs, f_input, sparsity=args.sparsity)
-    print(table.render())
-    return 0
-
-
 def _positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
@@ -240,10 +188,25 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _non_negative_int(value: str) -> int:
+    parsed = int(value)
+    if parsed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
+    return parsed
+
+
 def _positive_float(value: str) -> float:
     parsed = float(value)
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {value!r}")
+    if not 0 < parsed < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number, got {value!r}")
+    return parsed
+
+
+def _dropout(value: str) -> float:
+    parsed = float(value)
+    if not 0.0 <= parsed < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value!r}")
     return parsed
 
 
@@ -803,9 +766,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from .bench import figures
 
     key = args.name
-    if key not in _EXPERIMENTS:
-        print(f"unknown experiment {key!r}; choose from {sorted(_EXPERIMENTS)}")
-        return 2
     fn_name, takes_ctx = _EXPERIMENTS[key]
     fn = getattr(figures, fn_name)
     kwargs = {}
@@ -843,35 +803,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("datasets", help="Table-3 twin statistics")
-    p.add_argument("--scale", type=float, default=0.5)
-    p.set_defaults(func=_cmd_datasets)
-
-    p = sub.add_parser("speedup", help="Figure-11 speedup column")
-    p.add_argument("dataset", choices=["products", "wikipedia", "papers", "twitter"])
-    p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--sparsity", type=float, default=0.5)
-    p.add_argument("--training", action="store_true")
-    p.set_defaults(func=_cmd_speedup)
-
-    p = sub.add_parser("characterize", help="Table-4 characterization")
-    p.add_argument("datasets", nargs="*", default=None)
-    p.add_argument("--scale", type=float, default=0.5)
-    p.add_argument("--sparsity", type=float, default=0.5)
-    p.set_defaults(func=_cmd_characterize)
-
     p = sub.add_parser("train", help="full-batch training demo")
     p.add_argument("dataset", choices=["products", "wikipedia", "papers", "twitter"])
-    p.add_argument("--scale", type=float, default=0.25)
+    p.add_argument("--scale", type=_positive_float, default=0.25)
     p.add_argument("--model", choices=["gcn", "sage"], default="gcn")
-    p.add_argument("--features", type=int, default=64)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--features", type=_positive_int, default=64)
+    p.add_argument("--hidden", type=_positive_int, default=64)
+    p.add_argument("--classes", type=_positive_int, default=8)
+    p.add_argument("--layers", type=_positive_int, default=2)
+    p.add_argument("--dropout", type=_dropout, default=0.0)
+    p.add_argument("--epochs", type=_non_negative_int, default=5)
+    p.add_argument("--lr", type=_positive_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--shards", type=_positive_int, default=1,
@@ -927,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dataset", nargs="?", default="products",
         choices=["products", "wikipedia", "papers", "twitter"],
     )
-    p.add_argument("--scale", type=float, default=10.0)
+    p.add_argument("--scale", type=_positive_float, default=10.0)
     p.add_argument("--shards", type=_positive_int, nargs="+", default=[1, 2, 4])
     p.add_argument(
         "--partition", choices=["contiguous", "bfs", "greedy"],
@@ -935,11 +877,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--backend", choices=["serial", "process"], default="process")
     p.add_argument("--epochs", type=_positive_int, default=3)
-    p.add_argument("--features", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--features", type=_positive_int, default=32)
+    p.add_argument("--hidden", type=_positive_int, default=32)
+    p.add_argument("--classes", type=_positive_int, default=8)
+    p.add_argument("--layers", type=_positive_int, default=2)
+    p.add_argument("--lr", type=_positive_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--delay-aggregation", type=int, nargs="*", default=[],
@@ -955,9 +897,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--vertices", type=_positive_int, default=2000)
     p.add_argument("--degree", type=float, default=8.0)
-    p.add_argument("--features", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--classes", type=int, default=8)
+    p.add_argument("--features", type=_positive_int, default=32)
+    p.add_argument("--hidden", type=_positive_int, default=32)
+    p.add_argument("--classes", type=_positive_int, default=8)
     p.add_argument("--epochs", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", choices=["basic", "compression"], default="basic")
@@ -1014,15 +956,15 @@ def build_parser() -> argparse.ArgumentParser:
         "dataset", nargs="?", default="products",
         choices=["products", "wikipedia", "papers", "twitter"],
     )
-    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--scale", type=_positive_float, default=0.1)
     p.add_argument("--model", choices=["gcn", "sage"], default="gcn")
-    p.add_argument("--features", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--epochs", type=int, default=2,
+    p.add_argument("--features", type=_positive_int, default=32)
+    p.add_argument("--hidden", type=_positive_int, default=32)
+    p.add_argument("--classes", type=_positive_int, default=8)
+    p.add_argument("--layers", type=_positive_int, default=2)
+    p.add_argument("--epochs", type=_non_negative_int, default=2,
                    help="training epochs before serving (0 = random init)")
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--lr", type=_positive_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -1101,8 +1043,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser("experiment", help="run one paper artifact")
-    p.add_argument("name", help=f"one of {sorted(_EXPERIMENTS)}")
-    p.add_argument("--scale", type=float, default=0.5)
+    p.add_argument("name", choices=sorted(_EXPERIMENTS))
+    p.add_argument("--scale", type=_positive_float, default=0.5)
     p.add_argument("--training", action="store_true")
     p.set_defaults(func=_cmd_experiment)
 

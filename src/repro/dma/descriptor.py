@@ -159,14 +159,5 @@ class AggregationDescriptor:
 
     # ------------------------------------------------------------------
     @property
-    def input_bytes(self) -> int:
-        """Bytes of input feature data this aggregation reads."""
-        return self.num_blocks * self.num_values * self.val_type.bytes
-
-    @property
     def output_bytes(self) -> int:
         return self.num_values * self.val_type.bytes
-
-    @property
-    def index_bytes(self) -> int:
-        return self.num_blocks * self.idx_type.bytes

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,8 +90,8 @@ class CSRGraph:
         if num_vertices < 0:
             raise GraphError(f"num_vertices must be >= 0, got {num_vertices}")
         if isinstance(edges, np.ndarray):
-            # Fast path for array input (e.g. the streaming edge-list
-            # loader): no per-edge Python tuple materialization.
+            # Fast path for array input (e.g. the generators): no
+            # per-edge Python tuple materialization.
             arr = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
         else:
             arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
@@ -107,18 +107,6 @@ class CSRGraph:
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr=indptr, indices=arr[:, 1].copy(), name=name)
-
-    @classmethod
-    def from_scipy(cls, matrix, name: str = "graph") -> "CSRGraph":
-        """Build from any scipy sparse matrix (rows = destinations)."""
-        csr = matrix.tocsr()
-        if csr.shape[0] != csr.shape[1]:
-            raise GraphError(f"adjacency must be square, got {csr.shape}")
-        return cls(
-            indptr=csr.indptr.astype(np.int64),
-            indices=csr.indices.astype(np.int64),
-            name=name,
-        )
 
     # ------------------------------------------------------------------
     # Core accessors
@@ -163,30 +151,9 @@ class CSRGraph:
         """In-neighbors of ``v`` — the vertices ``v`` gathers from."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def iter_vertices(self) -> Iterator[int]:
-        return iter(range(self.num_vertices))
-
     # ------------------------------------------------------------------
     # Derived structures
     # ------------------------------------------------------------------
-    def with_self_loops(self) -> "CSRGraph":
-        """Return a copy where every vertex also gathers from itself.
-
-        The aggregation of Eq. 1 runs over ``N(v) ∪ {v}``; materializing the
-        self edge lets kernels treat all inputs uniformly.
-        """
-        n = self.num_vertices
-        degs = self.degrees()
-        new_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degs + 1, out=new_indptr[1:])
-        new_indices = np.empty(self.num_edges + n, dtype=np.int64)
-        for v in range(n):
-            start = new_indptr[v]
-            row = self.neighbors(v)
-            new_indices[start : start + len(row)] = row
-            new_indices[start + len(row)] = v
-        return CSRGraph(new_indptr, new_indices, name=self.name + "+self")
-
     def has_self_loops(self) -> bool:
         for v in range(self.num_vertices):
             if v in self.neighbors(v):
@@ -245,12 +212,6 @@ class CSRGraph:
     def reverse(self) -> "CSRGraph":
         """Alias of :meth:`transpose` (kept for the original API)."""
         return self.transpose()
-
-    def to_scipy(self):
-        """Adjacency as a scipy CSR matrix of float32 ones."""
-        data = np.ones(self.num_edges, dtype=np.float32)
-        n = self.num_vertices
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     # ------------------------------------------------------------------
     # Pickling

@@ -19,7 +19,7 @@ Twins are deterministic given the scale and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -122,7 +122,8 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 0) -> CSRGraph:
 
     Args:
         name: one of ``products``, ``wikipedia``, ``papers``, ``twitter``.
-        scale: vertex-count multiplier relative to the default twin size.
+        scale: vertex-count multiplier relative to the default twin size
+            (> 0; the twin has at least 128 vertices).
         seed: generator seed.
 
     Returns:
@@ -130,6 +131,8 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 0) -> CSRGraph:
     """
     if name not in SPECS:
         raise KeyError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
     spec = SPECS[name]
     n = max(128, int(spec.base_vertices * scale))
     return community_graph(
@@ -151,11 +154,6 @@ def input_feature_size(name: str, scale: float = 1.0) -> int:
     return max(16, int(SPECS[name].input_features * min(1.0, max(scale, 0.25))))
 
 
-def hidden_feature_size(scale: float = 1.0) -> int:
-    """Hidden feature width, 256 in the paper, scaled with a floor of 16."""
-    return max(16, int(PAPER_HIDDEN_FEATURES * min(1.0, max(scale, 0.25))))
-
-
 def synthetic_features(
     graph: CSRGraph, num_features: int, seed: int = 0, sparsity: float = 0.0
 ) -> np.ndarray:
@@ -172,18 +170,3 @@ def synthetic_features(
         h[mask] = 0.0
     return h
 
-
-def all_datasets(scale: float = 1.0, seed: int = 0) -> Dict[str, CSRGraph]:
-    """All four twins at the given scale."""
-    return {name: load_dataset(name, scale=scale, seed=seed) for name in SPECS}
-
-
-def paper_row(name: str) -> Tuple[float, float, float, int]:
-    """The published Table-3 row (|V| M, |E| M, mean degree, F_input)."""
-    spec = SPECS[name]
-    return (
-        spec.paper_vertices,
-        spec.paper_edges,
-        spec.mean_degree,
-        spec.input_features,
-    )

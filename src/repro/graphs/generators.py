@@ -101,7 +101,7 @@ def planted_partition_graph(
     """Community graph with ground-truth labels.
 
     Vertices in the same class connect with probability ``p_in`` and across
-    classes with ``p_out``.  Used by the end-to-end training examples, where
+    classes with ``p_out``.  Used by the end-to-end training tests, where
     a GCN should recover the communities.
 
     Returns:
@@ -331,45 +331,3 @@ def _community_graph_once(
         dst, src = perm[dst], perm[src]
     graph = CSRGraph.from_edges(n, np.stack([dst, src], axis=1), name=name)
     return graph
-
-
-def rmat_graph(
-    scale: int,
-    avg_degree: float,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: Optional[int] = 0,
-    name: str = "rmat",
-) -> CSRGraph:
-    """Recursive-matrix (R-MAT / Graph500-style) generator.
-
-    The GAP benchmark suite the paper draws twitter from popularized this
-    generator for architecture studies: recursive quadrant subdivision
-    with probabilities (a, b, c, d) yields power-law degrees and
-    community-ish block structure.
-
-    Args:
-        scale: log2 of the vertex count.
-        avg_degree: target mean degree (edge factor).
-        a, b, c: quadrant probabilities; d = 1 - a - b - c.
-    """
-    if scale <= 0 or scale > 24:
-        raise ValueError(f"scale must be in [1, 24], got {scale}")
-    d = 1.0 - a - b - c
-    if min(a, b, c, d) < 0:
-        raise ValueError("quadrant probabilities must sum to <= 1")
-    rng = _rng(seed)
-    n = 1 << scale
-    num_edges = int(n * avg_degree * 1.05)
-    # Vectorized bit-by-bit quadrant choice.
-    dst = np.zeros(num_edges, dtype=np.int64)
-    src = np.zeros(num_edges, dtype=np.int64)
-    probs = np.array([a, b, c, d])
-    thresholds = np.cumsum(probs)
-    for bit in range(scale):
-        draw = rng.random(num_edges)
-        quadrant = np.searchsorted(thresholds, draw)
-        dst = (dst << 1) | (quadrant >> 1)
-        src = (src << 1) | (quadrant & 1)
-    return CSRGraph.from_edges(n, np.stack([dst, src], axis=1), name=name)

@@ -130,16 +130,6 @@ def balance_comparison(
     return static_schedule(weights, threads), dynamic_schedule(weights, threads)
 
 
-def chunk_boundaries(num_vertices: int, task_size: int) -> List[slice]:
-    """The T-vertex chunk slices of Algorithm 1's parallel loop."""
-    if task_size <= 0:
-        raise ValueError("task_size must be positive")
-    return [
-        slice(start, min(start + task_size, num_vertices))
-        for start in range(0, num_vertices, task_size)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Edge-cut partitioning for sharded training
 # ----------------------------------------------------------------------
@@ -417,11 +407,6 @@ class GraphShard:
     @property
     def num_edges(self) -> int:
         return len(self.indices)
-
-    @property
-    def halo_fraction(self) -> float:
-        total = self.num_local + self.num_halo
-        return self.num_halo / total if total else 0.0
 
 
 def build_shards(graph: CSRGraph, assignment: np.ndarray) -> List[GraphShard]:

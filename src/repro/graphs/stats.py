@@ -43,20 +43,6 @@ def graph_stats(graph: CSRGraph) -> GraphStats:
     )
 
 
-def degree_histogram(graph: CSRGraph, bins: int = 32) -> np.ndarray:
-    """Histogram of in-degrees (log-spaced bins above 1)."""
-    degs = graph.degrees()
-    if degs.max() <= 1:
-        return np.bincount(degs, minlength=2)
-    edges = np.unique(
-        np.concatenate(
-            [[0, 1], np.logspace(0, np.log10(degs.max() + 1), bins).astype(np.int64)]
-        )
-    )
-    hist, _ = np.histogram(degs, bins=edges)
-    return hist
-
-
 def skew(graph: CSRGraph) -> float:
     """Coefficient of variation of the degree distribution.
 

@@ -18,7 +18,7 @@ from .compressed import CompressedFusedKernel, CompressedKernel
 from .distgnn import DistGNNKernel
 from .fused import DEFAULT_BLOCK_SIZE, DEFAULT_BLOCKS_PER_TASK, FusedKernel
 from .jit import JitKernelCache, KernelSpec
-from .spmm import SpMMKernel, spmm_layer
+from .spmm import SpMMKernel
 
 __all__ = [
     "AggregationKernel",
@@ -40,5 +40,4 @@ __all__ = [
     "JitKernelCache",
     "KernelSpec",
     "SpMMKernel",
-    "spmm_layer",
 ]

@@ -20,7 +20,6 @@ from ..obs import get_metrics, get_tracer, publish_counters
 from .base import (
     AggregationKernel,
     KernelStats,
-    UpdateParams,
     validate_inputs,
     validate_order,
 )
@@ -66,17 +65,3 @@ class SpMMKernel(AggregationKernel):
             span.add_counters(stats.as_dict())
         publish_counters(get_metrics(), "kernel.mkl", stats.as_dict(False))
         return out, stats
-
-
-def spmm_layer(
-    graph: CSRGraph,
-    h: np.ndarray,
-    params: UpdateParams,
-    aggregator: str = "gcn",
-) -> Tuple[np.ndarray, np.ndarray, KernelStats]:
-    """Unfused MKL layer: SpMM aggregation then one large GEMM update."""
-    kernel = SpMMKernel()
-    a, stats = kernel.aggregate(graph, h, aggregator)
-    h_out = params.apply(a)
-    stats.flops += 2.0 * a.shape[0] * params.weight.shape[0] * params.weight.shape[1]
-    return h_out, a, stats

@@ -775,11 +775,6 @@ class GNNLayer:
     def parameters(self) -> Dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
 
-    def apply_grads(self, grads: LayerGrads, lr: float) -> None:
-        """Plain SGD step (optimizers in :mod:`repro.nn.optim` wrap this)."""
-        self.weight -= lr * grads.weight
-        self.bias -= lr * grads.bias
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"GNNLayer({self.in_features}->{self.out_features}, "

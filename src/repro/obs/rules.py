@@ -388,13 +388,6 @@ class RuleEngine:
         """True when no rule has ever fired."""
         return not self.alerts
 
-    def fired_counts(self) -> Dict[str, int]:
-        return {
-            rule.name: self._state[rule.name].fired_total
-            for rule in self.rules
-            if self._state[rule.name].fired_total
-        }
-
     def to_dict(self) -> Dict[str, Any]:
         """Run-report entry: the rule set plus every alert it raised."""
         return {

@@ -260,9 +260,6 @@ class Tracer:
             return [s for s in out if s.name.startswith(prefix)]
         return [s for s in out if s.name == name]
 
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans() if s.parent_id == span.span_id]
-
     def aggregate_counters(self, name: Optional[str] = None) -> Dict[str, float]:
         """Sum counters over finished spans (optionally name-filtered)."""
         totals: Dict[str, float] = {}

@@ -144,10 +144,6 @@ class ArrayBundle:
         )
         return last
 
-    @property
-    def is_shared(self) -> bool:
-        return self._segment is not None
-
     def spec(self) -> BundleSpec:
         """The picklable attachment handle (shared bundles only)."""
         if self._segment is None:

@@ -14,7 +14,7 @@ the scaling preserves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 KB = 1024
 MB = 1024 * KB
@@ -37,16 +37,6 @@ class DmaConfig:
     def output_buffer_elements(self) -> int:
         """fp32 capacity of the output buffer — max E per descriptor."""
         return self.output_buffer_bytes // 4
-
-    @property
-    def storage_bytes(self) -> int:
-        """Total SRAM in the engine (paper: 4.5KB)."""
-        return (
-            self.output_buffer_bytes
-            + self.input_buffer_bytes
-            + self.factor_buffer_bytes
-            + self.index_buffer_bytes
-        )
 
 
 @dataclass(frozen=True)
@@ -120,9 +110,6 @@ class MachineConfig:
         """Seconds to move bytes at (a fraction of) DRAM bandwidth."""
         eff = self.stream_bw_efficiency if efficiency is None else efficiency
         return bytes_moved / (self.dram_bandwidth * eff)
-
-    def with_cores(self, cores: int) -> "MachineConfig":
-        return replace(self, cores=cores)
 
 
 def cascade_lake_28() -> MachineConfig:

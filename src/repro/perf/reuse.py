@@ -120,10 +120,6 @@ class ReuseProfile:
             return 0.0
         return float(np.count_nonzero(self.distances == COLD) / self.num_accesses)
 
-    def mean_finite_distance(self) -> float:
-        finite = self.distances[self.distances != COLD]
-        return float(finite.mean()) if len(finite) else float("inf")
-
 
 def reuse_profile(graph: CSRGraph, order: Optional[np.ndarray] = None) -> ReuseProfile:
     """Compute the reuse profile of aggregating ``graph`` in ``order``."""
@@ -134,16 +130,3 @@ def reuse_profile(graph: CSRGraph, order: Optional[np.ndarray] = None) -> ReuseP
         num_vertices=graph.num_vertices,
         num_accesses=len(stream),
     )
-
-
-def hit_rate_for_order(
-    graph: CSRGraph,
-    order: Optional[np.ndarray],
-    capacity_bytes: float,
-    vector_bytes: float,
-) -> float:
-    """Convenience: hit rate at a byte capacity for a given vector size."""
-    if vector_bytes <= 0:
-        raise ValueError("vector_bytes must be positive")
-    profile = reuse_profile(graph, order)
-    return profile.hit_rate(capacity_bytes / vector_bytes)

@@ -49,10 +49,6 @@ class LayerShape:
     def in_vector_bytes(self) -> int:
         return self.f_in * BYTES_PER_FEATURE
 
-    @property
-    def feature_matrix_bytes(self) -> int:
-        return self.num_vertices * self.in_vector_bytes
-
 
 @dataclass
 class PhaseTraffic:

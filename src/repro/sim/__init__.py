@@ -8,9 +8,9 @@ from .core_sim import (
     SimReport,
     multicore_service_time,
 )
-from .dram import DramModel, DramStats, batch_service_time
+from .dram import DramModel, DramStats
 from .noc import MeshNoc
-from .prefetcher import PrefetchStats, StreamPrefetcher, gather_trace_coverage
+from .prefetcher import PrefetchStats, StreamPrefetcher
 from .hierarchy import (
     AccessResult,
     L1_LATENCY,
@@ -18,7 +18,7 @@ from .hierarchy import (
     L3_LATENCY,
     MemoryHierarchy,
 )
-from .trace import MemoryLayout, VertexTrace, iter_traces, layout_for, vertex_trace
+from .trace import MemoryLayout, VertexTrace, layout_for, vertex_trace
 
 __all__ = [
     "CacheStats",
@@ -30,7 +30,6 @@ __all__ = [
     "multicore_service_time",
     "DramModel",
     "DramStats",
-    "batch_service_time",
     "AccessResult",
     "L1_LATENCY",
     "L2_LATENCY",
@@ -39,10 +38,8 @@ __all__ = [
     "MeshNoc",
     "PrefetchStats",
     "StreamPrefetcher",
-    "gather_trace_coverage",
     "MemoryLayout",
     "VertexTrace",
-    "iter_traces",
     "layout_for",
     "vertex_trace",
 ]

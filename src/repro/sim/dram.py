@@ -84,36 +84,3 @@ class DramModel:
     def reset(self) -> None:
         self.busy_until = 0.0
         self.stats = DramStats()
-
-
-def batch_service_time(
-    dram: DramModel,
-    lines: int,
-    parallelism: int,
-    overhead_cycles_per_line: float = 0.0,
-) -> float:
-    """Closed-form time (cycles) to fetch ``lines`` with ``parallelism``
-    outstanding requests.
-
-    This is the steady-state law the event loop converges to:
-
-    ``time = max(latency-bound, bandwidth-bound, issue-bound)`` where the
-    latency-bound term uses the *loaded* latency at the utilization the
-    transfer itself induces.  It reproduces the Figure 16 curve: with few
-    tracking-table entries the latency term dominates; past ~32 entries
-    the bandwidth term takes over and extra entries stop helping.
-    """
-    if lines <= 0:
-        return 0.0
-    if parallelism <= 0:
-        raise ValueError("parallelism must be positive")
-    bw_time = lines * dram.service_cycles_per_line
-    # Fixed-point for utilization -> latency -> time (two rounds suffice).
-    time = bw_time
-    for _ in range(3):
-        utilization = min(0.999, bw_time / max(time, 1e-9))
-        latency = dram.loaded_latency(utilization)
-        lat_time = lines * latency / parallelism
-        issue_time = lines * overhead_cycles_per_line
-        time = max(bw_time, lat_time, issue_time)
-    return time

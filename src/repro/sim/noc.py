@@ -59,11 +59,3 @@ class MeshNoc:
     def l3_access_latency(self, core: int, line_address: int) -> float:
         """Round-trip cycles from a core to a line's home slice."""
         return 2.0 * self.latency(core, self.home_slice(line_address))
-
-    def average_latency(self) -> float:
-        """Mean node-to-node latency over all pairs (uniform traffic)."""
-        total = 0.0
-        for src in range(self.cores):
-            for dst in range(self.cores):
-                total += self.latency(src, dst)
-        return total / (self.cores * self.cores)

@@ -19,7 +19,7 @@ contribution can be measured instead of assumed:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 LINE = 64
@@ -134,15 +134,3 @@ class StreamPrefetcher:
         self.stats = PrefetchStats()
         self._streams.clear()
         self._staged.clear()
-
-
-def gather_trace_coverage(
-    gather_lines: List[int], degree: int = 4
-) -> PrefetchStats:
-    """Coverage of a stream prefetcher on a gather-dominated trace.
-
-    Convenience for the §4.1 argument: run the trace through a fresh
-    prefetcher and report how little of it streams cover.
-    """
-    prefetcher = StreamPrefetcher(degree=degree)
-    return prefetcher.run_trace(gather_lines)

@@ -10,9 +10,7 @@ their access counts are directly comparable (Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from ..graphs.csr import CSRGraph
 
@@ -95,10 +93,6 @@ class VertexTrace:
     gather_lines: Tuple[int, ...]
     output_lines: Tuple[int, ...]
 
-    @property
-    def input_line_count(self) -> int:
-        return len(self.index_lines) + len(self.factor_lines) + len(self.gather_lines)
-
 
 def vertex_trace(graph: CSRGraph, layout: MemoryLayout, vertex: int) -> VertexTrace:
     """Build the aggregation trace of one vertex (Figure 9's data)."""
@@ -114,14 +108,6 @@ def vertex_trace(graph: CSRGraph, layout: MemoryLayout, vertex: int) -> VertexTr
         gather_lines=tuple(gather),
         output_lines=tuple(layout.output_lines(vertex)),
     )
-
-
-def iter_traces(
-    graph: CSRGraph, layout: MemoryLayout, order: np.ndarray
-) -> Iterator[VertexTrace]:
-    """Traces for every vertex in processing order."""
-    for v in order:
-        yield vertex_trace(graph, layout, int(v))
 
 
 def layout_for(graph: CSRGraph, feature_len: int) -> MemoryLayout:

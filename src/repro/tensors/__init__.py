@@ -9,16 +9,11 @@ from .compression import (
     compress_matrix,
     decompress,
     decompress_matrix,
-    decompress_row,
-    measured_traffic_ratio,
     traffic_ratio,
     traffic_saved,
 )
 from .sparsity import (
     SparsityProfile,
-    combined_sparsity,
-    inject_sparsity,
-    relu_sparsity_estimate,
     sparsity,
 )
 
@@ -31,13 +26,8 @@ __all__ = [
     "compress_matrix",
     "decompress",
     "decompress_matrix",
-    "decompress_row",
-    "measured_traffic_ratio",
     "traffic_ratio",
     "traffic_saved",
     "SparsityProfile",
-    "combined_sparsity",
-    "inject_sparsity",
-    "relu_sparsity_estimate",
     "sparsity",
 ]

@@ -50,10 +50,6 @@ class CompressedVector:
     def nonzeros(self) -> int:
         return len(self.payload)
 
-    def stored_bytes(self) -> int:
-        """Bytes that must cross the memory bus for this vector."""
-        return self.payload.nbytes + self.mask.nbytes
-
 
 def compress(vector: np.ndarray) -> CompressedVector:
     """Compress one feature vector (Figure 6a/6b).
@@ -100,10 +96,6 @@ class CompressedMatrix:
     def rows(self) -> int:
         return len(self.counts)
 
-    def row_stored_bytes(self, v: int) -> int:
-        """Useful bytes read/written for row ``v`` (payload + mask)."""
-        return int(self.counts[v]) * self.slots.dtype.itemsize + self.masks.shape[1]
-
     def total_stored_bytes(self) -> int:
         return int(
             self.counts.sum() * self.slots.dtype.itemsize
@@ -140,14 +132,6 @@ def decompress_matrix(compressed: CompressedMatrix) -> np.ndarray:
     return out
 
 
-def decompress_row(compressed: CompressedMatrix, v: int) -> np.ndarray:
-    """Restore one row — the random-access path the fixed stride preserves."""
-    nonzero = np.unpackbits(compressed.masks[v], count=compressed.cols).astype(bool)
-    out = np.zeros(compressed.cols, dtype=np.float32)
-    out[nonzero] = compressed.slots[v, : int(compressed.counts[v])]
-    return out
-
-
 def traffic_ratio(sparsity: float, element_bits: int = 32) -> float:
     """Fraction of dense traffic that compressed transfer still moves.
 
@@ -162,11 +146,3 @@ def traffic_ratio(sparsity: float, element_bits: int = 32) -> float:
 def traffic_saved(sparsity: float, element_bits: int = 32) -> float:
     """Fraction of dense traffic eliminated (paper: 46.875% at 50%)."""
     return 1.0 - traffic_ratio(sparsity, element_bits)
-
-
-def measured_traffic_ratio(compressed: CompressedMatrix) -> float:
-    """Actual stored/dense byte ratio of a compressed matrix."""
-    dense = compressed.dense_bytes()
-    if dense == 0:
-        return 1.0
-    return compressed.total_stored_bytes() / dense

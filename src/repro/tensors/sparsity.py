@@ -1,19 +1,20 @@
-"""Feature-sparsity measurement and injection — Section 2.2 of the paper.
+"""Feature-sparsity measurement — Section 2.2 of the paper.
 
 Hidden-layer features pick up zeros from two sources: ReLU (40-90%
 sparsity) and dropout (a further 50% by default).  The paper profiles a
 three-layer GraphSAGE on ogbn-products and finds layer-2 inputs over 60%
 sparse after ReLU, over 80% after dropout, and layer-3 inputs over 90%.
 
-These helpers quantify sparsity, inject it for controlled experiments
-(Section 6: "we randomly set the features to zeros with predefined
-rates"), and track how sparsity evolves through a training run.
+These helpers quantify sparsity and track how it evolves through a
+training run; ``graphs.synthetic_features(..., sparsity=)`` injects it
+for controlled experiments (Section 6: "we randomly set the features to
+zeros with predefined rates").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -23,19 +24,6 @@ def sparsity(matrix: np.ndarray) -> float:
     if matrix.size == 0:
         return 0.0
     return float(np.count_nonzero(matrix == 0) / matrix.size)
-
-
-def inject_sparsity(
-    matrix: np.ndarray, target: float, seed: Optional[int] = 0
-) -> np.ndarray:
-    """Zero a random ``target`` fraction of elements (returns a copy)."""
-    if not 0.0 <= target <= 1.0:
-        raise ValueError(f"target sparsity must be in [0, 1], got {target}")
-    rng = np.random.default_rng(seed)
-    out = np.array(matrix, dtype=np.float32, copy=True)
-    mask = rng.random(out.shape) < target
-    out[mask] = 0.0
-    return out
 
 
 @dataclass
@@ -83,15 +71,6 @@ class SparsityProfile:
             "last": {str(layer): self.last(layer) for layer in self.layers()},
         }
 
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "SparsityProfile":
-        """Inverse of :meth:`to_dict` (summaries are recomputed)."""
-        per_layer = {
-            int(layer): [float(v) for v in values]
-            for layer, values in (doc.get("per_layer") or {}).items()
-        }
-        return cls(per_layer=per_layer)
-
     def summary(self) -> str:
         lines = ["layer  mean-sparsity  last-epoch"]
         for layer in self.layers():
@@ -99,22 +78,3 @@ class SparsityProfile:
                 f"{layer:>5}  {self.mean(layer):>12.1%}  {self.last(layer):>9.1%}"
             )
         return "\n".join(lines)
-
-
-def relu_sparsity_estimate(matrix: np.ndarray) -> float:
-    """Sparsity a ReLU would induce on this pre-activation matrix."""
-    if matrix.size == 0:
-        return 0.0
-    return float(np.count_nonzero(matrix <= 0) / matrix.size)
-
-
-def combined_sparsity(relu_rate: float, dropout_rate: float) -> float:
-    """Expected sparsity after ReLU then dropout.
-
-    Dropout zeros a fraction ``p`` of elements uniformly, independent of
-    whether ReLU already zeroed them: survivors are ``(1-s)(1-p)``.
-    """
-    for name, value in (("relu_rate", relu_rate), ("dropout_rate", dropout_rate)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return 1.0 - (1.0 - relu_rate) * (1.0 - dropout_rate)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import Experiment, ResultRow, geometric_mean, render_all
+from repro.bench import Experiment, ResultRow
 
 
 class TestResultRow:
@@ -89,22 +89,3 @@ class TestExperiment:
         exp = Experiment("fig0", "demo")
         exp.add("a", 1.0)
         json.dumps(exp.to_dict())
-
-    def test_render_all(self):
-        a = Experiment("a", "one")
-        b = Experiment("b", "two")
-        text = render_all([a, b])
-        assert "one" in text and "two" in text
-
-
-class TestGeometricMean:
-    def test_basic(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])

@@ -84,13 +84,7 @@ class TestValidation:
 class TestDerived:
     def test_byte_accounting(self):
         desc = _descriptor()
-        assert desc.input_bytes == 10 * 64 * 4
         assert desc.output_bytes == 64 * 4
-        assert desc.index_bytes == 10 * 4
-
-    def test_u64_indices(self):
-        desc = _descriptor(idx_type=IdxType.U64)
-        assert desc.index_bytes == 10 * 8
 
     def test_type_sizes(self):
         assert IdxType.U32.bytes == 4

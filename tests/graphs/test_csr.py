@@ -72,15 +72,10 @@ class TestValidation:
 
 
 class TestDerived:
-    def test_with_self_loops_adds_one_per_vertex(self, tiny_graph):
-        looped = tiny_graph.with_self_loops()
-        assert looped.num_edges == tiny_graph.num_edges + tiny_graph.num_vertices
-        for v in range(looped.num_vertices):
-            assert v in looped.neighbors(v)
 
     def test_has_self_loops(self, tiny_graph):
         assert not tiny_graph.has_self_loops()
-        assert tiny_graph.with_self_loops().has_self_loops()
+        assert CSRGraph.from_edges(3, [(0, 1), (2, 2)]).has_self_loops()
 
     def test_reverse_transposes(self, tiny_graph):
         rev = tiny_graph.reverse()
@@ -93,18 +88,6 @@ class TestDerived:
         twice = small_uniform.reverse().reverse()
         np.testing.assert_array_equal(twice.indptr, small_uniform.indptr)
         np.testing.assert_array_equal(twice.indices, small_uniform.indices)
-
-    def test_to_scipy_round_trip(self, tiny_graph):
-        mat = tiny_graph.to_scipy()
-        back = CSRGraph.from_scipy(mat)
-        np.testing.assert_array_equal(back.indptr, tiny_graph.indptr)
-        np.testing.assert_array_equal(back.indices, tiny_graph.indices)
-
-    def test_from_scipy_rejects_non_square(self):
-        import scipy.sparse as sp
-
-        with pytest.raises(GraphError):
-            CSRGraph.from_scipy(sp.csr_matrix((2, 3)))
 
 
 class TestTranspose:

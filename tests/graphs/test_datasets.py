@@ -6,11 +6,8 @@ import pytest
 from repro.graphs import (
     DATASET_NAMES,
     SPECS,
-    all_datasets,
-    hidden_feature_size,
     input_feature_size,
     load_dataset,
-    paper_row,
     synthetic_features,
 )
 from repro.tensors import sparsity
@@ -29,6 +26,12 @@ class TestLoadDataset:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             load_dataset("reddit")
+
+    @pytest.mark.parametrize("scale", [0, -1, 0.0, float("nan")])
+    def test_non_positive_scale_raises(self, scale):
+        """No silent 128-vertex twin for a scale that means nothing."""
+        with pytest.raises(ValueError, match="scale"):
+            load_dataset("products", scale=scale)
 
     def test_scale_changes_size(self):
         small = load_dataset("products", scale=0.1)
@@ -64,11 +67,6 @@ class TestFeatureSizes:
         assert input_feature_size("papers", 1.0) == 256
         assert input_feature_size("twitter", 1.0) == 256
 
-    def test_hidden_feature_size(self):
-        assert hidden_feature_size(1.0) == 256
-        assert hidden_feature_size(0.25) == 64
-        assert hidden_feature_size(0.01) >= 16
-
     def test_floor(self):
         assert input_feature_size("products", 0.01) >= 16
 
@@ -94,16 +92,6 @@ class TestSyntheticFeatures:
 
 
 class TestMetadata:
-    def test_paper_row(self):
-        vertices, edges, degree, f_input = paper_row("products")
-        assert vertices == 2.45
-        assert edges == 124.0
-        assert degree == 50.5
-        assert f_input == 100
-
-    def test_all_datasets_returns_four(self):
-        graphs = all_datasets(scale=0.05)
-        assert set(graphs) == set(DATASET_NAMES)
 
     def test_pre_localized_flags(self):
         assert not SPECS["products"].pre_localized

@@ -169,33 +169,3 @@ class TestCommunityGraph:
     def test_no_self_edges_within_communities(self):
         graph = community_graph(256, 12.0, 16, within_fraction=1.0, seed=0)
         assert not graph.has_self_loops()
-
-
-class TestRmat:
-    def test_size_is_power_of_two(self):
-        from repro.graphs import rmat_graph
-
-        graph = rmat_graph(8, 6.0, seed=0)
-        assert graph.num_vertices == 256
-
-    def test_skewed_degrees(self):
-        from repro.graphs import rmat_graph, uniform_graph
-
-        rmat = rmat_graph(9, 8.0, seed=0)
-        unif = uniform_graph(512, 8.0, seed=0)
-        assert skew(rmat) > skew(unif)
-
-    def test_deterministic(self):
-        from repro.graphs import rmat_graph
-
-        a = rmat_graph(7, 4.0, seed=2)
-        b = rmat_graph(7, 4.0, seed=2)
-        np.testing.assert_array_equal(a.indices, b.indices)
-
-    def test_validation(self):
-        from repro.graphs import rmat_graph
-
-        with pytest.raises(ValueError):
-            rmat_graph(0, 4.0)
-        with pytest.raises(ValueError):
-            rmat_graph(4, 4.0, a=0.9, b=0.2, c=0.2)

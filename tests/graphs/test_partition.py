@@ -20,7 +20,6 @@ from repro.graphs.partition import (
     _undirected_csr,
     balance_comparison,
     build_shards,
-    chunk_boundaries,
     dynamic_schedule,
     edge_cut_partition,
     static_cyclic_schedule,
@@ -141,18 +140,6 @@ class TestSchedules:
         report = static_schedule(weights, 4)
         assert report.thread_work.sum() == pytest.approx(5.0)
         assert (report.thread_work[2:] == 0).all()
-
-
-class TestChunkBoundaries:
-    def test_cover_all_vertices(self):
-        slices = chunk_boundaries(100, 16)
-        covered = sum(s.stop - s.start for s in slices)
-        assert covered == 100
-        assert slices[-1].stop == 100
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            chunk_boundaries(10, 0)
 
 
 class TestEdgeCutPartition:
@@ -413,8 +400,3 @@ class TestBuildShards:
     def test_length_mismatch_raises(self, small_uniform):
         with pytest.raises(GraphError):
             build_shards(small_uniform, np.zeros(3, dtype=np.int64))
-
-    def test_halo_fraction_bounds(self, sharded):
-        _, _, shards = sharded
-        for shard in shards:
-            assert 0.0 <= shard.halo_fraction < 1.0

@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.graphs import (
     CSRGraph,
-    degree_histogram,
     graph_stats,
     skew,
     star_graph,
@@ -40,13 +39,3 @@ class TestSkew:
 
     def test_zero_degree_graph(self):
         assert skew(CSRGraph.from_edges(3, [])) == 0.0
-
-
-class TestDegreeHistogram:
-    def test_total_count(self, small_uniform):
-        hist = degree_histogram(small_uniform)
-        assert hist.sum() == small_uniform.num_vertices
-
-    def test_degenerate_degrees(self, chain20):
-        hist = degree_histogram(chain20)
-        assert hist.sum() == 20

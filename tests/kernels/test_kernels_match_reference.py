@@ -21,7 +21,6 @@ from repro.kernels import (
     FusedKernel,
     SpMMKernel,
     UpdateParams,
-    spmm_layer,
 )
 from repro.nn import aggregate
 
@@ -86,15 +85,6 @@ def test_fused_kernels_match_unfused_layer(small_products, kernel_cls, keep):
         np.testing.assert_allclose(a, reference_a, atol=2e-4)
     else:
         assert a is None
-
-
-def test_spmm_layer_matches(small_products):
-    h = synthetic_features(small_products, 10, seed=5)
-    params = _params(10, 6)
-    h_out, a, stats = spmm_layer(small_products, h, params, "gcn")
-    np.testing.assert_allclose(a, aggregate(small_products, h, "gcn"), atol=1e-4)
-    np.testing.assert_allclose(h_out, params.apply(a), atol=1e-5)
-    assert stats.flops > 0
 
 
 def test_fused_vs_basic_same_flop_count(small_products):

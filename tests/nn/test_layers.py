@@ -105,12 +105,3 @@ class TestBackward:
             numeric = (high - low) / (2 * eps)
             assert grads.h_in[idx] == pytest.approx(numeric, rel=0.05, abs=1e-2)
 
-    def test_apply_grads_moves_parameters(self, tiny_graph):
-        layer = GNNLayer(3, 2, seed=0)
-        h = synthetic_features(tiny_graph, 3, seed=0)
-        out, cache = layer.forward(tiny_graph, h)
-        grads = layer.backward(tiny_graph, np.ones_like(out), cache)
-        before = layer.weight.copy()
-        layer.apply_grads(grads, lr=0.1)
-        assert not np.array_equal(before, layer.weight)
-

@@ -39,7 +39,6 @@ class TestPrivateBundle:
 
     def test_no_spec_for_private(self, arrays):
         bundle = ArrayBundle.create(arrays, shared=False)
-        assert not bundle.is_shared
         with pytest.raises(ValueError):
             bundle.spec()
 

@@ -41,9 +41,6 @@ class TestMachineConfig:
         one_second_bytes = machine.dram_bandwidth * machine.stream_bw_efficiency
         assert machine.stream_time(one_second_bytes) == pytest.approx(1.0)
 
-    def test_with_cores(self):
-        assert cascade_lake_28().with_cores(4).cores == 4
-
     def test_twelve_core_host(self):
         assert cascade_lake_12().cores == 12
 
@@ -52,7 +49,9 @@ class TestDmaConfig:
     def test_paper_storage_total(self):
         """Section 6: the engine's storage totals 4.5KB."""
         dma = DmaConfig()
-        assert dma.storage_bytes == 2048 + 2048 + 128 + 128
+        storage = (dma.output_buffer_bytes + dma.input_buffer_bytes
+                   + dma.factor_buffer_bytes + dma.index_buffer_bytes)
+        assert storage == 2048 + 2048 + 128 + 128
 
     def test_output_buffer_elements(self):
         assert DmaConfig().output_buffer_elements == 512

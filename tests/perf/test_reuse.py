@@ -9,7 +9,6 @@ from repro.graphs import chain_graph, star_graph, uniform_graph
 from repro.perf import (
     COLD,
     access_stream,
-    hit_rate_for_order,
     reuse_profile,
     stack_distances,
 )
@@ -97,17 +96,6 @@ class TestReuseProfile:
         """Leaves all touch the hub: with capacity >= 2 those re-touches hit."""
         profile = reuse_profile(star10)
         assert profile.hit_rate(3) > 0.3
-
-    def test_hit_rate_for_order_helper(self, small_community):
-        rate = hit_rate_for_order(
-            small_community, None, capacity_bytes=64 * 256, vector_bytes=256
-        )
-        profile = reuse_profile(small_community)
-        assert rate == pytest.approx(profile.hit_rate(64))
-
-    def test_invalid_vector_bytes(self, small_community):
-        with pytest.raises(ValueError):
-            hit_rate_for_order(small_community, None, 1024, 0)
 
 
 @settings(max_examples=25, deadline=None)

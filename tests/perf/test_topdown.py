@@ -64,3 +64,22 @@ class TestPaperShape:
     def test_as_row_renders(self, model):
         report = characterize(model, "distgnn", 100, 128)
         assert "distgnn" in report.as_row()
+
+
+class TestTable4OperatingPoint:
+    """Table 4's setting: GCN training at 50% feature sparsity."""
+
+    def _report(self, model, variant):
+        return characterize(model, variant, 64, 128, training=True, sparsity=0.5)
+
+    def test_baseline_is_memory_bound(self, model):
+        """The Figure 3 premise Table 4 elaborates: DistGNN stalls on memory."""
+        report = self._report(model, "distgnn")
+        assert report.memory_bound > 0.5
+        assert report.memory_bound > report.retiring
+
+    def test_locality_retires_more_and_stalls_less(self, model):
+        base = self._report(model, "distgnn")
+        best = self._report(model, "c-locality")
+        assert best.retiring > base.retiring
+        assert best.memory_bound < base.memory_bound

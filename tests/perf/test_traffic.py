@@ -22,9 +22,6 @@ class TestLayerShape:
     def test_vector_bytes(self):
         assert SHAPE.in_vector_bytes == 512
 
-    def test_matrix_bytes(self):
-        assert SHAPE.feature_matrix_bytes == 1000 * 512
-
 
 class TestAggregationTraffic:
     def test_zero_hit_rate_reads_every_gather(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import DramModel, batch_service_time
+from repro.sim import DramModel
 
 
 @pytest.fixture
@@ -55,32 +55,3 @@ class TestLoadedLatency:
 
     def test_capped_at_4x(self, dram):
         assert dram.loaded_latency(0.999) <= 4.0 * dram.base_latency_cycles
-
-
-class TestBatchLaw:
-    def test_zero_lines_is_free(self, dram):
-        assert batch_service_time(dram, 0, 8) == 0.0
-
-    def test_more_parallelism_never_slower(self, dram):
-        times = [batch_service_time(dram, 10000, p) for p in (1, 4, 16, 64)]
-        assert all(b <= a for a, b in zip(times, times[1:]))
-
-    def test_bandwidth_floor(self, dram):
-        """With massive parallelism, time approaches lines * service."""
-        lines = 100000
-        time = batch_service_time(dram, lines, 10_000)
-        assert time >= lines * dram.service_cycles_per_line * 0.99
-
-    def test_latency_bound_small_parallelism(self, dram):
-        """With parallelism 1, time is about lines * loaded latency."""
-        lines = 1000
-        time = batch_service_time(dram, lines, 1)
-        assert time >= lines * dram.base_latency_cycles * 0.9
-
-    def test_invalid_parallelism(self, dram):
-        with pytest.raises(ValueError):
-            batch_service_time(dram, 10, 0)
-
-    def test_issue_overhead_floor(self, dram):
-        time = batch_service_time(dram, 100, 1000, overhead_cycles_per_line=50.0)
-        assert time >= 100 * 50.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import load_dataset
-from repro.sim.prefetcher import StreamPrefetcher, gather_trace_coverage
+from repro.sim.prefetcher import StreamPrefetcher
 from repro.sim.trace import layout_for, vertex_trace
 
 
@@ -66,7 +66,7 @@ class TestGatherDefeatsPrefetching:
         trace = []
         for v in range(graph.num_vertices):
             trace.extend(vertex_trace(graph, layout, v).gather_lines)
-        stats = gather_trace_coverage(trace)
+        stats = StreamPrefetcher(degree=4).run_trace(trace)
         assert stats.coverage < 0.45
 
     def test_wide_vectors_train_better(self):
@@ -79,5 +79,5 @@ class TestGatherDefeatsPrefetching:
             trace = []
             for v in range(0, graph.num_vertices, 2):
                 trace.extend(vertex_trace(graph, layout, v).gather_lines)
-            return gather_trace_coverage(trace).coverage
+            return StreamPrefetcher(degree=4).run_trace(trace).coverage
         assert coverage(wide) > coverage(narrow)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import MemoryLayout, iter_traces, layout_for, vertex_trace
+from repro.sim import MemoryLayout, layout_for, vertex_trace
 
 
 class TestMemoryLayout:
@@ -46,19 +46,12 @@ class TestVertexTrace:
         # Vertex 3 gathers {0,1,2} plus itself: 4 rows of 1 line each.
         assert len(trace.gather_lines) == 4
         assert len(trace.output_lines) == 1
-        assert trace.input_line_count >= 4
 
     def test_isolated_vertex_still_touches_self(self, tiny_graph):
         layout = layout_for(tiny_graph, 16)
         trace = vertex_trace(tiny_graph, layout, 4)
         assert len(trace.gather_lines) == 1
         assert trace.index_lines == ()
-
-    def test_iter_traces_covers_order(self, tiny_graph):
-        layout = layout_for(tiny_graph, 16)
-        order = np.array([4, 3, 2, 1, 0])
-        traces = list(iter_traces(tiny_graph, layout, order))
-        assert [t.vertex for t in traces] == [4, 3, 2, 1, 0]
 
     def test_gather_lines_match_neighbors(self, tiny_graph):
         layout = layout_for(tiny_graph, 16)
@@ -100,7 +93,7 @@ class TestCompulsoryFootprint:
         layout = layout_for(tiny_graph, 16)
         order = np.arange(tiny_graph.num_vertices)
         gather, output, index, factor = set(), set(), set(), set()
-        for trace in iter_traces(tiny_graph, layout, order):
+        for trace in (vertex_trace(tiny_graph, layout, int(v)) for v in order):
             gather.update(trace.gather_lines)
             output.update(trace.output_lines)
             index.update(trace.index_lines)
@@ -123,7 +116,7 @@ class TestCompulsoryFootprint:
 
         def lines(order):
             seen = set()
-            for trace in iter_traces(tiny_graph, layout, order):
+            for trace in (vertex_trace(tiny_graph, layout, int(v)) for v in order):
                 seen.update(trace.gather_lines)
                 seen.update(trace.output_lines)
                 seen.update(trace.index_lines)

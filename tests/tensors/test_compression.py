@@ -12,8 +12,6 @@ from repro.tensors import (
     compress_matrix,
     decompress,
     decompress_matrix,
-    decompress_row,
-    measured_traffic_ratio,
     traffic_ratio,
     traffic_saved,
 )
@@ -80,13 +78,6 @@ class TestMatrixRoundTrip:
         compressed = compress_matrix(matrix)
         assert compressed.slots.shape == matrix.shape
 
-    def test_row_random_access(self, rng):
-        matrix = rng.standard_normal((20, 24)).astype(np.float32)
-        matrix[rng.random((20, 24)) < 0.5] = 0.0
-        compressed = compress_matrix(matrix)
-        for v in (0, 7, 19):
-            np.testing.assert_array_equal(decompress_row(compressed, v), matrix[v])
-
     def test_payload_left_packed(self):
         matrix = np.array([[0, 5, 0, 3]], dtype=np.float32)
         compressed = compress_matrix(matrix)
@@ -96,7 +87,7 @@ class TestMatrixRoundTrip:
     def test_stored_bytes_account_payload_and_mask(self):
         matrix = np.array([[1, 0, 0, 0, 0, 0, 0, 2]], dtype=np.float32)
         compressed = compress_matrix(matrix)
-        assert compressed.row_stored_bytes(0) == 2 * 4 + 1  # 2 floats + 1 mask byte
+        assert compressed.total_stored_bytes() == 2 * 4 + 1  # 2 floats + 1 mask byte
 
 
 class TestTrafficMath:
@@ -124,7 +115,7 @@ class TestTrafficMath:
         matrix[rng.random(matrix.shape) < target] = 0.0
         compressed = compress_matrix(matrix)
         actual_sparsity = 1 - compressed.counts.sum() / matrix.size
-        measured = measured_traffic_ratio(compressed)
+        measured = compressed.total_stored_bytes() / compressed.dense_bytes()
         assert measured == pytest.approx(traffic_ratio(actual_sparsity), abs=1e-6)
 
 

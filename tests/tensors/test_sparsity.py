@@ -1,17 +1,9 @@
-"""Unit tests for sparsity measurement and injection (Section 2.2)."""
+"""Unit tests for sparsity measurement and the per-layer profile (Section 2.2)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.tensors import (
-    SparsityProfile,
-    combined_sparsity,
-    inject_sparsity,
-    relu_sparsity_estimate,
-    sparsity,
-)
+from repro.tensors import SparsityProfile, sparsity
 
 
 class TestSparsity:
@@ -27,48 +19,6 @@ class TestSparsity:
 
     def test_empty(self):
         assert sparsity(np.empty((0, 4))) == 0.0
-
-
-class TestInjection:
-    def test_target_hit(self, rng):
-        matrix = rng.standard_normal((100, 100)).astype(np.float32)
-        out = inject_sparsity(matrix, 0.7, seed=0)
-        assert 0.65 <= sparsity(out) <= 0.75
-
-    def test_original_untouched(self, rng):
-        matrix = rng.standard_normal((10, 10)).astype(np.float32)
-        before = matrix.copy()
-        inject_sparsity(matrix, 0.5)
-        np.testing.assert_array_equal(matrix, before)
-
-    def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            inject_sparsity(np.ones((2, 2)), 1.5)
-
-
-class TestReluEstimate:
-    def test_half_negative(self):
-        matrix = np.array([[-1.0, 1.0], [-2.0, 2.0]])
-        assert relu_sparsity_estimate(matrix) == 0.5
-
-    def test_zero_counts_as_sparsified(self):
-        matrix = np.array([[0.0, 1.0]])
-        assert relu_sparsity_estimate(matrix) == 0.5
-
-
-class TestCombinedSparsity:
-    def test_paper_profile_shape(self):
-        """ReLU 60% then 50% dropout gives the >80% of Section 2.2."""
-        assert combined_sparsity(0.6, 0.5) == pytest.approx(0.8)
-
-    def test_no_dropout(self):
-        assert combined_sparsity(0.4, 0.0) == pytest.approx(0.4)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            combined_sparsity(1.2, 0.5)
-        with pytest.raises(ValueError):
-            combined_sparsity(0.5, -0.1)
 
 
 class TestProfile:
@@ -112,24 +62,3 @@ class TestProfile:
         import json
 
         json.dumps(doc)  # JSON-serializable by construction
-
-    def test_dict_round_trip(self):
-        profile = SparsityProfile()
-        profile.add(2, 0.9)
-        profile.add(0, 0.1)
-        restored = SparsityProfile.from_dict(profile.to_dict())
-        assert restored.per_layer == profile.per_layer
-        assert restored.layers() == [0, 2]
-
-    def test_from_dict_empty(self):
-        assert SparsityProfile.from_dict({}).layers() == []
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    relu=st.floats(0.0, 1.0),
-    dropout=st.floats(0.0, 1.0),
-)
-def test_combined_sparsity_bounds(relu, dropout):
-    result = combined_sparsity(relu, dropout)
-    assert max(relu, dropout) - 1e-9 <= result <= 1.0 + 1e-9

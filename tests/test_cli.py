@@ -17,13 +17,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_datasets_defaults(self):
-        args = build_parser().parse_args(["datasets"])
-        assert args.scale == 0.5
+    def test_experiment_defaults(self):
+        args = build_parser().parse_args(["experiment", "tab3"])
+        assert args.scale == 0.5 and not args.training
 
-    def test_speedup_validates_dataset(self):
+    def test_experiment_validates_name(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["speedup", "reddit"])
+            build_parser().parse_args(["experiment", "reddit"])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -32,9 +32,9 @@ class TestParser:
         assert __version__ in capsys.readouterr().out
 
     def test_verbosity_counts(self):
-        args = build_parser().parse_args(["-vv", "datasets"])
+        args = build_parser().parse_args(["-vv", "experiment", "tab3"])
         assert args.verbose == 2 and args.quiet == 0
-        args = build_parser().parse_args(["-q", "datasets"])
+        args = build_parser().parse_args(["-q", "experiment", "tab3"])
         assert args.quiet == 1
 
     def test_trace_flags_default_off(self):
@@ -70,6 +70,34 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        *[(["train", "products"], flag, value) for flag, value in (
+            ("--scale", "-1"), ("--scale", "0"), ("--scale", "nan"),
+            ("--scale", "inf"), ("--features", "0"),
+            ("--hidden", "0"), ("--classes", "0"), ("--layers", "0"),
+            ("--lr", "-1"), ("--epochs", "-3"), ("--dropout", "1.5"),
+            ("--dropout", "1"), ("--dropout", "-0.1"))],
+        *[(["serve", "products"], flag, value) for flag, value in (
+            ("--scale", "0"), ("--features", "0"), ("--hidden", "0"),
+            ("--classes", "0"), ("--layers", "0"), ("--lr", "0"),
+            ("--epochs", "-1"))],
+        *[(["bench-sharded"], flag, value) for flag, value in (
+            ("--scale", "-1"), ("--features", "0"), ("--hidden", "0"),
+            ("--classes", "0"), ("--layers", "0"), ("--lr", "0"))],
+        *[(["profile"], flag, "0") for flag in (
+            "--features", "--hidden", "--classes")],
+        (["experiment", "tab3"], "--scale", "-1"),
+    ])
+    def test_out_of_range_numbers_are_usage_errors(
+        self, command, flag, value, capsys
+    ):
+        """Refused at parse time (exit 2, the flag named on stderr),
+        never a traceback or a run of something else."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + [f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_engine_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "products", "--engine", "turbo"])
@@ -103,25 +131,31 @@ class TestLoggingConfig:
 
 
 class TestCommands:
-    def test_datasets(self, capsys):
-        assert main(["datasets", "--scale", "0.1"]) == 0
+    @pytest.mark.parametrize("name,present,absent", [
+        pytest.param(
+            "tab3", ["products mean degree", "twitter", "paper"], [],
+            id="tab3"),
+        pytest.param(
+            "fig11a", ["products combined", "paper"], ["c-locality"],
+            id="fig11a"),
+        pytest.param(
+            "fig11b", ["products combined", "products c-locality"], [],
+            id="fig11b"),
+        pytest.param(
+            "tab4", ["products distgnn retiring", "memory-bound",
+                     "DRAM-BW-bound", "fill-buffer-full"], [],
+            id="tab4"),
+    ])
+    def test_experiment_paper_rows(self, name, present, absent, capsys):
+        """Table 3, Figure 11 (c-locality is a training-only variant) and
+        every Table-4 column the paper publishes."""
+        assert main(["experiment", name, "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
-        assert "products" in out and "paper:" in out
-
-    def test_speedup_inference(self, capsys):
-        assert main(["speedup", "products", "--scale", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "combined" in out
-        assert "c-locality" not in out  # training-only variant
-
-    def test_speedup_training_includes_locality(self, capsys):
-        assert main(["speedup", "products", "--scale", "0.1", "--training"]) == 0
-        assert "c-locality" in capsys.readouterr().out
-
-    def test_characterize(self, capsys):
-        assert main(["characterize", "products", "--scale", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "Retiring" in out and "FillBufFull" in out
+        assert out.startswith(f"== {name}:")
+        for text in present:
+            assert text in out
+        for text in absent:
+            assert text not in out
 
     def test_train(self, capsys):
         code = main([
@@ -153,7 +187,12 @@ class TestCommands:
         assert "retiring" in capsys.readouterr().out
 
     def test_experiment_unknown(self, capsys):
-        assert main(["experiment", "fig99"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "fig99"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'fig99'" in captured.err
 
     def test_profile(self, capsys):
         code = main([

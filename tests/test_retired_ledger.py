@@ -1,9 +1,12 @@
 """The second performance ledger, the thread shard backend, the
-sampling profiler, the chunk executor and the consumer-less telemetry
+sampling profiler, the chunk executor, the consumer-less telemetry
 outputs (dashboard, Perfetto export, ``--attrib``, ``--sample-proc``)
-are deleted, not defaulted: perfbench is the only judge of speed, the
-span plane is the only phase breakdown, lanes are the only in-process
-parallelism, and every telemetry output left has a reader.
+and the commands that re-printed ``repro experiment`` rows
+(``datasets``, ``speedup``, ``characterize``) are deleted, not
+defaulted: perfbench is the only judge of speed, the span plane is the
+only phase breakdown, lanes are the only in-process parallelism, every
+telemetry output left has a reader, and each paper artifact has one
+command.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
@@ -160,12 +163,30 @@ class TestConsumerlessTelemetryIsGone:
         with pytest.raises(ImportError):
             importlib.import_module(f"repro.obs.{module}")
 
-    def test_help_lists_ten_commands(self):
+
+class TestDuplicatePaperCommandsAreGone:
+    @pytest.mark.parametrize("argv", [
+        ["datasets"],
+        ["speedup", "products"],
+        ["speedup", "products", "--training"],
+        ["characterize"],
+    ])
+    def test_commands_exit_2(self, argv, capsys):
+        assert _exit_code(argv) == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+
+    def test_perf_report_cannot_be_imported(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.perf.report")
+
+    def test_subcommands_are_the_seven_left(self):
         from repro.cli import build_parser
 
         subparsers = next(
             action for action in build_parser()._actions
             if action.dest == "command"
         )
-        assert len(subparsers.choices) == 10
-        assert not {"dashboard", "bench-parallel"} & set(subparsers.choices)
+        assert set(subparsers.choices) == {
+            "train", "bench-sharded", "profile", "top", "serve", "loadgen",
+            "experiment",
+        }
