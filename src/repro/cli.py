@@ -203,6 +203,22 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
+def _non_negative_float(value: str) -> float:
+    parsed = float(value)
+    if not 0 <= parsed < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative, finite number, got {value!r}")
+    return parsed
+
+
+def _port(value: str) -> int:
+    parsed = int(value)
+    if not 0 <= parsed <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port in 0..65535, got {value!r}")
+    return parsed
+
+
 def _dropout(value: str) -> float:
     parsed = float(value)
     if not 0.0 <= parsed < 1.0:
@@ -229,7 +245,7 @@ _TELEMETRY_FLAGS = {
         metavar="FILE", type=_output_path, help="write a run-report JSON"
     ),
     "--serve-metrics": dict(
-        metavar="PORT", type=int, default=None,
+        metavar="PORT", type=_port, default=None,
         help="serve the live metrics registry over HTTP for the run "
         "(GET /metrics Prometheus text, GET /snapshot.json deltas); "
         "0 binds an ephemeral port; also starts the resource sampler "
@@ -253,7 +269,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     # INFO; raise it so `repro train` shows the lines without -v.
     logging.getLogger("repro.nn.training").setLevel(logging.INFO)
 
-    graph = load_dataset(args.dataset, scale=args.scale)
+    graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     features = synthetic_features(graph, args.features, seed=args.seed)
     labels = np.random.default_rng(args.seed).integers(
         0, args.classes, graph.num_vertices
@@ -896,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace a tiny synthetic training run; print spans + counters",
     )
     p.add_argument("--vertices", type=_positive_int, default=2000)
-    p.add_argument("--degree", type=float, default=8.0)
+    p.add_argument("--degree", type=_positive_float, default=8.0)
     p.add_argument("--features", type=_positive_int, default=32)
     p.add_argument("--hidden", type=_positive_int, default=32)
     p.add_argument("--classes", type=_positive_int, default=8)
@@ -925,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render exactly one frame and exit (the default)",
     )
     p.add_argument(
-        "--interval", type=float, default=1.0, metavar="S",
+        "--interval", type=_non_negative_float, default=1.0, metavar="S",
         help="--follow refresh interval in seconds (default: %(default)s)",
     )
     p.add_argument(
@@ -987,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     p.add_argument(
-        "--port", type=int, default=8099,
+        "--port", type=_port, default=8099,
         help="inference HTTP port (0 = ephemeral; default: %(default)s)",
     )
     p.add_argument(
@@ -1054,12 +1070,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is _cmd_train:
-        if args.backend is not None and args.shards == 1:
+    if args.func in (_cmd_train, _cmd_bench_sharded):
+        bad = [k for k in args.delay_aggregation if not 1 <= k < args.layers]
+        if bad:
             parser.error(
-                "train: --backend selects the sharded runtime; "
-                "it needs --shards N > 1"
+                f"{args.command}: --delay-aggregation layers {bad} out of "
+                f"range [1, --layers {args.layers})"
             )
+    if args.func is _cmd_train:
+        for flag, given in (
+            ("--backend", args.backend is not None),
+            ("--delay-aggregation", args.delay_aggregation),
+        ):
+            if given and args.shards == 1:
+                parser.error(
+                    f"train: {flag} selects the sharded runtime; "
+                    "it needs --shards N > 1"
+                )
         if args.shards > 1:
             unsupported = [
                 flag

@@ -10,6 +10,7 @@ All generators are deterministic given a seed.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -53,6 +54,10 @@ def power_law_graph(
     weight, giving the hub structure (high-degree vertices are referenced
     by many rows) that the locality reordering of Algorithm 3 exploits.
     """
+    if not 0 < avg_degree < math.inf:
+        raise ValueError(
+            f"avg_degree must be a positive, finite number, got {avg_degree!r}"
+        )
     rng = _rng(seed)
     if max_degree is None:
         max_degree = num_vertices - 1

@@ -6,8 +6,12 @@ vector.  Algorithm 3 greedily assigns each vertex to the "group" of its
 highest-degree neighbor; emitting groups contiguously then clusters all
 readers of each hub together.
 
-The order is a *processing order*, not a relabeling: kernels iterate
+An order reaches the two planes differently.  The paper-plane models
+(the reuse profile, the cache simulator, the DMA runner) walk
 ``for v in order`` while all arrays stay indexed by original vertex id.
+The value-plane kernels take no order: :func:`apply_order` relabels the
+graph, and a kernel walking the relabelled ids in storage order *is*
+the ordered pass.
 """
 
 from __future__ import annotations
@@ -84,8 +88,10 @@ def locality_order(graph: CSRGraph) -> np.ndarray:
 def apply_order(graph: CSRGraph, order: np.ndarray) -> CSRGraph:
     """Physically relabel a graph so that ``order[i]`` becomes vertex ``i``.
 
-    Used when a caller wants the reordering baked into the CSR arrays
-    (e.g. to hand a single graph object to a kernel with no order support).
+    The Section 4.4 path of every value-plane kernel: run it on the
+    relabelled graph with ``h[order]``, and output row ``i`` is original
+    vertex ``order[i]``'s.  A malformed order is rejected here, the one
+    permutation check (:func:`is_permutation`).
     """
     n = graph.num_vertices
     order = np.asarray(order, dtype=np.int64)

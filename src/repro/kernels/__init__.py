@@ -6,7 +6,6 @@ from .base import (
     KernelStats,
     UpdateParams,
     validate_inputs,
-    validate_order,
 )
 from .basic import (
     BasicKernel,
@@ -26,7 +25,6 @@ __all__ = [
     "KernelStats",
     "UpdateParams",
     "validate_inputs",
-    "validate_order",
     "BasicKernel",
     "DEFAULT_PREFETCH_DISTANCE",
     "DEFAULT_TASK_SIZE",

@@ -2,11 +2,12 @@
 
 Every execution strategy in the paper's Figure 11 is a *kernel*: it
 computes the same aggregation (and optionally the fused update) while
-differing in iteration structure, blocking, compression, and ordering.
-Kernels run on the value plane (numpy arithmetic, results must match the
-:mod:`repro.nn.aggregate` oracle) and report :class:`KernelStats`
-describing the work they did — the structural quantities the time plane
-prices.
+differing in iteration structure, blocking and compression (Section
+4.4's ordering is a relabel of the graph they are handed,
+:func:`repro.graphs.apply_order`).  Kernels run on the value plane
+(numpy arithmetic, results must match the :mod:`repro.nn.aggregate`
+oracle) and report :class:`KernelStats` describing the work they did —
+the structural quantities the time plane prices.
 """
 
 from __future__ import annotations
@@ -145,24 +146,3 @@ def validate_inputs(graph: CSRGraph, h: np.ndarray) -> None:
             f"feature rows {h.shape[0]} != num_vertices {graph.num_vertices}"
         )
 
-
-def validate_order(graph: CSRGraph, order: Optional[np.ndarray]) -> None:
-    """Reject a processing order that is not a permutation of all vertices.
-
-    The fused kernels write each block's rows at its ids into an
-    ``np.empty`` output, so a duplicated or missing id would hand back
-    uninitialised rows.
-    ``None`` is the natural order, valid by construction.
-    """
-    if order is None:
-        return
-    n = graph.num_vertices
-    order = np.asarray(order)
-    if order.shape != (n,):
-        raise ValueError("order must cover every vertex exactly once")
-    if n and (
-        order.min() < 0
-        or order.max() >= n
-        or np.bincount(order, minlength=n).min() == 0
-    ):
-        raise ValueError("order must be a permutation of all vertex ids")

@@ -11,16 +11,17 @@ The paper's ``basic`` kernel:
 * runs a JIT-specialized inner kernel per layer spec.
 
 A pass is ONE call of the layout's
-:class:`~repro.kernels.segment.ScaledCSR` operator whatever the Section
-4.4 processing order (the operator is row-sequential, so the order
-changes no row), split into one zero-copy row slice per core
-(:func:`repro.lanes.split`) when the pass is big enough: the paper's
-output-parallel loop at its coarsest.  Every lane count is bitwise
-equivalent — each vertex row is accumulated by the same operator in the
-same edge order whichever lane produces it.  The counters are closed
-forms of (graph, order, kernel parameters): ``T`` and ``D`` define what
-Alg. 1 would count, not how the pass runs.  The backward pass is the
-same over the transposed adjacency.
+:class:`~repro.kernels.segment.ScaledCSR` operator, split into one
+zero-copy row slice per core (:func:`repro.lanes.split`) when the pass
+is big enough: the paper's output-parallel loop at its coarsest.  Every
+lane count is bitwise equivalent — each vertex row is accumulated by the
+same operator in the same edge order whichever lane produces it.  The
+counters are closed forms of (graph, kernel parameters): ``T`` and ``D``
+define what Alg. 1 would count, not how the pass runs.  The Section 4.4
+processing order is a relabel of the graph
+(:func:`repro.graphs.apply_order`), so the kernel walks vertex ids in
+storage order.  The backward pass is the same over the transposed
+adjacency.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .. import lanes
 from ..graphs.csr import CSRGraph
 from ..obs import get_metrics, get_tracer, publish_counters
-from .base import AggregationKernel, KernelStats, validate_inputs, validate_order
+from .base import AggregationKernel, KernelStats, validate_inputs
 from .jit import JitKernelCache, KernelSpec
 from .segment import ScaledCSR
 
@@ -48,19 +49,15 @@ DEFAULT_PREFETCH_DISTANCE = 4
 PREFETCH_LINES_PER_VECTOR = 2
 
 
-def prefetch_count(
-    degrees: np.ndarray, order: Optional[np.ndarray], distance: int
-) -> int:
+def prefetch_count(degrees: np.ndarray, distance: int) -> int:
     """Alg. 1 line 9's prefetches over a whole pass, in closed form.
 
-    Every position with a vertex ``distance`` behind it prefetches the
+    Every vertex with one ``distance`` ids behind it prefetches the
     ``deg + 1`` vectors it will gather, two cache lines each.  Only this
-    counter depends on the processing order.
+    counter depends on the labelling.
     """
     if not distance:
         return 0
-    if order is not None:
-        degrees = degrees[order]
     ahead = degrees[distance:]
     return PREFETCH_LINES_PER_VECTOR * int(ahead.sum() + len(ahead))
 
@@ -106,21 +103,15 @@ class BasicKernel(AggregationKernel):
         graph: CSRGraph,
         h: np.ndarray,
         aggregator: str = "gcn",
-        order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, KernelStats]:
-        """Aggregate all vertices, optionally in a custom processing order.
-
-        ``order`` is the Section 4.4 hook: kernels walk ``order`` while the
-        output stays indexed by original vertex id.
-        """
-        return self._run(graph, h, aggregator, order, transposed=False)
+        """Aggregate all vertices."""
+        return self._run(graph, h, aggregator, transposed=False)
 
     def aggregate_backward(
         self,
         graph: CSRGraph,
         grad_a: np.ndarray,
         aggregator: str = "gcn",
-        order: Optional[np.ndarray] = None,
         live: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, KernelStats]:
         """Backward aggregation ``grad_h = Âᵀ grad_a``.
@@ -134,19 +125,17 @@ class BasicKernel(AggregationKernel):
         (no specialization, so ``jit_compilations`` is 0), counts
         ``nnz_live + V`` gathers and is bitwise the full result.
         """
-        return self._run(graph, grad_a, aggregator, order, transposed=True, live=live)
+        return self._run(graph, grad_a, aggregator, transposed=True, live=live)
 
     def _run(
         self,
         graph: CSRGraph,
         h: np.ndarray,
         aggregator: str,
-        order: Optional[np.ndarray],
         transposed: bool,
         live: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, KernelStats]:
         validate_inputs(graph, h)
-        validate_order(graph, order)
         compiled_before = self.jit_cache.compilations
         spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
         if transposed:
@@ -175,7 +164,7 @@ class BasicKernel(AggregationKernel):
             stats = KernelStats(
                 gathers=operator.nnz + n,
                 tasks=-(-n // self.task_size),
-                prefetches=prefetch_count(degrees, order, self.prefetch_distance),
+                prefetches=prefetch_count(degrees, self.prefetch_distance),
                 jit_compilations=self.jit_cache.compilations - compiled_before,
                 flops=2.0 * (operator.nnz + n) * h.shape[1],
                 extra={"wall_time_s": wall_time},

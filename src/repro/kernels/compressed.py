@@ -31,7 +31,6 @@ from .base import (
     KernelStats,
     UpdateParams,
     validate_inputs,
-    validate_order,
 )
 from .basic import DEFAULT_TASK_SIZE, aggregate_rows
 from .fused import (
@@ -89,10 +88,8 @@ class CompressedKernel(AggregationKernel):
         graph: CSRGraph,
         h: np.ndarray,
         aggregator: str = "gcn",
-        order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, KernelStats]:
         validate_inputs(graph, h)
-        validate_order(graph, order)
         n = graph.num_vertices
         spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
         batched = self.jit_cache.specialize(graph, spec)
@@ -136,9 +133,8 @@ class CompressedFusedKernel(FusedLayerKernel):
         params: UpdateParams,
         aggregator: str = "gcn",
         keep_aggregation: bool = False,
-        order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], KernelStats]:
-        validate_layer(graph, h, params, order)
+        validate_layer(graph, h, params)
         spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
         batched = self.jit_cache.specialize(graph, spec)
         dense, compression = _decompressed(graph, h)
@@ -152,7 +148,7 @@ class CompressedFusedKernel(FusedLayerKernel):
             keep_aggregation=keep_aggregation,
         ) as span:
             h_out, a = run_blocks(
-                batched, dense, params, order,
+                batched, dense, params,
                 self.block_size, self.blocks_per_task, keep_aggregation,
             )
             stats = fused_stats(

@@ -25,13 +25,7 @@ import numpy as np
 from .. import lanes
 from ..graphs.csr import CSRGraph
 from ..obs import get_metrics, get_tracer, publish_counters
-from .base import (
-    FusedLayerKernel,
-    KernelStats,
-    UpdateParams,
-    validate_inputs,
-    validate_order,
-)
+from .base import FusedLayerKernel, KernelStats, UpdateParams, validate_inputs
 from .basic import DEFAULT_PREFETCH_DISTANCE, prefetch_count
 from .jit import BatchedKernel, JitKernelCache, KernelSpec
 
@@ -46,34 +40,29 @@ def run_blocks(
     batched: BatchedKernel,
     h: np.ndarray,
     params: UpdateParams,
-    order: Optional[np.ndarray],
     block_size: int,
     blocks_per_task: int,
     keep_aggregation: bool,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Algorithm 2's task loop over the processing order: ``(h_out, a)``.
+    """Algorithm 2's task loop: ``(h_out, a)``.
 
-    Position ``p`` of the order (``order[p]``, or ``p`` itself when
-    ``order`` is ``None``) belongs to block ``p // B`` and task
-    ``p // (B T)``.  Each block is aggregated (Alg. 2 lines 3-7) and
-    updated by the small GEMM (lines 8-10) before the next one; ``a`` is
-    kept only in training mode.
+    Vertex ``v`` belongs to block ``v // B`` and task ``v // (B T)``.
+    Each block is aggregated (Alg. 2 lines 3-7) and updated by the small
+    GEMM (lines 8-10) before the next one; ``a`` is kept only in
+    training mode.
     """
     n, f_in = h.shape
     h_out = np.empty((n, params.weight.shape[1]), dtype=np.float32)
     a = np.empty((n, f_in), dtype=np.float32) if keep_aggregation else None
     span = block_size * blocks_per_task
-    contiguous = order is None
-    positions = np.arange(n) if contiguous else order
 
     def run_tasks(first: int, stop: int) -> None:
         for lo in range(first * span, min(stop * span, n), block_size):
-            verts = positions[lo : lo + block_size]
-            scratch = batched(h, verts, contiguous)
-            rows = slice(lo, lo + len(verts)) if contiguous else verts
+            hi = min(lo + block_size, n)
+            scratch = batched(h, lo, hi)
             if a is not None:
-                a[rows] = scratch
-            h_out[rows] = params.apply(scratch)
+                a[lo:hi] = scratch
+            h_out[lo:hi] = params.apply(scratch)
 
     moved = h.nbytes + h_out.nbytes + (0 if a is None else a.nbytes)
     lanes.split(-(-n // span), moved, run_tasks)
@@ -109,16 +98,13 @@ def fused_stats(
     )
 
 
-def validate_layer(
-    graph: CSRGraph, h: np.ndarray, params: UpdateParams, order
-) -> None:
+def validate_layer(graph: CSRGraph, h: np.ndarray, params: UpdateParams) -> None:
     """The input checks every fused layer kernel runs."""
     validate_inputs(graph, h)
     if params.weight.shape[0] != h.shape[1]:
         raise ValueError(
             f"weight rows {params.weight.shape[0]} != features {h.shape[1]}"
         )
-    validate_order(graph, order)
 
 
 class FusedKernel(FusedLayerKernel):
@@ -147,9 +133,8 @@ class FusedKernel(FusedLayerKernel):
         params: UpdateParams,
         aggregator: str = "gcn",
         keep_aggregation: bool = False,
-        order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], KernelStats]:
-        validate_layer(graph, h, params, order)
+        validate_layer(graph, h, params)
         compiled_before = self.jit_cache.compilations
         spec = KernelSpec(feature_len=h.shape[1], aggregator=aggregator)
         batched = self.jit_cache.specialize(graph, spec)
@@ -163,14 +148,14 @@ class FusedKernel(FusedLayerKernel):
             keep_aggregation=keep_aggregation,
         ) as span:
             h_out, a = run_blocks(
-                batched, h, params, order,
+                batched, h, params,
                 self.block_size, self.blocks_per_task, keep_aggregation,
             )
             stats = fused_stats(
                 graph, h, params, self.block_size, self.blocks_per_task, a
             )
             stats.prefetches = prefetch_count(
-                graph.degrees(), order, self.prefetch_distance
+                graph.degrees(), self.prefetch_distance
             )
             stats.jit_compilations = self.jit_cache.compilations - compiled_before
             span.add_counters(stats.as_dict())

@@ -51,7 +51,7 @@ class ScaledCSR:
         self.nnz = int(matrix.nnz)
         #: (start, stop) -> row-slice operator; one entry per range ever
         #: requested: one per lane of a pass, one per block of a fused
-        #: natural-order pass.
+        #: pass.
         self._row_slices: Dict[Tuple[int, int], "ScaledCSR"] = {}
 
     @classmethod
@@ -117,20 +117,6 @@ class ScaledCSR:
             sub = ScaledCSR(matrix, self_factors, self.row_offset + start)
             self._row_slices[(start, stop)] = sub
         return sub
-
-    def select(self, rows: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Output rows ``rows`` (any subset, any order) of ``self(h)``.
-
-        What a block of a reordered fused pass needs.  Each row accumulates
-        exactly as in :meth:`__call__`, so the two agree bit for bit.
-        """
-        sub = self.matrix[rows]
-        if self.self_factors is None:
-            return sub @ h
-        out = h[rows + self.row_offset] * self.self_factors[rows, None]
-        if sub.nnz:
-            out += sub @ h
-        return out
 
     def __call__(self, h: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The product, landing in ``out`` if lent — which must have the

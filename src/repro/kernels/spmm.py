@@ -10,19 +10,14 @@ prefetch tuning.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..nn.aggregate import normalized_adjacency
 from ..obs import get_metrics, get_tracer, publish_counters
-from .base import (
-    AggregationKernel,
-    KernelStats,
-    validate_inputs,
-    validate_order,
-)
+from .base import AggregationKernel, KernelStats, validate_inputs
 
 
 class SpMMKernel(AggregationKernel):
@@ -35,18 +30,9 @@ class SpMMKernel(AggregationKernel):
         graph: CSRGraph,
         h: np.ndarray,
         aggregator: str = "gcn",
-        order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, KernelStats]:
-        """Aggregate all vertices with one SpMM.
-
-        ``order`` is accepted for interface uniformity with the other
-        aggregation kernels (variant sweeps pass it to every kernel).
-        A processing order cannot change a sparse product's result or
-        work, so a valid permutation is honored trivially; a malformed
-        one is rejected as everywhere else.
-        """
+        """Aggregate all vertices with one SpMM."""
         validate_inputs(graph, h)
-        validate_order(graph, order)
         with get_tracer().span(
             "kernel.mkl",
             aggregator=aggregator,

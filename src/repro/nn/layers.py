@@ -506,10 +506,6 @@ class LayerCache:
     pre_activation: Optional[np.ndarray]
     dropout_mask: Optional[np.ndarray] = None
     agg_stats: Optional[KernelStats] = None  # set when a kernel ran aggregation
-    #: The operand the aggregation gathered: ``h_in`` (aggregate-first),
-    #: ``h_in @ W`` (transform-first), ``None`` when the caller supplied
-    #: the aggregation and nothing was gathered.
-    gathered: Optional[np.ndarray] = None
     #: The next layer's operand ``h_out @ W_next``, when this layer's
     #: sweep ran that transform.
     next_operand: Optional[np.ndarray] = None
@@ -656,7 +652,7 @@ class GNNLayer:
                     f"operand of shape {operand.shape} is not this "
                     f"{self.in_features} -> {self.out_features} layer's h W"
                 )
-            h_dropped, mask, tf, gathered = h_in, None, True, operand
+            h_dropped, mask, tf = h_in, None, True
             agg, agg_stats = self._aggregate(graph, operand, kernel)
         else:
             if h_in.shape[1] != self.in_features:
@@ -675,10 +671,11 @@ class GNNLayer:
             static_input = static_input or aggregated is not None
             tf = transform_first(self.in_features, self.out_features, static_input)
             if aggregated is not None:
-                agg, gathered, agg_stats = aggregated, None, None
+                agg, agg_stats = aggregated, None
             else:
-                gathered = layer_operand(h_dropped, self.weight, tf)
-                agg, agg_stats = self._aggregate(graph, gathered, kernel)
+                agg, agg_stats = self._aggregate(
+                    graph, layer_operand(h_dropped, self.weight, tf), kernel
+                )
         # The working dtype (fp32 normally, fp64 when a gradcheck drives
         # the pipeline at double precision) is the operands'; nothing
         # here widens or copies.
@@ -688,8 +685,7 @@ class GNNLayer:
         )
         cache = LayerCache(
             h_in=h_dropped, a=None if tf else agg, pre_activation=pre,
-            dropout_mask=mask, agg_stats=agg_stats, gathered=gathered,
-            next_operand=next_operand,
+            dropout_mask=mask, agg_stats=agg_stats, next_operand=next_operand,
         )
         return pre, cache
 

@@ -18,7 +18,6 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..kernels.base import AggregationKernel, KernelStats
 from ..obs import get_metrics, get_tracer
-from ..tensors.compression import traffic_saved
 from ..tensors.sparsity import SparsityProfile, sparsity as sparsity_of
 from . import functional as F
 from .model import GNNModel, Workspace
@@ -30,9 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.rules import RuleEngine
 
 logger = logging.getLogger(__name__)
-
-#: Bytes per dense float32 feature element (compression-savings model).
-_BYTES_PER_FEATURE = 4
 
 
 @dataclass
@@ -90,8 +86,7 @@ class Trainer:
             adjacency, which is what tests compare the kernels against.
         event_log: optional :class:`~repro.obs.events.EventLog`; every
             ``train_epoch`` emits one streaming epoch record (loss,
-            accuracies, per-layer grad/weight norms, per-layer sparsity,
-            realized vs predicted compression savings, wall time).
+            accuracies, per-layer grad/weight norms, wall time).
         health: optional :class:`~repro.obs.health.HealthMonitor`; the
             epoch's numerics are checked as they are produced and a
             fail-fast monitor raises within one epoch of a NaN/Inf.
@@ -174,9 +169,8 @@ class Trainer:
         Each mask must be ``None`` or a 1-D ``bool`` array with one entry
         per vertex (:func:`~repro.nn.functional.check_mask`).  With an
         event log or health monitor attached, the epoch additionally
-        captures per-layer grad/weight norms, per-layer input sparsity,
-        and realized-vs-predicted compression traffic savings; without
-        them no extra work happens.
+        captures per-layer grad/weight norms; with ``profile_sparsity``,
+        per-layer input sparsity; without them no extra work happens.
         """
         n = graph.num_vertices
         train_mask = F.check_mask(train_mask, n, "train_mask")
@@ -208,13 +202,9 @@ class Trainer:
             for cache in caches:
                 if cache.agg_stats is not None:
                     self.history.aggregation_stats.merge(cache.agg_stats)
-            layer_sparsity: "dict[int, float]" = {}
-            if self.profile_sparsity or observing:
+            if self.profile_sparsity:
                 for layer_idx, cache in enumerate(caches):
-                    layer_sparsity[layer_idx] = sparsity_of(cache.h_in)
-                if self.profile_sparsity:
-                    for layer_idx, value in layer_sparsity.items():
-                        self.history.sparsity.add(layer_idx, value)
+                    self.history.sparsity.add(layer_idx, sparsity_of(cache.h_in))
             loss, grad, correct = F.cross_entropy_and_correct(
                 logits, labels, train_mask
             )
@@ -244,10 +234,7 @@ class Trainer:
             if metrics.enabled or self.rules is not None:
                 slo_issues = self._publish_live(metrics, result, wall_time_s)
             if observing:
-                self._observe_epoch(
-                    graph, result, logits, grads, caches, layer_sparsity,
-                    wall_time_s, slo_issues,
-                )
+                self._observe_epoch(result, logits, grads, wall_time_s, slo_issues)
         self.history.epochs.append(result)
         logger.debug(
             "epoch %d: loss %.4f train-acc %.3f",
@@ -305,12 +292,9 @@ class Trainer:
 
     def _observe_epoch(
         self,
-        graph: CSRGraph,
         result: EpochResult,
         logits: np.ndarray,
         grads,
-        caches,
-        layer_sparsity: "dict[int, float]",
         wall_time_s: float,
         slo_issues: Optional[List[str]] = None,
     ) -> None:
@@ -326,7 +310,6 @@ class Trainer:
 
         grad_norms = GNNModel.grad_norms(grads)
         weight_norms = self.model.weight_norms()
-        compression = self._compression_savings(graph, caches, layer_sparsity)
         health_error: Optional[HealthError] = None
         issues: List[str] = list(slo_issues or [])
         if self.health is not None:
@@ -356,60 +339,11 @@ class Trainer:
                     wall_time_s=wall_time_s,
                     grad_norms=grad_norms,
                     weight_norms=weight_norms,
-                    sparsity={
-                        str(layer): value
-                        for layer, value in sorted(layer_sparsity.items())
-                    },
-                    compression=compression,
                     health_issues=issues,
                 )
             )
         if health_error is not None:
             raise health_error
-
-    @staticmethod
-    def _compression_savings(
-        graph: CSRGraph, caches, layer_sparsity: "dict[int, float]"
-    ) -> "dict[str, float]":
-        """Realized vs cost-model-predicted DRAM savings this epoch.
-
-        *Realized* sums the ``dram_bytes_saved`` the (compressed)
-        kernels actually counted; *predicted* applies the Section 4.3
-        traffic model — ``gathers x row_bytes x traffic_saved(s)`` — to
-        the width and measured sparsity of the operand each layer
-        actually gathered: ``h_in`` for an aggregate-first layer, the
-        (dense, narrower) ``h_in @ W`` for a transform-first one, and
-        nothing at all for a first layer whose aggregation was reused.
-        Both count per gather with no cache model, so they are directly
-        comparable; a run on an uncompressed kernel has realized 0 and
-        the predicted number is what compression *would* have saved
-        (the §2.2 motivation).
-        """
-        realized = 0.0
-        predicted = 0.0
-        default_gathers = graph.num_edges + graph.num_vertices
-        for layer_idx, cache in enumerate(caches):
-            operand = cache.gathered
-            if operand is None:
-                continue
-            stats = cache.agg_stats
-            gathers = stats.gathers if stats is not None else default_gathers
-            if stats is not None:
-                realized += stats.dram_bytes_saved
-            operand_sparsity = (
-                layer_sparsity[layer_idx]
-                if operand is cache.h_in
-                else sparsity_of(operand)
-            )
-            predicted += (
-                gathers
-                * operand.shape[1] * _BYTES_PER_FEATURE
-                * traffic_saved(operand_sparsity)
-            )
-        return {
-            "realized_dram_bytes_saved": realized,
-            "predicted_dram_bytes_saved": predicted,
-        }
 
     def fit(
         self,

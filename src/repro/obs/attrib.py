@@ -6,9 +6,10 @@ bytes it removes.  The tracer records *where the time went*; this module
 explains *why*, span by span:
 
 * each ``kernel.*`` span gets the analytic DRAM traffic its variant
-  should have moved (:mod:`repro.perf.attribution`), a memory-bound /
-  compute-bound verdict from the machine model, and its measured
-  counters alongside;
+  should have moved and a memory-bound / compute-bound verdict, both
+  from the cost model's own phase law
+  (:func:`repro.perf.cost_model.kernel_cost`), and its measured counters
+  alongside;
 * traffic is accounted per technique (basic vs fusion vs compression vs
   combined), the Figure 5 / Section 4.2-4.3 bytes-moved ledger;
 * when the trace-driven cache simulator also ran
@@ -28,12 +29,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..perf.attribution import (
-    predict_phase_times,
-    predict_phase_traffic,
-    workload_from_span,
-)
+from ..perf.cost_model import VARIANTS, VariantSpec, kernel_cost
 from ..perf.machine import MachineConfig, cascade_lake_28
+from ..perf.traffic import LayerShape
+
+#: Traced span name -> cost-model variant it executes.
+SPAN_VARIANTS: Dict[str, str] = {
+    "kernel.mkl": "mkl",
+    "kernel.basic": "basic",
+    # The backward aggregation (Âᵀ grad_a) has the basic kernel's shape:
+    # same gather-reduce structure over the transposed adjacency, so the
+    # same traffic/compute model prices it and backward spans get
+    # attribution rows of their own.
+    "kernel.backward.basic": "basic",
+    "kernel.fusion": "fusion",
+    "kernel.compression": "compression",
+    "kernel.combined": "combined",
+}
 
 #: Relative disagreement between cost-model and simulator DRAM traffic
 #: tolerated before a reconciliation is flagged divergent.  The two
@@ -46,6 +58,52 @@ DEFAULT_TRAFFIC_TOLERANCE = 0.35
 
 #: Measured span counters carried into the attribution rows.
 _MEASURED_KEYS = ("gathers", "flops", "dram_bytes_saved", "tasks", "prefetches")
+
+
+@dataclass(frozen=True)
+class SpanWorkload:
+    """The analytic shape of the work one kernel span performed."""
+
+    variant: str
+    shape: LayerShape
+    write_a: bool  # aggregation output goes to DRAM (Figure 5)
+
+    @property
+    def spec(self) -> VariantSpec:
+        return VARIANTS[self.variant]
+
+
+def workload_from_span(record: Dict[str, Any]) -> Optional[SpanWorkload]:
+    """Recover the workload shape of one traced kernel-span record.
+
+    Every kernel span records ``vertices``, ``edges`` and ``features``,
+    and a fused one ``features_out`` and ``keep_aggregation``.  Returns
+    None for spans that are not kernel invocations (epochs, layers, sim
+    spans) and for a kernel span missing one of those attributes.
+    """
+    variant = SPAN_VARIANTS.get(record.get("name", ""))
+    if variant is None:
+        return None
+    spec = VARIANTS[variant]
+    attrs = record.get("attrs") or {}
+    keys = ("vertices", "edges", "features") + (
+        ("features_out",) if spec.fused else ()
+    )
+    if any(attrs.get(key) is None for key in keys):
+        return None
+    f_in = int(attrs["features"])
+    return SpanWorkload(
+        variant=variant,
+        shape=LayerShape(
+            num_vertices=int(attrs["vertices"]),
+            num_edges=int(attrs["edges"]),
+            f_in=f_in,
+            f_out=int(attrs["features_out"]) if spec.fused else f_in,
+        ),
+        # Fused inference keeps ``a`` in a reusable cache buffer (Figure
+        # 5c); training — and every unfused kernel — writes it to DRAM.
+        write_a=not spec.fused or bool(attrs.get("keep_aggregation", True)),
+    )
 
 
 @dataclass
@@ -206,8 +264,12 @@ def attribute_run(
             rate = cost_model.hit_rate(workload.spec.order)
         else:
             rate = 0.0
-        phases = predict_phase_traffic(workload, rate, sparsity)
-        memory_s, compute_s = predict_phase_times(workload, phases, machine)
+        cost = kernel_cost(
+            machine, workload.spec, workload.shape, rate, sparsity,
+            workload.write_a,
+        )
+        phases = cost.phases
+        memory_s, compute_s = cost.memory_s, cost.compute_s
         bound_time = memory_s + compute_s
         fraction = memory_s / bound_time if bound_time > 0 else 0.0
         counters = record.get("counters") or {}

@@ -6,24 +6,22 @@ only after the run finished.  The event log is the *live* counterpart:
 the writer flushes each line immediately, so a run that NaNs or is
 killed at epoch 37 still leaves 37 readable records on disk.
 
-Each epoch record joins model quality with the architectural quantities
-the paper's optimizations trade on:
+Each epoch record carries:
 
 * ``loss`` / ``train_accuracy`` / ``val_accuracy`` — the model-quality
   curve;
 * ``wall_time_s`` — epoch wall time (forward + backward + step);
 * ``grad_norms`` / ``weight_norms`` — per-layer L2 norms, the numerics
   trajectory the health guards (:mod:`repro.obs.health`) watch;
-* ``sparsity`` — per-layer hidden-feature input sparsity, the Section
-  2.2 quantity that determines compression's DRAM savings;
-* ``compression`` — the *realized* DRAM bytes the compressed kernels
-  actually avoided this epoch next to the *predicted* savings the
-  Section 4.3 traffic model assigns to the measured sparsity, so the
-  two planes stay auditable epoch by epoch.
+* ``health_issues`` — what those guards and the SLO rules found.
+
+Per-layer sparsity lives in ``TrainingHistory.sparsity`` (the run
+report's ``sparsity`` section), and the Section 4.3 savings it implies
+in :mod:`repro.perf.traffic`.
 
 File format (one JSON object per line):
 
-* line 1 — header: ``{"kind": "events_header", "schema": 1,
+* line 1 — header: ``{"kind": "events_header", "schema": 2,
   "created_unix": ..., "run": {...caller meta...}}``;
 * every following line — ``{"kind": "epoch", "epoch": N, ...}``.
 """
@@ -31,13 +29,13 @@ File format (one JSON object per line):
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Optional, Tuple
 
-#: Version of the epoch-event record layout.
-EVENTS_SCHEMA_VERSION = 1
+#: Version of the epoch-event record layout (2: no ``sparsity`` /
+#: ``compression`` fields).
+EVENTS_SCHEMA_VERSION = 2
 
 #: Fields every epoch record must carry (``validate_epoch_event``).
 REQUIRED_EPOCH_FIELDS = (
@@ -47,12 +45,7 @@ REQUIRED_EPOCH_FIELDS = (
     "wall_time_s",
     "grad_norms",
     "weight_norms",
-    "sparsity",
-    "compression",
 )
-
-#: Keys of the per-epoch compression sub-document.
-COMPRESSION_KEYS = ("realized_dram_bytes_saved", "predicted_dram_bytes_saved")
 
 
 @dataclass
@@ -70,10 +63,6 @@ class EpochEvent:
     grad_norms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: layer index -> {"weight", "bias"}
     weight_norms: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: layer index -> input-feature zero fraction this epoch
-    sparsity: Dict[str, float] = field(default_factory=dict)
-    #: realized vs cost-model-predicted compression traffic savings
-    compression: Dict[str, float] = field(default_factory=dict)
     #: health-guard findings this epoch (kind strings, empty when clean)
     health_issues: List[str] = field(default_factory=list)
 
@@ -88,8 +77,6 @@ class EpochEvent:
             "wall_time_s": self.wall_time_s,
             "grad_norms": self.grad_norms,
             "weight_norms": self.weight_norms,
-            "sparsity": self.sparsity,
-            "compression": self.compression,
             "health_issues": list(self.health_issues),
         }
 
@@ -260,22 +247,6 @@ def validate_epoch_event(record: Dict[str, Any]) -> List[str]:
         problems.append(f"val_accuracy: expected a number or null, got {val!r}")
     _check_norm_map(record, "grad_norms", problems)
     _check_norm_map(record, "weight_norms", problems)
-    sparsity = record["sparsity"]
-    if not isinstance(sparsity, dict):
-        problems.append("sparsity: expected an object")
-    else:
-        for layer, value in sparsity.items():
-            if not isinstance(value, (int, float)) or (
-                not math.isnan(value) and not 0.0 <= value <= 1.0
-            ):
-                problems.append(f"sparsity[{layer}]: expected a fraction in [0, 1]")
-    compression = record["compression"]
-    if not isinstance(compression, dict):
-        problems.append("compression: expected an object")
-    else:
-        for key in COMPRESSION_KEYS:
-            if not isinstance(compression.get(key), (int, float)):
-                problems.append(f"compression.{key}: expected a number")
     return problems
 
 

@@ -76,6 +76,80 @@ VARIANTS: Dict[str, VariantSpec] = {
 }
 
 
+@dataclass(frozen=True)
+class KernelCost:
+    """One kernel pass priced by the phase law (DESIGN.md §7).
+
+    The aggregation phase, and the small-GEMM update a fused kernel runs
+    in the same pass, with the DRAM traffic each moves and the seconds
+    the machine model gives them: one memory stream over every phase at
+    the variant's bandwidth efficiency, and a compute side that sums the
+    gather loop, the fused update and the serial mask expand.
+    """
+
+    phases: Dict[str, PhaseTraffic]  # "aggregation" (+ "update" if fused)
+    memory_s: float
+    gather_s: float
+    update_s: float
+    expand_s: float
+
+    @property
+    def compute_s(self) -> float:
+        return self.gather_s + self.update_s + self.expand_s
+
+
+def kernel_cost(
+    machine: MachineConfig,
+    variant: VariantSpec,
+    shape: LayerShape,
+    hit_rate: float,
+    sparsity: float = 0.0,
+    write_a: bool = True,
+) -> KernelCost:
+    """Price one pass of ``variant``'s kernel over ``shape``.
+
+    ``hit_rate`` is the fraction of gathers served from cache (the reuse
+    profile's, or a caller's); ``write_a`` sends the aggregation output
+    to DRAM — every unfused kernel and fused training, not fused
+    inference (Figure 5c).  The mask expand runs serially after each
+    gather: its latency adds to the critical path instead of hiding
+    under it, which is why compression *loses* at low sparsity
+    (Figure 14, 10% points).
+    """
+    aggregation = aggregation_traffic(
+        shape,
+        gather_hit_rate=hit_rate,
+        feature_sparsity=sparsity,
+        compressed=variant.compressed,
+        write_a=write_a,
+    )
+    phases = {"aggregation": aggregation}
+    update_s = 0.0
+    dram_bytes = aggregation.dram_total
+    if variant.fused:
+        update = phases["update"] = update_traffic(
+            shape,
+            feature_sparsity=sparsity,
+            compressed=variant.compressed,
+            fused=True,
+        )
+        update_s = machine.gemm_time(update.flops, small=True)
+        dram_bytes += update.dram_total
+    return KernelCost(
+        phases=phases,
+        memory_s=machine.stream_time(dram_bytes, variant.bw_efficiency(machine)),
+        gather_s=aggregation.flops
+        / (machine.peak_flops * AGGREGATION_COMPUTE_EFFICIENCY),
+        update_s=update_s,
+        expand_s=decompress_elements(shape, variant.compressed)
+        / (
+            machine.cores
+            * machine.frequency_hz
+            * machine.decompress_elements_per_cycle
+        ),
+    )
+
+
 @dataclass
 class PhaseTimes:
     """Timing decomposition of one layer pass."""
@@ -201,27 +275,8 @@ class CostModel:
         return self.profile(order, seed).hit_rate(self.capacity_vectors)
 
     # ------------------------------------------------------------------
-    # Phase timing primitives
+    # Phase timing
     # ------------------------------------------------------------------
-    def _aggregation_compute_time(
-        self, traffic: PhaseTraffic, shape: LayerShape
-    ) -> float:
-        machine = self.machine
-        return traffic.flops / (machine.peak_flops * AGGREGATION_COMPUTE_EFFICIENCY)
-
-    def _expand_time(self, shape: LayerShape, compressed: bool) -> float:
-        """Serial mask-expand cost of decompression.
-
-        The expand instruction depends on the just-loaded mask and payload,
-        so its latency adds to the gather critical path instead of hiding
-        under it — which is why compression *loses* at low sparsity
-        (Figure 14, 10% points).
-        """
-        machine = self.machine
-        return decompress_elements(shape, compressed) / (
-            machine.cores * machine.frequency_hz * machine.decompress_elements_per_cycle
-        )
-
     def layer_forward(
         self,
         variant: VariantSpec,
@@ -230,53 +285,51 @@ class CostModel:
         training: bool = False,
         hit_rate: Optional[float] = None,
     ) -> PhaseTimes:
-        """Time one layer's forward pass under a variant."""
+        """Time one layer's forward pass under a variant.
+
+        The aggregation (and a fused variant's update) is
+        :func:`kernel_cost`'s; an unfused variant adds the separate
+        update GEMM, which reads ``a`` back from DRAM.
+        """
         machine = self.machine
         if hit_rate is None:
             hit_rate = self.hit_rate(variant.order)
-        bw_eff = variant.bw_efficiency(machine)
-        write_a = training or not variant.fused
-        agg = aggregation_traffic(
-            shape,
-            gather_hit_rate=hit_rate,
-            feature_sparsity=sparsity,
-            compressed=variant.compressed,
-            write_a=write_a,
+        cost = kernel_cost(
+            machine, variant, shape, hit_rate, sparsity,
+            write_a=training or not variant.fused,
         )
+        agg, expand = cost.phases["aggregation"], cost.expand_s
+        if variant.fused:
+            upd, mem = cost.phases["update"], cost.memory_s
+            cpu = cost.gather_s + cost.update_s
+            total = max(mem, cpu) + FUSION_OVERLAP_RESIDUAL * min(mem, cpu) + expand
+            agg_mem = machine.stream_time(
+                agg.dram_total, variant.bw_efficiency(machine)
+            )
+            return PhaseTimes(
+                aggregation=max(agg_mem, cost.gather_s) + expand,
+                update=cost.update_s,
+                total=total,
+                memory_time=mem,
+                compute_time=cost.compute_s,
+                dram_bytes=agg.dram_total + upd.dram_total,
+                flops=agg.flops + upd.flops,
+            )
         upd = update_traffic(
             shape,
             feature_sparsity=sparsity,
             compressed=variant.compressed,
-            fused=variant.fused,
+            fused=False,
         )
-        agg_cpu = self._aggregation_compute_time(agg, shape)
-        expand = self._expand_time(shape, variant.compressed)
-        if variant.fused:
-            mem = machine.stream_time(agg.dram_total + upd.dram_total, bw_eff)
-            cpu = agg_cpu + machine.gemm_time(upd.flops, small=True)
-            total = max(mem, cpu) + FUSION_OVERLAP_RESIDUAL * min(mem, cpu) + expand
-            return PhaseTimes(
-                aggregation=max(machine.stream_time(agg.dram_total, bw_eff), agg_cpu)
-                + expand,
-                update=machine.gemm_time(upd.flops, small=True),
-                total=total,
-                memory_time=mem,
-                compute_time=cpu + expand,
-                dram_bytes=agg.dram_total + upd.dram_total,
-                flops=agg.flops + upd.flops,
-            )
-        t_agg = max(machine.stream_time(agg.dram_total, bw_eff), agg_cpu) + expand
-        t_upd = max(
-            machine.stream_time(upd.dram_total, machine.stream_bw_efficiency),
-            machine.gemm_time(upd.flops),
-        )
+        upd_mem = machine.stream_time(upd.dram_total, machine.stream_bw_efficiency)
+        t_agg = max(cost.memory_s, cost.gather_s) + expand
+        t_upd = max(upd_mem, machine.gemm_time(upd.flops))
         return PhaseTimes(
             aggregation=t_agg,
             update=t_upd,
             total=t_agg + t_upd,
-            memory_time=machine.stream_time(agg.dram_total, bw_eff)
-            + machine.stream_time(upd.dram_total, machine.stream_bw_efficiency),
-            compute_time=agg_cpu + expand + machine.gemm_time(upd.flops),
+            memory_time=cost.memory_s + upd_mem,
+            compute_time=cost.compute_s + machine.gemm_time(upd.flops),
             dram_bytes=agg.dram_total + upd.dram_total,
             flops=agg.flops + upd.flops,
         )

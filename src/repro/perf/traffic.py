@@ -14,6 +14,7 @@ The cost model then converts byte counts into time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -207,3 +208,16 @@ def decompress_elements(shape: LayerShape, compressed: bool) -> float:
     if not compressed:
         return 0.0
     return float(shape.num_gathers) * shape.f_in
+
+
+def compressed_effective_feature_len(f_in: int, traffic_ratio: float) -> int:
+    """Feature length whose dense rows move what compressed rows move.
+
+    Used to drive the line-granular cache simulator with a compressed
+    working set: a dense run at this width approximates the compressed
+    run's byte traffic (exact only when the scaled row still fills whole
+    cache lines — the simulator cannot move a fraction of a line).
+    """
+    if not 0.0 < traffic_ratio <= 1.0 + 1e-9:
+        raise ValueError(f"traffic ratio must be in (0, 1], got {traffic_ratio}")
+    return max(1, int(math.ceil(f_in * traffic_ratio)))

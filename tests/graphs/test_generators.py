@@ -42,6 +42,11 @@ class TestPowerLaw:
         graph = power_law_graph(300, 8.0, max_degree=20, seed=0)
         assert graph.degrees().max() <= 20
 
+    @pytest.mark.parametrize("degree", [-3.0, 0.0, float("nan"), float("inf")])
+    def test_degree_must_be_positive_and_finite(self, degree):
+        with pytest.raises(ValueError, match="avg_degree"):
+            power_law_graph(100, degree)
+
 
 class TestGrid:
     def test_interior_degree_four(self):

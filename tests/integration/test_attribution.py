@@ -25,7 +25,7 @@ from repro.kernels import (
 )
 from repro.obs.attrib import DEFAULT_TRAFFIC_TOLERANCE, attribute_run
 from repro.perf import CostModel, cascade_lake_12
-from repro.perf.attribution import compressed_effective_feature_len
+from repro.perf.traffic import compressed_effective_feature_len
 from repro.sim import CoreAggregationSim
 from repro.tensors.compression import traffic_ratio
 

@@ -1,7 +1,9 @@
 """Differential test harness: every lane count is provably equivalent.
 
-The full matrix — kernel x aggregator x processing order x lane count —
-must produce the same answer.  Two levels of equivalence are enforced
+The full matrix — kernel x aggregator x vertex labelling x lane count —
+must produce the same answer.  Section 4.4's processing orders enter as
+relabels of the graph (:func:`repro.graphs.apply_order`), the way every
+value-plane kernel takes them.  Two levels of equivalence are enforced
 on seeded random power-law graphs (the degree skew the paper's dynamic
 scheduler exists for):
 
@@ -22,7 +24,9 @@ import pytest
 
 from repro import lanes
 from repro.graphs import (
+    apply_order,
     locality_order,
+    natural_order,
     power_law_graph,
     randomized_order,
     synthetic_features,
@@ -49,10 +53,16 @@ GRAPH_SEEDS = (3, 19)
 BLOCK_SIZE, BLOCKS_PER_TASK = 4, 2
 
 ORDERS = {
-    "natural": lambda graph: None,
+    "natural": natural_order,
     "randomized": randomized_order,
     "locality": locality_order,
 }
+
+
+def _relabel(graph, h, order_name):
+    """``graph`` relabelled by one processing order, with its features."""
+    order = ORDERS[order_name](graph)
+    return apply_order(graph, order), h[order]
 
 
 def _graph(seed):
@@ -71,20 +81,20 @@ def _params(f_in, f_out, seed=0):
     )
 
 
-def _run_kernel(name, graph, h, aggregator, params, order=None):
+def _run_kernel(name, graph, h, aggregator, params):
     """Build a fresh kernel of one variant and run it once."""
     if name == "basic":
         kernel = BasicKernel(task_size=32)
-        out, stats = kernel.aggregate(graph, h, aggregator, order)
+        out, stats = kernel.aggregate(graph, h, aggregator)
     elif name == "compression":
         kernel = CompressedKernel(task_size=32)
-        out, stats = kernel.aggregate(graph, h, aggregator, order)
+        out, stats = kernel.aggregate(graph, h, aggregator)
     elif name == "fusion":
         kernel = FusedKernel(BLOCK_SIZE, BLOCKS_PER_TASK)
-        out, _, stats = kernel.run_layer(graph, h, params, aggregator, order=order)
+        out, _, stats = kernel.run_layer(graph, h, params, aggregator)
     elif name == "combined":
         kernel = CompressedFusedKernel(BLOCK_SIZE, BLOCKS_PER_TASK)
-        out, _, stats = kernel.run_layer(graph, h, params, aggregator, order=order)
+        out, _, stats = kernel.run_layer(graph, h, params, aggregator)
     else:  # pragma: no cover - defensive
         raise KeyError(name)
     return out, stats
@@ -112,25 +122,24 @@ def _comparable_counters(stats):
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 @pytest.mark.parametrize("name", ["basic", "compression", "fusion", "combined"])
 def test_differential_matrix(always_split, name, aggregator):
-    """kernel x aggregator x order x lanes: bitwise-equal everywhere."""
+    """kernel x aggregator x labelling x lanes: bitwise-equal everywhere."""
     for seed in GRAPH_SEEDS:
-        graph = _graph(seed)
-        assert graph.num_vertices >= 3 * lanes.MIN_SLICE * BLOCK_SIZE * BLOCKS_PER_TASK
-        h = _features(graph, seed)
-        params = _params(h.shape[1], 12, seed)
-        reference = aggregate(graph, h, aggregator)  # dense SpMM oracle
-        if name in ("fusion", "combined"):
-            reference = params.apply(reference)
+        base = _graph(seed)
+        assert base.num_vertices >= 3 * lanes.MIN_SLICE * BLOCK_SIZE * BLOCKS_PER_TASK
+        params = _params(24, 12, seed)
         for order_name in ("natural", "randomized"):
-            order = ORDERS[order_name](graph)
+            graph, h = _relabel(base, _features(base, seed), order_name)
+            reference = aggregate(graph, h, aggregator)  # dense SpMM oracle
+            if name in ("fusion", "combined"):
+                reference = params.apply(reference)
             always_split(1)
             baseline, baseline_stats = _run_kernel(
-                name, graph, h, aggregator, params, order
+                name, graph, h, aggregator, params
             )
             np.testing.assert_allclose(baseline, reference, atol=2e-4)
             for count in LANE_COUNTS[1:]:
                 always_split(count)
-                out, stats = _run_kernel(name, graph, h, aggregator, params, order)
+                out, stats = _run_kernel(name, graph, h, aggregator, params)
                 assert np.array_equal(out, baseline), (
                     f"{name}/{aggregator}/{order_name}/x{count} diverged bitwise"
                 )
@@ -181,22 +190,20 @@ def test_training_with_parallel_kernel_matches_serial(always_split):
 def test_lane_split_pass_matches_one_lane(
     always_split, aggregator, transposed, order_name
 ):
-    """A pass runs as ONE operator call in any processing order, cut
-    into one row slice per lane; its counters are closed forms of the
-    graph and the order.  Rows and counters must not move with the lane
+    """A pass over a graph in any labelling runs as ONE operator call,
+    cut into one row slice per lane; its counters are closed forms of
+    the relabelled graph.  Rows and counters must not move with the lane
     count."""
-    graph = _graph(7)
-    h = _features(graph, 7)
-    order = ORDERS[order_name](graph)
+    base = _graph(7)
+    graph, h = _relabel(base, _features(base, 7), order_name)
     kernel = BasicKernel(task_size=32)
     run = kernel.aggregate_backward if transposed else kernel.aggregate
-    base = graph.transpose() if transposed else graph
-    degrees = base.degrees() if order is None else base.degrees()[order]
+    degrees = (graph.transpose() if transposed else graph).degrees()
     n = graph.num_vertices
     runs = []
     for count in LANE_COUNTS:
         always_split(count)
-        out, stats = run(graph, h, aggregator, order)
+        out, stats = run(graph, h, aggregator)
         assert stats.gathers == graph.num_edges + n
         assert stats.tasks == -(-n // 32)
         assert stats.prefetches == PREFETCH_LINES_PER_VECTOR * int(

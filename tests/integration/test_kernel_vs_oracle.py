@@ -2,8 +2,8 @@
 
 Every chunked kernel runs one engine — a specialized closure call per
 chunk through :class:`~repro.kernels.segment.ScaledCSR` — and this suite
-is its contract: every kernel variant, aggregator, and processing order
-computes the same rows as the per-vertex fp64 oracles
+is its contract: every kernel variant and aggregator, on the graph
+relabelled by each Section 4.4 processing order, computes the same rows as the per-vertex fp64 oracles
 (:func:`gather_reduce_reference` / :func:`aggregate_backward_reference`),
 the work counters equal their closed forms (not merely something
 plausible), the degenerate shapes — empty graph, edgeless graph, single
@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.graphs import (
     CSRGraph,
+    apply_order,
     load_dataset,
     locality_order,
     natural_order,
@@ -52,6 +53,12 @@ def make_order(graph, name):
     return locality_order(graph)
 
 
+def relabel(graph, features, name):
+    """``graph`` relabelled by one processing order, with its features."""
+    order = make_order(graph, name)
+    return apply_order(graph, order), features[order]
+
+
 @pytest.fixture(scope="module")
 def graph():
     return load_dataset("wikipedia", scale=0.04, seed=9)
@@ -72,34 +79,30 @@ def params():
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 class TestEveryVariantMatchesOracle:
     def test_basic(self, graph, features, order_name, aggregator):
-        order = make_order(graph, order_name)
+        graph, features = relabel(graph, features, order_name)
         reference = gather_reduce_reference(graph, features, aggregator)
-        out, _ = BasicKernel().aggregate(graph, features, aggregator, order=order)
+        out, _ = BasicKernel().aggregate(graph, features, aggregator)
         np.testing.assert_allclose(out, reference, atol=ATOL)
 
-    def test_basic_backward(self, graph, order_name, aggregator):
-        order = make_order(graph, order_name)
+    def test_basic_backward(self, graph, features, order_name, aggregator):
+        graph, _ = relabel(graph, features, order_name)
         rng = np.random.default_rng(6)
         grad_a = rng.standard_normal((graph.num_vertices, 10)).astype(np.float32)
         reference = aggregate_backward_reference(graph, grad_a, aggregator)
-        out, _ = BasicKernel().aggregate_backward(
-            graph, grad_a, aggregator, order=order
-        )
+        out, _ = BasicKernel().aggregate_backward(graph, grad_a, aggregator)
         np.testing.assert_allclose(out, reference, atol=ATOL)
 
     def test_compressed(self, graph, features, order_name, aggregator):
-        order = make_order(graph, order_name)
+        graph, features = relabel(graph, features, order_name)
         reference = gather_reduce_reference(graph, features, aggregator)
-        out, _ = CompressedKernel().aggregate(
-            graph, features, aggregator, order=order
-        )
+        out, _ = CompressedKernel().aggregate(graph, features, aggregator)
         np.testing.assert_allclose(out, reference, atol=ATOL)
 
     def test_fused(self, graph, features, params, order_name, aggregator):
-        order = make_order(graph, order_name)
+        graph, features = relabel(graph, features, order_name)
         reference = gather_reduce_reference(graph, features, aggregator)
         h_out, a, _ = FusedKernel().run_layer(
-            graph, features, params, aggregator, keep_aggregation=True, order=order
+            graph, features, params, aggregator, keep_aggregation=True
         )
         np.testing.assert_allclose(a, reference, atol=ATOL)
         np.testing.assert_allclose(
@@ -107,10 +110,10 @@ class TestEveryVariantMatchesOracle:
         )
 
     def test_combined(self, graph, features, params, order_name, aggregator):
-        order = make_order(graph, order_name)
+        graph, features = relabel(graph, features, order_name)
         reference = gather_reduce_reference(graph, features, aggregator)
         h_out, a, _ = CompressedFusedKernel().run_layer(
-            graph, features, params, aggregator, keep_aggregation=True, order=order
+            graph, features, params, aggregator, keep_aggregation=True
         )
         np.testing.assert_allclose(a, reference, atol=ATOL)
         np.testing.assert_allclose(
@@ -118,12 +121,12 @@ class TestEveryVariantMatchesOracle:
         )
 
 
-def expected_prefetches(degrees, order, distance):
-    """Alg. 1 line 9: every position with a vertex ``distance`` behind it
+def expected_prefetches(degrees, distance):
+    """Alg. 1 line 9: every vertex with one ``distance`` ids behind it
     is prefetched once, ``deg + 1`` vectors of two lines each."""
     if not distance:
         return 0
-    return PREFETCH_LINES_PER_VECTOR * int((degrees[order[distance:]] + 1).sum())
+    return PREFETCH_LINES_PER_VECTOR * int((degrees[distance:] + 1).sum())
 
 
 def expected_blocks(num_vertices, block_size, blocks_per_task):
@@ -136,71 +139,72 @@ def expected_blocks(num_vertices, block_size, blocks_per_task):
 
 class TestClosedFormCounters:
     """The counters are the time plane's inputs, so they are pinned to
-    closed forms of graph + order — "plausible" is not good enough."""
+    closed forms of the graph — "plausible" is not good enough.  Each
+    runs on the randomized relabel, whose degree sequence the look-ahead
+    walks."""
 
     TASK_SIZE = 37
     BLOCK_SIZE, BLOCKS_PER_TASK = 7, 3
 
-    def test_basic_counters_exact(self, graph, features):
-        order = randomized_order(graph, seed=5)
+    @pytest.fixture
+    def shuffled(self, graph, features):
+        return relabel(graph, features, "randomized")[0]
+
+    def test_basic_counters_exact(self, shuffled, features):
         kernel = BasicKernel(task_size=self.TASK_SIZE, prefetch_distance=3)
-        _, stats = kernel.aggregate(graph, features, "gcn", order=order)
-        n = graph.num_vertices
-        assert stats.gathers == graph.num_edges + n
+        _, stats = kernel.aggregate(shuffled, features, "gcn")
+        n = shuffled.num_vertices
+        assert stats.gathers == shuffled.num_edges + n
         assert stats.tasks == -(-n // self.TASK_SIZE)
-        assert stats.prefetches == expected_prefetches(graph.degrees(), order, 3) > 0
+        assert stats.prefetches == expected_prefetches(shuffled.degrees(), 3) > 0
         assert stats.flops == 2.0 * stats.gathers * features.shape[1]
         assert stats.blocks == stats.decompressed_rows == 0
 
-    def test_backward_counters_exact(self, graph):
+    def test_backward_counters_exact(self, shuffled):
         """Backward prices the transposed adjacency: same totals, the
         transposed degrees behind the prefetch look-ahead."""
-        order = randomized_order(graph, seed=5)
         rng = np.random.default_rng(6)
-        grad_a = rng.standard_normal((graph.num_vertices, 10)).astype(np.float32)
+        grad_a = rng.standard_normal((shuffled.num_vertices, 10)).astype(np.float32)
         kernel = BasicKernel(task_size=self.TASK_SIZE)
-        _, stats = kernel.aggregate_backward(graph, grad_a, "gcn", order=order)
-        n = graph.num_vertices
-        assert stats.gathers == graph.num_edges + n
+        _, stats = kernel.aggregate_backward(shuffled, grad_a, "gcn")
+        n = shuffled.num_vertices
+        assert stats.gathers == shuffled.num_edges + n
         assert stats.tasks == -(-n // self.TASK_SIZE)
-        transposed = graph.transpose().degrees()
-        assert not np.array_equal(transposed, graph.degrees())
+        transposed = shuffled.transpose().degrees()
+        assert not np.array_equal(transposed, shuffled.degrees())
         assert stats.prefetches == expected_prefetches(
-            transposed, order, kernel.prefetch_distance
+            transposed, kernel.prefetch_distance
         )
 
-    def test_fused_counters_exact(self, graph, features, params):
-        order = randomized_order(graph, seed=5)
+    def test_fused_counters_exact(self, shuffled, features, params):
         kernel = FusedKernel(self.BLOCK_SIZE, self.BLOCKS_PER_TASK)
-        _, _, stats = kernel.run_layer(graph, features, params, "gcn", order=order)
-        n = graph.num_vertices
-        assert stats.gathers == graph.num_edges + n
+        _, _, stats = kernel.run_layer(shuffled, features, params, "gcn")
+        n = shuffled.num_vertices
+        assert stats.gathers == shuffled.num_edges + n
         assert stats.tasks == -(-n // (self.BLOCK_SIZE * self.BLOCKS_PER_TASK))
         assert stats.blocks == expected_blocks(
             n, self.BLOCK_SIZE, self.BLOCKS_PER_TASK
         )
         assert stats.prefetches == expected_prefetches(
-            graph.degrees(), order, kernel.prefetch_distance
+            shuffled.degrees(), kernel.prefetch_distance
         )
         assert stats.decompressed_rows == 0
 
-    def test_compressed_counters_exact(self, graph, features):
-        order = randomized_order(graph, seed=5)
+    def test_compressed_counters_exact(self, shuffled, features):
         kernel = CompressedKernel(task_size=self.TASK_SIZE)
-        _, stats = kernel.aggregate(graph, features, "gcn", order=order)
-        n = graph.num_vertices
-        assert stats.gathers == graph.num_edges + n
+        _, stats = kernel.aggregate(shuffled, features, "gcn")
+        n = shuffled.num_vertices
+        assert stats.gathers == shuffled.num_edges + n
         assert stats.decompressed_rows == stats.gathers
         assert stats.compressed_rows == n
         assert stats.tasks == -(-n // self.TASK_SIZE)
         assert stats.prefetches == 0  # the compressed kernels issue none
 
-    def test_combined_counters_exact(self, graph, features, params):
-        order = randomized_order(graph, seed=5)
+    def test_combined_counters_exact(self, shuffled, features, params):
         kernel = CompressedFusedKernel(self.BLOCK_SIZE, self.BLOCKS_PER_TASK)
-        _, _, stats = kernel.run_layer(graph, features, params, "gcn", order=order)
-        n = graph.num_vertices
-        assert stats.gathers == graph.num_edges + n
+        _, _, stats = kernel.run_layer(shuffled, features, params, "gcn")
+        n = shuffled.num_vertices
+        assert stats.gathers == shuffled.num_edges + n
         assert stats.decompressed_rows == stats.gathers
         assert stats.compressed_rows == n
         assert stats.tasks == -(-n // (self.BLOCK_SIZE * self.BLOCKS_PER_TASK))
@@ -237,10 +241,11 @@ class TestDegenerateShapes:
     def test_mixed_isolated_and_connected(self):
         graph = CSRGraph.from_edges(5, [(0, 1), (0, 2), (3, 0)])
         h = synthetic_features(graph, 4, seed=2)
-        for order in (None, np.array([4, 0, 3, 1, 2])):
-            out, _ = BasicKernel().aggregate(graph, h, "mean", order=order)
+        for order in (np.arange(5), np.array([4, 0, 3, 1, 2])):
+            relabelled, x = apply_order(graph, order), h[order]
+            out, _ = BasicKernel().aggregate(relabelled, x, "mean")
             np.testing.assert_allclose(
-                out, gather_reduce_reference(graph, h, "mean"), atol=ATOL
+                out, gather_reduce_reference(relabelled, x, "mean"), atol=ATOL
             )
 
     def test_all_zero_feature_rows(self, graph):

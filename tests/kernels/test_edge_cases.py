@@ -4,15 +4,15 @@ Every kernel must survive (and stay correct on): the empty graph, a
 graph of isolated vertices, a single-vertex graph, feature widths that
 do not divide the 16-lane vector width, and task sizes larger than the
 vertex count — on one lane and on two and three (under the
-``always_split`` fixture, in natural and shuffled processing order, each
-bitwise equal to one lane).  A malformed processing order is the one
-input every kernel must refuse.
+``always_split`` fixture, on the graph and on a shuffled relabel of it,
+each bitwise equal to one lane).  A malformed processing order is
+refused by the relabel, before any kernel sees it.
 """
 
 import numpy as np
 import pytest
 
-from repro.graphs import CSRGraph
+from repro.graphs import CSRGraph, apply_order
 from repro.kernels import (
     BasicKernel,
     CompressedFusedKernel,
@@ -44,32 +44,33 @@ def _params(f_in, f_out=6, seed=0):
     )
 
 
-def _kernel_outputs(graph, h, params, order):
-    """Every kernel variant's output, in one processing order."""
+def _kernel_outputs(graph, h, params):
+    """Every kernel variant's output."""
     return {
-        "basic": BasicKernel().aggregate(graph, h, "gcn", order)[0],
-        "compression": CompressedKernel().aggregate(graph, h, "gcn", order)[0],
+        "basic": BasicKernel().aggregate(graph, h, "gcn")[0],
+        "compression": CompressedKernel().aggregate(graph, h, "gcn")[0],
         "fusion": FusedKernel(block_size=4, blocks_per_task=1).run_layer(
-            graph, h, params, "gcn", order=order
+            graph, h, params, "gcn"
         )[0],
         "combined": CompressedFusedKernel(block_size=4, blocks_per_task=1).run_layer(
-            graph, h, params, "gcn", order=order
+            graph, h, params, "gcn"
         )[0],
     }
 
 
 def _all_kernel_runs(graph, h, always_split, count):
-    """Run every kernel variant on ``count`` lanes in natural and shuffled
-    order, each bitwise equal to one lane; yield (name, output, reference)."""
-    reference = aggregate(graph, h, "gcn")
+    """Run every kernel variant on ``count`` lanes on the graph and on a
+    shuffled relabel of it, each bitwise equal to one lane; yield (name,
+    output, reference)."""
     params = _params(h.shape[1])
-    fused_reference = params.apply(reference)
     shuffled = np.random.default_rng(0).permutation(graph.num_vertices)
-    for order in (None, shuffled):
+    for graph, h in ((graph, h), (apply_order(graph, shuffled), h[shuffled])):
+        reference = aggregate(graph, h, "gcn")
+        fused_reference = params.apply(reference)
         always_split(1)
-        serial = _kernel_outputs(graph, h, params, order)
+        serial = _kernel_outputs(graph, h, params)
         always_split(count)
-        for name, out in _kernel_outputs(graph, h, params, order).items():
+        for name, out in _kernel_outputs(graph, h, params).items():
             assert np.array_equal(out, serial[name]), name
             fused = name in ("fusion", "combined")
             yield name, out, fused_reference if fused else reference
@@ -148,10 +149,10 @@ class TestOversizedTaskSize:
         assert stats.tasks == 1
 
 
-def _run_with_order(kernel, graph, h, order):
+def _run(kernel, graph, h, **extra):
     if hasattr(kernel, "run_layer"):
-        return kernel.run_layer(graph, h, _params(h.shape[1]), "gcn", order=order)
-    return kernel.aggregate(graph, h, "gcn", order=order)
+        return kernel.run_layer(graph, h, _params(h.shape[1]), "gcn", **extra)[0]
+    return kernel.aggregate(graph, h, "gcn", **extra)[0]
 
 
 @pytest.mark.parametrize(
@@ -160,7 +161,8 @@ def _run_with_order(kernel, graph, h, order):
 )
 def test_malformed_order_rejected(kernel_type, star10):
     """Outputs are ``np.empty``: an order that skips a vertex would hand
-    back uninitialised rows, so anything but a permutation raises."""
+    back uninitialised rows.  A kernel takes no order (Section 4.4 is a
+    relabel), and the relabel refuses anything but a permutation."""
     n = star10.num_vertices
     h = _features(n, 6, seed=8)
     out_of_range = np.arange(n)
@@ -169,8 +171,11 @@ def test_malformed_order_rejected(kernel_type, star10):
     negative[-1] = -1
     for bad in (np.zeros(n, dtype=np.int64), out_of_range, negative, np.arange(n - 1)):
         with pytest.raises(ValueError, match="order must"):
-            _run_with_order(kernel_type(), star10, h, bad)
-    _run_with_order(kernel_type(), star10, h, np.arange(n)[::-1].copy())
-    if kernel_type is BasicKernel:
-        with pytest.raises(ValueError, match="order must"):
-            BasicKernel().aggregate_backward(star10, h, "gcn", order=np.zeros(n, int))
+            apply_order(star10, bad)
+    with pytest.raises(TypeError):
+        _run(kernel_type(), star10, h, order=np.arange(n))
+    reverse = np.arange(n)[::-1].copy()
+    relabelled = _run(kernel_type(), apply_order(star10, reverse), h[reverse])
+    np.testing.assert_allclose(
+        relabelled[np.argsort(reverse)], _run(kernel_type(), star10, h), atol=1e-5
+    )

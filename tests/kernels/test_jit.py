@@ -46,15 +46,18 @@ class TestCache:
         for specialize in (cache.specialize, cache.specialize_backward):
             kernel = specialize(small_products, KernelSpec(16, "gcn"))
             with pytest.raises(ValueError):
-                kernel(wrong, np.array([0]))
+                kernel(wrong, 0, 1)
 
     def test_specialized_kernel_correct(self, small_products):
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(12, "mean"))
         h = synthetic_features(small_products, 12, seed=0)
         reference = aggregate(small_products, h, "mean")
-        verts = np.array([0, 5, small_products.num_vertices - 1])
-        np.testing.assert_allclose(kernel(h, verts), reference[verts], atol=1e-5)
+        n = small_products.num_vertices
+        for lo, hi in ((0, 1), (5, 9), (n - 1, n)):
+            np.testing.assert_allclose(
+                kernel(h, lo, hi), reference[lo:hi], atol=1e-5
+            )
 
 
 class TestAmortization:
@@ -75,45 +78,41 @@ class TestBatchedSpecialization:
         kernel = cache.specialize(small_products, KernelSpec(12, "mean"))
         h = synthetic_features(small_products, 12, seed=0)
         reference = aggregate(small_products, h, "mean")
-        verts = np.arange(small_products.num_vertices, dtype=np.int64)
-        np.testing.assert_allclose(kernel(h, verts), reference, atol=2e-5)
+        n = small_products.num_vertices
+        np.testing.assert_allclose(kernel(h, 0, n), reference, atol=2e-5)
 
     def test_matches_reference_per_chunk(self, small_products):
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(8, "gcn"))
         h = synthetic_features(small_products, 8, seed=2)
-        verts = np.arange(17, 49, dtype=np.int64)
         reference = gather_reduce_reference(small_products, h, "gcn")
-        np.testing.assert_allclose(kernel(h, verts), reference[verts], atol=2e-5)
+        np.testing.assert_allclose(kernel(h, 17, 49), reference[17:49], atol=2e-5)
 
-    def test_contiguous_and_scattered_paths_agree(self, small_products):
-        """The row-slice path and the row-select path accumulate each
-        row identically, so they agree bit for bit."""
+    def test_row_slice_is_bitwise_the_whole_pass(self, small_products):
+        """A block's row slice accumulates each row exactly as the whole
+        operator does, so the two agree bit for bit."""
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(8, "gcn"))
         h = synthetic_features(small_products, 8, seed=3)
-        verts = np.arange(10, 42, dtype=np.int64)
-        contiguous = kernel(h, verts, contiguous=True)
-        np.testing.assert_array_equal(kernel(h, verts), contiguous)
-        shuffled = np.random.default_rng(0).permutation(verts)
-        scattered = kernel(h, shuffled)
-        np.testing.assert_array_equal(scattered[np.argsort(shuffled)], contiguous)
+        whole = kernel(h, 0, small_products.num_vertices)
+        np.testing.assert_array_equal(kernel(h, 10, 42), whole[10:42])
 
     def test_empty_vertex_array(self, small_products):
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(4, "sum"))
         h = synthetic_features(small_products, 4, seed=0)
-        out = kernel(h, np.empty(0, dtype=np.int64))
-        assert out.shape == (0, 4)
+        for lo in (0, 5):
+            assert kernel(h, lo, lo).shape == (0, 4)
 
     def test_checks_width(self, small_products):
-        """Both chunk shapes refuse a matrix of another width."""
+        """A block and the whole pass refuse a matrix of another width."""
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(16, "gcn"))
-        wrong = np.ones((small_products.num_vertices, 8), dtype=np.float32)
-        for contiguous in (False, True):
+        n = small_products.num_vertices
+        wrong = np.ones((n, 8), dtype=np.float32)
+        for hi in (2, n):
             with pytest.raises(ValueError):
-                kernel(wrong, np.array([0, 1]), contiguous)
+                kernel(wrong, 0, hi)
 
 
 class TestBackwardSpecialization:
@@ -137,10 +136,9 @@ class TestBackwardSpecialization:
         cache = JitKernelCache()
         kernel = cache.specialize_backward(small_products, KernelSpec(8, "gcn"))
         grad_a = synthetic_features(small_products, 8, seed=4)
-        verts = np.arange(13, 57, dtype=np.int64)
         reference = aggregate_backward_reference(small_products, grad_a, "gcn")
         np.testing.assert_allclose(
-            kernel(grad_a, verts), reference[verts], atol=2e-5
+            kernel(grad_a, 13, 57), reference[13:57], atol=2e-5
         )
 
     def test_backward_is_transpose_of_forward(self, small_uniform):
@@ -153,9 +151,9 @@ class TestBackwardSpecialization:
         rng = np.random.default_rng(0)
         h = rng.standard_normal((small_uniform.num_vertices, 6)).astype(np.float32)
         g = rng.standard_normal((small_uniform.num_vertices, 6)).astype(np.float32)
-        verts = np.arange(small_uniform.num_vertices, dtype=np.int64)
-        lhs = float((fwd(h, verts) * g).sum())
-        rhs = float((h * bwd(g, verts)).sum())
+        n = small_uniform.num_vertices
+        lhs = float((fwd(h, 0, n) * g).sum())
+        rhs = float((h * bwd(g, 0, n)).sum())
         assert abs(lhs - rhs) <= 1e-3 * max(abs(lhs), 1.0)
 
     def test_backward_entries_amortize_in_kernel(self, small_products):
@@ -219,7 +217,7 @@ class TestWeakrefKeying:
             h = synthetic_features(look_alike, 4, seed=seed)
             reference = aggregate(look_alike, h, "gcn")
             np.testing.assert_allclose(
-                kernel(h, np.array([0]))[0], reference[0], atol=1e-5
+                kernel(h, 0, 1)[0], reference[0], atol=1e-5
             )
             del look_alike, kernel
             gc.collect()
@@ -234,7 +232,7 @@ class TestWeakrefKeying:
         for g, k in zip(graphs, kernels):
             h = synthetic_features(g, 4, seed=9)
             np.testing.assert_allclose(
-                k(h, np.array([1]))[0], aggregate(g, h, "sum")[1], atol=1e-5
+                k(h, 1, 2)[0], aggregate(g, h, "sum")[1], atol=1e-5
             )
 
     def test_token_survives_pickle_roundtrip(self, small_products):

@@ -2,13 +2,15 @@
 
 Graphite's whole premise is that its optimizations are semantics-
 preserving — these tests enforce it for every execution strategy, both
-aggregators, multiple graphs, and custom processing orders.
+aggregators, multiple graphs, and graphs relabelled by Section 4.4's
+processing orders.
 """
 
 import numpy as np
 import pytest
 
 from repro.graphs import (
+    apply_order,
     locality_order,
     randomized_order,
     synthetic_features,
@@ -58,12 +60,15 @@ def test_kernels_on_corner_graphs(kernel, star10, chain20, grid16):
     "order_fn", [randomized_order, locality_order], ids=["random", "locality"]
 )
 def test_order_does_not_change_results(small_products, order_fn):
+    """Section 4.4 as a relabel: run on the relabelled graph, map the
+    rows back, get the natural result."""
     h = synthetic_features(small_products, 16, seed=3)
     reference = aggregate(small_products, h, "gcn")
     order = order_fn(small_products)
-    for kernel in (BasicKernel(), CompressedKernel()):
-        out, _ = kernel.aggregate(small_products, h, "gcn", order=order)
-        np.testing.assert_allclose(out, reference, atol=1e-4)
+    relabelled = apply_order(small_products, order)
+    for kernel in (BasicKernel(), CompressedKernel(), SpMMKernel()):
+        out, _ = kernel.aggregate(relabelled, h[order], "gcn")
+        np.testing.assert_allclose(out[np.argsort(order)], reference, atol=1e-4)
 
 
 @pytest.mark.parametrize("keep", [True, False], ids=["training", "inference"])

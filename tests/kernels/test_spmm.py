@@ -4,50 +4,56 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.graphs import randomized_order, synthetic_features
+from repro.graphs import apply_order, randomized_order
 from repro.kernels import SpMMKernel
 from repro.nn.aggregate import gather_reduce_reference
 
 
 class TestOrderKwarg:
-    """Variant sweeps pass ``order`` to every kernel uniformly; for SpMM
-    it must be accepted and ignored (one sparse product computes all rows
-    at once, so processing order cannot matter)."""
+    """Section 4.4's order reaches SpMM, like every value-plane kernel, as
+    a relabel of the graph (:func:`apply_order`): the kernel refuses an
+    ``order`` keyword, and the relabel refuses anything but a
+    permutation."""
+
+    def test_order_kwarg_is_refused(self, small_products, features16):
+        order = randomized_order(small_products, seed=8)
+        with pytest.raises(TypeError):
+            SpMMKernel().aggregate(small_products, features16, "gcn", order=order)
 
     def test_order_is_noop(self, small_products, features16):
+        """One sparse product computes all rows at once: the relabelled
+        run, mapped back, is the natural one up to summation order."""
         kernel = SpMMKernel()
         plain, _ = kernel.aggregate(small_products, features16, "gcn")
         order = randomized_order(small_products, seed=8)
-        ordered, _ = kernel.aggregate(small_products, features16, "gcn", order=order)
-        np.testing.assert_array_equal(plain, ordered)
+        relabelled = apply_order(small_products, order)
+        ordered, _ = kernel.aggregate(relabelled, features16[order], "gcn")
+        np.testing.assert_allclose(ordered[np.argsort(order)], plain, atol=1e-5)
 
-    def test_wrong_length_order_rejected(self, small_products, features16):
+    def test_wrong_length_order_rejected(self, small_products):
         with pytest.raises(ValueError):
-            SpMMKernel().aggregate(
-                small_products, features16, "gcn", order=np.array([0, 1, 2])
-            )
+            apply_order(small_products, np.array([0, 1, 2]))
 
-    def test_duplicate_ids_rejected(self, small_products, features16):
-        """Regression: ``order`` used to be a silent no-op — any
-        same-length array slipped through.  A repeated vertex id is not a
-        permutation and must raise, exactly as the walking kernels do."""
+    def test_duplicate_ids_rejected(self, small_products):
+        """A repeated vertex id is not a permutation and must raise."""
         order = np.zeros(small_products.num_vertices, dtype=np.int64)
         with pytest.raises(ValueError, match="permutation"):
-            SpMMKernel().aggregate(small_products, features16, "gcn", order=order)
+            apply_order(small_products, order)
 
-    def test_out_of_range_ids_rejected(self, small_products, features16):
+    def test_out_of_range_ids_rejected(self, small_products):
         order = np.arange(small_products.num_vertices, dtype=np.int64)
         order[0] = small_products.num_vertices  # one past the end
         with pytest.raises(ValueError, match="permutation"):
-            SpMMKernel().aggregate(small_products, features16, "gcn", order=order)
+            apply_order(small_products, order)
         order[0] = -1
         with pytest.raises(ValueError, match="permutation"):
-            SpMMKernel().aggregate(small_products, features16, "gcn", order=order)
+            apply_order(small_products, order)
 
     def test_matches_oracle_with_order(self, small_products, features16):
         order = randomized_order(small_products, seed=8)
-        out, _ = SpMMKernel().aggregate(small_products, features16, "mean", order=order)
-        reference = gather_reduce_reference(small_products, features16, "mean")
+        relabelled, h = apply_order(small_products, order), features16[order]
+        out, _ = SpMMKernel().aggregate(relabelled, h, "mean")
+        reference = gather_reduce_reference(relabelled, h, "mean")
         np.testing.assert_allclose(out, reference, atol=3e-5)
 
 
@@ -67,6 +73,6 @@ class TestTelemetry:
         assert any(name.startswith("kernel.mkl.") for name in snapshot)
 
     def test_attribution_covers_mkl(self):
-        from repro.perf.attribution import SPAN_VARIANTS
+        from repro.obs.attrib import SPAN_VARIANTS
 
         assert SPAN_VARIANTS["kernel.mkl"] == "mkl"

@@ -271,9 +271,8 @@ class TestBatchedBackwardMatchesReference:
         cache = JitKernelCache()
         spec = KernelSpec(6, "gcn")
         closure = cache.specialize_backward(graph, spec)
-        verts = np.arange(graph.num_vertices, dtype=np.int64)
-        np.testing.assert_allclose(closure(grad_a, verts), reference, atol=1e-6)
-        shuffled = rng.permutation(verts)
+        n = graph.num_vertices
+        np.testing.assert_allclose(closure(grad_a, 0, n), reference, atol=1e-6)
         np.testing.assert_allclose(
-            closure(grad_a, shuffled), reference[shuffled], atol=1e-6
+            closure(grad_a, 7, 19), reference[7:19], atol=1e-6
         )

@@ -151,39 +151,36 @@ class TestTrainerObservability:
         # Per-layer signals cover both layers.
         assert set(event["grad_norms"]) == {"0", "1"}
         assert set(event["weight_norms"]) == {"0", "1"}
-        assert set(event["sparsity"]) == {"0", "1"}
-        # Layer 1's input went through ReLU + dropout: clearly sparse.
-        assert event["sparsity"]["1"] > 0.3
         assert event["grad_norms"]["0"]["weight"] > 0.0
         # Nothing consumes the gradient w.r.t. the input features, so the
         # first layer reports no h_in norm; every later layer does.
         assert "h_in" not in event["grad_norms"]["0"]
         assert event["grad_norms"]["1"]["h_in"] > 0.0
-        # SpMM-oracle run: nothing realized.  The prediction prices what
-        # this epoch actually gathered: the first layer reused its kept
-        # aggregation (0 gathers) and the narrowing 16 -> 3 layer ran
-        # transform-first, gathering the dense 3-wide h W instead of its
-        # sparse 16-wide input — so compression would only add its mask
-        # overhead, at most 1/32 of (E + V) rows of 3 floats.  (It was
-        # > 0 when both layers gathered h_in-wide rows every epoch.)
-        assert event["compression"]["realized_dram_bytes_saved"] == 0.0
-        mask_overhead = (graph.num_edges + graph.num_vertices) * 3 * 4 / 32
-        predicted = event["compression"]["predicted_dram_bytes_saved"]
-        assert -mask_overhead <= predicted < 0.0
+        # Schema 2: sparsity lives in TrainingHistory, S3 pricing in perf/.
+        assert "sparsity" not in event and "compression" not in event
         assert event["health_issues"] == []
         assert event["wall_time_s"] > 0.0
 
-    def test_event_log_without_profile_sparsity(self, community_task, tmp_path):
-        # Sparsity appears in events even when the history profile is off.
+    def test_event_log_without_profile_sparsity(
+        self, community_task, tmp_path, monkeypatch
+    ):
+        # An observed epoch measures no sparsity unless the profile is on.
+        import repro.nn.training as training
+
+        def measured(_):
+            raise AssertionError("sparsity measured with the profile off")
+
+        monkeypatch.setattr(training, "sparsity_of", measured)
         graph, features, labels = community_task
         model = build_model("gcn", 8, 8, 3, num_layers=2, seed=1)
         log = EventLog(str(tmp_path / "run.jsonl"))
         trainer = Trainer(
-            model, SGD(model, lr=0.1), profile_sparsity=False, event_log=log
+            model, SGD(model, lr=0.1), profile_sparsity=False, event_log=log,
+            health=HealthMonitor(),
         )
         trainer.train_epoch(graph, features, labels)
         log.close()
-        assert set(log.events[0]["sparsity"]) == {"0", "1"}
+        assert "sparsity" not in log.events[0]
         assert trainer.history.sparsity.layers() == []  # profile stayed off
 
     def test_compression_realized_with_compressed_kernel(
@@ -196,6 +193,8 @@ class TestTrainerObservability:
         # gathers its (sparse) input rows — the first layer's aggregation
         # is kept across epochs and the narrowing output layer gathers
         # the dense h W, which compression cannot shrink.
+        # The realized savings are the kernel's own counters, merged into
+        # the history; the event log no longer re-prices them.
         model = build_model("gcn", 8, 16, 3, num_layers=3, dropout=0.5, seed=2)
         log = EventLog(None)
         trainer = Trainer(
@@ -203,11 +202,10 @@ class TestTrainerObservability:
             aggregation_kernel=CompressedKernel(), event_log=log,
         )
         trainer.fit(graph, features, labels, epochs=2)
-        compression = log.events[-1]["compression"]
         # Layer-1 inputs are sparse, so the compressed kernel skips real
-        # zero rows and the prediction tracks the same quantity.
-        assert compression["realized_dram_bytes_saved"] > 0.0
-        assert compression["predicted_dram_bytes_saved"] > 0.0
+        # zero rows.
+        assert trainer.history.aggregation_stats.dram_bytes_saved > 0.0
+        assert "compression" not in log.events[-1]
 
     def test_injected_nan_detected_within_one_epoch(self, community_task):
         graph, features, labels = community_task
@@ -333,13 +331,13 @@ class _CountingKernel(BasicKernel):
         self.forward_widths = []
         self.backward_widths = []
 
-    def aggregate(self, graph, h, aggregator="gcn", order=None):
+    def aggregate(self, graph, h, aggregator="gcn"):
         self.forward_widths.append(h.shape[1])
-        return super().aggregate(graph, h, aggregator, order)
+        return super().aggregate(graph, h, aggregator)
 
-    def aggregate_backward(self, graph, grad_a, aggregator="gcn", order=None):
+    def aggregate_backward(self, graph, grad_a, aggregator="gcn"):
         self.backward_widths.append(grad_a.shape[1])
-        return super().aggregate_backward(graph, grad_a, aggregator, order)
+        return super().aggregate_backward(graph, grad_a, aggregator)
 
 
 def _reference_epoch(model, optimizer, graph, features, labels):

@@ -8,14 +8,14 @@ from repro.obs.attrib import (
     DEFAULT_TRAFFIC_TOLERANCE,
     attribute_run,
     sim_traffic_from_metrics,
-)
-from repro.perf.attribution import (
-    SpanWorkload,
-    compressed_effective_feature_len,
-    predict_phase_traffic,
     workload_from_span,
 )
-from repro.perf.traffic import LayerShape, aggregation_traffic
+from repro.perf.traffic import (
+    LayerShape,
+    aggregation_traffic,
+    compressed_effective_feature_len,
+    update_traffic,
+)
 
 
 def basic_record(**overrides):
@@ -61,48 +61,43 @@ class TestWorkloadFromSpan:
         assert workload.variant == "basic"
         assert workload.shape == LayerShape(1000, 8000, 32, 32)
         assert workload.write_a  # unfused always writes a
-        assert not workload.fused and not workload.compressed
-
-    def test_edges_fall_back_to_gather_counter(self):
-        record = basic_record()
-        del record["attrs"]["edges"]
-        workload = workload_from_span(record)
-        assert workload.shape.num_edges == 8000  # gathers - vertices
+        assert not workload.spec.fused and not workload.spec.compressed
 
     def test_fused_inference_drops_a_write(self):
         workload = workload_from_span(fused_record(keep_aggregation=False))
-        assert workload.fused
-        assert workload.f_out == 16
+        assert workload.spec.fused
+        assert workload.shape == LayerShape(1000, 8000, 32, 16)
         assert not workload.write_a
 
     def test_fused_training_keeps_a_write(self):
         workload = workload_from_span(fused_record(keep_aggregation=True))
         assert workload.write_a
 
-    def test_fused_f_out_solved_from_flops(self):
+    def test_missing_shape_returns_none(self):
+        """Every kernel span records its shape; one that lacks a part
+        (``edges``, or a fused span's ``features_out``) is not guessed
+        from its counters."""
+        assert workload_from_span({"name": "kernel.basic", "attrs": {}}) is None
+        record = basic_record()
+        del record["attrs"]["edges"]
+        assert workload_from_span(record) is None
         record = fused_record()
         del record["attrs"]["features_out"]
-        # flops = 2*gathers*f_in + 2*n*f_in*f_out
-        record["counters"]["flops"] = 2.0 * 9000 * 32 + 2.0 * 1000 * 32 * 16
-        workload = workload_from_span(record)
-        assert workload.f_out == 16
-
-    def test_missing_shape_returns_none(self):
-        assert workload_from_span({"name": "kernel.basic", "attrs": {}}) is None
+        assert workload_from_span(record) is None
 
 
 class TestPredictions:
     def test_traffic_matches_cost_model_plane(self):
-        workload = workload_from_span(basic_record())
-        phases = predict_phase_traffic(workload, hit_rate=0.5)
-        expected = aggregation_traffic(workload.shape, gather_hit_rate=0.5)
-        assert phases["aggregation"].dram_total == pytest.approx(expected.dram_total)
-        assert "update" not in phases
+        (span,) = attribute_run([basic_record()], hit_rate=0.5).spans
+        expected = aggregation_traffic(LayerShape(1000, 8000, 32, 32), 0.5)
+        assert span.predicted_dram_bytes == expected.dram_total
+        assert set(span.phases) == {"aggregation"}
 
     def test_fused_span_gets_update_phase(self):
-        workload = workload_from_span(fused_record())
-        phases = predict_phase_traffic(workload, hit_rate=0.5)
-        assert set(phases) == {"aggregation", "update"}
+        (span,) = attribute_run([fused_record()], hit_rate=0.5).spans
+        assert set(span.phases) == {"aggregation", "update"}
+        update = update_traffic(LayerShape(1000, 8000, 32, 16), fused=True)
+        assert span.phases["update"]["dram_write"] == update.dram_write
 
     def test_compressed_effective_feature_len(self):
         assert compressed_effective_feature_len(32, 0.5) == 16

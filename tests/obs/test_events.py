@@ -26,11 +26,6 @@ def make_event(epoch=0, **overrides):
         val_accuracy=0.35,
         grad_norms={"0": {"weight": 0.1, "bias": 0.01, "h_in": 0.2}},
         weight_norms={"0": {"weight": 1.0, "bias": 0.1}},
-        sparsity={"0": 0.0, "1": 0.62},
-        compression={
-            "realized_dram_bytes_saved": 0.0,
-            "predicted_dram_bytes_saved": 1024.0,
-        },
     )
     kwargs.update(overrides)
     return EpochEvent(**kwargs)
@@ -170,27 +165,33 @@ class TestValidation:
 
     def test_nan_values_are_valid(self):
         record = make_event(
-            loss=float("nan"), sparsity={"0": float("nan")}
+            loss=float("nan"), grad_norms={"0": {"weight": float("nan")}}
         ).to_record()
         assert validate_epoch_event(record) == []
 
     def test_missing_field(self):
         record = make_event().to_record()
-        del record["sparsity"]
-        assert any("sparsity" in p for p in validate_epoch_event(record))
+        del record["grad_norms"]
+        assert any("grad_norms" in p for p in validate_epoch_event(record))
 
     def test_bad_epoch_and_sparsity_range(self):
+        """A bad epoch is flagged.  ``sparsity`` is no epoch field since
+        schema 2 (``TrainingHistory.sparsity`` holds it), so a stale one
+        is ignored, not range-checked."""
         record = make_event().to_record()
         record["epoch"] = -1
         record["sparsity"] = {"0": 1.5}
         problems = validate_epoch_event(record)
         assert any("epoch" in p for p in problems)
-        assert any("sparsity[0]" in p for p in problems)
+        assert not any("sparsity" in p for p in problems)
 
     def test_missing_compression_key(self):
-        record = make_event(compression={"realized_dram_bytes_saved": 1.0}).to_record()
-        assert any("predicted_dram_bytes_saved" in p
-                   for p in validate_epoch_event(record))
+        """Schema 2 dropped the ``sparsity`` and ``compression`` fields:
+        a record without them is valid."""
+        record = make_event().to_record()
+        assert EVENTS_SCHEMA_VERSION == 2 == record["schema"]
+        assert "compression" not in record and "sparsity" not in record
+        assert validate_epoch_event(record) == []
 
     def test_validate_events_collects_all_problems(self):
         good = make_event(0).to_record()

@@ -32,11 +32,6 @@ def make_event(epoch=0, **overrides):
         val_accuracy=0.35,
         grad_norms={"0": {"weight": 0.1, "bias": 0.01, "h_in": 0.2}},
         weight_norms={"0": {"weight": 1.0, "bias": 0.1}},
-        sparsity={"0": 0.0, "1": 0.62},
-        compression={
-            "realized_dram_bytes_saved": 0.0,
-            "predicted_dram_bytes_saved": 1024.0,
-        },
     )
     kwargs.update(overrides)
     return EpochEvent(**kwargs)

@@ -65,8 +65,6 @@ class TestBuildRunReport:
         log.emit(
             EpochEvent(
                 epoch=0, loss=1.0, train_accuracy=0.5, wall_time_s=0.01,
-                compression={"realized_dram_bytes_saved": 0.0,
-                             "predicted_dram_bytes_saved": 1.0},
             )
         )
         report = build_run_report(events=log)

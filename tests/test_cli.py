@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from repro import __version__
@@ -98,6 +99,27 @@ class TestParser:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["top", "F", "--follow", "--interval", "-1"], "--interval"),
+        *[(["profile", "--degree", value], "--degree")
+          for value in ("-3", "0", "nan")],
+        (["serve", "products", "--port", "-5"], "--port"),
+        (["serve", "products", "--port", "70000"], "--port"),
+        (["profile", "--serve-metrics", "-1"], "--serve-metrics"),
+        (["train", "products", "--shards", "2", "--delay-aggregation", "0"],
+         "--delay-aggregation"),
+        (["bench-sharded", "--delay-aggregation", "3"], "--delay-aggregation"),
+        (["train", "products", "--delay-aggregation", "1"],
+         "--delay-aggregation"),
+    ])
+    def test_values_refused_before_any_work(self, argv, flag, capsys):
+        """Each once ended in a traceback, a bind error or a silent run
+        of something else; now exit 2 with the flag on stderr."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_engine_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "products", "--engine", "turbo"])
@@ -164,6 +186,28 @@ class TestCommands:
         ])
         assert code == 0
         assert "sparsity" in capsys.readouterr().out
+
+    def test_train_seed_picks_the_graph(self, monkeypatch):
+        """``--seed`` seeds the twin's generator as ``serve`` and
+        ``bench-sharded`` do, so two seeds train on two graphs."""
+        import repro.graphs as graphs
+
+        built = []
+        real = graphs.load_dataset
+
+        def recording(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(graphs, "load_dataset", recording)
+        for seed in ("0", "1"):
+            assert main([
+                "train", "products", "--scale", "0.05", "--epochs", "0",
+                "--seed", seed,
+            ]) == 0
+        first, second = built
+        assert not np.array_equal(first.indices, second.indices)
+        assert np.array_equal(first.indices, real("products", scale=0.05).indices)
 
     def test_train_default_runs_the_basic_kernel(self, tmp_path, capsys):
         """The all-default ``repro train`` aggregates both directions
@@ -390,7 +434,6 @@ class TestObservabilityCommands:
         header, records = validate_events_file(str(events))
         assert header["run"]["command"] == "train"
         assert len(records) == 2
-        assert records[0]["sparsity"]  # per-layer sparsity present
         assert records[0]["grad_norms"]
         import json
 

@@ -63,7 +63,7 @@ ALLOW: dict[str, str] = {
     "perf.machine.cascade_lake_12": (
         "the 12-core machine of the pinned model-vs-simulator"
         " reconciliation test"),
-    "perf.attribution.compressed_effective_feature_len": (
+    "perf.traffic.compressed_effective_feature_len": (
         "the S3 feature length the model-vs-simulator reconciliation"
         " test checks"),
     "lanes.lane_count": (
