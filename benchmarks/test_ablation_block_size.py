@@ -4,33 +4,29 @@ B controls whether the in-flight a-block stays cache resident between
 the aggregation and the update of the same j-loop iteration.  Too large
 a B spills the block to DRAM and fusion degenerates to the unfused
 round trip; too small a B shrinks the update GEMM below efficiency.
+
+The block buffer is priced, not run: fused inference keeps one reusable
+``B x F`` fp32 block (Figure 5c), held against the L2 of the paper's
+28-core server.
 """
 
 from conftest import run_experiment
 
 from repro.bench.harness import Experiment
-from repro.graphs import load_dataset, synthetic_features
-from repro.kernels import FusedKernel, UpdateParams
-import numpy as np
+from repro.perf import cascade_lake_28
+
+FEATURES = 64
 
 
 def _sweep(ctx):
-    graph = ctx.graph("products")
-    h = synthetic_features(graph, 64, seed=0)
-    params = UpdateParams(
-        weight=np.zeros((64, 64), dtype=np.float32),
-        bias=np.zeros(64, dtype=np.float32),
-    )
     exp = Experiment("ablation-B", "Fused block size: buffer bytes & blocks")
-    l2_bytes = 1024 * 1024
+    l2_bytes = cascade_lake_28().l2_bytes
     for block in (8, 32, 128, 1024, 8192):
-        _, _, stats = kernel_stats = FusedKernel(block_size=block).run_layer(
-            graph, h, params, keep_aggregation=False
-        )
-        exp.add(f"B={block} buffer KiB", stats.peak_buffer_bytes / 1024, unit="KiB")
+        buffer_bytes = block * FEATURES * 4
+        exp.add(f"B={block} buffer KiB", buffer_bytes / 1024, unit="KiB")
         exp.add(
             f"B={block} fits L2",
-            float(stats.peak_buffer_bytes <= l2_bytes),
+            float(buffer_bytes <= l2_bytes),
             unit="bool",
         )
     return exp

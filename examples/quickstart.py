@@ -4,8 +4,9 @@
 Covers the three things a new user does first:
 1. build/load a graph and features,
 2. train a full-batch GCN (the paper's headline workload — no sampling),
-3. run inference through an optimized Graphite kernel and check it
-   matches the plain layer bit-for-bit.
+3. run optimized inference (``model.predict``: the Graphite kernel for
+   every aggregation, each layer's update as a sweep over row blocks)
+   and check it against the plain ``nn/aggregate`` oracle.
 
 Run:  python examples/quickstart.py
 """
@@ -13,8 +14,8 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.graphs import graph_stats, load_dataset, synthetic_features
-from repro.kernels import FusedKernel, UpdateParams
-from repro.nn import Adam, Trainer, build_model, train_val_split
+from repro.kernels import BasicKernel
+from repro.nn import Adam, Trainer, aggregate, build_model, train_val_split
 
 
 def main() -> None:
@@ -45,22 +46,17 @@ def main() -> None:
           f"{history.final_loss:.3f} over {len(history.epochs)} epochs")
 
     # ------------------------------------------------------------------
-    # 3. Inference through the fused Graphite kernel (Algorithm 2).
+    # 3. Optimized inference against the layer-by-layer oracle.
     # ------------------------------------------------------------------
-    layer = model.layers[0]
-    params = UpdateParams(weight=layer.weight, bias=layer.bias, activation=True)
-    reference, _ = layer.forward(graph, features)
-
-    fused = FusedKernel(block_size=32)
-    h_out, a, stats = fused.run_layer(
-        graph, features, params, aggregator="gcn", keep_aggregation=False
-    )
-    assert a is None  # inference reuses one block buffer (Figure 5c)
-    max_err = float(np.abs(h_out - reference).max())
-    print(f"fused kernel: {stats.blocks} blocks, "
-          f"{stats.peak_buffer_bytes / 1024:.1f} KiB live buffer "
-          f"(vs {graph.num_vertices * num_features * 4 / 1024:.0f} KiB for "
-          f"the full aggregation matrix), max error {max_err:.2e}")
+    logits = model.predict(graph, features, kernel=BasicKernel())
+    h = features
+    for layer in model.layers:
+        h = aggregate(graph, h, layer.aggregator) @ layer.weight + layer.bias
+        if layer.activation:
+            h = np.maximum(h, 0.0)
+    max_err = float(np.abs(logits - h).max())
+    print(f"inference: {logits.shape[0]} x {logits.shape[1]} logits, "
+          f"max error vs the oracle {max_err:.2e}")
     assert max_err < 1e-4
     print("quickstart OK")
 

@@ -9,8 +9,9 @@ The package is organized as the paper is:
   sparsity tooling.
 * :mod:`repro.nn` — GCN / GraphSAGE numerics: layers, models, full-batch
   training (Sections 2.1, 6).
-* :mod:`repro.kernels` — the execution strategies of Figure 11
-  (DistGNN, MKL-SpMM, basic, fusion, compression, combined).
+* :mod:`repro.kernels` — Algorithm 1's aggregation kernel, forward and
+  transposed (the other Figure 11 strategies are priced by
+  :mod:`repro.perf`).
 * :mod:`repro.lanes` — the Section 4.1 output-parallel loop in one
   process: every kernel pass and dense layer phase cut into one
   contiguous output slice per core.

@@ -489,7 +489,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """Trace one tiny synthetic training run and print the telemetry."""
     from . import obs
     from .graphs import power_law_graph, synthetic_features
-    from .kernels import BasicKernel, CompressedKernel
+    from .kernels import BasicKernel
     from .nn import Adam, Trainer, build_model
 
     graph = power_law_graph(
@@ -504,14 +504,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     model = build_model(
         "gcn", args.features, args.hidden, args.classes, seed=args.seed
     )
-    kernel = BasicKernel() if args.kernel == "basic" else CompressedKernel()
-    trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
+    trainer = Trainer(
+        model, Adam(model, lr=0.01), aggregation_kernel=BasicKernel()
+    )
     print(lanes.describe())
 
     meta = {
         "command": "profile",
         "vertices": args.vertices,
-        "kernel": args.kernel,
         "epochs": args.epochs,
     }
     with _telemetry(args, meta, always=True) as tracer:
@@ -522,7 +522,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         ]
         print(
             f"profiled {args.epochs} epoch(s) on {graph.num_vertices} vertices, "
-            f"{args.kernel} kernel (final loss {history.final_loss:.4f})"
+            f"basic kernel (final loss {history.final_loss:.4f})"
         )
         print("\n== span tree ==")
         print(obs.render_span_tree(records))
@@ -539,7 +539,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             records,
             cost_model=CostModel(graph),
             sparsity=0.5,
-            metrics_snapshot=obs.get_metrics().snapshot(),
         )
         print("\n== bottleneck attribution ==")
         print(attribution.render())
@@ -918,7 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=_positive_int, default=8)
     p.add_argument("--epochs", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernel", choices=["basic", "compression"], default="basic")
     _add_telemetry_flags(p, "--trace", "--json", "--serve-metrics")
     p.set_defaults(func=_cmd_profile)
 

@@ -1,19 +1,23 @@
 """Kernel interfaces and execution statistics.
 
-Every execution strategy in the paper's Figure 11 is a *kernel*: it
-computes the same aggregation (and optionally the fused update) while
-differing in iteration structure, blocking and compression (Section
-4.4's ordering is a relabel of the graph they are handed,
-:func:`repro.graphs.apply_order`).  Kernels run on the value plane
-(numpy arithmetic, results must match the :mod:`repro.nn.aggregate`
-oracle) and report :class:`KernelStats` describing the work they did —
-the structural quantities the time plane prices.
+The value plane runs one aggregation kernel,
+:class:`~repro.kernels.basic.BasicKernel` (Alg. 1, forward and
+transposed); the paper's other Figure-11 strategies (MKL, DistGNN,
+fusion, compression, combined) are priced by the cost model
+(:data:`repro.perf.cost_model.VARIANTS`), not run.  Section 4.4's
+ordering is a relabel of the graph a kernel is handed
+(:func:`repro.graphs.apply_order`), and S2's blocked aggregate-then-
+update is :class:`repro.nn.GNNLayer`'s sweep over row blocks.  A kernel
+computes numpy arithmetic whose results must match the
+:mod:`repro.nn.aggregate` oracle, and reports :class:`KernelStats`
+describing the work it did — the structural quantities the time plane
+prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -27,12 +31,7 @@ class KernelStats:
     flops: float = 0.0
     prefetches: int = 0  # software prefetch hints issued (Alg. 1 line 9)
     tasks: int = 0  # parallel tasks dispatched
-    blocks: int = 0  # fused blocks processed (Alg. 2 j-loop iterations)
     jit_compilations: int = 0  # specialized kernels generated this call
-    decompressed_rows: int = 0  # rows run through mask expand
-    compressed_rows: int = 0  # rows run through mask collapse
-    peak_buffer_bytes: int = 0  # reusable a-block buffer high-water mark
-    dram_bytes_saved: float = 0.0  # traffic avoided vs. dense transfer
     extra: Dict[str, float] = field(default_factory=dict)
 
     def merge(self, other: "KernelStats") -> None:
@@ -40,12 +39,7 @@ class KernelStats:
         self.flops += other.flops
         self.prefetches += other.prefetches
         self.tasks += other.tasks
-        self.blocks += other.blocks
         self.jit_compilations += other.jit_compilations
-        self.decompressed_rows += other.decompressed_rows
-        self.compressed_rows += other.compressed_rows
-        self.peak_buffer_bytes = max(self.peak_buffer_bytes, other.peak_buffer_bytes)
-        self.dram_bytes_saved += other.dram_bytes_saved
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0.0) + value
 
@@ -109,32 +103,6 @@ class AggregationKernel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class FusedLayerKernel:
-    """Base class: a fused aggregation+update execution strategy."""
-
-    name = "abstract-fused"
-
-    def run_layer(
-        self,
-        graph: CSRGraph,
-        h: np.ndarray,
-        params: UpdateParams,
-        aggregator: str = "gcn",
-        keep_aggregation: bool = False,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], KernelStats]:
-        """Compute one fused layer.
-
-        Args:
-            keep_aggregation: training mode — retain the full ``a`` matrix
-                for backward (Figure 5b); inference discards each block
-                after its update (Figure 5c).
-
-        Returns:
-            (h_out, a_or_None, stats).
-        """
-        raise NotImplementedError
 
 
 def validate_inputs(graph: CSRGraph, h: np.ndarray) -> None:

@@ -141,12 +141,12 @@ class BasicKernel(AggregationKernel):
         if transposed:
             name = "kernel.backward.basic"
             if live is None:
-                operator = self.jit_cache.specialize_backward(graph, spec).operator
+                operator = self.jit_cache.specialize_backward(graph, spec)
             else:
                 operator = self.jit_cache.live_layout(graph, aggregator, live)
         else:
             name = "kernel.basic"
-            operator = self.jit_cache.specialize(graph, spec).operator
+            operator = self.jit_cache.specialize(graph, spec)
         n = graph.num_vertices
         with get_tracer().span(
             name,

@@ -5,21 +5,19 @@ length with a JIT assembler: specialized kernels use layer constants,
 avoid bounds checks, and are generated once per model because "the code
 is tailored to the model but not the data".
 
-In Python the analogous move is generating a :class:`BatchedKernel`
-specialized to ``(feature_len, aggregator)``: it binds the ψ factor
-arrays and the vector width once, and the cache guarantees the
-one-compilation-per-spec amortization the paper relies on.
+In Python the analogous move is specializing the aggregation to
+``(feature_len, aggregator)``: the cache binds the ψ factor arrays into
+a :class:`~repro.kernels.segment.ScaledCSR` operator once and guarantees
+the one-compilation-per-spec amortization the paper relies on.  Two
+specializations exist per spec, built by one builder so forward and
+backward share their numerics structure exactly:
 
-Two specializations exist per spec, generated by one builder so
-forward and backward share their numerics structure exactly:
-
-* ``specialize`` — one call aggregates a range of vertices through the
-  layout's :class:`~repro.kernels.segment.ScaledCSR` operator: the
-  operator itself for a whole pass, a memoised row slice otherwise —
-  Alg. 1's vector lanes as one fused sparse-dense product instead of a
-  Python-level inner loop.
-* ``specialize_backward`` — the same kernel over the *transposed*
-  adjacency, computing rows of ``grad_h = Âᵀ grad_a``.
+* ``specialize`` — the operator computing ``Â h``: one call is the
+  whole pass (Alg. 1's vector lanes as one fused sparse-dense product
+  instead of a Python-level inner loop), and ``operator.rows(lo, hi)``
+  one lane's share of it;
+* ``specialize_backward`` — the same over the *transposed* adjacency,
+  computing ``grad_h = Âᵀ grad_a``.
 
 Every transposed layout is built from the forward layout by
 :func:`transposed_layout`, never from the graph's CSC view: the whole
@@ -88,40 +86,13 @@ class KernelSpec:
             raise ValueError(f"feature_len must be positive, got {self.feature_len}")
 
 
-class BatchedKernel:
-    """The specialized aggregation over one CSR layout.
-
-    Binds the layout's :class:`~repro.kernels.segment.ScaledCSR`
-    ``operator`` and the feature length — the layer-specific constants an
-    xbyak kernel would embed as immediates.  ``operator(h)`` is the whole
-    pass in one call, and ``operator.rows(lo, hi)`` one lane's or one
-    fused block's share of it; calling the kernel computes
-    ``h[v] * ψ_self + segment_sum(h[nbrs] * ψ_edge)`` for the vertices
-    ``start <= v < stop`` through that row slice, built on first use and
-    memoised, so steady-state epochs pay zero sparse-construction
-    overhead.
-    """
-
-    def __init__(self, operator: ScaledCSR, feature_len: int) -> None:
-        self.operator = operator
-        self.feature_len = feature_len
-
-    def __call__(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
-        if h.shape[1] != self.feature_len:
-            raise ValueError(
-                f"kernel specialized for {self.feature_len} features, "
-                f"got {h.shape[1]}"
-            )
-        return self.operator.rows(start, stop)(h)
-
-
 class JitKernelCache:
     """Compile-once cache of specialized aggregation kernels.
 
-    ``specialize`` and ``specialize_backward`` return
-    :class:`BatchedKernel` objects; ``compilations`` (and ``len``) count
-    the specs generated — one per (graph, direction, width, aggregator)
-    — and repeated requests for the same spec on the same graph are
+    ``specialize`` and ``specialize_backward`` return the spec's
+    :class:`~repro.kernels.segment.ScaledCSR` operator; ``compilations``
+    (and ``len``) count the specs generated — one per (graph, direction,
+    width, aggregator) — and repeated requests for the same spec on the same graph are
     cache hits, matching the paper's claim that codegen overhead is
     amortized over the run.  The ψ layout a spec wraps depends on
     the data, not the width, so it is built once per (graph, direction,
@@ -133,11 +104,11 @@ class JitKernelCache:
     ``id(graph)``, which the allocator recycles: a look-alike graph
     allocated at a dead graph's address must never inherit its ψ-factor
     arrays.  A weakref callback on the token evicts the dead graph's
-    kernels and layouts before its token id can be reused.
+    specs and layouts before its token id can be reused.
     """
 
     def __init__(self) -> None:
-        self._cache: Dict[Tuple[int, bool, int, str], BatchedKernel] = {}
+        self._cache: Dict[Tuple[int, bool, int, str], ScaledCSR] = {}
         self._layouts: Dict[Tuple[int, bool, str], ScaledCSR] = {}
         #: (graph, aggregator) -> (the live mask it was built for, a
         #: private copy; the restricted transposed layout).
@@ -194,23 +165,22 @@ class JitKernelCache:
 
     def _lookup(
         self, graph: CSRGraph, spec: KernelSpec, backward: bool
-    ) -> BatchedKernel:
+    ) -> ScaledCSR:
         tid = self._graph_key(graph)
         key = (tid, backward, spec.feature_len, spec.aggregator)
-        kernel = self._cache.get(key)
-        if kernel is None:
-            layout = self._layout(tid, graph, backward, spec.aggregator)
-            kernel = BatchedKernel(layout, spec.feature_len)
-            self._cache[key] = kernel
+        operator = self._cache.get(key)
+        if operator is None:
+            operator = self._layout(tid, graph, backward, spec.aggregator)
+            self._cache[key] = operator
             self.compilations += 1
-        return kernel
+        return operator
 
-    def specialize(self, graph: CSRGraph, spec: KernelSpec) -> BatchedKernel:
-        """Closure computing rows of ``Â h`` for ``spec`` on ``graph``."""
+    def specialize(self, graph: CSRGraph, spec: KernelSpec) -> ScaledCSR:
+        """The operator computing ``Â h`` for ``spec`` on ``graph``."""
         return self._lookup(graph, spec, backward=False)
 
-    def specialize_backward(self, graph: CSRGraph, spec: KernelSpec) -> BatchedKernel:
-        """Closure computing rows of ``Âᵀ grad_a`` for ``spec`` on ``graph``."""
+    def specialize_backward(self, graph: CSRGraph, spec: KernelSpec) -> ScaledCSR:
+        """The operator computing ``Âᵀ grad_a`` for ``spec`` on ``graph``."""
         return self._lookup(graph, spec, backward=True)
 
     def live_layout(

@@ -10,7 +10,8 @@ rectangular) CSR operator whose call computes
 through scipy's fused sparse × dense product — no ``E × F`` gathered
 temporary, fp32 in / fp32 out, each output row accumulated sequentially
 in CSR edge order, so the result is deterministic.  The full-graph
-batched kernel (:mod:`repro.kernels.jit`), the shard kernel of the
+kernel (:mod:`repro.kernels.basic`, its operators built by
+:mod:`repro.kernels.jit`), the shard kernel of the
 partition-parallel trainer (:mod:`repro.parallel.sharded`) and the
 serving block forward (:mod:`repro.nn.minibatch`) are thin callers.
 """
@@ -50,8 +51,7 @@ class ScaledCSR:
         self.num_rows = matrix.shape[0]
         self.nnz = int(matrix.nnz)
         #: (start, stop) -> row-slice operator; one entry per range ever
-        #: requested: one per lane of a pass, one per block of a fused
-        #: pass.
+        #: requested, one per lane of a pass.
         self._row_slices: Dict[Tuple[int, int], "ScaledCSR"] = {}
 
     @classmethod

@@ -46,14 +46,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .attrib import (
-    AttributionReport,
-    DEFAULT_TRAFFIC_TOLERANCE,
-    SpanAttribution,
-    TrafficReconciliation,
-    attribute_run,
-    sim_traffic_from_metrics,
-)
+from .attrib import AttributionReport, SpanAttribution, attribute_run
 from .events import (
     EVENTS_SCHEMA_VERSION,
     EpochEvent,
@@ -167,11 +160,8 @@ def disable() -> None:
 
 __all__ = [
     "AttributionReport",
-    "DEFAULT_TRAFFIC_TOLERANCE",
     "SpanAttribution",
-    "TrafficReconciliation",
     "attribute_run",
-    "sim_traffic_from_metrics",
     "Alert",
     "Counter",
     "EVENTS_SCHEMA_VERSION",

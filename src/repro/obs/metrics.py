@@ -328,11 +328,18 @@ NULL_REGISTRY = NullRegistry()
 def publish_counters(
     registry: MetricsRegistry, prefix: str, counters: Mapping[str, float]
 ) -> None:
-    """Add a dict of counter deltas under ``prefix.`` (no-op if disabled)."""
+    """Add a dict of counter deltas under ``prefix.`` (no-op if disabled).
+
+    Counters only grow: the whole batch is checked first, so a negative
+    delta raises ``ValueError`` naming ``prefix.key`` and no counter of
+    the batch changes.
+    """
     if not registry.enabled:
         return
     for key, value in counters.items():
-        if value >= 0:
-            registry.inc(f"{prefix}.{key}", value)
-        else:  # negative deltas (shouldn't happen) become gauges, not errors
-            registry.set_gauge(f"{prefix}.{key}", value)
+        if value < 0:
+            raise ValueError(
+                f"counter {prefix}.{key} cannot decrease (delta {value})"
+            )
+    for key, value in counters.items():
+        registry.inc(f"{prefix}.{key}", value)

@@ -64,7 +64,6 @@ from ..graphs.partition import (
     build_shards,
     edge_cut_partition,
 )
-from ..kernels.distgnn import shard_factors, shard_segment_reduce
 from ..kernels.segment import ScaledCSR
 from ..nn import functional as F
 from ..nn.aggregate import normalization_factors
@@ -83,6 +82,33 @@ logger = logging.getLogger(__name__)
 SHARD_BACKENDS = ("serial", "process")
 
 _RESULT_TIMEOUT_S = 300.0
+
+
+def shard_factors(
+    edge_factors: np.ndarray, self_factors: np.ndarray, shard: GraphShard
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Restrict global ψ normalization factors to one shard.
+
+    Edge factors follow the shard's edges via ``edge_positions`` (each
+    shard edge keeps its *global*-degree normalization — this is what
+    makes sharded aggregation exactly match the serial result); self
+    factors restrict to the owned rows.
+    """
+    return (
+        np.ascontiguousarray(edge_factors[shard.edge_positions]),
+        np.ascontiguousarray(self_factors[shard.local_vertices]),
+    )
+
+
+def shard_segment_reduce(op: ScaledCSR, x: np.ndarray) -> np.ndarray:
+    """Per-shard gather-reduce: ``a[v] = ψ_v x[v] + Σ_e ψ_e x[col(e)]``.
+
+    ``x`` has ``num_local + num_halo`` rows (owned features then halo
+    copies); the result has ``num_local`` rows.  One fused pass through
+    the shared core — every shard aggregation, forward and transposed,
+    goes through this name so a trace can time it.
+    """
+    return op(x)
 
 
 class ShardWorkerDied(RuntimeError):

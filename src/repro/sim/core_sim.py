@@ -165,9 +165,8 @@ class CoreAggregationSim:
             label: when set and telemetry is enabled, publish the
                 hierarchy counters as ``sim.<label>.*`` metrics (plus a
                 ``sim.<label>.runs`` counter) and record a
-                ``sim.<label>`` span — the hook bottleneck attribution
-                uses to reconcile cost-model traffic against this
-                simulator (:mod:`repro.obs.attrib`).
+                ``sim.<label>`` span next to a traced run's kernel spans
+                (attribution prices only the ``kernel.*`` ones).
         """
         machine = self.machine
         hierarchy = MemoryHierarchy(machine, cache_scale=self.cache_scale)

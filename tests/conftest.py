@@ -20,6 +20,9 @@ from repro.graphs import (
     synthetic_features,
     uniform_graph,
 )
+from repro.kernels import BasicKernel
+from repro.nn.layers import output_sweep
+from repro.tensors.compression import compress_matrix, decompress_matrix
 
 
 @pytest.fixture(autouse=True)
@@ -138,3 +141,34 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def features16(small_products):
     return synthetic_features(small_products, 16, seed=7)
+
+
+# ----------------------------------------------------------------------
+# The paper's variants as the value plane runs them.  Alg. 2's fused
+# layer (S2) is BasicKernel's pass followed by GNNLayer's sweep over row
+# blocks; S3 is the lossless mask-compressed format of
+# ``repro.tensors.compression`` feeding that same kernel.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="session")
+def s2_layer():
+    """``run(graph, h, params, aggregator) -> (h_out, a, stats)``:
+    ``a = Â h`` through a fresh ``BasicKernel``, then ``act(a W + b)`` as
+    :func:`output_sweep` runs it block by block."""
+
+    def run(graph, h, params, aggregator="gcn"):
+        a, stats = BasicKernel().aggregate(graph, h, aggregator)
+        h_out, _ = output_sweep(
+            a, params.weight, params.bias, params.activation, tf=False
+        )
+        return h_out, a, stats
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def s3_round_trip():
+    """``h`` through the S3 format and back: ``compress_matrix`` then
+    ``decompress_matrix``."""
+    return lambda h: decompress_matrix(compress_matrix(h))

@@ -1,14 +1,18 @@
 """Kernel-vs-oracle differential suite.
 
-Every chunked kernel runs one engine — a specialized closure call per
-chunk through :class:`~repro.kernels.segment.ScaledCSR` — and this suite
-is its contract: every kernel variant and aggregator, on the graph
-relabelled by each Section 4.4 processing order, computes the same rows as the per-vertex fp64 oracles
-(:func:`gather_reduce_reference` / :func:`aggregate_backward_reference`),
-the work counters equal their closed forms (not merely something
+The value plane runs one kernel — :class:`BasicKernel`, one
+:class:`~repro.kernels.segment.ScaledCSR` call per pass — and this suite
+is its contract: forward and backward, every aggregator, on the graph
+relabelled by each Section 4.4 processing order, it computes the same
+rows as the per-vertex fp64 oracles (:func:`gather_reduce_reference` /
+:func:`aggregate_backward_reference`).  The paper's other value-plane
+variants are pinned against the same oracles as they run now: fusion
+(S2) is that pass followed by the layer's block sweep, compression (S3)
+feeds it the mask-compressed format's round trip, and combined does
+both.  The work counters equal their closed forms (not merely something
 plausible), the degenerate shapes — empty graph, edgeless graph, single
 vertex, all-zero features — agree too, and training is bitwise
-reproducible across executors.
+reproducible across lane counts.
 """
 
 import numpy as np
@@ -24,14 +28,7 @@ from repro.graphs import (
     randomized_order,
     synthetic_features,
 )
-from repro.kernels import (
-    BasicKernel,
-    CompressedFusedKernel,
-    CompressedKernel,
-    FusedKernel,
-    PREFETCH_LINES_PER_VECTOR,
-    UpdateParams,
-)
+from repro.kernels import BasicKernel, PREFETCH_LINES_PER_VECTOR, UpdateParams
 from repro.nn import Adam, GNNLayer, Trainer, build_model
 from repro.nn.aggregate import (
     aggregate_backward_reference,
@@ -92,28 +89,33 @@ class TestEveryVariantMatchesOracle:
         out, _ = BasicKernel().aggregate_backward(graph, grad_a, aggregator)
         np.testing.assert_allclose(out, reference, atol=ATOL)
 
-    def test_compressed(self, graph, features, order_name, aggregator):
+    def test_compressed(
+        self, graph, features, order_name, aggregator, s3_round_trip
+    ):
         graph, features = relabel(graph, features, order_name)
         reference = gather_reduce_reference(graph, features, aggregator)
-        out, _ = CompressedKernel().aggregate(graph, features, aggregator)
+        restored = s3_round_trip(features)
+        np.testing.assert_array_equal(restored, features)  # lossless
+        out, _ = BasicKernel().aggregate(graph, restored, aggregator)
         np.testing.assert_allclose(out, reference, atol=ATOL)
 
-    def test_fused(self, graph, features, params, order_name, aggregator):
+    def test_fused(self, graph, features, params, order_name, aggregator, s2_layer):
         graph, features = relabel(graph, features, order_name)
         reference = gather_reduce_reference(graph, features, aggregator)
-        h_out, a, _ = FusedKernel().run_layer(
-            graph, features, params, aggregator, keep_aggregation=True
-        )
+        h_out, a, _ = s2_layer(graph, features, params, aggregator)
         np.testing.assert_allclose(a, reference, atol=ATOL)
         np.testing.assert_allclose(
             h_out, params.apply(reference.astype(np.float32)), atol=3e-4
         )
 
-    def test_combined(self, graph, features, params, order_name, aggregator):
+    def test_combined(
+        self, graph, features, params, order_name, aggregator, s2_layer,
+        s3_round_trip,
+    ):
         graph, features = relabel(graph, features, order_name)
         reference = gather_reduce_reference(graph, features, aggregator)
-        h_out, a, _ = CompressedFusedKernel().run_layer(
-            graph, features, params, aggregator, keep_aggregation=True
+        h_out, a, _ = s2_layer(
+            graph, s3_round_trip(features), params, aggregator
         )
         np.testing.assert_allclose(a, reference, atol=ATOL)
         np.testing.assert_allclose(
@@ -129,14 +131,6 @@ def expected_prefetches(degrees, distance):
     return PREFETCH_LINES_PER_VECTOR * int((degrees[distance:] + 1).sum())
 
 
-def expected_blocks(num_vertices, block_size, blocks_per_task):
-    span = block_size * blocks_per_task
-    return sum(
-        -(-(min(start + span, num_vertices) - start) // block_size)
-        for start in range(0, num_vertices, span)
-    )
-
-
 class TestClosedFormCounters:
     """The counters are the time plane's inputs, so they are pinned to
     closed forms of the graph — "plausible" is not good enough.  Each
@@ -144,7 +138,6 @@ class TestClosedFormCounters:
     walks."""
 
     TASK_SIZE = 37
-    BLOCK_SIZE, BLOCKS_PER_TASK = 7, 3
 
     @pytest.fixture
     def shuffled(self, graph, features):
@@ -158,7 +151,6 @@ class TestClosedFormCounters:
         assert stats.tasks == -(-n // self.TASK_SIZE)
         assert stats.prefetches == expected_prefetches(shuffled.degrees(), 3) > 0
         assert stats.flops == 2.0 * stats.gathers * features.shape[1]
-        assert stats.blocks == stats.decompressed_rows == 0
 
     def test_backward_counters_exact(self, shuffled):
         """Backward prices the transposed adjacency: same totals, the
@@ -175,43 +167,6 @@ class TestClosedFormCounters:
         assert stats.prefetches == expected_prefetches(
             transposed, kernel.prefetch_distance
         )
-
-    def test_fused_counters_exact(self, shuffled, features, params):
-        kernel = FusedKernel(self.BLOCK_SIZE, self.BLOCKS_PER_TASK)
-        _, _, stats = kernel.run_layer(shuffled, features, params, "gcn")
-        n = shuffled.num_vertices
-        assert stats.gathers == shuffled.num_edges + n
-        assert stats.tasks == -(-n // (self.BLOCK_SIZE * self.BLOCKS_PER_TASK))
-        assert stats.blocks == expected_blocks(
-            n, self.BLOCK_SIZE, self.BLOCKS_PER_TASK
-        )
-        assert stats.prefetches == expected_prefetches(
-            shuffled.degrees(), kernel.prefetch_distance
-        )
-        assert stats.decompressed_rows == 0
-
-    def test_compressed_counters_exact(self, shuffled, features):
-        kernel = CompressedKernel(task_size=self.TASK_SIZE)
-        _, stats = kernel.aggregate(shuffled, features, "gcn")
-        n = shuffled.num_vertices
-        assert stats.gathers == shuffled.num_edges + n
-        assert stats.decompressed_rows == stats.gathers
-        assert stats.compressed_rows == n
-        assert stats.tasks == -(-n // self.TASK_SIZE)
-        assert stats.prefetches == 0  # the compressed kernels issue none
-
-    def test_combined_counters_exact(self, shuffled, features, params):
-        kernel = CompressedFusedKernel(self.BLOCK_SIZE, self.BLOCKS_PER_TASK)
-        _, _, stats = kernel.run_layer(shuffled, features, params, "gcn")
-        n = shuffled.num_vertices
-        assert stats.gathers == shuffled.num_edges + n
-        assert stats.decompressed_rows == stats.gathers
-        assert stats.compressed_rows == n
-        assert stats.tasks == -(-n // (self.BLOCK_SIZE * self.BLOCKS_PER_TASK))
-        assert stats.blocks == expected_blocks(
-            n, self.BLOCK_SIZE, self.BLOCKS_PER_TASK
-        )
-        assert stats.prefetches == 0
 
 
 class TestDegenerateShapes:
@@ -253,12 +208,12 @@ class TestDegenerateShapes:
         out, _ = BasicKernel().aggregate(graph, h, "gcn")
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
-    def test_fused_single_vertex(self):
+    def test_fused_single_vertex(self, s2_layer):
         graph = CSRGraph.from_edges(1, [])
         h = np.ones((1, 4), dtype=np.float32)
         layer = GNNLayer(4, 2, aggregator="gcn", seed=0)
         params = UpdateParams(weight=layer.weight, bias=layer.bias, activation=True)
-        h_out, _, _ = FusedKernel().run_layer(graph, h, params, "gcn")
+        h_out, _, _ = s2_layer(graph, h, params, "gcn")
         reference = params.apply(gather_reduce_reference(graph, h, "gcn").astype(np.float32))
         np.testing.assert_allclose(h_out, reference, atol=ATOL)
 
@@ -299,11 +254,8 @@ class TestEngineSwitchIsGone:
     not defaulted."""
 
     def test_kernels_take_no_engine(self):
-        for kernel_type in (
-            BasicKernel, CompressedKernel, FusedKernel, CompressedFusedKernel
-        ):
-            with pytest.raises(TypeError):
-                kernel_type(engine="loop")
+        with pytest.raises(TypeError):
+            BasicKernel(engine="loop")
 
     def test_trainer_takes_no_engine(self):
         model = build_model("gcn", 4, 4, 2, seed=0)

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from repro.dma import DmaOffloadRunner
 from repro.graphs import CSRGraph
-from repro.kernels import BasicKernel, CompressedKernel, FusedKernel, UpdateParams
+from repro.kernels import BasicKernel, UpdateParams
 from repro.nn import aggregate
+from repro.nn.layers import output_sweep
+from repro.tensors.compression import compress_matrix, decompress_matrix
 
 
 @st.composite
@@ -40,8 +42,9 @@ def _features(graph, seed, cols=6, sparsity=0.4):
 def test_software_kernels_match_on_random_graphs(graph, seed, aggregator):
     h = _features(graph, seed)
     reference = aggregate(graph, h, aggregator)
-    for kernel in (BasicKernel(), CompressedKernel()):
-        out, _ = kernel.aggregate(graph, h, aggregator)
+    # The plain pass and the pass over the S3 format's round trip.
+    for x in (h, decompress_matrix(compress_matrix(h))):
+        out, _ = BasicKernel().aggregate(graph, x, aggregator)
         np.testing.assert_allclose(out, reference, atol=1e-4)
 
 
@@ -56,7 +59,11 @@ def test_fused_kernel_matches_on_random_graphs(graph, seed):
     )
     reference = params.apply(aggregate(graph, h, "gcn"))
     block = int(rng.integers(1, graph.num_vertices + 1))
-    h_out, _, _ = FusedKernel(block_size=block).run_layer(graph, h, params)
+    a, _ = BasicKernel().aggregate(graph, h, "gcn")
+    # S2's update sweep at a random block size.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.nn.layers.SWEEP_ROWS", block)
+        h_out, _ = output_sweep(a, params.weight, params.bias, True, tf=False)
     np.testing.assert_allclose(h_out, reference, atol=1e-4)
 
 

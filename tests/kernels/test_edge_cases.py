@@ -1,28 +1,30 @@
 """Edge-case kernel tests: degenerate graphs and awkward shapes.
 
-Every kernel must survive (and stay correct on): the empty graph, a
-graph of isolated vertices, a single-vertex graph, feature widths that
-do not divide the 16-lane vector width, and task sizes larger than the
-vertex count — on one lane and on two and three (under the
-``always_split`` fixture, on the graph and on a shuffled relabel of it,
-each bitwise equal to one lane).  A malformed processing order is
-refused by the relabel, before any kernel sees it.
+The kernel, and the paper's variants as the value plane runs them
+(fusion: the pass then the layer's sweep over row blocks; compression:
+the pass over the S3 format's round trip; combined: both), must survive
+(and stay correct on): the empty graph, a graph of isolated vertices, a
+single-vertex graph, feature widths that do not divide the 16-lane
+vector width, and task and block sizes larger than the vertex count —
+on one lane and on two and three (under the ``always_split`` fixture,
+on the graph and on a shuffled relabel of it, each bitwise equal to one
+lane).  A malformed processing order is refused by the relabel, before
+any kernel sees it.
 """
 
 import numpy as np
 import pytest
 
+from repro import lanes
 from repro.graphs import CSRGraph, apply_order
-from repro.kernels import (
-    BasicKernel,
-    CompressedFusedKernel,
-    CompressedKernel,
-    FusedKernel,
-    SpMMKernel,
-    UpdateParams,
-)
+from repro.kernels import BasicKernel, UpdateParams
 from repro.nn import aggregate
-from repro.tensors.compression import VECTOR_LANES
+from repro.nn.layers import output_sweep, sweep_bounds
+from repro.tensors.compression import (
+    VECTOR_LANES,
+    compress_matrix,
+    decompress_matrix,
+)
 
 #: Lane counts; the ids name the threads a split runs on.
 LANE_COUNTS = [1, 2, 3]
@@ -45,16 +47,24 @@ def _params(f_in, f_out=6, seed=0):
 
 
 def _kernel_outputs(graph, h, params):
-    """Every kernel variant's output."""
+    """Every variant's output; the sweeps run blocks of
+    :data:`repro.lanes.MIN_SLICE` rows, so a 100-row graph has blocks
+    for three lanes."""
+    basic = BasicKernel().aggregate(graph, h, "gcn")[0]
+    compression = BasicKernel().aggregate(
+        graph, decompress_matrix(compress_matrix(h)), "gcn"
+    )[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.nn.layers.SWEEP_ROWS", lanes.MIN_SLICE)
+        fusion, combined = (
+            output_sweep(a, params.weight, params.bias, True, tf=False)[0]
+            for a in (basic, compression)
+        )
     return {
-        "basic": BasicKernel().aggregate(graph, h, "gcn")[0],
-        "compression": CompressedKernel().aggregate(graph, h, "gcn")[0],
-        "fusion": FusedKernel(block_size=4, blocks_per_task=1).run_layer(
-            graph, h, params, "gcn"
-        )[0],
-        "combined": CompressedFusedKernel(block_size=4, blocks_per_task=1).run_layer(
-            graph, h, params, "gcn"
-        )[0],
+        "basic": basic,
+        "compression": compression,
+        "fusion": fusion,
+        "combined": combined,
     }
 
 
@@ -131,34 +141,17 @@ class TestOversizedTaskSize:
             assert stats.tasks == 1  # one task owns the whole graph
 
     def test_oversized_blocks_per_task(self, star10):
+        """A graph smaller than one sweep block is one block."""
         h = _features(star10.num_vertices, 6, seed=6)
         params = _params(6)
         reference = params.apply(aggregate(star10, h, "gcn"))
-        kernel = FusedKernel(block_size=64, blocks_per_task=99)
-        out, _, stats = kernel.run_layer(star10, h, params, "gcn")
+        a, _ = BasicKernel().aggregate(star10, h, "gcn")
+        out, _ = output_sweep(a, params.weight, params.bias, True, tf=False)
         np.testing.assert_allclose(out, reference, atol=1e-5)
-        assert stats.tasks == 1
-        assert stats.blocks == 1
-
-    def test_compressed_oversized_task(self, star10):
-        h = _features(star10.num_vertices, 6, seed=7)
-        reference = aggregate(star10, h, "gcn")
-        kernel = CompressedKernel(task_size=10_000)
-        out, stats = kernel.aggregate(star10, h, "gcn")
-        np.testing.assert_allclose(out, reference, atol=1e-5)
-        assert stats.tasks == 1
+        assert sweep_bounds(star10.num_vertices) == [0, star10.num_vertices]
 
 
-def _run(kernel, graph, h, **extra):
-    if hasattr(kernel, "run_layer"):
-        return kernel.run_layer(graph, h, _params(h.shape[1]), "gcn", **extra)[0]
-    return kernel.aggregate(graph, h, "gcn", **extra)[0]
-
-
-@pytest.mark.parametrize(
-    "kernel_type",
-    [BasicKernel, CompressedKernel, FusedKernel, CompressedFusedKernel, SpMMKernel],
-)
+@pytest.mark.parametrize("kernel_type", [BasicKernel])
 def test_malformed_order_rejected(kernel_type, star10):
     """Outputs are ``np.empty``: an order that skips a vertex would hand
     back uninitialised rows.  A kernel takes no order (Section 4.4 is a
@@ -173,9 +166,10 @@ def test_malformed_order_rejected(kernel_type, star10):
         with pytest.raises(ValueError, match="order must"):
             apply_order(star10, bad)
     with pytest.raises(TypeError):
-        _run(kernel_type(), star10, h, order=np.arange(n))
+        kernel_type().aggregate(star10, h, "gcn", order=np.arange(n))
     reverse = np.arange(n)[::-1].copy()
-    relabelled = _run(kernel_type(), apply_order(star10, reverse), h[reverse])
-    np.testing.assert_allclose(
-        relabelled[np.argsort(reverse)], _run(kernel_type(), star10, h), atol=1e-5
+    relabelled, _ = kernel_type().aggregate(
+        apply_order(star10, reverse), h[reverse], "gcn"
     )
+    natural, _ = kernel_type().aggregate(star10, h, "gcn")
+    np.testing.assert_allclose(relabelled[np.argsort(reverse)], natural, atol=1e-5)

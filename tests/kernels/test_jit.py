@@ -40,14 +40,6 @@ class TestCache:
         with pytest.raises(ValueError):
             KernelSpec(feature_len=0, aggregator="gcn")
 
-    def test_specialized_kernel_checks_width(self, small_products):
-        cache = JitKernelCache()
-        wrong = np.ones((small_products.num_vertices, 8), dtype=np.float32)
-        for specialize in (cache.specialize, cache.specialize_backward):
-            kernel = specialize(small_products, KernelSpec(16, "gcn"))
-            with pytest.raises(ValueError):
-                kernel(wrong, 0, 1)
-
     def test_specialized_kernel_correct(self, small_products):
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(12, "mean"))
@@ -56,7 +48,7 @@ class TestCache:
         n = small_products.num_vertices
         for lo, hi in ((0, 1), (5, 9), (n - 1, n)):
             np.testing.assert_allclose(
-                kernel(h, lo, hi), reference[lo:hi], atol=1e-5
+                kernel.rows(lo, hi)(h), reference[lo:hi], atol=1e-5
             )
 
 
@@ -78,45 +70,34 @@ class TestBatchedSpecialization:
         kernel = cache.specialize(small_products, KernelSpec(12, "mean"))
         h = synthetic_features(small_products, 12, seed=0)
         reference = aggregate(small_products, h, "mean")
-        n = small_products.num_vertices
-        np.testing.assert_allclose(kernel(h, 0, n), reference, atol=2e-5)
+        np.testing.assert_allclose(kernel(h), reference, atol=2e-5)
 
     def test_matches_reference_per_chunk(self, small_products):
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(8, "gcn"))
         h = synthetic_features(small_products, 8, seed=2)
         reference = gather_reduce_reference(small_products, h, "gcn")
-        np.testing.assert_allclose(kernel(h, 17, 49), reference[17:49], atol=2e-5)
+        np.testing.assert_allclose(kernel.rows(17, 49)(h), reference[17:49], atol=2e-5)
 
     def test_row_slice_is_bitwise_the_whole_pass(self, small_products):
-        """A block's row slice accumulates each row exactly as the whole
+        """A lane's row slice accumulates each row exactly as the whole
         operator does, so the two agree bit for bit."""
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(8, "gcn"))
         h = synthetic_features(small_products, 8, seed=3)
-        whole = kernel(h, 0, small_products.num_vertices)
-        np.testing.assert_array_equal(kernel(h, 10, 42), whole[10:42])
+        whole = kernel(h)
+        np.testing.assert_array_equal(kernel.rows(10, 42)(h), whole[10:42])
 
     def test_empty_vertex_array(self, small_products):
         cache = JitKernelCache()
         kernel = cache.specialize(small_products, KernelSpec(4, "sum"))
         h = synthetic_features(small_products, 4, seed=0)
         for lo in (0, 5):
-            assert kernel(h, lo, lo).shape == (0, 4)
-
-    def test_checks_width(self, small_products):
-        """A block and the whole pass refuse a matrix of another width."""
-        cache = JitKernelCache()
-        kernel = cache.specialize(small_products, KernelSpec(16, "gcn"))
-        n = small_products.num_vertices
-        wrong = np.ones((n, 8), dtype=np.float32)
-        for hi in (2, n):
-            with pytest.raises(ValueError):
-                kernel(wrong, 0, hi)
+            assert kernel.rows(lo, lo)(h).shape == (0, 4)
 
 
 class TestBackwardSpecialization:
-    """The transpose-direction closure behind ``aggregate_backward``."""
+    """The transpose-direction operator behind ``aggregate_backward``."""
 
     def test_cached_separately_per_direction(self, small_products):
         """Forward and backward share a spec but never a cache entry —
@@ -138,12 +119,12 @@ class TestBackwardSpecialization:
         grad_a = synthetic_features(small_products, 8, seed=4)
         reference = aggregate_backward_reference(small_products, grad_a, "gcn")
         np.testing.assert_allclose(
-            kernel(grad_a, 13, 57), reference[13:57], atol=2e-5
+            kernel.rows(13, 57)(grad_a), reference[13:57], atol=2e-5
         )
 
     def test_backward_is_transpose_of_forward(self, small_uniform):
         """<Â h, g> == <h, Âᵀ g> — the adjointness identity that defines
-        the backward kernel, checked against the forward closure."""
+        the backward kernel, checked against the forward operator."""
         cache = JitKernelCache()
         spec = KernelSpec(6, "gcn")
         fwd = cache.specialize(small_uniform, spec)
@@ -151,9 +132,8 @@ class TestBackwardSpecialization:
         rng = np.random.default_rng(0)
         h = rng.standard_normal((small_uniform.num_vertices, 6)).astype(np.float32)
         g = rng.standard_normal((small_uniform.num_vertices, 6)).astype(np.float32)
-        n = small_uniform.num_vertices
-        lhs = float((fwd(h, 0, n) * g).sum())
-        rhs = float((h * bwd(g, 0, n)).sum())
+        lhs = float((fwd(h) * g).sum())
+        rhs = float((h * bwd(g)).sum())
         assert abs(lhs - rhs) <= 1e-3 * max(abs(lhs), 1.0)
 
     def test_backward_entries_amortize_in_kernel(self, small_products):
@@ -217,7 +197,7 @@ class TestWeakrefKeying:
             h = synthetic_features(look_alike, 4, seed=seed)
             reference = aggregate(look_alike, h, "gcn")
             np.testing.assert_allclose(
-                kernel(h, 0, 1)[0], reference[0], atol=1e-5
+                kernel.rows(0, 1)(h)[0], reference[0], atol=1e-5
             )
             del look_alike, kernel
             gc.collect()
@@ -232,7 +212,7 @@ class TestWeakrefKeying:
         for g, k in zip(graphs, kernels):
             h = synthetic_features(g, 4, seed=9)
             np.testing.assert_allclose(
-                k(h, 1, 2)[0], aggregate(g, h, "sum")[1], atol=1e-5
+                k.rows(1, 2)(h)[0], aggregate(g, h, "sum")[1], atol=1e-5
             )
 
     def test_token_survives_pickle_roundtrip(self, small_products):

@@ -5,14 +5,14 @@ from repro.kernels import KernelStats
 
 class TestMerge:
     def test_additive_fields_sum(self):
-        a = KernelStats(gathers=3, flops=10.0, prefetches=2, tasks=1, blocks=4)
-        b = KernelStats(gathers=7, flops=5.0, prefetches=1, tasks=2, blocks=6)
+        a = KernelStats(gathers=3, flops=10.0, prefetches=2, tasks=1, jit_compilations=4)
+        b = KernelStats(gathers=7, flops=5.0, prefetches=1, tasks=2, jit_compilations=6)
         a.merge(b)
         assert a.gathers == 10
         assert a.flops == 15.0
         assert a.prefetches == 3
         assert a.tasks == 3
-        assert a.blocks == 10
+        assert a.jit_compilations == 10
 
     def test_extra_dict_summation(self):
         a = KernelStats(extra={"wall_time_s": 1.0, "only_a": 2.0})
@@ -22,25 +22,17 @@ class TestMerge:
         # merge must not mutate the right-hand side
         assert b.extra == {"wall_time_s": 0.5, "only_b": 3.0}
 
-    def test_peak_buffer_bytes_takes_max(self):
-        a = KernelStats(peak_buffer_bytes=100)
-        a.merge(KernelStats(peak_buffer_bytes=50))
-        assert a.peak_buffer_bytes == 100
-        a.merge(KernelStats(peak_buffer_bytes=400))
-        assert a.peak_buffer_bytes == 400
-
     def test_empty_merge_identity(self):
         stats = KernelStats(
-            gathers=5, flops=2.0, prefetches=1, tasks=2, blocks=3,
-            jit_compilations=1, decompressed_rows=4, compressed_rows=5,
-            peak_buffer_bytes=64, dram_bytes_saved=7.0, extra={"k": 1.0},
+            gathers=5, flops=2.0, prefetches=1, tasks=2, jit_compilations=1,
+            extra={"k": 1.0},
         )
         before = stats.as_dict()
         stats.merge(KernelStats())
         assert stats.as_dict() == before
 
     def test_merge_into_empty_copies(self):
-        src = KernelStats(gathers=5, peak_buffer_bytes=9, extra={"k": 2.0})
+        src = KernelStats(gathers=5, tasks=9, extra={"k": 2.0})
         dst = KernelStats()
         dst.merge(src)
         assert dst.as_dict() == src.as_dict()
@@ -50,9 +42,7 @@ class TestAsDict:
     def test_all_declared_counters_present(self):
         d = KernelStats().as_dict()
         assert set(d) == {
-            "gathers", "flops", "prefetches", "tasks", "blocks",
-            "jit_compilations", "decompressed_rows", "compressed_rows",
-            "peak_buffer_bytes", "dram_bytes_saved",
+            "gathers", "flops", "prefetches", "tasks", "jit_compilations",
         }
         assert all(isinstance(v, float) for v in d.values())
 

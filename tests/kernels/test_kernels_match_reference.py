@@ -1,9 +1,17 @@
-"""The value-plane contract: every kernel matches the reference oracle.
+"""The value-plane contract: every variant matches the reference oracle.
 
 Graphite's whole premise is that its optimizations are semantics-
-preserving — these tests enforce it for every execution strategy, both
-aggregators, multiple graphs, and graphs relabelled by Section 4.4's
-processing orders.
+preserving — these tests enforce it for the paper's variants as the
+value plane runs them, both aggregators, multiple graphs, and graphs
+relabelled by Section 4.4's processing orders:
+
+* ``basic`` — :class:`BasicKernel`'s pass (Alg. 1);
+* ``compression`` — that pass over the S3 format's round trip;
+* ``distgnn`` — DistGNN's partition-parallel form, one
+  :func:`repro.parallel.sharded.shard_segment_reduce` per shard of a
+  two-way edge-cut partition, reassembled;
+* ``fusion`` / ``combined`` — the pass, then the layer's update as a
+  sweep over row blocks (S2), without and with the S3 round trip.
 """
 
 import numpy as np
@@ -11,22 +19,51 @@ import pytest
 
 from repro.graphs import (
     apply_order,
+    build_shards,
+    edge_cut_partition,
     locality_order,
     randomized_order,
     synthetic_features,
 )
-from repro.kernels import (
-    BasicKernel,
-    CompressedFusedKernel,
-    CompressedKernel,
-    DistGNNKernel,
-    FusedKernel,
-    SpMMKernel,
-    UpdateParams,
-)
+from repro.kernels import BasicKernel, UpdateParams
+from repro.kernels.segment import ScaledCSR
 from repro.nn import aggregate
+from repro.nn.aggregate import normalization_factors
+from repro.nn.layers import output_sweep
+from repro.parallel.sharded import shard_factors, shard_segment_reduce
+from repro.perf import VARIANTS, cascade_lake_28
+from repro.perf.cost_model import kernel_cost
+from repro.perf.traffic import LayerShape
+from repro.tensors.compression import compress_matrix, decompress_matrix
 
-AGG_KERNELS = [DistGNNKernel(), SpMMKernel(), BasicKernel(), CompressedKernel()]
+
+def _basic(graph, h, aggregator):
+    out, stats = BasicKernel().aggregate(graph, h, aggregator)
+    return out, stats.gathers
+
+
+def _compression(graph, h, aggregator):
+    return _basic(graph, decompress_matrix(compress_matrix(h)), aggregator)
+
+
+def _distgnn(graph, h, aggregator):
+    edge, self_f = normalization_factors(graph, aggregator)
+    assignment = edge_cut_partition(graph, 2).assignment
+    out = np.empty_like(h)
+    gathers = 0
+    for shard in build_shards(graph, assignment):
+        shard_edge, shard_self = shard_factors(edge, self_f, shard)
+        op = ScaledCSR.from_csr(
+            shard.indptr, shard.indices, shard_edge, shard_self,
+            shard.num_local + shard.num_halo,
+        )
+        x = np.concatenate([h[shard.local_vertices], h[shard.halo_vertices]])
+        out[shard.local_vertices] = shard_segment_reduce(op, x)
+        gathers += op.nnz + shard.num_local
+    return out, gathers
+
+
+AGG_RUNNERS = {"distgnn": _distgnn, "basic": _basic, "compression": _compression}
 
 
 def _params(f_in, f_out, seed=0):
@@ -37,22 +74,22 @@ def _params(f_in, f_out, seed=0):
     )
 
 
-@pytest.mark.parametrize("kernel", AGG_KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("kernel", sorted(AGG_RUNNERS))
 @pytest.mark.parametrize("aggregator", ["gcn", "mean"])
 def test_aggregation_kernels_match_oracle(small_products, kernel, aggregator):
     h = synthetic_features(small_products, 24, seed=1, sparsity=0.4)
     reference = aggregate(small_products, h, aggregator)
-    out, stats = kernel.aggregate(small_products, h, aggregator)
+    out, gathers = AGG_RUNNERS[kernel](small_products, h, aggregator)
     np.testing.assert_allclose(out, reference, atol=2e-4)
-    assert stats.gathers == small_products.num_edges + small_products.num_vertices
+    assert gathers == small_products.num_edges + small_products.num_vertices
 
 
-@pytest.mark.parametrize("kernel", AGG_KERNELS, ids=lambda k: k.name)
+@pytest.mark.parametrize("kernel", sorted(AGG_RUNNERS))
 def test_kernels_on_corner_graphs(kernel, star10, chain20, grid16):
     for graph in (star10, chain20, grid16):
         h = synthetic_features(graph, 8, seed=2)
         reference = aggregate(graph, h, "gcn")
-        out, _ = kernel.aggregate(graph, h, "gcn")
+        out, _ = AGG_RUNNERS[kernel](graph, h, "gcn")
         np.testing.assert_allclose(out, reference, atol=1e-4)
 
 
@@ -66,38 +103,47 @@ def test_order_does_not_change_results(small_products, order_fn):
     reference = aggregate(small_products, h, "gcn")
     order = order_fn(small_products)
     relabelled = apply_order(small_products, order)
-    for kernel in (BasicKernel(), CompressedKernel(), SpMMKernel()):
-        out, _ = kernel.aggregate(relabelled, h[order], "gcn")
+    for run in (_basic, _compression):
+        out, _ = run(relabelled, h[order], "gcn")
         np.testing.assert_allclose(out[np.argsort(order)], reference, atol=1e-4)
 
 
 @pytest.mark.parametrize("keep", [True, False], ids=["training", "inference"])
-@pytest.mark.parametrize(
-    "kernel_cls", [FusedKernel, CompressedFusedKernel], ids=["fusion", "combined"]
-)
-def test_fused_kernels_match_unfused_layer(small_products, kernel_cls, keep):
+@pytest.mark.parametrize("compressed", [False, True], ids=["fusion", "combined"])
+def test_fused_kernels_match_unfused_layer(small_products, compressed, keep):
+    """Training keeps the layer's output (and ``a``) for backward;
+    inference keeps only the next layer's operand ``h_out W_next``."""
     h = synthetic_features(small_products, 20, seed=4, sparsity=0.5)
     params = _params(20, 12)
+    next_weight = _params(12, 5, seed=1).weight
     reference_a = aggregate(small_products, h, "gcn")
     reference_h = params.apply(reference_a)
 
-    kernel = kernel_cls()
-    h_out, a, stats = kernel.run_layer(
-        small_products, h, params, "gcn", keep_aggregation=keep
+    run = _compression if compressed else _basic
+    a, _ = run(small_products, h, "gcn")
+    np.testing.assert_allclose(a, reference_a, atol=2e-4)
+    h_out, next_operand = output_sweep(
+        a, params.weight, params.bias, True, tf=False,
+        next_weight=next_weight, keep=keep,
     )
-    np.testing.assert_allclose(h_out, reference_h, atol=2e-4)
+    np.testing.assert_allclose(next_operand, reference_h @ next_weight, atol=2e-4)
     if keep:
-        np.testing.assert_allclose(a, reference_a, atol=2e-4)
+        np.testing.assert_allclose(h_out, reference_h, atol=2e-4)
     else:
-        assert a is None
+        assert h_out is None
 
 
 def test_fused_vs_basic_same_flop_count(small_products):
     """Fusion restructures, it does not change the arithmetic volume
-    (apart from the update GEMM it absorbs)."""
-    h = synthetic_features(small_products, 16, seed=6)
-    params = _params(16, 16)
-    _, basic_stats = BasicKernel().aggregate(small_products, h, "gcn")
-    _, _, fused_stats = FusedKernel().run_layer(small_products, h, params, "gcn")
+    (apart from the update GEMM it absorbs): the cost model prices it so."""
+    shape = LayerShape(
+        small_products.num_vertices, small_products.num_edges, 16, 16
+    )
+    machine = cascade_lake_28()
+    basic = kernel_cost(machine, VARIANTS["basic"], shape, 0.5)
+    fused = kernel_cost(machine, VARIANTS["fusion"], shape, 0.5)
     gemm_flops = 2.0 * small_products.num_vertices * 16 * 16
-    assert fused_stats.flops == pytest.approx(basic_stats.flops + gemm_flops)
+    agg_flops = basic.phases["aggregation"].flops
+    assert agg_flops == 2.0 * (shape.num_edges + shape.num_vertices) * 16
+    assert fused.phases["aggregation"].flops == pytest.approx(agg_flops)
+    assert fused.phases["update"].flops == pytest.approx(gemm_flops)

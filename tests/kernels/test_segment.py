@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import CSRGraph, build_shards, edge_cut_partition, uniform_graph
-from repro.kernels.distgnn import shard_factors
 from repro.kernels.jit import JitKernelCache, KernelSpec
 from repro.kernels.segment import ScaledCSR
 from repro.nn.aggregate import (
@@ -17,6 +16,7 @@ from repro.nn.aggregate import (
     normalized_adjacency,
 )
 from repro.parallel import ArrayBundle
+from repro.parallel.sharded import shard_factors
 
 WIDTHS = (1, 100, 256)
 
@@ -36,7 +36,7 @@ def _forward(graph, aggregator="gcn"):
 def _transposed(graph, aggregator="gcn"):
     """The backward layout the JIT cache builds (any width wraps it)."""
     spec = KernelSpec(1, aggregator)
-    return JitKernelCache().specialize_backward(graph, spec).operator
+    return JitKernelCache().specialize_backward(graph, spec)
 
 
 class TestSquare:

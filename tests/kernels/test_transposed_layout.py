@@ -129,12 +129,12 @@ def test_cache_layouts_equal_the_oracles(aggregator, no_sort):
     cache = JitKernelCache()
     live = _masks(graph.num_vertices)["random"]
     spec = KernelSpec(feature_len=4, aggregator=aggregator)
-    forward = cache.specialize(graph, spec).operator
+    forward = cache.specialize(graph, spec)
     for _ in range(3):
         _assert_same(
             cache.live_layout(graph, aggregator, live),
             _oracle_live(graph, forward, live),
         )
         live[::3] = ~live[::3]  # in place, new values
-    backward = cache.specialize_backward(graph, spec).operator
+    backward = cache.specialize_backward(graph, spec)
     _assert_same(backward, _oracle_full(graph, forward))

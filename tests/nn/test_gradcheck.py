@@ -263,16 +263,15 @@ class TestBatchedBackwardMatchesReference:
             assert stats.gathers == graph.num_edges + graph.num_vertices
 
     def test_jit_closures_match_reference_directly(self):
-        """The raw specialized closure (not just the kernel wrapper)."""
+        """The raw specialized operator (not just the kernel wrapper)."""
         graph = uniform_graph(25, avg_degree=4.0, seed=9)
         rng = np.random.default_rng(9)
         grad_a = rng.standard_normal((graph.num_vertices, 6))
         reference = aggregate_backward_reference(graph, grad_a, "gcn")
         cache = JitKernelCache()
         spec = KernelSpec(6, "gcn")
-        closure = cache.specialize_backward(graph, spec)
-        n = graph.num_vertices
-        np.testing.assert_allclose(closure(grad_a, 0, n), reference, atol=1e-6)
+        operator = cache.specialize_backward(graph, spec)
+        np.testing.assert_allclose(operator(grad_a), reference, atol=1e-6)
         np.testing.assert_allclose(
-            closure(grad_a, 7, 19), reference[7:19], atol=1e-6
+            operator.rows(7, 19)(grad_a), reference[7:19], atol=1e-6
         )

@@ -183,30 +183,6 @@ class TestTrainerObservability:
         assert "sparsity" not in log.events[0]
         assert trainer.history.sparsity.layers() == []  # profile stayed off
 
-    def test_compression_realized_with_compressed_kernel(
-        self, community_task, tmp_path
-    ):
-        from repro.kernels import CompressedKernel
-
-        graph, features, labels = community_task
-        # Three layers: the 16 -> 16 hidden layer is the one that still
-        # gathers its (sparse) input rows — the first layer's aggregation
-        # is kept across epochs and the narrowing output layer gathers
-        # the dense h W, which compression cannot shrink.
-        # The realized savings are the kernel's own counters, merged into
-        # the history; the event log no longer re-prices them.
-        model = build_model("gcn", 8, 16, 3, num_layers=3, dropout=0.5, seed=2)
-        log = EventLog(None)
-        trainer = Trainer(
-            model, Adam(model, lr=0.02),
-            aggregation_kernel=CompressedKernel(), event_log=log,
-        )
-        trainer.fit(graph, features, labels, epochs=2)
-        # Layer-1 inputs are sparse, so the compressed kernel skips real
-        # zero rows.
-        assert trainer.history.aggregation_stats.dram_bytes_saved > 0.0
-        assert "compression" not in log.events[-1]
-
     def test_injected_nan_detected_within_one_epoch(self, community_task):
         graph, features, labels = community_task
         model = build_model("gcn", 8, 8, 3, num_layers=2, seed=3)

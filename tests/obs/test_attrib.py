@@ -4,17 +4,11 @@ import math
 
 import pytest
 
-from repro.obs.attrib import (
-    DEFAULT_TRAFFIC_TOLERANCE,
-    attribute_run,
-    sim_traffic_from_metrics,
-    workload_from_span,
-)
+from repro.obs.attrib import attribute_run, workload_from_span
 from repro.perf.traffic import (
     LayerShape,
     aggregation_traffic,
     compressed_effective_feature_len,
-    update_traffic,
 )
 
 
@@ -32,22 +26,10 @@ def basic_record(**overrides):
     return record
 
 
-def fused_record(keep_aggregation=False):
-    return {
-        "kind": "span",
-        "span_id": 5,
-        "parent_id": None,
-        "name": "kernel.fusion",
-        "duration_s": 0.003,
-        "attrs": {
-            "vertices": 1000,
-            "edges": 8000,
-            "features": 32,
-            "features_out": 16,
-            "keep_aggregation": keep_aggregation,
-        },
-        "counters": {"gathers": 9000.0},
-    }
+def backward_record():
+    record = basic_record(name="kernel.backward.basic", span_id=4)
+    record["attrs"] = {"vertices": 1000, "edges": 8000, "features": 16}
+    return record
 
 
 class TestWorkloadFromSpan:
@@ -60,29 +42,14 @@ class TestWorkloadFromSpan:
         assert workload is not None
         assert workload.variant == "basic"
         assert workload.shape == LayerShape(1000, 8000, 32, 32)
-        assert workload.write_a  # unfused always writes a
         assert not workload.spec.fused and not workload.spec.compressed
-
-    def test_fused_inference_drops_a_write(self):
-        workload = workload_from_span(fused_record(keep_aggregation=False))
-        assert workload.spec.fused
-        assert workload.shape == LayerShape(1000, 8000, 32, 16)
-        assert not workload.write_a
-
-    def test_fused_training_keeps_a_write(self):
-        workload = workload_from_span(fused_record(keep_aggregation=True))
-        assert workload.write_a
 
     def test_missing_shape_returns_none(self):
         """Every kernel span records its shape; one that lacks a part
-        (``edges``, or a fused span's ``features_out``) is not guessed
-        from its counters."""
+        (``edges``) is not guessed from its counters."""
         assert workload_from_span({"name": "kernel.basic", "attrs": {}}) is None
         record = basic_record()
         del record["attrs"]["edges"]
-        assert workload_from_span(record) is None
-        record = fused_record()
-        del record["attrs"]["features_out"]
         assert workload_from_span(record) is None
 
 
@@ -92,12 +59,6 @@ class TestPredictions:
         expected = aggregation_traffic(LayerShape(1000, 8000, 32, 32), 0.5)
         assert span.predicted_dram_bytes == expected.dram_total
         assert set(span.phases) == {"aggregation"}
-
-    def test_fused_span_gets_update_phase(self):
-        (span,) = attribute_run([fused_record()], hit_rate=0.5).spans
-        assert set(span.phases) == {"aggregation", "update"}
-        update = update_traffic(LayerShape(1000, 8000, 32, 16), fused=True)
-        assert span.phases["update"]["dram_write"] == update.dram_write
 
     def test_compressed_effective_feature_len(self):
         assert compressed_effective_feature_len(32, 0.5) == 16
@@ -135,72 +96,11 @@ class TestAttributeRun:
             2.0 * report.spans[0].aggregation_dram_bytes
         )
 
-    def test_reconciliation_within_tolerance(self):
-        report = attribute_run(
-            [basic_record()],
-            hit_rate=0.0,
-            sim_dram_bytes={
-                "basic": 1.1 * aggregation_traffic(
-                    LayerShape(1000, 8000, 32, 32), gather_hit_rate=0.0
-                ).dram_total
-            },
-        )
-        assert len(report.reconciliations) == 1
-        rec = report.reconciliations[0]
-        assert rec.within_tolerance
-        assert rec.relative_error == pytest.approx(0.1 / 1.1, rel=1e-6)
-        assert report.divergent() == []
-
-    def test_divergence_is_flagged(self):
-        report = attribute_run(
-            [basic_record()],
-            hit_rate=0.0,
-            sim_dram_bytes={"basic": 1e12},
-        )
-        assert not report.reconciliations[0].within_tolerance
-        assert [r.variant for r in report.divergent()] == ["basic"]
-
-    def test_sim_traffic_from_metrics_snapshot(self):
-        snapshot = {
-            "sim.basic.dram.bytes_served": {"type": "counter", "value": 4096.0},
-            "sim.basic.runs": {"type": "counter", "value": 2.0},
-            "sim.fusion.dram.bytes_served": {"type": "counter", "value": 1024.0},
-            "executor.tasks": {"type": "counter", "value": 7.0},
-        }
-        traffic = sim_traffic_from_metrics(snapshot)
-        assert traffic["basic"] == {"bytes": 4096.0, "runs": 2.0}
-        assert traffic["fusion"] == {"bytes": 1024.0, "runs": 1.0}
-        assert "executor.tasks" not in traffic
-
-    def test_snapshot_drives_reconciliation_per_pass(self):
-        model = aggregation_traffic(
-            LayerShape(1000, 8000, 32, 32), gather_hit_rate=0.0
-        ).dram_total
-        snapshot = {
-            "sim.basic.dram.bytes_served": {"type": "counter", "value": 2.0 * model},
-            "sim.basic.runs": {"type": "counter", "value": 2.0},
-        }
-        report = attribute_run(
-            [basic_record()], hit_rate=0.0, metrics_snapshot=snapshot
-        )
-        rec = report.reconciliations[0]
-        assert rec.sim_bytes == pytest.approx(model)
-        assert rec.relative_error == pytest.approx(0.0, abs=1e-9)
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            attribute_run([basic_record()], tolerance=-0.1)
-
     def test_render(self):
-        report = attribute_run(
-            [basic_record(), fused_record()],
-            hit_rate=0.5,
-            sim_dram_bytes={"basic": 1.0e6},
-        )
+        report = attribute_run([basic_record(), backward_record()], hit_rate=0.5)
         text = report.render()
-        assert "kernel.basic" in text and "kernel.fusion" in text
-        assert "reconcile basic" in text
-        assert f"(tol {DEFAULT_TRAFFIC_TOLERANCE:.0%})" in text
-        assert report.tolerance == DEFAULT_TRAFFIC_TOLERANCE
+        assert "kernel.basic" in text and "kernel.backward.basic" in text
+        assert "  basic " in text and "over 2 span(s)" in text
+        assert "reconcile" not in text
         assert len(report.spans) == 2
         assert math.isfinite(report.spans[0].predicted_dram_bytes)

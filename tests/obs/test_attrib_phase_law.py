@@ -1,13 +1,16 @@
-"""Differential test of span attribution's pricing.
+"""Differential test of the phase law that prices every variant.
 
-Attribution prices a traced kernel span with the cost model's own phase
-law, :func:`repro.perf.cost_model.kernel_cost`.  The span pricing it
-replaced re-derived that law in a module of its own; its two functions
-are kept here verbatim as the oracle.  For every traced kernel variant,
-both ``keep_aggregation`` settings, two sparsities and two hit rates,
-``attribute_run``'s DRAM bytes and memory / compute seconds must equal
-the oracle's to a relative 1e-12 (the compute side sums the same terms
-in another order).
+The cost model prices one kernel pass with
+:func:`repro.perf.cost_model.kernel_cost`, and span attribution prices a
+traced kernel span with it.  The span pricing it replaced re-derived
+that law in a module of its own; its two functions are kept here
+verbatim as the oracle.  For every priced variant
+(:data:`~repro.perf.cost_model.VARIANTS`), both ``keep_aggregation``
+settings, two sparsities, two hit rates and two machines,
+``kernel_cost``'s DRAM bytes and memory / compute seconds must equal the
+oracle's to a relative 1e-12 (the compute side sums the same terms in
+another order) — and so must ``attribute_run``'s for every traced span
+name.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,7 @@ from repro.perf.cost_model import (
     AGGREGATION_COMPUTE_EFFICIENCY,
     VARIANTS,
     VariantSpec,
+    kernel_cost,
 )
 from repro.perf.machine import MachineConfig, cascade_lake_12, cascade_lake_28
 from repro.perf.traffic import (
@@ -111,8 +115,8 @@ def _record(name, keep_aggregation):
     return {"name": name, "span_id": 1, "attrs": attrs, "counters": {}}
 
 
-def _oracle_workload(name, keep_aggregation):
-    spec = VARIANTS[SPAN_VARIANTS[name]]
+def _oracle_workload(variant, keep_aggregation):
+    spec = VARIANTS[variant]
     shape = SHAPE if spec.fused else LayerShape(
         SHAPE.num_vertices, SHAPE.num_edges, SHAPE.f_in, SHAPE.f_in
     )
@@ -123,6 +127,53 @@ def _oracle_workload(name, keep_aggregation):
         write_a=keep_aggregation or not spec.fused,
         fused=spec.fused,
         compressed=spec.compressed,
+    )
+
+
+def _assert_prices_like_the_oracle(
+    priced_phases, dram_bytes, aggregation_bytes, memory_s, compute_s,
+    workload, hit_rate, sparsity, machine,
+):
+    phases = predict_phase_traffic(workload, hit_rate, sparsity)
+    oracle_memory_s, oracle_compute_s = predict_phase_times(
+        workload, phases, machine
+    )
+    assert set(priced_phases) == set(phases)
+    for phase, traffic in phases.items():
+        assert priced_phases[phase] == pytest.approx(
+            {"dram_read": traffic.dram_read, "dram_write": traffic.dram_write,
+             "flops": traffic.flops}, rel=1e-12)
+    assert dram_bytes == pytest.approx(
+        sum(t.dram_total for t in phases.values()), rel=1e-12)
+    assert aggregation_bytes == pytest.approx(
+        phases["aggregation"].dram_total, rel=1e-12)
+    assert memory_s == pytest.approx(oracle_memory_s, rel=1e-12)
+    assert compute_s == pytest.approx(oracle_compute_s, rel=1e-12)
+    assert oracle_memory_s > 0 and oracle_compute_s > 0
+
+
+@pytest.mark.parametrize("machine", [cascade_lake_28(), cascade_lake_12()],
+                         ids=["28-core", "12-core"])
+@pytest.mark.parametrize("hit_rate", [0.0, 0.62])
+@pytest.mark.parametrize("sparsity", [0.0, 0.5])
+@pytest.mark.parametrize("keep_aggregation", [False, True],
+                         ids=["inference", "training"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_kernel_cost_prices_like_the_phase_law_it_replaced(
+    variant, keep_aggregation, sparsity, hit_rate, machine
+):
+    workload = _oracle_workload(variant, keep_aggregation)
+    cost = kernel_cost(
+        machine, VARIANTS[variant], workload.shape, hit_rate, sparsity,
+        workload.write_a,
+    )
+    _assert_prices_like_the_oracle(
+        {phase: {"dram_read": t.dram_read, "dram_write": t.dram_write,
+                 "flops": t.flops} for phase, t in cost.phases.items()},
+        sum(t.dram_total for t in cost.phases.values()),
+        cost.phases["aggregation"].dram_total,
+        cost.memory_s, cost.compute_s,
+        workload, hit_rate, sparsity, machine,
     )
 
 
@@ -140,18 +191,9 @@ def test_attribution_prices_like_the_phase_law_it_replaced(
         [_record(name, keep_aggregation)],
         machine=machine, hit_rate=hit_rate, sparsity=sparsity,
     ).spans
-    workload = _oracle_workload(name, keep_aggregation)
-    phases = predict_phase_traffic(workload, hit_rate, sparsity)
-    memory_s, compute_s = predict_phase_times(workload, phases, machine)
-    assert set(span.phases) == set(phases)
-    for phase, traffic in phases.items():
-        assert span.phases[phase] == pytest.approx(
-            {"dram_read": traffic.dram_read, "dram_write": traffic.dram_write,
-             "flops": traffic.flops}, rel=1e-12)
-    assert span.predicted_dram_bytes == pytest.approx(
-        sum(t.dram_total for t in phases.values()), rel=1e-12)
-    assert span.aggregation_dram_bytes == pytest.approx(
-        phases["aggregation"].dram_total, rel=1e-12)
-    assert span.predicted_memory_s == pytest.approx(memory_s, rel=1e-12)
-    assert span.predicted_compute_s == pytest.approx(compute_s, rel=1e-12)
-    assert memory_s > 0 and compute_s > 0
+    _assert_prices_like_the_oracle(
+        span.phases, span.predicted_dram_bytes, span.aggregation_dram_bytes,
+        span.predicted_memory_s, span.predicted_compute_s,
+        _oracle_workload(SPAN_VARIANTS[name], keep_aggregation),
+        hit_rate, sparsity, machine,
+    )

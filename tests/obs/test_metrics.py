@@ -322,6 +322,18 @@ class TestPublishCounters:
         publish_counters(NULL_REGISTRY, "kernel", {"gathers": 3})
         assert NULL_REGISTRY.snapshot() == {}
 
+    def test_negative_delta_raises_and_changes_nothing(self):
+        """A counter never turns into a gauge: ``+1`` then ``-1`` under
+        one name raises, naming the counter, and leaves every counter of
+        the refused batch where it was."""
+        reg = MetricsRegistry()
+        publish_counters(reg, "kernel.x", {"saved": 1, "gathers": 2})
+        with pytest.raises(ValueError, match=r"kernel\.x\.saved"):
+            publish_counters(reg, "kernel.x", {"gathers": 5, "saved": -1})
+        snap = reg.snapshot()
+        assert snap["kernel.x.saved"] == {"type": "counter", "value": 1.0}
+        assert snap["kernel.x.gathers"]["value"] == 2.0
+
 
 class TestHistogramTimer:
     def test_time_observes_block_duration(self):

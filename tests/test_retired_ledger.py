@@ -1,12 +1,14 @@
 """The second performance ledger, the thread shard backend, the
 sampling profiler, the chunk executor, the consumer-less telemetry
-outputs (dashboard, Perfetto export, ``--attrib``, ``--sample-proc``)
-and the commands that re-printed ``repro experiment`` rows
-(``datasets``, ``speedup``, ``characterize``) are deleted, not
-defaulted: perfbench is the only judge of speed, the span plane is the
-only phase breakdown, lanes are the only in-process parallelism, every
-telemetry output left has a reader, and each paper artifact has one
-command.
+outputs (dashboard, Perfetto export, ``--attrib``, ``--sample-proc``),
+the commands that re-printed ``repro experiment`` rows (``datasets``,
+``speedup``, ``characterize``) and the variant kernel classes with
+``profile --kernel`` are deleted, not defaulted: perfbench is the only
+judge of speed, the span plane is the only phase breakdown, lanes are
+the only in-process parallelism, every telemetry output left has a
+reader, each paper artifact has one command, and the value plane runs
+one aggregation kernel while the cost model prices the paper's
+variants.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
@@ -190,3 +192,14 @@ class TestDuplicatePaperCommandsAreGone:
             "train", "bench-sharded", "profile", "top", "serve", "loadgen",
             "experiment",
         }
+
+
+class TestVariantKernelsAreGone:
+    def test_profile_kernel_flag_exits_2(self, capsys):
+        assert _exit_code(_SMALL_RUNS["profile"] + ["--kernel", "compression"]) == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module", ["fused", "compressed", "spmm", "distgnn"])
+    def test_variant_modules_cannot_be_imported(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.kernels.{module}")
