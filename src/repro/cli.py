@@ -6,10 +6,10 @@ Subcommands:
   dense layer phase runs one output slice per core; ``--shards N
   --backend {serial,process}`` trains partition-parallel;
   ``--trace FILE`` / ``--json FILE`` emit run telemetry; ``--events
-  FILE`` streams per-epoch JSONL events, ``--health`` guards numerics,
-  ``--serve-metrics PORT`` exposes the live registry (with sampled
-  process RSS/CPU) over HTTP, ``--rules FILE`` evaluates declarative
-  SLO rules each epoch).
+  FILE`` streams per-epoch JSONL events, ``--serve-metrics PORT``
+  exposes the live registry (with sampled process RSS/CPU) over HTTP,
+  ``--rules FILE`` evaluates declarative rules each epoch and
+  ``--health`` adds the default numerics-guard rules).
 * ``bench-sharded`` — scaling-efficiency benchmark of the sharded
   trainer.
 * ``profile`` — trace one tiny synthetic training run end to end and
@@ -263,7 +263,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .graphs import load_dataset, synthetic_features
     from .kernels import BasicKernel
     from .nn import Adam, Trainer, build_model
-    from .obs.health import HealthError, HealthMonitor
+    from .obs.rules import (
+        FatalRuleError, RuleEngine, RuleParseError, default_train_rules,
+        load_rules,
+    )
 
     # Trainer.fit(verbose=True) reports epochs through this logger at
     # INFO; raise it so `repro train` shows the lines without -v.
@@ -289,26 +292,29 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "model": args.model,
         "epochs": args.epochs,
     }
+    rules = None
+    if args.health or args.rules:
+        sources = ["the default training rules"] if args.health else []
+        try:
+            rule_list = default_train_rules() if args.health else []
+            if args.rules:
+                sources.append(args.rules)
+                rule_list += load_rules(args.rules)
+            rules = RuleEngine(rule_list)
+        except (OSError, RuleParseError) as error:
+            print(f"{args.rules}: {error}", file=sys.stderr)
+            return 2
+        print(
+            f"slo: loaded {len(rules.rules)} rule(s) from {' and '.join(sources)}"
+        )
     event_log = None
     if args.events:
         from .obs.events import EventLog
 
         event_log = EventLog(args.events, meta=meta)
-    health = HealthMonitor() if args.health else None
-    rules = None
-    if args.rules:
-        from .obs.rules import RuleEngine, RuleParseError, load_rules
-
-        try:
-            rules = RuleEngine(load_rules(args.rules))
-        except (OSError, RuleParseError) as error:
-            print(f"{args.rules}: {error}", file=sys.stderr)
-            return 2
-        print(f"slo: loaded {len(rules.rules)} rule(s) from {args.rules}")
     trainer = Trainer(
         model, Adam(model, lr=args.lr), profile_sparsity=True,
-        aggregation_kernel=BasicKernel(), event_log=event_log, health=health,
-        rules=rules,
+        aggregation_kernel=BasicKernel(), event_log=event_log, rules=rules,
     )
     extras: dict = {}
     status = 0
@@ -322,8 +328,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 extras["events"] = event_log
                 extras["sparsity"] = trainer.history.sparsity
                 extras["alerts"] = rules
-    except HealthError as error:
-        print(f"\ntraining aborted by health monitor:\n{error}", file=sys.stderr)
+    except FatalRuleError as error:
+        print(f"\ntraining stopped: {error}", file=sys.stderr)
         status = 1
     finally:
         if event_log is not None:
@@ -333,8 +339,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if history.epochs:
         print("\nhidden-feature sparsity (Section 2.2):")
         print(history.sparsity.summary())
-    if health is not None:
-        print(health.summary())
     if rules is not None:
         print(rules.summary())
     return status
@@ -859,19 +863,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--events", metavar="FILE", type=_output_path, default=None,
         help="stream one JSONL epoch event per epoch (loss, accuracies, "
-        "per-layer grad/weight norms, sparsity, compression savings)",
+        "per-layer grad/weight norms, wall time, fired rules)",
     )
     p.add_argument(
         "--health", action="store_true",
-        help="guard numerics each epoch (NaN/Inf, loss divergence, "
-        "stall); fatal issues abort the run with a diagnostic",
+        help="load the default training rules: NaN/Inf and loss "
+        "divergence past 4x the best loss stop the run (exit 1) with a "
+        "diagnostic, a 20-epoch stall warns; combines with --rules",
     )
     p.add_argument(
         "--rules", metavar="FILE", default=None,
         help="evaluate declarative SLO rules each epoch "
-        "('[name:] metric [stat] op threshold [for K]' per line); "
+        "('[name:] metric [stat] op threshold [for K] [fatal]' per line); "
         "violations surface as alerts.* metrics, slo: event issues, "
-        "and run-report entries",
+        "and run-report entries; a fatal one stops the run (exit 1)",
     )
     p.set_defaults(func=_cmd_train)
 

@@ -1,7 +1,6 @@
 """Execution kernels: the value plane's one aggregation kernel (Alg. 1)."""
 
 from .base import (
-    AggregationKernel,
     KernelStats,
     UpdateParams,
     validate_inputs,
@@ -15,7 +14,6 @@ from .basic import (
 from .jit import JitKernelCache, KernelSpec
 
 __all__ = [
-    "AggregationKernel",
     "KernelStats",
     "UpdateParams",
     "validate_inputs",

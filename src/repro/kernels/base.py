@@ -17,7 +17,7 @@ prices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -89,20 +89,6 @@ class UpdateParams:
         # fp32 in the normal pipeline; preserved (e.g. fp64) when a
         # gradcheck drives the whole stack at higher precision.
         return out.astype(np.result_type(a_block.dtype, np.float32), copy=False)
-
-
-class AggregationKernel:
-    """Base class: an aggregation-only execution strategy."""
-
-    name = "abstract"
-
-    def aggregate(
-        self, graph: CSRGraph, h: np.ndarray, aggregator: str = "gcn"
-    ) -> Tuple[np.ndarray, KernelStats]:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r})"
 
 
 def validate_inputs(graph: CSRGraph, h: np.ndarray) -> None:

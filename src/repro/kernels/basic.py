@@ -34,7 +34,7 @@ import numpy as np
 from .. import lanes
 from ..graphs.csr import CSRGraph
 from ..obs import get_metrics, get_tracer, publish_counters
-from .base import AggregationKernel, KernelStats, validate_inputs
+from .base import KernelStats, validate_inputs
 from .jit import JitKernelCache, KernelSpec
 from .segment import ScaledCSR
 
@@ -79,7 +79,7 @@ def aggregate_rows(operator: ScaledCSR, h: np.ndarray) -> np.ndarray:
     return out
 
 
-class BasicKernel(AggregationKernel):
+class BasicKernel:
     """The Graphite ``basic`` aggregation of Algorithm 1."""
 
     def __init__(
@@ -95,8 +95,6 @@ class BasicKernel(AggregationKernel):
         self.task_size = task_size
         self.prefetch_distance = prefetch_distance
         self.jit_cache = jit_cache or JitKernelCache()
-
-    name = "basic"
 
     def aggregate(
         self,

@@ -39,15 +39,18 @@ every epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from .. import lanes
 from ..graphs.csr import CSRGraph
-from ..kernels.base import AggregationKernel, KernelStats
+from ..kernels.base import KernelStats
 from . import functional as F
 from .aggregate import aggregate, aggregate_backward, canonical_aggregator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; kernels imports nn
+    from ..kernels.basic import BasicKernel
 
 
 def transform_first(in_features: int, out_features: int, static_input: bool) -> bool:
@@ -570,7 +573,7 @@ class GNNLayer:
 
     # ------------------------------------------------------------------
     def _aggregate(
-        self, graph: CSRGraph, h: np.ndarray, kernel: Optional[AggregationKernel]
+        self, graph: CSRGraph, h: np.ndarray, kernel: Optional[BasicKernel]
     ) -> "tuple[np.ndarray, Optional[KernelStats]]":
         """``Â h`` through ``kernel``, or the SpMM oracle without one."""
         if kernel is not None:
@@ -579,19 +582,18 @@ class GNNLayer:
 
     def _aggregate_backward(
         self, graph: CSRGraph, grad: np.ndarray,
-        kernel: Optional[AggregationKernel], live: Optional[np.ndarray],
+        kernel: Optional[BasicKernel], live: Optional[np.ndarray],
     ) -> "tuple[np.ndarray, Optional[KernelStats]]":
-        """``Âᵀ grad`` through ``kernel`` when it provides
-        ``aggregate_backward`` (e.g. the transposed-layout backward of
-        :class:`~repro.kernels.BasicKernel`), gathering only the ``live``
-        rows when given; otherwise the transpose-SpMM fallback runs over
-        every row (the dead ones are zero, so the result is the same)."""
-        if kernel is not None and hasattr(kernel, "aggregate_backward"):
-            extra = {} if live is None else {"live": live}
-            return kernel.aggregate_backward(
-                graph, np.ascontiguousarray(grad), self.aggregator, **extra
-            )
-        return aggregate_backward(graph, grad, self.aggregator), None
+        """``Âᵀ grad`` through ``kernel``'s transposed layout, gathering
+        only the ``live`` rows when given, or the transpose-SpMM oracle
+        over every row without one (the dead rows are zero, so the
+        result is the same)."""
+        if kernel is None:
+            return aggregate_backward(graph, grad, self.aggregator), None
+        extra = {} if live is None else {"live": live}
+        return kernel.aggregate_backward(
+            graph, np.ascontiguousarray(grad), self.aggregator, **extra
+        )
 
     def _update(self, cache: LayerCache, need_input_grad: bool) -> tuple:
         """This layer as the lower stage of :func:`grads_sweep`."""
@@ -605,7 +607,7 @@ class GNNLayer:
         graph: CSRGraph,
         h_in: Optional[np.ndarray],
         training: bool = False,
-        kernel: Optional[AggregationKernel] = None,
+        kernel: Optional[BasicKernel] = None,
         static_input: bool = False,
         aggregated: Optional[np.ndarray] = None,
         out: Optional[np.ndarray] = None,
@@ -694,7 +696,7 @@ class GNNLayer:
         graph: CSRGraph,
         grad_out: Union[np.ndarray, UpdateGrads],
         cache: LayerCache,
-        kernel: Optional[AggregationKernel] = None,
+        kernel: Optional[BasicKernel] = None,
         need_input_grad: bool = True,
         own_grad_out: bool = False,
         below: "Optional[tuple[GNNLayer, LayerCache, bool]]" = None,

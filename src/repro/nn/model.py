@@ -8,14 +8,16 @@ either with arbitrary widths.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..kernels.base import AggregationKernel
 from ..obs import get_tracer
 from .layers import GNNLayer, LayerCache, LayerGrads, SweepBuffers, transform_first
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; kernels imports nn
+    from ..kernels.basic import BasicKernel
 
 
 class Workspace:
@@ -85,7 +87,7 @@ class GNNModel:
         graph: CSRGraph,
         features: np.ndarray,
         training: bool = False,
-        kernel: Optional[AggregationKernel] = None,
+        kernel: Optional[BasicKernel] = None,
         first_aggregation: Optional[np.ndarray] = None,
         workspace: Optional[Workspace] = None,
         keep_hidden: bool = True,
@@ -152,7 +154,7 @@ class GNNModel:
         graph: CSRGraph,
         grad_logits: np.ndarray,
         caches: List[LayerCache],
-        kernel: Optional[AggregationKernel] = None,
+        kernel: Optional[BasicKernel] = None,
         workspace: Optional[Workspace] = None,
         live: Optional[np.ndarray] = None,
     ) -> List[LayerGrads]:
@@ -213,7 +215,7 @@ class GNNModel:
         self,
         graph: CSRGraph,
         features: np.ndarray,
-        kernel: Optional[AggregationKernel] = None,
+        kernel: Optional[BasicKernel] = None,
     ) -> np.ndarray:
         """Inference-mode logits (no dropout, no hidden activation kept)."""
         logits, _ = self.forward(
@@ -222,9 +224,10 @@ class GNNModel:
         return logits
 
     # ------------------------------------------------------------------
-    # Norm capture for the training-run observability layer (obs.events /
-    # obs.health): a NaN/Inf anywhere in a tensor makes its L2 norm
-    # non-finite, so the norms double as a cheap corruption detector.
+    # Norm capture for the training-run observability layer (the event
+    # log and the rules' train.nonfinite gauge): a NaN/Inf anywhere in a
+    # tensor makes its L2 norm non-finite, so the norms double as a cheap
+    # corruption detector.
     @staticmethod
     def grad_norms(grads: Sequence["LayerGrads"]) -> Dict[str, Dict[str, float]]:
         """Per-layer L2 norms of one backward pass's gradients.

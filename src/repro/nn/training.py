@@ -9,26 +9,30 @@ optimizer step.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..kernels.base import AggregationKernel, KernelStats
+from ..kernels.base import KernelStats
 from ..obs import get_metrics, get_tracer
+from ..obs.events import EpochEvent, EventLog, train_plane
+from ..obs.rules import Alert, FatalRuleError, RuleEngine
 from ..tensors.sparsity import SparsityProfile, sparsity as sparsity_of
 from . import functional as F
 from .model import GNNModel, Workspace
 from .optim import Optimizer
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.events import EventLog
-    from ..obs.health import HealthMonitor
-    from ..obs.rules import RuleEngine
+if TYPE_CHECKING:  # pragma: no cover - typing only; kernels imports nn
+    from ..kernels.basic import BasicKernel
 
 logger = logging.getLogger(__name__)
+
+#: Relative best-loss improvement that restarts ``train.epochs_since_best``.
+_STALL_TOLERANCE = 1e-3
 
 
 @dataclass
@@ -76,30 +80,35 @@ class Trainer:
         optimizer: parameter update rule.
         profile_sparsity: record per-layer input sparsity each epoch —
             the Section 2.2 measurement that motivates feature compression.
-        aggregation_kernel: optional optimized execution strategy (e.g. a
-            ``BasicKernel``, which runs each pass on lanes) used for
-            every forward aggregation — and, when the kernel provides
-            ``aggregate_backward`` (the transposed-layout backward of
-            :class:`~repro.kernels.BasicKernel`), for every backward
-            aggregation too.  Without one the trainer is the value-plane
+        aggregation_kernel: optional :class:`~repro.kernels.BasicKernel`
+            (each pass on lanes) used for every forward and backward
+            aggregation.  Without one the trainer is the value-plane
             oracle: every aggregation rebuilds the scipy normalized
-            adjacency, which is what tests compare the kernels against.
+            adjacency, which is what tests compare the kernel against.
         event_log: optional :class:`~repro.obs.events.EventLog`; every
             ``train_epoch`` emits one streaming epoch record (loss,
             accuracies, per-layer grad/weight norms, wall time).
-        health: optional :class:`~repro.obs.health.HealthMonitor`; the
-            epoch's numerics are checked as they are produced and a
-            fail-fast monitor raises within one epoch of a NaN/Inf.
         rules: optional :class:`~repro.obs.rules.RuleEngine`; evaluated
-            once per epoch against the registry snapshot (after this
-            epoch's ``train.*`` gauges are published), so declarative
-            SLOs like ``train.loss rate_of_change <= 0 for 3`` or
-            ``proc.rss_bytes < 2e9`` fire online.  Violations surface as
-            ``alerts.*`` metrics and ``slo:<rule>`` entries in the
-            epoch's event record.
+            once per epoch on this epoch's ``train.*`` plane merged over
+            the registry snapshot, so declarative rules like
+            ``train.loss rate_of_change <= 0 for 3`` or
+            ``proc.rss_bytes < 2e9`` fire online.  With an engine the
+            plane also carries what the numerics guards
+            (:data:`~repro.obs.rules.DEFAULT_TRAIN_RULES`) read:
+            ``train.nonfinite``, the count of non-finite values among
+            the loss, the logits and the per-layer grad / weight norms;
+            ``train.loss_over_best``, the loss over the best loss of
+            earlier epochs (absent on the first epoch and on a
+            non-finite loss); ``train.epochs_since_best``, the epochs
+            since the best loss last improved by more than a relative
+            ``1e-3``.  Violations
+            surface as ``alerts.*`` metrics and ``slo:<rule>`` entries in
+            the epoch's event record; a ``fatal`` rule raises
+            :class:`~repro.obs.rules.FatalRuleError` after the record is
+            written.
 
-    With all of them left at ``None`` (the default) ``train_epoch``
-    takes the existing zero-cost path: no norms, no sparsity
+    With both left at ``None`` (the default) and the registry off,
+    ``train_epoch`` takes the zero-cost path: no norms, no sparsity
     measurements, no event construction, no gauge publishing.
 
     An epoch aggregates only what can change: the first layer's
@@ -122,17 +131,19 @@ class Trainer:
         model: GNNModel,
         optimizer: Optimizer,
         profile_sparsity: bool = False,
-        aggregation_kernel: Optional[AggregationKernel] = None,
-        event_log: Optional["EventLog"] = None,
-        health: Optional["HealthMonitor"] = None,
-        rules: Optional["RuleEngine"] = None,
+        aggregation_kernel: Optional[BasicKernel] = None,
+        event_log: Optional[EventLog] = None,
+        rules: Optional[RuleEngine] = None,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
         self.profile_sparsity = profile_sparsity
         self.event_log = event_log
-        self.health = health
         self.rules = rules
+        #: Best finite loss so far and the epoch it last improved by more
+        #: than ``_STALL_TOLERANCE`` (read only with a rule engine).
+        self._best_loss = math.inf
+        self._best_epoch = -1
         self.aggregation_kernel = aggregation_kernel
         self.history = TrainingHistory()
         #: (graph cache token, features, Â · features) of the last epoch
@@ -168,7 +179,7 @@ class Trainer:
 
         Each mask must be ``None`` or a 1-D ``bool`` array with one entry
         per vertex (:func:`~repro.nn.functional.check_mask`).  With an
-        event log or health monitor attached, the epoch additionally
+        event log or rule engine attached, the epoch additionally
         captures per-layer grad/weight norms; with ``profile_sparsity``,
         per-layer input sparsity; without them no extra work happens.
         """
@@ -177,11 +188,12 @@ class Trainer:
         val_mask = F.check_mask(val_mask, n, "val_mask")
         tracer = get_tracer()
         metrics = get_metrics()
-        observing = self.event_log is not None or self.health is not None
-        # The live plane (train.* gauges + SLO rules) rides along when a
-        # registry is active or rules are attached; one perf_counter()
-        # read is the whole added cost on that path, zero otherwise.
-        timing = observing or metrics.enabled or self.rules is not None
+        # The train.* plane rides along when a registry is active, an
+        # event log or rules are attached; one perf_counter() read is
+        # the whole added cost on that path, zero otherwise.
+        timing = (
+            metrics.enabled or self.event_log is not None or self.rules is not None
+        )
         epoch_index = len(self.history.epochs)
         start_s = time.perf_counter() if timing else 0.0
         with tracer.span("epoch", epoch=epoch_index) as span:
@@ -229,12 +241,9 @@ class Trainer:
             )
             span.set_attr("loss", result.loss)
             span.set_attr("train_accuracy", result.train_accuracy)
-            wall_time_s = time.perf_counter() - start_s if timing else 0.0
-            slo_issues: List[str] = []
-            if metrics.enabled or self.rules is not None:
-                slo_issues = self._publish_live(metrics, result, wall_time_s)
-            if observing:
-                self._observe_epoch(result, logits, grads, wall_time_s, slo_issues)
+            if timing:
+                wall_time_s = time.perf_counter() - start_s
+                self._observe_epoch(result, logits, grads, wall_time_s, metrics)
         self.history.epochs.append(result)
         logger.debug(
             "epoch %d: loss %.4f train-acc %.3f",
@@ -244,106 +253,96 @@ class Trainer:
         )
         return result
 
-    def _publish_live(
-        self, metrics, result: EpochResult, wall_time_s: float
-    ) -> List[str]:
-        """Publish this epoch's ``train.*`` plane and run the SLO rules.
-
-        The gauges make the loss/accuracy trajectory scrapable through a
-        live :class:`~repro.obs.live.MetricsServer`; the rule engine is
-        then evaluated against the full registry snapshot (so one rule
-        file can mix ``train.*``, ``proc.*``, and ``kernel.*`` terms).
-        Returns the fired rules as ``slo:<name>`` issue strings for the
-        epoch's event record.
-        """
-        if metrics.enabled:
-            metrics.set_gauge("train.epoch", float(result.epoch))
-            metrics.set_gauge("train.loss", float(result.loss))
-            metrics.set_gauge(
-                "train.train_accuracy", float(result.train_accuracy)
-            )
-            if result.val_accuracy is not None:
-                metrics.set_gauge(
-                    "train.val_accuracy", float(result.val_accuracy)
-                )
-            metrics.set_gauge("train.wall_time_s", wall_time_s)
-            metrics.observe("train.epoch_time_s", wall_time_s)
-        if self.rules is None:
-            return []
-        if metrics.enabled:
-            snapshot = metrics.snapshot()
-        else:  # rules without a live registry still see the train.* plane
-            snapshot = {
-                "train.epoch": {"type": "gauge", "value": float(result.epoch)},
-                "train.loss": {"type": "gauge", "value": float(result.loss)},
-                "train.train_accuracy": {
-                    "type": "gauge", "value": float(result.train_accuracy),
-                },
-                "train.wall_time_s": {"type": "gauge", "value": wall_time_s},
-            }
-            if result.val_accuracy is not None:
-                snapshot["train.val_accuracy"] = {
-                    "type": "gauge", "value": float(result.val_accuracy),
-                }
-        alerts = self.rules.evaluate(snapshot)
-        for alert in alerts:
-            logger.warning("slo: %s", alert.message)
-        return [f"slo:{alert.rule}" for alert in alerts]
-
     def _observe_epoch(
         self,
         result: EpochResult,
         logits: np.ndarray,
         grads,
         wall_time_s: float,
-        slo_issues: Optional[List[str]] = None,
+        metrics,
     ) -> None:
-        """Build and publish this epoch's event/health telemetry.
+        """Build this epoch's ``train.*`` plane, judge it, log its event.
 
-        Only called when an event log or health monitor is attached;
-        raises :class:`~repro.obs.health.HealthError` from a fail-fast
-        monitor *after* the (possibly NaN'd) event record is written, so
-        the log keeps the evidence of the epoch that failed.
+        The per-layer norms are computed once, for the event record and
+        the ``train.nonfinite`` gauge, and only when one of them is
+        attached.  A fired ``fatal`` rule raises
+        :class:`~repro.obs.rules.FatalRuleError` *after* the (possibly
+        NaN'd) event record is written, so the log keeps the evidence of
+        the epoch that failed.
         """
-        from ..obs.events import EpochEvent
-        from ..obs.health import HealthError
-
-        grad_norms = GNNModel.grad_norms(grads)
-        weight_norms = self.model.weight_norms()
-        health_error: Optional[HealthError] = None
-        issues: List[str] = list(slo_issues or [])
-        if self.health is not None:
-            try:
-                found = self.health.check_epoch(
-                    result.epoch,
-                    result.loss,
-                    logits=logits,
-                    grad_norms=grad_norms,
-                    weight_norms=weight_norms,
-                )
-            except HealthError as error:
-                health_error = error
-                found = error.issues
-            issues = [issue.kind for issue in found]
+        grad_norms = weight_norms = None
+        if self.event_log is not None or self.rules is not None:
+            grad_norms = GNNModel.grad_norms(grads)
+            weight_norms = self.model.weight_norms()
+        plane = train_plane({**vars(result), "wall_time_s": wall_time_s})
+        first_bad = None
+        if self.rules is not None:
+            bad, first_bad = _non_finite(
+                result.loss, logits, grad_norms, weight_norms
+            )
+            plane["train.nonfinite"] = float(bad)
+            plane.update(self._loss_trajectory(result.epoch, result.loss))
+        alerts = self._publish_live(metrics, plane)
         if self.event_log is not None:
             self.event_log.emit(
                 EpochEvent(
                     epoch=result.epoch,
                     loss=float(result.loss),
                     train_accuracy=float(result.train_accuracy),
-                    val_accuracy=(
-                        float(result.val_accuracy)
-                        if result.val_accuracy is not None
-                        else None
-                    ),
+                    val_accuracy=plane.get("train.val_accuracy"),
                     wall_time_s=wall_time_s,
                     grad_norms=grad_norms,
                     weight_norms=weight_norms,
-                    health_issues=issues,
+                    health_issues=[f"slo:{alert.rule}" for alert in alerts],
                 )
             )
-        if health_error is not None:
-            raise health_error
+        fatal = [alert for alert in alerts if alert.fatal]
+        if fatal:
+            detail = ""
+            if first_bad and any(a.metric == "train.nonfinite" for a in fatal):
+                detail = f"first non-finite value: {first_bad}"
+            raise FatalRuleError(fatal, result.epoch, detail)
+
+    def _publish_live(self, metrics, plane: Dict[str, float]) -> List[Alert]:
+        """Publish the ``train.*`` plane and run the rules on it.
+
+        The gauges make the loss/accuracy trajectory scrapable through a
+        live :class:`~repro.obs.live.MetricsServer`; the rule engine
+        judges the plane merged over the full registry snapshot (so one
+        rule file can mix ``train.*``, ``proc.*`` and ``kernel.*``
+        terms), or the plane alone when the registry is off.
+        """
+        if metrics.enabled:
+            for name, value in plane.items():
+                metrics.set_gauge(name, value)
+            metrics.observe("train.epoch_time_s", plane["train.wall_time_s"])
+        if self.rules is None:
+            return []
+        snapshot = metrics.snapshot() if metrics.enabled else {}
+        # Absent this epoch (a non-finite loss) means skip the rule, not
+        # judge the value a finite epoch left in the registry.
+        snapshot.pop("train.loss_over_best", None)
+        snapshot.update(
+            (name, {"type": "gauge", "value": value})
+            for name, value in plane.items()
+        )
+        alerts = self.rules.evaluate(snapshot)
+        for alert in alerts:
+            logger.warning("slo: %s", alert.message)
+        return alerts
+
+    def _loss_trajectory(self, epoch: int, loss: float) -> Dict[str, float]:
+        """This epoch's trajectory gauges; folds ``loss`` into the record."""
+        plane: Dict[str, float] = {}
+        if math.isfinite(loss):
+            if self._best_epoch >= 0:
+                plane["train.loss_over_best"] = loss / max(self._best_loss, 1e-12)
+            if loss < self._best_loss * (1.0 - _STALL_TOLERANCE):
+                self._best_epoch = epoch
+            self._best_loss = min(self._best_loss, loss)
+        if self._best_epoch >= 0:
+            plane["train.epochs_since_best"] = float(epoch - self._best_epoch)
+        return plane
 
     def fit(
         self,
@@ -374,11 +373,40 @@ class Trainer:
         return self.history
 
 
+def _non_finite(
+    loss: float,
+    logits: np.ndarray,
+    grad_norms: Dict[str, Dict[str, float]],
+    weight_norms: Dict[str, Dict[str, float]],
+) -> Tuple[int, Optional[str]]:
+    """How many of the loss, the logits and the per-layer norms are
+    non-finite, and where the first one is (the norms in layer order,
+    then the logits, then the loss).  A NaN/Inf anywhere in a tensor
+    makes its L2 norm non-finite, so the norms check every parameter
+    and gradient without a second pass over them."""
+    places = [
+        f"layer {layer} {kind}.{param}"
+        for kind, norms in (("grad", grad_norms), ("weight", weight_norms))
+        for layer, entry in norms.items()
+        for param, value in entry.items()
+        if not math.isfinite(value)
+    ]
+    count = len(places)
+    bad_logits = logits.size - int(np.count_nonzero(np.isfinite(logits)))
+    if bad_logits:
+        count += bad_logits
+        places.append(f"logits ({bad_logits / logits.size:.1%} non-finite)")
+    if not math.isfinite(loss):
+        count += 1
+        places.append(f"loss ({loss!r})")
+    return count, (places[0] if places else None)
+
+
 def inference(
     model: GNNModel,
     graph: CSRGraph,
     features: np.ndarray,
-    kernel: Optional[AggregationKernel] = None,
+    kernel: Optional[BasicKernel] = None,
 ) -> np.ndarray:
     """Full-batch inference: logits for every vertex."""
     return model.predict(graph, features, kernel=kernel)

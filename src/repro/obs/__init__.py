@@ -8,19 +8,20 @@ comparable, machine-readable telemetry):
   exporter; a traced training run yields the tree
   ``epoch -> layer -> kernel.<name>``;
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
-  histograms that kernels, the trainers, the sim models, and the
-  DMA timeline publish into;
+  histograms that kernels, the trainers, the rule engine and the DMA
+  timeline publish into;
 * :mod:`repro.obs.report` — joins spans + metrics + environment
   metadata into one run-report JSON document.
 
 Layered on top, the training-run observability pieces:
 
 * :mod:`repro.obs.events` — streaming epoch-event JSONL log (loss,
-  accuracies, per-layer grad/weight norms, sparsity, compression
-  savings) with a schema validator;
-* :mod:`repro.obs.health` — numerics guards (NaN/Inf, loss divergence,
-  convergence stall) that fail fast with layer/epoch diagnostics and
-  publish ``health.*`` metrics;
+  accuracies, per-layer grad/weight norms, fired rules) with a schema
+  validator;
+* :mod:`repro.obs.rules` — declarative rules over the registry and the
+  trainer's ``train.*`` plane; the training numerics guards (NaN/Inf,
+  loss divergence, convergence stall) are three of them, and a
+  ``fatal`` rule stops the run with a layer/epoch diagnostic;
 * :mod:`repro.obs.sampler` — background resource sampler feeding
   ``proc.*`` gauges/histograms (RSS, CPU%, threads) while
   ``--serve-metrics`` serves them, with a ``NULL_SAMPLER`` mirroring
@@ -57,12 +58,6 @@ from .events import (
     validate_events,
     validate_events_file,
 )
-from .health import (
-    FATAL_KINDS,
-    HealthError,
-    HealthIssue,
-    HealthMonitor,
-)
 from .live import (
     NULL_SERVER,
     LiveRunMonitor,
@@ -86,10 +81,13 @@ from .metrics import (
 from .rules import (
     Alert,
     DEFAULT_SERVE_RULES,
+    DEFAULT_TRAIN_RULES,
+    FatalRuleError,
     Rule,
     RuleEngine,
     RuleParseError,
     default_serve_rules,
+    default_train_rules,
     load_rules,
     parse_rule,
     parse_rules,
@@ -168,11 +166,8 @@ __all__ = [
     "EpochEvent",
     "EventLog",
     "EventTail",
-    "FATAL_KINDS",
+    "FatalRuleError",
     "Gauge",
-    "HealthError",
-    "HealthIssue",
-    "HealthMonitor",
     "Histogram",
     "LiveRunMonitor",
     "MetricsRegistry",
@@ -186,7 +181,9 @@ __all__ = [
     "NULL_SERVER",
     "NULL_TRACER",
     "DEFAULT_SERVE_RULES",
+    "DEFAULT_TRAIN_RULES",
     "default_serve_rules",
+    "default_train_rules",
     "ResourceSampler",
     "Rule",
     "RuleEngine",

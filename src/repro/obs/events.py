@@ -12,8 +12,10 @@ Each epoch record carries:
   curve;
 * ``wall_time_s`` — epoch wall time (forward + backward + step);
 * ``grad_norms`` / ``weight_norms`` — per-layer L2 norms, the numerics
-  trajectory the health guards (:mod:`repro.obs.health`) watch;
-* ``health_issues`` — what those guards and the SLO rules found.
+  trajectory the ``train.nonfinite`` guard rule watches;
+* ``health_issues`` — one ``slo:<name>`` marker per rule that fired this
+  epoch (:mod:`repro.obs.rules`; ``--health`` loads the numerics
+  guards as rules).
 
 Per-layer sparsity lives in ``TrainingHistory.sparsity`` (the run
 report's ``sparsity`` section), and the Section 4.3 savings it implies
@@ -29,9 +31,10 @@ File format (one JSON object per line):
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, IO, List, Mapping, Optional, Tuple
 
 #: Version of the epoch-event record layout (2: no ``sparsity`` /
 #: ``compression`` fields).
@@ -63,7 +66,7 @@ class EpochEvent:
     grad_norms: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: layer index -> {"weight", "bias"}
     weight_norms: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: health-guard findings this epoch (kind strings, empty when clean)
+    #: ``slo:<name>`` for every rule that fired this epoch (empty when clean)
     health_issues: List[str] = field(default_factory=list)
 
     def to_record(self) -> Dict[str, Any]:
@@ -79,6 +82,16 @@ class EpochEvent:
             "weight_norms": self.weight_norms,
             "health_issues": list(self.health_issues),
         }
+
+
+def train_plane(record: Mapping[str, Any]) -> Dict[str, float]:
+    """The ``train.*`` gauges of one epoch record: what the trainer
+    publishes each epoch, and what ``repro top`` replays from the log."""
+    return {
+        f"train.{key}": float(record[key])
+        for key in ("epoch", "loss", "train_accuracy", "val_accuracy", "wall_time_s")
+        if isinstance(record.get(key), numbers.Real)
+    }
 
 
 class EventLog:
@@ -223,7 +236,7 @@ def validate_epoch_event(record: Dict[str, Any]) -> List[str]:
     """Schema problems of one epoch record (empty list when valid).
 
     NaN/Inf values are *valid* — a diverged run must still produce a
-    schema-conforming log (that is the point of the health guards).
+    schema-conforming log (that is the point of the guard rules).
     """
     problems: List[str] = []
     if record.get("kind") != "epoch":

@@ -36,7 +36,7 @@ import urllib.request
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..httpd import HTTPFrontEnd, Reply
-from .events import EventTail
+from .events import EventTail, train_plane
 from .rules import RuleEngine
 
 logger = logging.getLogger(__name__)
@@ -277,30 +277,6 @@ def _fmt_bytes(value: Optional[float]) -> str:
     return f"{value:.0f} B"
 
 
-def _event_snapshot(event: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Pseudo registry snapshot of one epoch event's ``train.*`` plane.
-
-    Mirrors the gauges :class:`~repro.nn.training.Trainer` publishes, so
-    one rule grammar covers both the in-process epoch hook and the
-    post-hoc / cross-process monitor replay.
-    """
-    snapshot = {
-        "train.epoch": {"type": "gauge", "value": float(event.get("epoch", 0))},
-        "train.loss": {"type": "gauge", "value": event.get("loss")},
-        "train.train_accuracy": {
-            "type": "gauge", "value": event.get("train_accuracy"),
-        },
-        "train.wall_time_s": {
-            "type": "gauge", "value": event.get("wall_time_s"),
-        },
-    }
-    if event.get("val_accuracy") is not None:
-        snapshot["train.val_accuracy"] = {
-            "type": "gauge", "value": event.get("val_accuracy"),
-        }
-    return snapshot
-
-
 class LiveRunMonitor:
     """Terminal view of an in-progress (or finished) training run.
 
@@ -356,7 +332,10 @@ class LiveRunMonitor:
             if new_events:
                 for event in new_events:
                     merged = dict(self.metrics)
-                    merged.update(_event_snapshot(event))
+                    merged.update(
+                        (name, {"type": "gauge", "value": value})
+                        for name, value in train_plane(event).items()
+                    )
                     self.rules.evaluate(merged)
             elif not self.events and self.metrics:
                 # No event stream at all: pure metrics monitoring.

@@ -5,8 +5,8 @@ numbers are joinable afterwards:
 
 * ``kernel.<name>.*`` — the :class:`~repro.kernels.base.KernelStats`
   counters of each kernel invocation (``kernel.basic.gathers``, ...);
-* ``sim.*`` — cache / DRAM / prefetcher model counters
-  (``sim.l2.misses``, ``sim.dram.bytes_served``);
+* ``train.*`` — the trainer's per-epoch plane (``train.loss``,
+  ``train.nonfinite``) and ``alerts.*`` — the rule engine's verdicts;
 * ``dma.*`` — DMA request-timeline outcomes
   (``dma.timeline.finish_cycles``).
 

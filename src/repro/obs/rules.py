@@ -1,14 +1,14 @@
-"""Online SLO rules: declarative guards evaluated on live telemetry.
+"""Declarative rules evaluated on live telemetry: the one run guard.
 
-:mod:`repro.obs.health` hardcodes three training guards (NaN, loss
-divergence, stall).  This module generalizes the idea into *data*: a
-rule file declares conditions over any metric in the registry snapshot
+A rule file declares conditions over any metric in the registry snapshot
 — or over the per-epoch quantities the trainer publishes as ``train.*``
-gauges — and the engine evaluates them on every scrape or epoch.
+gauges — and the engine evaluates them on every scrape or epoch.  The
+training numerics guards are three such rules
+(:data:`DEFAULT_TRAIN_RULES`, what ``repro train --health`` loads).
 
 Grammar — one rule per line, ``#`` starts a comment::
 
-    [name:] <metric> [<stat>] <op> <threshold> [for <K>]
+    [name:] <metric> [<stat>] <op> <threshold> [for <K>] [fatal]
 
 * ``metric`` — dotted registry name (``proc.rss_bytes``,
   ``train.loss``, ``kernel.backward.time_ms``);
@@ -21,7 +21,11 @@ Grammar — one rule per line, ``#`` starts a comment::
 * ``op`` — ``<  <=  >  >=  ==  !=``;
 * ``for K`` — tolerance: the alert fires only after K *consecutive*
   violating evaluations (default 1).  A compliant evaluation resets
-  the streak.
+  the streak;
+* ``fatal`` — the alert stops the run it judges: a training run raises
+  :class:`FatalRuleError` after writing the epoch's event.  Commands
+  that only watch (``repro serve``, ``repro top``) report a fatal alert
+  like any other.
 
 A rule states the condition that must **hold** (the SLO); an
 :class:`Alert` is raised when it does not.  Examples::
@@ -31,16 +35,18 @@ A rule states the condition that must **hold** (the SLO); an
     bwd_p99:    kernel.backward.time_ms p99 < 250
 
 Comparisons against NaN are false, so ``train.loss < 1e30`` also fires
-on a NaN'd loss — the health monitor's non-finite guard as one line of
-data.  A metric missing from the snapshot *skips* the rule (scraping
-before a subsystem starts must not page); ``rate``/``rate_of_change``
-additionally skip their first evaluation.
+on a NaN'd loss.  A metric missing from the snapshot *skips* the rule
+(scraping before a subsystem starts must not page);
+``rate``/``rate_of_change`` additionally skip their first evaluation.
 
 Firing surfaces three ways: the returned :class:`Alert` objects, the
 ``alerts.*`` metric family (``alerts.active`` gauge, ``alerts.fired``
 counter, per-rule ``alerts.<name>`` gauges and ``alerts.<name>.fired``
 counters) in whatever registry is active, and — through the callers —
-nonzero ``repro top --check`` exits plus run-report entries.
+nonzero ``repro top --check`` exits plus run-report entries.  A rule
+name therefore holds no ``.`` and is none of ``fired`` /
+``evaluations`` / ``active``, so it can never land on another family
+member.
 """
 
 from __future__ import annotations
@@ -73,10 +79,14 @@ _OP_SLUGS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge",
 
 _METRIC_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
+#: Names of the engine's own ``alerts.*`` members; a rule named so
+#: would publish over them.
+_RESERVED_NAMES = ("fired", "evaluations", "active")
+
 
 @dataclass(frozen=True)
 class Rule:
-    """One declarative SLO: ``metric [stat] op threshold [for K]``."""
+    """One declarative SLO: ``metric [stat] op threshold [for K] [fatal]``."""
 
     name: str
     metric: str
@@ -85,6 +95,7 @@ class Rule:
     threshold: float
     for_count: int = 1
     source: str = ""
+    fatal: bool = False
 
     def holds(self, value: float) -> bool:
         return _OPS[self.op](value, self.threshold)
@@ -92,6 +103,8 @@ class Rule:
     def __str__(self) -> str:
         stat = f" {self.stat}" if self.stat != "value" else ""
         tail = f" for {self.for_count}" if self.for_count > 1 else ""
+        if self.fatal:
+            tail += " fatal"
         return f"{self.name}: {self.metric}{stat} {self.op} {self.threshold:g}{tail}"
 
     def to_dict(self) -> Dict[str, Any]:
@@ -102,6 +115,7 @@ class Rule:
             "op": self.op,
             "threshold": self.threshold,
             "for_count": self.for_count,
+            "fatal": self.fatal,
         }
 
 
@@ -117,6 +131,7 @@ class Alert:
     value: float
     consecutive: int
     evaluation: int
+    fatal: bool = False
 
     @property
     def message(self) -> str:
@@ -137,14 +152,32 @@ class Alert:
             "value": self.value,
             "consecutive": self.consecutive,
             "evaluation": self.evaluation,
+            "fatal": self.fatal,
         }
 
     def __str__(self) -> str:
-        return f"[alert] {self.message}"
+        return f"[{'fatal' if self.fatal else 'alert'}] {self.message}"
 
 
 class RuleParseError(ValueError):
     """A rule line that does not match the grammar."""
+
+
+class FatalRuleError(RuntimeError):
+    """A ``fatal`` rule fired: the training run it judges stops.
+
+    ``detail`` (when given) is one more line of diagnosis, e.g. where
+    the first non-finite value is.
+    """
+
+    def __init__(self, alerts: List[Alert], epoch: int, detail: str = "") -> None:
+        self.alerts = list(alerts)
+        self.epoch = epoch
+        lines = [f"fatal rule fired at epoch {epoch}:"]
+        lines.extend(f"  {alert}" for alert in self.alerts)
+        if detail:
+            lines.append(f"  {detail}")
+        super().__init__("\n".join(lines))
 
 
 def parse_rule(text: str) -> Rule:
@@ -157,7 +190,16 @@ def parse_rule(text: str) -> Rule:
         if re.fullmatch(r"[A-Za-z_][\w.-]*", candidate.strip()):
             name = candidate.strip()
             body = rest.strip()
+            if "." in name or name in _RESERVED_NAMES:
+                raise RuleParseError(
+                    f"{source!r}: rule name {name!r} would publish over the "
+                    f"engine's own alerts.* metrics (a name holds no '.' "
+                    f"and is none of {_RESERVED_NAMES})"
+                )
     tokens = body.split()
+    fatal = bool(tokens) and tokens[-1] == "fatal"
+    if fatal:
+        tokens = tokens[:-1]
     for_count = 1
     if len(tokens) >= 2 and tokens[-2] == "for":
         try:
@@ -177,7 +219,7 @@ def parse_rule(text: str) -> Rule:
     else:
         raise RuleParseError(
             f"{source!r}: expected '[name:] metric [stat] op threshold "
-            f"[for K]', got {len(tokens)} token(s)"
+            f"[for K] [fatal]', got {len(tokens)} token(s)"
         )
     if not _METRIC_RE.match(metric):
         raise RuleParseError(f"{source!r}: bad metric name {metric!r}")
@@ -206,7 +248,7 @@ def parse_rule(text: str) -> Rule:
         )
     return Rule(
         name=name, metric=metric, stat=stat, op=op,
-        threshold=threshold, for_count=for_count, source=source,
+        threshold=threshold, for_count=for_count, source=source, fatal=fatal,
     )
 
 
@@ -252,6 +294,22 @@ def default_serve_rules() -> List[Rule]:
     return parse_rules(DEFAULT_SERVE_RULES)
 
 
+#: The training numerics guards (``repro train --health``) over the
+#: ``train.*`` gauges a :class:`~repro.nn.Trainer` with a rule engine
+#: publishes.  A stall only warns, on every epoch past the window.
+DEFAULT_TRAIN_RULES = """\
+# training numerics guards (--health)
+non_finite:        train.nonfinite == 0 fatal
+loss_divergence:   train.loss_over_best <= 4 fatal
+convergence_stall: train.epochs_since_best < 20
+"""
+
+
+def default_train_rules() -> List[Rule]:
+    """The parsed :data:`DEFAULT_TRAIN_RULES` set."""
+    return parse_rules(DEFAULT_TRAIN_RULES)
+
+
 @dataclass
 class _RuleState:
     consecutive: int = 0
@@ -279,6 +337,11 @@ class RuleEngine:
         if isinstance(rules, str):
             rules = parse_rules(rules)
         self.rules: List[Rule] = list(rules)
+        seen = set()
+        for rule in self.rules:  # e.g. a --rules file against the defaults
+            if rule.name in seen:
+                raise RuleParseError(f"duplicate rule name {rule.name!r}")
+            seen.add(rule.name)
         self.registry = registry
         self.evaluations = 0
         self.alerts: List[Alert] = []
@@ -353,6 +416,7 @@ class RuleEngine:
                         value=value,
                         consecutive=state.consecutive,
                         evaluation=self.evaluations,
+                        fatal=rule.fatal,
                     )
                 )
         self.alerts.extend(fired)

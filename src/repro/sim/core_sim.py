@@ -147,7 +147,6 @@ class CoreAggregationSim:
         order: Optional[np.ndarray] = None,
         block_size: int = 32,
         reuse_output_buffer: bool = False,
-        label: Optional[str] = None,
     ) -> SimReport:
         """Simulate one aggregation pass (plus fused update if requested).
 
@@ -162,11 +161,6 @@ class CoreAggregationSim:
                 after the first block.  Default False keeps the
                 write-through-to-``a`` behaviour of the unfused kernels
                 and fused training.
-            label: when set and telemetry is enabled, publish the
-                hierarchy counters as ``sim.<label>.*`` metrics (plus a
-                ``sim.<label>.runs`` counter) and record a
-                ``sim.<label>`` span next to a traced run's kernel spans
-                (attribution prices only the ``kernel.*`` ones).
         """
         machine = self.machine
         hierarchy = MemoryHierarchy(machine, cache_scale=self.cache_scale)
@@ -243,7 +237,7 @@ class CoreAggregationSim:
         stall = max(0.0, memory_cycles - update_cycles) / total_cycles if total_cycles else 0.0
         l2_demand = hierarchy.l2_accesses() + extra_l2_hits
         l2_misses = sum(c.stats.misses for c in hierarchy.l2)
-        report = SimReport(
+        return SimReport(
             cycles=total_cycles,
             seconds=total_cycles / machine.frequency_hz,
             l1_accesses=int(hierarchy.l1_accesses() + extra_l1),
@@ -259,40 +253,3 @@ class CoreAggregationSim:
                 "issued_lines": float(sum(issued_lines)),
             },
         )
-        if label is not None:
-            self._publish(label, graph, feature_len, hierarchy, report)
-        return report
-
-    def _publish(
-        self,
-        label: str,
-        graph: CSRGraph,
-        feature_len: int,
-        hierarchy: MemoryHierarchy,
-        report: SimReport,
-    ) -> None:
-        """Expose one run's counters to the telemetry layer (no-op when off)."""
-        from ..obs import get_metrics, get_tracer
-
-        metrics = get_metrics()
-        if metrics.enabled:
-            hierarchy.publish_metrics(prefix=f"sim.{label}")
-            metrics.inc(f"sim.{label}.runs")
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.record(
-                f"sim.{label}",
-                duration_s=report.seconds,
-                attrs={
-                    "vertices": graph.num_vertices,
-                    "edges": graph.num_edges,
-                    "features": feature_len,
-                    "modeled": True,
-                },
-                counters={
-                    "dram_lines": float(report.dram_lines),
-                    "dram_bytes": report.dram_bytes,
-                    "l1_accesses": float(report.l1_accesses),
-                    "l2_accesses": float(report.l2_accesses),
-                },
-            )

@@ -119,30 +119,6 @@ class MemoryHierarchy:
         self.l3.install(addr, dirty=True)
 
     # ------------------------------------------------------------------
-    def publish_metrics(self, prefix: str = "sim") -> None:
-        """Publish aggregate cache/DRAM counters into the metrics registry.
-
-        No-op while telemetry is disabled.  Names follow the
-        ``<prefix>.<level>.<counter>`` convention, e.g. ``sim.l2.misses``
-        and ``sim.dram.bytes_served``.
-        """
-        from ..obs import get_metrics
-
-        metrics = get_metrics()
-        if not metrics.enabled:
-            return
-        levels = {"l1": self.l1, "l2": self.l2, "l3": [self.l3]}
-        for level, caches in levels.items():
-            for counter in ("accesses", "hits", "misses", "evictions", "installs"):
-                metrics.inc(
-                    f"{prefix}.{level}.{counter}",
-                    sum(getattr(cache.stats, counter) for cache in caches),
-                )
-        metrics.inc(f"{prefix}.dram.lines_served", self.dram.stats.lines_served)
-        metrics.inc(f"{prefix}.dram.bytes_served", self.dram.stats.bytes_served)
-        metrics.inc(f"{prefix}.dram.busy_cycles", self.dram.stats.busy_cycles)
-        metrics.set_gauge(f"{prefix}.l2.miss_rate", self.l2_miss_rate())
-
     def dram_traffic_bytes(self) -> float:
         """DRAM bytes the hierarchy has served so far (fills, line-granular)."""
         return float(self.dram.stats.bytes_served)

@@ -116,20 +116,6 @@ class StreamPrefetcher:
             self.access(addr)
         return self.stats
 
-    def publish_metrics(self, prefix: str = "sim.prefetcher") -> None:
-        """Publish effectiveness counters (no-op while telemetry is off)."""
-        from ..obs import get_metrics
-
-        metrics = get_metrics()
-        if not metrics.enabled:
-            return
-        metrics.inc(f"{prefix}.accesses", self.stats.accesses)
-        metrics.inc(f"{prefix}.streams_confirmed", self.stats.streams_confirmed)
-        metrics.inc(f"{prefix}.prefetches_issued", self.stats.prefetches_issued)
-        metrics.inc(f"{prefix}.useful_prefetches", self.stats.useful_prefetches)
-        metrics.set_gauge(f"{prefix}.coverage", self.stats.coverage)
-        metrics.set_gauge(f"{prefix}.accuracy", self.stats.accuracy)
-
     def reset(self) -> None:
         self.stats = PrefetchStats()
         self._streams.clear()

@@ -10,7 +10,8 @@ traffic must agree within ``DEFAULT_TRAFFIC_TOLERANCE`` for basic,
 fusion and compression — and fusion's aggregation traffic must sit
 strictly below basic's on both planes (the Section 4.2 claim that fusion
 removes the ``a`` round trip), compression's below basic's (Section
-4.3).  A traced run of the value-plane kernel is attributed alongside.
+4.3).  A traced run of the value-plane kernel is attributed alongside;
+the simulator records no span of its own.
 """
 
 import pytest
@@ -47,7 +48,7 @@ def relative_error(model_bytes, sim_bytes):
 @pytest.fixture(scope="module")
 def planes():
     """Both planes' per-pass aggregation traffic, plus one traced run of
-    the value-plane kernel next to the simulator's spans."""
+    the value-plane kernel next to the simulator's passes."""
     graph = power_law_graph(600, 8.0, seed=SEED, name="attrib-twin")
     h = synthetic_features(graph, FEATURES, seed=SEED, sparsity=SPARSITY)
     machine = cascade_lake_12()
@@ -60,15 +61,14 @@ def planes():
         # private caches, so DRAM traffic is compulsory-dominated.
         eff = compressed_effective_feature_len(FEATURES, traffic_ratio(SPARSITY))
         sim_bytes = {
-            "basic": sim.run(graph, FEATURES, label="basic").dram_bytes,
+            "basic": sim.run(graph, FEATURES).dram_bytes,
             "fusion": sim.run(
                 graph,
                 FEATURES,
                 fused_update_features=HIDDEN,
                 reuse_output_buffer=True,
-                label="fusion",
             ).dram_bytes,
-            "compression": sim.run(graph, eff, label="compression").dram_bytes,
+            "compression": sim.run(graph, eff).dram_bytes,
         }
         records = [
             span.to_record()
@@ -132,10 +132,8 @@ class TestReconciliation:
         model_bytes, _, _, _, _ = planes
         assert relative_error(model_bytes["basic"], 1e12) > DEFAULT_TRAFFIC_TOLERANCE
 
-    def test_sim_spans_recorded_but_not_attributed(self, planes):
-        _, _, report, records, _ = planes
-        sim_spans = [r for r in records if r["name"].startswith("sim.")]
-        assert len(sim_spans) == 3
-        assert all(s["counters"]["dram_bytes"] > 0 for s in sim_spans)
-        attributed = {s.name for s in report.spans}
-        assert attributed == {"kernel.basic"}
+    def test_only_the_kernel_span_is_attributed(self, planes):
+        _, sim_bytes, report, records, _ = planes
+        assert [r["name"] for r in records] == ["kernel.basic"]
+        assert all(value > 0 for value in sim_bytes.values())
+        assert {s.name for s in report.spans} == {"kernel.basic"}

@@ -16,7 +16,9 @@ from repro.nn import functional as F
 from repro.nn.aggregate import aggregate, aggregate_backward
 from repro.nn.training import TrainingHistory
 from repro.obs.events import EventLog, validate_events
-from repro.obs.health import HealthError, HealthMonitor
+from repro.obs.rules import (
+    FatalRuleError, RuleEngine, default_train_rules, parse_rules,
+)
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +178,7 @@ class TestTrainerObservability:
         log = EventLog(str(tmp_path / "run.jsonl"))
         trainer = Trainer(
             model, SGD(model, lr=0.1), profile_sparsity=False, event_log=log,
-            health=HealthMonitor(),
+            rules=RuleEngine(default_train_rules()),
         )
         trainer.train_epoch(graph, features, labels)
         log.close()
@@ -186,14 +188,16 @@ class TestTrainerObservability:
     def test_injected_nan_detected_within_one_epoch(self, community_task):
         graph, features, labels = community_task
         model = build_model("gcn", 8, 8, 3, num_layers=2, seed=3)
-        trainer = Trainer(model, SGD(model, lr=0.1), health=HealthMonitor())
+        trainer = Trainer(
+            model, SGD(model, lr=0.1), rules=RuleEngine(default_train_rules())
+        )
         trainer.train_epoch(graph, features, labels)
         model.layers[1].weight[0, 0] = np.nan  # corrupt a weight
-        with pytest.raises(HealthError) as excinfo:
+        with pytest.raises(FatalRuleError) as excinfo:
             trainer.train_epoch(graph, features, labels)
-        issues = excinfo.value.issues
-        assert any(issue.layer == 1 for issue in issues)
-        assert all(issue.epoch == 1 for issue in issues)
+        assert excinfo.value.epoch == 1
+        assert [alert.rule for alert in excinfo.value.alerts] == ["non_finite"]
+        assert "first non-finite value: layer " in str(excinfo.value)
 
     def test_failing_epoch_still_logged(self, community_task, tmp_path):
         # The event log keeps the evidence of the epoch that failed.
@@ -201,17 +205,18 @@ class TestTrainerObservability:
         model = build_model("gcn", 8, 8, 3, num_layers=2, seed=3)
         log = EventLog(str(tmp_path / "run.jsonl"))
         trainer = Trainer(
-            model, SGD(model, lr=0.1), event_log=log, health=HealthMonitor()
+            model, SGD(model, lr=0.1), event_log=log,
+            rules=RuleEngine(default_train_rules()),
         )
         model.layers[0].weight[:] = np.nan
-        with pytest.raises(HealthError):
+        with pytest.raises(FatalRuleError):
             trainer.train_epoch(graph, features, labels)
         log.close()
         assert len(log) == 1
-        assert "non_finite" in log.events[0]["health_issues"]
+        assert "slo:non_finite" in log.events[0]["health_issues"]
 
     def test_default_trainer_pays_nothing(self, community_task, monkeypatch):
-        # With event_log, health, and rules left off, the observation
+        # With event_log and rules left off, the observation
         # hook, the live publisher, and the norm capture must never run.
         from repro.nn.model import GNNModel
 
@@ -268,6 +273,34 @@ class TestTrainerLiveTelemetry:
         # Fired rules ride along as slo: markers in the event stream.
         assert log.events[0]["health_issues"] == ["slo:loss_cap"]
         validate_events(log.events)
+
+    def test_default_and_file_rules_both_mark_events(
+        self, community_task, tmp_path, monkeypatch
+    ):
+        # One engine over the default and a file's rules: a default
+        # rule's marker never replaces the file rule's, or the reverse.
+        real = F.cross_entropy_and_correct
+        script = iter([1.0, 5.0])  # epoch 1 diverges past 4x the best
+
+        def scripted(logits, labels, mask=None, count=None):
+            _, grad, correct = real(logits, labels, mask, count)
+            return next(script), grad, correct
+
+        monkeypatch.setattr(F, "cross_entropy_and_correct", scripted)
+        graph, features, labels = community_task
+        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=5)
+        log = EventLog(str(tmp_path / "run.jsonl"))
+        rules = RuleEngine(
+            default_train_rules() + parse_rules("always: train.loss < 1e-9")
+        )
+        trainer = Trainer(model, SGD(model, lr=0.1), event_log=log, rules=rules)
+        trainer.train_epoch(graph, features, labels)
+        with pytest.raises(FatalRuleError):
+            trainer.train_epoch(graph, features, labels)
+        log.close()
+        assert [e["health_issues"] for e in log.events] == [
+            ["slo:always"], ["slo:loss_divergence", "slo:always"],
+        ]
 
     def test_rules_without_registry_see_train_plane(self, community_task):
         # No telemetry enabled: the trainer synthesizes the train.*

@@ -262,6 +262,14 @@ class TestLiveRunMonitor:
         assert rules.evaluations == 3
         assert "FIRING" in monitor.render()
 
+    def test_fatal_rule_is_an_ordinary_alert(self, tmp_path):
+        # A watcher reports a fatal rule; only a training run stops.
+        rules = RuleEngine("stop: train.loss < 0.1 fatal")
+        monitor = LiveRunMonitor(self.write_events(tmp_path, 2), rules=rules)
+        monitor.poll()
+        assert [alert.fatal for alert in rules.alerts] == [True, True]
+        assert "FIRING" in monitor.render()
+
     def test_rules_merge_event_over_metrics(self, tmp_path):
         reg = MetricsRegistry()
         reg.set_gauge("proc.rss_bytes", 5e6)

@@ -1,11 +1,9 @@
-"""Publishers: sim cache/DRAM, prefetcher, and DMA timeline -> registry."""
+"""Publisher: the DMA request timeline -> tracer and registry."""
 
 import pytest
 
 from repro import obs
 from repro.dma.timeline import figure10_example
-from repro.sim.hierarchy import MemoryHierarchy
-from repro.sim.prefetcher import StreamPrefetcher
 
 
 @pytest.fixture
@@ -14,40 +12,6 @@ def telemetry():
     tracer, metrics = obs.enable()
     yield tracer, metrics
     obs.disable()
-
-
-class TestHierarchyPublish:
-    def test_publishes_cache_and_dram_counters(self, telemetry):
-        _, metrics = telemetry
-        hierarchy = MemoryHierarchy(cache_scale=0.01)
-        for addr in range(0, 64 * 100, 64):
-            hierarchy.access(0, addr)
-        hierarchy.publish_metrics()
-        snap = metrics.snapshot()
-        assert snap["sim.l1.accesses"]["value"] == 100.0
-        assert snap["sim.l1.misses"]["value"] > 0
-        assert "sim.l2.accesses" in snap
-        assert "sim.l3.accesses" in snap
-        assert snap["sim.dram.lines_served"]["value"] > 0
-        assert snap["sim.dram.bytes_served"]["value"] > 0
-
-    def test_noop_when_disabled(self):
-        hierarchy = MemoryHierarchy(cache_scale=0.01)
-        hierarchy.access(0, 0)
-        hierarchy.publish_metrics()  # must not raise, must not record
-        assert obs.get_metrics().snapshot() == {}
-
-
-class TestPrefetcherPublish:
-    def test_publishes_effectiveness(self, telemetry):
-        _, metrics = telemetry
-        prefetcher = StreamPrefetcher()
-        prefetcher.run_trace(list(range(0, 64 * 50, 64)))  # pure stream
-        prefetcher.publish_metrics()
-        snap = metrics.snapshot()
-        assert snap["sim.prefetcher.accesses"]["value"] == 50.0
-        assert snap["sim.prefetcher.useful_prefetches"]["value"] > 0
-        assert 0.0 < snap["sim.prefetcher.coverage"]["value"] <= 1.0
 
 
 class TestDmaTimelinePublish:

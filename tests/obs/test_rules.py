@@ -104,6 +104,69 @@ class TestParseRules:
         assert [r.name for r in load_rules(str(path))] == ["cap"]
 
 
+class TestReservedNames:
+    """A rule name never lands on the engine's own ``alerts.*`` members."""
+
+    @pytest.mark.parametrize("name", ["fired", "evaluations"])
+    def test_counter_names_refused(self, name):
+        # alerts.fired / alerts.evaluations are counters; the rule's
+        # alerts.<name> gauge would be a type clash on the first alert.
+        with pytest.raises(RuleParseError, match="alerts"):
+            parse_rule(f"{name}: m < 1")
+
+    def test_active_refused(self):
+        # alerts.active counts the active rules; a rule's gauge would
+        # overwrite it.
+        with pytest.raises(RuleParseError, match="alerts"):
+            parse_rule("active: m < 1")
+
+    def test_dotted_name_refused(self):
+        # Rule "a.fired"'s gauge alerts.a.fired is rule "a"'s counter.
+        with pytest.raises(RuleParseError, match="alerts"):
+            parse_rules("a: m < 1\na.fired: m < 1\n")
+
+    def test_unnamed_rules_keep_dotted_default_names(self):
+        assert parse_rule("m.x < 1").name == "m.x.lt"
+
+
+class TestFatalMarker:
+    def test_fatal_parses_after_for(self):
+        rule = parse_rule("stop: train.loss p99 < 1 for 2 fatal")
+        assert (rule.stat, rule.for_count, rule.fatal) == ("p99", 2, True)
+        assert str(rule) == "stop: train.loss p99 < 1 for 2 fatal"
+        assert parse_rule(str(rule)).fatal
+        assert rule.to_dict()["fatal"] is True
+        assert not parse_rule("m < 1").fatal
+
+    def test_fatal_before_for_rejected(self):
+        with pytest.raises(RuleParseError):
+            parse_rule("m < 1 fatal for 2")
+
+    def test_alert_carries_fatal(self):
+        engine = RuleEngine("stop: m < 1 fatal\nwarn: m < 1")
+        alerts = engine.evaluate({"m": gauge(5.0)})
+        assert [(a.rule, a.fatal) for a in alerts] == [
+            ("stop", True), ("warn", False),
+        ]
+        assert engine.to_dict()["alerts"][0]["fatal"] is True
+
+    def test_default_train_rules(self):
+        from repro.obs.rules import default_train_rules
+
+        rules = default_train_rules()
+        assert [(r.name, r.metric, r.fatal) for r in rules] == [
+            ("non_finite", "train.nonfinite", True),
+            ("loss_divergence", "train.loss_over_best", True),
+            ("convergence_stall", "train.epochs_since_best", False),
+        ]
+
+    def test_engine_refuses_a_name_clash_between_rule_sets(self):
+        from repro.obs.rules import default_train_rules
+
+        with pytest.raises(RuleParseError, match="duplicate rule name 'non_finite'"):
+            RuleEngine(default_train_rules() + parse_rules("non_finite: m < 1"))
+
+
 class TestRuleEngine:
     def test_compliant_snapshot_raises_nothing(self):
         engine = RuleEngine("cap: m < 10")

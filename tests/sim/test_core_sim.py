@@ -87,45 +87,6 @@ class TestOutputBufferReuse:
         assert agg_report.dram_bytes >= agg_report.dram_lines * 64
 
 
-class TestLabelTelemetry:
-    def test_label_publishes_metrics_and_span(self, graph):
-        from repro import obs
-
-        tracer, metrics = obs.enable()
-        try:
-            report = CoreAggregationSim(cache_scale=0.01).run(
-                graph, 32, label="basic"
-            )
-        finally:
-            obs.disable()
-        snapshot = metrics.snapshot()
-        assert snapshot["sim.basic.runs"]["value"] == 1.0
-        assert (
-            snapshot["sim.basic.dram.bytes_served"]["value"]
-            == report.dram_bytes
-        )
-        spans = tracer.spans("sim.basic")
-        assert len(spans) == 1
-        assert spans[0].counters["dram_bytes"] == report.dram_bytes
-
-    def test_no_label_publishes_nothing(self, graph):
-        from repro import obs
-
-        tracer, metrics = obs.enable()
-        try:
-            CoreAggregationSim(cache_scale=0.01).run(graph, 32)
-        finally:
-            obs.disable()
-        assert not any(n.startswith("sim.") for n in metrics.snapshot())
-        assert tracer.spans() == []
-
-    def test_label_without_telemetry_is_noop(self, graph):
-        report = CoreAggregationSim(cache_scale=0.01).run(
-            graph, 32, label="basic"
-        )
-        assert report.dram_bytes > 0
-
-
 class TestOrderSupport:
     def test_custom_order_changes_nothing_structural(self, graph):
         rng = np.random.default_rng(0)

@@ -442,7 +442,7 @@ class TestObservabilityCommands:
         assert doc["sparsity"]["per_layer"]
         out = capsys.readouterr().out
         assert "wrote 2 epoch events" in out
-        assert "health: ok" in out
+        assert "slo: ok (3 rule(s)" in out
 
     def test_train_epoch_lines_via_logging(self, capsys, caplog):
         # Satellite: epoch lines reach the console through the logging
@@ -510,6 +510,51 @@ class TestLiveTelemetryCommands:
         snap = doc["metrics"]
         assert snap["alerts.fired"]["value"] >= 1.0
         assert "slo:" in capsys.readouterr().out
+
+    def test_health_and_rules_mark_every_epoch(self, tmp_path, capsys):
+        # One engine over the default and the file's rules: every epoch
+        # keeps the file rule's marker, and the divergence --lr 10 causes
+        # at epoch 1 adds the default rule's and stops the run.
+        rules = tmp_path / "rules.txt"
+        rules.write_text("always: train.loss < 1e-9\n")
+        code, events = self._train(
+            tmp_path, "--health", "--rules", str(rules), "--lr", "10"
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "fatal rule fired at epoch 1" in err
+        assert "loss_divergence" in err
+        from repro.obs.events import validate_events_file
+
+        _, records = validate_events_file(str(events))
+        assert [r["health_issues"] for r in records] == [
+            ["slo:always"], ["slo:loss_divergence", "slo:always"],
+        ]
+
+    def test_fatal_rule_stops_the_run(self, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("stop: train.loss < 1e-9 fatal\n")
+        code, events = self._train(tmp_path, "--rules", str(rules))
+        assert code == 1
+        assert "training stopped: fatal rule fired at epoch 0" in (
+            capsys.readouterr().err
+        )
+        from repro.obs.events import validate_events_file
+
+        _, records = validate_events_file(str(events))
+        assert [r["health_issues"] for r in records] == [["slo:stop"]]
+
+    @pytest.mark.parametrize("text", [
+        "fired: train.loss < 1\n",  # a reserved alerts.* name
+        "non_finite: train.loss < 1\n",  # clashes with a --health rule
+    ])
+    def test_train_rejects_rule_names_at_load(self, text, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_text(text)
+        code, events = self._train(tmp_path, "--health", "--rules", str(rules))
+        assert code == 2
+        assert "rules.txt" in capsys.readouterr().err
+        assert not events.exists()  # refused before any work
 
     def test_train_rejects_bad_rules_file(self, tmp_path, capsys):
         rules = tmp_path / "rules.txt"

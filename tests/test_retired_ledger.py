@@ -203,3 +203,14 @@ class TestVariantKernelsAreGone:
     def test_variant_modules_cannot_be_imported(self, module):
         with pytest.raises(ImportError):
             importlib.import_module(f"repro.kernels.{module}")
+
+
+class TestOneGuardEngine:
+    def test_health_module_cannot_be_imported(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.obs.health")
+
+    def test_trainer_takes_no_health_monitor(self):
+        from repro.nn import Trainer
+
+        assert "health" not in inspect.signature(Trainer).parameters
