@@ -352,10 +352,6 @@ def _train_sharded(args, graph, features, labels, model) -> int:
     from .nn import Adam
     from .parallel.sharded import ShardedTrainer, ShardWorkerDied
 
-    if args.dropout:
-        print("sharded training requires --dropout 0", file=sys.stderr)
-        return 2
-    delayed = tuple(args.delay_aggregation or ())
     backend = args.backend or "serial"
     meta = {
         "command": "train",
@@ -366,16 +362,12 @@ def _train_sharded(args, graph, features, labels, model) -> int:
         "shards": args.shards,
         "partition": args.partition,
         "backend": backend,
-        "delayed_layers": list(delayed),
-        "halo_refresh": args.halo_refresh,
     }
     trainer = ShardedTrainer(
         graph, model, Adam(model, lr=args.lr),
         num_shards=args.shards,
         partition_method=args.partition,
         backend=backend,
-        delayed_layers=delayed,
-        halo_refresh=args.halo_refresh,
     )
     try:
         with _telemetry(args, meta), trainer:
@@ -392,8 +384,6 @@ def _train_sharded(args, graph, features, labels, model) -> int:
             print(
                 f"halo vertices: {halo} total "
                 f"({halo / max(1, graph.num_vertices):.2f}x of |V|)"
-                + (f", delayed layers {list(delayed)} "
-                   f"refresh every {args.halo_refresh}" if delayed else "")
             )
             for _ in range(args.epochs):
                 result = trainer.train_epoch()
@@ -428,7 +418,6 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
     labels = np.random.default_rng(args.seed).integers(
         0, args.classes, graph.num_vertices
     )
-    delayed = tuple(args.delay_aggregation or ())
     exp = Experiment(
         "bench-sharded",
         f"sharded {args.partition}-partition training on {args.dataset} "
@@ -445,8 +434,6 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
         "partition": args.partition,
         "backend": args.backend,
         "epochs": args.epochs,
-        "delayed_layers": list(delayed),
-        "halo_refresh": args.halo_refresh,
     }
     base_rate: Optional[float] = None
     base_shards: Optional[int] = None
@@ -461,8 +448,6 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
                 num_shards=shards,
                 partition_method=args.partition,
                 backend=args.backend,
-                delayed_layers=delayed,
-                halo_refresh=args.halo_refresh,
             )
             with trainer:
                 trainer.fit(features, labels, epochs=1)  # setup + warmup
@@ -849,16 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="greedy",
         help="edge-cut partition method for --shards > 1",
     )
-    p.add_argument(
-        "--delay-aggregation", type=int, nargs="*", default=[],
-        metavar="LAYER",
-        help="layers (>= 1) running DistGNN-style delayed aggregation: "
-        "their halo refreshes only every --halo-refresh epochs",
-    )
-    p.add_argument(
-        "--halo-refresh", type=_positive_int, default=8,
-        help="refresh period (epochs) for --delay-aggregation layers",
-    )
     _add_telemetry_flags(p, "--trace", "--json", "--serve-metrics")
     p.add_argument(
         "--events", metavar="FILE", type=_output_path, default=None,
@@ -903,11 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=_positive_int, default=2)
     p.add_argument("--lr", type=_positive_float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--delay-aggregation", type=int, nargs="*", default=[],
-        metavar="LAYER",
-    )
-    p.add_argument("--halo-refresh", type=_positive_int, default=8)
     _add_telemetry_flags(p, "--trace", "--json")
     p.set_defaults(func=_cmd_bench_sharded)
 
@@ -1073,27 +1043,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func in (_cmd_train, _cmd_bench_sharded):
-        bad = [k for k in args.delay_aggregation if not 1 <= k < args.layers]
-        if bad:
-            parser.error(
-                f"{args.command}: --delay-aggregation layers {bad} out of "
-                f"range [1, --layers {args.layers})"
-            )
     if args.func is _cmd_train:
-        for flag, given in (
-            ("--backend", args.backend is not None),
-            ("--delay-aggregation", args.delay_aggregation),
-        ):
-            if given and args.shards == 1:
-                parser.error(
-                    f"train: {flag} selects the sharded runtime; "
-                    "it needs --shards N > 1"
-                )
+        if args.backend is not None and args.shards == 1:
+            parser.error(
+                "train: --backend selects the sharded runtime; "
+                "it needs --shards N > 1"
+            )
         if args.shards > 1:
             unsupported = [
                 flag
                 for flag, given in (
+                    ("--dropout", args.dropout),
                     ("--events", args.events),
                     ("--health", args.health),
                     ("--rules", args.rules),

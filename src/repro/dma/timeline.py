@@ -207,51 +207,12 @@ class DmaRequestTimeline:
             # entries free once all their inputs have been *issued*; we
             # approximate by freeing on completion (conservative).
 
-        result = TimelineResult(
+        return TimelineResult(
             finish_time=now,
             events=events,
             max_table_occupancy=max_table,
             max_index_buffer_occupancy=max_idx_buf,
         )
-        self._emit_telemetry(len(jobs), result)
-        return result
-
-    def _emit_telemetry(self, num_jobs: int, result: TimelineResult) -> None:
-        """Publish the run's outcome (no-op while telemetry is disabled)."""
-        from ..obs import get_metrics, get_tracer
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.record(
-                "dma.timeline",
-                duration_s=0.0,  # simulated cycles, not wall time
-                attrs={
-                    "descriptors": num_jobs,
-                    "tracking_entries": self.tracking_entries,
-                    "index_buffer_entries": self.index_buffer_entries,
-                },
-                counters={
-                    "finish_cycles": result.finish_time,
-                    "events": len(result.events),
-                    "max_table_occupancy": result.max_table_occupancy,
-                    "max_index_buffer_occupancy": (
-                        result.max_index_buffer_occupancy
-                    ),
-                },
-            )
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("dma.timeline.runs")
-            metrics.inc("dma.timeline.descriptors", num_jobs)
-            metrics.inc("dma.timeline.events", len(result.events))
-            metrics.observe("dma.timeline.finish_cycles", result.finish_time)
-            metrics.set_gauge(
-                "dma.timeline.max_table_occupancy", result.max_table_occupancy
-            )
-            metrics.set_gauge(
-                "dma.timeline.max_index_buffer_occupancy",
-                result.max_index_buffer_occupancy,
-            )
 
 
 def figure10_example() -> Tuple[DmaRequestTimeline, List[DescriptorJob]]:

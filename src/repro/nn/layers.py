@@ -590,9 +590,8 @@ class GNNLayer:
         result is the same)."""
         if kernel is None:
             return aggregate_backward(graph, grad, self.aggregator), None
-        extra = {} if live is None else {"live": live}
         return kernel.aggregate_backward(
-            graph, np.ascontiguousarray(grad), self.aggregator, **extra
+            graph, np.ascontiguousarray(grad), self.aggregator, live=live
         )
 
     def _update(self, cache: LayerCache, need_input_grad: bool) -> tuple:

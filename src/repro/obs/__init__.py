@@ -8,8 +8,8 @@ comparable, machine-readable telemetry):
   exporter; a traced training run yields the tree
   ``epoch -> layer -> kernel.<name>``;
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
-  histograms that kernels, the trainers, the rule engine and the DMA
-  timeline publish into;
+  histograms that kernels, the trainers and the rule engine publish
+  into;
 * :mod:`repro.obs.report` — joins spans + metrics + environment
   metadata into one run-report JSON document.
 

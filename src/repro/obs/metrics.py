@@ -6,9 +6,7 @@ numbers are joinable afterwards:
 * ``kernel.<name>.*`` — the :class:`~repro.kernels.base.KernelStats`
   counters of each kernel invocation (``kernel.basic.gathers``, ...);
 * ``train.*`` — the trainer's per-epoch plane (``train.loss``,
-  ``train.nonfinite``) and ``alerts.*`` — the rule engine's verdicts;
-* ``dma.*`` — DMA request-timeline outcomes
-  (``dma.timeline.finish_cycles``).
+  ``train.nonfinite``) and ``alerts.*`` — the rule engine's verdicts.
 
 Like the tracer, the registry is **disabled by default**: the module
 singleton is a :class:`NullRegistry` whose operations are no-ops and

@@ -14,23 +14,23 @@ only bytes that ever cross a pickle boundary are the bundle spec +
 config at startup (O(#arrays), asserted bounded in the tests), the
 epoch number each epoch and a few scalars back.
 
-Training runs bulk-synchronous per layer.  Each layer's halo exchange is
-a shared-memory "board": every worker writes its owned rows of the
-operand the layer gathers, a barrier flips the phase, then workers
-gather the halo rows they need.  The operand follows ``Trainer``'s order
-rule (:func:`repro.nn.layers.transform_first`): ``h_{k-1}`` for an
-aggregate-first layer, the narrower ``z = h_{k-1} W_k`` for a
-transform-first one.  The backward pass runs the same protocol over the
-transposed shards.  DistGNN-style *delayed aggregation* marks
-layers whose halo is refreshed only every ``halo_refresh`` epochs: on
-the epochs between refreshes the forward pass reuses the stale halo
-block already sitting in the worker's input buffer, the backward pass
-drops the remote gradient contributions (they flowed through stale
-constants), and the barrier disappears along with the traffic.  With
-``halo_refresh=1`` delayed layers degenerate to exact training.
+Training is exact full-batch training, bulk-synchronous per layer.
+Each layer's halo exchange is a shared-memory "board": every worker
+writes its owned rows of the operand the layer gathers, a barrier flips
+the phase, then workers gather the halo rows they need.  The operand
+follows ``Trainer``'s order rule (:func:`repro.nn.layers.
+transform_first`): ``h_{k-1}`` for an aggregate-first layer, the
+narrower ``z = h_{k-1} W_k`` for a transform-first one.  The backward
+pass runs the same protocol over the transposed shards.
 
-The barrier schedule is a pure function of (layer, epoch, config), so
-every worker derives the identical sequence — no tags, no deadlocks.
+One phase list, :func:`epoch_phases`, is the whole schedule: a pure
+function of the layer count, so every worker derives the identical
+sequence of phases and barriers — no tags, no deadlocks — and every
+layer ``k >= 1`` exchanges twice per epoch, once forward and once
+backward.  The process backend waits on a barrier before each step
+marked ``sync``; the serial backend runs each step on every shard
+before the next.
+
 Epoch boundaries synchronize through the parent: it copies the model's
 weights into the ``w{k}`` / ``b{k}`` boards and sends each worker the
 epoch number over its pipe, then waits for every worker's scalar result
@@ -51,7 +51,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import get_index_dtype
@@ -151,8 +151,6 @@ class ShardedConfig:
 
     num_shards: int
     layers: Tuple[LayerSpec, ...]
-    delayed_layers: Tuple[int, ...]
-    halo_refresh: int
     train_count: int
     val_count: int
     has_val_mask: bool
@@ -160,18 +158,6 @@ class ShardedConfig:
     @property
     def aggregators(self) -> Tuple[str, ...]:
         return tuple(sorted({spec.aggregator for spec in self.layers}))
-
-    def exchange_needed(self, layer: int, epoch: int) -> bool:
-        """Whether ``layer`` exchanges halos on ``epoch``.
-
-        Pure function of (layer, epoch, config): every worker computes
-        the same barrier schedule from it.  Non-delayed layers exchange
-        every epoch; delayed layers only on refresh epochs (epoch 0 is
-        always a refresh, so training never starts from garbage halos).
-        """
-        if layer not in self.delayed_layers:
-            return True
-        return epoch % self.halo_refresh == 0
 
     def has_h_board(self, layer: int) -> bool:
         """Whether ``layer``'s output ``h`` gets a board: the next layer
@@ -186,9 +172,8 @@ class ShardRuntime:
     Binds zero-copy views over the shared bundle and owns the private
     per-layer input buffers whose tail rows hold the halo copies.  The
     phase methods (``forward_layer`` → ``loss_grad`` →
-    ``backward_update`` → ``backward_aggregate``) are driven either by a
-    process-backend worker loop (with real barriers between phases) or
-    interleaved across runtimes by the serial backend.
+    ``backward_update`` → ``backward_aggregate``) run in the order
+    :func:`epoch_phases` lists, on both backends.
 
     Each layer ``k >= 1`` gathers rows of its :attr:`LayerSpec.width`:
     an aggregate-first layer the previous layer's ``h`` (board
@@ -270,7 +255,6 @@ class ShardRuntime:
         self._grad_out: Optional[np.ndarray] = None
         self.halo_bytes = 0
         self.exchanges = 0
-        self.exchanges_skipped = 0
 
     # ------------------------------------------------------------------
     # Phases
@@ -278,9 +262,8 @@ class ShardRuntime:
     def begin_epoch(self) -> None:
         self.halo_bytes = 0
         self.exchanges = 0
-        self.exchanges_skipped = 0
 
-    def forward_layer(self, layer: int, epoch: int) -> None:
+    def forward_layer(self, layer: int) -> None:
         layers = self.cfg.layers
         spec = layers[layer]
         nl = self.n_local
@@ -300,16 +283,9 @@ class ShardRuntime:
             if not spec.transform_first:
                 x[:nl] = self._h[layer - 1]
             # (A transform-first layer's own z rows are already in place.)
-            if self.cfg.exchange_needed(layer, epoch):
-                x[nl:] = self.boards_in[layer][self.halo]
-                self.halo_bytes += x[nl:].nbytes
-                self.exchanges += 1
-            else:
-                # Delayed aggregation: the stale halo block from the last
-                # refresh epoch stays in place — zero traffic, no barrier.
-                # For a transform-first layer that block is the z rows of
-                # that epoch, stale in both h and W.
-                self.exchanges_skipped += 1
+            x[nl:] = self.boards_in[layer][self.halo]
+            self.halo_bytes += x[nl:].nbytes
+            self.exchanges += 1
             agg = shard_segment_reduce(op, x)
             if not spec.transform_first:
                 self._a[layer] = agg
@@ -357,21 +333,13 @@ class ShardRuntime:
         if layer:  # nothing consumes ∂L/∂features
             self.boards_g[layer][self.local] = operand
 
-    def backward_aggregate(self, layer: int, epoch: int) -> None:
+    def backward_aggregate(self, layer: int) -> None:
         spec = self.cfg.layers[layer]
         xg = self._xg[layer]
         nl = self.n_local
-        if self.cfg.exchange_needed(layer, epoch):
-            xg[nl:] = self.boards_g[layer][self.t_halo]
-            self.halo_bytes += xg[nl:].nbytes
-            self.exchanges += 1
-        else:
-            # Delayed layer between refreshes: the forward consumed stale
-            # remote activations (constants w.r.t. current weights), so
-            # the remote gradient contributions are dropped — DistGNN's
-            # local-only backward with periodic synchronization.
-            xg[nl:] = 0.0
-            self.exchanges_skipped += 1
+        xg[nl:] = self.boards_g[layer][self.t_halo]
+        self.halo_bytes += xg[nl:].nbytes
+        self.exchanges += 1
         grad = shard_segment_reduce(self.ops[spec.aggregator][1], xg)
         if spec.transform_first:
             _, grad = grads_after_aggregation(
@@ -388,32 +356,36 @@ class ShardRuntime:
             "val_correct": self._val_correct,
             "halo_bytes": self.halo_bytes,
             "exchanges": self.exchanges,
-            "exchanges_skipped": self.exchanges_skipped,
             "pid": os.getpid(),
         }
 
 
-def _run_worker_epoch(runtime: ShardRuntime, epoch: int, barrier) -> Dict:
-    """One bulk-synchronous epoch on one shard.
-
-    ``barrier`` (a ``multiprocessing.Barrier``) is waited on at the
-    schedule derived from :meth:`ShardedConfig.exchange_needed`,
-    identically in every worker.
-    """
-    runtime.begin_epoch()
-    cfg = runtime.cfg
-    num_layers = len(cfg.layers)
+def epoch_phases(
+    num_layers: int,
+) -> Iterator[Tuple[str, Tuple[int, ...], bool]]:
+    """One epoch's schedule as ``(phase, args, sync)`` steps: the
+    :class:`ShardRuntime` method to call, its arguments, and whether
+    every shard must have finished the steps before it — the step
+    gathers halo rows that other shards have just written to a board."""
     for layer in range(num_layers):
-        if layer > 0 and cfg.exchange_needed(layer, epoch):
-            barrier.wait()  # everyone has written boards_in[layer]
-        runtime.forward_layer(layer, epoch)
-    runtime.loss_grad()
+        yield "forward_layer", (layer,), layer > 0
+    yield "loss_grad", (), False
     for layer in range(num_layers - 1, -1, -1):
-        runtime.backward_update(layer)
+        yield "backward_update", (layer,), False
         if layer > 0:
-            if cfg.exchange_needed(layer, epoch):
-                barrier.wait()  # everyone has written boards_g[layer]
-            runtime.backward_aggregate(layer, epoch)
+            yield "backward_aggregate", (layer,), True
+
+
+def _run_worker_epoch(runtime: ShardRuntime, barrier) -> Dict:
+    """One bulk-synchronous epoch on one shard: :func:`epoch_phases`,
+    waiting on ``barrier`` (a ``multiprocessing.Barrier``) before each
+    ``sync`` step.  Each phase is looked up on the runtime at call time,
+    so a wrapper installed on :class:`ShardRuntime` sees every call."""
+    runtime.begin_epoch()
+    for phase, args, sync in epoch_phases(len(runtime.cfg.layers)):
+        if sync:
+            barrier.wait()  # every shard has written the board read next
+        getattr(runtime, phase)(*args)
     return runtime.epoch_result()
 
 
@@ -434,7 +406,7 @@ def _shard_worker_main(part, spec, config, conn, barrier):
             if epoch is None:
                 break
             try:
-                conn.send(("ok", _run_worker_epoch(runtime, epoch, barrier)))
+                conn.send(("ok", _run_worker_epoch(runtime, barrier)))
             except BaseException:
                 barrier.abort()  # unblock peers; they error out too
                 conn.send(("error", traceback.format_exc()))
@@ -456,11 +428,6 @@ class ShardedTrainer:
         partition_method: ``contiguous`` / ``bfs`` / ``greedy``.
         backend: ``serial`` (interleaved in-process, the reference) or
             ``process`` (shared-memory flagship).
-        delayed_layers: layer indices (≥ 1) running DistGNN-style
-            delayed aggregation.
-        halo_refresh: refresh period (epochs) for delayed layers;
-            ``1`` makes delayed layers exact.
-        refine_passes: boundary-refinement rounds for the partitioner.
     """
 
     def __init__(
@@ -471,9 +438,6 @@ class ShardedTrainer:
         num_shards: int = 2,
         partition_method: str = "greedy",
         backend: str = "process",
-        delayed_layers: Sequence[int] = (),
-        halo_refresh: int = 8,
-        refine_passes: int = 1,
     ) -> None:
         if backend not in SHARD_BACKENDS:
             raise ValueError(
@@ -481,15 +445,6 @@ class ShardedTrainer:
             )
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if halo_refresh < 1:
-            raise ValueError("halo_refresh must be >= 1")
-        num_layers = model.num_layers
-        for layer_idx in delayed_layers:
-            if not 1 <= layer_idx < num_layers:
-                raise ValueError(
-                    f"delayed layer {layer_idx} out of range [1, {num_layers});"
-                    " layer 0 reads static input features and never exchanges"
-                )
         for layer in model.layers:
             if layer.dropout:
                 raise ValueError(
@@ -501,9 +456,6 @@ class ShardedTrainer:
         self.num_shards = num_shards
         self.partition_method = partition_method
         self.backend = backend
-        self.delayed_layers = tuple(sorted(set(int(i) for i in delayed_layers)))
-        self.halo_refresh = halo_refresh
-        self.refine_passes = refine_passes
         self.history = TrainingHistory()
         self.partition: Optional[PartitionResult] = None
         self.shards: Optional[List[GraphShard]] = None
@@ -511,7 +463,6 @@ class ShardedTrainer:
         self.epoch_message_bytes = 0
         self.last_halo_bytes = 0
         self.last_exchanges = 0
-        self.last_exchanges_skipped = 0
         self._bundle: Optional[ArrayBundle] = None
         self._config: Optional[ShardedConfig] = None
         self._runtimes: List[ShardRuntime] = []
@@ -534,8 +485,7 @@ class ShardedTrainer:
             method=self.partition_method,
         ) as span:
             self.partition = edge_cut_partition(
-                graph, self.num_shards, method=self.partition_method,
-                refine_passes=self.refine_passes,
+                graph, self.num_shards, method=self.partition_method
             )
             self.shards = build_shards(graph, self.partition.assignment)
             t_shards = build_shards(graph.transpose(), self.partition.assignment)
@@ -568,8 +518,6 @@ class ShardedTrainer:
         self._config = ShardedConfig(
             num_shards=self.num_shards,
             layers=specs,
-            delayed_layers=self.delayed_layers,
-            halo_refresh=self.halo_refresh,
             train_count=int(train_mask_arr.sum()),
             val_count=int(val_mask_arr.sum()),
             has_val_mask=val_mask is not None,
@@ -714,14 +662,11 @@ class ShardedTrainer:
             if self.backend == "process":
                 results = self._run_epoch_process(epoch)
             else:
-                results = self._run_epoch_serial(epoch)
+                results = self._run_epoch_serial()
             result = self._combine(epoch, results)
             wall_s = time.perf_counter() - start
             self.last_halo_bytes = sum(r["halo_bytes"] for r in results)
             self.last_exchanges = sum(r["exchanges"] for r in results)
-            self.last_exchanges_skipped = sum(
-                r["exchanges_skipped"] for r in results
-            )
             span.set_attr("loss", result.loss)
             span.set_attr("halo_bytes", self.last_halo_bytes)
             if metrics.enabled:
@@ -729,25 +674,16 @@ class ShardedTrainer:
         self.history.epochs.append(result)
         return result
 
-    def _run_epoch_serial(self, epoch: int) -> List[Dict]:
-        """Phase-interleaved reference execution: the loop nesting plays
-        the role of the barriers (all runtimes finish phase ``k`` before
-        any starts ``k + 1``)."""
+    def _run_epoch_serial(self) -> List[Dict]:
+        """Phase-interleaved reference execution of :func:`epoch_phases`:
+        each step runs on every runtime before the next step starts,
+        which is what the process backend's barriers enforce."""
         runtimes = self._runtimes
         for runtime in runtimes:
             runtime.begin_epoch()
-        num_layers = len(self._config.layers)
-        for layer in range(num_layers):
+        for phase, args, _ in epoch_phases(len(self._config.layers)):
             for runtime in runtimes:
-                runtime.forward_layer(layer, epoch)
-        for runtime in runtimes:
-            runtime.loss_grad()
-        for layer in range(num_layers - 1, -1, -1):
-            for runtime in runtimes:
-                runtime.backward_update(layer)
-            if layer > 0:
-                for runtime in runtimes:
-                    runtime.backward_aggregate(layer, epoch)
+                getattr(runtime, phase)(*args)
         return [runtime.epoch_result() for runtime in runtimes]
 
     def _run_epoch_process(self, epoch: int) -> List[Dict]:
@@ -848,10 +784,6 @@ class ShardedTrainer:
         metrics.set_gauge("shard.loss", float(result.loss))
         metrics.inc("shard.halo_bytes", sum(r["halo_bytes"] for r in results))
         metrics.inc("shard.exchanges", sum(r["exchanges"] for r in results))
-        metrics.inc(
-            "shard.exchanges_skipped",
-            sum(r["exchanges_skipped"] for r in results),
-        )
         metrics.observe("shard.epoch_time_s", wall_s)
         if self.epoch_message_bytes:
             metrics.set_gauge(

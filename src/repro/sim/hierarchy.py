@@ -129,12 +129,6 @@ class MemoryHierarchy:
     def l2_accesses(self) -> int:
         return sum(c.stats.accesses for c in self.l2)
 
-    def l2_miss_rate(self) -> float:
-        accesses = self.l2_accesses()
-        if accesses == 0:
-            return 0.0
-        return sum(c.stats.misses for c in self.l2) / accesses
-
     def reset_stats(self) -> None:
         for cache in (*self.l1, *self.l2, self.l3):
             cache.reset_stats()

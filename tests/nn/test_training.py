@@ -344,9 +344,9 @@ class _CountingKernel(BasicKernel):
         self.forward_widths.append(h.shape[1])
         return super().aggregate(graph, h, aggregator)
 
-    def aggregate_backward(self, graph, grad_a, aggregator="gcn"):
+    def aggregate_backward(self, graph, grad_a, aggregator="gcn", live=None):
         self.backward_widths.append(grad_a.shape[1])
-        return super().aggregate_backward(graph, grad_a, aggregator)
+        return super().aggregate_backward(graph, grad_a, aggregator, live=live)
 
 
 def _reference_epoch(model, optimizer, graph, features, labels):

@@ -59,8 +59,8 @@ def test_shard_aggregation_allocates_no_edge_sized_temporary(graph, inputs):
         assert edges > 20 * runtime.n_local  # dense enough to tell apart
         tracemalloc.start()
         try:
-            runtime.forward_layer(1, epoch=1)
-            runtime.backward_aggregate(1, epoch=1)
+            runtime.forward_layer(1)
+            runtime.backward_aggregate(1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

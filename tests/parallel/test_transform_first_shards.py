@@ -6,11 +6,7 @@ its halo exchange moves ``out``-wide ``z = h W`` rows forward and
 ``out``-wide ``grad_pre`` rows backward, and no ``in``-wide board
 exists for it.  Halo traffic is then a closed form in the partition's
 halo counts and ``min(in, out)`` per exchanging layer, the way
-``tests/nn/test_work_budget.py`` states gathers.  Under delayed
-aggregation the stale halo block of such a layer is the ``z`` rows of
-the last refresh epoch.  (``halo_refresh=1`` staying exact is
-``test_sharded_training.py::TestDelayedAggregation``'s first test, whose
-delayed layer 16 -> 5 is transform-first.)
+``tests/nn/test_work_budget.py`` states gathers.
 """
 
 import numpy as np
@@ -50,11 +46,11 @@ def _model(widths):
     ])
 
 
-def _trainer(graph, widths, **kwargs):
+def _trainer(graph, widths):
     model = _model(widths)
     return ShardedTrainer(
         graph, model, Adam(model, lr=0.01), num_shards=SHARDS,
-        backend="serial", **kwargs,
+        backend="serial",
     )
 
 
@@ -123,27 +119,3 @@ def test_boards_are_as_wide_as_what_is_gathered(graph, inputs, widths):
                 assert runtime._x[k].shape[1] == narrow
                 assert runtime._xg[k].shape[1] == narrow
         assert trainer.logits().shape == (graph.num_vertices, CLASSES)
-
-
-def test_stale_halo_of_a_transform_first_layer_is_last_refresh_z(graph, inputs):
-    """``halo_refresh=3`` on the 24 -> 16 layer: on epochs 1 and 2 its
-    input buffer's halo rows are the ``z1`` board rows written in epoch
-    0 (stale in both ``h`` and ``W``), while the board itself and the
-    owned rows move on; epoch 3 refreshes them."""
-    widths = MODELS[0]
-    with _trainer(graph, widths, delayed_layers=(1,), halo_refresh=3) as trainer:
-        trainer.fit(*inputs, epochs=1)
-        board = trainer._bundle.view("z1")
-        runtimes = trainer._runtimes
-        refreshed = [board[rt.halo].copy() for rt in runtimes]
-        for _ in (1, 2):
-            trainer.train_epoch()
-            assert trainer.last_exchanges_skipped > 0
-            for rt, stale in zip(runtimes, refreshed):
-                x = rt._x[1]
-                np.testing.assert_array_equal(x[rt.n_local:], stale)
-                np.testing.assert_array_equal(x[:rt.n_local], board[rt.local])
-                assert not np.array_equal(board[rt.halo], stale)
-        trainer.train_epoch()
-        for rt in runtimes:
-            np.testing.assert_array_equal(rt._x[1][rt.n_local:], board[rt.halo])

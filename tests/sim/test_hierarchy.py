@@ -71,7 +71,8 @@ class TestStats:
     def test_l2_miss_rate(self, hierarchy):
         hierarchy.access(0, 0)  # L2 miss
         hierarchy.access(0, 0)  # L1 hit (L2 untouched)
-        assert hierarchy.l2_miss_rate() == 1.0
+        stats = hierarchy.l2[0].stats
+        assert (stats.accesses, stats.misses) == (1, 1)
 
     def test_reset(self, hierarchy):
         hierarchy.access(0, 0)

@@ -106,11 +106,16 @@ class TestParser:
         (["serve", "products", "--port", "-5"], "--port"),
         (["serve", "products", "--port", "70000"], "--port"),
         (["profile", "--serve-metrics", "-1"], "--serve-metrics"),
+        # Delayed aggregation is deleted: its flag is unrecognized.
         (["train", "products", "--shards", "2", "--delay-aggregation", "0"],
          "--delay-aggregation"),
-        (["bench-sharded", "--delay-aggregation", "3"], "--delay-aggregation"),
+        (["bench-sharded", "products", "--delay-aggregation", "3"],
+         "--delay-aggregation"),
         (["train", "products", "--delay-aggregation", "1"],
          "--delay-aggregation"),
+        # Checked in main(), before the twin, features or model are built.
+        (["train", "products", "--shards", "2", "--dropout", "0.3"],
+         "--dropout"),
     ])
     def test_values_refused_before_any_work(self, argv, flag, capsys):
         """Each once ended in a traceback, a bind error or a silent run
@@ -268,8 +273,6 @@ class TestShardedTraining:
         args = build_parser().parse_args(["train", "products"])
         assert args.shards == 1
         assert args.partition == "greedy"
-        assert args.delay_aggregation == []
-        assert args.halo_refresh == 8
 
     def test_bench_sharded_parser_defaults(self):
         args = build_parser().parse_args(["bench-sharded"])
@@ -287,15 +290,6 @@ class TestShardedTraining:
         out = capsys.readouterr().out
         assert "partition: greedy x2" in out
         assert "halo" in out
-
-    def test_train_sharded_rejects_dropout(self, capsys):
-        code = main([
-            "train", "products", "--scale", "0.05", "--epochs", "1",
-            "--features", "8", "--hidden", "8", "--shards", "2",
-            "--dropout", "0.3",
-        ])
-        assert code == 2
-        assert "dropout" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         ["--events", "EVENTS"],

@@ -2,13 +2,14 @@
 sampling profiler, the chunk executor, the consumer-less telemetry
 outputs (dashboard, Perfetto export, ``--attrib``, ``--sample-proc``),
 the commands that re-printed ``repro experiment`` rows (``datasets``,
-``speedup``, ``characterize``) and the variant kernel classes with
-``profile --kernel`` are deleted, not defaulted: perfbench is the only
-judge of speed, the span plane is the only phase breakdown, lanes are
-the only in-process parallelism, every telemetry output left has a
-reader, each paper artifact has one command, and the value plane runs
-one aggregation kernel while the cost model prices the paper's
-variants.
+``speedup``, ``characterize``), the variant kernel classes with
+``profile --kernel`` and the sharded trainer's delayed aggregation are
+deleted, not defaulted: perfbench is the only judge of speed, the span
+plane is the only phase breakdown, lanes are the only in-process
+parallelism, every telemetry output left has a reader, each paper
+artifact has one command, the value plane runs one aggregation kernel
+while the cost model prices the paper's variants, and sharded training
+is exact.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
@@ -214,3 +215,30 @@ class TestOneGuardEngine:
         from repro.nn import Trainer
 
         assert "health" not in inspect.signature(Trainer).parameters
+
+
+class TestDelayedAggregationIsGone:
+    @pytest.mark.parametrize("command", [
+        _SMALL_RUNS["train"] + ["--shards", "2"],
+        ["bench-sharded", "products", "--scale", "0.02", "--shards", "2",
+         "--epochs", "1"],
+    ])
+    @pytest.mark.parametrize("flag", [
+        ["--delay-aggregation", "1"], ["--halo-refresh", "2"],
+    ])
+    def test_flags_exit_2(self, command, flag, capsys):
+        assert _exit_code(command + flag) == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keyword", [
+        {"delayed_layers": (1,)}, {"halo_refresh": 1}, {"refine_passes": 0},
+    ])
+    def test_trainer_refuses_the_keywords(self, keyword):
+        from repro.graphs import load_dataset
+        from repro.nn import Adam, build_model
+        from repro.parallel import ShardedTrainer
+
+        graph = load_dataset("products", scale=0.02, seed=0)
+        model = build_model("gcn", 8, 8, 4, seed=0)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ShardedTrainer(graph, model, Adam(model), **keyword)
