@@ -35,7 +35,14 @@ Subcommands:
 Global flags: ``-v/--verbose`` (repeatable), ``-q/--quiet``, and
 ``--version``.  Every flag that names a file the command writes is
 checked when the arguments are parsed: a path whose directory does not
-exist is a usage error (exit 2) before any work starts.
+exist is a usage error (exit 2) before any work starts, and so is an
+unknown flag, which is named even where an optional positional follows.
+
+``train``, ``bench-sharded`` and ``serve`` share one twin: the
+:func:`_add_twin_flags` group (each command keeps its own defaults) and
+the :func:`_twin` / :func:`_model` builders.  Choice lists are read from
+the modules that own them; ``tests/test_cli_matrix.py`` runs every
+choice and switch the parser declares.
 """
 
 from __future__ import annotations
@@ -46,11 +53,17 @@ import logging
 import math
 import os
 import sys
+import time
 from typing import List, Optional
 
 import numpy as np
 
-from . import lanes
+from . import graphs, lanes, obs
+from .bench import Experiment
+from .kernels import BasicKernel
+from .nn import Adam, Trainer, build_model
+from .parallel import SHARD_BACKENDS, ShardedTrainer, ShardWorkerDied
+from .perf import CostModel
 
 logger = logging.getLogger(__name__)
 
@@ -60,16 +73,9 @@ def _configure_logging(verbosity: int) -> None:
 
     Default WARNING; ``-v`` INFO; ``-vv`` DEBUG; ``-q`` ERROR.
     """
-    if verbosity >= 2:
-        level = logging.DEBUG
-    elif verbosity == 1:
-        level = logging.INFO
-    elif verbosity == 0:
-        level = logging.WARNING
-    else:
-        level = logging.ERROR
+    levels = {2: logging.DEBUG, 1: logging.INFO, 0: logging.WARNING}
     root = logging.getLogger("repro")
-    root.setLevel(level)
+    root.setLevel(levels.get(min(verbosity, 2), logging.ERROR))
     if not root.handlers:
         handler = logging.StreamHandler()
         handler.setFormatter(
@@ -78,9 +84,14 @@ def _configure_logging(verbosity: int) -> None:
         root.addHandler(handler)
 
 
-class _OutputWriteError(Exception):
-    """An output file could not be written; its ``error:`` line is
-    already on stderr, and :func:`main` turns this into exit code 1."""
+class _Exit(Exception):
+    """A command stopped after printing why on stderr; :func:`main`
+    returns ``code`` (1 for an output file that could not be written,
+    2 for a rules file that could not be loaded)."""
+
+    def __init__(self, code: int) -> None:
+        super().__init__(code)
+        self.code = code
 
 
 def _write_outputs(outputs) -> bool:
@@ -125,11 +136,8 @@ def _telemetry(
     (keys ``events``, ``sparsity``, and ``alerts``); it is read on exit
     so the run report can embed the epoch-event records, sparsity
     profile, and SLO rule-engine verdict.  If either file cannot be
-    written, the block raises :class:`_OutputWriteError` once the other
-    is written.
+    written, the block raises ``_Exit(1)`` once the other is written.
     """
-    from . import obs
-
     trace_path = getattr(args, "trace", None)
     json_path = getattr(args, "json", None)
     serve_port = getattr(args, "serve_metrics", None)
@@ -164,12 +172,8 @@ def _telemetry(
 
         def write_report() -> str:
             report = obs.build_run_report(
-                tracer,
-                metrics,
-                meta=meta,
-                events=extras.get("events"),
-                sparsity=extras.get("sparsity"),
-                alerts=extras.get("alerts"),
+                tracer, metrics, meta=meta, events=extras.get("events"),
+                sparsity=extras.get("sparsity"), alerts=extras.get("alerts"),
             )
             obs.write_json(json_path, report)
             return f"wrote run report to {json_path}"
@@ -178,52 +182,82 @@ def _telemetry(
             [(trace_path, write_trace), (json_path, write_report)]
         )
     if not written:
-        raise _OutputWriteError()
+        raise _Exit(1)
 
 
-def _positive_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value!r}")
-    return parsed
+def _meta(args: argparse.Namespace, *fields: str, **extra) -> dict:
+    """The run report's ``meta``: the command, the named ``args``
+    fields, then ``extra``."""
+    return {
+        "command": args.command,
+        **{name: getattr(args, name) for name in fields},
+        **extra,
+    }
 
 
-def _non_negative_int(value: str) -> int:
-    parsed = int(value)
-    if parsed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value!r}")
-    return parsed
+def _twin(args: argparse.Namespace) -> tuple:
+    """``(graph, features, labels)``: the ``dataset`` twin at
+    ``--scale``, its synthetic ``--features`` and uniform labels over
+    ``--classes``, all drawn from ``--seed``."""
+    graph = graphs.load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    features = graphs.synthetic_features(graph, args.features, seed=args.seed)
+    labels = np.random.default_rng(args.seed).integers(
+        0, args.classes, graph.num_vertices
+    )
+    return graph, features, labels
 
 
-def _positive_float(value: str) -> float:
-    parsed = float(value)
-    if not 0 < parsed < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive, finite number, got {value!r}")
-    return parsed
+def _model(args: argparse.Namespace):
+    """A fresh ``--model`` (GCN where the command has no such flag) of
+    the twin flags' widths and depth, initialised from ``--seed``."""
+    return build_model(
+        getattr(args, "model", "gcn"), args.features, args.hidden,
+        args.classes, num_layers=args.layers,
+        dropout=getattr(args, "dropout", 0.0), seed=args.seed,
+    )
 
 
-def _non_negative_float(value: str) -> float:
-    parsed = float(value)
-    if not 0 <= parsed < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative, finite number, got {value!r}")
-    return parsed
+def _load_rules(path: Optional[str], defaults=()):
+    """A ``RuleEngine`` over ``defaults`` plus the rules in the file at
+    ``path``, or None when there are neither.  A file that cannot be
+    read or parsed, or whose rule names clash, is one ``PATH: error``
+    line on stderr and exit 2."""
+    if not (path or defaults):
+        return None
+    try:
+        return obs.RuleEngine(
+            list(defaults) + (obs.load_rules(path) if path else [])
+        )
+    except (OSError, obs.RuleParseError) as error:
+        print(f"{path}: {error}", file=sys.stderr)
+        raise _Exit(2) from None
 
 
-def _port(value: str) -> int:
-    parsed = int(value)
-    if not 0 <= parsed <= 65535:
-        raise argparse.ArgumentTypeError(
-            f"must be a port in 0..65535, got {value!r}")
-    return parsed
+def _number(name: str, kind, ok, what: str):
+    """An argparse ``type=`` that parses ``kind`` and refuses a value
+    ``ok`` rejects with "must be WHAT"; ``name`` is what argparse calls
+    it when ``kind`` itself cannot parse the string."""
+
+    def parse(value: str):
+        parsed = kind(value)
+        if not ok(parsed):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value!r}")
+        return parsed
+
+    parse.__name__ = name
+    return parse
 
 
-def _dropout(value: str) -> float:
-    parsed = float(value)
-    if not 0.0 <= parsed < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {value!r}")
-    return parsed
+_positive_int = _number("_positive_int", int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _number("_non_negative_int", int, lambda v: v >= 0, ">= 0")
+_positive_float = _number(
+    "_positive_float", float, lambda v: 0 < v < math.inf,
+    "a positive, finite number")
+_non_negative_float = _number(
+    "_non_negative_float", float, lambda v: 0 <= v < math.inf,
+    "a non-negative, finite number")
+_port = _number("_port", int, lambda v: 0 <= v <= 65535, "a port in 0..65535")
+_dropout = _number("_dropout", float, lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 def _output_path(value: str) -> str:
@@ -259,59 +293,52 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_TELEMETRY_FLAGS[flag])
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    from .graphs import load_dataset, synthetic_features
-    from .kernels import BasicKernel
-    from .nn import Adam, Trainer, build_model
-    from .obs.rules import (
-        FatalRuleError, RuleEngine, RuleParseError, default_train_rules,
-        load_rules,
-    )
+def _add_twin_flags(
+    parser: argparse.ArgumentParser,
+    scale: float,
+    width: int,
+    model: bool = True,
+    optional_dataset: bool = True,
+) -> None:
+    """The flags :func:`_twin` and :func:`_model` read: ``dataset``,
+    ``--scale``, ``--model`` (where the command offers a choice),
+    ``--features`` / ``--hidden`` (both ``width``), ``--classes``,
+    ``--layers``, ``--lr`` and ``--seed``."""
+    optional = dict(nargs="?", default="products") if optional_dataset else {}
+    parser.add_argument("dataset", choices=graphs.DATASET_NAMES, **optional)
+    parser.add_argument("--scale", type=_positive_float, default=scale)
+    if model:
+        parser.add_argument("--model", choices=["gcn", "sage"], default="gcn")
+    parser.add_argument("--features", type=_positive_int, default=width)
+    parser.add_argument("--hidden", type=_positive_int, default=width)
+    parser.add_argument("--classes", type=_positive_int, default=8)
+    parser.add_argument("--layers", type=_positive_int, default=2)
+    parser.add_argument("--lr", type=_positive_float, default=0.01)
+    parser.add_argument("--seed", type=int, default=0)
 
+
+def _cmd_train(args: argparse.Namespace) -> int:
     # Trainer.fit(verbose=True) reports epochs through this logger at
     # INFO; raise it so `repro train` shows the lines without -v.
     logging.getLogger("repro.nn.training").setLevel(logging.INFO)
 
-    graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    features = synthetic_features(graph, args.features, seed=args.seed)
-    labels = np.random.default_rng(args.seed).integers(
-        0, args.classes, graph.num_vertices
-    )
-    model = build_model(
-        args.model, args.features, args.hidden, args.classes,
-        num_layers=args.layers, dropout=args.dropout, seed=args.seed,
-    )
+    graph, features, labels = _twin(args)
+    model = _model(args)
     print(lanes.describe())
     if args.shards > 1:
         return _train_sharded(args, graph, features, labels, model)
     print("aggregation: basic kernel")
-    meta = {
-        "command": "train",
-        "dataset": args.dataset,
-        "scale": args.scale,
-        "model": args.model,
-        "epochs": args.epochs,
-    }
-    rules = None
-    if args.health or args.rules:
-        sources = ["the default training rules"] if args.health else []
-        try:
-            rule_list = default_train_rules() if args.health else []
-            if args.rules:
-                sources.append(args.rules)
-                rule_list += load_rules(args.rules)
-            rules = RuleEngine(rule_list)
-        except (OSError, RuleParseError) as error:
-            print(f"{args.rules}: {error}", file=sys.stderr)
-            return 2
+    meta = _meta(args, "dataset", "scale", "model", "epochs")
+    rules = _load_rules(
+        args.rules, obs.default_train_rules() if args.health else ()
+    )
+    if rules is not None:
+        sources = ["the default training rules" if args.health else "", args.rules]
         print(
-            f"slo: loaded {len(rules.rules)} rule(s) from {' and '.join(sources)}"
+            f"slo: loaded {len(rules.rules)} rule(s) from "
+            f"{' and '.join(filter(None, sources))}"
         )
-    event_log = None
-    if args.events:
-        from .obs.events import EventLog
-
-        event_log = EventLog(args.events, meta=meta)
+    event_log = obs.EventLog(args.events, meta=meta) if args.events else None
     trainer = Trainer(
         model, Adam(model, lr=args.lr), profile_sparsity=True,
         aggregation_kernel=BasicKernel(), event_log=event_log, rules=rules,
@@ -328,7 +355,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 extras["events"] = event_log
                 extras["sparsity"] = trainer.history.sparsity
                 extras["alerts"] = rules
-    except FatalRuleError as error:
+    except obs.FatalRuleError as error:
         print(f"\ntraining stopped: {error}", file=sys.stderr)
         status = 1
     finally:
@@ -344,31 +371,24 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return status
 
 
+def _sharded_trainer(args, graph, model, shards: int, backend: str):
+    return ShardedTrainer(
+        graph, model, Adam(model, lr=args.lr), num_shards=shards,
+        partition_method=args.partition, backend=backend,
+    )
+
+
 def _train_sharded(args, graph, features, labels, model) -> int:
     """The ``--shards N`` path of ``repro train``: partition-parallel
     training on the sharded shared-memory trainer.  A ``/dev/shm`` too
     small for the bundle, or a shard worker that dies, is one ``error:``
     line on stderr and exit code 1."""
-    from .nn import Adam
-    from .parallel.sharded import ShardedTrainer, ShardWorkerDied
-
     backend = args.backend or "serial"
-    meta = {
-        "command": "train",
-        "dataset": args.dataset,
-        "scale": args.scale,
-        "model": args.model,
-        "epochs": args.epochs,
-        "shards": args.shards,
-        "partition": args.partition,
-        "backend": backend,
-    }
-    trainer = ShardedTrainer(
-        graph, model, Adam(model, lr=args.lr),
-        num_shards=args.shards,
-        partition_method=args.partition,
+    meta = _meta(
+        args, "dataset", "scale", "model", "epochs", "shards", "partition",
         backend=backend,
     )
+    trainer = _sharded_trainer(args, graph, model, args.shards, backend)
     try:
         with _telemetry(args, meta), trainer:
             trainer.fit(features, labels, epochs=0)  # partition + attach
@@ -405,56 +425,32 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
     usual dataset sizes), reporting epochs/s, parallel efficiency
     relative to the smallest swept count, and halo traffic.
     """
-    import time as time_module
-
-    from .bench.harness import Experiment
-    from .graphs import load_dataset, synthetic_features
-    from .nn import Adam, build_model
-    from .parallel.sharded import ShardedTrainer
-
     print(f"generating {args.dataset} twin at scale {args.scale}x ...")
-    graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    features = synthetic_features(graph, args.features, seed=args.seed)
-    labels = np.random.default_rng(args.seed).integers(
-        0, args.classes, graph.num_vertices
-    )
+    graph, features, labels = _twin(args)
     exp = Experiment(
         "bench-sharded",
         f"sharded {args.partition}-partition training on {args.dataset} "
         f"{args.scale}x ({graph.num_vertices} vertices, "
         f"{graph.num_edges} edges; {args.backend} backend)",
     )
-    meta = {
-        "command": "bench-sharded",
-        "dataset": args.dataset,
-        "scale": args.scale,
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "shards": list(args.shards),
-        "partition": args.partition,
-        "backend": args.backend,
-        "epochs": args.epochs,
-    }
+    meta = _meta(
+        args, "dataset", "scale", "partition", "backend", "epochs",
+        vertices=graph.num_vertices, edges=graph.num_edges,
+        shards=list(args.shards),
+    )
     base_rate: Optional[float] = None
     base_shards: Optional[int] = None
     with _telemetry(args, meta):
         for shards in args.shards:
-            model = build_model(
-                "gcn", args.features, args.hidden, args.classes,
-                num_layers=args.layers, dropout=0.0, seed=args.seed,
-            )
-            trainer = ShardedTrainer(
-                graph, model, Adam(model, lr=args.lr),
-                num_shards=shards,
-                partition_method=args.partition,
-                backend=args.backend,
+            trainer = _sharded_trainer(
+                args, graph, _model(args), shards, args.backend
             )
             with trainer:
                 trainer.fit(features, labels, epochs=1)  # setup + warmup
-                start = time_module.perf_counter()
+                start = time.perf_counter()
                 for _ in range(args.epochs):
                     trainer.train_epoch()
-                elapsed = time_module.perf_counter() - start
+                elapsed = time.perf_counter() - start
                 epoch_s = elapsed / args.epochs
                 rate = 1.0 / epoch_s
                 halo_mb = trainer.last_halo_bytes / 2**20
@@ -476,15 +472,10 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Trace one tiny synthetic training run and print the telemetry."""
-    from . import obs
-    from .graphs import power_law_graph, synthetic_features
-    from .kernels import BasicKernel
-    from .nn import Adam, Trainer, build_model
-
-    graph = power_law_graph(
+    graph = graphs.power_law_graph(
         args.vertices, args.degree, seed=args.seed, name="synthetic"
     )
-    features = synthetic_features(
+    features = graphs.synthetic_features(
         graph, args.features, seed=args.seed, sparsity=0.5
     )
     labels = np.random.default_rng(args.seed).integers(
@@ -498,11 +489,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     print(lanes.describe())
 
-    meta = {
-        "command": "profile",
-        "vertices": args.vertices,
-        "epochs": args.epochs,
-    }
+    meta = _meta(args, "vertices", "epochs")
     with _telemetry(args, meta, always=True) as tracer:
         history = trainer.fit(graph, features, labels, epochs=args.epochs)
         records = [
@@ -521,13 +508,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("\n== environment ==")
         for key, value in obs.environment_info().items():
             print(f"  {key:<16} {value}")
-
-        from .perf import CostModel
-
         attribution = obs.attribute_run(
-            records,
-            cost_model=CostModel(graph),
-            sparsity=0.5,
+            records, cost_model=CostModel(graph), sparsity=0.5
         )
         print("\n== bottleneck attribution ==")
         print(attribution.render())
@@ -542,7 +524,6 @@ def _resolve_events_path(path: Optional[str]) -> Optional[str]:
     ``*.jsonl``, taking the most recently modified match.
     """
     import glob
-    import os
 
     if path is None or not os.path.isdir(path):
         return path
@@ -555,9 +536,6 @@ def _resolve_events_path(path: Optional[str]) -> Optional[str]:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """Live terminal view of a training run (events tail + metrics scrape)."""
-    from .obs.live import LiveRunMonitor
-    from .obs.rules import RuleEngine, RuleParseError, load_rules
-
     events_path = _resolve_events_path(args.path)
     if events_path is None and not args.metrics_url:
         print(
@@ -566,17 +544,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    rules = None
-    if args.rules:
-        try:
-            rules = RuleEngine(load_rules(args.rules))
-        except (OSError, RuleParseError) as error:
-            print(f"{args.rules}: {error}", file=sys.stderr)
-            return 2
+    rules = _load_rules(args.rules)
     if args.check and rules is None:
         print("top: --check needs --rules FILE", file=sys.stderr)
         return 2
-    monitor = LiveRunMonitor(
+    monitor = obs.LiveRunMonitor(
         events_path or "", metrics_url=args.metrics_url, rules=rules
     )
     if args.follow:
@@ -599,20 +571,10 @@ def _build_serving_service(args) -> tuple:
     service answers from whatever the model learned), then the serving
     pipeline with the batcher knobs from the command line.
     """
-    from .graphs import load_dataset, synthetic_features
-    from .kernels import BasicKernel
-    from .nn import Adam, Trainer, build_model
     from .serve import InferenceService
 
-    graph = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    features = synthetic_features(graph, args.features, seed=args.seed)
-    labels = np.random.default_rng(args.seed).integers(
-        0, args.classes, graph.num_vertices
-    )
-    model = build_model(
-        args.model, args.features, args.hidden, args.classes,
-        num_layers=args.layers, seed=args.seed,
-    )
+    graph, features, labels = _twin(args)
+    model = _model(args)
     if args.epochs:
         print(
             f"training {args.model} x{args.layers} on {args.dataset} "
@@ -624,13 +586,8 @@ def _build_serving_service(args) -> tuple:
         )
         trainer.fit(graph, features, labels, epochs=args.epochs)
     service = InferenceService(
-        graph,
-        features,
-        model,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        fanouts=args.fanout or None,
-        seed=args.seed,
+        graph, features, model, max_batch=args.max_batch,
+        max_queue=args.max_queue, fanouts=args.fanout or None, seed=args.seed,
     )
     return graph, service
 
@@ -638,40 +595,25 @@ def _build_serving_service(args) -> tuple:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Train briefly, then answer inference queries over HTTP."""
     import signal
-    import time as time_module
 
-    from .obs.rules import RuleEngine, RuleParseError, default_serve_rules, load_rules
     from .serve import ServingServer
 
-    rules = None
+    defaults = () if args.rules or args.no_rules else obs.default_serve_rules()
+    rules = _load_rules(args.rules, defaults)
     if args.rules:
-        try:
-            rules = RuleEngine(load_rules(args.rules))
-        except (OSError, RuleParseError) as error:
-            print(f"{args.rules}: {error}", file=sys.stderr)
-            return 2
         print(f"slo: loaded {len(rules.rules)} rule(s) from {args.rules}")
-    elif not args.no_rules:
-        rules = RuleEngine(default_serve_rules())
     print(lanes.describe())
     graph, service = _build_serving_service(args)
-    meta = {
-        "command": "serve",
-        "dataset": args.dataset,
-        "scale": args.scale,
-        "model": args.model,
-        "epochs": args.epochs,
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "max_batch": args.max_batch,
-        "assembly": "sampled" if args.fanout else "exact",
-    }
-    from .obs import get_metrics
-
+    meta = _meta(
+        args, "dataset", "scale", "model", "epochs",
+        vertices=graph.num_vertices, edges=graph.num_edges,
+        max_batch=args.max_batch,
+        assembly="sampled" if args.fanout else "exact",
+    )
     extras: dict = {}
     status = 0
     with _telemetry(args, meta, extras=extras):
-        registry = get_metrics()
+        registry = obs.get_metrics()
         # SIGTERM is Ctrl-C: drain, write the trace, exit 0.  Installed
         # before the URL is announced, so whoever reads it may send one.
         on_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
@@ -681,16 +623,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"serving inference on {server.url} "
                     "(/v1/predict, /healthz, /stats.json)"
                 )
-                deadline = (
-                    time_module.monotonic() + args.duration
-                    if args.duration is not None
-                    else None
-                )
-                while deadline is None or time_module.monotonic() < deadline:
+                deadline = None if args.duration is None else (
+                    time.monotonic() + args.duration)
+                while deadline is None or time.monotonic() < deadline:
                     step = 1.0
                     if deadline is not None:
-                        step = min(step, max(0.0, deadline - time_module.monotonic()))
-                    time_module.sleep(step)
+                        step = min(step, max(0.0, deadline - time.monotonic()))
+                    time.sleep(step)
                     if rules is not None:
                         rules.evaluate(registry.snapshot())
         except KeyboardInterrupt:  # raised in the loop; the server has drained
@@ -716,26 +655,17 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     """Drive a running serving endpoint and print client-side latency."""
     from .serve import concurrency_sweep, run_loadgen, write_results
 
+    common = dict(
+        duration_s=args.duration, num_vertices=args.vertices,
+        mode=args.mode, seed=args.seed,
+    )
     if args.sweep:
-        results = concurrency_sweep(
-            args.url,
-            levels=args.sweep,
-            duration_s=args.duration,
-            num_vertices=args.vertices,
-            mode=args.mode,
-            seed=args.seed,
-        )
+        results = concurrency_sweep(args.url, levels=args.sweep, **common)
     else:
         results = [
             run_loadgen(
-                args.url,
-                duration_s=args.duration,
-                rate=args.rate,
-                concurrency=args.concurrency,
-                num_vertices=args.vertices,
-                mode=args.mode,
-                seed=args.seed,
-                timeout_s=args.timeout,
+                args.url, rate=args.rate, concurrency=args.concurrency,
+                timeout_s=args.timeout, **common,
             )
         ]
     for result in results:
@@ -748,43 +678,63 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if total and completed else 1
 
 
+#: ``experiment NAME`` -> its call into :mod:`repro.bench.figures`, given
+#: that module, a ``BenchContext`` at ``--scale`` (twins are built on
+#: first use, so the simulator figures that take none build nothing) and
+#: the parsed arguments.
 _EXPERIMENTS = {
-    "fig2": ("fig2_gpu_sampling", True),
-    "fig3": ("fig3_topdown", True),
-    "tab3": ("tab3_datasets", True),
-    "fig11a": ("fig11_software_speedups", True),
-    "fig11b": ("fig11_software_speedups", True),
-    "fig13": ("fig13_fusion_breakdown", True),
-    "fig14": ("fig14_compression_sweep", True),
-    "fig15": ("fig15_locality", True),
-    "tab4": ("tab4_characterization", True),
-    "fig12a": ("fig12_dma_speedups", False),
-    "fig12b": ("fig12_dma_speedups", False),
-    "fig16": ("fig16_tracking_table", False),
-    "tab5": ("tab5_cache_reduction", False),
-    "sec732": ("sec732_memory_system", False),
+    "fig2": lambda fig, ctx, args: fig.fig2_gpu_sampling(ctx),
+    "fig3": lambda fig, ctx, args: fig.fig3_topdown(ctx),
+    "tab3": lambda fig, ctx, args: fig.tab3_datasets(ctx),
+    "fig11a": lambda fig, ctx, args: fig.fig11_software_speedups(ctx),
+    "fig11b": lambda fig, ctx, args: fig.fig11_software_speedups(
+        ctx, training=True),
+    "fig13": lambda fig, ctx, args: fig.fig13_fusion_breakdown(ctx),
+    "fig14": lambda fig, ctx, args: fig.fig14_compression_sweep(
+        ctx, training=args.training),
+    "fig15": lambda fig, ctx, args: fig.fig15_locality(ctx),
+    "tab4": lambda fig, ctx, args: fig.tab4_characterization(ctx),
+    "fig12a": lambda fig, ctx, args: fig.fig12_dma_speedups(),
+    "fig12b": lambda fig, ctx, args: fig.fig12_dma_speedups(training=True),
+    "fig16": lambda fig, ctx, args: fig.fig16_tracking_table(),
+    "tab5": lambda fig, ctx, args: fig.tab5_cache_reduction(),
+    "sec732": lambda fig, ctx, args: fig.sec732_memory_system(),
 }
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from .bench import figures
 
-    key = args.name
-    fn_name, takes_ctx = _EXPERIMENTS[key]
-    fn = getattr(figures, fn_name)
-    kwargs = {}
-    if key == "fig11b":
-        kwargs["training"] = True
-    if key == "fig12b":
-        kwargs["training"] = True
-    if key == "fig14":
-        kwargs["training"] = args.training
-    if takes_ctx:
-        experiment = fn(figures.BenchContext(scale=args.scale), **kwargs)
-    else:
-        experiment = fn(**kwargs)
-    print(experiment.render())
+    ctx = figures.BenchContext(scale=args.scale)
+    print(_EXPERIMENTS[args.name](figures, ctx, args).render())
     return 0
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that names an unknown flag when the value
+    after it filled a positional: ``bench-sharded --bogus 3`` would
+    otherwise blame ``dataset`` for ``3`` and never name ``--bogus``."""
+
+    _argv: tuple = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = tuple(args or ())
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        positionals = [a.dest for a in self._actions if not a.option_strings]
+        unknown = [
+            arg for arg in self._argv
+            if arg.startswith("-") and arg not in ("-", "--")
+            and not self._negative_number_matcher.match(arg)
+            # A prefix of a flag is that flag, as argparse reads it.
+            and not any(option.startswith(arg.split("=", 1)[0])
+                        for option in self._option_string_actions)
+        ]
+        if unknown and any(message.startswith(f"argument {name}:")
+                           for name in positionals):
+            message = f"unrecognized arguments: {' '.join(unknown)}"
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -805,33 +755,26 @@ def build_parser() -> argparse.ArgumentParser:
         "-q", "--quiet", action="count", default=0,
         help="decrease log verbosity (errors only)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
 
     p = sub.add_parser("train", help="full-batch training demo")
-    p.add_argument("dataset", choices=["products", "wikipedia", "papers", "twitter"])
-    p.add_argument("--scale", type=_positive_float, default=0.25)
-    p.add_argument("--model", choices=["gcn", "sage"], default="gcn")
-    p.add_argument("--features", type=_positive_int, default=64)
-    p.add_argument("--hidden", type=_positive_int, default=64)
-    p.add_argument("--classes", type=_positive_int, default=8)
-    p.add_argument("--layers", type=_positive_int, default=2)
+    _add_twin_flags(p, scale=0.25, width=64, optional_dataset=False)
     p.add_argument("--dropout", type=_dropout, default=0.0)
     p.add_argument("--epochs", type=_non_negative_int, default=5)
-    p.add_argument("--lr", type=_positive_float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--shards", type=_positive_int, default=1,
         help="partition-parallel sharded training with N shard workers; "
         "1 = classic full-graph trainer",
     )
     p.add_argument(
-        "--backend", choices=["serial", "process"], default=None,
+        "--backend", choices=SHARD_BACKENDS, default=None,
         help="sharded runtime for --shards > 1 (default serial; process "
         "runs the zero-copy shared-memory pool)",
     )
     p.add_argument(
-        "--partition", choices=["contiguous", "bfs", "greedy"],
-        default="greedy",
+        "--partition", choices=graphs.PARTITION_METHODS, default="greedy",
         help="edge-cut partition method for --shards > 1",
     )
     _add_telemetry_flags(p, "--trace", "--json", "--serve-metrics")
@@ -860,24 +803,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="scaling-efficiency benchmark of the sharded trainer "
         "(synthetic twins 10-100x via --scale)",
     )
-    p.add_argument(
-        "dataset", nargs="?", default="products",
-        choices=["products", "wikipedia", "papers", "twitter"],
-    )
-    p.add_argument("--scale", type=_positive_float, default=10.0)
+    _add_twin_flags(p, scale=10.0, width=32, model=False)
     p.add_argument("--shards", type=_positive_int, nargs="+", default=[1, 2, 4])
     p.add_argument(
-        "--partition", choices=["contiguous", "bfs", "greedy"],
-        default="greedy",
+        "--partition", choices=graphs.PARTITION_METHODS, default="greedy"
     )
-    p.add_argument("--backend", choices=["serial", "process"], default="process")
+    p.add_argument("--backend", choices=SHARD_BACKENDS, default="process")
     p.add_argument("--epochs", type=_positive_int, default=3)
-    p.add_argument("--features", type=_positive_int, default=32)
-    p.add_argument("--hidden", type=_positive_int, default=32)
-    p.add_argument("--classes", type=_positive_int, default=8)
-    p.add_argument("--layers", type=_positive_int, default=2)
-    p.add_argument("--lr", type=_positive_float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     _add_telemetry_flags(p, "--trace", "--json")
     p.set_defaults(func=_cmd_bench_sharded)
 
@@ -941,20 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="online inference service over a freshly trained model",
     )
-    p.add_argument(
-        "dataset", nargs="?", default="products",
-        choices=["products", "wikipedia", "papers", "twitter"],
-    )
-    p.add_argument("--scale", type=_positive_float, default=0.1)
-    p.add_argument("--model", choices=["gcn", "sage"], default="gcn")
-    p.add_argument("--features", type=_positive_int, default=32)
-    p.add_argument("--hidden", type=_positive_int, default=32)
-    p.add_argument("--classes", type=_positive_int, default=8)
-    p.add_argument("--layers", type=_positive_int, default=2)
+    _add_twin_flags(p, scale=0.1, width=32)
     p.add_argument("--epochs", type=_non_negative_int, default=2,
                    help="training epochs before serving (0 = random init)")
-    p.add_argument("--lr", type=_positive_float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
         "--fanout", type=_positive_int, nargs="*", default=[],
@@ -1050,16 +971,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "it needs --shards N > 1"
             )
         if args.shards > 1:
-            unsupported = [
-                flag
-                for flag, given in (
-                    ("--dropout", args.dropout),
-                    ("--events", args.events),
-                    ("--health", args.health),
-                    ("--rules", args.rules),
-                )
-                if given
-            ]
+            unsupported = [flag for flag, given in (
+                ("--dropout", args.dropout), ("--events", args.events),
+                ("--health", args.health), ("--rules", args.rules),
+            ) if given]
             if unsupported:
                 parser.error(
                     f"train: {', '.join(unsupported)} cannot be combined "
@@ -1069,8 +984,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     logger.info("running %s", args.command)
     try:
         return args.func(args)
-    except _OutputWriteError:
-        return 1
+    except _Exit as stop:
+        return stop.code
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

@@ -70,9 +70,6 @@ class TimelineResult:
     max_table_occupancy: int
     max_index_buffer_occupancy: int
 
-    def events_of(self, kind: str) -> List[TimelineEvent]:
-        return [e for e in self.events if e.kind == kind]
-
 
 class DmaRequestTimeline:
     """Cycle-granular simulation of the Figure 10 request schedule.

@@ -62,12 +62,6 @@ class TrainingHistory:
     def final_loss(self) -> float:
         return self.epochs[-1].loss if self.epochs else float("nan")
 
-    @property
-    def final_accuracy(self) -> float:
-        # NaN, like final_loss: an empty history has no accuracy, and 0.0
-        # would read as "the model learned nothing" in reports.
-        return self.epochs[-1].train_accuracy if self.epochs else float("nan")
-
     def losses(self) -> List[float]:
         return [e.loss for e in self.epochs]
 

@@ -106,9 +106,6 @@ class AttributionReport:
     spans: List[SpanAttribution]
     technique_totals: Dict[str, Dict[str, float]]
 
-    def span_for(self, name: str) -> List[SpanAttribution]:
-        return [s for s in self.spans if s.name == name]
-
     def render(self) -> str:
         """Human-readable attribution summary (what ``repro profile`` prints)."""
         lines: List[str] = []

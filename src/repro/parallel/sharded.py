@@ -149,7 +149,6 @@ class ShardedConfig:
     guarantee (workers receive this + the bundle spec, nothing else).
     """
 
-    num_shards: int
     layers: Tuple[LayerSpec, ...]
     train_count: int
     val_count: int
@@ -516,7 +515,6 @@ class ShardedTrainer:
         train_mask_arr = np.ones(n, dtype=bool) if train_mask is None else train_mask
         val_mask_arr = np.zeros(n, dtype=bool) if val_mask is None else val_mask
         self._config = ShardedConfig(
-            num_shards=self.num_shards,
             layers=specs,
             train_count=int(train_mask_arr.sum()),
             val_count=int(val_mask_arr.sum()),

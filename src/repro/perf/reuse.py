@@ -115,11 +115,6 @@ class ReuseProfile:
     def miss_rate(self, capacity_vectors: float) -> float:
         return 1.0 - self.hit_rate(capacity_vectors)
 
-    def cold_fraction(self) -> float:
-        if self.num_accesses == 0:
-            return 0.0
-        return float(np.count_nonzero(self.distances == COLD) / self.num_accesses)
-
 
 def reuse_profile(graph: CSRGraph, order: Optional[np.ndarray] = None) -> ReuseProfile:
     """Compute the reuse profile of aggregating ``graph`` in ``order``."""

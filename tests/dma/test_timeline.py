@@ -26,10 +26,10 @@ class TestFigure10Behaviors:
         timeline, jobs = figure10_example()
         result = timeline.run(jobs)
         first_input_issue = min(
-            e.time for e in result.events_of("issue_input")
+            e.time for e in result.events if e.kind == "issue_input"
         )
         first_index_complete = min(
-            e.time for e in result.events_of("complete_index")
+            e.time for e in result.events if e.kind == "complete_index"
         )
         # No input can issue before its index line returned.
         assert first_input_issue >= first_index_complete
@@ -47,8 +47,8 @@ class TestFigure10Behaviors:
     def test_all_lines_fetched(self):
         timeline, jobs = figure10_example()
         result = timeline.run(jobs)
-        assert len(result.events_of("complete_index")) == 3
-        assert len(result.events_of("complete_input")) == 12
+        assert len([e for e in result.events if e.kind == "complete_index"]) == 3
+        assert len([e for e in result.events if e.kind == "complete_input"]) == 12
 
     def test_index_priority_over_inputs(self):
         """Once an index can issue, it wins over pending input fetches —
@@ -56,8 +56,8 @@ class TestFigure10Behaviors:
         timeline, jobs = figure10_example()
         result = timeline.run(jobs)
         # The third index line issues before the last input lines do.
-        idx_issues = result.events_of("issue_index")
-        input_issues = result.events_of("issue_input")
+        idx_issues = [e for e in result.events if e.kind == "issue_index"]
+        input_issues = [e for e in result.events if e.kind == "issue_input"]
         third_index_time = idx_issues[2].time
         later_inputs = [e for e in input_issues if e.time > third_index_time]
         assert later_inputs, "index did not preempt remaining input fetches"

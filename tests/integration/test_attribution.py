@@ -118,7 +118,7 @@ class TestReconciliation:
 
     def test_basic_span_is_memory_bound(self, planes):
         _, _, report, _, _ = planes
-        basic = report.span_for("kernel.basic")[0]
+        basic = next(s for s in report.spans if s.name == "kernel.basic")
         assert basic.verdict == "memory-bound"
         assert basic.memory_bound_fraction > 0.5
 

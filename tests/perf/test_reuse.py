@@ -80,8 +80,9 @@ class TestReuseProfile:
 
     def test_infinite_capacity_hits_everything_warm(self, small_community):
         profile = reuse_profile(small_community)
+        cold = np.count_nonzero(profile.distances == COLD)
         assert profile.hit_rate(1e18) == pytest.approx(
-            1.0 - profile.cold_fraction()
+            1.0 - cold / profile.num_accesses
         )
 
     def test_zero_capacity_no_hits(self, small_community):
@@ -90,7 +91,7 @@ class TestReuseProfile:
     def test_cold_fraction_counts_distinct_touched(self, chain20):
         profile = reuse_profile(chain20)
         # Every vertex is touched at least once -> 20 cold accesses.
-        assert profile.cold_fraction() == pytest.approx(20 / profile.num_accesses)
+        assert np.count_nonzero(profile.distances == COLD) == 20
 
     def test_star_hub_reuse(self, star10):
         """Leaves all touch the hub: with capacity >= 2 those re-touches hit."""

@@ -116,6 +116,10 @@ class TestParser:
         # Checked in main(), before the twin, features or model are built.
         (["train", "products", "--shards", "2", "--dropout", "0.3"],
          "--dropout"),
+        # The value after an unknown flag fills the optional dataset;
+        # the error still names the flag, not the dataset.
+        (["bench-sharded", "--delay-aggregation", "3"], "--delay-aggregation"),
+        (["serve", "--bogus", "3"], "--bogus"),
     ])
     def test_values_refused_before_any_work(self, argv, flag, capsys):
         """Each once ended in a traceback, a bind error or a silent run
