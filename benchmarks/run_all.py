@@ -4,16 +4,15 @@
 Usage::
 
     python benchmarks/run_all.py [output.md] [--json BENCH_results.json]
-                                 [--scale 0.5] [--only fig3 tab3 ...]
-                                 [--timestamp UNIX]
+                                 [--scale 0.5]
 
-Runs each experiment of :mod:`repro.bench.figures` at the standard bench
-scales and writes (1) a markdown report with the measured value next to
-the published one for every row, and (2) a consolidated machine-readable
-JSON document (rows, paper values, ratios, environment).  ``--timestamp``
-lets the caller (CI, a sweep script) stamp the document with its own
-clock; ``--only`` restricts the run to a subset of experiment keys for
-quick smoke artifacts.
+Runs every entry of :data:`repro.bench.figures.PLAN` at ``--scale`` and
+writes (1) a markdown report with the measured value next to the
+published one for every row, and (2) a consolidated machine-readable
+JSON document (rows, paper values, ratios, environment).  It then checks
+the shape criteria of ``benchmarks/criteria.py`` and exits 1, naming
+every row that fails.  EXPERIMENTS.md is this script's output at the
+default scale, byte for byte.
 """
 
 import argparse
@@ -21,21 +20,8 @@ import json
 import sys
 import time
 
-from repro.bench.figures import (
-    BenchContext,
-    fig2_gpu_sampling,
-    fig3_topdown,
-    fig11_software_speedups,
-    fig12_dma_speedups,
-    fig13_fusion_breakdown,
-    fig14_compression_sweep,
-    fig15_locality,
-    fig16_tracking_table,
-    sec732_memory_system,
-    tab3_datasets,
-    tab4_characterization,
-    tab5_cache_reduction,
-)
+import criteria
+from repro.bench.figures import PLAN, SOFTWARE_SCALE, BenchContext
 from repro.obs import environment_info
 
 #: Version of the BENCH_results.json document layout.
@@ -83,41 +69,6 @@ FOOTER = """
 """
 
 
-def experiment_plan(ctx):
-    """(key, title, thunk) for every artifact, in report order."""
-    return [
-        ("fig2", "GPU sampled-training epoch breakdown",
-         lambda: fig2_gpu_sampling(ctx)),
-        ("fig3", "Baseline pipeline-slot breakdown",
-         lambda: fig3_topdown(ctx)),
-        ("tab3", "Dataset twins vs Table 3", lambda: tab3_datasets(ctx)),
-        ("fig11a-gcn", "Software speedups, GCN inference",
-         lambda: fig11_software_speedups(ctx, False, "gcn")),
-        ("fig11a-sage", "Software speedups, SAGE inference",
-         lambda: fig11_software_speedups(ctx, False, "sage")),
-        ("fig11b-gcn", "Software speedups, GCN training",
-         lambda: fig11_software_speedups(ctx, True, "gcn")),
-        ("fig11b-sage", "Software speedups, SAGE training",
-         lambda: fig11_software_speedups(ctx, True, "sage")),
-        ("fig13", "Fusion time breakdown",
-         lambda: fig13_fusion_breakdown(ctx)),
-        ("fig14a", "Compression sweep, inference",
-         lambda: fig14_compression_sweep(ctx, False)),
-        ("fig14b", "Compression sweep, training",
-         lambda: fig14_compression_sweep(ctx, True)),
-        ("fig15", "Locality vs randomized order", lambda: fig15_locality(ctx)),
-        ("tab4", "Memory characterization",
-         lambda: tab4_characterization(ctx)),
-        ("fig12a", "Simulated DMA speedups, inference",
-         lambda: fig12_dma_speedups(False)),
-        ("fig12b", "Simulated DMA speedups, training",
-         lambda: fig12_dma_speedups(True)),
-        ("fig16", "Tracking-table size sweep", fig16_tracking_table),
-        ("tab5", "Private-cache access reduction", tab5_cache_reduction),
-        ("sec732", "Memory-system improvement", sec732_memory_system),
-    ]
-
-
 def build_results_doc(results, timestamp, elapsed_s, scale):
     """The consolidated BENCH_results.json document."""
     experiments = []
@@ -157,31 +108,15 @@ def main(argv=None) -> int:
         "--json", default="BENCH_results.json", metavar="FILE",
         help="consolidated machine-readable results ('' to skip)",
     )
-    parser.add_argument("--scale", type=float, default=0.5)
-    parser.add_argument(
-        "--only", nargs="+", default=None, metavar="KEY",
-        help="run only these experiment keys (see experiment_plan)",
-    )
-    parser.add_argument(
-        "--timestamp", type=float, default=None,
-        help="unix timestamp recorded in the JSON (defaults to now)",
-    )
+    parser.add_argument("--scale", type=float, default=SOFTWARE_SCALE)
     args = parser.parse_args(argv)
 
     start = time.time()
     ctx = BenchContext(scale=args.scale)
-    plan = experiment_plan(ctx)
-    known = [key for key, _, _ in plan]
-    if args.only:
-        unknown = [key for key in args.only if key not in known]
-        if unknown:
-            parser.error(f"unknown experiment keys {unknown}; choose from {known}")
-        plan = [entry for entry in plan if entry[0] in args.only]
-
     sections = []
     results = []
-    for key, title, thunk in plan:
-        experiment = thunk()
+    for key, (title, call) in PLAN.items():
+        experiment = call(ctx)
         print(f"[{time.time() - start:6.1f}s] {experiment.experiment_id}: {title}")
         sections.append(
             "\n".join(
@@ -197,13 +132,19 @@ def main(argv=None) -> int:
     print(f"wrote {args.output} in {elapsed:.1f}s")
 
     if args.json:
-        timestamp = args.timestamp if args.timestamp is not None else time.time()
-        doc = build_results_doc(results, timestamp, elapsed, args.scale)
+        doc = build_results_doc(results, time.time(), elapsed, args.scale)
         with open(args.json, "w") as handle:
             json.dump(doc, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.json} ({doc['summary']['rows']} rows)")
-    return 0
+
+    failures = criteria.failed({key: exp for key, _, exp in results}, args.scale)
+    checked = len(criteria.applicable(args.scale))
+    print(f"criteria: {checked - len(failures)} of {checked} hold "
+          f"at scale {args.scale}")
+    for name in failures:
+        print(f"FAILED {name}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -1,31 +1,37 @@
 """Per-artifact experiment definitions (one function per table/figure).
 
-Each function reproduces one paper artifact end-to-end on the dataset
-twins and returns an :class:`repro.bench.harness.Experiment` with the
-published values alongside.  The ``benchmarks/`` tree is a thin layer
-over these functions; they are also exercised directly by integration
-tests.
+Each function takes a :class:`BenchContext`, reproduces one paper
+artifact end-to-end on the dataset twins and returns an
+:class:`repro.bench.harness.Experiment` with the published values
+alongside.  :data:`PLAN` lists every artifact once, in report order:
+``repro experiment NAME`` runs one entry, ``benchmarks/run_all.py`` runs
+them all and checks their shape criteria (``benchmarks/criteria.py``).
 
-Scale notes: the software-model experiments (Fig. 11/13/14/15, Tables
-3-4) run at twin scale 0.5 by default; the trace-driven hardware
-experiments (Fig. 12/16, Table 5, Section 7.3.2) run at a smaller scale
-because every cache line access is simulated in Python — mirroring the
-paper, whose own "hardware evaluation is limited to products and
-wikipedia due to very long simulation times" (Section 6).
+Scale: one number, ``BenchContext.scale`` (``--scale``; EXPERIMENTS.md
+is generated at :data:`SOFTWARE_SCALE`).  The software-model
+experiments (Fig. 2/3/11/13/14/15, Tables 3-4) build their twins at it.
+The trace-driven hardware experiments (Fig. 12/16, Table 5, Section
+7.3.2) simulate every cache-line access in Python, so they build theirs
+at ``ctx.hardware_scale``, a fixed fraction of it (0.15 at 0.5) —
+mirroring the paper, whose own "hardware evaluation is limited to
+products and wikipedia due to very long simulation times" (Section 6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..graphs.datasets import input_feature_size, load_dataset
-from ..graphs.reorder import locality_order
-from ..perf.cost_model import CostModel
+from ..graphs.reorder import apply_order, locality_order
+from ..kernels.base import UpdateParams
+from ..perf.cost_model import VARIANTS, CostModel
+from ..perf.machine import cascade_lake_28
 from ..perf.topdown import characterize
+from ..perf.traffic import LayerShape
 from ..dma.offload import DmaOffloadRunner
 from ..gpu.gpu_model import epoch_breakdown
 from ..sim.core_sim import CoreAggregationSim
@@ -33,10 +39,12 @@ from ..graphs.stats import graph_stats
 from . import paper_values as paper
 from .harness import Experiment
 
-#: Default twin scale for the analytical (software) experiments.
+#: Default twin scale: the analytical (software) experiments' twins, and
+#: the scale EXPERIMENTS.md is generated at.
 SOFTWARE_SCALE = 0.5
 
-#: Default twin scale for trace-driven (hardware) experiments.
+#: Twin scale of the trace-driven (hardware) experiments at
+#: ``SOFTWARE_SCALE``; it moves in proportion with ``BenchContext.scale``.
 HARDWARE_SCALE = 0.15
 
 #: Feature width used in the hardware simulations (kept modest so the
@@ -58,13 +66,19 @@ class BenchContext:
 
     scale: float = SOFTWARE_SCALE
     seed: int = 0
-    _graphs: Dict[str, CSRGraph] = field(default_factory=dict)
+    _graphs: Dict[Tuple[str, float], CSRGraph] = field(default_factory=dict)
     _models: Dict[str, CostModel] = field(default_factory=dict)
 
-    def graph(self, name: str) -> CSRGraph:
-        if name not in self._graphs:
-            self._graphs[name] = load_dataset(name, scale=self.scale, seed=self.seed)
-        return self._graphs[name]
+    @property
+    def hardware_scale(self) -> float:
+        """Twin scale of the simulated (hardware) experiments."""
+        return HARDWARE_SCALE * (self.scale / SOFTWARE_SCALE)
+
+    def graph(self, name: str, hardware: bool = False) -> CSRGraph:
+        scale = self.hardware_scale if hardware else self.scale
+        if (name, scale) not in self._graphs:
+            self._graphs[name, scale] = load_dataset(name, scale=scale, seed=self.seed)
+        return self._graphs[name, scale]
 
     def cost_model(self, name: str) -> CostModel:
         if name not in self._models:
@@ -191,9 +205,6 @@ def fig13_fusion_breakdown(ctx: Optional[BenchContext] = None) -> Experiment:
     exp = Experiment(
         "fig13", "Hidden-layer time breakdown, normalized to basic (GCN)"
     )
-    from ..perf.cost_model import VARIANTS
-    from ..perf.traffic import LayerShape
-
     for name in ("products", "wikipedia", "papers", "twitter"):
         model = ctx.cost_model(name)
         graph = ctx.graph(name)
@@ -330,197 +341,168 @@ def tab4_characterization(ctx: Optional[BenchContext] = None) -> Experiment:
 # ----------------------------------------------------------------------
 # Hardware evaluation (trace-driven)
 # ----------------------------------------------------------------------
-def _hardware_setup(name: str, scale: float, seed: int = 0):
-    graph = load_dataset(name, scale=scale, seed=seed)
-    return graph
+def _core_sim(graph: CSRGraph, fused: bool = False):
+    """The cores aggregate (unfused, or fused with the update)."""
+    return CoreAggregationSim(cache_scale=HARDWARE_CACHE_SCALE).run(
+        graph, HARDWARE_FEATURES,
+        fused_update_features=HARDWARE_FEATURES if fused else None,
+    )
+
+
+def _dma_sim(graph: CSRGraph, fused: bool = True, tracking_entries=None):
+    """The DMA engine aggregates (fused: the cores run the update
+    meanwhile); the simulators price shapes, so the values are zeros."""
+    f = HARDWARE_FEATURES
+    params = UpdateParams(
+        weight=np.zeros((f, f), dtype=np.float32),
+        bias=np.zeros(f, dtype=np.float32),
+    ) if fused else None
+    runner = DmaOffloadRunner(
+        cache_scale=HARDWARE_CACHE_SCALE, tracking_entries=tracking_entries
+    )
+    h = np.zeros((graph.num_vertices, f), dtype=np.float32)
+    return runner.run_layer(graph, h, params=params)[2]
 
 
 def fig12_dma_speedups(
-    training: bool = False,
-    scale: float = HARDWARE_SCALE,
+    ctx: Optional[BenchContext] = None, training: bool = False
 ) -> Experiment:
     """Figure 12: simulated speedups of fusion and fusion+DMA over DistGNN."""
+    ctx = ctx or BenchContext()
     which = "training" if training else "inference"
     exp = Experiment(
         "fig12b" if training else "fig12a",
         f"Simulated {which} speedup over DistGNN (products & wikipedia twins)",
     )
     published = (paper.FIG12B_DMA_TRAINING if training else paper.FIG12A_DMA_INFERENCE)["gcn"]
-    f_in = HARDWARE_FEATURES
-    f_out = HARDWARE_FEATURES
+    machine = cascade_lake_28()
     for name in ("products", "wikipedia"):
-        graph = _hardware_setup(name, scale)
-        sim = CoreAggregationSim(cache_scale=HARDWARE_CACHE_SCALE)
+        graph = ctx.graph(name, hardware=True)
         # DistGNN baseline: unfused — aggregation then serial update.
-        agg = sim.run(graph, f_in)
         update_cycles = (
             2.0
-            * (graph.num_vertices / sim.machine.cores)
-            * f_in
-            * f_out
-            / (sim.machine.flops_per_cycle_per_core * sim.machine.gemm_efficiency)
+            * (graph.num_vertices / machine.cores)
+            * HARDWARE_FEATURES
+            * HARDWARE_FEATURES
+            / (machine.flops_per_cycle_per_core * machine.gemm_efficiency)
         )
-        baseline_cycles = agg.cycles / 0.92 + update_cycles  # no prefetch tuning
-        fused = CoreAggregationSim(cache_scale=HARDWARE_CACHE_SCALE).run(
-            graph, f_in, fused_update_features=f_out
-        )
-        runner = DmaOffloadRunner(cache_scale=HARDWARE_CACHE_SCALE)
-        import numpy as _np
-
-        h = _np.zeros((graph.num_vertices, f_in), dtype=_np.float32)
-        from ..kernels.base import UpdateParams
-
-        params = UpdateParams(
-            weight=_np.zeros((f_in, f_out), dtype=_np.float32),
-            bias=_np.zeros(f_out, dtype=_np.float32),
-        )
-        _, _, dma = runner.run_layer(graph, h, params=params)
-
-        def epoch(cycles_forward: float) -> float:
-            # Training: forward + backward (transposed gather + 2 GEMMs),
-            # approximated as 1.9x the forward cycles for every variant.
-            return cycles_forward * (1.9 if training else 1.0)
-
-        pub = published[name]
-        exp.add(f"{name} fusion", epoch(baseline_cycles) / epoch(fused.cycles), pub["fusion"])
-        exp.add(
-            f"{name} fusion+DMA",
-            epoch(baseline_cycles) / epoch(dma.cycles),
-            pub["fusion+DMA"],
-        )
+        # No prefetch tuning in the baseline.  Training (forward +
+        # backward: transposed gather + 2 GEMMs) is approximated as 1.9x
+        # the forward cycles for every variant, so it cancels in a ratio.
+        baseline = _core_sim(graph).cycles / 0.92 + update_cycles
+        variants = {"fusion": graph, "fusion+DMA": graph}
         if training:
             # Physically relabel for the locality runs: after reordering,
             # the CSR arrays are re-laid-out so index reads stay
             # sequential (training amortizes this one-time cost, §4.4).
-            from ..graphs.reorder import apply_order
-
-            graph_loc = apply_order(graph, locality_order(graph))
-            fused_loc = CoreAggregationSim(cache_scale=HARDWARE_CACHE_SCALE).run(
-                graph_loc, f_in, fused_update_features=f_out
-            )
-            runner_loc = DmaOffloadRunner(cache_scale=HARDWARE_CACHE_SCALE)
-            h_loc = _np.zeros((graph_loc.num_vertices, f_in), dtype=_np.float32)
-            _, _, dma_loc = runner_loc.run_layer(graph_loc, h_loc, params=params)
-            exp.add(
-                f"{name} fusion+locality",
-                epoch(baseline_cycles) / epoch(fused_loc.cycles),
-                pub["fusion+locality"],
-            )
-            exp.add(
-                f"{name} fusion+DMA+locality",
-                epoch(baseline_cycles) / epoch(dma_loc.cycles),
-                pub["fusion+DMA+locality"],
-            )
+            local = apply_order(graph, locality_order(graph))
+            variants.update({"fusion+locality": local, "fusion+DMA+locality": local})
+        for variant, layout in variants.items():
+            run = _dma_sim(layout) if "DMA" in variant else _core_sim(layout, fused=True)
+            exp.add(f"{name} {variant}", baseline / run.cycles, published[name][variant])
     return exp
 
 
-def fig16_tracking_table(scale: float = HARDWARE_SCALE) -> Experiment:
+def fig16_tracking_table(ctx: Optional[BenchContext] = None) -> Experiment:
     """Figure 16: DMA-aggregation time vs tracking-table entries."""
+    ctx = ctx or BenchContext()
     exp = Experiment(
         "fig16", "DMA-aggregation time on wikipedia vs tracking-table entries"
     )
-    graph = _hardware_setup("wikipedia", scale)
-    h = np.zeros((graph.num_vertices, HARDWARE_FEATURES), dtype=np.float32)
-    times = {}
-    for entries in (8, 16, 32, 64):
-        runner = DmaOffloadRunner(
-            cache_scale=HARDWARE_CACHE_SCALE, tracking_entries=entries
-        )
-        _, _, report = runner.run_layer(graph, h, params=None)
-        times[entries] = report.cycles
-    for entries in (8, 16, 32, 64):
+    graph = ctx.graph("wikipedia", hardware=True)
+    times = {
+        entries: _dma_sim(graph, fused=False, tracking_entries=entries).cycles
+        for entries in (8, 16, 32, 64)
+    }
+    for entries, cycles in times.items():
         exp.add(
             f"{entries} entries (norm.)",
-            times[entries] / times[8],
+            cycles / times[8],
             paper.FIG16_TRACKING_TABLE[entries],
             unit="frac",
         )
     return exp
 
 
-def tab5_cache_reduction(scale: float = HARDWARE_SCALE) -> Experiment:
+def tab5_cache_reduction(ctx: Optional[BenchContext] = None) -> Experiment:
     """Table 5: private-cache access reduction from the DMA engine."""
+    ctx = ctx or BenchContext()
     exp = Experiment("tab5", "Private cache access reduction with DMA")
-    from ..kernels.base import UpdateParams
-
-    f_in = HARDWARE_FEATURES
-    f_out = HARDWARE_FEATURES
     for name in ("products", "wikipedia"):
-        graph = _hardware_setup(name, scale)
-        h = np.zeros((graph.num_vertices, f_in), dtype=np.float32)
-        params = UpdateParams(
-            weight=np.zeros((f_in, f_out), dtype=np.float32),
-            bias=np.zeros(f_out, dtype=np.float32),
-        )
+        graph = ctx.graph(name, hardware=True)
         pub = paper.TAB5_CACHE_REDUCTION[name]
-
-        core_agg = CoreAggregationSim(cache_scale=HARDWARE_CACHE_SCALE).run(graph, f_in)
-        dma_agg_runner = DmaOffloadRunner(cache_scale=HARDWARE_CACHE_SCALE)
-        _, _, dma_agg = dma_agg_runner.run_layer(graph, h, params=None)
-        exp.add(
-            f"{name} agg-only L1 reduction",
-            1.0 - dma_agg.core_l1_accesses / core_agg.l1_accesses,
-            pub["agg_only"]["l1"],
-            unit="frac",
-        )
-        exp.add(
-            f"{name} agg-only L2 reduction",
-            1.0 - dma_agg.core_l2_accesses / core_agg.l2_accesses,
-            pub["agg_only"]["l2"],
-            unit="frac",
-        )
-
-        core_fused = CoreAggregationSim(cache_scale=HARDWARE_CACHE_SCALE).run(
-            graph, f_in, fused_update_features=f_out
-        )
-        # Fused core run also writes/reads h_out: add those accesses.
-        fused_l1 = core_fused.l1_accesses + graph.num_vertices * (f_out * 4 // 64 + 1)
-        fused_l2 = core_fused.l2_accesses
-        dma_fused_runner = DmaOffloadRunner(cache_scale=HARDWARE_CACHE_SCALE)
-        _, _, dma_fused = dma_fused_runner.run_layer(graph, h, params=params)
-        exp.add(
-            f"{name} fused L1 reduction",
-            1.0 - dma_fused.core_l1_accesses / fused_l1,
-            pub["fused"]["l1"],
-            unit="frac",
-        )
-        exp.add(
-            f"{name} fused L2 reduction",
-            1.0 - dma_fused.core_l2_accesses / fused_l2,
-            pub["fused"]["l2"],
-            unit="frac",
-        )
+        core, dma = _core_sim(graph), _dma_sim(graph, fused=False)
+        core_fused, dma_fused = _core_sim(graph, fused=True), _dma_sim(graph)
+        # The fused core run also writes/reads h_out: add those accesses.
+        fused_l1 = core_fused.l1_accesses + graph.num_vertices * (
+            HARDWARE_FEATURES * 4 // 64 + 1)
+        for label, measured, published in (
+            ("agg-only L1", 1.0 - dma.core_l1_accesses / core.l1_accesses,
+             pub["agg_only"]["l1"]),
+            ("agg-only L2", 1.0 - dma.core_l2_accesses / core.l2_accesses,
+             pub["agg_only"]["l2"]),
+            ("fused L1", 1.0 - dma_fused.core_l1_accesses / fused_l1,
+             pub["fused"]["l1"]),
+            ("fused L2",
+             1.0 - dma_fused.core_l2_accesses / core_fused.l2_accesses,
+             pub["fused"]["l2"]),
+        ):
+            exp.add(f"{name} {label} reduction", measured, published, unit="frac")
     return exp
 
 
-def sec732_memory_system(scale: float = HARDWARE_SCALE) -> Experiment:
+def sec732_memory_system(ctx: Optional[BenchContext] = None) -> Experiment:
     """Section 7.3.2: L2 miss rate and stall-time changes with DMA."""
+    ctx = ctx or BenchContext()
     exp = Experiment("sec732", "Memory-system improvement from the DMA engine")
-    from ..kernels.base import UpdateParams
-
-    f_in = HARDWARE_FEATURES
     for name in ("products", "wikipedia"):
-        graph = _hardware_setup(name, scale)
-        h = np.zeros((graph.num_vertices, f_in), dtype=np.float32)
-        params = UpdateParams(
-            weight=np.zeros((f_in, f_in), dtype=np.float32),
-            bias=np.zeros(f_in, dtype=np.float32),
-        )
+        graph = ctx.graph(name, hardware=True)
         pub = paper.SEC732_MEMORY_SYSTEM[name]
-        fused = CoreAggregationSim(cache_scale=HARDWARE_CACHE_SCALE).run(
-            graph, f_in, fused_update_features=f_in
-        )
-        runner = DmaOffloadRunner(cache_scale=HARDWARE_CACHE_SCALE)
-        _, _, dma = runner.run_layer(graph, h, params=params)
+        fused, dma = _core_sim(graph, fused=True), _dma_sim(graph)
         exp.add(f"{name} L2 miss before", fused.l2_miss_rate, pub["l2_miss_before"], "frac")
         exp.add(f"{name} L2 miss after", dma.l2_miss_rate, pub["l2_miss_after"], "frac")
-        exp.add(
-            f"{name} stall before",
-            fused.memory_stall_fraction,
-            pub["stall_before"],
-            "frac",
-        )
-        exp.add(
-            f"{name} stall after", dma.core_wait_fraction, pub["stall_after"], "frac"
-        )
+        exp.add(f"{name} stall before", fused.memory_stall_fraction,
+                pub["stall_before"], "frac")
+        exp.add(f"{name} stall after", dma.core_wait_fraction, pub["stall_after"], "frac")
     return exp
+
+
+class PlanEntry(NamedTuple):
+    """One paper artifact: its report title and its run on a context."""
+
+    title: str
+    call: Callable[[BenchContext], Experiment]
+
+
+#: Every paper artifact, by key, in report order: the choices of
+#: ``repro experiment`` and the sections of EXPERIMENTS.md.
+PLAN: Dict[str, PlanEntry] = {
+    "fig2": PlanEntry("GPU sampled-training epoch breakdown", fig2_gpu_sampling),
+    "fig3": PlanEntry("Baseline pipeline-slot breakdown", fig3_topdown),
+    "tab3": PlanEntry("Dataset twins vs Table 3", tab3_datasets),
+    "fig11a": PlanEntry(
+        "Software speedups, GCN inference", fig11_software_speedups),
+    "fig11a-sage": PlanEntry(
+        "Software speedups, SAGE inference",
+        lambda ctx: fig11_software_speedups(ctx, gnn="sage")),
+    "fig11b": PlanEntry(
+        "Software speedups, GCN training",
+        lambda ctx: fig11_software_speedups(ctx, training=True)),
+    "fig11b-sage": PlanEntry(
+        "Software speedups, SAGE training",
+        lambda ctx: fig11_software_speedups(ctx, training=True, gnn="sage")),
+    "fig13": PlanEntry("Fusion time breakdown", fig13_fusion_breakdown),
+    "fig14a": PlanEntry("Compression sweep, inference", fig14_compression_sweep),
+    "fig14b": PlanEntry(
+        "Compression sweep, training",
+        lambda ctx: fig14_compression_sweep(ctx, training=True)),
+    "fig15": PlanEntry("Locality vs randomized order", fig15_locality),
+    "tab4": PlanEntry("Memory characterization", tab4_characterization),
+    "fig12a": PlanEntry("Simulated DMA speedups, inference", fig12_dma_speedups),
+    "fig12b": PlanEntry(
+        "Simulated DMA speedups, training",
+        lambda ctx: fig12_dma_speedups(ctx, training=True)),
+    "fig16": PlanEntry("Tracking-table size sweep", fig16_tracking_table),
+    "tab5": PlanEntry("Private-cache access reduction", tab5_cache_reduction),
+    "sec732": PlanEntry("Memory-system improvement", sec732_memory_system),
+}

@@ -28,9 +28,11 @@ Subcommands:
 * ``loadgen`` — drive a running serving endpoint: open-loop Poisson
   arrivals (``--rate``) or closed-loop concurrency, with client-side
   latency percentiles.
-* ``experiment`` — run one named paper artifact (fig2 ... tab5): the
-  Table-3 twin statistics, Figure 11's speedup columns, Table 4 and the
-  rest.
+* ``experiment`` — run one named paper artifact, a key of
+  :data:`repro.bench.figures.PLAN` (fig2 ... sec732): the Table-3 twin
+  statistics, Figure 11's speedup columns, Table 4 and the rest, at
+  ``--scale`` (the simulated ones at the fixed fraction of it the
+  figures module documents).
 
 Global flags: ``-v/--verbose`` (repeatable), ``-q/--quiet``, and
 ``--version``.  Every flag that names a file the command writes is
@@ -59,7 +61,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import graphs, lanes, obs
-from .bench import Experiment
+from .bench import Experiment, figures
 from .kernels import BasicKernel
 from .nn import Adam, Trainer, build_model
 from .parallel import SHARD_BACKENDS, ShardedTrainer, ShardWorkerDied
@@ -384,6 +386,7 @@ def _train_sharded(args, graph, features, labels, model) -> int:
     small for the bundle, or a shard worker that dies, is one ``error:``
     line on stderr and exit code 1."""
     backend = args.backend or "serial"
+    args.partition = args.partition or "greedy"
     meta = _meta(
         args, "dataset", "scale", "model", "epochs", "shards", "partition",
         backend=backend,
@@ -657,15 +660,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     common = dict(
         duration_s=args.duration, num_vertices=args.vertices,
-        mode=args.mode, seed=args.seed,
+        mode=args.mode, seed=args.seed, timeout_s=args.timeout,
     )
     if args.sweep:
         results = concurrency_sweep(args.url, levels=args.sweep, **common)
     else:
         results = [
             run_loadgen(
-                args.url, rate=args.rate, concurrency=args.concurrency,
-                timeout_s=args.timeout, **common,
+                args.url, rate=args.rate, concurrency=args.concurrency or 4,
+                **common,
             )
         ]
     for result in results:
@@ -678,35 +681,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if total and completed else 1
 
 
-#: ``experiment NAME`` -> its call into :mod:`repro.bench.figures`, given
-#: that module, a ``BenchContext`` at ``--scale`` (twins are built on
-#: first use, so the simulator figures that take none build nothing) and
-#: the parsed arguments.
-_EXPERIMENTS = {
-    "fig2": lambda fig, ctx, args: fig.fig2_gpu_sampling(ctx),
-    "fig3": lambda fig, ctx, args: fig.fig3_topdown(ctx),
-    "tab3": lambda fig, ctx, args: fig.tab3_datasets(ctx),
-    "fig11a": lambda fig, ctx, args: fig.fig11_software_speedups(ctx),
-    "fig11b": lambda fig, ctx, args: fig.fig11_software_speedups(
-        ctx, training=True),
-    "fig13": lambda fig, ctx, args: fig.fig13_fusion_breakdown(ctx),
-    "fig14": lambda fig, ctx, args: fig.fig14_compression_sweep(
-        ctx, training=args.training),
-    "fig15": lambda fig, ctx, args: fig.fig15_locality(ctx),
-    "tab4": lambda fig, ctx, args: fig.tab4_characterization(ctx),
-    "fig12a": lambda fig, ctx, args: fig.fig12_dma_speedups(),
-    "fig12b": lambda fig, ctx, args: fig.fig12_dma_speedups(training=True),
-    "fig16": lambda fig, ctx, args: fig.fig16_tracking_table(),
-    "tab5": lambda fig, ctx, args: fig.tab5_cache_reduction(),
-    "sec732": lambda fig, ctx, args: fig.sec732_memory_system(),
-}
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .bench import figures
-
     ctx = figures.BenchContext(scale=args.scale)
-    print(_EXPERIMENTS[args.name](figures, ctx, args).render())
+    print(figures.PLAN[args.name].call(ctx).render())
     return 0
 
 
@@ -774,8 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
         "runs the zero-copy shared-memory pool)",
     )
     p.add_argument(
-        "--partition", choices=graphs.PARTITION_METHODS, default="greedy",
-        help="edge-cut partition method for --shards > 1",
+        "--partition", choices=graphs.PARTITION_METHODS, default=None,
+        help="edge-cut partition method for --shards > 1 (default greedy)",
     )
     _add_telemetry_flags(p, "--trace", "--json", "--serve-metrics")
     p.add_argument(
@@ -932,13 +909,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop Poisson arrival rate (default: closed loop)",
     )
     p.add_argument(
-        "--concurrency", type=_positive_int, default=4,
-        help="worker threads (closed loop) / dispatch pool size (open loop)",
+        "--concurrency", type=_positive_int, default=None,
+        help="worker threads (closed loop) / dispatch pool size (open "
+        "loop); default 4",
     )
     p.add_argument(
         "--sweep", type=_positive_int, nargs="+", default=None,
         metavar="C",
-        help="closed-loop sweep over these concurrency levels",
+        help="closed-loop sweep over these concurrency levels (its levels "
+        "are the concurrency: no --rate or --concurrency)",
     )
     p.add_argument(
         "--vertices", type=_positive_int, default=64,
@@ -953,9 +932,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser("experiment", help="run one paper artifact")
-    p.add_argument("name", choices=sorted(_EXPERIMENTS))
-    p.add_argument("--scale", type=_positive_float, default=0.5)
-    p.add_argument("--training", action="store_true")
+    p.add_argument("name", choices=list(figures.PLAN))
+    p.add_argument("--scale", type=_positive_float,
+                   default=figures.SOFTWARE_SCALE)
     p.set_defaults(func=_cmd_experiment)
 
     return parser
@@ -965,11 +944,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.func is _cmd_train:
-        if args.backend is not None and args.shards == 1:
-            parser.error(
-                "train: --backend selects the sharded runtime; "
-                "it needs --shards N > 1"
-            )
+        for flag, given in (("--backend", args.backend),
+                            ("--partition", args.partition)):
+            if given is not None and args.shards == 1:
+                parser.error(
+                    f"train: {flag} configures the sharded runtime; "
+                    "it needs --shards N > 1"
+                )
         if args.shards > 1:
             unsupported = [flag for flag, given in (
                 ("--dropout", args.dropout), ("--events", args.events),
@@ -979,6 +960,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parser.error(
                     f"train: {', '.join(unsupported)} cannot be combined "
                     "with --shards N > 1"
+                )
+    if args.func is _cmd_loadgen and args.sweep:
+        for flag, given in (("--rate", args.rate),
+                            ("--concurrency", args.concurrency)):
+            if given is not None:
+                parser.error(
+                    f"loadgen: {flag} cannot be combined with --sweep, a "
+                    "closed-loop run at each of its concurrency levels"
                 )
     _configure_logging(args.verbose - args.quiet)
     logger.info("running %s", args.command)

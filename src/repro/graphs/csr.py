@@ -154,12 +154,6 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Derived structures
     # ------------------------------------------------------------------
-    def has_self_loops(self) -> bool:
-        for v in range(self.num_vertices):
-            if v in self.neighbors(v):
-                return True
-        return False
-
     def csc_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Transpose-CSR (CSC) view of the adjacency, cached on the graph.
 

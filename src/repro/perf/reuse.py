@@ -112,9 +112,6 @@ class ReuseProfile:
         hits = int(np.count_nonzero(self.distances < capacity))
         return hits / self.num_accesses
 
-    def miss_rate(self, capacity_vectors: float) -> float:
-        return 1.0 - self.hit_rate(capacity_vectors)
-
 
 def reuse_profile(graph: CSRGraph, order: Optional[np.ndarray] = None) -> ReuseProfile:
     """Compute the reuse profile of aggregating ``graph`` in ``order``."""

@@ -218,6 +218,7 @@ def concurrency_sweep(
     num_vertices: int = 1,
     mode: str = "classify",
     seed: int = 0,
+    timeout_s: float = 10.0,
 ) -> List[LoadgenResult]:
     """Closed-loop qps/latency at each concurrency level, in order."""
     return [
@@ -229,6 +230,7 @@ def concurrency_sweep(
             num_vertices=num_vertices,
             mode=mode,
             seed=seed + level,
+            timeout_s=timeout_s,
         )
         for level in levels
     ]

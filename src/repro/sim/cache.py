@@ -25,10 +25,6 @@ class CacheStats:
     installs: int = 0
 
     @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 

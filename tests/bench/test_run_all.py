@@ -1,22 +1,17 @@
-"""Tests for the consolidated benchmark artifact (BENCH_results.json)."""
+"""The paper plane's one run: ``benchmarks/run_all.py`` over every entry
+of ``figures.PLAN`` (the session's ``paper_run``), its two documents and
+its shape criteria."""
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
 from repro.bench import Experiment
+from repro.bench.figures import PLAN, SOFTWARE_SCALE
 
-_RUN_ALL = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "run_all.py"
-
-
-@pytest.fixture(scope="module")
-def run_all():
-    spec = importlib.util.spec_from_file_location("run_all", _RUN_ALL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+#: A scale below the document's, at which every criterion but the
+#: paper-deviation bounds applies.
+SCALE = 0.25
 
 
 class TestBuildResultsDoc:
@@ -48,36 +43,83 @@ class TestBuildResultsDoc:
             run_all.build_results_doc(self._results(), 0.0, 0.0, 1.0)
         )
 
-    def test_plan_keys_unique(self, run_all):
-        from repro.bench.figures import BenchContext
+    def test_plan_keys_unique(self):
+        """One list of keys: each plan key is a ``repro experiment``
+        name, and no two differ only in case."""
+        from repro.cli import build_parser
 
-        keys = [key for key, _, _ in run_all.experiment_plan(BenchContext())]
-        assert len(keys) == len(set(keys))
+        parser = build_parser()
+        for key in PLAN:
+            assert parser.parse_args(["experiment", key]).name == key
+        assert len({key.lower() for key in PLAN}) == len(PLAN)
+
+
+class TestCriteria:
+    def test_every_plan_key_has_a_criterion(self, run_all):
+        criteria = run_all.criteria
+        keys = [c.key for c in criteria.CRITERIA]
+        assert set(keys) == set(PLAN)
+        named = [(c.key, c.name) for c in criteria.CRITERIA]
+        assert len(named) == len(set(named))
+
+    def test_only_the_deviation_bounds_are_document_only(self, run_all):
+        criteria = run_all.criteria
+        document_only = [c for c in criteria.CRITERIA if c.document_only]
+        assert document_only
+        assert all("paper deviation" in c.name for c in document_only)
+        assert len(criteria.applicable(SOFTWARE_SCALE)) == len(criteria.CRITERIA)
+        assert len(criteria.applicable(SCALE)) == (
+            len(criteria.CRITERIA) - len(document_only))
+
+    def test_a_missing_row_fails_its_criterion(self, run_all):
+        criteria = run_all.criteria
+        empty = {key: Experiment(key, "no rows") for key in PLAN}
+        failed = criteria.failed(empty, SCALE)
+        assert "fig3: retiring below 0.2" in failed
+        assert "fig13: paper deviation below 0.35" not in failed
+
+    def test_a_failing_criterion_exits_1_and_is_named(
+        self, run_all, tmp_path, monkeypatch, capsys
+    ):
+        criteria = run_all.criteria
+        monkeypatch.setattr(run_all, "PLAN", {"tab3": PLAN["tab3"]})
+        monkeypatch.setattr(criteria, "CRITERIA", [
+            criteria.Criterion("tab3", "planted", lambda v, e: False),
+            criteria.Criterion("tab3", "holds", lambda v, e: True),
+        ])
+        code = run_all.main([str(tmp_path / "out.md"), "--json", "",
+                             "--scale", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "criteria: 1 of 2 hold at scale 0.05" in captured.out
+        assert captured.err == "FAILED tab3: planted\n"
+        assert (tmp_path / "out.md").exists()
 
 
 class TestMain:
-    def test_only_subset_writes_both_artifacts(
-        self, run_all, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        code = run_all.main([
-            "out.md", "--json", "results.json",
-            "--scale", "0.1", "--only", "tab3",
-            "--timestamp", "42.0",
-        ])
-        assert code == 0
-        assert (tmp_path / "out.md").exists()
-        doc = json.loads((tmp_path / "results.json").read_text())
-        assert doc["generated_unix"] == 42.0
-        assert [e["key"] for e in doc["experiments"]] == ["tab3"]
-
-    def test_unknown_key_rejected(self, run_all, capsys):
-        with pytest.raises(SystemExit):
-            run_all.main(["out.md", "--only", "nope"])
-
     def test_empty_json_flag_skips(self, run_all, tmp_path, monkeypatch, capsys):
+        criteria = run_all.criteria
         monkeypatch.chdir(tmp_path)
-        assert run_all.main(["out.md", "--json", "", "--scale", "0.1",
-                             "--only", "tab3"]) == 0
+        monkeypatch.setattr(run_all, "PLAN", {"tab3": PLAN["tab3"]})
+        monkeypatch.setattr(criteria, "CRITERIA", [
+            c for c in criteria.CRITERIA if c.key == "tab3"])
+        assert run_all.main(["out.md", "--json", "", "--scale", str(SCALE)]) == 0
+        assert (tmp_path / "out.md").exists()
         assert not (tmp_path / "BENCH_results.json").exists()
 
+    def test_every_criterion_holds(self, run_all, paper_run):
+        assert (paper_run.code, paper_run.err) == (0, "")
+        checked = len(run_all.criteria.applicable(paper_run.scale))
+        assert (f"criteria: {checked} of {checked} hold at scale "
+                f"{paper_run.scale}") in paper_run.out
+
+    def test_writes_one_section_per_plan_entry(self, paper_run):
+        out = paper_run.directory
+        document = (out / "EXPERIMENTS.md").read_text()
+        titles = [line.split(" — ", 1)[1] for line in document.splitlines()
+                  if line.startswith("## ") and " — " in line]
+        assert titles == [entry.title for entry in PLAN.values()]
+        doc = json.loads((out / "results.json").read_text())
+        assert [e["key"] for e in doc["experiments"]] == list(PLAN)
+        assert doc["scale"] == paper_run.scale
+        assert doc["summary"]["experiments"] == len(PLAN)

@@ -1,10 +1,14 @@
 """Shared fixtures: small graphs and features reused across the suite."""
 
+import contextlib
+import io
 import logging
 import multiprocessing
 import os
+import pathlib
 import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -172,3 +176,50 @@ def s3_round_trip():
     """``h`` through the S3 format and back: ``compress_matrix`` then
     ``decompress_matrix``."""
     return lambda h: decompress_matrix(compress_matrix(h))
+
+
+@pytest.fixture(scope="session")
+def run_all():
+    """``benchmarks/run_all.py`` as a module.  It imports ``criteria``
+    from beside itself, as it does when run as a script."""
+    import importlib.util
+    import sys
+
+    benchmarks = str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks")
+    sys.path.insert(0, benchmarks)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "run_all", f"{benchmarks}/run_all.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(benchmarks)
+    return module
+
+
+#: The scale the test suite runs the paper plan at.  Every criterion but
+#: the paper-deviation bounds holds here; the hardware twins are 0.075.
+PAPER_SCALE = 0.25
+
+
+class PaperRun(NamedTuple):
+    code: int
+    out: str
+    err: str
+    directory: pathlib.Path
+    scale: float
+
+
+@pytest.fixture(scope="session")
+def paper_run(run_all, tmp_path_factory) -> PaperRun:
+    """One run of the whole plan at ``PAPER_SCALE`` into a temp directory
+    (``EXPERIMENTS.md``, ``results.json``), shared by the session."""
+    out = tmp_path_factory.mktemp("paper")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_all.main([
+            str(out / "EXPERIMENTS.md"), "--json", str(out / "results.json"),
+            "--scale", str(PAPER_SCALE),
+        ])
+    return PaperRun(code, stdout.getvalue(), stderr.getvalue(), out,
+                    PAPER_SCALE)

@@ -73,10 +73,6 @@ class TestValidation:
 
 class TestDerived:
 
-    def test_has_self_loops(self, tiny_graph):
-        assert not tiny_graph.has_self_loops()
-        assert CSRGraph.from_edges(3, [(0, 1), (2, 2)]).has_self_loops()
-
     def test_reverse_transposes(self, tiny_graph):
         rev = tiny_graph.reverse()
         assert rev.num_edges == tiny_graph.num_edges

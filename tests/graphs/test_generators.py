@@ -173,4 +173,5 @@ class TestCommunityGraph:
 
     def test_no_self_edges_within_communities(self):
         graph = community_graph(256, 12.0, 16, within_fraction=1.0, seed=0)
-        assert not graph.has_self_loops()
+        targets = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+        assert not np.any(graph.indices == targets)

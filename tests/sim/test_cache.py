@@ -31,7 +31,7 @@ class TestBasics:
         cache = SetAssociativeCache(1024, 2)
         cache.access(0)
         cache.access(0)
-        assert cache.stats.miss_rate == 0.5
+        assert cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
 
     def test_invalid_dimensions(self):

@@ -20,7 +20,7 @@ class TestParser:
 
     def test_experiment_defaults(self):
         args = build_parser().parse_args(["experiment", "tab3"])
-        assert args.scale == 0.5 and not args.training
+        assert args.scale == 0.5 and not hasattr(args, "training")
 
     def test_experiment_validates_name(self):
         with pytest.raises(SystemExit):
@@ -120,6 +120,12 @@ class TestParser:
         # the error still names the flag, not the dataset.
         (["bench-sharded", "--delay-aggregation", "3"], "--delay-aggregation"),
         (["serve", "--bogus", "3"], "--bogus"),
+        # Checked in main(): each once ran and ignored the flag.
+        (["train", "products", "--partition", "bfs"], "--partition"),
+        (["loadgen", "http://127.0.0.1:9", "--sweep", "1", "2",
+          "--rate", "5"], "--rate"),
+        (["loadgen", "http://127.0.0.1:9", "--sweep", "1",
+          "--concurrency", "3"], "--concurrency"),
     ])
     def test_values_refused_before_any_work(self, argv, flag, capsys):
         """Each once ended in a traceback, a bind error or a silent run
@@ -247,6 +253,25 @@ class TestCommands:
         assert captured.out == ""
         assert "invalid choice: 'fig99'" in captured.err
 
+    def test_loadgen_sweep_keeps_the_timeout(self, capsys):
+        """Each ``--sweep`` level runs with ``--timeout``: against a
+        server that accepts connections and never answers, a 0.2 s
+        timeout ends the sweep long before the 10 s default would."""
+        import socket
+        import time
+
+        with socket.socket() as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.listen()
+            url = "http://127.0.0.1:%d" % silent.getsockname()[1]
+            start = time.perf_counter()
+            code = main(["loadgen", url, "--sweep", "1", "--duration", "0.1",
+                         "--timeout", "0.2"])
+            elapsed = time.perf_counter() - start
+        assert code == 1  # every request timed out
+        assert elapsed < 5.0
+        assert "closed-loop x1" in capsys.readouterr().out
+
     def test_profile(self, capsys):
         code = main([
             "profile", "--vertices", "300", "--epochs", "1",
@@ -276,7 +301,7 @@ class TestShardedTraining:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["train", "products"])
         assert args.shards == 1
-        assert args.partition == "greedy"
+        assert args.partition is None  # greedy once sharded
 
     def test_bench_sharded_parser_defaults(self):
         args = build_parser().parse_args(["bench-sharded"])

@@ -21,8 +21,8 @@ choice or switch therefore gets a row without anyone adding one.
 Every row asserts its exit code (0, or the documented 2) and opts into
 ``no_leaked_resources``: no child process, ``/dev/shm`` entry or thread
 is left behind.  ``experiment`` rows run every paper artifact at
-``--scale 0.05``; fig12a, fig12b and tab5 ignore ``--scale`` and take
-most of the matrix's time.
+``--scale 0.05`` (the simulated ones on 0.015 twins); their shape
+criteria are checked by ``tests/bench/test_run_all.py``.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ BASE: dict[str, tuple[dict[str, str], list[str]]] = {
         "--hidden", "8"]),
     "top": ({"path": "{events}"}, []),
     "serve": ({"dataset": "products"}, [*TINY, "--epochs", "0"]),
-    "loadgen": ({"url": "{url}"}, ["--vertices", "16", "--concurrency", "2"]),
-    # fig14 is the one artifact --training changes.
-    "experiment": ({"name": "fig14"}, ["--scale", "0.05"]),
+    "loadgen": ({"url": "{url}"}, ["--vertices", "16"]),
+    "experiment": ({"name": "tab3"}, ["--scale", "0.05"]),
 }
 
 #: (command, flag) -> (the partner arguments that make the flag act, the
@@ -59,7 +58,7 @@ BASE: dict[str, tuple[dict[str, str], list[str]]] = {
 #: else None: alone, the flag is accepted and idle).
 PARTNERS: dict[tuple[str, str], tuple[list[str], int | None]] = {
     ("train", "--backend"): (["--shards", "2"], 2),
-    ("train", "--partition"): (["--shards", "2"], None),
+    ("train", "--partition"): (["--shards", "2"], 2),
     ("top", "--check"): (["--rules", "{rules}"], 2),
 }
 

@@ -3,13 +3,14 @@ sampling profiler, the chunk executor, the consumer-less telemetry
 outputs (dashboard, Perfetto export, ``--attrib``, ``--sample-proc``),
 the commands that re-printed ``repro experiment`` rows (``datasets``,
 ``speedup``, ``characterize``), the variant kernel classes with
-``profile --kernel`` and the sharded trainer's delayed aggregation are
-deleted, not defaulted: perfbench is the only judge of speed, the span
-plane is the only phase breakdown, lanes are the only in-process
-parallelism, every telemetry output left has a reader, each paper
-artifact has one command, the value plane runs one aggregation kernel
-while the cost model prices the paper's variants, and sharded training
-is exact.
+``profile --kernel``, the sharded trainer's delayed aggregation and the
+paper plane's second experiment table (``experiment --training``,
+``run_all.py --only / --timestamp``) are deleted, not defaulted:
+perfbench is the only judge of speed, the span plane is the only phase
+breakdown, lanes are the only in-process parallelism, every telemetry
+output left has a reader, each paper artifact has one command and one
+plan entry, the value plane runs one aggregation kernel while the cost
+model prices the paper's variants, and sharded training is exact.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
@@ -19,14 +20,11 @@ command.
 import importlib
 import importlib.util
 import inspect
-import pathlib
 
 import pytest
 
 import repro.obs
 from repro.cli import main
-
-_RUN_ALL = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "run_all.py"
 
 
 #: One small run per command, so a flag the parser fails to refuse
@@ -65,10 +63,7 @@ class TestSecondLedgerIsGone:
         assert not (tmp_path / "h.jsonl").exists()
 
     @pytest.mark.parametrize("flag", ["--history", "--dashboard"])
-    def test_run_all_writes_no_history(self, flag, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location("run_all", _RUN_ALL)
-        run_all = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run_all)
+    def test_run_all_writes_no_history(self, flag, run_all, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_all.main([str(tmp_path / "out.md"), flag, str(tmp_path / "f")])
         assert excinfo.value.code == 2
@@ -242,3 +237,36 @@ class TestDelayedAggregationIsGone:
         model = build_model("gcn", 8, 8, 4, seed=0)
         with pytest.raises(TypeError, match="unexpected keyword"):
             ShardedTrainer(graph, model, Adam(model), **keyword)
+
+
+class TestOnePaperPlan:
+    def test_experiment_training_flag_exits_2(self, capsys):
+        """fig14's training panel is its own plan entry, ``fig14b``."""
+        assert _exit_code(["experiment", "fig14", "--training"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--only", "tab3"], ["--timestamp", "42"]])
+    def test_run_all_subset_and_clock_flags_exit_2(
+        self, flag, run_all, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            run_all.main([str(tmp_path / "out.md"), *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out.md").exists()
+
+    def test_hardware_figures_follow_scale(self, monkeypatch, capsys):
+        """The simulated figures build their twins at 0.3x ``--scale``
+        (0.15 at the document's 0.5), not at a scale of their own."""
+        from repro.bench import figures
+
+        scales = []
+        real = figures.load_dataset
+
+        def recording(name, scale, seed=0):
+            scales.append(scale)
+            return real(name, scale=scale, seed=seed)
+
+        monkeypatch.setattr(figures, "load_dataset", recording)
+        assert main(["experiment", "fig12b", "--scale", "0.05"]) == 0
+        assert scales == [pytest.approx(0.015)] * 2  # products, wikipedia
