@@ -33,8 +33,9 @@ Generated by ``python benchmarks/run_all.py``.  Every table and figure of
 the paper's evaluation, regenerated on the scaled dataset twins (see
 DESIGN.md for the substitution rationale).  ``ratio`` is measured/paper;
 1.00 is an exact reproduction.  Shape criteria (who wins, orderings,
-crossovers, knees) are asserted by the benchmark suite in
-``benchmarks/``; this file records the raw numbers.
+crossovers, knees) are the rows of ``benchmarks/criteria.py``, checked
+by every run of ``run_all.py`` (exit 1 names each failed row); this
+file records the raw numbers.
 
 Caveats recorded up front:
 
