@@ -20,7 +20,7 @@ products and wikipedia due to very long simulation times" (Section 6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class BenchContext:
 FIG2_BATCH_MAP = {1024: 32, 2048: 64, 4096: 128}
 
 
-def fig2_gpu_sampling(ctx: Optional[BenchContext] = None) -> Experiment:
+def fig2_gpu_sampling(ctx: BenchContext) -> Experiment:
     """Figure 2: sampled-GNN GPU training epoch breakdown.
 
     Absolute seconds are not comparable across a 1000x graph-scale gap,
@@ -106,7 +106,6 @@ def fig2_gpu_sampling(ctx: Optional[BenchContext] = None) -> Experiment:
     share of epoch time (>80% in the paper) and the epoch time relative
     to batch-1024 (smaller batches are slower).
     """
-    ctx = ctx or BenchContext()
     exp = Experiment("fig2", "Sampled GraphSAGE on GPU: epoch time breakdown")
     graph = ctx.graph("products")
     breakdowns = {
@@ -134,9 +133,8 @@ def fig2_gpu_sampling(ctx: Optional[BenchContext] = None) -> Experiment:
     return exp
 
 
-def fig3_topdown(ctx: Optional[BenchContext] = None) -> Experiment:
+def fig3_topdown(ctx: BenchContext) -> Experiment:
     """Figure 3: pipeline-slot breakdown of the DGL/DistGNN baseline."""
-    ctx = ctx or BenchContext()
     exp = Experiment("fig3", "Pipeline slots of full-batch SAGE training (baseline)")
     model = ctx.cost_model("products")
     report = characterize(
@@ -150,9 +148,8 @@ def fig3_topdown(ctx: Optional[BenchContext] = None) -> Experiment:
     return exp
 
 
-def tab3_datasets(ctx: Optional[BenchContext] = None) -> Experiment:
+def tab3_datasets(ctx: BenchContext) -> Experiment:
     """Table 3: dataset statistics of the twins vs the originals."""
-    ctx = ctx or BenchContext()
     exp = Experiment("tab3", "Dataset twins vs Table 3 (mean degree preserved)")
     for name in ("products", "wikipedia", "papers", "twitter"):
         stats = graph_stats(ctx.graph(name))
@@ -172,12 +169,11 @@ def tab3_datasets(ctx: Optional[BenchContext] = None) -> Experiment:
 # Software evaluation
 # ----------------------------------------------------------------------
 def fig11_software_speedups(
-    ctx: Optional[BenchContext] = None,
+    ctx: BenchContext,
     training: bool = False,
     gnn: str = "gcn",
 ) -> Experiment:
     """Figure 11: software speedups over DistGNN (inference or training)."""
-    ctx = ctx or BenchContext()
     which = "training" if training else "inference"
     exp = Experiment(
         "fig11b" if training else "fig11a",
@@ -199,9 +195,8 @@ def fig11_software_speedups(
     return exp
 
 
-def fig13_fusion_breakdown(ctx: Optional[BenchContext] = None) -> Experiment:
+def fig13_fusion_breakdown(ctx: BenchContext) -> Experiment:
     """Figure 13: basic agg/update split and fused time, GCN hidden layers."""
-    ctx = ctx or BenchContext()
     exp = Experiment(
         "fig13", "Hidden-layer time breakdown, normalized to basic (GCN)"
     )
@@ -251,10 +246,9 @@ def fig13_fusion_breakdown(ctx: Optional[BenchContext] = None) -> Experiment:
 
 
 def fig14_compression_sweep(
-    ctx: Optional[BenchContext] = None, training: bool = False
+    ctx: BenchContext, training: bool = False
 ) -> Experiment:
     """Figure 14: compression speedup over basic across sparsities."""
-    ctx = ctx or BenchContext()
     which = "training" if training else "inference"
     exp = Experiment("fig14", f"compression over basic vs sparsity, GCN {which}")
     published = paper.FIG14_COMPRESSION[which]
@@ -277,9 +271,8 @@ def fig14_compression_sweep(
     return exp
 
 
-def fig15_locality(ctx: Optional[BenchContext] = None) -> Experiment:
+def fig15_locality(ctx: BenchContext) -> Experiment:
     """Figure 15: combined and c-locality over the randomized average."""
-    ctx = ctx or BenchContext()
     exp = Experiment("fig15", "Speedup over randomized order, GCN training")
     for name in ("products", "wikipedia", "papers", "twitter"):
         model = ctx.cost_model(name)
@@ -304,9 +297,8 @@ def fig15_locality(ctx: Optional[BenchContext] = None) -> Experiment:
     return exp
 
 
-def tab4_characterization(ctx: Optional[BenchContext] = None) -> Experiment:
+def tab4_characterization(ctx: BenchContext) -> Experiment:
     """Table 4: memory characterization of GCN training."""
-    ctx = ctx or BenchContext()
     exp = Experiment("tab4", "GCN training characterization (key columns)")
     for name in ("products", "wikipedia", "papers", "twitter"):
         model = ctx.cost_model(name)
@@ -365,10 +357,9 @@ def _dma_sim(graph: CSRGraph, fused: bool = True, tracking_entries=None):
 
 
 def fig12_dma_speedups(
-    ctx: Optional[BenchContext] = None, training: bool = False
+    ctx: BenchContext, training: bool = False
 ) -> Experiment:
     """Figure 12: simulated speedups of fusion and fusion+DMA over DistGNN."""
-    ctx = ctx or BenchContext()
     which = "training" if training else "inference"
     exp = Experiment(
         "fig12b" if training else "fig12a",
@@ -403,9 +394,8 @@ def fig12_dma_speedups(
     return exp
 
 
-def fig16_tracking_table(ctx: Optional[BenchContext] = None) -> Experiment:
+def fig16_tracking_table(ctx: BenchContext) -> Experiment:
     """Figure 16: DMA-aggregation time vs tracking-table entries."""
-    ctx = ctx or BenchContext()
     exp = Experiment(
         "fig16", "DMA-aggregation time on wikipedia vs tracking-table entries"
     )
@@ -424,9 +414,8 @@ def fig16_tracking_table(ctx: Optional[BenchContext] = None) -> Experiment:
     return exp
 
 
-def tab5_cache_reduction(ctx: Optional[BenchContext] = None) -> Experiment:
+def tab5_cache_reduction(ctx: BenchContext) -> Experiment:
     """Table 5: private-cache access reduction from the DMA engine."""
-    ctx = ctx or BenchContext()
     exp = Experiment("tab5", "Private cache access reduction with DMA")
     for name in ("products", "wikipedia"):
         graph = ctx.graph(name, hardware=True)
@@ -451,9 +440,8 @@ def tab5_cache_reduction(ctx: Optional[BenchContext] = None) -> Experiment:
     return exp
 
 
-def sec732_memory_system(ctx: Optional[BenchContext] = None) -> Experiment:
+def sec732_memory_system(ctx: BenchContext) -> Experiment:
     """Section 7.3.2: L2 miss rate and stall-time changes with DMA."""
-    ctx = ctx or BenchContext()
     exp = Experiment("sec732", "Memory-system improvement from the DMA engine")
     for name in ("products", "wikipedia"):
         graph = ctx.graph(name, hardware=True)

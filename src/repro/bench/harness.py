@@ -89,22 +89,18 @@ class Experiment:
         }
 
     # ------------------------------------------------------------------
-    def shape_holds(
-        self,
-        expected_order: Sequence[str],
-        tolerance: float = 0.0,
-    ) -> bool:
+    def shape_holds(self, expected_order: Sequence[str]) -> bool:
         """Check that measured values are ordered like the paper says.
 
         ``expected_order`` lists row labels from smallest to largest
-        expected measurement; ``tolerance`` allows small inversions.
+        expected measurement; ties hold, an inversion of any size fails.
         """
         values = {row.label: row.measured for row in self.rows}
         missing = [label for label in expected_order if label not in values]
         if missing:
             raise KeyError(f"rows missing for shape check: {missing}")
         seq = [values[label] for label in expected_order]
-        return all(b >= a * (1.0 - tolerance) for a, b in zip(seq, seq[1:]))
+        return all(b >= a for a, b in zip(seq, seq[1:]))
 
     def max_paper_deviation(self) -> Optional[float]:
         """Largest |measured/paper - 1| over rows that have paper values."""

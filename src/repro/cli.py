@@ -64,6 +64,7 @@ from . import graphs, lanes, obs
 from .bench import Experiment, figures
 from .kernels import BasicKernel
 from .nn import Adam, Trainer, build_model
+from .nn.functional import cross_entropy
 from .parallel import SHARD_BACKENDS, ShardedTrainer, ShardWorkerDied
 from .perf import CostModel
 
@@ -452,7 +453,7 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
                 trainer.fit(features, labels, epochs=1)  # setup + warmup
                 start = time.perf_counter()
                 for _ in range(args.epochs):
-                    trainer.train_epoch()
+                    loss = trainer.train_epoch().loss
                 elapsed = time.perf_counter() - start
                 epoch_s = elapsed / args.epochs
                 rate = 1.0 / epoch_s
@@ -467,7 +468,7 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
             exp.add(f"{shards} shards efficiency", efficiency, unit="x")
             exp.note(
                 f"{shards} shards: cut {cut:.1%}, halo {halo_mb:.2f} MiB/epoch,"
-                f" worker payload {setup_max} B"
+                f" worker payload {setup_max} B, final loss {loss:.4f}"
             )
     print(exp.render())
     return 0
@@ -556,9 +557,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
     )
     if args.follow:
         monitor.follow(
-            interval_s=args.interval, refresh_limit=args.refresh_limit
+            interval_s=1.0 if args.interval is None else args.interval,
+            refresh_limit=args.refresh_limit,
         )
-    else:  # --once (the default): one poll, one frame
+    else:  # the default: one poll, one frame
         monitor.poll()
         print(monitor.render())
     if args.check and not rules.ok:
@@ -572,7 +574,7 @@ def _build_serving_service(args) -> tuple:
 
     Dataset twin + synthetic features/labels, a short training run (the
     service answers from whatever the model learned), then the serving
-    pipeline with the batcher knobs from the command line.
+    pipeline, whose start-up forward fills the answer table.
     """
     from .serve import InferenceService
 
@@ -588,9 +590,12 @@ def _build_serving_service(args) -> tuple:
             aggregation_kernel=BasicKernel(),
         )
         trainer.fit(graph, features, labels, epochs=args.epochs)
-    service = InferenceService(
-        graph, features, model, max_batch=args.max_batch,
-        max_queue=args.max_queue, fanouts=args.fanout or None, seed=args.seed,
+    service = InferenceService(graph, features, model)
+    table = service.cache.logits
+    loss, _ = cross_entropy(table, labels)
+    print(
+        f"answer table: {table.shape[0]} x {table.shape[1]} logits, "
+        f"loss {loss:.4f} on the training labels"
     )
     return graph, service
 
@@ -603,6 +608,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     defaults = () if args.rules or args.no_rules else obs.default_serve_rules()
     rules = _load_rules(args.rules, defaults)
+    if args.check and rules is None:
+        print(
+            "serve: --check needs rules, and --no-rules without --rules "
+            "FILE leaves none", file=sys.stderr,
+        )
+        return 2
     if args.rules:
         print(f"slo: loaded {len(rules.rules)} rule(s) from {args.rules}")
     print(lanes.describe())
@@ -610,8 +621,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     meta = _meta(
         args, "dataset", "scale", "model", "epochs",
         vertices=graph.num_vertices, edges=graph.num_edges,
-        max_batch=args.max_batch,
-        assembly="sampled" if args.fanout else "exact",
     )
     extras: dict = {}
     status = 0
@@ -819,12 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="refresh continuously until interrupted (default: one frame)",
     )
     p.add_argument(
-        "--once", action="store_true",
-        help="render exactly one frame and exit (the default)",
-    )
-    p.add_argument(
-        "--interval", type=_non_negative_float, default=1.0, metavar="S",
-        help="--follow refresh interval in seconds (default: %(default)s)",
+        "--interval", type=_non_negative_float, default=None, metavar="S",
+        help="--follow refresh interval in seconds (default: 1)",
     )
     p.add_argument(
         "--refresh-limit", type=_positive_int, default=None, metavar="N",
@@ -855,25 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training epochs before serving (0 = random init)")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
-        "--fanout", type=_positive_int, nargs="*", default=[],
-        metavar="F",
-        help="per-layer neighbor-sampling fanouts (input layer first) "
-        "for refills (invalidated and embedding rows; the start-up "
-        "table is exact); empty = exact refills.  The first layer is "
-        "always exact, so the first fanout is unused",
-    )
-    p.add_argument(
-        "--max-batch", type=_positive_int, default=32,
-        help="most requests one forward pass answers; the worker "
-        "takes whatever is queued when it is free, with no wait "
-        "(default: %(default)s)",
-    )
-    p.add_argument(
-        "--max-queue", type=_positive_int, default=128,
-        help="admission-queue bound; beyond it requests shed with 503 "
-        "(default: %(default)s)",
-    )
-    p.add_argument(
         "--port", type=_port, default=8099,
         help="inference HTTP port (0 = ephemeral; default: %(default)s)",
     )
@@ -892,7 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--check", action="store_true",
-        help="exit 1 when any SLO rule fired during the run",
+        help="exit 1 when any SLO rule fired during the run (needs "
+        "rules: not --no-rules without --rules)",
     )
     _add_telemetry_flags(p, "--trace", "--json", "--serve-metrics")
     p.set_defaults(func=_cmd_serve)
@@ -961,6 +948,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"train: {', '.join(unsupported)} cannot be combined "
                     "with --shards N > 1"
                 )
+    if args.func is _cmd_top and not args.follow:
+        for flag, given in (("--interval", args.interval),
+                            ("--refresh-limit", args.refresh_limit)):
+            if given is not None:
+                parser.error(f"top: {flag} paces --follow; it needs --follow")
     if args.func is _cmd_loadgen and args.sweep:
         for flag, given in (("--rate", args.rate),
                             ("--concurrency", args.concurrency)):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..perf.machine import MachineConfig, cascade_lake_28
+from ..perf.machine import cascade_lake_28
 from ..sim.dram import DramModel
 from ..tensors.compression import traffic_ratio
 from .engine import ENGINE_BW_EFFICIENCY
@@ -51,13 +51,9 @@ class CompressedDmaEstimate:
         return self.speedup_over_plain_dma >= self.area_ratio ** 0.5
 
 
-def compressed_dma_estimate(
-    sparsity: float,
-    feature_len: int = 256,
-    mean_degree: float = 20.0,
-    machine: MachineConfig = None,
-) -> CompressedDmaEstimate:
-    """Model a compression-capable DMA engine vs the paper's engine.
+def compressed_dma_estimate(sparsity: float) -> CompressedDmaEstimate:
+    """Model a compression-capable DMA engine vs the paper's engine, on
+    the 28-core machine, 256-wide features and a mean degree of 20.
 
     Both engines are bandwidth-bound in steady state (Figure 16 past the
     knee), so the plain engine's time per vertex is the dense gathered
@@ -65,7 +61,8 @@ def compressed_dma_estimate(
     ``traffic_ratio(sparsity)`` of those bytes but pays the expand
     latency in its narrow vector unit.
     """
-    machine = machine or cascade_lake_28()
+    machine = cascade_lake_28()
+    feature_len, mean_degree = 256, 20.0
     dram = DramModel(
         bandwidth_bytes_per_s=machine.dram_bandwidth,
         base_latency_ns=machine.dram_latency_ns,
@@ -96,9 +93,9 @@ class AggressivePrefetchEstimate:
 
 def aggressive_prefetch_estimate(
     fill_buffer_occupancy: float,
-    machine: MachineConfig = None,
 ) -> AggressivePrefetchEstimate:
-    """Price the paper's "more aggressive software prefetch" suggestion.
+    """Price the paper's "more aggressive software prefetch" suggestion
+    on the 28-core machine.
 
     When the fill buffers are fully occupied (the large graphs of Table
     4), extra prefetches displace demand misses and buy nothing; when
@@ -108,7 +105,7 @@ def aggressive_prefetch_estimate(
     """
     if not 0.0 <= fill_buffer_occupancy <= 1.0:
         raise ValueError("occupancy must be in [0, 1]")
-    machine = machine or cascade_lake_28()
+    machine = cascade_lake_28()
     idle = 1.0 - fill_buffer_occupancy
     # Each reclaimed slot adds proportional MLP; speedup saturates at the
     # remaining headroom to the raw interface (1/stream efficiency).

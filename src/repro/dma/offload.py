@@ -27,7 +27,7 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..kernels.base import UpdateParams, validate_inputs
 from ..nn.aggregate import normalization_factors
-from ..perf.machine import MachineConfig, cascade_lake_28
+from ..perf.machine import cascade_lake_28
 from ..sim.hierarchy import MemoryHierarchy
 from ..sim.trace import LINE, MemoryLayout
 from .descriptor import (
@@ -89,20 +89,20 @@ class DmaRunReport:
 
 
 class DmaOffloadRunner:
-    """Runs full-graph aggregation (optionally fused update) via DMA."""
+    """Runs full-graph aggregation (optionally fused update) via DMA on
+    the 28-core machine, ``BLOCK_SIZE`` vertices per offloaded block, in
+    vertex order (Section 4.4's order is a relabel of the graph first)."""
+
+    #: Vertices per descriptor batch (Algorithm 5's ``B``).
+    BLOCK_SIZE = 32
 
     def __init__(
         self,
-        machine: Optional[MachineConfig] = None,
         cache_scale: float = 1.0,
-        block_size: int = 32,
         tracking_entries: Optional[int] = None,
     ) -> None:
-        if block_size <= 0:
-            raise ValueError("block_size must be positive")
-        self.machine = machine or cascade_lake_28()
+        self.machine = cascade_lake_28()
         self.cache_scale = cache_scale
-        self.block_size = block_size
         self.tracking_entries = (
             tracking_entries or self.machine.dma.tracking_table_entries
         )
@@ -114,7 +114,6 @@ class DmaOffloadRunner:
         h: np.ndarray,
         params: Optional[UpdateParams] = None,
         aggregator: str = "gcn",
-        order: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], DmaRunReport]:
         """Aggregate every vertex through the DMA engines.
 
@@ -131,8 +130,6 @@ class DmaOffloadRunner:
         machine = self.machine
         n = graph.num_vertices
         f_in = h.shape[1]
-        if order is None:
-            order = np.arange(n, dtype=np.int64)
 
         gather = GatherList.build(graph, aggregator)
         layout = MemoryLayout(
@@ -192,10 +189,10 @@ class DmaOffloadRunner:
         per_core_block_times: List[List[Tuple[float, float]]] = [
             [] for _ in range(cores)
         ]
-        for offset in range(0, chunk, self.block_size):
+        for offset in range(0, chunk, self.BLOCK_SIZE):
             for core in range(cores):
                 start = core * chunk + offset
-                end = min(start + self.block_size, min((core + 1) * chunk, n))
+                end = min(start + self.BLOCK_SIZE, min((core + 1) * chunk, n))
                 if start >= end:
                     continue
                 engine = engines[core]
@@ -204,8 +201,7 @@ class DmaOffloadRunner:
                 factor_lines: List[int] = []
                 input_lines: List[int] = []
                 output_lines: List[int] = []
-                for pos in range(block_start, block_end):
-                    v = int(order[pos])
+                for v in range(block_start, block_end):
                     s, e = int(gather.indptr[v]), int(gather.indptr[v + 1])
                     # Split when E exceeds the output buffer (Section 5.2).
                     pieces = range(0, f_in, out_capacity)
@@ -258,9 +254,7 @@ class DmaOffloadRunner:
                 )
                 update_cycles = 0.0
                 if params is not None:
-                    block_vertices = [
-                        int(order[pos]) for pos in range(block_start, block_end)
-                    ]
+                    block_vertices = list(range(block_start, block_end))
                     update_cycles = self._core_update_block(
                         hierarchy, core, layout, params, a_out, h_out, block_vertices, f_in
                     )

@@ -17,8 +17,6 @@ graph to obtain the epoch's sampling *work*, then price both sides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 from ..graphs.csr import CSRGraph
 from .sampler import EpochSamplingStats
 
@@ -38,6 +36,12 @@ GPU_FLOPS = 14.9e12 * 0.30
 #: Per-batch kernel launch + synchronization overhead on the GPU side.
 GPU_US_PER_BATCH = 250.0
 
+#: The sampled GraphSAGE of Figure 2: per-layer fanouts (input layer
+#: first), input features (ogbn-products') and hidden width.
+FANOUTS = (15, 10, 5)
+FEATURE_LEN = 100
+HIDDEN_LEN = 256
+
 
 @dataclass(frozen=True)
 class GpuEpochBreakdown:
@@ -56,19 +60,14 @@ class GpuEpochBreakdown:
         return self.sampling_seconds / self.total_seconds
 
 
-def epoch_breakdown(
-    graph: CSRGraph,
-    batch_size: int,
-    fanouts: Sequence[int] = (15, 10, 5),
-    feature_len: int = 100,
-    hidden_len: int = 256,
-    seed: int = 0,
-) -> GpuEpochBreakdown:
-    """Measure sampling work on the twin and price the epoch.
+def epoch_breakdown(graph: CSRGraph, batch_size: int) -> GpuEpochBreakdown:
+    """Measure the Figure-2 model's sampling work on the twin and price
+    the epoch.
 
     Training is priced as forward + backward (~2.5x forward FLOPs).
     """
-    stats = EpochSamplingStats.collect(graph, batch_size, fanouts, seed=seed)
+    fanouts, feature_len, hidden_len = FANOUTS, FEATURE_LEN, HIDDEN_LEN
+    stats = EpochSamplingStats.collect(graph, batch_size, fanouts)
 
     sampling = (
         stats.sampled_edges * SAMPLING_NS_PER_EDGE * 1e-9

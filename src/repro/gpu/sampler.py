@@ -13,7 +13,7 @@ times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -113,21 +113,14 @@ def sample_blocks(
 
 
 def iterate_minibatches(
-    graph: CSRGraph,
-    batch_size: int,
-    fanouts: Sequence[int],
-    seed: Optional[int] = 0,
-    shuffle: bool = True,
+    graph: CSRGraph, batch_size: int, fanouts: Sequence[int]
 ):
-    """Yield sampled mini-batches covering every vertex once per epoch."""
+    """Yield sampled mini-batches covering every vertex once per epoch,
+    in one seeded shuffle of the vertices."""
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
-    rng = np.random.default_rng(seed)
-    order = (
-        rng.permutation(graph.num_vertices)
-        if shuffle
-        else np.arange(graph.num_vertices)
-    )
+    rng = np.random.default_rng(0)
+    order = rng.permutation(graph.num_vertices)
     for start in range(0, graph.num_vertices, batch_size):
         seeds = order[start : start + batch_size]
         yield sample_blocks(graph, seeds, fanouts, rng)
@@ -148,10 +141,9 @@ class EpochSamplingStats:
         graph: CSRGraph,
         batch_size: int,
         fanouts: Sequence[int],
-        seed: int = 0,
     ) -> "EpochSamplingStats":
         stats = cls()
-        for batch in iterate_minibatches(graph, batch_size, fanouts, seed=seed):
+        for batch in iterate_minibatches(graph, batch_size, fanouts):
             stats.num_batches += 1
             stats.sampled_edges += batch.total_sampled_edges
             stats.frontier_vertices += sum(len(b.src_vertices) for b in batch.blocks)

@@ -39,12 +39,11 @@ def uniform_graph(
 def power_law_graph(
     num_vertices: int,
     avg_degree: float,
-    exponent: float = 2.1,
-    max_degree: Optional[int] = None,
     seed: Optional[int] = 0,
     name: str = "power-law",
 ) -> CSRGraph:
-    """Directed graph whose in-degrees follow a truncated power law.
+    """Directed graph whose in-degrees follow a power law of exponent
+    2.1, truncated at ``num_vertices - 1``.
 
     Real-world graph degrees "can vary significantly and sometimes follow a
     power law distribution" (paper Section 4.1); the load-balancing and
@@ -59,8 +58,7 @@ def power_law_graph(
             f"avg_degree must be a positive, finite number, got {avg_degree!r}"
         )
     rng = _rng(seed)
-    if max_degree is None:
-        max_degree = num_vertices - 1
+    exponent, max_degree = 2.1, num_vertices - 1
     # Draw per-vertex weights w_v ~ Pareto(exponent - 1), truncate, then
     # scale so the expected total equals num_vertices * avg_degree.
     weights = rng.pareto(exponent - 1.0, size=num_vertices) + 1.0

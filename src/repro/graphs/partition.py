@@ -22,7 +22,7 @@ Two planes live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -52,16 +52,12 @@ class ScheduleReport:
         return self.makespan / self.mean_work
 
 
-def task_weights(
-    graph: CSRGraph, task_size: int, order: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Gather work (degree + 1 summed) of each T-vertex task."""
+def task_weights(graph: CSRGraph, task_size: int) -> np.ndarray:
+    """Gather work (degree + 1 summed) of each T-vertex task, in vertex
+    order (Section 4.4's order is a relabel of the graph first)."""
     if task_size <= 0:
         raise ValueError("task_size must be positive")
-    degs = graph.degrees()
-    if order is not None:
-        degs = degs[order]
-    work = (degs + 1).astype(np.float64)
+    work = (graph.degrees() + 1).astype(np.float64)
     n = graph.num_vertices
     num_tasks = (n + task_size - 1) // task_size
     if num_tasks == 0:
@@ -123,10 +119,9 @@ def balance_comparison(
     graph: CSRGraph,
     task_size: int = 64,
     threads: int = 28,
-    order: Optional[np.ndarray] = None,
 ) -> "tuple[ScheduleReport, ScheduleReport]":
     """(static, dynamic) schedules of a graph's aggregation tasks."""
-    weights = task_weights(graph, task_size, order=order)
+    weights = task_weights(graph, task_size)
     return static_schedule(weights, threads), dynamic_schedule(weights, threads)
 
 
@@ -293,42 +288,33 @@ def _refine_assignment(
     assignment: np.ndarray,
     num_parts: int,
     capacities: np.ndarray,
-    passes: int,
 ) -> np.ndarray:
-    """METIS-flavoured boundary refinement: greedily move boundary
-    vertices to the neighboring part with the highest edge-cut gain,
-    respecting part capacities.  Deterministic (gain-descending, vertex
-    id as tiebreak)."""
+    """METIS-flavoured boundary refinement, one pass: greedily move
+    boundary vertices to the neighboring part with the highest edge-cut
+    gain, respecting part capacities.  Deterministic (gain-descending,
+    vertex id as tiebreak)."""
     u_indptr, u_indices = undirected
     n = len(u_indptr) - 1
-    if n == 0 or passes <= 0:
+    if n == 0:
         return assignment
     dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(u_indptr))
     assignment = assignment.copy()
     loads = np.bincount(assignment, minlength=num_parts)
-    for _ in range(passes):
-        nbr_part_counts = np.bincount(
-            dst * num_parts + assignment[u_indices], minlength=n * num_parts
-        ).reshape(n, num_parts)
-        current = nbr_part_counts[np.arange(n), assignment]
-        best_part = np.argmax(nbr_part_counts, axis=1)
-        gain = nbr_part_counts[np.arange(n), best_part] - current
-        movers = np.flatnonzero((gain > 0) & (best_part != assignment))
-        if len(movers) == 0:
-            break
-        movers = movers[np.lexsort((movers, -gain[movers]))]
-        moved = 0
-        for v in movers:
-            target = int(best_part[v])
-            source = int(assignment[v])
-            if loads[target] >= capacities[target] or loads[source] <= 1:
-                continue
-            assignment[v] = target
-            loads[source] -= 1
-            loads[target] += 1
-            moved += 1
-        if moved == 0:
-            break
+    nbr_part_counts = np.bincount(
+        dst * num_parts + assignment[u_indices], minlength=n * num_parts
+    ).reshape(n, num_parts)
+    current = nbr_part_counts[np.arange(n), assignment]
+    best_part = np.argmax(nbr_part_counts, axis=1)
+    gain = nbr_part_counts[np.arange(n), best_part] - current
+    movers = np.flatnonzero((gain > 0) & (best_part != assignment))
+    for v in movers[np.lexsort((movers, -gain[movers]))]:
+        target = int(best_part[v])
+        source = int(assignment[v])
+        if loads[target] >= capacities[target] or loads[source] <= 1:
+            continue
+        assignment[v] = target
+        loads[source] -= 1
+        loads[target] += 1
     return assignment
 
 
@@ -336,15 +322,15 @@ def edge_cut_partition(
     graph: CSRGraph,
     num_parts: int,
     method: str = "greedy",
-    refine_passes: int = 1,
 ) -> PartitionResult:
     """Partition vertices into ``num_parts`` balanced parts, minimizing
     (heuristically) the number of cross-part edges.
 
     Methods: ``contiguous`` (vertex-range blocks, the trivial baseline),
     ``bfs`` (grow each part as a BFS ball), ``greedy`` (LDG streaming).
-    All methods cap parts at ``ceil(n / num_parts)`` vertices, then run
-    ``refine_passes`` rounds of capacity-constrained boundary moves.
+    All methods cap parts at ``ceil(n / num_parts)`` vertices; ``bfs``
+    and ``greedy`` then run one pass of capacity-constrained boundary
+    moves.
     """
     n = graph.num_vertices
     if num_parts <= 0:
@@ -365,7 +351,7 @@ def edge_cut_partition(
         grow = _bfs_assignment if method == "bfs" else _greedy_assignment
         assignment = _refine_assignment(
             undirected, grow(undirected, num_parts, capacities),
-            num_parts, capacities, refine_passes,
+            num_parts, capacities,
         )
     return PartitionResult(assignment=assignment, num_parts=num_parts, method=method)
 

@@ -39,14 +39,15 @@ def randomized_order(graph: CSRGraph, seed: Optional[int] = 0) -> np.ndarray:
     return rng.permutation(graph.num_vertices).astype(np.int64)
 
 
-def degree_sorted_order(graph: CSRGraph, descending: bool = True) -> np.ndarray:
-    """Sort by degree — an ablation baseline for Algorithm 3.
+def degree_sorted_order(graph: CSRGraph) -> np.ndarray:
+    """Sort by descending degree, ties in vertex order — an ablation
+    baseline for Algorithm 3.
 
     Sorting clusters hubs next to each other but, unlike Algorithm 3, does
     not cluster the *readers* of each hub.
     """
     degs = graph.degrees()
-    order = np.argsort(-degs if descending else degs, kind="stable")
+    order = np.argsort(-degs, kind="stable")
     return order.astype(np.int64)
 
 

@@ -8,8 +8,8 @@ from .base import (
 from .basic import (
     BasicKernel,
     DEFAULT_PREFETCH_DISTANCE,
-    DEFAULT_TASK_SIZE,
     PREFETCH_LINES_PER_VECTOR,
+    TASK_SIZE,
 )
 from .jit import JitKernelCache, KernelSpec
 
@@ -19,8 +19,8 @@ __all__ = [
     "validate_inputs",
     "BasicKernel",
     "DEFAULT_PREFETCH_DISTANCE",
-    "DEFAULT_TASK_SIZE",
     "PREFETCH_LINES_PER_VECTOR",
+    "TASK_SIZE",
     "JitKernelCache",
     "KernelSpec",
 ]

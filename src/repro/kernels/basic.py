@@ -38,8 +38,8 @@ from .base import KernelStats, validate_inputs
 from .jit import JitKernelCache, KernelSpec
 from .segment import ScaledCSR
 
-#: Default task size T (vertices per parallel task).
-DEFAULT_TASK_SIZE = 64
+#: Task size T (vertices per parallel task).
+TASK_SIZE = 64
 
 #: Default prefetch distance D (vertices ahead).
 DEFAULT_PREFETCH_DISTANCE = 4
@@ -83,18 +83,12 @@ class BasicKernel:
     """The Graphite ``basic`` aggregation of Algorithm 1."""
 
     def __init__(
-        self,
-        task_size: int = DEFAULT_TASK_SIZE,
-        prefetch_distance: int = DEFAULT_PREFETCH_DISTANCE,
-        jit_cache: Optional[JitKernelCache] = None,
+        self, prefetch_distance: int = DEFAULT_PREFETCH_DISTANCE
     ) -> None:
-        if task_size <= 0:
-            raise ValueError(f"task_size must be positive, got {task_size}")
         if prefetch_distance < 0:
             raise ValueError("prefetch_distance must be >= 0")
-        self.task_size = task_size
         self.prefetch_distance = prefetch_distance
-        self.jit_cache = jit_cache or JitKernelCache()
+        self.jit_cache = JitKernelCache()
 
     def aggregate(
         self,
@@ -161,7 +155,7 @@ class BasicKernel:
             )
             stats = KernelStats(
                 gathers=operator.nnz + n,
-                tasks=-(-n // self.task_size),
+                tasks=-(-n // TASK_SIZE),
                 prefetches=prefetch_count(degrees, self.prefetch_distance),
                 jit_compilations=self.jit_cache.compilations - compiled_before,
                 flops=2.0 * (operator.nnz + n) * h.shape[1],

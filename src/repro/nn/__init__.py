@@ -24,7 +24,6 @@ from .training import (
     EpochResult,
     Trainer,
     TrainingHistory,
-    inference,
     train_val_split,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "EpochResult",
     "Trainer",
     "TrainingHistory",
-    "inference",
     "train_val_split",
 ]

@@ -179,9 +179,10 @@ def masked_fraction(flags: np.ndarray, mask: Optional[np.ndarray] = None) -> flo
 
 
 def accuracy(
-    logits: np.ndarray, labels: np.ndarray, mask: Optional[np.ndarray] = None
+    logits: np.ndarray, labels: np.ndarray, mask: Optional[np.ndarray]
 ) -> float:
-    """Classification accuracy over (optionally masked) vertices."""
+    """Classification accuracy over the vertices of ``mask`` (every
+    vertex when it is None)."""
     return masked_fraction(logits.argmax(axis=1) == labels, mask)
 
 

@@ -1,10 +1,9 @@
 """Block assembly and the block forward — serving refills.
 
 A query batch is answered from the layered K-hop blocks around its seed
-vertices (Eq. 3's block structure): :func:`assemble_batch` builds them,
-exact (:func:`full_neighbor_blocks`) or sampled
-(:func:`~repro.gpu.sampler.sample_blocks`), and :func:`block_forward`
-runs the model's layers over them.  Each block is a bipartite
+vertices (Eq. 3's block structure): :func:`assemble_batch` builds them
+exact (:func:`full_neighbor_blocks`), and :func:`block_forward` runs the
+model's layers over them.  Each block is a bipartite
 ``dst × src`` operator of the shared aggregation core; everything else
 a layer does is :mod:`repro.nn.layers`' phase functions, in the order
 :func:`~repro.nn.layers.transform_first` decides for the full-graph
@@ -14,12 +13,12 @@ forward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..gpu.sampler import LayerBlock, MiniBatch, sample_blocks
+from ..gpu.sampler import LayerBlock, MiniBatch
 from ..kernels.segment import ScaledCSR
 from ..obs import get_tracer
 from .aggregate import canonical_aggregator
@@ -82,34 +81,20 @@ def full_neighbor_blocks(
 
 
 def assemble_batch(
-    graph: CSRGraph,
-    vertices: np.ndarray,
-    num_layers: int,
-    fanouts: Optional[Sequence[int]] = None,
-    rng: Optional[np.random.Generator] = None,
+    graph: CSRGraph, vertices: np.ndarray, num_layers: int
 ) -> MiniBatch:
-    """Neighborhood assembly for a query batch: exact or sampled.
+    """Exact neighborhood assembly for a query batch.
 
-    ``fanouts=None`` (the default, and the serving default) builds exact
-    full neighborhoods; a fanout list routes through the Eq. 3 sampler
-    (one fanout per layer, input-layer first).  ``num_layers`` counts
-    the hops to gather: a caller that kept the first layer's aggregation
-    asks for one fewer than the model has, and for none at all — an
-    empty batch of blocks — when the model has a single layer.
+    ``num_layers`` counts the hops to gather: a caller that kept the
+    first layer's aggregation asks for one fewer than the model has, and
+    for none at all — an empty batch of blocks — when the model has a
+    single layer.
     """
     if num_layers == 0:
         return MiniBatch(
             seed_vertices=np.asarray(vertices, dtype=np.int64), blocks=()
         )
-    if fanouts is None:
-        return full_neighbor_blocks(graph, vertices, num_layers)
-    if len(fanouts) != num_layers:
-        raise ValueError("need one fanout per layer")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return sample_blocks(
-        graph, np.asarray(vertices, dtype=np.int64), fanouts, rng
-    )
+    return full_neighbor_blocks(graph, vertices, num_layers)
 
 
 def _block_weights(

@@ -1,8 +1,8 @@
-"""Optimizers for full-batch GNN training: SGD (+momentum) and Adam."""
+"""Optimizers for full-batch GNN training: plain SGD and Adam."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -30,44 +30,21 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, model: GNNModel, lr: float = 0.1, momentum: float = 0.0) -> None:
-        super().__init__(model, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    """Plain gradient descent: ``param -= lr * grad``."""
 
     def _update(self, layer, grad: LayerGrads) -> None:
-        if self.momentum == 0.0:
-            layer.weight -= self.lr * grad.weight
-            layer.bias -= self.lr * grad.bias
-            return
-        key = id(layer)
-        vw, vb = self._velocity.get(
-            key, (np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-        )
-        vw = self.momentum * vw + grad.weight
-        vb = self.momentum * vb + grad.bias
-        self._velocity[key] = (vw, vb)
-        layer.weight -= self.lr * vw
-        layer.bias -= self.lr * vb
+        layer.weight -= self.lr * grad.weight
+        layer.bias -= self.lr * grad.bias
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba) — the usual choice for GNN training runs."""
+    """Adam (Kingma & Ba) — the usual choice for GNN training runs —
+    with the paper's moments ``betas = (0.9, 0.999)`` and ``eps = 1e-8``."""
 
-    def __init__(
-        self,
-        model: GNNModel,
-        lr: float = 0.01,
-        betas: Tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, model: GNNModel, lr: float = 0.01) -> None:
         super().__init__(model, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.beta1, self.beta2 = 0.9, 0.999
+        self.eps = 1e-8
         self._t = 0
         self._m: Dict[int, List[np.ndarray]] = {}
         self._v: Dict[int, List[np.ndarray]] = {}

@@ -396,16 +396,6 @@ def _non_finite(
     return count, (places[0] if places else None)
 
 
-def inference(
-    model: GNNModel,
-    graph: CSRGraph,
-    features: np.ndarray,
-    kernel: Optional[BasicKernel] = None,
-) -> np.ndarray:
-    """Full-batch inference: logits for every vertex."""
-    return model.predict(graph, features, kernel=kernel)
-
-
 def train_val_split(
     num_vertices: int, train_fraction: float = 0.6, seed: int = 0
 ) -> "tuple[np.ndarray, np.ndarray]":

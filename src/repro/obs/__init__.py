@@ -45,7 +45,7 @@ Typical use (what ``repro profile`` and ``--trace`` do)::
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .attrib import AttributionReport, SpanAttribution, attribute_run
 from .events import (
@@ -138,13 +138,9 @@ def set_metrics(registry) -> None:
     _metrics = registry
 
 
-def enable(
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Tuple[Tracer, MetricsRegistry]:
-    """Install (and return) a live tracer + registry as the globals."""
-    tracer = tracer or Tracer()
-    metrics = metrics or MetricsRegistry()
+def enable() -> Tuple[Tracer, MetricsRegistry]:
+    """Install (and return) a fresh live tracer + registry as the globals."""
+    tracer, metrics = Tracer(), MetricsRegistry()
     set_tracer(tracer)
     set_metrics(metrics)
     return tracer, metrics

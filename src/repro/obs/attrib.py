@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..perf.cost_model import VARIANTS, VariantSpec, kernel_cost
-from ..perf.machine import MachineConfig, cascade_lake_28
 from ..perf.traffic import LayerShape
 
 #: Traced span name -> cost-model variant it executes.  The backward
@@ -137,9 +136,7 @@ class AttributionReport:
 def attribute_run(
     records: List[Dict[str, Any]],
     *,
-    cost_model: Optional[Any] = None,
-    machine: Optional[MachineConfig] = None,
-    hit_rate: Optional[float] = None,
+    cost_model: Any,
     sparsity: float = 0.0,
 ) -> AttributionReport:
     """Attribute every kernel span of a traced run.
@@ -147,16 +144,13 @@ def attribute_run(
     Args:
         records: flat span records (``tracer.spans()`` mapped through
             ``to_record`` or re-read from JSONL).
-        cost_model: optional :class:`repro.perf.CostModel` for the graph
-            the run executed; supplies per-variant gather hit rates from
-            the reuse profile of the variant's processing order.
-        machine: platform model (defaults to the cost model's machine,
-            else the paper's 28-core server).
-        hit_rate: explicit gather hit rate overriding the cost model.
+        cost_model: the :class:`repro.perf.CostModel` of the graph the
+            run executed: its ``machine`` prices the phases and its
+            ``hit_rate(order)`` gives each variant's gather hit rate
+            from the reuse profile of the variant's processing order.
         sparsity: feature zero-fraction the phase law is priced at.
     """
-    if machine is None:
-        machine = cost_model.machine if cost_model is not None else cascade_lake_28()
+    machine = cost_model.machine
 
     spans: List[SpanAttribution] = []
     totals: Dict[str, Dict[str, float]] = {}
@@ -164,12 +158,7 @@ def attribute_run(
         workload = workload_from_span(record)
         if workload is None:
             continue
-        if hit_rate is not None:
-            rate = hit_rate
-        elif cost_model is not None:
-            rate = cost_model.hit_rate(workload.spec.order)
-        else:
-            rate = 0.0
+        rate = cost_model.hit_rate(workload.spec.order)
         cost = kernel_cost(machine, workload.spec, workload.shape, rate, sparsity)
         phases = cost.phases
         memory_s, compute_s = cost.memory_s, cost.compute_s

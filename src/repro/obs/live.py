@@ -48,7 +48,7 @@ PROMETHEUS_PREFIX = "repro_"
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: A gauge older than this (seconds) is flagged stale in live views.
-DEFAULT_STALE_AFTER_S = 5.0
+STALE_AFTER_S = 5.0
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -170,7 +170,7 @@ class MetricsServer(HTTPFrontEnd):
     """Background HTTP exposition of a live metrics registry.
 
     The routes over :class:`~repro.httpd.HTTPFrontEnd`: binds
-    ``host:port`` (``port=0`` picks an ephemeral port, reported by
+    ``127.0.0.1:port`` (``port=0`` picks an ephemeral port, reported by
     :attr:`port` / :attr:`url` after :meth:`start`) and serves scrapes
     from daemon threads, so the instrumented run is never blocked.
     Usable as a context manager.
@@ -178,8 +178,8 @@ class MetricsServer(HTTPFrontEnd):
 
     enabled = True
 
-    def __init__(self, registry, port: int = 0, host: str = "127.0.0.1") -> None:
-        super().__init__("repro-metrics", port=port, host=host)
+    def __init__(self, registry, port: int = 0) -> None:
+        super().__init__("repro-metrics", port=port)
         self.registry = registry
         self._scrape_lock = threading.Lock()
         self._last_snapshot: Optional[Dict[str, Dict[str, Any]]] = None
@@ -241,21 +241,22 @@ class NullMetricsServer:
 NULL_SERVER = NullMetricsServer()
 
 
-def scrape_snapshot(url: str, timeout_s: float = 2.0) -> Dict[str, Any]:
-    """GET ``<url>/snapshot.json`` and return the parsed document."""
+def scrape_snapshot(url: str) -> Dict[str, Any]:
+    """GET ``<url>/snapshot.json`` (2 s timeout) and return the parsed
+    document."""
     target = url.rstrip("/") + "/snapshot.json"
-    with urllib.request.urlopen(target, timeout=timeout_s) as response:
+    with urllib.request.urlopen(target, timeout=2.0) as response:
         return json.loads(response.read().decode())
 
 
 # ----------------------------------------------------------------------
 # Terminal run monitor
-def sparkline(values: List[float], width: int = 40) -> str:
-    """Unicode block sparkline of the last ``width`` finite values."""
+def sparkline(values: List[float]) -> str:
+    """Unicode block sparkline of the last 40 finite values."""
     finite = [v for v in values if v is not None and math.isfinite(v)]
     if not finite:
         return ""
-    tail = finite[-width:]
+    tail = finite[-40:]
     lo, hi = min(tail), max(tail)
     span = hi - lo
     if span <= 0:
@@ -289,7 +290,8 @@ class LiveRunMonitor:
             once per newly observed epoch (event-derived ``train.*``
             plane merged over the scraped metrics), so ``for K`` streaks
             advance in epochs exactly as in the trainer hook.
-        stale_after_s: gauge age beyond which the view flags STALE.
+
+    A gauge older than :data:`STALE_AFTER_S` is flagged STALE.
     """
 
     def __init__(
@@ -298,13 +300,11 @@ class LiveRunMonitor:
         metrics_url: Optional[str] = None,
         registry=None,
         rules: Optional[RuleEngine] = None,
-        stale_after_s: float = DEFAULT_STALE_AFTER_S,
     ) -> None:
         self.tail = EventTail(events_path)
         self.metrics_url = metrics_url
         self.registry = registry
         self.rules = rules
-        self.stale_after_s = stale_after_s
         self.events: List[Dict[str, Any]] = []
         self.metrics: Dict[str, Dict[str, Any]] = {}
         self.polls = 0
@@ -423,7 +423,7 @@ class LiveRunMonitor:
             age = self._gauge_age("proc.rss_bytes")
             stale = (
                 "  [STALE]"
-                if age is not None and age > self.stale_after_s
+                if age is not None and age > STALE_AFTER_S
                 else ""
             )
             lines.append(
@@ -559,7 +559,6 @@ class LiveRunMonitor:
         interval_s: float = 1.0,
         refresh_limit: Optional[int] = None,
         stream=None,
-        clear: bool = True,
     ) -> int:
         """Poll + render in a loop (``repro top --follow``).
 
@@ -574,8 +573,7 @@ class LiveRunMonitor:
         try:
             while True:
                 self.poll()
-                if clear:
-                    stream.write("\x1b[2J\x1b[H")
+                stream.write("\x1b[2J\x1b[H")
                 stream.write(self.render() + "\n")
                 stream.flush()
                 frames += 1

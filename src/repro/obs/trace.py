@@ -132,8 +132,6 @@ class NullTracer:
         name: str,
         duration_s: float,
         attrs: Optional[Dict[str, Any]] = None,
-        counters: Optional[Dict[str, float]] = None,
-        start_s: Optional[float] = None,
         parent: Optional["Span"] = None,
     ) -> None:
         pass
@@ -207,28 +205,23 @@ class Tracer:
         name: str,
         duration_s: float,
         attrs: Optional[Dict[str, Any]] = None,
-        counters: Optional[Dict[str, float]] = None,
-        start_s: Optional[float] = None,
         parent: Optional[Span] = None,
     ) -> Span:
-        """Add an already-measured span (e.g. a request's queue wait).
+        """Add an already-measured span (e.g. a request's queue wait),
+        ending now.
 
         The span becomes a child of the calling thread's current span
-        unless an explicit ``parent`` is given (cross-thread spans);
-        ``start_s`` defaults to ``now - duration_s``.
+        unless an explicit ``parent`` is given (cross-thread spans).
         """
         if parent is None:
             parent = self.current()
-        if start_s is None:
-            start_s = self.clock() - duration_s
         span = Span(
             span_id=self._new_id(),
             parent_id=parent.span_id if parent is not None else None,
             name=name,
-            start_s=start_s,
+            start_s=self.clock() - duration_s,
             duration_s=duration_s,
             attrs=dict(attrs or {}),
-            counters={k: float(v) for k, v in (counters or {}).items()},
         )
         with self._lock:
             self.finished.append(span)
@@ -316,8 +309,9 @@ def span_tree(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     return roots
 
 
-def render_span_tree(records: List[Dict[str, Any]], max_counters: int = 4) -> str:
-    """Human-readable indented rendering of a span forest."""
+def render_span_tree(records: List[Dict[str, Any]]) -> str:
+    """Human-readable indented rendering of a span forest: each span's
+    four largest counters ride on its line."""
     lines: List[str] = []
 
     def walk(node: Dict[str, Any], depth: int) -> None:
@@ -328,7 +322,7 @@ def render_span_tree(records: List[Dict[str, Any]], max_counters: int = 4) -> st
         if nonzero:
             shown = sorted(nonzero, key=lambda kv: (-abs(kv[1]), kv[0]))
             line += "  " + " ".join(
-                f"{k}={v:g}" for k, v in shown[:max_counters]
+                f"{k}={v:g}" for k, v in shown[:4]
             )
         lines.append(line)
         for child in node["children"]:

@@ -407,9 +407,9 @@ class CostModel:
     # ------------------------------------------------------------------
     # End-to-end workloads
     # ------------------------------------------------------------------
-    def layer_shapes(self, f_input: int, f_hidden: int, num_layers: int = 2):
-        """Layer shapes of the paper's evaluated network."""
-        widths = [f_input] + [f_hidden] * num_layers
+    def layer_shapes(self, f_input: int, f_hidden: int):
+        """Layer shapes of the paper's evaluated network: two layers."""
+        widths = [f_input, f_hidden, f_hidden]
         return [
             LayerShape(
                 num_vertices=self.graph.num_vertices,
@@ -417,7 +417,7 @@ class CostModel:
                 f_in=widths[k],
                 f_out=widths[k + 1],
             )
-            for k in range(num_layers)
+            for k in range(2)
         ]
 
     def inference_time(
@@ -425,15 +425,13 @@ class CostModel:
         variant_name: str,
         f_input: int,
         f_hidden: int,
-        num_layers: int = 2,
         sparsity: float = 0.0,
-        seed: int = 0,
     ) -> WorkloadTimes:
         variant = VARIANTS[variant_name]
-        hit = self.hit_rate(variant.order, seed)
+        hit = self.hit_rate(variant.order)
         layers = tuple(
             self.layer_forward(variant, shape, sparsity, training=False, hit_rate=hit)
-            for shape in self.layer_shapes(f_input, f_hidden, num_layers)
+            for shape in self.layer_shapes(f_input, f_hidden)
         )
         return WorkloadTimes(variant=variant_name, layer_times=layers)
 
@@ -442,13 +440,12 @@ class CostModel:
         variant_name: str,
         f_input: int,
         f_hidden: int,
-        num_layers: int = 2,
         sparsity: float = 0.0,
         seed: int = 0,
     ) -> WorkloadTimes:
         variant = VARIANTS[variant_name]
         hit = self.hit_rate(variant.order, seed)
-        shapes = self.layer_shapes(f_input, f_hidden, num_layers)
+        shapes = self.layer_shapes(f_input, f_hidden)
         forward = tuple(
             self.layer_forward(variant, shape, sparsity, training=True, hit_rate=hit)
             for shape in shapes
@@ -475,10 +472,14 @@ class CostModel:
         training: bool = False,
         sparsity: float = 0.0,
         baseline: str = "distgnn",
-        num_layers: int = 2,
     ) -> float:
         """Speedup of a variant over a baseline, paper-figure style."""
-        runner = self.training_epoch_time if training else self.inference_time
-        base = runner(baseline, f_input, f_hidden, num_layers, sparsity=sparsity)
-        ours = runner(variant_name, f_input, f_hidden, num_layers, sparsity=sparsity)
-        return base.total / ours.total
+
+        def total(name: str) -> float:
+            if training:
+                return self.training_epoch_time(
+                    name, f_input, f_hidden, sparsity=sparsity).total
+            return self.inference_time(
+                name, f_input, f_hidden, sparsity=sparsity).total
+
+        return total(baseline) / total(variant_name)

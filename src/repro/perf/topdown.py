@@ -22,7 +22,6 @@ This module derives those metrics from the cost model's phase timings:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .cost_model import CostModel, VARIANTS, WorkloadTimes
 
@@ -64,16 +63,14 @@ class TopdownReport:
 def topdown_from_times(
     model: CostModel,
     times: WorkloadTimes,
-    hit_rate: Optional[float] = None,
 ) -> TopdownReport:
-    """Derive the top-down breakdown from a workload's phase times."""
+    """Derive the top-down breakdown from a workload's phase times (the
+    hit rate is the model's for the variant's processing order)."""
     machine = model.machine
     total = times.total
     if total <= 0:
         raise ValueError("workload time must be positive")
-    variant = VARIANTS[times.variant]
-    if hit_rate is None:
-        hit_rate = model.hit_rate(variant.order)
+    hit_rate = model.hit_rate(VARIANTS[times.variant].order)
 
     # Retiring: achieved FLOP rate vs the sustained envelope.
     achieved = times.flops / total

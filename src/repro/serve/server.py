@@ -13,15 +13,15 @@ GNNModel`.  Construction runs one full-graph forward and keeps its
 3. **refill: queue + batch** — rows not fresh (invalidated, or embedding
    rows never asked for) park in the batcher, rejected (503) when its
    queue is full; the worker thread, the moment it is free, takes
-   everything already queued (up to ``max_batch``; no timer), records
+   everything already queued (up to ``MAX_BATCH``; no timer), records
    each request's ``serve.queue`` wait, and opens one ``serve.batch``
    span parented under the batch's first request;
-4. **assemble + forward** — neighborhood assembly
-   (:func:`~repro.nn.minibatch.assemble_batch`, exact by default)
-   covers the ``num_layers - 1`` hops after the first and the block
-   forward starts from the kept rows.  Its ``kernel.serve.block`` spans
-   nest under ``serve.batch``: ``serve.request → serve.queue →
-   serve.batch → kernel.*``;
+4. **assemble + forward** — exact neighborhood assembly
+   (:func:`~repro.nn.minibatch.assemble_batch`) covers the
+   ``num_layers - 1`` hops after the first and the block forward starts
+   from the kept rows, so a refilled row equals ``model.predict``'s.
+   Its ``kernel.serve.block`` spans nest under ``serve.batch``:
+   ``serve.request → serve.queue → serve.batch → kernel.*``;
 5. **reply** — table and refilled rows serialize to JSON with the trace
    id and measured latency; refilled rows are written to the table.
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 from urllib.parse import parse_qs
 
 import numpy as np
@@ -83,19 +83,16 @@ class InferenceService:
     ``Â · features`` does not depend on the weights, so weight updates
     followed by ``cache.invalidate()`` leave it valid.
 
-    With ``fanouts`` (one per layer, input layer first) refills keep the
-    first layer exact and sample the remaining hops with ``fanouts[1:]``.
+    Refills assemble exact neighbourhoods, so every served row equals
+    ``model.predict``'s.  The batcher answers at most ``MAX_BATCH``
+    requests per forward and sheds (503) past ``MAX_QUEUE`` waiting.
     """
 
+    MAX_BATCH = 32
+    MAX_QUEUE = 128
+
     def __init__(
-        self,
-        graph: CSRGraph,
-        features: np.ndarray,
-        model: GNNModel,
-        max_batch: int = 32,
-        max_queue: int = 128,
-        fanouts: Optional[Sequence[int]] = None,
-        seed: int = 0,
+        self, graph: CSRGraph, features: np.ndarray, model: GNNModel
     ) -> None:
         if features.shape[0] != graph.num_vertices:
             raise ValueError(
@@ -110,27 +107,15 @@ class InferenceService:
         self.graph = graph
         self.features = features
         self.model = model
-        self.fanouts = list(fanouts) if fanouts is not None else None
-        if self.fanouts is not None:
-            if len(self.fanouts) != model.num_layers:
-                raise ValueError("need one fanout per layer")
-            for layer, fanout in enumerate(self.fanouts):
-                if fanout < 1:
-                    raise ValueError(
-                        f"fanout of layer {layer} must be >= 1, got {fanout}"
-                    )
         logits, caches = model.forward(
             graph, features.astype(np.float32, copy=False), training=False,
             kernel=BasicKernel(), keep_hidden=False,
         )
         self._first_aggregation = caches[0].a
         del caches
-        self._rng = np.random.default_rng(seed)
         self.cache = EmbeddingCache(logits, model.layers[-1].in_features)
         self.batcher = RequestBatcher(
-            self._run_batch,
-            max_batch=max_batch,
-            max_queue=max_queue,
+            self._run_batch, max_batch=self.MAX_BATCH, max_queue=self.MAX_QUEUE
         )
         self.requests = 0
         self.errors = 0
@@ -259,9 +244,7 @@ class InferenceService:
             try:
                 with registry.histogram("serve.latency.assemble_s").time():
                     assembled = assemble_batch(
-                        self.graph, need, self.model.num_layers - 1,
-                        fanouts=self.fanouts[1:] if self.fanouts else None,
-                        rng=self._rng,
+                        self.graph, need, self.model.num_layers - 1
                     )
                 with registry.histogram("serve.latency.forward_s").time():
                     result = block_forward(
@@ -330,7 +313,6 @@ class InferenceService:
                 "layers": self.model.num_layers,
                 "widths": self.model.hidden_widths(),
             },
-            "assembly": "sampled" if self.fanouts else "exact",
             "cache": self.cache.stats(),
             "batcher": self.batcher.stats(),
         }

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..graphs.csr import CSRGraph
 from ..perf.machine import MachineConfig, cascade_lake_28
 from .dram import DramModel
@@ -131,6 +129,9 @@ class CoreAggregationSim:
             cache : working-set ratio of the full-size machine).
     """
 
+    #: Vertices per block (Algorithm 2's ``B``).
+    BLOCK_SIZE = 32
+
     def __init__(
         self,
         machine: Optional[MachineConfig] = None,
@@ -144,11 +145,11 @@ class CoreAggregationSim:
         graph: CSRGraph,
         feature_len: int,
         fused_update_features: Optional[int] = None,
-        order: Optional[np.ndarray] = None,
-        block_size: int = 32,
         reuse_output_buffer: bool = False,
     ) -> SimReport:
-        """Simulate one aggregation pass (plus fused update if requested).
+        """Simulate one aggregation pass (plus fused update if requested),
+        ``BLOCK_SIZE`` vertices per block in vertex order (Section 4.4's
+        order is a relabel of the graph first).
 
         Args:
             fused_update_features: when set, each B-vertex block is
@@ -156,7 +157,7 @@ class CoreAggregationSim:
                 (Algorithm 2); None simulates aggregation only.
             reuse_output_buffer: fused-inference output placement
                 (Figure 5c) — each core writes its aggregation results
-                into one reusable ``block_size``-row buffer instead of
+                into one reusable ``BLOCK_SIZE``-row buffer instead of
                 the full ``a`` matrix, so output traffic stays resident
                 after the first block.  Default False keeps the
                 write-through-to-``a`` behaviour of the unfused kernels
@@ -166,9 +167,7 @@ class CoreAggregationSim:
         hierarchy = MemoryHierarchy(machine, cache_scale=self.cache_scale)
         layout = layout_for(graph, feature_len)
         n = graph.num_vertices
-        if order is None:
-            order = np.arange(n, dtype=np.int64)
-
+        block_size = self.BLOCK_SIZE
         cores = machine.cores
         issued_lines = [0.0] * cores
         dram_lines = [0.0] * cores
@@ -180,7 +179,7 @@ class CoreAggregationSim:
                 start = core * chunk + offset
                 end = min(start + block_size, min((core + 1) * chunk, n))
                 for pos in range(start, end):
-                    trace = vertex_trace(graph, layout, int(order[pos]))
+                    trace = vertex_trace(graph, layout, pos)
                     if reuse_output_buffer:
                         # Per-core buffer slot in the a region: the slot
                         # address repeats every block, so only the first

@@ -88,7 +88,6 @@ class MemoryHierarchy:
         core: int,
         addr: int,
         write: bool = False,
-        now_cycle: float = 0.0,
         bypass_private: bool = False,
     ) -> AccessResult:
         """One line reference from a core (or its DMA engine).
@@ -110,8 +109,8 @@ class MemoryHierarchy:
             if self.noc is not None:
                 latency = L2_LATENCY + self.noc.l3_access_latency(core, addr)
             return AccessResult("L3", latency)
-        done = self.dram.request(now_cycle)
-        return AccessResult("DRAM", max(L3_LATENCY, done - now_cycle))
+        done = self.dram.request(0.0)
+        return AccessResult("DRAM", max(L3_LATENCY, done))
 
     def dma_install_output(self, core: int, addr: int) -> None:
         """DMA result line pushed into the issuing core's L2 (Section 5.2)."""

@@ -48,28 +48,18 @@ class PrefetchStats:
 
 
 class StreamPrefetcher:
-    """A next-N-lines stream prefetcher with a small training table.
+    """A next-N-lines stream prefetcher with a small training table."""
 
-    Args:
-        degree: lines fetched ahead once a stream is confirmed.
-        train_threshold: consecutive +1-line steps needed to confirm.
-        table_entries: concurrent streams tracked.
-        prefetch_buffer_lines: capacity of the prefetch staging storage.
-    """
+    #: Lines fetched ahead once a stream is confirmed.
+    degree = 4
+    #: Consecutive +1-line steps needed to confirm a stream.
+    train_threshold = 2
+    #: Concurrent streams tracked.
+    table_entries = 16
+    #: Capacity of the prefetch staging storage, in lines.
+    prefetch_buffer_lines = 128
 
-    def __init__(
-        self,
-        degree: int = 4,
-        train_threshold: int = 2,
-        table_entries: int = 16,
-        prefetch_buffer_lines: int = 128,
-    ) -> None:
-        if degree <= 0 or train_threshold <= 0 or table_entries <= 0:
-            raise ValueError("prefetcher parameters must be positive")
-        self.degree = degree
-        self.train_threshold = train_threshold
-        self.table_entries = table_entries
-        self.prefetch_buffer_lines = prefetch_buffer_lines
+    def __init__(self) -> None:
         self.stats = PrefetchStats()
         # line -> consecutive-hit count, LRU-ordered.
         self._streams: "OrderedDict[int, int]" = OrderedDict()

@@ -132,17 +132,18 @@ def decompress_matrix(compressed: CompressedMatrix) -> np.ndarray:
     return out
 
 
-def traffic_ratio(sparsity: float, element_bits: int = 32) -> float:
-    """Fraction of dense traffic that compressed transfer still moves.
+def traffic_ratio(sparsity: float) -> float:
+    """Fraction of dense fp32 traffic that compressed transfer still
+    moves.
 
-    ``(1 - sparsity) + 1/element_bits``; below the break-even sparsity of
-    ``1/element_bits`` compression *adds* traffic.
+    ``(1 - sparsity) + 1/32``; below the break-even sparsity of ``1/32``
+    compression *adds* traffic.
     """
     if not 0.0 <= sparsity <= 1.0:
         raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
-    return (1.0 - sparsity) + MASK_BITS_PER_ELEMENT / element_bits
+    return (1.0 - sparsity) + MASK_BITS_PER_ELEMENT / 32
 
 
-def traffic_saved(sparsity: float, element_bits: int = 32) -> float:
-    """Fraction of dense traffic eliminated (paper: 46.875% at 50%)."""
-    return 1.0 - traffic_ratio(sparsity, element_bits)
+def traffic_saved(sparsity: float) -> float:
+    """Fraction of dense fp32 traffic eliminated (paper: 46.875% at 50%)."""
+    return 1.0 - traffic_ratio(sparsity)

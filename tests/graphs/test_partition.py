@@ -8,7 +8,9 @@ import pytest
 from repro.graphs import (
     CSRGraph,
     GraphError,
+    apply_order,
     community_graph,
+    grid_graph,
     load_dataset,
     power_law_graph,
     star_graph,
@@ -16,6 +18,8 @@ from repro.graphs import (
 )
 from repro.graphs.partition import (
     PARTITION_METHODS,
+    PartitionResult,
+    _bfs_assignment,
     _greedy_assignment,
     _undirected_csr,
     balance_comparison,
@@ -39,9 +43,11 @@ class TestTaskWeights:
         assert len(weights) == (n + 15) // 16
 
     def test_order_reshuffles_weights(self):
+        """Section 4.4's order is a relabel of the graph: the hub's
+        weight moves with it."""
         graph = star_graph(63)  # hub weight concentrated in task 0
         natural = task_weights(graph, 8)
-        moved = task_weights(graph, 8, order=np.arange(63, -1, -1))
+        moved = task_weights(apply_order(graph, np.arange(63, -1, -1)), 8)
         assert natural[0] != moved[0]
         assert natural.sum() == moved.sum()
 
@@ -179,8 +185,10 @@ class TestEdgeCutPartition:
     @pytest.mark.parametrize("method", ("bfs", "greedy"))
     def test_refinement_never_worsens_cut(self, method):
         graph = power_law_graph(300, avg_degree=6.0, seed=5)
-        raw = edge_cut_partition(graph, 3, method=method, refine_passes=0)
-        refined = edge_cut_partition(graph, 3, method=method, refine_passes=2)
+        grow = _bfs_assignment if method == "bfs" else _greedy_assignment
+        raw = PartitionResult(
+            grow(_undirected_csr(graph), 3, np.full(3, 100)), 3, method)
+        refined = edge_cut_partition(graph, 3, method=method)
         assert refined.edge_cut(graph) <= raw.edge_cut(graph)
         assert refined.part_sizes().max() <= raw.part_sizes().max()
 
@@ -288,6 +296,14 @@ class TestPartitionDeterminism:
             assert assignment.dtype == np.int64
             digest = hashlib.sha1(assignment.tobytes()).hexdigest()
             assert digest == golden[method], f"{parts} parts"
+
+    def test_bfs_tie_order_matches_golden_hash(self):
+        """A grid's degrees are 2, 3 or 4, so most of the BFS seed order
+        is ties between more than 16 vertices, where numpy's default
+        sort is not stable: the stable sort fixes which tie seeds first."""
+        assignment = edge_cut_partition(grid_graph(10), 4, method="bfs")
+        digest = hashlib.sha1(assignment.assignment.tobytes()).hexdigest()
+        assert digest == "a561af7f64e38a497c5f874e1e75ea18cff6b5d4"
 
     @pytest.mark.parametrize("parts", (2, 3, 4, 5))
     @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))

@@ -40,11 +40,6 @@ class TestBasicOrders:
         degs = small_uniform.degrees()[order]
         assert all(degs[i] >= degs[i + 1] for i in range(len(degs) - 1))
 
-    def test_degree_sorted_ascending(self, small_uniform):
-        order = degree_sorted_order(small_uniform, descending=False)
-        degs = small_uniform.degrees()[order]
-        assert all(degs[i] <= degs[i + 1] for i in range(len(degs) - 1))
-
 
 class TestLocalityOrder:
     def test_is_permutation(self, small_community):

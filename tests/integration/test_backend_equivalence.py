@@ -36,7 +36,9 @@ from repro.graphs import (
     randomized_order,
     synthetic_features,
 )
-from repro.kernels import PREFETCH_LINES_PER_VECTOR, BasicKernel, UpdateParams
+from repro.kernels import (
+    PREFETCH_LINES_PER_VECTOR, TASK_SIZE, BasicKernel, UpdateParams,
+)
 from repro.nn import aggregate
 from repro.nn.layers import output_sweep
 from repro.tensors.compression import compress_matrix, decompress_matrix
@@ -85,7 +87,7 @@ def _run_kernel(name, graph, h, aggregator, params):
     """Run one variant once through a fresh kernel."""
     if name in ("compression", "combined"):
         h = decompress_matrix(compress_matrix(h))
-    out, stats = BasicKernel(task_size=32).aggregate(graph, h, aggregator)
+    out, stats = BasicKernel().aggregate(graph, h, aggregator)
     if name in ("fusion", "combined"):
         out, _ = output_sweep(
             out, params.weight, params.bias, params.activation, tf=False
@@ -189,7 +191,7 @@ def test_lane_split_pass_matches_one_lane(
     count."""
     base = _graph(7)
     graph, h = _relabel(base, _features(base, 7), order_name)
-    kernel = BasicKernel(task_size=32)
+    kernel = BasicKernel()
     run = kernel.aggregate_backward if transposed else kernel.aggregate
     degrees = (graph.transpose() if transposed else graph).degrees()
     n = graph.num_vertices
@@ -198,7 +200,7 @@ def test_lane_split_pass_matches_one_lane(
         always_split(count)
         out, stats = run(graph, h, aggregator)
         assert stats.gathers == graph.num_edges + n
-        assert stats.tasks == -(-n // 32)
+        assert stats.tasks == -(-n // TASK_SIZE)
         assert stats.prefetches == PREFETCH_LINES_PER_VECTOR * int(
             (degrees[kernel.prefetch_distance:] + 1).sum()
         ) > 0

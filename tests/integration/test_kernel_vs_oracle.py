@@ -28,7 +28,9 @@ from repro.graphs import (
     randomized_order,
     synthetic_features,
 )
-from repro.kernels import BasicKernel, PREFETCH_LINES_PER_VECTOR, UpdateParams
+from repro.kernels import (
+    BasicKernel, PREFETCH_LINES_PER_VECTOR, TASK_SIZE, UpdateParams,
+)
 from repro.nn import Adam, GNNLayer, Trainer, build_model
 from repro.nn.aggregate import (
     aggregate_backward_reference,
@@ -135,20 +137,18 @@ class TestClosedFormCounters:
     """The counters are the time plane's inputs, so they are pinned to
     closed forms of the graph — "plausible" is not good enough.  Each
     runs on the randomized relabel, whose degree sequence the look-ahead
-    walks."""
-
-    TASK_SIZE = 37
+    walks.  ``T`` is the kernel's fixed 64."""
 
     @pytest.fixture
     def shuffled(self, graph, features):
         return relabel(graph, features, "randomized")[0]
 
     def test_basic_counters_exact(self, shuffled, features):
-        kernel = BasicKernel(task_size=self.TASK_SIZE, prefetch_distance=3)
+        kernel = BasicKernel(prefetch_distance=3)
         _, stats = kernel.aggregate(shuffled, features, "gcn")
         n = shuffled.num_vertices
         assert stats.gathers == shuffled.num_edges + n
-        assert stats.tasks == -(-n // self.TASK_SIZE)
+        assert stats.tasks == -(-n // TASK_SIZE)
         assert stats.prefetches == expected_prefetches(shuffled.degrees(), 3) > 0
         assert stats.flops == 2.0 * stats.gathers * features.shape[1]
 
@@ -157,11 +157,11 @@ class TestClosedFormCounters:
         transposed degrees behind the prefetch look-ahead."""
         rng = np.random.default_rng(6)
         grad_a = rng.standard_normal((shuffled.num_vertices, 10)).astype(np.float32)
-        kernel = BasicKernel(task_size=self.TASK_SIZE)
+        kernel = BasicKernel()
         _, stats = kernel.aggregate_backward(shuffled, grad_a, "gcn")
         n = shuffled.num_vertices
         assert stats.gathers == shuffled.num_edges + n
-        assert stats.tasks == -(-n // self.TASK_SIZE)
+        assert stats.tasks == -(-n // TASK_SIZE)
         transposed = shuffled.transpose().degrees()
         assert not np.array_equal(transposed, shuffled.degrees())
         assert stats.prefetches == expected_prefetches(
@@ -221,7 +221,7 @@ class TestDegenerateShapes:
 def _train(graph, h, labels, epochs=3, seed=0):
     """One deterministic training run at the current lane count."""
     model = build_model("gcn", h.shape[1], 8, 4, seed=seed)
-    kernel = BasicKernel(task_size=37)
+    kernel = BasicKernel()
     trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
     trainer.fit(graph, h, labels, epochs=epochs)
     return trainer

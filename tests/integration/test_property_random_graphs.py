@@ -72,6 +72,6 @@ def test_fused_kernel_matches_on_random_graphs(graph, seed):
 def test_dma_engine_matches_on_random_graphs(graph, seed):
     h = _features(graph, seed)
     reference = aggregate(graph, h, "gcn")
-    runner = DmaOffloadRunner(cache_scale=0.05, block_size=4)
+    runner = DmaOffloadRunner(cache_scale=0.05)
     a, _, _ = runner.run_layer(graph, h, aggregator="gcn")
     np.testing.assert_allclose(a, reference, atol=1e-4)

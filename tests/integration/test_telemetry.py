@@ -20,7 +20,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.graphs import power_law_graph, synthetic_features
-from repro.kernels import PREFETCH_LINES_PER_VECTOR, BasicKernel
+from repro.kernels import PREFETCH_LINES_PER_VECTOR, TASK_SIZE, BasicKernel
 from repro.nn import Adam, Trainer, build_model
 from repro.obs import read_trace, span_tree
 
@@ -116,7 +116,7 @@ class TestCounterConsistency:
         assert {span.name for span in spans} == set(degrees)
         for span in spans:
             assert span.counters["gathers"] == graph.num_edges + n
-            assert span.counters["tasks"] == -(-n // kernel.task_size)
+            assert span.counters["tasks"] == -(-n // TASK_SIZE)
             assert span.counters["prefetches"] == PREFETCH_LINES_PER_VECTOR * (
                 int((degrees[span.name][distance:] + 1).sum())
             )
@@ -140,7 +140,7 @@ class TestCounterConsistency:
             + snap["kernel.backward.basic.tasks"]["value"]
         )
         n = _tiny_inputs()[0].num_vertices
-        assert tasks == runs * -(-n // BasicKernel().task_size)
+        assert tasks == runs * -(-n // TASK_SIZE)
 
 
 class TestCliArtifacts:

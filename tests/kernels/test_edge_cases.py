@@ -135,7 +135,7 @@ class TestOversizedTaskSize:
         reference = aggregate(star10, h, "gcn")
         for count in (1, 4):
             always_split(count)
-            kernel = BasicKernel(task_size=10_000)
+            kernel = BasicKernel()  # T = 64 > the star's vertices
             out, stats = kernel.aggregate(star10, h, "gcn")
             np.testing.assert_allclose(out, reference, atol=1e-5)
             assert stats.tasks == 1  # one task owns the whole graph

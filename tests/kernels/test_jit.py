@@ -55,8 +55,7 @@ class TestCache:
 class TestAmortization:
     def test_repeated_layers_amortize(self, small_products):
         """The training-loop pattern: the second epoch compiles nothing."""
-        cache = JitKernelCache()
-        kernel = BasicKernel(jit_cache=cache)
+        kernel = BasicKernel()
         h = synthetic_features(small_products, 16, seed=1)
         _, first = kernel.aggregate(small_products, h, "gcn")
         _, second = kernel.aggregate(small_products, h, "gcn")

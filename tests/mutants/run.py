@@ -185,6 +185,17 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/graphs/test_partition.py",),
     ),
     Mutant(
+        "partition-bfs-unstable-sort", "src/repro/graphs/partition.py",
+        'np.argsort(-u_degs, kind="stable")', "np.argsort(-u_degs)",
+        ("tests/graphs/test_partition.py",),
+    ),
+    Mutant(
+        "cli-lr-unplumbed", "src/repro/cli.py",
+        "Adam(model, lr=args.lr), profile_sparsity=True",
+        "Adam(model, lr=0.01), profile_sparsity=True",
+        ("tests/test_cli_matrix.py",),
+    ),
+    Mutant(
         "paper-plan-mkl-bandwidth", "src/repro/perf/machine.py",
         "mkl_bw_efficiency: float = 0.74", "mkl_bw_efficiency: float = 0.95",
         ("tests/bench/test_run_all.py",),

@@ -145,7 +145,7 @@ class TestSoftmaxCrossEntropy:
 class TestAccuracy:
     def test_perfect(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert accuracy(logits, np.array([0, 1])) == 1.0
+        assert accuracy(logits, np.array([0, 1]), None) == 1.0
 
     def test_masked(self):
         logits = np.array([[1.0, 0.0], [1.0, 0.0]])

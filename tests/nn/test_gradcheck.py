@@ -52,7 +52,7 @@ def make_layer(aggregator, activation, in_f=5, out_f=4, seed=0):
 
 
 def make_kernel(path):
-    return None if path == "oracle" else BasicKernel(task_size=7)
+    return None if path == "oracle" else BasicKernel()
 
 
 def layer_loss(layer, graph, h, kernel, coef):
@@ -256,7 +256,7 @@ class TestBatchedBackwardMatchesReference:
         grad_a = rng.standard_normal((graph.num_vertices, 3))
         aggregator = ("gcn", "mean", "sum")[seed % 3]
         reference = aggregate_backward_reference(graph, grad_a, aggregator)
-        kernel = BasicKernel(task_size=5)
+        kernel = BasicKernel()
         out, stats = kernel.aggregate_backward(graph, grad_a, aggregator)
         np.testing.assert_allclose(out, reference, atol=1e-6)
         if graph.num_edges or graph.num_vertices:

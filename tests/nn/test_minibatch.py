@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import CSRGraph, power_law_graph
+from repro.gpu.sampler import sample_blocks
 from repro.nn import build_model
 from repro.nn import minibatch
 from repro.nn.minibatch import assemble_batch, block_forward, full_neighbor_blocks
@@ -40,15 +41,6 @@ class TestFullNeighborBlocks:
     def test_num_layers_validated(self, tiny_graph):
         with pytest.raises(ValueError):
             full_neighbor_blocks(tiny_graph, np.array([0]), 0)
-
-    def test_assemble_batch_routes_fanouts(self, tiny_graph):
-        sampled = assemble_batch(
-            tiny_graph, np.array([3]), 2, fanouts=(2, 2),
-            rng=np.random.default_rng(0),
-        )
-        assert len(sampled.blocks) == 2
-        with pytest.raises(ValueError):
-            assemble_batch(tiny_graph, np.array([3]), 2, fanouts=(2,))
 
 
 class TestBlockForward:
@@ -224,9 +216,8 @@ class TestBlockForwardThroughTheCore:
         rng = np.random.default_rng(12)
         features = rng.standard_normal((n, 24)).astype(np.float32)
         model = build_model(model_type, 24, 32, 7, num_layers=2, seed=6)
-        batch = assemble_batch(
-            looped_graph, np.arange(0, n, 3), 2, fanouts=(6, 6),
-            rng=np.random.default_rng(1),
+        batch = sample_blocks(
+            looped_graph, np.arange(0, n, 3), (6, 6), np.random.default_rng(1)
         )
         for block in batch.blocks:
             pairs = np.stack([block.edge_dst, block.edge_src], axis=1)

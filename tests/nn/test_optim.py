@@ -32,22 +32,10 @@ class TestSGD:
         losses = _one_step_loss(model, graph, features, labels, SGD(model, lr=0.5))
         assert losses[-1] < losses[0]
 
-    def test_momentum_reduces_loss(self):
-        graph, features, labels, model = _tiny_setup()
-        losses = _one_step_loss(
-            model, graph, features, labels, SGD(model, lr=0.2, momentum=0.9)
-        )
-        assert losses[-1] < losses[0]
-
     def test_invalid_lr(self):
         _, _, _, model = _tiny_setup()
         with pytest.raises(ValueError):
             SGD(model, lr=0.0)
-
-    def test_invalid_momentum(self):
-        _, _, _, model = _tiny_setup()
-        with pytest.raises(ValueError):
-            SGD(model, lr=0.1, momentum=1.0)
 
     def test_grad_count_checked(self):
         _, _, _, model = _tiny_setup()

@@ -10,7 +10,7 @@ from repro.graphs import CSRGraph, planted_partition_graph
 from repro.kernels import BasicKernel
 from repro.nn import (
     Adam, GNNLayer, GNNModel, LayerGrads, SGD, Trainer, build_model,
-    inference, train_val_split,
+    train_val_split,
 )
 from repro.nn import functional as F
 from repro.nn.aggregate import aggregate, aggregate_backward
@@ -444,7 +444,7 @@ class TestInference:
     def test_logits_shape(self, community_task):
         graph, features, _ = community_task
         model = build_model("gcn", 8, 16, 3, num_layers=2)
-        logits = inference(model, graph, features)
+        logits = model.predict(graph, features)
         assert logits.shape == (graph.num_vertices, 3)
 
 

@@ -1,10 +1,12 @@
 """Unit tests for bottleneck attribution (span -> analytic prediction)."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs.attrib import attribute_run, workload_from_span
+from repro.perf.machine import cascade_lake_28
 from repro.perf.traffic import (
     LayerShape,
     aggregation_traffic,
@@ -24,6 +26,12 @@ def basic_record(**overrides):
     }
     record.update(overrides)
     return record
+
+
+def fixed_rate(hit_rate):
+    """A cost model that prices every order at one gather hit rate."""
+    return SimpleNamespace(machine=cascade_lake_28(),
+                           hit_rate=lambda order: hit_rate)
 
 
 def backward_record():
@@ -55,7 +63,7 @@ class TestWorkloadFromSpan:
 
 class TestPredictions:
     def test_traffic_matches_cost_model_plane(self):
-        (span,) = attribute_run([basic_record()], hit_rate=0.5).spans
+        (span,) = attribute_run([basic_record()], cost_model=fixed_rate(0.5)).spans
         expected = aggregation_traffic(LayerShape(1000, 8000, 32, 32), 0.5)
         assert span.predicted_dram_bytes == expected.dram_total
         assert set(span.phases) == {"aggregation"}
@@ -70,7 +78,7 @@ class TestPredictions:
 
 class TestAttributeRun:
     def test_basic_span_is_memory_bound(self):
-        report = attribute_run([basic_record()], hit_rate=0.0)
+        report = attribute_run([basic_record()], cost_model=fixed_rate(0.0))
         assert len(report.spans) == 1
         span = report.spans[0]
         assert span.variant == "basic"
@@ -85,11 +93,11 @@ class TestAttributeRun:
             {"name": "epoch", "attrs": {}, "counters": {}},
             basic_record(),
         ]
-        report = attribute_run(records, hit_rate=0.0)
+        report = attribute_run(records, cost_model=fixed_rate(0.0))
         assert len(report.spans) == 1
 
     def test_technique_totals_accumulate(self):
-        report = attribute_run([basic_record(), basic_record()], hit_rate=0.0)
+        report = attribute_run([basic_record(), basic_record()], cost_model=fixed_rate(0.0))
         totals = report.technique_totals["basic"]
         assert totals["spans"] == 2.0
         assert totals["aggregation_dram_bytes"] == pytest.approx(
@@ -97,7 +105,7 @@ class TestAttributeRun:
         )
 
     def test_render(self):
-        report = attribute_run([basic_record(), backward_record()], hit_rate=0.5)
+        report = attribute_run([basic_record(), backward_record()], cost_model=fixed_rate(0.5))
         text = report.render()
         assert "kernel.basic" in text and "kernel.backward.basic" in text
         assert "  basic " in text and "over 2 span(s)" in text

@@ -14,6 +14,7 @@ name.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
 import pytest
@@ -189,7 +190,10 @@ def test_attribution_prices_like_the_phase_law_it_replaced(
 ):
     (span,) = attribute_run(
         [_record(name, keep_aggregation)],
-        machine=machine, hit_rate=hit_rate, sparsity=sparsity,
+        # A cost model that prices every order at the one hit rate.
+        cost_model=SimpleNamespace(machine=machine,
+                                   hit_rate=lambda order: hit_rate),
+        sparsity=sparsity,
     ).spans
     _assert_prices_like_the_oracle(
         span.phases, span.predicted_dram_bytes, span.aggregation_dram_bytes,

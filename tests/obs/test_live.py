@@ -193,7 +193,7 @@ class TestSparkline:
         assert sparkline([float("nan")]) == ""
 
     def test_width_truncates_to_tail(self):
-        assert len(sparkline([float(i) for i in range(100)], width=10)) == 10
+        assert len(sparkline([float(i) for i in range(100)])) == 40
 
 
 class TestLiveRunMonitor:
@@ -243,12 +243,11 @@ class TestLiveRunMonitor:
         assert "cpu 50%" in frame
         assert "phase epoch 7" in frame
 
-    def test_stale_gauge_flagged(self, tmp_path):
+    def test_stale_gauge_flagged(self, tmp_path, monkeypatch):
         reg = MetricsRegistry()
         reg.set_gauge("proc.rss_bytes", 2e6)
-        monitor = LiveRunMonitor(
-            self.write_events(tmp_path, 1), registry=reg, stale_after_s=-1.0
-        )
+        monkeypatch.setattr("repro.obs.live.STALE_AFTER_S", -1.0)
+        monitor = LiveRunMonitor(self.write_events(tmp_path, 1), registry=reg)
         monitor.poll()
         assert "[STALE]" in monitor.render()
 
@@ -292,7 +291,7 @@ class TestLiveRunMonitor:
         stream = io.StringIO()
         monitor = LiveRunMonitor(self.write_events(tmp_path, 2))
         frames = monitor.follow(
-            interval_s=0.0, refresh_limit=2, stream=stream, clear=False
+            interval_s=0.0, refresh_limit=2, stream=stream
         )
         assert frames == 2
         assert "epoch    1" in stream.getvalue()

@@ -59,11 +59,12 @@ class TestSpanNesting:
     def test_record_attaches_to_current(self):
         tracer = Tracer()
         with tracer.span("kernel") as kspan:
-            tracer.record("worker", duration_s=0.5, counters={"gathers": 3})
+            tracer.record("worker", duration_s=0.5, attrs={"lane": 3})
         worker = tracer.spans("worker")[0]
         assert worker.parent_id == kspan.span.span_id
         assert worker.duration_s == 0.5
-        assert worker.counters == {"gathers": 3.0}
+        assert worker.attrs == {"lane": 3}
+        assert worker.counters == {}
 
     def test_exception_still_closes_span(self):
         tracer = Tracer()
@@ -173,4 +174,4 @@ class TestNullTracer:
             span.add_counters({"n": 1})
 
     def test_record_noop(self):
-        NULL_TRACER.record("w", duration_s=1.0, counters={"n": 1})
+        NULL_TRACER.record("w", duration_s=1.0, attrs={"n": 1})

@@ -113,8 +113,9 @@ class TestWorkloadAccounting:
         assert train.total > inf.total
 
     def test_layers_counted(self, products_model):
-        times = products_model.inference_time("basic", F_IN, F_HID, num_layers=3)
-        assert len(times.layer_times) == 3
+        """The paper's evaluated network has two layers."""
+        times = products_model.inference_time("basic", F_IN, F_HID)
+        assert len(times.layer_times) == 2
 
     def test_dram_bytes_positive(self, products_model):
         times = products_model.training_epoch_time("combined", F_IN, F_HID,

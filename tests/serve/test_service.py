@@ -4,7 +4,7 @@ The centerpiece assertions mirror the acceptance bar: one refilled
 request renders as a complete ``serve.request -> serve.queue ->
 serve.batch -> kernel.serve.block`` span tree sharing a single trace id,
 and the served logits match the full-graph ``model.predict`` oracle
-exactly (the default assembly is exact, not sampled).  A classify query
+exactly (refills assemble exact neighbourhoods).  A classify query
 on a fresh table never reaches the batcher, so the tests that exercise
 the refill path get there through ``cache.invalidate()`` or embedding
 mode.
@@ -162,7 +162,6 @@ class TestQuery:
         stats = service.stats()
         assert stats["requests"] == 1
         assert stats["graph"]["vertices"] == graph.num_vertices
-        assert stats["assembly"] == "exact"
 
 
 @pytest.fixture(scope="module")
@@ -239,53 +238,6 @@ class TestAgainstPredict:
         assert np.asarray(embedded["embeddings"]) == pytest.approx(
             final_input[vertices], abs=1e-4
         )
-
-    @pytest.mark.parametrize("model_type", ["gcn", "sage"])
-    def test_fanouts_sample_only_the_hops_after_the_first(
-        self, hub_and_loner, features, model_type
-    ):
-        """With fanouts the first layer stays exact, so fanouts that
-        cover every neighbor of the remaining hops give the exact
-        answer — and a one-layer model has nothing left to sample."""
-        graph = hub_and_loner
-        vertices = self.query_vertices(graph)
-        everyone = int(graph.degrees().max())
-        for num_layers in (1, 2, 3):
-            model = build_model(
-                model_type, 12, 10, 6, num_layers=num_layers, seed=7
-            )
-            oracle = model.predict(graph, features)
-            # the first fanout is never used: one neighbor would be far
-            # from exact if it were
-            service = InferenceService(
-                graph, features, model,
-                fanouts=[1] + [everyone] * (num_layers - 1),
-            )
-            try:
-                service.cache.invalidate()  # fanouts shape refills only
-                response = service.query(vertices)
-                assert service.stats()["assembly"] == "sampled"
-            finally:
-                service.close()
-            assert response["scores"] == pytest.approx(
-                [float(oracle[v].max()) for v in vertices], abs=1e-4
-            )
-
-    def test_fanout_count_checked_at_construction(self, setup):
-        graph, features, model, _ = setup
-        with pytest.raises(ValueError):
-            InferenceService(graph, features, model, fanouts=[4])
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_nonpositive_fanout_rejected_at_construction(self, setup, bad):
-        """A fanout < 1 would make every sampled miss fail inside the
-        batcher; it is refused up front, naming the layer."""
-        graph, features, model, _ = setup
-        fanouts = [4] * model.num_layers
-        fanouts[-1] = bad
-        layer = model.num_layers - 1
-        with pytest.raises(ValueError, match=f"layer {layer}"):
-            InferenceService(graph, features, model, fanouts=fanouts)
 
     def test_weight_update_keeps_the_first_aggregation_valid(self, setup):
         graph, features, model, service = setup
@@ -406,9 +358,9 @@ class TestTimeoutsAndShedding:
 
     def test_admission_rejection_when_queue_full(self, setup):
         graph, features, model, _ = setup
-        service = InferenceService(
-            graph, features, model, max_batch=1, max_queue=1
-        )
+        service = InferenceService(graph, features, model)
+        # The batcher reads its bounds on every submit and dispatch.
+        service.batcher.max_batch = service.batcher.max_queue = 1
         service.cache.invalidate()
         gate = Gate(service)
         try:

@@ -1,7 +1,6 @@
 """Unit tests for the hardware stream prefetcher model."""
 
 import numpy as np
-import pytest
 
 from repro.graphs import load_dataset
 from repro.sim.prefetcher import StreamPrefetcher
@@ -14,7 +13,7 @@ def sequential_trace(lines: int, start: int = 0):
 
 class TestTraining:
     def test_sequential_stream_gets_covered(self):
-        prefetcher = StreamPrefetcher(degree=4, train_threshold=2)
+        prefetcher = StreamPrefetcher()
         stats = prefetcher.run_trace(sequential_trace(200))
         assert stats.coverage > 0.8
         assert stats.accuracy > 0.8
@@ -26,14 +25,15 @@ class TestTraining:
         assert stats.coverage < 0.1
 
     def test_needs_threshold_consecutive_steps(self):
-        prefetcher = StreamPrefetcher(degree=2, train_threshold=3)
-        prefetcher.run_trace(sequential_trace(2))
+        prefetcher = StreamPrefetcher()
+        assert prefetcher.train_threshold == 2
+        prefetcher.run_trace(sequential_trace(1))
         assert prefetcher.stats.streams_confirmed == 0
-        prefetcher.run_trace(sequential_trace(3, start=100))
+        prefetcher.run_trace(sequential_trace(2, start=100))
         assert prefetcher.stats.streams_confirmed >= 1
 
     def test_same_line_bytes_do_not_advance_stream(self):
-        prefetcher = StreamPrefetcher(train_threshold=2)
+        prefetcher = StreamPrefetcher()
         prefetcher.run_trace([0, 8, 16])  # all in line 0
         assert prefetcher.stats.streams_confirmed == 0
 
@@ -41,7 +41,7 @@ class TestTraining:
         a = sequential_trace(50, start=0)
         b = sequential_trace(50, start=100_000)
         interleaved = [line for pair in zip(a, b) for line in pair]
-        stats = StreamPrefetcher(table_entries=8).run_trace(interleaved)
+        stats = StreamPrefetcher().run_trace(interleaved)
         assert stats.coverage > 0.6
 
     def test_reset(self):
@@ -49,12 +49,6 @@ class TestTraining:
         prefetcher.run_trace(sequential_trace(50))
         prefetcher.reset()
         assert prefetcher.stats.accesses == 0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            StreamPrefetcher(degree=0)
-        with pytest.raises(ValueError):
-            StreamPrefetcher(train_threshold=0)
 
 
 class TestGatherDefeatsPrefetching:
@@ -66,7 +60,7 @@ class TestGatherDefeatsPrefetching:
         trace = []
         for v in range(graph.num_vertices):
             trace.extend(vertex_trace(graph, layout, v).gather_lines)
-        stats = StreamPrefetcher(degree=4).run_trace(trace)
+        stats = StreamPrefetcher().run_trace(trace)
         assert stats.coverage < 0.45
 
     def test_wide_vectors_train_better(self):
@@ -79,5 +73,5 @@ class TestGatherDefeatsPrefetching:
             trace = []
             for v in range(0, graph.num_vertices, 2):
                 trace.extend(vertex_trace(graph, layout, v).gather_lines)
-            return StreamPrefetcher(degree=4).run_trace(trace).coverage
+            return StreamPrefetcher().run_trace(trace).coverage
         assert coverage(wide) > coverage(narrow)

@@ -65,12 +65,6 @@ class TestParser:
             assert excinfo.value.code == 2
             assert "--shards" in capsys.readouterr().err
 
-    def test_serve_rejects_nonpositive_fanout(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "products", "--fanout", "2", "-1"])
-        assert excinfo.value.code == 2
-        assert "positive" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command,flag,value", [
         *[(["train", "products"], flag, value) for flag, value in (
             ("--scale", "-1"), ("--scale", "0"), ("--scale", "nan"),
@@ -589,7 +583,7 @@ class TestLiveTelemetryCommands:
     def test_top_once_renders_run(self, tmp_path, capsys):
         code, events = self._train(tmp_path)
         capsys.readouterr()
-        assert main(["top", str(events), "--once"]) == 0
+        assert main(["top", str(events)]) == 0  # one frame by default
         out = capsys.readouterr().out
         assert "== repro top ==" in out
         assert "epoch    1" in out
@@ -623,6 +617,28 @@ class TestLiveTelemetryCommands:
         assert main(["top", str(events), "--check"]) == 2
         assert "--rules" in capsys.readouterr().err
 
+    def test_serve_check_requires_rules(self, capsys):
+        """``--no-rules`` without ``--rules`` leaves ``--check`` nothing
+        to check: refused like ``top --check`` without rules, before
+        any training."""
+        assert main([
+            "serve", "products", "--scale", "0.02", "--epochs", "0",
+            "--port", "0", "--duration", "0.1", "--no-rules", "--check",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "--check" in captured.err and "--no-rules" in captured.err
+        assert "serving inference" not in captured.out
+
+    @pytest.mark.parametrize("flag", [["--interval", "5"],
+                                      ["--refresh-limit", "3"]])
+    def test_top_pacing_needs_follow(self, tmp_path, flag, capsys):
+        """One frame is the default, so a pace without ``--follow``
+        would be ignored: it is a usage error naming the flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["top", str(tmp_path), *flag])
+        assert excinfo.value.code == 2
+        assert f"{flag[0]} paces --follow" in capsys.readouterr().err
+
     def test_top_nothing_to_watch(self, tmp_path, capsys):
         assert main(["top", str(tmp_path)]) == 2
         assert "nothing to watch" in capsys.readouterr().err
@@ -640,7 +656,7 @@ class TestLiveTelemetryCommands:
         args = build_parser().parse_args(["top", "x.jsonl"])
         assert args.follow is False and args.check is False
         assert args.metrics_url is None and args.rules is None
-        assert args.interval == 1.0 and args.refresh_limit is None
+        assert args.interval is None and args.refresh_limit is None
 
     def test_serve_metrics_flag_parses_everywhere(self):
         for command in (

@@ -19,6 +19,21 @@ word matching too noisy.
 A name that is read only by tests either goes, moves into ``tests/``,
 or gets an ``ALLOW`` entry with its reason.  An ``ALLOW`` entry that
 names nothing or has gained a reader fails too, so the list stays true.
+
+**Options.**  The second half holds the keyword options to the same
+rule.  An *option* is a defaulted parameter of a public function, of a
+public method of a public class, or of a public class's ``__init__``.
+It is *passed* when a call in a reader ``.py`` file names the callable
+(``f(...)``, ``obj.f(...)``, ``Class(...)``, or ``super().__init__(...)``
+in a subclass) and gives the parameter by keyword or fills its
+position.  Calls match on the bare name, so a ``run(order=...)`` call
+passes every ``run``'s ``order``, and a ``*args`` / ``**kwargs`` splat
+passes every position / keyword: the scan errs toward not flagging
+here too.  A callable in ``ALLOW`` is skipped (it has no caller outside
+tests by design).  An option no reader passes is deleted with its
+branch, or gets an ``OPTION_ALLOW`` entry with its reason: a test seam,
+a deployment setting, an input of the pinned model-vs-simulator
+reconciliation, or an oracle's signature.
 """
 
 from __future__ import annotations
@@ -71,6 +86,47 @@ ALLOW: dict[str, str] = {
 }
 
 MAX_ALLOW = 12
+
+#: Options no reader passes, by design.  Keys are
+#: ``package.module.Callable(param=)`` relative to ``repro``: a method is
+#: ``Class.method``, a constructor the bare class name.
+OPTION_ALLOW: dict[str, str] = {
+    "obs.live.LiveRunMonitor(registry=)": (
+        "test seam: the registry a monitor reads instead of the active one"),
+    "obs.live.LiveRunMonitor.follow(stream=)": (
+        "test seam: the stream the frames go to instead of stdout"),
+    "obs.metrics.Gauge.age_s(now=)": (
+        "test seam: the clock an age is measured against"),
+    "obs.rules.RuleEngine(registry=)": (
+        "test seam: the registry alerts publish to instead of the active"
+        " one"),
+    "obs.rules.RuleEngine.evaluate(now=)": (
+        "test seam: the clock a `for K` window is timed against"),
+    "obs.sampler.ResourceSampler(interval_s=)": (
+        "test seam: the sampling clock, shortened so a test sees samples"),
+    "serve.server.InferenceService.query(timeout_s=)": (
+        "test seam: the 504 bound, shortened against a held batch"),
+    "serve.cache.EmbeddingCache.invalidate(vertex=)": (
+        "the refill path's entry (ROADMAP item 19): one row, or every row"
+        " after a weight update"),
+    "perf.cost_model.CostModel(machine=)": (
+        "input of the pinned model-vs-simulator reconciliation (the"
+        " 12-core machine)"),
+    "perf.cost_model.CostModel(capacity_vectors=)": (
+        "input of the pinned model-vs-simulator reconciliation (the"
+        " simulated cache's capacity)"),
+    "sim.core_sim.CoreAggregationSim(machine=)": (
+        "input of the pinned model-vs-simulator reconciliation (the"
+        " 12-core machine)"),
+    "sim.hierarchy.MemoryHierarchy(noc=)": (
+        "the Figure-7a mesh model, which only the hierarchy tests price"
+        " L3 hits with; whether it stays is ROADMAP item 8's call"),
+    "sim.core_sim.CoreAggregationSim.run(reuse_output_buffer=)": (
+        "input of the pinned model-vs-simulator reconciliation (the"
+        " output-reuse bound)"),
+}
+
+MAX_OPTION_ALLOW = 20
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -147,18 +203,23 @@ def _words(lines) -> Counter:
     return counts
 
 
+def reader_files(root: Path = ROOT) -> list[Path]:
+    """Every file :data:`READER_SOURCES` names, in a stable order."""
+    return [path for directory, pattern in READER_SOURCES
+            for path in sorted((root / directory).glob(pattern))]
+
+
 def reader_counts(root: Path = ROOT) -> dict[Path, Counter]:
     """One word ``Counter`` per reader file, re-export lines excluded."""
     counts = {}
-    for directory, pattern in READER_SOURCES:
-        for path in sorted((root / directory).glob(pattern)):
-            text = path.read_text()
-            lines = text.splitlines()
-            if path.name == "__init__.py":
-                skip = _reexport_lines(ast.parse(text))
-                lines = [line for number, line in enumerate(lines, 1)
-                         if number not in skip]
-            counts[path.resolve()] = _words(lines)
+    for path in reader_files(root):
+        text = path.read_text()
+        lines = text.splitlines()
+        if path.name == "__init__.py":
+            skip = _reexport_lines(ast.parse(text))
+            lines = [line for number, line in enumerate(lines, 1)
+                     if number not in skip]
+        counts[path.resolve()] = _words(lines)
     return counts
 
 
@@ -222,3 +283,173 @@ def test_guard_flags_a_planted_name(tmp_path):
         "sub.mod.orphan", "sub.mod.used", "sub.mod.LIMIT"}
     dead = unread(defs, reader_counts(tmp_path))
     assert [(d.qualname, d.lines) for d in dead] == [("sub.mod.orphan", 2)]
+
+
+# ----------------------------------------------------------------------
+# Options
+
+
+@dataclass(frozen=True)
+class Option:
+    key: str  # ``module.Callable(param=)``, the OPTION_ALLOW key
+    owner: str  # the module-level name it belongs to, as ALLOW keys it
+    callee: str  # the name a call uses: function, method or class
+    param: str
+    position: int | None  # among a call's positionals; None: keyword-only
+
+
+def _defaulted(node: ast.FunctionDef, bound: bool):
+    """``(name, position)`` of each defaulted parameter of ``node``;
+    ``bound`` drops the ``self`` / ``cls`` a call does not spell out."""
+    args = node.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional):
+        if position >= first:
+            yield arg.arg, position
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def options(package: Path = PACKAGE) -> list[Option]:
+    """Every option of a public callable in ``package``."""
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            owner = _qualname(package, path, node.name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [Option(f"{owner}({name}=)", owner, node.name, name,
+                                 position)
+                          for name, position in _defaulted(node, False)]
+            else:
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef) or (
+                            item.name.startswith("_")
+                            and item.name != "__init__"):
+                        continue
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    init = item.name == "__init__"
+                    key = owner if init else f"{owner}.{item.name}"
+                    found += [Option(f"{key}({name}=)", owner,
+                                     node.name if init else item.name, name,
+                                     position)
+                              for name, position in _defaulted(item, not static)]
+    return found
+
+
+class _CallScan(ast.NodeVisitor):
+    """Per callee name, the keywords reader calls give it (``*`` for a
+    ``**`` splat) and the most positionals one gives (a ``*`` splat
+    counts as every position).  Inside a class, ``cls(...)`` calls that
+    class and ``super().__init__(...)`` its bases."""
+
+    def __init__(self) -> None:
+        self.keywords: dict[str, set[str]] = {}
+        self.positions: Counter = Counter()
+        self._classes: list[tuple[str, list[str]]] = [("", [])]
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._classes.append((node.name, [
+            getattr(b, "id", getattr(b, "attr", "")) for b in node.bases]))
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name, bases = self._classes[-1]
+        if isinstance(func, ast.Name):
+            callees = [name if func.id == "cls" else func.id]
+        elif isinstance(func, ast.Attribute):
+            is_super = (isinstance(func.value, ast.Call)
+                        and getattr(func.value.func, "id", None) == "super")
+            callees = (bases if is_super and func.attr == "__init__"
+                       else [func.attr])
+        else:
+            callees = []
+        given = len(node.args)
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            given = 10**6
+        for callee in callees:
+            self.positions[callee] = max(self.positions[callee], given)
+            self.keywords.setdefault(callee, set()).update(
+                keyword.arg or "*" for keyword in node.keywords)
+        self.generic_visit(node)
+
+
+def unpassed(found: list[Option], root: Path = ROOT) -> list[Option]:
+    """The options no call in a reader ``.py`` file passes, skipping the
+    callables :data:`ALLOW` keeps for tests."""
+    scan = _CallScan()
+    for path in reader_files(root):
+        if path.suffix == ".py":
+            scan.visit(ast.parse(path.read_text()))
+    missing = []
+    for option in found:
+        keywords = scan.keywords.get(option.callee, set())
+        if (option.owner in ALLOW or option.param in keywords
+                or "*" in keywords or (option.position is not None
+                                       and scan.positions[option.callee]
+                                       > option.position)):
+            continue
+        missing.append(option)
+    return missing
+
+
+@pytest.fixture(scope="module")
+def option_scan() -> tuple[list[Option], list[Option]]:
+    """(every option, the unpassed ones) for the repository."""
+    found = options()
+    return found, unpassed(found)
+
+
+def test_every_option_is_passed(option_scan):
+    _, missing = option_scan
+    dead = [o.key for o in missing if o.key not in OPTION_ALLOW]
+    assert not dead, (
+        "options no caller outside tests/ passes (delete each with its "
+        "branch, or allow-list it with a reason):\n  " + "\n  ".join(dead))
+
+
+def test_option_allow_list_is_short_and_true(option_scan):
+    found, missing = option_scan
+    assert len(OPTION_ALLOW) <= MAX_OPTION_ALLOW, (
+        f"{len(OPTION_ALLOW)} entries > {MAX_OPTION_ALLOW}")
+    assert all(reason.strip() for reason in OPTION_ALLOW.values())
+    known = {o.key for o in found}
+    stale = sorted(key for key in OPTION_ALLOW if key not in known)
+    assert not stale, f"allow-list entries that name no option: {stale}"
+    unpassed_keys = {o.key for o in missing}
+    passed = sorted(key for key in OPTION_ALLOW if key not in unpassed_keys)
+    assert not passed, f"allow-list entries a caller now passes: {passed}"
+
+
+def test_guard_flags_a_planted_option(tmp_path):
+    """The option scan itself: keyword, position, a splat, ``cls(...)``
+    and a subclass's ``super().__init__`` pass an option; a call to
+    another name, a private callable and a bound ``self`` do not
+    count."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def f(a, b=1, *, c=2, d=3):\n    pass\n\n\n"
+        "def g(x=0):\n    pass\n\n\n"
+        "def _private(y=0):\n    pass\n\n\n"
+        "class Base:\n"
+        "    def __init__(self, size=1, name=''):\n        pass\n\n"
+        "    def run(self, fast=False, depth=2):\n        pass\n\n"
+        "    @classmethod\n"
+        "    def make(cls, n=1):\n        return cls(name=n)\n\n\n"
+        "class Child(Base):\n"
+        "    def __init__(self):\n        super().__init__(4)\n")
+    (package / "main.py").write_text(
+        "from .mod import Base, f, g\n\n"
+        "f(0, c=5)\nf(0, 1)\nh(d=1)\nBase().run(*[])\n"
+        "g(**{})\n")
+    keys = {o.key for o in unpassed(options(package), tmp_path)}
+    assert keys == {"mod.f(d=)", "mod.Base.make(n=)"}
+

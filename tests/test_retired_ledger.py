@@ -3,14 +3,17 @@ sampling profiler, the chunk executor, the consumer-less telemetry
 outputs (dashboard, Perfetto export, ``--attrib``, ``--sample-proc``),
 the commands that re-printed ``repro experiment`` rows (``datasets``,
 ``speedup``, ``characterize``), the variant kernel classes with
-``profile --kernel``, the sharded trainer's delayed aggregation and the
+``profile --kernel``, the sharded trainer's delayed aggregation, the
 paper plane's second experiment table (``experiment --training``,
-``run_all.py --only / --timestamp``) are deleted, not defaulted:
+``run_all.py --only / --timestamp``) and the knobs no workload set
+(``serve --fanout / --max-batch / --max-queue``, ``top --once``) are
+deleted, not defaulted:
 perfbench is the only judge of speed, the span plane is the only phase
 breakdown, lanes are the only in-process parallelism, every telemetry
 output left has a reader, each paper artifact has one command and one
 plan entry, the value plane runs one aggregation kernel while the cost
-model prices the paper's variants, and sharded training is exact.
+model prices the paper's variants, sharded training is exact, and every
+served row is exact.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
@@ -270,3 +273,27 @@ class TestOnePaperPlan:
         monkeypatch.setattr(figures, "load_dataset", recording)
         assert main(["experiment", "fig12b", "--scale", "0.05"]) == 0
         assert scales == [pytest.approx(0.015)] * 2  # products, wikipedia
+
+
+class TestUnsetKnobsAreGone:
+    """Refills assemble exact neighbourhoods, the batcher's bounds are
+    constants of the service, and one frame is ``top``'s default."""
+
+    @pytest.mark.parametrize("command,flag", [
+        (_SMALL_RUNS["serve"], ["--fanout", "2", "2"]),
+        (_SMALL_RUNS["serve"], ["--max-batch", "8"]),
+        (_SMALL_RUNS["serve"], ["--max-queue", "8"]),
+        (["top", "run.jsonl"], ["--once"]),
+    ], ids=["serve-fanout", "serve-max-batch", "serve-max-queue", "top-once"])
+    def test_flags_exit_2(self, command, flag, capsys):
+        assert _exit_code(command + flag) == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_service_takes_no_sampling_or_bounds(self):
+        from repro.nn.minibatch import assemble_batch
+        from repro.serve import InferenceService
+
+        assert list(inspect.signature(InferenceService).parameters) == [
+            "graph", "features", "model"]
+        assert list(inspect.signature(assemble_batch).parameters) == [
+            "graph", "vertices", "num_layers"]
