@@ -123,49 +123,48 @@ def _telemetry(
     args: argparse.Namespace,
     meta: dict,
     extras: Optional[dict] = None,
+    rules=None,
     always: bool = False,
 ):
-    """Enable run telemetry when a telemetry flag was given (or
-    ``always``, for ``repro profile``, which traces with no flags).
+    """Run telemetry for the block, on wherever something reads it.
 
-    Yields the live tracer (or None when telemetry stays off) and, on
-    exit, writes the JSONL trace and/or the run-report JSON.
-    ``--serve-metrics PORT`` activates telemetry on its own, starts the
-    resource sampler (``proc.*``), and serves the live registry over
-    HTTP (``/metrics`` Prometheus text, ``/snapshot.json`` deltas) for
-    the duration of the block; port 0 binds an ephemeral port.
+    A live registry for a rule engine (``rules``: ``--rules``,
+    ``--health`` or serve's defaults), ``--trace``, ``--json`` or
+    ``--serve-metrics``; a live tracer (yielded, else None) only for
+    ``--trace``, ``--json`` and ``always`` (``repro profile``), since
+    spans grow without bound.  Only ``--serve-metrics PORT`` starts the
+    resource sampler (``proc.*``) and an HTTP server of the registry
+    (``/metrics``, ``/snapshot.json``; port 0 is ephemeral).
 
-    ``extras`` is a mutable dict the caller may fill *inside* the block
-    (keys ``events``, ``sparsity``, and ``alerts``); it is read on exit
-    so the run report can embed the epoch-event records, sparsity
-    profile, and SLO rule-engine verdict.  If either file cannot be
-    written, the block raises ``_Exit(1)`` once the other is written.
+    ``extras`` may be filled *inside* the block (keys ``events``,
+    ``sparsity``, ``alerts``) for the run report.  On exit the trace
+    and/or report are written; if either cannot be, the block raises
+    ``_Exit(1)`` once the other is written.
     """
     trace_path = getattr(args, "trace", None)
     json_path = getattr(args, "json", None)
     serve_port = getattr(args, "serve_metrics", None)
-    if not (always or trace_path or json_path or serve_port is not None):
+    traced = bool(always or trace_path or json_path)
+    if not (traced or rules is not None or serve_port is not None):
         yield None
         return
-    tracer, metrics = obs.enable()
-    sampler = obs.NULL_SAMPLER
-    server = obs.NULL_SERVER
-    if serve_port is not None:
-        # A scrape without proc.* gauges answers none of the questions
-        # a live watcher asks.
-        sampler = obs.ResourceSampler(metrics)
-        sampler.start()
-        server = obs.MetricsServer(metrics, port=serve_port)
-        server.start()
-        print(
-            f"serving live metrics on {server.url} "
-            "(/metrics, /snapshot.json)"
-        )
+    tracer = obs.Tracer() if traced else obs.NULL_TRACER
+    metrics = obs.MetricsRegistry()
+    obs.set_tracer(tracer)
+    obs.set_metrics(metrics)
     try:
-        yield tracer
+        with contextlib.ExitStack() as stack:
+            if serve_port is not None:
+                # A live watcher's first questions are proc.* gauges.
+                stack.enter_context(obs.ResourceSampler(metrics))
+                server = obs.MetricsServer(metrics, port=serve_port)
+                stack.enter_context(server)
+                print(
+                    f"serving live metrics on {server.url} "
+                    "(/metrics, /snapshot.json)"
+                )
+            yield tracer if traced else None
     finally:
-        server.stop()
-        sampler.stop()
         obs.disable()
         extras = extras or {}
 
@@ -349,7 +348,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     extras: dict = {}
     status = 0
     try:
-        with _telemetry(args, meta, extras=extras):
+        with _telemetry(args, meta, extras=extras, rules=rules):
             try:
                 trainer.fit(
                     graph, features, labels, epochs=args.epochs, verbose=True
@@ -624,8 +623,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     extras: dict = {}
     status = 0
-    with _telemetry(args, meta, extras=extras):
-        registry = obs.get_metrics()
+    with _telemetry(args, meta, extras=extras, rules=rules):
         # SIGTERM is Ctrl-C: drain, write the trace, exit 0.  Installed
         # before the URL is announced, so whoever reads it may send one.
         on_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
@@ -643,7 +641,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                         step = min(step, max(0.0, deadline - time.monotonic()))
                     time.sleep(step)
                     if rules is not None:
-                        rules.evaluate(registry.snapshot())
+                        rules.evaluate(obs.get_metrics().snapshot())
         except KeyboardInterrupt:  # raised in the loop; the server has drained
             print("\nshutting down")
         finally:
@@ -777,10 +775,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--rules", metavar="FILE", default=None,
-        help="evaluate declarative SLO rules each epoch "
-        "('[name:] metric [stat] op threshold [for K] [fatal]' per line); "
-        "violations surface as alerts.* metrics, slo: event issues, "
-        "and run-report entries; a fatal one stops the run (exit 1)",
+        help="evaluate declarative SLO rules each epoch against the live "
+        "registry ('[name:] metric [stat] op threshold [for K] [fatal]' "
+        "per line; proc.* metrics need --serve-metrics); violations "
+        "surface as alerts.* metrics, slo: event issues and run-report "
+        "entries; a fatal one stops the run (exit 1)",
     )
     p.set_defaults(func=_cmd_train)
 
@@ -870,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rules", metavar="FILE", default=None,
         help="SLO rules evaluated once per second against the live "
-        "registry (default: the built-in serve.* rule set)",
+        "registry (default: the built-in serve.* rule set; proc.* "
+        "metrics need --serve-metrics)",
     )
     p.add_argument(
         "--no-rules", action="store_true",

@@ -19,7 +19,9 @@ import numpy as np
 from ..graphs.csr import CSRGraph
 from ..kernels.base import KernelStats
 from ..obs import get_metrics, get_tracer
-from ..obs.events import EpochEvent, EventLog, train_plane
+from ..obs.events import (
+    EpochEvent, EventLog, plane_over_snapshot, train_plane,
+)
 from ..obs.rules import Alert, FatalRuleError, RuleEngine
 from ..tensors.sparsity import SparsityProfile, sparsity as sparsity_of
 from . import functional as F
@@ -306,21 +308,14 @@ class Trainer:
         rule file can mix ``train.*``, ``proc.*`` and ``kernel.*``
         terms), or the plane alone when the registry is off.
         """
-        if metrics.enabled:
-            for name, value in plane.items():
-                metrics.set_gauge(name, value)
-            metrics.observe("train.epoch_time_s", plane["train.wall_time_s"])
+        for name, value in plane.items():
+            metrics.set_gauge(name, value)
+        metrics.observe("train.epoch_time_s", plane["train.wall_time_s"])
         if self.rules is None:
             return []
-        snapshot = metrics.snapshot() if metrics.enabled else {}
-        # Absent this epoch (a non-finite loss) means skip the rule, not
-        # judge the value a finite epoch left in the registry.
-        snapshot.pop("train.loss_over_best", None)
-        snapshot.update(
-            (name, {"type": "gauge", "value": value})
-            for name, value in plane.items()
+        alerts = self.rules.evaluate(
+            plane_over_snapshot(metrics.snapshot(), plane)
         )
-        alerts = self.rules.evaluate(snapshot)
         for alert in alerts:
             logger.warning("slo: %s", alert.message)
         return alerts

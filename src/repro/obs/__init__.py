@@ -24,13 +24,15 @@ Layered on top, the training-run observability pieces:
   ``fatal`` rule stops the run with a layer/epoch diagnostic;
 * :mod:`repro.obs.sampler` — background resource sampler feeding
   ``proc.*`` gauges/histograms (RSS, CPU%, threads) while
-  ``--serve-metrics`` serves them, with a ``NULL_SAMPLER`` mirroring
-  the other null singletons.
+  ``--serve-metrics`` serves them; nothing else starts it.
 
 Telemetry is **disabled by default and zero-cost when disabled**: the
 module singletons are ``NULL_TRACER`` / ``NULL_REGISTRY`` whose methods
 are no-ops, and instrumentation sits at region granularity (a kernel
-invocation, an epoch), never inside per-vertex loops.
+invocation, an epoch), never inside per-vertex loops.  The CLI turns it
+on where it is read (``cli._telemetry``): a live registry for a rule
+engine or any telemetry flag, a live tracer only for ``--trace``,
+``--json`` and ``repro profile``.
 
 Typical use (what ``repro profile`` and ``--trace`` do)::
 
@@ -59,10 +61,8 @@ from .events import (
     validate_events_file,
 )
 from .live import (
-    NULL_SERVER,
     LiveRunMonitor,
     MetricsServer,
-    NullMetricsServer,
     delta_snapshot,
     prometheus_name,
     render_prometheus,
@@ -98,11 +98,7 @@ from .report import (
     environment_info,
     write_json,
 )
-from .sampler import (
-    NULL_SAMPLER,
-    NullResourceSampler,
-    ResourceSampler,
-)
+from .sampler import ResourceSampler
 from .trace import (
     NULL_TRACER,
     TRACE_SCHEMA_VERSION,
@@ -168,13 +164,9 @@ __all__ = [
     "LiveRunMonitor",
     "MetricsRegistry",
     "MetricsServer",
-    "NullMetricsServer",
     "NullRegistry",
-    "NullResourceSampler",
     "NullTracer",
     "NULL_REGISTRY",
-    "NULL_SAMPLER",
-    "NULL_SERVER",
     "NULL_TRACER",
     "DEFAULT_SERVE_RULES",
     "DEFAULT_TRAIN_RULES",

@@ -94,6 +94,23 @@ def train_plane(record: Mapping[str, Any]) -> Dict[str, float]:
     }
 
 
+def plane_over_snapshot(
+    snapshot: Mapping[str, Mapping[str, Any]], plane: Mapping[str, float]
+) -> Dict[str, Dict[str, Any]]:
+    """What a rule engine judges for one epoch: ``snapshot`` with its
+    ``train.*`` gauges replaced by the epoch's ``plane``.  A gauge the
+    plane lacks (a non-finite epoch's ``train.loss_over_best``) is
+    skipped by its rules, not judged at the value another epoch left."""
+    merged = {
+        name: doc for name, doc in snapshot.items()
+        if not (name.startswith("train.") and doc.get("type") == "gauge")
+    }
+    merged.update(
+        (name, {"type": "gauge", "value": value}) for name, value in plane.items()
+    )
+    return merged
+
+
 class EventLog:
     """Streaming JSONL epoch-event writer (and in-memory record buffer).
 
@@ -145,35 +162,55 @@ class EventLog:
         return len(self.events)
 
 
-def read_events(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Load an event log; returns (header, epoch records).
+def _read_jsonl(
+    path: str, offset: int = 0, strict: bool = True
+) -> Tuple[List[Dict[str, Any]], int]:
+    """The records on the complete lines of the JSONL file at ``path``
+    from byte ``offset`` on, and the offset past the last of them.
 
-    Python's JSON reader accepts the bare ``NaN``/``Infinity`` tokens a
-    NaN'd run writes, so a diverged log stays loadable.
-
-    A *truncated final line* — the partially flushed write of a run
-    that is still in flight or was killed mid-``write``, so it has no
-    trailing newline — is tolerated: the complete prefix is returned.
-    Any other malformed line, a newline-terminated last record included,
-    is an error naming its line (real corruption, not a live tail).
+    An unterminated final line, the partial flush of a writer still in
+    flight or killed mid-``write``, is left unread for the next call.
+    A complete line that does not parse raises ``ValueError`` naming it
+    when ``strict``, else is skipped.  Python's JSON reader accepts the
+    bare ``NaN``/``Infinity`` tokens a diverged run writes.
     """
-    with open(path) as handle:
-        raw = list(handle)
-    lines: List[Dict[str, Any]] = []
-    for index, line in enumerate(raw):
+    # Binary mode: byte offsets stay exact under any encoding.
+    with open(path, "rb") as handle:
+        handle.seek(offset)
+        chunk = handle.read()
+    end = chunk.rfind(b"\n") + 1
+    records: List[Dict[str, Any]] = []
+    for number, line in enumerate(chunk[:end].split(b"\n"), 1):
         if not line.strip():
             continue
         try:
-            lines.append(json.loads(line))
+            records.append(json.loads(line))
         except json.JSONDecodeError as error:
-            if index == len(raw) - 1 and not line.endswith("\n"):
-                break  # live run's partial flush — yield the prefix
-            raise ValueError(
-                f"{path}: malformed JSON on line {index + 1}: {error}"
-            ) from error
-    if not lines or lines[0].get("kind") != "events_header":
-        raise ValueError(f"{path}: not an event log (missing events_header)")
-    return lines[0], [rec for rec in lines[1:] if rec.get("kind") == "epoch"]
+            if strict:
+                raise ValueError(
+                    f"{path}: malformed JSON on line {number}: {error}"
+                ) from error
+    return records, offset + end
+
+
+def _read_headed(
+    path: str, header_kind: str, kind: str
+) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """``(header, records of kind)`` of a whole JSONL file whose first
+    record is a ``header_kind`` one (``ValueError`` otherwise)."""
+    records, _ = _read_jsonl(path)
+    if not records or records[0].get("kind") != header_kind:
+        raise ValueError(f"{path}: missing {header_kind} record")
+    return records[0], [r for r in records[1:] if r.get("kind") == kind]
+
+
+def read_events(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+    """Load an event log; returns (header, epoch records).
+
+    A run still in flight yields its complete prefix; any malformed
+    complete line is an error naming it (corruption, not a live tail).
+    """
+    return _read_headed(path, "events_header", "epoch")
 
 
 class EventTail:
@@ -182,7 +219,8 @@ class EventTail:
     Built for the live monitor: each :meth:`read_new` picks up where
     the previous one stopped (byte offset), returns only the *complete*
     new records, and leaves a partially flushed final line on disk for
-    the next poll.  The header (once seen) is kept on ``self.header``.
+    the next poll.  A malformed complete line is skipped, so it cannot
+    wedge the tail.  The header (once seen) is kept on ``self.header``.
     """
 
     def __init__(self, path: str):
@@ -193,31 +231,15 @@ class EventTail:
     def read_new(self) -> List[Dict[str, Any]]:
         """Complete epoch records appended since the last call."""
         try:
-            # Binary mode: byte offsets stay exact under any encoding,
-            # unlike text-mode seek/tell cookies.
-            with open(self.path, "rb") as handle:
-                handle.seek(self._offset)
-                chunk = handle.read()
+            records, self._offset = _read_jsonl(
+                self.path, self._offset, strict=False
+            )
         except FileNotFoundError:
             return []
-        records: List[Dict[str, Any]] = []
-        consumed = 0
-        for line in chunk.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # incomplete flush — re-read next poll
-            consumed += len(line)
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # malformed complete line: skip, don't wedge the tail
+        for record in records:
             if self.header is None and record.get("kind") == "events_header":
                 self.header = record
-            elif record.get("kind") == "epoch":
-                records.append(record)
-        self._offset += consumed
-        return records
+        return [record for record in records if record.get("kind") == "epoch"]
 
 
 def _check_norm_map(record: Dict[str, Any], key: str, problems: List[str]) -> None:

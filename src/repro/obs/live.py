@@ -20,9 +20,8 @@ run *while it is in flight*:
   registry), the live epoch, and any firing SLO rules
   (:mod:`repro.obs.rules`).  ``repro top --follow run.jsonl`` drives it.
 
-Both follow the package's null-object contract: :data:`NULL_SERVER`
-answers ``start``/``stop`` with no-ops, never opens a socket, and never
-spawns a thread, so a run without ``--serve-metrics`` pays nothing.
+Only ``--serve-metrics`` starts a server (``cli._telemetry``): a run
+without it opens no socket and spawns no thread.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import urllib.request
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..httpd import HTTPFrontEnd, Reply
-from .events import EventTail, train_plane
+from .events import EventTail, plane_over_snapshot, train_plane
 from .rules import RuleEngine
 
 logger = logging.getLogger(__name__)
@@ -176,8 +175,6 @@ class MetricsServer(HTTPFrontEnd):
     Usable as a context manager.
     """
 
-    enabled = True
-
     def __init__(self, registry, port: int = 0) -> None:
         super().__init__("repro-metrics", port=port)
         self.registry = registry
@@ -216,29 +213,6 @@ class MetricsServer(HTTPFrontEnd):
             self._last_snapshot = current
             self._last_monotonic = now
         return document
-
-
-class NullMetricsServer:
-    """Disabled endpoint: no socket, no thread, no scrape state."""
-
-    enabled = False
-    port = None
-    url = None
-
-    def start(self) -> "NullMetricsServer":
-        return self
-
-    def stop(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullMetricsServer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-NULL_SERVER = NullMetricsServer()
 
 
 def scrape_snapshot(url: str) -> Dict[str, Any]:
@@ -312,10 +286,8 @@ class LiveRunMonitor:
     # ------------------------------------------------------------------
     def _scrape(self) -> Dict[str, Dict[str, Any]]:
         if self.registry is not None:
-            now = time.monotonic()
-            return delta_snapshot(self.registry.snapshot(), None, None, now)[
-                "metrics"
-            ]
+            snapshot = self.registry.snapshot()
+            return delta_snapshot(snapshot, None, None)["metrics"]
         if self.metrics_url:
             try:
                 return scrape_snapshot(self.metrics_url).get("metrics", {})
@@ -331,12 +303,9 @@ class LiveRunMonitor:
         if self.rules is not None:
             if new_events:
                 for event in new_events:
-                    merged = dict(self.metrics)
-                    merged.update(
-                        (name, {"type": "gauge", "value": value})
-                        for name, value in train_plane(event).items()
+                    self.rules.evaluate(
+                        plane_over_snapshot(self.metrics, train_plane(event))
                     )
-                    self.rules.evaluate(merged)
             elif not self.events and self.metrics:
                 # No event stream at all: pure metrics monitoring.
                 self.rules.evaluate(self.metrics)
@@ -344,27 +313,10 @@ class LiveRunMonitor:
         return new_events
 
     # ------------------------------------------------------------------
-    def _gauge(self, name: str) -> Optional[float]:
-        doc = self.metrics.get(name)
-        value = doc.get("value") if doc else None
+    def _number(self, name: str, key: str = "value") -> Optional[float]:
+        """Field ``key`` of metric ``name`` when it is a number."""
+        value = (self.metrics.get(name) or {}).get(key)
         return float(value) if isinstance(value, (int, float)) else None
-
-    def _gauge_age(self, name: str) -> Optional[float]:
-        doc = self.metrics.get(name)
-        age = doc.get("age_s") if doc else None
-        return float(age) if isinstance(age, (int, float)) else None
-
-    def _counter(self, name: str) -> Optional[float]:
-        doc = self.metrics.get(name)
-        if doc and doc.get("type") == "counter":
-            value = doc.get("value")
-            return float(value) if isinstance(value, (int, float)) else None
-        return None
-
-    def _rate(self, name: str) -> Optional[float]:
-        doc = self.metrics.get(name)
-        rate = doc.get("rate_per_s") if doc else None
-        return float(rate) if isinstance(rate, (int, float)) else None
 
     def _hist(self, name: str) -> Optional[Dict[str, Any]]:
         doc = self.metrics.get(name)
@@ -416,24 +368,20 @@ class LiveRunMonitor:
         else:
             lines.append("(no epoch events yet)")
 
-        rss = self._gauge("proc.rss_bytes")
+        rss = self._number("proc.rss_bytes")
         if rss is not None:
-            cpu = self._gauge("proc.cpu_percent")
-            threads = self._gauge("proc.num_threads")
-            age = self._gauge_age("proc.rss_bytes")
-            stale = (
-                "  [STALE]"
-                if age is not None and age > STALE_AFTER_S
-                else ""
-            )
+            cpu = self._number("proc.cpu_percent")
+            threads = self._number("proc.num_threads")
+            age = self._number("proc.rss_bytes", "age_s")
+            stale = age is not None and age > STALE_AFTER_S
             lines.append(
                 f"proc  rss {_fmt_bytes(rss)}"
                 + (f"  cpu {cpu:.0f}%" if cpu is not None else "")
                 + (f"  threads {threads:.0f}" if threads is not None else "")
-                + stale
+                + ("  [STALE]" if stale else "")
             )
 
-        live_epoch = self._gauge("train.epoch")
+        live_epoch = self._number("train.epoch")
         if live_epoch is not None:
             lines.append(f"phase epoch {live_epoch:.0f}")
 
@@ -456,13 +404,13 @@ class LiveRunMonitor:
 
     def _render_serve(self) -> List[str]:
         """The serving plane, when ``serve.*`` metrics are present."""
-        requests = self._counter("serve.requests")
+        requests = self._number("serve.requests")
         if requests is None:
             return []
         lines: List[str] = []
-        rate = self._rate("serve.requests")
-        rejected = self._counter("serve.rejected") or 0.0
-        errors = self._counter("serve.errors") or 0.0
+        rate = self._number("serve.requests", "rate_per_s")
+        rejected = self._number("serve.rejected") or 0.0
+        errors = self._number("serve.errors") or 0.0
         bits = [f"requests {requests:.0f}"]
         if rate is not None:
             bits.append(f"{rate:.1f} req/s")
@@ -470,19 +418,19 @@ class LiveRunMonitor:
             bits.append(f"{errors:.0f} error(s)")
         if rejected:
             bits.append(f"{rejected:.0f} rejected")
-        depth = self._gauge("serve.queue_depth")
-        inflight = self._gauge("serve.inflight")
+        depth = self._number("serve.queue_depth")
+        inflight = self._number("serve.inflight")
         if depth is not None:
             bits.append(f"queue {depth:.0f}")
         if inflight is not None and inflight:
             bits.append(f"inflight {inflight:.0f}")
         lines.append("serve " + "  ".join(bits))
-        hits = self._counter("serve.cache.hits")
-        misses = self._counter("serve.cache.misses")
+        hits = self._number("serve.cache.hits")
+        misses = self._number("serve.cache.misses")
         if hits is not None or misses is not None:
             total = (hits or 0.0) + (misses or 0.0)
             hit_pct = 100.0 * (hits or 0.0) / total if total else 0.0
-            size = self._gauge("serve.cache.size")
+            size = self._number("serve.cache.size")
             lines.append(
                 f"cache hit {hit_pct:.0f}% ({(hits or 0):.0f}/{total:.0f})"
                 + (f"  size {size:.0f}" if size is not None else "")

@@ -429,8 +429,6 @@ class RuleEngine:
             from . import get_metrics
 
             registry = get_metrics()
-        if not registry.enabled:
-            return
         registry.inc("alerts.evaluations")
         registry.set_gauge("alerts.active", float(len(self.active)))
         if fired:

@@ -20,9 +20,8 @@ No third-party dependency: RSS and thread count come from
 ``/proc/self`` where it exists (Linux) with a ``resource.getrusage``
 fallback, CPU time from ``os.times()``.
 
-Like the tracer and registry, the sampler is **zero-cost when
-disabled**: :data:`NULL_SAMPLER` answers ``start``/``stop``/``sample``
-with no-ops and never spawns a thread.  Usable as a context manager.
+Only ``--serve-metrics`` starts one (``cli._telemetry``); a run
+without it spawns no sampling thread.  Usable as a context manager.
 """
 
 from __future__ import annotations
@@ -78,8 +77,6 @@ def _cpu_seconds() -> float:
 
 class ResourceSampler:
     """Daemon-thread process sampler publishing ``proc.*`` metrics."""
-
-    enabled = True
 
     def __init__(
         self,
@@ -169,26 +166,3 @@ class ResourceSampler:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-
-class NullResourceSampler:
-    """Disabled sampler: no thread, no samples, no metrics."""
-
-    enabled = False
-
-    def sample_once(self) -> Dict[str, float]:
-        return {}
-
-    def start(self) -> "NullResourceSampler":
-        return self
-
-    def stop(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullResourceSampler":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-NULL_SAMPLER = NullResourceSampler()

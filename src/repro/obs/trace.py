@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .events import _read_headed
+
 #: Version of the span record layout written by :meth:`Tracer.export_jsonl`.
 TRACE_SCHEMA_VERSION = 1
 
@@ -280,11 +282,7 @@ class Tracer:
 
 def read_trace(path: str) -> "tuple[Dict[str, Any], List[Dict[str, Any]]]":
     """Load a JSONL trace; returns (header, span records)."""
-    with open(path) as handle:
-        lines = [json.loads(line) for line in handle if line.strip()]
-    if not lines or lines[0].get("kind") != "trace_header":
-        raise ValueError(f"{path}: not a trace file (missing header record)")
-    return lines[0], [rec for rec in lines[1:] if rec.get("kind") == "span"]
+    return _read_headed(path, "trace_header", "span")
 
 
 def span_tree(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:

@@ -9,7 +9,6 @@ from .core_sim import (
     multicore_service_time,
 )
 from .dram import DramModel, DramStats
-from .noc import MeshNoc
 from .prefetcher import PrefetchStats, StreamPrefetcher
 from .hierarchy import (
     AccessResult,
@@ -35,7 +34,6 @@ __all__ = [
     "L2_LATENCY",
     "L3_LATENCY",
     "MemoryHierarchy",
-    "MeshNoc",
     "PrefetchStats",
     "StreamPrefetcher",
     "MemoryLayout",

@@ -15,7 +15,6 @@ from typing import List, Optional
 from ..perf.machine import MachineConfig, cascade_lake_28
 from .cache import SetAssociativeCache
 from .dram import DramModel
-from .noc import MeshNoc
 
 #: Load-to-use latencies in core cycles (typical Cascade Lake values).
 L1_LATENCY = 4
@@ -38,7 +37,6 @@ class MemoryHierarchy:
         self,
         machine: Optional[MachineConfig] = None,
         cache_scale: float = 1.0,
-        noc: Optional[MeshNoc] = None,
     ) -> None:
         """Build the hierarchy.
 
@@ -48,17 +46,11 @@ class MemoryHierarchy:
                 keep cache:working-set ratios faithful when simulating
                 scaled-down dataset twins (same argument as
                 :func:`repro.perf.cost_model.scaled_capacity_vectors`).
-            noc: optional mesh model; when given, L3 hits pay a
-                distance-dependent latency to the line's home slice
-                instead of the flat L3_LATENCY (Figure 7a's shared NoC
-                port).  Default None keeps the flat latency the timing
-                calibration uses.
         """
         machine = machine or cascade_lake_28()
         if not 0 < cache_scale <= 1.0:
             raise ValueError(f"cache_scale must be in (0, 1], got {cache_scale}")
         self.machine = machine
-        self.noc = noc
         line = machine.line_bytes
 
         def scaled(size: int, minimum: int) -> int:
@@ -105,10 +97,7 @@ class MemoryHierarchy:
             if self.l2[core].access(addr, write):
                 return AccessResult("L2", L2_LATENCY)
         if self.l3.access(addr, write):
-            latency = L3_LATENCY
-            if self.noc is not None:
-                latency = L2_LATENCY + self.noc.l3_access_latency(core, addr)
-            return AccessResult("L3", latency)
+            return AccessResult("L3", L3_LATENCY)
         done = self.dram.request(0.0)
         return AccessResult("DRAM", max(L3_LATENCY, done))
 

@@ -196,6 +196,17 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/test_cli_matrix.py",),
     ),
     Mutant(
+        "telemetry-rules-without-registry", "src/repro/cli.py",
+        "if not (traced or rules is not None or serve_port is not None):",
+        "if not (traced or serve_port is not None):",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "jsonl-reads-partial-line", "src/repro/obs/events.py",
+        'end = chunk.rfind(b"\\n") + 1', "end = len(chunk)",
+        ("tests/obs/test_events.py",),
+    ),
+    Mutant(
         "paper-plan-mkl-bandwidth", "src/repro/perf/machine.py",
         "mkl_bw_efficiency: float = 0.74", "mkl_bw_efficiency: float = 0.95",
         ("tests/bench/test_run_all.py",),

@@ -91,6 +91,22 @@ class TestEventLog:
         header, records = read_events(path)
         assert [r["epoch"] for r in records] == [0, 1]
 
+    def test_unterminated_whole_record_left_unread(self, tmp_path):
+        # Whether or not it parses, a line without its newline is still
+        # being written: the log and the tail read it once it ends.
+        path = str(tmp_path / "run.jsonl")
+        with EventLog(path) as log:
+            log.emit(make_event(0))
+        tail = EventTail(path)
+        with open(path, "a") as handle:
+            handle.write(json.dumps(make_event(1).to_record()))
+        assert [r["epoch"] for r in read_events(path)[1]] == [0]
+        assert [r["epoch"] for r in tail.read_new()] == [0]
+        with open(path, "a") as handle:
+            handle.write("\n")
+        assert [r["epoch"] for r in read_events(path)[1]] == [0, 1]
+        assert [r["epoch"] for r in tail.read_new()] == [1]
+
     def test_newline_terminated_corrupt_last_line_raises(self, tmp_path):
         # Only a line without its newline is a partial flush; a complete
         # last line that does not parse is corruption, and the schema
@@ -157,6 +173,18 @@ class TestEventTail:
         with EventLog(path) as log:
             log.emit(make_event(0))
         assert [e["epoch"] for e in tail.read_new()] == [0]
+
+
+    def test_malformed_complete_line_skipped(self, tmp_path):
+        # The tail's policy: read_events raises on this log, the tail
+        # reads past the bad line instead of wedging on it.
+        path = str(tmp_path / "run.jsonl")
+        with EventLog(path) as log:
+            log.emit(make_event(0))
+        with open(path, "a") as handle:
+            handle.write("not json\n")
+            handle.write(json.dumps(make_event(1).to_record()) + "\n")
+        assert [e["epoch"] for e in EventTail(path).read_new()] == [0, 1]
 
 
 class TestValidation:

@@ -10,7 +10,6 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.obs.events import EventLog
 from repro.obs.live import (
-    NULL_SERVER,
     LiveRunMonitor,
     MetricsServer,
     delta_snapshot,
@@ -172,13 +171,24 @@ class TestMetricsServer:
         finally:
             server.stop()
 
-    def test_null_server_never_binds(self):
-        assert NULL_SERVER.enabled is False
-        assert NULL_SERVER.start() is NULL_SERVER
-        assert NULL_SERVER.port is None and NULL_SERVER.url is None
-        NULL_SERVER.stop()
-        with NULL_SERVER as server:
-            assert server is NULL_SERVER
+    def test_null_server_never_binds(self, tmp_path, monkeypatch):
+        """Without ``--serve-metrics`` a run that reads its registry (rules,
+        ``--json``) still opens no socket: only that flag starts a server."""
+        import socket
+
+        from repro import cli, obs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a socket was bound")
+
+        monkeypatch.setattr(MetricsServer, "start", refuse)
+        monkeypatch.setattr(socket.socket, "bind", refuse)
+        args = cli.build_parser().parse_args(
+            ["train", "products", "--json", str(tmp_path / "run.json")]
+        )
+        with cli._telemetry(args, {}, rules=RuleEngine([])) as tracer:
+            assert obs.get_metrics().enabled and tracer.enabled
+        assert not obs.get_metrics().enabled
 
 
 class TestSparkline:
@@ -278,6 +288,21 @@ class TestLiveRunMonitor:
         )
         monitor.poll()
         assert set(rules.active) == {"rss", "loss"}
+
+    def test_event_plane_replaces_scraped_train_gauges(self, tmp_path):
+        # A scraped train.* gauge is the live run's latest epoch, not the
+        # one being replayed: its rules skip instead of judging it.
+        reg = MetricsRegistry()
+        reg.set_gauge("train.nonfinite", 1.0)
+        reg.observe("train.epoch_time_s", 5.0)
+        rules = RuleEngine(
+            "bad: train.nonfinite == 0\nslow: train.epoch_time_s max < 1"
+        )
+        monitor = LiveRunMonitor(
+            self.write_events(tmp_path, 2), registry=reg, rules=rules
+        )
+        monitor.poll()
+        assert rules.active == ["slow"]
 
     def test_scrape_failure_is_tolerated(self, tmp_path):
         monitor = LiveRunMonitor(

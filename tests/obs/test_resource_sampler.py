@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.obs import NULL_SAMPLER, NullResourceSampler, ResourceSampler
+from repro.obs import ResourceSampler
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -108,14 +108,34 @@ class TestBackgroundThread:
 
 
 class TestNullSampler:
-    def test_null_is_inert(self):
-        assert not NULL_SAMPLER.enabled
-        assert NULL_SAMPLER.start() is NULL_SAMPLER
-        assert NULL_SAMPLER.sample_once() == {}
-        NULL_SAMPLER.stop()
+    """Without ``--serve-metrics`` no sampler runs: rules and ``--json``
+    turn the registry on, but it gathers no ``proc.*`` metric."""
 
-    def test_null_context_manager(self):
-        with NullResourceSampler() as sampler:
-            assert sampler.sample_once() == {}
+    @staticmethod
+    def _telemetry(tmp_path, monkeypatch):
+        from repro import cli, obs
+
+        def refuse(self):
+            raise AssertionError("the resource sampler started")
+
+        monkeypatch.setattr(ResourceSampler, "start", refuse)
+        args = cli.build_parser().parse_args(
+            ["train", "products", "--json", str(tmp_path / "run.json")]
+        )
+        return cli._telemetry(args, {}, rules=obs.RuleEngine([]))
+
+    def test_null_is_inert(self, tmp_path, monkeypatch):
+        from repro import obs
+
+        with self._telemetry(tmp_path, monkeypatch):
+            metrics = obs.get_metrics()
+            assert metrics.enabled
+            time.sleep(0.05)
+            assert not any(k.startswith("proc.") for k in metrics.snapshot())
+
+    def test_null_context_manager(self, tmp_path, monkeypatch):
+        before = set(threading.enumerate())
+        with self._telemetry(tmp_path, monkeypatch):
+            assert set(threading.enumerate()) == before
         names = [t.name for t in threading.enumerate()]
         assert "repro-resource-sampler" not in names

@@ -561,6 +561,45 @@ class TestLiveTelemetryCommands:
         _, records = validate_events_file(str(events))
         assert [r["health_issues"] for r in records] == [["slo:stop"]]
 
+    @pytest.mark.parametrize("report", [False, True], ids=["plain", "json"])
+    def test_kernel_rule_reads_the_registry_with_or_without_outputs(
+        self, report, tmp_path, capsys, no_leaked_resources
+    ):
+        """A rule judges the live registry whether or not an output file
+        was asked for: the same fatal kernel-counter rule stops both."""
+        rules = tmp_path / "rules.txt"
+        rules.write_text("k: kernel.basic.gathers < 1 fatal\n")
+        extra = ["--json", str(tmp_path / "run.json")] if report else []
+        code, _ = self._train(tmp_path, "--rules", str(rules), *extra)
+        assert code == 1
+        assert "kernel.basic.gathers" in capsys.readouterr().err
+
+    def test_serve_check_judges_traffic_without_telemetry_flags(
+        self, tmp_path, monkeypatch, capsys, no_leaked_resources
+    ):
+        """``serve --rules --check`` with no ``--trace`` / ``--json`` /
+        ``--serve-metrics``: one request is enough for a rule on
+        ``serve.requests`` to fire and the run to exit 1."""
+        from repro.serve import ServingServer
+
+        enter = ServingServer.__enter__
+
+        def enter_and_ask(server):
+            enter(server)
+            server.service.query([1])  # in-process: counted like HTTP
+            return server
+
+        monkeypatch.setattr(ServingServer, "__enter__", enter_and_ask)
+        rules = tmp_path / "rules.txt"
+        rules.write_text("traffic: serve.requests < 1\n")
+        assert main([
+            "serve", "products", "--scale", "0.02", "--epochs", "0",
+            "--features", "8", "--hidden", "8", "--port", "0",
+            "--duration", "1.5", "--rules", str(rules), "--check",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "served 1 request(s)" in out and "traffic" in out
+
     @pytest.mark.parametrize("text", [
         "fired: train.loss < 1\n",  # a reserved alerts.* name
         "non_finite: train.loss < 1\n",  # clashes with a --health rule

@@ -131,8 +131,9 @@ NO_EFFECT: dict[str, str] = {
         "paces --follow's frames, and a bounded run of one frame never "
         "waits"),
     "serve:--check": (
-        "acts on the exit status once a rule fires, and 0.2 s of serving "
-        "with no traffic and no registry gives a rule nothing to read"),
+        "acts on the exit status once a rule fires; the rules read the "
+        "live registry, but 0.2 s of serving with no traffic gives them "
+        "nothing to read"),
     "loadgen:--seed": (
         "picks which vertices are asked; the output is the server's "
         "timing, masked"),

@@ -118,9 +118,6 @@ OPTION_ALLOW: dict[str, str] = {
     "sim.core_sim.CoreAggregationSim(machine=)": (
         "input of the pinned model-vs-simulator reconciliation (the"
         " 12-core machine)"),
-    "sim.hierarchy.MemoryHierarchy(noc=)": (
-        "the Figure-7a mesh model, which only the hierarchy tests price"
-        " L3 hits with; whether it stays is ROADMAP item 8's call"),
     "sim.core_sim.CoreAggregationSim.run(reuse_output_buffer=)": (
         "input of the pinned model-vs-simulator reconciliation (the"
         " output-reuse bound)"),
