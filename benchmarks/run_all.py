@@ -9,23 +9,21 @@ Usage::
 Runs every entry of :data:`repro.bench.figures.PLAN` at ``--scale`` and
 writes (1) a markdown report with the measured value next to the
 published one for every row, and (2) a consolidated machine-readable
-JSON document (rows, paper values, ratios, environment).  It then checks
+JSON document: the run's manifest (``repro.obs.manifest``), every
+experiment's rows with their paper values, and a summary.  It then checks
 the shape criteria of ``benchmarks/criteria.py`` and exits 1, naming
 every row that fails.  EXPERIMENTS.md is this script's output at the
 default scale, byte for byte.
 """
 
 import argparse
-import json
+import dataclasses
 import sys
 import time
 
 import criteria
 from repro.bench.figures import PLAN, SOFTWARE_SCALE, BenchContext
-from repro.obs import environment_info
-
-#: Version of the BENCH_results.json document layout.
-RESULTS_SCHEMA_VERSION = 1
+from repro.obs import manifest, write_json
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -70,38 +68,6 @@ FOOTER = """
 """
 
 
-def build_results_doc(results, timestamp, elapsed_s, scale):
-    """The consolidated BENCH_results.json document."""
-    experiments = []
-    rows = 0
-    rows_with_paper = 0
-    deviations = []
-    for key, title, experiment in results:
-        doc = experiment.to_dict()
-        doc["key"] = key
-        doc["run_title"] = title
-        experiments.append(doc)
-        rows += len(experiment.rows)
-        rows_with_paper += sum(1 for r in experiment.rows if r.paper is not None)
-        deviation = experiment.max_paper_deviation()
-        if deviation is not None:
-            deviations.append(deviation)
-    return {
-        "schema": RESULTS_SCHEMA_VERSION,
-        "generated_unix": timestamp,
-        "elapsed_s": elapsed_s,
-        "scale": scale,
-        "environment": environment_info(),
-        "experiments": experiments,
-        "summary": {
-            "experiments": len(experiments),
-            "rows": rows,
-            "rows_with_paper": rows_with_paper,
-            "max_paper_deviation": max(deviations) if deviations else None,
-        },
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("output", nargs="?", default="EXPERIMENTS.md")
@@ -110,7 +76,9 @@ def main(argv=None) -> int:
         help="consolidated machine-readable results ('' to skip)",
     )
     parser.add_argument("--scale", type=float, default=SOFTWARE_SCALE)
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
+    run = manifest("run_all", argv, vars(args))
 
     start = time.time()
     ctx = BenchContext(scale=args.scale)
@@ -133,11 +101,27 @@ def main(argv=None) -> int:
     print(f"wrote {args.output} in {elapsed:.1f}s")
 
     if args.json:
-        doc = build_results_doc(results, time.time(), elapsed, args.scale)
-        with open(args.json, "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.json} ({doc['summary']['rows']} rows)")
+        experiments = [
+            {"key": key, "run_title": title, **dataclasses.asdict(experiment)}
+            for key, title, experiment in results
+        ]
+        rows = [row for _, _, experiment in results for row in experiment.rows]
+        deviations = [
+            deviation for _, _, experiment in results
+            if (deviation := experiment.max_paper_deviation()) is not None
+        ]
+        write_json(args.json, {
+            "manifest": run,
+            "experiments": experiments,
+            "summary": {
+                "elapsed_s": elapsed,
+                "experiments": len(experiments),
+                "rows": len(rows),
+                "rows_with_paper": sum(row.paper is not None for row in rows),
+                "max_paper_deviation": max(deviations, default=None),
+            },
+        })
+        print(f"wrote {args.json} ({len(rows)} rows)")
 
     failures = criteria.failed({key: exp for key, _, exp in results}, args.scale)
     checked = len(criteria.applicable(args.scale))

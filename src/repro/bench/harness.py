@@ -3,13 +3,14 @@
 Every benchmark in ``benchmarks/`` reproduces one paper artifact (a
 table or a figure) and reports its rows through this harness so the
 output format is uniform and the paper's published values sit next to
-the measured ones.
+the measured ones.  ``dataclasses.asdict`` of an :class:`Experiment` is
+its machine-readable form (``BENCH_results.json``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional
 
 
 @dataclass
@@ -36,16 +37,6 @@ class ResultRow:
             if ratio is not None:
                 text += f"   ({ratio:5.2f} of paper)"
         return text
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Machine-readable row: label, measured, paper, unit, ratio."""
-        return {
-            "label": self.label,
-            "measured": self.measured,
-            "paper": self.paper,
-            "unit": self.unit,
-            "ratio": self.ratio,
-        }
 
 
 @dataclass
@@ -77,30 +68,6 @@ class Experiment:
         lines += [row.format(width) for row in self.rows]
         lines += [f"   note: {note}" for note in self.notes]
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Machine-readable experiment: id, title, rows, notes, summary."""
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "rows": [row.to_dict() for row in self.rows],
-            "notes": list(self.notes),
-            "max_paper_deviation": self.max_paper_deviation(),
-        }
-
-    # ------------------------------------------------------------------
-    def shape_holds(self, expected_order: Sequence[str]) -> bool:
-        """Check that measured values are ordered like the paper says.
-
-        ``expected_order`` lists row labels from smallest to largest
-        expected measurement; ties hold, an inversion of any size fails.
-        """
-        values = {row.label: row.measured for row in self.rows}
-        missing = [label for label in expected_order if label not in values]
-        if missing:
-            raise KeyError(f"rows missing for shape check: {missing}")
-        seq = [values[label] for label in expected_order]
-        return all(b >= a for a, b in zip(seq, seq[1:]))
 
     def max_paper_deviation(self) -> Optional[float]:
         """Largest |measured/paper - 1| over rows that have paper values."""

@@ -118,10 +118,33 @@ def _write_outputs(outputs) -> bool:
     return ok
 
 
+def _manifest(args: argparse.Namespace) -> dict:
+    """The run's manifest (``config``: the parsed arguments), built on
+    first use; every file one command writes opens with the same one."""
+    if "manifest" not in vars(args):
+        config = {
+            k: v for k, v in vars(args).items()
+            if k not in ("func", "argv", "command")
+        }
+        argv = getattr(args, "argv", [])  # set by main()
+        args.manifest = obs.manifest(args.command, argv, config)
+    return args.manifest
+
+
+def _started(server, port: int):
+    """``server``, started; a port that cannot be bound is one
+    ``error: cannot bind HOST:PORT: REASON`` line and exit 1."""
+    try:
+        return server.start()
+    except OSError as error:
+        reason = error.strerror or error
+        print(f"error: cannot bind {server.host}:{port}: {reason}", file=sys.stderr)
+        raise _Exit(1) from None
+
+
 @contextlib.contextmanager
 def _telemetry(
     args: argparse.Namespace,
-    meta: dict,
     extras: Optional[dict] = None,
     rules=None,
     always: bool = False,
@@ -134,12 +157,14 @@ def _telemetry(
     ``--trace``, ``--json`` and ``always`` (``repro profile``), since
     spans grow without bound.  Only ``--serve-metrics PORT`` starts the
     resource sampler (``proc.*``) and an HTTP server of the registry
-    (``/metrics``, ``/snapshot.json``; port 0 is ephemeral).
+    (``/metrics``, ``/snapshot.json``; port 0 is ephemeral, a bound one
+    is exit 1).
 
     ``extras`` may be filled *inside* the block (keys ``events``,
     ``sparsity``, ``alerts``) for the run report.  On exit the trace
-    and/or report are written; if either cannot be, the block raises
-    ``_Exit(1)`` once the other is written.
+    and/or report are written, both opening with the run's manifest; if
+    either cannot be, the block raises ``_Exit(1)`` once the other is
+    written.
     """
     trace_path = getattr(args, "trace", None)
     json_path = getattr(args, "json", None)
@@ -148,6 +173,7 @@ def _telemetry(
     if not (traced or rules is not None or serve_port is not None):
         yield None
         return
+    manifest = _manifest(args) if trace_path or json_path else None
     tracer = obs.Tracer() if traced else obs.NULL_TRACER
     metrics = obs.MetricsRegistry()
     obs.set_tracer(tracer)
@@ -157,7 +183,9 @@ def _telemetry(
             if serve_port is not None:
                 # A live watcher's first questions are proc.* gauges.
                 stack.enter_context(obs.ResourceSampler(metrics))
-                server = obs.MetricsServer(metrics, port=serve_port)
+                server = _started(
+                    obs.MetricsServer(metrics, port=serve_port), serve_port
+                )
                 stack.enter_context(server)
                 print(
                     f"serving live metrics on {server.url} "
@@ -169,12 +197,12 @@ def _telemetry(
         extras = extras or {}
 
         def write_trace() -> str:
-            count = tracer.export_jsonl(trace_path)
+            count = tracer.export_jsonl(trace_path, manifest)
             return f"wrote {count} spans to {trace_path}"
 
         def write_report() -> str:
             report = obs.build_run_report(
-                tracer, metrics, meta=meta, events=extras.get("events"),
+                tracer, metrics, manifest, events=extras.get("events"),
                 sparsity=extras.get("sparsity"), alerts=extras.get("alerts"),
             )
             obs.write_json(json_path, report)
@@ -185,16 +213,6 @@ def _telemetry(
         )
     if not written:
         raise _Exit(1)
-
-
-def _meta(args: argparse.Namespace, *fields: str, **extra) -> dict:
-    """The run report's ``meta``: the command, the named ``args``
-    fields, then ``extra``."""
-    return {
-        "command": args.command,
-        **{name: getattr(args, name) for name in fields},
-        **extra,
-    }
 
 
 def _twin(args: argparse.Namespace) -> tuple:
@@ -330,7 +348,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if args.shards > 1:
         return _train_sharded(args, graph, features, labels, model)
     print("aggregation: basic kernel")
-    meta = _meta(args, "dataset", "scale", "model", "epochs")
     rules = _load_rules(
         args.rules, obs.default_train_rules() if args.health else ()
     )
@@ -340,7 +357,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"slo: loaded {len(rules.rules)} rule(s) from "
             f"{' and '.join(filter(None, sources))}"
         )
-    event_log = obs.EventLog(args.events, meta=meta) if args.events else None
+    event_log = (
+        obs.EventLog(args.events, _manifest(args)) if args.events else None
+    )
     trainer = Trainer(
         model, Adam(model, lr=args.lr), profile_sparsity=True,
         aggregation_kernel=BasicKernel(), event_log=event_log, rules=rules,
@@ -348,7 +367,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     extras: dict = {}
     status = 0
     try:
-        with _telemetry(args, meta, extras=extras, rules=rules):
+        with _telemetry(args, extras=extras, rules=rules):
             try:
                 trainer.fit(
                     graph, features, labels, epochs=args.epochs, verbose=True
@@ -387,13 +406,9 @@ def _train_sharded(args, graph, features, labels, model) -> int:
     line on stderr and exit code 1."""
     backend = args.backend or "serial"
     args.partition = args.partition or "greedy"
-    meta = _meta(
-        args, "dataset", "scale", "model", "epochs", "shards", "partition",
-        backend=backend,
-    )
     trainer = _sharded_trainer(args, graph, model, args.shards, backend)
     try:
-        with _telemetry(args, meta), trainer:
+        with _telemetry(args), trainer:
             trainer.fit(features, labels, epochs=0)  # partition + attach
             part = trainer.partition
             print(
@@ -436,14 +451,9 @@ def _cmd_bench_sharded(args: argparse.Namespace) -> int:
         f"{args.scale}x ({graph.num_vertices} vertices, "
         f"{graph.num_edges} edges; {args.backend} backend)",
     )
-    meta = _meta(
-        args, "dataset", "scale", "partition", "backend", "epochs",
-        vertices=graph.num_vertices, edges=graph.num_edges,
-        shards=list(args.shards),
-    )
     base_rate: Optional[float] = None
     base_shards: Optional[int] = None
-    with _telemetry(args, meta):
+    with _telemetry(args):
         for shards in args.shards:
             trainer = _sharded_trainer(
                 args, graph, _model(args), shards, args.backend
@@ -492,8 +502,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     print(lanes.describe())
 
-    meta = _meta(args, "vertices", "epochs")
-    with _telemetry(args, meta, always=True) as tracer:
+    with _telemetry(args, always=True) as tracer:
         history = trainer.fit(graph, features, labels, epochs=args.epochs)
         records = [
             span.to_record()
@@ -508,9 +517,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("\n== aggregation counters (all kernel spans) ==")
         for key, value in sorted(tracer.aggregate_counters("kernel.*").items()):
             print(f"  {key:<24} {value:g}")
-        print("\n== environment ==")
-        for key, value in obs.environment_info().items():
-            print(f"  {key:<16} {value}")
+        print("\n== manifest ==")
+        for key, value in _manifest(args).items():
+            if key not in ("command", "argv", "config", "created_unix"):
+                print(f"  {key:<16} {value}")
         attribution = obs.attribute_run(
             records, cost_model=CostModel(graph), sparsity=0.5
         )
@@ -568,7 +578,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_serving_service(args) -> tuple:
+def _build_serving_service(args):
     """Train a small model and wrap it in an InferenceService.
 
     Dataset twin + synthetic features/labels, a short training run (the
@@ -596,7 +606,7 @@ def _build_serving_service(args) -> tuple:
         f"answer table: {table.shape[0]} x {table.shape[1]} logits, "
         f"loss {loss:.4f} on the training labels"
     )
-    return graph, service
+    return service
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -616,19 +626,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.rules:
         print(f"slo: loaded {len(rules.rules)} rule(s) from {args.rules}")
     print(lanes.describe())
-    graph, service = _build_serving_service(args)
-    meta = _meta(
-        args, "dataset", "scale", "model", "epochs",
-        vertices=graph.num_vertices, edges=graph.num_edges,
-    )
+    service = _build_serving_service(args)
     extras: dict = {}
     status = 0
-    with _telemetry(args, meta, extras=extras, rules=rules):
+    # closing: a port that cannot be bound still stops the batcher.
+    with contextlib.closing(service), _telemetry(
+        args, extras=extras, rules=rules
+    ):
         # SIGTERM is Ctrl-C: drain, write the trace, exit 0.  Installed
         # before the URL is announced, so whoever reads it may send one.
         on_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
-            with ServingServer(service, port=args.port, host=args.host) as server:
+            with _started(
+                ServingServer(service, port=args.port, host=args.host),
+                args.port,
+            ) as server:
                 print(
                     f"serving inference on {server.url} "
                     "(/v1/predict, /healthz, /stats.json)"
@@ -681,7 +693,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     for result in results:
         print(result.render())
     if args.out:
-        write_results(args.out, results)
+        write_results(args.out, results, _manifest(args))
         print(f"wrote {len(results)} result(s) to {args.out}")
     total = sum(r.requests for r in results)
     completed = total - sum(r.errors for r in results)
@@ -929,7 +941,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     if args.func is _cmd_train:
         for flag, given in (("--backend", args.backend),
                             ("--partition", args.partition)):

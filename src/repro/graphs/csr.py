@@ -203,10 +203,6 @@ class CSRGraph:
             self._transpose = cached
         return cached
 
-    def reverse(self) -> "CSRGraph":
-        """Alias of :meth:`transpose` (kept for the original API)."""
-        return self.transpose()
-
     # ------------------------------------------------------------------
     # Pickling
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from ..graphs.csr import CSRGraph
 
 #: Aggregators the library (and the DMA engine's bin_op/red_op) support.
-AGGREGATORS = ("gcn", "mean", "sum", "max")
+AGGREGATORS = ("gcn", "mean", "sum")
 
 #: Accepted spellings that map onto a canonical aggregator.
 AGGREGATOR_ALIASES = {"sage-mean": "mean"}
@@ -54,7 +54,7 @@ def normalization_factors(graph: CSRGraph, aggregator: str) -> Tuple[np.ndarray,
     elif aggregator == "mean":
         edge = 1.0 / d_dst
         self_f = 1.0 / d_hat
-    elif aggregator in ("sum", "max"):
+    elif aggregator == "sum":
         edge = np.ones(graph.num_edges, dtype=np.float64)
         self_f = np.ones(graph.num_vertices, dtype=np.float64)
     else:
@@ -78,18 +78,11 @@ def normalized_adjacency(graph: CSRGraph, aggregator: str) -> sp.csr_matrix:
 
 
 def aggregate(graph: CSRGraph, h: np.ndarray, aggregator: str = "gcn") -> np.ndarray:
-    """Eq. 1 — the reference aggregation.
-
-    Linear aggregators go through the SpMM formulation; ``max`` falls back
-    to an explicit loop (it is not expressible as a matrix product).
-    """
+    """Eq. 1 — the reference aggregation, in its SpMM formulation."""
     if h.shape[0] != graph.num_vertices:
         raise ValueError(
             f"feature rows {h.shape[0]} != num_vertices {graph.num_vertices}"
         )
-    aggregator = canonical_aggregator(aggregator)
-    if aggregator == "max":
-        return _aggregate_max(graph, h)
     a_hat = normalized_adjacency(graph, aggregator)
     return (a_hat @ h).astype(np.result_type(h.dtype, np.float32))
 
@@ -104,9 +97,6 @@ def aggregate_backward(
     an optimized kernel routes through the cached transposed layout
     instead (:meth:`repro.kernels.BasicKernel.aggregate_backward`).
     """
-    aggregator = canonical_aggregator(aggregator)
-    if aggregator == "max":
-        raise NotImplementedError("max aggregation has no linear backward")
     a_hat = normalized_adjacency(graph, aggregator)
     return (a_hat.T @ grad_a).astype(np.result_type(grad_a.dtype, np.float32))
 
@@ -122,9 +112,6 @@ def aggregate_backward_reference(
     The differential gradient suite pins every optimized backward
     engine against this.
     """
-    aggregator = canonical_aggregator(aggregator)
-    if aggregator == "max":
-        raise NotImplementedError("max aggregation has no linear backward")
     edge, self_f = normalization_factors(graph, aggregator)
     out = np.zeros_like(grad_a, dtype=np.float64)
     for v in range(graph.num_vertices):
@@ -135,38 +122,6 @@ def aggregate_backward_reference(
             )
         out[v] += grad_a[v].astype(np.float64) * self_f[v]
     return out.astype(np.result_type(grad_a.dtype, np.float32))
-
-
-def _aggregate_max(graph: CSRGraph, h: np.ndarray) -> np.ndarray:
-    """Element-wise max over N(v) ∪ {v} — supported by red_op=max.
-
-    Vectorized: one ``np.maximum.reduceat`` over the gathered neighbor
-    rows for the non-empty CSR segments, then an elementwise max with
-    the self row (``_aggregate_max_reference`` keeps the loop oracle).
-    """
-    out = np.ascontiguousarray(h, dtype=np.float32).copy()
-    degs = graph.degrees()
-    nonempty = np.flatnonzero(degs)
-    if len(nonempty):
-        starts = graph.indptr[:-1][nonempty]
-        gathered = h[graph.indices].astype(np.float32, copy=False)
-        seg_max = np.maximum.reduceat(gathered, starts, axis=0)
-        # reduceat segment i runs to the next start, so restrict to rows
-        # whose segment is exactly one CSR row: starts are row starts of
-        # non-empty rows, and the next start is the next non-empty row's
-        # start == this row's end (empty rows contribute no positions).
-        out[nonempty] = np.maximum(out[nonempty], seg_max)
-    return out
-
-
-def _aggregate_max_reference(graph: CSRGraph, h: np.ndarray) -> np.ndarray:
-    """The original per-vertex loop of :func:`_aggregate_max` (oracle)."""
-    out = h.copy()
-    for v in range(graph.num_vertices):
-        row = graph.neighbors(v)
-        if len(row):
-            out[v] = np.maximum(h[row].max(axis=0), h[v])
-    return out.astype(np.float32)
 
 
 def gather_reduce_reference(

@@ -10,8 +10,10 @@ comparable, machine-readable telemetry):
 * :mod:`repro.obs.metrics` — process-wide counters / gauges /
   histograms that kernels, the trainers and the rule engine publish
   into;
-* :mod:`repro.obs.report` — joins spans + metrics + environment
-  metadata into one run-report JSON document.
+* :mod:`repro.obs.report` — the run record: the one manifest (command,
+  argv, config, git revision, host, NumPy / SciPy / BLAS build) every
+  file the program writes opens with, and the run-report JSON document
+  joining it to spans + metrics.
 
 Layered on top, the training-run observability pieces:
 
@@ -40,8 +42,11 @@ Typical use (what ``repro profile`` and ``--trace`` do)::
 
     tracer, metrics = obs.enable()
     ...  # run the workload
-    tracer.export_jsonl("trace.jsonl")
-    obs.write_json("run.json", obs.build_run_report(tracer, metrics))
+    manifest = obs.manifest("demo", [], {"seed": 0})
+    tracer.export_jsonl("trace.jsonl", manifest)
+    obs.write_json(
+        "run.json", obs.build_run_report(tracer, metrics, manifest)
+    )
     obs.disable()
 """
 
@@ -51,7 +56,6 @@ from typing import Tuple
 
 from .attrib import AttributionReport, SpanAttribution, attribute_run
 from .events import (
-    EVENTS_SCHEMA_VERSION,
     EpochEvent,
     EventLog,
     EventTail,
@@ -93,21 +97,20 @@ from .rules import (
     parse_rules,
 )
 from .report import (
-    REPORT_SCHEMA_VERSION,
+    RECORD_SCHEMA_VERSION,
     build_run_report,
-    environment_info,
+    manifest,
+    span_tree,
     write_json,
 )
 from .sampler import ResourceSampler
 from .trace import (
     NULL_TRACER,
-    TRACE_SCHEMA_VERSION,
     NullTracer,
     Span,
     Tracer,
     read_trace,
     render_span_tree,
-    span_tree,
 )
 
 _tracer = NULL_TRACER
@@ -154,7 +157,6 @@ __all__ = [
     "attribute_run",
     "Alert",
     "Counter",
-    "EVENTS_SCHEMA_VERSION",
     "EpochEvent",
     "EventLog",
     "EventTail",
@@ -176,18 +178,17 @@ __all__ = [
     "Rule",
     "RuleEngine",
     "RuleParseError",
-    "REPORT_SCHEMA_VERSION",
+    "RECORD_SCHEMA_VERSION",
     "Span",
-    "TRACE_SCHEMA_VERSION",
     "Tracer",
     "build_run_report",
     "delta_snapshot",
     "disable",
     "enable",
-    "environment_info",
     "get_metrics",
     "get_tracer",
     "load_rules",
+    "manifest",
     "parse_rule",
     "parse_rules",
     "prometheus_name",

@@ -23,22 +23,20 @@ in :mod:`repro.perf.traffic`.
 
 File format (one JSON object per line):
 
-* line 1 — header: ``{"kind": "events_header", "schema": 2,
-  "created_unix": ..., "run": {...caller meta...}}``;
-* every following line — ``{"kind": "epoch", "epoch": N, ...}``.
+* line 1 — header: ``{"kind": "events_header", "manifest": {...}}``,
+  the run's :func:`~repro.obs.report.manifest`;
+* every following line — ``{"kind": "epoch", "schema": 3, "epoch": N,
+  ...}``.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, List, Mapping, Optional, Tuple
 
-#: Version of the epoch-event record layout (2: no ``sparsity`` /
-#: ``compression`` fields).
-EVENTS_SCHEMA_VERSION = 2
+from .report import RECORD_SCHEMA_VERSION, ensure_manifest
 
 #: Fields every epoch record must carry (``validate_epoch_event``).
 REQUIRED_EPOCH_FIELDS = (
@@ -72,7 +70,7 @@ class EpochEvent:
     def to_record(self) -> Dict[str, Any]:
         return {
             "kind": "epoch",
-            "schema": EVENTS_SCHEMA_VERSION,
+            "schema": RECORD_SCHEMA_VERSION,
             "epoch": self.epoch,
             "loss": self.loss,
             "train_accuracy": self.train_accuracy,
@@ -114,29 +112,24 @@ def plane_over_snapshot(
 class EventLog:
     """Streaming JSONL epoch-event writer (and in-memory record buffer).
 
-    The header is written on open; every :meth:`emit` writes and
-    *flushes* one line, so the log is valid after any prefix of the run.
-    Records are also kept in ``self.events`` so the run report can embed
-    them without re-reading the file.  Usable as a context manager.
+    The header, carrying the run's ``manifest``, is written on open;
+    every :meth:`emit` writes and *flushes* one line, so the log is
+    valid after any prefix of the run.  Records are also kept in
+    ``self.events`` so the run report can embed them without re-reading
+    the file.  Usable as a context manager.
     """
 
-    def __init__(self, path: Optional[str], meta: Optional[Dict[str, Any]] = None):
+    def __init__(
+        self, path: Optional[str], manifest: Optional[Dict[str, Any]] = None
+    ):
         self.path = path
-        self.meta = dict(meta or {})
         self.events: List[Dict[str, Any]] = []
         self._handle: Optional[IO[str]] = None
         if path is not None:
+            header = {"kind": "events_header", "manifest": ensure_manifest(manifest)}
             self._handle = open(path, "w")
-            self._handle.write(json.dumps(self.header()) + "\n")
+            self._handle.write(json.dumps(header) + "\n")
             self._handle.flush()
-
-    def header(self) -> Dict[str, Any]:
-        return {
-            "kind": "events_header",
-            "schema": EVENTS_SCHEMA_VERSION,
-            "created_unix": time.time(),
-            "run": self.meta,
-        }
 
     def emit(self, event: EpochEvent) -> Dict[str, Any]:
         """Append one epoch record (returns the serialized dict)."""
@@ -263,9 +256,9 @@ def validate_epoch_event(record: Dict[str, Any]) -> List[str]:
     problems: List[str] = []
     if record.get("kind") != "epoch":
         problems.append(f"kind: expected 'epoch', got {record.get('kind')!r}")
-    if record.get("schema") != EVENTS_SCHEMA_VERSION:
+    if record.get("schema") != RECORD_SCHEMA_VERSION:
         problems.append(
-            f"schema: expected {EVENTS_SCHEMA_VERSION}, got {record.get('schema')!r}"
+            f"schema: expected {RECORD_SCHEMA_VERSION}, got {record.get('schema')!r}"
         )
     for key in REQUIRED_EPOCH_FIELDS:
         if key not in record:
@@ -293,9 +286,10 @@ def validate_events(
     if header is not None:
         if header.get("kind") != "events_header":
             problems.append("header: kind != 'events_header'")
-        if header.get("schema") != EVENTS_SCHEMA_VERSION:
+        schema = (header.get("manifest") or {}).get("schema")
+        if schema != RECORD_SCHEMA_VERSION:
             problems.append(
-                f"header: schema {header.get('schema')!r} != {EVENTS_SCHEMA_VERSION}"
+                f"header: manifest schema {schema!r} != {RECORD_SCHEMA_VERSION}"
             )
     for idx, record in enumerate(records):
         for problem in validate_epoch_event(record):

@@ -325,10 +325,11 @@ class LiveRunMonitor:
     def render(self) -> str:
         """One frame of the live view (plain text, no ANSI)."""
         lines: List[str] = []
-        meta = (self.tail.header or {}).get("run") or {}
+        manifest = (self.tail.header or {}).get("manifest") or {}
+        run = {"command": manifest.get("command"), **manifest.get("config", {})}
         title = " ".join(
             f"{key}={value}"
-            for key, value in meta.items()
+            for key, value in run.items()
             if value is not None and key in
             ("command", "dataset", "model", "epochs", "shards", "backend")
         )

@@ -1,12 +1,22 @@
-"""Run-report builder: spans + metrics + environment in one JSON doc.
+"""The run record: one manifest that every file the program writes opens
+with, and the run-report document built on it.
 
-A *run report* is the machine-readable record of one invocation —
-``repro train --json run.json`` or ``repro profile`` — joining:
+Five writers share :func:`manifest`: the ``--json`` run report
+(:func:`build_run_report`), the ``--events`` JSONL header
+(:class:`~repro.obs.events.EventLog`), the ``--trace`` JSONL header
+(:meth:`~repro.obs.trace.Tracer.export_jsonl`), ``repro loadgen --out``
+(:func:`repro.serve.write_results`) and ``benchmarks/run_all.py``'s
+``BENCH_results.json``.  A manifest says what ran (``command``,
+``argv``, the parsed ``config``), from which tree (``git_sha``,
+``git_dirty``), where (``host``, ``platform``, ``nproc``) and on which
+numerics (``python``, ``numpy``, ``scipy`` and the ``blas`` NumPy was
+built against), so two records are comparable only when their
+manifests say they should be.  One :data:`RECORD_SCHEMA_VERSION`
+versions every layout.
 
-* ``environment`` — git SHA, Python / NumPy versions, platform, CPU
-  count, package version;
-* ``meta`` — what was run (command, dataset, workers, backend, ...),
-  supplied by the caller;
+A *run report* (``repro train --json run.json``, ``repro profile
+--json``) joins to its manifest:
+
 * ``spans`` — the tracer's flat span records plus the nested tree;
 * ``metrics`` — the registry snapshot;
 * ``counter_totals`` — counters summed over all spans, for quick diffs
@@ -20,20 +30,24 @@ import os
 import platform
 import subprocess
 import sys
-from typing import Any, Dict, Optional
+import time
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from .metrics import MetricsRegistry
-from .trace import Tracer, span_tree
+if TYPE_CHECKING:
+    from .metrics import MetricsRegistry
+    from .trace import Tracer
 
-#: Version of the run-report document layout.
-REPORT_SCHEMA_VERSION = 1
+#: Version of every record layout the program writes (3: the manifest
+#: replaced the per-file schema numbers, which went up to 2).
+RECORD_SCHEMA_VERSION = 3
 
 
-def _git_sha() -> Optional[str]:
-    """HEAD commit of the repo containing this package, if any."""
+def _git(*args: str) -> Optional[str]:
+    """Output of a git command in the repo containing this package, if
+    there is one."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
@@ -41,36 +55,97 @@ def _git_sha() -> Optional[str]:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
-def environment_info() -> Dict[str, Any]:
-    """The reproducibility metadata attached to every run report."""
+def _blas() -> Optional[Dict[str, Any]]:
+    """Name and version of the BLAS NumPy was built against (None where
+    NumPy cannot report its build as a dict, before 1.26)."""
     import numpy
 
-    from .. import __version__
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
+
+def manifest(
+    command: Optional[str] = None,
+    argv: Sequence[str] = (),
+    config: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The manifest a record opens with: what ran, from which tree,
+    where, and on which numerics (plain dict, JSON-serializable).
+
+    ``command`` and ``argv`` are the program's command and its
+    arguments, ``config`` what they parsed to (seed, scale, dataset,
+    ...).  Built once per run and handed to each of its writers, so the
+    files of one run carry equal manifests.
+    """
+    import numpy
+    import scipy
+
+    sha = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain") if sha else None
     return {
-        "repro_version": __version__,
-        "git_sha": _git_sha(),
-        "python": sys.version.split()[0],
-        "numpy": numpy.__version__,
+        "schema": RECORD_SCHEMA_VERSION,
+        "command": command,
+        "argv": list(argv),
+        "config": dict(config or {}),
+        "git_sha": sha,
+        "git_dirty": None if status is None else bool(status),
+        "host": platform.node(),
         "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": _blas(),
+        "created_unix": time.time(),
     }
 
 
+def ensure_manifest(given: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """``given``, or a manifest of this process (``sys.argv``) for a
+    writer called without its run's."""
+    if given is not None:
+        return given
+    return manifest(os.path.basename(sys.argv[0]), sys.argv[1:])
+
+
+def span_tree(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Nest flat span records into a tree (adds a ``children`` list)."""
+    by_id: Dict[int, Dict[str, Any]] = {}
+    for rec in records:
+        node = dict(rec)
+        node["children"] = []
+        by_id[node["span_id"]] = node
+    roots: List[Dict[str, Any]] = []
+    for node in by_id.values():
+        parent = (
+            by_id.get(node["parent_id"]) if node["parent_id"] is not None else None
+        )
+        if parent is not None:
+            parent["children"].append(node)
+        else:
+            roots.append(node)
+    for node in by_id.values():
+        node["children"].sort(key=lambda c: c["span_id"])
+    roots.sort(key=lambda n: n["span_id"])
+    return roots
+
+
 def build_run_report(
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    meta: Optional[Dict[str, Any]] = None,
+    tracer: Optional["Tracer"] = None,
+    metrics: Optional["MetricsRegistry"] = None,
+    manifest: Optional[Dict[str, Any]] = None,
     events: Optional[Any] = None,
     sparsity: Optional[Any] = None,
     alerts: Optional[Any] = None,
 ) -> Dict[str, Any]:
-    """Assemble the run-report document (plain dict, JSON-serializable).
+    """Assemble the run-report document (plain dict, JSON-serializable),
+    opening with the run's ``manifest``.
 
     ``events`` embeds a training run's epoch records — either an
     :class:`~repro.obs.events.EventLog` (its buffered records are taken)
@@ -89,9 +164,7 @@ def build_run_report(
         else []
     )
     report: Dict[str, Any] = {
-        "schema": REPORT_SCHEMA_VERSION,
-        "environment": environment_info(),
-        "meta": dict(meta or {}),
+        "manifest": ensure_manifest(manifest),
         "spans": records,
         "span_tree": span_tree(records),
         "metrics": metrics.snapshot() if metrics is not None else {},

@@ -17,8 +17,9 @@ this).
 
 Export format (one JSON object per line):
 
-* line 1 — a header record: ``{"kind": "trace_header", "schema": 1,
-  "epoch_unix": ..., "spans": N}``;
+* line 1 — a header record: ``{"kind": "trace_header", "manifest":
+  {...}, "epoch_unix": ..., "spans": N}`` (the run's
+  :func:`~repro.obs.report.manifest`);
 * every following line — a span record: ``{"kind": "span", "span_id",
   "parent_id", "name", "start_s", "duration_s", "attrs", "counters"}``
   where ``start_s`` is seconds since the tracer was created and
@@ -34,9 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from .events import _read_headed
-
-#: Version of the span record layout written by :meth:`Tracer.export_jsonl`.
-TRACE_SCHEMA_VERSION = 1
+from .report import ensure_manifest, span_tree
 
 
 @dataclass
@@ -264,12 +263,15 @@ class Tracer:
         return totals
 
     # ------------------------------------------------------------------
-    def export_jsonl(self, path: str) -> int:
-        """Write the trace; returns the number of span records written."""
+    def export_jsonl(
+        self, path: str, manifest: Optional[Dict[str, Any]] = None
+    ) -> int:
+        """Write the trace, headed by the run's ``manifest``; returns the
+        number of span records written."""
         spans = sorted(self.spans(), key=lambda s: s.span_id)
         header = {
             "kind": "trace_header",
-            "schema": TRACE_SCHEMA_VERSION,
+            "manifest": ensure_manifest(manifest),
             "epoch_unix": self.epoch_unix,
             "spans": len(spans),
         }
@@ -283,28 +285,6 @@ class Tracer:
 def read_trace(path: str) -> "tuple[Dict[str, Any], List[Dict[str, Any]]]":
     """Load a JSONL trace; returns (header, span records)."""
     return _read_headed(path, "trace_header", "span")
-
-
-def span_tree(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Nest flat span records into a tree (adds a ``children`` list)."""
-    by_id: Dict[int, Dict[str, Any]] = {}
-    for rec in records:
-        node = dict(rec)
-        node["children"] = []
-        by_id[node["span_id"]] = node
-    roots: List[Dict[str, Any]] = []
-    for node in by_id.values():
-        parent = (
-            by_id.get(node["parent_id"]) if node["parent_id"] is not None else None
-        )
-        if parent is not None:
-            parent["children"].append(node)
-        else:
-            roots.append(node)
-    for node in by_id.values():
-        node["children"].sort(key=lambda c: c["span_id"])
-    roots.sort(key=lambda n: n["span_id"])
-    return roots
 
 
 def render_span_tree(records: List[Dict[str, Any]]) -> str:

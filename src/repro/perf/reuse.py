@@ -29,33 +29,6 @@ from ..graphs.csr import CSRGraph
 COLD = np.iinfo(np.int64).max
 
 
-class _Fenwick:
-    """Fenwick tree of 0/1 marks over access times."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.tree = np.zeros(size + 1, dtype=np.int64)
-
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        tree = self.tree
-        while i <= self.size:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of marks in [0, index]."""
-        i = index + 1
-        total = 0
-        tree = self.tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return int(total)
-
-
 def access_stream(graph: CSRGraph, order: Optional[np.ndarray] = None) -> np.ndarray:
     """The vertex-id sequence touched by aggregation in the given order.
 
@@ -74,23 +47,41 @@ def access_stream(graph: CSRGraph, order: Optional[np.ndarray] = None) -> np.nda
 
 
 def stack_distances(stream: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Exact LRU stack distance of every access (COLD for first touches)."""
+    """Exact LRU stack distance of every access (COLD for first touches).
+
+    ``tree`` is a Fenwick tree of 0/1 marks over access times, one mark
+    at each vertex's latest touch; plain lists, since per-element NumPy
+    indexing would cost more than the tree walk itself.
+    """
     t = len(stream)
-    out = np.empty(t, dtype=np.int64)
-    last_seen = np.full(num_vertices, -1, dtype=np.int64)
-    fen = _Fenwick(t)
-    for time, vertex in enumerate(stream):
+    out = [COLD] * t
+    last_seen = [-1] * num_vertices
+    tree = [0] * (t + 1)
+    for time, vertex in enumerate(stream.tolist()):
         prev = last_seen[vertex]
-        if prev < 0:
-            out[time] = COLD
-        else:
-            # Distinct elements touched in (prev, time) = marks in range,
-            # excluding the element itself (whose mark sits at prev).
-            out[time] = fen.prefix_sum(time - 1) - fen.prefix_sum(prev)
-            fen.add(prev, -1)
-        fen.add(time, 1)
+        if prev >= 0:
+            # Distinct elements touched in (prev, time) = marks in
+            # [0, time - 1] minus marks in [0, prev]; then the mark at
+            # prev moves to time.
+            distinct, i = 0, time
+            while i > 0:
+                distinct += tree[i]
+                i -= i & -i
+            i = prev + 1
+            while i > 0:
+                distinct -= tree[i]
+                i -= i & -i
+            out[time] = distinct
+            i = prev + 1
+            while i <= t:
+                tree[i] -= 1
+                i += i & -i
+        i = time + 1
+        while i <= t:
+            tree[i] += 1
+            i += i & -i
         last_seen[vertex] = time
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 @dataclass(frozen=True)

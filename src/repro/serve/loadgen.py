@@ -27,7 +27,6 @@ network + HTTP parse time; this one is end-to-end), and the
 from __future__ import annotations
 
 import http.client
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +37,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from ..obs.metrics import Histogram
+from ..obs.report import write_json
 
 
 @dataclass
@@ -236,7 +236,11 @@ def concurrency_sweep(
     ]
 
 
-def write_results(path: str, results: Sequence[LoadgenResult]) -> None:
-    with open(path, "w") as handle:
-        json.dump([r.to_dict() for r in results], handle, indent=2)
-        handle.write("\n")
+def write_results(
+    path: str, results: Sequence[LoadgenResult], manifest: Dict[str, Any]
+) -> None:
+    """Write ``{manifest, results}``: the run's manifest, then one row
+    per result."""
+    write_json(path, {
+        "manifest": manifest, "results": [r.to_dict() for r in results],
+    })

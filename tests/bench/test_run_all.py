@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.bench import Experiment
-from repro.bench.figures import PLAN, SOFTWARE_SCALE
+from repro.bench.figures import PLAN, SOFTWARE_SCALE, PlanEntry
+from repro.obs import manifest
 
 #: A scale below the document's, at which every criterion but the
 #: paper-deviation bounds applies.
@@ -15,33 +16,45 @@ SCALE = 0.25
 
 
 class TestBuildResultsDoc:
-    def _results(self):
+    """``BENCH_results.json``: ``{manifest, experiments, summary}``."""
+
+    def _write(self, run_all, tmp_path, monkeypatch):
         a = Experiment("fig0", "demo a")
         a.add("x", 1.1, paper=1.0)
         b = Experiment("fig1", "demo b")
         b.add("y", 2.0)
-        return [("fig0", "run a", a), ("fig1", "run b", b)]
+        monkeypatch.setattr(run_all, "PLAN", {
+            "fig0": PlanEntry("run a", lambda ctx: a),
+            "fig1": PlanEntry("run b", lambda ctx: b),
+        })
+        monkeypatch.setattr(run_all.criteria, "CRITERIA", [])
+        argv = [str(tmp_path / "out.md"), "--json", str(tmp_path / "r.json"),
+                "--scale", "0.5"]
+        assert run_all.main(argv) == 0
+        return argv, (tmp_path / "r.json").read_text()
 
-    def test_document_layout(self, run_all):
-        doc = run_all.build_results_doc(
-            self._results(), timestamp=1234.5, elapsed_s=0.5, scale=0.5
-        )
-        assert doc["schema"] == run_all.RESULTS_SCHEMA_VERSION
-        assert doc["generated_unix"] == 1234.5
-        assert doc["scale"] == 0.5
-        assert "repro_version" in doc["environment"]
+    def test_document_layout(self, run_all, tmp_path, monkeypatch):
+        argv, text = self._write(run_all, tmp_path, monkeypatch)
+        doc = json.loads(text)
+        assert list(doc) == ["manifest", "experiments", "summary"]
+        assert doc["manifest"]["command"] == "run_all"
+        assert doc["manifest"]["argv"] == argv
+        assert doc["manifest"]["config"]["scale"] == 0.5
+        assert set(doc["manifest"]) == set(manifest())
         assert [e["key"] for e in doc["experiments"]] == ["fig0", "fig1"]
         assert doc["experiments"][0]["run_title"] == "run a"
+        assert doc["experiments"][0]["rows"] == [
+            {"label": "x", "measured": 1.1, "paper": 1.0, "unit": "x"}]
         summary = doc["summary"]
         assert summary["experiments"] == 2
         assert summary["rows"] == 2
         assert summary["rows_with_paper"] == 1
         assert summary["max_paper_deviation"] == pytest.approx(0.1)
 
-    def test_json_serializable(self, run_all):
-        json.dumps(
-            run_all.build_results_doc(self._results(), 0.0, 0.0, 1.0)
-        )
+    def test_json_serializable(self, run_all, tmp_path, monkeypatch):
+        _, text = self._write(run_all, tmp_path, monkeypatch)
+        doc = json.loads(text)
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_plan_keys_unique(self):
         """One list of keys: each plan key is a ``repro experiment``
@@ -121,5 +134,5 @@ class TestMain:
         assert titles == [entry.title for entry in PLAN.values()]
         doc = json.loads((out / "results.json").read_text())
         assert [e["key"] for e in doc["experiments"]] == list(PLAN)
-        assert doc["scale"] == paper_run.scale
+        assert doc["manifest"]["config"]["scale"] == paper_run.scale
         assert doc["summary"]["experiments"] == len(PLAN)

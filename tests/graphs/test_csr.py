@@ -74,14 +74,14 @@ class TestValidation:
 class TestDerived:
 
     def test_reverse_transposes(self, tiny_graph):
-        rev = tiny_graph.reverse()
+        rev = tiny_graph.transpose()
         assert rev.num_edges == tiny_graph.num_edges
         # 0 <- 1 in the original becomes 1 <- 0 in the reverse.
         assert 0 in rev.neighbors(1)
         assert 3 in rev.neighbors(0)
 
     def test_double_reverse_is_identity(self, small_uniform):
-        twice = small_uniform.reverse().reverse()
+        twice = small_uniform.transpose().transpose()
         np.testing.assert_array_equal(twice.indptr, small_uniform.indptr)
         np.testing.assert_array_equal(twice.indices, small_uniform.indices)
 

@@ -157,7 +157,6 @@ class TestCliArtifacts:
         assert "wrote" in out and "spans" in out
 
         header, records = read_trace(str(trace_path))
-        assert header["schema"] == 1
         roots = span_tree(records)
         epoch = next(r for r in roots if r["name"] == "epoch")
         layer = next(c for c in epoch["children"] if c["name"] == "layer")
@@ -167,8 +166,10 @@ class TestCliArtifacts:
         assert kernel["children"] == []
 
         report = json.loads(json_path.read_text())
-        assert report["meta"]["command"] == "train"
-        assert report["environment"]["repro_version"]
+        # One run, one manifest: the trace and the report carry the same.
+        assert report["manifest"] == header["manifest"]
+        assert report["manifest"]["command"] == "train"
+        assert report["manifest"]["config"]["epochs"] == 2
         assert len(report["spans"]) == len(records)
         # The report's counter totals join trace + metrics consistently.
         kernel_records = [

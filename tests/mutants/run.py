@@ -207,6 +207,11 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/obs/test_events.py",),
     ),
     Mutant(
+        "manifest-drops-blas", "src/repro/obs/report.py",
+        '"blas": _blas(),', '"blas": None,',
+        ("tests/obs/test_run_report.py",),
+    ),
+    Mutant(
         "paper-plan-mkl-bandwidth", "src/repro/perf/machine.py",
         "mkl_bw_efficiency: float = 0.74", "mkl_bw_efficiency: float = 0.95",
         ("tests/bench/test_run_all.py",),

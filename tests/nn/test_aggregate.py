@@ -81,13 +81,6 @@ class TestAggregate:
         # Leaves gather the hub + themselves.
         np.testing.assert_allclose(out[1], 2.0)
 
-    def test_max_aggregation(self, tiny_graph):
-        h = np.arange(5, dtype=np.float32).reshape(5, 1)
-        out = aggregate(tiny_graph, h, "max")
-        assert out[0, 0] == 2.0  # max over {0, 1, 2}
-        assert out[3, 0] == 3.0  # max over {3, 0, 1, 2}
-        assert out[4, 0] == 4.0  # isolated
-
     def test_shape_mismatch_rejected(self, tiny_graph):
         with pytest.raises(ValueError):
             aggregate(tiny_graph, np.ones((3, 4), dtype=np.float32))
@@ -107,8 +100,12 @@ class TestBackward:
         assert lhs == pytest.approx(rhs, rel=1e-3)
 
     def test_max_backward_not_supported(self, tiny_graph):
-        with pytest.raises(NotImplementedError):
-            aggregate_backward(tiny_graph, np.ones((5, 2), dtype=np.float32), "max")
+        """``max`` is no aggregator: no layer builds it, so it is refused
+        by name in both directions."""
+        ones = np.ones((5, 2), dtype=np.float32)
+        for run in (aggregate, aggregate_backward):
+            with pytest.raises(ValueError, match="unknown aggregator 'max'"):
+                run(tiny_graph, ones, "max")
 
 
 class TestNormalizedAdjacency:
@@ -124,4 +121,4 @@ class TestNormalizedAdjacency:
         np.testing.assert_allclose(np.asarray(a_hat.sum(axis=1)).ravel(), 1.0, rtol=1e-5)
 
     def test_aggregators_constant(self):
-        assert set(AGGREGATORS) == {"gcn", "mean", "sum", "max"}
+        assert set(AGGREGATORS) == {"gcn", "mean", "sum"}

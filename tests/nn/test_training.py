@@ -137,7 +137,7 @@ class TestTrainerObservability:
         graph, features, labels = community_task
         train_mask, val_mask = train_val_split(graph.num_vertices, 0.5, seed=0)
         model = build_model("gcn", 8, 16, 3, num_layers=2, dropout=0.5, seed=0)
-        log = EventLog(str(tmp_path / "run.jsonl"), meta={"test": True})
+        log = EventLog(str(tmp_path / "run.jsonl"))
         trainer = Trainer(model, Adam(model, lr=0.02), event_log=log)
         trainer.fit(
             graph, features, labels, epochs=3,

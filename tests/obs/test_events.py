@@ -5,8 +5,8 @@ import math
 
 import pytest
 
+from repro.obs import RECORD_SCHEMA_VERSION, manifest
 from repro.obs.events import (
-    EVENTS_SCHEMA_VERSION,
     EpochEvent,
     EventLog,
     EventTail,
@@ -34,13 +34,13 @@ def make_event(epoch=0, **overrides):
 class TestEventLog:
     def test_header_then_epochs(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        with EventLog(path, meta={"dataset": "products"}) as log:
+        run = manifest("train", ["products"], {"dataset": "products"})
+        with EventLog(path, run) as log:
             log.emit(make_event(0))
             log.emit(make_event(1))
         header, records = read_events(path)
-        assert header["kind"] == "events_header"
-        assert header["schema"] == EVENTS_SCHEMA_VERSION
-        assert header["run"]["dataset"] == "products"
+        assert header == {"kind": "events_header", "manifest": run}
+        assert header["manifest"]["schema"] == RECORD_SCHEMA_VERSION
         assert [r["epoch"] for r in records] == [0, 1]
 
     def test_each_emit_flushed(self, tmp_path):
@@ -135,11 +135,11 @@ class TestEventLog:
 class TestEventTail:
     def test_incremental_reads(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        log = EventLog(path, meta={"dataset": "t"})
+        log = EventLog(path, manifest("train", [], {"dataset": "t"}))
         log.emit(make_event(0))
         tail = EventTail(path)
         assert [e["epoch"] for e in tail.read_new()] == [0]
-        assert tail.header["run"]["dataset"] == "t"
+        assert tail.header["manifest"]["config"]["dataset"] == "t"
         assert tail.read_new() == []
         log.emit(make_event(1))
         log.emit(make_event(2))
@@ -217,7 +217,7 @@ class TestValidation:
         """Schema 2 dropped the ``sparsity`` and ``compression`` fields:
         a record without them is valid."""
         record = make_event().to_record()
-        assert EVENTS_SCHEMA_VERSION == 2 == record["schema"]
+        assert RECORD_SCHEMA_VERSION == 3 == record["schema"]
         assert "compression" not in record and "sparsity" not in record
         assert validate_epoch_event(record) == []
 
@@ -230,12 +230,13 @@ class TestValidation:
 
     def test_validate_events_checks_header(self):
         with pytest.raises(ValueError, match="header"):
-            validate_events([], header={"kind": "events_header", "schema": 99})
+            validate_events([], header={
+                "kind": "events_header", "manifest": {"schema": 99}})
 
     def test_validate_events_file(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
-        with EventLog(path, meta={"k": 1}) as log:
+        with EventLog(path, manifest("t", [], {"k": 1})) as log:
             log.emit(make_event(0))
         header, records = validate_events_file(path)
-        assert header["run"] == {"k": 1}
+        assert header["manifest"]["config"] == {"k": 1}
         assert len(records) == 1

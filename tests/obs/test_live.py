@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, manifest
 from repro.obs.events import EventLog
 from repro.obs.live import (
     LiveRunMonitor,
@@ -209,7 +209,8 @@ class TestSparkline:
 class TestLiveRunMonitor:
     def write_events(self, tmp_path, epochs, **overrides):
         path = str(tmp_path / "run.jsonl")
-        with EventLog(path, meta={"command": "train", "dataset": "t"}) as log:
+        run = manifest("train", [], {"dataset": "t"})
+        with EventLog(path, run) as log:
             for epoch in range(epochs):
                 log.emit(make_event(epoch, loss=2.0 - epoch * 0.5, **overrides))
         return path
@@ -232,7 +233,7 @@ class TestLiveRunMonitor:
         assert "epoch    2" in frame
         assert "loss" in frame and "acc" in frame
         assert "grad|w| L0:" in frame
-        assert "dataset=t" in frame
+        assert "== repro top == command=train dataset=t" in frame
 
     def test_render_without_events(self, tmp_path):
         monitor = LiveRunMonitor(str(tmp_path / "missing.jsonl"))

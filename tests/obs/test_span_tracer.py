@@ -9,6 +9,7 @@ from repro.obs import (
     NULL_TRACER,
     NullTracer,
     Tracer,
+    manifest,
     read_trace,
     render_span_tree,
     span_tree,
@@ -121,10 +122,11 @@ class TestExport:
             with tracer.span("inner"):
                 pass
         path = tmp_path / "trace.jsonl"
-        count = tracer.export_jsonl(str(path))
+        run = manifest("profile", [], {"seed": 0})
+        count = tracer.export_jsonl(str(path), run)
         assert count == 2
         header, records = read_trace(str(path))
-        assert header["schema"] == 1
+        assert header["manifest"] == run
         assert header["spans"] == 2
         assert [r["name"] for r in records] == ["outer", "inner"]  # id order
         assert records[0]["counters"] == {"n": 1.0}

@@ -231,7 +231,7 @@ class TestCommands:
         assert code == 0
         assert "aggregation: basic kernel\n" in capsys.readouterr().out
         doc = json.loads(report.read_text())
-        assert "engine" not in doc["meta"]
+        assert "engine" not in doc["manifest"]["config"]
         names = {span["name"] for span in doc["spans"]}
         assert {"kernel.basic", "kernel.backward.basic"} <= names
 
@@ -277,7 +277,7 @@ class TestCommands:
         assert "span tree" in out
         assert "epoch" in out and "kernel.basic" in out
         assert "gathers" in out
-        assert "repro_version" in out
+        assert "== manifest ==" in out and "blas" in out
 
     def test_profile_writes_artifacts(self, tmp_path, capsys):
         trace = tmp_path / "t.jsonl"
@@ -449,7 +449,7 @@ class TestObservabilityCommands:
         ])
         assert code == 0
         header, records = validate_events_file(str(events))
-        assert header["run"]["command"] == "train"
+        assert header["manifest"]["command"] == "train"
         assert len(records) == 2
         assert records[0]["grad_norms"]
         import json
@@ -819,6 +819,32 @@ class TestOutputWriteFailure:
         assert "serving live metrics on http://" in capsys.readouterr().out
         metrics = json.loads(report.read_text())["metrics"]
         assert "proc.rss_bytes" in metrics
+
+
+class TestBoundPort:
+    """A port another socket holds is one ``error: cannot bind`` line on
+    stderr and exit 1, for the metrics endpoint and for serving alike:
+    no traceback, and no sampler, batcher or server thread left."""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--serve-metrics"), ("profile", "--serve-metrics"),
+        ("serve", "--serve-metrics"), ("serve", "--port"),
+    ])
+    def test_bound_port_is_one_error_line(
+        self, command, flag, capsys, no_leaked_resources
+    ):
+        import socket
+
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            code = main(_SMALL_RUNS[command] + [
+                "--features", "8", "--hidden", "8", flag, str(port)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot bind 127.0.0.1:{port}: "), err
+        assert err.count("\n") == 1, err
 
 
 #: The telemetry flags each command accepts; every other one is refused

@@ -37,8 +37,10 @@ file the run wrote.  A row equal to that run fails, unless it is the
 one value of its choice flag that reproduces it (the default, spelled
 out), or ``NO_EFFECT`` names it with a reason (capped at
 ``MAX_NO_EFFECT``; a named row that starts to differ fails, so the list
-stays true).  ``cli._meta`` is not compared: it records parsed values
-whether or not anything uses them.
+stays true).  No row writes a record file, and ``repro profile`` prints
+only the host and numerics half of the run manifest, so the manifest's
+``argv`` / ``config`` (every parsed value, used or not) and its time
+never make two runs differ.
 
 ``experiment`` rows run every paper artifact at ``--scale 0.05`` (the
 simulated ones on 0.015 twins); their shape criteria are checked by
