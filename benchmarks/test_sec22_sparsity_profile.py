@@ -12,6 +12,7 @@ from conftest import run_experiment
 from repro.bench.harness import Experiment
 from repro.bench.paper_values import SEC22_SPARSITY
 from repro.graphs import load_dataset, synthetic_features
+from repro.kernels import BasicKernel
 from repro.nn import Adam, Trainer, build_model
 
 
@@ -21,7 +22,10 @@ def _profile_sparsity(ctx):
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 8, graph.num_vertices)
     model = build_model("sage", 64, 96, 8, num_layers=3, dropout=0.5, seed=0)
-    trainer = Trainer(model, Adam(model, lr=0.01), profile_sparsity=True)
+    trainer = Trainer(
+        model, Adam(model, lr=0.01), profile_sparsity=True,
+        aggregation_kernel=BasicKernel(),
+    )
     trainer.fit(graph, features, labels, epochs=20)
     profile = trainer.history.sparsity
 

@@ -21,6 +21,7 @@ from repro.graphs import (
     load_dataset,
     synthetic_features,
 )
+from repro.kernels import BasicKernel
 from repro.nn import Adam, Trainer, build_model
 from repro.perf import CostModel
 
@@ -36,7 +37,10 @@ def main() -> None:
     features = synthetic_features(graph, f_in, seed=0)
     labels = np.random.default_rng(0).integers(0, 8, graph.num_vertices)
     model = build_model("sage", f_in, 64, 8, num_layers=3, dropout=0.5, seed=0)
-    trainer = Trainer(model, Adam(model, lr=0.01), profile_sparsity=True)
+    trainer = Trainer(
+        model, Adam(model, lr=0.01), profile_sparsity=True,
+        aggregation_kernel=BasicKernel(),
+    )
     trainer.fit(graph, features, labels, epochs=8)
     profile = trainer.history.sparsity
     print("\nhidden-feature sparsity during training (Section 2.2):")

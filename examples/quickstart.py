@@ -37,7 +37,9 @@ def main() -> None:
         "gcn", num_features, hidden, num_classes, num_layers=2, seed=0
     )
     train_mask, val_mask = train_val_split(graph.num_vertices, 0.6, seed=0)
-    trainer = Trainer(model, Adam(model, lr=0.01))
+    trainer = Trainer(
+        model, Adam(model, lr=0.01), aggregation_kernel=BasicKernel()
+    )
     history = trainer.fit(
         graph, features, labels, epochs=5,
         train_mask=train_mask, val_mask=val_mask,

@@ -31,12 +31,14 @@ The package is organized as the paper is:
 Quickstart::
 
     from repro.graphs import load_dataset, synthetic_features
+    from repro.kernels import BasicKernel
     from repro.nn import build_model, Trainer, Adam
 
     graph = load_dataset("products", scale=0.25)
     features = synthetic_features(graph, 100)
     model = build_model("gcn", 100, 64, num_classes=16)
-    trainer = Trainer(model, Adam(model, lr=0.01))
+    trainer = Trainer(model, Adam(model, lr=0.01),
+                      aggregation_kernel=BasicKernel())
 """
 
 from . import bench, dma, gpu, graphs, kernels, nn, obs, parallel, perf, sim, tensors

@@ -978,9 +978,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     _configure_logging(args.verbose - args.quiet)
     logger.info("running %s", args.command)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the try
+        return code
     except _Exit as stop:
         return stop.code
+    except BrokenPipeError:
+        # The reader went away (`repro ... | head`).  As the Python docs
+        # advise: point stdout at devnull so the exit-time flush cannot
+        # raise again, and exit 1.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench import Experiment
 from repro.bench.figures import PLAN, SOFTWARE_SCALE, PlanEntry
+from repro.cli import build_parser
 from repro.obs import manifest
 
 #: A scale below the document's, at which every criterion but the
@@ -59,8 +60,6 @@ class TestBuildResultsDoc:
     def test_plan_keys_unique(self):
         """One list of keys: each plan key is a ``repro experiment``
         name, and no two differ only in case."""
-        from repro.cli import build_parser
-
         parser = build_parser()
         for key in PLAN:
             assert parser.parse_args(["experiment", key]).name == key

@@ -1,11 +1,13 @@
 """Shared fixtures: small graphs and features reused across the suite."""
 
 import contextlib
+import importlib.util
 import io
 import logging
 import multiprocessing
 import os
 import pathlib
+import sys
 import threading
 import time
 from typing import NamedTuple
@@ -13,18 +15,23 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro import lanes
+from repro import lanes, obs
 from repro.graphs import (
     CSRGraph,
+    apply_order,
     chain_graph,
     community_graph,
     grid_graph,
     load_dataset,
+    locality_order,
+    natural_order,
+    randomized_order,
     star_graph,
     synthetic_features,
     uniform_graph,
 )
-from repro.kernels import BasicKernel
+from repro.kernels import BasicKernel, UpdateParams
+from repro.nn import GNNLayer, GNNModel
 from repro.nn.layers import output_sweep
 from repro.tensors.compression import compress_matrix, decompress_matrix
 
@@ -72,9 +79,8 @@ def _shm_entries() -> set:
 def no_leaked_resources():
     """Fail a test that leaves a live child process, a new ``/dev/shm``
     entry, or a thread it started still running (after a bounded join).
-
-    ``tests/parallel/`` and ``tests/serve/`` apply it to every test
-    through their ``conftest.py``.
+    Every test under ``tests/parallel/`` and ``tests/serve/`` runs under
+    it (:func:`_leak_check`).
     """
     threads_before = set(threading.enumerate())
     shm_before = _shm_entries()
@@ -92,6 +98,13 @@ def no_leaked_resources():
     assert not children, f"live child processes after the test: {children}"
     assert not leaked_shm, f"new {SHM_DIR} entries: {sorted(leaked_shm)}"
     assert not alive, f"threads still running after the test: {alive}"
+
+
+@pytest.fixture(autouse=True)
+def _leak_check(request):
+    """The leak check for the suites that start processes and servers."""
+    if request.path.parent.name in ("parallel", "serve"):
+        request.getfixturevalue("no_leaked_resources")
 
 
 @pytest.fixture(scope="session")
@@ -147,44 +160,113 @@ def features16(small_products):
     return synthetic_features(small_products, 16, seed=7)
 
 
+@pytest.fixture(scope="session")
+def telemetry():
+    """``with telemetry() as (tracer, registry):`` live telemetry for
+    the block, switched off again after it."""
+
+    @contextlib.contextmanager
+    def enabled():
+        try:
+            yield obs.enable()
+        finally:
+            obs.disable()
+
+    return enabled
+
+
+@pytest.fixture(scope="session")
+def stack_model():
+    """``stack(widths)``: a GCN of those widths, ReLU on every layer but
+    the last, layer ``k`` seeded ``k``."""
+
+    def stack(widths):
+        return GNNModel([
+            GNNLayer(widths[k], widths[k + 1],
+                     activation=k < len(widths) - 2, seed=k)
+            for k in range(len(widths) - 1)
+        ])
+
+    return stack
+
+
 # ----------------------------------------------------------------------
 # The paper's variants as the value plane runs them.  Alg. 2's fused
 # layer (S2) is BasicKernel's pass followed by GNNLayer's sweep over row
 # blocks; S3 is the lossless mask-compressed format of
-# ``repro.tensors.compression`` feeding that same kernel.
+# ``repro.tensors.compression`` feeding that same kernel.  Section 4.4's
+# processing orders enter as relabels of the graph.
 # ----------------------------------------------------------------------
+
+#: The value plane's variants: (S3 round trip of ``h``, S2 sweep).
+VARIANTS = {
+    "basic": (False, False),
+    "compression": (True, False),
+    "fusion": (False, True),
+    "combined": (True, True),
+}
+
+ORDERS = {
+    "natural": natural_order,
+    "randomized": lambda graph: randomized_order(graph, seed=5),
+    "locality": locality_order,
+}
 
 
 @pytest.fixture(scope="session")
-def s2_layer():
-    """``run(graph, h, params, aggregator) -> (h_out, a, stats)``:
-    ``a = Â h`` through a fresh ``BasicKernel``, then ``act(a W + b)`` as
-    :func:`output_sweep` runs it block by block."""
+def run_variant():
+    """``run(name, graph, h, aggregator, params) -> (out, a, stats)``:
+    ``a = Â h`` through a fresh ``BasicKernel`` (over ``h``'s S3 round
+    trip for compression / combined); ``out`` is ``a``, or for fusion /
+    combined ``act(a W + b)`` as :func:`output_sweep` runs it block by
+    block."""
 
-    def run(graph, h, params, aggregator="gcn"):
+    def run(name, graph, h, aggregator="gcn", params=None):
+        compressed, fused = VARIANTS[name]
+        if compressed:
+            h = decompress_matrix(compress_matrix(h))
         a, stats = BasicKernel().aggregate(graph, h, aggregator)
-        h_out, _ = output_sweep(
-            a, params.weight, params.bias, params.activation, tf=False
-        )
-        return h_out, a, stats
+        out = a
+        if fused:
+            out, _ = output_sweep(
+                a, params.weight, params.bias, params.activation, tf=False
+            )
+        return out, a, stats
 
     return run
 
 
 @pytest.fixture(scope="session")
-def s3_round_trip():
-    """``h`` through the S3 format and back: ``compress_matrix`` then
-    ``decompress_matrix``."""
-    return lambda h: decompress_matrix(compress_matrix(h))
+def update_params():
+    """``make(f_in, f_out, seed)``: seeded random update parameters."""
+
+    def make(f_in, f_out, seed=0):
+        rng = np.random.default_rng(seed)
+        return UpdateParams(
+            weight=(rng.standard_normal((f_in, f_out)) * 0.2).astype(np.float32),
+            bias=(rng.standard_normal(f_out) * 0.1).astype(np.float32),
+        )
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """``relabel(graph, h, order_name) -> (graph', h')``: ``graph``
+    relabelled by one processing order of :data:`ORDERS`, with its
+    feature rows."""
+
+    def run(graph, h, order_name):
+        order = ORDERS[order_name](graph)
+        return apply_order(graph, order), h[order]
+
+    return run
 
 
 @pytest.fixture(scope="session")
 def run_all():
     """``benchmarks/run_all.py`` as a module.  It imports ``criteria``
     from beside itself, as it does when run as a script."""
-    import importlib.util
-    import sys
-
     benchmarks = str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks")
     sys.path.insert(0, benchmarks)
     try:

@@ -13,7 +13,7 @@ from repro.dma import (
     STATUS_ERROR,
     STATUS_OK,
 )
-from repro.sim import MemoryHierarchy
+from repro.sim import DramModel, MemoryHierarchy
 
 
 def _setup_space(values, indices, factors, out_len):
@@ -136,7 +136,6 @@ class TestFailureHandling:
     def test_bad_address_sets_error_status(self):
         space, arrays, bases = _setup_space(np.zeros(4, np.float32), [0], [1.0], 4)
         engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=4, n=1, stride_bytes=16)
         bad = AggregationDescriptor(
             num_values=4, num_blocks=1, padded_block_bytes=16,
             idx_addr=0xDEAD_0000, in_addr=bases["in"], out_addr=bases["out"],
@@ -182,8 +181,6 @@ class TestTimingPlane:
         assert hierarchy.access(0, 0x8000).level == "L2"
 
     def test_batch_time_decreases_with_entries(self):
-        from repro.sim import DramModel
-
         dram = DramModel()
         engine = DmaEngine(0)
         t8 = engine.batch_time_cycles(dram, 1000, 1200, tracking_entries=8)
@@ -191,8 +188,6 @@ class TestTimingPlane:
         assert t32 < t8
 
     def test_invalid_entries(self):
-        from repro.sim import DramModel
-
         engine = DmaEngine(0)
         with pytest.raises(ValueError):
             engine.batch_time_cycles(DramModel(), 10, 10, tracking_entries=0)

@@ -21,10 +21,15 @@ class TestDescriptorJob:
             DescriptorJob(index_lines=1, inputs_per_index_line=0, lines_per_input=1)
 
 
+@pytest.fixture(scope="module")
+def result():
+    """The Figure 10 example, run once."""
+    timeline, jobs = figure10_example()
+    return timeline.run(jobs)
+
+
 class TestFigure10Behaviors:
-    def test_indices_issued_before_dependent_inputs(self):
-        timeline, jobs = figure10_example()
-        result = timeline.run(jobs)
+    def test_indices_issued_before_dependent_inputs(self, result):
         first_input_issue = min(
             e.time for e in result.events if e.kind == "issue_input"
         )
@@ -34,27 +39,19 @@ class TestFigure10Behaviors:
         # No input can issue before its index line returned.
         assert first_input_issue >= first_index_complete
 
-    def test_tracking_table_never_overflows(self):
-        timeline, jobs = figure10_example()
-        result = timeline.run(jobs)
+    def test_tracking_table_never_overflows(self, result):
         assert result.max_table_occupancy <= 4
 
-    def test_index_buffer_never_overflows(self):
-        timeline, jobs = figure10_example()
-        result = timeline.run(jobs)
+    def test_index_buffer_never_overflows(self, result):
         assert result.max_index_buffer_occupancy <= 2
 
-    def test_all_lines_fetched(self):
-        timeline, jobs = figure10_example()
-        result = timeline.run(jobs)
+    def test_all_lines_fetched(self, result):
         assert len([e for e in result.events if e.kind == "complete_index"]) == 3
         assert len([e for e in result.events if e.kind == "complete_input"]) == 12
 
-    def test_index_priority_over_inputs(self):
+    def test_index_priority_over_inputs(self, result):
         """Once an index can issue, it wins over pending input fetches —
         't3: the table gives priority to ... idx[4:5] over input data'."""
-        timeline, jobs = figure10_example()
-        result = timeline.run(jobs)
         # The third index line issues before the last input lines do.
         idx_issues = [e for e in result.events if e.kind == "issue_index"]
         input_issues = [e for e in result.events if e.kind == "issue_input"]

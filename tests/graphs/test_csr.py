@@ -1,11 +1,16 @@
 """Unit tests for the CSR graph representation."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import CSRGraph, GraphError, load_dataset
+from repro.graphs import CSRGraph, GraphError, load_dataset, uniform_graph
+from repro.kernels.jit import JitKernelCache, KernelSpec
 
 
 class TestConstruction:
@@ -138,9 +143,6 @@ class TestTranspose:
         """``g -> g^T`` is a strong reference and ``g^T -> g`` a weak
         one: dropping ``g`` frees it by refcount (no cycle to collect),
         and a transpose that outlives it rebuilds an equal graph."""
-        import gc
-        import weakref
-
         graph = CSRGraph.from_edges(4, [(0, 1), (1, 2), (3, 0), (3, 2)])
         indptr, indices = graph.indptr.copy(), graph.indices.copy()
         transposed = graph.transpose()
@@ -170,8 +172,6 @@ class TestTranspose:
         assert 1 in t.neighbors(2)
 
     def test_pickling_drops_cached_transpose(self, tiny_graph):
-        import pickle
-
         tiny_graph.transpose()  # populate the cache
         clone = pickle.loads(pickle.dumps(tiny_graph))
         assert clone._transpose is None and clone._csc is None
@@ -245,10 +245,6 @@ class TestTransposeEviction:
     same weakref-eviction contract the forward cache established."""
 
     def test_backward_entries_evicted_when_graph_dies(self):
-        import gc
-
-        from repro.graphs import uniform_graph
-        from repro.kernels.jit import JitKernelCache, KernelSpec
 
         cache = JitKernelCache()
         graph = uniform_graph(30, avg_degree=3.0, seed=2)

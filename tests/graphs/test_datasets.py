@@ -10,6 +10,7 @@ from repro.graphs import (
     load_dataset,
     synthetic_features,
 )
+from repro.graphs.stats import skew
 from repro.tensors import sparsity
 
 
@@ -52,8 +53,6 @@ class TestLoadDataset:
         assert 0.6 * target <= achieved <= 1.4 * target
 
     def test_products_skew_exceeds_wikipedia(self):
-        from repro.graphs.stats import skew
-
         products = load_dataset("products", scale=0.25)
         wikipedia = load_dataset("wikipedia", scale=0.25)
         assert skew(products) > 0.4

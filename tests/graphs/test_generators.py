@@ -99,6 +99,22 @@ class TestPlantedPartition:
                 assert v in graph.neighbors(int(u))
 
 
+#: Communities of 32 that draw nine tenths of their neighbours inside.
+BLOCKS = dict(num_vertices=512, avg_degree=16.0, community_size=32,
+              within_fraction=0.9, seed=0)
+
+
+def adjacent_overlap(graph):
+    """Mean neighbour overlap of the vertex pairs (v, v + 1), v < 200."""
+    vals = []
+    for v in range(200):
+        a = set(graph.neighbors(v).tolist())
+        b = set(graph.neighbors(v + 1).tolist())
+        if a and b:
+            vals.append(len(a & b) / min(len(a), len(b)))
+    return float(np.mean(vals))
+
+
 class TestCommunityGraph:
     def test_degree_targeting(self):
         graph = community_graph(1024, avg_degree=20.0, community_size=32, seed=0)
@@ -112,56 +128,18 @@ class TestCommunityGraph:
 
     def test_contiguous_communities_share_neighbors(self):
         """Without scattering, adjacent vertex ids share many sources."""
-        graph = community_graph(
-            512, 16.0, community_size=32, within_fraction=0.9,
-            scatter_ids=False, seed=0,
-        )
-        overlaps = []
-        for v in range(0, 200):
-            a = set(graph.neighbors(v).tolist())
-            b = set(graph.neighbors(v + 1).tolist())
-            if a and b:
-                overlaps.append(len(a & b) / min(len(a), len(b)))
-        assert np.mean(overlaps) > 0.3
+        assert adjacent_overlap(community_graph(scatter_ids=False, **BLOCKS)) > 0.3
 
     def test_scattering_destroys_id_locality(self):
-        kwargs = dict(
-            num_vertices=512, avg_degree=16.0, community_size=32,
-            within_fraction=0.9, seed=0,
-        )
-        contiguous = community_graph(scatter_ids=False, **kwargs)
-        scattered = community_graph(scatter_ids=True, **kwargs)
-
-        def adjacent_overlap(graph):
-            vals = []
-            for v in range(200):
-                a = set(graph.neighbors(v).tolist())
-                b = set(graph.neighbors(v + 1).tolist())
-                if a and b:
-                    vals.append(len(a & b) / min(len(a), len(b)))
-            return np.mean(vals)
-
+        contiguous = community_graph(scatter_ids=False, **BLOCKS)
+        scattered = community_graph(scatter_ids=True, **BLOCKS)
         assert adjacent_overlap(contiguous) > 2 * adjacent_overlap(scattered)
 
     def test_partial_scatter_in_between(self):
-        kwargs = dict(
-            num_vertices=512, avg_degree=16.0, community_size=32,
-            within_fraction=0.9, seed=0,
-        )
-
-        def adjacent_overlap(graph):
-            vals = []
-            for v in range(200):
-                a = set(graph.neighbors(v).tolist())
-                b = set(graph.neighbors(v + 1).tolist())
-                if a and b:
-                    vals.append(len(a & b) / min(len(a), len(b)))
-            return float(np.mean(vals))
-
-        full = adjacent_overlap(community_graph(scatter_ids=True, **kwargs))
-        none = adjacent_overlap(community_graph(scatter_ids=False, **kwargs))
+        full = adjacent_overlap(community_graph(scatter_ids=True, **BLOCKS))
+        none = adjacent_overlap(community_graph(scatter_ids=False, **BLOCKS))
         partial = adjacent_overlap(
-            community_graph(scatter_ids=True, scatter_fraction=0.3, **kwargs)
+            community_graph(scatter_ids=True, scatter_fraction=0.3, **BLOCKS)
         )
         assert full < partial < none
 

@@ -13,9 +13,9 @@ from repro.graphs import (
     locality_order,
     natural_order,
     randomized_order,
-    star_graph,
     uniform_graph,
 )
+from repro.perf.reuse import reuse_profile
 
 
 class TestBasicOrders:
@@ -62,34 +62,13 @@ class TestLocalityOrder:
 
     def test_groups_are_contiguous(self, small_community):
         """All vertices owned by the same hub appear consecutively in M."""
-        graph = small_community
-        degs = graph.degrees()
-        owner = np.arange(graph.num_vertices)
-        best = degs.copy()
-        for v in range(graph.num_vertices):
-            row = graph.neighbors(v)
-            if len(row) == 0:
-                continue
-            j = int(np.argmax(degs[row]))
-            if degs[row][j] > best[v] or (
-                degs[row][j] == best[v] and row[j] < owner[v]
-            ):
-                owner[v] = row[j]
-                best[v] = degs[row][j]
-        order = locality_order(graph)
-        owners_in_order = owner[order]
+        owners = self._reference_owner(small_community)[
+            locality_order(small_community)]
         # Each owner id appears in exactly one contiguous run.
-        seen = set()
-        previous = None
-        for current in owners_in_order:
-            if current != previous:
-                assert current not in seen, "owner group split apart"
-                seen.add(current)
-            previous = current
+        runs = owners[np.r_[True, owners[1:] != owners[:-1]]]
+        assert len(runs) == len(set(runs.tolist())), "owner group split apart"
 
     def test_improves_reuse_on_community_graph(self, small_community):
-        from repro.perf.reuse import reuse_profile
-
         capacity = 24.0
         natural = reuse_profile(small_community, natural_order(small_community))
         localized = reuse_profile(small_community, locality_order(small_community))
@@ -102,10 +81,10 @@ class TestLocalityOrder:
         assert is_permutation(order, 5000)
 
     @staticmethod
-    def _reference_owner_loop(graph):
+    def _reference_owner(graph):
         """Algorithm 3's owner rule, per vertex: the max-degree neighbor
         (smallest id on ties) owns v when it beats v's own degree (same
-        tie-break).  The vectorized implementation must match exactly."""
+        tie-break)."""
         degs = graph.degrees()
         owner = np.arange(graph.num_vertices, dtype=np.int64)
         for v in range(graph.num_vertices):
@@ -115,7 +94,12 @@ class TestLocalityOrder:
             best = row[np.argmax(degs[row] * (graph.num_vertices + 1) - row)]
             if (degs[best], -best) > (degs[v], -v):
                 owner[v] = best
-        return np.argsort(owner, kind="stable").astype(np.int64)
+        return owner
+
+    def _reference_owner_loop(self, graph):
+        """The order the owner rule gives, which the vectorized
+        implementation must match exactly."""
+        return np.argsort(self._reference_owner(graph), kind="stable")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_vectorized_matches_reference_loop(self, seed):

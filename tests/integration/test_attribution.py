@@ -16,7 +16,6 @@ the simulator records no span of its own.
 
 import pytest
 
-from repro import obs
 from repro.graphs import power_law_graph, synthetic_features
 from repro.kernels import BasicKernel
 from repro.obs.attrib import attribute_run
@@ -46,7 +45,7 @@ def relative_error(model_bytes, sim_bytes):
 
 
 @pytest.fixture(scope="module")
-def planes():
+def planes(telemetry):
     """Both planes' per-pass aggregation traffic, plus one traced run of
     the value-plane kernel next to the simulator's passes."""
     graph = power_law_graph(600, 8.0, seed=SEED, name="attrib-twin")
@@ -54,8 +53,7 @@ def planes():
     machine = cascade_lake_12()
     sim = CoreAggregationSim(machine)
 
-    tracer, _ = obs.enable()
-    try:
+    with telemetry() as (tracer, _):
         BasicKernel().aggregate(graph, h)
         # The simulator's passes.  The whole working set fits in the
         # private caches, so DRAM traffic is compulsory-dominated.
@@ -74,8 +72,6 @@ def planes():
             span.to_record()
             for span in sorted(tracer.spans(), key=lambda s: s.span_id)
         ]
-    finally:
-        obs.disable()
 
     # Huge capacity -> the model's gather hit rate is the compulsory
     # bound (every repeat access hits), matching the fits-in-cache sim.

@@ -18,16 +18,7 @@ reproducible across lane counts.
 import numpy as np
 import pytest
 
-from repro import obs
-from repro.graphs import (
-    CSRGraph,
-    apply_order,
-    load_dataset,
-    locality_order,
-    natural_order,
-    randomized_order,
-    synthetic_features,
-)
+from repro.graphs import CSRGraph, apply_order, load_dataset, synthetic_features
 from repro.kernels import (
     BasicKernel, PREFETCH_LINES_PER_VECTOR, TASK_SIZE, UpdateParams,
 )
@@ -38,24 +29,9 @@ from repro.nn.aggregate import (
 )
 
 AGGREGATORS = ("gcn", "mean", "sum")
-ORDERS = ("natural", "randomized", "locality")
 
 #: fp32 sequential accumulation in CSR edge order vs the fp64 oracle.
 ATOL = 3e-5
-
-
-def make_order(graph, name):
-    if name == "natural":
-        return natural_order(graph)
-    if name == "randomized":
-        return randomized_order(graph, seed=5)
-    return locality_order(graph)
-
-
-def relabel(graph, features, name):
-    """``graph`` relabelled by one processing order, with its features."""
-    order = make_order(graph, name)
-    return apply_order(graph, order), features[order]
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +50,31 @@ def params():
     return UpdateParams(weight=layer.weight, bias=layer.bias, activation=True)
 
 
-@pytest.mark.parametrize("order_name", ORDERS)
+@pytest.mark.parametrize("order_name", ("natural", "randomized", "locality"))
 @pytest.mark.parametrize("aggregator", AGGREGATORS)
 class TestEveryVariantMatchesOracle:
-    def test_basic(self, graph, features, order_name, aggregator):
-        graph, features = relabel(graph, features, order_name)
-        reference = gather_reduce_reference(graph, features, aggregator)
-        out, _ = BasicKernel().aggregate(graph, features, aggregator)
-        np.testing.assert_allclose(out, reference, atol=ATOL)
+    @pytest.fixture
+    def check(self, graph, features, params, order_name, aggregator, relabel,
+              run_variant):
+        """``check(name)``: the variant's ``a`` is the oracle's on the
+        relabelled graph, and a fused variant's output its update."""
 
-    def test_basic_backward(self, graph, features, order_name, aggregator):
+        def run(name):
+            g, h = relabel(graph, features, order_name)
+            reference = gather_reduce_reference(g, h, aggregator)
+            out, a, _ = run_variant(name, g, h, aggregator, params)
+            np.testing.assert_allclose(a, reference, atol=ATOL)
+            if out is not a:
+                np.testing.assert_allclose(
+                    out, params.apply(reference.astype(np.float32)), atol=3e-4
+                )
+
+        return run
+
+    def test_basic(self, check):
+        check("basic")
+
+    def test_basic_backward(self, graph, features, order_name, aggregator, relabel):
         graph, _ = relabel(graph, features, order_name)
         rng = np.random.default_rng(6)
         grad_a = rng.standard_normal((graph.num_vertices, 10)).astype(np.float32)
@@ -91,38 +82,14 @@ class TestEveryVariantMatchesOracle:
         out, _ = BasicKernel().aggregate_backward(graph, grad_a, aggregator)
         np.testing.assert_allclose(out, reference, atol=ATOL)
 
-    def test_compressed(
-        self, graph, features, order_name, aggregator, s3_round_trip
-    ):
-        graph, features = relabel(graph, features, order_name)
-        reference = gather_reduce_reference(graph, features, aggregator)
-        restored = s3_round_trip(features)
-        np.testing.assert_array_equal(restored, features)  # lossless
-        out, _ = BasicKernel().aggregate(graph, restored, aggregator)
-        np.testing.assert_allclose(out, reference, atol=ATOL)
+    def test_compressed(self, check):
+        check("compression")
 
-    def test_fused(self, graph, features, params, order_name, aggregator, s2_layer):
-        graph, features = relabel(graph, features, order_name)
-        reference = gather_reduce_reference(graph, features, aggregator)
-        h_out, a, _ = s2_layer(graph, features, params, aggregator)
-        np.testing.assert_allclose(a, reference, atol=ATOL)
-        np.testing.assert_allclose(
-            h_out, params.apply(reference.astype(np.float32)), atol=3e-4
-        )
+    def test_fused(self, check):
+        check("fusion")
 
-    def test_combined(
-        self, graph, features, params, order_name, aggregator, s2_layer,
-        s3_round_trip,
-    ):
-        graph, features = relabel(graph, features, order_name)
-        reference = gather_reduce_reference(graph, features, aggregator)
-        h_out, a, _ = s2_layer(
-            graph, s3_round_trip(features), params, aggregator
-        )
-        np.testing.assert_allclose(a, reference, atol=ATOL)
-        np.testing.assert_allclose(
-            h_out, params.apply(reference.astype(np.float32)), atol=3e-4
-        )
+    def test_combined(self, check):
+        check("combined")
 
 
 def expected_prefetches(degrees, distance):
@@ -140,7 +107,7 @@ class TestClosedFormCounters:
     walks.  ``T`` is the kernel's fixed 64."""
 
     @pytest.fixture
-    def shuffled(self, graph, features):
+    def shuffled(self, graph, features, relabel):
         return relabel(graph, features, "randomized")[0]
 
     def test_basic_counters_exact(self, shuffled, features):
@@ -208,14 +175,14 @@ class TestDegenerateShapes:
         out, _ = BasicKernel().aggregate(graph, h, "gcn")
         np.testing.assert_array_equal(out, np.zeros_like(out))
 
-    def test_fused_single_vertex(self, s2_layer):
+    def test_fused_single_vertex(self, run_variant):
         graph = CSRGraph.from_edges(1, [])
         h = np.ones((1, 4), dtype=np.float32)
         layer = GNNLayer(4, 2, aggregator="gcn", seed=0)
         params = UpdateParams(weight=layer.weight, bias=layer.bias, activation=True)
-        h_out, _, _ = s2_layer(graph, h, params, "gcn")
-        reference = params.apply(gather_reduce_reference(graph, h, "gcn").astype(np.float32))
-        np.testing.assert_allclose(h_out, reference, atol=ATOL)
+        h_out, _, _ = run_variant("fusion", graph, h, "gcn", params)
+        reference = gather_reduce_reference(graph, h, "gcn").astype(np.float32)
+        np.testing.assert_allclose(h_out, params.apply(reference), atol=ATOL)
 
 
 def _train(graph, h, labels, epochs=3, seed=0):
@@ -265,13 +232,12 @@ class TestEngineSwitchIsGone:
         with pytest.raises(TypeError):
             Trainer(model, optimizer, backward_engine=False)
 
-    def test_environment_is_not_consulted(self, graph, features, monkeypatch):
+    def test_environment_is_not_consulted(
+        self, graph, features, monkeypatch, telemetry
+    ):
         def traced_run():
-            tracer, _ = obs.enable()
-            try:
+            with telemetry() as (tracer, _):
                 out, _ = BasicKernel().aggregate(graph, features, "gcn")
-            finally:
-                obs.disable()
             (span,) = [s for s in tracer.spans() if s.name == "kernel.basic"]
             return out, span.to_record()["attrs"]
 

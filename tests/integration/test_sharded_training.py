@@ -9,14 +9,14 @@ pins the process backend bitwise against the in-process serial backend,
 and pins the one phase schedule both backends run.
 """
 
+import os
 import threading
 
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.graphs import load_dataset, synthetic_features
-from repro.nn import Adam, GNNLayer, GNNModel, Trainer, build_model
+from repro.nn import Adam, Trainer, build_model
 from repro.parallel import SHARD_BACKENDS, ShardedTrainer, ShardRuntime
 from repro.parallel.sharded import epoch_phases
 
@@ -38,19 +38,42 @@ def graph():
     return load_dataset("products", scale=0.05, seed=3)
 
 
+def _inputs(graph):
+    features = synthetic_features(graph, FEATURES, seed=4, sparsity=0.3)
+    rng = np.random.default_rng(8)
+    return features, rng.integers(0, CLASSES, graph.num_vertices).astype(np.int64)
+
+
 @pytest.fixture(scope="module")
 def features(graph):
-    return synthetic_features(graph, FEATURES, seed=4, sparsity=0.3)
+    return _inputs(graph)[0]
 
 
 @pytest.fixture(scope="module")
 def labels(graph):
-    rng = np.random.default_rng(8)
-    return rng.integers(0, CLASSES, graph.num_vertices).astype(np.int64)
+    return _inputs(graph)[1]
 
 
 def _model(graph, seed=0):
     return build_model("gcn", FEATURES, HIDDEN, CLASSES, seed=seed)
+
+
+def _trainer(graph, model=None, num_shards=2, backend="process"):
+    model = model or _model(graph)
+    return ShardedTrainer(
+        graph, model, Adam(model, lr=0.01), num_shards=num_shards,
+        backend=backend,
+    )
+
+
+def _assert_same_losses(history, reference):
+    np.testing.assert_allclose(history.losses(), reference.losses(), rtol=LOSS_RTOL)
+
+
+def _assert_same_weights(model, ref_model):
+    for ref_layer, layer in zip(ref_model.layers, model.layers):
+        np.testing.assert_allclose(layer.weight, ref_layer.weight, atol=WEIGHT_ATOL)
+        np.testing.assert_allclose(layer.bias, ref_layer.bias, atol=WEIGHT_ATOL)
 
 
 def _reference(graph, features, labels, epochs=EPOCHS, **fit_kwargs):
@@ -81,20 +104,12 @@ class TestMatchesSingleProcessTrainer:
         history, _, _, _ = _sharded(
             graph, features, labels, backend=backend
         )
-        np.testing.assert_allclose(
-            history.losses(), reference.losses(), rtol=LOSS_RTOL
-        )
+        _assert_same_losses(history, reference)
 
     def test_weights_match(self, graph, features, labels):
         _, ref_model = _reference(graph, features, labels)
         _, model, _, _ = _sharded(graph, features, labels, backend="serial")
-        for ref_layer, layer in zip(ref_model.layers, model.layers):
-            np.testing.assert_allclose(
-                layer.weight, ref_layer.weight, atol=WEIGHT_ATOL
-            )
-            np.testing.assert_allclose(
-                layer.bias, ref_layer.bias, atol=WEIGHT_ATOL
-            )
+        _assert_same_weights(model, ref_model)
 
     def test_accuracies_match(self, graph, features, labels):
         rng = np.random.default_rng(2)
@@ -125,54 +140,38 @@ class TestMatchesSingleProcessTrainer:
             graph, features, labels, backend="serial",
             partition_method=method,
         )
-        np.testing.assert_allclose(
-            history.losses(), reference.losses(), rtol=LOSS_RTOL
-        )
+        _assert_same_losses(history, reference)
 
-
-    def test_narrowing_hidden_layer_matches(self, graph, features, labels):
+    def test_narrowing_hidden_layer_matches(
+        self, graph, features, labels, stack_model
+    ):
         """12 -> 24 -> 16 -> 5: ``Trainer`` and every shard run the
         narrowing hidden and output layers transform-first
         (``Â (h W)``); the shards compute ``h W`` on their own rows only
         — the same training run at the unchanged tolerances."""
-        self._check_stack(graph, features, labels, (FEATURES, 24, HIDDEN, CLASSES))
+        self._check_stack(graph, features, labels,
+                          stack_model, (FEATURES, 24, HIDDEN, CLASSES))
 
-    def test_widening_hidden_layer_matches(self, graph, features, labels):
+    def test_widening_hidden_layer_matches(
+        self, graph, features, labels, stack_model
+    ):
         """12 -> 8 -> 16 -> 5: the widening hidden layer aggregates
         first (``(Â h) W``, exchanging ``h`` rows) next to a
         transform-first output layer."""
-        self._check_stack(graph, features, labels, (FEATURES, 8, HIDDEN, CLASSES))
+        self._check_stack(graph, features, labels,
+                          stack_model, (FEATURES, 8, HIDDEN, CLASSES))
 
     @staticmethod
-    def _check_stack(graph, features, labels, widths):
-        def stack():
-            return GNNModel([
-                GNNLayer(
-                    widths[k], widths[k + 1],
-                    activation=k < len(widths) - 2, seed=k,
-                )
-                for k in range(len(widths) - 1)
-            ])
-
-        ref_model = stack()
+    def _check_stack(graph, features, labels, stack, widths):
+        ref_model = stack(widths)
         reference = Trainer(ref_model, Adam(ref_model, lr=0.01)).fit(
             graph, features, labels, epochs=EPOCHS
         )
-        model = stack()
-        with ShardedTrainer(
-            graph, model, Adam(model, lr=0.01), num_shards=3, backend="serial"
-        ) as trainer:
+        model = stack(widths)
+        with _trainer(graph, model, num_shards=3, backend="serial") as trainer:
             history = trainer.fit(features, labels, epochs=EPOCHS)
-        np.testing.assert_allclose(
-            history.losses(), reference.losses(), rtol=LOSS_RTOL
-        )
-        for ref_layer, layer in zip(ref_model.layers, model.layers):
-            np.testing.assert_allclose(
-                layer.weight, ref_layer.weight, atol=WEIGHT_ATOL
-            )
-            np.testing.assert_allclose(
-                layer.bias, ref_layer.bias, atol=WEIGHT_ATOL
-            )
+        _assert_same_losses(history, reference)
+        _assert_same_weights(model, ref_model)
 
 
 class TestProcessBitwiseMatchesSerial:
@@ -227,10 +226,7 @@ class TestOneExactSchedule:
             for phase, args, _ in epoch_phases(layers)
             for part in range(shards)
         ]
-        with ShardedTrainer(
-            graph, model, Adam(model, lr=0.01), num_shards=shards,
-            backend="serial",
-        ) as trainer:
+        with _trainer(graph, model, shards, "serial") as trainer:
             trainer.fit(features, labels, epochs=0)
             for _ in range(epochs):
                 calls.clear()
@@ -256,12 +252,8 @@ class TestZeroCopy:
         sizes = {}
         for scale in (0.05, 0.2):
             graph = load_dataset("products", scale=scale, seed=3)
-            h = synthetic_features(graph, FEATURES, seed=4, sparsity=0.3)
-            y = np.random.default_rng(8).integers(
-                0, CLASSES, graph.num_vertices
-            ).astype(np.int64)
             _, _, trainer, _ = _sharded(
-                graph, h, y, backend="process", epochs=1
+                graph, *_inputs(graph), backend="process", epochs=1
             )
             sizes[scale] = max(trainer.setup_bytes)
         # 4x the vertices, same payload (within pickle framing noise).
@@ -275,10 +267,7 @@ class TestZeroCopy:
         sizes = []
         for hidden in (16, 256):
             model = build_model("gcn", FEATURES, hidden, CLASSES, seed=0)
-            with ShardedTrainer(
-                graph, model, Adam(model, lr=0.01),
-                num_shards=2, backend="process",
-            ) as trainer:
+            with _trainer(graph, model) as trainer:
                 trainer.fit(features, labels, epochs=2)
                 sizes.append(trainer.epoch_message_bytes)
         assert sizes[0] == sizes[1]
@@ -336,12 +325,7 @@ class TestZeroCopy:
 
 class TestPersistentPool:
     def test_workers_survive_across_epochs(self, graph, features, labels):
-        model = _model(graph)
-        trainer = ShardedTrainer(
-            graph, model, Adam(model, lr=0.01),
-            num_shards=2, backend="process",
-        )
-        with trainer:
+        with _trainer(graph) as trainer:
             trainer.fit(features, labels, epochs=1)
             first = sorted(trainer.worker_pids())
             trainer.train_epoch()
@@ -349,18 +333,12 @@ class TestPersistentPool:
             second = sorted(trainer.worker_pids())
         assert first == second
         assert len(first) == 2
-        import os
-
         assert os.getpid() not in first
 
     def test_close_is_idempotent_and_joins_workers(
         self, graph, features, labels
     ):
-        model = _model(graph)
-        trainer = ShardedTrainer(
-            graph, model, Adam(model, lr=0.01),
-            num_shards=2, backend="process",
-        )
+        trainer = _trainer(graph)
         trainer.fit(features, labels, epochs=1)
         workers = list(trainer._workers)
         trainer.close()
@@ -372,25 +350,20 @@ class TestPersistentPool:
         """Pipes, not queues: no feeder thread while the pool runs, and
         none left after ``close()``."""
         before = set(threading.enumerate())
-        model = _model(graph)
-        with ShardedTrainer(
-            graph, model, Adam(model, lr=0.01),
-            num_shards=2, backend="process",
-        ) as trainer:
+        with _trainer(graph) as trainer:
             trainer.fit(features, labels, epochs=2)
             assert set(threading.enumerate()) <= before
         assert set(threading.enumerate()) <= before
 
 
 class TestObservability:
-    def test_shard_metrics_and_spans_published(self, graph, features, labels):
-        tracer, metrics = obs.enable()
-        try:
+    def test_shard_metrics_and_spans_published(
+        self, graph, features, labels, telemetry
+    ):
+        with telemetry() as (tracer, metrics):
             _sharded(graph, features, labels, backend="process", epochs=2)
             snap = metrics.snapshot()
             span_names = {s.to_record()["name"] for s in tracer.spans()}
-        finally:
-            obs.disable()
         assert "shard.partition" in span_names
         assert "shard.epoch" in span_names
         for key in (
@@ -422,10 +395,7 @@ class TestValidation:
         name before any shard is built."""
         n = graph.num_vertices
         for mask in (np.ones(n, dtype=int), np.ones(n - 1, dtype=bool)):
-            model = _model(graph)
-            with ShardedTrainer(
-                graph, model, Adam(model), num_shards=2, backend="serial"
-            ) as trainer:
+            with _trainer(graph, backend="serial") as trainer:
                 with pytest.raises(ValueError, match=which):
                     trainer.fit(features, labels, epochs=1, **{which: mask})
 
@@ -437,11 +407,7 @@ class TestValidation:
             ShardedTrainer(graph, model, Adam(model))
 
     def test_rejects_empty_train_mask(self, graph, features, labels):
-        model = _model(graph)
-        trainer = ShardedTrainer(
-            graph, model, Adam(model, lr=0.01),
-            num_shards=2, backend="serial",
-        )
+        trainer = _trainer(graph, backend="serial")
         with pytest.raises(ValueError, match="mask"):
             trainer.fit(
                 features, labels, epochs=1,
@@ -460,7 +426,5 @@ class TestValidation:
             graph, features, labels, backend="serial",
             num_shards=1, epochs=2,
         )
-        np.testing.assert_allclose(
-            history.losses(), reference.losses(), rtol=LOSS_RTOL
-        )
+        _assert_same_losses(history, reference)
         assert trainer.last_halo_bytes == 0

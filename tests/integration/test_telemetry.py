@@ -5,8 +5,8 @@ properties the observability layer promises:
 
 1. the exported span tree nests epoch -> layer -> kernel, and
 2. the counters aggregated from the trace exactly match the
-   ``KernelStats`` the kernels returned to the trainer, which are the
-   closed forms of the graph.
+   ``KernelStats`` the kernels returned to the trainer (whose closed
+   forms ``tests/integration/test_kernel_vs_oracle.py`` pins).
 
 The run splits every pass into two lanes (the ``always_split``
 fixture); lanes are not spans, so the tree is the same on one lane.
@@ -20,7 +20,7 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.graphs import power_law_graph, synthetic_features
-from repro.kernels import PREFETCH_LINES_PER_VECTOR, TASK_SIZE, BasicKernel
+from repro.kernels import TASK_SIZE, BasicKernel, KernelStats
 from repro.nn import Adam, Trainer, build_model
 from repro.obs import read_trace, span_tree
 
@@ -37,18 +37,15 @@ def _tiny_inputs(features=16, classes=4, seed=0):
 
 
 @pytest.fixture
-def traced_run(always_split):
+def traced_run(always_split, telemetry):
     """One traced training run; returns (tracer, metrics, history)."""
     always_split(LANES)
     graph, h, labels = _tiny_inputs()
     model = build_model("gcn", h.shape[1], 16, 4, seed=0)
     kernel = BasicKernel()
     trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
-    tracer, metrics = obs.enable()
-    try:
+    with telemetry() as (tracer, metrics):
         trainer.fit(graph, h, labels, epochs=EPOCHS)
-    finally:
-        obs.disable()
     return tracer, metrics, trainer.history
 
 
@@ -92,34 +89,11 @@ class TestCounterConsistency:
         and the batched backward), so the trace totals must equal the
         forward and backward stats the trainer accumulated, merged.
         """
-        from repro.kernels import KernelStats
-
         tracer, _, history = traced_run
         merged = KernelStats()
         merged.merge(history.aggregation_stats)
         merged.merge(history.backward_stats)
         assert tracer.aggregate_counters("kernel.*") == merged.as_dict()
-
-    def test_kernel_counters_equal_closed_forms(self, traced_run):
-        """Each kernel span's counters are Alg. 1's closed forms of the
-        graph: ``E + V`` gathers, ``ceil(V / T)`` tasks, and the prefetch
-        look-ahead over the degrees of the direction it aggregates."""
-        tracer, _, _ = traced_run
-        graph, _, _ = _tiny_inputs()
-        n, kernel = graph.num_vertices, BasicKernel()
-        distance = kernel.prefetch_distance
-        degrees = {
-            "kernel.basic": graph.degrees(),
-            "kernel.backward.basic": graph.transpose().degrees(),
-        }
-        spans = tracer.spans("kernel.*")
-        assert {span.name for span in spans} == set(degrees)
-        for span in spans:
-            assert span.counters["gathers"] == graph.num_edges + n
-            assert span.counters["tasks"] == -(-n // TASK_SIZE)
-            assert span.counters["prefetches"] == PREFETCH_LINES_PER_VECTOR * (
-                int((degrees[span.name][distance:] + 1).sum())
-            )
 
     def test_metrics_registry_agrees_with_trace(self, traced_run):
         """One kernel run per aggregation that can change.  Forward:

@@ -17,14 +17,10 @@ import pytest
 
 from repro import lanes
 from repro.graphs import CSRGraph, apply_order
-from repro.kernels import BasicKernel, UpdateParams
+from repro.kernels import BasicKernel
 from repro.nn import aggregate
 from repro.nn.layers import output_sweep, sweep_bounds
-from repro.tensors.compression import (
-    VECTOR_LANES,
-    compress_matrix,
-    decompress_matrix,
-)
+from repro.tensors.compression import VECTOR_LANES
 
 #: Lane counts; the ids name the threads a split runs on.
 LANE_COUNTS = [1, 2, 3]
@@ -38,94 +34,79 @@ def _features(n, f, seed=0, sparsity=0.3):
     return h
 
 
-def _params(f_in, f_out=6, seed=0):
-    rng = np.random.default_rng(seed)
-    return UpdateParams(
-        weight=(rng.standard_normal((f_in, f_out)) * 0.2).astype(np.float32),
-        bias=(rng.standard_normal(f_out) * 0.1).astype(np.float32),
-    )
-
-
-def _kernel_outputs(graph, h, params):
-    """Every variant's output; the sweeps run blocks of
+@pytest.fixture
+def kernel_runs(always_split, run_variant, update_params):
+    """``runs(graph, h, count)``: every variant on ``count`` lanes on the
+    graph and on a shuffled relabel of it, each bitwise equal to one
+    lane; yields (name, output, reference).  The sweeps run blocks of
     :data:`repro.lanes.MIN_SLICE` rows, so a 100-row graph has blocks
     for three lanes."""
-    basic = BasicKernel().aggregate(graph, h, "gcn")[0]
-    compression = BasicKernel().aggregate(
-        graph, decompress_matrix(compress_matrix(h)), "gcn"
-    )[0]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("repro.nn.layers.SWEEP_ROWS", lanes.MIN_SLICE)
-        fusion, combined = (
-            output_sweep(a, params.weight, params.bias, True, tf=False)[0]
-            for a in (basic, compression)
-        )
-    return {
-        "basic": basic,
-        "compression": compression,
-        "fusion": fusion,
-        "combined": combined,
-    }
 
+    def outputs(graph, h, params):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.nn.layers.SWEEP_ROWS", lanes.MIN_SLICE)
+            return {
+                name: run_variant(name, graph, h, "gcn", params)[0]
+                for name in ("basic", "compression", "fusion", "combined")
+            }
 
-def _all_kernel_runs(graph, h, always_split, count):
-    """Run every kernel variant on ``count`` lanes on the graph and on a
-    shuffled relabel of it, each bitwise equal to one lane; yield (name,
-    output, reference)."""
-    params = _params(h.shape[1])
-    shuffled = np.random.default_rng(0).permutation(graph.num_vertices)
-    for graph, h in ((graph, h), (apply_order(graph, shuffled), h[shuffled])):
-        reference = aggregate(graph, h, "gcn")
-        fused_reference = params.apply(reference)
-        always_split(1)
-        serial = _kernel_outputs(graph, h, params)
-        always_split(count)
-        for name, out in _kernel_outputs(graph, h, params).items():
-            assert np.array_equal(out, serial[name]), name
-            fused = name in ("fusion", "combined")
-            yield name, out, fused_reference if fused else reference
+    def runs(graph, h, count):
+        params = update_params(h.shape[1], 6)
+        shuffled = np.random.default_rng(0).permutation(graph.num_vertices)
+        for graph, h in ((graph, h), (apply_order(graph, shuffled), h[shuffled])):
+            reference = aggregate(graph, h, "gcn")
+            fused_reference = params.apply(reference)
+            always_split(1)
+            serial = outputs(graph, h, params)
+            always_split(count)
+            for name, out in outputs(graph, h, params).items():
+                assert np.array_equal(out, serial[name]), name
+                fused = name in ("fusion", "combined")
+                yield name, out, fused_reference if fused else reference
+
+    return runs
 
 
 @pytest.mark.parametrize("count", LANE_COUNTS, ids=LANE_IDS)
 class TestDegenerateGraphs:
-    def test_empty_graph(self, always_split, count):
+    def test_empty_graph(self, kernel_runs, count):
         graph = CSRGraph.from_edges(0, [], name="empty")
         h = np.zeros((0, 8), dtype=np.float32)
-        for name, out, reference in _all_kernel_runs(graph, h, always_split, count):
+        for name, out, reference in kernel_runs(graph, h, count):
             assert out.shape == reference.shape, name
             assert out.shape[0] == 0
 
-    def test_all_isolated_vertices(self, always_split, count):
+    def test_all_isolated_vertices(self, kernel_runs, count):
         # 100 vertices: enough tasks of 4 rows for three lanes to split.
         graph = CSRGraph.from_edges(100, [], name="isolated")
         h = _features(100, 8, seed=1)
-        for name, out, reference in _all_kernel_runs(graph, h, always_split, count):
+        for name, out, reference in kernel_runs(graph, h, count):
             np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
         # With no neighbors, GCN aggregation reduces to h / (D+1) = h.
         np.testing.assert_allclose(
             aggregate(graph, h, "gcn"), h, atol=1e-6
         )
 
-    def test_single_vertex_graph(self, always_split, count):
+    def test_single_vertex_graph(self, kernel_runs, count):
         graph = CSRGraph.from_edges(1, [], name="lonely")
         h = _features(1, 5, seed=2)
-        for name, out, reference in _all_kernel_runs(graph, h, always_split, count):
+        for name, out, reference in kernel_runs(graph, h, count):
             np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
 
-    def test_self_loop_only_graph(self, always_split, count):
+    def test_self_loop_only_graph(self, kernel_runs, count):
         graph = CSRGraph.from_edges(100, [(v, v) for v in range(100)], name="loops")
         h = _features(100, 7, seed=3)
-        for name, out, reference in _all_kernel_runs(graph, h, always_split, count):
+        for name, out, reference in kernel_runs(graph, h, count):
             np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
 
 
 @pytest.mark.parametrize("count", LANE_COUNTS, ids=LANE_IDS)
 @pytest.mark.parametrize("width", [1, 13, VECTOR_LANES + 1, 3 * VECTOR_LANES + 5])
-def test_feature_width_not_divisible_by_vector_lanes(always_split, count, width, star10):
+def test_feature_width_not_divisible_by_vector_lanes(kernel_runs, count, width, star10):
     """Widths with a vector-tail remainder stay exact in every kernel."""
     assert width % VECTOR_LANES != 0
     h = _features(star10.num_vertices, width, seed=4)
-    for name, out, reference in _all_kernel_runs(star10, h, always_split, count):
+    for name, out, reference in kernel_runs(star10, h, count):
         np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
 
 
@@ -140,10 +121,10 @@ class TestOversizedTaskSize:
             np.testing.assert_allclose(out, reference, atol=1e-5)
             assert stats.tasks == 1  # one task owns the whole graph
 
-    def test_oversized_blocks_per_task(self, star10):
+    def test_oversized_blocks_per_task(self, star10, update_params):
         """A graph smaller than one sweep block is one block."""
         h = _features(star10.num_vertices, 6, seed=6)
-        params = _params(6)
+        params = update_params(6, 6)
         reference = params.apply(aggregate(star10, h, "gcn"))
         a, _ = BasicKernel().aggregate(star10, h, "gcn")
         out, _ = output_sweep(a, params.weight, params.bias, True, tf=False)
@@ -163,7 +144,7 @@ def test_malformed_order_rejected(kernel_type, star10):
     negative = np.arange(n)
     negative[-1] = -1
     for bad in (np.zeros(n, dtype=np.int64), out_of_range, negative, np.arange(n - 1)):
-        with pytest.raises(ValueError, match="order must"):
+        with pytest.raises(ValueError, match="order must be a permutation"):
             apply_order(star10, bad)
     with pytest.raises(TypeError):
         kernel_type().aggregate(star10, h, "gcn", order=np.arange(n))

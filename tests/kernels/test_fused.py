@@ -18,18 +18,16 @@ from repro.nn.layers import SweepBuffers, layer_output, output_sweep, sweep_boun
 
 
 def _params(f_in, f_out):
-    rng = np.random.default_rng(0)
-    weight = (rng.standard_normal((f_in, f_out)) * 0.1).astype(np.float32)
-    return weight, np.zeros(f_out, dtype=np.float32)
+    weight = np.random.default_rng(0).standard_normal((f_in, f_out))
+    return (weight * 0.1).astype(np.float32), np.zeros(f_out, np.float32)
 
 
 def _inference_sweep(graph, h, f_out):
     """One lane's inference sweep: ``(next_operand, buffers)``.  Only
     the next layer's transform reads a block, so no output is kept."""
-    weight, bias = _params(h.shape[1], f_out)
     buffers = SweepBuffers()
     out, next_operand = output_sweep(
-        aggregate(graph, h, "gcn"), weight, bias, True, tf=False,
+        aggregate(graph, h, "gcn"), *_params(h.shape[1], f_out), True, tf=False,
         next_weight=np.ones((f_out, 2), np.float32), keep=False,
         buffers=buffers,
     )

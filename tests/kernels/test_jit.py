@@ -1,6 +1,8 @@
 """Unit tests for the JIT kernel-specialization cache (Section 4.1)."""
 
 import gc
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,12 @@ from repro.nn.aggregate import (
     aggregate_backward_reference,
     gather_reduce_reference,
 )
+
+
+def _specialized(graph, width, aggregator, seed):
+    """A fresh cache's forward kernel for ``graph`` and features for it."""
+    kernel = JitKernelCache().specialize(graph, KernelSpec(width, aggregator))
+    return kernel, synthetic_features(graph, width, seed=seed)
 
 
 class TestCache:
@@ -41,9 +49,7 @@ class TestCache:
             KernelSpec(feature_len=0, aggregator="gcn")
 
     def test_specialized_kernel_correct(self, small_products):
-        cache = JitKernelCache()
-        kernel = cache.specialize(small_products, KernelSpec(12, "mean"))
-        h = synthetic_features(small_products, 12, seed=0)
+        kernel, h = _specialized(small_products, 12, "mean", 0)
         reference = aggregate(small_products, h, "mean")
         n = small_products.num_vertices
         for lo, hi in ((0, 1), (5, 9), (n - 1, n)):
@@ -65,32 +71,24 @@ class TestAmortization:
 
 class TestBatchedSpecialization:
     def test_matches_reference_on_all_vertices(self, small_products):
-        cache = JitKernelCache()
-        kernel = cache.specialize(small_products, KernelSpec(12, "mean"))
-        h = synthetic_features(small_products, 12, seed=0)
+        kernel, h = _specialized(small_products, 12, "mean", 0)
         reference = aggregate(small_products, h, "mean")
         np.testing.assert_allclose(kernel(h), reference, atol=2e-5)
 
     def test_matches_reference_per_chunk(self, small_products):
-        cache = JitKernelCache()
-        kernel = cache.specialize(small_products, KernelSpec(8, "gcn"))
-        h = synthetic_features(small_products, 8, seed=2)
+        kernel, h = _specialized(small_products, 8, "gcn", 2)
         reference = gather_reduce_reference(small_products, h, "gcn")
         np.testing.assert_allclose(kernel.rows(17, 49)(h), reference[17:49], atol=2e-5)
 
     def test_row_slice_is_bitwise_the_whole_pass(self, small_products):
         """A lane's row slice accumulates each row exactly as the whole
         operator does, so the two agree bit for bit."""
-        cache = JitKernelCache()
-        kernel = cache.specialize(small_products, KernelSpec(8, "gcn"))
-        h = synthetic_features(small_products, 8, seed=3)
+        kernel, h = _specialized(small_products, 8, "gcn", 3)
         whole = kernel(h)
         np.testing.assert_array_equal(kernel.rows(10, 42)(h), whole[10:42])
 
     def test_empty_vertex_array(self, small_products):
-        cache = JitKernelCache()
-        kernel = cache.specialize(small_products, KernelSpec(4, "sum"))
-        h = synthetic_features(small_products, 4, seed=0)
+        kernel, h = _specialized(small_products, 4, "sum", 0)
         for lo in (0, 5):
             assert kernel.rows(lo, lo)(h).shape == (0, 4)
 
@@ -165,8 +163,6 @@ class TestWeakrefKeying:
         a dropped cache (and every operator it compiled) dies by
         refcount while its graph lives on — and the graph's later death
         calls back into nothing."""
-        import weakref
-
         graph = uniform_graph(40, avg_degree=4.0, seed=0)
         cache = JitKernelCache()
         cache.specialize(graph, KernelSpec(8, "gcn"))
@@ -216,8 +212,6 @@ class TestWeakrefKeying:
 
     def test_token_survives_pickle_roundtrip(self, small_products):
         """Workers unpickle the graph; specialization must still work."""
-        import pickle
-
         clone = pickle.loads(pickle.dumps(small_products))
         cache = JitKernelCache()
         cache.specialize(small_products, KernelSpec(4, "gcn"))

@@ -25,7 +25,6 @@ from repro.graphs import (
     randomized_order,
     synthetic_features,
 )
-from repro.kernels import BasicKernel, UpdateParams
 from repro.kernels.segment import ScaledCSR
 from repro.nn import aggregate
 from repro.nn.aggregate import normalization_factors
@@ -34,16 +33,6 @@ from repro.parallel.sharded import shard_factors, shard_segment_reduce
 from repro.perf import VARIANTS, cascade_lake_28
 from repro.perf.cost_model import kernel_cost
 from repro.perf.traffic import LayerShape
-from repro.tensors.compression import compress_matrix, decompress_matrix
-
-
-def _basic(graph, h, aggregator):
-    out, stats = BasicKernel().aggregate(graph, h, aggregator)
-    return out, stats.gathers
-
-
-def _compression(graph, h, aggregator):
-    return _basic(graph, decompress_matrix(compress_matrix(h)), aggregator)
 
 
 def _distgnn(graph, h, aggregator):
@@ -63,64 +52,68 @@ def _distgnn(graph, h, aggregator):
     return out, gathers
 
 
-AGG_RUNNERS = {"distgnn": _distgnn, "basic": _basic, "compression": _compression}
+KERNELS = ["basic", "compression", "distgnn"]
 
 
-def _params(f_in, f_out, seed=0):
-    rng = np.random.default_rng(seed)
-    return UpdateParams(
-        weight=(rng.standard_normal((f_in, f_out)) * 0.2).astype(np.float32),
-        bias=rng.standard_normal(f_out).astype(np.float32) * 0.1,
-    )
+def _run(kernel, run_variant, graph, h, aggregator):
+    """One aggregation variant's ``(out, gathers)``."""
+    if kernel == "distgnn":
+        return _distgnn(graph, h, aggregator)
+    out, _, stats = run_variant(kernel, graph, h, aggregator)
+    return out, stats.gathers
 
 
-@pytest.mark.parametrize("kernel", sorted(AGG_RUNNERS))
+@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("aggregator", ["gcn", "mean"])
-def test_aggregation_kernels_match_oracle(small_products, kernel, aggregator):
+def test_aggregation_kernels_match_oracle(
+    small_products, run_variant, kernel, aggregator
+):
     h = synthetic_features(small_products, 24, seed=1, sparsity=0.4)
     reference = aggregate(small_products, h, aggregator)
-    out, gathers = AGG_RUNNERS[kernel](small_products, h, aggregator)
+    out, gathers = _run(kernel, run_variant, small_products, h, aggregator)
     np.testing.assert_allclose(out, reference, atol=2e-4)
     assert gathers == small_products.num_edges + small_products.num_vertices
 
 
-@pytest.mark.parametrize("kernel", sorted(AGG_RUNNERS))
-def test_kernels_on_corner_graphs(kernel, star10, chain20, grid16):
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernels_on_corner_graphs(kernel, run_variant, star10, chain20, grid16):
     for graph in (star10, chain20, grid16):
         h = synthetic_features(graph, 8, seed=2)
         reference = aggregate(graph, h, "gcn")
-        out, _ = AGG_RUNNERS[kernel](graph, h, "gcn")
+        out, _ = _run(kernel, run_variant, graph, h, "gcn")
         np.testing.assert_allclose(out, reference, atol=1e-4)
 
 
 @pytest.mark.parametrize(
     "order_fn", [randomized_order, locality_order], ids=["random", "locality"]
 )
-def test_order_does_not_change_results(small_products, order_fn):
+def test_order_does_not_change_results(small_products, run_variant, order_fn):
     """Section 4.4 as a relabel: run on the relabelled graph, map the
     rows back, get the natural result."""
     h = synthetic_features(small_products, 16, seed=3)
     reference = aggregate(small_products, h, "gcn")
     order = order_fn(small_products)
     relabelled = apply_order(small_products, order)
-    for run in (_basic, _compression):
-        out, _ = run(relabelled, h[order], "gcn")
+    for name in ("basic", "compression"):
+        out, _, _ = run_variant(name, relabelled, h[order], "gcn")
         np.testing.assert_allclose(out[np.argsort(order)], reference, atol=1e-4)
 
 
 @pytest.mark.parametrize("keep", [True, False], ids=["training", "inference"])
 @pytest.mark.parametrize("compressed", [False, True], ids=["fusion", "combined"])
-def test_fused_kernels_match_unfused_layer(small_products, compressed, keep):
+def test_fused_kernels_match_unfused_layer(
+    small_products, run_variant, update_params, compressed, keep
+):
     """Training keeps the layer's output (and ``a``) for backward;
     inference keeps only the next layer's operand ``h_out W_next``."""
     h = synthetic_features(small_products, 20, seed=4, sparsity=0.5)
-    params = _params(20, 12)
-    next_weight = _params(12, 5, seed=1).weight
+    params = update_params(20, 12)
+    next_weight = update_params(12, 5, seed=1).weight
     reference_a = aggregate(small_products, h, "gcn")
     reference_h = params.apply(reference_a)
 
-    run = _compression if compressed else _basic
-    a, _ = run(small_products, h, "gcn")
+    a, _, _ = run_variant("compression" if compressed else "basic",
+                          small_products, h, "gcn")
     np.testing.assert_allclose(a, reference_a, atol=2e-4)
     h_out, next_operand = output_sweep(
         a, params.weight, params.bias, True, tf=False,

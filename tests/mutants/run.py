@@ -4,11 +4,12 @@
 
 Each entry of :data:`MUTANTS` is a named source patch — a file, a piece
 of its text, the text that replaces it — and the pytest files expected
-to fail once it is applied.  For each patch the runner copies ``src/``,
-``tests/``, ``benchmarks/`` and ``pyproject.toml`` into a temporary
+to fail once it is applied.  For each patch the runner copies
+:data:`COPIED` (``src/``, ``tests/`` and what they read) into a temporary
 directory, applies the patch there and runs
-``python -m pytest -x -q -p no:cacheprovider <suites>`` with
-``PYTHONPATH=<copy>/src``.  The working tree is never edited.
+``python -m pytest -p no:cacheprovider <suites>`` with
+``PYTHONPATH=<copy>/src`` to the end (no ``-x``).  The working tree is
+never edited.
 
 A mutant is **killed** only when pytest exits 1 (a test failed).  Exit
 codes 2-5 (interrupted, internal error, usage error, no tests
@@ -16,11 +17,16 @@ collected) are runner errors, not kills: a patch that breaks the
 import of a test file proves nothing about the test.  Before any mutant
 runs, every suite must pass on an unpatched copy.
 
-The runner prints one line per mutant (killed / SURVIVED / ERROR and
-its seconds) and exits 1 naming each mutant that was not killed.  It
-takes no flags.  ``tests/test_mutant_table.py`` checks the table itself
-in tier-1: each old text occurs exactly once in its file, so a later
-edit to ``src/`` cannot silently turn a mutant into a no-op.
+The runner prints one line per mutant (killed / SURVIVED / ERROR, its
+seconds and pytest's summary), then the mutant's *kill set*: the id of
+every test that failed or errored under it, one per line.  Tests whose
+kill sets and assertions coincide are merge candidates.  It exits 1
+naming each mutant that was not killed, and takes no flags.  To run a
+candidate, or a mutant against other suites (all of ``tests``, say),
+without editing the table, call :func:`run_mutant` from a script.
+``tests/test_mutant_table.py`` checks the table itself in tier-1: each
+old text occurs exactly once in its file, so a later edit to ``src/``
+cannot silently turn a mutant into a no-op.
 
 This directory holds no ``test_*.py`` file, so pytest never collects
 it.
@@ -39,9 +45,12 @@ from typing import List, NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: What a copy holds: the package, the tests and the paper-plan
-#: criteria (the ``run_all`` fixture loads ``benchmarks/run_all.py``).
-COPIED = ("src", "tests", "benchmarks", "pyproject.toml")
+#: What a copy holds: the package, the tests, the paper-plan criteria
+#: (the ``run_all`` fixture loads ``benchmarks/run_all.py``), and what
+#: ``tests/test_examples.py`` and ``tests/test_consumers.py`` read, so
+#: that all of ``tests`` passes in an unpatched copy.
+COPIED = ("src", "tests", "benchmarks", "examples", "perfbench", ".github",
+          "pyproject.toml")
 
 #: The oracle suites that pin each Graphite technique (§4-5).
 ORACLE = "tests/integration/test_kernel_vs_oracle.py"
@@ -216,6 +225,87 @@ MUTANTS: Tuple[Mutant, ...] = (
         "mkl_bw_efficiency: float = 0.74", "mkl_bw_efficiency: float = 0.95",
         ("tests/bench/test_run_all.py",),
     ),
+    # --- One pin per module: the file that claims the code kills it --
+    Mutant(
+        "adam-no-bias-correction", "src/repro/nn/optim.py",
+        "m_hat = m / (1 - self.beta1**self._t)", "m_hat = m",
+        ("tests/nn/test_optim.py",),
+    ),
+    Mutant(
+        "trainer-reuse-ignores-features", "src/repro/nn/training.py",
+        "                and kept[1] is features\n", "",
+        ("tests/nn/test_training.py",),
+    ),
+    Mutant(
+        "model-logits-through-relu", "src/repro/nn/model.py",
+        "activation=(k < num_layers - 1),", "activation=(k < num_layers),",
+        ("tests/nn/test_model.py",),
+    ),
+    Mutant(
+        "loss-grad-half-label", "src/repro/nn/functional.py",
+        "probs[index, picked_labels] -= 1.0", "probs[index, picked_labels] -= 0.5",
+        ("tests/nn/test_functional.py",),
+    ),
+    Mutant(
+        "block-mean-drops-self-edge", "src/repro/nn/minibatch.py",
+        "weights = 1.0 / np.maximum(counts, 1)[dst_rows]",
+        "weights = 1.0 / np.maximum(counts - 1, 1)[dst_rows]",
+        ("tests/nn/test_minibatch.py",),
+    ),
+    Mutant(
+        "community-self-edges", "src/repro/graphs/generators.py",
+        "np.fill_diagonal(keys, -np.inf)", "np.fill_diagonal(keys, np.inf)",
+        ("tests/graphs/test_generators.py",),
+    ),
+    Mutant(
+        "csc-permutation-sorted", "src/repro/graphs/csr.py",
+        "                csc.data,\n", "                np.sort(csc.data),\n",
+        ("tests/graphs/test_csr.py",),
+    ),
+    Mutant(
+        "cost-fused-inference-writes-a", "src/repro/perf/cost_model.py",
+        "write_a=training or not variant.fused,", "write_a=True,",
+        ("tests/perf/test_cost_model.py",),
+    ),
+    Mutant(
+        "reuse-hit-at-capacity", "src/repro/perf/reuse.py",
+        "np.count_nonzero(self.distances < capacity)",
+        "np.count_nonzero(self.distances <= capacity)",
+        ("tests/perf/test_reuse.py",),
+    ),
+    Mutant(
+        "topdown-core-bound-skips-frontend", "src/repro/perf/topdown.py",
+        "core_bound = max(0.0, 1.0 - retiring - FRONTEND_BOUND - memory_bound)",
+        "core_bound = max(0.0, 1.0 - retiring - memory_bound)",
+        ("tests/perf/test_topdown.py",),
+    ),
+    Mutant(
+        "cache-hit-keeps-lru-age", "src/repro/sim/cache.py",
+        "            ways.move_to_end(tag)\n            if write:",
+        "            if write:",
+        ("tests/sim/test_cache.py",),
+    ),
+    Mutant(
+        "dma-output-skips-l2", "src/repro/sim/hierarchy.py",
+        "        self.l2[core].install(addr, dirty=True)\n", "",
+        ("tests/sim/test_hierarchy.py",),
+    ),
+    Mutant(
+        "refill-outlives-invalidate", "src/repro/serve/server.py",
+        "                generation=generation,\n",
+        "                generation=None,\n",
+        ("tests/serve/test_service.py",),
+    ),
+    Mutant(
+        "batcher-admits-past-max-queue", "src/repro/serve/batcher.py",
+        "self._queue.qsize() >= self.max_queue", "self._queue.qsize() > self.max_queue",
+        ("tests/serve/test_batcher.py",),
+    ),
+    Mutant(
+        "lane-error-swallowed", "src/repro/lanes.py",
+        "    if errors:\n        raise errors[0]", "    if errors:\n        pass",
+        ("tests/nn/test_lanes.py",),
+    ),
 )
 
 
@@ -252,36 +342,43 @@ def copy_tree(destination: Path) -> None:
         if source.is_dir():
             shutil.copytree(
                 source, destination / name,
-                ignore=shutil.ignore_patterns("__pycache__", "*.pyc"),
+                ignore=shutil.ignore_patterns("__pycache__", "*.pyc", "results"),
             )
         else:
             shutil.copy2(source, destination / name)
 
 
-def run_pytest(copy: Path, suites) -> Tuple[int, float, str]:
-    """``(exit code, seconds, summary)`` of pytest on ``suites`` in
-    ``copy``; the summary is the first ``FAILED`` line, else the last
-    line of output."""
+def run_pytest(copy: Path, suites) -> Tuple[int, float, str, List[str]]:
+    """``(exit code, seconds, summary, kill set)`` of pytest on ``suites``
+    in ``copy``: the summary is pytest's last line of output, the kill set
+    the id of every test that failed or errored."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     start = time.perf_counter()
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
          *suites],
         cwd=copy, env=env, capture_output=True, text=True,
     )
     lines = (result.stdout + result.stderr).strip().splitlines() or [""]
-    failed = [line for line in lines if line.startswith("FAILED ")]
+    killed = []
+    for line in lines:
+        # ``FAILED <id> - <reason>``; a captured log line reads
+        # ``ERROR    <logger>...``, with more than one space.
+        verdict, _, rest = line.partition(" ")
+        if verdict in ("FAILED", "ERROR") and rest[:1] not in ("", " "):
+            killed.append(rest.split(" - ")[0])
     return (result.returncode, time.perf_counter() - start,
-            (failed or lines)[0 if failed else -1][:120])
+            lines[-1][:120], killed)
 
 
-def run_mutant(mutant: Mutant) -> Tuple[int, float, str]:
+def run_mutant(mutant: Mutant, suites=None) -> Tuple[int, float, str, List[str]]:
+    """Run ``suites`` (the mutant's own by default) with ``mutant`` applied."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         copy_tree(copy)
         path = copy / mutant.file
         path.write_text(path.read_text().replace(mutant.old, mutant.new, 1))
-        return run_pytest(copy, mutant.suites)
+        return run_pytest(copy, suites or mutant.suites)
 
 
 def main() -> int:
@@ -293,16 +390,18 @@ def main() -> int:
     suites = sorted({suite for mutant in MUTANTS for suite in mutant.suites})
     with tempfile.TemporaryDirectory(prefix="mutant-base-") as tmp:
         copy_tree(Path(tmp))
-        code, seconds, last = run_pytest(Path(tmp), suites)
+        code, seconds, last, _ = run_pytest(Path(tmp), suites)
     print(f"baseline: {len(suites)} suites, exit {code} in {seconds:.1f} s: {last}")
     if code != 0:
         print("the suites must pass on the unpatched tree", file=sys.stderr)
         return 1
     failed = []
     for mutant in MUTANTS:
-        code, seconds, last = run_mutant(mutant)
+        code, seconds, last, killed = run_mutant(mutant)
         verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (exit {code})")
         print(f"{mutant.name:34s} {verdict:10s} {seconds:6.1f} s  {last}")
+        for test_id in killed:
+            print(f"    {test_id}")
         if code != 1:
             failed.append(f"{mutant.name} ({verdict})")
     total = len(MUTANTS)

@@ -112,47 +112,39 @@ class TestGradcheck:
 
     OUT_FEATURES = 4
 
+    def _check(self, graph, h, aggregator, activation, path, seed, param):
+        """Central differences against the analytic gradient of one of
+        ``weight`` / ``bias`` / ``h_in`` (``h`` itself)."""
+        h = h.copy()
+        layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
+        kernel = make_kernel(path)
+        rng = np.random.default_rng(seed)
+        coef = rng.standard_normal((graph.num_vertices, layer.out_features))
+        grads = analytic_grads(layer, graph, h, kernel, coef)
+        wrt = h if param == "h_in" else getattr(layer, param)
+        numeric = numeric_grad(
+            wrt, lambda: layer_loss(layer, graph, h, kernel, coef)
+        )
+        assert_close(numeric, getattr(grads, param),
+                     f"{param}[{aggregator}/{path}]")
+
     def test_weight_grad(
         self, gradcheck_graph, gradcheck_features, aggregator, activation, path
     ):
-        graph, h = gradcheck_graph, gradcheck_features.copy()
-        layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
-        kernel = make_kernel(path)
-        rng = np.random.default_rng(11)
-        coef = rng.standard_normal((graph.num_vertices, layer.out_features))
-        grads = analytic_grads(layer, graph, h, kernel, coef)
-        numeric = numeric_grad(
-            layer.weight, lambda: layer_loss(layer, graph, h, kernel, coef)
-        )
-        assert_close(numeric, grads.weight, f"weight[{aggregator}/{path}]")
+        self._check(gradcheck_graph, gradcheck_features, aggregator,
+                    activation, path, 11, "weight")
 
     def test_bias_grad(
         self, gradcheck_graph, gradcheck_features, aggregator, activation, path
     ):
-        graph, h = gradcheck_graph, gradcheck_features.copy()
-        layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
-        kernel = make_kernel(path)
-        rng = np.random.default_rng(13)
-        coef = rng.standard_normal((graph.num_vertices, layer.out_features))
-        grads = analytic_grads(layer, graph, h, kernel, coef)
-        numeric = numeric_grad(
-            layer.bias, lambda: layer_loss(layer, graph, h, kernel, coef)
-        )
-        assert_close(numeric, grads.bias, f"bias[{aggregator}/{path}]")
+        self._check(gradcheck_graph, gradcheck_features, aggregator,
+                    activation, path, 13, "bias")
 
     def test_input_grad(
         self, gradcheck_graph, gradcheck_features, aggregator, activation, path
     ):
-        graph, h = gradcheck_graph, gradcheck_features.copy()
-        layer = make_layer(aggregator, activation, out_f=self.OUT_FEATURES)
-        kernel = make_kernel(path)
-        rng = np.random.default_rng(17)
-        coef = rng.standard_normal((graph.num_vertices, layer.out_features))
-        grads = analytic_grads(layer, graph, h, kernel, coef)
-        numeric = numeric_grad(
-            h, lambda: layer_loss(layer, graph, h, kernel, coef)
-        )
-        assert_close(numeric, grads.h_in, f"h_in[{aggregator}/{path}]")
+        self._check(gradcheck_graph, gradcheck_features, aggregator,
+                    activation, path, 17, "h_in")
 
 
 class TestGradcheckWidening(TestGradcheck):

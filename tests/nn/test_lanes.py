@@ -9,6 +9,7 @@ the dense sweeps sum row-block partials in an order fixed by the row
 count and the block size alone, and pass.
 """
 
+import os
 import threading
 import time
 
@@ -307,8 +308,6 @@ def test_lane_exception_reaches_the_caller(always_split, failing_lane):
 
 
 def test_lane_count_is_the_cpu_affinity():
-    import os
-
     assert lanes.lane_count() == len(os.sched_getaffinity(0))
     with pytest.raises(ValueError):
         lanes.set_lane_count(0)

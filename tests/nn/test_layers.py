@@ -1,9 +1,10 @@
-"""Unit tests for GNN layers, including a full numerical gradient check."""
+"""Unit tests for GNN layers (their numerical gradient checks are
+``tests/nn/test_gradcheck.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.graphs import synthetic_features, uniform_graph
+from repro.graphs import synthetic_features
 from repro.nn import GNNLayer, aggregate
 
 
@@ -60,48 +61,3 @@ class TestBackward:
         assert grads.weight.shape == layer.weight.shape
         assert grads.bias.shape == layer.bias.shape
         assert grads.h_in.shape == h.shape
-
-    def test_numerical_gradcheck_weight(self):
-        """Loss = sum(layer(h)); check dL/dW numerically."""
-        graph = uniform_graph(8, 2.0, seed=0)
-        layer = GNNLayer(3, 2, activation=True, seed=3)
-        h = synthetic_features(graph, 3, seed=4).astype(np.float64)
-        h = h.astype(np.float32)
-
-        def loss():
-            out, cache = layer.forward(graph, h)
-            return float(out.sum()), cache
-
-        base, cache = loss()
-        grads = layer.backward(graph, np.ones((8, 2), dtype=np.float32), cache)
-
-        eps = 1e-3
-        for idx in [(0, 0), (1, 1), (2, 0)]:
-            original = layer.weight[idx]
-            layer.weight[idx] = original + eps
-            high, _ = loss()
-            layer.weight[idx] = original - eps
-            low, _ = loss()
-            layer.weight[idx] = original
-            numeric = (high - low) / (2 * eps)
-            assert grads.weight[idx] == pytest.approx(numeric, rel=0.05, abs=1e-2)
-
-    def test_numerical_gradcheck_input(self):
-        graph = uniform_graph(6, 2.0, seed=1)
-        layer = GNNLayer(2, 2, activation=True, seed=5)
-        h = synthetic_features(graph, 2, seed=6)
-
-        out, cache = layer.forward(graph, h)
-        grads = layer.backward(graph, np.ones_like(out), cache)
-
-        eps = 1e-3
-        for idx in [(0, 0), (3, 1), (5, 0)]:
-            original = h[idx]
-            h[idx] = original + eps
-            high = layer.forward(graph, h)[0].sum()
-            h[idx] = original - eps
-            low = layer.forward(graph, h)[0].sum()
-            h[idx] = original
-            numeric = (high - low) / (2 * eps)
-            assert grads.h_in[idx] == pytest.approx(numeric, rel=0.05, abs=1e-2)
-

@@ -43,26 +43,27 @@ class TestFullNeighborBlocks:
             full_neighbor_blocks(tiny_graph, np.array([0]), 0)
 
 
+def _forward(graph, vertices, seed, model_type="gcn", model_seed=1, hops=2):
+    """``(result, oracle)``: a 6 -> 4 -> 3 model's block forward over the
+    ``hops`` assembled around ``vertices``, and its ``predict``."""
+    features = np.random.default_rng(seed).standard_normal((5, 6)).astype(np.float32)
+    model = build_model(model_type, 6, 4, 3, num_layers=2, seed=model_seed)
+    batch = assemble_batch(graph, np.asarray(vertices, dtype=np.int64), hops)
+    result = block_forward(graph, model, batch, features)
+    return result, model.predict(graph, features)
+
+
 class TestBlockForward:
     @pytest.mark.parametrize("model_type", ["gcn", "sage"])
     def test_exact_assembly_matches_full_graph_predict(
         self, tiny_graph, model_type
     ):
-        rng = np.random.default_rng(3)
-        features = rng.standard_normal((5, 6)).astype(np.float32)
-        model = build_model(model_type, 6, 4, 3, num_layers=2, seed=2)
-        oracle = model.predict(tiny_graph, features)
-        batch = assemble_batch(tiny_graph, np.arange(5), 2)
-        result = block_forward(tiny_graph, model, batch, features)
+        result, oracle = _forward(tiny_graph, np.arange(5), 3, model_type, 2)
         np.testing.assert_allclose(result.logits, oracle, atol=1e-4)
 
     def test_repeated_query_vertices_dedup_to_unique_rows(self, tiny_graph):
-        rng = np.random.default_rng(4)
-        features = rng.standard_normal((5, 6)).astype(np.float32)
-        model = build_model("gcn", 6, 4, 3, num_layers=2, seed=0)
         requested = np.array([3, 0, 3, 3])
-        batch = assemble_batch(tiny_graph, requested, 2)
-        result = block_forward(tiny_graph, model, batch, features)
+        result, _ = _forward(tiny_graph, requested, 4, model_seed=0)
         np.testing.assert_array_equal(result.query_vertices, [0, 3])
         assert result.logits.shape[0] == 2
         # positional mapping recovers each requested row
@@ -70,38 +71,21 @@ class TestBlockForward:
         np.testing.assert_array_equal(rows, [1, 0, 1, 1])
 
     def test_isolated_vertex_logits_match_predict(self, tiny_graph):
-        rng = np.random.default_rng(5)
-        features = rng.standard_normal((5, 6)).astype(np.float32)
-        model = build_model("gcn", 6, 4, 3, num_layers=2, seed=1)
-        oracle = model.predict(tiny_graph, features)
-        batch = assemble_batch(tiny_graph, np.array([4]), 2)
-        result = block_forward(tiny_graph, model, batch, features)
+        result, oracle = _forward(tiny_graph, [4], 5)
         np.testing.assert_allclose(result.logits[0], oracle[4], atol=1e-4)
 
     def test_empty_batch_forward(self, tiny_graph):
-        rng = np.random.default_rng(6)
-        features = rng.standard_normal((5, 6)).astype(np.float32)
-        model = build_model("gcn", 6, 4, 3, num_layers=2, seed=1)
-        batch = assemble_batch(tiny_graph, np.array([], dtype=np.int64), 2)
-        result = block_forward(tiny_graph, model, batch, features)
+        result, _ = _forward(tiny_graph, [], 6)
         assert result.logits.shape == (0, 3)
         assert result.embeddings.shape[0] == 0
 
     def test_embeddings_are_last_layer_input(self, tiny_graph):
-        rng = np.random.default_rng(7)
-        features = rng.standard_normal((5, 6)).astype(np.float32)
-        model = build_model("gcn", 6, 4, 3, num_layers=2, seed=1)
-        batch = assemble_batch(tiny_graph, np.array([1, 2]), 2)
-        result = block_forward(tiny_graph, model, batch, features)
+        result, _ = _forward(tiny_graph, [1, 2], 7)
         assert result.embeddings.shape == (2, 4)  # hidden width
 
     def test_block_count_must_match_model_depth(self, tiny_graph):
-        rng = np.random.default_rng(8)
-        features = rng.standard_normal((5, 6)).astype(np.float32)
-        model = build_model("gcn", 6, 4, 3, num_layers=2, seed=1)
-        batch = assemble_batch(tiny_graph, np.array([0]), 1)
         with pytest.raises(ValueError):
-            block_forward(tiny_graph, model, batch, features)
+            _forward(tiny_graph, [0], 8, hops=1)
 
 
 class TestBlockForwardOrder:

@@ -12,7 +12,6 @@ latency.
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.graphs import power_law_graph, synthetic_features
 from repro.nn import build_model
 from repro.nn.minibatch import full_neighbor_blocks
@@ -52,17 +51,14 @@ def _service(graph, num_layers):
     return InferenceService(graph, features, model)
 
 
-def test_two_layer_miss_assembles_one_hop(graph, seen):
+def test_two_layer_miss_assembles_one_hop(graph, seen, telemetry):
     hub = int(np.argmax(graph.degrees()))
     vertices = [hub, 7, 11]
     service = _service(graph, 2)
     service.cache.invalidate()
-    tracer, _ = obs.enable()
-    try:
+    with telemetry() as (tracer, _):
         for v in vertices:
             service.query([v])
-    finally:
-        obs.disable()
         service.close()
     assert seen["edges"] == [graph.degree(v) + 1 for v in vertices]
     two_hops = full_neighbor_blocks(graph, np.array([hub]), 2).total_sampled_edges

@@ -52,24 +52,21 @@ def built(monkeypatch):
     return counts
 
 
-def _trainer(model):
-    return Trainer(model, SGD(model, lr=0.05), aggregation_kernel=BasicKernel())
-
-
-def _data(graph, model):
+def _trainer(model, graph):
+    """A kernel trainer of ``model``, and features and labels for it."""
     features = synthetic_features(graph, model.layers[0].in_features, seed=1)
     labels = np.random.default_rng(1).integers(
         0, model.layers[-1].out_features, graph.num_vertices
     )
-    return features, labels
+    trainer = Trainer(model, SGD(model, lr=0.05), aggregation_kernel=BasicKernel())
+    return trainer, features, labels
 
 
 def test_two_layer_first_epoch_builds_two_layouts(graph, built):
     """100 -> 256 -> 16 specializes three widths (100 and 16 forward, 16
     backward) over one forward and one transposed layout."""
     model = build_model("gcn", 100, 256, 16, seed=0)
-    trainer = _trainer(model)
-    features, labels = _data(graph, model)
+    trainer, features, labels = _trainer(model, graph)
     trainer.train_epoch(graph, features, labels)
     assert built == {"factors": 1, "layouts": 2}
     trainer.train_epoch(graph, features, labels)
@@ -82,8 +79,7 @@ def test_three_layer_model_builds_the_same_two_layouts(graph, built):
         GNNLayer(20, 8, activation=True, seed=1),
         GNNLayer(8, 5, activation=False, seed=2),
     ])
-    trainer = _trainer(model)
-    features, labels = _data(graph, model)
+    trainer, features, labels = _trainer(model, graph)
     for _ in range(3):
         trainer.train_epoch(graph, features, labels)
         assert built == {"factors": 1, "layouts": 2}
@@ -93,8 +89,7 @@ def test_second_graph_object_adds_its_own_layouts(graph, built):
     """Layouts are keyed per graph object: the same arrays in a new
     graph build their own pair, once, and the first graph's stay."""
     model = build_model("gcn", 12, 20, 5, seed=0)
-    trainer = _trainer(model)
-    features, labels = _data(graph, model)
+    trainer, features, labels = _trainer(model, graph)
     twin = CSRGraph(graph.indptr, graph.indices, name="twin")
     trainer.train_epoch(graph, features, labels)
     trainer.train_epoch(twin, features, labels)
@@ -110,8 +105,7 @@ def test_loss_mask_builds_one_live_row_layout(graph, built):
     (graph, aggregator, mask): a mask edited in place to the same
     values builds nothing, and one edited to new values builds once."""
     model = build_model("gcn", 100, 256, 16, seed=0)
-    trainer = _trainer(model)
-    features, labels = _data(graph, model)
+    trainer, features, labels = _trainer(model, graph)
     mask = np.random.default_rng(2).random(graph.num_vertices) < 0.3
     for _ in range(3):
         trainer.train_epoch(graph, features, labels, train_mask=mask)
@@ -139,8 +133,7 @@ def test_masked_run_never_builds_the_csc_view(graph, monkeypatch):
     monkeypatch.setattr(CSRGraph, "csc_arrays", counting_csc_arrays)
     fresh = CSRGraph(graph.indptr, graph.indices)
     model = build_model("gcn", 100, 256, 16, seed=0)
-    trainer = _trainer(model)
-    features, labels = _data(fresh, model)
+    trainer, features, labels = _trainer(model, fresh)
     mask = np.random.default_rng(2).random(fresh.num_vertices) < 0.3
     for _ in range(2):
         trainer.train_epoch(fresh, features, labels, train_mask=mask)

@@ -12,6 +12,7 @@ from repro.nn import (
     Adam, GNNLayer, GNNModel, LayerGrads, SGD, Trainer, build_model,
     train_val_split,
 )
+import repro.nn.training as training
 from repro.nn import functional as F
 from repro.nn.aggregate import aggregate, aggregate_backward
 from repro.nn.training import TrainingHistory
@@ -32,26 +33,32 @@ def community_task():
     return graph, features, labels
 
 
+def _trainer(seed, hidden=8, optimizer=SGD, lr=None, dropout=0.0, **kwargs):
+    """An 8 -> ``hidden`` -> 3 GCN and its trainer (SGD at 0.1, Adam at
+    0.02 unless ``lr`` says otherwise)."""
+    model = build_model("gcn", 8, hidden, 3, num_layers=2, dropout=dropout,
+                        seed=seed)
+    lr = lr or (0.1 if optimizer is SGD else 0.02)
+    return model, Trainer(model, optimizer(model, lr=lr), **kwargs)
+
+
 class TestTrainer:
     def test_loss_decreases(self, community_task):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 16, 3, num_layers=2, seed=0)
-        trainer = Trainer(model, Adam(model, lr=0.02))
+        model, trainer = _trainer(0, hidden=16, optimizer=Adam)
         history = trainer.fit(graph, features, labels, epochs=15)
         assert history.epochs[-1].loss < history.epochs[0].loss
 
     def test_accuracy_improves_over_chance(self, community_task):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 16, 3, num_layers=2, seed=1)
-        trainer = Trainer(model, Adam(model, lr=0.02))
+        model, trainer = _trainer(1, hidden=16, optimizer=Adam)
         history = trainer.fit(graph, features, labels, epochs=40)
         assert history.epochs[-1].train_accuracy > 0.6  # chance is ~0.33
 
     def test_masked_training_reports_val(self, community_task):
         graph, features, labels = community_task
         train_mask, val_mask = train_val_split(graph.num_vertices, 0.5, seed=0)
-        model = build_model("gcn", 8, 16, 3, num_layers=2, seed=2)
-        trainer = Trainer(model, Adam(model, lr=0.02))
+        model, trainer = _trainer(2, hidden=16, optimizer=Adam)
         result = trainer.train_epoch(
             graph, features, labels, train_mask=train_mask, val_mask=val_mask
         )
@@ -59,8 +66,7 @@ class TestTrainer:
 
     def test_sparsity_profile_recorded(self, community_task):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 16, 3, num_layers=2, dropout=0.5, seed=3)
-        trainer = Trainer(model, SGD(model, lr=0.1), profile_sparsity=True)
+        model, trainer = _trainer(3, hidden=16, dropout=0.5, profile_sparsity=True)
         trainer.fit(graph, features, labels, epochs=2)
         profile = trainer.history.sparsity
         assert profile.layers() == [0, 1]
@@ -69,8 +75,7 @@ class TestTrainer:
 
     def test_history_losses(self, community_task):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=4)
-        trainer = Trainer(model, SGD(model, lr=0.1))
+        model, trainer = _trainer(4)
         trainer.fit(graph, features, labels, epochs=3)
         assert len(trainer.history.losses()) == 3
 
@@ -80,8 +85,7 @@ class TestTrainer:
 
     def test_verbose_fit_logs_not_prints(self, community_task, caplog, capsys):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=5)
-        trainer = Trainer(model, SGD(model, lr=0.1))
+        model, trainer = _trainer(5)
         with caplog.at_level(logging.INFO, logger="repro.nn.training"):
             trainer.fit(graph, features, labels, epochs=2, verbose=True)
         lines = [r.message for r in caplog.records if "epoch" in r.message]
@@ -92,8 +96,7 @@ class TestTrainer:
     def test_verbose_fit_logs_val_accuracy(self, community_task, caplog):
         graph, features, labels = community_task
         train_mask, val_mask = train_val_split(graph.num_vertices, 0.5, seed=0)
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=6)
-        trainer = Trainer(model, SGD(model, lr=0.1))
+        model, trainer = _trainer(6)
         with caplog.at_level(logging.INFO, logger="repro.nn.training"):
             trainer.fit(
                 graph, features, labels, epochs=1,
@@ -108,8 +111,7 @@ class TestMaskValidation:
     read it as boolean; now every malformed mask is refused by name."""
 
     def _trainer(self):
-        model = build_model("gcn", 8, 16, 3, num_layers=2, seed=0)
-        return Trainer(model, Adam(model, lr=0.02))
+        return _trainer(0, hidden=16, optimizer=Adam)[1]
 
     @pytest.mark.parametrize("which", ["train_mask", "val_mask"])
     def test_integer_mask_is_refused(self, community_task, which):
@@ -136,9 +138,10 @@ class TestTrainerObservability:
     def test_epoch_events_emitted_and_valid(self, community_task, tmp_path):
         graph, features, labels = community_task
         train_mask, val_mask = train_val_split(graph.num_vertices, 0.5, seed=0)
-        model = build_model("gcn", 8, 16, 3, num_layers=2, dropout=0.5, seed=0)
         log = EventLog(str(tmp_path / "run.jsonl"))
-        trainer = Trainer(model, Adam(model, lr=0.02), event_log=log)
+        model, trainer = _trainer(
+            0, hidden=16, optimizer=Adam, dropout=0.5, event_log=log
+        )
         trainer.fit(
             graph, features, labels, epochs=3,
             train_mask=train_mask, val_mask=val_mask,
@@ -166,17 +169,14 @@ class TestTrainerObservability:
         self, community_task, tmp_path, monkeypatch
     ):
         # An observed epoch measures no sparsity unless the profile is on.
-        import repro.nn.training as training
-
         def measured(_):
             raise AssertionError("sparsity measured with the profile off")
 
         monkeypatch.setattr(training, "sparsity_of", measured)
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=1)
         log = EventLog(str(tmp_path / "run.jsonl"))
-        trainer = Trainer(
-            model, SGD(model, lr=0.1), profile_sparsity=False, event_log=log,
+        _, trainer = _trainer(
+            1, profile_sparsity=False, event_log=log,
             rules=RuleEngine(default_train_rules()),
         )
         trainer.train_epoch(graph, features, labels)
@@ -186,10 +186,7 @@ class TestTrainerObservability:
 
     def test_injected_nan_detected_within_one_epoch(self, community_task):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=3)
-        trainer = Trainer(
-            model, SGD(model, lr=0.1), rules=RuleEngine(default_train_rules())
-        )
+        model, trainer = _trainer(3, rules=RuleEngine(default_train_rules()))
         trainer.train_epoch(graph, features, labels)
         model.layers[1].weight[0, 0] = np.nan  # corrupt a weight
         with pytest.raises(FatalRuleError) as excinfo:
@@ -201,11 +198,9 @@ class TestTrainerObservability:
     def test_failing_epoch_still_logged(self, community_task, tmp_path):
         # The event log keeps the evidence of the epoch that failed.
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=3)
         log = EventLog(str(tmp_path / "run.jsonl"))
-        trainer = Trainer(
-            model, SGD(model, lr=0.1), event_log=log,
-            rules=RuleEngine(default_train_rules()),
+        model, trainer = _trainer(
+            3, event_log=log, rules=RuleEngine(default_train_rules())
         )
         model.layers[0].weight[:] = np.nan
         with pytest.raises(FatalRuleError):
@@ -217,11 +212,8 @@ class TestTrainerObservability:
     def test_default_trainer_pays_nothing(self, community_task, monkeypatch):
         # With event_log and rules left off, the observation
         # hook, the live publisher, and the norm capture must never run.
-        from repro.nn.model import GNNModel
-
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=4)
-        trainer = Trainer(model, SGD(model, lr=0.1))
+        model, trainer = _trainer(4)
 
         def boom(*args, **kwargs):  # pragma: no cover - must not fire
             raise AssertionError("observability ran on the default path")
@@ -234,19 +226,13 @@ class TestTrainerObservability:
 
 
 class TestTrainerLiveTelemetry:
-    def test_train_gauges_published(self, community_task):
-        from repro import obs
-
+    def test_train_gauges_published(self, community_task, telemetry):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=5)
-        trainer = Trainer(model, SGD(model, lr=0.1))
-        _, metrics = obs.enable()
-        try:
+        model, trainer = _trainer(5)
+        with telemetry() as (_, metrics):
             result = trainer.train_epoch(graph, features, labels)
             trainer.train_epoch(graph, features, labels)
             snap = metrics.snapshot()
-        finally:
-            obs.disable()
         assert snap["train.epoch"]["value"] == 1.0  # last epoch wins
         assert snap["train.loss"]["value"] > 0.0
         assert 0.0 <= snap["train.train_accuracy"]["value"] <= 1.0
@@ -255,15 +241,10 @@ class TestTrainerLiveTelemetry:
         assert result.loss > 0.0
 
     def test_rules_fire_and_mark_events(self, community_task, tmp_path):
-        from repro.obs.rules import RuleEngine
-
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=5)
         log = EventLog(str(tmp_path / "run.jsonl"))
         rules = RuleEngine("loss_cap: train.loss < 1e-6")
-        trainer = Trainer(
-            model, SGD(model, lr=0.1), event_log=log, rules=rules
-        )
+        model, trainer = _trainer(5, event_log=log, rules=rules)
         trainer.train_epoch(graph, features, labels)
         trainer.train_epoch(graph, features, labels)
         log.close()
@@ -287,12 +268,11 @@ class TestTrainerLiveTelemetry:
 
         monkeypatch.setattr(F, "cross_entropy_and_correct", scripted)
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=5)
         log = EventLog(str(tmp_path / "run.jsonl"))
         rules = RuleEngine(
             default_train_rules() + parse_rules("always: train.loss < 1e-9")
         )
-        trainer = Trainer(model, SGD(model, lr=0.1), event_log=log, rules=rules)
+        _, trainer = _trainer(5, event_log=log, rules=rules)
         trainer.train_epoch(graph, features, labels)
         with pytest.raises(FatalRuleError):
             trainer.train_epoch(graph, features, labels)
@@ -304,27 +284,19 @@ class TestTrainerLiveTelemetry:
     def test_rules_without_registry_see_train_plane(self, community_task):
         # No telemetry enabled: the trainer synthesizes the train.*
         # snapshot so rules still evaluate.
-        from repro.obs.rules import RuleEngine
-
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=5)
         rules = RuleEngine(
             "loss_cap: train.loss < 1e-6\nrss: proc.rss_bytes < 1"
         )
-        trainer = Trainer(model, SGD(model, lr=0.1), rules=rules)
+        _, trainer = _trainer(5, rules=rules)
         trainer.train_epoch(graph, features, labels)
         assert rules.active == ["loss_cap"]  # proc.* absent -> skipped
 
     def test_compliant_rules_stay_quiet(self, community_task, tmp_path):
-        from repro.obs.rules import RuleEngine
-
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 8, 3, num_layers=2, seed=5)
         log = EventLog(None)
         rules = RuleEngine("loss_cap: train.loss < 1e9")
-        trainer = Trainer(
-            model, SGD(model, lr=0.1), event_log=log, rules=rules
-        )
+        model, trainer = _trainer(5, event_log=log, rules=rules)
         trainer.train_epoch(graph, features, labels)
         log.close()
         assert rules.ok
@@ -378,14 +350,15 @@ class TestFirstAggregationReuse:
     """``Â · features`` is a constant: aggregated once per (graph,
     features) pair, keyed by object identity."""
 
-    def _trainer(self, model):
+    def _trainer(self, model=None):
+        """A counting trainer of ``model`` (default 8 -> 16 -> 16)."""
+        model = model or build_model("gcn", 8, 16, 16, num_layers=2, seed=0)
         kernel = _CountingKernel()
         return Trainer(model, SGD(model, lr=0.1), aggregation_kernel=kernel), kernel
 
     def test_same_objects_aggregate_features_once(self, community_task):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 16, 16, num_layers=2, seed=0)
-        trainer, kernel = self._trainer(model)
+        trainer, kernel = self._trainer()
         trainer.fit(graph, features, labels, epochs=3)
         # Width 8 is the features' own: once, in the first epoch.
         assert kernel.forward_widths == [8, 16, 16, 16]
@@ -393,16 +366,14 @@ class TestFirstAggregationReuse:
 
     def test_copied_features_are_aggregated_again(self, community_task):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 16, 16, num_layers=2, seed=0)
-        trainer, kernel = self._trainer(model)
+        trainer, kernel = self._trainer()
         trainer.train_epoch(graph, features, labels)
         trainer.train_epoch(graph, features.copy(), labels)
         assert kernel.forward_widths.count(8) == 2
 
     def test_fresh_graph_object_is_aggregated_again(self, community_task):
         graph, features, labels = community_task
-        model = build_model("gcn", 8, 16, 16, num_layers=2, seed=0)
-        trainer, kernel = self._trainer(model)
+        trainer, kernel = self._trainer()
         trainer.train_epoch(graph, features, labels)
         fresh = CSRGraph(graph.indptr, graph.indices, name=graph.name)
         trainer.train_epoch(fresh, features, labels)

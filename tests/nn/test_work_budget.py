@@ -13,7 +13,7 @@ import pytest
 
 from repro.graphs import power_law_graph, synthetic_features
 from repro.kernels import BasicKernel
-from repro.nn import GNNLayer, GNNModel, SGD, Trainer, build_model
+from repro.nn import SGD, Trainer, build_model
 
 
 @pytest.fixture(scope="module")
@@ -45,16 +45,6 @@ def _per_epoch_work(graph, model, epochs=4, train_mask=None):
     return work
 
 
-def _stack(widths):
-    return GNNModel([
-        GNNLayer(
-            widths[k], widths[k + 1],
-            activation=k < len(widths) - 2, seed=k,
-        )
-        for k in range(len(widths) - 1)
-    ])
-
-
 def test_benchmark_student_gathers_two_narrow_passes(graph):
     """100 -> 256 -> 16: one forward and one backward pass per epoch,
     both over the 16-wide output layer — 32·(E+V) elements, down from
@@ -78,13 +68,13 @@ def test_benchmark_student_gathers_two_narrow_passes(graph):
     ],
     ids=lambda widths: "-".join(map(str, widths)),
 )
-def test_steady_state_passes_and_widths(graph, widths):
+def test_steady_state_passes_and_widths(graph, stack_model, widths):
     """Any L-layer model makes ``2·(L−1)`` passes per steady-state
     epoch; only their widths depend on which layers narrow (each layer
     past the first gathers ``min(in, out)``-wide rows, both ways)."""
     rows = graph.num_edges + graph.num_vertices
     num_layers = len(widths) - 1
-    work = _per_epoch_work(graph, _stack(widths))
+    work = _per_epoch_work(graph, stack_model(widths))
     narrow = sum(min(widths[k], widths[k + 1]) for k in range(1, num_layers))
     assert work[0] == (
         (2 * num_layers - 1) * rows, (widths[0] + 2 * narrow) * rows

@@ -31,6 +31,21 @@ def make_event(epoch=0, **overrides):
     return EpochEvent(**kwargs)
 
 
+#: A complete line that does not parse, then epoch 1's good record.
+BAD_THEN_GOOD = "not json\n" + json.dumps(make_event(1).to_record()) + "\n"
+
+
+def _log(tmp_path, epochs, tail=""):
+    """An event log of ``epochs``' records, then ``tail`` appended raw."""
+    path = str(tmp_path / "run.jsonl")
+    with EventLog(path) as log:
+        for epoch in epochs:
+            log.emit(make_event(epoch))
+    with open(path, "a") as handle:
+        handle.write(tail)
+    return path
+
+
 class TestEventLog:
     def test_header_then_epochs(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -82,21 +97,14 @@ class TestEventLog:
     def test_truncated_final_line_tolerated(self, tmp_path):
         # A run killed mid-write leaves a partial last line; the reader
         # must return the complete prefix instead of raising.
-        path = str(tmp_path / "run.jsonl")
-        with EventLog(path) as log:
-            log.emit(make_event(0))
-            log.emit(make_event(1))
-        with open(path, "a") as handle:
-            handle.write('{"kind": "epoch", "epo')  # no newline, cut JSON
+        path = _log(tmp_path, [0, 1], '{"kind": "epoch", "epo')  # no newline
         header, records = read_events(path)
         assert [r["epoch"] for r in records] == [0, 1]
 
     def test_unterminated_whole_record_left_unread(self, tmp_path):
         # Whether or not it parses, a line without its newline is still
         # being written: the log and the tail read it once it ends.
-        path = str(tmp_path / "run.jsonl")
-        with EventLog(path) as log:
-            log.emit(make_event(0))
+        path = _log(tmp_path, [0])
         tail = EventTail(path)
         with open(path, "a") as handle:
             handle.write(json.dumps(make_event(1).to_record()))
@@ -111,23 +119,14 @@ class TestEventLog:
         # Only a line without its newline is a partial flush; a complete
         # last line that does not parse is corruption, and the schema
         # check must not pass a log that lost its final record.
-        path = str(tmp_path / "run.jsonl")
-        with EventLog(path) as log:
-            log.emit(make_event(0))
-        with open(path, "a") as handle:
-            handle.write('{"kind": "epoch", "epoch": 0, "loss": \n')
+        path = _log(tmp_path, [0], '{"kind": "epoch", "epoch": 0, "loss": \n')
         with pytest.raises(ValueError, match="line 3"):
             read_events(path)
         with pytest.raises(ValueError, match="line 3"):
             validate_events_file(path)
 
     def test_malformed_middle_line_still_raises(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        with EventLog(path) as log:
-            log.emit(make_event(0))
-        with open(path, "a") as handle:
-            handle.write("not json\n")
-            handle.write(json.dumps(make_event(1).to_record()) + "\n")
+        path = _log(tmp_path, [0], BAD_THEN_GOOD)
         with pytest.raises(ValueError, match="line 3"):
             read_events(path)
 
@@ -152,9 +151,7 @@ class TestEventTail:
         assert tail.header is None
 
     def test_partial_line_deferred_until_complete(self, tmp_path):
-        path = str(tmp_path / "run.jsonl")
-        with EventLog(path) as log:
-            log.emit(make_event(0))
+        path = _log(tmp_path, [0])
         tail = EventTail(path)
         assert len(tail.read_new()) == 1
         record = json.dumps(make_event(1).to_record())
@@ -178,12 +175,7 @@ class TestEventTail:
     def test_malformed_complete_line_skipped(self, tmp_path):
         # The tail's policy: read_events raises on this log, the tail
         # reads past the bad line instead of wedging on it.
-        path = str(tmp_path / "run.jsonl")
-        with EventLog(path) as log:
-            log.emit(make_event(0))
-        with open(path, "a") as handle:
-            handle.write("not json\n")
-            handle.write(json.dumps(make_event(1).to_record()) + "\n")
+        path = _log(tmp_path, [0], BAD_THEN_GOOD)
         assert [e["epoch"] for e in EventTail(path).read_new()] == [0, 1]
 
 

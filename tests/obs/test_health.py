@@ -189,17 +189,16 @@ class TestLossTrajectory:
 
 
 class TestMetricsPublication:
-    def test_health_metrics_published_when_enabled(self, task, monkeypatch):
+    def test_health_metrics_published_when_enabled(
+        self, task, monkeypatch, telemetry
+    ):
         script_losses(monkeypatch, [1.0, float("nan")])
         trainer, _ = guarded_trainer()
-        _, metrics = obs.enable()
-        try:
+        with telemetry() as (_, metrics):
             trainer.train_epoch(*task)
             with pytest.raises(FatalRuleError):
                 trainer.train_epoch(*task)
             snap = metrics.snapshot()
-        finally:
-            obs.disable()
         assert snap["train.nonfinite"]["value"] == 1.0
         assert snap["train.epochs_since_best"]["value"] == 1.0
         # Absent on the first epoch and on a non-finite loss.
@@ -208,18 +207,17 @@ class TestMetricsPublication:
         assert snap["alerts.non_finite.fired"]["value"] == 1.0
         assert snap["alerts.fired"]["value"] == 1.0
 
-    def test_ratio_from_an_earlier_epoch_is_never_judged(self, task, monkeypatch):
+    def test_ratio_from_an_earlier_epoch_is_never_judged(
+        self, task, monkeypatch, telemetry
+    ):
         # The registry still holds epoch 1's ratio when epoch 2's loss is
         # NaN; the rule skips epoch 2 instead of judging that value.
         script_losses(monkeypatch, [1.0, 2.0, float("nan")])
         model = build_model("gcn", 8, 8, 3, num_layers=2, seed=3)
         engine = RuleEngine("warn: train.loss_over_best < 1.5")
         trainer = Trainer(model, SGD(model, lr=0.05), rules=engine)
-        obs.enable()
-        try:
+        with telemetry():
             run(trainer, task, 3)
-        finally:
-            obs.disable()
         assert [a.evaluation for a in engine.alerts] == [2]
 
     def test_disabled_registry_untouched(self, task, monkeypatch):

@@ -3,12 +3,14 @@
 import http.client
 import io
 import json
+import socket
 import urllib.request
 
 import pytest
 
+from repro import cli, obs
 from repro.obs import MetricsRegistry, manifest
-from repro.obs.events import EventLog
+from repro.obs.events import EpochEvent, EventLog
 from repro.obs.live import (
     LiveRunMonitor,
     MetricsServer,
@@ -18,7 +20,6 @@ from repro.obs.live import (
     scrape_snapshot,
     sparkline,
 )
-from repro.obs.events import EpochEvent
 from repro.obs.rules import RuleEngine
 
 
@@ -174,9 +175,6 @@ class TestMetricsServer:
     def test_null_server_never_binds(self, tmp_path, monkeypatch):
         """Without ``--serve-metrics`` a run that reads its registry (rules,
         ``--json``) still opens no socket: only that flag starts a server."""
-        import socket
-
-        from repro import cli, obs
 
         def refuse(*args, **kwargs):
             raise AssertionError("a socket was bound")
@@ -206,6 +204,13 @@ class TestSparkline:
         assert len(sparkline([float(i) for i in range(100)])) == 40
 
 
+def frame_of(path, **kwargs):
+    """What a monitor over ``path`` renders after one poll."""
+    monitor = LiveRunMonitor(path, **kwargs)
+    monitor.poll()
+    return monitor.render()
+
+
 class TestLiveRunMonitor:
     def write_events(self, tmp_path, epochs, **overrides):
         path = str(tmp_path / "run.jsonl")
@@ -227,29 +232,22 @@ class TestLiveRunMonitor:
         log.close()
 
     def test_render_shows_trend_and_grads(self, tmp_path):
-        monitor = LiveRunMonitor(self.write_events(tmp_path, 3))
-        monitor.poll()
-        frame = monitor.render()
+        frame = frame_of(self.write_events(tmp_path, 3))
         assert "epoch    2" in frame
         assert "loss" in frame and "acc" in frame
         assert "grad|w| L0:" in frame
         assert "== repro top == command=train dataset=t" in frame
 
     def test_render_without_events(self, tmp_path):
-        monitor = LiveRunMonitor(str(tmp_path / "missing.jsonl"))
-        monitor.poll()
-        assert "(no epoch events yet)" in monitor.render()
+        frame = frame_of(str(tmp_path / "missing.jsonl"))
+        assert "(no epoch events yet)" in frame
 
     def test_registry_metrics_in_view(self, tmp_path):
         reg = MetricsRegistry()
         reg.set_gauge("proc.rss_bytes", 2e6)
         reg.set_gauge("proc.cpu_percent", 50.0)
         reg.set_gauge("train.epoch", 7.0)
-        monitor = LiveRunMonitor(
-            self.write_events(tmp_path, 1), registry=reg
-        )
-        monitor.poll()
-        frame = monitor.render()
+        frame = frame_of(self.write_events(tmp_path, 1), registry=reg)
         assert "rss 2.0 MB" in frame
         assert "cpu 50%" in frame
         assert "phase epoch 7" in frame
@@ -258,9 +256,8 @@ class TestLiveRunMonitor:
         reg = MetricsRegistry()
         reg.set_gauge("proc.rss_bytes", 2e6)
         monkeypatch.setattr("repro.obs.live.STALE_AFTER_S", -1.0)
-        monitor = LiveRunMonitor(self.write_events(tmp_path, 1), registry=reg)
-        monitor.poll()
-        assert "[STALE]" in monitor.render()
+        frame = frame_of(self.write_events(tmp_path, 1), registry=reg)
+        assert "[STALE]" in frame
 
     def test_rules_evaluated_once_per_epoch(self, tmp_path):
         path = self.write_events(tmp_path, 3)
@@ -306,12 +303,11 @@ class TestLiveRunMonitor:
         assert rules.active == ["slow"]
 
     def test_scrape_failure_is_tolerated(self, tmp_path):
-        monitor = LiveRunMonitor(
+        frame = frame_of(
             self.write_events(tmp_path, 1),
             metrics_url="http://127.0.0.1:1",  # nothing listens there
         )
-        monitor.poll()
-        assert "epoch    0" in monitor.render()
+        assert "epoch    0" in frame
 
     def test_follow_renders_frames(self, tmp_path):
         stream = io.StringIO()
@@ -349,11 +345,9 @@ class TestServingView:
         return reg
 
     def test_serve_section_rendered(self, tmp_path):
-        monitor = LiveRunMonitor(
+        frame = frame_of(
             str(tmp_path / "none.jsonl"), registry=self.serve_registry()
         )
-        monitor.poll()
-        frame = monitor.render()
         assert "serve requests 120" in frame
         assert "cache hit 75% (90/120)" in frame
         assert "queue 2" in frame
@@ -361,20 +355,17 @@ class TestServingView:
         assert "batch occupancy" in frame
 
     def test_no_serve_metrics_no_section(self, tmp_path):
-        monitor = LiveRunMonitor(
+        frame = frame_of(
             str(tmp_path / "none.jsonl"), registry=MetricsRegistry()
         )
-        monitor.poll()
-        assert "serve requests" not in monitor.render()
+        assert "serve requests" not in frame
 
     def test_unknown_families_render_generically(self, tmp_path):
         reg = MetricsRegistry()
         reg.inc("dma.descriptors", 42)
         reg.set_gauge("shard.halo_bytes", 1024.0)
         reg.observe("custom.stage_s", 0.5)
-        monitor = LiveRunMonitor(str(tmp_path / "none.jsonl"), registry=reg)
-        monitor.poll()
-        frame = monitor.render()
+        frame = frame_of(str(tmp_path / "none.jsonl"), registry=reg)
         assert "descriptors 42" in frame
         assert "halo_bytes=1024" in frame
         assert "stage_s p50=0.5" in frame
@@ -384,9 +375,7 @@ class TestServingView:
         reg.set_gauge("proc.rss_bytes", 1e6)
         reg.set_gauge("serve.queue_depth", 1.0)
         reg.inc("serve.requests", 1)
-        monitor = LiveRunMonitor(str(tmp_path / "none.jsonl"), registry=reg)
-        monitor.poll()
-        frame = monitor.render()
+        frame = frame_of(str(tmp_path / "none.jsonl"), registry=reg)
         # proc/serve render in their own sections, once
         assert frame.count("rss") == 1
         assert frame.count("queue_depth") == 0

@@ -1,5 +1,8 @@
 """Unit tests for the metrics registry."""
 
+import threading
+import time
+
 import pytest
 
 from repro.obs import (
@@ -11,6 +14,35 @@ from repro.obs import (
     NullRegistry,
     publish_counters,
 )
+from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP
+
+
+def _race(reader, writer, reads=None):
+    """Run ``writer()`` while two threads call ``reader()`` until it ends
+    (at most ``reads`` times each); the errors the readers raised."""
+    stop = threading.Event()
+    errors = []
+
+    def loop():
+        count = 0
+        while not stop.is_set() and count != reads:
+            count += 1
+            try:
+                reader()
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+                return
+
+    threads = [threading.Thread(target=loop) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    try:
+        writer()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    return errors
 
 
 class TestMetricTypes:
@@ -81,8 +113,6 @@ class TestMetricTypes:
         assert d["p50"] <= d["p95"] <= d["p99"]
 
     def test_histogram_bucket_fallback_past_cap(self):
-        from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP
-
         h = Histogram()
         for _ in range(HISTOGRAM_SAMPLE_CAP + 500):
             h.observe(8.0)  # exactly one bucket: [8, 16)
@@ -91,8 +121,6 @@ class TestMetricTypes:
         assert p50 == pytest.approx(8.0)
 
     def test_histogram_bucket_fallback_orders_buckets(self):
-        from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP
-
         h = Histogram()
         for _ in range(HISTOGRAM_SAMPLE_CAP):
             h.observe(1.0)
@@ -118,8 +146,6 @@ class TestMetricTypes:
     def test_bucket_estimate_extreme_percentiles(self):
         # Past the sample cap, q=0 and q=100 must stay clamped to the
         # exact observed min/max even though the buckets only bound them.
-        from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP
-
         h = Histogram()
         for i in range(HISTOGRAM_SAMPLE_CAP + 100):
             h.observe(3.0 + (i % 7))  # values in [3, 9]
@@ -127,8 +153,6 @@ class TestMetricTypes:
         assert h.percentile(100) == h.max == 9.0
 
     def test_bucket_estimate_all_equal_values(self):
-        from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP
-
         h = Histogram()
         for _ in range(HISTOGRAM_SAMPLE_CAP * 2):
             h.observe(5.0)
@@ -138,8 +162,6 @@ class TestMetricTypes:
     def test_bucket_estimate_nonpositive_values(self):
         # Zero and negative observations share the sentinel underflow
         # bucket; the estimate must stay within [min, max], never NaN.
-        from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP
-
         h = Histogram()
         for i in range(HISTOGRAM_SAMPLE_CAP + 50):
             h.observe(-2.0 if i % 2 else 0.0)
@@ -186,29 +208,13 @@ class TestRegistry:
     def test_len_consistent_under_concurrent_writers(self):
         # __len__ takes the registry lock like snapshot(); hammer it from
         # reader threads while writers register new metrics.
-        import threading
-
         reg = MetricsRegistry()
-        stop = threading.Event()
-        errors = []
 
-        def reader():
-            while not stop.is_set():
-                try:
-                    assert len(reg) >= 0
-                except Exception as error:  # pragma: no cover - failure path
-                    errors.append(error)
-                    return
+        def writer():
+            for i in range(2000):
+                reg.inc(f"m.{i}")
 
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for i in range(2000):
-            reg.inc(f"m.{i}")
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert not errors
+        assert _race(lambda: len(reg) >= 0, writer) == []
         assert len(reg) == 2000
 
 
@@ -217,37 +223,22 @@ class TestConcurrency:
         # Writers register metrics and readers snapshot()/reset() at the
         # same time: no exception and every snapshot is internally
         # consistent (each doc fully formed).
-        import threading
-
         reg = MetricsRegistry()
-        stop = threading.Event()
-        errors = []
 
         def churn():
-            while not stop.is_set():
-                try:
-                    for doc in reg.snapshot().values():
-                        assert "type" in doc
-                    reg.reset()
-                except Exception as error:  # pragma: no cover - failure path
-                    errors.append(error)
-                    return
+            for doc in reg.snapshot().values():
+                assert "type" in doc
+            reg.reset()
 
-        threads = [threading.Thread(target=churn) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for i in range(3000):
-            reg.inc(f"c.{i % 7}")
-            reg.set_gauge(f"g.{i % 5}", float(i))
-            reg.observe("h", float(i % 11))
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert not errors
+        def writer():
+            for i in range(3000):
+                reg.inc(f"c.{i % 7}")
+                reg.set_gauge(f"g.{i % 5}", float(i))
+                reg.observe("h", float(i % 11))
+
+        assert _race(churn, writer) == []
 
     def test_counter_concurrent_increments_sum(self):
-        import threading
-
         c = Counter()
 
         def bump():
@@ -267,35 +258,20 @@ class TestConcurrency:
         # within the observed range.  Each reader makes a bounded number
         # of reads: readers spinning until the writer ends would hold the
         # lock most of the time and starve the writer.
-        import threading
-
         h = Histogram()
-        stop = threading.Event()
-        errors = []
 
         def reader():
-            for _ in range(200):
-                if stop.is_set():
-                    return
-                try:
-                    d = h.to_dict()
-                    assert d["count"] >= 0
-                    if d["count"]:
-                        assert d["min"] <= d["mean"] <= d["max"]
-                        assert d["min"] <= d["p50"] <= d["max"]
-                except Exception as error:  # pragma: no cover - failure path
-                    errors.append(error)
-                    return
+            d = h.to_dict()
+            assert d["count"] >= 0
+            if d["count"]:
+                assert d["min"] <= d["mean"] <= d["max"]
+                assert d["min"] <= d["p50"] <= d["max"]
 
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for i in range(20_000):
-            h.observe(1.0 + (i % 10))
-        stop.set()
-        for thread in threads:
-            thread.join()
-        assert not errors
+        def writer():
+            for i in range(20_000):
+                h.observe(1.0 + (i % 10))
+
+        assert _race(reader, writer, reads=200) == []
         assert h.count == 20_000
 
 
@@ -341,8 +317,6 @@ class TestPublishCounters:
 
 class TestHistogramTimer:
     def test_time_observes_block_duration(self):
-        import time
-
         h = Histogram()
         with h.time():
             time.sleep(0.01)
@@ -352,8 +326,6 @@ class TestHistogramTimer:
     def test_time_matches_manual_observe_semantics(self):
         """A timed block and a manual observe land identically: one
         sample, counted in count/total/percentiles alike."""
-        import time
-
         timed, manual = Histogram(), Histogram()
         with timed.time():
             pass

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import cli, obs
 from repro.obs import ResourceSampler
 from repro.obs.metrics import MetricsRegistry
 
@@ -113,8 +114,6 @@ class TestNullSampler:
 
     @staticmethod
     def _telemetry(tmp_path, monkeypatch):
-        from repro import cli, obs
-
         def refuse(self):
             raise AssertionError("the resource sampler started")
 
@@ -125,8 +124,6 @@ class TestNullSampler:
         return cli._telemetry(args, {}, rules=obs.RuleEngine([]))
 
     def test_null_is_inert(self, tmp_path, monkeypatch):
-        from repro import obs
-
         with self._telemetry(tmp_path, monkeypatch):
             metrics = obs.get_metrics()
             assert metrics.enabled

@@ -7,6 +7,8 @@ from repro.obs.rules import (
     Rule,
     RuleEngine,
     RuleParseError,
+    default_serve_rules,
+    default_train_rules,
     load_rules,
     parse_rule,
     parse_rules,
@@ -151,8 +153,6 @@ class TestFatalMarker:
         assert engine.to_dict()["alerts"][0]["fatal"] is True
 
     def test_default_train_rules(self):
-        from repro.obs.rules import default_train_rules
-
         rules = default_train_rules()
         assert [(r.name, r.metric, r.fatal) for r in rules] == [
             ("non_finite", "train.nonfinite", True),
@@ -161,8 +161,6 @@ class TestFatalMarker:
         ]
 
     def test_engine_refuses_a_name_clash_between_rule_sets(self):
-        from repro.obs.rules import default_train_rules
-
         with pytest.raises(RuleParseError, match="duplicate rule name 'non_finite'"):
             RuleEngine(default_train_rules() + parse_rules("non_finite: m < 1"))
 
@@ -251,8 +249,6 @@ class TestRuleEngine:
 
 class TestDefaultServeRules:
     def test_parse_and_names(self):
-        from repro.obs.rules import default_serve_rules
-
         rules = default_serve_rules()
         names = {rule.name for rule in rules}
         assert names == {
@@ -260,8 +256,6 @@ class TestDefaultServeRules:
         }
 
     def test_quiet_service_fires_nothing(self):
-        from repro.obs.rules import default_serve_rules
-
         engine = RuleEngine(default_serve_rules())
         snapshot = {
             "serve.queue_depth": gauge(3.0),
@@ -276,8 +270,6 @@ class TestDefaultServeRules:
         assert engine.ok
 
     def test_p99_breach_fires(self):
-        from repro.obs.rules import default_serve_rules
-
         engine = RuleEngine(default_serve_rules())
         engine.evaluate(
             {"serve.latency.request_s": {

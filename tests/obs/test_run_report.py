@@ -8,6 +8,10 @@ import numpy
 import pytest
 
 from repro import obs
+from repro.bench.figures import PLAN
+from repro.cli import main
+from repro.graphs import load_dataset, synthetic_features
+from repro.nn import build_model
 from repro.obs import (
     RECORD_SCHEMA_VERSION,
     MetricsRegistry,
@@ -16,6 +20,9 @@ from repro.obs import (
     manifest,
     write_json,
 )
+from repro.obs.events import EpochEvent, EventLog
+from repro.serve import InferenceService, ServingServer
+from repro.tensors import SparsityProfile
 
 
 class TestEnvironmentInfo:
@@ -73,8 +80,6 @@ class TestBuildRunReport:
         assert loaded["manifest"]["config"] == {"x": 1}
 
     def test_embeds_epoch_events_from_event_log(self):
-        from repro.obs.events import EpochEvent, EventLog
-
         log = EventLog(None)
         log.emit(
             EpochEvent(
@@ -92,8 +97,6 @@ class TestBuildRunReport:
         assert report["epoch_events"] == records
 
     def test_embeds_sparsity_profile(self):
-        from repro.tensors import SparsityProfile
-
         profile = SparsityProfile()
         profile.add(1, 0.62)
         report = build_run_report(sparsity=profile)
@@ -111,17 +114,13 @@ class TestGlobalSingletons:
         assert obs.get_tracer().enabled is False
         assert obs.get_metrics().enabled is False
 
-    def test_enable_disable_round_trip(self):
-        tracer, metrics = obs.enable()
-        try:
+    def test_enable_disable_round_trip(self, telemetry):
+        with telemetry() as (tracer, metrics):
             assert obs.get_tracer() is tracer
             assert obs.get_metrics() is metrics
             assert tracer.enabled and metrics.enabled
-        finally:
-            obs.disable()
         assert obs.get_tracer().enabled is False
         assert obs.get_metrics().enabled is False
-
 
 
 #: Every record the program writes -> the file name it is written to.
@@ -139,12 +138,6 @@ def written(run_all, tmp_path_factory):
     """All five records, written once by the commands that write them:
     one ``train`` (report, events, trace), one ``loadgen`` against a
     tiny in-process service, one ``run_all`` of the ``tab3`` entry."""
-    from repro.bench.figures import PLAN
-    from repro.cli import main
-    from repro.graphs import load_dataset, synthetic_features
-    from repro.nn import build_model
-    from repro.serve import InferenceService, ServingServer
-
     out = tmp_path_factory.mktemp("records")
     path = {name: str(out / file) for name, file in RECORDS.items()}
     assert main([

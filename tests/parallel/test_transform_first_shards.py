@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import load_dataset, synthetic_features
-from repro.nn import Adam, GNNLayer, GNNModel
+from repro.nn import Adam
 from repro.parallel import ShardedTrainer
 
 FEATURES = 12
@@ -36,18 +36,7 @@ def inputs(graph):
     return features, labels
 
 
-def _model(widths):
-    return GNNModel([
-        GNNLayer(
-            widths[k], widths[k + 1],
-            activation=k < len(widths) - 2, seed=k,
-        )
-        for k in range(len(widths) - 1)
-    ])
-
-
-def _trainer(graph, widths):
-    model = _model(widths)
+def _trainer(graph, model):
     return ShardedTrainer(
         graph, model, Adam(model, lr=0.01), num_shards=SHARDS,
         backend="serial",
@@ -71,10 +60,10 @@ model_ids = pytest.mark.parametrize(
 
 
 @model_ids
-def test_halo_bytes_are_the_closed_form(graph, inputs, widths):
+def test_halo_bytes_are_the_closed_form(graph, inputs, stack_model, widths):
     """Per epoch, every exchanging layer moves each shard's forward and
     transposed halo once, at ``min(in, out)`` floats a row."""
-    with _trainer(graph, widths) as trainer:
+    with _trainer(graph, stack_model(widths)) as trainer:
         trainer.fit(*inputs, epochs=1)
         first = trainer.last_halo_bytes
         trainer.train_epoch()
@@ -90,12 +79,14 @@ def test_halo_bytes_are_the_closed_form(graph, inputs, widths):
 
 
 @model_ids
-def test_boards_are_as_wide_as_what_is_gathered(graph, inputs, widths):
+def test_boards_are_as_wide_as_what_is_gathered(
+    graph, inputs, stack_model, widths
+):
     """``z{k}`` / ``g{k}`` are ``out``-wide for a transform-first layer
     and no ``h{k-1}`` board exists for it; ``h{L-1}`` always does, for
     ``logits()``.  The private operands have the same widths."""
     num_layers = len(widths) - 1
-    with _trainer(graph, widths) as trainer:
+    with _trainer(graph, stack_model(widths)) as trainer:
         trainer.fit(*inputs, epochs=1)
         bundle = trainer._bundle
         boards = {

@@ -85,8 +85,12 @@ class TestReuseProfile:
             1.0 - cold / profile.num_accesses
         )
 
-    def test_zero_capacity_no_hits(self, small_community):
+    def test_zero_capacity_no_hits(self, small_community, star10):
         assert reuse_profile(small_community).hit_rate(0) == 0.0
+        # Vertex 1 gathers the hub right after the hub's own self touch:
+        # a distance-0 access, which still misses with no capacity.
+        assert 0 in reuse_profile(star10).distances
+        assert reuse_profile(star10).hit_rate(0) == 0.0
 
     def test_cold_fraction_counts_distinct_touched(self, chain20):
         profile = reuse_profile(chain20)

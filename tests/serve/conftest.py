@@ -1,9 +1,16 @@
-"""Every serving test leaves no child process, shared-memory segment or
-thread behind."""
+"""The graph the serving suites share."""
 
+import numpy as np
 import pytest
 
+from repro.graphs import CSRGraph, power_law_graph
 
-@pytest.fixture(autouse=True)
-def _leak_check(no_leaked_resources):
-    """Apply the suite's ``no_leaked_resources`` check to each test here."""
+
+@pytest.fixture(scope="session")
+def hub_and_loner():
+    """A power-law graph (its hub gathers a fifth of the vertices) plus
+    one vertex with no edge at all."""
+    base = power_law_graph(300, 6.0, seed=3)
+    dst = np.repeat(np.arange(base.num_vertices), base.degrees())
+    edges = np.stack([dst, base.indices], axis=1)
+    return CSRGraph.from_edges(base.num_vertices + 1, edges, name="hub+loner")

@@ -16,19 +16,14 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.graphs import CSRGraph, power_law_graph
 from repro.nn import build_model
 from repro.serve import BatchFailed, InferenceService, ServingServer
 from repro.serve import server as server_module
 
 
 @pytest.fixture(scope="module")
-def graph():
-    """A power-law graph plus one vertex with no edge at all."""
-    base = power_law_graph(300, 6.0, seed=3)
-    dst = np.repeat(np.arange(base.num_vertices), base.degrees())
-    edges = np.stack([dst, base.indices], axis=1)
-    return CSRGraph.from_edges(base.num_vertices + 1, edges, name="table")
+def graph(hub_and_loner):
+    return hub_and_loner
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ each batch until the test lets it go; every wait carries a timeout only
 so that a bug fails the test instead of hanging it.
 """
 
+import contextlib
 import queue
 import sys
 import threading
@@ -16,6 +17,11 @@ import pytest
 from repro.serve import RequestBatcher, ServeRequest
 
 WAIT_S = 5.0
+
+
+def answer_all(batch):
+    for request in batch:
+        request.finish(result={})
 
 
 def make_request(vertex=0):
@@ -48,6 +54,28 @@ class GatedHandler:
             self._gate.release()
 
 
+@contextlib.contextmanager
+def running(handler, **kwargs):
+    """A batcher over ``handler``; on the way out a gated handler lets
+    every batch go, and the batcher closes."""
+    batcher = RequestBatcher(handler, **kwargs)
+    try:
+        yield batcher
+    finally:
+        if isinstance(handler, GatedHandler):
+            handler.let_go(8)
+        batcher.close()
+
+
+def answer_one(handler):
+    """One request through a batcher over ``handler``, once answered."""
+    with running(handler, max_batch=4) as batcher:
+        request = make_request()
+        batcher.submit(request)
+        assert request.done.wait(timeout=WAIT_S)
+    return request
+
+
 def submit_all(batcher, count, first_vertex=0):
     requests = [make_request(first_vertex + k) for k in range(count)]
     for request in requests:
@@ -58,23 +86,16 @@ def submit_all(batcher, count, first_vertex=0):
 class TestCoalescing:
     def test_lone_request_dispatches_with_no_timer(self):
         batches = []
-        batcher = RequestBatcher(batches.append, max_batch=8)
-        try:
-            request = make_request()
-            assert batcher.submit(request)
-            # Nothing else is ever submitted: the request must not wait
-            # for company.  The handler only records; the dispatcher's
-            # forgot-one backstop unblocks the request, which doubles as
-            # the dispatch signal.
-            assert request.done.wait(timeout=WAIT_S)
-            assert len(batches) == 1 and len(batches[0]) == 1
-        finally:
-            batcher.close()
+        # Nothing else is ever submitted: the request must not wait for
+        # company.  The handler only records; the dispatcher's forgot-one
+        # backstop unblocks the request, which doubles as the dispatch
+        # signal.
+        answer_one(batches.append)
+        assert len(batches) == 1 and len(batches[0]) == 1
 
     def test_requests_that_arrive_during_a_batch_form_the_next_one(self):
         handler = GatedHandler()
-        batcher = RequestBatcher(handler, max_batch=8)
-        try:
+        with running(handler, max_batch=8) as batcher:
             first = submit_all(batcher, 1)
             handler.wait_entered()  # the worker is busy with batch one
             rest = submit_all(batcher, 5, first_vertex=1)
@@ -83,14 +104,10 @@ class TestCoalescing:
                 assert request.done.wait(timeout=WAIT_S)
             assert handler.sizes == [1, 5]
             assert batcher.stats()["batches"] == 2
-        finally:
-            handler.let_go(8)
-            batcher.close()
 
     def test_full_batch_closes_at_max_batch(self):
         handler = GatedHandler()
-        batcher = RequestBatcher(handler, max_batch=3)
-        try:
+        with running(handler, max_batch=3) as batcher:
             first = submit_all(batcher, 1)
             handler.wait_entered()
             rest = submit_all(batcher, 7, first_vertex=1)
@@ -99,57 +116,33 @@ class TestCoalescing:
                 assert request.done.wait(timeout=WAIT_S)
             # 7 queued behind the held batch: ceil(7 / 3) batches
             assert handler.sizes == [1, 3, 3, 1]
-        finally:
-            handler.let_go(8)
-            batcher.close()
 
     def test_handler_error_fails_every_request(self):
         def handler(batch):
             raise RuntimeError("boom")
 
-        batcher = RequestBatcher(handler, max_batch=4)
-        try:
-            request = make_request()
-            batcher.submit(request)
-            assert request.done.wait(timeout=WAIT_S)
-            assert isinstance(request.error, RuntimeError)
-        finally:
-            batcher.close()
+        assert isinstance(answer_one(handler).error, RuntimeError)
 
     def test_forgotten_request_gets_error_backstop(self):
         def handler(batch):
             pass  # finishes nothing
 
-        batcher = RequestBatcher(handler, max_batch=4)
-        try:
-            request = make_request()
-            batcher.submit(request)
-            assert request.done.wait(timeout=WAIT_S)
-            assert isinstance(request.error, RuntimeError)
-        finally:
-            batcher.close()
+        assert isinstance(answer_one(handler).error, RuntimeError)
 
 
 class TestAdmission:
     def test_submit_rejects_when_queue_full(self):
         handler = GatedHandler()
-        batcher = RequestBatcher(handler, max_batch=1, max_queue=2)
-        try:
+        with running(handler, max_batch=1, max_queue=2) as batcher:
             assert batcher.submit(make_request(0))
             handler.wait_entered()  # one request occupies the worker
             results = [batcher.submit(make_request(v)) for v in range(1, 8)]
             assert results == [True, True] + [False] * 5
             assert batcher.rejected == 5
             assert batcher.queue_depth == 2
-        finally:
-            handler.let_go(8)
-            batcher.close()
 
     def test_stats_counts(self):
-        batcher = RequestBatcher(
-            lambda batch: [r.finish(result={}) for r in batch], max_batch=2
-        )
-        try:
+        with running(answer_all, max_batch=2) as batcher:
             request = make_request()
             batcher.submit(request)
             assert request.done.wait(timeout=WAIT_S)
@@ -157,8 +150,6 @@ class TestAdmission:
                 "max_batch": 2, "max_queue": 128, "submitted": 1,
                 "rejected": 0, "batches": 1, "queue_depth": 0,
             }
-        finally:
-            batcher.close()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -266,9 +257,7 @@ class TestClose:
             return plain_get(self, block, timeout)
 
         monkeypatch.setattr(queue.Queue, "get", recording_get)
-        batcher = RequestBatcher(
-            lambda batch: [r.finish(result={}) for r in batch]
-        )
+        batcher = RequestBatcher(answer_all)
         request = make_request()
         batcher.submit(request)
         assert request.done.wait(timeout=WAIT_S)

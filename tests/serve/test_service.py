@@ -23,13 +23,13 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.graphs import CSRGraph, power_law_graph
 from repro.nn import GNNModel, build_model
 from repro.serve import (
     AdmissionRejected,
     InferenceService,
     RequestTimeout,
     ServingServer,
+    run_loadgen,
 )
 from repro.serve import server as server_module
 
@@ -135,16 +135,6 @@ class TestQuery:
         # the embedding is the input to the final layer
         assert len(response["embeddings"][0]) == model.layers[-1].in_features
 
-    def test_second_request_is_a_cache_hit(self, setup):
-        _, _, _, service = setup
-        service.cache.invalidate(4)
-        first = service.query([4])
-        second = service.query([4])
-        assert first["cached"] is False
-        assert second["cached"] is True
-        assert second["classes"] == first["classes"]
-        assert service.cache.hits >= 1
-
     def test_bad_input_raises_value_error(self, setup):
         _, _, _, service = setup
         with pytest.raises(ValueError):
@@ -162,16 +152,6 @@ class TestQuery:
         stats = service.stats()
         assert stats["requests"] == 1
         assert stats["graph"]["vertices"] == graph.num_vertices
-
-
-@pytest.fixture(scope="module")
-def hub_and_loner():
-    """A power-law graph (its hub gathers a fifth of the vertices) plus
-    one vertex with no edge at all."""
-    base = power_law_graph(300, 6.0, seed=3)
-    dst = np.repeat(np.arange(base.num_vertices), base.degrees())
-    edges = np.stack([dst, base.indices], axis=1)
-    return CSRGraph.from_edges(base.num_vertices + 1, edges, name="hub+loner")
 
 
 class TestAgainstPredict:
@@ -284,14 +264,11 @@ class TestAgainstPredict:
 
 
 class TestTracePropagation:
-    def test_request_span_tree_shares_one_trace_id(self, setup):
+    def test_request_span_tree_shares_one_trace_id(self, setup, telemetry):
         _, _, _, service = setup
         service.cache.invalidate()  # a refill: the full tree
-        tracer, _ = obs.enable()
-        try:
+        with telemetry() as (tracer, _):
             response = service.query([2, 9])
-        finally:
-            obs.disable()
         tid = response["trace_id"]
         spans = tracer.spans()
         request = next(
@@ -309,14 +286,11 @@ class TestTracePropagation:
         assert all(s.name == "kernel.serve.block" for s in kernels)
         assert len(kernels) == service.model.num_layers
 
-    def test_cache_hit_request_has_no_batch_child(self, setup):
+    def test_cache_hit_request_has_no_batch_child(self, setup, telemetry):
         _, _, _, service = setup
         service.query([6])  # fills the cache, untraced
-        tracer, _ = obs.enable()
-        try:
+        with telemetry() as (tracer, _):
             response = service.query([6])
-        finally:
-            obs.disable()
         assert response["cached"] is True
         request = next(
             s for s in tracer.spans() if s.name == "serve.request"
@@ -326,15 +300,12 @@ class TestTracePropagation:
         ]
         assert children == []
 
-    def test_serve_metrics_published(self, setup):
+    def test_serve_metrics_published(self, setup, telemetry):
         _, _, _, service = setup
         service.cache.invalidate(1)  # the first query refills
-        _, registry = obs.enable()
-        try:
+        with telemetry() as (_, registry):
             service.query([1])
             service.query([1])
-        finally:
-            obs.disable()
         snapshot = registry.snapshot()
         assert snapshot["serve.requests"]["value"] == 2.0
         assert snapshot["serve.cache.hits"]["value"] >= 1.0
@@ -517,12 +488,11 @@ class TestHTTPServer:
         assert service.requests - service.errors == 1  # nothing ran as vertex 1
         assert capfd.readouterr().err == ""
 
-    def test_connections_are_counted_not_requests(self, setup):
+    def test_connections_are_counted_not_requests(self, setup, telemetry):
         """Keep-alive: many requests, one accepted connection — readable
         from ``/stats.json`` and from the ``serve.*`` registry plane."""
         _, _, _, service = setup
-        _, registry = obs.enable()
-        try:
+        with telemetry() as (_, registry):
             with ServingServer(service, port=0) as server:
                 conn = http.client.HTTPConnection(
                     "127.0.0.1", server.port, timeout=WAIT_S
@@ -540,8 +510,6 @@ class TestHTTPServer:
                 sock.sendall(b"POST /v1/predict HTTP/1.1\r\nContent-Length: 50\r\n\r\n{")
                 sock.close()
                 wait_until(lambda: server.client_disconnects == 1)
-        finally:
-            obs.disable()
         assert stats["requests"] == 10
         assert stats["connections"] == 1 and stats["client_disconnects"] == 0
         snapshot = registry.snapshot()
@@ -549,8 +517,6 @@ class TestHTTPServer:
         assert snapshot["serve.client_disconnects"]["value"] == 1.0
 
     def test_loadgen_keeps_one_connection_per_worker(self, setup):
-        from repro.serve import run_loadgen
-
         graph, _, _, service = setup
         with ServingServer(service, port=0) as server:
             closed = run_loadgen(
@@ -568,8 +534,6 @@ class TestHTTPServer:
         assert closed.status_counts == {200: closed.requests}
 
     def test_loadgen_counts_a_socket_error_as_status_zero(self):
-        from repro.serve import run_loadgen
-
         with socket.socket() as unused:  # bound, never listening
             unused.bind(("127.0.0.1", 0))
             url = "http://127.0.0.1:%d" % unused.getsockname()[1]

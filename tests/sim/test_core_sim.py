@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.graphs import apply_order, load_dataset
+from repro.graphs import apply_order, load_dataset, power_law_graph
+from repro.perf import cascade_lake_12
 from repro.sim import CoreAggregationSim
 
 
@@ -71,9 +72,6 @@ class TestOutputBufferReuse:
         more than one block per core, or there is nothing to reuse — so
         run a small graph on the 12-core machine with full-size caches.
         """
-        from repro.graphs import power_law_graph
-        from repro.perf import cascade_lake_12
-
         small = power_law_graph(800, 6.0, seed=1, name="reuse-twin")
         sim = CoreAggregationSim(cascade_lake_12())
         plain = sim.run(small, 16)

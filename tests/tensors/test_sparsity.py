@@ -1,5 +1,7 @@
 """Unit tests for sparsity measurement and the per-layer profile (Section 2.2)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,4 @@ class TestProfile:
         assert doc["per_layer"] == {"0": [0.0, 0.2], "1": [0.6]}
         assert doc["mean"]["0"] == pytest.approx(0.1)
         assert doc["last"] == {"0": 0.2, "1": 0.6}
-        import json
-
         json.dumps(doc)  # JSON-serializable by construction

@@ -1,16 +1,38 @@
 """Unit tests for the command-line interface."""
 
 import errno
+import http.client
+import json
 import logging
 import multiprocessing
 import os
+import re
 import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+import urllib.request
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 
-from repro import __version__
+import repro
+import repro.graphs as graphs
+from repro import __version__, lanes
 from repro.cli import _configure_logging, build_parser, main
+from repro.obs import read_trace
+from repro.obs.events import validate_events_file
+from repro.obs.trace import Tracer
+from repro.parallel import sharded, shm
+from repro.serve import ServingServer
+
+
+#: A tiny ``repro train`` run; each test adds its epochs and flags.
+TRAIN = ["train", "products", "--scale", "0.05", "--features", "8",
+         "--hidden", "8"]
 
 
 class TestParser:
@@ -39,8 +61,14 @@ class TestParser:
         assert args.quiet == 1
 
     def test_trace_flags_default_off(self):
+        """No output file, metrics socket or rule engine unless asked (a
+        switch's default is pinned by its row in ``test_cli_matrix``)."""
         args = build_parser().parse_args(["train", "products"])
-        assert args.trace is None and args.json is None
+        assert (args.trace, args.json, args.events, args.rules) == (None,) * 4
+        assert args.serve_metrics is None
+        assert build_parser().parse_args(["profile"]).serve_metrics is None
+        args = build_parser().parse_args(["top", "x.jsonl"])
+        assert args.metrics_url is None and args.rules is None
 
     @pytest.mark.parametrize("command", [
         ["train", "products"],
@@ -129,21 +157,6 @@ class TestParser:
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_engine_flag_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "products", "--engine", "turbo"])
-
-    def test_train_observability_flags_default_off(self):
-        args = build_parser().parse_args(["train", "products"])
-        assert args.events is None
-        assert args.health is False
-
-    def test_train_observability_flags_parse(self):
-        args = build_parser().parse_args([
-            "train", "products", "--events", "e.jsonl", "--health",
-        ])
-        assert args.events == "e.jsonl"
-        assert args.health is True
 
 
 class TestLoggingConfig:
@@ -199,8 +212,6 @@ class TestCommands:
     def test_train_seed_picks_the_graph(self, monkeypatch):
         """``--seed`` seeds the twin's generator as ``serve`` and
         ``bench-sharded`` do, so two seeds train on two graphs."""
-        import repro.graphs as graphs
-
         built = []
         real = graphs.load_dataset
 
@@ -221,13 +232,8 @@ class TestCommands:
     def test_train_default_runs_the_basic_kernel(self, tmp_path, capsys):
         """The all-default ``repro train`` aggregates both directions
         through the same kernel ``profile`` and perfbench measure."""
-        import json
-
         report = tmp_path / "run.json"
-        code = main([
-            "train", "products", "--scale", "0.05", "--epochs", "1",
-            "--features", "8", "--hidden", "8", "--json", str(report),
-        ])
+        code = main([*TRAIN, "--epochs", "1", "--json", str(report)])
         assert code == 0
         assert "aggregation: basic kernel\n" in capsys.readouterr().out
         doc = json.loads(report.read_text())
@@ -251,9 +257,6 @@ class TestCommands:
         """Each ``--sweep`` level runs with ``--timeout``: against a
         server that accepts connections and never answers, a 0.2 s
         timeout ends the sweep long before the 10 s default would."""
-        import socket
-        import time
-
         with socket.socket() as silent:
             silent.bind(("127.0.0.1", 0))
             silent.listen()
@@ -292,11 +295,6 @@ class TestCommands:
 
 
 class TestShardedTraining:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["train", "products"])
-        assert args.shards == 1
-        assert args.partition is None  # greedy once sharded
-
     def test_bench_sharded_parser_defaults(self):
         args = build_parser().parse_args(["bench-sharded"])
         assert args.dataset == "products"
@@ -305,10 +303,7 @@ class TestShardedTraining:
         assert args.backend == "process"
 
     def test_train_sharded_runs(self, capsys):
-        code = main([
-            "train", "products", "--scale", "0.05", "--epochs", "2",
-            "--features", "8", "--hidden", "8", "--shards", "2",
-        ])
+        code = main([*TRAIN, "--epochs", "2", "--shards", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "partition: greedy x2" in out
@@ -345,29 +340,6 @@ class TestShardedTraining:
         assert "partition:" not in out
         assert not events.exists()
 
-    def test_train_sharded_json_report_has_shard_metrics(self, tmp_path):
-        import json
-
-        report = tmp_path / "sharded.json"
-        code = main([
-            "train", "products", "--scale", "0.05", "--epochs", "2",
-            "--features", "8", "--hidden", "8", "--shards", "2",
-            "--backend", "process", "--json", str(report),
-        ])
-        assert code == 0
-        doc = json.loads(report.read_text())
-        for key in (
-            "shard.workers",
-            "shard.halo_bytes",
-            "shard.epoch_time_s",
-            "shard.setup_bytes_max",
-            "shard.partition.cut_fraction",
-        ):
-            assert key in doc["metrics"], f"missing {key}"
-        span_names = {s["name"] for s in doc["spans"]}
-        assert "shard.partition" in span_names
-        assert "shard.epoch" in span_names
-
     def test_bench_sharded_prints_table(self, capsys):
         code = main([
             "bench-sharded", "products", "--scale", "0.05",
@@ -385,10 +357,7 @@ class TestShardedTraining:
         assert "1 shards efficiency      1.000 x" in out
 
     SHARDED_PROCESS_RUN = [
-        "train", "products", "--scale", "0.05", "--epochs", "2",
-        "--features", "8", "--hidden", "8", "--shards", "2",
-        "--backend", "process",
-    ]
+        *TRAIN, "--epochs", "2", "--shards", "2", "--backend", "process"]
 
     @staticmethod
     def _error_line(capsys) -> str:
@@ -399,8 +368,6 @@ class TestShardedTraining:
         return err.strip().splitlines()[-1]
 
     def test_full_dev_shm_is_one_error_line(self, monkeypatch, capsys):
-        from repro.parallel import shm
-
         class OnePage:
             f_bavail = 1
             f_frsize = 4096
@@ -415,8 +382,6 @@ class TestShardedTraining:
         assert set(os.listdir(shm.SHM_DIR)) == segments_before
 
     def test_dead_shard_worker_is_one_error_line(self, monkeypatch, capsys):
-        from repro.parallel import sharded, shm
-
         real_reduce = sharded.shard_segment_reduce
 
         def die_in_worker_1(op, x):
@@ -438,8 +403,6 @@ class TestShardedTraining:
 
 class TestObservabilityCommands:
     def test_train_events_health_and_report(self, tmp_path, capsys):
-        from repro.obs.events import validate_events_file
-
         events = tmp_path / "run.jsonl"
         report = tmp_path / "run.json"
         code = main([
@@ -452,8 +415,6 @@ class TestObservabilityCommands:
         assert header["manifest"]["command"] == "train"
         assert len(records) == 2
         assert records[0]["grad_norms"]
-        import json
-
         doc = json.loads(report.read_text())
         assert len(doc["epoch_events"]) == 2
         assert doc["sparsity"]["per_layer"]
@@ -464,11 +425,7 @@ class TestObservabilityCommands:
     def test_train_epoch_lines_via_logging(self, capsys, caplog):
         # Satellite: epoch lines reach the console through the logging
         # layer, not print() — stdout carries only the summaries.
-        code = main([
-            "train", "products", "--scale", "0.05", "--epochs", "1",
-            "--features", "8", "--hidden", "8",
-        ])
-        assert code == 0
+        assert main([*TRAIN, "--epochs", "1"]) == 0
         assert "epoch   0" not in capsys.readouterr().out
         epoch_lines = [
             r.message for r in caplog.records
@@ -483,20 +440,12 @@ class TestObservabilityCommands:
 class TestLiveTelemetryCommands:
     def _train(self, tmp_path, *extra):
         events = tmp_path / "run.jsonl"
-        code = main([
-            "train", "products", "--scale", "0.05", "--epochs", "2",
-            "--features", "8", "--hidden", "8", "--events", str(events),
-            *extra,
-        ])
+        code = main([*TRAIN, "--epochs", "2", "--events", str(events), *extra])
         return code, events
 
     def test_serve_metrics_scrapable_and_torn_down(self, tmp_path, capsys):
         # The endpoint announces its URL; after the command returns the
         # socket is closed and the serving thread is gone.
-        import re
-        import threading
-        import urllib.request
-
         code, _ = self._train(tmp_path, "--serve-metrics", "0")
         assert code == 0
         out = capsys.readouterr().out
@@ -509,8 +458,6 @@ class TestLiveTelemetryCommands:
             urllib.request.urlopen(match.group(1) + "/metrics", timeout=0.5)
 
     def test_train_rules_in_report_and_events(self, tmp_path, capsys):
-        import json
-
         rules = tmp_path / "rules.txt"
         rules.write_text("loss_cap: train.loss < 1e-6\n")
         report = tmp_path / "run.json"
@@ -541,8 +488,6 @@ class TestLiveTelemetryCommands:
         err = capsys.readouterr().err
         assert "fatal rule fired at epoch 1" in err
         assert "loss_divergence" in err
-        from repro.obs.events import validate_events_file
-
         _, records = validate_events_file(str(events))
         assert [r["health_issues"] for r in records] == [
             ["slo:always"], ["slo:loss_divergence", "slo:always"],
@@ -556,8 +501,6 @@ class TestLiveTelemetryCommands:
         assert "training stopped: fatal rule fired at epoch 0" in (
             capsys.readouterr().err
         )
-        from repro.obs.events import validate_events_file
-
         _, records = validate_events_file(str(events))
         assert [r["health_issues"] for r in records] == [["slo:stop"]]
 
@@ -580,8 +523,6 @@ class TestLiveTelemetryCommands:
         """``serve --rules --check`` with no ``--trace`` / ``--json`` /
         ``--serve-metrics``: one request is enough for a rule on
         ``serve.requests`` to fire and the run to exit 1."""
-        from repro.serve import ServingServer
-
         enter = ServingServer.__enter__
 
         def enter_and_ask(server):
@@ -691,21 +632,6 @@ class TestLiveTelemetryCommands:
         ]) == 0
         assert "== repro top ==" in capsys.readouterr().out
 
-    def test_top_flags_default_off(self):
-        args = build_parser().parse_args(["top", "x.jsonl"])
-        assert args.follow is False and args.check is False
-        assert args.metrics_url is None and args.rules is None
-        assert args.interval is None and args.refresh_limit is None
-
-    def test_serve_metrics_flag_parses_everywhere(self):
-        for command in (
-            ["train", "products"],
-            ["profile"],
-        ):
-            args = build_parser().parse_args(command + ["--serve-metrics", "0"])
-            assert args.serve_metrics == 0
-            args = build_parser().parse_args(command)
-            assert args.serve_metrics is None
 
 
 #: One small run per command, so a flag the parser fails to check costs
@@ -738,8 +664,6 @@ class TestLaneReport:
         _SMALL_RUNS["serve"] + ["--features", "8", "--hidden", "8"],
     ])
     def test_prints_lanes_and_blas_threads(self, command, monkeypatch, capsys):
-        from repro import lanes
-
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
@@ -789,8 +713,6 @@ class TestOutputWriteFailure:
     def test_failed_trace_write_still_writes_the_rest(
         self, command, monkeypatch, tmp_path, capsys
     ):
-        from repro.obs.trace import Tracer
-
         monkeypatch.setattr(Tracer, "export_jsonl", self._no_space)
         trace, report = tmp_path / "a", tmp_path / "b"
         code = main(command + ["--trace", str(trace), "--json", str(report)])
@@ -809,8 +731,6 @@ class TestOutputWriteFailure:
     ):
         """``profile`` runs inside the shared telemetry block, so
         ``--serve-metrics`` samples proc.* as it does on every command."""
-        import json
-
         report = tmp_path / "r.json"
         code = main(_SMALL_RUNS["profile"] + [
             "--serve-metrics", "0", "--json", str(report),
@@ -833,8 +753,6 @@ class TestBoundPort:
     def test_bound_port_is_one_error_line(
         self, command, flag, capsys, no_leaked_resources
     ):
-        import socket
-
         with socket.socket() as holder:
             holder.bind(("127.0.0.1", 0))
             holder.listen()
@@ -881,17 +799,6 @@ class TestServeSignals:
         """``repro serve`` answers a request over a keep-alive connection
         that is still open when the signal lands; it drains, writes the
         trace and exits 0 (SIGTERM used to exit -15 with no trace)."""
-        import http.client
-        import os
-        import re
-        import signal
-        import subprocess
-        import sys
-        from urllib.parse import urlsplit
-
-        import repro
-        from repro.obs import read_trace
-
         trace = tmp_path / "serve_trace.jsonl"
         src = os.path.dirname(os.path.dirname(repro.__file__))
         proc = subprocess.Popen(
@@ -927,3 +834,20 @@ class TestServeSignals:
         assert "Traceback" not in output
         _, records = read_trace(str(trace))
         assert any(r.get("name") == "serve.request" for r in records)
+
+
+def test_closed_pipe_is_exit_1_without_a_traceback():
+    """``repro experiment tab3 | head -1``: a reader that closed the pipe
+    before the table was printed ends the run with exit 1, not a
+    ``BrokenPipeError`` traceback."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "experiment", "tab3", "--scale", "0.05"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()  # long before the interpreter has started
+    assert proc.wait(timeout=60) == 1
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err and "BrokenPipeError" not in err

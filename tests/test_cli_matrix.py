@@ -57,6 +57,9 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.graphs import load_dataset, synthetic_features
+from repro.nn import build_model
+from repro.serve import InferenceService, ServingServer
 
 #: Twin widths for every row that builds a model.
 TINY = ["--scale", "0.05", "--features", "8", "--hidden", "8"]
@@ -359,10 +362,6 @@ def firing(tmp_path) -> str:
 @pytest.fixture
 def url():
     """A tiny untrained service on an ephemeral port, stopped after the row."""
-    from repro.graphs import load_dataset, synthetic_features
-    from repro.nn import build_model
-    from repro.serve import InferenceService, ServingServer
-
     graph = load_dataset("products", scale=0.05)
     features = synthetic_features(graph, 8)
     service = InferenceService(graph, features, build_model("gcn", 8, 8, 4))

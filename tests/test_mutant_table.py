@@ -4,7 +4,9 @@
 checked here, at no cost: each mutant's old text occurs exactly once in
 its file, so an edit to ``src/`` cannot silently turn a mutant into a
 no-op; its new text differs; every suite it names exists; names are
-unique; and there are at least 20.
+unique.  The floors keep the set from shrinking unnoticed: at least 42
+mutants, over at least 31 distinct source files, so a later edit cannot
+quietly drop a module's only mutant.
 """
 
 import importlib.util
@@ -22,5 +24,6 @@ def _runner():
 
 def test_every_mutant_applies_to_the_tree():
     runner = _runner()
-    assert len(runner.MUTANTS) >= 20
+    assert len(runner.MUTANTS) >= 42
+    assert len({mutant.file for mutant in runner.MUTANTS}) >= 31
     assert runner.check_table() == []

@@ -27,7 +27,13 @@ import inspect
 import pytest
 
 import repro.obs
-from repro.cli import main
+from repro.bench import figures
+from repro.cli import build_parser, main
+from repro.graphs import load_dataset
+from repro.nn import Adam, Trainer, build_model
+from repro.nn.minibatch import assemble_batch
+from repro.parallel import ShardedTrainer
+from repro.serve import InferenceService
 
 
 #: One small run per command, so a flag the parser fails to refuse
@@ -181,8 +187,6 @@ class TestDuplicatePaperCommandsAreGone:
             importlib.import_module("repro.perf.report")
 
     def test_subcommands_are_the_seven_left(self):
-        from repro.cli import build_parser
-
         subparsers = next(
             action for action in build_parser()._actions
             if action.dest == "command"
@@ -210,8 +214,6 @@ class TestOneGuardEngine:
             importlib.import_module("repro.obs.health")
 
     def test_trainer_takes_no_health_monitor(self):
-        from repro.nn import Trainer
-
         assert "health" not in inspect.signature(Trainer).parameters
 
 
@@ -232,10 +234,6 @@ class TestDelayedAggregationIsGone:
         {"delayed_layers": (1,)}, {"halo_refresh": 1}, {"refine_passes": 0},
     ])
     def test_trainer_refuses_the_keywords(self, keyword):
-        from repro.graphs import load_dataset
-        from repro.nn import Adam, build_model
-        from repro.parallel import ShardedTrainer
-
         graph = load_dataset("products", scale=0.02, seed=0)
         model = build_model("gcn", 8, 8, 4, seed=0)
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -261,8 +259,6 @@ class TestOnePaperPlan:
     def test_hardware_figures_follow_scale(self, monkeypatch, capsys):
         """The simulated figures build their twins at 0.3x ``--scale``
         (0.15 at the document's 0.5), not at a scale of their own."""
-        from repro.bench import figures
-
         scales = []
         real = figures.load_dataset
 
@@ -290,9 +286,6 @@ class TestUnsetKnobsAreGone:
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_service_takes_no_sampling_or_bounds(self):
-        from repro.nn.minibatch import assemble_batch
-        from repro.serve import InferenceService
-
         assert list(inspect.signature(InferenceService).parameters) == [
             "graph", "features", "model"]
         assert list(inspect.signature(assemble_batch).parameters) == [
