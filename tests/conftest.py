@@ -1,5 +1,6 @@
 """Shared fixtures: small graphs and features reused across the suite."""
 
+import _posixshmem
 import contextlib
 import importlib.util
 import io
@@ -10,6 +11,7 @@ import pathlib
 import sys
 import threading
 import time
+from multiprocessing import synchronize
 from typing import NamedTuple
 
 import numpy as np
@@ -17,18 +19,9 @@ import pytest
 
 from repro import lanes, obs
 from repro.graphs import (
-    CSRGraph,
-    apply_order,
-    chain_graph,
-    community_graph,
-    grid_graph,
-    load_dataset,
-    locality_order,
-    natural_order,
-    randomized_order,
-    star_graph,
-    synthetic_features,
-    uniform_graph,
+    CSRGraph, apply_order, chain_graph, community_graph, grid_graph,
+    load_dataset, locality_order, natural_order, randomized_order,
+    star_graph, synthetic_features, uniform_graph,
 )
 from repro.kernels import BasicKernel, UpdateParams
 from repro.nn import GNNLayer, GNNModel
@@ -70,34 +63,75 @@ SHM_DIR = "/dev/shm"
 #: to finish before it calls them leaked.
 THREAD_JOIN_S = 5.0
 
+#: The ``/dev/shm`` names this process created: shared-memory segments
+#: and named semaphores.  The leak check counts only these, so another
+#: process's entries (a second pytest run, say) never fail a test here.
+CREATED_SHM = set()
+
+
+def _record_segments(shm_open):
+    def recording(name, flags, mode=0o777):
+        fd = shm_open(name, flags, mode)
+        if flags & os.O_CREAT:
+            CREATED_SHM.add(name.lstrip("/"))
+        return fd
+
+    return recording
+
+
+def _record_semaphores(make_name):
+    def recording():
+        name = make_name()
+        CREATED_SHM.add("sem." + name.lstrip("/"))
+        return name
+
+    return staticmethod(recording)
+
+
+_posixshmem.shm_open = _record_segments(_posixshmem.shm_open)
+synchronize.SemLock._make_name = _record_semaphores(
+    synchronize.SemLock._make_name)
+
 
 def _shm_entries() -> set:
     return set(os.listdir(SHM_DIR)) if os.path.isdir(SHM_DIR) else set()
 
 
+@pytest.fixture(scope="session")
+def leak_check():
+    """``with leak_check():`` fails (``AssertionError``) when the block
+    leaves a live child process, a ``/dev/shm`` entry this process
+    created, or a thread it started still running after a bounded join."""
+
+    @contextlib.contextmanager
+    def checked():
+        threads_before = set(threading.enumerate())
+        shm_before = _shm_entries()
+        yield
+        children = multiprocessing.active_children()
+        deadline = time.monotonic() + THREAD_JOIN_S
+        alive = []
+        for thread in threading.enumerate():
+            if thread in threads_before or thread is threading.current_thread():
+                continue
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                alive.append(thread.name)
+        leaked_shm = (_shm_entries() - shm_before) & CREATED_SHM
+        assert not children, f"live child processes after the test: {children}"
+        assert not leaked_shm, f"new {SHM_DIR} entries: {sorted(leaked_shm)}"
+        assert not alive, f"threads still running after the test: {alive}"
+
+    return checked
+
+
 @pytest.fixture
-def no_leaked_resources():
-    """Fail a test that leaves a live child process, a new ``/dev/shm``
-    entry, or a thread it started still running (after a bounded join).
-    Every test under ``tests/parallel/`` and ``tests/serve/`` runs under
-    it (:func:`_leak_check`).
-    """
-    threads_before = set(threading.enumerate())
-    shm_before = _shm_entries()
-    yield
-    children = multiprocessing.active_children()
-    deadline = time.monotonic() + THREAD_JOIN_S
-    alive = []
-    for thread in threading.enumerate():
-        if thread in threads_before or thread is threading.current_thread():
-            continue
-        thread.join(max(0.0, deadline - time.monotonic()))
-        if thread.is_alive():
-            alive.append(thread.name)
-    leaked_shm = _shm_entries() - shm_before
-    assert not children, f"live child processes after the test: {children}"
-    assert not leaked_shm, f"new {SHM_DIR} entries: {sorted(leaked_shm)}"
-    assert not alive, f"threads still running after the test: {alive}"
+def no_leaked_resources(leak_check):
+    """The leak check around one test.  Every test under
+    ``tests/parallel/`` and ``tests/serve/`` runs under it
+    (:func:`_leak_check`)."""
+    with leak_check():
+        yield
 
 
 @pytest.fixture(autouse=True)

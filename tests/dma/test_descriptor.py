@@ -7,26 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dma import (
-    DESCRIPTOR_BYTES,
-    AggregationDescriptor,
-    BinOp,
-    IdxType,
-    RedOp,
+    DESCRIPTOR_BYTES, AggregationDescriptor, BinOp, IdxType, RedOp,
     ValType,
 )
 
 
 def _descriptor(**overrides):
-    base = dict(
-        num_values=64,
-        num_blocks=10,
-        padded_block_bytes=256,
-        idx_addr=0x1000,
-        in_addr=0x2000,
-        out_addr=0x3000,
-        factor_addr=0x4000,
-        status_addr=0x5000,
-    )
+    base = dict(num_values=64, num_blocks=10, padded_block_bytes=256,
+                idx_addr=0x1000, in_addr=0x2000, out_addr=0x3000,
+                factor_addr=0x4000, status_addr=0x5000)
     base.update(overrides)
     return AggregationDescriptor(**base)
 
@@ -83,14 +72,11 @@ class TestValidation:
 
 class TestDerived:
     def test_byte_accounting(self):
-        desc = _descriptor()
-        assert desc.output_bytes == 64 * 4
+        assert _descriptor().output_bytes == 64 * 4
 
     def test_type_sizes(self):
-        assert IdxType.U32.bytes == 4
-        assert IdxType.U64.bytes == 8
-        assert ValType.F32.bytes == 4
-        assert ValType.F64.bytes == 8
+        assert (IdxType.U32.bytes, IdxType.U64.bytes) == (4, 8)
+        assert (ValType.F32.bytes, ValType.F64.bytes) == (4, 8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,17 +93,10 @@ def test_pack_unpack_property(
     num_values, num_blocks, addresses, red_op, bin_op, idx_type, val_type
 ):
     desc = AggregationDescriptor(
-        num_values=num_values,
-        num_blocks=num_blocks,
+        num_values=num_values, num_blocks=num_blocks,
         padded_block_bytes=num_values * val_type.bytes,
-        idx_addr=addresses[0],
-        in_addr=addresses[1],
-        out_addr=addresses[2],
-        factor_addr=addresses[3],
-        status_addr=addresses[4],
-        red_op=red_op,
-        bin_op=bin_op,
-        idx_type=idx_type,
-        val_type=val_type,
+        **dict(zip(("idx_addr", "in_addr", "out_addr", "factor_addr",
+                    "status_addr"), addresses)),
+        red_op=red_op, bin_op=bin_op, idx_type=idx_type, val_type=val_type,
     )
     assert AggregationDescriptor.unpack(desc.pack()) == desc

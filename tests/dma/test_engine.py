@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.dma import (
-    AggregationDescriptor,
-    BinOp,
-    DmaAddressSpace,
-    DmaEngine,
-    DmaError,
-    RedOp,
-    STATUS_ERROR,
-    STATUS_OK,
+    AggregationDescriptor, BinOp, DmaAddressSpace, DmaEngine, DmaError,
+    RedOp, STATUS_ERROR, STATUS_OK,
 )
 from repro.sim import DramModel, MemoryHierarchy
 
@@ -35,73 +29,60 @@ def _setup_space(values, indices, factors, out_len):
 
 def _descriptor(bases, e, n, stride_bytes, **kw):
     return AggregationDescriptor(
-        num_values=e,
-        num_blocks=n,
-        padded_block_bytes=stride_bytes,
-        idx_addr=bases["idx"],
-        in_addr=bases["in"],
-        out_addr=bases["out"],
-        factor_addr=bases["factor"],
-        status_addr=bases["status"],
-        **kw,
+        num_values=e, num_blocks=n, padded_block_bytes=stride_bytes,
+        idx_addr=bases["idx"], in_addr=bases["in"], out_addr=bases["out"],
+        factor_addr=bases["factor"], status_addr=bases["status"], **kw,
     )
+
+
+def _execute(values, indices, factors, out_len, e, n, stride_bytes, **kw):
+    """One descriptor over fresh arrays: ``(status, arrays)``."""
+    space, arrays, bases = _setup_space(values, indices, factors, out_len)
+    engine = DmaEngine(0, address_space=space)
+    return engine.execute(_descriptor(bases, e, n, stride_bytes, **kw)), arrays
 
 
 class TestAlgorithm4:
     def test_weighted_sum(self):
         """red_op=SUM, bin_op=MUL performs the ψ-scaled reduction."""
         features = np.arange(12, dtype=np.float32).reshape(3, 4)  # rows 0..2
-        space, arrays, bases = _setup_space(features, [0, 2], [2.0, 0.5], 4)
-        engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=4, n=2, stride_bytes=16,
-                           red_op=RedOp.SUM, bin_op=BinOp.MUL)
-        assert engine.execute(desc) == STATUS_OK
+        status, arrays = _execute(features, [0, 2], [2.0, 0.5], 4, e=4, n=2,
+                                  stride_bytes=16, red_op=RedOp.SUM, bin_op=BinOp.MUL)
+        assert status == STATUS_OK
         expected = features[0] * 2.0 + features[2] * 0.5
         np.testing.assert_allclose(arrays["out"], expected, rtol=1e-6)
         assert arrays["status"][0] == STATUS_OK
 
     def test_plain_sum_without_binop(self):
         features = np.ones((4, 2), dtype=np.float32)
-        space, arrays, bases = _setup_space(features, [0, 1, 3], [0, 0, 0], 2)
-        engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=2, n=3, stride_bytes=8,
-                           red_op=RedOp.SUM, bin_op=BinOp.NONE)
-        engine.execute(desc)
+        _, arrays = _execute(features, [0, 1, 3], [0, 0, 0], 2, e=2, n=3,
+                             stride_bytes=8, red_op=RedOp.SUM, bin_op=BinOp.NONE)
         np.testing.assert_allclose(arrays["out"], 3.0)
 
     def test_max_reduction(self):
         features = np.array([[1, 9], [5, 2], [3, 3]], dtype=np.float32)
-        space, arrays, bases = _setup_space(features, [0, 1, 2], [0] * 3, 2)
-        engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=2, n=3, stride_bytes=8, red_op=RedOp.MAX)
-        engine.execute(desc)
+        _, arrays = _execute(features, [0, 1, 2], [0] * 3, 2, e=2, n=3,
+                             stride_bytes=8, red_op=RedOp.MAX)
         np.testing.assert_allclose(arrays["out"], [5, 9])
 
     def test_min_reduction(self):
         features = np.array([[1, 9], [5, 2]], dtype=np.float32)
-        space, arrays, bases = _setup_space(features, [0, 1], [0, 0], 2)
-        engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=2, n=2, stride_bytes=8, red_op=RedOp.MIN)
-        engine.execute(desc)
+        _, arrays = _execute(features, [0, 1], [0, 0], 2, e=2, n=2, stride_bytes=8,
+                             red_op=RedOp.MIN)
         np.testing.assert_allclose(arrays["out"], [1, 2])
 
     def test_add_binop(self):
         features = np.zeros((2, 2), dtype=np.float32)
-        space, arrays, bases = _setup_space(features, [0, 1], [1.5, 2.5], 2)
-        engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=2, n=2, stride_bytes=8,
-                           red_op=RedOp.SUM, bin_op=BinOp.ADD)
-        engine.execute(desc)
+        _, arrays = _execute(features, [0, 1], [1.5, 2.5], 2, e=2, n=2,
+                             stride_bytes=8, red_op=RedOp.SUM, bin_op=BinOp.ADD)
         np.testing.assert_allclose(arrays["out"], 4.0)
 
     def test_partial_row_with_padding(self):
         """E < stride elements: gathers only the leading piece (the
         Section 5.2 splitting primitive)."""
         features = np.arange(8, dtype=np.float32).reshape(2, 4)
-        space, arrays, bases = _setup_space(features, [1], [1.0], 2)
-        engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=2, n=1, stride_bytes=16, bin_op=BinOp.MUL)
-        engine.execute(desc)
+        _, arrays = _execute(features, [1], [1.0], 2, e=2, n=1, stride_bytes=16,
+                             bin_op=BinOp.MUL)
         np.testing.assert_allclose(arrays["out"][:2], features[1, :2])
 
     def test_zero_blocks_writes_zeros(self):
@@ -115,21 +96,14 @@ class TestAlgorithm4:
 
 class TestResourceLimits:
     def test_output_buffer_overflow_raises(self):
-        space, arrays, bases = _setup_space(
-            np.zeros(1024, np.float32), [0], [1.0], 600
-        )
-        engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=600, n=1, stride_bytes=2400)
         with pytest.raises(DmaError):
-            engine.execute(desc)
+            _execute(np.zeros(1024, np.float32), [0], [1.0], 600, e=600, n=1,
+                     stride_bytes=2400)
 
     def test_max_e_fits_output_buffer(self):
-        space, arrays, bases = _setup_space(
-            np.zeros(512, np.float32), [0], [1.0], 512
-        )
-        engine = DmaEngine(0, address_space=space)
-        desc = _descriptor(bases, e=512, n=1, stride_bytes=2048)
-        assert engine.execute(desc) == STATUS_OK
+        status, _ = _execute(np.zeros(512, np.float32), [0], [1.0], 512, e=512, n=1,
+                             stride_bytes=2048)
+        assert status == STATUS_OK
 
 
 class TestFailureHandling:

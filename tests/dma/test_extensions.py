@@ -3,8 +3,7 @@
 import pytest
 
 from repro.dma.extensions import (
-    aggressive_prefetch_estimate,
-    compressed_dma_estimate,
+    aggressive_prefetch_estimate, compressed_dma_estimate,
 )
 
 

@@ -22,9 +22,7 @@ def features(graph):
 class TestGatherList:
     def test_row_lengths_include_self(self, graph):
         gather = GatherList.build(graph, "gcn")
-        degs = graph.degrees()
-        rows = np.diff(gather.indptr)
-        np.testing.assert_array_equal(rows, degs + 1)
+        np.testing.assert_array_equal(np.diff(gather.indptr), graph.degrees() + 1)
 
     def test_self_entry_is_last_with_self_factor(self, graph):
         gather = GatherList.build(graph, "mean")
@@ -47,10 +45,8 @@ class TestValuePlane:
 
     def test_fused_update_matches(self, graph, features):
         rng = np.random.default_rng(3)
-        params = UpdateParams(
-            weight=(rng.standard_normal((40, 16)) * 0.2).astype(np.float32),
-            bias=rng.standard_normal(16).astype(np.float32) * 0.1,
-        )
+        params = UpdateParams(weight=(rng.standard_normal((40, 16)) * 0.2).astype(np.float32),
+                              bias=rng.standard_normal(16).astype(np.float32) * 0.1)
         runner = DmaOffloadRunner(cache_scale=0.02)
         h_out, a, report = runner.run_layer(graph, features, params=params)
         reference_a = aggregate(graph, features, "gcn")
@@ -78,10 +74,7 @@ class TestValuePlane:
         np.testing.assert_allclose(a, aggregate(graph, wide, "gcn"), atol=3e-4)
 
     def test_weight_shape_validated(self, graph, features):
-        bad = UpdateParams(
-            weight=np.zeros((8, 4), dtype=np.float32),
-            bias=np.zeros(4, dtype=np.float32),
-        )
+        bad = UpdateParams(weight=np.zeros((8, 4), np.float32), bias=np.zeros(4, np.float32))
         with pytest.raises(ValueError):
             DmaOffloadRunner(cache_scale=0.02).run_layer(graph, features, params=bad)
 
@@ -99,9 +92,7 @@ class TestTimingPlane:
     def test_engine_counts_populated(self, graph, features):
         runner = DmaOffloadRunner(cache_scale=0.02)
         _, _, report = runner.run_layer(graph, features)
-        assert report.engine_dram_lines > 0
-        assert report.engine_l3_hits > 0
-        assert report.cycles > 0
+        assert min(report.engine_dram_lines, report.engine_l3_hits, report.cycles) > 0
 
     def test_more_tracking_entries_not_slower(self, graph, features):
         slow = DmaOffloadRunner(cache_scale=0.02, tracking_entries=4)
@@ -111,10 +102,8 @@ class TestTimingPlane:
         assert r_fast.cycles <= r_slow.cycles
 
     def test_update_overlap_reported(self, graph, features):
-        params = UpdateParams(
-            weight=np.zeros((40, 40), dtype=np.float32),
-            bias=np.zeros(40, dtype=np.float32),
-        )
+        params = UpdateParams(weight=np.zeros((40, 40), np.float32),
+                              bias=np.zeros(40, np.float32))
         runner = DmaOffloadRunner(cache_scale=0.02)
         _, _, report = runner.run_layer(graph, features, params=params)
         assert report.update_cycles > 0

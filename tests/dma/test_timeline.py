@@ -3,9 +3,7 @@
 import pytest
 
 from repro.dma.timeline import (
-    DescriptorJob,
-    DmaRequestTimeline,
-    figure10_example,
+    DescriptorJob, DmaRequestTimeline, figure10_example,
 )
 
 
@@ -15,10 +13,10 @@ class TestDescriptorJob:
         assert job.total_input_lines == 12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DescriptorJob(index_lines=-1, inputs_per_index_line=1, lines_per_input=1)
-        with pytest.raises(ValueError):
-            DescriptorJob(index_lines=1, inputs_per_index_line=0, lines_per_input=1)
+        for index_lines, inputs in ((-1, 1), (1, 0)):
+            with pytest.raises(ValueError):
+                DescriptorJob(index_lines=index_lines, inputs_per_index_line=inputs,
+                              lines_per_input=1)
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +28,9 @@ def result():
 
 class TestFigure10Behaviors:
     def test_indices_issued_before_dependent_inputs(self, result):
-        first_input_issue = min(
-            e.time for e in result.events if e.kind == "issue_input"
-        )
+        first_input_issue = min(e.time for e in result.events if e.kind == "issue_input")
         first_index_complete = min(
-            e.time for e in result.events if e.kind == "complete_index"
-        )
+            e.time for e in result.events if e.kind == "complete_index")
         # No input can issue before its index line returned.
         assert first_input_issue >= first_index_complete
 
@@ -62,29 +57,20 @@ class TestFigure10Behaviors:
 
 class TestScaling:
     def _time(self, entries, jobs=None):
-        timeline = DmaRequestTimeline(
-            tracking_entries=entries, index_buffer_entries=4,
-            memory_latency=100.0, issue_interval=0.5,
-        )
-        jobs = jobs or [
-            DescriptorJob(index_lines=8, inputs_per_index_line=2, lines_per_input=2)
-            for _ in range(4)
-        ]
+        timeline = DmaRequestTimeline(tracking_entries=entries, index_buffer_entries=4,
+                                      memory_latency=100.0, issue_interval=0.5)
+        jobs = jobs or [DescriptorJob(index_lines=8, inputs_per_index_line=2,
+                                      lines_per_input=2) for _ in range(4)]
         return timeline.run(jobs).finish_time
 
     def test_more_entries_faster(self):
-        t8 = self._time(8)
-        t16 = self._time(16)
-        t32 = self._time(32)
-        assert t16 < t8
-        assert t32 <= t16
+        t8, t16, t32 = (self._time(e) for e in (8, 16, 32))
+        assert t16 < t8 and t32 <= t16
 
     def test_diminishing_returns(self):
         """The Figure 16 shape: 8->16 buys much more than 32->64."""
         t8, t16, t32, t64 = (self._time(e) for e in (8, 16, 32, 64))
-        gain_early = t8 - t16
-        gain_late = t32 - t64
-        assert gain_early > gain_late
+        assert t8 - t16 > t32 - t64
 
     def test_second_descriptor_overlaps(self):
         """Two small descriptors finish in far less than twice one
@@ -101,19 +87,14 @@ class TestScaling:
 
 class TestValidation:
     def test_bad_sizes(self):
-        with pytest.raises(ValueError):
-            DmaRequestTimeline(tracking_entries=0)
-        with pytest.raises(ValueError):
-            DmaRequestTimeline(index_buffer_entries=0)
-        with pytest.raises(ValueError):
-            DmaRequestTimeline(memory_latency=-1)
+        for bad in ({"tracking_entries": 0}, {"index_buffer_entries": 0},
+                    {"memory_latency": -1}):
+            with pytest.raises(ValueError):
+                DmaRequestTimeline(**bad)
 
     def test_empty_job_list(self):
-        result = DmaRequestTimeline().run([])
-        assert result.finish_time == 0.0
+        assert DmaRequestTimeline().run([]).finish_time == 0.0
 
     def test_zero_index_job(self):
-        result = DmaRequestTimeline().run(
-            [DescriptorJob(index_lines=0, inputs_per_index_line=1, lines_per_input=1)]
-        )
-        assert result.finish_time == 0.0
+        job = DescriptorJob(index_lines=0, inputs_per_index_line=1, lines_per_input=1)
+        assert DmaRequestTimeline().run([job]).finish_time == 0.0

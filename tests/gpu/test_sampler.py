@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu import (
-    EpochSamplingStats,
-    iterate_minibatches,
-    sample_blocks,
+    EpochSamplingStats, iterate_minibatches, sample_blocks,
     sample_neighbors,
 )
 from repro.graphs import load_dataset, star_graph
@@ -19,8 +17,7 @@ def graph():
 
 class TestSampleNeighbors:
     def test_fanout_caps_neighborhood(self, graph, rng):
-        degs = graph.degrees()
-        big = int(np.argmax(degs))
+        big = int(np.argmax(graph.degrees()))
         dst, src = sample_neighbors(graph, np.array([big]), fanout=5, rng=rng)
         # 5 sampled + the self edge.
         assert len(dst) == 6
@@ -35,8 +32,7 @@ class TestSampleNeighbors:
         assert 7 in src[dst == 7]
 
     def test_sampled_without_replacement(self, graph, rng):
-        degs = graph.degrees()
-        big = int(np.argmax(degs))
+        big = int(np.argmax(graph.degrees()))
         _, src = sample_neighbors(graph, np.array([big]), fanout=8, rng=rng)
         assert len(set(src.tolist())) == len(src)
 
@@ -72,9 +68,7 @@ class TestSampleBlocks:
 
     def test_input_vertices_property(self, graph, rng):
         batch = sample_blocks(graph, np.arange(4), (5, 5), rng)
-        np.testing.assert_array_equal(
-            batch.input_vertices, batch.blocks[0].src_vertices
-        )
+        np.testing.assert_array_equal(batch.input_vertices, batch.blocks[0].src_vertices)
 
     def test_total_edges(self, graph, rng):
         batch = sample_blocks(graph, np.arange(4), (5,), rng)
@@ -99,8 +93,7 @@ class TestEpochIteration:
     def test_epoch_stats(self, graph):
         stats = EpochSamplingStats.collect(graph, 64, (5, 5))
         assert stats.num_batches == (graph.num_vertices + 63) // 64
-        assert stats.sampled_edges > 0
-        assert stats.input_vertices > 0
+        assert stats.sampled_edges > 0 and stats.input_vertices > 0
 
     def test_larger_batches_sample_fewer_edges_total(self, graph):
         """Frontier dedup: bigger batches share sampled neighbors — the

@@ -15,8 +15,7 @@ from repro.kernels.jit import JitKernelCache, KernelSpec
 
 class TestConstruction:
     def test_from_edges_basic(self, tiny_graph):
-        assert tiny_graph.num_vertices == 5
-        assert tiny_graph.num_edges == 7
+        assert (tiny_graph.num_vertices, tiny_graph.num_edges) == (5, 7)
 
     def test_neighbors_sorted_per_row(self, tiny_graph):
         assert list(tiny_graph.neighbors(3)) == [0, 1, 2]
@@ -31,27 +30,22 @@ class TestConstruction:
 
     def test_empty_graph(self):
         graph = CSRGraph.from_edges(0, [])
-        assert graph.num_vertices == 0
-        assert graph.num_edges == 0
+        assert (graph.num_vertices, graph.num_edges) == (0, 0)
 
     def test_vertices_without_edges(self):
         graph = CSRGraph.from_edges(4, [(0, 1)])
-        assert graph.num_vertices == 4
-        assert graph.num_edges == 1
+        assert (graph.num_vertices, graph.num_edges) == (4, 1)
 
     def test_deduplication(self):
-        graph = CSRGraph.from_edges(3, [(0, 1), (0, 1), (0, 2)])
-        assert graph.num_edges == 2
+        assert CSRGraph.from_edges(3, [(0, 1), (0, 1), (0, 2)]).num_edges == 2
 
     def test_deduplication_disabled(self):
-        graph = CSRGraph.from_edges(3, [(0, 1), (0, 1)], deduplicate=False)
-        assert graph.num_edges == 2
+        assert CSRGraph.from_edges(3, [(0, 1), (0, 1)], deduplicate=False).num_edges == 2
 
     def test_out_of_range_edge_rejected(self):
-        with pytest.raises(GraphError):
-            CSRGraph.from_edges(3, [(0, 3)])
-        with pytest.raises(GraphError):
-            CSRGraph.from_edges(3, [(-1, 0)])
+        for edge in ((0, 3), (-1, 0)):
+            with pytest.raises(GraphError):
+                CSRGraph.from_edges(3, [edge])
 
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(GraphError):
@@ -77,7 +71,6 @@ class TestValidation:
 
 
 class TestDerived:
-
     def test_reverse_transposes(self, tiny_graph):
         rev = tiny_graph.transpose()
         assert rev.num_edges == tiny_graph.num_edges
@@ -102,10 +95,8 @@ class TestTranspose:
     def test_transpose_arrays_match_from_edges(self, tiny_graph):
         """transpose() must build exactly the graph from_edges would
         build from the reversed edge list (same row-sorted layout)."""
-        reversed_edges = []
-        for dst in range(tiny_graph.num_vertices):
-            for src in tiny_graph.neighbors(dst):
-                reversed_edges.append((int(src), dst))
+        reversed_edges = [(int(src), dst) for dst in range(tiny_graph.num_vertices)
+                          for src in tiny_graph.neighbors(dst)]
         expected = CSRGraph.from_edges(tiny_graph.num_vertices, reversed_edges)
         t = tiny_graph.transpose()
         np.testing.assert_array_equal(t.indptr, expected.indptr)
@@ -116,9 +107,7 @@ class TestTranspose:
         # Total edge count is preserved; the transposed in-degrees are
         # the original out-degrees (occurrence counts in indices).
         assert t.num_edges == small_uniform.num_edges
-        out_degs = np.bincount(
-            small_uniform.indices, minlength=small_uniform.num_vertices
-        )
+        out_degs = np.bincount(small_uniform.indices, minlength=small_uniform.num_vertices)
         np.testing.assert_array_equal(t.degrees(), out_degs)
         assert t.degrees().sum() == small_uniform.degrees().sum()
 
@@ -127,9 +116,7 @@ class TestTranspose:
         scattering each forward edge's destination through it must yield
         the transposed indices array."""
         t_indptr, t_indices, perm = tiny_graph.csc_arrays()
-        dst = np.repeat(
-            np.arange(tiny_graph.num_vertices), tiny_graph.degrees()
-        )
+        dst = np.repeat(np.arange(tiny_graph.num_vertices), tiny_graph.degrees())
         np.testing.assert_array_equal(dst[perm], t_indices)
         np.testing.assert_array_equal(
             tiny_graph.indices[perm],
@@ -167,9 +154,7 @@ class TestTranspose:
     def test_self_loops_survive_transpose(self):
         graph = CSRGraph.from_edges(4, [(0, 0), (1, 2), (3, 3)])
         t = graph.transpose()
-        assert 0 in t.neighbors(0)
-        assert 3 in t.neighbors(3)
-        assert 1 in t.neighbors(2)
+        assert 0 in t.neighbors(0) and 3 in t.neighbors(3) and 1 in t.neighbors(2)
 
     def test_pickling_drops_cached_transpose(self, tiny_graph):
         tiny_graph.transpose()  # populate the cache
@@ -203,12 +188,8 @@ def multigraphs(draw):
     isolated vertices all occur; V = 0 and V = 1 included."""
     n = draw(st.integers(min_value=0, max_value=30))
     degrees = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
-    indices = draw(
-        st.lists(
-            st.integers(0, max(n - 1, 0)),
-            min_size=sum(degrees), max_size=sum(degrees),
-        )
-    )
+    indices = draw(st.lists(st.integers(0, max(n - 1, 0)),
+                            min_size=sum(degrees), max_size=sum(degrees)))
     indptr = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
     return CSRGraph(indptr, np.array(indices, dtype=np.int64))
 
@@ -222,17 +203,13 @@ class TestCSCArrays:
     def test_random_multigraphs_match_the_argsort_oracle(self, graph):
         _assert_csc_matches_oracle(graph)
 
-    @pytest.mark.parametrize(
-        "indptr, indices",
-        [
-            ([0], []),  # V = 0
-            ([0, 0], []),  # V = 1, isolated
-            ([0, 3], [0, 0, 0]),  # V = 1, a tripled self loop
-            # unsorted rows, duplicates, self loops, isolated vertex 3
-            ([0, 4, 4, 7, 7, 9], [2, 0, 2, 4, 1, 2, 1, 4, 4]),
-        ],
-        ids=["v0", "v1", "v1-self-loops", "multigraph"],
-    )
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0], []),  # V = 0
+        ([0, 0], []),  # V = 1, isolated
+        ([0, 3], [0, 0, 0]),  # V = 1, a tripled self loop
+        # unsorted rows, duplicates, self loops, isolated vertex 3
+        ([0, 4, 4, 7, 7, 9], [2, 0, 2, 4, 1, 2, 1, 4, 4]),
+    ], ids=["v0", "v1", "v1-self-loops", "multigraph"])
     def test_edge_cases(self, indptr, indices):
         _assert_csc_matches_oracle(CSRGraph(np.array(indptr), np.array(indices)))
 
@@ -245,7 +222,6 @@ class TestTransposeEviction:
     same weakref-eviction contract the forward cache established."""
 
     def test_backward_entries_evicted_when_graph_dies(self):
-
         cache = JitKernelCache()
         graph = uniform_graph(30, avg_degree=3.0, seed=2)
         cache.specialize_backward(graph, KernelSpec(4, "gcn"))
@@ -257,19 +233,14 @@ class TestTransposeEviction:
 
 
 @settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=20),
-    edges=st.lists(
-        st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60
-    ),
-)
+@given(n=st.integers(min_value=1, max_value=20),
+       edges=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60))
 def test_from_edges_property(n, edges):
     """Any in-range edge list builds a valid graph with exact edge count."""
     edges = [(d % n, s % n) for d, s in edges]
     graph = CSRGraph.from_edges(n, edges)
     graph.validate()
-    assert graph.num_vertices == n
-    assert graph.num_edges == len(set(edges))
+    assert (graph.num_vertices, graph.num_edges) == (n, len(set(edges)))
     # Every edge is present exactly where expected.
     for dst, src in set(edges):
         assert src in graph.neighbors(dst)

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
-    DATASET_NAMES,
-    SPECS,
-    input_feature_size,
-    load_dataset,
+    DATASET_NAMES, SPECS, input_feature_size, load_dataset,
     synthetic_features,
 )
 from repro.graphs.stats import skew

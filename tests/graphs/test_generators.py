@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
-    chain_graph,
-    community_graph,
-    grid_graph,
-    planted_partition_graph,
-    power_law_graph,
-    star_graph,
+    community_graph, grid_graph, planted_partition_graph, power_law_graph,
     uniform_graph,
 )
 from repro.graphs.stats import skew
@@ -22,14 +17,12 @@ class TestUniform:
         assert 5.0 < graph.num_edges / 500 <= 8.0  # dedup trims a little
 
     def test_deterministic(self):
-        a = uniform_graph(100, 4.0, seed=5)
-        b = uniform_graph(100, 4.0, seed=5)
-        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(uniform_graph(100, 4.0, seed=5).indices,
+                                      uniform_graph(100, 4.0, seed=5).indices)
 
     def test_different_seeds_differ(self):
-        a = uniform_graph(100, 4.0, seed=1)
-        b = uniform_graph(100, 4.0, seed=2)
-        assert not np.array_equal(a.indices, b.indices)
+        assert not np.array_equal(uniform_graph(100, 4.0, seed=1).indices,
+                                  uniform_graph(100, 4.0, seed=2).indices)
 
 
 class TestPowerLaw:
@@ -52,17 +45,13 @@ class TestPowerLaw:
 
 class TestGrid:
     def test_interior_degree_four(self):
-        graph = grid_graph(5)
-        assert graph.degree(12) == 4  # center vertex
+        assert grid_graph(5).degree(12) == 4  # center vertex
 
     def test_corner_degree_two(self):
-        graph = grid_graph(5)
-        assert graph.degree(0) == 2
+        assert grid_graph(5).degree(0) == 2
 
     def test_edge_count(self):
-        graph = grid_graph(4)
-        # 2 * 2 * side * (side-1) directed edges.
-        assert graph.num_edges == 2 * 2 * 4 * 3
+        assert grid_graph(4).num_edges == 2 * 2 * 4 * 3  # 2 * 2 * side * (side-1)
 
 
 class TestStarChain:
@@ -80,16 +69,13 @@ class TestStarChain:
 
 class TestPlantedPartition:
     def test_labels_shape(self):
-        graph, labels = planted_partition_graph(200, 4, p_in=0.1, p_out=0.005, seed=0)
-        assert labels.shape == (200,)
-        assert labels.max() < 4
+        _, labels = planted_partition_graph(200, 4, p_in=0.1, p_out=0.005, seed=0)
+        assert labels.shape == (200,) and labels.max() < 4
 
     def test_within_class_edges_dominate(self):
         graph, labels = planted_partition_graph(300, 3, p_in=0.08, p_out=0.004, seed=1)
-        within = 0
-        for v in range(graph.num_vertices):
-            for u in graph.neighbors(v):
-                within += labels[v] == labels[u]
+        within = sum(labels[v] == labels[u] for v in range(graph.num_vertices)
+                     for u in graph.neighbors(v))
         assert within / graph.num_edges > 0.6
 
     def test_symmetric(self):
@@ -122,9 +108,8 @@ class TestCommunityGraph:
         assert 0.75 * 20 <= achieved <= 1.35 * 20
 
     def test_deterministic(self):
-        a = community_graph(256, 10.0, 16, seed=9)
-        b = community_graph(256, 10.0, 16, seed=9)
-        np.testing.assert_array_equal(a.indices, b.indices)
+        np.testing.assert_array_equal(community_graph(256, 10.0, 16, seed=9).indices,
+                                      community_graph(256, 10.0, 16, seed=9).indices)
 
     def test_contiguous_communities_share_neighbors(self):
         """Without scattering, adjacent vertex ids share many sources."""
@@ -139,17 +124,15 @@ class TestCommunityGraph:
         full = adjacent_overlap(community_graph(scatter_ids=True, **BLOCKS))
         none = adjacent_overlap(community_graph(scatter_ids=False, **BLOCKS))
         partial = adjacent_overlap(
-            community_graph(scatter_ids=True, scatter_fraction=0.3, **BLOCKS)
-        )
+            community_graph(scatter_ids=True, scatter_fraction=0.3, **BLOCKS))
         assert full < partial < none
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            community_graph(64, 4.0, community_size=1)
-        with pytest.raises(ValueError):
-            community_graph(64, 4.0, community_size=8, within_fraction=1.5)
-        with pytest.raises(ValueError):
-            community_graph(64, 4.0, community_size=8, scatter_fraction=-0.1)
+        for bad in ({"community_size": 1},
+                    {"community_size": 8, "within_fraction": 1.5},
+                    {"community_size": 8, "scatter_fraction": -0.1}):
+            with pytest.raises(ValueError):
+                community_graph(64, 4.0, **bad)
 
     def test_no_self_edges_within_communities(self):
         graph = community_graph(256, 12.0, 16, within_fraction=1.0, seed=0)

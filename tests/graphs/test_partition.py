@@ -6,29 +6,14 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
-    CSRGraph,
-    GraphError,
-    apply_order,
-    community_graph,
-    grid_graph,
-    load_dataset,
-    power_law_graph,
-    star_graph,
-    uniform_graph,
+    CSRGraph, GraphError, apply_order, community_graph, grid_graph,
+    load_dataset, power_law_graph, star_graph, uniform_graph,
 )
 from repro.graphs.partition import (
-    PARTITION_METHODS,
-    PartitionResult,
-    _bfs_assignment,
-    _greedy_assignment,
-    _undirected_csr,
-    balance_comparison,
-    build_shards,
-    dynamic_schedule,
-    edge_cut_partition,
-    static_cyclic_schedule,
-    static_schedule,
-    task_weights,
+    PARTITION_METHODS, PartitionResult, _bfs_assignment,
+    _greedy_assignment, _undirected_csr, balance_comparison, build_shards,
+    dynamic_schedule, edge_cut_partition, static_cyclic_schedule,
+    static_schedule, task_weights,
 )
 
 
@@ -38,9 +23,7 @@ class TestTaskWeights:
         assert weights.sum() == small_uniform.num_edges + small_uniform.num_vertices
 
     def test_task_count(self, small_uniform):
-        weights = task_weights(small_uniform, 16)
-        n = small_uniform.num_vertices
-        assert len(weights) == (n + 15) // 16
+        assert len(task_weights(small_uniform, 16)) == (small_uniform.num_vertices + 15) // 16
 
     def test_order_reshuffles_weights(self):
         """Section 4.4's order is a relabel of the graph: the hub's
@@ -65,10 +48,8 @@ class TestTaskWeights:
         expected = np.zeros(num_tasks)
         for task in range(num_tasks):
             lo = task * task_size
-            hi = min(lo + task_size, n)
-            expected[task] = float((degs[lo:hi] + 1).sum())
-        got = task_weights(small_products, task_size)
-        np.testing.assert_array_equal(got, expected)
+            expected[task] = float((degs[lo:min(lo + task_size, n)] + 1).sum())
+        np.testing.assert_array_equal(task_weights(small_products, task_size), expected)
 
 
 class TestSchedules:
@@ -93,24 +74,18 @@ class TestSchedules:
     def test_work_conserved(self):
         graph = load_dataset("products", scale=0.1, seed=0)
         weights = task_weights(graph, 32)
-        static = static_schedule(weights, 8)
-        dynamic = dynamic_schedule(weights, 8)
-        assert static.thread_work.sum() == pytest.approx(weights.sum())
-        assert dynamic.thread_work.sum() == pytest.approx(weights.sum())
+        for schedule in (static_schedule, dynamic_schedule):
+            assert schedule(weights, 8).thread_work.sum() == pytest.approx(weights.sum())
 
     def test_single_thread_degenerate(self):
         weights = np.array([3.0, 5.0])
         report = dynamic_schedule(weights, 1)
-        assert report.makespan == 8.0
-        assert report.imbalance == 1.0
+        assert (report.makespan, report.imbalance) == (8.0, 1.0)
 
     def test_invalid_threads(self):
-        with pytest.raises(ValueError):
-            static_schedule(np.array([1.0]), 0)
-        with pytest.raises(ValueError):
-            dynamic_schedule(np.array([1.0]), 0)
-        with pytest.raises(ValueError):
-            static_cyclic_schedule(np.array([1.0]), 0)
+        for schedule in (static_schedule, dynamic_schedule, static_cyclic_schedule):
+            with pytest.raises(ValueError):
+                schedule(np.array([1.0]), 0)
 
     def test_static_assigns_contiguous_blocks(self):
         """OpenMP ``schedule(static)`` gives each thread ONE contiguous
@@ -118,19 +93,13 @@ class TestSchedules:
         weights = np.arange(1.0, 8.0)  # 7 tasks, 3 threads -> block of 3
         report = static_schedule(weights, 3)
         assert report.policy == "static"
-        np.testing.assert_array_equal(
-            report.thread_work,
-            [1 + 2 + 3, 4 + 5 + 6, 7.0],
-        )
+        np.testing.assert_array_equal(report.thread_work, [1 + 2 + 3, 4 + 5 + 6, 7.0])
 
     def test_cyclic_assigns_round_robin(self):
         weights = np.arange(1.0, 8.0)
         report = static_cyclic_schedule(weights, 3)
         assert report.policy == "static_cyclic"
-        np.testing.assert_array_equal(
-            report.thread_work,
-            [1 + 4 + 7, 2 + 5, 3 + 6],
-        )
+        np.testing.assert_array_equal(report.thread_work, [1 + 4 + 7, 2 + 5, 3 + 6])
 
     def test_block_and_cyclic_differ_on_sorted_weights(self):
         """Monotone weights are the tell: blocks concentrate the heavy
@@ -153,8 +122,7 @@ class TestEdgeCutPartition:
     def test_every_vertex_assigned(self, small_community, method):
         result = edge_cut_partition(small_community, 4, method=method)
         assert result.assignment.shape == (small_community.num_vertices,)
-        assert result.assignment.min() >= 0
-        assert result.assignment.max() < 4
+        assert 0 <= result.assignment.min() and result.assignment.max() < 4
         assert result.part_sizes().sum() == small_community.num_vertices
 
     @pytest.mark.parametrize("method", PARTITION_METHODS)
@@ -174,9 +142,8 @@ class TestEdgeCutPartition:
         """Community graphs reorder vertices randomly, so contiguous
         blocks cut almost everything; BFS/greedy must recover most of
         the community structure."""
-        graph = community_graph(
-            400, avg_degree=8.0, community_size=100, within_fraction=0.95, seed=7
-        )
+        graph = community_graph(400, avg_degree=8.0, community_size=100,
+                                within_fraction=0.95, seed=7)
         contiguous = edge_cut_partition(graph, 4, method="contiguous")
         for method in ("bfs", "greedy"):
             result = edge_cut_partition(graph, 4, method=method)
@@ -200,16 +167,13 @@ class TestEdgeCutPartition:
     def test_single_part(self, small_uniform):
         result = edge_cut_partition(small_uniform, 1)
         assert (result.assignment == 0).all()
-        assert result.edge_cut(small_uniform) == 0
-        assert result.cut_fraction(small_uniform) == 0.0
+        assert (result.edge_cut(small_uniform), result.cut_fraction(small_uniform)) == (0, 0.0)
 
     def test_errors(self, small_uniform):
-        with pytest.raises(ValueError):
-            edge_cut_partition(small_uniform, 0)
-        with pytest.raises(ValueError):
-            edge_cut_partition(small_uniform, small_uniform.num_vertices + 1)
-        with pytest.raises(ValueError):
-            edge_cut_partition(small_uniform, 2, method="metis")
+        for parts, method in ((0, "greedy"), (small_uniform.num_vertices + 1, "greedy"),
+                              (2, "metis")):
+            with pytest.raises(ValueError):
+                edge_cut_partition(small_uniform, parts, method=method)
 
     def test_cut_fraction_matches_brute_force(self, tiny_graph):
         result = edge_cut_partition(tiny_graph, 2, method="contiguous")
@@ -278,9 +242,8 @@ def _with_isolated(graph, extra):
 
 GRAPH_FAMILIES = {
     "power_law": lambda seed: power_law_graph(150, avg_degree=3.0, seed=seed),
-    "community": lambda seed: community_graph(
-        160, avg_degree=4.0, community_size=40, seed=seed
-    ),
+    "community": lambda seed: community_graph(160, avg_degree=4.0,
+                                              community_size=40, seed=seed),
     # Sparse enough that some vertices are isolated; the 7 extra
     # ones are isolated for sure.
     "uniform": lambda seed: _with_isolated(uniform_graph(120, 1.0, seed=seed), 7),
@@ -320,10 +283,8 @@ class TestPartitionDeterminism:
             isolated_seen |= bool((np.diff(undirected[0]) == 0).any())
             got = _greedy_assignment(undirected, parts, capacities)
             assert got.dtype == np.int64
-            np.testing.assert_array_equal(
-                got, _ldg_oracle(undirected, parts, capacities),
-                err_msg=f"{family} seed {seed}",
-            )
+            np.testing.assert_array_equal(got, _ldg_oracle(undirected, parts, capacities),
+                                          err_msg=f"{family} seed {seed}")
         if family == "uniform":
             assert isolated_seen  # the no-neighbour penalty branch ran
 
@@ -357,19 +318,16 @@ class TestPartitionDeterminism:
 class TestBuildShards:
     @pytest.fixture(scope="class")
     def sharded(self, small_community):
-        result = edge_cut_partition(small_community, 3, method="greedy")
-        return small_community, result.assignment, build_shards(
-            small_community, result.assignment
-        )
+        assignment = edge_cut_partition(small_community, 3, method="greedy").assignment
+        return small_community, assignment, build_shards(small_community, assignment)
 
     def test_locals_cover_all_vertices(self, sharded):
         graph, assignment, shards = sharded
         union = np.concatenate([s.local_vertices for s in shards])
         np.testing.assert_array_equal(np.sort(union), np.arange(graph.num_vertices))
         for shard in shards:
-            np.testing.assert_array_equal(
-                shard.local_vertices, np.sort(shard.local_vertices)
-            )
+            np.testing.assert_array_equal(shard.local_vertices,
+                                          np.sort(shard.local_vertices))
             assert (assignment[shard.local_vertices] == shard.part).all()
 
     def test_halo_is_exactly_remote_in_neighbors(self, sharded):
@@ -390,12 +348,9 @@ class TestBuildShards:
         graph, _, shards = sharded
         for shard in shards:
             vocab = np.concatenate([shard.local_vertices, shard.halo_vertices])
-            assert shard.indices.min() >= 0
-            assert shard.indices.max() < len(vocab)
-            decoded = vocab[shard.indices]
-            np.testing.assert_array_equal(
-                decoded, graph.indices[shard.edge_positions]
-            )
+            assert 0 <= shard.indices.min() and shard.indices.max() < len(vocab)
+            np.testing.assert_array_equal(vocab[shard.indices],
+                                          graph.indices[shard.edge_positions])
 
     def test_edge_positions_restrict_per_edge_arrays(self, sharded):
         graph, _, shards = sharded
@@ -408,9 +363,7 @@ class TestBuildShards:
         graph, _, shards = sharded
         degs = graph.degrees()
         for shard in shards:
-            np.testing.assert_array_equal(
-                np.diff(shard.indptr), degs[shard.local_vertices]
-            )
+            np.testing.assert_array_equal(np.diff(shard.indptr), degs[shard.local_vertices])
             assert shard.indptr[-1] == shard.num_edges
 
     def test_length_mismatch_raises(self, small_uniform):

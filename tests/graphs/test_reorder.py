@@ -6,27 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import (
-    CSRGraph,
-    apply_order,
-    degree_sorted_order,
-    is_permutation,
-    locality_order,
-    natural_order,
-    randomized_order,
-    uniform_graph,
+    CSRGraph, apply_order, degree_sorted_order, is_permutation,
+    locality_order, natural_order, randomized_order, uniform_graph,
 )
 from repro.perf.reuse import reuse_profile
 
 
 class TestBasicOrders:
     def test_natural_is_identity(self, tiny_graph):
-        np.testing.assert_array_equal(
-            natural_order(tiny_graph), np.arange(tiny_graph.num_vertices)
-        )
+        np.testing.assert_array_equal(natural_order(tiny_graph),
+                                      np.arange(tiny_graph.num_vertices))
 
     def test_randomized_is_permutation(self, small_uniform):
-        order = randomized_order(small_uniform, seed=3)
-        assert is_permutation(order, small_uniform.num_vertices)
+        assert is_permutation(randomized_order(small_uniform, seed=3),
+                              small_uniform.num_vertices)
 
     def test_randomized_deterministic_per_seed(self, small_uniform):
         a = randomized_order(small_uniform, seed=3)
@@ -43,22 +36,18 @@ class TestBasicOrders:
 
 class TestLocalityOrder:
     def test_is_permutation(self, small_community):
-        order = locality_order(small_community)
-        assert is_permutation(order, small_community.num_vertices)
+        assert is_permutation(locality_order(small_community),
+                              small_community.num_vertices)
 
     def test_star_groups_leaves_with_hub(self, star10):
         """Every leaf's only (and max-degree) neighbor is the hub, so all
         leaves join L[hub] and appear contiguously (Algorithm 3)."""
         order = locality_order(star10)
-        # The hub has degree 10; leaves have degree 1 -> the hub's own
-        # owner is itself; leaves' owner is the hub.  All 11 vertices end
-        # up in one group, emitted contiguously.
+        # The hub owns itself and every leaf: one group of 11.
         assert is_permutation(order, 11)
 
     def test_isolated_vertices_own_themselves(self):
-        graph = CSRGraph.from_edges(4, [(0, 1)])
-        order = locality_order(graph)
-        assert is_permutation(order, 4)
+        assert is_permutation(locality_order(CSRGraph.from_edges(4, [(0, 1)])), 4)
 
     def test_groups_are_contiguous(self, small_community):
         """All vertices owned by the same hub appear consecutively in M."""
@@ -76,9 +65,7 @@ class TestLocalityOrder:
 
     def test_linear_time_complexity_smoke(self):
         """Large-ish graph completes quickly (O(|V| + |E|))."""
-        graph = uniform_graph(5000, 8.0, seed=0)
-        order = locality_order(graph)
-        assert is_permutation(order, 5000)
+        assert is_permutation(locality_order(uniform_graph(5000, 8.0, seed=0)), 5000)
 
     @staticmethod
     def _reference_owner(graph):
@@ -104,29 +91,26 @@ class TestLocalityOrder:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_vectorized_matches_reference_loop(self, seed):
         graph = uniform_graph(200, avg_degree=5.0, seed=seed)
-        np.testing.assert_array_equal(
-            locality_order(graph), self._reference_owner_loop(graph)
-        )
+        np.testing.assert_array_equal(locality_order(graph),
+                                      self._reference_owner_loop(graph))
 
     def test_vectorized_matches_reference_loop_on_shapes(
         self, tiny_graph, star10, chain20, small_community
     ):
         for graph in (tiny_graph, star10, chain20, small_community):
-            np.testing.assert_array_equal(
-                locality_order(graph), self._reference_owner_loop(graph)
-            )
+            np.testing.assert_array_equal(locality_order(graph),
+                                          self._reference_owner_loop(graph))
 
     def test_empty_graph(self):
-        graph = CSRGraph.from_edges(0, [])
-        assert len(locality_order(graph)) == 0
+        assert len(locality_order(CSRGraph.from_edges(0, []))) == 0
 
 
 class TestApplyOrder:
     def test_preserves_counts(self, small_uniform):
         order = randomized_order(small_uniform, seed=1)
         relabeled = apply_order(small_uniform, order)
-        assert relabeled.num_vertices == small_uniform.num_vertices
-        assert relabeled.num_edges == small_uniform.num_edges
+        assert (relabeled.num_vertices, relabeled.num_edges) == (
+            small_uniform.num_vertices, small_uniform.num_edges)
 
     def test_preserves_structure(self, tiny_graph):
         order = np.array([4, 3, 2, 1, 0])
@@ -145,18 +129,16 @@ class TestApplyOrder:
             apply_order(tiny_graph, np.array([0, 0, 1, 2, 3]))
 
     def test_rejects_out_of_range(self, tiny_graph):
-        with pytest.raises(ValueError):
-            apply_order(tiny_graph, np.array([0, 1, 2, 3, 5]))
-        with pytest.raises(ValueError):
-            apply_order(tiny_graph, np.array([-1, 0, 1, 2, 3]))
+        for order in ([0, 1, 2, 3, 5], [-1, 0, 1, 2, 3]):
+            with pytest.raises(ValueError):
+                apply_order(tiny_graph, np.array(order))
 
     def test_rejects_wrong_length(self, tiny_graph):
         with pytest.raises(ValueError):
             apply_order(tiny_graph, np.array([0, 1, 2]))
 
     def test_degree_multiset_preserved(self, small_community):
-        order = locality_order(small_community)
-        relabeled = apply_order(small_community, order)
+        relabeled = apply_order(small_community, locality_order(small_community))
         assert sorted(relabeled.degrees()) == sorted(small_community.degrees())
 
 
@@ -175,10 +157,8 @@ class TestIsPermutation:
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(min_value=2, max_value=30),
-    seed=st.integers(min_value=0, max_value=1000),
-)
+@given(n=st.integers(min_value=2, max_value=30),
+       seed=st.integers(min_value=0, max_value=1000))
 def test_locality_order_always_permutation(n, seed):
     graph = uniform_graph(n, avg_degree=3.0, seed=seed)
     assert is_permutation(locality_order(graph), n)

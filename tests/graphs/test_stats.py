@@ -2,13 +2,7 @@
 
 import numpy as np
 
-from repro.graphs import (
-    CSRGraph,
-    graph_stats,
-    skew,
-    star_graph,
-    uniform_graph,
-)
+from repro.graphs import CSRGraph, graph_stats, skew
 
 
 class TestGraphStats:

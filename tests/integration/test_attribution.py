@@ -1,17 +1,10 @@
-"""Integration: the cost model's DRAM traffic reconciles with the cache sim.
-
-The paper's variants are priced by the cost model
-(:func:`repro.perf.cost_model.kernel_cost`) and replayed by the
-trace-driven cache simulator (:class:`repro.sim.CoreAggregationSim`).
-On one seeded synthetic twin in the compulsory-dominated regime (the
-whole working set fits in L2/L3), the two planes count the same DRAM
-bytes up to line-granularity rounding, so their per-pass aggregation
-traffic must agree within ``DEFAULT_TRAFFIC_TOLERANCE`` for basic,
-fusion and compression — and fusion's aggregation traffic must sit
-strictly below basic's on both planes (the Section 4.2 claim that fusion
-removes the ``a`` round trip), compression's below basic's (Section
-4.3).  A traced run of the value-plane kernel is attributed alongside;
-the simulator records no span of its own.
+"""The cost model's DRAM traffic reconciles with the cache simulator's on
+one seeded twin in the compulsory-dominated regime (the working set fits
+in L2/L3): basic, fusion and compression agree within
+``DEFAULT_TRAFFIC_TOLERANCE``, and fusion (Section 4.2) and compression
+(Section 4.3) move fewer bytes than basic.  A traced run of the
+value-plane kernel is attributed alongside; the simulator records no
+span of its own.
 """
 
 import pytest
@@ -60,18 +53,12 @@ def planes(telemetry):
         eff = compressed_effective_feature_len(FEATURES, traffic_ratio(SPARSITY))
         sim_bytes = {
             "basic": sim.run(graph, FEATURES).dram_bytes,
-            "fusion": sim.run(
-                graph,
-                FEATURES,
-                fused_update_features=HIDDEN,
-                reuse_output_buffer=True,
-            ).dram_bytes,
+            "fusion": sim.run(graph, FEATURES, fused_update_features=HIDDEN,
+                              reuse_output_buffer=True).dram_bytes,
             "compression": sim.run(graph, eff).dram_bytes,
         }
-        records = [
-            span.to_record()
-            for span in sorted(tracer.spans(), key=lambda s: s.span_id)
-        ]
+        records = [span.to_record()
+                   for span in sorted(tracer.spans(), key=lambda s: s.span_id)]
 
     # Huge capacity -> the model's gather hit rate is the compulsory
     # bound (every repeat access hits), matching the fits-in-cache sim.
@@ -82,10 +69,8 @@ def planes(telemetry):
         spec = VARIANTS[variant]
         shape = LayerShape(graph.num_vertices, graph.num_edges, FEATURES, f_out)
         # Fused inference keeps ``a`` in a reusable buffer (Figure 5c).
-        cost = kernel_cost(
-            machine, spec, shape, cost_model.hit_rate(spec.order), SPARSITY,
-            write_a=not spec.fused,
-        )
+        cost = kernel_cost(machine, spec, shape, cost_model.hit_rate(spec.order),
+                           SPARSITY, write_a=not spec.fused)
         model_bytes[variant] = cost.phases["aggregation"].dram_total
     report = attribute_run(records, cost_model=cost_model, sparsity=SPARSITY)
     return model_bytes, sim_bytes, report, records, h

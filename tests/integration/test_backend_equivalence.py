@@ -1,27 +1,16 @@
-"""Differential test harness: every lane count is provably equivalent.
-
-The full matrix — variant x aggregator x vertex labelling x lane count —
-must produce the same answer.  The variants are the paper's as the value
-plane runs them: ``basic`` is :class:`BasicKernel`'s pass, ``fusion``
-(S2) that pass followed by the layer's sweep over row blocks
-(:func:`repro.nn.layers.output_sweep`), ``compression`` (S3) the pass
-over the mask-compressed format's round trip, ``combined`` both.  Section 4.4's processing orders enter as
-relabels of the graph (:func:`repro.graphs.apply_order`), the way every
-value-plane kernel takes them.  Two levels of equivalence are enforced
-on seeded random power-law graphs (the degree skew the paper's dynamic
-scheduler exists for):
+"""Every lane count computes the same answer: variant (basic, S2 fusion,
+S3 compression, combined) x aggregator x vertex labelling (Section 4.4's
+orders as relabels) x lane count, on seeded power-law graphs.
 
 * **bitwise** across lane counts: every lane cuts an output range (rows
   of a pass, whole chunks of a sweep's blocks), so each vertex row is
-  computed by the same operator call and the same block GEMM whichever
-  lane runs it, and one lane and N lanes must be ``np.array_equal`` —
-  not merely close;
-* **numeric** against the dense SpMM reference oracle
-  (:func:`repro.nn.aggregate`), up to fp32 reduction-order noise.
+  computed by the same operator call and block GEMM whichever lane runs
+  it, and one lane and N lanes must be ``np.array_equal``;
+* **numeric** against the dense SpMM oracle (:func:`repro.nn.aggregate`),
+  up to fp32 reduction-order noise.
 
-Every test runs under the ``always_split`` fixture, so the lanes split
-however small the pass.  A determinism section re-runs the four-lane
-pass and requires bitwise-identical outputs and identical counters.
+Every test runs under ``always_split``, so the lanes split however small
+the pass.
 """
 
 import numpy as np
@@ -53,16 +42,9 @@ def _features(graph, seed):
 
 def _comparable_counters(stats):
     """Every deterministic work counter (wall time is a measurement)."""
-    counters = {
-        "gathers": stats.gathers,
-        "flops": stats.flops,
-        "prefetches": stats.prefetches,
-        "tasks": stats.tasks,
-        "jit_compilations": stats.jit_compilations,
-    }
-    counters.update(
-        {k: v for k, v in stats.extra.items() if k != "wall_time_s"}
-    )
+    counters = {name: getattr(stats, name) for name in (
+        "gathers", "flops", "prefetches", "tasks", "jit_compilations")}
+    counters.update({k: v for k, v in stats.extra.items() if k != "wall_time_s"})
     return counters
 
 

@@ -1,18 +1,10 @@
-"""Kernel-vs-oracle differential suite.
-
-The value plane runs one kernel — :class:`BasicKernel`, one
-:class:`~repro.kernels.segment.ScaledCSR` call per pass — and this suite
-is its contract: forward and backward, every aggregator, on the graph
-relabelled by each Section 4.4 processing order, it computes the same
-rows as the per-vertex fp64 oracles (:func:`gather_reduce_reference` /
-:func:`aggregate_backward_reference`).  The paper's other value-plane
-variants are pinned against the same oracles as they run now: fusion
-(S2) is that pass followed by the layer's block sweep, compression (S3)
-feeds it the mask-compressed format's round trip, and combined does
-both.  The work counters equal their closed forms (not merely something
-plausible), the degenerate shapes — empty graph, edgeless graph, single
-vertex, all-zero features — agree too, and training is bitwise
-reproducible across lane counts.
+"""Kernel-vs-oracle differential suite: :class:`BasicKernel`, forward
+and backward, every aggregator, on the graph relabelled by each Section
+4.4 order, computes the rows of the per-vertex fp64 oracles; so do
+fusion (S2: the pass, then the block sweep), compression (S3: the pass
+over the format's round trip) and combined.  The work counters equal
+their closed forms, the degenerate shapes agree too, and training is
+bitwise reproducible across lane counts.
 """
 
 import numpy as np
@@ -24,8 +16,7 @@ from repro.kernels import (
 )
 from repro.nn import Adam, GNNLayer, Trainer, build_model
 from repro.nn.aggregate import (
-    aggregate_backward_reference,
-    gather_reduce_reference,
+    aggregate_backward_reference, gather_reduce_reference,
 )
 
 AGGREGATORS = ("gcn", "mean", "sum")
@@ -102,20 +93,23 @@ def expected_prefetches(degrees, distance):
 
 class TestClosedFormCounters:
     """The counters are the time plane's inputs, so they are pinned to
-    closed forms of the graph — "plausible" is not good enough.  Each
-    runs on the randomized relabel, whose degree sequence the look-ahead
-    walks.  ``T`` is the kernel's fixed 64."""
+    closed forms of the randomized relabel, whose degree sequence the
+    look-ahead walks (``T`` is the kernel's fixed 64)."""
 
     @pytest.fixture
     def shuffled(self, graph, features, relabel):
         return relabel(graph, features, "randomized")[0]
 
+    @staticmethod
+    def totals(stats, graph):
+        n = graph.num_vertices
+        assert stats.gathers == graph.num_edges + n
+        assert stats.tasks == -(-n // TASK_SIZE)
+
     def test_basic_counters_exact(self, shuffled, features):
         kernel = BasicKernel(prefetch_distance=3)
         _, stats = kernel.aggregate(shuffled, features, "gcn")
-        n = shuffled.num_vertices
-        assert stats.gathers == shuffled.num_edges + n
-        assert stats.tasks == -(-n // TASK_SIZE)
+        self.totals(stats, shuffled)
         assert stats.prefetches == expected_prefetches(shuffled.degrees(), 3) > 0
         assert stats.flops == 2.0 * stats.gathers * features.shape[1]
 
@@ -126,9 +120,7 @@ class TestClosedFormCounters:
         grad_a = rng.standard_normal((shuffled.num_vertices, 10)).astype(np.float32)
         kernel = BasicKernel()
         _, stats = kernel.aggregate_backward(shuffled, grad_a, "gcn")
-        n = shuffled.num_vertices
-        assert stats.gathers == shuffled.num_edges + n
-        assert stats.tasks == -(-n // TASK_SIZE)
+        self.totals(stats, shuffled)
         transposed = shuffled.transpose().degrees()
         assert not np.array_equal(transposed, shuffled.degrees())
         assert stats.prefetches == expected_prefetches(
@@ -136,39 +128,36 @@ class TestClosedFormCounters:
         )
 
 
+def _agrees(graph, h, aggregator="gcn", atol=ATOL):
+    """The kernel's pass equals the fp64 oracle's; its stats."""
+    out, stats = BasicKernel().aggregate(graph, h, aggregator)
+    reference = gather_reduce_reference(graph, h, aggregator)
+    np.testing.assert_allclose(out, reference, atol=atol)
+    return stats
+
+
 class TestDegenerateShapes:
     def test_empty_graph(self):
         graph = CSRGraph.from_edges(0, [])
-        h = np.zeros((0, 4), dtype=np.float32)
-        out, stats = BasicKernel().aggregate(graph, h, "gcn")
+        out, stats = BasicKernel().aggregate(graph, np.zeros((0, 4), np.float32))
         assert out.shape == (0, 4)
         assert stats.gathers == 0
 
     def test_single_vertex(self):
-        graph = CSRGraph.from_edges(1, [])
-        h = np.full((1, 3), 2.0, dtype=np.float32)
-        out, _ = BasicKernel().aggregate(graph, h, "gcn")
-        np.testing.assert_allclose(out, gather_reduce_reference(graph, h, "gcn"))
+        _agrees(CSRGraph.from_edges(1, []), np.full((1, 3), 2.0, np.float32),
+                atol=0)
 
     def test_isolated_vertices(self):
         """Edgeless graph: every output row is the scaled self term."""
         graph = CSRGraph.from_edges(6, [])
-        h = synthetic_features(graph, 5, seed=1)
         for aggregator in AGGREGATORS:
-            out, _ = BasicKernel().aggregate(graph, h, aggregator)
-            np.testing.assert_allclose(
-                out, gather_reduce_reference(graph, h, aggregator), atol=ATOL
-            )
+            _agrees(graph, synthetic_features(graph, 5, seed=1), aggregator)
 
     def test_mixed_isolated_and_connected(self):
         graph = CSRGraph.from_edges(5, [(0, 1), (0, 2), (3, 0)])
         h = synthetic_features(graph, 4, seed=2)
         for order in (np.arange(5), np.array([4, 0, 3, 1, 2])):
-            relabelled, x = apply_order(graph, order), h[order]
-            out, _ = BasicKernel().aggregate(relabelled, x, "mean")
-            np.testing.assert_allclose(
-                out, gather_reduce_reference(relabelled, x, "mean"), atol=ATOL
-            )
+            _agrees(apply_order(graph, order), h[order], "mean")
 
     def test_all_zero_feature_rows(self, graph):
         h = np.zeros((graph.num_vertices, 6), dtype=np.float32)

@@ -1,12 +1,7 @@
-"""Differential suite for partition-parallel sharded training.
-
-The sharded trainer re-executes full-batch GCN training as K cooperating
-shard workers over one shared-memory arena.  Its contract: the math is
-the *same* training run — the per-shard segment-reduce accumulates each
-row as the full-graph kernel does, and the parent sums partial gradients
-in a fixed worker order.  This suite pins that equivalence against the single-process ``Trainer``,
-pins the process backend bitwise against the in-process serial backend,
-and pins the one phase schedule both backends run.
+"""Sharded training is the *same* training run as ``Trainer``: each
+shard's segment-reduce accumulates a row as the full-graph kernel does,
+and the parent sums partial gradients in worker order.  The process
+backend matches the serial one bitwise, and both run one phase schedule.
 """
 
 import os
@@ -60,10 +55,8 @@ def _model(graph, seed=0):
 
 def _trainer(graph, model=None, num_shards=2, backend="process"):
     model = model or _model(graph)
-    return ShardedTrainer(
-        graph, model, Adam(model, lr=0.01), num_shards=num_shards,
-        backend=backend,
-    )
+    return ShardedTrainer(graph, model, Adam(model, lr=0.01),
+                          num_shards=num_shards, backend=backend)
 
 
 def _assert_same_losses(history, reference):
@@ -83,64 +76,50 @@ def _reference(graph, features, labels, epochs=EPOCHS, **fit_kwargs):
     return history, model
 
 
-def _sharded(
-    graph, features, labels, epochs=EPOCHS, fit_kwargs=None, **kwargs
-):
+@pytest.fixture(scope="module")
+def reference(graph, features, labels):
+    """``Trainer``'s run of the defaults: ``(history, model)``."""
+    return _reference(graph, features, labels)
+
+
+def _sharded(graph, features, labels, epochs=EPOCHS, fit_kwargs=None, **kwargs):
     model = _model(graph)
     kwargs.setdefault("num_shards", 3)
-    trainer = ShardedTrainer(graph, model, Adam(model, lr=0.01), **kwargs)
-    with trainer:
-        history = trainer.fit(
-            features, labels, epochs=epochs, **(fit_kwargs or {})
-        )
+    with ShardedTrainer(graph, model, Adam(model, lr=0.01), **kwargs) as trainer:
+        history = trainer.fit(features, labels, epochs=epochs, **(fit_kwargs or {}))
         logits = trainer.logits()
     return history, model, trainer, logits
 
 
 class TestMatchesSingleProcessTrainer:
     @pytest.mark.parametrize("backend", SHARD_BACKENDS)
-    def test_loss_curves_match(self, graph, features, labels, backend):
-        reference, _ = _reference(graph, features, labels)
-        history, _, _, _ = _sharded(
-            graph, features, labels, backend=backend
-        )
-        _assert_same_losses(history, reference)
+    def test_loss_curves_match(self, graph, features, labels, backend, reference):
+        history, _, _, _ = _sharded(graph, features, labels, backend=backend)
+        _assert_same_losses(history, reference[0])
 
-    def test_weights_match(self, graph, features, labels):
-        _, ref_model = _reference(graph, features, labels)
+    def test_weights_match(self, graph, features, labels, reference):
         _, model, _, _ = _sharded(graph, features, labels, backend="serial")
-        _assert_same_weights(model, ref_model)
+        _assert_same_weights(model, reference[1])
 
     def test_accuracies_match(self, graph, features, labels):
-        rng = np.random.default_rng(2)
-        train_mask = rng.random(graph.num_vertices) < 0.6
-        val_mask = ~train_mask
-        reference, _ = _reference(
-            graph, features, labels,
-            train_mask=train_mask, val_mask=val_mask,
-        )
-        history, _, _, _ = _sharded(
-            graph, features, labels, backend="serial",
-            fit_kwargs={"train_mask": train_mask, "val_mask": val_mask},
-        )
-        for ref_epoch, epoch in zip(reference.epochs, history.epochs):
+        train_mask = np.random.default_rng(2).random(graph.num_vertices) < 0.6
+        masks = {"train_mask": train_mask, "val_mask": ~train_mask}
+        expected, _ = _reference(graph, features, labels, **masks)
+        history, _, _, _ = _sharded(graph, features, labels, backend="serial",
+                                    fit_kwargs=masks)
+        for ref_epoch, epoch in zip(expected.epochs, history.epochs):
             assert epoch.train_accuracy == pytest.approx(
-                ref_epoch.train_accuracy, abs=1e-12
-            )
+                ref_epoch.train_accuracy, abs=1e-12)
             assert epoch.val_accuracy == pytest.approx(
-                ref_epoch.val_accuracy, abs=1e-12
-            )
+                ref_epoch.val_accuracy, abs=1e-12)
 
     @pytest.mark.parametrize("method", ("contiguous", "bfs", "greedy"))
     def test_every_partition_method_trains_the_same_model(
-        self, graph, features, labels, method
+        self, graph, features, labels, method, reference
     ):
-        reference, _ = _reference(graph, features, labels)
-        history, _, _, _ = _sharded(
-            graph, features, labels, backend="serial",
-            partition_method=method,
-        )
-        _assert_same_losses(history, reference)
+        history, _, _, _ = _sharded(graph, features, labels, backend="serial",
+                                    partition_method=method)
+        _assert_same_losses(history, reference[0])
 
     def test_narrowing_hidden_layer_matches(
         self, graph, features, labels, stack_model
@@ -181,16 +160,12 @@ class TestProcessBitwiseMatchesSerial:
 
     def test_losses_and_logits_bitwise(self, graph, features, labels):
         serial_hist, serial_model, _, serial_logits = _sharded(
-            graph, features, labels, backend="serial"
-        )
+            graph, features, labels, backend="serial")
         proc_hist, proc_model, _, proc_logits = _sharded(
-            graph, features, labels, backend="process"
-        )
+            graph, features, labels, backend="process")
         assert serial_hist.losses() == proc_hist.losses()
         np.testing.assert_array_equal(serial_logits, proc_logits)
-        for serial_layer, proc_layer in zip(
-            serial_model.layers, proc_model.layers
-        ):
+        for serial_layer, proc_layer in zip(serial_model.layers, proc_model.layers):
             assert np.array_equal(serial_layer.weight, proc_layer.weight)
             assert np.array_equal(serial_layer.bias, proc_layer.bias)
 
@@ -218,14 +193,10 @@ class TestOneExactSchedule:
         # backends must look each phase up at call time to be seen.
         for name in {phase for phase, _, _ in epoch_phases(layers)}:
             monkeypatch.setattr(ShardRuntime, name, recording(name))
-        model = build_model(
-            "gcn", FEATURES, HIDDEN, CLASSES, num_layers=layers, seed=0
-        )
-        expected = [
-            (phase, args, part)
-            for phase, args, _ in epoch_phases(layers)
-            for part in range(shards)
-        ]
+        model = build_model("gcn", FEATURES, HIDDEN, CLASSES, num_layers=layers,
+                            seed=0)
+        expected = [(phase, args, part) for phase, args, _ in epoch_phases(layers)
+                    for part in range(shards)]
         with _trainer(graph, model, shards, "serial") as trainer:
             trainer.fit(features, labels, epochs=0)
             for _ in range(epochs):
@@ -241,9 +212,8 @@ class TestZeroCopy:
     bounds blow up by orders of magnitude."""
 
     def test_setup_payload_is_bounded(self, graph, features, labels):
-        _, _, trainer, _ = _sharded(
-            graph, features, labels, backend="process", epochs=1
-        )
+        _, _, trainer, _ = _sharded(graph, features, labels, backend="process",
+                                    epochs=1)
         assert len(trainer.setup_bytes) == 3
         for nbytes in trainer.setup_bytes:
             assert 0 < nbytes < 32_768
@@ -252,9 +222,8 @@ class TestZeroCopy:
         sizes = {}
         for scale in (0.05, 0.2):
             graph = load_dataset("products", scale=scale, seed=3)
-            _, _, trainer, _ = _sharded(
-                graph, *_inputs(graph), backend="process", epochs=1
-            )
+            _, _, trainer, _ = _sharded(graph, *_inputs(graph), backend="process",
+                                        epochs=1)
             sizes[scale] = max(trainer.setup_bytes)
         # 4x the vertices, same payload (within pickle framing noise).
         assert abs(sizes[0.2] - sizes[0.05]) < 512
@@ -307,9 +276,8 @@ class TestZeroCopy:
             return step(grads)
 
         optimizer.step = spy
-        with ShardedTrainer(
-            graph, model, optimizer, num_shards=3, backend="process"
-        ) as trainer:
+        with ShardedTrainer(graph, model, optimizer, num_shards=3,
+                            backend="process") as trainer:
             trainer.fit(features, labels, epochs=2)
             bundle = trainer._bundle
             segment = np.frombuffer(bundle._buffer, dtype=np.uint8)
@@ -335,9 +303,7 @@ class TestPersistentPool:
         assert len(first) == 2
         assert os.getpid() not in first
 
-    def test_close_is_idempotent_and_joins_workers(
-        self, graph, features, labels
-    ):
+    def test_close_is_idempotent_and_joins_workers(self, graph, features, labels):
         trainer = _trainer(graph)
         trainer.fit(features, labels, epochs=1)
         workers = list(trainer._workers)
@@ -364,20 +330,11 @@ class TestObservability:
             _sharded(graph, features, labels, backend="process", epochs=2)
             snap = metrics.snapshot()
             span_names = {s.to_record()["name"] for s in tracer.spans()}
-        assert "shard.partition" in span_names
-        assert "shard.epoch" in span_names
-        for key in (
-            "shard.workers",
-            "shard.partition.edge_cut",
-            "shard.partition.cut_fraction",
-            "shard.partition.balance",
-            "shard.setup_bytes_max",
-            "shard.halo_bytes",
-            "shard.exchanges",
-            "shard.epoch_time_s",
-            "shard.epoch_message_bytes",
-        ):
-            assert key in snap, f"missing metric {key}"
+        assert {"shard.partition", "shard.epoch"} <= span_names
+        for key in ("workers", "partition.edge_cut", "partition.cut_fraction",
+                    "partition.balance", "setup_bytes_max", "halo_bytes",
+                    "exchanges", "epoch_time_s", "epoch_message_bytes"):
+            assert f"shard.{key}" in snap, f"missing metric shard.{key}"
         assert snap["shard.halo_bytes"]["value"] > 0
 
 
@@ -400,19 +357,15 @@ class TestValidation:
                     trainer.fit(features, labels, epochs=1, **{which: mask})
 
     def test_rejects_dropout(self, graph):
-        model = build_model(
-            "gcn", FEATURES, HIDDEN, CLASSES, dropout=0.5, seed=0
-        )
+        model = build_model("gcn", FEATURES, HIDDEN, CLASSES, dropout=0.5, seed=0)
         with pytest.raises(ValueError, match="dropout"):
             ShardedTrainer(graph, model, Adam(model))
 
     def test_rejects_empty_train_mask(self, graph, features, labels):
         trainer = _trainer(graph, backend="serial")
         with pytest.raises(ValueError, match="mask"):
-            trainer.fit(
-                features, labels, epochs=1,
-                train_mask=np.zeros(graph.num_vertices, dtype=bool),
-            )
+            trainer.fit(features, labels, epochs=1,
+                        train_mask=np.zeros(graph.num_vertices, dtype=bool))
 
     def test_train_epoch_before_fit_raises(self, graph):
         model = _model(graph)
@@ -421,10 +374,8 @@ class TestValidation:
             trainer.train_epoch()
 
     def test_single_shard_works(self, graph, features, labels):
-        reference, _ = _reference(graph, features, labels, epochs=2)
-        history, _, trainer, _ = _sharded(
-            graph, features, labels, backend="serial",
-            num_shards=1, epochs=2,
-        )
-        _assert_same_losses(history, reference)
+        expected, _ = _reference(graph, features, labels, epochs=2)
+        history, _, trainer, _ = _sharded(graph, features, labels, backend="serial",
+                                          num_shards=1, epochs=2)
+        _assert_same_losses(history, expected)
         assert trainer.last_halo_bytes == 0

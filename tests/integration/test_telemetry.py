@@ -1,15 +1,8 @@
-"""Acceptance test for unified run telemetry.
-
-Trains on a synthetic twin with tracing enabled and asserts the two
-properties the observability layer promises:
-
-1. the exported span tree nests epoch -> layer -> kernel, and
-2. the counters aggregated from the trace exactly match the
-   ``KernelStats`` the kernels returned to the trainer (whose closed
-   forms ``tests/integration/test_kernel_vs_oracle.py`` pins).
-
-The run splits every pass into two lanes (the ``always_split``
-fixture); lanes are not spans, so the tree is the same on one lane.
+"""A traced training run's span tree nests epoch -> layer -> kernel, and
+the counters aggregated from the trace equal the ``KernelStats`` the
+kernels returned to the trainer.  Every pass splits into two lanes
+(``always_split``); lanes are not spans, so the tree is the one-lane
+tree.
 """
 
 import json
@@ -42,8 +35,7 @@ def traced_run(always_split, telemetry):
     always_split(LANES)
     graph, h, labels = _tiny_inputs()
     model = build_model("gcn", h.shape[1], 16, 4, seed=0)
-    kernel = BasicKernel()
-    trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
+    trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=BasicKernel())
     with telemetry() as (tracer, metrics):
         trainer.fit(graph, h, labels, epochs=EPOCHS)
     return tracer, metrics, trainer.history
@@ -63,10 +55,8 @@ class TestSpanTreeShape:
             layers = [c for c in epoch["children"] if c["name"] == "layer"]
             assert len(layers) == LAYERS
             for layer_idx, layer in enumerate(layers):
-                kernels = [
-                    c for c in layer["children"]
-                    if c["name"].startswith("kernel.")
-                ]
+                kernels = [c for c in layer["children"]
+                           if c["name"].startswith("kernel.")]
                 if epoch_idx > 0 and layer_idx == 0:
                     assert kernels == []
                     continue
@@ -83,12 +73,8 @@ class TestSpanTreeShape:
 
 class TestCounterConsistency:
     def test_trace_matches_returned_kernel_stats(self, traced_run):
-        """The acceptance criterion: trace totals == KernelStats totals.
-
-        ``kernel.*`` spans now cover both directions (forward aggregation
-        and the batched backward), so the trace totals must equal the
-        forward and backward stats the trainer accumulated, merged.
-        """
+        """``kernel.*`` spans cover both directions, so the trace totals
+        equal the trainer's forward and backward stats, merged."""
         tracer, _, history = traced_run
         merged = KernelStats()
         merged.merge(history.aggregation_stats)
@@ -109,24 +95,18 @@ class TestCounterConsistency:
         backward_runs = EPOCHS * (LAYERS - 1)
         runs = len(tracer.spans("kernel.*"))
         assert runs == forward_runs + backward_runs
-        tasks = (
-            snap["kernel.basic.tasks"]["value"]
-            + snap["kernel.backward.basic.tasks"]["value"]
-        )
+        tasks = (snap["kernel.basic.tasks"]["value"]
+                 + snap["kernel.backward.basic.tasks"]["value"])
         n = _tiny_inputs()[0].num_vertices
         assert tasks == runs * -(-n // TASK_SIZE)
 
 
 class TestCliArtifacts:
     def test_train_trace_and_json(self, tmp_path, capsys):
-        trace_path = tmp_path / "out.jsonl"
-        json_path = tmp_path / "run.json"
-        code = main([
-            "train", "products", "--scale", "0.05", "--epochs", "2",
-            "--features", "16", "--hidden", "16",
-            "--trace", str(trace_path), "--json", str(json_path),
-        ])
-        assert code == 0
+        trace_path, json_path = tmp_path / "out.jsonl", tmp_path / "run.json"
+        assert main(["train", "products", "--scale", "0.05", "--epochs", "2",
+                     "--features", "16", "--hidden", "16",
+                     "--trace", str(trace_path), "--json", str(json_path)]) == 0
         out = capsys.readouterr().out
         assert "wrote" in out and "spans" in out
 
@@ -134,9 +114,8 @@ class TestCliArtifacts:
         roots = span_tree(records)
         epoch = next(r for r in roots if r["name"] == "epoch")
         layer = next(c for c in epoch["children"] if c["name"] == "layer")
-        kernel = next(
-            c for c in layer["children"] if c["name"].startswith("kernel.")
-        )
+        kernel = next(c for c in layer["children"]
+                      if c["name"].startswith("kernel."))
         assert kernel["children"] == []
 
         report = json.loads(json_path.read_text())
@@ -146,23 +125,17 @@ class TestCliArtifacts:
         assert report["manifest"]["config"]["epochs"] == 2
         assert len(report["spans"]) == len(records)
         # The report's counter totals join trace + metrics consistently.
-        kernel_records = [
-            r for r in records if r["name"].startswith("kernel.")
-        ]
-        gathers = sum(r["counters"]["gathers"] for r in kernel_records)
+        gathers = sum(r["counters"]["gathers"] for r in records
+                      if r["name"].startswith("kernel."))
         # Forward and backward publish to separate metric namespaces.
-        published = (
-            report["metrics"]["kernel.basic.gathers"]["value"]
-            + report["metrics"]["kernel.backward.basic.gathers"]["value"]
-        )
+        published = (report["metrics"]["kernel.basic.gathers"]["value"]
+                     + report["metrics"]["kernel.backward.basic.gathers"]["value"])
         assert published == gathers
 
     def test_disabled_by_default(self):
         graph, h, labels = _tiny_inputs()
         model = build_model("gcn", h.shape[1], 16, 4, seed=0)
-        trainer = Trainer(
-            model, Adam(model, lr=0.01), aggregation_kernel=BasicKernel()
-        )
+        trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=BasicKernel())
         trainer.fit(graph, h, labels, epochs=1)
         assert obs.get_tracer().enabled is False
         assert obs.get_metrics().snapshot() == {}

@@ -1,15 +1,9 @@
-"""Edge-case kernel tests: degenerate graphs and awkward shapes.
-
-The kernel, and the paper's variants as the value plane runs them
-(fusion: the pass then the layer's sweep over row blocks; compression:
-the pass over the S3 format's round trip; combined: both), must survive
-(and stay correct on): the empty graph, a graph of isolated vertices, a
-single-vertex graph, feature widths that do not divide the 16-lane
-vector width, and task and block sizes larger than the vertex count —
-on one lane and on two and three (under the ``always_split`` fixture,
-on the graph and on a shuffled relabel of it, each bitwise equal to one
-lane).  A malformed processing order is refused by the relabel, before
-any kernel sees it.
+"""Edge-case kernel tests: every value-plane variant stays correct on
+the empty graph, isolated vertices, a single vertex, feature widths
+that do not divide the 16-lane vector width, and task and block sizes
+larger than the vertex count — on 1-3 lanes (``always_split``), on the
+graph and on a shuffled relabel, each bitwise equal to one lane.  The
+relabel refuses a malformed processing order before any kernel sees it.
 """
 
 import numpy as np
@@ -67,6 +61,11 @@ def kernel_runs(always_split, run_variant, update_params):
     return runs
 
 
+def _close(runs):
+    for name, out, reference in runs:
+        np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
+
+
 @pytest.mark.parametrize("count", LANE_COUNTS, ids=LANE_IDS)
 class TestDegenerateGraphs:
     def test_empty_graph(self, kernel_runs, count):
@@ -80,24 +79,17 @@ class TestDegenerateGraphs:
         # 100 vertices: enough tasks of 4 rows for three lanes to split.
         graph = CSRGraph.from_edges(100, [], name="isolated")
         h = _features(100, 8, seed=1)
-        for name, out, reference in kernel_runs(graph, h, count):
-            np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
+        _close(kernel_runs(graph, h, count))
         # With no neighbors, GCN aggregation reduces to h / (D+1) = h.
-        np.testing.assert_allclose(
-            aggregate(graph, h, "gcn"), h, atol=1e-6
-        )
+        np.testing.assert_allclose(aggregate(graph, h, "gcn"), h, atol=1e-6)
 
     def test_single_vertex_graph(self, kernel_runs, count):
         graph = CSRGraph.from_edges(1, [], name="lonely")
-        h = _features(1, 5, seed=2)
-        for name, out, reference in kernel_runs(graph, h, count):
-            np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
+        _close(kernel_runs(graph, _features(1, 5, seed=2), count))
 
     def test_self_loop_only_graph(self, kernel_runs, count):
         graph = CSRGraph.from_edges(100, [(v, v) for v in range(100)], name="loops")
-        h = _features(100, 7, seed=3)
-        for name, out, reference in kernel_runs(graph, h, count):
-            np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
+        _close(kernel_runs(graph, _features(100, 7, seed=3), count))
 
 
 @pytest.mark.parametrize("count", LANE_COUNTS, ids=LANE_IDS)
@@ -105,9 +97,8 @@ class TestDegenerateGraphs:
 def test_feature_width_not_divisible_by_vector_lanes(kernel_runs, count, width, star10):
     """Widths with a vector-tail remainder stay exact in every kernel."""
     assert width % VECTOR_LANES != 0
-    h = _features(star10.num_vertices, width, seed=4)
-    for name, out, reference in kernel_runs(star10, h, count):
-        np.testing.assert_allclose(out, reference, atol=1e-5, err_msg=name)
+    _close(kernel_runs(star10, _features(star10.num_vertices, width, seed=4),
+                       count))
 
 
 class TestOversizedTaskSize:

@@ -49,12 +49,9 @@ class TestFootprint:
     def test_training_keeps_full_matrix(self, small_products):
         """Figure 5b: training retains all of the output for backward."""
         h = synthetic_features(small_products, 32, seed=0)
-        weight, bias = _params(32, 8)
         buffers = SweepBuffers()
-        out, _ = output_sweep(
-            aggregate(small_products, h, "gcn"), weight, bias, True, tf=False,
-            buffers=buffers,
-        )
+        out, _ = output_sweep(aggregate(small_products, h, "gcn"),
+                              *_params(32, 8), True, tf=False, buffers=buffers)
         assert out.nbytes == small_products.num_vertices * 8 * 4
         assert buffers.nbytes == 0
 
@@ -99,10 +96,8 @@ class TestPrefetch:
         h = synthetic_features(small_products, 16, seed=4)
         kernel = BasicKernel(prefetch_distance=4)
         _, stats = kernel.aggregate(small_products, h)
-        gathers_ahead = sum(
-            small_products.degree(v) + 1
-            for v in range(4, small_products.num_vertices)
-        )
+        gathers_ahead = sum(small_products.degree(v) + 1
+                            for v in range(4, small_products.num_vertices))
         assert stats.prefetches == gathers_ahead * 2
 
     def test_zero_distance_disables_prefetch(self, small_products):

@@ -11,8 +11,7 @@ from repro.graphs import synthetic_features, uniform_graph
 from repro.kernels import BasicKernel, JitKernelCache, KernelSpec
 from repro.nn import aggregate
 from repro.nn.aggregate import (
-    aggregate_backward_reference,
-    gather_reduce_reference,
+    aggregate_backward_reference, gather_reduce_reference,
 )
 
 
@@ -28,8 +27,7 @@ class TestCache:
         spec = KernelSpec(feature_len=16, aggregator="gcn")
         cache.specialize(small_products, spec)
         cache.specialize(small_products, spec)
-        assert cache.compilations == 1
-        assert len(cache) == 1
+        assert (cache.compilations, len(cache)) == (1, 1)
 
     def test_new_spec_compiles_again(self, small_products):
         cache = JitKernelCache()
@@ -53,9 +51,8 @@ class TestCache:
         reference = aggregate(small_products, h, "mean")
         n = small_products.num_vertices
         for lo, hi in ((0, 1), (5, 9), (n - 1, n)):
-            np.testing.assert_allclose(
-                kernel.rows(lo, hi)(h), reference[lo:hi], atol=1e-5
-            )
+            np.testing.assert_allclose(kernel.rows(lo, hi)(h), reference[lo:hi],
+                                       atol=1e-5)
 
 
 class TestAmortization:
@@ -65,8 +62,7 @@ class TestAmortization:
         h = synthetic_features(small_products, 16, seed=1)
         _, first = kernel.aggregate(small_products, h, "gcn")
         _, second = kernel.aggregate(small_products, h, "gcn")
-        assert first.jit_compilations == 1
-        assert second.jit_compilations == 0
+        assert (first.jit_compilations, second.jit_compilations) == (1, 0)
 
 
 class TestBatchedSpecialization:
@@ -103,8 +99,7 @@ class TestBackwardSpecialization:
         spec = KernelSpec(8, "gcn")
         cache.specialize(small_products, spec)
         cache.specialize_backward(small_products, spec)
-        assert cache.compilations == 2
-        assert len(cache) == 2
+        assert (cache.compilations, len(cache)) == (2, 2)
         # Second round hits the cache for both directions.
         cache.specialize(small_products, spec)
         cache.specialize_backward(small_products, spec)
@@ -115,9 +110,8 @@ class TestBackwardSpecialization:
         kernel = cache.specialize_backward(small_products, KernelSpec(8, "gcn"))
         grad_a = synthetic_features(small_products, 8, seed=4)
         reference = aggregate_backward_reference(small_products, grad_a, "gcn")
-        np.testing.assert_allclose(
-            kernel.rows(13, 57)(grad_a), reference[13:57], atol=2e-5
-        )
+        np.testing.assert_allclose(kernel.rows(13, 57)(grad_a),
+                                   reference[13:57], atol=2e-5)
 
     def test_backward_is_transpose_of_forward(self, small_uniform):
         """<Â h, g> == <h, Âᵀ g> — the adjointness identity that defines
@@ -139,8 +133,7 @@ class TestBackwardSpecialization:
         grad_a = synthetic_features(small_products, 16, seed=5)
         _, first = kernel.aggregate_backward(small_products, grad_a, "gcn")
         _, second = kernel.aggregate_backward(small_products, grad_a, "gcn")
-        assert first.jit_compilations == 1
-        assert second.jit_compilations == 0
+        assert (first.jit_compilations, second.jit_compilations) == (1, 0)
 
 
 class TestWeakrefKeying:
@@ -190,10 +183,8 @@ class TestWeakrefKeying:
             kernel = cache.specialize(look_alike, spec)
             assert cache.compilations == before + 1
             h = synthetic_features(look_alike, 4, seed=seed)
-            reference = aggregate(look_alike, h, "gcn")
-            np.testing.assert_allclose(
-                kernel.rows(0, 1)(h)[0], reference[0], atol=1e-5
-            )
+            np.testing.assert_allclose(kernel.rows(0, 1)(h)[0],
+                                       aggregate(look_alike, h, "gcn")[0], atol=1e-5)
             del look_alike, kernel
             gc.collect()
         assert len(cache) == 0
@@ -206,9 +197,8 @@ class TestWeakrefKeying:
         assert cache.compilations == 4
         for g, k in zip(graphs, kernels):
             h = synthetic_features(g, 4, seed=9)
-            np.testing.assert_allclose(
-                k.rows(1, 2)(h)[0], aggregate(g, h, "sum")[1], atol=1e-5
-            )
+            np.testing.assert_allclose(k.rows(1, 2)(h)[0], aggregate(g, h, "sum")[1],
+                                       atol=1e-5)
 
     def test_token_survives_pickle_roundtrip(self, small_products):
         """Workers unpickle the graph; specialization must still work."""

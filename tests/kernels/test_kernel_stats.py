@@ -8,11 +8,8 @@ class TestMerge:
         a = KernelStats(gathers=3, flops=10.0, prefetches=2, tasks=1, jit_compilations=4)
         b = KernelStats(gathers=7, flops=5.0, prefetches=1, tasks=2, jit_compilations=6)
         a.merge(b)
-        assert a.gathers == 10
-        assert a.flops == 15.0
-        assert a.prefetches == 3
-        assert a.tasks == 3
-        assert a.jit_compilations == 10
+        assert (a.gathers, a.flops, a.prefetches, a.tasks,
+                a.jit_compilations) == (10, 15.0, 3, 3, 10)
 
     def test_extra_dict_summation(self):
         a = KernelStats(extra={"wall_time_s": 1.0, "only_a": 2.0})
@@ -23,10 +20,8 @@ class TestMerge:
         assert b.extra == {"wall_time_s": 0.5, "only_b": 3.0}
 
     def test_empty_merge_identity(self):
-        stats = KernelStats(
-            gathers=5, flops=2.0, prefetches=1, tasks=2, jit_compilations=1,
-            extra={"k": 1.0},
-        )
+        stats = KernelStats(gathers=5, flops=2.0, prefetches=1, tasks=2,
+                            jit_compilations=1, extra={"k": 1.0})
         before = stats.as_dict()
         stats.merge(KernelStats())
         assert stats.as_dict() == before
@@ -41,9 +36,8 @@ class TestMerge:
 class TestAsDict:
     def test_all_declared_counters_present(self):
         d = KernelStats().as_dict()
-        assert set(d) == {
-            "gathers", "flops", "prefetches", "tasks", "jit_compilations",
-        }
+        assert set(d) == {"gathers", "flops", "prefetches", "tasks",
+                          "jit_compilations"}
         assert all(isinstance(v, float) for v in d.values())
 
     def test_extra_namespaced(self):

@@ -18,12 +18,8 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
-    apply_order,
-    build_shards,
-    edge_cut_partition,
-    locality_order,
-    randomized_order,
-    synthetic_features,
+    apply_order, build_shards, edge_cut_partition, locality_order,
+    randomized_order, synthetic_features,
 )
 from repro.kernels.segment import ScaledCSR
 from repro.nn import aggregate

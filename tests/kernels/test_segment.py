@@ -11,9 +11,7 @@ from repro.graphs import CSRGraph, build_shards, edge_cut_partition, uniform_gra
 from repro.kernels.jit import JitKernelCache, KernelSpec
 from repro.kernels.segment import ScaledCSR
 from repro.nn.aggregate import (
-    gather_reduce_reference,
-    normalization_factors,
-    normalized_adjacency,
+    gather_reduce_reference, normalization_factors, normalized_adjacency,
 )
 from repro.parallel import ArrayBundle
 from repro.parallel.sharded import shard_factors
@@ -31,6 +29,12 @@ def _forward(graph, aggregator="gcn"):
     return ScaledCSR.from_csr(
         graph.indptr, graph.indices, edge, self_f, graph.num_vertices
     )
+
+
+def _shard_op(factors, shard, cols):
+    """One shard's operator: owned rows, ``cols`` local + halo columns."""
+    edge, self_f = shard_factors(*factors, shard)
+    return ScaledCSR.from_csr(shard.indptr, shard.indices, edge, self_f, cols)
 
 
 def _transposed(graph, aggregator="gcn"):
@@ -99,15 +103,11 @@ class TestRectangular:
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_shards_reassemble_the_oracle(self, small_products, sharded, width):
-        aggregator, (edge, self_f), shards = sharded
+        aggregator, factors, shards = sharded
         h = _features(small_products.num_vertices, width)
         expected = gather_reduce_reference(small_products, h, aggregator)
         for shard in shards:
-            shard_edge, shard_self = shard_factors(edge, self_f, shard)
-            op = ScaledCSR.from_csr(
-                shard.indptr, shard.indices, shard_edge, shard_self,
-                shard.num_local + shard.num_halo,
-            )
+            op = _shard_op(factors, shard, shard.num_local + shard.num_halo)
             x = np.concatenate([h[shard.local_vertices], h[shard.halo_vertices]])
             np.testing.assert_allclose(
                 op(x), expected[shard.local_vertices], atol=1e-4
@@ -115,14 +115,10 @@ class TestRectangular:
 
     def test_zero_edge_shard(self):
         graph = CSRGraph.from_edges(6, [])  # every shard is edgeless
-        edge, self_f = normalization_factors(graph, "gcn")
+        factors = normalization_factors(graph, "gcn")
         h = _features(6, 5)
         for shard in build_shards(graph, np.array([0, 1, 0, 1, 0, 1])):
-            shard_edge, shard_self = shard_factors(edge, self_f, shard)
-            op = ScaledCSR.from_csr(
-                shard.indptr, shard.indices, shard_edge, shard_self,
-                shard.num_local,
-            )
+            op = _shard_op(factors, shard, shard.num_local)
             assert op.nnz == 0
             np.testing.assert_array_equal(
                 op(h[shard.local_vertices]), h[shard.local_vertices]
@@ -177,15 +173,11 @@ class TestZeroCopy:
     def test_int32_bundle_indices_are_wrapped_not_copied(self, shared):
         graph = uniform_graph(64, 5.0, seed=3)
         edge, self_f = normalization_factors(graph, "gcn")
-        with ArrayBundle.create(
-            {
-                "indptr": graph.indptr.astype(np.int32),
-                "indices": graph.indices.astype(np.int32),
-                "edge": edge,
-                "self": self_f,
-            },
-            shared=shared,
-        ) as bundle:
+        with ArrayBundle.create({
+            "indptr": graph.indptr.astype(np.int32),
+            "indices": graph.indices.astype(np.int32),
+            "edge": edge, "self": self_f,
+        }, shared=shared) as bundle:
             op = ScaledCSR.from_csr(
                 bundle.view("indptr"), bundle.view("indices"),
                 bundle.view("edge"), bundle.view("self"), graph.num_vertices,

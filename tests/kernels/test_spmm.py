@@ -19,8 +19,8 @@ def spmm(graph, h, aggregator):
 class TestOrderKwarg:
     """Section 4.4's order reaches SpMM, like every value-plane kernel, as
     a relabel of the graph (:func:`apply_order`): ``Â`` takes no
-    ``order`` keyword, and the relabel refuses anything but a
-    permutation."""
+    ``order`` keyword.  The relabel's refusal of anything but a
+    permutation is ``test_edge_cases.py::test_malformed_order_rejected``'s."""
 
     def test_order_kwarg_is_refused(self, small_products):
         order = randomized_order(small_products, seed=8)
@@ -35,25 +35,6 @@ class TestOrderKwarg:
         relabelled = apply_order(small_products, order)
         ordered = spmm(relabelled, features16[order], "gcn")
         np.testing.assert_allclose(ordered[np.argsort(order)], plain, atol=1e-5)
-
-    def test_wrong_length_order_rejected(self, small_products):
-        with pytest.raises(ValueError):
-            apply_order(small_products, np.array([0, 1, 2]))
-
-    def test_duplicate_ids_rejected(self, small_products):
-        """A repeated vertex id is not a permutation and must raise."""
-        order = np.zeros(small_products.num_vertices, dtype=np.int64)
-        with pytest.raises(ValueError, match="permutation"):
-            apply_order(small_products, order)
-
-    def test_out_of_range_ids_rejected(self, small_products):
-        order = np.arange(small_products.num_vertices, dtype=np.int64)
-        order[0] = small_products.num_vertices  # one past the end
-        with pytest.raises(ValueError, match="permutation"):
-            apply_order(small_products, order)
-        order[0] = -1
-        with pytest.raises(ValueError, match="permutation"):
-            apply_order(small_products, order)
 
     def test_matches_oracle_with_order(self, small_products, features16):
         order = randomized_order(small_products, seed=8)

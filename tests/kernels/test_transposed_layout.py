@@ -1,12 +1,8 @@
-"""Differential test of the one transposed-layout builder.
-
-``transposed_layout`` builds ``Âᵀ`` (or its restriction to the edges out
-of a loss mask's live rows) from the forward layout alone.  The two
-constructions it replaced are kept here as oracles: the full transpose
-from the graph's CSC view with the edge factors permuted into it, and
-the live layout as a filter of that full transpose.  Every operator the
-builder makes must equal the oracle's array for array — ``indptr``,
-``indices``, ``data`` and the self factors — and no sort may run.
+"""``transposed_layout`` builds ``Âᵀ`` (or its restriction to the edges
+out of a loss mask's live rows) from the forward layout alone.  The two
+constructions it replaced are the oracles here — the CSC-view transpose
+and its filter to live sources — and every operator the builder makes
+equals theirs array for array, with no sort run.
 """
 
 import numpy as np

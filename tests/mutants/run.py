@@ -268,6 +268,11 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/perf/test_cost_model.py",),
     ),
     Mutant(
+        "cost-fusion-overlap-residual", "src/repro/perf/cost_model.py",
+        "FUSION_OVERLAP_RESIDUAL = 0.08", "FUSION_OVERLAP_RESIDUAL = 0.10",
+        ("tests/perf/test_cost_model.py",),
+    ),
+    Mutant(
         "reuse-hit-at-capacity", "src/repro/perf/reuse.py",
         "np.count_nonzero(self.distances < capacity)",
         "np.count_nonzero(self.distances <= capacity)",
@@ -277,6 +282,11 @@ MUTANTS: Tuple[Mutant, ...] = (
         "topdown-core-bound-skips-frontend", "src/repro/perf/topdown.py",
         "core_bound = max(0.0, 1.0 - retiring - FRONTEND_BOUND - memory_bound)",
         "core_bound = max(0.0, 1.0 - retiring - memory_bound)",
+        ("tests/perf/test_topdown.py",),
+    ),
+    Mutant(
+        "topdown-frontend-bound", "src/repro/perf/topdown.py",
+        "FRONTEND_BOUND = 0.033", "FRONTEND_BOUND = 0.05",
         ("tests/perf/test_topdown.py",),
     ),
     Mutant(

@@ -5,12 +5,8 @@ import pytest
 
 from repro.graphs import power_law_graph, star_graph, synthetic_features
 from repro.nn import (
-    AGGREGATORS,
-    aggregate,
-    aggregate_backward,
-    gather_reduce_reference,
-    normalization_factors,
-    normalized_adjacency,
+    AGGREGATORS, aggregate, aggregate_backward, gather_reduce_reference,
+    normalization_factors, normalized_adjacency,
 )
 
 
@@ -19,8 +15,7 @@ class TestNormalizationFactors:
         edge, self_f = normalization_factors(tiny_graph, "gcn")
         degs = tiny_graph.degrees() + 1.0
         # Edge 0 <- 1: factor 1/sqrt(d0 * d1).
-        expected = 1.0 / np.sqrt(degs[0] * degs[1])
-        assert edge[0] == pytest.approx(expected, rel=1e-6)
+        assert edge[0] == pytest.approx(1.0 / np.sqrt(degs[0] * degs[1]), rel=1e-6)
         assert self_f[0] == pytest.approx(1.0 / degs[0], rel=1e-6)
 
     def test_mean_uses_destination_degree(self, tiny_graph):
@@ -57,14 +52,13 @@ class TestAggregate:
     @pytest.mark.parametrize("aggregator", ["gcn", "mean", "sum"])
     def test_matches_scalar_oracle(self, small_products, aggregator):
         h = synthetic_features(small_products, 12, seed=1)
-        fast = aggregate(small_products, h, aggregator)
-        slow = gather_reduce_reference(small_products, h, aggregator)
-        np.testing.assert_allclose(fast, slow, atol=1e-4)
+        np.testing.assert_allclose(aggregate(small_products, h, aggregator),
+                                   gather_reduce_reference(small_products, h, aggregator),
+                                   atol=1e-4)
 
     def test_mean_averages_constant_features(self, tiny_graph):
         h = np.full((5, 3), 7.0, dtype=np.float32)
-        out = aggregate(tiny_graph, h, "mean")
-        np.testing.assert_allclose(out, 7.0, rtol=1e-6)
+        np.testing.assert_allclose(aggregate(tiny_graph, h, "mean"), 7.0, rtol=1e-6)
 
     def test_isolated_vertex_keeps_scaled_self(self, tiny_graph):
         h = np.eye(5, dtype=np.float32) * 4.0
@@ -74,12 +68,9 @@ class TestAggregate:
 
     def test_sum_counts_contributions(self):
         graph = star_graph(3)
-        h = np.ones((4, 2), dtype=np.float32)
-        out = aggregate(graph, h, "sum")
-        # Hub gathers 3 leaves + itself.
-        np.testing.assert_allclose(out[0], 4.0)
-        # Leaves gather the hub + themselves.
-        np.testing.assert_allclose(out[1], 2.0)
+        out = aggregate(graph, np.ones((4, 2), dtype=np.float32), "sum")
+        np.testing.assert_allclose(out[0], 4.0)  # the hub: 3 leaves + itself
+        np.testing.assert_allclose(out[1], 2.0)  # a leaf: the hub + itself
 
     def test_shape_mismatch_rejected(self, tiny_graph):
         with pytest.raises(ValueError):
@@ -93,10 +84,8 @@ class TestBackward:
         rng = np.random.default_rng(0)
         h = rng.standard_normal((small_uniform.num_vertices, 6)).astype(np.float32)
         g = rng.standard_normal((small_uniform.num_vertices, 6)).astype(np.float32)
-        forward = aggregate(small_uniform, h, aggregator)
-        backward = aggregate_backward(small_uniform, g, aggregator)
-        lhs = float((forward * g).sum())
-        rhs = float((h * backward).sum())
+        lhs = float((aggregate(small_uniform, h, aggregator) * g).sum())
+        rhs = float((h * aggregate_backward(small_uniform, g, aggregator)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-3)
 
     def test_max_backward_not_supported(self, tiny_graph):
@@ -111,10 +100,8 @@ class TestBackward:
 class TestNormalizedAdjacency:
     def test_spmm_equals_aggregate(self, small_uniform):
         h = synthetic_features(small_uniform, 8, seed=2)
-        a_hat = normalized_adjacency(small_uniform, "gcn")
-        np.testing.assert_allclose(
-            a_hat @ h, aggregate(small_uniform, h, "gcn"), atol=1e-5
-        )
+        np.testing.assert_allclose(normalized_adjacency(small_uniform, "gcn") @ h,
+                                   aggregate(small_uniform, h, "gcn"), atol=1e-5)
 
     def test_mean_rows_sum_to_one(self, small_uniform):
         a_hat = normalized_adjacency(small_uniform, "mean")

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    accuracy,
-    cross_entropy,
-    cross_entropy_and_correct,
-    dropout,
-    dropout_grad,
-    softmax,
-    xavier_uniform,
+    accuracy, cross_entropy, cross_entropy_and_correct, dropout,
+    dropout_grad, softmax, xavier_uniform,
 )
 
 
@@ -40,10 +35,8 @@ class TestDropout:
     def test_training_zeroes_and_scales(self, rng):
         x = np.ones((1000, 10), dtype=np.float32)
         out, mask = dropout(x, 0.5, rng, training=True)
-        zero_fraction = np.mean(out == 0)
-        assert 0.45 <= zero_fraction <= 0.55
-        survivors = out[out != 0]
-        np.testing.assert_allclose(survivors, 2.0)
+        assert 0.45 <= np.mean(out == 0) <= 0.55
+        np.testing.assert_allclose(out[out != 0], 2.0)
 
     def test_expectation_preserved(self, rng):
         x = np.ones((200, 200), dtype=np.float32)
@@ -63,32 +56,23 @@ class TestDropout:
 
 class TestSoftmaxCrossEntropy:
     def test_softmax_rows_sum_to_one(self, rng):
-        logits = rng.standard_normal((7, 5))
-        probs = softmax(logits)
+        probs = softmax(rng.standard_normal((7, 5)))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-6)
 
     def test_softmax_shift_invariant(self, rng):
         logits = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(
-            softmax(logits), softmax(logits + 100.0), rtol=1e-5
-        )
+        np.testing.assert_allclose(softmax(logits), softmax(logits + 100.0), rtol=1e-5)
 
     def test_perfect_prediction_low_loss(self):
         logits = np.array([[10.0, -10.0], [-10.0, 10.0]], dtype=np.float32)
-        labels = np.array([0, 1])
-        loss, _ = cross_entropy(logits, labels)
-        assert loss < 1e-4
+        assert cross_entropy(logits, np.array([0, 1]))[0] < 1e-4
 
     def test_gradient_matches_numerical(self, rng):
         logits = rng.standard_normal((5, 3)).astype(np.float64)
         labels = np.array([0, 1, 2, 1, 0])
         _, grad = cross_entropy(logits.copy(), labels)
-
-        def loss_fn(x):
-            loss, _ = cross_entropy(x.copy(), labels)
-            return loss
-
-        num = numerical_grad(loss_fn, logits.copy())
+        num = numerical_grad(lambda x: cross_entropy(x.copy(), labels)[0],
+                             logits.copy())
         np.testing.assert_allclose(grad, num, atol=1e-4)
 
     def test_mask_restricts_loss(self):
@@ -121,12 +105,9 @@ class TestSoftmaxCrossEntropy:
         labels = rng.integers(0, 3, 10)
         mask = np.array([True, False] * 3 + [False] * 4)
         loss, grad, correct = cross_entropy_and_correct(logits, labels, mask)
-        parts = [
-            cross_entropy_and_correct(
-                logits[block], labels[block], mask[block], count=3
-            )
-            for block in (slice(0, 6), slice(6, 10))
-        ]
+        parts = [cross_entropy_and_correct(logits[block], labels[block], mask[block],
+                                           count=3)
+                 for block in (slice(0, 6), slice(6, 10))]
         assert parts[1][0] == 0.0 and not parts[1][1].any()
         assert parts[0][0] + parts[1][0] == pytest.approx(loss, rel=1e-12)
         np.testing.assert_array_equal(np.vstack([p[1] for p in parts]), grad)
@@ -149,8 +130,7 @@ class TestAccuracy:
 
     def test_masked(self):
         logits = np.array([[1.0, 0.0], [1.0, 0.0]])
-        labels = np.array([0, 1])
-        assert accuracy(logits, labels, mask=np.array([True, False])) == 1.0
+        assert accuracy(logits, np.array([0, 1]), mask=np.array([True, False])) == 1.0
 
     def test_empty_mask(self):
         assert accuracy(np.ones((2, 2)), np.array([0, 1]), np.zeros(2, bool)) == 0.0
@@ -159,9 +139,8 @@ class TestAccuracy:
 class TestInit:
     def test_xavier_bounds(self, rng):
         w = xavier_uniform(64, 32, rng)
-        bound = np.sqrt(6.0 / 96)
         assert w.shape == (64, 32)
-        assert np.abs(w).max() <= bound
+        assert np.abs(w).max() <= np.sqrt(6.0 / 96)
 
     def test_xavier_dtype(self, rng):
         assert xavier_uniform(4, 4, rng).dtype == np.float32

@@ -1,27 +1,15 @@
-"""Differential gradient suite: numeric central differences vs analytic.
-
-Two layers of defense for the kernel's backward aggregation:
-
-1. **Gradcheck** — every layer configuration (aggregator x activation) x
-   both backward execution paths (the kernel-free SpMM oracle, the
-   chunked basic kernel) is checked against central-difference numeric
-   gradients for weights, bias, and inputs to <= 1e-4 relative error —
-   once on a
-   narrowing layer (5 -> 4, which runs transform-first) and once on a
-   widening one (5 -> 7, aggregate-first), plus a 3-layer model whose
-   middle layer is transform-first.  The whole pipeline is
-   dtype-preserving, so the checks run at float64 where central
-   differences are actually trustworthy.
-2. **Property test** — the kernel backward equals the scalar-loop
-   ``aggregate_backward_reference`` oracle to 1e-6 on 50 seeded random
-   graphs, including the degenerate shapes (isolated vertices,
-   self-loops only, empty graph).
+"""Analytic gradients against central differences, at float64 (the
+pipeline preserves the dtype): every aggregator x activation x backward
+path (the SpMM oracle, the basic kernel) on a narrowing layer (5 -> 4,
+transform-first), a widening one (5 -> 7) and a 3-layer model, to 1e-4
+relative error.  The kernel backward also equals the scalar-loop oracle
+to 1e-6 on 50 seeded random graphs, degenerate shapes included.
 """
 
 import numpy as np
 import pytest
 
-from repro.graphs import CSRGraph, synthetic_features, uniform_graph
+from repro.graphs import CSRGraph, uniform_graph
 from repro.kernels import BasicKernel
 from repro.kernels.jit import JitKernelCache, KernelSpec
 from repro.nn import GNNLayer, GNNModel
@@ -43,9 +31,8 @@ PATHS = ("oracle", "kernel")
 
 def make_layer(aggregator, activation, in_f=5, out_f=4, seed=0):
     """A float64 layer: weights/bias upcast so gradcheck is meaningful."""
-    layer = GNNLayer(
-        in_f, out_f, aggregator=aggregator, activation=activation, seed=seed
-    )
+    layer = GNNLayer(in_f, out_f, aggregator=aggregator, activation=activation,
+                     seed=seed)
     layer.weight = layer.weight.astype(np.float64)
     layer.bias = layer.bias.astype(np.float64)
     return layer
@@ -122,29 +109,26 @@ class TestGradcheck:
         coef = rng.standard_normal((graph.num_vertices, layer.out_features))
         grads = analytic_grads(layer, graph, h, kernel, coef)
         wrt = h if param == "h_in" else getattr(layer, param)
-        numeric = numeric_grad(
-            wrt, lambda: layer_loss(layer, graph, h, kernel, coef)
-        )
+        numeric = numeric_grad(wrt, lambda: layer_loss(layer, graph, h, kernel, coef))
         assert_close(numeric, getattr(grads, param),
                      f"{param}[{aggregator}/{path}]")
 
-    def test_weight_grad(
-        self, gradcheck_graph, gradcheck_features, aggregator, activation, path
-    ):
-        self._check(gradcheck_graph, gradcheck_features, aggregator,
-                    activation, path, 11, "weight")
+    @pytest.fixture
+    def check(self, gradcheck_graph, gradcheck_features, aggregator, activation,
+              path):
+        """``check(seed, param)``: :meth:`_check` on this row's layer."""
+        return lambda seed, param: self._check(
+            gradcheck_graph, gradcheck_features, aggregator, activation, path,
+            seed, param)
 
-    def test_bias_grad(
-        self, gradcheck_graph, gradcheck_features, aggregator, activation, path
-    ):
-        self._check(gradcheck_graph, gradcheck_features, aggregator,
-                    activation, path, 13, "bias")
+    def test_weight_grad(self, check):
+        check(11, "weight")
 
-    def test_input_grad(
-        self, gradcheck_graph, gradcheck_features, aggregator, activation, path
-    ):
-        self._check(gradcheck_graph, gradcheck_features, aggregator,
-                    activation, path, 17, "h_in")
+    def test_bias_grad(self, check):
+        check(13, "bias")
+
+    def test_input_grad(self, check):
+        check(17, "h_in")
 
 
 class TestGradcheckWidening(TestGradcheck):
@@ -162,18 +146,13 @@ class TestModelGradcheck:
     last widens.  Every parameter gradient of the stacked backward is
     checked numerically; the input gradient is never formed."""
 
-    def make_model(self, aggregator):
-        layers = [
-            make_layer(aggregator, k < 2, in_f=in_f, out_f=out_f, seed=k)
-            for k, (in_f, out_f) in enumerate([(5, 6), (6, 3), (3, 4)])
-        ]
-        return GNNModel(layers)
-
     def test_parameter_grads(
         self, gradcheck_graph, gradcheck_features, aggregator, path
     ):
         graph, h = gradcheck_graph, gradcheck_features
-        model = self.make_model(aggregator)
+        model = GNNModel([
+            make_layer(aggregator, k < 2, in_f=in_f, out_f=out_f, seed=k)
+            for k, (in_f, out_f) in enumerate([(5, 6), (6, 3), (3, 4)])])
         kernel = make_kernel(path)
         coef = np.random.default_rng(19).standard_normal((graph.num_vertices, 4))
 
@@ -187,13 +166,10 @@ class TestModelGradcheck:
         grads = model.backward(graph, coef, caches, kernel=kernel)
         assert grads[0].h_in is None
         for idx, (layer, layer_grads) in enumerate(zip(model.layers, grads)):
-            what = f"layer{idx}[{aggregator}/{path}]"
-            assert_close(
-                numeric_grad(layer.weight, loss), layer_grads.weight, what + ".weight"
-            )
-            assert_close(
-                numeric_grad(layer.bias, loss), layer_grads.bias, what + ".bias"
-            )
+            for param in ("weight", "bias"):
+                assert_close(numeric_grad(getattr(layer, param), loss),
+                             getattr(layer_grads, param),
+                             f"layer{idx}[{aggregator}/{path}].{param}")
 
 
 class TestGradcheckPathAgreement:
@@ -207,15 +183,12 @@ class TestGradcheckPathAgreement:
         for path in PATHS:
             layer = make_layer(aggregator, True)
             coef = np.random.default_rng(3).standard_normal(
-                (graph.num_vertices, layer.out_features)
-            )
-            per_path.append(
-                analytic_grads(layer, graph, h, make_kernel(path), coef)
-            )
+                (graph.num_vertices, layer.out_features))
+            per_path.append(analytic_grads(layer, graph, h, make_kernel(path), coef))
         base, other = per_path
-        np.testing.assert_allclose(other.weight, base.weight, rtol=1e-10)
-        np.testing.assert_allclose(other.bias, base.bias, rtol=1e-10)
-        np.testing.assert_allclose(other.h_in, base.h_in, rtol=1e-10)
+        for param in ("weight", "bias", "h_in"):
+            np.testing.assert_allclose(getattr(other, param), getattr(base, param),
+                                       rtol=1e-10)
 
 
 def random_graph(seed):
@@ -248,8 +221,7 @@ class TestBatchedBackwardMatchesReference:
         grad_a = rng.standard_normal((graph.num_vertices, 3))
         aggregator = ("gcn", "mean", "sum")[seed % 3]
         reference = aggregate_backward_reference(graph, grad_a, aggregator)
-        kernel = BasicKernel()
-        out, stats = kernel.aggregate_backward(graph, grad_a, aggregator)
+        out, stats = BasicKernel().aggregate_backward(graph, grad_a, aggregator)
         np.testing.assert_allclose(out, reference, atol=1e-6)
         if graph.num_edges or graph.num_vertices:
             assert stats.gathers == graph.num_edges + graph.num_vertices
@@ -260,10 +232,7 @@ class TestBatchedBackwardMatchesReference:
         rng = np.random.default_rng(9)
         grad_a = rng.standard_normal((graph.num_vertices, 6))
         reference = aggregate_backward_reference(graph, grad_a, "gcn")
-        cache = JitKernelCache()
-        spec = KernelSpec(6, "gcn")
-        operator = cache.specialize_backward(graph, spec)
+        operator = JitKernelCache().specialize_backward(graph, KernelSpec(6, "gcn"))
         np.testing.assert_allclose(operator(grad_a), reference, atol=1e-6)
-        np.testing.assert_allclose(
-            operator.rows(7, 19)(grad_a), reference[7:19], atol=1e-6
-        )
+        np.testing.assert_allclose(operator.rows(7, 19)(grad_a), reference[7:19],
+                                   atol=1e-6)

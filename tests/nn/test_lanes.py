@@ -22,13 +22,8 @@ from repro.kernels import BasicKernel
 from repro.nn import Adam, Trainer, build_model
 from repro.nn import layers as layers_module
 from repro.nn.layers import (
-    SWEEP_ROWS,
-    grad_pre_activation,
-    grads_after_aggregation,
-    grads_before_aggregation,
-    grads_sweep,
-    layer_operand,
-    layer_output,
+    SWEEP_ROWS, grad_pre_activation, grads_after_aggregation,
+    grads_before_aggregation, grads_sweep, layer_operand, layer_output,
     output_sweep,
 )
 
@@ -112,9 +107,8 @@ class TestPhaseFunctions:
         def call():
             grad_w = np.empty((fin, fout), dtype) if lent else None
             out = np.empty((ROWS, fin), dtype) if lent else None
-            return grads_before_aggregation(
-                grad_pre, a, w, need_input_grad, grad_w=grad_w, out=out
-            )
+            return grads_before_aggregation(grad_pre, a, w, need_input_grad,
+                                            grad_w=grad_w, out=out)
 
         _assert_lanes_match(always_split, call)
 
@@ -144,30 +138,35 @@ def test_basic_kernel(always_split, small_products, dtype, aggregator, direction
     _assert_lanes_match(always_split, call)
 
 
+def _training(graph, features, labels, mask, epochs, dtype=None, predict=False):
+    """A call for :func:`_assert_lanes_match`: a fresh 100 -> 256 -> 16 GCN
+    trained ``epochs`` epochs; the losses, ``predict`` if asked, and every
+    parameter."""
+    def call():
+        model = build_model("gcn", 100, 256, 16, seed=0)
+        for layer in model.layers if dtype else ():
+            layer.weight, layer.bias = layer.weight.astype(dtype), layer.bias.astype(dtype)
+        kernel = BasicKernel()
+        trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
+        losses = [trainer.train_epoch(graph, features, labels, mask, ~mask).loss
+                  for _ in range(epochs)]
+        predicted = [model.predict(graph, features, kernel)] if predict else []
+        return [np.array(losses), *predicted,
+                *(array for _, _, array in model.parameters())]
+
+    return call
+
+
 def test_trainer_epochs_above_the_size_constant(lane_count):
     """Three epochs at the real threshold: the 100 -> 256 layer's arrays
     are past it, so its phases and both aggregations split."""
     graph = load_dataset("products", scale=1.0, seed=2)
     v = graph.num_vertices
     assert v * 256 * 4 >= lanes.MIN_SPLIT_BYTES
-    features = synthetic_features(graph, 100, seed=2)
     labels = np.random.default_rng(2).integers(0, 16, v)
     mask = np.random.default_rng(3).random(v) < 0.6
-
-    def call():
-        model = build_model("gcn", 100, 256, 16, seed=0)
-        trainer = Trainer(
-            model, Adam(model, lr=0.01), aggregation_kernel=BasicKernel()
-        )
-        losses = [
-            trainer.train_epoch(graph, features, labels, mask, ~mask).loss
-            for _ in range(3)
-        ]
-        return [np.array(losses)] + [
-            array for _, _, array in model.parameters()
-        ]
-
-    _assert_lanes_match(lane_count, call)
+    _assert_lanes_match(lane_count, _training(
+        graph, synthetic_features(graph, 100, seed=2), labels, mask, 3))
 
 
 #: A few blocks, not a multiple of the block size: four row blocks, the
@@ -203,10 +202,8 @@ class TestSweeps:
         w_low = _array(48, 40, dtype, 28)
 
         def call():
-            swept = grads_sweep(
-                g.copy(), upper=(h, w_up), lower=(h, True, a, w_low, True),
-                in_place=in_place,
-            )
+            swept = grads_sweep(g.copy(), upper=(h, w_up),
+                                lower=(h, True, a, w_low, True), in_place=in_place)
             low = swept.lower
             assert swept.grad_h is None  # never formed
             return [swept.upper_weight, low.weight, low.bias, low.operand]
@@ -232,23 +229,8 @@ class TestSweeps:
         features = synthetic_features(graph, 100, seed=4).astype(dtype)
         labels = np.random.default_rng(4).integers(0, 16, SWEEP_V)
         mask = np.random.default_rng(5).random(SWEEP_V) < 0.5
-
-        def call():
-            model = build_model("gcn", 100, 256, 16, seed=0)
-            for layer in model.layers:
-                layer.weight = layer.weight.astype(dtype)
-                layer.bias = layer.bias.astype(dtype)
-            kernel = BasicKernel()
-            trainer = Trainer(model, Adam(model, lr=0.01), aggregation_kernel=kernel)
-            losses = [
-                trainer.train_epoch(graph, features, labels, mask, ~mask).loss
-                for _ in range(2)
-            ]
-            return [np.array(losses), model.predict(graph, features, kernel)] + [
-                array for _, _, array in model.parameters()
-            ]
-
-        _assert_lanes_match(always_split, call)
+        _assert_lanes_match(always_split, _training(
+            graph, features, labels, mask, 2, dtype=dtype, predict=True))
 
 
 def test_sweep_really_splits(lane_count, monkeypatch):

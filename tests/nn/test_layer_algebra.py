@@ -21,13 +21,8 @@ from repro.nn import GNNLayer, build_model
 from repro.nn import functional as F
 from repro.nn.aggregate import aggregate, aggregate_backward
 from repro.nn.layers import (
-    SWEEP_ROWS,
-    grad_pre_activation,
-    grads_after_aggregation,
-    grads_before_aggregation,
-    layer_operand,
-    layer_output,
-    transform_first,
+    SWEEP_ROWS, grad_pre_activation, grads_after_aggregation,
+    grads_before_aggregation, layer_operand, layer_output, transform_first,
 )
 
 SRC = Path(repro.__file__).parent
@@ -64,12 +59,9 @@ class TestGuard:
     @pytest.mark.parametrize("module", EXECUTORS)
     def test_order_decided_by_transform_first(self, module):
         tree = ast.parse((SRC / module).read_text())
-        called = {
-            node.func.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        }
-        assert "transform_first" in called
+        assert "transform_first" in {
+            node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
     def test_scan_sees_each_form(self, tmp_path):
         probe = tmp_path / "probe.py"
@@ -94,26 +86,22 @@ class TestRelu:
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_grad_masks_negatives(self):
-        g, grad_b = grad_pre_activation(
-            np.array([[3.0, 3.0]]), np.array([[-1.0, 0.5]]),
-            activation=True, in_place=False,
-        )
+        g, grad_b = grad_pre_activation(np.array([[3.0, 3.0]]), np.array([[-1.0, 0.5]]),
+                                        activation=True, in_place=False)
         np.testing.assert_array_equal(g, [[0.0, 3.0]])
         np.testing.assert_array_equal(grad_b, [0.0, 3.0])
 
     def test_grad_at_zero_is_zero(self):
-        g, _ = grad_pre_activation(
-            np.array([[1.0]]), np.array([[0.0]]), activation=True, in_place=False
-        )
+        g, _ = grad_pre_activation(np.array([[1.0]]), np.array([[0.0]]),
+                                   activation=True, in_place=False)
         assert g[0, 0] == 0.0
 
 
 class TestPhases:
     @pytest.fixture()
     def graph(self):
-        return CSRGraph.from_edges(
-            6, np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3], [0, 5]])
-        )
+        return CSRGraph.from_edges(6, np.array(
+            [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3], [0, 5]]))
 
     @pytest.mark.parametrize("widths", [(8, 3), (3, 8)], ids=["narrow", "widen"])
     def test_phases_compose_to_the_layer(self, graph, widths):
@@ -150,9 +138,8 @@ class TestPhases:
         a = rng.standard_normal((5, 4))
         weight = rng.standard_normal((4, 3))
         grad_w, out = np.empty((4, 3)), np.empty((5, 4))
-        got_w, operand = grads_before_aggregation(
-            g, a, weight, True, grad_w=grad_w, out=out
-        )
+        got_w, operand = grads_before_aggregation(g, a, weight, True, grad_w=grad_w,
+                                                  out=out)
         assert got_w is grad_w and operand is out
         np.testing.assert_allclose(operand, g @ weight.T)
         # Transform-first: the operand is grad_pre itself, copied if lent.
@@ -183,8 +170,7 @@ def _student(dtype):
     for layer in model.layers:
         layer.weight = layer.weight.astype(dtype)
         layer.bias = np.random.default_rng(4).standard_normal(
-            layer.out_features
-        ).astype(dtype)
+            layer.out_features).astype(dtype)
     return model
 
 
@@ -216,9 +202,8 @@ class TestSweepsAgainstWholeArrays:
         graph, features, labels, mask = sweep_task
         features = features.astype(dtype)
         model, kernel = _student(dtype), BasicKernel()
-        h, logits, _, _ = _whole_array_epoch(
-            model, graph, features, labels, mask, kernel
-        )
+        h, logits, _, _ = _whole_array_epoch(model, graph, features, labels, mask,
+                                             kernel)
         swept, caches = model.forward(graph, features, training=True, kernel=kernel)
         np.testing.assert_array_equal(caches[0].pre_activation, h)
         np.testing.assert_array_equal(swept, logits)
@@ -228,17 +213,14 @@ class TestSweepsAgainstWholeArrays:
         graph, features, labels, mask = sweep_task
         features = features.astype(dtype)
         model, kernel = _student(dtype), BasicKernel()
-        _, _, grad, expected = _whole_array_epoch(
-            model, graph, features, labels, mask, kernel
-        )
+        _, _, grad, expected = _whole_array_epoch(model, graph, features, labels,
+                                                  mask, kernel)
         _, caches = model.forward(graph, features, training=True, kernel=kernel)
         grads = model.backward(graph, grad, caches, kernel=kernel, live=mask)
         got = [grads[0].weight, grads[0].bias, grads[1].weight, grads[1].bias]
         for what, g, e in zip(("W0", "b0", "W1", "b1"), got, expected):
-            scale = np.abs(e).max()
-            np.testing.assert_allclose(
-                g, e, rtol=0, atol=self.RTOL[dtype] * scale, err_msg=what
-            )
+            np.testing.assert_allclose(g, e, rtol=0, err_msg=what,
+                                       atol=self.RTOL[dtype] * np.abs(e).max())
         assert grads[1].h_in is None  # dL/dh1 was never formed
 
 

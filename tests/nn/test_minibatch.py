@@ -24,18 +24,15 @@ class TestFullNeighborBlocks:
         # edge so the forward produces a defined (not garbage) row
         batch = full_neighbor_blocks(tiny_graph, np.array([4]), 1)
         block = batch.blocks[0]
-        np.testing.assert_array_equal(block.dst_vertices, [4])
-        np.testing.assert_array_equal(block.edge_dst, [4])
-        np.testing.assert_array_equal(block.edge_src, [4])
+        for got in (block.dst_vertices, block.edge_dst, block.edge_src):
+            np.testing.assert_array_equal(got, [4])
 
     def test_two_hop_frontier_expands(self, tiny_graph):
         # seeds {0}: 1-hop N(0) = {1, 2}; input block covers 2 hops
         batch = full_neighbor_blocks(tiny_graph, np.array([0]), 2)
         np.testing.assert_array_equal(batch.blocks[-1].dst_vertices, [0])
         np.testing.assert_array_equal(batch.blocks[-1].src_vertices, [0, 1, 2])
-        np.testing.assert_array_equal(
-            batch.blocks[0].dst_vertices, [0, 1, 2]
-        )
+        np.testing.assert_array_equal(batch.blocks[0].dst_vertices, [0, 1, 2])
         assert 3 in batch.blocks[0].src_vertices  # 2's neighbor
 
     def test_num_layers_validated(self, tiny_graph):
@@ -55,9 +52,7 @@ def _forward(graph, vertices, seed, model_type="gcn", model_seed=1, hops=2):
 
 class TestBlockForward:
     @pytest.mark.parametrize("model_type", ["gcn", "sage"])
-    def test_exact_assembly_matches_full_graph_predict(
-        self, tiny_graph, model_type
-    ):
+    def test_exact_assembly_matches_full_graph_predict(self, tiny_graph, model_type):
         result, oracle = _forward(tiny_graph, np.arange(5), 3, model_type, 2)
         np.testing.assert_allclose(result.logits, oracle, atol=1e-4)
 
@@ -126,14 +121,11 @@ class TestBlockForwardOrder:
         graph, features, model = task
         _, caches = model.forward(graph, features)
         batch = assemble_batch(graph, np.array([0, 5, 299]), 1)
-        result = block_forward(
-            graph, model, batch, features, first_aggregation=caches[0].a
-        )
+        result = block_forward(graph, model, batch, features,
+                               first_aggregation=caches[0].a)
         assert widths == [6]
         np.testing.assert_allclose(
-            result.logits, model.predict(graph, features)[[0, 5, 299]],
-            atol=1e-5,
-        )
+            result.logits, model.predict(graph, features)[[0, 5, 299]], atol=1e-5)
 
 
 def _per_edge_forward(graph, model, batch, features):
@@ -144,10 +136,8 @@ def _per_edge_forward(graph, model, batch, features):
     for layer, block in zip(model.layers, batch.blocks):
         dst_pos = {int(v): i for i, v in enumerate(block.dst_vertices)}
         src_pos = {int(v): i for i, v in enumerate(block.src_vertices)}
-        edges_into = np.bincount(
-            [dst_pos[int(d)] for d in block.edge_dst],
-            minlength=len(block.dst_vertices),
-        )
+        edges_into = np.bincount([dst_pos[int(d)] for d in block.edge_dst],
+                                 minlength=len(block.dst_vertices))
         a = np.zeros((len(block.dst_vertices), h.shape[1]))
         for d, s in zip(block.edge_dst, block.edge_src):
             if layer.aggregator == "gcn":
@@ -188,9 +178,8 @@ class TestBlockForwardThroughTheCore:
         batch = assemble_batch(small_products, query, 2)
         result = block_forward(small_products, model, batch, features)
         assert result.logits.dtype == np.float32
-        np.testing.assert_allclose(
-            result.logits, oracle[result.query_vertices], atol=1e-4
-        )
+        np.testing.assert_allclose(result.logits, oracle[result.query_vertices],
+                                   atol=1e-4)
 
     @pytest.mark.parametrize("model_type", ["gcn", "sage"])
     def test_sampled_blocks_with_duplicate_edges_keep_per_edge_semantics(
@@ -200,15 +189,12 @@ class TestBlockForwardThroughTheCore:
         rng = np.random.default_rng(12)
         features = rng.standard_normal((n, 24)).astype(np.float32)
         model = build_model(model_type, 24, 32, 7, num_layers=2, seed=6)
-        batch = sample_blocks(
-            looped_graph, np.arange(0, n, 3), (6, 6), np.random.default_rng(1)
-        )
+        batch = sample_blocks(looped_graph, np.arange(0, n, 3), (6, 6),
+                              np.random.default_rng(1))
         for block in batch.blocks:
             pairs = np.stack([block.edge_dst, block.edge_src], axis=1)
             assert len(np.unique(pairs, axis=0)) < len(pairs)  # duplicates
         result = block_forward(looped_graph, model, batch, features)
         np.testing.assert_allclose(
-            result.logits,
-            _per_edge_forward(looped_graph, model, batch, features),
-            atol=1e-4,
-        )
+            result.logits, _per_edge_forward(looped_graph, model, batch, features),
+            atol=1e-4)

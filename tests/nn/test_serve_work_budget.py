@@ -64,13 +64,10 @@ def test_two_layer_miss_assembles_one_hop(graph, seen, telemetry):
     two_hops = full_neighbor_blocks(graph, np.array([hub]), 2).total_sampled_edges
     assert two_hops > 10 * (graph.degree(hub) + 1)  # what the hub used to cost
     # the first layer's update runs over kept rows and gathers nothing
-    gathers = [
-        (span.attrs["index"], span.counters["gathers"])
-        for span in tracer.spans() if span.name == "kernel.serve.block"
-    ]
-    assert gathers == [
-        pair for v in vertices for pair in ((0, 0.0), (1, graph.degree(v) + 1.0))
-    ]
+    gathers = [(span.attrs["index"], span.counters["gathers"])
+               for span in tracer.spans() if span.name == "kernel.serve.block"]
+    assert gathers == [pair for v in vertices
+                       for pair in ((0, 0.0), (1, graph.degree(v) + 1.0))]
 
 
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
@@ -82,10 +79,8 @@ def test_a_miss_assembles_one_hop_fewer_than_the_model_has(graph, seen, num_laye
     finally:
         service.close()
     hops = num_layers - 1
-    expected = (
-        full_neighbor_blocks(graph, np.array([7]), hops).total_sampled_edges
-        if hops else 0
-    )
+    expected = (full_neighbor_blocks(graph, np.array([7]), hops).total_sampled_edges
+                if hops else 0)
     assert seen["edges"] == [expected]
 
 

@@ -58,10 +58,9 @@ class TestTrainer:
     def test_masked_training_reports_val(self, community_task):
         graph, features, labels = community_task
         train_mask, val_mask = train_val_split(graph.num_vertices, 0.5, seed=0)
-        model, trainer = _trainer(2, hidden=16, optimizer=Adam)
-        result = trainer.train_epoch(
-            graph, features, labels, train_mask=train_mask, val_mask=val_mask
-        )
+        _, trainer = _trainer(2, hidden=16, optimizer=Adam)
+        result = trainer.train_epoch(graph, features, labels,
+                                     train_mask=train_mask, val_mask=val_mask)
         assert result.val_accuracy is not None
 
     def test_sparsity_profile_recorded(self, community_task):
@@ -98,10 +97,8 @@ class TestTrainer:
         train_mask, val_mask = train_val_split(graph.num_vertices, 0.5, seed=0)
         model, trainer = _trainer(6)
         with caplog.at_level(logging.INFO, logger="repro.nn.training"):
-            trainer.fit(
-                graph, features, labels, epochs=1,
-                train_mask=train_mask, val_mask=val_mask, verbose=True,
-            )
+            trainer.fit(graph, features, labels, epochs=1, train_mask=train_mask,
+                        val_mask=val_mask, verbose=True)
         assert any("val-acc" in r.message for r in caplog.records)
 
 
@@ -139,13 +136,10 @@ class TestTrainerObservability:
         graph, features, labels = community_task
         train_mask, val_mask = train_val_split(graph.num_vertices, 0.5, seed=0)
         log = EventLog(str(tmp_path / "run.jsonl"))
-        model, trainer = _trainer(
-            0, hidden=16, optimizer=Adam, dropout=0.5, event_log=log
-        )
-        trainer.fit(
-            graph, features, labels, epochs=3,
-            train_mask=train_mask, val_mask=val_mask,
-        )
+        _, trainer = _trainer(0, hidden=16, optimizer=Adam, dropout=0.5,
+                              event_log=log)
+        trainer.fit(graph, features, labels, epochs=3, train_mask=train_mask,
+                    val_mask=val_mask)
         log.close()
         assert len(log) == 3
         validate_events(log.events)
@@ -175,10 +169,8 @@ class TestTrainerObservability:
         monkeypatch.setattr(training, "sparsity_of", measured)
         graph, features, labels = community_task
         log = EventLog(str(tmp_path / "run.jsonl"))
-        _, trainer = _trainer(
-            1, profile_sparsity=False, event_log=log,
-            rules=RuleEngine(default_train_rules()),
-        )
+        _, trainer = _trainer(1, profile_sparsity=False, event_log=log,
+                              rules=RuleEngine(default_train_rules()))
         trainer.train_epoch(graph, features, labels)
         log.close()
         assert "sparsity" not in log.events[0]
@@ -199,9 +191,8 @@ class TestTrainerObservability:
         # The event log keeps the evidence of the epoch that failed.
         graph, features, labels = community_task
         log = EventLog(str(tmp_path / "run.jsonl"))
-        model, trainer = _trainer(
-            3, event_log=log, rules=RuleEngine(default_train_rules())
-        )
+        model, trainer = _trainer(3, event_log=log,
+                                  rules=RuleEngine(default_train_rules()))
         model.layers[0].weight[:] = np.nan
         with pytest.raises(FatalRuleError):
             trainer.train_epoch(graph, features, labels)
@@ -248,8 +239,7 @@ class TestTrainerLiveTelemetry:
         trainer.train_epoch(graph, features, labels)
         trainer.train_epoch(graph, features, labels)
         log.close()
-        assert not rules.ok
-        assert rules.evaluations == 2
+        assert (rules.ok, rules.evaluations) == (False, 2)
         # Fired rules ride along as slo: markers in the event stream.
         assert log.events[0]["health_issues"] == ["slo:loss_cap"]
         validate_events(log.events)
@@ -269,9 +259,8 @@ class TestTrainerLiveTelemetry:
         monkeypatch.setattr(F, "cross_entropy_and_correct", scripted)
         graph, features, labels = community_task
         log = EventLog(str(tmp_path / "run.jsonl"))
-        rules = RuleEngine(
-            default_train_rules() + parse_rules("always: train.loss < 1e-9")
-        )
+        rules = RuleEngine(default_train_rules()
+                           + parse_rules("always: train.loss < 1e-9"))
         _, trainer = _trainer(5, event_log=log, rules=rules)
         trainer.train_epoch(graph, features, labels)
         with pytest.raises(FatalRuleError):
@@ -285,9 +274,7 @@ class TestTrainerLiveTelemetry:
         # No telemetry enabled: the trainer synthesizes the train.*
         # snapshot so rules still evaluate.
         graph, features, labels = community_task
-        rules = RuleEngine(
-            "loss_cap: train.loss < 1e-6\nrss: proc.rss_bytes < 1"
-        )
+        rules = RuleEngine("loss_cap: train.loss < 1e-6\nrss: proc.rss_bytes < 1")
         _, trainer = _trainer(5, rules=rules)
         trainer.train_epoch(graph, features, labels)
         assert rules.active == ["loss_cap"]  # proc.* absent -> skipped
@@ -336,12 +323,9 @@ def _reference_epoch(model, optimizer, graph, features, labels):
         layer = model.layers[idx]
         a, pre = stash[idx]
         grad_pre = grad * (pre > 0) if layer.activation else grad
-        grad = aggregate_backward(
-            graph, grad_pre @ layer.weight.T, layer.aggregator
-        )
-        grads[idx] = LayerGrads(
-            weight=a.T @ grad_pre, bias=grad_pre.sum(axis=0), h_in=grad
-        )
+        grad = aggregate_backward(graph, grad_pre @ layer.weight.T, layer.aggregator)
+        grads[idx] = LayerGrads(weight=a.T @ grad_pre, bias=grad_pre.sum(axis=0),
+                                h_in=grad)
     optimizer.step(grads)
     return loss
 
@@ -402,10 +386,8 @@ class TestFirstAggregationReuse:
         optimizer = Adam(reference, lr=0.02)
         for _ in range(3):
             result = trainer.train_epoch(graph, features, labels)
-            expected = _reference_epoch(
-                reference, optimizer, graph, features, labels
-            )
-            assert result.loss == expected
+            assert result.loss == _reference_epoch(reference, optimizer, graph,
+                                                   features, labels)
         for layer, ref_layer in zip(model.layers, reference.layers):
             np.testing.assert_array_equal(layer.weight, ref_layer.weight)
             np.testing.assert_array_equal(layer.bias, ref_layer.bias)
@@ -415,19 +397,16 @@ class TestInference:
     def test_logits_shape(self, community_task):
         graph, features, _ = community_task
         model = build_model("gcn", 8, 16, 3, num_layers=2)
-        logits = model.predict(graph, features)
-        assert logits.shape == (graph.num_vertices, 3)
+        assert model.predict(graph, features).shape == (graph.num_vertices, 3)
 
 
 class TestSplit:
     def test_disjoint_and_complete(self):
         train, val = train_val_split(100, 0.6, seed=0)
-        assert train.sum() == 60
-        assert val.sum() == 40
+        assert (train.sum(), val.sum()) == (60, 40)
         assert not (train & val).any()
 
     def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_val_split(10, 0.0)
-        with pytest.raises(ValueError):
-            train_val_split(10, 1.0)
+        for fraction in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                train_val_split(10, fraction)

@@ -24,22 +24,18 @@ def graph():
 def _per_epoch_work(graph, model, epochs=4, train_mask=None):
     """(gathers, gathered elements) of every epoch, forward + backward."""
     features = synthetic_features(graph, model.layers[0].in_features, seed=1)
-    labels = np.random.default_rng(1).integers(
-        0, model.layers[-1].out_features, graph.num_vertices
-    )
+    labels = np.random.default_rng(1).integers(0, model.layers[-1].out_features,
+                                               graph.num_vertices)
     trainer = Trainer(model, SGD(model, lr=0.05), aggregation_kernel=BasicKernel())
     history = trainer.history
     work = []
     gathers = elements = 0
     for _ in range(epochs):
         trainer.train_epoch(graph, features, labels, train_mask=train_mask)
-        total_gathers = (
-            history.aggregation_stats.gathers + history.backward_stats.gathers
-        )
+        total_gathers = history.aggregation_stats.gathers + history.backward_stats.gathers
         # KernelStats.flops is 2 x gathers x width per pass.
-        total_elements = (
-            history.aggregation_stats.flops + history.backward_stats.flops
-        ) / 2
+        total_elements = (history.aggregation_stats.flops
+                          + history.backward_stats.flops) / 2
         work.append((total_gathers - gathers, total_elements - elements))
         gathers, elements = total_gathers, total_elements
     return work
@@ -58,16 +54,8 @@ def test_benchmark_student_gathers_two_narrow_passes(graph):
 
 
 @pytest.mark.parametrize(
-    "widths",
-    [
-        (12, 5),
-        (12, 20, 5),
-        (12, 20, 8, 5),
-        (12, 6, 20, 20, 5),
-        (5, 5, 5),
-    ],
-    ids=lambda widths: "-".join(map(str, widths)),
-)
+    "widths", [(12, 5), (12, 20, 5), (12, 20, 8, 5), (12, 6, 20, 20, 5), (5, 5, 5)],
+    ids=lambda widths: "-".join(map(str, widths)))
 def test_steady_state_passes_and_widths(graph, stack_model, widths):
     """Any L-layer model makes ``2·(L−1)`` passes per steady-state
     epoch; only their widths depend on which layers narrow (each layer
@@ -76,9 +64,7 @@ def test_steady_state_passes_and_widths(graph, stack_model, widths):
     num_layers = len(widths) - 1
     work = _per_epoch_work(graph, stack_model(widths))
     narrow = sum(min(widths[k], widths[k + 1]) for k in range(1, num_layers))
-    assert work[0] == (
-        (2 * num_layers - 1) * rows, (widths[0] + 2 * narrow) * rows
-    )
+    assert work[0] == ((2 * num_layers - 1) * rows, (widths[0] + 2 * narrow) * rows)
     for epoch_work in work[1:]:
         assert epoch_work == (2 * (num_layers - 1) * rows, 2 * narrow * rows)
 
@@ -92,9 +78,8 @@ def test_masked_loss_gathers_only_its_rows_backward(graph):
     mask = np.random.default_rng(2).random(v) < 0.3
     live = int(graph.degrees()[mask].sum()) + v
     assert live < rows
-    work = _per_epoch_work(
-        graph, build_model("gcn", 100, 256, 16, seed=0), train_mask=mask
-    )
+    work = _per_epoch_work(graph, build_model("gcn", 100, 256, 16, seed=0),
+                           train_mask=mask)
     assert work[0] == (2 * rows + live, 100 * rows + 16 * rows + 16 * live)
     for epoch_work in work[1:]:
         assert epoch_work == (rows + live, 16 * (rows + live))

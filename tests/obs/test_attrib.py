@@ -8,9 +8,7 @@ import pytest
 from repro.obs.attrib import attribute_run, workload_from_span
 from repro.perf.machine import cascade_lake_28
 from repro.perf.traffic import (
-    LayerShape,
-    aggregation_traffic,
-    compressed_effective_feature_len,
+    LayerShape, aggregation_traffic, compressed_effective_feature_len,
 )
 
 

@@ -21,17 +21,11 @@ import pytest
 
 from repro.obs.attrib import SPAN_VARIANTS, attribute_run
 from repro.perf.cost_model import (
-    AGGREGATION_COMPUTE_EFFICIENCY,
-    VARIANTS,
-    VariantSpec,
-    kernel_cost,
+    AGGREGATION_COMPUTE_EFFICIENCY, VARIANTS, VariantSpec, kernel_cost,
 )
 from repro.perf.machine import MachineConfig, cascade_lake_12, cascade_lake_28
 from repro.perf.traffic import (
-    LayerShape,
-    PhaseTraffic,
-    aggregation_traffic,
-    decompress_elements,
+    LayerShape, PhaseTraffic, aggregation_traffic, decompress_elements,
     update_traffic,
 )
 

@@ -7,22 +7,14 @@ import pytest
 
 from repro.obs import RECORD_SCHEMA_VERSION, manifest
 from repro.obs.events import (
-    EpochEvent,
-    EventLog,
-    EventTail,
-    read_events,
-    validate_epoch_event,
-    validate_events,
-    validate_events_file,
+    EpochEvent, EventLog, EventTail, read_events, validate_epoch_event,
+    validate_events, validate_events_file,
 )
 
 
 def make_event(epoch=0, **overrides):
     kwargs = dict(
-        epoch=epoch,
-        loss=1.5,
-        train_accuracy=0.4,
-        wall_time_s=0.01,
+        epoch=epoch, loss=1.5, train_accuracy=0.4, wall_time_s=0.01,
         val_accuracy=0.35,
         grad_norms={"0": {"weight": 0.1, "bias": 0.01, "h_in": 0.2}},
         weight_norms={"0": {"weight": 1.0, "bias": 0.1}},
@@ -71,8 +63,7 @@ class TestEventLog:
         log = EventLog(str(tmp_path / "run.jsonl"))
         assert len(log) == 0
         log.emit(make_event(0))
-        assert len(log) == 1
-        assert log.events[0]["kind"] == "epoch"
+        assert (len(log), log.events[0]["kind"]) == (1, "epoch")
         log.close()
 
     def test_pathless_log_buffers_only(self):
@@ -147,8 +138,7 @@ class TestEventTail:
 
     def test_missing_file_yields_nothing(self, tmp_path):
         tail = EventTail(str(tmp_path / "missing.jsonl"))
-        assert tail.read_new() == []
-        assert tail.header is None
+        assert tail.read_new() == [] and tail.header is None
 
     def test_partial_line_deferred_until_complete(self, tmp_path):
         path = _log(tmp_path, [0])
@@ -184,9 +174,8 @@ class TestValidation:
         assert validate_epoch_event(make_event().to_record()) == []
 
     def test_nan_values_are_valid(self):
-        record = make_event(
-            loss=float("nan"), grad_norms={"0": {"weight": float("nan")}}
-        ).to_record()
+        record = make_event(loss=float("nan"),
+                            grad_norms={"0": {"weight": float("nan")}}).to_record()
         assert validate_epoch_event(record) == []
 
     def test_missing_field(self):

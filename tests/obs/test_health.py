@@ -61,8 +61,7 @@ class TestNonFinite:
         with pytest.raises(FatalRuleError) as excinfo:
             trainer.train_epoch(*task)
         error = excinfo.value
-        assert error.epoch == 3
-        assert [a.rule for a in error.alerts] == ["non_finite"]
+        assert (error.epoch, [a.rule for a in error.alerts]) == (3, ["non_finite"])
         assert "epoch 3" in str(error)
         assert "first non-finite value: loss (nan)" in str(error)
         assert len(trainer.history.epochs) == 3  # the failed epoch is not kept
@@ -122,15 +121,12 @@ class TestNonFinite:
         logits = np.zeros((4, 3), dtype=np.float32)
         logits[1, 2] = np.nan
         logits[3, 0] = np.inf
-        count, first = _non_finite(0.5, logits, {}, {})
-        assert count == 2
-        assert first == "logits (16.7% non-finite)"
+        assert _non_finite(0.5, logits, {}, {}) == (2, "logits (16.7% non-finite)")
 
     def test_clean_epoch_no_issues(self, task):
         trainer, engine = guarded_trainer()
         run(trainer, task, 3)
-        assert engine.ok
-        assert engine.evaluations == 3
+        assert engine.ok and engine.evaluations == 3
 
 
 class TestLossTrajectory:
@@ -142,8 +138,7 @@ class TestLossTrajectory:
             trainer.train_epoch(*task)
         alert = excinfo.value.alerts[0]
         assert (alert.rule, alert.value, excinfo.value.epoch) == (
-            "loss_divergence", 5.0, 1
-        )
+            "loss_divergence", 5.0, 1)
         assert "first non-finite" not in str(excinfo.value)
 
     def test_first_epoch_never_divergent(self, task, monkeypatch):
@@ -160,8 +155,7 @@ class TestLossTrajectory:
         trainer.train_epoch(*task)  # epoch 20 warns, and the run goes on
         [alert] = engine.alerts
         assert (alert.rule, alert.fatal, alert.evaluation) == (
-            "convergence_stall", False, 21
-        )
+            "convergence_stall", False, 21)
 
     def test_stall_keeps_reporting(self, task, monkeypatch):
         # Long-running breaches keep reporting: epochs 20, 21 and 22.
@@ -182,16 +176,13 @@ class TestLossTrajectory:
         # engine fed directly records the fatal alert and goes on.
         engine = RuleEngine(default_train_rules())
         [alert] = engine.evaluate({"train.nonfinite": gauge(1.0)})
-        assert alert.fatal
-        assert not engine.ok
+        assert alert.fatal and not engine.ok
         assert "non_finite" in engine.summary()
         assert engine.evaluate({"train.nonfinite": gauge(0.0)}) == []
 
 
 class TestMetricsPublication:
-    def test_health_metrics_published_when_enabled(
-        self, task, monkeypatch, telemetry
-    ):
+    def test_health_metrics_published_when_enabled(self, task, monkeypatch, telemetry):
         script_losses(monkeypatch, [1.0, float("nan")])
         trainer, _ = guarded_trainer()
         with telemetry() as (_, metrics):
@@ -199,13 +190,14 @@ class TestMetricsPublication:
             with pytest.raises(FatalRuleError):
                 trainer.train_epoch(*task)
             snap = metrics.snapshot()
-        assert snap["train.nonfinite"]["value"] == 1.0
-        assert snap["train.epochs_since_best"]["value"] == 1.0
+        assert {name: snap[name]["value"] for name in (
+            "train.nonfinite", "train.epochs_since_best", "alerts.evaluations",
+            "alerts.non_finite.fired", "alerts.fired")} == {
+            "train.nonfinite": 1.0, "train.epochs_since_best": 1.0,
+            "alerts.evaluations": 2.0, "alerts.non_finite.fired": 1.0,
+            "alerts.fired": 1.0}
         # Absent on the first epoch and on a non-finite loss.
         assert "train.loss_over_best" not in snap
-        assert snap["alerts.evaluations"]["value"] == 2.0
-        assert snap["alerts.non_finite.fired"]["value"] == 1.0
-        assert snap["alerts.fired"]["value"] == 1.0
 
     def test_ratio_from_an_earlier_epoch_is_never_judged(
         self, task, monkeypatch, telemetry
@@ -234,14 +226,8 @@ class TestIssueDocument:
         engine = RuleEngine(default_train_rules())
         [alert] = engine.evaluate({"train.loss_over_best": gauge(4.5)})
         assert alert.to_dict() == {
-            "rule": "loss_divergence",
-            "metric": "train.loss_over_best",
-            "stat": "value",
-            "op": "<=",
-            "threshold": 4.0,
-            "value": 4.5,
-            "consecutive": 1,
-            "evaluation": 1,
-            "fatal": True,
+            "rule": "loss_divergence", "metric": "train.loss_over_best",
+            "stat": "value", "op": "<=", "threshold": 4.0, "value": 4.5,
+            "consecutive": 1, "evaluation": 1, "fatal": True,
         }
         assert str(alert).startswith("[fatal] loss_divergence:")

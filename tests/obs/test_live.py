@@ -12,23 +12,15 @@ from repro import cli, obs
 from repro.obs import MetricsRegistry, manifest
 from repro.obs.events import EpochEvent, EventLog
 from repro.obs.live import (
-    LiveRunMonitor,
-    MetricsServer,
-    delta_snapshot,
-    prometheus_name,
-    render_prometheus,
-    scrape_snapshot,
-    sparkline,
+    LiveRunMonitor, MetricsServer, delta_snapshot, prometheus_name,
+    render_prometheus, scrape_snapshot, sparkline,
 )
 from repro.obs.rules import RuleEngine
 
 
 def make_event(epoch=0, **overrides):
     kwargs = dict(
-        epoch=epoch,
-        loss=1.5,
-        train_accuracy=0.4,
-        wall_time_s=0.01,
+        epoch=epoch, loss=1.5, train_accuracy=0.4, wall_time_s=0.01,
         val_accuracy=0.35,
         grad_norms={"0": {"weight": 0.1, "bias": 0.01, "h_in": 0.2}},
         weight_norms={"0": {"weight": 1.0, "bias": 0.1}},
@@ -37,31 +29,39 @@ def make_event(epoch=0, **overrides):
     return EpochEvent(**kwargs)
 
 
-def make_registry():
+def registry(counters=(), gauges=(), observed=()):
+    """A registry holding ``(name, value)`` counters, gauges and
+    observations."""
     reg = MetricsRegistry()
-    reg.inc("kernel.basic.gathers", 120)
-    reg.set_gauge("proc.rss_bytes", 1e6)
-    reg.observe("executor.wall_time_s", 0.5)
-    reg.observe("executor.wall_time_s", 1.5)
+    for name, value in counters:
+        reg.inc(name, value)
+    for name, value in gauges:
+        reg.set_gauge(name, value)
+    for name, value in observed:
+        reg.observe(name, value)
     return reg
+
+
+def make_registry():
+    return registry([("kernel.basic.gathers", 120)], [("proc.rss_bytes", 1e6)],
+                    [("executor.wall_time_s", 0.5), ("executor.wall_time_s", 1.5)])
 
 
 class TestPrometheusRendering:
     def test_name_mapping(self):
-        assert prometheus_name("kernel.basic.gathers") == (
-            "repro_kernel_basic_gathers"
-        )
+        assert prometheus_name("kernel.basic.gathers") == "repro_kernel_basic_gathers"
         assert prometheus_name("weird-name!") == "repro_weird_name_"
 
     def test_families(self):
         text = render_prometheus(make_registry().snapshot())
-        assert "# TYPE repro_kernel_basic_gathers_total counter" in text
-        assert "repro_kernel_basic_gathers_total 120.0" in text
-        assert "# TYPE repro_proc_rss_bytes gauge" in text
-        assert "# TYPE repro_executor_wall_time_s summary" in text
-        assert 'repro_executor_wall_time_s{quantile="0.5"}' in text
-        assert "repro_executor_wall_time_s_sum 2.0" in text
-        assert "repro_executor_wall_time_s_count 2" in text
+        for line in ("# TYPE repro_kernel_basic_gathers_total counter",
+                     "repro_kernel_basic_gathers_total 120.0",
+                     "# TYPE repro_proc_rss_bytes gauge",
+                     "# TYPE repro_executor_wall_time_s summary",
+                     'repro_executor_wall_time_s{quantile="0.5"}',
+                     "repro_executor_wall_time_s_sum 2.0",
+                     "repro_executor_wall_time_s_count 2"):
+            assert line in text
 
     def test_every_line_parses(self):
         # Minimal exposition-format check: each non-comment line is
@@ -75,9 +75,7 @@ class TestPrometheusRendering:
             float(value)  # must parse
 
     def test_nan_and_inf_rendering(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("g", float("nan"))
-        text = render_prometheus(reg.snapshot())
+        text = render_prometheus(registry(gauges=[("g", float("nan"))]).snapshot())
         assert "repro_g NaN" in text
 
 
@@ -89,18 +87,13 @@ class TestDeltaSnapshot:
         assert doc["metrics"]["c"]["rate_per_s"] == pytest.approx(15.0)
 
     def test_first_scrape_has_no_rate(self):
-        doc = delta_snapshot(
-            {"c": {"type": "counter", "value": 10.0}}, None, None, 5.0
-        )
+        doc = delta_snapshot({"c": {"type": "counter", "value": 10.0}}, None, None, 5.0)
         assert doc["metrics"]["c"]["rate_per_s"] is None
 
     def test_gauge_age(self):
         doc = delta_snapshot(
             {"g": {"type": "gauge", "value": 1.0, "updated_monotonic": 3.0}},
-            None,
-            None,
-            now_monotonic=10.0,
-        )
+            None, None, now_monotonic=10.0)
         assert doc["metrics"]["g"]["age_s"] == pytest.approx(7.0)
 
 
@@ -140,10 +133,9 @@ class TestMetricsServer:
             ):
                 conn.request(method, path)
                 response = conn.getresponse()
-                replies[method, path] = (
-                    response.status, response.headers["Content-Type"],
-                    response.read(),
-                )
+                replies[method, path] = (response.status,
+                                         response.headers["Content-Type"],
+                                         response.read())
             conn.close()
             assert server.connections == 1
             # a one-shot scrape (``Connection: close``) is its own connection
@@ -182,8 +174,7 @@ class TestMetricsServer:
         monkeypatch.setattr(MetricsServer, "start", refuse)
         monkeypatch.setattr(socket.socket, "bind", refuse)
         args = cli.build_parser().parse_args(
-            ["train", "products", "--json", str(tmp_path / "run.json")]
-        )
+            ["train", "products", "--json", str(tmp_path / "run.json")])
         with cli._telemetry(args, {}, rules=RuleEngine([])) as tracer:
             assert obs.get_metrics().enabled and tracer.enabled
         assert not obs.get_metrics().enabled
@@ -192,8 +183,7 @@ class TestMetricsServer:
 class TestSparkline:
     def test_shape(self):
         line = sparkline([1.0, 2.0, 3.0, 4.0])
-        assert len(line) == 4
-        assert line[0] == "▁" and line[-1] == "█"
+        assert len(line) == 4 and line[0] == "▁" and line[-1] == "█"
 
     def test_flat_and_empty(self):
         assert sparkline([5.0, 5.0]) == "▁▁"
@@ -233,28 +223,23 @@ class TestLiveRunMonitor:
 
     def test_render_shows_trend_and_grads(self, tmp_path):
         frame = frame_of(self.write_events(tmp_path, 3))
-        assert "epoch    2" in frame
-        assert "loss" in frame and "acc" in frame
-        assert "grad|w| L0:" in frame
-        assert "== repro top == command=train dataset=t" in frame
+        for text in ("epoch    2", "loss", "acc", "grad|w| L0:",
+                     "== repro top == command=train dataset=t"):
+            assert text in frame
 
     def test_render_without_events(self, tmp_path):
         frame = frame_of(str(tmp_path / "missing.jsonl"))
         assert "(no epoch events yet)" in frame
 
     def test_registry_metrics_in_view(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.set_gauge("proc.rss_bytes", 2e6)
-        reg.set_gauge("proc.cpu_percent", 50.0)
-        reg.set_gauge("train.epoch", 7.0)
+        reg = registry(gauges=[("proc.rss_bytes", 2e6), ("proc.cpu_percent", 50.0),
+                               ("train.epoch", 7.0)])
         frame = frame_of(self.write_events(tmp_path, 1), registry=reg)
-        assert "rss 2.0 MB" in frame
-        assert "cpu 50%" in frame
-        assert "phase epoch 7" in frame
+        for text in ("rss 2.0 MB", "cpu 50%", "phase epoch 7"):
+            assert text in frame
 
     def test_stale_gauge_flagged(self, tmp_path, monkeypatch):
-        reg = MetricsRegistry()
-        reg.set_gauge("proc.rss_bytes", 2e6)
+        reg = registry(gauges=[("proc.rss_bytes", 2e6)])
         monkeypatch.setattr("repro.obs.live.STALE_AFTER_S", -1.0)
         frame = frame_of(self.write_events(tmp_path, 1), registry=reg)
         assert "[STALE]" in frame
@@ -278,53 +263,40 @@ class TestLiveRunMonitor:
         assert "FIRING" in monitor.render()
 
     def test_rules_merge_event_over_metrics(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.set_gauge("proc.rss_bytes", 5e6)
+        reg = registry(gauges=[("proc.rss_bytes", 5e6)])
         rules = RuleEngine("rss: proc.rss_bytes < 1e6\nloss: train.loss < 0.1")
-        monitor = LiveRunMonitor(
-            self.write_events(tmp_path, 1), registry=reg, rules=rules
-        )
+        monitor = LiveRunMonitor(self.write_events(tmp_path, 1), registry=reg,
+                                 rules=rules)
         monitor.poll()
         assert set(rules.active) == {"rss", "loss"}
 
     def test_event_plane_replaces_scraped_train_gauges(self, tmp_path):
         # A scraped train.* gauge is the live run's latest epoch, not the
         # one being replayed: its rules skip instead of judging it.
-        reg = MetricsRegistry()
-        reg.set_gauge("train.nonfinite", 1.0)
-        reg.observe("train.epoch_time_s", 5.0)
-        rules = RuleEngine(
-            "bad: train.nonfinite == 0\nslow: train.epoch_time_s max < 1"
-        )
-        monitor = LiveRunMonitor(
-            self.write_events(tmp_path, 2), registry=reg, rules=rules
-        )
+        reg = registry(gauges=[("train.nonfinite", 1.0)],
+                       observed=[("train.epoch_time_s", 5.0)])
+        rules = RuleEngine("bad: train.nonfinite == 0\nslow: train.epoch_time_s max < 1")
+        monitor = LiveRunMonitor(self.write_events(tmp_path, 2), registry=reg,
+                                 rules=rules)
         monitor.poll()
         assert rules.active == ["slow"]
 
     def test_scrape_failure_is_tolerated(self, tmp_path):
-        frame = frame_of(
-            self.write_events(tmp_path, 1),
-            metrics_url="http://127.0.0.1:1",  # nothing listens there
-        )
+        frame = frame_of(self.write_events(tmp_path, 1),
+                         metrics_url="http://127.0.0.1:1")  # nothing listens there
         assert "epoch    0" in frame
 
     def test_follow_renders_frames(self, tmp_path):
         stream = io.StringIO()
         monitor = LiveRunMonitor(self.write_events(tmp_path, 2))
-        frames = monitor.follow(
-            interval_s=0.0, refresh_limit=2, stream=stream
-        )
-        assert frames == 2
+        assert monitor.follow(interval_s=0.0, refresh_limit=2, stream=stream) == 2
         assert "epoch    1" in stream.getvalue()
 
     def test_end_to_end_with_server(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.set_gauge("proc.rss_bytes", 3e6)
-        with MetricsServer(reg, port=0) as server:
-            monitor = LiveRunMonitor(
-                self.write_events(tmp_path, 2), metrics_url=server.url
-            )
+        with MetricsServer(registry(gauges=[("proc.rss_bytes", 3e6)]),
+                           port=0) as server:
+            monitor = LiveRunMonitor(self.write_events(tmp_path, 2),
+                                     metrics_url=server.url)
             monitor.poll()
             frame = monitor.render()
         assert "rss 3.0 MB" in frame
@@ -332,49 +304,32 @@ class TestLiveRunMonitor:
 
 
 class TestServingView:
-    def serve_registry(self):
-        reg = MetricsRegistry()
-        reg.inc("serve.requests", 120)
-        reg.inc("serve.cache.hits", 90)
-        reg.inc("serve.cache.misses", 30)
-        reg.set_gauge("serve.cache.size", 30.0)
-        reg.set_gauge("serve.queue_depth", 2.0)
-        for value in (0.001, 0.002, 0.004):
-            reg.observe("serve.latency.request_s", value)
-        reg.observe("serve.batch.occupancy", 4.0)
-        return reg
-
     def test_serve_section_rendered(self, tmp_path):
-        frame = frame_of(
-            str(tmp_path / "none.jsonl"), registry=self.serve_registry()
-        )
-        assert "serve requests 120" in frame
-        assert "cache hit 75% (90/120)" in frame
-        assert "queue 2" in frame
-        assert "lat   p50" in frame
-        assert "batch occupancy" in frame
+        reg = registry(
+            [("serve.requests", 120), ("serve.cache.hits", 90),
+             ("serve.cache.misses", 30)],
+            [("serve.cache.size", 30.0), ("serve.queue_depth", 2.0)],
+            [("serve.latency.request_s", value) for value in (0.001, 0.002, 0.004)]
+            + [("serve.batch.occupancy", 4.0)])
+        frame = frame_of(str(tmp_path / "none.jsonl"), registry=reg)
+        for text in ("serve requests 120", "cache hit 75% (90/120)", "queue 2",
+                     "lat   p50", "batch occupancy"):
+            assert text in frame
 
     def test_no_serve_metrics_no_section(self, tmp_path):
-        frame = frame_of(
-            str(tmp_path / "none.jsonl"), registry=MetricsRegistry()
-        )
+        frame = frame_of(str(tmp_path / "none.jsonl"), registry=MetricsRegistry())
         assert "serve requests" not in frame
 
     def test_unknown_families_render_generically(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.inc("dma.descriptors", 42)
-        reg.set_gauge("shard.halo_bytes", 1024.0)
-        reg.observe("custom.stage_s", 0.5)
+        reg = registry([("dma.descriptors", 42)], [("shard.halo_bytes", 1024.0)],
+                       [("custom.stage_s", 0.5)])
         frame = frame_of(str(tmp_path / "none.jsonl"), registry=reg)
-        assert "descriptors 42" in frame
-        assert "halo_bytes=1024" in frame
-        assert "stage_s p50=0.5" in frame
+        for text in ("descriptors 42", "halo_bytes=1024", "stage_s p50=0.5"):
+            assert text in frame
 
     def test_native_planes_not_duplicated_in_generic_view(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.set_gauge("proc.rss_bytes", 1e6)
-        reg.set_gauge("serve.queue_depth", 1.0)
-        reg.inc("serve.requests", 1)
+        reg = registry([("serve.requests", 1)],
+                       [("proc.rss_bytes", 1e6), ("serve.queue_depth", 1.0)])
         frame = frame_of(str(tmp_path / "none.jsonl"), registry=reg)
         # proc/serve render in their own sections, once
         assert frame.count("rss") == 1

@@ -6,15 +6,17 @@ import time
 import pytest
 
 from repro.obs import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    publish_counters,
+    NULL_REGISTRY, Counter, Gauge, Histogram, MetricsRegistry,
+    NullRegistry, publish_counters,
 )
 from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP
+
+
+def _histogram(values):
+    h = Histogram()
+    for value in values:
+        h.observe(value)
+    return h
 
 
 def _race(reader, writer, reads=None):
@@ -79,24 +81,16 @@ class TestMetricTypes:
         assert g.updated_monotonic >= first
 
     def test_histogram_summary(self):
-        h = Histogram()
-        for value in (1.0, 3.0, 2.0):
-            h.observe(value)
-        assert h.count == 3
-        assert h.total == 6.0
-        assert h.min == 1.0
-        assert h.max == 3.0
+        h = _histogram((1.0, 3.0, 2.0))
+        assert (h.count, h.total, h.min, h.max) == (3, 6.0, 1.0, 3.0)
         assert h.mean == pytest.approx(2.0)
 
     def test_empty_histogram_dict_is_finite(self):
         d = Histogram().to_dict()
-        assert d["min"] == 0.0 and d["max"] == 0.0 and d["mean"] == 0.0
-        assert d["p50"] == 0.0 and d["p95"] == 0.0 and d["p99"] == 0.0
+        assert [d[k] for k in ("min", "max", "mean", "p50", "p95", "p99")] == [0.0] * 6
 
     def test_histogram_exact_percentiles(self):
-        h = Histogram()
-        for value in range(1, 101):  # 1..100
-            h.observe(float(value))
+        h = _histogram(float(value) for value in range(1, 101))  # 1..100
         assert h.percentile(0) == 1.0
         assert h.percentile(100) == 100.0
         assert h.percentile(50) == pytest.approx(50.5)
@@ -104,70 +98,51 @@ class TestMetricTypes:
         assert h.percentile(99) == pytest.approx(99.01)
 
     def test_histogram_percentiles_in_export(self):
-        h = Histogram()
-        for value in (1.0, 2.0, 3.0, 4.0):
-            h.observe(value)
-        d = h.to_dict()
+        d = _histogram((1.0, 2.0, 3.0, 4.0)).to_dict()
         assert d["p50"] == pytest.approx(2.5)
         assert d["p99"] <= d["max"]
         assert d["p50"] <= d["p95"] <= d["p99"]
 
     def test_histogram_bucket_fallback_past_cap(self):
-        h = Histogram()
-        for _ in range(HISTOGRAM_SAMPLE_CAP + 500):
-            h.observe(8.0)  # exactly one bucket: [8, 16)
+        h = _histogram([8.0] * (HISTOGRAM_SAMPLE_CAP + 500))  # one bucket: [8, 16)
         p50 = h.percentile(50)
         assert h.min <= p50 <= h.max  # clamped into observed range
         assert p50 == pytest.approx(8.0)
 
     def test_histogram_bucket_fallback_orders_buckets(self):
-        h = Histogram()
-        for _ in range(HISTOGRAM_SAMPLE_CAP):
-            h.observe(1.0)
-        for _ in range(HISTOGRAM_SAMPLE_CAP):
-            h.observe(1000.0)
+        h = _histogram([1.0] * HISTOGRAM_SAMPLE_CAP + [1000.0] * HISTOGRAM_SAMPLE_CAP)
         # Half the mass sits at ~1, half at ~1000: p25 stays low, p95 high.
         assert h.percentile(25) < 2.0
         assert h.percentile(95) > 500.0
 
     def test_histogram_rejects_bad_percentile(self):
-        with pytest.raises(ValueError):
-            Histogram().percentile(101)
-        with pytest.raises(ValueError):
-            Histogram().percentile(-0.1)
+        for q in (101, -0.1):
+            with pytest.raises(ValueError):
+                Histogram().percentile(q)
 
     def test_histogram_zero_and_negative_values(self):
-        h = Histogram()
-        for value in (0.0, -1.0, 2.0):
-            h.observe(value)
+        h = _histogram((0.0, -1.0, 2.0))
         assert h.percentile(0) == -1.0
         assert h.percentile(100) == 2.0
 
     def test_bucket_estimate_extreme_percentiles(self):
         # Past the sample cap, q=0 and q=100 must stay clamped to the
         # exact observed min/max even though the buckets only bound them.
-        h = Histogram()
-        for i in range(HISTOGRAM_SAMPLE_CAP + 100):
-            h.observe(3.0 + (i % 7))  # values in [3, 9]
+        h = _histogram(3.0 + (i % 7) for i in range(HISTOGRAM_SAMPLE_CAP + 100))
         assert h.percentile(0) == h.min == 3.0
         assert h.percentile(100) == h.max == 9.0
 
     def test_bucket_estimate_all_equal_values(self):
-        h = Histogram()
-        for _ in range(HISTOGRAM_SAMPLE_CAP * 2):
-            h.observe(5.0)
+        h = _histogram([5.0] * (HISTOGRAM_SAMPLE_CAP * 2))
         for q in (0, 25, 50, 75, 100):
             assert h.percentile(q) == pytest.approx(5.0)
 
     def test_bucket_estimate_nonpositive_values(self):
         # Zero and negative observations share the sentinel underflow
         # bucket; the estimate must stay within [min, max], never NaN.
-        h = Histogram()
-        for i in range(HISTOGRAM_SAMPLE_CAP + 50):
-            h.observe(-2.0 if i % 2 else 0.0)
+        h = _histogram(-2.0 if i % 2 else 0.0 for i in range(HISTOGRAM_SAMPLE_CAP + 50))
         for q in (0, 50, 100):
-            value = h.percentile(q)
-            assert h.min <= value <= h.max
+            assert h.min <= h.percentile(q) <= h.max
         assert h.percentile(0) == -2.0
         assert h.percentile(100) == 0.0
 
@@ -189,9 +164,7 @@ class TestRegistry:
         reg.set_gauge("g", 7)
         reg.observe("h", 1.5)
         snap = reg.snapshot()
-        assert snap["c"]["value"] == 2.0
-        assert snap["g"]["value"] == 7.0
-        assert snap["h"]["count"] == 1
+        assert (snap["c"]["value"], snap["g"]["value"], snap["h"]["count"]) == (2.0, 7.0, 1)
 
     def test_snapshot_sorted(self):
         reg = MetricsRegistry()
@@ -345,8 +318,7 @@ class TestHistogramTimer:
         registry = MetricsRegistry()
         with registry.histogram("stage.s").time():
             pass
-        snapshot = registry.snapshot()
-        assert snapshot["stage.s"]["count"] == 1
+        assert registry.snapshot()["stage.s"]["count"] == 1
 
     def test_null_registry_histogram_time_is_noop(self):
         with NULL_REGISTRY.histogram("stage.s").time():

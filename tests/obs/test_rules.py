@@ -4,14 +4,8 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.obs.rules import (
-    Rule,
-    RuleEngine,
-    RuleParseError,
-    default_serve_rules,
-    default_train_rules,
-    load_rules,
-    parse_rule,
-    parse_rules,
+    Rule, RuleEngine, RuleParseError, default_serve_rules,
+    default_train_rules, load_rules, parse_rule, parse_rules,
 )
 
 
@@ -26,38 +20,29 @@ def counter(value):
 class TestParseRule:
     def test_minimal(self):
         rule = parse_rule("proc.rss_bytes < 2e9")
-        assert rule.metric == "proc.rss_bytes"
-        assert rule.stat == "value"
-        assert rule.op == "<"
-        assert rule.threshold == 2e9
-        assert rule.for_count == 1
-        assert rule.name == "proc.rss_bytes.lt"
+        assert (rule.metric, rule.stat, rule.op, rule.threshold, rule.for_count,
+                rule.name) == ("proc.rss_bytes", "value", "<", 2e9, 1,
+                               "proc.rss_bytes.lt")
 
     def test_named_with_stat_and_for(self):
         rule = parse_rule("bwd_p99: kernel.backward.time_ms p99 < 250 for 3")
-        assert rule.name == "bwd_p99"
-        assert rule.stat == "p99"
-        assert rule.for_count == 3
+        assert (rule.name, rule.stat, rule.for_count) == ("bwd_p99", "p99", 3)
 
     def test_rate_of_change(self):
         rule = parse_rule("loss_drops: train.loss rate_of_change <= 0 for 2")
-        assert rule.stat == "rate_of_change"
-        assert rule.op == "<="
+        assert (rule.stat, rule.op) == ("rate_of_change", "<=")
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "just_one_token",
-            "metric ~ 5",  # unknown operator
-            "metric p42 < 5",  # unknown stat
-            "metric < five",  # non-numeric threshold
-            "metric < 5 for 0",  # for count must be >= 1
-            "metric < 5 for x",  # non-integer for count
-            "BadMetric! < 5",  # bad metric charset
-            "train.loss > nan",  # NaN threshold: the rule could never fire
-            "train.loss < -NaN",
-        ],
-    )
+    @pytest.mark.parametrize("text", [
+        "just_one_token",
+        "metric ~ 5",  # unknown operator
+        "metric p42 < 5",  # unknown stat
+        "metric < five",  # non-numeric threshold
+        "metric < 5 for 0",  # for count must be >= 1
+        "metric < 5 for x",  # non-integer for count
+        "BadMetric! < 5",  # bad metric charset
+        "train.loss > nan",  # NaN threshold: the rule could never fire
+        "train.loss < -NaN",
+    ])
     def test_rejects_bad_lines(self, text):
         with pytest.raises(RuleParseError):
             parse_rule(text)
@@ -85,11 +70,9 @@ class TestParseRule:
 
 class TestParseRules:
     def test_comments_and_blanks(self):
-        rules = parse_rules(
-            "# header comment\n\n"
-            "rss: proc.rss_bytes < 2e9  # trailing comment\n"
-            "train.loss < 10\n"
-        )
+        rules = parse_rules("# header comment\n\n"
+                            "rss: proc.rss_bytes < 2e9  # trailing comment\n"
+                            "train.loss < 10\n")
         assert [r.name for r in rules] == ["rss", "train.loss.lt"]
 
     def test_duplicate_names_rejected(self):
@@ -147,9 +130,7 @@ class TestFatalMarker:
     def test_alert_carries_fatal(self):
         engine = RuleEngine("stop: m < 1 fatal\nwarn: m < 1")
         alerts = engine.evaluate({"m": gauge(5.0)})
-        assert [(a.rule, a.fatal) for a in alerts] == [
-            ("stop", True), ("warn", False),
-        ]
+        assert [(a.rule, a.fatal) for a in alerts] == [("stop", True), ("warn", False)]
         assert engine.to_dict()["alerts"][0]["fatal"] is True
 
     def test_default_train_rules(self):
@@ -169,16 +150,13 @@ class TestRuleEngine:
     def test_compliant_snapshot_raises_nothing(self):
         engine = RuleEngine("cap: m < 10")
         assert engine.evaluate({"m": gauge(5.0)}) == []
-        assert engine.ok
-        assert engine.active == []
+        assert engine.ok and engine.active == []
 
     def test_violation_fires_alert(self):
         engine = RuleEngine("cap: m < 10")
         alerts = engine.evaluate({"m": gauge(15.0)})
-        assert [a.rule for a in alerts] == ["cap"]
-        assert alerts[0].value == 15.0
-        assert not engine.ok
-        assert engine.active == ["cap"]
+        assert [(a.rule, a.value) for a in alerts] == [("cap", 15.0)]
+        assert not engine.ok and engine.active == ["cap"]
         assert "violates < 10" in alerts[0].message
 
     def test_missing_metric_skips(self):
@@ -227,19 +205,17 @@ class TestRuleEngine:
         engine.evaluate({"m": gauge(99.0)})
         engine.evaluate({"m": gauge(1.0)})
         snap = registry.snapshot()
-        assert snap["alerts.evaluations"]["value"] == 2.0
-        assert snap["alerts.fired"]["value"] == 1.0
-        assert snap["alerts.cap.fired"]["value"] == 1.0
-        assert snap["alerts.cap"]["value"] == 0.0  # recovered
-        assert snap["alerts.active"]["value"] == 0.0
+        assert {name: snap[f"alerts.{name}"]["value"] for name in (
+            "evaluations", "fired", "cap.fired", "cap", "active")} == {
+            "evaluations": 2.0, "fired": 1.0, "cap.fired": 1.0,
+            "cap": 0.0, "active": 0.0}  # cap recovered
 
     def test_to_dict_and_summary(self):
         engine = RuleEngine("cap: m < 10")
         engine.evaluate({"m": gauge(99.0)})
         doc = engine.to_dict()
-        assert doc["ok"] is False
-        assert doc["rules"][0]["name"] == "cap"
-        assert doc["alerts"][0]["value"] == 99.0
+        assert (doc["ok"], doc["rules"][0]["name"], doc["alerts"][0]["value"]) == (
+            False, "cap", 99.0)
         assert "1 alert(s)" in engine.summary()
 
     def test_accepts_parsed_rule_list(self):
@@ -249,11 +225,8 @@ class TestRuleEngine:
 
 class TestDefaultServeRules:
     def test_parse_and_names(self):
-        rules = default_serve_rules()
-        names = {rule.name for rule in rules}
-        assert names == {
-            "serve_p99", "serve_queue", "serve_rejects", "serve_errors",
-        }
+        assert {rule.name for rule in default_serve_rules()} == {
+            "serve_p99", "serve_queue", "serve_rejects", "serve_errors"}
 
     def test_quiet_service_fires_nothing(self):
         engine = RuleEngine(default_serve_rules())
@@ -261,9 +234,7 @@ class TestDefaultServeRules:
             "serve.queue_depth": gauge(3.0),
             "serve.rejected": counter(0.0),
             "serve.errors": counter(0.0),
-            "serve.latency.request_s": {
-                "type": "histogram", "count": 10, "p99": 0.05,
-            },
+            "serve.latency.request_s": {"type": "histogram", "count": 10, "p99": 0.05},
         }
         for _ in range(4):
             engine.evaluate(snapshot)
@@ -271,10 +242,7 @@ class TestDefaultServeRules:
 
     def test_p99_breach_fires(self):
         engine = RuleEngine(default_serve_rules())
-        engine.evaluate(
-            {"serve.latency.request_s": {
-                "type": "histogram", "count": 5, "p99": 9.0,
-            }}
-        )
+        engine.evaluate({"serve.latency.request_s": {
+            "type": "histogram", "count": 5, "p99": 9.0}})
         assert not engine.ok
         assert any(a.rule == "serve_p99" for a in engine.alerts)

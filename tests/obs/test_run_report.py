@@ -13,12 +13,8 @@ from repro.cli import main
 from repro.graphs import load_dataset, synthetic_features
 from repro.nn import build_model
 from repro.obs import (
-    RECORD_SCHEMA_VERSION,
-    MetricsRegistry,
-    Tracer,
-    build_run_report,
-    manifest,
-    write_json,
+    RECORD_SCHEMA_VERSION, MetricsRegistry, Tracer, build_run_report,
+    manifest, write_json,
 )
 from repro.obs.events import EpochEvent, EventLog
 from repro.serve import InferenceService, ServingServer
@@ -62,39 +58,31 @@ class TestBuildRunReport:
         assert next(iter(report)) == "manifest"
         assert report["manifest"] is run
         assert len(report["spans"]) == 2
-        assert report["span_tree"][0]["name"] == "epoch"
-        assert report["span_tree"][0]["children"][0]["name"] == "layer"
+        [epoch] = report["span_tree"]
+        assert (epoch["name"], epoch["children"][0]["name"]) == ("epoch", "layer")
         assert report["metrics"]["kernel.basic.gathers"]["value"] == 4.0
         assert report["counter_totals"] == {"gathers": 4.0}
 
     def test_empty_report(self):
         report = build_run_report()
-        assert report["spans"] == []
-        assert report["metrics"] == {}
+        assert (report["spans"], report["metrics"]) == ([], {})
         json.dumps(report)
 
     def test_write_json(self, tmp_path):
         path = tmp_path / "run.json"
         write_json(str(path), build_run_report(manifest=manifest("t", [], {"x": 1})))
-        loaded = json.loads(path.read_text())
-        assert loaded["manifest"]["config"] == {"x": 1}
+        assert json.loads(path.read_text())["manifest"]["config"] == {"x": 1}
 
     def test_embeds_epoch_events_from_event_log(self):
         log = EventLog(None)
-        log.emit(
-            EpochEvent(
-                epoch=0, loss=1.0, train_accuracy=0.5, wall_time_s=0.01,
-            )
-        )
+        log.emit(EpochEvent(epoch=0, loss=1.0, train_accuracy=0.5, wall_time_s=0.01))
         report = build_run_report(events=log)
-        assert len(report["epoch_events"]) == 1
-        assert report["epoch_events"][0]["epoch"] == 0
+        assert [e["epoch"] for e in report["epoch_events"]] == [0]
         json.dumps(report)
 
     def test_embeds_events_from_plain_list(self):
         records = [{"kind": "epoch", "epoch": 0}]
-        report = build_run_report(events=records)
-        assert report["epoch_events"] == records
+        assert build_run_report(events=records)["epoch_events"] == records
 
     def test_embeds_sparsity_profile(self):
         profile = SparsityProfile()
@@ -105,22 +93,18 @@ class TestBuildRunReport:
 
     def test_no_extras_no_keys(self):
         report = build_run_report()
-        assert "epoch_events" not in report
-        assert "sparsity" not in report
+        assert "epoch_events" not in report and "sparsity" not in report
 
 
 class TestGlobalSingletons:
     def test_disabled_by_default(self):
-        assert obs.get_tracer().enabled is False
-        assert obs.get_metrics().enabled is False
+        assert obs.get_tracer().enabled is obs.get_metrics().enabled is False
 
     def test_enable_disable_round_trip(self, telemetry):
         with telemetry() as (tracer, metrics):
-            assert obs.get_tracer() is tracer
-            assert obs.get_metrics() is metrics
+            assert obs.get_tracer() is tracer and obs.get_metrics() is metrics
             assert tracer.enabled and metrics.enabled
-        assert obs.get_tracer().enabled is False
-        assert obs.get_metrics().enabled is False
+        assert obs.get_tracer().enabled is obs.get_metrics().enabled is False
 
 
 #: Every record the program writes -> the file name it is written to.
@@ -191,6 +175,5 @@ class TestRunRecord:
         report, events, trace = (
             _opening(written[name])[1] for name in ("report", "events", "trace"))
         assert report == events == trace
-        assert report["command"] == "train"
-        assert report["config"]["dataset"] == "products"
+        assert (report["command"], report["config"]["dataset"]) == ("train", "products")
         assert "--events" in report["argv"]

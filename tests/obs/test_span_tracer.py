@@ -6,13 +6,8 @@ import threading
 import pytest
 
 from repro.obs import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    manifest,
-    read_trace,
-    render_span_tree,
-    span_tree,
+    NULL_TRACER, NullTracer, Tracer, manifest, read_trace,
+    render_span_tree, span_tree,
 )
 
 
@@ -34,10 +29,9 @@ class TestSpanNesting:
     def test_siblings_share_parent(self):
         tracer = Tracer()
         with tracer.span("parent") as parent:
-            with tracer.span("a"):
-                pass
-            with tracer.span("b"):
-                pass
+            for name in ("a", "b"):
+                with tracer.span(name):
+                    pass
         a, b = tracer.spans("a")[0], tracer.spans("b")[0]
         assert a.parent_id == b.parent_id == parent.span.span_id
 
@@ -62,10 +56,8 @@ class TestSpanNesting:
         with tracer.span("kernel") as kspan:
             tracer.record("worker", duration_s=0.5, attrs={"lane": 3})
         worker = tracer.spans("worker")[0]
-        assert worker.parent_id == kspan.span.span_id
-        assert worker.duration_s == 0.5
-        assert worker.attrs == {"lane": 3}
-        assert worker.counters == {}
+        assert (worker.parent_id, worker.duration_s, worker.attrs, worker.counters) == (
+            kspan.span.span_id, 0.5, {"lane": 3}, {})
 
     def test_exception_still_closes_span(self):
         tracer = Tracer()
@@ -94,12 +86,9 @@ class TestSpanNesting:
 class TestFilteringAndAggregation:
     def test_prefix_filter(self):
         tracer = Tracer()
-        with tracer.span("kernel.basic"):
-            pass
-        with tracer.span("kernel.fusion"):
-            pass
-        with tracer.span("epoch"):
-            pass
+        for name in ("kernel.basic", "kernel.fusion", "epoch"):
+            with tracer.span(name):
+                pass
         assert len(tracer.spans("kernel.*")) == 2
         assert len(tracer.spans("kernel.basic")) == 1
 
@@ -109,8 +98,7 @@ class TestFilteringAndAggregation:
             sa.add_counters({"gathers": 1, "flops": 2})
         with tracer.span("b") as sb:
             sb.add_counters({"gathers": 10})
-        totals = tracer.aggregate_counters()
-        assert totals == {"gathers": 11.0, "flops": 2.0}
+        assert tracer.aggregate_counters() == {"gathers": 11.0, "flops": 2.0}
         assert tracer.aggregate_counters("b") == {"gathers": 10.0}
 
 
@@ -123,11 +111,9 @@ class TestExport:
                 pass
         path = tmp_path / "trace.jsonl"
         run = manifest("profile", [], {"seed": 0})
-        count = tracer.export_jsonl(str(path), run)
-        assert count == 2
+        assert tracer.export_jsonl(str(path), run) == 2
         header, records = read_trace(str(path))
-        assert header["manifest"] == run
-        assert header["spans"] == 2
+        assert (header["manifest"], header["spans"]) == (run, 2)
         assert [r["name"] for r in records] == ["outer", "inner"]  # id order
         assert records[0]["counters"] == {"n": 1.0}
 
@@ -145,26 +131,23 @@ class TestExport:
         path = tmp_path / "t.jsonl"
         tracer.export_jsonl(str(path))
         _, records = read_trace(str(path))
-        roots = span_tree(records)
-        assert len(roots) == 1
-        assert roots[0]["name"] == "root"
-        assert roots[0]["children"][0]["name"] == "child"
-        assert roots[0]["children"][0]["children"][0]["name"] == "grandchild"
+        [root] = span_tree(records)
+        [child] = root["children"]
+        assert (root["name"], child["name"], child["children"][0]["name"]) == (
+            "root", "child", "grandchild")
 
     def test_render_span_tree(self):
         tracer = Tracer()
         with tracer.span("root") as span:
             span.add_counters({"gathers": 5, "zero": 0})
         text = render_span_tree([s.to_record() for s in tracer.spans()])
-        assert "root" in text
-        assert "gathers=5" in text
+        assert "root" in text and "gathers=5" in text
         assert "zero" not in text  # zero counters are elided
 
 
 class TestNullTracer:
     def test_disabled_flag(self):
-        assert NullTracer.enabled is False
-        assert Tracer.enabled is True
+        assert (NullTracer.enabled, Tracer.enabled) == (False, True)
 
     def test_span_is_shared_noop(self):
         tracer = NullTracer()

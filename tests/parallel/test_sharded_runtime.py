@@ -34,18 +34,14 @@ def graph():
 
 @pytest.fixture(scope="module")
 def inputs(graph):
-    features = synthetic_features(graph, FEATURES, seed=4)
-    labels = np.random.default_rng(8).integers(
-        0, CLASSES, graph.num_vertices
-    ).astype(np.int64)
-    return features, labels
+    labels = np.random.default_rng(8).integers(0, CLASSES, graph.num_vertices)
+    return synthetic_features(graph, FEATURES, seed=4), labels.astype(np.int64)
 
 
 def _trainer(graph, backend):
     model = build_model("gcn", FEATURES, HIDDEN, CLASSES, seed=0)
-    return ShardedTrainer(
-        graph, model, Adam(model, lr=0.01), num_shards=2, backend=backend
-    )
+    return ShardedTrainer(graph, model, Adam(model, lr=0.01), num_shards=2,
+                          backend=backend)
 
 
 def test_shard_aggregation_allocates_no_edge_sized_temporary(graph, inputs):
@@ -94,10 +90,7 @@ def test_sigkilled_worker_fails_the_epoch_without_leaks(
         # worker 1 kills itself inside its second epoch, after the
         # epoch's first barrier, while worker 0 heads for the next one.
         calls["n"] += 1
-        if (
-            calls["n"] == 5
-            and multiprocessing.current_process().name == "shard-worker-1"
-        ):
+        if calls["n"] == 5 and multiprocessing.current_process().name == "shard-worker-1":
             os.kill(os.getpid(), signal.SIGKILL)
         return real_reduce(op, x)
 
@@ -118,9 +111,7 @@ def test_sigkilled_worker_fails_the_epoch_without_leaks(
     # The parent waits on each worker's pipe and process sentinel, so a
     # death wakes it at once; no polling interval sits in between.
     assert elapsed < 3.0
-    assert died.value.part == 1
-    assert died.value.exitcode == -signal.SIGKILL
-    assert deaths == 1
+    assert (died.value.part, died.value.exitcode, deaths) == (1, -signal.SIGKILL, 1)
     assert any("shard worker 1" in r.getMessage() for r in caplog.records)
 
 
@@ -157,10 +148,7 @@ def test_sigkill_mid_barrier_fails_the_epoch_promptly(graph, inputs, monkeypatch
         # 0 runs on from there to the barrier before the backward
         # exchange and blocks in it, since worker 1 never arrives.
         calls["n"] += 1
-        if (
-            calls["n"] == 4
-            and multiprocessing.current_process().name == "shard-worker-1"
-        ):
+        if calls["n"] == 4 and multiprocessing.current_process().name == "shard-worker-1":
             deadline = time.monotonic() + 5.0
             while trainer._barrier.n_waiting < 1 and time.monotonic() < deadline:
                 time.sleep(0.001)
@@ -179,8 +167,7 @@ def test_sigkill_mid_barrier_fails_the_epoch_promptly(graph, inputs, monkeypatch
         trainer.close()
     # close() included: it joins worker 0, which only the aborted barrier
     # released.
-    elapsed = time.monotonic() - start
-    assert elapsed < 2.0
+    assert time.monotonic() - start < 2.0
     assert (died.value.part, died.value.exitcode) == (1, -signal.SIGKILL)
 
 

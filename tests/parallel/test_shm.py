@@ -2,6 +2,8 @@
 
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,15 +116,15 @@ class TestDevShmRoom:
     too-small ``/dev/shm`` accepts it and the first copy into it dies of
     SIGBUS.  With it, ``create`` raises first and leaves nothing behind."""
 
-    def test_too_small_raises_before_creating_a_segment(self, monkeypatch):
+    def test_too_small_raises_before_creating_a_segment(
+        self, monkeypatch, leak_check
+    ):
         big = {"x": np.zeros((4096, 4), dtype=np.float32)}  # 64 KiB
-        before = set(os.listdir(shm.SHM_DIR))
         monkeypatch.setattr(shm.os, "statvfs", lambda path: _FullShm())
-        with pytest.raises(OSError) as error:
+        with leak_check(), pytest.raises(OSError) as error:
             ArrayBundle.create(big, shared=True)
         assert "65536 bytes" in str(error.value)
         assert "4096 bytes free" in str(error.value)
-        assert set(os.listdir(shm.SHM_DIR)) == before
 
     def test_private_bundles_and_a_missing_directory_skip_it(
         self, arrays, monkeypatch
@@ -135,3 +137,25 @@ class TestDevShmRoom:
         monkeypatch.setattr(shm, "SHM_DIR", "/nonexistent/shm")
         with ArrayBundle.create(arrays, shared=True) as bundle:
             np.testing.assert_array_equal(bundle.view("x"), arrays["x"])
+
+
+class TestLeakCheck:
+    """The leak check counts the ``/dev/shm`` entries this process
+    created, so a second pytest run on the host cannot fail this one."""
+
+    def test_another_process_segment_is_not_a_leak(self, leak_check):
+        path = f"{shm.SHM_DIR}/psm_foreign_{os.getpid()}"
+        try:
+            with leak_check():
+                subprocess.run(
+                    [sys.executable, "-c", f"open({path!r}, 'w').close()"],
+                    check=True)
+        finally:
+            os.unlink(path)
+
+    def test_own_segment_is_a_leak(self, arrays, leak_check):
+        with pytest.raises(AssertionError, match="new /dev/shm entries"):
+            with leak_check():
+                bundle = ArrayBundle.create(arrays, shared=True)
+        bundle.close()
+        bundle.unlink()

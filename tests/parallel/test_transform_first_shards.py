@@ -29,18 +29,14 @@ def graph():
 
 @pytest.fixture(scope="module")
 def inputs(graph):
-    features = synthetic_features(graph, FEATURES, seed=4, sparsity=0.3)
-    labels = np.random.default_rng(8).integers(
-        0, CLASSES, graph.num_vertices
-    ).astype(np.int64)
-    return features, labels
+    labels = np.random.default_rng(8).integers(0, CLASSES, graph.num_vertices)
+    return (synthetic_features(graph, FEATURES, seed=4, sparsity=0.3),
+            labels.astype(np.int64))
 
 
 def _trainer(graph, model):
-    return ShardedTrainer(
-        graph, model, Adam(model, lr=0.01), num_shards=SHARDS,
-        backend="serial",
-    )
+    return ShardedTrainer(graph, model, Adam(model, lr=0.01), num_shards=SHARDS,
+                          backend="serial")
 
 
 def _halo_count(graph, assignment, part):
@@ -54,9 +50,8 @@ def _halo_count(graph, assignment, part):
 #: 12 -> 24 -> 16 -> 5: both exchanging layers narrow (transform-first).
 #: 12 -> 8 -> 16 -> 5: layer 1 widens (aggregate-first), layer 2 narrows.
 MODELS = [(FEATURES, 24, 16, CLASSES), (FEATURES, 8, 16, CLASSES)]
-model_ids = pytest.mark.parametrize(
-    "widths", MODELS, ids=lambda widths: "-".join(map(str, widths))
-)
+model_ids = pytest.mark.parametrize("widths", MODELS,
+                                    ids=lambda widths: "-".join(map(str, widths)))
 
 
 @model_ids
@@ -79,9 +74,7 @@ def test_halo_bytes_are_the_closed_form(graph, inputs, stack_model, widths):
 
 
 @model_ids
-def test_boards_are_as_wide_as_what_is_gathered(
-    graph, inputs, stack_model, widths
-):
+def test_boards_are_as_wide_as_what_is_gathered(graph, inputs, stack_model, widths):
     """``z{k}`` / ``g{k}`` are ``out``-wide for a transform-first layer
     and no ``h{k-1}`` board exists for it; ``h{L-1}`` always does, for
     ``logits()``.  The private operands have the same widths."""
@@ -89,11 +82,8 @@ def test_boards_are_as_wide_as_what_is_gathered(
     with _trainer(graph, stack_model(widths)) as trainer:
         trainer.fit(*inputs, epochs=1)
         bundle = trainer._bundle
-        boards = {
-            name: bundle.view(name).shape[1]
-            for name in bundle.names()
-            if name[0] in "hzg" and name[1:].isdigit()
-        }
+        boards = {name: bundle.view(name).shape[1] for name in bundle.names()
+                  if name[0] in "hzg" and name[1:].isdigit()}
         expected = {f"h{num_layers - 1}": widths[-1]}
         for k in range(1, num_layers):
             narrow = min(widths[k], widths[k + 1])

@@ -32,6 +32,13 @@ class TestVariantRegistry:
         assert VARIANTS["c-locality"].order == "locality"
 
 
+def test_fused_inference_time_value(products_model):
+    """The fusion overlap residual at one fixed input: the orderings
+    below hold across a range of it, so the number is pinned here."""
+    total = products_model.inference_time("fusion", F_IN, F_HID).total
+    assert total == pytest.approx(2.4132673e-4, rel=1e-6)
+
+
 class TestSpeedupOrdering:
     """The qualitative ordering of Figure 11 must hold on every twin."""
 

@@ -8,10 +8,8 @@ from repro.perf import DmaConfig, MachineConfig, cascade_lake_12, cascade_lake_2
 class TestMachineConfig:
     def test_paper_platform_constants(self):
         machine = cascade_lake_28()
-        assert machine.cores == 28
-        assert machine.frequency_hz == 2.7e9
-        assert machine.dram_bandwidth == 140.8e9
-        assert machine.l2_bytes == 1024 * 1024
+        assert (machine.cores, machine.frequency_hz, machine.dram_bandwidth,
+                machine.l2_bytes) == (28, 2.7e9, 140.8e9, 1024 * 1024)
 
     def test_peak_flops(self):
         machine = cascade_lake_28()
@@ -19,9 +17,7 @@ class TestMachineConfig:
 
     def test_feature_cache_is_l2_plus_l3(self):
         machine = cascade_lake_28()
-        assert machine.feature_cache_bytes == (
-            machine.l2_total_bytes + machine.l3_total_bytes
-        )
+        assert machine.feature_cache_bytes == machine.l2_total_bytes + machine.l3_total_bytes
 
     def test_scaled_cache_preserves_ratio(self):
         machine = cascade_lake_28()

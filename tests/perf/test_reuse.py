@@ -5,49 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import chain_graph, star_graph, uniform_graph
-from repro.perf import (
-    COLD,
-    access_stream,
-    reuse_profile,
-    stack_distances,
-)
+from repro.perf import COLD, access_stream, reuse_profile, stack_distances
 
 
 def brute_force_distances(stream):
     """Reference LRU stack distance: distinct elements since last access."""
     out = []
     for t, x in enumerate(stream):
-        prev = None
-        for s in range(t - 1, -1, -1):
-            if stream[s] == x:
-                prev = s
-                break
-        if prev is None:
-            out.append(COLD)
-        else:
-            out.append(len(set(stream[prev + 1 : t])))
+        prev = next((s for s in range(t - 1, -1, -1) if stream[s] == x), None)
+        out.append(COLD if prev is None else len(set(stream[prev + 1 : t])))
     return np.array(out, dtype=np.int64)
 
 
 class TestStackDistances:
     def test_repeat_access_distance_zero(self):
-        stream = np.array([3, 3, 3])
-        d = stack_distances(stream, 4)
-        assert d[0] == COLD
-        assert d[1] == 0
-        assert d[2] == 0
+        assert list(stack_distances(np.array([3, 3, 3]), 4)) == [COLD, 0, 0]
 
     def test_abab_pattern(self):
-        stream = np.array([0, 1, 0, 1])
-        d = stack_distances(stream, 2)
+        d = stack_distances(np.array([0, 1, 0, 1]), 2)
         np.testing.assert_array_equal(d[2:], [1, 1])
 
     def test_matches_brute_force(self, rng):
         stream = rng.integers(0, 12, size=120)
-        fast = stack_distances(stream, 12)
-        slow = brute_force_distances(list(stream))
-        np.testing.assert_array_equal(fast, slow)
+        np.testing.assert_array_equal(stack_distances(stream, 12),
+                                      brute_force_distances(list(stream)))
 
     def test_empty_stream(self):
         assert len(stack_distances(np.empty(0, dtype=np.int64), 5)) == 0
@@ -62,14 +43,13 @@ class TestAccessStream:
         assert list(stream[1:3]) == [0, 1]
 
     def test_length_is_edges_plus_vertices(self, small_uniform):
-        stream = access_stream(small_uniform)
-        assert len(stream) == small_uniform.num_edges + small_uniform.num_vertices
+        assert len(access_stream(small_uniform)) == (small_uniform.num_edges
+                                                     + small_uniform.num_vertices)
 
     def test_respects_order(self, chain20):
         order = np.arange(19, -1, -1)
         stream = access_stream(chain20, order)
-        assert stream[0] == 18  # vertex 19 gathers 18 first
-        assert stream[1] == 19
+        assert list(stream[:2]) == [18, 19]  # vertex 19 gathers 18 first
 
 
 class TestReuseProfile:
@@ -81,9 +61,7 @@ class TestReuseProfile:
     def test_infinite_capacity_hits_everything_warm(self, small_community):
         profile = reuse_profile(small_community)
         cold = np.count_nonzero(profile.distances == COLD)
-        assert profile.hit_rate(1e18) == pytest.approx(
-            1.0 - cold / profile.num_accesses
-        )
+        assert profile.hit_rate(1e18) == pytest.approx(1.0 - cold / profile.num_accesses)
 
     def test_zero_capacity_no_hits(self, small_community, star10):
         assert reuse_profile(small_community).hit_rate(0) == 0.0
@@ -104,11 +82,7 @@ class TestReuseProfile:
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    stream=st.lists(st.integers(0, 9), min_size=1, max_size=80),
-)
+@given(stream=st.lists(st.integers(0, 9), min_size=1, max_size=80))
 def test_stack_distance_property(stream):
-    arr = np.array(stream, dtype=np.int64)
-    np.testing.assert_array_equal(
-        stack_distances(arr, 10), brute_force_distances(stream)
-    )
+    np.testing.assert_array_equal(stack_distances(np.array(stream, dtype=np.int64), 10),
+                                  brute_force_distances(stream))

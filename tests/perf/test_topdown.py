@@ -61,6 +61,15 @@ class TestPaperShape:
         report = characterize(model, "distgnn", 100, 128)
         assert report.fill_buffer_full == 1.0
 
+    def test_baseline_breakdown_values(self, model):
+        """The calibrated split at one fixed input, which the shape
+        checks above hold across a range of."""
+        report = characterize(model, "distgnn", 100, 128)
+        assert report.frontend_bound == 0.033
+        assert report.retiring == pytest.approx(0.0776930, rel=1e-5)
+        assert report.memory_bound == pytest.approx(0.6855129, rel=1e-5)
+        assert report.core_bound == pytest.approx(0.2037941, rel=1e-5)
+
     def test_as_row_renders(self, model):
         report = characterize(model, "distgnn", 100, 128)
         assert "distgnn" in report.as_row()

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.perf import (
-    BYTES_PER_FEATURE,
-    LayerShape,
-    aggregation_traffic,
-    backward_traffic,
-    decompress_elements,
+    LayerShape, aggregation_traffic, backward_traffic, decompress_elements,
     update_traffic,
 )
 from repro.tensors import traffic_ratio
@@ -44,9 +40,7 @@ class TestAggregationTraffic:
 
     def test_compression_scales_feature_reads_only(self):
         plain = aggregation_traffic(SHAPE, 0.0, feature_sparsity=0.5)
-        packed = aggregation_traffic(
-            SHAPE, 0.0, feature_sparsity=0.5, compressed=True
-        )
+        packed = aggregation_traffic(SHAPE, 0.0, feature_sparsity=0.5, compressed=True)
         ratio = packed.notes["feature_read"] / plain.notes["feature_read"]
         assert ratio == pytest.approx(traffic_ratio(0.5))
         assert packed.notes["index_read"] == plain.notes["index_read"]
@@ -73,8 +67,7 @@ class TestUpdateTraffic:
         dense = update_traffic(SHAPE, feature_sparsity=0.5)
         packed = update_traffic(SHAPE, feature_sparsity=0.5, compressed=True)
         assert packed.notes["h_out_write"] == pytest.approx(
-            dense.notes["h_out_write"] * traffic_ratio(0.5)
-        )
+            dense.notes["h_out_write"] * traffic_ratio(0.5))
 
     def test_gemm_flops(self):
         traffic = update_traffic(SHAPE)

@@ -28,8 +28,8 @@ def graph(hub_and_loner):
 
 @pytest.fixture(scope="module")
 def features(graph):
-    rng = np.random.default_rng(5)
-    return rng.standard_normal((graph.num_vertices, 12)).astype(np.float32)
+    return np.random.default_rng(5).standard_normal(
+        (graph.num_vertices, 12)).astype(np.float32)
 
 
 @pytest.fixture()
@@ -62,9 +62,7 @@ def refills(monkeypatch, service):
 
 @pytest.mark.parametrize("model_type", ["gcn", "sage"])
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
-def test_table_is_model_predict_on_every_row(
-    graph, features, model_type, num_layers
-):
+def test_table_is_model_predict_on_every_row(graph, features, model_type, num_layers):
     model = build_model(model_type, 12, 10, 6, num_layers=num_layers, seed=4)
     oracle = model.predict(graph, features)
     service = InferenceService(graph, features, model)
@@ -86,13 +84,10 @@ def test_fresh_classify_query_never_reaches_the_refill_path(service, refills):
     assert response["cached"] is True
     assert refills == {"submit": 0, "assemble": 0}
     stats = service.stats()
-    assert stats["cache"]["misses"] == 0
-    assert stats["batcher"]["batches"] == 0
+    assert (stats["cache"]["misses"], stats["batcher"]["batches"]) == (0, 0)
 
 
-def test_invalidated_row_misses_once_then_is_served_from_the_table(
-    service, refills
-):
+def test_invalidated_row_misses_once_then_is_served_from_the_table(service, refills):
     expected = service.query([9])["classes"]
     assert service.cache.invalidate(9) == 1
     refilled = service.query([9])
@@ -147,7 +142,6 @@ def test_exception_inside_a_batch_is_a_500_not_a_400(service, monkeypatch):
         assert excinfo.value.code == 500
         assert "matmul" in json.loads(excinfo.value.read())["error"]
         # rows still in the table are served as before
-        with urllib.request.urlopen(
-            f"{server.url}/v1/predict?vertex=4", timeout=10
-        ) as reply:
+        with urllib.request.urlopen(f"{server.url}/v1/predict?vertex=4",
+                                    timeout=10) as reply:
             assert reply.status == 200

@@ -10,9 +10,7 @@ from repro.serve import EmbeddingCache
 
 
 def table(vertices=8, classes=3, width=2):
-    logits = np.arange(vertices * classes, dtype=np.float32).reshape(
-        vertices, classes
-    )
+    logits = np.arange(vertices * classes, dtype=np.float32).reshape(vertices, classes)
     return EmbeddingCache(logits, width)
 
 
@@ -36,8 +34,7 @@ class TestLRU:
     def test_logits_are_fresh_from_construction(self):
         cache = table()
         assert cache.get(2).tolist() == [6.0, 7.0, 8.0]
-        assert len(cache) == 8
-        assert cache.hits == 1 and cache.misses == 0
+        assert (len(cache), cache.hits, cache.misses) == (8, 1, 0)
 
     def test_get_returns_a_copy(self):
         """A refill landing while the caller renders must not change
@@ -52,17 +49,14 @@ class TestLRU:
         cache = table()
         refill(cache, 1, 1.0)
         refill(cache, 1, 2.0)
-        assert len(cache) == 8
-        assert cache.get(1).tolist() == [2.0, 2.0, 2.0]
+        assert (len(cache), cache.get(1).tolist()) == (8, [2.0, 2.0, 2.0])
         assert cache.stats()["evictions"] == 0
 
     def test_invalidate_one_and_all(self):
         cache = table(vertices=4)
-        assert cache.invalidate(2) == 1
-        assert cache.invalidate(2) == 0
+        assert (cache.invalidate(2), cache.invalidate(2)) == (1, 0)
         assert cache.get(2) is None
-        assert cache.invalidate() == 3
-        assert len(cache) == 0
+        assert (cache.invalidate(), len(cache)) == (3, 0)
         refill(cache, 2, 1.0)  # a refill makes both rows fresh again
         assert cache.get(2) is not None and cache.get(2, "embedding") is not None
         assert len(cache) == 1
@@ -111,10 +105,10 @@ class TestLRU:
         assert all(row is None or row[0] == final for row in rows)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EmbeddingCache(np.zeros(4, np.float32), 2)
-        with pytest.raises(ValueError):
-            EmbeddingCache(np.zeros((4, 3), np.float32), 0)
+        for logits, width in ((np.zeros(4, np.float32), 2),
+                              (np.zeros((4, 3), np.float32), 0)):
+            with pytest.raises(ValueError):
+                EmbeddingCache(logits, width)
 
     def test_close_releases_both_arrays(self):
         cache = table()
@@ -132,6 +126,4 @@ class TestStaleness:
         cache.get(2, "embedding")
         assert cache.hit_rate == pytest.approx(0.5)
         stats = cache.stats()
-        assert stats["size"] == 8
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["evictions"] == 0
+        assert [stats[k] for k in ("size", "hits", "misses", "evictions")] == [8, 1, 1, 0]

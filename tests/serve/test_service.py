@@ -1,13 +1,9 @@
-"""Integration tests: the inference service + HTTP front end, traced.
-
-The centerpiece assertions mirror the acceptance bar: one refilled
-request renders as a complete ``serve.request -> serve.queue ->
-serve.batch -> kernel.serve.block`` span tree sharing a single trace id,
-and the served logits match the full-graph ``model.predict`` oracle
-exactly (refills assemble exact neighbourhoods).  A classify query
-on a fresh table never reaches the batcher, so the tests that exercise
-the refill path get there through ``cache.invalidate()`` or embedding
-mode.
+"""The inference service and its HTTP front end, traced: a refilled
+request is one ``serve.request -> serve.queue -> serve.batch ->
+kernel.serve.block`` span tree under one trace id, and served logits
+equal ``model.predict``'s.  A classify query on a fresh table never
+reaches the batcher, so refill tests go through ``cache.invalidate()``
+or embedding mode.
 """
 
 import http.client
@@ -25,10 +21,7 @@ import pytest
 from repro import obs
 from repro.nn import GNNModel, build_model
 from repro.serve import (
-    AdmissionRejected,
-    InferenceService,
-    RequestTimeout,
-    ServingServer,
+    AdmissionRejected, InferenceService, RequestTimeout, ServingServer,
     run_loadgen,
 )
 from repro.serve import server as server_module
@@ -42,6 +35,11 @@ def setup(small_products, features16):
     service = InferenceService(small_products, features16, model)
     yield small_products, features16, model, service
     service.close()
+
+
+@pytest.fixture()
+def service(setup):
+    return setup[3]
 
 
 def wait_until(condition):
@@ -114,15 +112,11 @@ class TestQuery:
         graph, features, model, service = setup
         oracle = model.predict(graph, features)
         response = service.query([0, 3, 7], mode="classify")
-        assert response["classes"] == [
-            int(oracle[v].argmax()) for v in (0, 3, 7)
-        ]
+        assert response["classes"] == [int(oracle[v].argmax()) for v in (0, 3, 7)]
         assert response["scores"] == pytest.approx(
-            [float(oracle[v].max()) for v in (0, 3, 7)], abs=1e-4
-        )
+            [float(oracle[v].max()) for v in (0, 3, 7)], abs=1e-4)
 
-    def test_repeated_vertices_answered_per_position(self, setup):
-        _, _, _, service = setup
+    def test_repeated_vertices_answered_per_position(self, service):
         response = service.query([5, 5, 2, 5])
         assert len(response["classes"]) == 4
         assert response["classes"][0] == response["classes"][1]
@@ -135,16 +129,11 @@ class TestQuery:
         # the embedding is the input to the final layer
         assert len(response["embeddings"][0]) == model.layers[-1].in_features
 
-    def test_bad_input_raises_value_error(self, setup):
-        _, _, _, service = setup
-        with pytest.raises(ValueError):
-            service.query([])
-        with pytest.raises(ValueError):
-            service.query([0], mode="nope")
-        with pytest.raises(ValueError):
-            service.query([10**9])
-        with pytest.raises(ValueError):
-            service.query([-1])
+    def test_bad_input_raises_value_error(self, service):
+        for vertices, mode in (([], "classify"), ([0], "nope"),
+                               ([10**9], "classify"), ([-1], "classify")):
+            with pytest.raises(ValueError):
+                service.query(vertices, mode=mode)
 
     def test_stats_document(self, setup):
         graph, _, _, service = setup
@@ -162,9 +151,7 @@ class TestAgainstPredict:
     @pytest.fixture(scope="class")
     def features(self, hub_and_loner):
         rng = np.random.default_rng(21)
-        return rng.standard_normal(
-            (hub_and_loner.num_vertices, 12)
-        ).astype(np.float32)
+        return rng.standard_normal((hub_and_loner.num_vertices, 12)).astype(np.float32)
 
     @staticmethod
     def query_vertices(graph):
@@ -181,9 +168,8 @@ class TestAgainstPredict:
         self, hub_and_loner, features, model_type, num_layers
     ):
         graph = hub_and_loner
-        model = build_model(
-            model_type, 12, 10, 6, num_layers=num_layers, seed=num_layers
-        )
+        model = build_model(model_type, 12, 10, 6, num_layers=num_layers,
+                            seed=num_layers)
         oracle = model.predict(graph, features)
         # what the final layer reads: the output of the layers before it
         final_input = (
@@ -196,11 +182,8 @@ class TestAgainstPredict:
             request = np.asarray(vertices)
             service.cache.invalidate()  # refill every row
             values, cached, batched = service._resolve(
-                request, "classify", None, "t", WAIT_S
-            )
-            embeddings, _, _ = service._resolve(
-                request, "embedding", None, "t", WAIT_S
-            )
+                request, "classify", None, "t", WAIT_S)
+            embeddings, _, _ = service._resolve(request, "embedding", None, "t", WAIT_S)
             classified = service.query(vertices)
             embedded = service.query(vertices, mode="embedding")
         finally:
@@ -213,11 +196,9 @@ class TestAgainstPredict:
             np.testing.assert_allclose(embedding, final_input[v], atol=1e-4)
         assert classified["vertices"] == vertices
         assert classified["scores"] == pytest.approx(
-            [float(oracle[v].max()) for v in vertices], abs=1e-4
-        )
+            [float(oracle[v].max()) for v in vertices], abs=1e-4)
         assert np.asarray(embedded["embeddings"]) == pytest.approx(
-            final_input[vertices], abs=1e-4
-        )
+            final_input[vertices], abs=1e-4)
 
     def test_weight_update_keeps_the_first_aggregation_valid(self, setup):
         graph, features, model, service = setup
@@ -229,9 +210,7 @@ class TestAgainstPredict:
         after = service.query([3])
         oracle = model.predict(graph, features)
         assert service._first_aggregation is kept
-        assert after["scores"] == pytest.approx(
-            [float(oracle[3].max())], abs=1e-4
-        )
+        assert after["scores"] == pytest.approx([float(oracle[3].max())], abs=1e-4)
         assert after["scores"] != before["scores"]
 
     def test_invalidate_overtaking_a_batch_drops_its_stale_rows(self, setup):
@@ -257,15 +236,12 @@ class TestAgainstPredict:
         after = service.query([5])
         assert after["cached"] is False
         assert after["classes"] == [int(oracle[5].argmax())]
-        assert after["scores"] == pytest.approx(
-            [float(oracle[5].max())], abs=1e-4
-        )
+        assert after["scores"] == pytest.approx([float(oracle[5].max())], abs=1e-4)
         assert service.query([5])["cached"] is True  # fresh rows do land
 
 
 class TestTracePropagation:
-    def test_request_span_tree_shares_one_trace_id(self, setup, telemetry):
-        _, _, _, service = setup
+    def test_request_span_tree_shares_one_trace_id(self, service, telemetry):
         service.cache.invalidate()  # a refill: the full tree
         with telemetry() as (tracer, _):
             response = service.query([2, 9])
@@ -286,22 +262,15 @@ class TestTracePropagation:
         assert all(s.name == "kernel.serve.block" for s in kernels)
         assert len(kernels) == service.model.num_layers
 
-    def test_cache_hit_request_has_no_batch_child(self, setup, telemetry):
-        _, _, _, service = setup
+    def test_cache_hit_request_has_no_batch_child(self, service, telemetry):
         service.query([6])  # fills the cache, untraced
         with telemetry() as (tracer, _):
             response = service.query([6])
         assert response["cached"] is True
-        request = next(
-            s for s in tracer.spans() if s.name == "serve.request"
-        )
-        children = [
-            s for s in tracer.spans() if s.parent_id == request.span_id
-        ]
-        assert children == []
+        request = next(s for s in tracer.spans() if s.name == "serve.request")
+        assert [s for s in tracer.spans() if s.parent_id == request.span_id] == []
 
-    def test_serve_metrics_published(self, setup, telemetry):
-        _, _, _, service = setup
+    def test_serve_metrics_published(self, service, telemetry):
         service.cache.invalidate(1)  # the first query refills
         with telemetry() as (_, registry):
             service.query([1])
@@ -310,14 +279,12 @@ class TestTracePropagation:
         assert snapshot["serve.requests"]["value"] == 2.0
         assert snapshot["serve.cache.hits"]["value"] >= 1.0
         assert snapshot["serve.latency.request_s"]["count"] == 2
-        assert "serve.latency.assemble_s" in snapshot
-        assert "serve.latency.forward_s" in snapshot
-        assert "serve.batch.occupancy" in snapshot
+        assert {"serve.latency.assemble_s", "serve.latency.forward_s",
+                "serve.batch.occupancy"} <= set(snapshot)
 
 
 class TestTimeoutsAndShedding:
-    def test_timeout_raises(self, setup):
-        _, _, _, service = setup
+    def test_timeout_raises(self, service):
         service.cache.invalidate()
         gate = Gate(service)
         try:
@@ -387,16 +354,13 @@ class TestTimeoutsAndShedding:
         # the quitter's vertex was never assembled; its batch mate was
         # answered, and correctly
         assert assembled == [[0], [2, 3]]
-        assert patient.response["classes"] == [
-            int(oracle[v].argmax()) for v in (2, 3)
-        ]
+        assert patient.response["classes"] == [int(oracle[v].argmax()) for v in (2, 3)]
         assert held.error is None
         assert service.errors == 1
         assert registry.snapshot()["serve.errors"]["value"] == 1.0
         assert service.cache.get(1) is None
 
-    def test_batch_of_only_abandoned_requests_is_skipped(self, setup, assembled):
-        _, _, _, service = setup
+    def test_batch_of_only_abandoned_requests_is_skipped(self, service, assembled):
         service.cache.invalidate()
         gate = Gate(service)
         try:
@@ -414,8 +378,7 @@ class TestTimeoutsAndShedding:
 
 
 class TestHTTPServer:
-    def test_get_predict_healthz_stats(self, setup):
-        _, _, _, service = setup
+    def test_get_predict_healthz_stats(self, service):
         with ServingServer(service, port=0) as server:
             status, doc = get_json(f"{server.url}/v1/predict?vertex=3")
             assert status == 200
@@ -426,18 +389,14 @@ class TestHTTPServer:
             status, stats = get_json(f"{server.url}/stats.json")
             assert status == 200 and stats["requests"] == 1
 
-    def test_post_predict_batch(self, setup):
-        _, _, _, service = setup
+    def test_post_predict_batch(self, service):
         with ServingServer(service, port=0) as server:
-            status, doc = post_json(
-                f"{server.url}/v1/predict",
-                {"vertices": [0, 1, 2], "mode": "embedding"},
-            )
+            status, doc = post_json(f"{server.url}/v1/predict",
+                                    {"vertices": [0, 1, 2], "mode": "embedding"})
             assert status == 200
             assert len(doc["embeddings"]) == 3
 
-    def test_error_mapping(self, setup):
-        _, _, _, service = setup
+    def test_error_mapping(self, service):
         with ServingServer(service, port=0) as server:
             for path, expected in (
                 ("/v1/predict?vertex=abc", 400),  # non-integer id
@@ -468,11 +427,10 @@ class TestHTTPServer:
         ],
     )
     def test_malformed_post_bodies_are_400_naming_the_field(
-        self, setup, capfd, body, named
+        self, service, capfd, body, named
     ):
         """Never a dead handler thread, never a 500, never a coerced id —
         and the same connection answers the next request."""
-        _, _, _, service = setup
         with ServingServer(service, port=0) as server:
             conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=WAIT_S)
             conn.request("POST", "/v1/predict", body=body)
@@ -488,15 +446,13 @@ class TestHTTPServer:
         assert service.requests - service.errors == 1  # nothing ran as vertex 1
         assert capfd.readouterr().err == ""
 
-    def test_connections_are_counted_not_requests(self, setup, telemetry):
+    def test_connections_are_counted_not_requests(self, service, telemetry):
         """Keep-alive: many requests, one accepted connection — readable
         from ``/stats.json`` and from the ``serve.*`` registry plane."""
-        _, _, _, service = setup
         with telemetry() as (_, registry):
             with ServingServer(service, port=0) as server:
-                conn = http.client.HTTPConnection(
-                    "127.0.0.1", server.port, timeout=WAIT_S
-                )
+                conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                                  timeout=WAIT_S)
                 for v in range(10):
                     conn.request("GET", f"/v1/predict?vertex={v}")
                     response = conn.getresponse()
@@ -519,16 +475,12 @@ class TestHTTPServer:
     def test_loadgen_keeps_one_connection_per_worker(self, setup):
         graph, _, _, service = setup
         with ServingServer(service, port=0) as server:
-            closed = run_loadgen(
-                server.url, duration_s=0.3, concurrency=3,
-                num_vertices=graph.num_vertices,
-            )
+            closed = run_loadgen(server.url, duration_s=0.3, concurrency=3,
+                                 num_vertices=graph.num_vertices)
             assert closed.errors == 0 and closed.requests > 3
             assert server.connections == 3
-            opened = run_loadgen(
-                server.url + "/", duration_s=0.3, rate=200.0, concurrency=4,
-                num_vertices=graph.num_vertices,
-            )
+            opened = run_loadgen(server.url + "/", duration_s=0.3, rate=200.0,
+                                 concurrency=4, num_vertices=graph.num_vertices)
             assert opened.errors == 0 and opened.requests > 4
             assert server.connections <= 3 + 4
         assert closed.status_counts == {200: closed.requests}
@@ -541,8 +493,7 @@ class TestHTTPServer:
         assert result.requests == result.errors > 0
         assert set(result.status_counts) == {0}
 
-    def test_stop_closes_batcher(self, setup):
-        _, _, _, service = setup
+    def test_stop_closes_batcher(self, service):
         server = ServingServer(service, port=0)
         server.start()
         server.stop()

@@ -31,32 +31,27 @@ class TestBasics:
         cache = SetAssociativeCache(1024, 2)
         cache.access(0)
         cache.access(0)
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+        assert (cache.stats.misses, cache.stats.hit_rate) == (1, 0.5)
 
     def test_invalid_dimensions(self):
-        with pytest.raises(ValueError):
-            SetAssociativeCache(0, 2)
-        with pytest.raises(ValueError):
-            SetAssociativeCache(64, 4)  # fewer lines than ways
+        for size, ways in ((0, 2), (64, 4)):  # 64 B: fewer lines than ways
+            with pytest.raises(ValueError):
+                SetAssociativeCache(size, ways)
 
 
 class TestLRU:
     def test_eviction_order(self):
         # 2 sets, 2 ways: lines 0, 2, 4 map to set 0.
         cache = SetAssociativeCache(4 * 64, 2)
-        cache.access(0 * 64)
-        cache.access(2 * 64)
-        cache.access(4 * 64)  # evicts line 0 (LRU)
+        for line in (0, 2, 4):  # 4 evicts line 0 (LRU)
+            cache.access(line * 64)
         assert not cache.access(0 * 64)
         assert cache.stats.evictions >= 1
 
     def test_touch_refreshes_lru(self):
         cache = SetAssociativeCache(4 * 64, 2)
-        cache.access(0 * 64)
-        cache.access(2 * 64)
-        cache.access(0 * 64)  # refresh 0, so 2 is now LRU
-        cache.access(4 * 64)  # evicts 2
+        for line in (0, 2, 0, 4):  # the second 0 refreshes it, so 4 evicts 2
+            cache.access(line * 64)
         assert cache.access(0 * 64)
         assert not cache.access(2 * 64)
 
@@ -76,8 +71,7 @@ class TestInstall:
     def test_contains_peeks_without_side_effects(self):
         cache = SetAssociativeCache(1024, 2)
         cache.install(0)
-        assert cache.contains(0)
-        assert not cache.contains(4096)
+        assert cache.contains(0) and not cache.contains(4096)
         assert cache.stats.accesses == 0
 
     def test_invalidate(self):

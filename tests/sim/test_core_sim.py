@@ -18,10 +18,14 @@ def agg_report(graph):
     return CoreAggregationSim(cache_scale=0.01).run(graph, 32)
 
 
+@pytest.fixture(scope="module")
+def fused_report(graph):
+    return CoreAggregationSim(cache_scale=0.01).run(graph, 32, fused_update_features=32)
+
+
 class TestAggregationOnly:
     def test_positive_cycles(self, agg_report):
-        assert agg_report.cycles > 0
-        assert agg_report.seconds > 0
+        assert agg_report.cycles > 0 and agg_report.seconds > 0
 
     def test_access_counts_plausible(self, graph, agg_report):
         gathers = graph.num_edges + graph.num_vertices
@@ -37,31 +41,20 @@ class TestAggregationOnly:
 
 
 class TestFused:
-    def test_update_overlaps(self, graph):
-        sim = CoreAggregationSim(cache_scale=0.01)
-        agg = sim.run(graph, 32)
-        fused = CoreAggregationSim(cache_scale=0.01).run(
-            graph, 32, fused_update_features=32
-        )
+    def test_update_overlaps(self, agg_report, fused_report):
         # The fused run is barely longer than aggregation alone — the
         # update hides under the memory time (Figure 13's observation).
-        assert fused.cycles < agg.cycles * 1.35
-        assert fused.update_cycles > 0
+        assert fused_report.cycles < agg_report.cycles * 1.35
+        assert fused_report.update_cycles > 0
 
-    def test_fused_counts_update_accesses(self, graph):
-        agg = CoreAggregationSim(cache_scale=0.01).run(graph, 32)
-        fused = CoreAggregationSim(cache_scale=0.01).run(
-            graph, 32, fused_update_features=32
-        )
-        assert fused.l1_accesses > agg.l1_accesses
-        assert fused.l2_accesses > agg.l2_accesses
+    def test_fused_counts_update_accesses(self, agg_report, fused_report):
+        assert fused_report.l1_accesses > agg_report.l1_accesses
+        assert fused_report.l2_accesses > agg_report.l2_accesses
 
-    def test_stall_lower_when_fused(self, graph):
-        agg = CoreAggregationSim(cache_scale=0.01).run(graph, 32)
+    def test_stall_lower_when_fused(self, graph, agg_report):
         fused = CoreAggregationSim(cache_scale=0.01).run(
-            graph, 32, fused_update_features=128
-        )
-        assert fused.memory_stall_fraction <= agg.memory_stall_fraction
+            graph, 32, fused_update_features=128)
+        assert fused.memory_stall_fraction <= agg_report.memory_stall_fraction
 
 
 class TestOutputBufferReuse:
@@ -86,15 +79,13 @@ class TestOutputBufferReuse:
 
 
 class TestOrderSupport:
-    def test_custom_order_changes_nothing_structural(self, graph):
+    def test_custom_order_changes_nothing_structural(self, graph, agg_report):
         """Section 4.4's order is a relabel of the graph."""
         rng = np.random.default_rng(0)
         order = rng.permutation(graph.num_vertices)
-        report = CoreAggregationSim(cache_scale=0.01).run(
-            apply_order(graph, order), 32)
-        base = CoreAggregationSim(cache_scale=0.01).run(graph, 32)
+        report = CoreAggregationSim(cache_scale=0.01).run(apply_order(graph, order), 32)
         # Same number of issued lines either way.
-        assert report.detail["issued_lines"] == base.detail["issued_lines"]
+        assert report.detail["issued_lines"] == agg_report.detail["issued_lines"]
 
     def test_summarize_renders(self, agg_report):
         assert "cycles" in agg_report.summarize()

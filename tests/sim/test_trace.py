@@ -1,7 +1,6 @@
 """Unit tests for the address-trace layout."""
 
 import numpy as np
-import pytest
 
 from repro.sim import MemoryLayout, layout_for, vertex_trace
 
@@ -9,8 +8,7 @@ from repro.sim import MemoryLayout, layout_for, vertex_trace
 class TestMemoryLayout:
     def test_row_padding_to_lines(self):
         layout = MemoryLayout(num_vertices=10, num_edges=20, feature_len=17)
-        assert layout.row_bytes == 128  # 68B padded to two lines
-        assert layout.lines_per_row == 2
+        assert (layout.row_bytes, layout.lines_per_row) == (128, 2)  # 68B: two lines
 
     def test_exact_line_multiple_unpadded(self):
         layout = MemoryLayout(num_vertices=10, num_edges=20, feature_len=16)
@@ -24,8 +22,8 @@ class TestMemoryLayout:
 
     def test_feature_lines(self):
         layout = MemoryLayout(num_vertices=4, num_edges=0, feature_len=32)
-        lines = layout.feature_lines(1)
-        assert lines == [128, 192]  # row 1 starts at 128B, spans 2 lines
+        # row 1 starts at 128B and spans 2 lines
+        assert layout.feature_lines(1) == [128, 192]
 
     def test_index_lines_cover_slice(self):
         layout = MemoryLayout(num_vertices=4, num_edges=100, feature_len=16)
@@ -35,8 +33,7 @@ class TestMemoryLayout:
 
     def test_empty_slice(self):
         layout = MemoryLayout(num_vertices=4, num_edges=10, feature_len=16)
-        assert layout.index_lines(3, 3) == []
-        assert layout.factor_lines(5, 5) == []
+        assert layout.index_lines(3, 3) == [] == layout.factor_lines(5, 5)
 
 
 class TestVertexTrace:
@@ -44,24 +41,18 @@ class TestVertexTrace:
         layout = layout_for(tiny_graph, 16)
         trace = vertex_trace(tiny_graph, layout, 3)
         # Vertex 3 gathers {0,1,2} plus itself: 4 rows of 1 line each.
-        assert len(trace.gather_lines) == 4
-        assert len(trace.output_lines) == 1
+        assert (len(trace.gather_lines), len(trace.output_lines)) == (4, 1)
 
     def test_isolated_vertex_still_touches_self(self, tiny_graph):
         layout = layout_for(tiny_graph, 16)
         trace = vertex_trace(tiny_graph, layout, 4)
-        assert len(trace.gather_lines) == 1
-        assert trace.index_lines == ()
+        assert (len(trace.gather_lines), trace.index_lines) == (1, ())
 
     def test_gather_lines_match_neighbors(self, tiny_graph):
         layout = layout_for(tiny_graph, 16)
         trace = vertex_trace(tiny_graph, layout, 0)
-        expected = (
-            layout.feature_lines(1)
-            + layout.feature_lines(2)
-            + layout.feature_lines(0)
-        )
-        assert list(trace.gather_lines) == expected
+        assert list(trace.gather_lines) == (
+            layout.feature_lines(1) + layout.feature_lines(2) + layout.feature_lines(0))
 
     def test_index_factor_lines_aligned_rows_line_spaced(self, tiny_graph):
         layout = layout_for(tiny_graph, 17)  # padded rows
@@ -71,14 +62,9 @@ class TestVertexTrace:
                 assert addr % 64 == 0
             # Feature/output rows are row-granular: lines of one row are
             # spaced exactly one cache line apart.
-            rows = [
-                trace.gather_lines[i : i + layout.lines_per_row]
-                for i in range(0, len(trace.gather_lines), layout.lines_per_row)
-            ]
-            for row in rows:
-                assert [b - a for a, b in zip(row, row[1:])] == [64] * (
-                    len(row) - 1
-                )
+            for i in range(0, len(trace.gather_lines), layout.lines_per_row):
+                row = trace.gather_lines[i : i + layout.lines_per_row]
+                assert [b - a for a, b in zip(row, row[1:])] == [64] * (len(row) - 1)
 
 
 class TestCompulsoryFootprint:
@@ -102,10 +88,8 @@ class TestCompulsoryFootprint:
         assert len(gather) == n * layout.lines_per_row
         assert len(output) == n * layout.lines_per_row
         # Index/factor arrays: 4B per edge, packed into whole lines.
-        expected_idx = len(
-            {a // 64 for a in range(layout.idx_base,
-                                    layout.idx_base + 4 * tiny_graph.num_edges)}
-        )
+        expected_idx = len({a // 64 for a in range(
+            layout.idx_base, layout.idx_base + 4 * tiny_graph.num_edges)})
         assert len(index) <= expected_idx
         assert len(factor) <= expected_idx
 

@@ -7,32 +7,25 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.tensors import (
-    MASK_BITS_PER_ELEMENT,
-    compress,
-    compress_matrix,
-    decompress,
-    decompress_matrix,
-    traffic_ratio,
-    traffic_saved,
+    MASK_BITS_PER_ELEMENT, compress, compress_matrix, decompress,
+    decompress_matrix, traffic_ratio, traffic_saved,
 )
 
 
 class TestVectorRoundTrip:
     def test_exact_round_trip(self):
         vec = np.array([10, 7, 0, 43, 0, 0, 0, 22], dtype=np.float32)
-        restored = decompress(compress(vec))
-        np.testing.assert_array_equal(restored, vec)
+        np.testing.assert_array_equal(decompress(compress(vec)), vec)
 
     def test_figure6_example(self):
         """The paper's Figure 6 example: payload keeps order, mask marks
         positions."""
         vec = np.array([10, 7, 0, 43, 0, 0, 0, 22], dtype=np.float32)
         compressed = compress(vec)
-        np.testing.assert_array_equal(
-            compressed.payload, np.array([10, 7, 43, 22], dtype=np.float32)
-        )
-        bits = np.unpackbits(compressed.mask, count=8)
-        np.testing.assert_array_equal(bits, [1, 1, 0, 1, 0, 0, 0, 1])
+        np.testing.assert_array_equal(compressed.payload, [10, 7, 43, 22])
+        assert compressed.payload.dtype == np.float32
+        np.testing.assert_array_equal(np.unpackbits(compressed.mask, count=8),
+                                      [1, 1, 0, 1, 0, 0, 0, 1])
 
     def test_all_zero_vector(self):
         vec = np.zeros(10, dtype=np.float32)
@@ -55,11 +48,8 @@ class TestVectorRoundTrip:
     def test_corrupted_mask_rejected(self):
         vec = np.array([1.0, 0.0, 2.0], dtype=np.float32)
         compressed = compress(vec)
-        bad = type(compressed)(
-            payload=compressed.payload[:1],
-            mask=compressed.mask,
-            length=compressed.length,
-        )
+        bad = type(compressed)(payload=compressed.payload[:1], mask=compressed.mask,
+                               length=compressed.length)
         with pytest.raises(ValueError):
             decompress(bad)
 
@@ -75,8 +65,7 @@ class TestMatrixRoundTrip:
         """Slots keep the original shape — no indirection on random access
         (the Section 4.3 design decision)."""
         matrix = rng.standard_normal((10, 16)).astype(np.float32)
-        compressed = compress_matrix(matrix)
-        assert compressed.slots.shape == matrix.shape
+        assert compress_matrix(matrix).slots.shape == matrix.shape
 
     def test_payload_left_packed(self):
         matrix = np.array([[0, 5, 0, 3]], dtype=np.float32)
@@ -100,14 +89,12 @@ class TestTrafficMath:
 
     def test_break_even_sparsity(self):
         assert traffic_saved(1 / 32) == pytest.approx(0.0)
-        assert traffic_saved(0.02) < 0
-        assert traffic_saved(0.05) > 0
+        assert traffic_saved(0.02) < 0 < traffic_saved(0.05)
 
     def test_invalid_sparsity_rejected(self):
-        with pytest.raises(ValueError):
-            traffic_ratio(1.5)
-        with pytest.raises(ValueError):
-            traffic_ratio(-0.1)
+        for sparsity in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                traffic_ratio(sparsity)
 
     def test_measured_matches_analytic(self, rng):
         matrix = rng.standard_normal((64, 128)).astype(np.float32)
@@ -120,30 +107,18 @@ class TestTrafficMath:
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    hnp.arrays(
-        dtype=np.float32,
-        shape=st.integers(min_value=1, max_value=200),
-        elements=st.floats(
-            min_value=-1e6, max_value=1e6, allow_nan=False, width=32
-        ),
-    )
-)
+@given(hnp.arrays(dtype=np.float32, shape=st.integers(min_value=1, max_value=200),
+                  elements=st.floats(min_value=-1e6, max_value=1e6,
+                                     allow_nan=False, width=32)))
 def test_vector_round_trip_property(vec):
     np.testing.assert_array_equal(decompress(compress(vec)), vec)
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    rows=st.integers(1, 20),
-    cols=st.integers(1, 40),
-    zero_fraction=st.floats(0.0, 1.0),
-    seed=st.integers(0, 100),
-)
+@given(rows=st.integers(1, 20), cols=st.integers(1, 40),
+       zero_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 100))
 def test_matrix_round_trip_property(rows, cols, zero_fraction, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((rows, cols)).astype(np.float32)
     matrix[rng.random((rows, cols)) < zero_fraction] = 0.0
-    np.testing.assert_array_equal(
-        decompress_matrix(compress_matrix(matrix)), matrix
-    )
+    np.testing.assert_array_equal(decompress_matrix(compress_matrix(matrix)), matrix)

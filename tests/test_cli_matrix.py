@@ -42,9 +42,12 @@ only the host and numerics half of the run manifest, so the manifest's
 ``argv`` / ``config`` (every parsed value, used or not) and its time
 never make two runs differ.
 
-``experiment`` rows run every paper artifact at ``--scale 0.05`` (the
-simulated ones on 0.015 twins); their shape criteria are checked by
-``tests/bench/test_run_all.py``.
+``experiment`` rows run every paper artifact at ``--scale 0.02`` (the
+simulated ones on 0.006 twins); their shape criteria are checked by
+``tests/bench/test_run_all.py``.  The first row, ``experiment:tab3``, is
+the command's tiny run itself, so its choice check runs all 17 artifacts
+(the later rows reuse those runs): it is the matrix's slowest row, most
+of it the cache simulator of the five hardware figures.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ BASE: dict[str, tuple[dict[str, str], list[str]]] = {
     "top": ({"path": "{events}"}, []),
     "serve": ({"dataset": "products"}, [*TINY, "--epochs", "1"]),
     "loadgen": ({"url": "{url}"}, ["--vertices", "16"]),
-    "experiment": ({"name": "tab3"}, ["--scale", "0.05"]),
+    "experiment": ({"name": "tab3"}, ["--scale", "0.02"]),
 }
 
 

@@ -15,12 +15,7 @@ import time
 
 import pytest
 
-from repro.httpd import (
-    MAX_BODY_BYTES,
-    MAX_HEADER_BYTES,
-    HTTPFrontEnd,
-    error_reply,
-)
+from repro.httpd import MAX_BODY_BYTES, MAX_HEADER_BYTES, HTTPFrontEnd, error_reply
 
 WAIT_S = 10.0
 
@@ -61,10 +56,8 @@ def wait_until(condition):
 
 
 def handler_threads(front):
-    return [
-        thread for thread in threading.enumerate()
-        if thread.name == f"{front.name}-connection"
-    ]
+    return [thread for thread in threading.enumerate()
+            if thread.name == f"{front.name}-connection"]
 
 
 def connect(front):
@@ -108,8 +101,7 @@ class TestKeepAlive:
         for index in range(20):
             conn.request("POST", "/echo", body=f"n={index}")
             response = conn.getresponse()
-            assert response.status == 200
-            assert response.read() == f"n={index}".encode()
+            assert (response.status, response.read()) == (200, f"n={index}".encode())
             assert len(handler_threads(front)) == 1
         assert front.connections == 1
         conn.close()
@@ -117,16 +109,13 @@ class TestKeepAlive:
         assert front.client_disconnects == 0  # a close between requests
 
     def test_http10_request_is_answered_then_closed(self, front):
-        status, headers, body, closed = exchange(
-            front, b"GET /echo?old HTTP/1.0\r\n\r\n"
-        )
+        status, headers, body, closed = exchange(front, b"GET /echo?old HTTP/1.0\r\n\r\n")
         assert (status, body, closed) == (200, b"old", True)
         assert headers["connection"] == "close"
 
     def test_connection_close_is_answered_then_closed(self, front):
         status, _, body, closed = exchange(
-            front, b"GET /echo?bye HTTP/1.1\r\nConnection: close\r\n\r\n"
-        )
+            front, b"GET /echo?bye HTTP/1.1\r\nConnection: close\r\n\r\n")
         assert (status, body, closed) == (200, b"bye", True)
 
     def test_pipelined_requests_are_answered_in_order(self, front):
@@ -154,8 +143,8 @@ class TestKeepAlive:
 
             monkeypatch.setattr(socket.socket, name, write)
 
-        spy("sendall")
-        spy("send")
+        for name in ("sendall", "send"):
+            spy(name)
         conn = http.client.HTTPConnection("127.0.0.1", front.port, timeout=WAIT_S)
         for _ in range(3):
             conn.request("POST", "/echo", body="payload")
@@ -172,9 +161,7 @@ class TestFaults:
     """Each fault: its status, promptly; nothing on stderr; and the
     server answers the next request."""
 
-    @pytest.mark.parametrize(
-        "request_bytes, status, closed",
-        [
+    @pytest.mark.parametrize("request_bytes, status, closed", [
             (b"NONSENSE\r\n\r\n", 400, True),
             (b"GET /echo\r\n\r\n", 400, True),  # HTTP/0.9: no version
             (b"POST /echo HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400, True),
@@ -190,18 +177,15 @@ class TestFaults:
             (b"DELETE /echo HTTP/1.1\r\n\r\n", 405, False),
             (b"BREW /echo HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi", 405, False),
             (b"GET /boom HTTP/1.1\r\n\r\n", 500, False),
-        ],
-        ids=["garbage-line", "no-version", "length-abc", "length-negative",
+        ], ids=["garbage-line", "no-version", "length-abc", "length-negative",
              "body-too-large", "length-5000-digits", "headers-too-large",
              "line-too-large", "delete", "unknown-method-with-body",
-             "route-raises"],
-    )
+             "route-raises"])
     def test_status_quiet_and_still_serving(
         self, front, capfd, request_bytes, status, closed
     ):
         got, headers, body, was_closed = exchange(front, request_bytes)
-        assert got == status
-        assert was_closed == closed
+        assert (got, was_closed) == (status, closed)
         assert headers["content-type"] == "application/json"
         assert "error" in json.loads(body)
         assert_still_answers(front)
@@ -231,15 +215,11 @@ class TestFaults:
 
 
 class TestClientHangUp:
-    @pytest.mark.parametrize(
-        "partial",
-        [
-            b"POST /echo HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
-            b"POST /echo HTTP/1.1\r\nContent-Le",
-            b"GET /ec",
-        ],
-        ids=["mid-body", "mid-header", "mid-line"],
-    )
+    @pytest.mark.parametrize("partial", [
+        b"POST /echo HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
+        b"POST /echo HTTP/1.1\r\nContent-Le",
+        b"GET /ec",
+    ], ids=["mid-body", "mid-header", "mid-line"])
     def test_mid_request(self, front, capfd, partial):
         sock, reader = connect(front)
         with sock, reader:

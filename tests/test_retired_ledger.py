@@ -1,19 +1,16 @@
-"""The second performance ledger, the thread shard backend, the
-sampling profiler, the chunk executor, the consumer-less telemetry
-outputs (dashboard, Perfetto export, ``--attrib``, ``--sample-proc``),
-the commands that re-printed ``repro experiment`` rows (``datasets``,
-``speedup``, ``characterize``), the variant kernel classes with
-``profile --kernel``, the sharded trainer's delayed aggregation, the
-paper plane's second experiment table (``experiment --training``,
-``run_all.py --only / --timestamp``) and the knobs no workload set
-(``serve --fanout / --max-batch / --max-queue``, ``top --once``) are
-deleted, not defaulted:
-perfbench is the only judge of speed, the span plane is the only phase
-breakdown, lanes are the only in-process parallelism, every telemetry
-output left has a reader, each paper artifact has one command and one
-plan entry, the value plane runs one aggregation kernel while the cost
-model prices the paper's variants, sharded training is exact, and every
-served row is exact.
+"""What is deleted stays deleted, not defaulted: the second performance
+ledger, the thread shard backend, the sampling profiler, the chunk
+executor, the consumer-less telemetry outputs (dashboard, Perfetto
+export, ``--attrib``, ``--sample-proc``), the commands that re-printed
+``repro experiment`` rows (``datasets``, ``speedup``, ``characterize``),
+the variant kernel classes with ``profile --kernel``, delayed
+aggregation, the paper plane's second experiment table
+(``experiment --training``, ``run_all.py --only / --timestamp``) and the
+knobs no workload set (``serve --fanout / --max-batch / --max-queue``,
+``top --once``).  perfbench is the only judge of speed, the span plane
+the only phase breakdown, lanes the only in-process parallelism, each
+paper artifact has one command, and sharded training and every served
+row are exact.
 
 argparse accepts any unambiguous prefix of a long option, so ``--history``
 exiting 2 also proves that no ``--history-...`` option is left on that
@@ -46,10 +43,25 @@ _SMALL_RUNS = {
 }
 
 
-def _exit_code(argv) -> int:
+def _refused(run, argv, capsys, message="error:"):
+    """``run(argv)`` is a usage error (exit 2) with ``message`` on stderr."""
     with pytest.raises(SystemExit) as excinfo:
-        main(argv)
-    return excinfo.value.code
+        run(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def _unrecognized(argv, capsys, flag):
+    _refused(main, argv, capsys, f"unrecognized arguments: {flag}")
+
+
+def _invalid_choice(argv, capsys):
+    _refused(main, argv, capsys, f"invalid choice: '{argv[0]}'")
+
+
+def _gone(module):
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
 
 
 class TestSecondLedgerIsGone:
@@ -60,22 +72,18 @@ class TestSecondLedgerIsGone:
         ["profile", "diff", "a.json", "b.json"],
     ])
     def test_retired_commands_exit_2(self, argv, capsys):
-        assert _exit_code(argv) == 2
-        assert "error:" in capsys.readouterr().err
+        _refused(main, argv, capsys)
 
-    @pytest.mark.parametrize("command", [
-        ["bench-sharded", "products"],
-    ])
+    @pytest.mark.parametrize("command", [["bench-sharded", "products"]])
     def test_no_history_flag(self, command, tmp_path, capsys):
-        assert _exit_code(command + [f"--history={tmp_path / 'h.jsonl'}"]) == 2
-        assert "unrecognized arguments: --history" in capsys.readouterr().err
+        _unrecognized(command + [f"--history={tmp_path / 'h.jsonl'}"], capsys,
+                      "--history")
         assert not (tmp_path / "h.jsonl").exists()
 
     @pytest.mark.parametrize("flag", ["--history", "--dashboard"])
     def test_run_all_writes_no_history(self, flag, run_all, tmp_path, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run_all.main([str(tmp_path / "out.md"), flag, str(tmp_path / "f")])
-        assert excinfo.value.code == 2
+        _refused(run_all.main, [str(tmp_path / "out.md"), flag,
+                                str(tmp_path / "f")], capsys)
         assert not (tmp_path / "out.md").exists()
 
     def test_obs_has_no_history_module(self):
@@ -90,25 +98,19 @@ class TestSecondLedgerIsGone:
 
 class TestThreadShardBackendIsGone:
     @pytest.mark.parametrize("command", [
-        ["train", "products", "--shards", "2"],
-        ["bench-sharded"],
-    ])
+        ["train", "products", "--shards", "2"], ["bench-sharded"]])
     def test_backend_thread_exits_2(self, command, capsys):
-        assert _exit_code(command + ["--backend", "thread"]) == 2
-        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        _refused(main, command + ["--backend", "thread"], capsys,
+                 "invalid choice: 'thread'")
 
 
 class TestSamplingProfilerIsGone:
     @pytest.mark.parametrize("command", [
-        ["train", "products", "--scale", "0.02", "--epochs", "1"],
-        ["profile", "--vertices", "50", "--epochs", "1"],
-    ])
+        _SMALL_RUNS["train"], _SMALL_RUNS["profile"]])
     @pytest.mark.parametrize("flag", [["--sampling", "97"], ["--flame", "F"]])
     def test_sampling_flags_exit_2(self, command, flag, tmp_path, capsys):
-        out = tmp_path / "flame.folded"
-        flag = [str(out) if arg == "F" else arg for arg in flag]
-        assert _exit_code(command + flag) == 2
-        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        flag = [str(tmp_path / "flame.folded") if a == "F" else a for a in flag]
+        _unrecognized(command + flag, capsys, flag[0])
         assert list(tmp_path.iterdir()) == []
 
     def test_obs_exports_no_profiler(self):
@@ -129,27 +131,21 @@ class TestSamplingProfilerIsGone:
 
 class TestChunkExecutorIsGone:
     def test_bench_parallel_exits_2(self, capsys):
-        assert _exit_code(["bench-parallel", "products"]) == 2
-        assert "invalid choice: 'bench-parallel'" in capsys.readouterr().err
+        _invalid_choice(["bench-parallel", "products"], capsys)
 
     @pytest.mark.parametrize("command", [
-        ["train", "products", "--scale", "0.02", "--epochs", "1"],
-        ["profile", "--vertices", "50", "--epochs", "1"],
-    ])
+        _SMALL_RUNS["train"], _SMALL_RUNS["profile"]])
     def test_workers_flag_exits_2(self, command, capsys):
-        assert _exit_code(command + ["--workers", "2"]) == 2
-        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        _unrecognized(command + ["--workers", "2"], capsys, "--workers 2")
 
     @pytest.mark.parametrize("module", ["executor", "plan", "workload"])
     def test_chunk_modules_cannot_be_imported(self, module):
-        with pytest.raises(ImportError):
-            importlib.import_module(f"repro.parallel.{module}")
+        _gone(f"repro.parallel.{module}")
 
 
 class TestConsumerlessTelemetryIsGone:
     def test_dashboard_exits_2(self, capsys):
-        assert _exit_code(["dashboard", "events.jsonl"]) == 2
-        assert "invalid choice: 'dashboard'" in capsys.readouterr().err
+        _invalid_choice(["dashboard", "events.jsonl"], capsys)
 
     @pytest.mark.parametrize("command,flag", [
         ("train", "--perfetto F"),
@@ -161,14 +157,12 @@ class TestConsumerlessTelemetryIsGone:
     ])
     def test_output_flags_exit_2(self, command, flag, tmp_path, capsys):
         flag = flag.replace("F", str(tmp_path / "out"))
-        assert _exit_code(_SMALL_RUNS[command] + flag.split()) == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        _unrecognized(_SMALL_RUNS[command] + flag.split(), capsys, flag)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("module", ["dashboard", "export"])
     def test_modules_cannot_be_imported(self, module):
-        with pytest.raises(ImportError):
-            importlib.import_module(f"repro.obs.{module}")
+        _gone(f"repro.obs.{module}")
 
 
 class TestDuplicatePaperCommandsAreGone:
@@ -179,12 +173,10 @@ class TestDuplicatePaperCommandsAreGone:
         ["characterize"],
     ])
     def test_commands_exit_2(self, argv, capsys):
-        assert _exit_code(argv) == 2
-        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+        _invalid_choice(argv, capsys)
 
     def test_perf_report_cannot_be_imported(self):
-        with pytest.raises(ImportError):
-            importlib.import_module("repro.perf.report")
+        _gone("repro.perf.report")
 
     def test_subcommands_are_the_seven_left(self):
         subparsers = next(
@@ -199,19 +191,17 @@ class TestDuplicatePaperCommandsAreGone:
 
 class TestVariantKernelsAreGone:
     def test_profile_kernel_flag_exits_2(self, capsys):
-        assert _exit_code(_SMALL_RUNS["profile"] + ["--kernel", "compression"]) == 2
-        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+        _unrecognized(_SMALL_RUNS["profile"] + ["--kernel", "compression"],
+                      capsys, "--kernel")
 
     @pytest.mark.parametrize("module", ["fused", "compressed", "spmm", "distgnn"])
     def test_variant_modules_cannot_be_imported(self, module):
-        with pytest.raises(ImportError):
-            importlib.import_module(f"repro.kernels.{module}")
+        _gone(f"repro.kernels.{module}")
 
 
 class TestOneGuardEngine:
     def test_health_module_cannot_be_imported(self):
-        with pytest.raises(ImportError):
-            importlib.import_module("repro.obs.health")
+        _gone("repro.obs.health")
 
     def test_trainer_takes_no_health_monitor(self):
         assert "health" not in inspect.signature(Trainer).parameters
@@ -227,8 +217,7 @@ class TestDelayedAggregationIsGone:
         ["--delay-aggregation", "1"], ["--halo-refresh", "2"],
     ])
     def test_flags_exit_2(self, command, flag, capsys):
-        assert _exit_code(command + flag) == 2
-        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        _unrecognized(command + flag, capsys, flag[0])
 
     @pytest.mark.parametrize("keyword", [
         {"delayed_layers": (1,)}, {"halo_refresh": 1}, {"refine_passes": 0},
@@ -243,17 +232,14 @@ class TestDelayedAggregationIsGone:
 class TestOnePaperPlan:
     def test_experiment_training_flag_exits_2(self, capsys):
         """fig14's training panel is its own plan entry, ``fig14b``."""
-        assert _exit_code(["experiment", "fig14", "--training"]) == 2
-        assert "error:" in capsys.readouterr().err
+        _refused(main, ["experiment", "fig14", "--training"], capsys)
 
     @pytest.mark.parametrize("flag", [["--only", "tab3"], ["--timestamp", "42"]])
     def test_run_all_subset_and_clock_flags_exit_2(
         self, flag, run_all, tmp_path, capsys
     ):
-        with pytest.raises(SystemExit) as excinfo:
-            run_all.main([str(tmp_path / "out.md"), *flag])
-        assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        _refused(run_all.main, [str(tmp_path / "out.md"), *flag], capsys,
+                 f"unrecognized arguments: {flag[0]}")
         assert not (tmp_path / "out.md").exists()
 
     def test_hardware_figures_follow_scale(self, monkeypatch, capsys):
@@ -282,8 +268,7 @@ class TestUnsetKnobsAreGone:
         (["top", "run.jsonl"], ["--once"]),
     ], ids=["serve-fanout", "serve-max-batch", "serve-max-queue", "top-once"])
     def test_flags_exit_2(self, command, flag, capsys):
-        assert _exit_code(command + flag) == 2
-        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        _unrecognized(command + flag, capsys, flag[0])
 
     def test_service_takes_no_sampling_or_bounds(self):
         assert list(inspect.signature(InferenceService).parameters) == [
