@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph
+from .csr import CSRGraph, _csr_arrays
 
 
 def _rng(seed: Optional[int]) -> np.random.Generator:
@@ -190,7 +190,7 @@ def community_graph(
         raise ValueError("within_fraction must be in [0, 1]")
     if not 0.0 <= scatter_fraction <= 1.0:
         raise ValueError("scatter_fraction must be in [0, 1]")
-    graph = _community_graph_once(
+    args = (
         num_vertices,
         avg_degree,
         community_size,
@@ -201,26 +201,15 @@ def community_graph(
         scatter_fraction,
         seed,
         name,
-        oversample=1.12,
     )
+    graph = _community_graph_once(*args, oversample=1.12)
     # Skewed within-community draws collapse many duplicate edges; one
     # corrective pass rescales the draw to land near the target mean degree.
     achieved = graph.num_edges / max(1, num_vertices)
     if achieved < avg_degree * 0.9:
+        del graph  # only its edge count is read: free it before the rebuild
         factor = min(8.0, 1.12 * avg_degree / max(achieved, 1e-9))
-        graph = _community_graph_once(
-            num_vertices,
-            avg_degree,
-            community_size,
-            within_fraction,
-            hub_exponent,
-            degree_exponent,
-            scatter_ids,
-            scatter_fraction,
-            seed,
-            name,
-            oversample=factor,
-        )
+        graph = _community_graph_once(*args, oversample=factor)
     return graph
 
 
@@ -245,6 +234,11 @@ def _community_graph_once(
     # whether the natural order preserves that contiguity (a pre-localized
     # source ordering) or destroys it.
     community = (np.arange(n, dtype=np.int64) * num_comms) // n
+    # ``community`` is nondecreasing: community c is the id range
+    # ``starts[c]:starts[c + 1]``.
+    sizes = np.bincount(community, minlength=num_comms)
+    starts = np.zeros(num_comms + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
     # Hub weights: heavier tail -> stronger hubs.  The extreme tail is
     # capped so a handful of monster hubs cannot absorb nearly all edges
     # (they would collapse under duplicate removal and hijack every
@@ -265,35 +259,32 @@ def _community_graph_once(
     # heaviest member so that Algorithm 3's highest-degree-neighbor test
     # resolves to a single owner per community instead of fragmenting the
     # community across several similar-degree vertices.
-    for c in range(num_comms):
-        members = np.where(community == c)[0]
-        if len(members) == 0:
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        if lo == hi:
             continue
-        hub = members[int(np.argmax(weights[members]))]
+        hub = lo + int(np.argmax(weights[lo:hi]))
         in_deg[hub] = min(n - 1, in_deg[hub] * 3 + int(avg_degree))
 
-    # Group members by community for vectorized within-community draws.
-    comm_members = [np.where(community == c)[0] for c in range(num_comms)]
-
-    dst_parts = []
-    src_parts = []
     # Within-community degree saturates at community size; the surplus is
     # dropped (small communities simply cannot absorb more distinct
     # neighbors) rather than rerouted to cross edges, which would dilute
-    # the within_fraction contract.
+    # the within_fraction contract.  A singleton community has no peer.
     cross_budget = rng.binomial(in_deg, 1.0 - within_fraction)
     within_counts = np.minimum(
-        in_deg - cross_budget,
-        np.maximum(1, np.bincount(community, minlength=num_comms)[community] - 1),
+        in_deg - cross_budget, np.maximum(1, sizes[community] - 1)
     )
+    within_counts[sizes[community] < 2] = 0
+    # Edges are emitted vertex by vertex, within picks first: community
+    # c's picks fill ``src[at[c]:at[c + 1]]``.
+    at = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(within_counts, out=at[1:])
+    at = at[starts]
+    num_within = int(at[-1])
+    src = np.empty(num_within + int(cross_budget.sum()), dtype=np.int64)
     for c in range(num_comms):
-        members = comm_members[c]
-        size = len(members)
-        if size < 2:
-            within_counts[members] = 0
-            continue
-        counts = within_counts[members]
-        if counts.sum() == 0:
+        lo, hi = starts[c], starts[c + 1]
+        size = int(hi - lo)
+        if size < 2 or at[c] == at[c + 1]:
             continue
         # Weighted sampling WITHOUT replacement via Gumbel top-k: each
         # member ranks every community peer by log-weight + Gumbel noise
@@ -301,29 +292,26 @@ def _community_graph_once(
         # essential — drawing with replacement from a skewed small
         # community collapses to a handful of distinct edges after
         # deduplication, destroying the within_fraction contract.
-        keys = np.log(weights[members])[None, :] + rng.gumbel(
+        keys = np.log(weights[lo:hi])[None, :] + rng.gumbel(
             size=(size, size)
         )
         np.fill_diagonal(keys, -np.inf)  # no self edges here
         ranked = np.argsort(-keys, axis=1)
-        for i, v in enumerate(members):
-            k = int(counts[i])
-            if k:
-                dst_parts.append(np.full(k, v, dtype=np.int64))
-                src_parts.append(members[ranked[i, :k]])
+        picked = np.arange(size) < within_counts[lo:hi, None]
+        src[at[c] : at[c + 1]] = lo + ranked[picked]
     # Cross-community edges are drawn uniformly: they provide the
     # background miss traffic of long-range links without making a global
     # mega-hub every vertex's highest-degree neighbor (which would defeat
     # the community grouping that Algorithm 3 recovers).
-    cross_counts = cross_budget
-    total_cross = int(cross_counts.sum())
-    if total_cross:
-        dst_parts.append(
-            np.repeat(np.arange(n, dtype=np.int64), cross_counts)
+    if len(src) > num_within:
+        src[num_within:] = rng.integers(
+            0, n, size=len(src) - num_within, dtype=np.int64
         )
-        src_parts.append(rng.integers(0, n, size=total_cross, dtype=np.int64))
-    dst = np.concatenate(dst_parts) if dst_parts else np.empty(0, np.int64)
-    src = np.concatenate(src_parts) if src_parts else np.empty(0, np.int64)
+    vertices = np.arange(n, dtype=np.int64)
+    dst = np.repeat(
+        np.concatenate([vertices, vertices]),
+        np.concatenate([within_counts, cross_budget]),
+    )
 
     if scatter_ids and scatter_fraction > 0.0:
         perm = np.arange(n, dtype=np.int64)
@@ -331,6 +319,7 @@ def _community_graph_once(
         if k >= 2:
             chosen = rng.choice(n, size=k, replace=False)
             perm[chosen] = perm[rng.permutation(chosen)]
-        dst, src = perm[dst], perm[src]
-    graph = CSRGraph.from_edges(n, np.stack([dst, src], axis=1), name=name)
-    return graph
+        # One endpoint array at a time: three E-sized arrays, not four.
+        dst = perm[dst]
+        src = perm[src]
+    return CSRGraph(*_csr_arrays(n, dst, src, deduplicate=True), name=name)

@@ -26,7 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .csr import CSRGraph, GraphError
+from .csr import CSRGraph, GraphError, _csr_arrays
 
 
 @dataclass(frozen=True)
@@ -151,19 +151,7 @@ def _undirected_csr(graph: CSRGraph) -> Tuple[np.ndarray, np.ndarray]:
     rows = np.concatenate([dst, src])
     cols = np.concatenate([src, dst])
     keep = rows != cols
-    # Dedupe on the scalar key row * n + col: sorting it is sorting the
-    # (row, col) pairs lexicographically, without the void-dtype
-    # comparisons ``np.unique(axis=0)`` pays for (n² < 2⁶³ always holds
-    # for a graph whose CSR fits in memory).  A sort plus a neighbour
-    # compare (keys are >= 0, so the -1 keeps the first), not
-    # ``np.unique``: numpy 2's hash-based unique costs ~20x more on these
-    # keys for the same sorted result.
-    keys = np.sort(rows[keep] * n + cols[keep])
-    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, cols
+    return _csr_arrays(n, rows[keep], cols[keep], deduplicate=True)
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,9 @@ def apply_order(graph: CSRGraph, order: np.ndarray) -> CSRGraph:
         raise ValueError("order must be a permutation of all vertex ids")
     new_id = np.empty(n, dtype=np.int64)
     new_id[order] = np.arange(n, dtype=np.int64)
-    dst = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    edges = np.stack([new_id[dst], new_id[graph.indices]], axis=1)
+    edges = np.stack(
+        [np.repeat(new_id, graph.degrees()), new_id[graph.indices]], axis=1
+    )
     return CSRGraph.from_edges(
         n, edges, name=graph.name + "@reordered", deduplicate=False
     )

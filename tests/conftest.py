@@ -1,4 +1,9 @@
-"""Shared fixtures: small graphs and features reused across the suite."""
+"""Shared fixtures: small graphs and features reused across the suite.
+
+Plain helpers that several test files call (:func:`wait_until`,
+:func:`make_event`) live here too and are imported by name
+(``from conftest import wait_until``): this is the suite's one
+``conftest.py``, so the module name cannot resolve to another."""
 
 import _posixshmem
 import contextlib
@@ -21,11 +26,12 @@ from repro import lanes, obs
 from repro.graphs import (
     CSRGraph, apply_order, chain_graph, community_graph, grid_graph,
     load_dataset, locality_order, natural_order, randomized_order,
-    star_graph, synthetic_features, uniform_graph,
+    power_law_graph, star_graph, synthetic_features, uniform_graph,
 )
 from repro.kernels import BasicKernel, UpdateParams
 from repro.nn import GNNLayer, GNNModel
 from repro.nn.layers import output_sweep
+from repro.obs.events import EpochEvent
 from repro.tensors.compression import compress_matrix, decompress_matrix
 
 
@@ -182,6 +188,40 @@ def star10() -> CSRGraph:
 @pytest.fixture(scope="session")
 def chain20() -> CSRGraph:
     return chain_graph(20)
+
+
+@pytest.fixture(scope="session")
+def hub_and_loner() -> CSRGraph:
+    """A power-law graph (its hub gathers a fifth of the vertices) plus
+    one vertex with no edge at all: the serving suites' graph."""
+    base = power_law_graph(300, 6.0, seed=3)
+    dst = np.repeat(np.arange(base.num_vertices), base.degrees())
+    edges = np.stack([dst, base.indices], axis=1)
+    return CSRGraph.from_edges(base.num_vertices + 1, edges, name="hub+loner")
+
+
+#: How long a test waits on another thread before it fails.
+WAIT_S = 10.0
+
+
+def wait_until(condition):
+    """Wait for another thread to get somewhere; fail rather than hang."""
+    deadline = time.monotonic() + WAIT_S
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def make_event(epoch=0, **overrides):
+    """One epoch's :class:`EpochEvent`, with ``overrides`` applied."""
+    kwargs = dict(
+        epoch=epoch, loss=1.5, train_accuracy=0.4, wall_time_s=0.01,
+        val_accuracy=0.35,
+        grad_norms={"0": {"weight": 0.1, "bias": 0.01, "h_in": 0.2}},
+        weight_norms={"0": {"weight": 1.0, "bias": 0.1}},
+    )
+    kwargs.update(overrides)
+    return EpochEvent(**kwargs)
 
 
 @pytest.fixture

@@ -1,11 +1,14 @@
 """Unit tests for the Table-3 dataset twins."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.graphs import (
-    DATASET_NAMES, SPECS, input_feature_size, load_dataset,
-    synthetic_features,
+    DATASET_NAMES, SPECS, apply_order, input_feature_size, load_dataset,
+    locality_order, synthetic_features,
 )
 from repro.graphs.stats import skew
 from repro.tensors import sparsity
@@ -94,3 +97,50 @@ class TestMetadata:
         assert SPECS["wikipedia"].pre_localized
         assert not SPECS["papers"].pre_localized
         assert SPECS["twitter"].pre_localized
+
+
+def _digest(graph):
+    sha = hashlib.sha1(graph.indptr.tobytes())
+    sha.update(graph.indices.tobytes())
+    return sha.hexdigest()
+
+
+#: SHA-1 of ``indptr`` + ``indices`` per (name, scale, seed), recorded
+#: from the ``np.unique(axis=0)`` + ``lexsort`` build: a faster builder
+#: must reproduce every twin, perfbench's inputs (products at 4x and 10x,
+#: seed 7) included, byte for byte.
+TWIN_DIGESTS = {
+    ("products", 0.1, 3): "d291cd21b93ef27342e8bb9d21b44bf0bff93f0f",
+    ("products", 1, 3): "ec43a4da632480ef651c307f289402c190ceefcc",
+    ("wikipedia", 0.1, 3): "29e6585dfc47f45f474c2e79039c8815cb7d084d",
+    ("wikipedia", 1, 3): "e2777a77a6b9e4ffca282f2938d52f33611006b1",
+    ("papers", 0.1, 3): "239a4225d6aa2c841794e5fd036879a26b06d3a7",
+    ("papers", 1, 3): "73d47f065949919a6db71d84e1e391eb0d3efc0c",
+    ("twitter", 0.1, 3): "54a8532dcf1f19a483f86afdcc4e1d87e9561723",
+    ("twitter", 1, 3): "49cc18bab10cfbb66da2554dd569854be518c565",
+    ("products", 4, 7): "e2bd52838a67d08baf3983744e471b0e5e199774",
+    ("products", 10, 7): "d0a75ca9abe280aa6c39d0644b97d9287a0114b3",
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("key", sorted(TWIN_DIGESTS), ids=str)
+    def test_twin_matches_recorded_digest(self, key):
+        assert _digest(load_dataset(*key)) == TWIN_DIGESTS[key]
+
+    def test_relabelled_twin_matches_recorded_digest(self):
+        graph = load_dataset("wikipedia", 1, seed=3)
+        relabelled = apply_order(graph, locality_order(graph))
+        assert _digest(relabelled) == "bf55af672bb59fc03aac28ff08bc8588b12abdab"
+
+    def test_generation_peak_is_a_few_outputs(self):
+        """Building a twin holds a few edge-sized arrays at once, never a
+        dozen: the traced peak stays within 6x the graph it returns."""
+        tracemalloc.start()
+        try:
+            graph = load_dataset("products", 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = graph.indptr.nbytes + graph.indices.nbytes
+        assert peak <= 6 * output, f"peak {peak / output:.1f}x the output"

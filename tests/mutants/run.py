@@ -258,6 +258,11 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/graphs/test_generators.py",),
     ),
     Mutant(
+        "from-edges-keeps-duplicates", "src/repro/graphs/csr.py",
+        "np.not_equal(keys[1:], keys[:-1], out=keep[1:])", "keep[1:] = True",
+        ("tests/graphs/test_csr.py",),
+    ),
+    Mutant(
         "csc-permutation-sorted", "src/repro/graphs/csr.py",
         "                csc.data,\n", "                np.sort(csc.data),\n",
         ("tests/graphs/test_csr.py",),

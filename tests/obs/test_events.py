@@ -4,23 +4,13 @@ import json
 import math
 
 import pytest
+from conftest import make_event
 
 from repro.obs import RECORD_SCHEMA_VERSION, manifest
 from repro.obs.events import (
-    EpochEvent, EventLog, EventTail, read_events, validate_epoch_event,
+    EventLog, EventTail, read_events, validate_epoch_event,
     validate_events, validate_events_file,
 )
-
-
-def make_event(epoch=0, **overrides):
-    kwargs = dict(
-        epoch=epoch, loss=1.5, train_accuracy=0.4, wall_time_s=0.01,
-        val_accuracy=0.35,
-        grad_norms={"0": {"weight": 0.1, "bias": 0.01, "h_in": 0.2}},
-        weight_norms={"0": {"weight": 1.0, "bias": 0.1}},
-    )
-    kwargs.update(overrides)
-    return EpochEvent(**kwargs)
 
 
 #: A complete line that does not parse, then epoch 1's good record.

@@ -7,26 +7,16 @@ import socket
 import urllib.request
 
 import pytest
+from conftest import make_event
 
 from repro import cli, obs
 from repro.obs import MetricsRegistry, manifest
-from repro.obs.events import EpochEvent, EventLog
+from repro.obs.events import EventLog
 from repro.obs.live import (
     LiveRunMonitor, MetricsServer, delta_snapshot, prometheus_name,
     render_prometheus, scrape_snapshot, sparkline,
 )
 from repro.obs.rules import RuleEngine
-
-
-def make_event(epoch=0, **overrides):
-    kwargs = dict(
-        epoch=epoch, loss=1.5, train_accuracy=0.4, wall_time_s=0.01,
-        val_accuracy=0.35,
-        grad_norms={"0": {"weight": 0.1, "bias": 0.01, "h_in": 0.2}},
-        weight_norms={"0": {"weight": 1.0, "bias": 0.1}},
-    )
-    kwargs.update(overrides)
-    return EpochEvent(**kwargs)
 
 
 def registry(counters=(), gauges=(), observed=()):

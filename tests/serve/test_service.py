@@ -11,12 +11,12 @@ import json
 import operator
 import socket
 import threading
-import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
+from conftest import WAIT_S, wait_until
 
 from repro import obs
 from repro.nn import GNNModel, build_model
@@ -25,8 +25,6 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve import server as server_module
-
-WAIT_S = 10.0
 
 
 @pytest.fixture()
@@ -40,14 +38,6 @@ def setup(small_products, features16):
 @pytest.fixture()
 def service(setup):
     return setup[3]
-
-
-def wait_until(condition):
-    """Wait for another thread to get somewhere; fail rather than hang."""
-    deadline = time.monotonic() + WAIT_S
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.001)
 
 
 class Gate:

@@ -14,10 +14,9 @@ import threading
 import time
 
 import pytest
+from conftest import WAIT_S, wait_until
 
 from repro.httpd import MAX_BODY_BYTES, MAX_HEADER_BYTES, HTTPFrontEnd, error_reply
-
-WAIT_S = 10.0
 
 
 class Echo(HTTPFrontEnd):
@@ -46,13 +45,6 @@ class Echo(HTTPFrontEnd):
 def front():
     with Echo() as server:
         yield server
-
-
-def wait_until(condition):
-    deadline = time.monotonic() + WAIT_S
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.001)
 
 
 def handler_threads(front):
