@@ -30,6 +30,9 @@ AGGREGATORS = ("gcn", "mean", "sum")
 #: Accepted spellings that map onto a canonical aggregator.
 AGGREGATOR_ALIASES = {"sage-mean": "mean"}
 
+#: Edges per block of :func:`normalization_factors`' fp64 scratch.
+_FACTOR_BLOCK_EDGES = 1 << 16
+
 
 def canonical_aggregator(aggregator: str) -> str:
     """Resolve aliases (``sage-mean`` -> ``mean``) to canonical names."""
@@ -44,22 +47,34 @@ def normalization_factors(graph: CSRGraph, aggregator: str) -> Tuple[np.ndarray,
         ``graph.indices`` (one scale per gathered neighbor, the layout the
         DMA ``FACTOR`` pointer expects — Figure 9b), ``self_factors`` has
         one scale per vertex for the implicit self edge.
+
+    The fp64 arithmetic runs one block of rows (about
+    :data:`_FACTOR_BLOCK_EDGES` edges) at a time on a block-sized
+    scratch, so the only ``E``-long array is the fp32 result.
     """
     aggregator = canonical_aggregator(aggregator)
-    d_hat = graph.self_loop_degrees()
-    d_dst = np.repeat(d_hat, graph.degrees())
-    if aggregator == "gcn":
-        edge = 1.0 / np.sqrt(d_dst * d_hat[graph.indices])
-        self_f = 1.0 / d_hat
-    elif aggregator == "mean":
-        edge = 1.0 / d_dst
-        self_f = 1.0 / d_hat
-    elif aggregator == "sum":
-        edge = np.ones(graph.num_edges, dtype=np.float64)
-        self_f = np.ones(graph.num_vertices, dtype=np.float64)
-    else:
+    if aggregator not in AGGREGATORS:
         raise ValueError(f"unknown aggregator {aggregator!r}; choose from {AGGREGATORS}")
-    return edge.astype(np.float32), self_f.astype(np.float32)
+    if aggregator == "sum":
+        return (np.ones(graph.num_edges, dtype=np.float32),
+                np.ones(graph.num_vertices, dtype=np.float32))
+    d_hat = graph.self_loop_degrees()
+    degrees, indptr = graph.degrees(), graph.indptr
+    edge = np.empty(graph.num_edges, dtype=np.float32)
+    row = 0
+    while row < graph.num_vertices:
+        # The rows starting within one block of this one (at least one).
+        stop = max(row + 1, int(np.searchsorted(
+            indptr, indptr[row] + _FACTOR_BLOCK_EDGES, side="right")) - 1)
+        lo, hi = indptr[row], indptr[stop]
+        scratch = np.repeat(d_hat[row:stop], degrees[row:stop])
+        if aggregator == "gcn":
+            scratch *= d_hat[graph.indices[lo:hi]]
+            np.sqrt(scratch, out=scratch)
+        np.divide(1.0, scratch, out=scratch)
+        edge[lo:hi] = scratch
+        row = stop
+    return edge, (1.0 / d_hat).astype(np.float32)
 
 
 def normalized_adjacency(graph: CSRGraph, aggregator: str) -> sp.csr_matrix:
@@ -70,10 +85,7 @@ def normalized_adjacency(graph: CSRGraph, aggregator: str) -> sp.csr_matrix:
     """
     edge, self_f = normalization_factors(graph, aggregator)
     n = graph.num_vertices
-    adj = sp.csr_matrix(
-        (edge, graph.indices.astype(np.int64), graph.indptr.astype(np.int64)),
-        shape=(n, n),
-    )
+    adj = sp.csr_matrix((edge, graph.indices, graph.indptr), shape=(n, n))
     return (adj + sp.diags(self_f)).tocsr()
 
 
@@ -84,7 +96,7 @@ def aggregate(graph: CSRGraph, h: np.ndarray, aggregator: str = "gcn") -> np.nda
             f"feature rows {h.shape[0]} != num_vertices {graph.num_vertices}"
         )
     a_hat = normalized_adjacency(graph, aggregator)
-    return (a_hat @ h).astype(np.result_type(h.dtype, np.float32))
+    return (a_hat @ h).astype(np.result_type(h.dtype, np.float32), copy=False)
 
 
 def aggregate_backward(
@@ -98,7 +110,9 @@ def aggregate_backward(
     instead (:meth:`repro.kernels.BasicKernel.aggregate_backward`).
     """
     a_hat = normalized_adjacency(graph, aggregator)
-    return (a_hat.T @ grad_a).astype(np.result_type(grad_a.dtype, np.float32))
+    return (a_hat.T @ grad_a).astype(
+        np.result_type(grad_a.dtype, np.float32), copy=False
+    )
 
 
 def aggregate_backward_reference(

@@ -110,7 +110,9 @@ class GNNModel:
         ``keep_hidden=False`` (inference only) then keeps no such hidden
         activation: its blocks pass through reused block buffers, so a
         pass over the benchmark student never holds a ``V x hidden``
-        array.
+        array.  Nor does it keep any layer's aggregation (``cache.a`` is
+        ``None``): layer ``k``'s ``Â · h`` is freed before layer
+        ``k + 1`` builds its ``Â``.
 
         ``workspace`` lends the hidden layers their output buffers and
         the sweeps their scratch (see :class:`Workspace`); the logits
@@ -146,6 +148,8 @@ class GNNModel:
                     buffers=buffers,
                 )
             operand = cache.next_operand
+            if not keep_hidden:
+                cache.a = None  # Â·h is read by backward only
             caches.append(cache)
         return h, caches
 

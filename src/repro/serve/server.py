@@ -2,9 +2,10 @@
 
 :class:`InferenceService` answers per-vertex / per-batch classification
 and embedding queries against a trained :class:`~repro.nn.model.
-GNNModel`.  Construction runs one full-graph forward and keeps its
-``V × C`` logits as the answer table (:mod:`repro.serve.cache`) and its
-``Â · features`` for refills.  One request's life:
+GNNModel`.  Construction aggregates ``Â · features`` once and keeps it
+for refills, then runs one full-graph forward from it and keeps its
+``V × C`` logits as the answer table (:mod:`repro.serve.cache`).  One
+request's life:
 
 1. **admission** — born with a fresh trace id under a ``serve.request``
    span on the HTTP handler thread;
@@ -77,9 +78,11 @@ class InferenceService:
 
     Graph and ``features`` are fixed for the life of the service (the
     identity contract ``Trainer`` has for its kept first aggregation).
-    One full-graph forward here yields the logits table and
-    ``caches[0].a`` — ``Â · features``, ``V × in_features`` fp32 — that
-    every refill starts from; the ``V × hidden`` activations are dropped.
+    Construction aggregates ``Â · features`` (``V × in_features``
+    fp32) once through a ``BasicKernel`` and keeps it: it is what every
+    refill starts from, and the one full-graph forward that yields the
+    logits table is handed it as ``first_aggregation``; the ``V × hidden``
+    activations are dropped.
     ``Â · features`` does not depend on the weights, so weight updates
     followed by ``cache.invalidate()`` leave it valid.
 
@@ -107,12 +110,15 @@ class InferenceService:
         self.graph = graph
         self.features = features
         self.model = model
-        logits, caches = model.forward(
-            graph, features.astype(np.float32, copy=False), training=False,
-            kernel=BasicKernel(), keep_hidden=False,
+        kernel = BasicKernel()
+        x = features.astype(np.float32, copy=False)
+        self._first_aggregation, _ = kernel.aggregate(
+            graph, x, model.layers[0].aggregator
         )
-        self._first_aggregation = caches[0].a
-        del caches
+        logits, _ = model.forward(
+            graph, x, kernel=kernel, keep_hidden=False,
+            first_aggregation=self._first_aggregation,
+        )
         self.cache = EmbeddingCache(logits, model.layers[-1].in_features)
         self.batcher = RequestBatcher(
             self._run_batch, max_batch=self.MAX_BATCH, max_queue=self.MAX_QUEUE

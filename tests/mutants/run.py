@@ -242,6 +242,16 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/nn/test_model.py",),
     ),
     Mutant(
+        "predict-keeps-first-aggregation", "src/repro/nn/model.py",
+        "cache.a = None  # Â·h is read by backward only", "pass",
+        ("tests/nn/test_alloc_budget.py",),
+    ),
+    Mutant(
+        "factors-whole-edge-array-fp64", "src/repro/nn/aggregate.py",
+        "_FACTOR_BLOCK_EDGES = 1 << 16", "_FACTOR_BLOCK_EDGES = 1 << 62",
+        ("tests/nn/test_alloc_budget.py",),
+    ),
+    Mutant(
         "loss-grad-half-label", "src/repro/nn/functional.py",
         "probs[index, picked_labels] -= 1.0", "probs[index, picked_labels] -= 0.5",
         ("tests/nn/test_functional.py",),

@@ -14,6 +14,12 @@ no ``E`` term, no timing.
 It also holds what a caller may keep: logits from ``predict`` or from a
 ``forward`` that was lent no workspace never alias the trainer's buffers;
 and ``predict`` itself never holds a ``V x hidden`` block.
+
+The kernel-free oracle has an ``E`` term, one: the ``Â`` it builds,
+``(E + V) x 8`` bytes.  ``aggregate`` holds that and its ``V x F``
+output; kernel-free ``predict`` adds only layer 1's ``V x C`` operand
+and the block buffers — no fp64 edge array, and no ``Â · X`` once
+layer 0's sweep is done.
 """
 
 import tracemalloc
@@ -24,7 +30,7 @@ import pytest
 from repro import lanes
 from repro.graphs import load_dataset, synthetic_features
 from repro.kernels import BasicKernel
-from repro.nn import Adam, Trainer, build_model
+from repro.nn import Adam, Trainer, aggregate, build_model
 from repro.nn.layers import SWEEP_CHUNKS, SWEEP_ROWS
 
 #: The perfbench student.
@@ -156,3 +162,52 @@ def test_predict_allocates_no_hidden_sized_block(task):
     assert peak <= budget, f"predict peaked at {peak} B, budget {budget} B"
     fresh, _ = model.forward(graph, features, kernel=kernel)
     np.testing.assert_array_equal(logits, fresh)
+
+
+def _a_hat_bytes(graph):
+    """``Â`` as scipy holds it: an fp32 value and an int32 column id per
+    edge and self loop, and an int32 row pointer."""
+    v, e = graph.num_vertices, graph.num_edges
+    return 8 * (e + v) + 4 * (v + 1)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_oracle_aggregate_holds_one_a_hat_and_its_output(task):
+    """The ψ factors are built a block of rows at a time, so ``Â · X``
+    holds no ``E``-long fp64 array, and its output is not copied again.
+    scipy's ``Â`` before the self loops merge in (8 bytes an edge) is
+    freed before the output is allocated, so it fits in the output's
+    share: 100 input features are more than 2 x the mean degree."""
+    graph, features = task[:2]
+    aggregate(graph, features)  # caches the degrees
+    out, peak = _traced_peak(lambda: aggregate(graph, features))
+    assert 8 * graph.num_edges <= out.nbytes
+    budget = _a_hat_bytes(graph) + out.nbytes + 2**16
+    assert peak <= budget, f"aggregate peaked at {peak} B, budget {budget} B"
+
+
+def test_oracle_predict_drops_a_x_before_layer_1(task):
+    """Kernel-free ``predict``: layer 0 holds ``Â`` and then ``Â · X``;
+    its sweep holds ``Â · X``, the block buffers and layer 1's operand
+    ``h W`` (``V x C``).  Layer 1 builds its ``Â`` next to the operand
+    and the buffers only — layer 0's ``Â · X`` is gone."""
+    graph, features = task[:2]
+    v = graph.num_vertices
+    model = build_model("gcn", IN_FEATURES, HIDDEN, CLASSES, seed=0)
+    model.predict(graph, features)  # caches the degrees
+    logits, peak = _traced_peak(lambda: model.predict(graph, features))
+    lanes_used = min(lanes.lane_count(), SWEEP_CHUNKS)
+    budget = (
+        _a_hat_bytes(graph) + v * IN_FEATURES * FP32 + logits.nbytes
+        + lanes_used * _block_rows() * HIDDEN * FP32 + 2**16
+    )
+    assert peak <= budget, f"predict peaked at {peak} B, budget {budget} B"
